@@ -20,7 +20,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bine_exec::state::Workload;
-use bine_exec::{compiled, sequential, threaded, ExecutorPool};
+use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_sched::collectives::{allreduce, AllreduceAlg};
 
 /// Short measurement configuration so a full `cargo bench --workspace` stays
@@ -84,23 +84,9 @@ fn bench_schedule_compilation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threaded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("threaded-execution");
-    let sched = allreduce(64, AllreduceAlg::BineLarge);
-    let workload = Workload::for_schedule(&sched, 64);
-    let initial = workload.initial_state(&sched);
-    group.bench_function("pool-bine-large-64", |b| {
-        b.iter(|| threaded::run(&sched, initial.clone()))
-    });
-    group.bench_function("thread-per-rank-bine-large-64", |b| {
-        b.iter(|| threaded::run_thread_per_rank(&sched, initial.clone()))
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_compiled_vs_naive, bench_other_algorithms, bench_schedule_compilation, bench_threaded
+    targets = bench_compiled_vs_naive, bench_other_algorithms, bench_schedule_compilation
 }
 criterion_main!(benches);

@@ -42,6 +42,7 @@ use bine_tune::{
 };
 
 use crate::systems::System;
+use crate::StatsOnFailure;
 
 /// Configuration of one adaptive-serving run.
 #[derive(Debug, Clone)]
@@ -308,6 +309,7 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
     let service = ServiceSelector::from_tables(&[table])
         .with_adaptation(opts.policy, Reevaluator::catalog(usize::MAX, scorer));
     let sys = 0;
+    let on_failure = StatsOnFailure::watch(&service);
 
     // --- phase 1: faults active, observations diverge, override lands ---
     let before = service
@@ -413,6 +415,8 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
         ));
     }
 
+    on_failure.passed();
+    let stats = service.stats();
     Ok(AdaptiveReport {
         committed_pick: committed,
         des_true_pick: des_true,
@@ -422,9 +426,9 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
         plan_seed,
         faulted_links,
         stragglers,
-        overrides: service.overrides(),
-        reverts: service.reverts(),
-        reevals: service.reevals(),
+        overrides: stats.overrides,
+        reverts: stats.reverts,
+        reevals: stats.reevals,
         observe_ns,
         overridden_hit_ns,
     })

@@ -92,10 +92,10 @@ fn main() {
     println!("injected panics       {:>10}", report.injected_panics);
     println!(
         "service counters      {:>10} fallbacks, {} timeouts, {} retries, {} compilations",
-        report.service_fallbacks,
-        report.service_timeouts,
-        report.service_retries,
-        report.service_compilations
+        report.service.fallbacks,
+        report.service.timeouts,
+        report.service.retries,
+        report.service.compilations
     );
     println!(
         "faulted DES           {:>10} schedules bit-identical (plan: {} faulted links, {} stragglers)",
@@ -104,9 +104,10 @@ fn main() {
 
     if report.availability() < 1.0 || report.unexpected_answers > 0 {
         eprintln!(
-            "\nchaos_bench: FAILED — availability {:.3}%, {} unexpected answers",
+            "\nchaos_bench: FAILED — availability {:.3}%, {} unexpected answers\n{:?}",
             report.availability() * 100.0,
-            report.unexpected_answers
+            report.unexpected_answers,
+            report.service
         );
         std::process::exit(1);
     }

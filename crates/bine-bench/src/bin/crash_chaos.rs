@@ -76,7 +76,7 @@ fn main() {
     );
     println!(
         "service counters      {:>10} stalls, {} recoveries",
-        report.service_stalls, report.service_recoveries
+        report.service.stalls, report.service.recoveries
     );
     println!(
         "verification          {:>10} scenarios: {} recoveries bit-identical \
@@ -90,9 +90,10 @@ fn main() {
 
     if report.availability() < 1.0 || report.unexpected_outcomes > 0 {
         eprintln!(
-            "\ncrash_chaos: FAILED — availability {:.3}%, {} unexpected outcomes",
+            "\ncrash_chaos: FAILED — availability {:.3}%, {} unexpected outcomes\n{:?}",
             report.availability() * 100.0,
-            report.unexpected_outcomes
+            report.unexpected_outcomes,
+            report.service
         );
         std::process::exit(1);
     }

@@ -32,10 +32,13 @@ use bine_net::cost::CostModel;
 use bine_net::fault::FaultSpec;
 use bine_net::sim::{SimReport, SimRequest};
 use bine_sched::{build, Collective};
-use bine_tune::{fallback_pick, slug, tuned_name, CompileAttempt, DegradePolicy, ServiceSelector};
+use bine_tune::{
+    fallback_pick, slug, tuned_name, CompileAttempt, DegradePolicy, ServiceSelector, ServiceStats,
+};
 
 use crate::serve;
 use crate::systems::System;
+use crate::StatsOnFailure;
 
 /// Configuration of one chaos run.
 #[derive(Debug, Clone)]
@@ -101,14 +104,8 @@ pub struct ChaosReport {
     pub unexpected_answers: u64,
     /// Compile panics the injection hook actually fired.
     pub injected_panics: u64,
-    /// Service counter: requests answered with the fallback pick.
-    pub service_fallbacks: u64,
-    /// Service counter: follower waits that timed out.
-    pub service_timeouts: u64,
-    /// Service counter: compile retries after a panic.
-    pub service_retries: u64,
-    /// Service counter: compilations started (leaderships taken).
-    pub service_compilations: u64,
+    /// The service's counter snapshot after the verification pass.
+    pub service: ServiceStats,
     /// Entries still answering with the fallback in the verification pass
     /// (their breakers tripped during the storm and stayed open).
     pub degraded_entries: usize,
@@ -202,6 +199,7 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
             }
         }));
     let sys = service.resolve_system(&opts.system)?;
+    let on_failure = StatsOnFailure::watch(&service);
 
     // The standard serving query mix: every query resolves against the
     // committed tables, and every pick (tuned or fallback) is buildable at
@@ -320,6 +318,7 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
         sim_checked += 1;
     }
 
+    on_failure.passed();
     Ok(ChaosReport {
         total_requests: (threads * requests_per_thread) as u64,
         answered: answered.into_inner(),
@@ -327,10 +326,7 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
         fallback_answers: fallback.into_inner(),
         unexpected_answers: unexpected.into_inner(),
         injected_panics: injected.load(Ordering::Relaxed),
-        service_fallbacks: service.fallbacks(),
-        service_timeouts: service.timeouts(),
-        service_retries: service.retries(),
-        service_compilations: service.compilations(),
+        service: service.stats(),
         degraded_entries,
         sim_checked,
         faulted_links,
@@ -376,7 +372,7 @@ mod tests {
         assert!(report.faulted_links > 0, "the fault plan must not be empty");
         assert!(report.degraded_share() > 0.0 && report.degraded_share() < 1.0);
         assert!(
-            report.service_retries > 0,
+            report.service.retries > 0,
             "some attempts must have retried"
         );
     }
@@ -398,9 +394,9 @@ mod tests {
         assert_eq!(report.fallback_answers, 0);
         assert_eq!(report.injected_panics, 0);
         assert_eq!(report.degraded_entries, 0);
-        assert_eq!(report.service_fallbacks, 0);
-        assert_eq!(report.service_timeouts, 0);
-        assert_eq!(report.service_retries, 0);
+        assert_eq!(report.service.fallbacks, 0);
+        assert_eq!(report.service.timeouts, 0);
+        assert_eq!(report.service.retries, 0);
         assert_eq!(report.sim_checked, serve::queries().len());
     }
 }

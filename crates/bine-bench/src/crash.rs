@@ -34,9 +34,10 @@ use bine_exec::{ExecError, Workload};
 use bine_net::allocation::Allocation;
 use bine_net::traffic;
 use bine_sched::{validate_schedule, Collective, ProviderSet, Schedule};
-use bine_tune::{fallback_pick, slug, tuned_name, Served, ServiceSelector};
+use bine_tune::{fallback_pick, slug, tuned_name, Served, ServiceSelector, ServiceStats};
 
 use crate::systems::System;
+use crate::StatsOnFailure;
 
 /// Configuration of one crash-chaos run.
 #[derive(Debug, Clone)]
@@ -102,10 +103,9 @@ pub struct CrashReport {
     pub full_checked: usize,
     /// Typed unrecoverable errors verified to name the seeded victim.
     pub unrecoverable_checked: usize,
-    /// Service counter: executions that stalled on a dead rank.
-    pub service_stalls: u64,
-    /// Service counter: stalls recovered by shrink-and-retry.
-    pub service_recoveries: u64,
+    /// The service's counter snapshot after the verification pass
+    /// (`stalls` vs `recoveries` are the two sides of the ladder).
+    pub service: ServiceStats,
 }
 
 impl CrashReport {
@@ -291,6 +291,7 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
         .find(|s| slug(s.name) == slug(&opts.system))
         .ok_or_else(|| format!("no benchmark system named {:?}", opts.system))?;
     let service = ServiceSelector::load_default()?;
+    let on_failure = StatsOnFailure::watch(&service);
     let sys = service.resolve_system(&opts.system)?;
     let scenarios = scenarios(&service, sys, opts.seed)?;
     let elems = opts.elems_per_block.max(1);
@@ -453,6 +454,7 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
         }
     }
 
+    on_failure.passed();
     Ok(CrashReport {
         total_requests: (threads * requests_per_thread) as u64,
         answered: answered.into_inner(),
@@ -465,8 +467,7 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
         traffic_checked,
         full_checked,
         unrecoverable_checked,
-        service_stalls: service.stalls(),
-        service_recoveries: service.recoveries(),
+        service: service.stats(),
     })
 }
 
@@ -519,8 +520,8 @@ mod tests {
         assert!(report.full_checked > 0 && report.unrecoverable_checked > 0);
         // Every stall is either recovered or typed-unrecoverable; both
         // phases re-trigger them, so the counters line up exactly.
-        assert!(report.service_stalls > report.service_recoveries);
-        assert!(report.service_recoveries > 0);
+        assert!(report.service.stalls > report.service.recoveries);
+        assert!(report.service.recoveries > 0);
     }
 
     /// A kill plan of nobody is exactly the healthy path: every answer
@@ -536,7 +537,7 @@ mod tests {
             assert!(!served.is_recovered());
             assert_eq!(served.finals().len(), n);
         }
-        assert_eq!(service.stalls(), 0);
-        assert_eq!(service.recoveries(), 0);
+        let stats = service.stats();
+        assert_eq!((stats.stalls, stats.recoveries), (0, 0));
     }
 }

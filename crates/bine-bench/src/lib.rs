@@ -65,6 +65,31 @@ pub mod tables;
 pub use runner::{compare_vs_binomial, heatmap, improvement_distribution, Evaluator, HeadToHead};
 pub use systems::{paper_vector_sizes, System, SystemKind, SMALL_VECTOR_THRESHOLD};
 
+/// Scope guard of the serving harnesses ([`chaos`], [`crash`],
+/// [`adaptive`]): unless the run reaches its end and calls
+/// [`StatsOnFailure::passed`], dropping it prints the service's counter
+/// snapshot to stderr — so a failed (or panicking) run shows what the
+/// service was doing, whichever `?` it bailed out through.
+pub(crate) struct StatsOnFailure<'a>(Option<&'a bine_tune::ServiceSelector>);
+
+impl<'a> StatsOnFailure<'a> {
+    pub(crate) fn watch(service: &'a bine_tune::ServiceSelector) -> Self {
+        StatsOnFailure(Some(service))
+    }
+
+    pub(crate) fn passed(mut self) {
+        self.0 = None;
+    }
+}
+
+impl Drop for StatsOnFailure<'_> {
+    fn drop(&mut self) {
+        if let Some(service) = self.0 {
+            eprintln!("service stats at failure: {:?}", service.stats());
+        }
+    }
+}
+
 /// Elements per block used by the execution benchmarks at a given rank
 /// count, shared by `benches/execution.rs` and the `bench_exec` recorder so
 /// their ns/op stay comparable. Scaled down at the largest sizes because the

@@ -14,9 +14,6 @@
 //!   block indices, no hashing in the inner loop),
 //! * [`pool`] — the persistent [`pool::ExecutorPool`]: ranks multiplexed
 //!   over one worker per core with per-step work queues,
-//! * [`threaded`] — [`threaded::run`] executes compiled schedules on the
-//!   global pool; the seed one-thread-per-rank executor is preserved as
-//!   [`threaded::run_thread_per_rank`],
 //! * [`mod@verify`] — golden-result checks of the MPI post-condition of every
 //!   collective,
 //! * [`comm`] — the [`comm::Cluster`] facade: an MPI-like API over plain
@@ -42,7 +39,6 @@ pub mod compiled;
 pub mod pool;
 pub mod sequential;
 pub mod state;
-pub mod threaded;
 pub mod verify;
 
 pub use comm::Cluster;

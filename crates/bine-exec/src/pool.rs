@@ -1,10 +1,10 @@
 //! A persistent worker pool for multi-threaded schedule execution.
 //!
-//! The seed executor spawned one OS thread per simulated rank per run —
-//! a 1024-rank schedule meant 1024 thread spawns *every call*. The
-//! [`ExecutorPool`] instead keeps a small fixed set of workers (one per
-//! available core by default) alive across runs and multiplexes the ranks
-//! over them with per-step work queues:
+//! One OS thread per simulated rank would mean 1024 thread spawns *every
+//! call* for a 1024-rank schedule. The [`ExecutorPool`] instead keeps a
+//! small fixed set of workers (one per available core by default) alive
+//! across runs and multiplexes the ranks over them with per-step work
+//! queues:
 //!
 //! * **gather phase** — the step's sends are split across the workers; each
 //!   worker reads the shared payloads of its sends (refcount bumps) into a
@@ -551,7 +551,35 @@ mod tests {
     use super::*;
     use crate::sequential;
     use crate::state::Workload;
-    use bine_sched::collectives::{allreduce, broadcast, AllreduceAlg, BroadcastAlg};
+    use bine_sched::collectives::{
+        allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
+    };
+
+    #[test]
+    fn pool_executor_matches_sequential_for_allreduce() {
+        for alg in [
+            AllreduceAlg::BineSmall,
+            AllreduceAlg::BineLarge,
+            AllreduceAlg::Ring,
+        ] {
+            let sched = allreduce(16, alg);
+            let w = Workload::for_schedule(&sched, 3);
+            let seq = sequential::run(&sched, w.initial_state(&sched));
+            let pooled =
+                ExecutorPool::global().run(&Arc::new(sched.compile()), w.initial_state(&sched));
+            assert_eq!(seq, pooled, "{}", sched.algorithm);
+        }
+    }
+
+    #[test]
+    fn pool_executor_matches_sequential_for_alltoall() {
+        let sched = alltoall(8, AlltoallAlg::Bine);
+        let w = Workload::for_schedule(&sched, 2);
+        let seq = sequential::run(&sched, w.initial_state(&sched));
+        let pooled =
+            ExecutorPool::global().run(&Arc::new(sched.compile()), w.initial_state(&sched));
+        assert_eq!(seq, pooled);
+    }
 
     #[test]
     fn pool_reuses_a_fixed_worker_set_across_runs() {

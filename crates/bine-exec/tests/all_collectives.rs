@@ -5,12 +5,17 @@
 
 use std::sync::Arc;
 
-use bine_exec::state::Workload;
-use bine_exec::{compiled, sequential, threaded, verify, ExecutorPool};
+use bine_exec::state::{BlockStore, Workload};
+use bine_exec::{compiled, sequential, verify, ExecutorPool};
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, Collective, SizeDist,
+    algorithms, build, build_irregular, irregular_algorithms, Collective, Schedule, SizeDist,
     IRREGULAR_COLLECTIVES,
 };
+
+/// Compiles `schedule` and runs it on the process-wide [`ExecutorPool`].
+fn pool_run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
+    ExecutorPool::global().run(&Arc::new(schedule.compile()), initial)
+}
 
 #[test]
 fn every_algorithm_is_correct_on_the_sequential_executor() {
@@ -35,16 +40,16 @@ fn every_algorithm_is_correct_on_the_sequential_executor() {
 }
 
 #[test]
-fn every_algorithm_is_correct_on_the_threaded_executor() {
+fn every_algorithm_is_correct_on_the_pool_executor() {
     for collective in Collective::ALL {
         for alg in algorithms(collective) {
             let p = 16;
             let sched =
                 build(collective, alg.name(), p, 5).unwrap_or_else(|| panic!("{}", alg.name()));
             let workload = Workload::for_schedule(&sched, 2);
-            let finals = threaded::run(&sched, workload.initial_state(&sched));
+            let finals = pool_run(&sched, workload.initial_state(&sched));
             if let Err(e) = verify::verify(&workload, &finals) {
-                panic!("{:?}/{} (threaded): {e}", collective, alg.name());
+                panic!("{:?}/{} (pool): {e}", collective, alg.name());
             }
         }
     }
@@ -69,31 +74,18 @@ fn all_four_executors_agree_exactly_with_the_reference() {
             );
             let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
             assert_eq!(comp, reference, "compiled: {:?}/{}", collective, alg.name());
-            let thr = threaded::run(&sched, workload.initial_state(&sched));
+            let thr = pool_run(&sched, workload.initial_state(&sched));
             assert_eq!(thr, reference, "pool: {:?}/{}", collective, alg.name());
         }
     }
 }
 
 #[test]
-fn legacy_thread_per_rank_executor_agrees_with_the_pool() {
-    for collective in Collective::ALL {
-        let alg = algorithms(collective)[0].clone();
-        let sched =
-            build(collective, alg.name(), 16, 3).unwrap_or_else(|| panic!("{}", alg.name()));
-        let workload = Workload::for_schedule(&sched, 2);
-        let legacy = threaded::run_thread_per_rank(&sched, workload.initial_state(&sched));
-        let pooled = threaded::run(&sched, workload.initial_state(&sched));
-        assert_eq!(legacy, pooled, "{:?}/{}", collective, alg.name());
-    }
-}
-
-#[test]
 fn a_1024_rank_schedule_runs_on_a_bounded_worker_set() {
-    // The pool multiplexes all 1024 ranks over a fixed handful of workers;
-    // the seed executor would have spawned 1024 OS threads for this call.
-    // (An explicit 4-worker pool, so the asserted bound is a property of
-    // the executor, not of the host's core count.)
+    // The pool multiplexes all 1024 ranks over a fixed handful of workers
+    // instead of spawning one OS thread per rank. (An explicit 4-worker
+    // pool, so the asserted bound is a property of the executor, not of
+    // the host's core count.)
     let pool = ExecutorPool::new(4);
     assert_eq!(
         pool.num_workers(),
@@ -167,7 +159,7 @@ fn irregular_edge_cases_execute_identically_on_every_executor() {
                         "compiled: {collective:?}/{name} dist={}",
                         dist.name()
                     );
-                    let thr = threaded::run(&sched, workload.initial_state(&sched));
+                    let thr = pool_run(&sched, workload.initial_state(&sched));
                     assert_eq!(
                         thr,
                         reference,

@@ -3,14 +3,20 @@
 //! post-condition.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use bine_exec::state::Workload;
-use bine_exec::{compiled, sequential, threaded, verify};
+use bine_exec::state::{BlockStore, Workload};
+use bine_exec::{compiled, sequential, verify, ExecutorPool};
 use bine_sched::{
     algorithms, build, build_irregular, irregular_algorithms, Collective, Schedule, SizeDist,
     IRREGULAR_COLLECTIVES,
 };
 use proptest::prelude::*;
+
+/// Compiles `schedule` and runs it on the process-wide [`ExecutorPool`].
+fn pool_run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
+    ExecutorPool::global().run(&Arc::new(schedule.compile()), initial)
+}
 
 fn any_collective() -> impl Strategy<Value = Collective> {
     prop::sample::select(Collective::ALL.to_vec())
@@ -103,7 +109,7 @@ proptest! {
             for (name, outcome) in [
                 ("sequential", catch_unwind(AssertUnwindSafe(|| sequential::run(&sched, workload.initial_state(&sched))))),
                 ("compiled", catch_unwind(AssertUnwindSafe(|| compiled::run(&sched.compile(), workload.initial_state(&sched))))),
-                ("pool", catch_unwind(AssertUnwindSafe(|| threaded::run(&sched, workload.initial_state(&sched))))),
+                ("pool", catch_unwind(AssertUnwindSafe(|| pool_run(&sched, workload.initial_state(&sched))))),
             ] {
                 prop_assert!(outcome.is_err(), "{name} accepted a schedule the reference rejects ({:?}/{} p={p})", collective, alg.name());
             }
@@ -113,7 +119,7 @@ proptest! {
         prop_assert_eq!(&seq, &reference, "sequential: {:?}/{} p={} root={}", collective, alg.name(), p, root);
         let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
         prop_assert_eq!(&comp, &reference, "compiled: {:?}/{} p={} root={}", collective, alg.name(), p, root);
-        let pooled = threaded::run(&sched, workload.initial_state(&sched));
+        let pooled = pool_run(&sched, workload.initial_state(&sched));
         prop_assert_eq!(&pooled, &reference, "pool: {:?}/{} p={} root={}", collective, alg.name(), p, root);
     }
 
@@ -144,7 +150,7 @@ proptest! {
             ("reference", sequential::run_reference(&seg, workload.initial_state(&seg))),
             ("sequential", sequential::run(&seg, workload.initial_state(&seg))),
             ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
-            ("pool", threaded::run(&seg, workload.initial_state(&seg))),
+            ("pool", pool_run(&seg, workload.initial_state(&seg))),
         ] {
             prop_assert_eq!(
                 &finals, &reference,
@@ -200,7 +206,7 @@ proptest! {
             for (exec, outcome) in [
                 ("sequential", catch_unwind(AssertUnwindSafe(|| sequential::run(&sched, workload.initial_state(&sched))))),
                 ("compiled", catch_unwind(AssertUnwindSafe(|| compiled::run(&sched.compile(), workload.initial_state(&sched))))),
-                ("pool", catch_unwind(AssertUnwindSafe(|| threaded::run(&sched, workload.initial_state(&sched))))),
+                ("pool", catch_unwind(AssertUnwindSafe(|| pool_run(&sched, workload.initial_state(&sched))))),
             ] {
                 prop_assert!(
                     outcome.is_err(),
@@ -214,7 +220,7 @@ proptest! {
         for (exec, finals) in [
             ("sequential", sequential::run(&sched, workload.initial_state(&sched))),
             ("compiled", compiled::run(&sched.compile(), workload.initial_state(&sched))),
-            ("pool", threaded::run(&sched, workload.initial_state(&sched))),
+            ("pool", pool_run(&sched, workload.initial_state(&sched))),
         ] {
             prop_assert_eq!(
                 &finals, &reference,
@@ -250,7 +256,7 @@ proptest! {
             ("reference", sequential::run_reference(&seg, workload.initial_state(&seg))),
             ("sequential", sequential::run(&seg, workload.initial_state(&seg))),
             ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
-            ("pool", threaded::run(&seg, workload.initial_state(&seg))),
+            ("pool", pool_run(&seg, workload.initial_state(&seg))),
         ] {
             prop_assert_eq!(
                 &finals, &reference,
@@ -304,7 +310,7 @@ proptest! {
             for (exec, finals) in [
                 ("sequential", sequential::run(&seg, workload.initial_state(&seg))),
                 ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
-                ("pool", threaded::run(&seg, workload.initial_state(&seg))),
+                ("pool", pool_run(&seg, workload.initial_state(&seg))),
             ] {
                 prop_assert_eq!(
                     &finals, &reference,

@@ -6,7 +6,8 @@
 //! daemons, failing DIMMs). A [`FaultPlan`] describes such a scenario as
 //! explicit, deterministic data — no randomness at simulation time — so a
 //! faulted run is exactly reproducible and the optimized simulator stays
-//! pinned bit-identical to [`crate::sim::simulate_reference`] under faults.
+//! pinned bit-identical to the reference ([`crate::sim::SimRequest::reference`])
+//! under faults.
 //!
 //! Three fault families are modelled, mirroring how the cost parameters
 //! enter the DES:

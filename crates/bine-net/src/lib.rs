@@ -46,12 +46,7 @@ pub use cost::{CostBreakdown, CostModel, CostSummary, LowerBounds};
 pub use event::EventQueue;
 pub use fault::{FaultError, FaultPlan, FaultSpec, LinkDown, LinkFault, RankCrash, Straggler};
 pub use feedback::{LogHistogram, ObservedTiming, TimingSource};
-#[allow(deprecated)]
-pub use sim::{
-    sim_time_in, sim_time_in_faulted, sim_time_us, simulate, simulate_faulted, simulate_in,
-    simulate_in_faulted, simulate_reference, simulate_reference_faulted, simulate_schedule,
-    SimArena, SimOutcome, SimReport, SimRequest, StallReport,
-};
+pub use sim::{SimArena, SimOutcome, SimReport, SimRequest, StallReport};
 pub use topology::{
     Dragonfly, DragonflyFlavour, FatTree, IdealFullMesh, LinkClass, LinkInfo, Topology, Torus,
 };

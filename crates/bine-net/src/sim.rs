@@ -41,9 +41,7 @@
 //! Every way to run the simulator goes through the [`SimRequest`] builder:
 //! `SimRequest::new(model, schedule, n, topo, alloc)` plus any of
 //! `.faults(&plan)`, `.probe(&mut probe)`, `.arena(&mut arena)`,
-//! `.time_only()` and `.reference()`. The older `simulate*`/`sim_time*`
-//! names survive as `#[deprecated]` one-line wrappers over the builder and
-//! are pinned bit-identical to it by a proptest.
+//! `.time_only()` and `.reference()`.
 //!
 //! ## Two implementations, one semantics
 //!
@@ -112,7 +110,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
-use bine_sched::{CompiledSchedule, CompletionReport, Schedule, ScheduleValidator, TransferKind};
+use bine_sched::{CompiledSchedule, CompletionReport, ScheduleValidator, TransferKind};
 
 use crate::allocation::Allocation;
 use crate::cost::{CostModel, GIB_PER_US};
@@ -185,62 +183,6 @@ enum Ev {
 /// Panics if the allocation has fewer ranks than the schedule, or if the
 /// simulation deadlocks (which would indicate a schedule whose dependency
 /// graph is cyclic — impossible for schedules built by `bine-sched`).
-#[deprecated(note = "use `SimRequest::new(..).reference().run()`")]
-pub fn simulate_reference(
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> SimReport {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .reference()
-        .run()
-        .into_report()
-}
-
-/// [`simulate_reference`] under a [`FaultPlan`]: degraded link capacities,
-/// latency spikes and straggler slowdowns enter the exact expressions the
-/// healthy path evaluates, so a zero plan is bit-identical to
-/// [`simulate_reference`].
-#[deprecated(note = "use `SimRequest::new(..).reference().faults(plan).run()`")]
-pub fn simulate_reference_faulted(
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    plan: &FaultPlan,
-) -> SimReport {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .reference()
-        .faults(plan)
-        .run()
-        .into_report()
-}
-
-/// [`simulate_reference`] with a [`RateProbe`] invoked after every
-/// fair-share recomputation (a verification hook for the property tests),
-/// under an optional [`FaultPlan`].
-#[deprecated(note = "use `SimRequest::new(..).reference().probe(probe).run()`")]
-pub fn simulate_reference_probed(
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    plan: Option<&FaultPlan>,
-    probe: RateProbe<'_>,
-) -> SimReport {
-    let mut req = SimRequest::new(model, schedule, n, topo, alloc)
-        .reference()
-        .probe(probe);
-    if let Some(plan) = plan {
-        req = req.faults(plan);
-    }
-    req.run().into_report()
-}
-
 fn simulate_reference_impl(
     model: &CostModel,
     schedule: &CompiledSchedule,
@@ -1069,8 +1011,8 @@ impl SimArena {
 // The consolidated entry point
 // ---------------------------------------------------------------------------
 
-/// The one entry point to the simulator: a builder over every axis the old
-/// `simulate*`/`sim_time*` family hard-coded into its names.
+/// The one entry point to the simulator: a builder over every axis a run
+/// can vary.
 ///
 /// A request always names the five mandatory inputs — cost model, compiled
 /// schedule, vector size, topology, allocation — and opts into the rest:
@@ -1085,11 +1027,6 @@ impl SimArena {
 ///   allocation-free hot path for sweeps);
 /// * [`SimRequest::reference`] — run the executable-specification reference
 ///   implementation instead of the optimized fast path.
-///
-/// Every combination dispatches to the same internals the old names called,
-/// so a migrated call site is **bit-identical** to the deprecated wrapper it
-/// replaces (pinned for all 12 wrappers by a proptest in
-/// `tests/proptests.rs`).
 ///
 /// ```
 /// use bine_net::allocation::Allocation;
@@ -1370,156 +1307,6 @@ impl<'a> SimRequest<'a> {
             Err(stall) => SimOutcome::Stalled(stall),
         }
     }
-}
-
-/// Simulates `schedule` with `n`-byte vectors on `topo` under `alloc` with
-/// the cost parameters of `model`. See the module docs for the semantics.
-///
-/// This is the optimized fast path, pinned bit-identical to
-/// [`simulate_reference`]; it spins up a fresh [`SimArena`] per call —
-/// sweeps should hold their own arena via [`SimRequest::arena`] instead.
-///
-/// # Panics
-/// Panics if the allocation has fewer ranks than the schedule, or if the
-/// simulation deadlocks (which would indicate a schedule whose dependency
-/// graph is cyclic — impossible for schedules built by `bine-sched`).
-#[deprecated(note = "use `SimRequest::new(..).run()`")]
-pub fn simulate(
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> SimReport {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .run()
-        .into_report()
-}
-
-/// [`simulate`] under a [`FaultPlan`] (see [`crate::fault`]): the optimized
-/// path with degraded link capacities, latency spikes and straggler
-/// slowdowns, pinned bit-identical to [`simulate_reference_faulted`]. A zero
-/// plan is bit-identical to [`simulate`].
-#[deprecated(note = "use `SimRequest::new(..).faults(plan).run()`")]
-pub fn simulate_faulted(
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    plan: &FaultPlan,
-) -> SimReport {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .faults(plan)
-        .run()
-        .into_report()
-}
-
-/// [`simulate`] with caller-owned scratch: repeated calls reuse `arena`'s
-/// buffers and cached static resolution, allocating only the returned
-/// report's per-rank vector.
-#[deprecated(note = "use `SimRequest::new(..).arena(arena).run()`")]
-pub fn simulate_in(
-    arena: &mut SimArena,
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> SimReport {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .arena(arena)
-        .run()
-        .into_report()
-}
-
-/// [`simulate_in`] under a [`FaultPlan`]: caller-owned scratch plus fault
-/// injection. Switching plans (like switching topologies) rebuilds the
-/// cached static resolution for the schedule; reusing the same plan is
-/// allocation-free after warmup.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `SimRequest::new(..).arena(arena).faults(plan).run()`")]
-pub fn simulate_in_faulted(
-    arena: &mut SimArena,
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    plan: &FaultPlan,
-) -> SimReport {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .arena(arena)
-        .faults(plan)
-        .run()
-        .into_report()
-}
-
-/// The simulated makespan in microseconds, with caller-owned scratch.
-/// Allocation-free after warmup — the hot entry point for tuning and
-/// benchmark sweeps.
-#[deprecated(note = "use `SimRequest::new(..).arena(arena).time_only().run().makespan_us`")]
-pub fn sim_time_in(
-    arena: &mut SimArena,
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> f64 {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .arena(arena)
-        .time_only()
-        .run()
-        .makespan_us()
-}
-
-/// [`sim_time_in`] under a [`FaultPlan`]: the allocation-free hot entry
-/// point with fault injection, for sweeps over faulted scenarios.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    note = "use `SimRequest::new(..).arena(arena).faults(plan).time_only().run().makespan_us`"
-)]
-pub fn sim_time_in_faulted(
-    arena: &mut SimArena,
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    plan: &FaultPlan,
-) -> f64 {
-    SimRequest::new(model, schedule, n, topo, alloc)
-        .arena(arena)
-        .faults(plan)
-        .time_only()
-        .run()
-        .makespan_us()
-}
-
-/// [`simulate_in`] with a [`RateProbe`] invoked after every fair-share
-/// recomputation — the verification hook the property tests use to pin the
-/// incremental rates to the reference at every event — under an optional
-/// [`FaultPlan`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(note = "use `SimRequest::new(..).arena(arena).probe(probe).run()`")]
-pub fn simulate_probed(
-    arena: &mut SimArena,
-    model: &CostModel,
-    schedule: &CompiledSchedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    plan: Option<&FaultPlan>,
-    probe: RateProbe<'_>,
-) -> SimReport {
-    let mut req = SimRequest::new(model, schedule, n, topo, alloc)
-        .arena(arena)
-        .probe(probe);
-    if let Some(plan) = plan {
-        req = req.faults(plan);
-    }
-    req.run().into_report()
 }
 
 fn report_from(sc: &Scratch, makespan_us: f64) -> SimReport {
@@ -2142,51 +1929,28 @@ fn run_optimized(
     Ok(rank_finish.iter().copied().fold(0.0, f64::max))
 }
 
-/// Convenience wrapper: segments `schedule` into `chunks` pipeline chunks
-/// (1 = unsegmented), compiles it and simulates it, returning the full
-/// report.
-#[deprecated(note = "compile the schedule and use `SimRequest::new(..).run()`")]
-pub fn simulate_schedule(
-    model: &CostModel,
-    schedule: &Schedule,
-    chunks: usize,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> SimReport {
-    let compiled = schedule.segmented(chunks).compile();
-    SimRequest::new(model, &compiled, n, topo, alloc)
-        .run()
-        .into_report()
-}
-
-/// Shorthand returning only the simulated makespan in microseconds.
-#[deprecated(note = "compile the schedule and use `SimRequest::new(..).run().makespan_us`")]
-pub fn sim_time_us(
-    model: &CostModel,
-    schedule: &Schedule,
-    chunks: usize,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> f64 {
-    let compiled = schedule.segmented(chunks).compile();
-    SimRequest::new(model, &compiled, n, topo, alloc)
-        .run()
-        .makespan_us()
-}
-
 #[cfg(test)]
-// The deprecated wrappers stay *exercised* here on purpose: these tests
-// pin the simulation semantics through the legacy names while
-// `tests/proptests.rs` pins every wrapper bit-identical to the
-// `SimRequest` builder, so both surfaces keep coverage until the wrappers
-// are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::topology::{FatTree, IdealFullMesh, Torus};
     use bine_sched::collectives::{allreduce, broadcast, AllreduceAlg, BroadcastAlg};
+    use bine_sched::Schedule;
+
+    /// Makespan of `sched` split into `chunks` pipeline chunks (1 =
+    /// unsegmented), on a fresh arena.
+    fn des_time_us(
+        model: &CostModel,
+        sched: &Schedule,
+        chunks: usize,
+        n: u64,
+        topo: &dyn Topology,
+        alloc: &Allocation,
+    ) -> f64 {
+        let compiled = sched.segmented(chunks).compile();
+        SimRequest::new(model, &compiled, n, topo, alloc)
+            .run()
+            .makespan_us()
+    }
 
     #[test]
     fn congestion_free_single_segment_matches_the_synchronous_model() {
@@ -2203,7 +1967,7 @@ mod tests {
             ),
         ] {
             let sync = model.time_us(&sched, n, &topo, &alloc);
-            let des = sim_time_us(&model, &sched, 1, n, &topo, &alloc);
+            let des = des_time_us(&model, &sched, 1, n, &topo, &alloc);
             assert!(
                 (des - sync).abs() <= 1e-9 * sync,
                 "{}: DES {des} vs sync {sync}",
@@ -2224,8 +1988,8 @@ mod tests {
         let model = CostModel::default();
         let sched = allreduce(p, AllreduceAlg::BineLarge);
         let n = 64 << 20;
-        let flat = sim_time_us(&model, &sched, 1, n, &topo, &alloc);
-        let piped = sim_time_us(&model, &sched, 8, n, &topo, &alloc);
+        let flat = des_time_us(&model, &sched, 1, n, &topo, &alloc);
+        let piped = des_time_us(&model, &sched, 8, n, &topo, &alloc);
         assert!(
             piped < flat,
             "8-chunk pipeline {piped} should beat unsegmented {flat}"
@@ -2242,7 +2006,7 @@ mod tests {
         for alg in AllreduceAlg::ALL {
             let sched = allreduce(p, alg);
             let sync = model.time_us(&sched, 1 << 16, &topo, &alloc);
-            let des = sim_time_us(&model, &sched, 1, 1 << 16, &topo, &alloc);
+            let des = des_time_us(&model, &sched, 1, 1 << 16, &topo, &alloc);
             assert!(
                 des <= sync * (1.0 + 1e-9),
                 "{}: DES {des} > sync {sync}",
@@ -2258,7 +2022,9 @@ mod tests {
         let alloc = Allocation::block(p);
         let model = CostModel::default();
         let sched = allreduce(p, AllreduceAlg::RecursiveDoubling);
-        let report = simulate_schedule(&model, &sched, 1, 1024, &topo, &alloc);
+        let report = SimRequest::new(&model, &sched.compile(), 1024, &topo, &alloc)
+            .run()
+            .into_report();
         // 3 steps of 8 simultaneous exchanges.
         assert_eq!(report.network_messages, 24);
         assert_eq!(report.peak_active_flows, 8);
@@ -2278,8 +2044,13 @@ mod tests {
             Box::new(Torus::new(vec![4, 4])),
             Box::new(IdealFullMesh::new(p)),
         ] {
-            let reference = simulate_reference(&model, &compiled, 1 << 20, topo.as_ref(), &alloc);
-            let fast = simulate(&model, &compiled, 1 << 20, topo.as_ref(), &alloc);
+            let reference = SimRequest::new(&model, &compiled, 1 << 20, topo.as_ref(), &alloc)
+                .reference()
+                .run()
+                .into_report();
+            let fast = SimRequest::new(&model, &compiled, 1 << 20, topo.as_ref(), &alloc)
+                .run()
+                .into_report();
             assert_eq!(reference.makespan_us.to_bits(), fast.makespan_us.to_bits());
             assert_eq!(reference.network_messages, fast.network_messages);
             assert_eq!(reference.peak_active_flows, fast.peak_active_flows);
@@ -2300,24 +2071,32 @@ mod tests {
         let model = CostModel::default();
         let compiled = allreduce(p, AllreduceAlg::RecursiveDoubling).compile();
         let n = 1u64 << 20;
-        let healthy = simulate(&model, &compiled, n, &topo, &alloc);
+        let healthy = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+            .run()
+            .into_report();
 
         let mut degraded_plan = crate::fault::FaultPlan::none();
         for l in 0..topo.num_links() {
             degraded_plan = degraded_plan.degrade_link(l, 0.5);
         }
-        let degraded = simulate_faulted(&model, &compiled, n, &topo, &alloc, &degraded_plan);
+        let faulted = |plan: &FaultPlan| {
+            SimRequest::new(&model, &compiled, n, &topo, &alloc)
+                .faults(plan)
+                .run()
+                .into_report()
+        };
+        let degraded = faulted(&degraded_plan);
         assert!(
             degraded.makespan_us > healthy.makespan_us,
             "halved links: {} should exceed healthy {}",
             degraded.makespan_us,
             healthy.makespan_us
         );
-        let again = simulate_faulted(&model, &compiled, n, &topo, &alloc, &degraded_plan);
+        let again = faulted(&degraded_plan);
         assert_eq!(degraded.makespan_us.to_bits(), again.makespan_us.to_bits());
 
         let straggler_plan = crate::fault::FaultPlan::none().straggler(3, 4.0);
-        let straggled = simulate_faulted(&model, &compiled, n, &topo, &alloc, &straggler_plan);
+        let straggled = faulted(&straggler_plan);
         assert!(
             straggled.makespan_us > healthy.makespan_us,
             "straggler: {} should exceed healthy {}",
@@ -2344,14 +2123,27 @@ mod tests {
         let zero = crate::fault::FaultPlan::none();
         let mut arena = SimArena::new();
         for plan in [&plan_a, &plan_b, &zero, &plan_a, &zero] {
-            let fresh = simulate_faulted(&model, &compiled, n, &topo, &alloc, plan);
-            let reused = simulate_in_faulted(&mut arena, &model, &compiled, n, &topo, &alloc, plan);
+            let fresh = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+                .faults(plan)
+                .run()
+                .into_report();
+            let reused = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+                .arena(&mut arena)
+                .faults(plan)
+                .run()
+                .into_report();
             assert_eq!(fresh.makespan_us.to_bits(), reused.makespan_us.to_bits());
             assert_eq!(fresh, reused);
         }
         // And the plain entry point equals the zero plan on the same arena.
-        let bare = simulate_in(&mut arena, &model, &compiled, n, &topo, &alloc);
-        let zeroed = simulate_faulted(&model, &compiled, n, &topo, &alloc, &zero);
+        let bare = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+            .arena(&mut arena)
+            .run()
+            .into_report();
+        let zeroed = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+            .faults(&zero)
+            .run()
+            .into_report();
         assert_eq!(bare.makespan_us.to_bits(), zeroed.makespan_us.to_bits());
     }
 
@@ -2377,8 +2169,13 @@ mod tests {
             (&a, &fat, 1 << 20),
         ];
         for (sched, topo, n) in runs {
-            let fresh = simulate(&model, sched, n, topo, &alloc);
-            let reused = simulate_in(&mut arena, &model, sched, n, topo, &alloc);
+            let fresh = SimRequest::new(&model, sched, n, topo, &alloc)
+                .run()
+                .into_report();
+            let reused = SimRequest::new(&model, sched, n, topo, &alloc)
+                .arena(&mut arena)
+                .run()
+                .into_report();
             assert_eq!(fresh.makespan_us.to_bits(), reused.makespan_us.to_bits());
             assert_eq!(fresh, reused);
         }
@@ -2464,7 +2261,9 @@ mod tests {
         let alloc = Allocation::block(p);
         let model = CostModel::default();
         let compiled = allreduce(p, AllreduceAlg::BineLarge).compile();
-        let healthy = simulate(&model, &compiled, 1 << 20, &topo, &alloc);
+        let healthy = SimRequest::new(&model, &compiled, 1 << 20, &topo, &alloc)
+            .run()
+            .into_report();
         let plan = crate::fault::FaultPlan::none().crash_rank(5, 1e12);
         let late = SimRequest::new(&model, &compiled, 1 << 20, &topo, &alloc)
             .faults(&plan)
@@ -2524,8 +2323,14 @@ mod tests {
         let compiled = allreduce(p, AllreduceAlg::BineLarge).compile();
         let mut arena = SimArena::new();
         for n in [1u64 << 10, 1 << 20, 1 << 24, 1 << 20] {
-            let fresh = simulate(&model, &compiled, n, &topo, &alloc);
-            let reused = sim_time_in(&mut arena, &model, &compiled, n, &topo, &alloc);
+            let fresh = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+                .run()
+                .into_report();
+            let reused = SimRequest::new(&model, &compiled, n, &topo, &alloc)
+                .arena(&mut arena)
+                .time_only()
+                .run()
+                .makespan_us();
             assert_eq!(fresh.makespan_us.to_bits(), reused.to_bits());
         }
         assert_eq!(arena.cached_schedules(), 1);

@@ -9,7 +9,7 @@
 //! library's `#![forbid(unsafe_code)]` still holds for `bine-net` itself).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
@@ -34,15 +34,27 @@ fn sim_time(
         .makespan_us()
 }
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The default test harness runs the
+    /// `#[test]`s of this file on parallel threads, so a process-global
+    /// counter would charge each test's window with the other's
+    /// allocations. Const-initialised and without a destructor, so reading
+    /// or bumping it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct Counting;
 
-// SAFETY: delegates directly to the system allocator; the counter is a
-// side effect only.
+// SAFETY: delegates directly to the system allocator; the per-thread
+// counter is a side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -51,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -75,13 +87,13 @@ fn repeated_simulations_are_allocation_free_after_warmup() {
     let warm = sim_time(&mut arena, &model, &compiled, 1 << 20, &topo, &alloc);
     assert!(warm > 0.0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut identical = 0usize;
     for _ in 0..10 {
         let t = sim_time(&mut arena, &model, &compiled, 1 << 20, &topo, &alloc);
         identical += usize::from(t.to_bits() == warm.to_bits());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -107,11 +119,11 @@ fn vector_size_changes_allocate_at_most_transiently() {
     for &n in &sizes {
         sim_time(&mut arena, &model, &compiled, n, &topo, &alloc);
     }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for &n in &sizes {
         sim_time(&mut arena, &model, &compiled, n, &topo, &alloc);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

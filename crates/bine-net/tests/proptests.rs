@@ -586,193 +586,8 @@ proptest! {
     }
 }
 
-/// API-consolidation pin: every one of the twelve deprecated entry points is
-/// a one-line wrapper over [`SimRequest`], and this property keeps each
-/// wrapper bit-identical to the builder spelling it documents — same makespan
-/// bits, same per-rank finish bits, same message and peak-flow counts, same
-/// probed rate traces. Downstream code can migrate call-by-call without any
-/// numeric drift.
-mod wrapper_parity {
-    #![allow(deprecated)]
-
-    use super::*;
-
-    proptest! {
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn deprecated_wrappers_are_bit_identical_to_the_builder(
-        collective in any_collective(),
-        s in 2u32..=4,
-        alg_seed in 0usize..100,
-        chunks in 1usize..=4,
-        fault_seed in 0u64..1000,
-        n in any_vector_bytes(),
-    ) {
-        use bine_net::sim::{
-            sim_time_in, sim_time_in_faulted, sim_time_us, simulate, simulate_faulted,
-            simulate_in, simulate_in_faulted, simulate_probed, simulate_reference,
-            simulate_reference_faulted, simulate_reference_probed, simulate_schedule,
-        };
-        use bine_net::sim::SimReport;
-
-        fn assert_reports_match(a: &SimReport, b: &SimReport) -> Result<(), TestCaseError> {
-            prop_assert_eq!(a.makespan_us.to_bits(), b.makespan_us.to_bits());
-            prop_assert_eq!(a.network_messages, b.network_messages);
-            prop_assert_eq!(a.peak_active_flows, b.peak_active_flows);
-            prop_assert_eq!(a.rank_finish_us.len(), b.rank_finish_us.len());
-            for (x, y) in a.rank_finish_us.iter().zip(&b.rank_finish_us) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-            Ok(())
-        }
-
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let sched = build(collective, alg.name(), p, 0).unwrap_or_else(|| panic!("{}", alg.name()));
-        let compiled = sched.segmented(chunks).compile();
-        let model = CostModel::default();
-        let topo = FatTree::new(p, 4, 1);
-        let alloc = Allocation::block(p);
-        let spec = FaultSpec {
-            seed: fault_seed,
-            degraded_link_fraction: 0.5,
-            min_bandwidth_factor: 0.2,
-            spiked_link_fraction: 0.25,
-            max_latency_spike_us: 15.0,
-            straggler_fraction: 0.25,
-            max_compute_slowdown: 5.0,
-        };
-        let plan = spec.plan(topo.num_links(), p);
-
-        // Reference path: bare, faulted, probed (with and without a plan).
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .reference()
-            .run()
-            .into_report();
-        assert_reports_match(&simulate_reference(&model, &compiled, n, &topo, &alloc), &via_builder)?;
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .reference()
-            .faults(&plan)
-            .run()
-            .into_report();
-        assert_reports_match(
-            &simulate_reference_faulted(&model, &compiled, n, &topo, &alloc, &plan),
-            &via_builder,
-        )?;
-        for with_plan in [false, true] {
-            let plan_opt = with_plan.then_some(&plan);
-            type Trace = Vec<(u64, Vec<(u32, u64)>)>;
-            let mut wrapper_trace: Trace = Vec::new();
-            let mut wrapper_probe =
-                |t: f64, rates: &[(u32, f64)]| wrapper_trace.push((
-                    t.to_bits(),
-                    rates.iter().map(|&(send, r)| (send, r.to_bits())).collect(),
-                ));
-            let wrapped = simulate_reference_probed(
-                &model, &compiled, n, &topo, &alloc, plan_opt, &mut wrapper_probe,
-            );
-            let mut builder_trace: Trace = Vec::new();
-            let mut builder_probe =
-                |t: f64, rates: &[(u32, f64)]| builder_trace.push((
-                    t.to_bits(),
-                    rates.iter().map(|&(send, r)| (send, r.to_bits())).collect(),
-                ));
-            let mut req = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-                .reference()
-                .probe(&mut builder_probe);
-            if let Some(plan) = plan_opt {
-                req = req.faults(plan);
-            }
-            let via_builder = req.run().into_report();
-            assert_reports_match(&wrapped, &via_builder)?;
-            prop_assert_eq!(&wrapper_trace, &builder_trace);
-        }
-
-        // Optimized path: fresh-arena, caller-arena, time-only and probed
-        // variants, bare and faulted.
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .run()
-            .into_report();
-        assert_reports_match(&simulate(&model, &compiled, n, &topo, &alloc), &via_builder)?;
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .faults(&plan)
-            .run()
-            .into_report();
-        assert_reports_match(&simulate_faulted(&model, &compiled, n, &topo, &alloc, &plan), &via_builder)?;
-
-        let mut arena = SimArena::new();
-        let wrapped = simulate_in(&mut arena, &model, &compiled, n, &topo, &alloc);
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .arena(&mut arena)
-            .run()
-            .into_report();
-        assert_reports_match(&wrapped, &via_builder)?;
-        let wrapped = simulate_in_faulted(&mut arena, &model, &compiled, n, &topo, &alloc, &plan);
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .arena(&mut arena)
-            .faults(&plan)
-            .run()
-            .into_report();
-        assert_reports_match(&wrapped, &via_builder)?;
-
-        let wrapped = sim_time_in(&mut arena, &model, &compiled, n, &topo, &alloc);
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .arena(&mut arena)
-            .time_only()
-            .run()
-            .makespan_us();
-        prop_assert_eq!(wrapped.to_bits(), via_builder.to_bits());
-        let wrapped = sim_time_in_faulted(&mut arena, &model, &compiled, n, &topo, &alloc, &plan);
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .arena(&mut arena)
-            .faults(&plan)
-            .time_only()
-            .run()
-            .makespan_us();
-        prop_assert_eq!(wrapped.to_bits(), via_builder.to_bits());
-
-        for with_plan in [false, true] {
-            let plan_opt = with_plan.then_some(&plan);
-            type Trace = Vec<(u64, Vec<(u32, u64)>)>;
-            let mut wrapper_trace: Trace = Vec::new();
-            let mut wrapper_probe =
-                |t: f64, rates: &[(u32, f64)]| wrapper_trace.push((
-                    t.to_bits(),
-                    rates.iter().map(|&(send, r)| (send, r.to_bits())).collect(),
-                ));
-            let wrapped = simulate_probed(
-                &mut arena, &model, &compiled, n, &topo, &alloc, plan_opt, &mut wrapper_probe,
-            );
-            let mut builder_trace: Trace = Vec::new();
-            let mut builder_probe =
-                |t: f64, rates: &[(u32, f64)]| builder_trace.push((
-                    t.to_bits(),
-                    rates.iter().map(|&(send, r)| (send, r.to_bits())).collect(),
-                ));
-            let mut req = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-                .arena(&mut arena)
-                .probe(&mut builder_probe);
-            if let Some(plan) = plan_opt {
-                req = req.faults(plan);
-            }
-            let via_builder = req.run().into_report();
-            assert_reports_match(&wrapped, &via_builder)?;
-            prop_assert_eq!(&wrapper_trace, &builder_trace);
-        }
-
-        // Uncompiled-schedule conveniences: segment + compile + run.
-        let wrapped = simulate_schedule(&model, &sched, chunks, n, &topo, &alloc);
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .run()
-            .into_report();
-        assert_reports_match(&wrapped, &via_builder)?;
-        let wrapped = sim_time_us(&model, &sched, chunks, n, &topo, &alloc);
-        let via_builder = SimRequest::new(&model, &compiled, n, &topo, &alloc)
-            .run()
-            .makespan_us();
-        prop_assert_eq!(wrapped.to_bits(), via_builder.to_bits());
-    }
 
     // Synthesized schedules are tuned *by* the DES (the tuner's refinement
     // stage ranks them against the catalog), so the optimized simulator
@@ -825,7 +640,6 @@ mod wrapper_parity {
                 );
             }
         }
-    }
     }
 }
 

@@ -72,7 +72,7 @@ pub use gate::{drift, DriftOutcome, DriftRow};
 pub use selector::{available_systems, default_tuning_dir, Selector, SelectorIndex, Tuned};
 pub use service::{
     fallback_pick, CompileAttempt, CompileHook, DegradePolicy, Recovery, Served, ServiceSelector,
-    FALLBACK_SMALL_VECTOR_THRESHOLD,
+    ServiceStats, FALLBACK_SMALL_VECTOR_THRESHOLD,
 };
 pub use table::{slug, DecisionTable, Entry, ScoreModel};
 pub use tuner::{

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use bine_sched::{Collective, CompiledSchedule, ProviderSet, SizeDist};
 
+use crate::service::cache::Lru;
 use crate::table::{slug, DecisionTable, Entry};
 
 /// The tuned pick for one `(collective, nodes, bytes)` query.
@@ -196,21 +197,6 @@ impl SelectorIndex {
         Some(sizes[si].1)
     }
 
-    /// Builds and compiles the schedule of slot `slot_idx` at `nodes` ranks
-    /// (rooted collectives use root 0, the root used throughout the harness
-    /// and the tuning sweeps). `None` if the committed pick is not
-    /// buildable at this rank count.
-    pub(crate) fn compile_slot(
-        &self,
-        collective: Collective,
-        nodes: usize,
-        slot_idx: u32,
-    ) -> Option<Arc<CompiledSchedule>> {
-        let slot = &self.slots[slot_idx as usize];
-        let sched = self.providers.build(collective, &slot.pick, nodes, 0)?;
-        Some(Arc::new(sched.compile()))
-    }
-
     /// The loaded slot behind `slot_idx` — the adaptive layer reads the
     /// committed pick and its modelled score from here.
     pub(crate) fn slot(&self, slot_idx: u32) -> &Slot {
@@ -230,15 +216,9 @@ impl SelectorIndex {
 /// [`crate::service::ServiceSelector`].
 pub struct Selector {
     index: Arc<SelectorIndex>,
-    cache: Vec<CacheLine>,
-    cache_capacity: usize,
-    clock: u64,
-}
-
-struct CacheLine {
-    key: (Collective, usize, u32),
-    compiled: Arc<CompiledSchedule>,
-    last_used: u64,
+    /// Keyed by `(collective, nodes, resolved slot)` — the same LRU type
+    /// every shard of the concurrent service uses.
+    cache: Lru<(Collective, usize, u32)>,
 }
 
 impl Selector {
@@ -251,24 +231,16 @@ impl Selector {
     pub fn from_index(index: Arc<SelectorIndex>) -> Selector {
         Selector {
             index,
-            cache: Vec::new(),
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            clock: 0,
+            cache: Lru::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 
     /// Sets the compiled-schedule LRU capacity. A capacity of 0 is clamped
-    /// to 1 (a cache that can hold nothing cannot satisfy `compiled`, and
-    /// the eviction scan requires at least one line to pick a victim from).
+    /// to 1 (a cache that can hold nothing cannot satisfy `compiled`);
+    /// shrinking below the current population evicts the oldest lines
+    /// immediately.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Selector {
-        self.cache_capacity = capacity.max(1);
-        // Shrinking below the current population evicts the oldest lines
-        // immediately so the invariant `len ≤ capacity` holds from here on.
-        while self.cache.len() > self.cache_capacity {
-            if let Some(evict) = self.lru_victim() {
-                self.cache.swap_remove(evict);
-            }
-        }
+        self.cache.set_capacity(capacity);
         self
     }
 
@@ -351,39 +323,15 @@ impl Selector {
         bytes: u64,
     ) -> Option<Arc<CompiledSchedule>> {
         let slot_idx = self.index.slot_index(collective, nodes, bytes)?;
-
-        self.clock += 1;
-        let clock = self.clock;
         let key = (collective, nodes, slot_idx);
-        if let Some(line) = self.cache.iter_mut().find(|l| l.key == key) {
-            line.last_used = clock;
-            return Some(line.compiled.clone());
+        if let Some(hit) = self.cache.get(&key) {
+            return Some(hit);
         }
-        let compiled = self.index.compile_slot(collective, nodes, slot_idx)?;
-        while self.cache.len() >= self.cache_capacity {
-            match self.lru_victim() {
-                Some(evict) => {
-                    self.cache.swap_remove(evict);
-                }
-                None => break,
-            }
-        }
-        self.cache.push(CacheLine {
-            key,
-            compiled: compiled.clone(),
-            last_used: clock,
-        });
+        let pick = &self.index.slot(slot_idx).pick;
+        let sched = self.index.providers.build(collective, pick, nodes, 0)?;
+        let compiled = Arc::new(sched.compile());
+        self.cache.insert(key, compiled.clone());
         Some(compiled)
-    }
-
-    /// Index of the least-recently-used cache line, `None` on an empty
-    /// cache (so eviction can never panic, whatever the capacity).
-    fn lru_victim(&self) -> Option<usize> {
-        self.cache
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.last_used)
-            .map(|(i, _)| i)
     }
 
     /// Number of compiled schedules currently cached.
@@ -593,56 +541,8 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(c.num_ranks, 32);
         assert_eq!(s.cached_schedules(), 2);
-    }
-
-    #[test]
-    fn lru_evicts_the_least_recently_used_line() {
-        let mut s = Selector::from_table(&table()).with_cache_capacity(2);
-        s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        s.compiled(Collective::Allreduce, 32, 32).unwrap();
-        // Touch the first line so the second is the LRU victim.
-        s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        s.compiled(Collective::Allreduce, 64, 32).unwrap();
-        assert_eq!(s.cached_schedules(), 2);
-        assert!(s
-            .cache
-            .iter()
-            .any(|l| l.key == (Collective::Allreduce, 16, 0)));
-        assert!(!s.cache.iter().any(|l| l.key.1 == 32));
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_and_never_panics() {
-        // Regression: the old eviction scan `expect("capacity > 0")`
-        // panicked on the very first insert at capacity 0.
-        let mut s = Selector::from_table(&table()).with_cache_capacity(0);
-        let a = s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        assert_eq!(s.cached_schedules(), 1, "capacity 0 is clamped to 1");
-        let b = s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn capacity_one_caches_exactly_the_last_entry() {
-        let mut s = Selector::from_table(&table()).with_cache_capacity(1);
-        let a = s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        let b = s.compiled(Collective::Allreduce, 32, 32).unwrap();
-        assert_eq!(s.cached_schedules(), 1);
-        assert!(!Arc::ptr_eq(&a, &b));
-        // Re-querying the evicted entry recompiles rather than panicking.
-        let c = s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        assert_eq!(s.cached_schedules(), 1);
-        assert!(!Arc::ptr_eq(&a, &c), "the line was evicted and rebuilt");
-    }
-
-    #[test]
-    fn shrinking_the_capacity_evicts_down_to_the_new_bound() {
-        let mut s = Selector::from_table(&table());
-        s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        s.compiled(Collective::Allreduce, 32, 32).unwrap();
-        s.compiled(Collective::Allreduce, 64, 32).unwrap();
-        assert_eq!(s.cached_schedules(), 3);
-        let s = s.with_cache_capacity(1);
+        // Shrinking the capacity evicts down to the new bound (0 clamps to 1).
+        let s = s.with_cache_capacity(0);
         assert_eq!(s.cached_schedules(), 1);
     }
 

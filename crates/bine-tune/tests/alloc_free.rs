@@ -7,7 +7,7 @@
 //! `#![forbid(unsafe_code)]` still holds for `bine-tune` itself).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use bine_net::ObservedTiming;
@@ -16,15 +16,27 @@ use bine_tune::{
     AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, ServiceSelector,
 };
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The default test harness runs the
+    /// `#[test]`s of this file on parallel threads, so a process-global
+    /// counter would charge each test's window with the other's
+    /// allocations. Const-initialised and without a destructor, so reading
+    /// or bumping it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct Counting;
 
-// SAFETY: delegates directly to the system allocator; the counter is a
-// side effect only.
+// SAFETY: delegates directly to the system allocator; the per-thread
+// counter is a side effect only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -33,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -70,7 +82,7 @@ fn table() -> DecisionTable {
 fn choose_never_allocates_after_load() {
     let selector = Selector::from_table(&table());
     // Warm nothing: choose must be allocation-free from the first call.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut checksum = 0usize;
     for nodes in [1usize, 4, 10, 64, 300, 10_000] {
         for bytes in [1u64, 32, 5000, 1 << 20, 1 << 30] {
@@ -80,7 +92,7 @@ fn choose_never_allocates_after_load() {
             checksum += t.segments + t.algorithm.len();
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -119,7 +131,7 @@ fn warm_service_pick_and_observe_never_allocate() {
         ObservedTiming::execution(1.0),
     );
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut steps = 0usize;
     for _ in 0..100 {
         let t = service
@@ -138,7 +150,7 @@ fn warm_service_pick_and_observe_never_allocate() {
             ObservedTiming::execution(1.0),
         );
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

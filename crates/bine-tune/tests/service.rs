@@ -12,7 +12,7 @@ use std::time::Duration;
 use bine_sched::{Collective, SizeDist};
 use bine_tune::{
     fallback_pick, CompileAttempt, DecisionTable, DegradePolicy, Entry, ScoreModel, Selector,
-    ServiceSelector,
+    Served, ServiceSelector,
 };
 use proptest::prelude::*;
 
@@ -321,6 +321,56 @@ fn single_flight_dedupes_concurrent_compiles() {
     assert!(service.misses() >= 1);
 }
 
+/// Cold-cache race on a *recovery* key: eight threads hit the same dead
+/// rank at once, so all of them stall on the same committed schedule and
+/// shrink to the same survivor communicator. Recovery compiles go through
+/// the same single-flight as every other miss, so each distinct key — the
+/// committed pick at 8 ranks, the ring the ladder lands on at 7 — compiles
+/// exactly once however the threads interleave.
+#[test]
+fn racing_recoveries_compile_each_distinct_key_exactly_once() {
+    let service = Arc::new(ServiceSelector::from_tables(&[table()]).with_shards(1));
+    let threads = 8;
+    let barrier = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|_| {
+            let service = Arc::clone(&service);
+            let barrier = Arc::clone(&barrier);
+            thread::spawn(move || {
+                barrier.wait();
+                // (allreduce, 8, 32) resolves to recursive-doubling, which
+                // stalls on any dead exchange partner.
+                let served = service
+                    .try_execute_recovering("Stressbox", Collective::Allreduce, 8, 32, 2, &[3])
+                    .expect("query resolves")
+                    .expect("the stall recovers");
+                let Served::Recovered(rec) = served else {
+                    panic!("a dead exchange partner must stall recursive doubling");
+                };
+                assert_eq!(rec.map.num_survivors(), 7);
+                (rec.pick, rec.finals)
+            })
+        })
+        .collect();
+    let results: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("recovering thread panicked"))
+        .collect();
+    assert!(
+        results.iter().all(|r| *r == results[0]),
+        "every racer recovers to the same pick and the same finals"
+    );
+    assert_eq!(results[0].0, "ring");
+    let stats = service.stats();
+    assert_eq!(stats.compilations, 2, "{stats:?}");
+    assert_eq!(stats.hits + stats.misses, 2 * threads as u64, "{stats:?}");
+    assert_eq!(
+        (stats.stalls, stats.recoveries),
+        (threads as u64, threads as u64),
+        "{stats:?}"
+    );
+}
+
 /// A tiny cache under contention: per-shard capacity 1 forces constant
 /// eviction + recompilation, and the capacity bound and the serial-equality
 /// of picks must both survive it.
@@ -431,7 +481,7 @@ fn stalled_leader_does_not_strand_followers() {
         fallback_pick(Collective::Allreduce, 1 << 20)
     );
     assert_eq!(degraded.num_ranks, 8);
-    assert_eq!(service.timeouts(), 1);
+    assert_eq!(service.stats().timeouts, 1);
     assert!(service.fallbacks() >= 1);
     // The timed-out wait counted as a failure; at threshold 1 the breaker
     // is open, so further requests degrade immediately, without waiting.
@@ -443,7 +493,7 @@ fn stalled_leader_does_not_strand_followers() {
         fallback_pick(Collective::Allreduce, 1 << 20)
     );
     assert_eq!(
-        service.timeouts(),
+        service.stats().timeouts,
         1,
         "no second wait once the breaker is open"
     );
@@ -538,8 +588,8 @@ fn racing_compile_panics_never_poison_the_cache_and_count_retries_once() {
     // leaderships ran, each trying twice (first try + one retry): 6 hook
     // calls and 3 recorded retries — exactly-once accounting under racing.
     assert_eq!(poisoned_calls.load(Ordering::SeqCst), 6);
-    assert_eq!(service.retries(), 3);
-    assert_eq!(service.timeouts(), 0);
+    assert_eq!(service.stats().retries, 3);
+    assert_eq!(service.stats().timeouts, 0);
     // Compilations started: the warm broadcast entry, 3 failed
     // leaderships, and the single-flight fallback compile.
     assert_eq!(service.compilations(), 5);
