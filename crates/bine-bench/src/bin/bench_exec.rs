@@ -3,8 +3,8 @@
 //! Measures ns/op of the four executors on the BineLarge allreduce at
 //! p ∈ {64, 256, 1024} (the same configurations as `benches/execution.rs`),
 //! plus the post-seed collective surfaces at p = 256 — dual-root pipelined
-//! allreduce and two irregular v-variant schedules, each with a gated
-//! `/compiled/` entry — plus the synthesized data plane (multilevel
+//! allreduce, two irregular v-variant schedules and the Bine alltoall, each
+//! with a gated `/compiled/` entry — plus the synthesized data plane (multilevel
 //! provider allreduce on the heterogeneous island view: gated `/compiled/`
 //! and `/sim/` entries, ungated `/synthesize/` build cost) — plus the
 //! discrete-event simulator — optimized fast path (`/sim/`, gated
@@ -36,7 +36,7 @@ use bine_exec::state::Workload;
 use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_net::cost::CostModel;
 use bine_net::sim;
-use bine_sched::collectives::{allreduce, AllreduceAlg};
+use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
 use bine_sched::Schedule;
 
 /// Minimum ns/op of `body` over exactly `iters` timed samples (plus one
@@ -104,15 +104,18 @@ fn bench_all_executors(records: &mut Vec<Record>, sched: &Schedule, p: usize, it
 }
 
 /// The collective surfaces added after the seed four: the dual-root
-/// pipelined allreduce and the counts-aware irregular schedules. Each gets
-/// a gated `/compiled/` entry (plus an ungated `/sequential/` context line)
-/// on its own workload — non-uniform block sizes drive different layout and
-/// copy paths through the compiled executor than the uniform seed
-/// collectives, so a regression there would be invisible to the
-/// `allreduce-bine-large` entries above.
+/// pipelined allreduce, the counts-aware irregular schedules and the Bine
+/// alltoall. Each gets a gated `/compiled/` entry (plus an ungated
+/// `/sequential/` context line) on its own workload — non-uniform block
+/// sizes drive different layout and copy paths through the compiled
+/// executor than the uniform seed collectives, so a regression there would
+/// be invisible to the `allreduce-bine-large` entries above. The shallow
+/// gather tree (a handful of blocks per rank) and the alltoall (p² interned
+/// blocks, O(p log p) of them touched per rank) are also where executor
+/// state sized by interned rather than touched blocks would show.
 fn bench_new_paths(records: &mut Vec<Record>, p: usize, iters: usize) {
     let one_heavy = bine_sched::SizeDist::OneHeavy.counts(p, p / 2 + 1);
-    let cases: [(&str, Schedule); 3] = [
+    let cases: [(&str, Schedule); 4] = [
         (
             "allreduce-dual-root",
             bine_sched::build(bine_sched::Collective::Allreduce, "dual-root", p, 0)
@@ -134,6 +137,7 @@ fn bench_new_paths(records: &mut Vec<Record>, p: usize, iters: usize) {
             )
             .expect("bine allgatherv builds at pow2"),
         ),
+        ("alltoall-bine", alltoall(p, AlltoallAlg::Bine)),
     ];
     for (label, sched) in &cases {
         let workload = Workload::for_schedule(sched, bine_bench::exec_bench_elems(p));

@@ -8,45 +8,53 @@
 //! [`crate::sequential::run_reference`]: payloads are gathered from the
 //! pre-step state and applied per receiver in schedule order — exactly the
 //! order the reference interpreter applies them in.
+//!
+//! A rank's [`DenseState`] has one slot per block the rank ever sends or
+//! receives — its local slots in the schedule's
+//! [`SlotLayout`](bine_sched::SlotLayout) — not one per block the schedule
+//! interned, so building, converting and dropping the state of a request
+//! costs what its ranks touch. Every payload of the compiled form carries
+//! its local slot at both ends, so the step kernel indexes `slots[local]`
+//! directly.
+//!
+//! The step kernel — `gather_sends` then `apply_recvs` — is written once
+//! here; [`run_dense`] calls it over the whole step, the
+//! [`ExecutorPool`](crate::ExecutorPool) over per-worker chunks of it.
+
+use std::borrow::Cow;
+use std::ops::{Deref, DerefMut, Range};
 
 use bine_sched::{CompiledSchedule, TransferKind};
 
-use crate::state::{Block, BlockStore};
+use crate::state::{reduce_into, Block, BlockStore};
 
 /// The data a single rank holds, in dense form: slot `i` is the payload of
-/// the block the schedule interned as index `i`.
+/// the `i`-th block of the rank's
+/// [`rank_blocks`](bine_sched::SlotLayout::rank_blocks).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseState {
-    /// One slot per interned block (None = not held).
+    /// One slot per block the rank touches (None = not held).
     slots: Vec<Option<Block>>,
-    /// Blocks held by the rank but never referenced by the schedule (e.g.
-    /// the alltoall block a rank keeps for itself under an algorithm that
-    /// never moves it). Carried through untouched.
-    extra: Vec<(bine_sched::BlockId, Block)>,
+    /// The store the state was converted from, minus the blocks now in
+    /// `slots`: what the rank holds but never moves (e.g. the alltoall block
+    /// a rank keeps for itself under an algorithm that never moves it) is
+    /// carried through here untouched, and [`from_dense`] refills the rest.
+    unmoved: BlockStore,
 }
 
 impl DenseState {
-    /// Creates an all-empty state with one slot per interned block.
-    pub fn empty(num_blocks: usize) -> Self {
-        Self {
-            slots: vec![None; num_blocks],
-            extra: Vec::new(),
-        }
-    }
-
-    /// The payload in a slot, if held.
-    pub fn slot(&self, index: u32) -> Option<&Block> {
-        self.slots[index as usize].as_ref()
-    }
-
-    /// Number of held blocks (slots plus schedule-untouched extras).
+    /// Number of held blocks (slots plus schedule-untouched blocks).
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count() + self.extra.len()
+        self.held_slots() + self.unmoved.len()
     }
 
     /// Whether the rank holds no blocks at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    fn held_slots(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
     }
 }
 
@@ -57,37 +65,51 @@ pub fn to_dense(compiled: &CompiledSchedule, initial: Vec<BlockStore>) -> Vec<De
         compiled.num_ranks,
         "initial state must have one store per rank"
     );
-    let num_blocks = compiled.num_blocks();
+    let layout = compiled.slot_layout();
     initial
         .into_iter()
-        .map(|store| {
-            let mut dense = DenseState::empty(num_blocks);
-            for (id, payload) in store.into_blocks() {
-                match compiled.blocks().index_of(&id) {
-                    Some(idx) => dense.slots[idx as usize] = Some(payload),
-                    None => dense.extra.push((id, payload)),
+        .enumerate()
+        .map(|(rank, mut store)| {
+            let mut slots = vec![None; layout.rank_blocks(rank).len()];
+            let mut unmoved = Vec::new();
+            for (id, payload) in store.drain() {
+                let interned = compiled.blocks().index_of(&id);
+                match interned.and_then(|block| layout.local_slot(rank, block)) {
+                    Some(slot) => slots[slot] = Some(payload),
+                    None => unmoved.push((id, payload)),
                 }
             }
-            // Deterministic order for the extras (HashMap iteration is not).
-            dense.extra.sort_by_key(|(id, _)| *id);
-            dense
+            for (id, payload) in unmoved {
+                store.insert(id, payload);
+            }
+            DenseState {
+                slots,
+                unmoved: store,
+            }
         })
         .collect()
 }
 
 /// Converts dense states back into symbolic per-rank stores.
 pub fn from_dense(compiled: &CompiledSchedule, finals: Vec<DenseState>) -> Vec<BlockStore> {
+    let layout = compiled.slot_layout();
     finals
         .into_iter()
-        .map(|dense| {
-            let mut store = BlockStore::new();
-            for (idx, slot) in dense.slots.into_iter().enumerate() {
+        .enumerate()
+        .map(|(rank, dense)| {
+            let touched = layout.rank_blocks(rank);
+            assert_eq!(
+                dense.slots.len(),
+                touched.len(),
+                "dense state of rank {rank} was not built for this schedule"
+            );
+            let held = dense.held_slots();
+            let mut store = dense.unmoved;
+            store.reserve(held);
+            for (&block, slot) in touched.iter().zip(dense.slots) {
                 if let Some(payload) = slot {
-                    store.insert(compiled.blocks().resolve(idx as u32), payload);
+                    store.insert(compiled.blocks().resolve(block), payload);
                 }
-            }
-            for (id, payload) in dense.extra {
-                store.insert(id, payload);
             }
             store
         })
@@ -104,79 +126,153 @@ pub fn run_dense(compiled: &CompiledSchedule, states: &mut [DenseState]) {
         compiled.num_ranks,
         "one dense state per rank required"
     );
+    let layout = compiled.slot_layout();
     let mut staging: Vec<Option<Block>> = Vec::new();
     for step in 0..compiled.num_steps() {
-        let sends = compiled.step_sends(step);
+        let sends = compiled.step_send_range(step);
         if sends.is_empty() {
             continue;
         }
-        // Sends are sorted by source rank, not schedule order, so the step's
-        // first payload index is the minimum over its sends.
-        let payload_base = sends
-            .iter()
-            .map(|s| s.blocks_start)
-            .min()
-            .expect("non-empty step") as usize;
-        // Gather phase: stage every payload of the step before any state
-        // mutates (refcount bumps only). Staging slot k corresponds to the
-        // k-th block index of the step, so sends address their payloads by
-        // `blocks_start - payload_base`.
+        // Stage every payload of the step before any state mutates.
         staging.clear();
-        staging.resize(compiled.step_payload_count(step), None);
-        for send in sends {
-            let src = &states[send.src as usize];
-            for (k, &block_idx) in compiled.block_index_slice(send).iter().enumerate() {
-                let payload = src.slots[block_idx as usize].as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "step {step}: rank {} sends block {:?} it does not hold ({})",
-                        send.src,
-                        compiled.blocks().resolve(block_idx),
-                        compiled.algorithm
-                    )
-                });
-                staging[send.blocks_start as usize - payload_base + k] =
-                    Some(Block::clone(payload));
-            }
+        staging.resize(layout.step_payloads(step).len(), None);
+        let pre_step: &[DenseState] = states;
+        gather_sends(
+            compiled,
+            step,
+            sends,
+            None,
+            |rank| &pre_step[rank],
+            |entry, payload| staging[entry] = Some(payload),
+        );
+        // Every payload has exactly one receiver, so it moves out of
+        // staging. Receivers come in ascending rank order, so one pass over
+        // the states hands each its own.
+        let mut rest = states.iter_mut();
+        let mut next_rank = 0;
+        apply_recvs(
+            compiled,
+            step,
+            compiled.recvs_to_ranks(step, 0..compiled.num_ranks),
+            None,
+            |rank| {
+                let state = rest.nth(rank - next_rank).expect("receiver in range");
+                next_rank = rank + 1;
+                state
+            },
+            |entry| Cow::Owned(staging[entry].take().expect("staged payload missing")),
+        );
+    }
+}
+
+/// Gather half of the step kernel: reads the payloads of `sends` (a range
+/// of the global send indices of `step`) out of their source ranks' states
+/// — refcount bumps only — and hands each to `stage` with its staging
+/// position, the payload's entry index relative to
+/// [`step_payloads(step)`](bine_sched::SlotLayout::step_payloads).
+///
+/// Under dead-rank injection `dead[rank]` marks the crashed ranks: their
+/// sends never leave, the staging position stays empty.
+///
+/// # Panics
+/// Panics if a send references a block its source rank does not hold.
+pub(crate) fn gather_sends<S: Deref<Target = DenseState>>(
+    compiled: &CompiledSchedule,
+    step: usize,
+    sends: Range<usize>,
+    dead: Option<&[bool]>,
+    state_of: impl Fn(usize) -> S,
+    mut stage: impl FnMut(usize, Block),
+) {
+    let layout = compiled.slot_layout();
+    let first_entry = layout.step_payloads(step).start;
+    let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
+    for send in sends.map(|i| compiled.send(i)) {
+        if is_dead(send.src) {
+            continue;
         }
-        // Apply phase: per receiver in schedule order (bit-identical float
-        // reduction order to the reference interpreter).
-        let step_range = compiled.step_send_range(step);
-        for (rank, dst) in states.iter_mut().enumerate() {
-            for &send_idx in compiled.recvs_to(step, rank) {
-                let send = compiled.send(send_idx as usize);
-                debug_assert!(step_range.contains(&(send_idx as usize)));
-                for (k, &block_idx) in compiled.block_index_slice(send).iter().enumerate() {
-                    let payload = staging[send.blocks_start as usize - payload_base + k]
-                        .as_ref()
-                        .expect("staged payload missing");
-                    apply(dst, block_idx, payload, send.kind);
-                }
-            }
+        let src = state_of(send.src as usize);
+        let entry = send.blocks_start as usize - first_entry;
+        for (k, &slot) in layout.src_slots(send).iter().enumerate() {
+            let payload = src.slots[slot as usize].as_ref().unwrap_or_else(|| {
+                panic!(
+                    "step {step}: rank {} sends block {:?} it does not hold ({})",
+                    send.src,
+                    compiled
+                        .blocks()
+                        .resolve(compiled.block_index_slice(send)[k]),
+                    compiled.algorithm
+                )
+            });
+            stage(entry + k, Block::clone(payload));
         }
     }
 }
 
-/// Applies one staged payload to a destination slot.
-pub(crate) fn apply(dst: &mut DenseState, block_idx: u32, payload: &Block, kind: TransferKind) {
-    let slot = &mut dst.slots[block_idx as usize];
-    match kind {
-        TransferKind::Copy => *slot = Some(Block::clone(payload)),
-        TransferKind::Reduce => match slot {
-            Some(existing) => {
-                assert_eq!(
-                    existing.len(),
-                    payload.len(),
-                    "block length mismatch for dense block {block_idx}"
-                );
-                for (a, b) in Block::make_mut(existing).iter_mut().zip(payload.iter()) {
-                    *a += b;
+/// Apply half of the step kernel: the receives `recvs` of `step` (send
+/// indices grouped by ascending destination rank, see
+/// [`CompiledSchedule::recvs_to_ranks`]) are applied to their destination
+/// ranks' states in schedule order — bit-identical float reduction order to
+/// the reference interpreter. Only ranks that receive something are
+/// visited: `state_of` is asked once per such rank, in ascending order, for
+/// exclusive access to its state. `staged` yields the payload at a staging
+/// position, owned if the caller can give it away, which saves a copied
+/// block its refcount round trip.
+///
+/// Under dead-rank injection a `dead` rank posts no receives, so its state
+/// stays untouched, and a surviving rank's receive from a dead sender has
+/// nothing staged: in a real run the rank hangs there and never posts its
+/// later receives, so its remaining receives of the step are skipped and
+/// the smallest such send index is returned.
+pub(crate) fn apply_recvs<'a, S: DerefMut<Target = DenseState>>(
+    compiled: &CompiledSchedule,
+    step: usize,
+    recvs: &[u32],
+    dead: Option<&[bool]>,
+    mut state_of: impl FnMut(usize) -> S,
+    mut staged: impl FnMut(usize) -> Cow<'a, Block>,
+) -> Option<u32> {
+    let layout = compiled.slot_layout();
+    let first_entry = layout.step_payloads(step).start;
+    let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
+    let dst_of = |send_idx: u32| compiled.send(send_idx as usize).dst;
+    let mut stalled: Option<u32> = None;
+    for to_rank in recvs.chunk_by(|&a, &b| dst_of(a) == dst_of(b)) {
+        let rank = dst_of(to_rank[0]);
+        if is_dead(rank) {
+            continue;
+        }
+        let mut dst = state_of(rank as usize);
+        for &send_idx in to_rank {
+            let send = compiled.send(send_idx as usize);
+            if is_dead(send.src) {
+                stalled = Some(stalled.map_or(send_idx, |s| s.min(send_idx)));
+                break;
+            }
+            let entry = send.blocks_start as usize - first_entry;
+            for (k, &slot) in layout.dst_slots(send).iter().enumerate() {
+                let payload = staged(entry + k);
+                match (send.kind, &mut dst.slots[slot as usize]) {
+                    (TransferKind::Reduce, Some(existing)) => {
+                        assert_eq!(
+                            existing.len(),
+                            payload.len(),
+                            "block length mismatch for {:?}",
+                            compiled
+                                .blocks()
+                                .resolve(compiled.block_index_slice(send)[k])
+                        );
+                        reduce_into(existing, &payload);
+                    }
+                    // A copy — or a reduce into an absent block, where the
+                    // payload becomes the partial result, as in
+                    // `BlockStore::reduce`.
+                    (_, held) => *held = Some(payload.into_owned()),
                 }
             }
-            // Same semantics as BlockStore::reduce into an absent block: the
-            // payload becomes the partial result.
-            None => *slot = Some(Block::clone(payload)),
-        },
+        }
     }
+    stalled
 }
 
 /// Executes `compiled` starting from symbolic `initial` stores and returns

@@ -10,10 +10,11 @@
 //!   [`sequential::run_reference`] every executor is cross-checked
 //!   bit-identical against,
 //! * [`compiled`] — the fast single-threaded path: executes a
-//!   [`bine_sched::CompiledSchedule`] over dense per-rank state (interned
-//!   block indices, no hashing in the inner loop),
-//! * [`pool`] — the persistent [`pool::ExecutorPool`]: ranks multiplexed
-//!   over one worker per core with per-step work queues,
+//!   [`bine_sched::CompiledSchedule`] over dense per-rank state (one slot
+//!   per block a rank touches, no hashing in the inner loop), and home of
+//!   the one step kernel,
+//! * [`pool`] — the persistent [`pool::ExecutorPool`]: the same kernel with
+//!   ranks multiplexed over one worker per core and per-step work queues,
 //! * [`mod@verify`] — golden-result checks of the MPI post-condition of every
 //!   collective,
 //! * [`comm`] — the [`comm::Cluster`] facade: an MPI-like API over plain

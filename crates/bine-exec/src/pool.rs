@@ -12,12 +12,15 @@
 //! * **apply phase** — the destination ranks are split across the workers;
 //!   each worker applies the staged payloads of its ranks in schedule order.
 //!
-//! The phase barrier makes the two phases race-free without locking the
+//! Both phases are the one step kernel of [`crate::compiled`]
+//! (`gather_sends`, `apply_recvs`), run here over per-worker chunks. The
+//! phase barrier makes the two phases race-free without contending on the
 //! rank states: gathers only read, applies only write the worker's own
 //! ranks. Results are bit-identical to the reference interpreter because
 //! each receiver applies its payloads in schedule order — thread scheduling
 //! cannot reorder floating-point reductions.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,6 +140,18 @@ struct BatchStatus {
     /// (jobs still running or queued, first panic payload of this batch).
     state: Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
     done: Condvar,
+}
+
+/// The per-step bounded-progress watchdog of a run under dead-rank
+/// injection, shared read-mostly across the step jobs. Before the first
+/// stall the only unsatisfiable receives are those from initially-dead
+/// ranks, and the run aborts at the step that detects one, so the dead set
+/// never grows.
+struct Watchdog {
+    is_dead: Vec<bool>,
+    /// The earliest (smallest send index) receive found unsatisfiable —
+    /// sender dead, nothing staged.
+    stalled: Mutex<Option<u32>>,
 }
 
 /// Shared state between the pool handle and its workers.
@@ -352,148 +367,112 @@ impl ExecutorPool {
         if p == 0 {
             return Ok(states);
         }
-        let inject = !dead.is_empty();
-        let mut is_dead = vec![false; p];
-        for &d in dead {
-            assert!(d < p, "dead rank {d} out of range for {p} ranks");
-            is_dead[d] = true;
-        }
-        // Shared read-only across the step jobs; before the first stall the
-        // only unsatisfiable receives are those from initially-dead ranks,
-        // and the run aborts at the step that detects one, so the set never
-        // grows.
-        let is_dead = Arc::new(is_dead);
+        // Only an injected run has a watchdog; a healthy one allocates
+        // nothing for it.
+        let watchdog = (!dead.is_empty()).then(|| {
+            let mut is_dead = vec![false; p];
+            for &d in dead {
+                assert!(d < p, "dead rank {d} out of range for {p} ranks");
+                is_dead[d] = true;
+            }
+            Arc::new(Watchdog {
+                is_dead,
+                stalled: Mutex::new(None),
+            })
+        });
         let states: Arc<Vec<Mutex<DenseState>>> =
             Arc::new(states.into_iter().map(Mutex::new).collect());
+        let layout = compiled.slot_layout();
+        // Reused by every step: what each gather worker read, and the
+        // staging buffer those reads are assembled into.
+        type Staged = Vec<(usize, Block)>;
+        let partial: Arc<Vec<Mutex<Staged>>> = Arc::new(
+            (0..self.num_workers())
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+        );
+        let mut staging: Arc<Vec<Option<Block>>> = Arc::new(Vec::new());
 
         for step in 0..compiled.num_steps() {
             let send_range = compiled.step_send_range(step);
-            let num_sends = send_range.len();
-            if num_sends == 0 {
+            if send_range.is_empty() {
                 continue;
             }
-            let payload_base = compiled
-                .step_sends(step)
-                .iter()
-                .map(|s| s.blocks_start)
-                .min()
-                .expect("non-empty step") as usize;
-            let payload_count = compiled.step_payload_count(step);
 
-            // Gather phase: workers read payloads into per-chunk staging.
-            let workers = self.num_workers().min(num_sends);
-            let chunk = num_sends.div_ceil(workers);
-            type PartialStaging = Arc<Vec<Mutex<Vec<(usize, Block)>>>>;
-            let partial: PartialStaging =
-                Arc::new((0..workers).map(|_| Mutex::new(Vec::new())).collect());
-            let mut jobs: Vec<Job> = Vec::with_capacity(workers);
-            for w in 0..workers {
+            // Gather phase: the step's sends are split across the workers.
+            let workers = self.num_workers().min(send_range.len());
+            let chunk = send_range.len().div_ceil(workers);
+            let jobs = (0..workers).map(|w| {
                 let lo = send_range.start + w * chunk;
                 let hi = (lo + chunk).min(send_range.end);
                 let compiled = Arc::clone(compiled);
                 let states = Arc::clone(&states);
                 let partial = Arc::clone(&partial);
-                let is_dead = Arc::clone(&is_dead);
-                jobs.push(Box::new(move || {
-                    let mut out = Vec::new();
-                    for send_idx in lo..hi {
-                        let send = compiled.send(send_idx);
-                        if inject && is_dead[send.src as usize] {
-                            // A dead rank's sends never leave: the staging
-                            // slot stays empty and the receive is caught by
-                            // the apply-phase watchdog.
-                            continue;
-                        }
-                        let src = lock_any(&states[send.src as usize]);
-                        for (k, &block_idx) in compiled.block_index_slice(send).iter().enumerate() {
-                            let payload = src.slot(block_idx).unwrap_or_else(|| {
-                                panic!(
-                                    "step {step}: rank {} sends block {:?} it does not hold ({})",
-                                    send.src,
-                                    compiled.blocks().resolve(block_idx),
-                                    compiled.algorithm
-                                )
-                            });
-                            out.push((
-                                send.blocks_start as usize - payload_base + k,
-                                Block::clone(payload),
-                            ));
-                        }
-                    }
-                    *lock_any(&partial[w]) = out;
-                }));
-            }
-            self.run_batch_impl(jobs).map_err(ExecError::from_panic)?;
+                let watchdog = watchdog.clone();
+                Box::new(move || {
+                    let mut staged = lock_any(&partial[w]);
+                    compiled::gather_sends(
+                        &compiled,
+                        step,
+                        lo..hi,
+                        watchdog.as_deref().map(|w| &w.is_dead[..]),
+                        |rank| lock_any(&states[rank]),
+                        |entry, payload| staged.push((entry, payload)),
+                    );
+                }) as Job
+            });
+            self.run_batch_impl(jobs.collect())
+                .map_err(ExecError::from_panic)?;
 
             // Assemble the staging buffer (moves Arcs, no payload copies).
-            let mut staging: Vec<Option<Block>> = vec![None; payload_count];
-            for chunk in partial.iter() {
-                for (slot, payload) in lock_any(chunk).drain(..) {
-                    staging[slot] = Some(payload);
+            // Batches drain fully, so the previous step's apply jobs have
+            // let go of it.
+            let slots = Arc::get_mut(&mut staging).expect("worker kept a staging reference");
+            slots.clear();
+            slots.resize(layout.step_payloads(step).len(), None);
+            for staged in partial.iter() {
+                for (entry, payload) in lock_any(staged).drain(..) {
+                    slots[entry] = Some(payload);
                 }
             }
-            let staging = Arc::new(staging);
 
             // Apply phase: workers own disjoint destination-rank chunks.
-            // Under injection each worker reports the receives it found
-            // unsatisfiable (sender dead, nothing staged) — the watchdog.
             let workers = self.num_workers().min(p);
             let chunk = p.div_ceil(workers);
-            let stalled: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-            let mut jobs: Vec<Job> = Vec::with_capacity(workers);
-            for w in 0..workers {
+            let jobs = (0..workers).map(|w| {
                 let lo = w * chunk;
                 let hi = (lo + chunk).min(p);
                 let compiled = Arc::clone(compiled);
                 let states = Arc::clone(&states);
                 let staging = Arc::clone(&staging);
-                let is_dead = Arc::clone(&is_dead);
-                let stalled = Arc::clone(&stalled);
-                jobs.push(Box::new(move || {
-                    for rank in lo..hi {
-                        if inject && is_dead[rank] {
-                            // A dead rank posts no receives; its state stays
-                            // untouched.
-                            continue;
-                        }
-                        let recvs = compiled.recvs_to(step, rank);
-                        if recvs.is_empty() {
-                            continue;
-                        }
-                        let mut dst = lock_any(&states[rank]);
-                        for &send_idx in recvs {
-                            let send = compiled.send(send_idx as usize);
-                            if inject && is_dead[send.src as usize] {
-                                // Blocking receive from a dead rank: in a
-                                // real run this rank hangs here, and its
-                                // later receives are never posted.
-                                lock_any(&stalled).push(send_idx);
-                                break;
-                            }
-                            for (k, &block_idx) in
-                                compiled.block_index_slice(send).iter().enumerate()
-                            {
-                                let payload = staging
-                                    [send.blocks_start as usize - payload_base + k]
-                                    .as_ref()
-                                    .expect("staged payload missing");
-                                compiled::apply(&mut dst, block_idx, payload, send.kind);
-                            }
-                        }
-                    }
-                }));
-            }
-            self.run_batch_impl(jobs).map_err(ExecError::from_panic)?;
-            if inject {
-                let stalled = lock_any(&stalled);
-                if let Some(&send_idx) = stalled.iter().min() {
-                    let send = compiled.send(send_idx as usize);
-                    return Err(ExecError::RankDead {
+                let watchdog = watchdog.clone();
+                Box::new(move || {
+                    let stalled = compiled::apply_recvs(
+                        &compiled,
                         step,
-                        src: send.src as usize,
-                        dst: send.dst as usize,
-                    });
-                }
+                        compiled.recvs_to_ranks(step, lo..hi),
+                        watchdog.as_deref().map(|w| &w.is_dead[..]),
+                        |rank| lock_any(&states[rank]),
+                        |entry| {
+                            Cow::Borrowed(staging[entry].as_ref().expect("staged payload missing"))
+                        },
+                    );
+                    if let (Some(send_idx), Some(watchdog)) = (stalled, &watchdog) {
+                        let mut earliest = lock_any(&watchdog.stalled);
+                        *earliest = Some(earliest.map_or(send_idx, |e| e.min(send_idx)));
+                    }
+                }) as Job
+            });
+            self.run_batch_impl(jobs.collect())
+                .map_err(ExecError::from_panic)?;
+            let stalled = watchdog.as_ref().and_then(|w| *lock_any(&w.stalled));
+            if let Some(send_idx) = stalled {
+                let send = compiled.send(send_idx as usize);
+                return Err(ExecError::RankDead {
+                    step,
+                    src: send.src as usize,
+                    dst: send.dst as usize,
+                });
             }
         }
 

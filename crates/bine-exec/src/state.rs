@@ -15,10 +15,26 @@ use bine_sched::{BlockId, Collective, Counts, Schedule};
 /// A shared, immutable-until-owned block payload.
 ///
 /// Payloads are reference counted so that transfers and per-step snapshots
-/// are refcount bumps rather than deep copies; reductions mutate through
-/// [`Arc::make_mut`], copying only when the payload is actually shared
-/// (copy-on-write).
+/// are refcount bumps rather than deep copies; reductions write a new
+/// buffer only when the payload is actually shared (copy-on-write).
 pub type Block = Arc<Vec<f64>>;
+
+/// `existing[i] += value[i]`, copy-on-write. The caller has checked that the
+/// lengths agree.
+///
+/// A payload nobody else holds is summed in place. A shared one is not
+/// cloned and then summed ([`Arc::make_mut`]): the sums are built straight
+/// into the new buffer — the same two allocations, the same operand order
+/// and so the same bits, one pass over memory fewer.
+pub(crate) fn reduce_into(existing: &mut Block, value: &[f64]) {
+    if let Some(owned) = Arc::get_mut(existing) {
+        for (a, b) in owned.iter_mut().zip(value) {
+            *a += b;
+        }
+    } else {
+        *existing = Arc::new(existing.iter().zip(value).map(|(a, b)| a + b).collect());
+    }
+}
 
 /// The data a single rank holds: a map from block identifiers to shared
 /// value vectors.
@@ -36,6 +52,12 @@ impl BlockStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Makes room for `additional` more blocks, so that inserting them does
+    /// not regrow the store step by step.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.blocks.reserve(additional);
     }
 
     /// Returns the value of a block, if held.
@@ -66,9 +88,7 @@ impl BlockStore {
                     value.len(),
                     "block length mismatch for {id:?}"
                 );
-                for (a, b) in Arc::make_mut(existing).iter_mut().zip(value) {
-                    *a += b;
-                }
+                reduce_into(existing, value);
             }
             None => {
                 self.blocks.insert(id, Arc::new(value.to_vec()));
@@ -95,6 +115,12 @@ impl BlockStore {
     /// without copying or refcount churn.
     pub fn into_blocks(self) -> impl Iterator<Item = (BlockId, Block)> {
         self.blocks.into_iter()
+    }
+
+    /// Empties the store, yielding every `(id, shared payload)` pair; the
+    /// store keeps its allocation for what is inserted next.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (BlockId, Block)> + '_ {
+        self.blocks.drain()
     }
 
     /// A clone that deep-copies every payload (no sharing with `self`).
@@ -330,6 +356,13 @@ mod tests {
         s.reduce(BlockId::Segment(0), &[1.0]);
         assert_eq!(s.get(&BlockId::Segment(0)).unwrap(), &vec![1.0]);
         assert_eq!(s.len(), 2);
+        // Copy-on-write: a payload shared with another holder is replaced,
+        // not mutated under it.
+        let shared: Block = Arc::new(vec![1.0, 2.0]);
+        s.insert(BlockId::Full, Arc::clone(&shared));
+        s.reduce(BlockId::Full, &[0.5, 0.5]);
+        assert_eq!(s.get(&BlockId::Full).unwrap(), &vec![1.5, 2.5]);
+        assert_eq!(*shared, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -20,15 +20,39 @@
 //!
 //! The semantics are unchanged: compiling and executing a schedule is
 //! bit-identical to interpreting it (cross-checked in `bine-exec`).
+//!
+//! Executors do not index their per-rank state by the global interned index
+//! — a rank touches a small share of a schedule's blocks (about
+//! `p·(1 + ½·log2 p)` of the `p²` pairwise blocks of a Bine alltoall) — but
+//! by the per-rank compact slots of the [`SlotLayout`], a view derived from
+//! the compiled form on first execution
+//! ([`CompiledSchedule::slot_layout`]), never by `compile` itself.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
 
 /// Source of process-unique [`CompiledSchedule`] identities.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
+
+/// Narrows a length or offset to the `u32` the compiled form stores.
+///
+/// # Panics
+/// Panics, naming `what`, if `n` does not fit — the compiled form cannot
+/// address it, and an `as` cast would silently alias another entry.
+fn index_u32(n: usize, what: &str) -> u32 {
+    // Out of line, so that the check costs its callers' hot loops (block
+    // interning above all) a compare and nothing else.
+    #[cold]
+    #[inline(never)]
+    fn overflow(what: &str) -> ! {
+        panic!("more than u32::MAX {what}")
+    }
+    u32::try_from(n).unwrap_or_else(|_| overflow(what))
+}
 
 /// Dense interning of the [`BlockId`]s referenced by one schedule.
 ///
@@ -50,7 +74,7 @@ impl BlockInterner {
         if let Some(&idx) = self.lookup.get(&id) {
             return idx;
         }
-        let idx = u32::try_from(self.ids.len()).expect("more than u32::MAX distinct blocks");
+        let idx = index_u32(self.ids.len(), "distinct blocks");
         self.ids.push(id);
         self.lookup.insert(id, idx);
         idx
@@ -115,6 +139,139 @@ impl CompiledSend {
     }
 }
 
+/// Per-rank compact block slots: the view of a [`CompiledSchedule`] that
+/// executor state is sized and indexed by.
+///
+/// A rank's state holds one slot per block the rank ever sends or receives
+/// — its *local* slots, numbered in ascending interned-index order — not one
+/// per block the whole schedule interned. Every payload entry of the
+/// compiled form carries its local slot at the sending and at the receiving
+/// rank, so gather and apply index a rank's slots directly.
+#[derive(Debug, Clone)]
+pub struct SlotLayout {
+    /// Per rank: range into `rank_blocks` (CSR). Length `num_ranks + 1`.
+    rank_offsets: Vec<u32>,
+    /// Per rank: the sorted interned indices of the blocks it touches; the
+    /// position within the rank's range is the local slot.
+    rank_blocks: Vec<u32>,
+    /// Parallel to the compiled block-index array: each payload's local slot
+    /// at its source rank.
+    src_slots: Vec<u32>,
+    /// Parallel to the compiled block-index array: each payload's local slot
+    /// at its destination rank.
+    dst_slots: Vec<u32>,
+    /// Per step: range into the compiled block-index array (a step's
+    /// payloads are contiguous). Length `num_steps + 1`.
+    step_payload_offsets: Vec<u32>,
+}
+
+impl SlotLayout {
+    fn derive(compiled: &CompiledSchedule) -> Self {
+        let p = compiled.num_ranks;
+        let steps = compiled.num_steps();
+        let payloads = &compiled.block_indices;
+        let mut layout = Self {
+            rank_offsets: Vec::with_capacity(p + 1),
+            rank_blocks: Vec::new(),
+            src_slots: vec![0; payloads.len()],
+            dst_slots: vec![0; payloads.len()],
+            step_payload_offsets: Vec::with_capacity(steps + 1),
+        };
+        let mut payload_end = 0;
+        layout.step_payload_offsets.push(payload_end);
+        for step in 0..steps {
+            payload_end += compiled.step_payload_count(step) as u32;
+            layout.step_payload_offsets.push(payload_end);
+        }
+
+        // Interned index → local slot of the rank being laid out; the one
+        // table sized by every interned block, shared by all ranks and
+        // dropped when the derivation ends.
+        const UNTOUCHED: u32 = u32::MAX;
+        let mut local = vec![UNTOUCHED; compiled.num_blocks()];
+        layout.rank_offsets.push(0);
+        for rank in 0..p {
+            let sent = |step| compiled.sends_from(step, rank).iter();
+            let received = |step| {
+                let sends = compiled.recvs_to(step, rank).iter();
+                sends.map(|&i| compiled.send(i as usize))
+            };
+            let base = layout.rank_blocks.len();
+            for send in (0..steps).flat_map(|s| sent(s).chain(received(s))) {
+                for &block in compiled.block_index_slice(send) {
+                    if local[block as usize] == UNTOUCHED {
+                        local[block as usize] = 0;
+                        layout.rank_blocks.push(block);
+                    }
+                }
+            }
+            layout.rank_blocks[base..].sort_unstable();
+            for (slot, &block) in layout.rank_blocks[base..].iter().enumerate() {
+                local[block as usize] = slot as u32;
+            }
+            let localise = |slots: &mut [u32], send: &CompiledSend| {
+                let entries = send.blocks_start as usize..send.blocks_end as usize;
+                for (slot, &block) in slots[entries.clone()].iter_mut().zip(&payloads[entries]) {
+                    *slot = local[block as usize];
+                }
+            };
+            for step in 0..steps {
+                sent(step).for_each(|send| localise(&mut layout.src_slots, send));
+                received(step).for_each(|send| localise(&mut layout.dst_slots, send));
+            }
+            for &block in &layout.rank_blocks[base..] {
+                local[block as usize] = UNTOUCHED;
+            }
+            // At most one slot per payload entry, and those fit (`compile`).
+            layout.rank_offsets.push(layout.rank_blocks.len() as u32);
+        }
+        layout
+    }
+
+    /// The interned indices of the blocks `rank` ever sends or receives,
+    /// ascending; local slot `i` of the rank holds block `rank_blocks(rank)[i]`.
+    pub fn rank_blocks(&self, rank: usize) -> &[u32] {
+        let lo = self.rank_offsets[rank] as usize;
+        let hi = self.rank_offsets[rank + 1] as usize;
+        &self.rank_blocks[lo..hi]
+    }
+
+    /// The local slot of interned block `block` at `rank`, if the rank ever
+    /// sends or receives it.
+    #[inline]
+    pub fn local_slot(&self, rank: usize, block: u32) -> Option<usize> {
+        let touched = self.rank_blocks(rank);
+        // Slots ascend with the interned index without repeats, so a block
+        // found at its own index (always, for a rank that touches every
+        // interned block, as every rank of an allreduce does) needs no
+        // search.
+        if touched.get(block as usize) == Some(&block) {
+            return Some(block as usize);
+        }
+        touched.binary_search(&block).ok()
+    }
+
+    /// The local slots, at the sending rank, of the blocks `send` carries
+    /// (parallel to [`CompiledSchedule::block_index_slice`]).
+    pub fn src_slots(&self, send: &CompiledSend) -> &[u32] {
+        &self.src_slots[send.blocks_start as usize..send.blocks_end as usize]
+    }
+
+    /// The local slots, at the receiving rank, of the blocks `send` carries
+    /// (parallel to [`CompiledSchedule::block_index_slice`]).
+    pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
+        &self.dst_slots[send.blocks_start as usize..send.blocks_end as usize]
+    }
+
+    /// The payload entries of `step`: every send of the step has its
+    /// `blocks_start..blocks_end` inside this range, so an executor's staging
+    /// buffer for the step is `step_payloads(step).len()` long and a payload
+    /// sits at its entry index minus the range's start.
+    pub fn step_payloads(&self, step: usize) -> Range<usize> {
+        self.step_payload_offsets[step] as usize..self.step_payload_offsets[step + 1] as usize
+    }
+}
+
 /// The execution form of a [`Schedule`]. Build with
 /// [`CompiledSchedule::compile`] (or [`Schedule::compile`]).
 #[derive(Debug, Clone)]
@@ -150,12 +307,15 @@ pub struct CompiledSchedule {
     /// for regular collectives). Byte-resolving consumers (cost model, DES)
     /// must go through [`CompiledSchedule::block_bytes`].
     counts: Option<Counts>,
+    /// Derived on first execution, see [`CompiledSchedule::slot_layout`].
+    slot_layout: OnceLock<SlotLayout>,
 }
 
 impl CompiledSchedule {
     /// Lowers `schedule` into execution form.
     pub fn compile(schedule: &Schedule) -> Self {
         let p = schedule.num_ranks;
+        let ranks = index_u32(p, "ranks");
         let num_steps = schedule.steps.len();
         let mut blocks = BlockInterner::new();
         let mut sends: Vec<CompiledSend> = Vec::new();
@@ -166,49 +326,53 @@ impl CompiledSchedule {
         let mut recv_offsets: Vec<u32> = Vec::with_capacity(num_steps * (p + 1));
 
         step_offsets.push(0);
+        let mut blocks_end = 0;
         for step in &schedule.steps {
             let step_base = sends.len();
             for (order, m) in step.messages.iter().enumerate() {
-                let blocks_start = block_indices.len() as u32;
+                let blocks_start = blocks_end;
                 block_indices.extend(m.blocks.iter().map(|b| blocks.intern(*b)));
+                blocks_end = index_u32(block_indices.len(), "block payloads");
                 sends.push(CompiledSend {
                     src: m.src as u32,
                     dst: m.dst as u32,
                     kind: m.kind,
                     segments: m.segments,
                     blocks_start,
-                    blocks_end: block_indices.len() as u32,
+                    blocks_end,
                     order: order as u32,
                 });
             }
+            // Every send index, schedule order and CSR offset of this step is
+            // at most this (ranks are below `ranks`).
+            let step_end = index_u32(sends.len(), "sends");
             // Group the step's sends by source (stable → `order` ascending
             // within a source) and CSR-index them.
             sends[step_base..].sort_by_key(|s| (s.src, s.order));
             let step_sends = &sends[step_base..];
             let mut cursor = 0usize;
-            for src in 0..p as u32 {
+            for src in 0..ranks {
                 send_offsets.push((step_base + cursor) as u32);
                 while cursor < step_sends.len() && step_sends[cursor].src == src {
                     cursor += 1;
                 }
             }
-            send_offsets.push(sends.len() as u32);
+            send_offsets.push(step_end);
 
             // Receive side: send indices per destination, in schedule order.
-            let mut by_dst: Vec<u32> = (step_base as u32..sends.len() as u32).collect();
+            let mut by_dst: Vec<u32> = (step_base as u32..step_end).collect();
             by_dst.sort_by_key(|&i| (sends[i as usize].dst, sends[i as usize].order));
             let mut cursor = 0usize;
-            for dst in 0..p as u32 {
+            for dst in 0..ranks {
                 recv_offsets.push((recv_lists.len() + cursor) as u32);
                 while cursor < by_dst.len() && sends[by_dst[cursor] as usize].dst == dst {
                     cursor += 1;
                 }
             }
-            let base = recv_lists.len();
-            recv_offsets.push((base + by_dst.len()) as u32);
             recv_lists.extend(by_dst);
+            recv_offsets.push(recv_lists.len() as u32);
 
-            step_offsets.push(sends.len() as u32);
+            step_offsets.push(step_end);
         }
 
         Self {
@@ -226,6 +390,7 @@ impl CompiledSchedule {
             recv_lists,
             recv_offsets,
             counts: schedule.counts.clone(),
+            slot_layout: OnceLock::new(),
         }
     }
 
@@ -236,6 +401,16 @@ impl CompiledSchedule {
     /// it as a cache key without hashing the schedule itself.
     pub fn identity(&self) -> u64 {
         self.identity
+    }
+
+    /// The per-rank compact slots executor state is indexed by.
+    ///
+    /// Derived from the compiled form on the first call and kept for the
+    /// life of the handle (clones made afterwards carry it along). `compile`
+    /// never derives it: a handle that is built, modelled or simulated but
+    /// not executed does not pay for it.
+    pub fn slot_layout(&self) -> &SlotLayout {
+        self.slot_layout.get_or_init(|| SlotLayout::derive(self))
     }
 
     /// Number of synchronous steps.
@@ -301,9 +476,17 @@ impl CompiledSchedule {
     /// Global send indices targeting `rank` in `step`, in schedule order —
     /// the exact order the reference interpreter applies payloads in.
     pub fn recvs_to(&self, step: usize, rank: usize) -> &[u32] {
-        let row = step * (self.num_ranks + 1) + rank;
-        let lo = self.recv_offsets[row] as usize;
-        let hi = self.recv_offsets[row + 1] as usize;
+        self.recvs_to_ranks(step, rank..rank + 1)
+    }
+
+    /// Global send indices targeting the ranks `ranks` in `step`, grouped by
+    /// ascending destination rank and in schedule order within a rank: the
+    /// concatenation of [`CompiledSchedule::recvs_to`] over `ranks`, without
+    /// a visit to the ranks that receive nothing.
+    pub fn recvs_to_ranks(&self, step: usize, ranks: Range<usize>) -> &[u32] {
+        let row = step * (self.num_ranks + 1);
+        let lo = self.recv_offsets[row + ranks.start] as usize;
+        let hi = self.recv_offsets[row + ranks.end] as usize;
         &self.recv_lists[lo..hi]
     }
 
@@ -407,7 +590,17 @@ mod tests {
     fn recv_lists_preserve_schedule_order_per_destination() {
         for sched in schedules_under_test() {
             let compiled = sched.compile();
+            let p = sched.num_ranks;
             for (step_idx, step) in sched.steps.iter().enumerate() {
+                // A range of ranks gets the concatenation of their lists.
+                for ranks in [0..p, 0..0, p / 3..p / 2, p - 1..p] {
+                    let one_by_one: Vec<u32> = ranks
+                        .clone()
+                        .flat_map(|rank| compiled.recvs_to(step_idx, rank))
+                        .copied()
+                        .collect();
+                    assert_eq!(compiled.recvs_to_ranks(step_idx, ranks), one_by_one);
+                }
                 for rank in 0..sched.num_ranks {
                     let scanned: Vec<&Message> =
                         step.messages.iter().filter(|m| m.dst == rank).collect();
@@ -423,6 +616,139 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn index_u32_accepts_the_boundary_and_rejects_what_an_as_cast_would_wrap() {
+        assert_eq!(index_u32(0, "things"), 0);
+        assert_eq!(index_u32(u32::MAX as usize, "things"), u32::MAX);
+        let overflow = std::panic::catch_unwind(|| index_u32(u32::MAX as usize + 1, "things"));
+        let message = *overflow
+            .expect_err("u32::MAX + 1 must not wrap to 0")
+            .downcast::<String>()
+            .expect("string panic");
+        assert_eq!(message, "more than u32::MAX things");
+    }
+
+    /// Checks every [`SlotLayout`] invariant of `sched`'s compiled form
+    /// against the symbolic schedule; returns the per-rank slot counts.
+    fn check_slot_layout(sched: &Schedule) -> Vec<usize> {
+        let compiled = sched.compile();
+        let layout = compiled.slot_layout();
+        let what = format!(
+            "{:?}/{} p={}",
+            sched.collective, sched.algorithm, sched.num_ranks
+        );
+        // A rank's slots are exactly the distinct blocks it sends or
+        // receives, in ascending interned order; `moved[rank]` counts those
+        // blocks with repetition.
+        let mut moved = vec![0usize; sched.num_ranks];
+        let mut touched = vec![std::collections::BTreeSet::new(); sched.num_ranks];
+        for (_, m) in sched.messages() {
+            for b in &m.blocks {
+                let block = compiled.blocks().index_of(b).expect("interned");
+                for rank in [m.src, m.dst] {
+                    moved[rank] += 1;
+                    touched[rank].insert(block);
+                }
+            }
+        }
+        for (rank, want) in touched.iter().enumerate() {
+            let want: Vec<u32> = want.iter().copied().collect();
+            assert_eq!(layout.rank_blocks(rank), want, "{what} rank {rank}");
+            for block in 0..compiled.num_blocks() as u32 {
+                let slot = want.iter().position(|&b| b == block);
+                assert_eq!(layout.local_slot(rank, block), slot, "{what} rank {rank}");
+            }
+            // The O(touched) pin: never more slots than blocks moved.
+            assert!(want.len() <= moved[rank], "{what} rank {rank}");
+        }
+        // Every payload's local slots resolve back to its interned index,
+        // and a step's payloads are exactly its sends' entries.
+        for step in 0..compiled.num_steps() {
+            let payloads = layout.step_payloads(step);
+            assert_eq!(payloads.len(), compiled.step_payload_count(step), "{what}");
+            for send in compiled.step_sends(step) {
+                assert!(payloads.start <= send.blocks_start as usize, "{what}");
+                assert!(send.blocks_end as usize <= payloads.end, "{what}");
+                let blocks = compiled.block_index_slice(send);
+                let at_src = layout.rank_blocks(send.src as usize);
+                let at_dst = layout.rank_blocks(send.dst as usize);
+                for (k, &block) in blocks.iter().enumerate() {
+                    assert_eq!(at_src[layout.src_slots(send)[k] as usize], block, "{what}");
+                    assert_eq!(at_dst[layout.dst_slots(send)[k] as usize], block, "{what}");
+                }
+            }
+        }
+        (0..sched.num_ranks)
+            .map(|rank| layout.rank_blocks(rank).len())
+            .collect()
+    }
+
+    #[test]
+    fn slot_layout_holds_for_every_catalog_algorithm() {
+        use crate::{algorithms, build, Collective};
+        for collective in Collective::ALL {
+            for alg in algorithms(collective) {
+                for p in [1usize, 2, 3, 15, 16, 64] {
+                    // Some generators only exist at power-of-two rank
+                    // counts and panic elsewhere; the layout is claimed for
+                    // whatever builds.
+                    let built = std::panic::catch_unwind(|| build(collective, alg.name(), p, 0));
+                    match built.ok().flatten() {
+                        Some(sched) => drop(check_slot_layout(&sched)),
+                        None => assert!(
+                            !p.is_power_of_two() || p == 1,
+                            "{collective:?}/{} must build at p={p}",
+                            alg.name()
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_layout_holds_for_the_irregular_builders() {
+        use crate::{build_irregular, irregular_algorithms, Collective, SizeDist};
+        for collective in [Collective::Gather, Collective::Allgather] {
+            for alg in irregular_algorithms(collective) {
+                for dist in SizeDist::ALL {
+                    for (p, root) in [(16, 5), (64, 0)] {
+                        let counts = dist.counts(p, root);
+                        for name in [alg.name().to_string(), format!("{}+seg3", alg.name())] {
+                            let sched = build_irregular(collective, &name, p, root, &counts)
+                                .unwrap_or_else(|| panic!("{collective:?}/{name} did not build"));
+                            check_slot_layout(&sched);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bine_alltoall_ranks_get_far_fewer_slots_than_interned_blocks() {
+        // p/2 blocks out and p/2 in per step for log2 p steps: a rank
+        // touches O(p log p) of the p² pairwise blocks.
+        let p = 64;
+        let sched = alltoall(p, AlltoallAlg::Bine);
+        assert!(sched.compile().num_blocks() > p * p / 2);
+        for (rank, slots) in check_slot_layout(&sched).into_iter().enumerate() {
+            assert!(slots < p * p / 4, "rank {rank} has {slots} slots");
+        }
+    }
+
+    #[test]
+    fn compile_does_not_derive_the_slot_layout() {
+        let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
+        assert!(compiled.slot_layout.get().is_none());
+        let derived: *const SlotLayout = compiled.slot_layout();
+        assert!(
+            std::ptr::eq(derived, compiled.slot_layout()),
+            "derived once"
+        );
+        assert!(compiled.clone().slot_layout.get().is_some());
     }
 
     #[test]

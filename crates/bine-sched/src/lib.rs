@@ -47,7 +47,7 @@ pub use catalog::{
 pub use collectives::{
     build_irregular, irregular_algorithms, IrregularAlg, SizeDist, IRREGULAR_COLLECTIVES,
 };
-pub use compile::{BlockInterner, CompiledSchedule, CompiledSend};
+pub use compile::{BlockInterner, CompiledSchedule, CompiledSend, SlotLayout};
 pub use noncontig::NonContigStrategy;
 pub use provider::{CatalogProvider, ProviderSet, ScheduleProvider, SynthProvider, ViewSource};
 pub use schedule::{BlockId, Collective, Counts, Message, Schedule, Step, TransferKind};
