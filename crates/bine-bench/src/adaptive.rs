@@ -21,8 +21,8 @@
 //!    pick win again and the overlay reverts to empty — the committed
 //!    tables were never touched.
 //!
-//! [`measure`] is shared by the `adaptive_bench` bin (CI smoke: exits
-//! non-zero unless the run converged and reverted) and `bench_exec`, which
+//! [`measure`] is shared by `bine-bench adaptive` (CI smoke: exits
+//! non-zero unless the run converged and reverted) and `bine-bench exec`, which
 //! records the `/adaptive/` warm-path timings into `BENCH_exec.json`
 //! (hard-gated like `/serve/`; the `overrides`/`reverts`/`reevals`
 //! counters ride along ungated, like the serve-layer health counters).
@@ -435,7 +435,7 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
 }
 
 /// The `BENCH_exec.json` entries of a run. The two warm-path timings are
-/// hard-gated by `perf_gate` (they are the adaptive layer's tax on the
+/// hard-gated by `gate perf` (they are the adaptive layer's tax on the
 /// serving hot path); the loop counters ride along ungated, like the
 /// serve layer's degradation counters.
 pub fn bench_entries(r: &AdaptiveReport) -> Vec<(String, f64)> {

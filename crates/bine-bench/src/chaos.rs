@@ -20,7 +20,7 @@
 //!    schedule, so the chaos run doubles as a faulted-DES equivalence
 //!    sweep.
 //!
-//! [`run`] is shared by the `chaos_bench` bin (the CI smoke step) and the
+//! [`run`] is shared by `bine-bench chaos` (the CI smoke step) and the
 //! unit tests below.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
-use bine_net::fault::FaultSpec;
+use bine_net::fault::{splitmix64, FaultSpec};
 use bine_net::sim::{SimReport, SimRequest};
 use bine_sched::{build, Collective};
 use bine_tune::{
@@ -86,8 +86,8 @@ impl Default for ChaosOptions {
 }
 
 /// Outcome of one chaos run. `availability` must be 1.0 and
-/// `unexpected_answers` 0 for the run to count as passed (the `chaos_bench`
-/// bin exits non-zero otherwise); bit-identity of the degraded answers is
+/// `unexpected_answers` 0 for the run to count as passed (`bine-bench chaos`
+/// exits non-zero otherwise); bit-identity of the degraded answers is
 /// verified inside [`run`], which errors on any mismatch.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -139,16 +139,6 @@ impl ChaosReport {
             self.fallback_answers as f64 / self.answered as f64
         }
     }
-}
-
-/// Stateless splitmix64 mix, the same construction the DES fault plans use
-/// for their seeded draws: no RNG state to share between threads, and a
-/// draw depends only on `(seed, inputs)`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A uniform draw in `[0, 1)` for one compile attempt.

@@ -1,0 +1,524 @@
+//! `bine-bench sweep <sim|irregular|synth|validate>`: the sweeps CI runs as
+//! smokes over the simulator, the extended collective space, the
+//! synthesizers and the validator.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use bine_bench::report::{format_bytes, render_table};
+use bine_bench::runner::Evaluator;
+use bine_bench::systems::System;
+use bine_net::allocation::Allocation;
+use bine_net::cost::CostModel;
+use bine_net::sim::SimRequest;
+use bine_net::view::{system_allocation, system_view, TUNING_PLACEMENT_SEED};
+use bine_sched::{
+    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, validate_schedule,
+    Collective, CompiledSchedule, SizeDist, SynthSpec, IRREGULAR_COLLECTIVES,
+};
+use bine_tune::Selector;
+
+use crate::cli::{quiet_panics, Args, Failure, Outcome};
+
+/// Segment counts swept by [`sim`] (1 = the unsegmented schedule).
+const CHUNKS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The allreduce algorithm family of the paper's Fig. 9–11 sweeps.
+const ALGORITHMS: [&str; 4] = ["bine-large", "recursive-doubling", "rabenseifner", "ring"];
+
+/// Discrete-event sweep: message size × segment count × algorithm.
+///
+/// For each paper topology this simulates the allreduce algorithm family
+/// with the DES of `bine-net` across the paper's vector sizes and a range of
+/// pipeline segment counts, then reports where pipelining moves the
+/// algorithm crossover points: configurations where the best algorithm under
+/// the segmented (pipelined) prediction differs from the best under the
+/// unsegmented one — the effect the synchronous barrier model cannot see.
+///
+/// `[nodes]` defaults to 64 nodes per system.
+pub fn sim(args: Args) -> Outcome {
+    let nodes: usize = args.positional(0)?.unwrap_or(64);
+    let collective = Collective::Allreduce;
+    let mut total_shifts = 0usize;
+    let mut total_configs = 0usize;
+
+    for system in System::all() {
+        if !system.node_counts.contains(&nodes) {
+            continue;
+        }
+        let mut eval = Evaluator::new(system.clone());
+        let sizes = system.vector_sizes.clone();
+        println!(
+            "=== {} ({nodes} nodes, {}) — simulated allreduce, times in us ===",
+            system.name,
+            eval.system().topology(nodes).name()
+        );
+        let mut rows = Vec::new();
+        let mut shifts = Vec::new();
+        for &n in &sizes {
+            let mut row = vec![format_bytes(n)];
+            let mut flat_best: Option<(&str, f64)> = None;
+            let mut piped_best: Option<(&str, f64, usize)> = None;
+            for alg in ALGORITHMS {
+                if eval.skip_algorithm(alg, nodes) {
+                    row.push("-".into());
+                    continue;
+                }
+                let by_chunks: Vec<(usize, f64)> = CHUNKS
+                    .iter()
+                    .map(|&s| (s, eval.simulate(collective, alg, nodes, n, s)))
+                    .collect();
+                let flat = by_chunks[0].1; // CHUNKS[0] == 1
+                let (best_s, best_t) = by_chunks
+                    .into_iter()
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .unwrap();
+                row.push(if best_s == 1 {
+                    format!("{flat:.1}")
+                } else {
+                    format!("{flat:.1}>{best_t:.1}(x{best_s})")
+                });
+                if flat_best.is_none_or(|(_, t)| flat < t) {
+                    flat_best = Some((alg, flat));
+                }
+                if piped_best.is_none_or(|(_, t, _)| best_t < t) {
+                    piped_best = Some((alg, best_t, best_s));
+                }
+            }
+            let (flat_alg, _) = flat_best.expect("at least one algorithm");
+            let (piped_alg, _, piped_s) = piped_best.expect("at least one algorithm");
+            row.push(flat_alg.to_string());
+            row.push(format!("{piped_alg} (x{piped_s})"));
+            total_configs += 1;
+            if flat_alg != piped_alg {
+                shifts.push((n, flat_alg, piped_alg));
+                total_shifts += 1;
+                row.push("<< shift".into());
+            } else {
+                row.push(String::new());
+            }
+            rows.push(row);
+        }
+        let mut header = vec!["Vector"];
+        header.extend(ALGORITHMS);
+        header.extend(["best flat", "best pipelined", ""]);
+        println!("{}", render_table(&header, &rows));
+        if shifts.is_empty() {
+            println!("no crossover shift on {}\n", system.name);
+        } else {
+            for (n, from, to) in shifts {
+                println!(
+                    "crossover shift at {}: {from} (unsegmented) -> {to} (pipelined)",
+                    format_bytes(n)
+                );
+            }
+            println!();
+        }
+    }
+    println!(
+        "{total_shifts} of {total_configs} (system x size) configurations change their best \
+         algorithm when schedules are pipelined"
+    );
+    Ok(())
+}
+
+const ALLTOALL_ALGS: [&str; 3] = ["bine", "bruck", "pairwise"];
+
+/// Smoke sweep over the extended collective space: the tuned alltoall and
+/// the irregular (v-variant) grids.
+///
+/// For every paper system hosting the requested node count this
+///
+/// * sweeps the alltoall catalog (bine / bruck / pairwise) across the
+///   paper's vector sizes with the synchronous model and the DES,
+/// * sweeps every v-variant collective × size distribution × irregular
+///   algorithm with the synchronous model (the model the irregular tuning
+///   grids are scored with) and simulates the per-cell winner once with
+///   the DES — exercising the counts-aware byte sizing end to end,
+/// * cross-checks the committed decision tables: for every swept cell the
+///   selector's dist-aware pick must be buildable via `build_irregular`.
+///
+/// `[nodes]` defaults to 16. CI runs this as the v-variant/alltoall smoke.
+pub fn irregular(args: Args) -> Outcome {
+    let nodes: usize = args.positional(0)?.unwrap_or(16);
+    for system in System::all() {
+        if !system.node_counts.contains(&nodes) {
+            continue;
+        }
+        let mut eval = Evaluator::new(system.clone());
+        let sizes = system.vector_sizes.clone();
+
+        // Alltoall: synchronous and simulated times per catalog algorithm.
+        println!(
+            "=== {} ({nodes} nodes, {}) — alltoall, times in us ===",
+            system.name,
+            eval.system().topology(nodes).name()
+        );
+        let mut rows = Vec::new();
+        for &n in &sizes {
+            let mut row = vec![format_bytes(n)];
+            for alg in ALLTOALL_ALGS {
+                if eval.skip_algorithm(alg, nodes) {
+                    row.push("-".into());
+                    continue;
+                }
+                let sync = eval.evaluate_time(Collective::Alltoall, alg, nodes, n);
+                let des = eval.simulate(Collective::Alltoall, alg, nodes, n, 1);
+                row.push(format!("{sync:.1} / {des:.1}"));
+            }
+            rows.push(row);
+        }
+        println!(
+            "{}",
+            render_table(
+                &[
+                    "size",
+                    "bine (sync/des)",
+                    "bruck (sync/des)",
+                    "pairwise (sync/des)"
+                ],
+                &rows
+            )
+        );
+
+        // V-variant grids: the synchronous sweep the tuner runs, plus one
+        // DES simulation of each cell's winner.
+        let topo = system.topology(nodes);
+        let alloc = Allocation::block(nodes);
+        let model = eval.cost_model().clone();
+        let n = 1u64 << 20;
+        println!(
+            "=== {} ({nodes} nodes) — v-variants at {}, sync times in us (DES of winner) ===",
+            system.name,
+            format_bytes(n)
+        );
+        let mut rows = Vec::new();
+        for collective in IRREGULAR_COLLECTIVES {
+            for dist in SizeDist::ALL {
+                let counts = dist.counts(nodes, 0);
+                let mut row = vec![format!("{}v@{}", collective.name(), dist.name())];
+                let mut best: Option<(&'static str, f64)> = None;
+                let mut cands = Vec::new();
+                for alg in irregular_algorithms(collective) {
+                    if eval.skip_algorithm(alg.name(), nodes) {
+                        continue;
+                    }
+                    let sched = build_irregular(collective, alg.name(), nodes, 0, &counts)
+                        .ok_or_else(|| {
+                            Failure::Check(format!("{collective:?}/{} did not build", alg.name()))
+                        })?;
+                    let t = model.time_us(&sched, n, topo.as_ref(), &alloc);
+                    if best.is_none_or(|(_, bt)| t < bt) {
+                        best = Some((alg.name(), t));
+                    }
+                    cands.push(format!("{}={t:.1}", alg.name()));
+                }
+                row.push(cands.join("  "));
+                let (winner, _) = best.expect("every cell has a candidate");
+                let compiled = build_irregular(collective, winner, nodes, 0, &counts)
+                    .expect("the winner built a moment ago")
+                    .compile();
+                let des = SimRequest::new(&model, &compiled, n, topo.as_ref(), &alloc)
+                    .time_only()
+                    .run()
+                    .makespan_us();
+                row.push(format!("{winner} ({des:.1})"));
+                rows.push(row);
+            }
+        }
+        println!(
+            "{}",
+            render_table(&["cell", "candidates (sync us)", "winner (des us)"], &rows)
+        );
+
+        // Committed-table cross-check: every dist-aware pick must build.
+        let selector = Selector::load(system.name).map_err(|e| {
+            Failure::Io(format!("{}: cannot load committed table: {e}", system.name))
+        })?;
+        let mut checked = 0usize;
+        for collective in IRREGULAR_COLLECTIVES {
+            for dist in SizeDist::ALL {
+                for &bytes in &sizes {
+                    let cell = format!("{collective:?}@{}/{nodes}/{bytes}", dist.name());
+                    let tuned = selector
+                        .choose_irregular(collective, dist, nodes, bytes)
+                        .ok_or_else(|| {
+                            Failure::Check(format!("{}: no pick for {cell}", system.name))
+                        })?;
+                    let counts = dist.counts(nodes, 0);
+                    if build_irregular(collective, tuned.algorithm, nodes, 0, &counts).is_none() {
+                        return Err(Failure::Check(format!(
+                            "{}: committed pick {} for {cell} is not buildable",
+                            system.name, tuned.algorithm
+                        )));
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        println!(
+            "{}: {checked} committed v-variant picks resolved and built\n",
+            system.name
+        );
+    }
+    Ok(())
+}
+
+/// The collectives the synthesizers support (tree-shaped dataflow).
+const SYNTH_COLLECTIVES: [Collective; 3] = [
+    Collective::Broadcast,
+    Collective::Reduce,
+    Collective::Allreduce,
+];
+
+/// Vector sizes raced under the DES: one latency-bound, one
+/// bandwidth-bound point per grid cell keeps the sweep under a minute.
+const SYNTH_SIZES: [u64; 2] = [64 * 1024, 16 * 1024 * 1024];
+
+/// A catalog build at a rank count the builder may not support: builders
+/// panic (rather than return `None`) there, so the probe runs under
+/// `catch_unwind` (and the caller under [`quiet_panics`]).
+fn probe<T>(build: impl FnOnce() -> Option<T>) -> Option<T> {
+    catch_unwind(AssertUnwindSafe(build)).ok().flatten()
+}
+
+/// Schedule-synthesis smoke sweep: synthesize, validate, race the catalog.
+///
+/// For every tuned system ([`System::tuned`]: the paper's four plus the
+/// heterogeneous island fat tree) this derives the serving-layer topology
+/// view at each small node count, synthesizes every provider candidate
+/// (`synth:forestcoll:*`, `synth:multilevel:*`), runs each schedule through
+/// [`bine_sched::ScheduleValidator`], and compares its DES makespan against
+/// the best fixed-catalog pick at the same grid point.
+///
+/// Homogeneous fabrics are allowed to prefer the hand-derived catalog —
+/// those results are reported but never fatal. The heterogeneous fabric
+/// is the topology the synthesizers were derived for: the sweep exits
+/// non-zero unless a synthesized schedule strictly beats the best catalog
+/// pick on at least one HeteroFat grid point, or if any synthesized
+/// schedule fails validation anywhere.
+///
+/// The CI workflow runs this as the synthesis-integrity step.
+pub fn synth(args: Args) -> Outcome {
+    let max_nodes: usize = args.flag_or("--max-nodes", 32)?;
+
+    // Catalog builders panic on unsupported rank counts; keep those
+    // expected backtraces off stderr so a real failure stays visible.
+    let _quiet = quiet_panics(|_| true);
+
+    let model = CostModel::default();
+    let mut validated = 0usize;
+    let mut raced = 0usize;
+    let mut hetero_wins = Vec::new();
+    let mut failures = Vec::new();
+
+    for system in System::tuned() {
+        let slug = system.slug();
+        let hetero = slug == "heterofat";
+        for &nodes in system.node_counts.iter().filter(|&&n| n <= max_nodes) {
+            let Some(view) = system_view(&slug, nodes) else {
+                continue;
+            };
+            let topo = system.topology(nodes);
+            let alloc = system_allocation(&slug, topo.as_ref(), nodes, TUNING_PLACEMENT_SEED);
+            for collective in SYNTH_COLLECTIVES {
+                // Synthesize and validate every provider candidate once.
+                let mut synth: Vec<(String, CompiledSchedule)> = Vec::new();
+                for id in synth_algorithms(collective, &view) {
+                    let label = format!("{slug}/{}/{} p={nodes}", collective.name(), id.name());
+                    let spec = SynthSpec::parse(id.name()).ok_or_else(|| {
+                        Failure::Check(format!("unparseable synth id {}", id.name()))
+                    })?;
+                    let Some(sched) = spec.synthesize(collective, &view, 0) else {
+                        failures.push(format!("{label}: synthesis returned nothing"));
+                        continue;
+                    };
+                    validated += 1;
+                    if let Err(e) = validate_schedule(&sched) {
+                        failures.push(format!("{label}: {e}"));
+                        continue;
+                    }
+                    synth.push((id.name().to_string(), sched.compile()));
+                }
+                if synth.is_empty() {
+                    continue;
+                }
+
+                // Best fixed-catalog pick at the same grid point.
+                let catalog: Vec<(String, CompiledSchedule)> = algorithms(collective)
+                    .iter()
+                    .filter_map(|alg| {
+                        let sched = probe(|| build(collective, alg.name(), nodes, 0))?;
+                        Some((alg.name().to_string(), sched.compile()))
+                    })
+                    .collect();
+
+                for &n in &SYNTH_SIZES {
+                    let race = |compiled: &CompiledSchedule| {
+                        SimRequest::new(&model, compiled, n, topo.as_ref(), &alloc)
+                            .time_only()
+                            .run()
+                            .makespan_us()
+                    };
+                    let best_synth = synth
+                        .iter()
+                        .map(|(name, c)| (name.as_str(), race(c)))
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("non-empty synth set");
+                    let best_cat = catalog
+                        .iter()
+                        .map(|(name, c)| (name.as_str(), race(c)))
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("non-empty catalog");
+                    raced += 1;
+                    let verdict = if best_synth.1 < best_cat.1 {
+                        "WIN "
+                    } else {
+                        "loss"
+                    };
+                    println!(
+                        "{verdict} {slug:>12} {:>9} p={nodes:<4} n={n:<9} \
+                         synth {} {:>10.2}us vs catalog {} {:>10.2}us",
+                        collective.name(),
+                        best_synth.0,
+                        best_synth.1,
+                        best_cat.0,
+                        best_cat.1,
+                    );
+                    if hetero && best_synth.1 < best_cat.1 {
+                        hetero_wins.push(format!(
+                            "{}/p={nodes}/n={n}: {} {:.2}us beats {} {:.2}us",
+                            collective.name(),
+                            best_synth.0,
+                            best_synth.1,
+                            best_cat.0,
+                            best_cat.1,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    println!("\nvalidated {validated} synthesized schedules, raced {raced} grid points");
+    if !failures.is_empty() {
+        return Err(Failure::Check(format!(
+            "{} validation failures:\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        )));
+    }
+    if hetero_wins.is_empty() {
+        return Err(Failure::Check(
+            "synthesis never beat the catalog on the heterogeneous fabric it was derived for"
+                .into(),
+        ));
+    }
+    println!(
+        "{} HeteroFat wins, e.g. {}",
+        hetero_wins.len(),
+        hetero_wins[0]
+    );
+    Ok(())
+}
+
+/// Validator sweep over the whole schedule catalog.
+///
+/// Builds every (collective × algorithm × rank count × segmentation)
+/// configuration the catalog supports — regular and irregular (v-variant),
+/// power-of-two and non-power-of-two rank counts, non-zero roots for the
+/// rooted collectives — and runs each schedule through
+/// [`bine_sched::ScheduleValidator`]. Exits non-zero if the validator
+/// rejects any schedule: a failure here means the catalog emitted a
+/// schedule that drops data, deadlocks, or miscounts bytes.
+///
+/// Builders panic (rather than return `None`) on unsupported rank counts,
+/// so every probe runs under `catch_unwind`; a skipped configuration is
+/// counted, never silently dropped.
+///
+/// The CI workflow runs this as the schedule-integrity step.
+pub fn validate(args: Args) -> Outcome {
+    let max_ranks: usize = args.flag_or("--max-ranks", 64)?;
+
+    // Builder panics on unsupported rank counts are expected and counted;
+    // keep their backtraces off stderr so a real failure stays visible.
+    let quiet = quiet_panics(|_| true);
+
+    let mut validated = 0usize;
+    let mut skipped = 0usize;
+    let mut failures = Vec::new();
+
+    // Regular catalog: every algorithm at every rank count up to the cap,
+    // the rooted collectives additionally at a non-zero root, each at
+    // three segmentations.
+    for collective in Collective::ALL {
+        for alg in algorithms(collective) {
+            for p in 2..=max_ranks {
+                let roots: &[usize] = if collective.is_rooted() && p > 1 {
+                    &[0, 1]
+                } else {
+                    &[0]
+                };
+                for &root in roots {
+                    let Some(sched) = probe(|| build(collective, alg.name(), p, root % p)) else {
+                        skipped += 1;
+                        continue;
+                    };
+                    for chunks in [1usize, 2, 4] {
+                        let sched = sched.clone().segmented(chunks);
+                        validated += 1;
+                        if let Err(e) = validate_schedule(&sched) {
+                            failures.push(format!(
+                                "{}/{} p={p} root={} chunks={chunks}: {e}",
+                                collective.name(),
+                                alg.name(),
+                                root % p
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Irregular (v-variant) catalog: every distribution, including the
+    // one-heavy layout whose zero-count segments stress the delivery
+    // accounting.
+    for collective in IRREGULAR_COLLECTIVES {
+        for alg in irregular_algorithms(collective) {
+            for p in 2..=max_ranks.min(32) {
+                for dist in SizeDist::ALL {
+                    let counts = dist.counts(p, 0);
+                    let built = probe(|| build_irregular(collective, alg.name(), p, 0, &counts));
+                    let Some(sched) = built else {
+                        skipped += 1;
+                        continue;
+                    };
+                    validated += 1;
+                    if let Err(e) = validate_schedule(&sched) {
+                        failures.push(format!(
+                            "{}v/{} p={p} dist={}: {e}",
+                            collective.name(),
+                            alg.name(),
+                            dist.name()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    drop(quiet);
+    println!(
+        "validate_sweep: {validated} schedules validated, {skipped} unsupported \
+         configurations skipped (max {max_ranks} ranks)"
+    );
+    if !failures.is_empty() {
+        return Err(Failure::Check(format!(
+            "\nvalidate_sweep: {} FAILURES\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        )));
+    }
+    println!("validate_sweep: the whole catalog validates");
+    Ok(())
+}

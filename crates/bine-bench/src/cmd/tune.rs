@@ -1,21 +1,4 @@
-//! Regenerates the committed `tuning/*.json` decision tables: one offline
-//! tuning sweep per paper system over {allreduce, allgather,
-//! reduce-scatter, bcast, alltoall, gather, scatter} (see
-//! `bine_bench::runner::tuned_collectives`), with the default `bine-tune`
-//! configuration. The v-variant collectives additionally get irregular
-//! grids keyed by size distribution (`"dist"` entries, synchronous-model
-//! scored).
-//!
-//! Usage:
-//! `cargo run --release -p bine-bench --bin tune [-- --out DIR] [--system NAME] [--max-nodes N]`
-//!
-//! * `--out DIR` — write tables to `DIR` instead of the committed `tuning/`
-//!   directory (what CI's drift gate does before diffing).
-//! * `--system NAME` — tune only one system (display name or slug).
-//! * `--max-nodes N` — largest node count tuned (default 2048). This trims
-//!   only Fugaku's 4096/8192-node 2D tori, whose p²-block schedules are the
-//!   repository's one impractically slow sweep; queries above the cap fall
-//!   back to the largest tuned breakpoint via the selector's floor lookup.
+//! `bine-bench tune`: regenerates the committed decision tables.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -26,41 +9,37 @@ use bine_bench::systems::System;
 use bine_sched::Collective;
 use bine_tune::{slug, DecisionTable, Entry, Tuner, TunerConfig};
 
-fn main() {
-    let mut out_dir: Option<PathBuf> = None;
-    let mut only_system: Option<String> = None;
-    let mut max_nodes = MAX_TUNED_NODES;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out_dir = Some(PathBuf::from(args.next().expect("--out needs a value"))),
-            "--system" => {
-                only_system = Some(args.next().expect("--system needs a value"));
-            }
-            "--max-nodes" => {
-                max_nodes = args
-                    .next()
-                    .expect("--max-nodes needs a value")
-                    .parse()
-                    .expect("--max-nodes must be a positive integer");
-            }
-            other => panic!(
-                "unknown argument {other}; usage: tune [--out DIR] [--system NAME] [--max-nodes N]"
-            ),
-        }
-    }
+use crate::cli::{Args, Failure, Outcome};
+
+/// Regenerates the committed `tuning/*.json` decision tables: one offline
+/// tuning sweep per paper system over {allreduce, allgather,
+/// reduce-scatter, bcast, alltoall, gather, scatter} (see
+/// `bine_bench::runner::tuned_collectives`), with the default `bine-tune`
+/// configuration. The v-variant collectives additionally get irregular
+/// grids keyed by size distribution (`"dist"` entries, synchronous-model
+/// scored).
+///
+/// * `--out DIR` — write tables to `DIR` instead of the committed `tuning/`
+///   directory (what CI's drift gate does before diffing).
+/// * `--system NAME` — tune only one system (display name or slug).
+/// * `--max-nodes N` — largest node count tuned (default 2048). This trims
+///   only Fugaku's 4096/8192-node 2D tori, whose p²-block schedules are the
+///   repository's one impractically slow sweep; queries above the cap fall
+///   back to the largest tuned breakpoint via the selector's floor lookup.
+pub fn run(args: Args) -> Outcome {
+    let only_system: Option<String> = args.flag("--system")?;
+    let max_nodes: usize = args.flag_or("--max-nodes", MAX_TUNED_NODES)?;
     // The default output is a *write target*, not a load path, so it must
     // resolve even when the directory does not exist yet (`rm -rf tuning`
     // then regenerate is the documented clean-regeneration flow):
     // BINE_TUNING_DIR when set, otherwise the repository checkout —
     // deliberately not `default_tuning_dir()`, whose exe-adjacent probe
     // could silently redirect regenerated tables to e.g. target/release/.
-    let out_dir = out_dir.unwrap_or_else(|| match std::env::var_os("BINE_TUNING_DIR") {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
+    let out_dir = match (args.flag("--out")?, std::env::var_os("BINE_TUNING_DIR")) {
+        (Some(dir), _) => dir,
+        (None, Some(dir)) if !dir.is_empty() => PathBuf::from(dir),
         _ => PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tuning")),
-    });
-    std::fs::create_dir_all(&out_dir)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", out_dir.display()));
+    };
 
     let systems: Vec<System> = System::tuned()
         .into_iter()
@@ -69,15 +48,21 @@ fn main() {
                 .as_deref()
                 .is_none_or(|only| slug(system.name) == slug(only))
         })
-        .collect();
-    let tuned = systems.len();
-    let systems: Vec<System> = systems
-        .into_iter()
         .map(|mut system| {
             system.node_counts.retain(|&n| n <= max_nodes);
             system
         })
         .collect();
+    if systems.is_empty() {
+        let known: Vec<String> = System::tuned().iter().map(|s| slug(s.name)).collect();
+        return Err(args.usage_error(format!(
+            "--system {} matches no system; known: {}",
+            only_system.as_deref().unwrap_or(""),
+            known.join(", ")
+        )));
+    }
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| Failure::Io(format!("cannot create {}: {e}", out_dir.display())))?;
 
     // Every (system, collective) sweep is independent: the tuner drops its
     // schedule caches between collectives anyway, and the per-collective
@@ -98,11 +83,12 @@ fn main() {
             items.push((i, collective));
         }
     }
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let workers = workers.min(items.len());
     let queue = Mutex::new(items);
     let results: Mutex<Vec<(usize, Vec<Entry>, f64)>> = Mutex::new(Vec::new());
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(tuned * tuned_collectives().len()) {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 let item = queue.lock().unwrap().pop();
                 let Some((idx, collective)) = item else { break };
@@ -128,7 +114,7 @@ fn main() {
         table.sort();
         let path = out_dir.join(format!("{}.json", slug(system.name)));
         std::fs::write(&path, table.to_json())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            .map_err(|e| Failure::Io(format!("cannot write {}: {e}", path.display())))?;
         let des = table
             .entries
             .iter()
@@ -141,12 +127,5 @@ fn main() {
             path.display()
         );
     }
-    if tuned == 0 {
-        let known: Vec<String> = System::tuned().iter().map(|s| slug(s.name)).collect();
-        panic!(
-            "--system {} matches no system; known: {}",
-            only_system.as_deref().unwrap_or(""),
-            known.join(", ")
-        );
-    }
+    Ok(())
 }

@@ -21,7 +21,7 @@
 //!    [`bine_sched::ScheduleValidator`], and its [`TrafficReport`] equals
 //!    the directly-built schedule's report on the host topology.
 //!
-//! [`run`] is shared by the `crash_chaos` bin (the CI smoke step) and the
+//! [`run`] is shared by `bine-bench crash` (the CI smoke step) and the
 //! unit tests below.
 //!
 //! [`TrafficReport`]: bine_net::traffic::TrafficReport
@@ -32,6 +32,7 @@ use std::sync::Barrier;
 
 use bine_exec::{ExecError, Workload};
 use bine_net::allocation::Allocation;
+use bine_net::fault::splitmix64;
 use bine_net::traffic;
 use bine_sched::{validate_schedule, Collective, ProviderSet, Schedule};
 use bine_tune::{fallback_pick, slug, tuned_name, Served, ServiceSelector, ServiceStats};
@@ -70,8 +71,8 @@ impl Default for CrashOptions {
 }
 
 /// Outcome of one crash-chaos run. `availability` must be 1.0 and
-/// `unexpected_outcomes` 0 for the run to count as passed (the
-/// `crash_chaos` bin exits non-zero otherwise); bit-identity of the
+/// `unexpected_outcomes` 0 for the run to count as passed
+/// (`bine-bench crash` exits non-zero otherwise); bit-identity of the
 /// recovered answers is verified inside [`run`], which errors on any
 /// mismatch.
 #[derive(Debug, Clone)]
@@ -139,15 +140,6 @@ pub fn queries() -> Vec<(Collective, usize, u64)> {
         }
     }
     q
-}
-
-/// Stateless splitmix64 mix (the same construction the sibling chaos
-/// harness and the DES fault plans use for their seeded draws).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The outcome class a scenario's kill plan must produce.

@@ -1,8 +1,9 @@
 //! # bine-bench
 //!
-//! The benchmark harness of the Bine Trees reproduction: one binary per
-//! table/figure of the paper's evaluation (see `src/bin/`), built on the
-//! shared modules:
+//! The benchmark harness of the Bine Trees reproduction: the evaluation
+//! library behind the one `bine-bench <subcommand>` binary (`src/main.rs`
+//! is its dispatch table, `src/cli.rs` its argument / exit-code plumbing,
+//! `src/cmd/` the subcommand entry functions). The shared modules:
 //!
 //! * [`systems`] — the four evaluation targets (LUMI, Leonardo,
 //!   MareNostrum 5, Fugaku) with their node counts and vector sizes,
@@ -12,25 +13,29 @@
 //!   `bine-tune` decision tables (`Evaluator::tuned_pick`),
 //! * [`report`] — geometric means, percentiles, box-plot summaries and table
 //!   rendering,
-//! * [`tables`] — the shared table/figure builders,
-//! * [`perfgate`] — the CI perf-regression gate over `BENCH_exec.json`,
+//! * [`tables`] — the shared table/figure builders (`bine-bench paper`),
+//! * [`perfgate`] — the CI perf-regression gate over `BENCH_exec.json`
+//!   (`bine-bench gate perf`),
 //! * [`serve`] — the serving-layer benchmark: requests/sec and p99/p999 latency
 //!   of the concurrent `bine_tune::ServiceSelector` against the
-//!   single-threaded selector baseline (the `serve_bench` bin front-end),
+//!   single-threaded selector baseline (`bine-bench serve`),
 //! * [`chaos`] — the failure-injection harness: a request storm with seeded
 //!   compile panics and a faulted-DES verification pass, asserting 100%
 //!   answer availability with fallback answers bit-identical to the
-//!   binomial baseline (the `chaos_bench` bin front-end, a CI smoke step),
+//!   binomial baseline (`bine-bench chaos`, a CI smoke step),
 //! * [`crash`] — the crash-fault harness: a storm of executions under
 //!   seeded dead-rank plans, asserting that every stall either recovers by
 //!   shrink-and-retry bit-identically to a direct survivor-communicator
-//!   run (finals and traffic) or surfaces as a typed error (the
-//!   `crash_chaos` bin front-end, a CI smoke step).
+//!   run (finals and traffic) or surfaces as a typed error
+//!   (`bine-bench crash`, a CI smoke step),
+//! * [`adaptive`] — the adaptive-serving harness: the online feedback loop
+//!   against a seeded faulted DES (`bine-bench adaptive`, a CI smoke step).
 //!
-//! The `tune` binary regenerates the committed `tuning/*.json` decision
-//! tables from [`runner::tune_target`]; the `tune_gate` binary is the CI
-//! drift gate over them. Criterion micro-benchmarks of schedule
-//! generation, execution and traffic analysis live under `benches/`.
+//! `bine-bench tune` regenerates the committed `tuning/*.json` decision
+//! tables from [`runner::tune_target`]; `bine-bench gate tune` is the CI
+//! drift gate over them. `bine-bench exec` records the execution
+//! micro-benchmarks into `BENCH_exec.json`; together with `gate perf` it is
+//! the one way a micro-number is produced and held.
 //!
 //! ## Quick example
 //!
@@ -87,17 +92,5 @@ impl Drop for StatsOnFailure<'_> {
         if let Some(service) = self.0 {
             eprintln!("service stats at failure: {:?}", service.stats());
         }
-    }
-}
-
-/// Elements per block used by the execution benchmarks at a given rank
-/// count, shared by `benches/execution.rs` and the `bench_exec` recorder so
-/// their ns/op stay comparable. Scaled down at the largest sizes because the
-/// seed reference interpreter's per-step snapshot is O(ranks × elements).
-pub fn exec_bench_elems(p: usize) -> usize {
-    match p {
-        0..=64 => 64,
-        65..=256 => 16,
-        _ => 1,
     }
 }

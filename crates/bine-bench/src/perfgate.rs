@@ -1,6 +1,6 @@
 //! The CI perf-regression gate over `BENCH_exec.json`.
 //!
-//! `bench_exec` records the ns/op of every executor as a flat JSON report;
+//! `bine-bench exec` records the ns/op of every executor as a flat JSON report;
 //! the committed `BENCH_exec.json` is the perf baseline of the repository
 //! and CI re-records `BENCH_exec.ci.json` on every push. This module diffs
 //! the two: if any **compiled-executor** entry (name containing
@@ -28,7 +28,7 @@ pub const DEFAULT_THRESHOLD: f64 = 0.25;
 /// One benchmark entry: name and ns/op.
 pub type BenchEntry = (String, f64);
 
-/// Parses the flat `BENCH_exec.json` format written by `bench_exec`:
+/// Parses the flat `BENCH_exec.json` format written by `bine-bench exec`:
 /// a `"benches"` object of `"name": ns_per_op` pairs.
 pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
     let mut entries = Vec::new();
@@ -73,7 +73,7 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
 /// a chaos or timing wobble that degrades a few requests, or an adaptive
 /// run that re-checks its override once more, must not fail the perf gate
 /// (the availability and convergence contracts are enforced by
-/// `chaos_bench` and `adaptive_bench` instead).
+/// `bine-bench chaos` and `bine-bench adaptive` instead).
 pub fn is_gated(name: &str) -> bool {
     let health_counter = name.rsplit('/').next().is_some_and(|tail| {
         matches!(
@@ -194,7 +194,7 @@ impl GateOutcome {
             out.push_str(&format!(
                 "\n**FAIL**: {} gated entr{} regressed beyond +{:.0}%: {}\n\n\
                  If this is an intentional perf change (or baseline hardware drift, not a \
-                 code change), regenerate `BENCH_exec.json` with the `bench_exec` bin — or \
+                 code change), regenerate `BENCH_exec.json` with `bine-bench exec` — or \
                  from the uploaded `BENCH_exec` artifact — and commit it.\n",
                 failures.len(),
                 if failures.len() == 1 { "y" } else { "ies" },

@@ -1,5 +1,5 @@
 //! Small reporting helpers: geometric means, percentiles, box-plot summaries
-//! and fixed-width table rendering for the per-figure binaries.
+//! and fixed-width table rendering for the `bine-bench paper` artifacts.
 
 /// Geometric mean of a slice of ratios (returns 1.0 for an empty slice), the
 /// averaging the paper uses for performance ratios (Sec. 5.1.1, citing

@@ -1,4 +1,4 @@
-//! Evaluation machinery shared by the per-figure/per-table binaries.
+//! Evaluation machinery shared by the `bine-bench` subcommands.
 //!
 //! For every (system, collective, algorithm, node count, vector size)
 //! configuration the runner builds the communication schedule once, maps it
@@ -12,7 +12,10 @@ use bine_net::cost::{CostModel, CostSummary, LowerBounds};
 use bine_net::sim;
 use bine_net::topology::Topology;
 use bine_net::traffic;
-use bine_sched::{bine_default, binomial_default, build, Collective, CompiledSchedule, Schedule};
+use bine_sched::{
+    bine_default, binomial_default, Collective, CompiledSchedule, ProviderSet, Schedule,
+};
+use bine_tune::selector::system_providers;
 use bine_tune::{Selector, Target, TunePoint, Tuned};
 
 use crate::systems::{System, SystemKind, SMALL_VECTOR_THRESHOLD};
@@ -25,7 +28,7 @@ pub const MAX_LINEAR_NODES: usize = 1024;
 /// Fugaku's 4096/8192-node 2D tori, whose p²-block schedules are the
 /// repository's one impractically slow sweep. Queries above the cap fall
 /// back to the largest tuned breakpoint via the selector's floor lookup.
-/// Shared by the `tune` bin and the table-coverage tests.
+/// Shared by `bine-bench tune` and the table-coverage tests.
 pub const MAX_TUNED_NODES: usize = 2048;
 
 /// The collectives with committed `tuning/` decision tables: the four the
@@ -33,7 +36,7 @@ pub const MAX_TUNED_NODES: usize = 2048;
 /// bine/bruck/pairwise flip is just as placement-sensitive — its p²-block
 /// schedules simply kept it out of the tables until the summary-based
 /// sweeps made tuning it affordable) and the rooted gather/scatter pair.
-/// Shared by the `tune` bin and the table-coverage tests. The v-variant
+/// Shared by `bine-bench tune` and the table-coverage tests. The v-variant
 /// collectives among these (gather, scatter, allgather, reduce-scatter)
 /// additionally carry irregular grids keyed by size distribution.
 pub fn tuned_collectives() -> Vec<Collective> {
@@ -106,6 +109,10 @@ pub struct EvalResult {
 pub struct Evaluator {
     system: System,
     model: CostModel,
+    /// The provider set the serving layer builds this system's picks with
+    /// (catalog + the synthesizers on the system's views), so every name a
+    /// committed table can hold — `synth:` picks included — builds here too.
+    providers: ProviderSet,
     schedules: HashMap<(Collective, String, usize), Schedule>,
     /// Segmented + compiled schedules for the discrete-event simulator,
     /// keyed by (collective, algorithm, nodes, pipeline chunks).
@@ -118,7 +125,7 @@ pub struct Evaluator {
     topologies: HashMap<usize, Box<dyn Topology>>,
     allocations: HashMap<usize, Allocation>,
     /// Reusable DES scratch + per-schedule route/dependency cache, so sweep
-    /// binaries simulating thousands of configurations allocate nothing per
+    /// subcommands simulating thousands of configurations allocate nothing per
     /// simulation after warmup (see [`bine_net::sim::SimArena`]).
     arena: sim::SimArena,
     /// Seed controlling the sampled job placement (jobs on the group-based
@@ -144,6 +151,7 @@ impl Evaluator {
     /// Creates an evaluator with an explicit placement seed.
     pub fn with_seed(system: System, seed: u64) -> Self {
         Self {
+            providers: system_providers(system.name),
             system,
             model: CostModel::default(),
             schedules: HashMap::new(),
@@ -174,13 +182,18 @@ impl Evaluator {
             .or_insert_with(|| system.topology(nodes));
     }
 
+    fn build(&self, collective: Collective, name: &str, nodes: usize) -> Schedule {
+        self.providers
+            .build(collective, name, nodes, 0)
+            .unwrap_or_else(|| panic!("unknown algorithm {name} for {collective:?}"))
+    }
+
     fn ensure_schedule(&mut self, collective: Collective, name: &str, nodes: usize) {
         let key = (collective, name.to_string(), nodes);
-        self.schedules.entry(key).or_insert_with(|| {
-            let sched = build(collective, name, nodes, 0)
-                .unwrap_or_else(|| panic!("unknown algorithm {name} for {collective:?}"));
-            sched
-        });
+        if !self.schedules.contains_key(&key) {
+            let sched = self.build(collective, name, nodes);
+            self.schedules.insert(key, sched);
+        }
     }
 
     fn ensure_allocation(&mut self, nodes: usize) {
@@ -246,12 +259,7 @@ impl Evaluator {
             // and is orders of magnitude smaller.
             let summary = match self.schedules.get(&key) {
                 Some(sched) => CostSummary::of(sched),
-                None => {
-                    let sched = build(collective, algorithm, nodes, 0).unwrap_or_else(|| {
-                        panic!("unknown algorithm {algorithm} for {collective:?}")
-                    });
-                    CostSummary::of(&sched)
-                }
+                None => CostSummary::of(&self.build(collective, algorithm, nodes)),
             };
             self.summaries.insert(key.clone(), summary);
         }

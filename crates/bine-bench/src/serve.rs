@@ -9,9 +9,9 @@
 //! sizes, so requests spread over many distinct cache entries — and, in the
 //! sharded service, over many independent lock stripes.
 //!
-//! [`measure`] is shared by the `serve_bench` bin (interactive report, CI
-//! smoke) and `bench_exec` (which records the `/serve/` entries into
-//! `BENCH_exec.json`, hard-gated by `perf_gate` exactly like `/compiled/`
+//! [`measure`] is shared by `bine-bench serve` (interactive report, CI
+//! smoke) and `bine-bench exec` (which records the `/serve/` entries into
+//! `BENCH_exec.json`, hard-gated by `gate perf` exactly like `/compiled/`
 //! and `/sim/`). All recorded numbers are nanoseconds, lower-is-better,
 //! best-of-`repeats` — the same min statistic the rest of the perf
 //! trajectory uses, for the same reason: it is the most reproducible
@@ -238,7 +238,7 @@ pub fn measure(opts: &ServeOptions) -> Result<ServeMeasurement, String> {
 /// The `/serve/` entry is the **worker-normalized** request cost — the
 /// core-count-robust throughput statistic (see
 /// [`ServeMeasurement::worker_ns_per_req`]) — and is hard-gated by
-/// `perf_gate`. The p99/p999 tails and the serial baseline are recorded
+/// `gate perf`. The p99/p999 tails and the serial baseline are recorded
 /// for context but ungated (`/serve-latency/` deliberately does not match
 /// `/serve/`, like `/sim-reference/` vs `/sim/`): the tail is
 /// thread-count- and scheduler-dependent, exactly the noise class the

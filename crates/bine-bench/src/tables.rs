@@ -1,4 +1,4 @@
-//! Shared report builders used by the per-table/per-figure binaries.
+//! Shared report builders used by the `bine-bench paper` artifacts.
 
 use bine_sched::Collective;
 

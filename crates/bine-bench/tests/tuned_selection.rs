@@ -106,6 +106,35 @@ fn committed_tables_cover_the_irregular_grids() {
 }
 
 #[test]
+fn every_committed_pick_simulates_through_the_evaluator() {
+    // The Evaluator builds through the serving layer's provider set, so
+    // whatever a committed table can hold — `synth:` picks included —
+    // resolves through `simulate_tuned`. Covers every regular entry at
+    // ≤ 32 nodes and every `synth:` entry at any node count.
+    let mut synth = 0usize;
+    for system in System::tuned() {
+        let mut eval = bine_bench::Evaluator::new(system.clone());
+        for entry in &committed_table(&system).entries {
+            let is_synth = entry.pick.starts_with("synth:");
+            if entry.dist.is_some() || !(entry.nodes <= 32 || is_synth) {
+                continue;
+            }
+            synth += usize::from(is_synth);
+            let (name, makespan) = eval
+                .simulate_tuned(entry.collective, entry.nodes, entry.vector_bytes)
+                .unwrap_or_else(|| panic!("{}: no pick for {entry:?}", system.name));
+            assert_eq!(name, entry.pick, "{}: {entry:?}", system.name);
+            assert!(
+                makespan.is_finite() && makespan > 0.0,
+                "{}: {entry:?} simulated to {makespan}",
+                system.name
+            );
+        }
+    }
+    assert_eq!(synth, 75, "committed synth: entries");
+}
+
+#[test]
 fn tuned_pick_reproduces_the_ring_to_bine_large_crossover_shift() {
     // The acceptance scenario. At 64 nodes and ≥ 64 MiB the synchronous
     // barrier model says the ring allreduce wins on every paper system —

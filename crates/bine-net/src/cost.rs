@@ -65,25 +65,36 @@ pub struct CostBreakdown {
     pub compute_us: f64,
 }
 
+/// What the step loop reads of one message, whichever form it is stored in
+/// (a [`bine_sched::Message`] or a [`CostSummary`] row).
+struct MessageView {
+    src: usize,
+    dst: usize,
+    bytes: u64,
+    segments: u32,
+    reduce: bool,
+}
+
 impl CostModel {
-    /// Estimates the execution time of `schedule` with `n`-byte vectors on
-    /// `topo` under `alloc`. Steps are synchronous: a step finishes when its
-    /// slowest rank/link finishes; the schedule time is the sum of its steps.
-    pub fn estimate(
+    /// The one step loop of the model, generic over how a stored message `M`
+    /// yields its [`MessageView`]; [`CostModel::estimate`] and
+    /// [`CostModel::estimate_summary`] are its two adapters. Steps are
+    /// synchronous: a step finishes when its slowest rank/link finishes; the
+    /// schedule time is the sum of its steps.
+    fn estimate_steps<'a, M: 'a>(
         &self,
-        schedule: &Schedule,
-        n: u64,
+        steps: impl Iterator<Item = &'a [M]>,
+        view: impl Fn(&M) -> MessageView,
         topo: &dyn Topology,
         alloc: &Allocation,
     ) -> CostBreakdown {
-        assert!(alloc.num_ranks() >= schedule.num_ranks);
         let mut out = CostBreakdown::default();
         let mut link_bytes = vec![0u64; topo.num_links()];
         let mut link_msgs = vec![0u32; topo.num_links()];
         let mut touched: Vec<usize> = Vec::new();
 
-        for step in &schedule.steps {
-            if step.messages.is_empty() {
+        for step in steps {
+            if step.is_empty() {
                 continue;
             }
             let mut max_latency = 0.0f64;
@@ -94,10 +105,10 @@ impl CostModel {
                 link_msgs[l] = 0;
             }
 
-            for m in &step.messages {
-                let byte_count = schedule.message_bytes(m, n);
-                let bytes = byte_count as f64;
-                if m.is_local() {
+            for m in step {
+                let m = view(m);
+                let bytes = m.bytes as f64;
+                if m.src == m.dst {
                     max_local = max_local.max(bytes / (self.copy_bandwidth_gib_s * GIB_PER_US));
                     continue;
                 }
@@ -109,11 +120,11 @@ impl CostModel {
                     if link_msgs[link] == 0 {
                         touched.push(link);
                     }
-                    link_bytes[link] += byte_count;
+                    link_bytes[link] += m.bytes;
                     link_msgs[link] += 1;
                 }
                 max_latency = max_latency.max(path_latency);
-                if m.kind == TransferKind::Reduce {
+                if m.reduce {
                     max_reduce = max_reduce.max(bytes / (self.reduce_bandwidth_gib_s * GIB_PER_US));
                 }
             }
@@ -142,6 +153,31 @@ impl CostModel {
             out.total_us += max_latency + step_bandwidth + max_reduce;
         }
         out
+    }
+
+    /// Estimates the execution time of `schedule` with `n`-byte vectors on
+    /// `topo` under `alloc`. Steps are synchronous: a step finishes when its
+    /// slowest rank/link finishes; the schedule time is the sum of its steps.
+    pub fn estimate(
+        &self,
+        schedule: &Schedule,
+        n: u64,
+        topo: &dyn Topology,
+        alloc: &Allocation,
+    ) -> CostBreakdown {
+        assert!(alloc.num_ranks() >= schedule.num_ranks);
+        self.estimate_steps(
+            schedule.steps.iter().map(|step| step.messages.as_slice()),
+            |m| MessageView {
+                src: m.src,
+                dst: m.dst,
+                bytes: schedule.message_bytes(m, n),
+                segments: m.segments,
+                reduce: m.kind == TransferKind::Reduce,
+            },
+            topo,
+            alloc,
+        )
     }
 
     /// Shorthand returning only the total modelled time in microseconds.
@@ -209,10 +245,6 @@ impl SummaryMessage {
         }
         total
     }
-
-    fn is_local(&self) -> bool {
-        self.src == self.dst
-    }
 }
 
 impl CostSummary {
@@ -276,66 +308,18 @@ impl CostModel {
         alloc: &Allocation,
     ) -> CostBreakdown {
         assert!(alloc.num_ranks() >= summary.num_ranks);
-        let p = summary.num_ranks;
-        let mut out = CostBreakdown::default();
-        let mut link_bytes = vec![0u64; topo.num_links()];
-        let mut link_msgs = vec![0u32; topo.num_links()];
-        let mut touched: Vec<usize> = Vec::new();
-
-        for step in &summary.steps {
-            if step.is_empty() {
-                continue;
-            }
-            let mut max_latency = 0.0f64;
-            let mut max_local = 0.0f64;
-            let mut max_reduce = 0.0f64;
-            for l in touched.drain(..) {
-                link_bytes[l] = 0;
-                link_msgs[l] = 0;
-            }
-
-            for m in step {
-                let byte_count = m.bytes(n, p, summary.counts_total);
-                let bytes = byte_count as f64;
-                if m.is_local() {
-                    max_local = max_local.max(bytes / (self.copy_bandwidth_gib_s * GIB_PER_US));
-                    continue;
-                }
-                let (src, dst) = (alloc.node_of(m.src as usize), alloc.node_of(m.dst as usize));
-                let mut path_latency = self.alpha_us
-                    + self.segment_overhead_us * (m.segments.saturating_sub(1)) as f64;
-                for link in topo.route(src, dst) {
-                    path_latency += topo.link(link).latency_us;
-                    if link_msgs[link] == 0 {
-                        touched.push(link);
-                    }
-                    link_bytes[link] += byte_count;
-                    link_msgs[link] += 1;
-                }
-                max_latency = max_latency.max(path_latency);
-                if m.reduce {
-                    max_reduce = max_reduce.max(bytes / (self.reduce_bandwidth_gib_s * GIB_PER_US));
-                }
-            }
-
-            let mut max_link_time = 0.0f64;
-            let mut max_queueing = 0.0f64;
-            for &l in &touched {
-                let info = topo.link(l);
-                let t = link_bytes[l] as f64 / (info.bandwidth_gib_s * GIB_PER_US);
-                max_link_time = max_link_time.max(t);
-                let q = (link_msgs[l].saturating_sub(1)) as f64 * info.latency_us;
-                max_queueing = max_queueing.max(q);
-            }
-            let max_latency = max_latency + max_queueing;
-
-            let step_bandwidth = max_link_time.max(max_local);
-            out.latency_us += max_latency;
-            out.bandwidth_us += step_bandwidth;
-            out.compute_us += max_reduce;
-            out.total_us += max_latency + step_bandwidth + max_reduce;
-        }
-        out
+        self.estimate_steps(
+            summary.steps.iter().map(Vec::as_slice),
+            |m| MessageView {
+                src: m.src as usize,
+                dst: m.dst as usize,
+                bytes: m.bytes(n, summary.num_ranks, summary.counts_total),
+                segments: m.segments,
+                reduce: m.reduce,
+            },
+            topo,
+            alloc,
+        )
     }
 }
 

@@ -486,8 +486,11 @@ impl FaultSpec {
     }
 }
 
-/// splitmix64 of `x` — the standard finalizer, used as a stateless hash.
-fn splitmix64(x: u64) -> u64 {
+/// splitmix64 of `x` — the standard finalizer, and the stateless mixer of
+/// every seeded draw in the workspace (fault plans here, the compile-failure
+/// and victim draws of the `bine-bench` chaos and crash harnesses): no RNG
+/// state to share between threads, a draw depends only on `(seed, inputs)`.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

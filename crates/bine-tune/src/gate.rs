@@ -6,7 +6,7 @@
 //! them from scratch and demand byte-level agreement of the *decisions* —
 //! any divergence means a code change silently altered what the library
 //! would pick, which must be an explicit, reviewed table regeneration
-//! instead (the `perf_gate` pattern applied to policy instead of ns/op).
+//! instead (the `bine-bench gate perf` pattern applied to policy instead of ns/op).
 //!
 //! Scores are compared with a small relative tolerance rather than
 //! exactly: the serialised `time_us` is rounded to six decimals, so a

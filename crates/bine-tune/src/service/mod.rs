@@ -111,7 +111,7 @@ impl Default for DegradePolicy {
 /// [`ServiceSelector::with_compile_hook`]. The hook runs inside the
 /// leader's `catch_unwind` scope, so a panicking hook is exactly an
 /// injected compile failure (and a blocking hook a stalled leader) — the
-/// levers the chaos tests and `chaos_bench` pull. Only the committed rung
+/// levers the chaos tests and `bine-bench chaos` pull. Only the committed rung
 /// runs the hook: the degraded path must stay unkillable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompileAttempt {
@@ -238,7 +238,7 @@ impl ServiceSelector {
     /// Installs an observer run before every compile attempt of a
     /// *committed* pick (never on the lower ladder rungs). A panicking hook
     /// is an injected compile failure, a blocking one a stalled leader —
-    /// the fault levers of the chaos tests and the `chaos_bench` binary.
+    /// the fault levers of the chaos tests and `bine-bench chaos`.
     pub fn with_compile_hook(mut self, hook: CompileHook) -> ServiceSelector {
         self.compile_hook = Some(hook);
         self

@@ -86,7 +86,7 @@ impl ServiceSelector {
     ///   re-contributing its input under its new rank:
     ///   [`Served::Recovered`]. The recovered finals are bit identical to
     ///   a direct run of the same collective at the shrunk size — pinned
-    ///   by the `crash_chaos` harness.
+    ///   by the `bine-bench crash` harness.
     /// * Two stalls are unrecoverable and surface as the original typed
     ///   error: a rooted collective whose **source data** lived on a dead
     ///   root (broadcast or scatter from a crashed root 0 — no survivor
