@@ -98,9 +98,17 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
         sequential::run_reference(sched, initial.clone());
     });
     let compiled_sched = bench_executors(records, label, sched, &initial, iters);
-    let pool = ExecutorPool::global();
+    // The pool at one lane — the calling thread alone, the same on every
+    // runner, so gated — and at the runner's parallelism (`pool_workers`
+    // lanes; ungated context, like everything that depends on the core
+    // count).
+    let one_lane = ExecutorPool::new(1);
     records.time(format!("{label}/pool/{p}"), iters, || {
-        pool.run(&compiled_sched, initial.clone());
+        one_lane.run(&compiled_sched, initial.clone());
+    });
+    let global = ExecutorPool::global();
+    records.time(format!("{label}/pool-lanes/{p}"), iters, || {
+        global.run(&compiled_sched, initial.clone());
     });
     // Compilation cost, paid once per schedule.
     records.time(format!("{label}/compile/{p}"), iters, || {
@@ -221,7 +229,9 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 /// Records the execution-benchmark trajectory as `BENCH_exec.json`.
 ///
 /// Measures ns/op of the four executors on the BineLarge allreduce at
-/// p ∈ {64, 256, 1024}, plus the post-seed collective surfaces at p = 256 —
+/// p ∈ {64, 256, 1024} (the pool twice: gated `/pool/` at one lane, ungated
+/// `/pool-lanes/` at the runner's parallelism), plus the post-seed
+/// collective surfaces at p = 256 —
 /// dual-root pipelined allreduce, two irregular v-variant schedules and the
 /// Bine alltoall, each with a gated `/compiled/` entry — plus the
 /// synthesized data plane (multilevel provider allreduce on the
@@ -305,22 +315,19 @@ pub fn run(args: Args) -> Outcome {
          \"speedup_serve_vs_serial\": {:.2},",
         serve.threads, serve.requests_per_sec, serve.speedup_vs_serial
     );
-    if workers > 1 {
-        let pool_speedup = records.lookup("allreduce-bine-large/sequential/256")
-            / records.lookup("allreduce-bine-large/pool/256");
-        let _ = writeln!(
-            json,
-            "  \"speedup_pool_vs_sequential_p256\": {pool_speedup:.2},"
-        );
-        println!("\nspeedup pool vs sequential @p=256: {pool_speedup:.2}x ({workers} workers)");
-    } else {
-        // A single-worker pool degenerates to the sequential executor plus
-        // scheduling overhead; printing a "speedup" would just be noise, so
-        // the line is skipped and the recorded parallelism explains why.
-        println!(
-            "\npool has a single worker (available parallelism {parallelism}); \
-             pool-vs-sequential speedup omitted"
-        );
+    // The pool against the compiled executor it shares the step kernel
+    // with: at one lane (expected 1.0 — the pool adds nothing), and at the
+    // runner's `pool_workers` lanes, as measured.
+    println!();
+    for p in [64, 256, 1024] {
+        let compiled_ns = records.lookup(&format!("allreduce-bine-large/compiled/{p}"));
+        for entry in ["pool", "pool-lanes"] {
+            let key = entry.replace('-', "_");
+            let speedup =
+                compiled_ns / records.lookup(&format!("allreduce-bine-large/{entry}/{p}"));
+            let _ = writeln!(json, "  \"speedup_{key}_vs_compiled_p{p}\": {speedup:.2},");
+            println!("speedup {entry} vs compiled @p={p}: {speedup:.2}x ({workers} pool workers)");
+        }
     }
     let _ = writeln!(json, "  \"pool_workers\": {workers},");
     let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");

@@ -5,18 +5,22 @@
 //! and CI re-records `BENCH_exec.ci.json` on every push. This module diffs
 //! the two: if any **compiled-executor** entry (name containing
 //! `/compiled/` — the data plane the repo's headline speedup lives on),
-//! **discrete-event simulator** entry (name containing `/sim/` — the time
+//! **one-lane pool** entry (name containing `/pool/` — the serving
+//! executor on the calling thread alone, which must cost what the compiled
+//! executor costs on any runner), **discrete-event simulator** entry
+//! (name containing `/sim/` — the time
 //! model the 512-node tuning horizon depends on) or **serving-layer
 //! throughput** entry (name containing `/serve/` — the worker-normalized
 //! ns/request of the concurrent `ServiceSelector` request path, the
 //! core-count-robust statistic) regresses by more than the threshold, the
 //! gate fails and CI goes red. Interpreter baselines
 //! (`reference`, `sequential`, `sim-reference`, the single-threaded
-//! `/serial/` selector), the thread pool, the one-off `compile` cost and
-//! the `/serve-latency/` p99 tail are reported for context but not gated —
-//! they are either deliberately slow baselines or too scheduler-noisy for
-//! a hard threshold (tail latency in particular depends on the runner's
-//! core count and co-scheduled load).
+//! `/serial/` selector), the pool at the runner's parallelism
+//! (`/pool-lanes/`), the one-off `compile` cost and the `/serve-latency/`
+//! p99 tail are reported for context but not gated — they are either
+//! deliberately slow baselines or too scheduler-noisy for a hard threshold
+//! (cross-thread hand-over and tail latency in particular depend on the
+//! runner's core count and co-scheduled load).
 //!
 //! The gate is exercised end to end by `tests/` below: a synthetic 2×
 //! slowdown of a compiled entry must fail it, anything inside the threshold
@@ -64,9 +68,11 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
 
 /// Whether an entry is hard-gated (see the module docs). `/sim-reference/`
 /// entries deliberately do not match `/sim/`: the reference simulator is a
-/// baseline, not a perf surface. Likewise `/serial/` (the single-threaded
-/// selector baseline) and `/serve-latency/` (scheduler-noisy p99 tail) do
-/// not match `/serve/`. `/serve/` and `/adaptive/` entries whose last
+/// baseline, not a perf surface. Likewise `/pool-lanes/` (the pool at the
+/// runner's core count) does not match `/pool/`, and `/serial/` (the
+/// single-threaded selector baseline) and `/serve-latency/`
+/// (scheduler-noisy p99 tail) do not match `/serve/`. `/serve/` and
+/// `/adaptive/` entries whose last
 /// segment is one of the service's health counters (`fallbacks`,
 /// `timeouts`, `retries`, and the adaptive loop's `overrides`, `reverts`,
 /// `reevals`) are also exempt: they are *observations*, not perf numbers —
@@ -82,6 +88,7 @@ pub fn is_gated(name: &str) -> bool {
         )
     });
     (name.contains("/compiled/")
+        || name.contains("/pool/")
         || name.contains("/sim/")
         || name.contains("/serve/")
         || name.contains("/adaptive/"))
@@ -268,13 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn only_compiled_des_and_serve_entries_are_gated() {
+    fn only_compiled_one_lane_pool_des_and_serve_entries_are_gated() {
         assert!(is_gated("allreduce-bine-large/compiled/256"));
         assert!(is_gated("allreduce-bine-large/sim/256"));
         assert!(is_gated("select-mix/serve/worker-ns-per-req"));
         assert!(!is_gated("allreduce-bine-large/reference/256"));
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));
-        assert!(!is_gated("allreduce-bine-large/pool/256"));
+        assert!(is_gated("allreduce-bine-large/pool/256"));
+        assert!(!is_gated("allreduce-bine-large/pool-lanes/256"));
         assert!(!is_gated("allreduce-bine-large/compile/256"));
         assert!(!is_gated("select-mix/serial/ns-per-req"));
         assert!(!is_gated("select-mix/serve-latency/p99-ns"));

@@ -17,12 +17,12 @@
 //! its local slot at both ends, so the step kernel indexes `slots[local]`
 //! directly.
 //!
-//! The step kernel — `gather_sends` then `apply_recvs` — is written once
-//! here; [`run_dense`] calls it over the whole step, the
-//! [`ExecutorPool`](crate::ExecutorPool) over per-worker chunks of it.
+//! The step kernel — `gather_recvs` then `apply_recvs` — is written once
+//! here. [`run_dense`] calls it over all of a step's receives, and so does
+//! a one-lane [`ExecutorPool`](crate::ExecutorPool); a pool of more lanes
+//! calls it per lane, over the receives of the lane's destination ranks.
 
-use std::borrow::Cow;
-use std::ops::{Deref, DerefMut, Range};
+use std::ops::{Deref, DerefMut};
 
 use bine_sched::{CompiledSchedule, TransferKind};
 
@@ -126,74 +126,87 @@ pub fn run_dense(compiled: &CompiledSchedule, states: &mut [DenseState]) {
         compiled.num_ranks,
         "one dense state per rank required"
     );
-    let layout = compiled.slot_layout();
-    let mut staging: Vec<Option<Block>> = Vec::new();
-    for step in 0..compiled.num_steps() {
-        let sends = compiled.step_send_range(step);
-        if sends.is_empty() {
-            continue;
-        }
-        // Stage every payload of the step before any state mutates.
-        staging.clear();
-        staging.resize(layout.step_payloads(step).len(), None);
-        let pre_step: &[DenseState] = states;
-        gather_sends(
-            compiled,
-            step,
-            sends,
-            None,
-            |rank| &pre_step[rank],
-            |entry, payload| staging[entry] = Some(payload),
-        );
-        // Every payload has exactly one receiver, so it moves out of
-        // staging. Receivers come in ascending rank order, so one pass over
-        // the states hands each its own.
-        let mut rest = states.iter_mut();
-        let mut next_rank = 0;
-        apply_recvs(
-            compiled,
-            step,
-            compiled.recvs_to_ranks(step, 0..compiled.num_ranks),
-            None,
-            |rank| {
-                let state = rest.nth(rank - next_rank).expect("receiver in range");
-                next_rank = rank + 1;
-                state
-            },
-            |entry| Cow::Owned(staging[entry].take().expect("staged payload missing")),
-        );
-    }
+    let stall = run_lane(compiled, states, None);
+    debug_assert!(stall.is_none(), "nothing stalls without dead ranks");
 }
 
-/// Gather half of the step kernel: reads the payloads of `sends` (a range
-/// of the global send indices of `step`) out of their source ranks' states
-/// — refcount bumps only — and hands each to `stage` with its staging
-/// position, the payload's entry index relative to
-/// [`step_payloads(step)`](bine_sched::SlotLayout::step_payloads).
+/// A receive that can never complete because its sender is dead: what the
+/// per-step watchdog of a run under dead-rank injection reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stall {
+    /// Step at whose barrier the stall was detected.
+    pub step: usize,
+    /// Global index of the earliest unsatisfiable send of that step.
+    pub send: u32,
+}
+
+/// The whole schedule on one lane: every step's receives gathered and then
+/// applied by the calling thread, with plain borrows of the states. This is
+/// [`run_dense`], and what a one-lane [`ExecutorPool`](crate::ExecutorPool)
+/// runs; `dead` marks the crashed ranks of an injected run, which ends at
+/// the first step with a [`Stall`].
+pub(crate) fn run_lane(
+    compiled: &CompiledSchedule,
+    states: &mut [DenseState],
+    dead: Option<&[bool]>,
+) -> Option<Stall> {
+    let mut staging = Vec::new();
+    for step in 0..compiled.num_steps() {
+        let recvs = compiled.recvs_to_ranks(step, 0..compiled.num_ranks);
+        // Stage every payload of the step before any state mutates.
+        let pre_step: &[DenseState] = states;
+        gather_recvs(
+            compiled,
+            step,
+            recvs,
+            dead,
+            |rank| &pre_step[rank],
+            &mut staging,
+        );
+        // Receivers come in ascending rank order, so one pass over the
+        // states hands each its own.
+        let mut rest = states.iter_mut();
+        let mut next_rank = 0;
+        let stalled = apply_recvs(compiled, recvs, dead, &mut staging, |rank| {
+            let state = rest.nth(rank - next_rank).expect("receiver in range");
+            next_rank = rank + 1;
+            state
+        });
+        if let Some(send) = stalled {
+            return Some(Stall { step, send });
+        }
+    }
+    None
+}
+
+/// Gather half of the step kernel: reads the payloads of the receives
+/// `recvs` of `step` (send indices grouped by ascending destination rank,
+/// see [`CompiledSchedule::recvs_to_ranks`]) out of their source ranks'
+/// states — refcount bumps only — into `staging`, one entry per payload in
+/// `recvs` order, replacing what it held.
 ///
 /// Under dead-rank injection `dead[rank]` marks the crashed ranks: their
-/// sends never leave, the staging position stays empty.
+/// sends never leave, the staging entries stay empty.
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
-pub(crate) fn gather_sends<S: Deref<Target = DenseState>>(
+pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
     compiled: &CompiledSchedule,
     step: usize,
-    sends: Range<usize>,
+    recvs: &[u32],
     dead: Option<&[bool]>,
     state_of: impl Fn(usize) -> S,
-    mut stage: impl FnMut(usize, Block),
+    staging: &mut Vec<Option<Block>>,
 ) {
     let layout = compiled.slot_layout();
-    let first_entry = layout.step_payloads(step).start;
-    let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
-    for send in sends.map(|i| compiled.send(i)) {
-        if is_dead(send.src) {
+    staging.clear();
+    for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
+        if dead.is_some_and(|dead| dead[send.src as usize]) {
+            staging.resize(staging.len() + send.num_blocks(), None);
             continue;
         }
         let src = state_of(send.src as usize);
-        let entry = send.blocks_start as usize - first_entry;
-        for (k, &slot) in layout.src_slots(send).iter().enumerate() {
+        let payloads = layout.src_slots(send).iter().enumerate().map(|(k, &slot)| {
             let payload = src.slots[slot as usize].as_ref().unwrap_or_else(|| {
                 panic!(
                     "step {step}: rank {} sends block {:?} it does not hold ({})",
@@ -204,55 +217,56 @@ pub(crate) fn gather_sends<S: Deref<Target = DenseState>>(
                     compiled.algorithm
                 )
             });
-            stage(entry + k, Block::clone(payload));
-        }
+            Some(Block::clone(payload))
+        });
+        staging.extend(payloads);
     }
 }
 
-/// Apply half of the step kernel: the receives `recvs` of `step` (send
-/// indices grouped by ascending destination rank, see
-/// [`CompiledSchedule::recvs_to_ranks`]) are applied to their destination
+/// Apply half of the step kernel: the payloads [`gather_recvs`] staged for
+/// `recvs` are moved out of `staging` and applied to their destination
 /// ranks' states in schedule order — bit-identical float reduction order to
-/// the reference interpreter. Only ranks that receive something are
-/// visited: `state_of` is asked once per such rank, in ascending order, for
-/// exclusive access to its state. `staged` yields the payload at a staging
-/// position, owned if the caller can give it away, which saves a copied
-/// block its refcount round trip.
+/// the reference interpreter. Every payload has exactly one receiver, so
+/// the receiver takes the staged reference over: a block that a rank both
+/// sends and reduces in one step is copied on write by whichever partner
+/// applies first and summed in place by the other. Only ranks that receive
+/// something are visited: `state_of` is asked once per such rank, in
+/// ascending order, for exclusive access to its state.
 ///
 /// Under dead-rank injection a `dead` rank posts no receives, so its state
 /// stays untouched, and a surviving rank's receive from a dead sender has
 /// nothing staged: in a real run the rank hangs there and never posts its
 /// later receives, so its remaining receives of the step are skipped and
 /// the smallest such send index is returned.
-pub(crate) fn apply_recvs<'a, S: DerefMut<Target = DenseState>>(
+pub(crate) fn apply_recvs<S: DerefMut<Target = DenseState>>(
     compiled: &CompiledSchedule,
-    step: usize,
     recvs: &[u32],
     dead: Option<&[bool]>,
+    staging: &mut [Option<Block>],
     mut state_of: impl FnMut(usize) -> S,
-    mut staged: impl FnMut(usize) -> Cow<'a, Block>,
 ) -> Option<u32> {
     let layout = compiled.slot_layout();
-    let first_entry = layout.step_payloads(step).start;
     let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
     let dst_of = |send_idx: u32| compiled.send(send_idx as usize).dst;
     let mut stalled: Option<u32> = None;
+    let mut taken = 0;
     for to_rank in recvs.chunk_by(|&a, &b| dst_of(a) == dst_of(b)) {
         let rank = dst_of(to_rank[0]);
-        if is_dead(rank) {
-            continue;
-        }
-        let mut dst = state_of(rank as usize);
+        // `None` once the rank posts no (further) receives.
+        let mut dst = (!is_dead(rank)).then(|| state_of(rank as usize));
         for &send_idx in to_rank {
             let send = compiled.send(send_idx as usize);
+            let payloads = &mut staging[taken..taken + send.num_blocks()];
+            taken += payloads.len();
+            let Some(state) = &mut dst else { continue };
             if is_dead(send.src) {
                 stalled = Some(stalled.map_or(send_idx, |s| s.min(send_idx)));
-                break;
+                dst = None;
+                continue;
             }
-            let entry = send.blocks_start as usize - first_entry;
-            for (k, &slot) in layout.dst_slots(send).iter().enumerate() {
-                let payload = staged(entry + k);
-                match (send.kind, &mut dst.slots[slot as usize]) {
+            for ((k, &slot), payload) in layout.dst_slots(send).iter().enumerate().zip(payloads) {
+                let payload = payload.take().expect("staged payload missing");
+                match (send.kind, &mut state.slots[slot as usize]) {
                     (TransferKind::Reduce, Some(existing)) => {
                         assert_eq!(
                             existing.len(),
@@ -267,7 +281,7 @@ pub(crate) fn apply_recvs<'a, S: DerefMut<Target = DenseState>>(
                     // A copy — or a reduce into an absent block, where the
                     // payload becomes the partial result, as in
                     // `BlockStore::reduce`.
-                    (_, held) => *held = Some(payload.into_owned()),
+                    (_, held) => *held = Some(payload),
                 }
             }
         }

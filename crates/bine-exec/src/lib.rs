@@ -14,7 +14,8 @@
 //!   per block a rank touches, no hashing in the inner loop), and home of
 //!   the one step kernel,
 //! * [`pool`] — the persistent [`pool::ExecutorPool`]: the same kernel with
-//!   ranks multiplexed over one worker per core and per-step work queues,
+//!   the ranks split over one lane per core — the calling thread plus
+//!   parked workers; at one lane exactly the compiled path,
 //! * [`mod@verify`] — golden-result checks of the MPI post-condition of every
 //!   collective,
 //! * [`comm`] — the [`comm::Cluster`] facade: an MPI-like API over plain

@@ -1,58 +1,59 @@
-//! A persistent worker pool for multi-threaded schedule execution.
+//! A persistent pool of lanes for multi-threaded schedule execution.
 //!
 //! One OS thread per simulated rank would mean 1024 thread spawns *every
-//! call* for a 1024-rank schedule. The [`ExecutorPool`] instead keeps a
-//! small fixed set of workers (one per available core by default) alive
-//! across runs and multiplexes the ranks over them with per-step work
-//! queues:
+//! call* for a 1024-rank schedule. An [`ExecutorPool`] of `n` lanes is
+//! instead the calling thread plus `n − 1` parked workers that stay alive
+//! across runs. A run gives each lane a contiguous chunk of the ranks and
+//! splits every step in two phases:
 //!
-//! * **gather phase** — the step's sends are split across the workers; each
-//!   worker reads the shared payloads of its sends (refcount bumps) into a
-//!   staging buffer,
-//! * **apply phase** — the destination ranks are split across the workers;
-//!   each worker applies the staged payloads of its ranks in schedule order.
+//! * **gather phase** — each lane reads the payloads addressed to its own
+//!   ranks out of their senders' states (refcount bumps) into its staging,
+//! * **apply phase** — each lane moves its staged payloads into its ranks'
+//!   states, in schedule order.
 //!
-//! Both phases are the one step kernel of [`crate::compiled`]
-//! (`gather_sends`, `apply_recvs`), run here over per-worker chunks. The
-//! phase barrier makes the two phases race-free without contending on the
-//! rank states: gathers only read, applies only write the worker's own
-//! ranks. Results are bit-identical to the reference interpreter because
-//! each receiver applies its payloads in schedule order — thread scheduling
+//! Both are the one step kernel of [`crate::compiled`] (`gather_recvs`,
+//! `apply_recvs`). The caller opens a phase and works through its lanes
+//! itself; workers that pick up a ticket of the run claim lanes beside it.
+//! The caller waits only for lanes a worker has already claimed, so it can
+//! always finish alone: concurrent callers cannot deadlock each other, and
+//! a one-lane pool is the calling thread in [`compiled::run_dense`]'s loop
+//! — no queue, no locks, no hand-over. The phase barrier makes the phases
+//! race-free: gathers only read, applies only write the lane's own ranks.
+//! Results are bit-identical to the reference interpreter because each
+//! receiver applies its payloads in schedule order — thread scheduling
 //! cannot reorder floating-point reductions.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
 use bine_sched::CompiledSchedule;
 
-use crate::compiled::{self, DenseState};
+use crate::compiled::{self, DenseState, Stall};
 use crate::state::{Block, BlockStore};
 
 /// One unit of work submitted to the pool via
 /// [`ExecutorPool::try_run_batch`].
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// The panic payload a worker caught, before conversion to [`ExecError`].
+/// The panic payload a lane caught, before conversion to [`ExecError`].
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
 /// Typed failure of a pool execution: the panic contract of the executor.
 ///
-/// A rank job that panics inside a worker (a reduce op applied to
-/// mismatched block lengths, a send of a block the rank does not hold, a
-/// user-provided op gone wrong) is caught *at the worker*, the batch drains
-/// fully so no in-flight job still references the run's state, and the
-/// failure is surfaced to the caller — as this error from
-/// [`ExecutorPool::try_run`] / [`ExecutorPool::try_run_dense`], or re-raised
-/// verbatim by the panicking entry points. The pool itself remains fully
-/// usable afterwards: no poisoned pool locks, no leaked jobs, no dead
-/// workers.
+/// A rank job that panics (a reduce op applied to mismatched block lengths,
+/// a send of a block the rank does not hold, a user-provided op gone wrong)
+/// is caught *on the lane it ran on* — a worker's or the caller's own — the
+/// phase drains fully so no in-flight job still references the run's state,
+/// and the failure is surfaced to the caller — as this error from the
+/// `try_run*` entry points, or re-raised verbatim by the panicking ones. The
+/// pool itself remains fully usable afterwards: no poisoned pool locks, no
+/// leaked jobs, no dead workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// A job panicked on a worker thread; `message` is the panic payload
+    /// A job panicked on one of the lanes; `message` is the panic payload
     /// (`"opaque panic payload"` when it was not a string).
     JobPanicked {
         /// The panic message of the first failing job of the run.
@@ -76,13 +77,9 @@ pub enum ExecError {
 
 impl ExecError {
     fn from_panic(payload: PanicPayload) -> Self {
-        let message = match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(payload) => match payload.downcast::<&'static str>() {
-                Ok(s) => (*s).to_owned(),
-                Err(_) => "opaque panic payload".to_owned(),
-            },
-        };
+        let text = payload.downcast_ref::<String>().map(String::as_str);
+        let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+        let message = text.unwrap_or("opaque panic payload").to_owned();
         ExecError::JobPanicked { message }
     }
 
@@ -117,68 +114,198 @@ impl std::error::Error for ExecError {}
 
 /// Locks a mutex, tolerating poison.
 ///
-/// A gather job that panics (e.g. on a missing block) dies while holding a
-/// rank's state lock; sibling jobs must still complete their batch so the
+/// A gather that panics (e.g. on a missing block) dies holding a rank's
+/// state lock; its sibling lanes must still finish the phase so the
 /// *original* panic — not a secondary "poisoned" one — reaches the caller,
-/// and the states are discarded after a panicked batch anyway.
-fn lock_any<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// and the states of a panicked run are discarded anyway.
+fn lock_any<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-enum Command {
-    Run(Job),
-    Exit,
+/// One caller's work: units `0..end` of one phase after another, handed to
+/// whichever lane asks next. The caller opens the phases and works through
+/// each itself ([`Task::run_phase`]); workers holding a ticket for the task
+/// claim units beside it ([`Task::help`]). Each task has its own state, so
+/// concurrent callers cannot observe each other's completion or panics.
+struct Task {
+    state: Mutex<TaskState>,
+    /// Signalled when a phase opens, when its last unit finishes and when
+    /// the task closes — if a lane waits: a caller whose helpers are all
+    /// busy elsewhere pays for no wake-up call.
+    changed: Condvar,
+    /// Runs unit `index` of `phase`.
+    unit: Box<dyn Fn(usize, usize) + Send + Sync>,
 }
 
-/// Completion tracking for one batch of jobs. Each [`ExecutorPool::run_batch`]
-/// call gets its own status, so concurrent runs sharing one pool (e.g. the
-/// global pool under a parallel test harness) cannot observe each other's
-/// completion or panics.
-struct BatchStatus {
-    /// (jobs still running or queued, first panic payload of this batch).
-    state: Mutex<(usize, Option<Box<dyn std::any::Any + Send>>)>,
-    done: Condvar,
+#[derive(Default)]
+struct TaskState {
+    phase: usize,
+    /// The next unclaimed unit of the open phase.
+    next: usize,
+    end: usize,
+    /// Units claimed and not yet finished.
+    running: usize,
+    /// Lanes blocked on `changed`.
+    waiting: usize,
+    closed: bool,
+    /// The first panic of the open phase.
+    panic: Option<PanicPayload>,
 }
 
-/// The per-step bounded-progress watchdog of a run under dead-rank
-/// injection, shared read-mostly across the step jobs. Before the first
-/// stall the only unsatisfiable receives are those from initially-dead
-/// ranks, and the run aborts at the step that detects one, so the dead set
-/// never grows.
-struct Watchdog {
-    is_dead: Vec<bool>,
-    /// The earliest (smallest send index) receive found unsatisfiable —
-    /// sender dead, nothing staged.
+impl Task {
+    fn new(unit: impl Fn(usize, usize) + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::default(),
+            changed: Condvar::new(),
+            unit: Box::new(unit),
+        })
+    }
+
+    fn signal(&self, state: &TaskState) {
+        if state.waiting > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Claims and runs units, lock released, until none is left and `done`
+    /// holds. A panicking unit is caught here, on whichever lane it runs —
+    /// the caller's included — so a phase always drains fully.
+    fn work<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, TaskState>,
+        done: impl Fn(&TaskState) -> bool,
+    ) -> MutexGuard<'a, TaskState> {
+        loop {
+            if state.next < state.end {
+                let (phase, index) = (state.phase, state.next);
+                state.next += 1;
+                state.running += 1;
+                drop(state);
+                let outcome = catch_unwind(AssertUnwindSafe(|| (self.unit)(phase, index)));
+                state = lock_any(&self.state);
+                state.running -= 1;
+                state.panic = state.panic.take().or(outcome.err());
+                if state.running == 0 && state.next == state.end {
+                    self.signal(&state);
+                }
+            } else if done(&state) {
+                return state;
+            } else {
+                state.waiting += 1;
+                let woken = self.changed.wait(state);
+                state = woken.unwrap_or_else(std::sync::PoisonError::into_inner);
+                state.waiting -= 1;
+            }
+        }
+    }
+
+    /// The caller's side: opens `phase`, runs every unit no helper claims
+    /// first and waits for the claimed ones — never for a helper to start
+    /// one. Returns the first panic, if a unit panicked.
+    fn run_phase(&self, phase: usize, units: usize) -> Result<(), PanicPayload> {
+        let mut state = lock_any(&self.state);
+        (state.phase, state.next, state.end) = (phase, 0, units);
+        self.signal(&state);
+        let mut state = self.work(state, |state| state.running == 0);
+        state.panic.take().map_or(Ok(()), Err)
+    }
+
+    /// A worker's side: claims units of every phase until the task closes.
+    fn help(&self) {
+        drop(self.work(lock_any(&self.state), |state| state.closed));
+    }
+
+    /// Ends the task: helpers leave, a ticket picked up late does nothing.
+    fn close(&self) {
+        let mut state = lock_any(&self.state);
+        state.closed = true;
+        self.signal(&state);
+    }
+}
+
+/// One multi-lane execution of a compiled schedule: the rank states, and
+/// per lane (a contiguous chunk of destination ranks) the staging buffer its
+/// gather phase (`2·step`) fills and its apply phase (`2·step + 1`) empties.
+/// A phase's units are the lanes.
+struct Run {
+    compiled: Arc<CompiledSchedule>,
+    states: Vec<Mutex<DenseState>>,
+    staging: Vec<Mutex<Vec<Option<Block>>>>,
+    /// The crashed ranks of an injected run. The run aborts at the first
+    /// step that finds a receive from one, so the set never grows.
+    dead: Option<Vec<bool>>,
+    /// The per-step bounded-progress watchdog: the earliest (smallest send
+    /// index) receive any lane found unsatisfiable.
     stalled: Mutex<Option<u32>>,
 }
 
-/// Shared state between the pool handle and its workers.
+impl Run {
+    fn lane_phase(&self, phase: usize, lane: usize) {
+        let (step, compiled) = (phase / 2, &*self.compiled);
+        let ranks = compiled.num_ranks;
+        let per_lane = ranks.div_ceil(self.staging.len());
+        let first = (lane * per_lane).min(ranks);
+        let recvs = compiled.recvs_to_ranks(step, first..(first + per_lane).min(ranks));
+        let dead = self.dead.as_deref();
+        let state_of = |rank: usize| lock_any(&self.states[rank]);
+        let mut staging = lock_any(&self.staging[lane]);
+        if phase & 1 == 0 {
+            compiled::gather_recvs(compiled, step, recvs, dead, state_of, &mut staging);
+        } else if let Some(send) =
+            compiled::apply_recvs(compiled, recvs, dead, &mut staging, state_of)
+        {
+            let mut earliest = lock_any(&self.stalled);
+            *earliest = Some(earliest.map_or(send, |e| e.min(send)));
+        }
+    }
+
+    /// The caller's side: every step's two phases, up to a panic or stall.
+    fn run_steps(&self, task: &Task) -> Result<Option<Stall>, PanicPayload> {
+        for step in 0..self.compiled.num_steps() {
+            task.run_phase(2 * step, self.staging.len())?;
+            task.run_phase(2 * step + 1, self.staging.len())?;
+            if let Some(send) = *lock_any(&self.stalled) {
+                return Ok(Some(Stall { step, send }));
+            }
+        }
+        Ok(None)
+    }
+}
+
+/// What the pool handle and its workers share.
 struct PoolShared {
-    queue: Mutex<VecDeque<Command>>,
-    /// Signalled when work is pushed.
+    queue: Mutex<Queue>,
+    /// Signalled once per ticket pushed, and to all on exit.
     work_ready: Condvar,
 }
 
-/// A persistent pool of worker threads executing compiled schedules.
-///
-/// Create one with [`ExecutorPool::new`] or use the process-wide
-/// [`ExecutorPool::global`]. Dropping a pool shuts its workers down.
+#[derive(Default)]
+struct Queue {
+    /// One entry per worker a task asked for; never more than workers.
+    tickets: VecDeque<Arc<Task>>,
+    exit: bool,
+}
+
+/// A persistent pool of lanes executing compiled schedules: the calling
+/// thread plus parked worker threads. Create one with [`ExecutorPool::new`]
+/// or use the process-wide [`ExecutorPool::global`]. Dropping a pool shuts
+/// its workers down.
 pub struct ExecutorPool {
     shared: Arc<PoolShared>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl ExecutorPool {
-    /// Creates a pool with `workers` threads (at least 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+    /// Creates a pool of `lanes` lanes (at least 1): the calling thread of
+    /// each run plus `lanes − 1` worker threads — none for one lane.
+    pub fn new(lanes: usize) -> Self {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::default(),
             work_ready: Condvar::new(),
         });
-        let handles = (0..workers)
+        let workers = (1..lanes)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
@@ -187,90 +314,68 @@ impl ExecutorPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        Self {
-            shared,
-            workers: handles,
-        }
+        Self { shared, workers }
     }
 
-    /// The process-wide pool, sized to the available parallelism. Created on
-    /// first use and kept alive for the life of the process.
+    /// The process-wide pool, one lane per available core. Created on first
+    /// use and kept alive for the life of the process.
     pub fn global() -> &'static ExecutorPool {
         static GLOBAL: OnceLock<ExecutorPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let cores = thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4);
-            ExecutorPool::new(cores)
+            ExecutorPool::new(thread::available_parallelism().map_or(4, |n| n.get()))
         })
     }
 
-    /// Number of worker threads.
+    /// Lanes of a run on this pool: its worker threads plus the calling thread.
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.workers.len() + 1
     }
 
-    /// Runs a batch of jobs to completion, surfacing the first panic as a
-    /// typed [`ExecError`] instead of unwinding. The batch always drains
-    /// fully — even after a panic every remaining job runs (or has run)
-    /// before this returns, so no job still holding state references is in
-    /// flight afterwards.
-    ///
-    /// This is the primary fallible surface the `try_run*` schedule
-    /// executors are built on; it is public so callers with their own job
-    /// shapes get the same drain-fully panic contract.
+    /// Offers `task` to up to `helpers` workers no waiting ticket speaks
+    /// for; one that a busy worker picks up late finds the task closed. A
+    /// one-lane pool has no queue to touch.
+    fn post(&self, task: &Arc<Task>, helpers: usize) {
+        if self.workers.is_empty() {
+            return;
+        }
+        let mut queue = self.shared.queue.lock().expect("pool poisoned");
+        let free = self.workers.len().saturating_sub(queue.tickets.len());
+        for _ in 0..helpers.min(free) {
+            queue.tickets.push_back(Arc::clone(task));
+            self.shared.work_ready.notify_one();
+        }
+    }
+
+    /// Runs a batch of jobs to completion on the caller's lane and whatever
+    /// workers pick it up, surfacing the first panic as a typed
+    /// [`ExecError`] instead of unwinding. The batch always drains fully —
+    /// even after a panic every remaining job has run before this returns,
+    /// so none still holding state references is in flight afterwards: the
+    /// contract of the `try_run*` schedule executors, for callers with
+    /// their own job shapes.
     pub fn try_run_batch(&self, jobs: Vec<Job>) -> Result<(), ExecError> {
-        self.run_batch_impl(jobs).map_err(ExecError::from_panic)
-    }
-
-    /// [`ExecutorPool::try_run_batch`] with the raw panic payload, so the
-    /// dense executors can convert once at their own boundary.
-    fn run_batch_impl(&self, jobs: Vec<Job>) -> Result<(), PanicPayload> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let batch = Arc::new(BatchStatus {
-            state: Mutex::new((jobs.len(), None)),
-            done: Condvar::new(),
+        let units = jobs.len();
+        let jobs: Vec<_> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+        let task = Task::new(move |_, index| {
+            let job = lock_any(&jobs[index]).take();
+            job.expect("a unit is claimed once")();
         });
-        {
-            let mut queue = self.shared.queue.lock().expect("pool poisoned");
-            for job in jobs {
-                let batch = Arc::clone(&batch);
-                queue.push_back(Command::Run(Box::new(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(job));
-                    let mut state = batch.state.lock().expect("batch poisoned");
-                    state.0 -= 1;
-                    if let Err(panic) = outcome {
-                        state.1.get_or_insert(panic);
-                    }
-                    if state.0 == 0 {
-                        batch.done.notify_all();
-                    }
-                })));
-            }
-        }
-        self.shared.work_ready.notify_all();
-        let mut state = batch.state.lock().expect("batch poisoned");
-        while state.0 > 0 {
-            state = batch.done.wait(state).expect("batch poisoned");
-        }
-        match state.1.take() {
-            Some(panic) => Err(panic),
-            None => Ok(()),
-        }
+        self.post(&task, units.saturating_sub(1));
+        let drained = task.run_phase(0, units);
+        task.close();
+        drained.map_err(ExecError::from_panic)
     }
 
     /// The primary symbolic entry point: executes `compiled` starting from
     /// symbolic `initial` stores on this pool and returns symbolic final
     /// stores, with the executor panic contract surfaced as a typed error —
     /// a panicking rank job (e.g. a reduce op applied to mismatched block
-    /// lengths) is caught at the worker and returned as [`ExecError`] after
-    /// the whole batch has drained. The pool remains fully usable
+    /// lengths) is caught on its lane and returned as [`ExecError`] after
+    /// the whole phase has drained. The pool remains fully usable
     /// afterwards.
     ///
-    /// The schedule is taken as an `Arc` so repeated runs (and the worker
-    /// jobs) share one compiled form without re-copying it.
+    /// The schedule is taken as an `Arc` so repeated runs (and the lanes of
+    /// a run) share one compiled form without re-copying it.
     pub fn try_run(
         &self,
         compiled: &Arc<CompiledSchedule>,
@@ -317,32 +422,8 @@ impl ExecutorPool {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The primary dense entry point: executes `compiled` over dense states
-    /// on this pool, with panics surfaced as [`ExecError`].
-    pub fn try_run_dense(
-        &self,
-        compiled: &Arc<CompiledSchedule>,
-        states: Vec<DenseState>,
-    ) -> Result<Vec<DenseState>, ExecError> {
-        self.run_dense_impl(compiled, states, &[])
-    }
-
-    /// [`ExecutorPool::try_run_dense`] with deterministic dead-rank
-    /// injection (see [`ExecutorPool::try_run_with_dead`] for the fault
-    /// semantics).
-    ///
-    /// # Panics
-    /// Panics if a dead rank is out of range.
-    pub fn try_run_dense_with_dead(
-        &self,
-        compiled: &Arc<CompiledSchedule>,
-        states: Vec<DenseState>,
-        dead: &[usize],
-    ) -> Result<Vec<DenseState>, ExecError> {
-        self.run_dense_impl(compiled, states, dead)
-    }
-
-    /// Thin panicking wrapper over [`ExecutorPool::try_run_dense`].
+    /// Thin panicking wrapper over [`ExecutorPool::try_run_dense_with_dead`]
+    /// with nobody dead.
     ///
     /// # Panics
     /// On the first failed rank job, with the [`ExecError`] display message
@@ -352,152 +433,71 @@ impl ExecutorPool {
         compiled: &Arc<CompiledSchedule>,
         states: Vec<DenseState>,
     ) -> Vec<DenseState> {
-        self.try_run_dense(compiled, states)
+        self.try_run_dense_with_dead(compiled, states, &[])
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn run_dense_impl(
+    /// The primary dense entry point: executes `compiled` over dense states
+    /// on this pool, with panics surfaced as [`ExecError`] and deterministic
+    /// dead-rank injection (see [`ExecutorPool::try_run_with_dead`] for the
+    /// fault semantics; an empty `dead` slice is the healthy path).
+    ///
+    /// # Panics
+    /// Panics if a dead rank is out of range.
+    pub fn try_run_dense_with_dead(
         &self,
         compiled: &Arc<CompiledSchedule>,
-        states: Vec<DenseState>,
+        mut states: Vec<DenseState>,
         dead: &[usize],
     ) -> Result<Vec<DenseState>, ExecError> {
-        let p = compiled.num_ranks;
-        assert_eq!(states.len(), p, "one dense state per rank required");
-        if p == 0 {
-            return Ok(states);
-        }
-        // Only an injected run has a watchdog; a healthy one allocates
-        // nothing for it.
-        let watchdog = (!dead.is_empty()).then(|| {
-            let mut is_dead = vec![false; p];
-            for &d in dead {
-                assert!(d < p, "dead rank {d} out of range for {p} ranks");
-                is_dead[d] = true;
-            }
-            Arc::new(Watchdog {
-                is_dead,
-                stalled: Mutex::new(None),
-            })
-        });
-        let states: Arc<Vec<Mutex<DenseState>>> =
-            Arc::new(states.into_iter().map(Mutex::new).collect());
-        let layout = compiled.slot_layout();
-        // Reused by every step: what each gather worker read, and the
-        // staging buffer those reads are assembled into.
-        type Staged = Vec<(usize, Block)>;
-        let partial: Arc<Vec<Mutex<Staged>>> = Arc::new(
-            (0..self.num_workers())
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
+        let ranks = compiled.num_ranks;
+        assert_eq!(states.len(), ranks, "one dense state per rank required");
+        let in_range = dead.iter().all(|&d| d < ranks);
+        assert!(
+            in_range,
+            "dead rank out of range for {ranks} ranks: {dead:?}"
         );
-        let mut staging: Arc<Vec<Option<Block>>> = Arc::new(Vec::new());
-
-        for step in 0..compiled.num_steps() {
-            let send_range = compiled.step_send_range(step);
-            if send_range.is_empty() {
-                continue;
-            }
-
-            // Gather phase: the step's sends are split across the workers.
-            let workers = self.num_workers().min(send_range.len());
-            let chunk = send_range.len().div_ceil(workers);
-            let jobs = (0..workers).map(|w| {
-                let lo = send_range.start + w * chunk;
-                let hi = (lo + chunk).min(send_range.end);
-                let compiled = Arc::clone(compiled);
-                let states = Arc::clone(&states);
-                let partial = Arc::clone(&partial);
-                let watchdog = watchdog.clone();
-                Box::new(move || {
-                    let mut staged = lock_any(&partial[w]);
-                    compiled::gather_sends(
-                        &compiled,
-                        step,
-                        lo..hi,
-                        watchdog.as_deref().map(|w| &w.is_dead[..]),
-                        |rank| lock_any(&states[rank]),
-                        |entry, payload| staged.push((entry, payload)),
-                    );
-                }) as Job
+        // A healthy run allocates nothing for the watchdog.
+        let is_dead = || (0..ranks).map(|rank| dead.contains(&rank)).collect();
+        let dead: Option<Vec<bool>> = (!dead.is_empty()).then(is_dead);
+        let lanes = self.num_workers().min(ranks);
+        let stall = if lanes <= 1 {
+            // The single-threaded step loop, on the states as they are.
+            let run = || compiled::run_lane(compiled, &mut states, dead.as_deref());
+            catch_unwind(AssertUnwindSafe(run))
+        } else {
+            let run = Arc::new(Run {
+                compiled: Arc::clone(compiled),
+                states: states.into_iter().map(Mutex::new).collect(),
+                staging: (0..lanes).map(|_| Mutex::default()).collect(),
+                dead,
+                stalled: Mutex::new(None),
             });
-            self.run_batch_impl(jobs.collect())
-                .map_err(ExecError::from_panic)?;
-
-            // Assemble the staging buffer (moves Arcs, no payload copies).
-            // Batches drain fully, so the previous step's apply jobs have
-            // let go of it.
-            let slots = Arc::get_mut(&mut staging).expect("worker kept a staging reference");
-            slots.clear();
-            slots.resize(layout.step_payloads(step).len(), None);
-            for staged in partial.iter() {
-                for (entry, payload) in lock_any(staged).drain(..) {
-                    slots[entry] = Some(payload);
-                }
-            }
-
-            // Apply phase: workers own disjoint destination-rank chunks.
-            let workers = self.num_workers().min(p);
-            let chunk = p.div_ceil(workers);
-            let jobs = (0..workers).map(|w| {
-                let lo = w * chunk;
-                let hi = (lo + chunk).min(p);
-                let compiled = Arc::clone(compiled);
-                let states = Arc::clone(&states);
-                let staging = Arc::clone(&staging);
-                let watchdog = watchdog.clone();
-                Box::new(move || {
-                    let stalled = compiled::apply_recvs(
-                        &compiled,
-                        step,
-                        compiled.recvs_to_ranks(step, lo..hi),
-                        watchdog.as_deref().map(|w| &w.is_dead[..]),
-                        |rank| lock_any(&states[rank]),
-                        |entry| {
-                            Cow::Borrowed(staging[entry].as_ref().expect("staged payload missing"))
-                        },
-                    );
-                    if let (Some(send_idx), Some(watchdog)) = (stalled, &watchdog) {
-                        let mut earliest = lock_any(&watchdog.stalled);
-                        *earliest = Some(earliest.map_or(send_idx, |e| e.min(send_idx)));
-                    }
-                }) as Job
-            });
-            self.run_batch_impl(jobs.collect())
-                .map_err(ExecError::from_panic)?;
-            let stalled = watchdog.as_ref().and_then(|w| *lock_any(&w.stalled));
-            if let Some(send_idx) = stalled {
-                let send = compiled.send(send_idx as usize);
-                return Err(ExecError::RankDead {
-                    step,
-                    src: send.src as usize,
-                    dst: send.dst as usize,
-                });
-            }
-        }
-
-        // Batches drain fully even on a panic, so no in-flight job can still
-        // hold a reference here — on success *or* on the early-error paths
-        // above, where `states` is simply dropped.
-        let states = Arc::try_unwrap(states).expect("worker kept a state reference");
-        Ok(states
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-            })
-            .collect())
+            let lanes_of = Arc::clone(&run);
+            let task = Task::new(move |phase, lane| lanes_of.lane_phase(phase, lane));
+            self.post(&task, lanes - 1);
+            let stall = run.run_steps(&task);
+            task.close();
+            // Phases drain fully, so no lane is inside a state any more; a
+            // helper on its way out may still hold the run, so the states
+            // are taken out of it, not unwrapped.
+            let state_of = |state| std::mem::take(&mut *lock_any(state));
+            states = run.states.iter().map(state_of).collect();
+            stall
+        };
+        let Some(Stall { step, send }) = stall.map_err(ExecError::from_panic)? else {
+            return Ok(states);
+        };
+        let send = compiled.send(send as usize);
+        let (src, dst) = (send.src as usize, send.dst as usize);
+        Err(ExecError::RankDead { step, src, dst })
     }
 }
 
 impl Drop for ExecutorPool {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("pool poisoned");
-            for _ in 0..self.workers.len() {
-                queue.push_back(Command::Exit);
-            }
-        }
+        // Not `expect`: a drop must not panic.
+        lock_any(&self.shared.queue).exit = true;
         self.shared.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -507,21 +507,20 @@ impl Drop for ExecutorPool {
 
 fn worker_loop(shared: &PoolShared) {
     loop {
-        let command = {
+        let task = {
             let mut queue = shared.queue.lock().expect("pool poisoned");
             loop {
-                match queue.pop_front() {
-                    Some(c) => break c,
-                    None => queue = shared.work_ready.wait(queue).expect("pool poisoned"),
+                if let Some(task) = queue.tickets.pop_front() {
+                    break task;
                 }
+                if queue.exit {
+                    return;
+                }
+                queue = shared.work_ready.wait(queue).expect("pool poisoned");
             }
         };
-        match command {
-            // Batch wrappers catch panics themselves, so `job()` never
-            // unwinds into the worker loop.
-            Command::Run(job) => job(),
-            Command::Exit => return,
-        }
+        // Units catch their own panics: `help` never unwinds into the loop.
+        task.help();
     }
 }
 
@@ -759,6 +758,90 @@ mod tests {
                 assert_eq!(got, want, "rank {rank} diverged");
             }
         }
+    }
+
+    #[test]
+    fn a_one_lane_pool_is_the_calling_thread() {
+        let pool = ExecutorPool::new(1);
+        assert!(pool.workers.is_empty(), "one lane spawns no thread");
+        assert_eq!(pool.num_workers(), 1);
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let jobs = (0..4).map(|_| {
+            let ran_on = Arc::clone(&ran_on);
+            Box::new(move || ran_on.lock().unwrap().push(thread::current().id())) as Job
+        });
+        pool.try_run_batch(jobs.collect()).expect("healthy batch");
+        assert_eq!(*ran_on.lock().unwrap(), vec![thread::current().id(); 4]);
+    }
+
+    #[test]
+    fn a_panic_on_the_callers_own_lane_is_typed_and_the_batch_still_drains() {
+        // One lane: every job, the panicking one included, runs on the caller.
+        let pool = ExecutorPool::new(1);
+        let done = Arc::new(Mutex::new(Vec::new()));
+        let jobs = (0..4).map(|i| {
+            let done = Arc::clone(&done);
+            Box::new(move || {
+                assert!(i != 1, "job {i} fails");
+                done.lock().unwrap().push(i);
+            }) as Job
+        });
+        let err = pool
+            .try_run_batch(jobs.collect())
+            .expect_err("job 1 panics");
+        assert_eq!(
+            err,
+            ExecError::JobPanicked {
+                message: "job 1 fails".into()
+            }
+        );
+        assert_eq!(*done.lock().unwrap(), vec![0, 2, 3], "drained fully");
+
+        // The same through the schedule executor, and the pool stays good.
+        let sched = allreduce(8, AllreduceAlg::RecursiveDoubling);
+        let compiled = Arc::new(sched.compile());
+        let w = Workload::for_schedule(&sched, 2);
+        let err = pool
+            .try_run(&compiled, corrupted_initial(&w, &sched))
+            .expect_err("mismatched lengths must fail");
+        assert!(err.message().contains("block length mismatch"), "{err}");
+        let reference = sequential::run_reference(&sched, w.initial_state(&sched));
+        assert_eq!(pool.run(&compiled, w.initial_state(&sched)), reference);
+    }
+
+    #[test]
+    fn more_callers_than_lanes_all_finish() {
+        // Eight callers, one worker: seven of them never get a helper, and
+        // each completes alone — no lane waits for a lane that has not
+        // started.
+        let pool = ExecutorPool::new(2);
+        let sched = allreduce(16, AllreduceAlg::BineLarge);
+        let compiled = Arc::new(sched.compile());
+        let w = Workload::for_schedule(&sched, 2);
+        let reference = sequential::run_reference(&sched, w.initial_state(&sched));
+        thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    assert_eq!(pool.run(&compiled, w.initial_state(&sched)), reference);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn the_watchdog_names_the_same_receive_at_every_lane_count() {
+        let sched = allreduce(16, AllreduceAlg::BineLarge);
+        let compiled = Arc::new(sched.compile());
+        let w = Workload::for_schedule(&sched, 2);
+        let stall = |lanes| {
+            ExecutorPool::new(lanes)
+                .try_run_with_dead(&compiled, w.initial_state(&sched), &[5, 11])
+                .expect_err("dead partners stall the exchange")
+        };
+        let one_lane = stall(1);
+        assert!(matches!(one_lane, ExecError::RankDead { step: 0, .. }));
+        assert_eq!(stall(2), one_lane);
+        assert_eq!(stall(4), one_lane);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! This is the substitute for running the collectives on a real MPI cluster:
 //! the data semantics of every algorithm are exercised end to end.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use bine_sched::{BlockId, Collective, Counts, Schedule};
+use bine_sched::{BlockId, BlockMap, Collective, Counts, Schedule};
 
 /// A shared, immutable-until-owned block payload.
 ///
@@ -45,7 +44,7 @@ pub(crate) fn reduce_into(existing: &mut Block, value: &[f64]) {
 /// (copy-on-write), which keeps shared payloads safe.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockStore {
-    blocks: HashMap<BlockId, Block>,
+    blocks: BlockMap<Block>,
 }
 
 impl BlockStore {

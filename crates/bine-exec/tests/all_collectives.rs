@@ -57,6 +57,8 @@ fn every_algorithm_is_correct_on_the_pool_executor() {
 
 #[test]
 fn all_four_executors_agree_exactly_with_the_reference() {
+    // The pool at one lane (the calling thread alone), two and four.
+    let pools = [1, 2, 4].map(ExecutorPool::new);
     for collective in Collective::ALL {
         for alg in algorithms(collective) {
             let p = 32;
@@ -74,8 +76,18 @@ fn all_four_executors_agree_exactly_with_the_reference() {
             );
             let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
             assert_eq!(comp, reference, "compiled: {:?}/{}", collective, alg.name());
-            let thr = pool_run(&sched, workload.initial_state(&sched));
-            assert_eq!(thr, reference, "pool: {:?}/{}", collective, alg.name());
+            let handle = Arc::new(sched.compile());
+            for pool in &pools {
+                let pooled = pool.run(&handle, workload.initial_state(&sched));
+                let lanes = pool.num_workers();
+                assert_eq!(
+                    pooled,
+                    reference,
+                    "pool, {lanes} lanes: {:?}/{}",
+                    collective,
+                    alg.name()
+                );
+            }
         }
     }
 }

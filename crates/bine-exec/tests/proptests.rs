@@ -18,6 +18,22 @@ fn pool_run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
     ExecutorPool::global().run(&Arc::new(schedule.compile()), initial)
 }
 
+/// `initial` rebuilt store by store with the blocks inserted in the reverse
+/// of their iteration order: the same stores, laid out by a different
+/// insertion history.
+fn reinserted_backwards(initial: &[BlockStore]) -> Vec<BlockStore> {
+    let rebuild = |store: &BlockStore| {
+        let mut blocks: Vec<_> = store.clone().into_blocks().collect();
+        blocks.reverse();
+        let mut rebuilt = BlockStore::new();
+        for (id, payload) in blocks {
+            rebuilt.insert(id, payload);
+        }
+        rebuilt
+    };
+    initial.iter().map(rebuild).collect()
+}
+
 fn any_collective() -> impl Strategy<Value = Collective> {
     prop::sample::select(Collective::ALL.to_vec())
 }
@@ -121,6 +137,15 @@ proptest! {
         prop_assert_eq!(&comp, &reference, "compiled: {:?}/{} p={} root={}", collective, alg.name(), p, root);
         let pooled = pool_run(&sched, workload.initial_state(&sched));
         prop_assert_eq!(&pooled, &reference, "pool: {:?}/{} p={} root={}", collective, alg.name(), p, root);
+        // Neither store equality nor the finals depend on the order the
+        // inputs were inserted in (the block hasher is unkeyed: iteration
+        // order is a function of the insertion history alone).
+        let backwards = reinserted_backwards(&workload.initial_state(&sched));
+        prop_assert_eq!(&backwards, &workload.initial_state(&sched));
+        let comp = compiled::run(&sched.compile(), backwards.clone());
+        prop_assert_eq!(&comp, &reference, "compiled, reinserted: {:?}/{} p={}", collective, alg.name(), p);
+        let pooled = pool_run(&sched, backwards);
+        prop_assert_eq!(&pooled, &reference, "pool, reinserted: {:?}/{} p={}", collective, alg.name(), p);
     }
 
     // The pipelining transform (`bine_sched::segment`) must be a semantic

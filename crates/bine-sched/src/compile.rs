@@ -28,12 +28,11 @@
 //! the compiled form on first execution
 //! ([`CompiledSchedule::slot_layout`]), never by `compile` itself.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
+use crate::schedule::{BlockId, BlockMap, Collective, Counts, Rank, Schedule, TransferKind};
 
 /// Source of process-unique [`CompiledSchedule`] identities.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
@@ -60,7 +59,7 @@ fn index_u32(n: usize, what: &str) -> u32 {
 #[derive(Debug, Clone, Default)]
 pub struct BlockInterner {
     ids: Vec<BlockId>,
-    lookup: HashMap<BlockId, u32>,
+    lookup: BlockMap<u32>,
 }
 
 impl BlockInterner {

@@ -50,7 +50,9 @@ pub use collectives::{
 pub use compile::{BlockInterner, CompiledSchedule, CompiledSend, SlotLayout};
 pub use noncontig::NonContigStrategy;
 pub use provider::{CatalogProvider, ProviderSet, ScheduleProvider, SynthProvider, ViewSource};
-pub use schedule::{BlockId, Collective, Counts, Message, Schedule, Step, TransferKind};
+pub use schedule::{
+    BlockHasher, BlockId, BlockMap, Collective, Counts, Message, Schedule, Step, TransferKind,
+};
 pub use segment::segment_schedule;
 pub use synth::{is_synth_name, synth_algorithms, SynthSpec, TopoEdge, TopologyView, SYNTH_PREFIX};
 pub use validate::{
