@@ -36,7 +36,7 @@ use bine_net::cost::CostModel;
 use bine_net::fault::FaultSpec;
 use bine_net::sim::SimRequest;
 use bine_net::{ObservedTiming, Topology};
-use bine_sched::{algorithms, build, Collective};
+use bine_sched::{algorithms, Collective, ProviderSet};
 use bine_tune::{
     slug, AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreFn, ScoreModel, ServiceSelector,
 };
@@ -129,7 +129,7 @@ fn des_cost(
     alloc: &Allocation,
     faults: Option<&bine_net::FaultPlan>,
 ) -> Option<f64> {
-    let compiled = build(collective, pick, nodes, 0)?.compile();
+    let compiled = ProviderSet::catalog_only().compile(collective, pick, nodes, 0)?;
     let req = SimRequest::new(model, &compiled, bytes, topo, alloc).time_only();
     let req = match faults {
         Some(plan) => req.faults(plan),

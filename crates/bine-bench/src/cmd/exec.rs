@@ -110,10 +110,17 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
     records.time(format!("{label}/pool-lanes/{p}"), iters, || {
         global.run(&compiled_sched, initial.clone());
     });
-    // Compilation cost, paid once per schedule.
+    // Lowering cost, paid once per schedule (both gated): unsegmented at
+    // every size, and at the 16 pipeline chunks the LUMI table serves this
+    // allreduce with above 1 MiB — the base is built outside the clock.
     records.time(format!("{label}/compile/{p}"), iters, || {
         sched.compile();
     });
+    if p == 256 {
+        records.time(format!("{label}/lower-seg16/{p}"), iters, || {
+            sched.compile_segmented(16);
+        });
+    }
 }
 
 /// The collective surfaces added after the seed four: the dual-root
@@ -230,8 +237,9 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 ///
 /// Measures ns/op of the four executors on the BineLarge allreduce at
 /// p ∈ {64, 256, 1024} (the pool twice: gated `/pool/` at one lane, ungated
-/// `/pool-lanes/` at the runner's parallelism), plus the post-seed
-/// collective surfaces at p = 256 —
+/// `/pool-lanes/` at the runner's parallelism) and what lowering it costs
+/// (gated `/compile/` at each size, `/lower-seg16/256` at 16 pipeline
+/// chunks), plus the post-seed collective surfaces at p = 256 —
 /// dual-root pipelined allreduce, two irregular v-variant schedules and the
 /// Bine alltoall, each with a gated `/compiled/` entry — plus the
 /// synthesized data plane (multilevel provider allreduce on the

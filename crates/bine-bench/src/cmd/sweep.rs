@@ -464,9 +464,9 @@ pub fn validate(args: Args) -> Outcome {
                         continue;
                     };
                     for chunks in [1usize, 2, 4] {
-                        let sched = sched.clone().segmented(chunks);
+                        let segmented = (chunks > 1).then(|| sched.segmented(chunks));
                         validated += 1;
-                        if let Err(e) = validate_schedule(&sched) {
+                        if let Err(e) = validate_schedule(segmented.as_ref().unwrap_or(&sched)) {
                             failures.push(format!(
                                 "{}/{} p={p} root={} chunks={chunks}: {e}",
                                 collective.name(),

@@ -12,11 +12,14 @@
 //! model the 512-node tuning horizon depends on) or **serving-layer
 //! throughput** entry (name containing `/serve/` — the worker-normalized
 //! ns/request of the concurrent `ServiceSelector` request path, the
-//! core-count-robust statistic) regresses by more than the threshold, the
-//! gate fails and CI goes red. Interpreter baselines
+//! core-count-robust statistic) or **lowering** entry (name containing
+//! `/compile/` or `/lower-` — what every cache miss of the serving layer
+//! and every candidate of the tuner pays to turn a built schedule into the
+//! compiled form, unsegmented and at `S` pipeline chunks) regresses by more
+//! than the threshold, the gate fails and CI goes red. Interpreter baselines
 //! (`reference`, `sequential`, `sim-reference`, the single-threaded
 //! `/serial/` selector), the pool at the runner's parallelism
-//! (`/pool-lanes/`), the one-off `compile` cost and the `/serve-latency/`
+//! (`/pool-lanes/`) and the `/serve-latency/`
 //! p99 tail are reported for context but not gated — they are either
 //! deliberately slow baselines or too scheduler-noisy for a hard threshold
 //! (cross-thread hand-over and tail latency in particular depend on the
@@ -88,6 +91,8 @@ pub fn is_gated(name: &str) -> bool {
         )
     });
     (name.contains("/compiled/")
+        || name.contains("/compile/")
+        || name.contains("/lower-")
         || name.contains("/pool/")
         || name.contains("/sim/")
         || name.contains("/serve/")
@@ -275,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn only_compiled_one_lane_pool_des_and_serve_entries_are_gated() {
+    fn only_compiled_one_lane_pool_lowering_des_and_serve_entries_are_gated() {
         assert!(is_gated("allreduce-bine-large/compiled/256"));
         assert!(is_gated("allreduce-bine-large/sim/256"));
         assert!(is_gated("select-mix/serve/worker-ns-per-req"));
@@ -283,7 +288,9 @@ mod tests {
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));
         assert!(is_gated("allreduce-bine-large/pool/256"));
         assert!(!is_gated("allreduce-bine-large/pool-lanes/256"));
-        assert!(!is_gated("allreduce-bine-large/compile/256"));
+        assert!(is_gated("allreduce-bine-large/compile/256"));
+        assert!(is_gated("allreduce-bine-large/lower-seg16/256"));
+        assert!(!is_gated("allreduce-synth-multilevel/synthesize/256"));
         assert!(!is_gated("select-mix/serial/ns-per-req"));
         assert!(!is_gated("select-mix/serve-latency/p99-ns"));
     }

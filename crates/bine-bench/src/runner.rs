@@ -293,7 +293,7 @@ impl Evaluator {
                 .schedules
                 .get(&(collective, algorithm.to_string(), nodes))
                 .unwrap();
-            let compiled = sched.segmented(chunks).compile();
+            let compiled = sched.compile_segmented(chunks);
             self.compiled.insert(key.clone(), compiled);
         }
         let compiled = self.compiled.get(&key).unwrap();

@@ -1946,7 +1946,7 @@ mod tests {
         topo: &dyn Topology,
         alloc: &Allocation,
     ) -> f64 {
-        let compiled = sched.segmented(chunks).compile();
+        let compiled = sched.compile_segmented(chunks);
         SimRequest::new(model, &compiled, n, topo, alloc)
             .run()
             .makespan_us()

@@ -21,6 +21,14 @@
 //! The semantics are unchanged: compiling and executing a schedule is
 //! bit-identical to interpreting it (cross-checked in `bine-exec`).
 //!
+//! Lowering takes the *base* schedule and a pipeline chunk count: one loop
+//! walks the chunks [`crate::segment`] cuts and interns them as they come,
+//! so a `+seg{S}` pick is lowered from what the builder emitted, never from
+//! an owned segmented [`Schedule`]. [`Schedule::compile`] is that loop at one
+//! chunk, [`Schedule::compile_segmented`] at `S`; the result equals
+//! `segmented(S).compile()` field for field (pinned over the whole catalog
+//! in `tests/validate_proptests.rs`).
+//!
 //! Executors do not index their per-rank state by the global interned index
 //! — a rank touches a small share of a schedule's blocks (about
 //! `p·(1 + ½·log2 p)` of the `p²` pairwise blocks of a Bine alltoall) — but
@@ -33,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::schedule::{BlockId, BlockMap, Collective, Counts, Rank, Schedule, TransferKind};
+use crate::segment::{num_substeps, parts, segmented_name, substeps};
 
 /// Source of process-unique [`CompiledSchedule`] identities.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
@@ -51,6 +60,21 @@ fn index_u32(n: usize, what: &str) -> u32 {
         panic!("more than u32::MAX {what}")
     }
     u32::try_from(n).unwrap_or_else(|_| overflow(what))
+}
+
+/// Appends one CSR row to `offsets`: where, counting from `base`, the run of
+/// each of the `ranks` ranks starts in the ascending `keys`, then where the
+/// last run ends.
+fn push_csr_row(offsets: &mut Vec<u32>, ranks: u32, base: usize, keys: impl Iterator<Item = u32>) {
+    let mut keys = keys.peekable();
+    let mut at = base as u32;
+    for rank in 0..ranks {
+        offsets.push(at);
+        while keys.next_if_eq(&rank).is_some() {
+            at += 1;
+        }
+    }
+    offsets.push(at);
 }
 
 /// Dense interning of the [`BlockId`]s referenced by one schedule.
@@ -159,9 +183,6 @@ pub struct SlotLayout {
     /// Parallel to the compiled block-index array: each payload's local slot
     /// at its destination rank.
     dst_slots: Vec<u32>,
-    /// Per step: range into the compiled block-index array (a step's
-    /// payloads are contiguous). Length `num_steps + 1`.
-    step_payload_offsets: Vec<u32>,
 }
 
 impl SlotLayout {
@@ -174,14 +195,7 @@ impl SlotLayout {
             rank_blocks: Vec::new(),
             src_slots: vec![0; payloads.len()],
             dst_slots: vec![0; payloads.len()],
-            step_payload_offsets: Vec::with_capacity(steps + 1),
         };
-        let mut payload_end = 0;
-        layout.step_payload_offsets.push(payload_end);
-        for step in 0..steps {
-            payload_end += compiled.step_payload_count(step) as u32;
-            layout.step_payload_offsets.push(payload_end);
-        }
 
         // Interned index → local slot of the rank being laid out; the one
         // table sized by every interned block, shared by all ranks and
@@ -261,18 +275,10 @@ impl SlotLayout {
     pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
         &self.dst_slots[send.blocks_start as usize..send.blocks_end as usize]
     }
-
-    /// The payload entries of `step`: every send of the step has its
-    /// `blocks_start..blocks_end` inside this range, so an executor's staging
-    /// buffer for the step is `step_payloads(step).len()` long and a payload
-    /// sits at its entry index minus the range's start.
-    pub fn step_payloads(&self, step: usize) -> Range<usize> {
-        self.step_payload_offsets[step] as usize..self.step_payload_offsets[step + 1] as usize
-    }
 }
 
-/// The execution form of a [`Schedule`]. Build with
-/// [`CompiledSchedule::compile`] (or [`Schedule::compile`]).
+/// The execution form of a [`Schedule`]. Build with [`Schedule::compile`]
+/// or, for a pipelined schedule, [`Schedule::compile_segmented`].
 #[derive(Debug, Clone)]
 pub struct CompiledSchedule {
     /// Number of participating ranks.
@@ -285,7 +291,6 @@ pub struct CompiledSchedule {
     pub algorithm: String,
     /// Process-unique identity (see [`CompiledSchedule::identity`]).
     identity: u64,
-    num_steps: usize,
     blocks: BlockInterner,
     /// All sends, grouped by step, within a step sorted by source rank
     /// (stable, so `order` stays ascending per source).
@@ -311,32 +316,42 @@ pub struct CompiledSchedule {
 }
 
 impl CompiledSchedule {
-    /// Lowers `schedule` into execution form.
-    pub fn compile(schedule: &Schedule) -> Self {
+    /// Lowers `schedule`, cut into `chunks` pipeline segments, into execution
+    /// form. The one lowering loop: every chunk `segment::substeps` yields is
+    /// interned as it is cut — no segmented [`Schedule`] in between.
+    ///
+    /// # Panics
+    /// Panics if `chunks == 0`.
+    pub fn compile(schedule: &Schedule, chunks: usize) -> Self {
         let p = schedule.num_ranks;
         let ranks = index_u32(p, "ranks");
-        let num_steps = schedule.steps.len();
+        // Exact sizes, from the messages' lengths alone: what lowering
+        // allocates does not depend on how finely the schedule is cut.
+        let num_steps = schedule.steps.iter().map(|s| num_substeps(s, chunks));
+        let num_steps: usize = num_steps.sum();
+        let num_sends = schedule.messages().map(|(_, m)| parts(m, chunks)).sum();
+        let payloads = schedule.messages().map(|(_, m)| m.blocks.len()).sum();
         let mut blocks = BlockInterner::new();
-        let mut sends: Vec<CompiledSend> = Vec::new();
-        let mut block_indices: Vec<u32> = Vec::new();
+        let mut sends: Vec<CompiledSend> = Vec::with_capacity(num_sends);
+        let mut block_indices: Vec<u32> = Vec::with_capacity(payloads);
         let mut step_offsets: Vec<u32> = Vec::with_capacity(num_steps + 1);
         let mut send_offsets: Vec<u32> = Vec::with_capacity(num_steps * (p + 1));
-        let mut recv_lists: Vec<u32> = Vec::new();
+        let mut recv_lists: Vec<u32> = Vec::with_capacity(num_sends);
         let mut recv_offsets: Vec<u32> = Vec::with_capacity(num_steps * (p + 1));
 
         step_offsets.push(0);
         let mut blocks_end = 0;
-        for step in &schedule.steps {
+        for sub in substeps(schedule, chunks) {
             let step_base = sends.len();
-            for (order, m) in step.messages.iter().enumerate() {
+            for (order, (m, chunk, segments)) in sub.enumerate() {
                 let blocks_start = blocks_end;
-                block_indices.extend(m.blocks.iter().map(|b| blocks.intern(*b)));
+                block_indices.extend(chunk.iter().map(|b| blocks.intern(*b)));
                 blocks_end = index_u32(block_indices.len(), "block payloads");
                 sends.push(CompiledSend {
                     src: m.src as u32,
                     dst: m.dst as u32,
                     kind: m.kind,
-                    segments: m.segments,
+                    segments,
                     blocks_start,
                     blocks_end,
                     order: order as u32,
@@ -345,31 +360,20 @@ impl CompiledSchedule {
             // Every send index, schedule order and CSR offset of this step is
             // at most this (ranks are below `ranks`).
             let step_end = index_u32(sends.len(), "sends");
-            // Group the step's sends by source (stable → `order` ascending
-            // within a source) and CSR-index them.
-            sends[step_base..].sort_by_key(|s| (s.src, s.order));
-            let step_sends = &sends[step_base..];
-            let mut cursor = 0usize;
-            for src in 0..ranks {
-                send_offsets.push((step_base + cursor) as u32);
-                while cursor < step_sends.len() && step_sends[cursor].src == src {
-                    cursor += 1;
-                }
-            }
-            send_offsets.push(step_end);
+            // Group the step's sends by source, `order` ascending within a
+            // source, and CSR-index them. The keys are distinct, so the
+            // unstable sorts order exactly as stable ones would, without the
+            // scratch buffer those allocate per step.
+            sends[step_base..].sort_unstable_by_key(|s| (s.src, s.order));
+            let by_src = sends[step_base..].iter().map(|s| s.src);
+            push_csr_row(&mut send_offsets, ranks, step_base, by_src);
 
             // Receive side: send indices per destination, in schedule order.
-            let mut by_dst: Vec<u32> = (step_base as u32..step_end).collect();
-            by_dst.sort_by_key(|&i| (sends[i as usize].dst, sends[i as usize].order));
-            let mut cursor = 0usize;
-            for dst in 0..ranks {
-                recv_offsets.push((recv_lists.len() + cursor) as u32);
-                while cursor < by_dst.len() && sends[by_dst[cursor] as usize].dst == dst {
-                    cursor += 1;
-                }
-            }
-            recv_lists.extend(by_dst);
-            recv_offsets.push(recv_lists.len() as u32);
+            recv_lists.extend(step_base as u32..step_end);
+            let by_dst = &mut recv_lists[step_base..];
+            by_dst.sort_unstable_by_key(|&i| (sends[i as usize].dst, sends[i as usize].order));
+            let by_dst = by_dst.iter().map(|&i| sends[i as usize].dst);
+            push_csr_row(&mut recv_offsets, ranks, step_base, by_dst);
 
             step_offsets.push(step_end);
         }
@@ -378,9 +382,8 @@ impl CompiledSchedule {
             num_ranks: p,
             collective: schedule.collective,
             root: schedule.root,
-            algorithm: schedule.algorithm.clone(),
+            algorithm: segmented_name(&schedule.algorithm, chunks),
             identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
-            num_steps,
             blocks,
             sends,
             block_indices,
@@ -414,7 +417,7 @@ impl CompiledSchedule {
 
     /// Number of synchronous steps.
     pub fn num_steps(&self) -> usize {
-        self.num_steps
+        self.step_offsets.len() - 1
     }
 
     /// The dense block interning.
@@ -493,18 +496,23 @@ impl CompiledSchedule {
     pub fn block_index_slice(&self, send: &CompiledSend) -> &[u32] {
         &self.block_indices[send.blocks_start as usize..send.blocks_end as usize]
     }
-
-    /// Total number of block payloads moved in `step` (the staging-buffer
-    /// size an executor needs for the step).
-    pub fn step_payload_count(&self, step: usize) -> usize {
-        self.step_sends(step).iter().map(|s| s.num_blocks()).sum()
-    }
 }
 
 impl Schedule {
     /// Lowers this schedule into execution form (see [`CompiledSchedule`]).
     pub fn compile(&self) -> CompiledSchedule {
-        CompiledSchedule::compile(self)
+        CompiledSchedule::compile(self, 1)
+    }
+
+    /// Lowers this schedule, split into `chunks` pipeline segments, into
+    /// execution form: what `self.segmented(chunks).compile()` returns, field
+    /// for field, without building the segmented [`Schedule`] (see
+    /// [`crate::segment`] for the transform).
+    ///
+    /// # Panics
+    /// Panics if `chunks == 0`.
+    pub fn compile_segmented(&self, chunks: usize) -> CompiledSchedule {
+        CompiledSchedule::compile(self, chunks)
     }
 }
 
@@ -555,7 +563,6 @@ mod tests {
                     "{} step {step_idx}",
                     sched.algorithm
                 );
-                assert_eq!(compiled.step_payload_count(step_idx), total_blocks);
             }
         }
     }
@@ -662,14 +669,9 @@ mod tests {
             // The O(touched) pin: never more slots than blocks moved.
             assert!(want.len() <= moved[rank], "{what} rank {rank}");
         }
-        // Every payload's local slots resolve back to its interned index,
-        // and a step's payloads are exactly its sends' entries.
+        // Every payload's local slots resolve back to its interned index.
         for step in 0..compiled.num_steps() {
-            let payloads = layout.step_payloads(step);
-            assert_eq!(payloads.len(), compiled.step_payload_count(step), "{what}");
             for send in compiled.step_sends(step) {
-                assert!(payloads.start <= send.blocks_start as usize, "{what}");
-                assert!(send.blocks_end as usize <= payloads.end, "{what}");
                 let blocks = compiled.block_index_slice(send);
                 let at_src = layout.rank_blocks(send.src as usize);
                 let at_dst = layout.rank_blocks(send.dst as usize);

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::catalog::{self, split_segments, AlgorithmId};
+use crate::compile::CompiledSchedule;
 use crate::schedule::{Collective, Schedule};
 use crate::synth::{self, SynthSpec, TopologyView};
 
@@ -212,6 +213,22 @@ impl ProviderSet {
         self.providers.iter().any(|p| p.claims(base))
     }
 
+    /// Builds the *base* schedule of a (possibly `+seg{S}`-suffixed) name
+    /// through the first claiming provider and returns it with the chunk
+    /// count the name asks for (1 for a bare name) — what
+    /// [`ProviderSet::build`] segments and [`ProviderSet::compile`] lowers.
+    pub fn build_base(
+        &self,
+        collective: Collective,
+        name: &str,
+        nodes: usize,
+        root: usize,
+    ) -> Option<(Schedule, usize)> {
+        let (base, chunks) = split_segments(name);
+        let provider = self.providers.iter().find(|p| p.claims(base))?;
+        Some((provider.build(collective, base, nodes, root)?, chunks))
+    }
+
     /// Builds a named schedule: `+seg{S}` handling plus provider dispatch.
     /// Mirrors [`crate::catalog::build`]'s contract (including `+seg1`
     /// rejection via the canonical `split_segments`).
@@ -222,14 +239,26 @@ impl ProviderSet {
         nodes: usize,
         root: usize,
     ) -> Option<Schedule> {
-        let (base, chunks) = split_segments(name);
-        let provider = self.providers.iter().find(|p| p.claims(base))?;
-        let sched = provider.build(collective, base, nodes, root)?;
+        let (sched, chunks) = self.build_base(collective, name, nodes, root)?;
         Some(if chunks > 1 {
             sched.segmented(chunks)
         } else {
             sched
         })
+    }
+
+    /// Builds and lowers a named schedule in one pass: the compiled form of
+    /// what [`ProviderSet::build`] returns, without the segmented
+    /// [`Schedule`] in between ([`Schedule::compile_segmented`]).
+    pub fn compile(
+        &self,
+        collective: Collective,
+        name: &str,
+        nodes: usize,
+        root: usize,
+    ) -> Option<CompiledSchedule> {
+        let (sched, chunks) = self.build_base(collective, name, nodes, root)?;
+        Some(sched.compile_segmented(chunks))
     }
 
     /// Every candidate all providers offer for `collective` at `nodes`.

@@ -327,20 +327,30 @@ impl Message {
 /// Number of contiguous memory regions spanned by a set of blocks, assuming
 /// blocks are laid out in index order in the buffer.
 pub fn contiguity_of(blocks: &[BlockId], p: usize) -> u32 {
-    let mut idx: Vec<u32> = blocks
-        .iter()
-        .filter_map(|b| match b {
+    let indices = || {
+        blocks.iter().filter_map(|b| match b {
             BlockId::Segment(i) => Some(*i),
             BlockId::Pairwise { dest, .. } => Some(*dest),
             BlockId::Full => None,
         })
-        .collect();
-    if idx.is_empty() {
-        return 1;
+    };
+    // Strictly ascending indices — how the builders list a rank's blocks,
+    // and how every chunk of such a list is ordered — are their own sorted,
+    // deduplicated form: count the runs where they lie.
+    let mut runs = 0;
+    let mut last = None;
+    for i in indices() {
+        match last {
+            // Out of order or repeated: the definition, which sorts.
+            Some(prev) if i <= prev => {
+                return linear_segments(&indices().collect::<Vec<u32>>(), p) as u32;
+            }
+            Some(prev) if i - prev == 1 => {}
+            _ => runs += 1,
+        }
+        last = Some(i);
     }
-    idx.sort_unstable();
-    idx.dedup();
-    linear_segments(&idx, p) as u32
+    runs.max(1)
 }
 
 /// One synchronous step of a schedule: all messages in a step are considered

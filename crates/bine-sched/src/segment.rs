@@ -8,10 +8,16 @@
 //! simulator in `bine-net` can — but the *schedule transform* lives here,
 //! next to the generators it rewrites.
 //!
-//! [`segment_schedule`] splits every message's block list into at most `S`
+//! The transform splits every message's block list into at most `S`
 //! contiguous chunks and expands each synchronous step into up to `S`
 //! sub-steps: chunk `c` of every message of the original step travels in
-//! sub-step `c`. Because every block is carried by exactly one chunk, each
+//! sub-step `c`. That rule is written once, as the borrowed chunk iterator
+//! `substeps`, and consumed twice: [`segment_schedule`] collects the chunks
+//! into an owned [`Schedule`] — the reference the validator and the tests
+//! look at — and [`Schedule::compile_segmented`] interns them straight into
+//! the compiled form, which is how serving and tuning lower a `+seg{S}` pick
+//! without ever holding `S` copies of the schedule's `Vec`s. Because every
+//! block is carried by exactly one chunk, each
 //! block still experiences exactly the same sequence of transfers and
 //! reductions in the same order, so a segmented schedule executes
 //! **bit-identically** to the original on every `bine-exec` executor (this
@@ -29,22 +35,86 @@
 //! do not pipeline in this model, which is what makes the segmented-vs-flat
 //! comparison in `bine-bench` interesting.
 
-use crate::schedule::{contiguity_of, Message, Schedule, Step};
+use std::rc::Rc;
 
-/// Splits `blocks`-many items into at most `chunks` contiguous, balanced
-/// parts, returning the part boundaries (`parts[i]..parts[i + 1]`).
-fn chunk_bounds(blocks: usize, chunks: usize) -> Vec<usize> {
-    let parts = chunks.min(blocks).max(1);
-    let base = blocks / parts;
-    let rem = blocks % parts;
-    let mut bounds = Vec::with_capacity(parts + 1);
-    let mut at = 0;
-    bounds.push(0);
-    for i in 0..parts {
-        at += base + usize::from(i < rem);
-        bounds.push(at);
+use crate::schedule::{contiguity_of, BlockId, Message, Schedule, Step};
+
+/// What one message contributes to one sub-step: the message, the sub-slice
+/// of its block list that travels, and the contiguous regions that spans.
+pub(crate) type Chunk<'a> = (&'a Message, &'a [BlockId], u32);
+
+/// `algorithm` as cut `chunks` ways: the `+seg{chunks}` suffix keeps
+/// segmented variants distinguishable in catalogs and reports; one chunk is
+/// the algorithm itself.
+pub(crate) fn segmented_name(algorithm: &str, chunks: usize) -> String {
+    match chunks {
+        1 => algorithm.to_string(),
+        _ => format!("{algorithm}+seg{chunks}"),
     }
-    bounds
+}
+
+/// Into how many parts a message is cut: as many as it has blocks to split
+/// over, at most `chunks`, and never none.
+pub(crate) fn parts(m: &Message, chunks: usize) -> usize {
+    chunks.min(m.blocks.len()).max(1)
+}
+
+/// How many sub-steps `step` expands into: as many as its most-cut message
+/// has parts. One chunk leaves every step as it is, even an empty one.
+pub(crate) fn num_substeps(step: &Step, chunks: usize) -> usize {
+    let parts = step.messages.iter().map(|m| parts(m, chunks));
+    parts.max().unwrap_or(0).max(usize::from(chunks == 1))
+}
+
+/// The chunking rule, stated once: the sub-steps `schedule` expands into at
+/// `chunks` pipeline segments, in order, each as the chunks it carries in
+/// message order. [`segment_schedule`] collects them into an owned
+/// [`Schedule`]; [`Schedule::compile_segmented`] interns them straight into
+/// the compiled form.
+///
+/// A message of `n` blocks is cut into `min(chunks, n)` balanced contiguous
+/// parts ([`parts`]) and part `c` travels in sub-step `c` of its step, so a
+/// message that cannot be split (a single block) travels whole in sub-step
+/// 0. Sub-steps no message reaches are dropped ([`num_substeps`]).
+///
+/// # Panics
+/// Panics if `chunks == 0`.
+pub(crate) fn substeps(
+    schedule: &Schedule,
+    chunks: usize,
+) -> impl Iterator<Item = impl Iterator<Item = Chunk<'_>>> {
+    assert!(chunks >= 1, "a schedule needs at least one segment");
+    let p = schedule.num_ranks;
+    schedule.steps.iter().flat_map(move |step| {
+        // Whether a message's `segments` is the contiguity of its block
+        // indices, so that a chunk's is recomputed. The non-contiguity
+        // strategies annotate messages with a count that deliberately
+        // differs (a virtually permuted buffer is one region whatever
+        // indices it carries); their chunks share it proportionally.
+        let computed = |m| parts(m, chunks) > 1 && m.segments == contiguity_of(&m.blocks, p);
+        let computed: Rc<[bool]> = step.messages.iter().map(computed).collect();
+        (0..num_substeps(step, chunks)).map(move |c| {
+            let computed = computed.clone();
+            step.messages.iter().enumerate().filter_map(move |(i, m)| {
+                let (n, parts) = (m.blocks.len(), parts(m, chunks));
+                if c >= parts {
+                    return None;
+                }
+                // Balanced: the first `n % parts` parts carry one block more.
+                let bound = |i: usize| i * (n / parts) + i.min(n % parts);
+                let blocks = &m.blocks[bound(c)..bound(c + 1)];
+                let segments = if parts == 1 {
+                    m.segments
+                } else if computed[i] {
+                    contiguity_of(blocks, p)
+                } else {
+                    let share = (m.segments as u64 * blocks.len() as u64).div_ceil(n as u64);
+                    share.max(1) as u32
+                };
+                Some((m, blocks, segments))
+            })
+        })
+    })
 }
 
 /// Splits `schedule` into `chunks` pipeline segments (see the module docs).
@@ -53,57 +123,25 @@ fn chunk_bounds(blocks: usize, chunks: usize) -> Vec<usize> {
 /// `chunks > 1` the algorithm name gains a `+seg{chunks}` suffix so that
 /// segmented variants remain distinguishable in catalogs and reports.
 ///
+/// This owned transform is the reference: the validator, the tests and
+/// anything that wants to look at a segmented [`Schedule`] use it. Serving
+/// and tuning never materialise it — [`Schedule::compile_segmented`] lowers
+/// the same chunks directly, and is pinned equal to
+/// `segment_schedule(s, chunks).compile()`.
+///
 /// # Panics
 /// Panics if `chunks == 0`.
 pub fn segment_schedule(schedule: &Schedule, chunks: usize) -> Schedule {
-    assert!(chunks >= 1, "a schedule needs at least one segment");
-    if chunks == 1 {
-        return schedule.clone();
-    }
-    let p = schedule.num_ranks;
-    let mut out = Schedule::new(
-        p,
-        schedule.collective,
-        format!("{}+seg{chunks}", schedule.algorithm),
-        schedule.root,
-    );
+    let name = segmented_name(&schedule.algorithm, chunks);
+    let mut out = Schedule::new(schedule.num_ranks, schedule.collective, name, schedule.root);
     out.counts = schedule.counts.clone();
-    for step in &schedule.steps {
-        let mut substeps: Vec<Step> = (0..chunks).map(|_| Step::new()).collect();
-        for m in &step.messages {
-            let bounds = chunk_bounds(m.blocks.len(), chunks);
-            if bounds.len() == 2 {
-                // Unsplittable (or single-chunk) message: travels whole, in
-                // the first sub-step, with its original segment count.
-                substeps[0].push(m.clone());
-                continue;
-            }
-            // The non-contiguity strategies annotate messages with an
-            // explicit segment count that deliberately differs from the
-            // block-index contiguity (e.g. a virtually permuted buffer is
-            // one region regardless of the indices it carries). Preserve
-            // that: recompute contiguity per chunk only when the original
-            // annotation was the computed one, otherwise distribute the
-            // annotated regions proportionally over the chunks.
-            let computed = contiguity_of(&m.blocks, p);
-            for (c, w) in bounds.windows(2).enumerate() {
-                let part = m.blocks[w[0]..w[1]].to_vec();
-                let msg = if m.segments == computed {
-                    Message::new(m.src, m.dst, part, m.kind, p)
-                } else {
-                    let share = (m.segments as u64 * (w[1] - w[0]) as u64)
-                        .div_ceil(m.blocks.len() as u64)
-                        .max(1) as u32;
-                    Message::with_segments(m.src, m.dst, part, m.kind, share)
-                };
-                substeps[c].push(msg);
-            }
-        }
-        for sub in substeps {
-            if !sub.is_empty() {
-                out.push_step(sub);
-            }
-        }
+    for sub in substeps(schedule, chunks) {
+        let own = |(m, blocks, segments): Chunk| {
+            Message::with_segments(m.src, m.dst, blocks.to_vec(), m.kind, segments)
+        };
+        out.push_step(Step {
+            messages: sub.map(own).collect(),
+        });
     }
     out
 }
@@ -125,10 +163,21 @@ mod tests {
 
     #[test]
     fn chunk_bounds_are_balanced_and_cover() {
-        assert_eq!(chunk_bounds(8, 4), vec![0, 2, 4, 6, 8]);
-        assert_eq!(chunk_bounds(7, 4), vec![0, 2, 4, 6, 7]);
-        assert_eq!(chunk_bounds(2, 4), vec![0, 1, 2]);
-        assert_eq!(chunk_bounds(1, 4), vec![0, 1]);
+        // One message of `blocks` blocks cut `chunks` ways: the part sizes.
+        let sizes = |blocks: u32, chunks: usize| -> Vec<usize> {
+            use crate::{Collective, TransferKind};
+            let mut sched = Schedule::new(8, Collective::Allgather, "test", 0);
+            let list = (0..blocks).map(BlockId::Segment).collect();
+            sched.push_step(Step {
+                messages: vec![Message::new(0, 1, list, TransferKind::Copy, 8)],
+            });
+            let seg = sched.segmented(chunks);
+            seg.messages().map(|(_, m)| m.blocks.len()).collect()
+        };
+        assert_eq!(sizes(8, 4), vec![2, 2, 2, 2]);
+        assert_eq!(sizes(7, 4), vec![2, 2, 2, 1]);
+        assert_eq!(sizes(2, 4), vec![1, 1]);
+        assert_eq!(sizes(1, 4), vec![1]);
     }
 
     #[test]

@@ -13,15 +13,23 @@
 //!   vector that does not match the rank count) are rejected, and with
 //!   the *right* diagnosis, not just any error.
 //!
+//! Beside them, the **lowering equalities** the serving path rests on: the
+//! fused `Schedule::compile_segmented(S)` is `segmented(S).compile()` in
+//! every field over the whole catalog, both synthesizers and the irregular
+//! builders, and the in-place `contiguity_of` is its sort-dedup-count
+//! definition.
+//!
 //! Builders panic (rather than return `None`) on unsupported rank counts,
 //! so every probe runs under `catch_unwind` — a skipped configuration is
 //! one the catalog genuinely cannot build, never a silenced failure.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use bine_sched::schedule::contiguity_of;
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, validate_schedule, Collective,
-    Schedule, SizeDist, ValidationError, IRREGULAR_COLLECTIVES,
+    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, validate_schedule,
+    BlockId, Collective, CompiledSchedule, Schedule, SizeDist, SynthSpec, TopologyView,
+    ValidationError, IRREGULAR_COLLECTIVES,
 };
 use proptest::prelude::*;
 
@@ -37,8 +45,154 @@ fn try_build(collective: Collective, name: &str, p: usize, root: usize) -> Optio
         .flatten()
 }
 
+/// Everything a [`CompiledSchedule`] holds but its `identity`, through the
+/// accessors executors and simulators read it by: the sends, the block
+/// indices, the four offset arrays (as the per-step, per-source and
+/// per-destination ranges they delimit), the interner in order, the name and
+/// the counts.
+fn fields(c: &CompiledSchedule) -> impl PartialEq + std::fmt::Debug + '_ {
+    let steps = 0..c.num_steps();
+    let sends: Vec<_> = (0..c.num_sends()).map(|i| *c.send(i)).collect();
+    let block_indices: Vec<u32> = sends
+        .iter()
+        .flat_map(|s| c.block_index_slice(s))
+        .copied()
+        .collect();
+    let step_ranges: Vec<_> = steps.clone().map(|s| c.step_send_range(s)).collect();
+    let per_rank = |s| (0..c.num_ranks).map(move |r| (c.sends_from(s, r), c.recvs_to(s, r)));
+    let rank_lists: Vec<_> = steps.flat_map(per_rank).collect();
+    let interner: Vec<_> = c.blocks().iter().collect();
+    let header = (c.num_ranks, c.collective, c.root, &c.algorithm, c.counts());
+    (
+        header,
+        sends,
+        block_indices,
+        step_ranges,
+        rank_lists,
+        interner,
+    )
+}
+
+/// The fused lowering of `sched` at every chunk count the tables use (and
+/// the odd one out) against the owned transform compiled.
+fn assert_fused_lowering_equals_the_reference(sched: &Schedule, what: &str) {
+    for chunks in [1usize, 2, 3, 4, 8, 16] {
+        let fused = sched.compile_segmented(chunks);
+        let reference = sched.segmented(chunks).compile();
+        assert_eq!(fields(&fused), fields(&reference), "{what} chunks={chunks}");
+    }
+}
+
+#[test]
+fn fused_lowering_equals_segment_then_compile_over_the_catalog() {
+    for collective in Collective::ALL {
+        for alg in algorithms(collective) {
+            for p in (2..=33).chain([64]) {
+                let roots: &[usize] = if collective.is_rooted() {
+                    &[0, 1]
+                } else {
+                    &[0]
+                };
+                for &root in roots {
+                    let Some(sched) = try_build(collective, alg.name(), p, root) else {
+                        continue;
+                    };
+                    let what = format!("{}/{} p={p} root={root}", collective.name(), alg.name());
+                    assert_fused_lowering_equals_the_reference(&sched, &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_lowering_equals_segment_then_compile_for_synthesized_and_irregular_schedules() {
+    for groups in [&[8usize, 8][..], &[4, 3, 5], &[2, 6]] {
+        let view = TopologyView::clustered(groups, (100.0, 0.3), (5.0, 25.0)).unwrap();
+        for collective in [
+            Collective::Broadcast,
+            Collective::Reduce,
+            Collective::Allreduce,
+        ] {
+            for id in synth_algorithms(collective, &view) {
+                let spec = SynthSpec::parse(id.name()).unwrap();
+                for root in [0, 1] {
+                    let Some(sched) = spec.synthesize(collective, &view, root) else {
+                        continue;
+                    };
+                    let what =
+                        format!("{}/{} {groups:?} root={root}", collective.name(), id.name());
+                    assert_fused_lowering_equals_the_reference(&sched, &what);
+                }
+            }
+        }
+    }
+    // `SizeDist::ALL` includes the one-heavy layout: every rank but one has
+    // a zero count.
+    for collective in IRREGULAR_COLLECTIVES {
+        for alg in irregular_algorithms(collective) {
+            for dist in SizeDist::ALL {
+                for p in [2usize, 7, 16, 17] {
+                    let counts = dist.counts(p, 0);
+                    let built = catch_unwind(AssertUnwindSafe(|| {
+                        build_irregular(collective, alg.name(), p, 0, &counts)
+                    }));
+                    let Some(sched) = built.ok().flatten() else {
+                        continue;
+                    };
+                    let what = format!(
+                        "{}v/{} {} p={p}",
+                        collective.name(),
+                        alg.name(),
+                        dist.name()
+                    );
+                    assert_fused_lowering_equals_the_reference(&sched, &what);
+                }
+            }
+        }
+    }
+}
+
+/// `Full`, a segment, or a pairwise block (the vendored proptest has no
+/// tuple strategies, so the pair is decoded from one draw).
+fn any_block() -> impl Strategy<Value = BlockId> {
+    let pair = |draw: u32| BlockId::Pairwise {
+        origin: draw / 24,
+        dest: draw % 24,
+    };
+    prop_oneof![
+        Just(BlockId::Full),
+        (0u32..24).prop_map(BlockId::Segment),
+        (0u32..24 * 24).prop_map(pair),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // `contiguity_of` counts runs in place when it can; on any block list —
+    // duplicates, descending stretches, `Full` mixed in — it is the number
+    // of maximal runs of consecutive values among the distinct indices.
+    #[test]
+    fn contiguity_is_the_run_count_of_the_sorted_distinct_indices(
+        blocks in prop::collection::vec(any_block(), 0..40),
+        ascending in 0u32..2,
+    ) {
+        let mut blocks = blocks;
+        if ascending == 1 {
+            blocks.sort();
+        }
+        let indices: std::collections::BTreeSet<u32> = blocks
+            .iter()
+            .filter_map(|b| match b {
+                BlockId::Full => None,
+                BlockId::Segment(i) => Some(*i),
+                BlockId::Pairwise { dest, .. } => Some(*dest),
+            })
+            .collect();
+        let runs = indices.iter().filter(|&&i| i == 0 || !indices.contains(&(i - 1))).count();
+        prop_assert_eq!(contiguity_of(&blocks, 24) as usize, runs.max(1), "{:?}", blocks);
+    }
 
     // Soundness: whatever the catalog builds — any collective, any
     // algorithm, any segmentation, any rank count (power of two or not),

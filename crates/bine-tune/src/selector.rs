@@ -328,8 +328,7 @@ impl Selector {
             return Some(hit);
         }
         let pick = &self.index.slot(slot_idx).pick;
-        let sched = self.index.providers.build(collective, pick, nodes, 0)?;
-        let compiled = Arc::new(sched.compile());
+        let compiled = Arc::new(self.index.providers.compile(collective, pick, nodes, 0)?);
         self.cache.insert(key, compiled.clone());
         Some(compiled)
     }

@@ -198,10 +198,10 @@ impl ServiceSelector {
             if winner == *committed {
                 Some((winner, score, None))
             } else {
-                let sched = index
+                let compiled = index
                     .providers()
-                    .build(key.collective, &winner, key.nodes, 0)?;
-                Some((winner, score, Some(Arc::new(sched.compile()))))
+                    .compile(key.collective, &winner, key.nodes, 0)?;
+                Some((winner, score, Some(Arc::new(compiled))))
             }
         }));
         let mut state = lock_any(shard);

@@ -95,9 +95,12 @@ impl Rung {
         }
     }
 
-    /// Builds this rung's schedule at `nodes` ranks (root 0) through the
-    /// index's provider set, so committed `synth:` picks rebuild exactly
-    /// like catalog ones. `None` when the rung does not exist for
+    /// Builds this rung's *base* schedule at `nodes` ranks (root 0) through
+    /// the index's provider set, so committed `synth:` picks rebuild exactly
+    /// like catalog ones, and returns it with the pick's pipeline chunk
+    /// count: callers lower the pair in one pass
+    /// ([`Schedule::compile_segmented`]) instead of materialising the
+    /// segmented schedule. `None` when the rung does not exist for
     /// `collective` or its pick is not buildable at this rank count.
     ///
     /// # Panics
@@ -109,9 +112,9 @@ impl Rung {
         index: &SelectorIndex,
         collective: Collective,
         nodes: usize,
-    ) -> Option<Schedule> {
+    ) -> Option<(Schedule, usize)> {
         let pick = self.pick(index, collective)?;
-        index.providers().build(collective, pick, nodes, 0)
+        index.providers().build_base(collective, pick, nodes, 0)
     }
 
     /// Stripe-hash contribution of the rung (spread only — equality is the

@@ -409,8 +409,8 @@ impl ServiceSelector {
                         attempt,
                     });
                 }
-                let sched = rung.build(index, collective, nodes)?;
-                Some(Arc::new(sched.compile()))
+                let (base, chunks) = rung.build(index, collective, nodes)?;
+                Some(Arc::new(base.compile_segmented(chunks)))
             });
             if let Resolved::Served(answer) = resolved {
                 return answer;

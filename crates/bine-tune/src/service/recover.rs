@@ -117,7 +117,8 @@ impl ServiceSelector {
             .get(sys)?
             .slot_index(collective, nodes, bytes)?;
         let ladder = ladder::rungs(slot, bytes);
-        let (key, sched, compiled) = self.first_buildable(sys, collective, nodes, &ladder[..1])?;
+        let (key, sched, _, compiled) =
+            self.first_buildable(sys, collective, nodes, &ladder[..1])?;
         let w = Workload::for_schedule(&sched, elems_per_block);
         let error = match pool.try_run_with_dead(&compiled, w.initial_state(&sched), dead) {
             Ok(finals) => return Some(Ok(Served::Full(finals))),
@@ -135,7 +136,7 @@ impl ServiceSelector {
         }
         let map = RankMap::dense(nodes, dead);
         let survivors = map.num_survivors();
-        let Some((key, schedule, compiled)) =
+        let Some((key, base, chunks, compiled)) =
             self.first_buildable(sys, collective, survivors, &ladder)
         else {
             // No rung builds over this survivor count — the rooted
@@ -143,8 +144,8 @@ impl ServiceSelector {
             // unrecoverable and surfaces as the original typed error.
             return Some(Err(error));
         };
-        let w = Workload::for_schedule(&schedule, elems_per_block);
-        let finals = match pool.try_run(&compiled, w.initial_state(&schedule)) {
+        let w = Workload::for_schedule(&base, elems_per_block);
+        let finals = match pool.try_run(&compiled, w.initial_state(&base)) {
             Ok(finals) => finals,
             Err(e) => return Some(Err(e)),
         };
@@ -157,7 +158,13 @@ impl ServiceSelector {
         Some(Ok(Served::Recovered(Recovery {
             finals,
             map,
-            schedule,
+            // The report, not the serving path: the one place a segmented
+            // schedule is materialised.
+            schedule: if chunks > 1 {
+                base.segmented(chunks)
+            } else {
+                base
+            },
             pick,
             error,
         })))
@@ -186,27 +193,30 @@ impl ServiceSelector {
     }
 
     /// Walks `rungs` at `nodes` ranks until one builds, and resolves that
-    /// rung's cache line (compiled under single-flight on a miss). The
-    /// caller needs the [`Schedule`] itself — for the workload and the
-    /// [`Recovery`] report — so it is built here, outside the cache; only
-    /// the compile is shared. Every probe runs under `catch_unwind`: some
-    /// builders assert rather than return `None` on an unsupported rank
-    /// count, and a shrink almost always lands on one.
+    /// rung's cache line (lowered under single-flight on a miss). The caller
+    /// needs the base [`Schedule`] and its chunk count themselves — for the
+    /// workload and the [`Recovery`] report — so they are built here,
+    /// outside the cache; only the lowering is shared. Every probe runs
+    /// under `catch_unwind`: some builders assert rather than return `None`
+    /// on an unsupported rank count, and a shrink almost always lands on
+    /// one.
     fn first_buildable(
         &self,
         sys: usize,
         collective: Collective,
         nodes: usize,
         rungs: &[Rung],
-    ) -> Option<(Key, Schedule, Arc<CompiledSchedule>)> {
+    ) -> Option<(Key, Schedule, usize, Arc<CompiledSchedule>)> {
         let index = &self.systems[sys];
         rungs.iter().find_map(|&rung| {
-            let sched = catch_unwind(AssertUnwindSafe(|| rung.build(index, collective, nodes)))
-                .ok()
-                .flatten()?;
+            let (base, chunks) =
+                catch_unwind(AssertUnwindSafe(|| rung.build(index, collective, nodes)))
+                    .ok()
+                    .flatten()?;
             let key = Key::new(sys, collective, nodes, rung);
-            match self.resolve(key, Guard::Off, &|_| Some(Arc::new(sched.compile()))) {
-                Resolved::Served(Some(compiled)) => Some((key, sched, compiled)),
+            let lower = |_| Some(Arc::new(base.compile_segmented(chunks)));
+            match self.resolve(key, Guard::Off, &lower) {
+                Resolved::Served(Some(compiled)) => Some((key, base, chunks, compiled)),
                 _ => None,
             }
         })

@@ -455,8 +455,7 @@ impl Tuner {
                 if !self.compiled.contains_key(&key) {
                     self.ensure_schedule(collective, base, nodes);
                     let compiled = self.schedules[&(collective, base.to_string(), nodes)]
-                        .segmented(chunks)
-                        .compile();
+                        .compile_segmented(chunks);
                     self.compiled.insert(key.clone(), compiled);
                 }
                 let compiled = &self.compiled[&key];
