@@ -201,11 +201,14 @@ fn bench_synth(records: &mut Records, p: usize, iters: usize) {
 
 /// DES ns/op on the tuner's workload shape: the optimized arena-backed
 /// simulator (`/sim/`, hard-gated by `gate perf` like the compiled
-/// executors) and the from-scratch reference (`/sim-reference/`, an ungated
-/// baseline). The configuration — BineLarge allreduce on the LUMI dragonfly
-/// under the tuning tables' pinned fragmented placement (seed 42) — is what
-/// the DES refinement stage simulates thousands of times: asymmetric routes
-/// make flow completions stagger, so the fair-share recomputation (the hot
+/// executors), the same request on a fresh arena (`/sim-cold/`, gated:
+/// static resolution, dependency derivation and one simulation — what the
+/// tuner pays once per candidate) and the from-scratch reference
+/// (`/sim-reference/`, an ungated baseline). The configuration — BineLarge
+/// allreduce on the LUMI dragonfly under the tuning tables' pinned
+/// fragmented placement (seed 42) — is what the DES refinement stage
+/// simulates thousands of times: asymmetric routes make flow completions
+/// stagger, so the fair-share recomputation (the hot
 /// path the incremental optimization targets) dominates.
 fn bench_sim(records: &mut Records, p: usize, iters: usize) {
     let model = CostModel::default();
@@ -219,6 +222,11 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
     records.time(format!("allreduce-bine-large/sim/{p}"), iters, || {
         sim::SimRequest::new(&model, &compiled_sched, n, topo, &alloc)
             .arena(&mut arena)
+            .time_only()
+            .run();
+    });
+    records.time(format!("allreduce-bine-large/sim-cold/{p}"), iters, || {
+        sim::SimRequest::new(&model, &compiled_sched, n, topo, &alloc)
             .time_only()
             .run();
     });
@@ -245,10 +253,10 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 /// synthesized data plane (multilevel provider allreduce on the
 /// heterogeneous island view: gated `/compiled/` and `/sim/` entries,
 /// ungated `/synthesize/` build cost) — plus the discrete-event simulator —
-/// optimized fast path (`/sim/`, gated by `gate perf`) against the
-/// from-scratch reference (`/sim-reference/`, context only) at
-/// p ∈ {64, 256} — plus the selection serving layer at
-/// `available_parallelism` workers (gated `/serve/` aggregate ns/request of
+/// optimized fast path, arena-warm (`/sim/`) and on a fresh arena
+/// (`/sim-cold/`), both gated by `gate perf`, against the from-scratch
+/// reference (`/sim-reference/`, context only) at p ∈ {64, 256} — plus the
+/// selection serving layer at `available_parallelism` workers (gated `/serve/` aggregate ns/request of
 /// the concurrent `ServiceSelector`; ungated `/serve-latency/` p99 and p999
 /// tails and single-threaded `/serial/` baseline, see `bine_bench::serve`) —
 /// plus the adaptive feedback loop (gated `/adaptive/` observe and

@@ -95,6 +95,7 @@ pub fn is_gated(name: &str) -> bool {
         || name.contains("/lower-")
         || name.contains("/pool/")
         || name.contains("/sim/")
+        || name.contains("/sim-cold/")
         || name.contains("/serve/")
         || name.contains("/adaptive/"))
         && !health_counter
@@ -283,6 +284,7 @@ mod tests {
     fn only_compiled_one_lane_pool_lowering_des_and_serve_entries_are_gated() {
         assert!(is_gated("allreduce-bine-large/compiled/256"));
         assert!(is_gated("allreduce-bine-large/sim/256"));
+        assert!(is_gated("allreduce-bine-large/sim-cold/256"));
         assert!(is_gated("select-mix/serve/worker-ns-per-req"));
         assert!(!is_gated("allreduce-bine-large/reference/256"));
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));

@@ -440,6 +440,15 @@ impl CompiledSchedule {
         }
     }
 
+    /// Bytes the send with global index `index` carries at vector size `n`:
+    /// the sizes of its blocks, summed.
+    pub fn send_bytes(&self, index: usize, n: u64) -> u64 {
+        let blocks = self.block_index_slice(&self.sends[index]).iter();
+        blocks
+            .map(|&b| self.block_bytes(self.blocks.resolve(b), n))
+            .sum()
+    }
+
     /// Number of distinct blocks referenced anywhere in the schedule.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
@@ -473,6 +482,13 @@ impl CompiledSchedule {
         let lo = self.send_offsets[row] as usize;
         let hi = self.send_offsets[row + 1] as usize;
         &self.sends[lo..hi]
+    }
+
+    /// The global send indices of [`CompiledSchedule::sends_from`], in the
+    /// order the rank's single send port issues them.
+    pub(crate) fn send_range_from(&self, step: usize, rank: usize) -> Range<usize> {
+        let row = step * (self.num_ranks + 1) + rank;
+        self.send_offsets[row] as usize..self.send_offsets[row + 1] as usize
     }
 
     /// Global send indices targeting `rank` in `step`, in schedule order —

@@ -20,10 +20,9 @@
 //!   rejected as a duplicate contribution; and at the end every rank must
 //!   satisfy the collective's postcondition (counts-aware: zero-count
 //!   segments of a v-variant are exempt).
-//! * **deadlock-freedom** ([`ScheduleValidator::check_acyclic`]) — rebuilds
-//!   the exact dependency graph the DES executes (read-after-write edges,
-//!   chained writes per block, per-rank FIFO send ports) and runs a
-//!   topological check over it.
+//! * **deadlock-freedom** ([`ScheduleValidator::check_acyclic`]) — a
+//!   topological elimination of the [`DepGraph`] the DES executes (read
+//!   edges, chained writes per block, per-rank FIFO send ports).
 //! * **well-formedness** ([`ScheduleValidator::check_well_formed`]) — ranks
 //!   and block indices in range, non-empty block lists, at most one network
 //!   send and one network receive per rank per step (single-ported model),
@@ -46,6 +45,7 @@
 use std::collections::HashMap;
 
 use crate::compile::CompiledSchedule;
+use crate::deps::DepGraph;
 use crate::schedule::{BlockId, Collective, Schedule, TransferKind};
 
 /// A set of ranks, used to track which ranks' contributions a block
@@ -492,80 +492,34 @@ impl<'a> ScheduleValidator<'a> {
         Ok(())
     }
 
-    /// Deadlock-freedom: rebuilds the dependency graph the DES executes —
-    /// read-after-write edges, chained writes per `(rank, block)`, per-rank
-    /// FIFO send ports — and verifies it is acyclic by a topological
-    /// elimination (Kahn's algorithm over the compiled CSR).
+    /// Deadlock-freedom: Kahn's elimination over the [`DepGraph`] the DES
+    /// executes — read edges, chained-write edges and the per-rank FIFO
+    /// queues. Every edge of a derived graph points to a higher send index
+    /// (see [`crate::deps`]), so this holds for whatever `compile` emits.
     pub fn check_acyclic(&self) -> Result<(), ValidationError> {
-        let c = self.c;
-        let p = c.num_ranks;
-        let num_sends = c.num_sends();
-        // in-degree per send + forward adjacency, mirroring the DES's static
-        // dependency analysis (sends read the pre-step state, writes to the
-        // same block chain, one send port per rank).
-        let mut indeg = vec![0u32; num_sends];
-        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); num_sends];
-        let mut latest_write: Vec<HashMap<u32, u32>> = vec![HashMap::new(); p];
-        let mut last_send_of: Vec<Option<u32>> = vec![None; p];
-        for step in 0..c.num_steps() {
-            let range = c.step_send_range(step);
-            for i in range.clone() {
-                let s = c.send(i);
-                let mut push_dep = |w: u32| {
-                    if !edges[w as usize].contains(&(i as u32)) {
-                        edges[w as usize].push(i as u32);
-                        indeg[i] += 1;
-                    }
-                };
-                // Read-after-write at the sender.
-                for &b in c.block_index_slice(s) {
-                    if let Some(&w) = latest_write[s.src as usize].get(&b) {
-                        push_dep(w);
-                    }
-                }
-                // FIFO send port at the sender.
-                if let Some(prev) = last_send_of[s.src as usize] {
-                    push_dep(prev);
-                }
-                last_send_of[s.src as usize] = Some(i as u32);
-            }
-            for i in range {
-                let s = c.send(i);
-                let dst = s.dst as usize;
-                // Chained writes at the destination.
-                for &b in c.block_index_slice(s) {
-                    if let Some(&w) = latest_write[dst].get(&b) {
-                        if w != i as u32 && !edges[w as usize].contains(&(i as u32)) {
-                            edges[w as usize].push(i as u32);
-                            indeg[i] += 1;
-                        }
-                    }
-                }
-                for &b in c.block_index_slice(s) {
-                    latest_write[dst].insert(b, i as u32);
-                }
-            }
+        let graph = DepGraph::derive(self.c);
+        let total = graph.num_sends();
+        let degrees = graph.read_indegrees().iter().zip(graph.write_indegrees());
+        let mut indeg: Vec<u32> = degrees.map(|(reads, writes)| reads + writes).collect();
+        let mut behind = vec![None; total];
+        for pair in (0..graph.num_ranks()).flat_map(|r| graph.rank_sends(r).windows(2)) {
+            behind[pair[0] as usize] = Some(pair[1]);
+            indeg[pair[1] as usize] += 1;
         }
-        let mut queue: Vec<u32> = (0..num_sends as u32)
-            .filter(|&i| indeg[i as usize] == 0)
-            .collect();
-        let mut resolved = 0usize;
-        while let Some(i) = queue.pop() {
+        let roots = (0..total as u32).filter(|&i| indeg[i as usize] == 0);
+        let (mut ready, mut resolved): (Vec<u32>, usize) = (roots.collect(), 0);
+        while let Some(i) = ready.pop() {
             resolved += 1;
-            for &d in &edges[i as usize] {
+            let (reads, writes) = (graph.read_dependents(i), graph.write_dependents(i));
+            for &d in reads.iter().chain(writes).chain(&behind[i as usize]) {
                 indeg[d as usize] -= 1;
                 if indeg[d as usize] == 0 {
-                    queue.push(d);
+                    ready.push(d);
                 }
             }
         }
-        if resolved != num_sends {
-            return Err(ValidationError::CyclicDependency {
-                resolved,
-                total: num_sends,
-            });
-        }
-        Ok(())
+        let cyclic = ValidationError::CyclicDependency { resolved, total };
+        (resolved == total).then_some(()).ok_or(cyclic)
     }
 
     /// Byte and message conservation against an independently measured
@@ -587,12 +541,7 @@ impl<'a> ScheduleValidator<'a> {
                     continue;
                 }
                 messages += 1;
-                bytes += self
-                    .c
-                    .block_index_slice(s)
-                    .iter()
-                    .map(|&b| self.c.block_bytes(self.c.blocks().resolve(b), n))
-                    .sum::<u64>();
+                bytes += self.c.send_bytes(i, n);
             }
         }
         if bytes != reported_bytes {
