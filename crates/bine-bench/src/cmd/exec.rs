@@ -110,9 +110,13 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
     records.time(format!("{label}/pool-lanes/{p}"), iters, || {
         global.run(&compiled_sched, initial.clone());
     });
-    // Lowering cost, paid once per schedule (both gated): unsegmented at
-    // every size, and at the 16 pipeline chunks the LUMI table serves this
-    // allreduce with above 1 MiB — the base is built outside the clock.
+    // What the schedule costs before any executor sees it (all gated): the
+    // builder, then lowering — unsegmented at every size, and at the 16
+    // pipeline chunks the LUMI table serves this allreduce with above 1 MiB
+    // (the base is built outside the clock).
+    records.time(format!("{label}/build/{p}"), iters, || {
+        allreduce(p, AllreduceAlg::BineLarge);
+    });
     records.time(format!("{label}/compile/{p}"), iters, || {
         sched.compile();
     });
@@ -162,6 +166,12 @@ fn bench_new_paths(records: &mut Records, p: usize, iters: usize) {
     for (label, sched) in &cases {
         bench_executors(records, label, sched, &initial_state(sched), iters);
     }
+    // The store-and-forward builder moves p² held blocks through every one
+    // of its log p steps: the build whose bookkeeping can outweigh its
+    // output (gated).
+    records.time(format!("alltoall-bine/build/{p}"), iters, || {
+        alltoall(p, AlltoallAlg::Bine);
+    });
 }
 
 /// The synthesized data plane: the multilevel provider's allreduce on the
@@ -245,11 +255,12 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 ///
 /// Measures ns/op of the four executors on the BineLarge allreduce at
 /// p ∈ {64, 256, 1024} (the pool twice: gated `/pool/` at one lane, ungated
-/// `/pool-lanes/` at the runner's parallelism) and what lowering it costs
-/// (gated `/compile/` at each size, `/lower-seg16/256` at 16 pipeline
-/// chunks), plus the post-seed collective surfaces at p = 256 —
-/// dual-root pipelined allreduce, two irregular v-variant schedules and the
-/// Bine alltoall, each with a gated `/compiled/` entry — plus the
+/// `/pool-lanes/` at the runner's parallelism) and what building and
+/// lowering it cost (gated `/build/` and `/compile/` at each size,
+/// `/lower-seg16/256` at 16 pipeline chunks), plus the post-seed collective
+/// surfaces at p = 256 — dual-root pipelined allreduce, two irregular
+/// v-variant schedules and the Bine alltoall, each with a gated `/compiled/`
+/// entry, the alltoall with a gated `/build/` as well — plus the
 /// synthesized data plane (multilevel provider allreduce on the
 /// heterogeneous island view: gated `/compiled/` and `/sim/` entries,
 /// ungated `/synthesize/` build cost) — plus the discrete-event simulator —

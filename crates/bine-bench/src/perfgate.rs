@@ -12,10 +12,11 @@
 //! model the 512-node tuning horizon depends on) or **serving-layer
 //! throughput** entry (name containing `/serve/` — the worker-normalized
 //! ns/request of the concurrent `ServiceSelector` request path, the
-//! core-count-robust statistic) or **lowering** entry (name containing
-//! `/compile/` or `/lower-` — what every cache miss of the serving layer
-//! and every candidate of the tuner pays to turn a built schedule into the
-//! compiled form, unsegmented and at `S` pipeline chunks) regresses by more
+//! core-count-robust statistic) or **build** or **lowering** entry (name
+//! containing `/build/`, `/compile/` or `/lower-` — what every cache miss of
+//! the serving layer and every candidate of the tuner pays for a schedule
+//! and to turn it into the compiled form, unsegmented and at `S` pipeline
+//! chunks) regresses by more
 //! than the threshold, the gate fails and CI goes red. Interpreter baselines
 //! (`reference`, `sequential`, `sim-reference`, the single-threaded
 //! `/serial/` selector), the pool at the runner's parallelism
@@ -91,6 +92,7 @@ pub fn is_gated(name: &str) -> bool {
         )
     });
     (name.contains("/compiled/")
+        || name.contains("/build/")
         || name.contains("/compile/")
         || name.contains("/lower-")
         || name.contains("/pool/")
@@ -290,6 +292,7 @@ mod tests {
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));
         assert!(is_gated("allreduce-bine-large/pool/256"));
         assert!(!is_gated("allreduce-bine-large/pool-lanes/256"));
+        assert!(is_gated("allreduce-bine-large/build/256"));
         assert!(is_gated("allreduce-bine-large/compile/256"));
         assert!(is_gated("allreduce-bine-large/lower-seg16/256"));
         assert!(!is_gated("allreduce-synth-multilevel/synthesize/256"));

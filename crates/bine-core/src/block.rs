@@ -210,10 +210,11 @@ mod tests {
             let bf = Butterfly::new(ButterflyKind::BineDistanceDoubling, p);
             let resp = bf.responsibilities();
             let perm = nu_bit_reversal_permutation(p);
-            for (step, step_resp) in resp.iter().enumerate().take(s as usize) {
+            for step in 0..s {
                 for r in 0..p {
-                    let q = bf.partner(r, step as u32);
-                    let sent: Vec<u32> = step_resp[q]
+                    let q = bf.partner(r, step);
+                    let sent: Vec<u32> = resp
+                        .of(step, q)
                         .iter()
                         .map(|&b| perm[b as usize] as u32)
                         .collect();

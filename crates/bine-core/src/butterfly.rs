@@ -145,32 +145,79 @@ impl Butterfly {
     /// The "responsibility sets" used by vector-halving collectives
     /// (reduce-scatter and its inverses).
     ///
-    /// `responsibility(step)[r]` is the set of block indices that rank `r`
-    /// must still hold *after* exchanging at `step`, computed backwards from
-    /// the final state where each rank holds exactly its own block. At step
-    /// `step`, a rank sends to its partner the blocks in the partner's
+    /// `responsibilities().of(step, r)` is the set of block indices that rank
+    /// `r` must still hold *after* exchanging at `step`, computed backwards
+    /// from the final state where each rank holds exactly its own block. At
+    /// step `step`, a rank sends to its partner the blocks in the partner's
     /// responsibility set and keeps its own.
-    pub fn responsibilities(&self) -> Vec<Vec<Vec<u32>>> {
-        let p = self.p;
-        let s = self.s as usize;
+    pub fn responsibilities(&self) -> Responsibilities {
+        let (p, s) = (self.p, self.s);
+        let mut table = Responsibilities {
+            p,
+            steps: s,
+            blocks: vec![0; p * (p - 1)],
+        };
         if s == 0 {
-            return Vec::new();
+            return table;
         }
-        // after[step][r] = blocks r is responsible for after step `step`.
-        let mut after: Vec<Vec<Vec<u32>>> = vec![Vec::new(); s];
-        after[s - 1] = (0..p).map(|r| vec![r as u32]).collect();
+        let last = table.start(s - 1, 0);
+        for (r, own) in table.blocks[last..].iter_mut().enumerate() {
+            *own = r as u32;
+        }
         for step in (0..s - 1).rev() {
-            let next = &after[step + 1];
-            after[step] = (0..p)
-                .map(|r| {
-                    let q = self.partner(r, (step + 1) as u32);
-                    let mut set: Vec<u32> = next[r].iter().chain(next[q].iter()).copied().collect();
-                    set.sort_unstable();
-                    set
-                })
-                .collect();
+            // A rank answers after `step` for what it and its next partner
+            // answer for after `step + 1`; the later steps' sets lie behind
+            // this step's in the table.
+            let half = table.set_len(step + 1);
+            let (sets, later) = (table.start(step, 0), table.start(step + 1, 0));
+            let (before, later) = table.blocks.split_at_mut(later);
+            for (r, set) in before[sets..].chunks_exact_mut(2 * half).enumerate() {
+                let q = self.partner(r, step + 1);
+                set[..half].copy_from_slice(&later[r * half..][..half]);
+                set[half..].copy_from_slice(&later[q * half..][..half]);
+                set.sort_unstable();
+            }
         }
-        after
+        table
+    }
+}
+
+/// The responsibility sets of a [`Butterfly`], every step's and every rank's
+/// in one table (see [`Butterfly::responsibilities`]).
+///
+/// After step `i` a rank answers for `p / 2^(i+1)` blocks, so step `i`'s `p`
+/// sets take `p · p / 2^(i+1)` entries and start `p · (p − p / 2^i)` entries
+/// in: set boundaries are arithmetic, and the table is a single allocation
+/// of `p · (p − 1)` block indices.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Responsibilities {
+    p: usize,
+    steps: u32,
+    blocks: Vec<u32>,
+}
+
+impl Responsibilities {
+    /// Number of steps `s` of the butterfly (0 for a single rank).
+    pub fn num_steps(&self) -> u32 {
+        self.steps
+    }
+
+    /// Blocks rank `r` is responsible for after `step`, ascending.
+    ///
+    /// # Panics
+    /// Panics if `r ≥ p` or `step ≥ s`.
+    pub fn of(&self, step: u32, r: usize) -> &[u32] {
+        assert!(r < self.p, "rank {r} out of range for p = {}", self.p);
+        assert!(step < self.steps, "step {step} out of range");
+        &self.blocks[self.start(step, r)..][..self.set_len(step)]
+    }
+
+    fn set_len(&self, step: u32) -> usize {
+        self.p >> (step + 1)
+    }
+
+    fn start(&self, step: u32, r: usize) -> usize {
+        self.p * (self.p - (self.p >> step)) + r * self.set_len(step)
     }
 }
 
@@ -277,22 +324,48 @@ mod tests {
     }
 
     #[test]
+    fn responsibilities_follow_the_backward_recursion() {
+        // The definition, set by set: own block after the last step, and
+        // before that the sorted union with the next partner's set.
+        for &kind in &ButterflyKind::ALL {
+            for s in 0..=6u32 {
+                let bf = Butterfly::new(kind, 1usize << s);
+                let resp = bf.responsibilities();
+                assert_eq!(resp.num_steps(), s);
+                for step in 0..s {
+                    for r in 0..bf.num_ranks() {
+                        let mut expected = vec![r as u32];
+                        if step + 1 < s {
+                            let q = bf.partner(r, step + 1);
+                            expected = resp.of(step + 1, r).to_vec();
+                            expected.extend_from_slice(resp.of(step + 1, q));
+                            expected.sort_unstable();
+                        }
+                        assert_eq!(resp.of(step, r), expected, "{kind:?} s={s} step={step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn responsibilities_partition_blocks() {
         for &kind in &ButterflyKind::ALL {
             let p = 32;
             let bf = Butterfly::new(kind, p);
             let resp = bf.responsibilities();
+            assert_eq!(resp.num_steps(), bf.num_steps());
             // After the last step each rank owns exactly its own block.
-            for (r, owned) in resp[bf.num_steps() as usize - 1].iter().enumerate() {
-                assert_eq!(owned, &vec![r as u32]);
+            for r in 0..p {
+                assert_eq!(resp.of(bf.num_steps() - 1, r), [r as u32]);
             }
             // Before the first exchange, the blocks a pair is jointly
             // responsible for partition into the two halves they keep.
-            for (step, step_resp) in resp.iter().enumerate() {
+            for step in 0..resp.num_steps() {
                 for r in 0..p {
-                    let q = bf.partner(r, step as u32);
-                    let mine: HashSet<u32> = step_resp[r].iter().copied().collect();
-                    let theirs: HashSet<u32> = step_resp[q].iter().copied().collect();
+                    let q = bf.partner(r, step);
+                    let mine: HashSet<u32> = resp.of(step, r).iter().copied().collect();
+                    let theirs: HashSet<u32> = resp.of(step, q).iter().copied().collect();
                     assert!(mine.is_disjoint(&theirs), "step {step} rank {r}");
                 }
             }

@@ -99,18 +99,22 @@ pub trait CommTree {
             .collect()
     }
 
-    /// All ranks in the subtree rooted at `r`, including `r` itself.
-    fn subtree(&self, r: usize) -> Vec<usize> {
-        let mut out = vec![r];
-        let mut frontier = vec![r];
-        while let Some(x) = frontier.pop() {
-            for (_, c) in self.children(x) {
-                out.push(c);
-                frontier.push(c);
-            }
+    /// Writes all ranks in the subtree rooted at `r`, `r` included, into
+    /// `ranks` in ascending order; the buffer is cleared first. Builders hold
+    /// one buffer across the ranks of a tree, so listing a subtree does not
+    /// allocate once the buffer has grown to the largest one.
+    fn subtree(&self, r: usize, ranks: &mut Vec<usize>) {
+        ranks.clear();
+        ranks.push(r);
+        // The list is its own frontier: every rank behind `visited` still
+        // has its children to add.
+        let mut visited = 0;
+        while let Some(&x) = ranks.get(visited) {
+            visited += 1;
+            let steps = self.first_send_step(x)..self.num_steps();
+            ranks.extend(steps.filter_map(|step| self.partner(x, step)));
         }
-        out.sort_unstable();
-        out
+        ranks.sort_unstable();
     }
 }
 
@@ -462,14 +466,16 @@ mod tests {
         assert_eq!(reached.len(), p, "broadcast did not reach all ranks");
 
         // The subtree rooted at the root is the whole rank set.
-        assert_eq!(tree.subtree(root).len(), p);
+        let mut sub = Vec::new();
+        tree.subtree(root, &mut sub);
+        assert_eq!(sub, (0..p).collect::<Vec<_>>());
 
         // Subtree sizes are consistent: sum over the root's children + 1 = p.
-        let sum: usize = tree
-            .children(root)
-            .iter()
-            .map(|&(_, c)| tree.subtree(c).len())
-            .sum();
+        let mut sum = 0;
+        for (_, c) in tree.children(root) {
+            tree.subtree(c, &mut sub);
+            sum += sub.len();
+        }
         assert_eq!(sum + 1, p);
     }
 
@@ -510,7 +516,10 @@ mod tests {
         let p = 16;
         let tree = BineTreeDh::new(p, 0);
         let prefix = rank2nb(8, p) >> 2;
-        for r in tree.subtree(8) {
+        let mut sub = Vec::new();
+        tree.subtree(8, &mut sub);
+        assert!(sub.len() > 1);
+        for r in sub {
             assert_eq!(rank2nb(r, p) >> 2, prefix, "rank {r}");
         }
     }
@@ -591,8 +600,9 @@ mod tests {
         // contiguous rank ranges, unlike distance-doubling Bine subtrees.
         let p = 64;
         let tree = BineTreeDh::new(p, 0);
+        let mut sub = Vec::new();
         for r in 0..p {
-            let sub = tree.subtree(r);
+            tree.subtree(r, &mut sub);
             // Check circular contiguity: the ranks, viewed on the circle,
             // form one contiguous arc.
             let set: HashSet<usize> = sub.iter().copied().collect();

@@ -89,8 +89,11 @@ proptest! {
         let root = root_seed % p;
         let tree = build_tree(kind, p, root);
         let mut seen: HashSet<usize> = HashSet::from([root]);
+        let mut sub = Vec::new();
         for (_, child) in tree.children(root) {
-            for r in tree.subtree(child) {
+            tree.subtree(child, &mut sub);
+            prop_assert!(sub.windows(2).all(|w| w[0] < w[1]), "subtree of {} not ascending", child);
+            for &r in &sub {
                 prop_assert!(seen.insert(r), "rank {} appears in two subtrees", r);
             }
         }
@@ -128,17 +131,19 @@ proptest! {
     fn butterfly_responsibilities_form_a_partition(kind in butterfly_kind(), p in (1u32..=7).prop_map(|s| 1usize << s)) {
         let bf = Butterfly::new(kind, p);
         let resp = bf.responsibilities();
-        for (step, step_resp) in resp.iter().enumerate() {
+        for step in 0..resp.num_steps() {
             // At every step the responsibility sets of all ranks cover every
             // block the "right" number of times: block b appears in exactly
             // 2^(s−1−step) responsibility sets.
             let mut count = vec![0usize; p];
-            for rank_resp in step_resp {
-                for &b in rank_resp {
+            for r in 0..p {
+                let set = resp.of(step, r);
+                prop_assert!(set.windows(2).all(|w| w[0] < w[1]), "step {} rank {}", step, r);
+                for &b in set {
                     count[b as usize] += 1;
                 }
             }
-            let expected = 1usize << (bf.num_steps() as usize - 1 - step);
+            let expected = 1usize << (bf.num_steps() - 1 - step);
             for (b, &c) in count.iter().enumerate() {
                 prop_assert_eq!(c, expected, "block {} step {}", b, step);
             }

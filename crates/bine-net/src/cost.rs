@@ -92,6 +92,7 @@ impl CostModel {
         let mut link_bytes = vec![0u64; topo.num_links()];
         let mut link_msgs = vec![0u32; topo.num_links()];
         let mut touched: Vec<usize> = Vec::new();
+        let mut route = Vec::new();
 
         for step in steps {
             if step.is_empty() {
@@ -115,7 +116,8 @@ impl CostModel {
                 let (src, dst) = (alloc.node_of(m.src), alloc.node_of(m.dst));
                 let mut path_latency = self.alpha_us
                     + self.segment_overhead_us * (m.segments.saturating_sub(1)) as f64;
-                for link in topo.route(src, dst) {
+                topo.route(src, dst, &mut route);
+                for &link in &route {
                     path_latency += topo.link(link).latency_us;
                     if link_msgs[link] == 0 {
                         touched.push(link);

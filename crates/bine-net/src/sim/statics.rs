@@ -116,6 +116,7 @@ pub(super) fn build_static(inputs: &Inputs<'_>) -> CachedStatic {
     let mut dst = Vec::with_capacity(num_sends);
     let mut kill_time = Vec::with_capacity(num_sends);
     let mut network_messages = 0u64;
+    let mut route = Vec::new();
     links_off.push(0);
     for i in 0..num_sends {
         let s = schedule.send(i);
@@ -130,7 +131,8 @@ pub(super) fn build_static(inputs: &Inputs<'_>) -> CachedStatic {
             .crash_time_us(s.src as usize)
             .min(plan.crash_time_us(s.dst as usize));
         if !is_local {
-            let route = topo.route(alloc.node_of(s.src as usize), alloc.node_of(s.dst as usize));
+            let (a, b) = (alloc.node_of(s.src as usize), alloc.node_of(s.dst as usize));
+            topo.route(a, b, &mut route);
             for &l in &route {
                 // A zero spike adds 0.0 — bit-exact for the non-negative
                 // latencies topologies produce.

@@ -8,6 +8,12 @@
 //! (inter-group, oversubscribed) versus *local*. Routes are minimal and
 //! deterministic; adaptive routing would only spread load further, so the
 //! reported global-traffic numbers are lower bounds exactly as in Sec. 5.1.1.
+//!
+//! A route is resolved into a buffer the caller owns
+//! ([`Topology::route`]; no form returns a list): the traffic accountant,
+//! both time models and the view derivation ask for one route per message
+//! or rank pair, and hold one buffer per call, so none of them allocates in
+//! proportion to the messages it looks at.
 
 use bine_core::torus::TorusShape;
 
@@ -50,8 +56,12 @@ pub trait Topology {
     fn num_links(&self) -> usize;
     /// Properties of a link.
     fn link(&self, link: LinkId) -> LinkInfo;
-    /// Links traversed by a message from `a` to `b` (empty when `a == b`).
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId>;
+    /// Writes the links a message from `a` to `b` traverses into `links`, in
+    /// traversal order: the buffer is cleared first and stays empty when
+    /// `a == b`. The caller owns the buffer and holds one across the
+    /// messages of a schedule, so resolving a route never allocates once the
+    /// buffer has grown to the longest route.
+    fn route(&self, a: NodeId, b: NodeId, links: &mut Vec<LinkId>);
     /// Human-readable name (e.g. `"dragonfly(24x124)"`).
     fn name(&self) -> String;
 
@@ -229,17 +239,18 @@ impl Topology for FatTree {
             self.global
         }
     }
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
+    fn route(&self, a: NodeId, b: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
         if a == b {
-            return Vec::new();
+            return;
         }
         let (ga, gb) = (self.group_of(a), self.group_of(b));
         if ga == gb {
-            vec![self.injection(a), self.injection(b)]
+            links.extend([self.injection(a), self.injection(b)]);
         } else {
             let up = self.uplink(ga, spread(a, b, self.uplinks_per_group));
             let down = self.uplink(gb, spread(b, a, self.uplinks_per_group));
-            vec![self.injection(a), up, down, self.injection(b)]
+            links.extend([self.injection(a), up, down, self.injection(b)]);
         }
     }
     fn name(&self) -> String {
@@ -305,11 +316,11 @@ impl Topology for IdealFullMesh {
     fn link(&self, _link: LinkId) -> LinkInfo {
         self.link
     }
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
-        if a == b {
-            return Vec::new();
+    fn route(&self, a: NodeId, b: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
+        if a != b {
+            links.push(a * self.num_nodes + b);
         }
-        vec![a * self.num_nodes + b]
     }
     fn name(&self) -> String {
         format!("ideal-full-mesh({})", self.num_nodes)
@@ -405,16 +416,17 @@ impl Topology for Dragonfly {
             global_link()
         }
     }
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
+    fn route(&self, a: NodeId, b: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
         if a == b {
-            return Vec::new();
+            return;
         }
         let (ga, gb) = (self.group_of(a), self.group_of(b));
         if ga == gb {
-            vec![self.injection(a), self.injection(b)]
+            links.extend([self.injection(a), self.injection(b)]);
         } else {
             let g = self.global(ga, gb, spread(a, b, self.global_links_per_pair));
-            vec![self.injection(a), g, self.injection(b)]
+            links.extend([self.injection(a), g, self.injection(b)]);
         }
     }
     fn name(&self) -> String {
@@ -482,31 +494,34 @@ impl Topology for Torus {
             latency_us: TORUS_LAT,
         }
     }
-    fn route(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
-        if a == b {
-            return Vec::new();
-        }
-        // Dimension-ordered routing along the shorter way around each ring.
-        let mut links = Vec::new();
-        let mut cur = self.shape.coords(a);
-        let target = self.shape.coords(b);
-        let dims = self.shape.dims().to_vec();
-        for d in 0..dims.len() {
-            let k = dims[d];
-            while cur[d] != target[d] {
-                let forward = (target[d] + k - cur[d]) % k;
-                let backward = (cur[d] + k - target[d]) % k;
-                let node = self.shape.rank(&cur);
-                if forward <= backward {
-                    links.push(self.link_id(node, d, 0));
-                    cur[d] = (cur[d] + 1) % k;
+    fn route(&self, a: NodeId, b: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
+        // Dimension-ordered routing along the shorter way around each ring
+        // (forward on a tie), walked on the node id itself: in the row-major
+        // numbering a hop along dimension `d` moves the id by that
+        // dimension's stride, so no coordinate vector is ever built.
+        let mut node = a;
+        let mut stride = self.shape.num_ranks();
+        for (d, &k) in self.shape.dims().iter().enumerate() {
+            stride /= k;
+            let (mut at, target) = ((node / stride) % k, (b / stride) % k);
+            let forward = (target + k - at) % k;
+            let (direction, hops) = if 2 * forward <= k {
+                (0, forward)
+            } else {
+                (1, k - forward)
+            };
+            for _ in 0..hops {
+                links.push(self.link_id(node, d, direction));
+                let next = if direction == 0 {
+                    (at + 1) % k
                 } else {
-                    links.push(self.link_id(node, d, 1));
-                    cur[d] = (cur[d] + k - 1) % k;
-                }
+                    (at + k - 1) % k
+                };
+                node = node - at * stride + next * stride;
+                at = next;
             }
         }
-        links
     }
     fn name(&self) -> String {
         let dims: Vec<String> = self.shape.dims().iter().map(|d| d.to_string()).collect();
@@ -528,13 +543,12 @@ mod tests {
         assert!(!ft.crosses_groups(0, 1));
         assert!(ft.crosses_groups(0, 2));
         // Intra-group route touches only local links.
-        assert!(ft
-            .route(0, 1)
-            .iter()
-            .all(|&l| ft.link(l).class == LinkClass::Local));
+        let mut links = Vec::new();
+        ft.route(0, 1, &mut links);
+        assert!(links.iter().all(|&l| ft.link(l).class == LinkClass::Local));
         // Inter-group route touches exactly two global links (up + down).
-        let globals = ft
-            .route(0, 4)
+        ft.route(0, 4, &mut links);
+        let globals = links
             .iter()
             .filter(|&&l| ft.link(l).class == LinkClass::Global)
             .count();
@@ -548,8 +562,9 @@ mod tests {
         assert_eq!(df.num_groups(), 24);
         let a = 0;
         let b = 3 * 124 + 17;
-        let route = df.route(a, b);
-        let globals = route
+        let mut links = Vec::new();
+        df.route(a, b, &mut links);
+        let globals = links
             .iter()
             .filter(|&&l| df.link(l).class == LinkClass::Global)
             .count();
@@ -561,17 +576,22 @@ mod tests {
     #[test]
     fn routes_are_symmetric_in_link_count() {
         let topo = Dragonfly::leonardo();
+        let (mut there, mut back) = (Vec::new(), Vec::new());
         for (a, b) in [(0, 1), (0, 500), (1000, 3000), (42, 42)] {
-            assert_eq!(topo.route(a, b).len(), topo.route(b, a).len());
+            topo.route(a, b, &mut there);
+            topo.route(b, a, &mut back);
+            assert_eq!(there.len(), back.len());
         }
     }
 
     #[test]
     fn torus_route_length_equals_hop_distance() {
         let torus = Torus::new(vec![4, 4, 4]);
+        let mut links = Vec::new();
         for a in [0, 5, 17, 63] {
             for b in [0, 9, 33, 62] {
-                assert_eq!(torus.route(a, b).len(), torus.shape().hop_distance(a, b));
+                torus.route(a, b, &mut links);
+                assert_eq!(links.len(), torus.shape().hop_distance(a, b));
             }
         }
     }
@@ -579,9 +599,11 @@ mod tests {
     #[test]
     fn torus_links_are_valid_ids() {
         let torus = Torus::new(vec![2, 8]);
+        let mut links = Vec::new();
         for a in 0..torus.num_nodes() {
             for b in 0..torus.num_nodes() {
-                for l in torus.route(a, b) {
+                torus.route(a, b, &mut links);
+                for &l in &links {
                     assert!(l < torus.num_links());
                 }
             }
@@ -595,10 +617,12 @@ mod tests {
             Box::new(Dragonfly::lumi()),
             Box::new(Dragonfly::leonardo()),
         ];
+        let mut links = Vec::new();
         for topo in &topos {
             let n = topo.num_nodes();
             for (a, b) in [(0, n - 1), (1, n / 2), (n / 3, n / 3 + 1)] {
-                for l in topo.route(a, b) {
+                topo.route(a, b, &mut links);
+                for &l in &links {
                     assert!(l < topo.num_links(), "{}", topo.name());
                 }
             }

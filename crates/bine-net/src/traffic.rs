@@ -70,6 +70,7 @@ pub fn measure(
         max_link_bytes: 0,
     };
     let mut per_link = vec![0u64; topo.num_links()];
+    let mut route = Vec::new();
     for (_, m) in schedule.messages() {
         if m.is_local() {
             continue;
@@ -82,7 +83,8 @@ pub fn measure(
             report.global_bytes += bytes;
             report.global_messages += 1;
         }
-        for link in topo.route(src, dst) {
+        topo.route(src, dst, &mut route);
+        for &link in &route {
             per_link[link] += bytes;
             match topo.link(link).class {
                 LinkClass::Local => report.local_link_bytes += bytes,

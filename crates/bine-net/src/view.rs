@@ -30,13 +30,14 @@ pub fn synth_view(topo: &dyn Topology, alloc: &Allocation) -> Result<TopologyVie
     let group_of: Vec<usize> = (0..p).map(|r| topo.group_of(alloc.node_of(r))).collect();
     let memory_bw = topo.max_link_bandwidth_gib_s().max(1.0) * 8.0;
     let mut edges = Vec::with_capacity(p * (p - 1) / 2);
+    let mut route = Vec::new();
     for a in 0..p {
         for b in a + 1..p {
             let (na, nb) = (alloc.node_of(a), alloc.node_of(b));
             let (bandwidth_gib_s, latency_us, tier) = if na == nb {
                 (memory_bw, 0.0, 0)
             } else {
-                let route = topo.route(na, nb);
+                topo.route(na, nb, &mut route);
                 let bw = route
                     .iter()
                     .map(|&l| topo.link(l).bandwidth_gib_s)

@@ -6,13 +6,31 @@
 //! guarantees that Bine and baseline schedules share exactly the same data
 //! semantics and differ only in *who talks to whom* — which is precisely the
 //! paper's claim.
+//!
+//! ## What a builder may allocate
+//!
+//! The result, and scratch in proportion to the rank count — never to the
+//! message count. The result is one block list per message and one message
+//! list per step, each sized before it is filled ([`Step::with_capacity`],
+//! block lists collected from slices). Scratch is what a builder tracks
+//! between steps, held across the whole build: one subtree buffer for the
+//! tree gathers and scatters, the butterfly's responsibility table, one
+//! `p × p` table of holdings for the butterfly allgather, two sets of `p`
+//! holding lists (this step's and the next's), one staging list and one sort
+//! buffer for the store-and-forward alltoalls. A step reads the holdings it started with and
+//! writes the next ones elsewhere, so nothing is cloned per step, and a
+//! message's contiguity is counted in place or in the shared sort buffer.
+//! `tests/build_alloc.rs` pins the count at `messages + steps + 3·p + 64` for
+//! every catalog algorithm; `tests/catalog_golden.rs` pins the schedules.
 
 use bine_core::block::nu_bit_reversal_permutation;
 use bine_core::butterfly::Butterfly;
 use bine_core::tree::CommTree;
 
 use crate::noncontig::NonContigStrategy;
-use crate::schedule::{BlockId, Collective, Message, Schedule, Step, TransferKind};
+use crate::schedule::{
+    contiguity_with, BlockId, Collective, Message, Schedule, Step, TransferKind,
+};
 
 /// Broadcast of the whole vector down a tree: at every tree step each active
 /// rank forwards the full vector to the child joining at that step.
@@ -20,7 +38,8 @@ pub fn tree_broadcast(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let mut sched = Schedule::new(p, Collective::Broadcast, algorithm, tree.root());
     for step in 0..tree.num_steps() {
-        let mut st = Step::new();
+        // Every rank reached so far forwards: the senders double per step.
+        let mut st = Step::with_capacity(1 << step);
         for r in 0..p {
             if step >= tree.first_send_step(r) && is_active(tree, r, step) {
                 if let Some(c) = tree.partner(r, step) {
@@ -48,7 +67,7 @@ pub fn tree_reduce(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Reduce, algorithm, tree.root());
     for gather_step in 0..s {
         let tree_step = s - 1 - gather_step;
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(1 << tree_step);
         for r in 0..p {
             if tree.recv_step(r) == Some(tree_step) {
                 let parent = tree.parent(r).expect("non-root rank has a parent");
@@ -72,17 +91,15 @@ pub fn tree_gather(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let s = tree.num_steps();
     let mut sched = Schedule::new(p, Collective::Gather, algorithm, tree.root());
+    let mut subtree = Vec::new();
     for gather_step in 0..s {
         let tree_step = s - 1 - gather_step;
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(1 << tree_step);
         for r in 0..p {
             if tree.recv_step(r) == Some(tree_step) {
                 let parent = tree.parent(r).expect("non-root rank has a parent");
-                let blocks: Vec<BlockId> = tree
-                    .subtree(r)
-                    .into_iter()
-                    .map(|b| BlockId::Segment(b as u32))
-                    .collect();
+                tree.subtree(r, &mut subtree);
+                let blocks = subtree_blocks(&subtree);
                 st.push(Message::new(r, parent, blocks, TransferKind::Copy, p));
             }
         }
@@ -96,16 +113,14 @@ pub fn tree_gather(tree: &dyn CommTree, algorithm: &str) -> Schedule {
 pub fn tree_scatter(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let mut sched = Schedule::new(p, Collective::Scatter, algorithm, tree.root());
+    let mut subtree = Vec::new();
     for step in 0..tree.num_steps() {
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(1 << step);
         for r in 0..p {
             if step >= tree.first_send_step(r) && is_active(tree, r, step) {
                 if let Some(c) = tree.partner(r, step) {
-                    let blocks: Vec<BlockId> = tree
-                        .subtree(c)
-                        .into_iter()
-                        .map(|b| BlockId::Segment(b as u32))
-                        .collect();
+                    tree.subtree(c, &mut subtree);
+                    let blocks = subtree_blocks(&subtree);
                     st.push(Message::new(r, c, blocks, TransferKind::Copy, p));
                 }
             }
@@ -113,6 +128,22 @@ pub fn tree_scatter(tree: &dyn CommTree, algorithm: &str) -> Schedule {
         sched.push_step(st);
     }
     sched
+}
+
+/// The segments of a subtree's ranks, as one exactly sized block list.
+fn subtree_blocks(ranks: &[usize]) -> Vec<BlockId> {
+    ranks.iter().map(|&r| BlockId::Segment(r as u32)).collect()
+}
+
+/// The local pass of the `permute` strategy: every rank reorders its whole
+/// buffer, one contiguous move of all `p` segments.
+fn local_permute_step(p: usize) -> Step {
+    let mut st = Step::with_capacity(p);
+    for r in 0..p {
+        let blocks: Vec<BlockId> = (0..p as u32).map(BlockId::Segment).collect();
+        st.push(Message::with_segments(r, r, blocks, TransferKind::Copy, 1));
+    }
+    st
 }
 
 /// Whether rank `r` already holds the data at `step` (i.e. it is the root or
@@ -130,20 +161,37 @@ fn is_active(tree: &dyn CommTree, r: usize, step: u32) -> bool {
 pub fn butterfly_allgather(bf: &Butterfly, algorithm: &str) -> Schedule {
     let p = bf.num_ranks();
     let mut sched = Schedule::new(p, Collective::Allgather, algorithm, 0);
-    let mut have: Vec<Vec<u32>> = (0..p).map(|r| vec![r as u32]).collect();
+    // Row `r` of one p × p table lists what rank `r` holds, ascending, in its
+    // first `held` entries; an exchange doubles every row in place.
+    let mut have = vec![0u32; p * p];
+    for r in 0..p {
+        have[r * p] = r as u32;
+    }
+    let mut held = 1;
     for step in 0..bf.num_steps() {
-        let mut st = Step::new();
-        let snapshot = have.clone();
-        for (r, held) in snapshot.iter().enumerate() {
+        let mut st = Step::with_capacity(p);
+        for r in 0..p {
+            let blocks = have[r * p..][..held]
+                .iter()
+                .map(|&b| BlockId::Segment(b))
+                .collect();
             let q = bf.partner(r, step);
-            let blocks: Vec<BlockId> = held.iter().map(|&b| BlockId::Segment(b)).collect();
             st.push(Message::new(r, q, blocks, TransferKind::Copy, p));
-            have[q].extend(held.iter().copied());
         }
-        for set in &mut have {
-            set.sort_unstable();
-            set.dedup();
+        // The messages are listed; now each pair swaps copies. What partners
+        // hold is disjoint — holdings double until they are the whole vector.
+        for r in 0..p {
+            let q = bf.partner(r, step);
+            if r < q {
+                let (low, high) = have.split_at_mut(q * p);
+                let (mine, theirs) = (&mut low[r * p..][..2 * held], &mut high[..2 * held]);
+                mine[held..].copy_from_slice(&theirs[..held]);
+                theirs[held..].copy_from_slice(&mine[..held]);
+                mine.sort_unstable();
+                theirs.sort_unstable();
+            }
         }
+        held *= 2;
         sched.push_step(st);
     }
     sched
@@ -162,28 +210,52 @@ pub fn butterfly_reduce_scatter(
     algorithm: &str,
 ) -> Schedule {
     let p = bf.num_ranks();
-    let s = bf.num_steps();
     let mut sched = Schedule::new(p, Collective::ReduceScatter, algorithm, 0);
-    if s == 0 {
+    if bf.num_steps() == 0 {
         return sched;
     }
 
     // Optional up-front local permutation pass (Permute strategy).
     if strategy == NonContigStrategy::Permute {
-        let mut st = Step::new();
-        for r in 0..p {
-            let blocks: Vec<BlockId> = (0..p as u32).map(BlockId::Segment).collect();
-            st.push(Message::with_segments(r, r, blocks, TransferKind::Copy, 1));
-        }
-        sched.push_step(st);
+        sched.push_step(local_permute_step(p));
     }
+    push_halving_exchanges(&mut sched, bf, strategy);
 
+    // The Send strategy pays one extra exchange at the end to move every
+    // block back to its true owner (unless a following collective undoes the
+    // permutation implicitly — composition helpers drop this step).
+    if strategy == NonContigStrategy::Send {
+        let perm = nu_bit_reversal_permutation(p);
+        let moved = perm.iter().enumerate().filter(|&(r, &q)| q != r);
+        let mut st = Step::with_capacity(moved.clone().count());
+        for (r, &q) in moved {
+            st.push(Message::with_segments(
+                r,
+                q,
+                vec![BlockId::Segment(r as u32)],
+                TransferKind::Copy,
+                1,
+            ));
+        }
+        if !st.is_empty() {
+            sched.push_step(st);
+        }
+    }
+    sched
+}
+
+/// The exchange steps of a vector-halving reduce-scatter: at step `i` every
+/// rank sends its partner the partner's responsibility set, listed ascending
+/// straight from the butterfly's table.
+fn push_halving_exchanges(sched: &mut Schedule, bf: &Butterfly, strategy: NonContigStrategy) {
+    let p = bf.num_ranks();
     let resp = bf.responsibilities();
-    for step in 0..s {
-        let mut st = Step::new();
+    for step in 0..bf.num_steps() {
+        let mut st = Step::with_capacity(p);
         for r in 0..p {
             let q = bf.partner(r, step);
-            let blocks: Vec<BlockId> = resp[step as usize][q]
+            let blocks: Vec<BlockId> = resp
+                .of(step, q)
                 .iter()
                 .map(|&b| BlockId::Segment(b))
                 .collect();
@@ -206,29 +278,6 @@ pub fn butterfly_reduce_scatter(
         }
         sched.push_step(st);
     }
-
-    // The Send strategy pays one extra exchange at the end to move every
-    // block back to its true owner (unless a following collective undoes the
-    // permutation implicitly — composition helpers drop this step).
-    if strategy == NonContigStrategy::Send {
-        let perm = nu_bit_reversal_permutation(p);
-        let mut st = Step::new();
-        for (r, &q) in perm.iter().enumerate() {
-            if q != r {
-                st.push(Message::with_segments(
-                    r,
-                    q,
-                    vec![BlockId::Segment(r as u32)],
-                    TransferKind::Copy,
-                    1,
-                ));
-            }
-        }
-        if !st.is_empty() {
-            sched.push_step(st);
-        }
-    }
-    sched
 }
 
 /// Reduce-scatter for use inside a composed collective (allreduce, reduce,
@@ -236,10 +285,8 @@ pub fn butterfly_reduce_scatter(
 /// pass, because the following phase implicitly restores the block order
 /// (Sec. 4.3.1, "Send").
 pub fn butterfly_reduce_scatter_composed(bf: &Butterfly, algorithm: &str) -> Schedule {
-    let mut sched = butterfly_reduce_scatter(bf, NonContigStrategy::Permute, algorithm);
-    if !sched.steps.is_empty() {
-        sched.steps.remove(0);
-    }
+    let mut sched = Schedule::new(bf.num_ranks(), Collective::ReduceScatter, algorithm, 0);
+    push_halving_exchanges(&mut sched, bf, NonContigStrategy::Permute);
     sched
 }
 
@@ -279,12 +326,7 @@ pub fn butterfly_allgather_permute(bf: &Butterfly, standalone: bool, algorithm: 
     let p = bf.num_ranks();
     let mut sched = force_contiguous(butterfly_allgather(bf, algorithm));
     if standalone && p > 1 {
-        let mut st = Step::new();
-        for r in 0..p {
-            let blocks: Vec<BlockId> = (0..p as u32).map(BlockId::Segment).collect();
-            st.push(Message::with_segments(r, r, blocks, TransferKind::Copy, 1));
-        }
-        sched.push_step(st);
+        sched.push_step(local_permute_step(p));
     }
     sched
 }
@@ -295,7 +337,7 @@ pub fn butterfly_allreduce_small(bf: &Butterfly, algorithm: &str) -> Schedule {
     let p = bf.num_ranks();
     let mut sched = Schedule::new(p, Collective::Allreduce, algorithm, 0);
     for step in 0..bf.num_steps() {
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(p);
         for r in 0..p {
             let q = bf.partner(r, step);
             st.push(Message::new(
@@ -315,74 +357,80 @@ pub fn butterfly_allreduce_small(bf: &Butterfly, algorithm: &str) -> Schedule {
 /// all held blocks whose *destination* lies in the partner's responsibility
 /// set, exactly like a reduce-scatter on destinations (Sec. 4.4).
 pub fn butterfly_alltoall(bf: &Butterfly, algorithm: &str) -> Schedule {
-    let p = bf.num_ranks();
-    let s = bf.num_steps();
-    let mut sched = Schedule::new(p, Collective::Alltoall, algorithm, 0);
-    if s == 0 {
-        return sched;
-    }
     let resp = bf.responsibilities();
-    // held[r] = blocks (origin, dest) currently stored on rank r.
-    let mut held: Vec<Vec<(u32, u32)>> = (0..p)
-        .map(|r| (0..p as u32).map(|d| (r as u32, d)).collect())
-        .collect();
-    for step in 0..s {
-        let mut st = Step::new();
-        let snapshot = held.clone();
-        for r in 0..p {
-            let q = bf.partner(r, step);
-            let dest_set = &resp[step as usize][q];
-            let moving: Vec<(u32, u32)> = snapshot[r]
-                .iter()
-                .copied()
-                .filter(|&(_, d)| dest_set.binary_search(&d).is_ok())
-                .collect();
-            if moving.is_empty() {
-                continue;
-            }
-            let blocks: Vec<BlockId> = moving
-                .iter()
-                .map(|&(o, d)| BlockId::Pairwise { origin: o, dest: d })
-                .collect();
-            st.push(Message::new(r, q, blocks, TransferKind::Copy, p));
-            held[r].retain(|b| !moving.contains(b));
-            held[q].extend(moving.iter().copied());
-        }
-        sched.push_step(st);
-    }
-    sched
+    forwarding_alltoall(bf.num_ranks(), bf.num_steps(), algorithm, |step, r| {
+        let q = bf.partner(r, step);
+        let dest_set = resp.of(step, q);
+        (q, move |dest| dest_set.binary_search(&dest).is_ok())
+    })
 }
 
 /// Bruck's logarithmic alltoall: at step `k` every rank forwards to the rank
 /// `2^k` positions ahead all blocks whose remaining destination offset has
 /// bit `k` set.
 pub fn bruck_alltoall(p: usize, algorithm: &str) -> Schedule {
+    let steps = usize::BITS - (p - 1).leading_zeros();
+    forwarding_alltoall(p, steps, algorithm, |k, r| {
+        let q = (r + (1 << k)) % p;
+        (q, move |dest| ((dest as usize + p - r) % p) >> k & 1 == 1)
+    })
+}
+
+/// The store-and-forward alltoall both logarithmic algorithms are: at every
+/// step, rank `r` forwards to one peer the blocks it holds whose destination
+/// a predicate selects, in the order it holds them, and keeps the rest;
+/// `hop(step, r)` is that peer and that predicate. A step's messages are all
+/// cut from the holdings the step started with, and a rank then holds what
+/// it kept followed by what arrived. (What arrives would not move on within
+/// the step anyway: its destination fails the receiver's predicate —
+/// partners answer for disjoint destinations, a Bruck hop clears the bit.)
+fn forwarding_alltoall<S: Fn(u32) -> bool>(
+    p: usize,
+    steps: u32,
+    algorithm: &str,
+    hop: impl Fn(u32, usize) -> (usize, S),
+) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Alltoall, algorithm, 0);
-    let steps = (usize::BITS - (p - 1).leading_zeros()) as usize;
-    let mut held: Vec<Vec<(u32, u32)>> = (0..p)
-        .map(|r| (0..p as u32).map(|d| (r as u32, d)).collect())
+    // held[r] = blocks currently stored on rank r; next[r] = after this step.
+    let mut held: Vec<Vec<BlockId>> = (0..p as u32)
+        .map(|origin| {
+            (0..p as u32)
+                .map(|dest| BlockId::Pairwise { origin, dest })
+                .collect()
+        })
         .collect();
-    for k in 0..steps {
-        let mut st = Step::new();
-        let snapshot = held.clone();
+    let mut next: Vec<Vec<BlockId>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
+    let mut moving = Vec::with_capacity(p);
+    let mut sorted = Vec::with_capacity(p);
+    for step in 0..steps {
+        let mut st = Step::with_capacity(p);
         for r in 0..p {
-            let q = (r + (1 << k)) % p;
-            let moving: Vec<(u32, u32)> = snapshot[r]
-                .iter()
-                .copied()
-                .filter(|&(_, d)| ((d as usize + p - r) % p) >> k & 1 == 1)
-                .collect();
-            if moving.is_empty() {
-                continue;
+            let (q, selects) = hop(step, r);
+            moving.clear();
+            next[r].clear();
+            for &b in &held[r] {
+                if matches!(b, BlockId::Pairwise { dest, .. } if selects(dest)) {
+                    moving.push(b);
+                } else {
+                    next[r].push(b);
+                }
             }
-            let blocks: Vec<BlockId> = moving
-                .iter()
-                .map(|&(o, d)| BlockId::Pairwise { origin: o, dest: d })
-                .collect();
-            st.push(Message::new(r, q, blocks, TransferKind::Copy, p));
-            held[r].retain(|b| !moving.contains(b));
-            held[q].extend(moving.iter().copied());
+            if !moving.is_empty() {
+                let segments = contiguity_with(&moving, &mut sorted);
+                let blocks = moving.clone(); // sized exactly
+                st.push(Message::with_segments(
+                    r,
+                    q,
+                    blocks,
+                    TransferKind::Copy,
+                    segments,
+                ));
+            }
         }
+        for m in &st.messages {
+            next[m.dst].extend_from_slice(&m.blocks);
+        }
+        std::mem::swap(&mut held, &mut next);
         sched.push_step(st);
     }
     sched
@@ -393,7 +441,7 @@ pub fn bruck_alltoall(p: usize, algorithm: &str) -> Schedule {
 pub fn pairwise_alltoall(p: usize, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Alltoall, algorithm, 0);
     for k in 1..p {
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(p);
         for r in 0..p {
             let q = (r + k) % p;
             st.push(Message::new(
@@ -418,7 +466,7 @@ pub fn pairwise_alltoall(p: usize, algorithm: &str) -> Schedule {
 pub fn ring_reduce_scatter(p: usize, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::ReduceScatter, algorithm, 0);
     for t in 0..p.saturating_sub(1) {
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(p);
         for r in 0..p {
             let seg = ((r + 2 * p) - t - 1) % p;
             st.push(Message::new(
@@ -439,7 +487,7 @@ pub fn ring_reduce_scatter(p: usize, algorithm: &str) -> Schedule {
 pub fn ring_allgather(p: usize, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Allgather, algorithm, 0);
     for t in 0..p.saturating_sub(1) {
-        let mut st = Step::new();
+        let mut st = Step::with_capacity(p);
         for r in 0..p {
             let seg = ((r + p) - t) % p;
             st.push(Message::new(
@@ -482,7 +530,7 @@ pub fn dual_root_allreduce(p: usize, algorithm: &str) -> Schedule {
     for gather_step in 0..s {
         let tree_step = s - 1 - gather_step;
         for (tree, half) in trees.iter().zip(&halves) {
-            let mut st = Step::new();
+            let mut st = Step::with_capacity(1 << tree_step);
             for r in 0..p {
                 if tree.recv_step(r) == Some(tree_step) {
                     let parent = tree.parent(r).expect("non-root rank has a parent");
@@ -501,7 +549,7 @@ pub fn dual_root_allreduce(p: usize, algorithm: &str) -> Schedule {
     // Phase 2: broadcast each reduced half back down its tree.
     for step in 0..s {
         for (tree, half) in trees.iter().zip(&halves) {
-            let mut st = Step::new();
+            let mut st = Step::with_capacity(1 << step);
             for r in 0..p {
                 if step >= tree.first_send_step(r) && is_active(tree, r, step) {
                     if let Some(c) = tree.partner(r, step) {

@@ -13,8 +13,6 @@
 
 use std::sync::Arc;
 
-use bine_core::block::linear_segments;
-
 /// A rank identifier.
 pub type Rank = usize;
 
@@ -326,7 +324,15 @@ impl Message {
 
 /// Number of contiguous memory regions spanned by a set of blocks, assuming
 /// blocks are laid out in index order in the buffer.
-pub fn contiguity_of(blocks: &[BlockId], p: usize) -> u32 {
+pub fn contiguity_of(blocks: &[BlockId], _p: usize) -> u32 {
+    contiguity_with(blocks, &mut Vec::new())
+}
+
+/// [`contiguity_of`] with the buffer its sort needs supplied by the caller: a
+/// builder that lists blocks out of index order (the alltoalls) holds one
+/// across its messages instead of allocating per message. What the buffer
+/// held before is irrelevant; it is untouched when the indices ascend.
+pub(crate) fn contiguity_with(blocks: &[BlockId], sorted: &mut Vec<u32>) -> u32 {
     let indices = || {
         blocks.iter().filter_map(|b| match b {
             BlockId::Segment(i) => Some(*i),
@@ -341,9 +347,15 @@ pub fn contiguity_of(blocks: &[BlockId], p: usize) -> u32 {
     let mut last = None;
     for i in indices() {
         match last {
-            // Out of order or repeated: the definition, which sorts.
+            // Out of order or repeated: the definition, which sorts. Equal
+            // neighbours of the sorted list are one index, a step of one
+            // continues a region, anything wider starts the next.
             Some(prev) if i <= prev => {
-                return linear_segments(&indices().collect::<Vec<u32>>(), p) as u32;
+                sorted.clear();
+                sorted.reserve(blocks.len());
+                sorted.extend(indices());
+                sorted.sort_unstable();
+                return 1 + sorted.windows(2).filter(|w| w[1] - w[0] > 1).count() as u32;
             }
             Some(prev) if i - prev == 1 => {}
             _ => runs += 1,
@@ -365,6 +377,14 @@ impl Step {
     /// Creates an empty step.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty step with room for `messages` messages, for the
+    /// builders that know how many a step holds before they list them.
+    pub fn with_capacity(messages: usize) -> Self {
+        Self {
+            messages: Vec::with_capacity(messages),
+        }
     }
 
     /// Adds a message to the step.
