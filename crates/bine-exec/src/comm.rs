@@ -1,10 +1,15 @@
-//! A high-level, MPI-like facade over the schedule generators and the
-//! multi-threaded executor.
+//! A high-level, MPI-like facade over the schedule generators and the pool
+//! executor.
 //!
 //! [`Cluster`] is the entry point a downstream user would adopt: it simulates
-//! `p` ranks (one thread per rank) and exposes the eight collectives over
-//! plain `Vec<f64>` buffers, with the algorithm selectable per call. The
+//! `p` ranks on [`ExecutorPool::global`] and exposes the eight collectives
+//! over plain `Vec<f64>` buffers, with the algorithm selectable per call. The
 //! quickstart example and the integration tests are written against this API.
+//!
+//! No method knows which block forms an algorithm moves: the compiled
+//! schedule says ([`bine_sched::Granularity`]), and its [`Contract`] says
+//! which rank starts with which blocks and which blocks make up each rank's
+//! result.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -15,10 +20,10 @@ use bine_sched::collectives::{
     reduce_scatter as reduce_scatter_sched, scatter as scatter_sched, AllgatherAlg, AllreduceAlg,
     AlltoallAlg, BroadcastAlg, GatherAlg, ReduceAlg, ReduceScatterAlg, ScatterAlg,
 };
-use bine_sched::{BlockId, Collective, CompiledSchedule, Schedule};
+use bine_sched::{BlockId, Collective, CompiledSchedule, Contract, Schedule};
 
 use crate::pool::ExecutorPool;
-use crate::state::BlockStore;
+use crate::state::{initial_stores, BlockStore};
 
 /// A simulated cluster of `p` ranks executing collectives over real data.
 ///
@@ -29,6 +34,37 @@ use crate::state::BlockStore;
 #[derive(Debug, Clone, Copy)]
 pub struct Cluster {
     num_ranks: usize,
+}
+
+/// What one collective call left on every rank, and the schedule whose
+/// contract says which of those blocks are the result.
+struct Finals {
+    compiled: Arc<CompiledSchedule>,
+    stores: Vec<BlockStore>,
+}
+
+impl Finals {
+    /// The blocks that make up `rank`'s result: the first alternative the
+    /// contract requires of it that it holds entirely, in the contract's
+    /// order (nothing for a rank of which nothing is required).
+    fn blocks(&self, rank: usize) -> Vec<&[f64]> {
+        let held = |blocks: Vec<BlockId>| {
+            let values = blocks
+                .iter()
+                .map(|id| Some(self.stores[rank].get(id)?.as_slice()));
+            values.collect::<Option<Vec<_>>>()
+        };
+        let mut alternatives = Contract::from(&*self.compiled).required(rank).into_iter();
+        let found = alternatives.find_map(held);
+        found.unwrap_or_else(|| panic!("rank {rank} ended without its result"))
+    }
+
+    /// Every rank's result as one vector.
+    fn vectors(&self) -> Vec<Vec<f64>> {
+        (0..self.stores.len())
+            .map(|rank| self.blocks(rank).concat())
+            .collect()
+    }
 }
 
 impl Cluster {
@@ -49,22 +85,24 @@ impl Cluster {
         self.num_ranks
     }
 
-    fn check_inputs(&self, inputs: &[Vec<f64>]) -> usize {
+    fn check_inputs(&self, inputs: &[Vec<f64>]) {
         assert_eq!(
             inputs.len(),
             self.num_ranks,
             "one input buffer per rank required"
         );
-        let len = inputs[0].len();
         assert!(
-            inputs.iter().all(|v| v.len() == len),
+            inputs.iter().all(|v| v.len() == inputs[0].len()),
             "all input buffers must have equal length"
         );
-        len
     }
 
-    /// Splits a vector into `p` equal segments.
-    fn segments(&self, v: &[f64]) -> Vec<Vec<f64>> {
+    /// The part of the vector `v` that `block` names: all of it, or one of
+    /// `p` equal segments.
+    fn part(&self, v: &[f64], block: BlockId) -> Vec<f64> {
+        let BlockId::Segment(i) = block else {
+            return v.to_vec();
+        };
         assert_eq!(
             v.len() % self.num_ranks,
             0,
@@ -73,9 +111,7 @@ impl Cluster {
             self.num_ranks
         );
         let seg = v.len() / self.num_ranks;
-        (0..self.num_ranks)
-            .map(|i| v[i * seg..(i + 1) * seg].to_vec())
-            .collect()
+        v[i as usize * seg..(i as usize + 1) * seg].to_vec()
     }
 
     /// Returns the compiled schedule for one collective call, building and
@@ -124,223 +160,86 @@ impl Cluster {
         Arc::clone(cache.entry(key).or_insert(compiled))
     }
 
+    /// One collective call: every rank starts with the blocks the schedule's
+    /// contract gives it, at the granularity the schedule moves, each filled
+    /// by `input(rank, block)`.
     fn run(
         &self,
         collective: Collective,
         algorithm: &str,
         root: usize,
         build: impl FnOnce() -> Schedule,
-        initial: Vec<BlockStore>,
-    ) -> Vec<BlockStore> {
+        input: impl Fn(usize, BlockId) -> Vec<f64>,
+    ) -> Finals {
         let compiled = Self::compiled_for(collective, algorithm, self.num_ranks, root, build);
-        ExecutorPool::global().run(&compiled, initial)
-    }
-
-    fn extract_vector(&self, store: &BlockStore, len: usize) -> Vec<f64> {
-        if let Some(full) = store.get(&BlockId::Full) {
-            return full.clone();
-        }
-        let seg = len / self.num_ranks;
-        let mut out = vec![0.0; len];
-        for i in 0..self.num_ranks {
-            let block = store
-                .get(&BlockId::Segment(i as u32))
-                .unwrap_or_else(|| panic!("rank state is missing segment {i}"));
-            out[i * seg..(i + 1) * seg].copy_from_slice(block);
-        }
-        out
+        let initial = initial_stores(&Contract::from(&*compiled), (&*compiled).into(), input);
+        let stores = ExecutorPool::global().run(&compiled, initial);
+        Finals { compiled, stores }
     }
 
     /// Allreduce: returns, for every rank, the elementwise sum of all ranks'
     /// inputs. For segment-based algorithms the vector length must be a
     /// multiple of the rank count.
     pub fn allreduce(&self, inputs: &[Vec<f64>], alg: AllreduceAlg) -> Vec<Vec<f64>> {
-        let len = self.check_inputs(inputs);
-        let uses_segments = matches!(
-            alg,
-            AllreduceAlg::BineLarge
-                | AllreduceAlg::Rabenseifner
-                | AllreduceAlg::Ring
-                | AllreduceAlg::Swing
-        );
-        let mut init: Vec<BlockStore> = Vec::with_capacity(self.num_ranks);
-        for input in inputs {
-            let mut store = BlockStore::new();
-            if uses_segments {
-                for (i, seg) in self.segments(input).into_iter().enumerate() {
-                    store.insert(BlockId::Segment(i as u32), seg);
-                }
-            } else {
-                store.insert(BlockId::Full, input.clone());
-            }
-            init.push(store);
-        }
-        self.run(
-            Collective::Allreduce,
-            alg.name(),
-            0,
-            || allreduce_sched(self.num_ranks, alg),
-            init,
-        )
-        .iter()
-        .map(|s| self.extract_vector(s, len))
-        .collect()
+        self.check_inputs(inputs);
+        let build = || allreduce_sched(self.num_ranks, alg);
+        let input = |rank: usize, block| self.part(&inputs[rank], block);
+        self.run(Collective::Allreduce, alg.name(), 0, build, input)
+            .vectors()
     }
 
     /// Broadcast: every rank receives a copy of `data` from `root`.
     pub fn broadcast(&self, data: &[f64], root: usize, alg: BroadcastAlg) -> Vec<Vec<f64>> {
-        let uses_segments = matches!(
-            alg,
-            BroadcastAlg::BineScatterAllgather | BroadcastAlg::ScatterAllgather
-        );
-        let mut init: Vec<BlockStore> = (0..self.num_ranks).map(|_| BlockStore::new()).collect();
-        if uses_segments {
-            for (i, seg) in self.segments(data).into_iter().enumerate() {
-                init[root].insert(BlockId::Segment(i as u32), seg);
-            }
-        } else {
-            init[root].insert(BlockId::Full, data.to_vec());
-        }
-        self.run(
-            Collective::Broadcast,
-            alg.name(),
-            root,
-            || broadcast_sched(self.num_ranks, root, alg),
-            init,
-        )
-        .iter()
-        .map(|s| self.extract_vector(s, data.len()))
-        .collect()
+        let build = || broadcast_sched(self.num_ranks, root, alg);
+        let input = |_, block| self.part(data, block);
+        self.run(Collective::Broadcast, alg.name(), root, build, input)
+            .vectors()
     }
 
     /// Reduce: returns the elementwise sum of all inputs, delivered at `root`.
     pub fn reduce(&self, inputs: &[Vec<f64>], root: usize, alg: ReduceAlg) -> Vec<f64> {
-        let len = self.check_inputs(inputs);
-        let uses_segments = matches!(
-            alg,
-            ReduceAlg::BineReduceScatterGather | ReduceAlg::ReduceScatterGather
-        );
-        let mut init: Vec<BlockStore> = Vec::with_capacity(self.num_ranks);
-        for input in inputs {
-            let mut store = BlockStore::new();
-            if uses_segments {
-                for (i, seg) in self.segments(input).into_iter().enumerate() {
-                    store.insert(BlockId::Segment(i as u32), seg);
-                }
-            } else {
-                store.insert(BlockId::Full, input.clone());
-            }
-            init.push(store);
-        }
-        let finals = self.run(
-            Collective::Reduce,
-            alg.name(),
-            root,
-            || reduce_sched(self.num_ranks, root, alg),
-            init,
-        );
-        self.extract_vector(&finals[root], len)
+        self.check_inputs(inputs);
+        let build = || reduce_sched(self.num_ranks, root, alg);
+        let input = |rank: usize, block| self.part(&inputs[rank], block);
+        let finals = self.run(Collective::Reduce, alg.name(), root, build, input);
+        finals.blocks(root).concat()
     }
 
     /// Allgather: every rank receives the concatenation of all ranks'
     /// contributions (in rank order).
     pub fn allgather(&self, inputs: &[Vec<f64>], alg: AllgatherAlg) -> Vec<Vec<f64>> {
-        let seg_len = self.check_inputs(inputs);
-        let init: Vec<BlockStore> = inputs
-            .iter()
-            .enumerate()
-            .map(|(r, v)| {
-                let mut store = BlockStore::new();
-                store.insert(BlockId::Segment(r as u32), v.clone());
-                store
-            })
-            .collect();
-        self.run(
-            Collective::Allgather,
-            alg.name(),
-            0,
-            || allgather_sched(self.num_ranks, alg),
-            init,
-        )
-        .iter()
-        .map(|s| self.extract_vector(s, seg_len * self.num_ranks))
-        .collect()
+        self.check_inputs(inputs);
+        let build = || allgather_sched(self.num_ranks, alg);
+        let input = |rank: usize, _| inputs[rank].clone();
+        self.run(Collective::Allgather, alg.name(), 0, build, input)
+            .vectors()
     }
 
     /// Reduce-scatter: rank `r` receives segment `r` of the elementwise sum
     /// of all inputs.
     pub fn reduce_scatter(&self, inputs: &[Vec<f64>], alg: ReduceScatterAlg) -> Vec<Vec<f64>> {
         self.check_inputs(inputs);
-        let init: Vec<BlockStore> = inputs
-            .iter()
-            .map(|v| {
-                let mut store = BlockStore::new();
-                for (i, seg) in self.segments(v).into_iter().enumerate() {
-                    store.insert(BlockId::Segment(i as u32), seg);
-                }
-                store
-            })
-            .collect();
-        self.run(
-            Collective::ReduceScatter,
-            alg.name(),
-            0,
-            || reduce_scatter_sched(self.num_ranks, alg),
-            init,
-        )
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            s.get(&BlockId::Segment(r as u32))
-                .expect("reduce-scatter result segment missing")
-                .clone()
-        })
-        .collect()
+        let build = || reduce_scatter_sched(self.num_ranks, alg);
+        let input = |rank: usize, block| self.part(&inputs[rank], block);
+        self.run(Collective::ReduceScatter, alg.name(), 0, build, input)
+            .vectors()
     }
 
     /// Gather: `root` receives the concatenation of all ranks' contributions.
     pub fn gather(&self, inputs: &[Vec<f64>], root: usize, alg: GatherAlg) -> Vec<f64> {
-        let seg_len = self.check_inputs(inputs);
-        let init: Vec<BlockStore> = inputs
-            .iter()
-            .enumerate()
-            .map(|(r, v)| {
-                let mut store = BlockStore::new();
-                store.insert(BlockId::Segment(r as u32), v.clone());
-                store
-            })
-            .collect();
-        let finals = self.run(
-            Collective::Gather,
-            alg.name(),
-            root,
-            || gather_sched(self.num_ranks, root, alg),
-            init,
-        );
-        self.extract_vector(&finals[root], seg_len * self.num_ranks)
+        self.check_inputs(inputs);
+        let build = || gather_sched(self.num_ranks, root, alg);
+        let input = |rank: usize, _| inputs[rank].clone();
+        let finals = self.run(Collective::Gather, alg.name(), root, build, input);
+        finals.blocks(root).concat()
     }
 
     /// Scatter: rank `r` receives segment `r` of the root's vector.
     pub fn scatter(&self, data: &[f64], root: usize, alg: ScatterAlg) -> Vec<Vec<f64>> {
-        let mut init: Vec<BlockStore> = (0..self.num_ranks).map(|_| BlockStore::new()).collect();
-        for (i, seg) in self.segments(data).into_iter().enumerate() {
-            init[root].insert(BlockId::Segment(i as u32), seg);
-        }
-        self.run(
-            Collective::Scatter,
-            alg.name(),
-            root,
-            || scatter_sched(self.num_ranks, root, alg),
-            init,
-        )
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            s.get(&BlockId::Segment(r as u32))
-                .expect("scatter result segment missing")
-                .clone()
-        })
-        .collect()
+        let build = || scatter_sched(self.num_ranks, root, alg);
+        let input = |_, block| self.part(data, block);
+        self.run(Collective::Scatter, alg.name(), root, build, input)
+            .vectors()
     }
 
     /// Alltoall: `inputs[r][d]` is the block rank `r` sends to rank `d`;
@@ -348,45 +247,21 @@ impl Cluster {
     pub fn alltoall(&self, inputs: &[Vec<Vec<f64>>], alg: AlltoallAlg) -> Vec<Vec<Vec<f64>>> {
         assert_eq!(inputs.len(), self.num_ranks);
         assert!(inputs.iter().all(|v| v.len() == self.num_ranks));
-        let init: Vec<BlockStore> = inputs
-            .iter()
-            .enumerate()
-            .map(|(r, blocks)| {
-                let mut store = BlockStore::new();
-                for (d, data) in blocks.iter().enumerate() {
-                    store.insert(
-                        BlockId::Pairwise {
-                            origin: r as u32,
-                            dest: d as u32,
-                        },
-                        data.clone(),
-                    );
-                }
-                store
+        let build = || alltoall_sched(self.num_ranks, alg);
+        let input = |rank: usize, block| match block {
+            BlockId::Pairwise { dest, .. } => inputs[rank][dest as usize].clone(),
+            _ => unreachable!("an alltoall starts with pairwise blocks only"),
+        };
+        let finals = self.run(Collective::Alltoall, alg.name(), 0, build, input);
+        (0..self.num_ranks)
+            .map(|rank| {
+                finals
+                    .blocks(rank)
+                    .into_iter()
+                    .map(<[f64]>::to_vec)
+                    .collect()
             })
-            .collect();
-        self.run(
-            Collective::Alltoall,
-            alg.name(),
-            0,
-            || alltoall_sched(self.num_ranks, alg),
-            init,
-        )
-        .iter()
-        .enumerate()
-        .map(|(r, s)| {
-            (0..self.num_ranks)
-                .map(|o| {
-                    s.get(&BlockId::Pairwise {
-                        origin: o as u32,
-                        dest: r as u32,
-                    })
-                    .expect("alltoall result block missing")
-                    .clone()
-                })
-                .collect()
-        })
-        .collect()
+            .collect()
     }
 }
 

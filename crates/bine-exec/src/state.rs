@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use bine_sched::{BlockId, BlockMap, Collective, Counts, Schedule};
+use bine_sched::{BlockId, BlockMap, Collective, Contract, Counts, Granularity, Schedule};
 
 /// A shared, immutable-until-owned block payload.
 ///
@@ -199,33 +199,32 @@ impl Workload {
         self
     }
 
-    /// Elements of segment `i`.
-    pub fn seg_elems(&self, i: usize) -> usize {
-        match &self.counts {
-            Some(c) => c.count(i) as usize * self.elems_per_block,
-            None => self.elems_per_block,
+    /// The endpoints of this invocation: who starts with which blocks and
+    /// who must end with which.
+    pub(crate) fn contract(&self) -> Contract<'_> {
+        Contract {
+            collective: self.collective,
+            num_ranks: self.num_ranks,
+            root: self.root,
+            counts: self.counts.as_ref(),
         }
     }
 
-    /// The element range segment `i` occupies in the logical vector.
-    pub fn seg_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = match &self.counts {
-            Some(c) => c.per_rank()[..i].iter().sum::<u64>() as usize * self.elems_per_block,
-            None => i * self.elems_per_block,
+    /// The element range segment `i` occupies in the logical vector (empty
+    /// for a zero-count segment of an irregular workload).
+    fn seg_range(&self, i: usize) -> std::ops::Range<usize> {
+        let (start, elems) = match &self.counts {
+            Some(c) => (c.per_rank()[..i].iter().sum(), c.count(i)),
+            None => (i as u64, 1),
         };
-        start..start + self.seg_elems(i)
+        let start = start as usize * self.elems_per_block;
+        start..start + elems as usize * self.elems_per_block
     }
 
     /// The deterministic contribution of `rank` for element `j` of the
     /// logical vector (used by reduction collectives and broadcast).
     pub fn contribution(&self, rank: usize, j: usize) -> f64 {
         (rank as f64 + 1.0) * 0.5 + (j as f64) * 0.125 + ((rank * 31 + j * 7) % 13) as f64
-    }
-
-    /// The deterministic content of the alltoall block sent by `origin` to
-    /// `dest`, element `j`.
-    pub fn pairwise_value(&self, origin: usize, dest: usize, j: usize) -> f64 {
-        origin as f64 * 1000.0 + dest as f64 + j as f64 * 0.25
     }
 
     /// Length of the logical vector: `p` blocks of `elems_per_block`, or the
@@ -244,101 +243,70 @@ impl Workload {
             .collect()
     }
 
-    /// Segment `i` of the input vector of `rank` (empty for a zero-count
-    /// segment of an irregular workload).
-    pub fn segment(&self, rank: usize, i: usize) -> Vec<f64> {
+    /// Segment `i` of the input vector of `rank`.
+    fn segment(&self, rank: usize, i: usize) -> Vec<f64> {
         self.seg_range(i)
             .map(|j| self.contribution(rank, j))
             .collect()
     }
 
     /// The elementwise sum of all ranks' contributions for element `j`.
-    pub fn reduced(&self, j: usize) -> f64 {
+    fn reduced(&self, j: usize) -> f64 {
         (0..self.num_ranks).map(|r| self.contribution(r, j)).sum()
     }
 
-    /// The fully reduced values of segment `i`.
-    pub fn reduced_segment(&self, i: usize) -> Vec<f64> {
-        self.seg_range(i).map(|j| self.reduced(j)).collect()
+    /// What `rank` contributes as `block`: its part of the logical vector,
+    /// or the alltoall block travelling from it (the block's origin).
+    fn value(&self, rank: usize, block: BlockId) -> Vec<f64> {
+        match block {
+            BlockId::Full => self.full_vector(rank),
+            BlockId::Segment(i) => self.segment(rank, i as usize),
+            BlockId::Pairwise { origin, dest } => (0..self.elems_per_block)
+                .map(|j| origin as f64 * 1000.0 + dest as f64 + j as f64 * 0.25)
+                .collect(),
+        }
     }
 
-    /// Builds the initial per-rank block stores required by `schedule`.
-    ///
-    /// Only the block granularities actually referenced by the schedule are
-    /// materialised (e.g. a tree broadcast uses `Full` blocks, a
-    /// scatter+allgather broadcast uses `Segment` blocks).
-    pub fn initial_state(&self, schedule: &Schedule) -> Vec<BlockStore> {
-        let p = self.num_ranks;
-        let uses_full = schedule
-            .messages()
-            .any(|(_, m)| m.blocks.iter().any(|b| matches!(b, BlockId::Full)));
-        let uses_segments = schedule
-            .messages()
-            .any(|(_, m)| m.blocks.iter().any(|b| matches!(b, BlockId::Segment(_))));
-        let mut states: Vec<BlockStore> = (0..p).map(|_| BlockStore::new()).collect();
-        match self.collective {
-            Collective::Broadcast => {
-                if uses_full || !uses_segments {
-                    states[self.root].insert(BlockId::Full, self.full_vector(self.root));
-                }
-                if uses_segments {
-                    for i in 0..p {
-                        states[self.root]
-                            .insert(BlockId::Segment(i as u32), self.segment(self.root, i));
-                    }
-                }
-            }
-            Collective::Reduce | Collective::Allreduce => {
-                for (r, state) in states.iter_mut().enumerate() {
-                    if uses_full || !uses_segments {
-                        state.insert(BlockId::Full, self.full_vector(r));
-                    }
-                    if uses_segments {
-                        for i in 0..p {
-                            state.insert(BlockId::Segment(i as u32), self.segment(r, i));
-                        }
-                    }
-                }
-            }
-            Collective::ReduceScatter => {
-                for (r, state) in states.iter_mut().enumerate() {
-                    for i in 0..p {
-                        state.insert(BlockId::Segment(i as u32), self.segment(r, i));
-                    }
-                }
-            }
-            Collective::Gather | Collective::Allgather => {
-                for (r, state) in states.iter_mut().enumerate() {
-                    // Each rank contributes its own data for the slot that
-                    // belongs to it in the gathered vector.
-                    state.insert(BlockId::Segment(r as u32), self.segment(r, r));
-                }
-            }
-            Collective::Scatter => {
-                for i in 0..p {
-                    states[self.root]
-                        .insert(BlockId::Segment(i as u32), self.segment(self.root, i));
-                }
-            }
-            Collective::Alltoall => {
-                for (r, state) in states.iter_mut().enumerate() {
-                    for d in 0..p {
-                        let data: Vec<f64> = (0..self.elems_per_block)
-                            .map(|j| self.pairwise_value(r, d, j))
-                            .collect();
-                        state.insert(
-                            BlockId::Pairwise {
-                                origin: r as u32,
-                                dest: d as u32,
-                            },
-                            data,
-                        );
-                    }
-                }
-            }
+    /// What a finished `block` holds: its source's contribution, or the sum
+    /// of everybody's when the collective reduces.
+    pub(crate) fn expected(&self, block: BlockId) -> Vec<f64> {
+        if let Some(source) = self.contract().source(block) {
+            return self.value(source, block);
         }
-        states
+        let elements = match block {
+            BlockId::Segment(i) => self.seg_range(i as usize),
+            _ => 0..self.vector_len(),
+        };
+        elements.map(|j| self.reduced(j)).collect()
     }
+
+    /// Builds the initial per-rank block stores required by `schedule`: what
+    /// the collective's [`Contract`] says each rank starts with, at the
+    /// block granularities the schedule actually moves (a tree broadcast
+    /// uses `Full` blocks, a scatter+allgather broadcast `Segment` blocks).
+    pub fn initial_state(&self, schedule: &Schedule) -> Vec<BlockStore> {
+        initial_stores(&self.contract(), schedule.into(), |rank, block| {
+            self.value(rank, block)
+        })
+    }
+}
+
+/// One store per rank holding what `contract` says the rank starts with at
+/// `granularity`, each block filled by `value(rank, block)`.
+pub(crate) fn initial_stores(
+    contract: &Contract<'_>,
+    granularity: Granularity,
+    value: impl Fn(usize, BlockId) -> Vec<f64>,
+) -> Vec<BlockStore> {
+    (0..contract.num_ranks)
+        .map(|rank| {
+            let mut store = BlockStore::new();
+            for block in contract.initial(rank, granularity) {
+                store.insert(block, value(rank, block));
+            }
+            store
+        })
+        .collect()
 }
 
 #[cfg(test)]

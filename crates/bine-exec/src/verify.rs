@@ -1,13 +1,13 @@
 //! Golden-result verification for every collective.
 //!
 //! Given a [`Workload`] and the final per-rank [`BlockStore`]s produced by an
-//! executor, these checks assert the MPI-level post-condition of the
-//! collective (e.g. "after an allreduce every rank holds the elementwise sum
-//! of all contributions"). Numeric comparison catches both missing and
-//! duplicated contributions, which is how schedule-generator bugs would show
-//! up.
+//! executor, this asserts the MPI-level post-condition of the collective
+//! (e.g. "after an allreduce every rank holds the elementwise sum of all
+//! contributions") as its [`bine_sched::Contract`] states it. Numeric
+//! comparison catches both missing and duplicated contributions, which is
+//! how schedule-generator bugs would show up.
 
-use bine_sched::{BlockId, Collective};
+use bine_sched::{BlockId, BlockMap};
 
 use crate::state::{BlockStore, Workload};
 
@@ -18,162 +18,58 @@ const TOLERANCE: f64 = 1e-9;
 /// Outcome of a verification.
 pub type VerifyResult = Result<(), String>;
 
-fn expect_block(
-    store: &BlockStore,
-    rank: usize,
-    id: BlockId,
-    expected: &[f64],
-    what: &str,
-) -> VerifyResult {
-    let got = store
-        .get(&id)
-        .ok_or_else(|| format!("rank {rank}: missing {what} block {id:?}"))?;
+fn compare(got: &[f64], expected: &[f64]) -> VerifyResult {
     if got.len() != expected.len() {
-        return Err(format!(
-            "rank {rank}: {what} block {id:?} has length {} instead of {}",
-            got.len(),
-            expected.len()
-        ));
+        let (got, expected) = (got.len(), expected.len());
+        return Err(format!("has length {got} instead of {expected}"));
     }
-    for (j, (a, b)) in got.iter().zip(expected).enumerate() {
-        if (a - b).abs() > TOLERANCE {
-            return Err(format!(
-                "rank {rank}: {what} block {id:?} element {j} is {a}, expected {b}"
-            ));
-        }
+    let differ = |(_, (a, b)): &(usize, (&f64, &f64))| (*a - *b).abs() > TOLERANCE;
+    match got.iter().zip(expected).enumerate().find(differ) {
+        Some((j, (a, b))) => Err(format!("element {j} is {a}, expected {b}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// Whether the rank is expected to expose its result as one `Full` block or
-/// as `p` `Segment` blocks; decided by what it actually holds so both
-/// small-vector and large-vector algorithm families verify naturally.
-fn holds_full(store: &BlockStore) -> bool {
-    store.get(&BlockId::Full).is_some()
-}
-
-/// Verifies the final states of `collective` for `workload`.
+/// Verifies the final states of the workload's collective: every rank must
+/// hold, with the expected values, every block of one of the alternatives its
+/// [`Contract`](bine_sched::Contract) requires — so the small-vector (`Full`)
+/// and large-vector (`Segment`) algorithm families both verify naturally, and
+/// zero-count segments of an irregular workload are not asked for. An
+/// expected block that consecutive ranks require is computed once.
 pub fn verify(workload: &Workload, finals: &[BlockStore]) -> VerifyResult {
     let p = workload.num_ranks;
     if finals.len() != p {
         return Err(format!("expected {p} rank states, got {}", finals.len()));
     }
-    match workload.collective {
-        Collective::Broadcast => {
-            let root_vec = workload.full_vector(workload.root);
-            for (r, store) in finals.iter().enumerate() {
-                if holds_full(store) {
-                    expect_block(store, r, BlockId::Full, &root_vec, "broadcast")?;
-                } else {
-                    for i in 0..p {
-                        let seg = workload.segment(workload.root, i);
-                        expect_block(store, r, BlockId::Segment(i as u32), &seg, "broadcast")?;
-                    }
-                }
-            }
-            Ok(())
+    let contract = workload.contract();
+    let what = workload.collective.name();
+    // What the previous rank was compared against: all that is kept, so an
+    // allreduce computes each sum once and an alltoall never holds more than
+    // one rank's blocks.
+    let mut previous: BlockMap<Vec<f64>> = BlockMap::default();
+    for (rank, store) in finals.iter().enumerate() {
+        let mut expected = BlockMap::default();
+        let mut check = |id: &BlockId| {
+            let got = store
+                .get(id)
+                .ok_or_else(|| format!("rank {rank}: missing {what} block {id:?}"))?;
+            let expected = expected.entry(*id).or_insert_with(|| {
+                let kept = previous.remove(id);
+                kept.unwrap_or_else(|| workload.expected(*id))
+            });
+            compare(got, expected).map_err(|e| format!("rank {rank}: {what} block {id:?} {e}"))
+        };
+        let mut failures = Vec::new();
+        let satisfied = contract.required(rank).iter().any(|alternative| {
+            let outcome = alternative.iter().try_for_each(&mut check);
+            outcome.map_err(|e| failures.push(e)).is_ok()
+        });
+        if !satisfied {
+            return Err(failures.join("; or "));
         }
-        Collective::Reduce => {
-            let store = &finals[workload.root];
-            if holds_full(store) && store.get(&BlockId::Segment(0)).is_none() {
-                let expected: Vec<f64> = (0..workload.vector_len())
-                    .map(|j| workload.reduced(j))
-                    .collect();
-                expect_block(store, workload.root, BlockId::Full, &expected, "reduce")
-            } else {
-                for i in 0..p {
-                    let expected = workload.reduced_segment(i);
-                    expect_block(
-                        store,
-                        workload.root,
-                        BlockId::Segment(i as u32),
-                        &expected,
-                        "reduce",
-                    )?;
-                }
-                Ok(())
-            }
-        }
-        Collective::Allreduce => {
-            for (r, store) in finals.iter().enumerate() {
-                if holds_full(store) && store.get(&BlockId::Segment(0)).is_none() {
-                    let expected: Vec<f64> = (0..workload.vector_len())
-                        .map(|j| workload.reduced(j))
-                        .collect();
-                    expect_block(store, r, BlockId::Full, &expected, "allreduce")?;
-                } else {
-                    for i in 0..p {
-                        let expected = workload.reduced_segment(i);
-                        expect_block(store, r, BlockId::Segment(i as u32), &expected, "allreduce")?;
-                    }
-                }
-            }
-            Ok(())
-        }
-        Collective::ReduceScatter => {
-            for (r, store) in finals.iter().enumerate() {
-                let expected = workload.reduced_segment(r);
-                expect_block(
-                    store,
-                    r,
-                    BlockId::Segment(r as u32),
-                    &expected,
-                    "reduce-scatter",
-                )?;
-            }
-            Ok(())
-        }
-        Collective::Gather => {
-            let store = &finals[workload.root];
-            for i in 0..p {
-                let expected = workload.segment(i, i);
-                expect_block(
-                    store,
-                    workload.root,
-                    BlockId::Segment(i as u32),
-                    &expected,
-                    "gather",
-                )?;
-            }
-            Ok(())
-        }
-        Collective::Allgather => {
-            for (r, store) in finals.iter().enumerate() {
-                for i in 0..p {
-                    let expected = workload.segment(i, i);
-                    expect_block(store, r, BlockId::Segment(i as u32), &expected, "allgather")?;
-                }
-            }
-            Ok(())
-        }
-        Collective::Scatter => {
-            for (r, store) in finals.iter().enumerate() {
-                let expected = workload.segment(workload.root, r);
-                expect_block(store, r, BlockId::Segment(r as u32), &expected, "scatter")?;
-            }
-            Ok(())
-        }
-        Collective::Alltoall => {
-            for (r, store) in finals.iter().enumerate() {
-                for o in 0..p {
-                    let expected: Vec<f64> = (0..workload.elems_per_block)
-                        .map(|j| workload.pairwise_value(o, r, j))
-                        .collect();
-                    expect_block(
-                        store,
-                        r,
-                        BlockId::Pairwise {
-                            origin: o as u32,
-                            dest: r as u32,
-                        },
-                        &expected,
-                        "alltoall",
-                    )?;
-                }
-            }
-            Ok(())
-        }
+        previous = expected;
     }
+    Ok(())
 }
 
 /// Convenience helper: builds the workload for a schedule, runs it on the

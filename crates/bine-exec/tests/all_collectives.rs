@@ -208,3 +208,81 @@ fn large_rank_counts_still_verify() {
         );
     }
 }
+
+#[test]
+fn the_cluster_facade_runs_the_whole_catalog() {
+    // Every algorithm variant through `Cluster`, against a naive computation
+    // on the plain buffers — no `Workload`, no `verify`. The values are
+    // small integers, so sums are exact in any association order.
+    use bine_exec::Cluster;
+    use bine_sched::collectives::{
+        AllgatherAlg, AllreduceAlg, AlltoallAlg, BroadcastAlg, GatherAlg, ReduceAlg,
+        ReduceScatterAlg, ScatterAlg,
+    };
+    use bine_sched::NonContigStrategy;
+
+    let p = 8;
+    let cluster = Cluster::new(p);
+    let len = 2 * p;
+    let inputs: Vec<Vec<f64>> = (0..p)
+        .map(|r| (0..len).map(|j| ((r * 17 + j * 5) % 23) as f64).collect())
+        .collect();
+    let sum: Vec<f64> = (0..len)
+        .map(|j| inputs.iter().map(|v| v[j]).sum())
+        .collect();
+    let concatenated = inputs.concat();
+    let segment = |v: &[f64], i: usize| v[2 * i..2 * (i + 1)].to_vec();
+
+    for alg in AllreduceAlg::ALL {
+        for (r, out) in cluster.allreduce(&inputs, alg).iter().enumerate() {
+            assert_eq!(out, &sum, "allreduce {alg:?} rank {r}");
+        }
+    }
+    for alg in AllgatherAlg::ALL {
+        for (r, out) in cluster.allgather(&inputs, alg).iter().enumerate() {
+            assert_eq!(out, &concatenated, "allgather {alg:?} rank {r}");
+        }
+    }
+    // The listed reduce-scatters and the strategy forms only a name reaches.
+    let strategies = NonContigStrategy::ALL.map(ReduceScatterAlg::Bine);
+    for alg in ReduceScatterAlg::ALL.into_iter().chain(strategies) {
+        for (r, out) in cluster.reduce_scatter(&inputs, alg).iter().enumerate() {
+            assert_eq!(out, &segment(&sum, r), "reduce-scatter {alg:?} rank {r}");
+        }
+    }
+    let blocks: Vec<Vec<Vec<f64>>> = (0..p)
+        .map(|r| (0..p).map(|d| vec![(r * 10 + d) as f64, 0.5]).collect())
+        .collect();
+    for alg in AlltoallAlg::ALL {
+        for (r, row) in cluster.alltoall(&blocks, alg).iter().enumerate() {
+            for (o, block) in row.iter().enumerate() {
+                assert_eq!(block, &blocks[o][r], "alltoall {alg:?} {o} -> {r}");
+            }
+        }
+    }
+    for root in [0, 5] {
+        for alg in BroadcastAlg::ALL {
+            for (r, out) in cluster
+                .broadcast(&inputs[root], root, alg)
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(out, &inputs[root], "broadcast {alg:?} root {root} rank {r}");
+            }
+        }
+        for alg in ReduceAlg::ALL {
+            let out = cluster.reduce(&inputs, root, alg);
+            assert_eq!(out, sum, "reduce {alg:?} root {root}");
+        }
+        for alg in GatherAlg::ALL {
+            let out = cluster.gather(&inputs, root, alg);
+            assert_eq!(out, concatenated, "gather {alg:?} root {root}");
+        }
+        for alg in ScatterAlg::ALL {
+            for (r, out) in cluster.scatter(&inputs[root], root, alg).iter().enumerate() {
+                let expected = segment(&inputs[root], r);
+                assert_eq!(out, &expected, "scatter {alg:?} root {root} rank {r}");
+            }
+        }
+    }
+}

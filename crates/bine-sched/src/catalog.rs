@@ -140,6 +140,51 @@ pub fn split_segments(name: &str) -> (&str, usize) {
     (name, 1)
 }
 
+/// The catalog's one table, read by [`has_algorithm`], [`algorithms`] and
+/// [`build`]: per collective, its algorithm enum — `ALL` is what gets
+/// listed — the variants only a name reaches, the binomial-tree / butterfly
+/// baseline of Tables 3–5, and the builder. `$body` is expanded once per
+/// row, with `$listed` and `$unlisted` bound to lists of the row's enum,
+/// `$baseline` to one of its variants and `$build` to a
+/// `Fn(p, root, variant) -> Schedule`.
+macro_rules! per_collective {
+    ($collective:expr, |$listed:ident, $unlisted:ident, $baseline:ident, $build:ident| $body:expr) => {
+        per_collective!(@rows $collective, ($listed, $unlisted, $baseline, $build), $body,
+            Broadcast: BroadcastAlg::BinomialDistanceDoubling, [],
+                |p, root, alg| broadcast(p, root, alg);
+            Reduce: ReduceAlg::BinomialDistanceDoubling, [],
+                |p, root, alg| reduce(p, root, alg);
+            Gather: GatherAlg::BinomialDistanceDoubling, [],
+                |p, root, alg| gather(p, root, alg);
+            Scatter: ScatterAlg::BinomialDistanceDoubling, [],
+                |p, root, alg| scatter(p, root, alg);
+            Allgather: AllgatherAlg::RecursiveDoubling, [],
+                |p, _root, alg| allgather(p, alg);
+            ReduceScatter: ReduceScatterAlg::RecursiveHalving,
+                NonContigStrategy::ALL.map(ReduceScatterAlg::Bine),
+                |p, _root, alg| reduce_scatter(p, alg);
+            Allreduce: AllreduceAlg::RecursiveDoubling, [],
+                |p, _root, alg| allreduce(p, alg);
+            Alltoall: AlltoallAlg::Bruck, [],
+                |p, _root, alg| alltoall(p, alg);
+        )
+    };
+    // The match itself: one arm per row, each binding the four names for
+    // its own enum and then evaluating `$body`.
+    (@rows $collective:expr, ($listed:ident, $unlisted:ident, $baseline:ident, $build:ident),
+     $body:expr, $($variant:ident: $alg:ident :: $base:ident, $extra:expr,
+     |$p:ident, $root:ident, $a:ident| $builder:expr;)*) => {
+        match $collective {
+            $(Collective::$variant => {
+                let ($listed, $baseline) = ($alg::ALL, $alg::$base);
+                let $unlisted: &[$alg] = &$extra;
+                let $build = |$p: usize, $root: usize, $a: $alg| $builder;
+                $body
+            })*
+        }
+    };
+}
+
 /// Whether `name` (base name or `+seg{S}`-suffixed) is a name the *catalog*
 /// can build for `collective`, without building it. Synthesized `synth:`
 /// names are not catalog names; check them with
@@ -147,109 +192,28 @@ pub fn split_segments(name: &str) -> (&str, usize) {
 /// reject stale picks at parse time instead of deep in the serve path.
 pub fn has_algorithm(collective: Collective, name: &str) -> bool {
     let (base, _) = split_segments(name);
-    match collective {
-        Collective::Broadcast => BroadcastAlg::ALL.iter().any(|a| a.name() == base),
-        Collective::Reduce => ReduceAlg::ALL.iter().any(|a| a.name() == base),
-        Collective::Gather => GatherAlg::ALL.iter().any(|a| a.name() == base),
-        Collective::Scatter => ScatterAlg::ALL.iter().any(|a| a.name() == base),
-        Collective::Allgather => AllgatherAlg::ALL.iter().any(|a| a.name() == base),
-        Collective::ReduceScatter => rs_by_name(base).is_some(),
-        Collective::Allreduce => AllreduceAlg::ALL.iter().any(|a| a.name() == base),
-        Collective::Alltoall => AlltoallAlg::ALL.iter().any(|a| a.name() == base),
-    }
+    per_collective!(collective, |listed, unlisted, _baseline, _build| {
+        listed.iter().chain(unlisted).any(|a| a.name() == base)
+    })
 }
 
 /// Lists every algorithm available for `collective`.
 pub fn algorithms(collective: Collective) -> Vec<AlgorithmId> {
-    let mk = |name: &'static str, is_bine, is_binomial_baseline| AlgorithmId {
-        collective,
-        name: Arc::from(name),
-        is_bine,
-        is_binomial_baseline,
-        is_linear: matches!(name, "ring" | "pairwise"),
-    };
-    match collective {
-        Collective::Broadcast => BroadcastAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, BroadcastAlg::BinomialDistanceDoubling),
-                )
-            })
-            .collect(),
-        Collective::Reduce => ReduceAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, ReduceAlg::BinomialDistanceDoubling),
-                )
-            })
-            .collect(),
-        Collective::Gather => GatherAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, GatherAlg::BinomialDistanceDoubling),
-                )
-            })
-            .collect(),
-        Collective::Scatter => ScatterAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, ScatterAlg::BinomialDistanceDoubling),
-                )
-            })
-            .collect(),
-        Collective::Allgather => AllgatherAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, AllgatherAlg::RecursiveDoubling),
-                )
-            })
-            .collect(),
-        Collective::ReduceScatter => ReduceScatterAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, ReduceScatterAlg::RecursiveHalving),
-                )
-            })
-            .collect(),
-        Collective::Allreduce => AllreduceAlg::ALL
-            .iter()
-            .map(|a| {
-                mk(
-                    a.name(),
-                    a.is_bine(),
-                    matches!(a, AllreduceAlg::RecursiveDoubling),
-                )
-            })
-            .collect(),
-        Collective::Alltoall => AlltoallAlg::ALL
-            .iter()
-            .map(|a| mk(a.name(), a.is_bine(), matches!(a, AlltoallAlg::Bruck)))
-            .collect(),
-    }
+    per_collective!(collective, |listed, _unlisted, baseline, _build| {
+        let ids = listed.iter().map(|a| AlgorithmId {
+            is_bine: a.is_bine(),
+            is_binomial_baseline: *a == baseline,
+            ..AlgorithmId::new(collective, a.name())
+        });
+        ids.collect()
+    })
 }
 
 /// Builds the schedule for a named algorithm.
 ///
 /// `root` is used only by the rooted collectives. Returns `None` if the name
-/// is unknown for that collective.
+/// is unknown for that collective — the unlisted reduce-scatter strategy
+/// variants (`bine-send`, …) are known.
 ///
 /// A `+seg{S}` suffix with `S >= 2` (e.g. `"bine-large+seg4"`) builds the
 /// base algorithm and then applies the pipelining transform of
@@ -262,51 +226,10 @@ pub fn build(collective: Collective, name: &str, p: usize, root: usize) -> Optio
     if chunks > 1 {
         return build(collective, base, p, root).map(|s| s.segmented(chunks));
     }
-    let sched = match collective {
-        Collective::Broadcast => {
-            let alg = BroadcastAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            broadcast(p, root, alg)
-        }
-        Collective::Reduce => {
-            let alg = ReduceAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            reduce(p, root, alg)
-        }
-        Collective::Gather => {
-            let alg = GatherAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            gather(p, root, alg)
-        }
-        Collective::Scatter => {
-            let alg = ScatterAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            scatter(p, root, alg)
-        }
-        Collective::Allgather => {
-            let alg = AllgatherAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            allgather(p, alg)
-        }
-        Collective::ReduceScatter => {
-            let alg = rs_by_name(name)?;
-            reduce_scatter(p, alg)
-        }
-        Collective::Allreduce => {
-            let alg = AllreduceAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            allreduce(p, alg)
-        }
-        Collective::Alltoall => {
-            let alg = AlltoallAlg::ALL.into_iter().find(|a| a.name() == name)?;
-            alltoall(p, alg)
-        }
-    };
-    Some(sched)
-}
-
-fn rs_by_name(name: &str) -> Option<ReduceScatterAlg> {
-    if let Some(alg) = ReduceScatterAlg::ALL.into_iter().find(|a| a.name() == name) {
-        return Some(alg);
-    }
-    NonContigStrategy::ALL
-        .into_iter()
-        .map(ReduceScatterAlg::Bine)
-        .find(|a| a.name() == name)
+    per_collective!(collective, |listed, unlisted, _baseline, build| {
+        let alg = listed.iter().chain(unlisted).find(|a| a.name() == name)?;
+        Some(build(p, root, *alg))
+    })
 }
 
 /// The algorithm the paper treats as "the Bine algorithm" for a collective

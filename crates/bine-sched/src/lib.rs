@@ -34,6 +34,7 @@
 pub mod catalog;
 pub mod collectives;
 pub mod compile;
+pub mod contract;
 pub mod deps;
 pub mod noncontig;
 pub mod provider;
@@ -49,6 +50,7 @@ pub use collectives::{
     build_irregular, irregular_algorithms, IrregularAlg, SizeDist, IRREGULAR_COLLECTIVES,
 };
 pub use compile::{BlockInterner, CompiledSchedule, CompiledSend, SlotLayout};
+pub use contract::{Contract, Granularity};
 pub use deps::DepGraph;
 pub use noncontig::NonContigStrategy;
 pub use provider::{CatalogProvider, ProviderSet, ScheduleProvider, SynthProvider, ViewSource};

@@ -18,8 +18,8 @@
 //!   panic with at runtime; a reduce whose payload overlaps the
 //!   destination's accumulated contributions (data counted twice) is
 //!   rejected as a duplicate contribution; and at the end every rank must
-//!   satisfy the collective's postcondition (counts-aware: zero-count
-//!   segments of a v-variant are exempt).
+//!   hold what the collective's [`Contract`] requires of it (counts-aware:
+//!   zero-count segments of a v-variant are exempt).
 //! * **deadlock-freedom** ([`ScheduleValidator::check_acyclic`]) — a
 //!   topological elimination of the [`DepGraph`] the DES executes (read
 //!   edges, chained writes per block, per-rank FIFO send ports).
@@ -32,10 +32,16 @@
 //!   measured `bine_net::traffic::TrafficReport` (passed as raw totals so
 //!   the crates stay layered).
 //!
-//! On top of the same possession engine sits the **survivability analysis**
-//! ([`ScheduleValidator::survivors`]): given a set of crashed ranks it
-//! computes which surviving ranks can still satisfy their postcondition,
-//! which are stalled, and the set of pending receives that became
+//! There is **one replay with two readings**. The replay always runs the
+//! fault-tolerant loop — a send that is dropped, has a dead endpoint or
+//! queues behind a send its rank cannot back never happens, and the rank is
+//! wedged from there on — and always notes the first violation it meets (an
+//! unbacked send or a doubly-counted contribution). Who starts with what,
+//! and who must end with what, both come from the [`Contract`]. Delivery is
+//! the reading with no fault: the first violation, else the first rank left
+//! short. The **survivability analysis** ([`ScheduleValidator::survivors`])
+//! is the reading with crashed ranks: which survivors still end with what
+//! they require, which are stalled, and the pending receives that became
 //! undeliverable — the stall cut a recovery layer needs to decide what to
 //! rebuild. [`ScheduleValidator::completion_with_dropped`] is the
 //! generalised form the DES uses to diagnose a stalled simulation: it takes
@@ -45,8 +51,9 @@
 use std::collections::HashMap;
 
 use crate::compile::CompiledSchedule;
+use crate::contract::{Contract, Granularity};
 use crate::deps::DepGraph;
-use crate::schedule::{BlockId, Collective, Schedule, TransferKind};
+use crate::schedule::{BlockId, Schedule, TransferKind};
 
 /// A set of ranks, used to track which ranks' contributions a block
 /// embodies. Backed by a flat word vector so unions and comparisons are a
@@ -79,10 +86,6 @@ impl RankSet {
 
     fn is_full(&self, p: usize) -> bool {
         *self == Self::full(p)
-    }
-
-    fn intersects(&self, other: &Self) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     fn union_in_place(&mut self, other: &Self) {
@@ -400,25 +403,26 @@ impl RankMap {
     }
 }
 
-/// How a rank's postcondition is expressed in blocks.
-enum Post {
-    /// No requirement on this rank.
-    None,
-    /// All listed blocks must be held, fully combined.
-    All(Vec<BlockId>),
-    /// Either the first set or the second set must be fully combined
-    /// (small-vector `Full` form vs large-vector segment form).
-    Either(Vec<BlockId>, Vec<BlockId>),
-}
-
 /// Static analyzer over one compiled schedule. See the module docs for the
 /// invariants; [`ScheduleValidator::validate`] runs them all.
 pub struct ScheduleValidator<'a> {
     c: &'a CompiledSchedule,
 }
 
-/// Per-rank symbolic possession: interned block index → contribution set.
+/// Per-rank symbolic possession: block → contribution set.
 type Possession = Vec<HashMap<BlockId, RankSet>>;
+
+/// What one symbolic replay found; delivery and survivability read it.
+struct Replay {
+    /// What every rank holds after the last step.
+    held: Possession,
+    /// The sends that never happened, in schedule order.
+    undeliverable: Vec<PendingRecv>,
+    /// The first unbacked send or doubly-counted contribution met. Only the
+    /// reading with no fault asks: under faults an unbacked send is the
+    /// expected cascade, not a defect of the schedule.
+    violation: Option<ValidationError>,
+}
 
 impl<'a> ScheduleValidator<'a> {
     /// A validator over `compiled`.
@@ -559,102 +563,28 @@ impl<'a> ScheduleValidator<'a> {
         Ok(())
     }
 
-    /// Full delivery: replays the schedule symbolically (two-phase per step,
-    /// exactly like the executors: sends read the pre-step state, payloads
-    /// apply per destination in schedule order) and verifies that every send
-    /// is backed by possession, no reduce double-counts a contribution, and
-    /// every rank ends holding the collective's postcondition block set.
+    /// Full delivery: the replay with no fault. Every send must be backed by
+    /// possession, no reduce may double-count a contribution, and every rank
+    /// must end holding what the collective's [`Contract`] requires of it.
     pub fn check_delivery(&self) -> Result<(), ValidationError> {
-        let c = self.c;
-        let p = c.num_ranks;
-        let mut held = self.initial_possession();
-        let mut staged: Vec<Option<Vec<RankSet>>> = Vec::new();
-        for step in 0..c.num_steps() {
-            let range = c.step_send_range(step);
-            // Gather phase: read the pre-step state.
-            staged.clear();
-            staged.resize(range.len(), None);
-            for i in range.clone() {
-                let s = c.send(i);
-                let mut payload = Vec::with_capacity(s.num_blocks());
-                for &bi in c.block_index_slice(s) {
-                    let b = c.blocks().resolve(bi);
-                    match held[s.src as usize].get(&b) {
-                        Some(set) => payload.push(set.clone()),
-                        None => {
-                            return Err(ValidationError::MissingBlock {
-                                step,
-                                rank: s.src as usize,
-                                block: b,
-                            });
-                        }
-                    }
-                }
-                staged[i - range.start] = Some(payload);
-            }
-            // Apply phase: per destination, in schedule order.
-            for (dst, held_dst) in held.iter_mut().enumerate() {
-                for &si in c.recvs_to(step, dst) {
-                    let s = c.send(si as usize);
-                    let payload = staged[si as usize - range.start]
-                        .as_ref()
-                        .expect("staged in gather phase");
-                    for (&bi, set) in c.block_index_slice(s).iter().zip(payload) {
-                        let b = c.blocks().resolve(bi);
-                        match s.kind {
-                            TransferKind::Copy => {
-                                held_dst.insert(b, set.clone());
-                            }
-                            TransferKind::Reduce => match held_dst.get_mut(&b) {
-                                Some(acc) => {
-                                    if acc.intersects(set) {
-                                        let duplicated = acc
-                                            .first_common(set)
-                                            .expect("intersection is non-empty");
-                                        return Err(ValidationError::DuplicateContribution {
-                                            step,
-                                            rank: dst,
-                                            block: b,
-                                            duplicated,
-                                        });
-                                    }
-                                    acc.union_in_place(set);
-                                }
-                                None => {
-                                    held_dst.insert(b, set.clone());
-                                }
-                            },
-                        }
-                    }
-                }
-            }
+        let replay = self.replay(&[], &[]);
+        if let Some(violation) = replay.violation {
+            return Err(violation);
         }
-        // Postcondition.
-        for rank in 0..p {
-            if let Some(block) = self.first_unsatisfied(&held, rank) {
-                return Err(ValidationError::Incomplete { rank, block });
-            }
+        let unmet = |rank| Some((rank, self.first_unsatisfied(&replay.held, rank)?));
+        match (0..self.c.num_ranks).find_map(unmet) {
+            Some((rank, block)) => Err(ValidationError::Incomplete { rank, block }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Survivability: which ranks can still satisfy the postcondition when
+    /// Survivability: which ranks can still end with what they require when
     /// `dead` ranks crash before the collective starts. A dead rank's sends
     /// and receives never happen; surviving ranks wedge on the first send
     /// they cannot back with data (single send port — everything behind it
     /// is stuck too), and the cascade is propagated to a fixed point.
     pub fn survivors(&self, dead: &[usize]) -> CompletionReport {
-        let c = self.c;
-        let mut dropped = vec![false; c.num_sends()];
-        for step in 0..c.num_steps() {
-            for i in c.step_send_range(step) {
-                let s = c.send(i);
-                if dead.contains(&(s.src as usize)) || dead.contains(&(s.dst as usize)) {
-                    dropped[i] = true;
-                }
-            }
-        }
-        self.completion(&dropped, dead)
+        self.completion_with_dropped(&[], dead)
     }
 
     /// The generalised survivability engine used by the DES stall diagnosis:
@@ -667,25 +597,57 @@ impl<'a> ScheduleValidator<'a> {
         dropped_sends: &[u32],
         dead: &[usize],
     ) -> CompletionReport {
-        let mut dropped = vec![false; self.c.num_sends()];
+        let p = self.c.num_ranks;
+        let replay = self.replay(dropped_sends, dead);
+        let mut dead: Vec<usize> = dead.iter().copied().filter(|&d| d < p).collect();
+        dead.sort_unstable();
+        dead.dedup();
+        let (completed, stalled): (Vec<usize>, Vec<usize>) = (0..p)
+            .filter(|rank| dead.binary_search(rank).is_err())
+            .partition(|&rank| self.first_unsatisfied(&replay.held, rank).is_none());
+        CompletionReport {
+            dead,
+            completed,
+            stalled,
+            undeliverable: replay.undeliverable,
+        }
+    }
+
+    /// The one symbolic replay (two-phase per step, exactly like the
+    /// executors: sends read the pre-step state, payloads apply per
+    /// destination in schedule order), seeded with what the [`Contract`] says
+    /// every rank starts with. `dropped_sends` and the sends of `dead` ranks
+    /// never happen; with neither, this is the strict replay up to the first
+    /// violation, which is where the no-fault reading stops looking.
+    fn replay(&self, dropped_sends: &[u32], dead: &[usize]) -> Replay {
+        let c = self.c;
+        let p = c.num_ranks;
+        let mut dropped = vec![false; c.num_sends()];
         for &i in dropped_sends {
             dropped[i as usize] = true;
         }
-        self.completion(&dropped, dead)
-    }
-
-    fn completion(&self, initially_dropped: &[bool], dead: &[usize]) -> CompletionReport {
-        let c = self.c;
-        let p = c.num_ranks;
         let mut is_dead = vec![false; p];
-        for &d in dead {
-            if d < p {
-                is_dead[d] = true;
-            }
+        for &d in dead.iter().filter(|&&d| d < p) {
+            is_dead[d] = true;
         }
-        let mut held = self.initial_possession();
+        let contract = Contract::from(c);
+        let granularity = Granularity::from(c);
+        let mut held: Possession = (0..p)
+            .map(|rank| {
+                let own = |block| match contract.source(block) {
+                    Some(_) => (block, RankSet::full(p)),
+                    None => (block, RankSet::singleton(p, rank)),
+                };
+                contract
+                    .initial(rank, granularity)
+                    .into_iter()
+                    .map(own)
+                    .collect()
+            })
+            .collect();
         let mut wedged = vec![false; p];
         let mut undeliverable = Vec::new();
+        let mut violation = None;
         let mut staged: Vec<Option<Vec<RankSet>>> = Vec::new();
         for step in 0..c.num_steps() {
             let range = c.step_send_range(step);
@@ -697,286 +659,89 @@ impl<'a> ScheduleValidator<'a> {
             // it in the rank's queue.
             for i in range.clone() {
                 let s = c.send(i);
-                let rank = s.src as usize;
-                if initially_dropped[i] {
-                    undeliverable.push(PendingRecv {
-                        step,
-                        src: rank,
-                        dst: s.dst as usize,
-                        reason: StallReason::Crashed,
+                let (rank, dst) = (s.src as usize, s.dst as usize);
+                let crashed = dropped[i] || is_dead[rank] || is_dead[dst];
+                if !crashed && !wedged[rank] {
+                    let payload = c.block_index_slice(s).iter().map(|&bi| {
+                        let block = c.blocks().resolve(bi);
+                        held[rank].get(&block).cloned().ok_or(block)
                     });
-                    continue;
-                }
-                if is_dead[rank] || is_dead[s.dst as usize] {
-                    undeliverable.push(PendingRecv {
-                        step,
-                        src: rank,
-                        dst: s.dst as usize,
-                        reason: StallReason::Crashed,
-                    });
-                    continue;
-                }
-                if wedged[rank] {
-                    undeliverable.push(PendingRecv {
-                        step,
-                        src: rank,
-                        dst: s.dst as usize,
-                        reason: StallReason::Blocked,
-                    });
-                    continue;
-                }
-                let payload: Option<Vec<RankSet>> = c
-                    .block_index_slice(s)
-                    .iter()
-                    .map(|&bi| held[rank].get(&c.blocks().resolve(bi)).cloned())
-                    .collect();
-                match payload {
-                    Some(payload) => staged[i - range.start] = Some(payload),
-                    None => {
-                        // The data this send needs never arrived: the
-                        // rank waits forever — wedged from here on.
-                        wedged[rank] = true;
-                        undeliverable.push(PendingRecv {
-                            step,
-                            src: rank,
-                            dst: s.dst as usize,
-                            reason: StallReason::Blocked,
-                        });
+                    match payload.collect() {
+                        Ok(payload) => {
+                            staged[i - range.start] = Some(payload);
+                            continue;
+                        }
+                        // The data this send needs never arrived: the rank
+                        // waits forever — wedged from here on.
+                        Err(block) => {
+                            wedged[rank] = true;
+                            let unbacked = ValidationError::MissingBlock { step, rank, block };
+                            violation.get_or_insert(unbacked);
+                        }
                     }
                 }
+                let reason = if crashed {
+                    StallReason::Crashed
+                } else {
+                    StallReason::Blocked
+                };
+                undeliverable.push(PendingRecv {
+                    step,
+                    src: rank,
+                    dst,
+                    reason,
+                });
             }
-            // Apply phase: only sends that actually happened.
-            for dst in 0..p {
-                if is_dead[dst] {
-                    continue;
-                }
+            // Apply phase: per destination, in schedule order, only the
+            // sends that actually happened.
+            for (dst, held_dst) in held.iter_mut().enumerate() {
                 for &si in c.recvs_to(step, dst) {
                     let Some(payload) = staged[si as usize - range.start].as_ref() else {
                         continue;
                     };
                     let s = c.send(si as usize);
                     for (&bi, set) in c.block_index_slice(s).iter().zip(payload) {
-                        let b = c.blocks().resolve(bi);
-                        match s.kind {
-                            TransferKind::Copy => {
-                                held[dst].insert(b, set.clone());
-                            }
-                            TransferKind::Reduce => match held[dst].get_mut(&b) {
-                                Some(acc) => acc.union_in_place(set),
-                                None => {
-                                    held[dst].insert(b, set.clone());
+                        let block = c.blocks().resolve(bi);
+                        match held_dst.get_mut(&block) {
+                            Some(acc) if s.kind == TransferKind::Reduce => {
+                                if let Some(duplicated) = acc.first_common(set) {
+                                    violation.get_or_insert(
+                                        ValidationError::DuplicateContribution {
+                                            step,
+                                            rank: dst,
+                                            block,
+                                            duplicated,
+                                        },
+                                    );
                                 }
-                            },
+                                acc.union_in_place(set);
+                            }
+                            _ => {
+                                held_dst.insert(block, set.clone());
+                            }
                         }
                     }
                 }
             }
         }
-        let mut completed = Vec::new();
-        let mut stalled = Vec::new();
-        for (rank, &rank_dead) in is_dead.iter().enumerate().take(p) {
-            if rank_dead {
-                continue;
-            }
-            if self.first_unsatisfied(&held, rank).is_none() {
-                completed.push(rank);
-            } else {
-                stalled.push(rank);
-            }
-        }
-        let mut dead: Vec<usize> = dead.iter().copied().filter(|&d| d < p).collect();
-        dead.sort_unstable();
-        dead.dedup();
-        CompletionReport {
-            dead,
-            completed,
-            stalled,
+        Replay {
+            held,
             undeliverable,
+            violation,
         }
     }
 
-    /// Initial symbolic possession, mirroring `Workload::initial_state` in
-    /// `bine-exec`: the block granularities the schedule actually references
-    /// are materialised. Reduction collectives start each block as the
-    /// holder's own contribution; movement collectives start blocks fully
-    /// formed at their origin.
-    fn initial_possession(&self) -> Possession {
-        let c = self.c;
-        let p = c.num_ranks;
-        let uses_full = c.blocks().index_of(&BlockId::Full).is_some();
-        let uses_segments = c
-            .blocks()
-            .iter()
-            .any(|(_, b)| matches!(b, BlockId::Segment(_)));
-        let mut held: Possession = vec![HashMap::new(); p];
-        let give = |held: &mut Possession, rank: usize, block: BlockId, set: RankSet| {
-            held[rank].insert(block, set);
-        };
-        match c.collective {
-            Collective::Broadcast => {
-                if uses_full || !uses_segments {
-                    give(&mut held, c.root, BlockId::Full, RankSet::full(p));
-                }
-                if uses_segments {
-                    for i in 0..p {
-                        give(
-                            &mut held,
-                            c.root,
-                            BlockId::Segment(i as u32),
-                            RankSet::full(p),
-                        );
-                    }
-                }
-            }
-            Collective::Reduce | Collective::Allreduce => {
-                for r in 0..p {
-                    if uses_full || !uses_segments {
-                        give(&mut held, r, BlockId::Full, RankSet::singleton(p, r));
-                    }
-                    if uses_segments {
-                        for i in 0..p {
-                            give(
-                                &mut held,
-                                r,
-                                BlockId::Segment(i as u32),
-                                RankSet::singleton(p, r),
-                            );
-                        }
-                    }
-                }
-            }
-            Collective::ReduceScatter => {
-                for r in 0..p {
-                    for i in 0..p {
-                        give(
-                            &mut held,
-                            r,
-                            BlockId::Segment(i as u32),
-                            RankSet::singleton(p, r),
-                        );
-                    }
-                }
-            }
-            Collective::Gather | Collective::Allgather => {
-                for r in 0..p {
-                    give(&mut held, r, BlockId::Segment(r as u32), RankSet::full(p));
-                }
-            }
-            Collective::Scatter => {
-                for i in 0..p {
-                    give(
-                        &mut held,
-                        c.root,
-                        BlockId::Segment(i as u32),
-                        RankSet::full(p),
-                    );
-                }
-            }
-            Collective::Alltoall => {
-                for r in 0..p {
-                    for d in 0..p {
-                        give(
-                            &mut held,
-                            r,
-                            BlockId::Pairwise {
-                                origin: r as u32,
-                                dest: d as u32,
-                            },
-                            RankSet::full(p),
-                        );
-                    }
-                }
-            }
-        }
-        held
-    }
-
-    /// The first postcondition block `rank` fails to hold fully combined, or
-    /// `None` if the rank's postcondition is satisfied.
+    /// A block `rank` must end with but does not hold fully combined — of the
+    /// last alternative the [`Contract`] offers — or `None` if one of the
+    /// alternatives is satisfied.
     fn first_unsatisfied(&self, held: &Possession, rank: usize) -> Option<BlockId> {
-        let check_all = |blocks: &[BlockId]| -> Option<BlockId> {
-            blocks
-                .iter()
-                .find(|b| !self.block_complete(held, rank, **b))
-                .copied()
-        };
-        match self.postcondition(rank) {
-            Post::None => None,
-            Post::All(blocks) => check_all(&blocks),
-            Post::Either(a, b) => {
-                if check_all(&a).is_none() {
-                    None
-                } else {
-                    check_all(&b)
-                }
-            }
+        let p = self.c.num_ranks;
+        let incomplete = |block: &BlockId| !held[rank].get(block).is_some_and(|set| set.is_full(p));
+        let mut unmet = None;
+        for alternative in Contract::from(self.c).required(rank) {
+            unmet = Some(alternative.into_iter().find(incomplete)?);
         }
-    }
-
-    fn block_complete(&self, held: &Possession, rank: usize, block: BlockId) -> bool {
-        held[rank]
-            .get(&block)
-            .is_some_and(|set| set.is_full(self.c.num_ranks))
-    }
-
-    /// The collective's postcondition for `rank`, counts-aware: zero-count
-    /// segments of a v-variant carry no data and are exempt.
-    fn postcondition(&self, rank: usize) -> Post {
-        let c = self.c;
-        let p = c.num_ranks;
-        let seg_required = |i: usize| -> bool {
-            match c.counts() {
-                Some(counts) => counts.count(i) > 0,
-                None => true,
-            }
-        };
-        let all_segments = || -> Vec<BlockId> {
-            (0..p)
-                .filter(|&i| seg_required(i))
-                .map(|i| BlockId::Segment(i as u32))
-                .collect()
-        };
-        match c.collective {
-            Collective::Broadcast => Post::Either(vec![BlockId::Full], all_segments()),
-            Collective::Reduce => {
-                if rank == c.root {
-                    Post::Either(vec![BlockId::Full], all_segments())
-                } else {
-                    Post::None
-                }
-            }
-            Collective::Allreduce => Post::Either(vec![BlockId::Full], all_segments()),
-            Collective::ReduceScatter => {
-                if seg_required(rank) {
-                    Post::All(vec![BlockId::Segment(rank as u32)])
-                } else {
-                    Post::None
-                }
-            }
-            Collective::Gather => {
-                if rank == c.root {
-                    Post::All(all_segments())
-                } else {
-                    Post::None
-                }
-            }
-            Collective::Scatter => {
-                if seg_required(rank) {
-                    Post::All(vec![BlockId::Segment(rank as u32)])
-                } else {
-                    Post::None
-                }
-            }
-            Collective::Allgather => Post::All(all_segments()),
-            Collective::Alltoall => Post::All(
-                (0..p)
-                    .map(|o| BlockId::Pairwise {
-                        origin: o as u32,
-                        dest: rank as u32,
-                    })
-                    .collect(),
-            ),
-        }
+        unmet
     }
 }
 
@@ -992,7 +757,7 @@ mod tests {
     use super::*;
     use crate::catalog::build;
     use crate::collectives::{allreduce, AllreduceAlg};
-    use crate::schedule::{Counts, Message, Step};
+    use crate::schedule::{Collective, Counts, Message, Step};
 
     #[test]
     fn every_catalog_algorithm_validates() {

@@ -7,48 +7,12 @@
 //! own crates, so `bine-sched`'s `#![forbid(unsafe_code)]` still holds for
 //! the library itself).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting;
+use counting::allocations_in as allocations;
 
 use bine_sched::collectives::{allreduce, AllreduceAlg};
 use bine_sched::{BlockId, Message, TransferKind};
-
-thread_local! {
-    /// Allocations requested by *this* thread, so tests running on parallel
-    /// threads do not charge each other's windows. Const-initialised and
-    /// without a destructor, so bumping it never allocates itself.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: delegates directly to the system allocator; the per-thread
-// counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
-
-/// Allocations this thread requested while `body` ran.
-fn allocations<T>(body: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let result = body();
-    (ALLOCATIONS.with(Cell::get) - before, result)
-}
 
 #[test]
 fn lowering_allocates_for_the_compiled_form_not_per_chunk() {

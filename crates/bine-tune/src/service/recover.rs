@@ -7,7 +7,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use bine_exec::{BlockStore, ExecError, ExecutorPool, Workload};
-use bine_sched::{Collective, CompiledSchedule, RankMap, Schedule};
+use bine_sched::{Collective, CompiledSchedule, Contract, RankMap, Schedule};
 
 use super::cache::Key;
 use super::flight::{lock_any, Guard, Resolved};
@@ -126,12 +126,12 @@ impl ServiceSelector {
             Err(other) => return Some(Err(other)),
         };
         lock_any(self.shard(&key)).stats.stalls += 1;
-        // A dead root's payload (broadcast/scatter source data) exists
-        // nowhere else: shrinking cannot recover it. The reduction and
-        // gather families re-contribute from every survivor, so they
-        // recover whoever died.
-        let root_holds_source = matches!(collective, Collective::Broadcast | Collective::Scatter);
-        if root_holds_source && dead.contains(&0) {
+        // Input that exists on one rank only (the source data of a
+        // broadcast or scatter root) dies with it: shrinking cannot recover
+        // it. Every other collective re-contributes from every survivor, so
+        // it recovers whoever died.
+        let sole_source = Contract::from(&sched).sole_source();
+        if sole_source.is_some_and(|root| dead.contains(&root)) {
             return Some(Err(error));
         }
         let map = RankMap::dense(nodes, dead);

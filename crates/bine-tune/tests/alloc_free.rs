@@ -6,8 +6,10 @@
 //! system allocator (tests are their own crates, so the library's
 //! `#![forbid(unsafe_code)]` still holds for `bine-tune` itself).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting;
+use counting::allocations;
+
 use std::sync::Arc;
 
 use bine_net::ObservedTiming;
@@ -15,43 +17,6 @@ use bine_sched::Collective;
 use bine_tune::{
     AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, ServiceSelector,
 };
-
-thread_local! {
-    /// Allocations made by *this* thread. The default test harness runs the
-    /// `#[test]`s of this file on parallel threads, so a process-global
-    /// counter would charge each test's window with the other's
-    /// allocations. Const-initialised and without a destructor, so reading
-    /// or bumping it never allocates itself.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Allocations the calling thread has made so far.
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-struct Counting;
-
-// SAFETY: delegates directly to the system allocator; the per-thread
-// counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: Counting = Counting;
 
 fn table() -> DecisionTable {
     let mut entries = Vec::new();
