@@ -10,8 +10,8 @@
 //! * [`Failure`] / [`main`] — the exit-code contract: 0 the command
 //!   passed, 1 a check it exists to make failed, 2 usage or I/O error.
 //! * [`quiet_panics`] — the RAII guard for runs whose expected panics
-//!   (injected compile failures, builder probes under `catch_unwind`)
-//!   should stay off stderr.
+//!   (`chaos`'s injected compile failures, filtered by message) should stay
+//!   off stderr.
 //! * [`step_summary`] — appends markdown to the GitHub Actions step
 //!   summary when there is one.
 

@@ -9,6 +9,7 @@ use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_net::cost::CostModel;
 use bine_net::sim;
+use bine_net::view::TUNING_PLACEMENT_SEED;
 use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
 use bine_sched::{CompiledSchedule, Schedule};
 
@@ -199,7 +200,8 @@ fn bench_synth(records: &mut Records, p: usize, iters: usize) {
     let model = CostModel::default();
     let system = System::heterofat();
     let topo = system.topology(p);
-    let alloc = bine_bench::runner::sample_allocation(&system, topo.as_ref(), p, 42);
+    let alloc =
+        bine_bench::runner::sample_allocation(&system, topo.as_ref(), p, TUNING_PLACEMENT_SEED);
     let mut arena = sim::SimArena::new();
     records.time(format!("{label}/sim/{p}"), iters, || {
         sim::SimRequest::new(&model, &compiled_sched, 1u64 << 20, topo.as_ref(), &alloc)
@@ -216,7 +218,7 @@ fn bench_synth(records: &mut Records, p: usize, iters: usize) {
 /// tuner pays once per candidate) and the from-scratch reference
 /// (`/sim-reference/`, an ungated baseline). The configuration — BineLarge
 /// allreduce on the LUMI dragonfly under the tuning tables' pinned
-/// fragmented placement (seed 42) — is what the DES refinement stage
+/// fragmented placement ([`TUNING_PLACEMENT_SEED`]) — is what the DES refinement stage
 /// simulates thousands of times: asymmetric routes make flow completions
 /// stagger, so the fair-share recomputation (the hot
 /// path the incremental optimization targets) dominates.
@@ -224,7 +226,8 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
     let model = CostModel::default();
     let system = System::lumi();
     let topo = system.topology(p);
-    let alloc = bine_bench::runner::sample_allocation(&system, topo.as_ref(), p, 42);
+    let alloc =
+        bine_bench::runner::sample_allocation(&system, topo.as_ref(), p, TUNING_PLACEMENT_SEED);
     let topo = topo.as_ref();
     let compiled_sched = allreduce(p, AllreduceAlg::BineLarge).compile();
     let n = 1u64 << 20;

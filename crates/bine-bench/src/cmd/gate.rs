@@ -51,7 +51,7 @@ pub fn perf(args: Args) -> Outcome {
     Ok(())
 }
 
-fn load_table(path: &Path) -> Result<DecisionTable, Failure> {
+pub(super) fn load_table(path: &Path) -> Result<DecisionTable, Failure> {
     DecisionTable::from_json(&read(path, "decision table")?)
         .map_err(|e| Failure::Io(format!("cannot parse {}: {e}", path.display())))
 }

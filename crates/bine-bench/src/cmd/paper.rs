@@ -2,7 +2,7 @@
 //! evaluation, one entry function per rendering.
 
 use bine_bench::report::{format_bytes, render_table, BoxPlot};
-use bine_bench::systems::{paper_vector_sizes, System, SystemKind, SMALL_VECTOR_THRESHOLD};
+use bine_bench::systems::{paper_vector_sizes, System, SystemKind};
 use bine_bench::tables::{
     comparison_table, des_comparison_table, heatmap_table, improvement_summary,
 };
@@ -381,7 +381,7 @@ pub fn disc_ppn(_: Args) -> Outcome {
                 let ranks = nodes * ppn;
                 let rank_nodes: Vec<usize> = (0..ranks).map(|r| node_sample[r / ppn]).collect();
                 let alloc = Allocation::from_nodes(rank_nodes);
-                let small = n <= SMALL_VECTOR_THRESHOLD;
+                let small = n <= bine_tune::FALLBACK_SMALL_VECTOR_THRESHOLD;
                 let bine = build(collective, bine_default(collective, small), ranks, 0).unwrap();
                 let base =
                     build(collective, binomial_default(collective, small), ranks, 0).unwrap();

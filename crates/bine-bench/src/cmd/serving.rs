@@ -198,14 +198,8 @@ pub fn crash(args: Args) -> Outcome {
         "crash chaos: {} table, {} threads × {} requests, seed {}\n",
         opts.system, opts.threads, opts.requests_per_thread, opts.seed
     );
-    // The recovery ladder probes schedule builders under `catch_unwind`;
-    // unsupported rank counts assert, and those probe panics are expected.
-    // Keep their backtraces off stderr for the duration of the run — any
-    // real contract violation is caught and returned as `Err` instead.
-    let quiet = quiet_panics(|_| true);
-    let report = bine_bench::crash::run(&opts);
-    drop(quiet);
-    let report = report.map_err(|e| Failure::Check(format!("crash_chaos: {e}")))?;
+    let report =
+        bine_bench::crash::run(&opts).map_err(|e| Failure::Check(format!("crash_chaos: {e}")))?;
 
     println!(
         "requests answered     {:>10} / {}",

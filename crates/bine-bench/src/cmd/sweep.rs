@@ -2,22 +2,17 @@
 //! smokes over the simulator, the extended collective space, the
 //! synthesizers and the validator.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use bine_bench::report::{format_bytes, render_table};
 use bine_bench::runner::Evaluator;
 use bine_bench::systems::System;
-use bine_net::allocation::Allocation;
-use bine_net::cost::CostModel;
-use bine_net::sim::SimRequest;
-use bine_net::view::{system_allocation, system_view, TUNING_PLACEMENT_SEED};
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, validate_schedule,
-    Collective, CompiledSchedule, SizeDist, SynthSpec, IRREGULAR_COLLECTIVES,
+    algorithms, build, build_irregular, irregular_algorithms, is_synthesizable, validate_schedule,
+    AlgorithmId, Collective, SizeDist, IRREGULAR_COLLECTIVES,
 };
-use bine_tune::Selector;
+use bine_tune::{default_tuning_dir, ScoreModel};
 
-use crate::cli::{quiet_panics, Args, Failure, Outcome};
+use super::gate::load_table;
+use crate::cli::{Args, Failure, Outcome};
 
 /// Segment counts swept by [`sim`] (1 = the unsegmented schedule).
 const CHUNKS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -131,11 +126,13 @@ const ALLTOALL_ALGS: [&str; 3] = ["bine", "bruck", "pairwise"];
 /// * sweeps the alltoall catalog (bine / bruck / pairwise) across the
 ///   paper's vector sizes with the synchronous model and the DES,
 /// * sweeps every v-variant collective × size distribution × irregular
-///   algorithm with the synchronous model (the model the irregular tuning
-///   grids are scored with) and simulates the per-cell winner once with
-///   the DES — exercising the counts-aware byte sizing end to end,
-/// * cross-checks the committed decision tables: for every swept cell the
-///   selector's dist-aware pick must be buildable via `build_irregular`.
+///   algorithm with the synchronous model — the sweep the tuner runs, cell
+///   for cell: the same scorer on the same tuned placement — and simulates
+///   the per-cell winner once with the DES, exercising the counts-aware
+///   byte sizing end to end,
+/// * cross-checks the committed decision table: every printed winner and
+///   its synchronous time must equal the table's `pick` / `time_us` at that
+///   cell (to the table's six decimals), or the sweep exits non-zero.
 ///
 /// `[nodes]` defaults to 16. CI runs this as the v-variant/alltoall smoke.
 pub fn irregular(args: Args) -> Outcome {
@@ -181,10 +178,10 @@ pub fn irregular(args: Args) -> Outcome {
         );
 
         // V-variant grids: the synchronous sweep the tuner runs, plus one
-        // DES simulation of each cell's winner.
-        let topo = system.topology(nodes);
-        let alloc = Allocation::block(nodes);
-        let model = eval.cost_model().clone();
+        // DES simulation of each cell's winner, each winner checked against
+        // the committed table.
+        let dir = default_tuning_dir().map_err(Failure::Io)?;
+        let table = load_table(&dir.join(format!("{}.json", system.slug())))?;
         let n = 1u64 << 20;
         println!(
             "=== {} ({nodes} nodes) — v-variants at {}, sync times in us (DES of winner) ===",
@@ -194,92 +191,63 @@ pub fn irregular(args: Args) -> Outcome {
         let mut rows = Vec::new();
         for collective in IRREGULAR_COLLECTIVES {
             for dist in SizeDist::ALL {
-                let counts = dist.counts(nodes, 0);
-                let mut row = vec![format!("{}v@{}", collective.name(), dist.name())];
+                let cell = format!("{}v@{}", collective.name(), dist.name());
                 let mut best: Option<(&'static str, f64)> = None;
                 let mut cands = Vec::new();
                 for alg in irregular_algorithms(collective) {
                     if eval.skip_algorithm(alg.name(), nodes) {
                         continue;
                     }
-                    let sched = build_irregular(collective, alg.name(), nodes, 0, &counts)
-                        .ok_or_else(|| {
-                            Failure::Check(format!("{collective:?}/{} did not build", alg.name()))
-                        })?;
-                    let t = model.time_us(&sched, n, topo.as_ref(), &alloc);
+                    let scored = eval.scorer_at(nodes).score(
+                        collective,
+                        Some(dist),
+                        alg.name(),
+                        nodes,
+                        n,
+                        ScoreModel::Sync,
+                    );
+                    let Some(t) = scored else { continue };
                     if best.is_none_or(|(_, bt)| t < bt) {
                         best = Some((alg.name(), t));
                     }
                     cands.push(format!("{}={t:.1}", alg.name()));
                 }
-                row.push(cands.join("  "));
-                let (winner, _) = best.expect("every cell has a candidate");
-                let compiled = build_irregular(collective, winner, nodes, 0, &counts)
-                    .expect("the winner built a moment ago")
-                    .compile();
-                let des = SimRequest::new(&model, &compiled, n, topo.as_ref(), &alloc)
-                    .time_only()
-                    .run()
-                    .makespan_us();
-                row.push(format!("{winner} ({des:.1})"));
-                rows.push(row);
+                let (winner, sync) = best.expect("every cell has a candidate");
+                let des = eval
+                    .scorer_at(nodes)
+                    .score(collective, Some(dist), winner, nodes, n, ScoreModel::Des)
+                    .expect("the winner built a moment ago");
+                let committed = table.at(collective, Some(dist), nodes, n).ok_or_else(|| {
+                    Failure::Check(format!("{}: no committed entry for {cell}", system.name))
+                })?;
+                if committed.pick != winner
+                    || format!("{:.6}", committed.time_us) != format!("{sync:.6}")
+                {
+                    return Err(Failure::Check(format!(
+                        "{}: {cell} at {nodes} nodes: swept {winner} {sync:.6} us, committed \
+                         table says {} {:.6} us",
+                        system.name, committed.pick, committed.time_us
+                    )));
+                }
+                rows.push(vec![cell, cands.join("  "), format!("{winner} ({des:.1})")]);
             }
         }
         println!(
             "{}",
             render_table(&["cell", "candidates (sync us)", "winner (des us)"], &rows)
         );
-
-        // Committed-table cross-check: every dist-aware pick must build.
-        let selector = Selector::load(system.name).map_err(|e| {
-            Failure::Io(format!("{}: cannot load committed table: {e}", system.name))
-        })?;
-        let mut checked = 0usize;
-        for collective in IRREGULAR_COLLECTIVES {
-            for dist in SizeDist::ALL {
-                for &bytes in &sizes {
-                    let cell = format!("{collective:?}@{}/{nodes}/{bytes}", dist.name());
-                    let tuned = selector
-                        .choose_irregular(collective, dist, nodes, bytes)
-                        .ok_or_else(|| {
-                            Failure::Check(format!("{}: no pick for {cell}", system.name))
-                        })?;
-                    let counts = dist.counts(nodes, 0);
-                    if build_irregular(collective, tuned.algorithm, nodes, 0, &counts).is_none() {
-                        return Err(Failure::Check(format!(
-                            "{}: committed pick {} for {cell} is not buildable",
-                            system.name, tuned.algorithm
-                        )));
-                    }
-                    checked += 1;
-                }
-            }
-        }
         println!(
-            "{}: {checked} committed v-variant picks resolved and built\n",
-            system.name
+            "{}: {} v-variant winners and times match the committed table\n",
+            system.name,
+            rows.len()
         );
     }
     Ok(())
 }
 
-/// The collectives the synthesizers support (tree-shaped dataflow).
-const SYNTH_COLLECTIVES: [Collective; 3] = [
-    Collective::Broadcast,
-    Collective::Reduce,
-    Collective::Allreduce,
-];
-
 /// Vector sizes raced under the DES: one latency-bound, one
 /// bandwidth-bound point per grid cell keeps the sweep under a minute.
 const SYNTH_SIZES: [u64; 2] = [64 * 1024, 16 * 1024 * 1024];
-
-/// A catalog build at a rank count the builder may not support: builders
-/// panic (rather than return `None`) there, so the probe runs under
-/// `catch_unwind` (and the caller under [`quiet_panics`]).
-fn probe<T>(build: impl FnOnce() -> Option<T>) -> Option<T> {
-    catch_unwind(AssertUnwindSafe(build)).ok().flatten()
-}
 
 /// Schedule-synthesis smoke sweep: synthesize, validate, race the catalog.
 ///
@@ -301,11 +269,6 @@ fn probe<T>(build: impl FnOnce() -> Option<T>) -> Option<T> {
 pub fn synth(args: Args) -> Outcome {
     let max_nodes: usize = args.flag_or("--max-nodes", 32)?;
 
-    // Catalog builders panic on unsupported rank counts; keep those
-    // expected backtraces off stderr so a real failure stays visible.
-    let _quiet = quiet_panics(|_| true);
-
-    let model = CostModel::default();
     let mut validated = 0usize;
     let mut raced = 0usize;
     let mut hetero_wins = Vec::new();
@@ -314,61 +277,50 @@ pub fn synth(args: Args) -> Outcome {
     for system in System::tuned() {
         let slug = system.slug();
         let hetero = slug == "heterofat";
+        // The tuned placement and the serving layer's provider set: a
+        // synthesized schedule is raced exactly as the tuner would score it.
+        let mut eval = Evaluator::new(system.clone());
         for &nodes in system.node_counts.iter().filter(|&&n| n <= max_nodes) {
-            let Some(view) = system_view(&slug, nodes) else {
-                continue;
-            };
-            let topo = system.topology(nodes);
-            let alloc = system_allocation(&slug, topo.as_ref(), nodes, TUNING_PLACEMENT_SEED);
-            for collective in SYNTH_COLLECTIVES {
-                // Synthesize and validate every provider candidate once.
-                let mut synth: Vec<(String, CompiledSchedule)> = Vec::new();
-                for id in synth_algorithms(collective, &view) {
+            for collective in Collective::ALL.into_iter().filter(|&c| is_synthesizable(c)) {
+                let scorer = eval.scorer_at(nodes);
+                let providers = scorer.providers().clone();
+                let (synth, catalog): (Vec<AlgorithmId>, Vec<AlgorithmId>) = providers
+                    .algorithms(collective, nodes)
+                    .into_iter()
+                    .partition(|id| id.is_synthesized());
+
+                // Build and validate every synthesized candidate once.
+                let mut sound = Vec::new();
+                for id in synth {
                     let label = format!("{slug}/{}/{} p={nodes}", collective.name(), id.name());
-                    let spec = SynthSpec::parse(id.name()).ok_or_else(|| {
-                        Failure::Check(format!("unparseable synth id {}", id.name()))
-                    })?;
-                    let Some(sched) = spec.synthesize(collective, &view, 0) else {
+                    let Some(sched) = providers.build(collective, id.name(), nodes, 0) else {
                         failures.push(format!("{label}: synthesis returned nothing"));
                         continue;
                     };
                     validated += 1;
-                    if let Err(e) = validate_schedule(&sched) {
-                        failures.push(format!("{label}: {e}"));
-                        continue;
+                    match validate_schedule(&sched) {
+                        Ok(()) => sound.push(id),
+                        Err(e) => failures.push(format!("{label}: {e}")),
                     }
-                    synth.push((id.name().to_string(), sched.compile()));
                 }
-                if synth.is_empty() {
+                if sound.is_empty() {
                     continue;
                 }
 
-                // Best fixed-catalog pick at the same grid point.
-                let catalog: Vec<(String, CompiledSchedule)> = algorithms(collective)
-                    .iter()
-                    .filter_map(|alg| {
-                        let sched = probe(|| build(collective, alg.name(), nodes, 0))?;
-                        Some((alg.name().to_string(), sched.compile()))
-                    })
-                    .collect();
-
                 for &n in &SYNTH_SIZES {
-                    let race = |compiled: &CompiledSchedule| {
-                        SimRequest::new(&model, compiled, n, topo.as_ref(), &alloc)
-                            .time_only()
-                            .run()
-                            .makespan_us()
+                    // The fastest of `ids` under the DES; catalog entries
+                    // that do not build at this rank count drop out.
+                    let mut best = |ids: &[AlgorithmId]| {
+                        ids.iter()
+                            .filter_map(|id| {
+                                let model = ScoreModel::Des;
+                                let t = scorer.score(collective, None, id.name(), nodes, n, model);
+                                Some((id.name().to_string(), t?))
+                            })
+                            .min_by(|a, b| a.1.total_cmp(&b.1))
                     };
-                    let best_synth = synth
-                        .iter()
-                        .map(|(name, c)| (name.as_str(), race(c)))
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("non-empty synth set");
-                    let best_cat = catalog
-                        .iter()
-                        .map(|(name, c)| (name.as_str(), race(c)))
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("non-empty catalog");
+                    let best_synth = best(&sound).expect("non-empty synth set");
+                    let best_cat = best(&catalog).expect("non-empty catalog");
                     raced += 1;
                     let verdict = if best_synth.1 < best_cat.1 {
                         "WIN "
@@ -431,17 +383,12 @@ pub fn synth(args: Args) -> Outcome {
 /// rejects any schedule: a failure here means the catalog emitted a
 /// schedule that drops data, deadlocks, or miscounts bytes.
 ///
-/// Builders panic (rather than return `None`) on unsupported rank counts,
-/// so every probe runs under `catch_unwind`; a skipped configuration is
-/// counted, never silently dropped.
+/// `build` answers `None` on an unsupported rank count; a skipped
+/// configuration is counted, never silently dropped.
 ///
 /// The CI workflow runs this as the schedule-integrity step.
 pub fn validate(args: Args) -> Outcome {
     let max_ranks: usize = args.flag_or("--max-ranks", 64)?;
-
-    // Builder panics on unsupported rank counts are expected and counted;
-    // keep their backtraces off stderr so a real failure stays visible.
-    let quiet = quiet_panics(|_| true);
 
     let mut validated = 0usize;
     let mut skipped = 0usize;
@@ -459,7 +406,7 @@ pub fn validate(args: Args) -> Outcome {
                     &[0]
                 };
                 for &root in roots {
-                    let Some(sched) = probe(|| build(collective, alg.name(), p, root % p)) else {
+                    let Some(sched) = build(collective, alg.name(), p, root % p) else {
                         skipped += 1;
                         continue;
                     };
@@ -488,7 +435,7 @@ pub fn validate(args: Args) -> Outcome {
             for p in 2..=max_ranks.min(32) {
                 for dist in SizeDist::ALL {
                     let counts = dist.counts(p, 0);
-                    let built = probe(|| build_irregular(collective, alg.name(), p, 0, &counts));
+                    let built = build_irregular(collective, alg.name(), p, 0, &counts);
                     let Some(sched) = built else {
                         skipped += 1;
                         continue;
@@ -507,7 +454,6 @@ pub fn validate(args: Args) -> Outcome {
         }
     }
 
-    drop(quiet);
     println!(
         "validate_sweep: {validated} schedules validated, {skipped} unsupported \
          configurations skipped (max {max_ranks} ranks)"

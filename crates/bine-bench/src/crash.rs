@@ -26,7 +26,6 @@
 //!
 //! [`TrafficReport`]: bine_net::traffic::TrafficReport
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -229,14 +228,7 @@ fn scenarios(service: &ServiceSelector, sys: usize, seed: u64) -> Result<Vec<Sce
                 let survivors = nodes - 1;
                 let recoverable = [pick.as_str(), fallback_pick(collective, bytes)]
                     .iter()
-                    .any(|cand| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            providers.build(collective, cand, survivors, 0)
-                        }))
-                        .ok()
-                        .flatten()
-                        .is_some()
-                    });
+                    .any(|cand| providers.build(collective, cand, survivors, 0).is_some());
                 if recoverable {
                     Expect::Recovered
                 } else {

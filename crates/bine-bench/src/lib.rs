@@ -7,8 +7,9 @@
 //!
 //! * [`systems`] — the four evaluation targets (LUMI, Leonardo,
 //!   MareNostrum 5, Fugaku) with their node counts and vector sizes,
-//! * [`runner`] — schedule construction + cost-model evaluation for every
-//!   (collective, algorithm, nodes, vector size) configuration, the pruned
+//! * [`runner`] — the [`Evaluator`]: a `bine_tune::Scorer` over one system
+//!   (modelled time and global traffic of every (collective, algorithm,
+//!   nodes, vector size) configuration) plus the paper's naming, the pruned
 //!   best-algorithm sweeps behind the heatmaps, and the bridge to the
 //!   `bine-tune` decision tables (`Evaluator::tuned_pick`),
 //! * [`report`] — geometric means, percentiles, box-plot summaries and table
@@ -68,7 +69,7 @@ pub mod systems;
 pub mod tables;
 
 pub use runner::{compare_vs_binomial, heatmap, improvement_distribution, Evaluator, HeadToHead};
-pub use systems::{paper_vector_sizes, System, SystemKind, SMALL_VECTOR_THRESHOLD};
+pub use systems::{paper_vector_sizes, System, SystemKind};
 
 /// Scope guard of the serving harnesses ([`chaos`], [`crash`],
 /// [`adaptive`]): unless the run reaches its end and calls

@@ -1,28 +1,22 @@
 //! Evaluation machinery shared by the `bine-bench` subcommands.
 //!
 //! For every (system, collective, algorithm, node count, vector size)
-//! configuration the runner builds the communication schedule once, maps it
-//! onto the system's topology under a block allocation, and reports the two
-//! quantities the paper uses: modelled runtime and bytes over global links.
-
-use std::collections::HashMap;
+//! configuration the runner asks a [`bine_tune::Scorer`] — on the system's
+//! topology under its sampled placement — for the two quantities the paper
+//! uses: modelled runtime and bytes over global links.
 
 use bine_net::allocation::Allocation;
-use bine_net::cost::{CostModel, CostSummary, LowerBounds};
-use bine_net::sim;
+use bine_net::cost::{CostModel, LowerBounds};
 use bine_net::topology::Topology;
-use bine_net::traffic;
-use bine_sched::{
-    bine_default, binomial_default, Collective, CompiledSchedule, ProviderSet, Schedule,
-};
+use bine_net::view::TUNING_PLACEMENT_SEED;
+use bine_sched::{algorithms, bine_default, binomial_default, is_linear, Collective};
 use bine_tune::selector::system_providers;
-use bine_tune::{Selector, Target, TunePoint, Tuned};
+use bine_tune::{
+    tuned_name, ScoreModel, Scorer, Selector, Target, TunePoint, Tuned,
+    FALLBACK_SMALL_VECTOR_THRESHOLD, MAX_LINEAR_NODES,
+};
 
-use crate::systems::{System, SystemKind, SMALL_VECTOR_THRESHOLD};
-
-/// Node count above which the Θ(p)-step algorithms (ring, pairwise) are
-/// excluded from sweeps and tuning alike (see [`Evaluator::skip_algorithm`]).
-pub const MAX_LINEAR_NODES: usize = 1024;
+use crate::systems::{System, SystemKind};
 
 /// Largest node count covered by the committed decision tables: trims only
 /// Fugaku's 4096/8192-node 2D tori, whose p²-block schedules are the
@@ -71,15 +65,17 @@ pub fn sample_allocation(
 }
 
 /// Builds the `bine-tune` tuning target for one system: the same node
-/// counts, vector sizes, topologies, placements and cost model the
-/// benchmark figures use (placement seed 42, the pinned table seed).
+/// counts, vector sizes, topologies, placements, cost model and provider
+/// set the benchmark figures use (placement seed
+/// [`TUNING_PLACEMENT_SEED`], the pinned table seed).
 pub fn tune_target(system: &System, collectives: Vec<Collective>) -> Target {
     let points = system
         .node_counts
         .iter()
         .map(|&nodes| {
             let topology = system.topology(nodes);
-            let allocation = sample_allocation(system, topology.as_ref(), nodes, 42);
+            let allocation =
+                sample_allocation(system, topology.as_ref(), nodes, TUNING_PLACEMENT_SEED);
             TunePoint {
                 nodes,
                 topology,
@@ -90,6 +86,7 @@ pub fn tune_target(system: &System, collectives: Vec<Collective>) -> Target {
     Target {
         system: system.name.to_string(),
         model: CostModel::default(),
+        providers: system_providers(system.name),
         collectives,
         points,
         vector_sizes: system.vector_sizes.clone(),
@@ -105,29 +102,18 @@ pub struct EvalResult {
     pub global_bytes: u64,
 }
 
-/// Caches schedules, topologies and allocations while sweeping a system.
+/// A [`Scorer`] over one system plus the paper's naming: which algorithm
+/// is "the Bine one" and "the binomial baseline" at a vector size, what is
+/// skipped at which scale, and what the committed table would pick. Every
+/// modelled time and byte count comes from the scorer; grid points are
+/// added to it as node counts are asked for.
 pub struct Evaluator {
     system: System,
-    model: CostModel,
-    /// The provider set the serving layer builds this system's picks with
-    /// (catalog + the synthesizers on the system's views), so every name a
-    /// committed table can hold — `synth:` picks included — builds here too.
-    providers: ProviderSet,
-    schedules: HashMap<(Collective, String, usize), Schedule>,
-    /// Segmented + compiled schedules for the discrete-event simulator,
-    /// keyed by (collective, algorithm, nodes, pipeline chunks).
-    compiled: HashMap<(Collective, String, usize, usize), CompiledSchedule>,
-    /// Compact byte-count summaries for time-only evaluation
-    /// ([`Evaluator::evaluate_time`]): orders of magnitude smaller than the
-    /// schedules they summarise, so the big sweeps neither re-walk nor
-    /// retain p²-block schedules.
-    summaries: HashMap<(Collective, String, usize), CostSummary>,
-    topologies: HashMap<usize, Box<dyn Topology>>,
-    allocations: HashMap<usize, Allocation>,
-    /// Reusable DES scratch + per-schedule route/dependency cache, so sweep
-    /// subcommands simulating thousands of configurations allocate nothing per
-    /// simulation after warmup (see [`bine_net::sim::SimArena`]).
-    arena: sim::SimArena,
+    /// Scores through the provider set the serving layer builds this
+    /// system's picks with (catalog + the synthesizers on the system's
+    /// views), so every name a committed table can hold — `synth:` picks
+    /// included — builds here too.
+    scorer: Scorer,
     /// Seed controlling the sampled job placement (jobs on the group-based
     /// systems are fragmented across groups, as in the paper's runs where no
     /// specific node placement was requested).
@@ -138,28 +124,26 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    /// Creates an evaluator for one system with the default cost model.
+    /// Creates an evaluator for one system with the default cost model, on
+    /// the placement the committed tables were tuned on.
     ///
     /// The default placement seed is chosen so that the sampled fragmented
     /// allocations reproduce the direction of the paper's tables under the
     /// vendored deterministic generator (any seed gives *a* busy-machine
     /// placement; the table-direction tests pin this one).
     pub fn new(system: System) -> Self {
-        Self::with_seed(system, 42)
+        Self::with_seed(system, TUNING_PLACEMENT_SEED)
     }
 
     /// Creates an evaluator with an explicit placement seed.
     pub fn with_seed(system: System, seed: u64) -> Self {
         Self {
-            providers: system_providers(system.name),
+            scorer: Scorer::new(
+                CostModel::default(),
+                system_providers(system.name),
+                Vec::new(),
+            ),
             system,
-            model: CostModel::default(),
-            schedules: HashMap::new(),
-            compiled: HashMap::new(),
-            summaries: HashMap::new(),
-            topologies: HashMap::new(),
-            allocations: HashMap::new(),
-            arena: sim::SimArena::new(),
             seed,
             selector: None,
         }
@@ -172,48 +156,35 @@ impl Evaluator {
 
     /// The cost model in use.
     pub fn cost_model(&self) -> &CostModel {
-        &self.model
+        self.scorer.model()
     }
 
-    fn ensure_topology(&mut self, nodes: usize) {
-        let system = &self.system;
-        self.topologies
-            .entry(nodes)
-            .or_insert_with(|| system.topology(nodes));
-    }
-
-    fn build(&self, collective: Collective, name: &str, nodes: usize) -> Schedule {
-        self.providers
-            .build(collective, name, nodes, 0)
-            .unwrap_or_else(|| panic!("unknown algorithm {name} for {collective:?}"))
-    }
-
-    fn ensure_schedule(&mut self, collective: Collective, name: &str, nodes: usize) {
-        let key = (collective, name.to_string(), nodes);
-        if !self.schedules.contains_key(&key) {
-            let sched = self.build(collective, name, nodes);
-            self.schedules.insert(key, sched);
+    /// The scorer, with a grid point for `nodes` (the system's topology at
+    /// that size under this evaluator's sampled placement).
+    pub fn scorer_at(&mut self, nodes: usize) -> &mut Scorer {
+        if !self.scorer.has_point(nodes) {
+            let topology = self.system.topology(nodes);
+            let allocation = sample_allocation(&self.system, topology.as_ref(), nodes, self.seed);
+            self.scorer.add_point(TunePoint {
+                nodes,
+                topology,
+                allocation,
+            });
         }
-    }
-
-    fn ensure_allocation(&mut self, nodes: usize) {
-        if self.allocations.contains_key(&nodes) {
-            return;
-        }
-        self.ensure_topology(nodes);
-        let topo = self.topologies.get(&nodes).unwrap().as_ref();
-        let alloc = sample_allocation(&self.system, topo, nodes, self.seed);
-        self.allocations.insert(nodes, alloc);
+        &mut self.scorer
     }
 
     /// The cheap candidate lower bounds at one node count (used by the
     /// pruned heatmap sweeps; see [`bine_net::cost::LowerBounds`]).
     pub fn lower_bounds(&mut self, nodes: usize) -> LowerBounds {
-        self.ensure_topology(nodes);
-        LowerBounds::new(&self.model, self.topologies.get(&nodes).unwrap().as_ref())
+        self.scorer_at(nodes).lower_bounds(nodes)
     }
 
     /// Evaluates one (collective, algorithm, nodes, vector size) point.
+    ///
+    /// # Panics
+    /// Here and in the two methods below: if `algorithm` is unknown for
+    /// `collective` or does not build at `nodes` ranks.
     pub fn evaluate(
         &mut self,
         collective: Collective,
@@ -221,30 +192,23 @@ impl Evaluator {
         nodes: usize,
         vector_bytes: u64,
     ) -> EvalResult {
-        // Split borrows: build/cache the schedule, topology and allocation.
-        self.ensure_schedule(collective, algorithm, nodes);
-        self.ensure_allocation(nodes);
-        let sched = self
-            .schedules
-            .get(&(collective, algorithm.to_string(), nodes))
-            .unwrap();
-        let topo = self.topologies.get(&nodes).unwrap().as_ref();
-        let alloc = self.allocations.get(&nodes).unwrap();
-        let time_us = self.model.time_us(sched, vector_bytes, topo, alloc);
-        let global_bytes = traffic::global_bytes(sched, vector_bytes, topo, alloc);
+        // Traffic first: it retains the schedule the time is then
+        // summarised from, so the point builds once.
+        let global_bytes = self
+            .scorer_at(nodes)
+            .global_bytes(collective, None, algorithm, nodes, vector_bytes)
+            .unwrap_or_else(|| panic!("unknown algorithm {algorithm} for {collective:?}"));
         EvalResult {
-            time_us,
+            time_us: self.evaluate_time(collective, algorithm, nodes, vector_bytes),
             global_bytes,
         }
     }
 
-    /// Like [`Evaluator::evaluate`], but computes only the modelled runtime
-    /// — the global-traffic pass over the schedule is skipped and the
-    /// schedule itself is reduced once to a [`CostSummary`] (bit-identical
-    /// estimates, see `bine_net::cost`) instead of being re-walked per
-    /// vector size or retained in memory. This is what the argmin sweeps
-    /// (heatmaps, tuning) call: they compare times across many sizes and
-    /// never read the traffic side.
+    /// Like [`Evaluator::evaluate`], but computes only the modelled runtime:
+    /// no traffic pass, and no schedule retained ([`Scorer`] keeps the
+    /// summary the synchronous model reads). This is what the argmin sweeps
+    /// (heatmaps) call: they compare times across many sizes and never read
+    /// the traffic side.
     pub fn evaluate_time(
         &mut self,
         collective: Collective,
@@ -252,24 +216,7 @@ impl Evaluator {
         nodes: usize,
         vector_bytes: u64,
     ) -> f64 {
-        let key = (collective, algorithm.to_string(), nodes);
-        if !self.summaries.contains_key(&key) {
-            // Reuse a cached schedule when present, but do not cache one
-            // just for the summary: the summary is all the time model needs
-            // and is orders of magnitude smaller.
-            let summary = match self.schedules.get(&key) {
-                Some(sched) => CostSummary::of(sched),
-                None => CostSummary::of(&self.build(collective, algorithm, nodes)),
-            };
-            self.summaries.insert(key.clone(), summary);
-        }
-        self.ensure_allocation(nodes);
-        let summary = self.summaries.get(&key).unwrap();
-        let topo = self.topologies.get(&nodes).unwrap().as_ref();
-        let alloc = self.allocations.get(&nodes).unwrap();
-        self.model
-            .estimate_summary(summary, vector_bytes, topo, alloc)
-            .total_us
+        self.score(collective, algorithm, nodes, vector_bytes, ScoreModel::Sync)
     }
 
     /// Evaluates one configuration with the discrete-event simulator of
@@ -285,30 +232,26 @@ impl Evaluator {
         vector_bytes: u64,
         chunks: usize,
     ) -> f64 {
-        self.ensure_schedule(collective, algorithm, nodes);
-        self.ensure_allocation(nodes);
-        let key = (collective, algorithm.to_string(), nodes, chunks);
-        if !self.compiled.contains_key(&key) {
-            let sched = self
-                .schedules
-                .get(&(collective, algorithm.to_string(), nodes))
-                .unwrap();
-            let compiled = sched.compile_segmented(chunks);
-            self.compiled.insert(key.clone(), compiled);
-        }
-        let compiled = self.compiled.get(&key).unwrap();
-        let topo = self.topologies.get(&nodes).unwrap().as_ref();
-        let alloc = self.allocations.get(&nodes).unwrap();
-        sim::SimRequest::new(&self.model, compiled, vector_bytes, topo, alloc)
-            .arena(&mut self.arena)
-            .time_only()
-            .run()
-            .makespan_us()
+        let name = tuned_name(algorithm, chunks);
+        self.score(collective, &name, nodes, vector_bytes, ScoreModel::Des)
+    }
+
+    fn score(
+        &mut self,
+        collective: Collective,
+        name: &str,
+        nodes: usize,
+        vector_bytes: u64,
+        model: ScoreModel,
+    ) -> f64 {
+        self.scorer_at(nodes)
+            .score(collective, None, name, nodes, vector_bytes, model)
+            .unwrap_or_else(|| panic!("unknown algorithm {name} for {collective:?}"))
     }
 
     /// The Bine algorithm name the paper would use for this configuration.
     pub fn bine_algorithm(&self, collective: Collective, vector_bytes: u64) -> &'static str {
-        bine_default(collective, vector_bytes <= SMALL_VECTOR_THRESHOLD)
+        bine_default(collective, vector_bytes <= FALLBACK_SMALL_VECTOR_THRESHOLD)
     }
 
     /// The binomial-tree/butterfly baseline name for this configuration.
@@ -319,7 +262,7 @@ impl Evaluator {
     /// distance-doubling ones — the distinction Fig. 1 illustrates and
     /// Sec. 5.2.1 uses to explain the larger broadcast gains on Leonardo.
     pub fn binomial_algorithm(&self, collective: Collective, vector_bytes: u64) -> &'static str {
-        let small = vector_bytes <= SMALL_VECTOR_THRESHOLD;
+        let small = vector_bytes <= FALLBACK_SMALL_VECTOR_THRESHOLD;
         let default = binomial_default(collective, small);
         if self.system.kind == SystemKind::Lumi && default == "binomial-dd" {
             "binomial-dh"
@@ -335,11 +278,12 @@ impl Evaluator {
     }
 
     /// Whether an individual algorithm is excluded at a given scale: the
-    /// linear-step algorithms (ring, pairwise) build `p − 1` steps of `p`
-    /// messages each, which is both impractically slow at the largest torus
-    /// sizes and — as the paper notes — not competitive there.
+    /// linear-step algorithms ([`bine_sched::is_linear`]) build `p − 1`
+    /// steps of `p` messages each, which is both impractically slow at the
+    /// largest torus sizes and — as the paper notes — not competitive
+    /// there. The cut-off is the tuner's, [`MAX_LINEAR_NODES`].
     pub fn skip_algorithm(&self, name: &str, nodes: usize) -> bool {
-        nodes > MAX_LINEAR_NODES && (name == "ring" || name == "pairwise")
+        nodes > MAX_LINEAR_NODES && is_linear(name)
     }
 
     /// What the committed decision table would pick for this configuration
@@ -369,16 +313,13 @@ impl Evaluator {
         let tuned = self.tuned_pick(collective, nodes, bytes)?;
         let (name, segments) = (tuned.algorithm.to_string(), tuned.segments);
         let time = self.simulate(collective, &name, nodes, bytes, segments);
-        Some((bine_tune::tuned_name(&name, segments), time))
+        Some((tuned_name(&name, segments), time))
     }
 
     /// Drops all cached schedules (used between collectives when sweeping the
     /// largest systems, to bound peak memory).
     pub fn clear_schedule_cache(&mut self) {
-        self.schedules.clear();
-        self.compiled.clear();
-        self.summaries.clear();
-        self.arena.clear();
+        self.scorer.clear();
     }
 }
 
@@ -489,7 +430,7 @@ pub fn heatmap(eval: &mut Evaluator, collective: Collective) -> Vec<HeatmapCell>
                 continue;
             }
             let lbs = eval.lower_bounds(nodes);
-            let cands = bine_tune::candidates(collective, nodes, n, &lbs, MAX_LINEAR_NODES);
+            let cands = bine_tune::candidates(algorithms(collective), nodes, n, &lbs);
             let cell = bine_tune::pruned_best(&cands, true, |alg| {
                 eval.evaluate_time(collective, alg.name(), nodes, n)
             });
@@ -640,6 +581,18 @@ mod tests {
         let avg_mn5: f64 = mn5_gather.traffic_reductions.iter().sum::<f64>()
             / mn5_gather.traffic_reductions.len() as f64;
         assert!(avg_mn5 < avg_lumi, "MN5 {avg_mn5} vs LUMI {avg_lumi}");
+    }
+
+    #[test]
+    fn linear_algorithms_are_skipped_whatever_their_segmentation() {
+        // Θ(p) is decided by the catalog, not by spelling: a pipelined ring
+        // is as linear as the bare one.
+        let eval = Evaluator::new(System::fugaku());
+        for name in ["ring", "ring+seg4", "pairwise", "pairwise+seg16"] {
+            assert!(eval.skip_algorithm(name, 2048), "{name}");
+            assert!(!eval.skip_algorithm(name, 1024), "{name}");
+        }
+        assert!(!eval.skip_algorithm("bine-large+seg4", 2048));
     }
 
     #[test]

@@ -50,12 +50,6 @@ pub fn paper_vector_sizes() -> Vec<u64> {
     ]
 }
 
-/// Vector sizes at or below this value use the small-vector algorithm
-/// variants (tree broadcast/reduce, recursive-doubling allreduce), larger
-/// ones the large-vector compositions — mirroring the switch points of
-/// production MPI libraries.
-pub const SMALL_VECTOR_THRESHOLD: u64 = 32 * 1024;
-
 impl System {
     /// The LUMI configuration of Sec. 5.1 (16–1024 nodes).
     pub fn lumi() -> Self {
@@ -140,11 +134,7 @@ impl System {
     /// the key of [`bine_net::view::system_topology`] and of the committed
     /// `tuning/{slug}.json` table.
     pub fn slug(&self) -> String {
-        self.name
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .map(|c| c.to_ascii_lowercase())
-            .collect()
+        bine_tune::slug(self.name)
     }
 
     /// Builds the topology model hosting a job of `nodes` nodes.

@@ -241,7 +241,7 @@ proptest! {
     // and the committed files are fresh.
     //
     // Sampling covers both stage shapes — DES-refined points (≤ 64 nodes)
-    // and sync-only points (> `des_max_nodes`) — but skips the 128–512-node
+    // and sync-only points (> `DES_MAX_NODES`) — but skips the 128–512-node
     // DES band: an unpruned DES re-tune there simulates every catalog
     // algorithm × segment count at up to 512 nodes, minutes per point in a
     // debug build, while exercising exactly the same pruning code path as
@@ -255,7 +255,7 @@ proptest! {
         let nodes = {
             let counts: Vec<usize> = tuned_node_counts(&system)
                 .into_iter()
-                .filter(|&n| n <= 64 || n > TunerConfig::default().des_max_nodes)
+                .filter(|&n| n <= 64 || n > bine_tune::DES_MAX_NODES)
                 .collect();
             counts[ni % counts.len()]
         };
@@ -265,10 +265,7 @@ proptest! {
         let entry = committed.at(collective, None, nodes, bytes).unwrap().clone();
         let mut brute = Tuner::new(
             tune_target(&system, vec![collective]),
-            TunerConfig {
-                prune: false,
-                ..TunerConfig::default()
-            },
+            TunerConfig { prune: false },
         );
         let fresh = brute.tune_point(collective, nodes, bytes);
         prop_assert_eq!(&fresh.pick, &entry.pick);

@@ -19,9 +19,9 @@ use crate::synth;
 /// (`"bine-large"`), topology-synthesized schedules use the parameterized
 /// `synth:` grammar (`"synth:forestcoll:k=2"`), and either may carry a
 /// `+seg{S}` pipelining suffix. Identities are owned (`Arc<str>`), so ids
-/// minted at runtime by a [`crate::provider::ScheduleProvider`] are
-/// first-class citizens of the tuner, the decision tables and the serving
-/// layer alongside the static catalog.
+/// minted at runtime by the synthesizers of a [`crate::provider::ProviderSet`]
+/// are first-class citizens of the tuner, the decision tables and the
+/// serving layer alongside the static catalog.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AlgorithmId {
     /// The collective the algorithm implements.
@@ -42,12 +42,10 @@ pub struct AlgorithmId {
 impl AlgorithmId {
     /// Mints an id for `name`. The `is_bine` / `is_binomial_baseline` flags
     /// default to `false` (the catalog sets them for its own entries);
-    /// `is_linear` is derived from the base name, since only the catalog's
-    /// `ring`/`pairwise` chains take Θ(p) steps — every synthesized schedule
-    /// is tree-shaped and logarithmic.
+    /// `is_linear` is [`is_linear`] of the name.
     pub fn new(collective: Collective, name: impl Into<Arc<str>>) -> Self {
         let name = name.into();
-        let is_linear = matches!(split_segments(&name).0, "ring" | "pairwise");
+        let is_linear = is_linear(&name);
         Self {
             collective,
             name,
@@ -140,6 +138,31 @@ pub fn split_segments(name: &str) -> (&str, usize) {
     (name, 1)
 }
 
+/// Whether `name` (base name or `+seg{S}`-suffixed) takes Θ(p) communication
+/// steps: only the catalog's `ring` / `pairwise` chains do — every tree,
+/// butterfly and synthesized schedule is logarithmic. The one definition
+/// behind [`AlgorithmId::is_linear`], [`linear_default`] and every
+/// "too many ranks for a linear algorithm" cut-off of the tuner and the
+/// benchmark harness.
+pub fn is_linear(name: &str) -> bool {
+    matches!(split_segments(name).0, "ring" | "pairwise")
+}
+
+/// Whether the builder behind base name `base` supports `p` ranks rooted at
+/// `root`: the root must name a rank (so `p >= 1`); the chains, Bruck and
+/// the count-aware `traff` tree build at every rank count, every other tree
+/// and butterfly at powers of two only (`dual-root` needs its two roots).
+/// [`build`] and [`crate::build_irregular`] answer `None` where this is
+/// `false` instead of reaching a builder's assertion.
+pub(crate) fn builds_at(base: &str, p: usize, root: usize) -> bool {
+    root < p
+        && match base {
+            "ring" | "pairwise" | "bruck" | "traff" => true,
+            "dual-root" => p >= 2 && p.is_power_of_two(),
+            _ => p.is_power_of_two(),
+        }
+}
+
 /// The catalog's one table, read by [`has_algorithm`], [`algorithms`] and
 /// [`build`]: per collective, its algorithm enum — `ALL` is what gets
 /// listed — the variants only a name reaches, the binomial-tree / butterfly
@@ -211,9 +234,12 @@ pub fn algorithms(collective: Collective) -> Vec<AlgorithmId> {
 
 /// Builds the schedule for a named algorithm.
 ///
-/// `root` is used only by the rooted collectives. Returns `None` if the name
-/// is unknown for that collective — the unlisted reduce-scatter strategy
-/// variants (`bine-send`, …) are known.
+/// `root` is used only by the rooted collectives. Total: returns `None` —
+/// never panics — if the name is unknown for that collective (the unlisted
+/// reduce-scatter strategy variants, `bine-send` …, are known) or its
+/// builder does not support `p` ranks rooted at `root`: the root must name a
+/// rank; `ring`, `pairwise` and `bruck` build at every rank count, every
+/// other tree and butterfly at powers of two only (`dual-root` from two).
 ///
 /// A `+seg{S}` suffix with `S >= 2` (e.g. `"bine-large+seg4"`) builds the
 /// base algorithm and then applies the pipelining transform of
@@ -228,7 +254,7 @@ pub fn build(collective: Collective, name: &str, p: usize, root: usize) -> Optio
     }
     per_collective!(collective, |listed, unlisted, _baseline, build| {
         let alg = listed.iter().chain(unlisted).find(|a| a.name() == name)?;
-        Some(build(p, root, *alg))
+        builds_at(name, p, root).then(|| build(p, root, *alg))
     })
 }
 
@@ -265,6 +291,16 @@ pub fn binomial_default(collective: Collective, small_vector: bool) -> &'static 
         (Collective::Allreduce, false) => "rabenseifner",
         (Collective::Alltoall, _) => "bruck",
     }
+}
+
+/// The collective's Θ(p)-step algorithm ([`is_linear`]: ring / pairwise) —
+/// the one that builds at every rank count, which is what the serving
+/// ladder's last rung needs after a shrink. `None` for the rooted
+/// collectives, which have no such algorithm.
+pub fn linear_default(collective: Collective) -> Option<&'static str> {
+    per_collective!(collective, |listed, _unlisted, _baseline, _build| {
+        listed.iter().map(|a| a.name()).find(|name| is_linear(name))
+    })
 }
 
 #[cfg(test)]

@@ -353,12 +353,12 @@ pub fn irregular_algorithms(collective: Collective) -> Vec<IrregularAlg> {
 }
 
 /// Builds the irregular schedule for `collective` with algorithm `name`
-/// (optionally `+segS`-suffixed for pipelining), or `None` for an unknown
-/// or inapplicable algorithm name.
-///
-/// # Panics
-/// Like the regular [`crate::build`], panics when the algorithm exists but
-/// cannot be built at this rank count (e.g. a butterfly at non-pow2 `p`).
+/// (optionally `+segS`-suffixed for pipelining). Total, like the regular
+/// [`crate::build`]: `None` — never a panic — for an unknown or
+/// inapplicable algorithm name, for `counts` that do not cover exactly `p`
+/// ranks, and where the builder does not support `p` ranks rooted at `root`
+/// (`traff` and `ring` build wherever the root names a rank, the rest at
+/// powers of two only).
 pub fn build_irregular(
     collective: Collective,
     name: &str,
@@ -368,7 +368,10 @@ pub fn build_irregular(
 ) -> Option<Schedule> {
     let (base, segments) = crate::catalog::split_segments(name);
     let alg = IrregularAlg::from_name(base)?;
-    if !irregular_algorithms(collective).contains(&alg) {
+    if !irregular_algorithms(collective).contains(&alg)
+        || counts.num_ranks() != p
+        || !crate::catalog::builds_at(base, p, root)
+    {
         return None;
     }
     let counts = counts.clone();

@@ -44,7 +44,8 @@ pub mod synth;
 pub mod validate;
 
 pub use catalog::{
-    algorithms, bine_default, binomial_default, build, has_algorithm, split_segments, AlgorithmId,
+    algorithms, bine_default, binomial_default, build, has_algorithm, is_linear, linear_default,
+    split_segments, AlgorithmId,
 };
 pub use collectives::{
     build_irregular, irregular_algorithms, IrregularAlg, SizeDist, IRREGULAR_COLLECTIVES,
@@ -53,12 +54,15 @@ pub use compile::{BlockInterner, CompiledSchedule, CompiledSend, SlotLayout};
 pub use contract::{Contract, Granularity};
 pub use deps::DepGraph;
 pub use noncontig::NonContigStrategy;
-pub use provider::{CatalogProvider, ProviderSet, ScheduleProvider, SynthProvider, ViewSource};
+pub use provider::{ProviderSet, ViewSource};
 pub use schedule::{
     BlockHasher, BlockId, BlockMap, Collective, Counts, Message, Schedule, Step, TransferKind,
 };
 pub use segment::segment_schedule;
-pub use synth::{is_synth_name, synth_algorithms, SynthSpec, TopoEdge, TopologyView, SYNTH_PREFIX};
+pub use synth::{
+    is_synth_name, is_synthesizable, synth_algorithms, SynthSpec, TopoEdge, TopologyView,
+    SYNTH_PREFIX,
+};
 pub use validate::{
     validate_schedule, CompletionReport, PendingRecv, RankMap, ScheduleValidator, StallReason,
     ValidationError,

@@ -1,12 +1,13 @@
-//! The open algorithm-provider abstraction.
+//! One dispatch from an algorithm *name* to a schedule.
 //!
-//! A [`ScheduleProvider`] maps algorithm *names* to schedules. The static
-//! catalog is one provider ([`CatalogProvider`]); topology-aware
-//! synthesizers are another ([`SynthProvider`]). A [`ProviderSet`] routes
-//! a name to the first provider that claims it and applies the shared
-//! `+seg{S}` pipelining convention on top, so the tuner, the selector and
-//! the serving layer can build *any* named schedule — catalog or
-//! synthesized — through one path.
+//! A [`ProviderSet`] is the static catalog plus, optionally, the
+//! topology-aware synthesizers over a cached view source. It strips the
+//! shared `+seg{S}` pipelining suffix, sends `synth:` names to the
+//! synthesizers and every other name to the catalog, and re-applies the
+//! segmentation — so the tuner, the selector and the serving layer build
+//! *any* named schedule, catalog or synthesized, through one path. Like
+//! [`crate::catalog::build`] it is total: an unknown name, an unsupported
+//! rank count or a missing view is `None`, never a panic.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -16,160 +17,30 @@ use crate::compile::CompiledSchedule;
 use crate::schedule::{Collective, Schedule};
 use crate::synth::{self, SynthSpec, TopologyView};
 
-/// A source of schedules for a namespace of algorithm names.
-///
-/// `base` names never carry a `+seg{S}` suffix — [`ProviderSet`] strips it
-/// before dispatching and re-applies the segmentation transform after.
-pub trait ScheduleProvider: Send + Sync {
-    /// Short provider name for diagnostics.
-    fn provider_name(&self) -> &'static str;
-
-    /// Whether this provider owns `base` — purely a namespace test; a
-    /// claimed name may still fail to build (unknown algorithm, or a
-    /// synthesizer without a view for that rank count).
-    fn claims(&self, base: &str) -> bool;
-
-    /// The candidates this provider offers for `collective` at `nodes`
-    /// ranks. Catalog candidates are rank-count-independent; synthesized
-    /// ones depend on the topology view for `nodes`.
-    fn algorithms(&self, collective: Collective, nodes: usize) -> Vec<AlgorithmId>;
-
-    /// Builds the schedule for a claimed base name, or `None` if it cannot
-    /// be built for this (collective, nodes) pair.
-    fn build(
-        &self,
-        collective: Collective,
-        base: &str,
-        nodes: usize,
-        root: usize,
-    ) -> Option<Schedule>;
-}
-
-/// The static hand-built catalog as a provider. Claims every name outside
-/// the `synth:` namespace.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CatalogProvider;
-
-impl ScheduleProvider for CatalogProvider {
-    fn provider_name(&self) -> &'static str {
-        "catalog"
-    }
-
-    fn claims(&self, base: &str) -> bool {
-        !synth::is_synth_name(base)
-    }
-
-    fn algorithms(&self, collective: Collective, _nodes: usize) -> Vec<AlgorithmId> {
-        catalog::algorithms(collective)
-    }
-
-    fn build(
-        &self,
-        collective: Collective,
-        base: &str,
-        nodes: usize,
-        root: usize,
-    ) -> Option<Schedule> {
-        catalog::build(collective, base, nodes, root)
-    }
-}
-
 /// A function producing the topology view for a given rank count, or
 /// `None` when no view exists at that size (e.g. more ranks than the
 /// modelled system has nodes).
 pub type ViewSource = dyn Fn(usize) -> Option<TopologyView> + Send + Sync;
 
-/// The topology-aware synthesizers as a provider. Claims the `synth:`
-/// namespace; derives (and caches) one [`TopologyView`] per rank count
-/// from its view source.
-pub struct SynthProvider {
+/// The synthesizers' view source with its per-rank-count cache.
+struct Views {
     source: Arc<ViewSource>,
-    views: Mutex<HashMap<usize, Option<Arc<TopologyView>>>>,
+    cache: Mutex<HashMap<usize, Option<Arc<TopologyView>>>>,
 }
 
-impl SynthProvider {
-    /// A provider deriving views on demand from `source`.
-    pub fn new(source: Arc<ViewSource>) -> Self {
-        Self {
-            source,
-            views: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// A provider with one fixed view, answering only for that view's
-    /// exact rank count (test fixtures, single-job deployments).
-    pub fn fixed(view: TopologyView) -> Self {
-        let view = Arc::new(view);
-        let p = view.num_ranks();
-        Self::new(Arc::new(move |nodes| (nodes == p).then(|| (*view).clone())))
-    }
-
-    /// The (cached) view for `nodes` ranks. Views whose rank count
-    /// disagrees with `nodes` are discarded — a provider must never hand a
-    /// schedule built for a different communicator size.
-    pub fn view_for(&self, nodes: usize) -> Option<Arc<TopologyView>> {
-        self.views
-            .lock()
-            .expect("view cache poisoned")
-            .entry(nodes)
-            .or_insert_with(|| {
-                (self.source)(nodes)
-                    .filter(|v| v.num_ranks() == nodes)
-                    .map(Arc::new)
-            })
-            .clone()
-    }
-}
-
-impl ScheduleProvider for SynthProvider {
-    fn provider_name(&self) -> &'static str {
-        "synth"
-    }
-
-    fn claims(&self, base: &str) -> bool {
-        synth::is_synth_name(base)
-    }
-
-    fn algorithms(&self, collective: Collective, nodes: usize) -> Vec<AlgorithmId> {
-        match self.view_for(nodes) {
-            Some(view) => synth::synth_algorithms(collective, &view),
-            None => Vec::new(),
-        }
-    }
-
-    fn build(
-        &self,
-        collective: Collective,
-        base: &str,
-        nodes: usize,
-        root: usize,
-    ) -> Option<Schedule> {
-        let spec = SynthSpec::parse(base)?;
-        let view = self.view_for(nodes)?;
-        spec.synthesize(collective, &view, root)
-    }
-}
-
-/// An ordered set of providers behind the catalog's `build` contract:
-/// split the `+seg{S}` suffix, dispatch the base name to the first
-/// claiming provider, re-apply segmentation. Cheap to clone and share.
-#[derive(Clone)]
+/// The catalog plus an optional cached view source for the `synth:`
+/// namespace, behind the catalog's `build` contract. Cheap to clone and
+/// share (clones share the view cache).
+#[derive(Clone, Default)]
 pub struct ProviderSet {
-    providers: Vec<Arc<dyn ScheduleProvider>>,
+    views: Option<Arc<Views>>,
 }
 
 impl std::fmt::Debug for ProviderSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.providers.iter().map(|p| p.provider_name()).collect();
         f.debug_struct("ProviderSet")
-            .field("providers", &names)
+            .field("synth", &self.views.is_some())
             .finish()
-    }
-}
-
-impl Default for ProviderSet {
-    fn default() -> Self {
-        Self::catalog_only()
     }
 }
 
@@ -177,46 +48,53 @@ impl ProviderSet {
     /// Just the static catalog — the behaviour of the whole stack before
     /// synthesis existed, and the fallback when no topology is known.
     pub fn catalog_only() -> Self {
-        Self {
-            providers: vec![Arc::new(CatalogProvider)],
-        }
+        Self::default()
     }
 
-    /// Catalog plus synthesizers fed by `source`.
+    /// Catalog plus synthesizers fed by `source`, which is asked at most
+    /// once per rank count.
     pub fn with_synth(source: Arc<ViewSource>) -> Self {
         Self {
-            providers: vec![
-                Arc::new(CatalogProvider),
-                Arc::new(SynthProvider::new(source)),
-            ],
+            views: Some(Arc::new(Views {
+                source,
+                cache: Mutex::new(HashMap::new()),
+            })),
         }
     }
 
-    /// Catalog plus synthesizers over one fixed view.
+    /// Catalog plus synthesizers over one fixed view, answering only at
+    /// that view's exact rank count (test fixtures, single-job deployments).
     pub fn with_view(view: TopologyView) -> Self {
-        Self {
-            providers: vec![
-                Arc::new(CatalogProvider),
-                Arc::new(SynthProvider::fixed(view)),
-            ],
-        }
+        let p = view.num_ranks();
+        Self::with_synth(Arc::new(move |nodes| (nodes == p).then(|| view.clone())))
     }
 
-    /// Appends a provider (consulted after the existing ones).
-    pub fn push(&mut self, provider: Arc<dyn ScheduleProvider>) {
-        self.providers.push(provider);
+    /// The (cached) view for `nodes` ranks. A view whose rank count
+    /// disagrees with `nodes` is discarded — a schedule built for a
+    /// different communicator size must never be handed out.
+    fn view_for(&self, nodes: usize) -> Option<Arc<TopologyView>> {
+        let views = self.views.as_ref()?;
+        let mut cache = views.cache.lock().expect("view cache poisoned");
+        cache
+            .entry(nodes)
+            .or_insert_with(|| {
+                (views.source)(nodes)
+                    .filter(|v| v.num_ranks() == nodes)
+                    .map(Arc::new)
+            })
+            .clone()
     }
 
-    /// Whether any provider claims `name`'s base.
+    /// Whether this set has a builder for `name`'s namespace — purely a
+    /// namespace test; a claimed name may still fail to build.
     pub fn claims(&self, name: &str) -> bool {
-        let (base, _) = split_segments(name);
-        self.providers.iter().any(|p| p.claims(base))
+        self.views.is_some() || !synth::is_synth_name(name)
     }
 
     /// Builds the *base* schedule of a (possibly `+seg{S}`-suffixed) name
-    /// through the first claiming provider and returns it with the chunk
-    /// count the name asks for (1 for a bare name) — what
-    /// [`ProviderSet::build`] segments and [`ProviderSet::compile`] lowers.
+    /// and returns it with the chunk count the name asks for (1 for a bare
+    /// name) — what [`ProviderSet::build`] segments and
+    /// [`ProviderSet::compile`] lowers.
     pub fn build_base(
         &self,
         collective: Collective,
@@ -225,8 +103,13 @@ impl ProviderSet {
         root: usize,
     ) -> Option<(Schedule, usize)> {
         let (base, chunks) = split_segments(name);
-        let provider = self.providers.iter().find(|p| p.claims(base))?;
-        Some((provider.build(collective, base, nodes, root)?, chunks))
+        let sched = if synth::is_synth_name(base) {
+            let view = self.view_for(nodes).filter(|_| root < nodes)?;
+            SynthSpec::parse(base)?.synthesize(collective, &view, root)?
+        } else {
+            catalog::build(collective, base, nodes, root)?
+        };
+        Some((sched, chunks))
     }
 
     /// Builds a named schedule: `+seg{S}` handling plus provider dispatch.
@@ -261,12 +144,18 @@ impl ProviderSet {
         Some(sched.compile_segmented(chunks))
     }
 
-    /// Every candidate all providers offer for `collective` at `nodes`.
+    /// Every candidate for `collective` at `nodes` ranks: the catalog's
+    /// (rank-count-independent), then whatever the synthesizers offer on
+    /// the view for `nodes`. No view is derived for a collective no
+    /// synthesizer emits.
     pub fn algorithms(&self, collective: Collective, nodes: usize) -> Vec<AlgorithmId> {
-        self.providers
-            .iter()
-            .flat_map(|p| p.algorithms(collective, nodes))
-            .collect()
+        let mut ids = catalog::algorithms(collective);
+        if synth::is_synthesizable(collective) {
+            if let Some(view) = self.view_for(nodes) {
+                ids.extend(synth::synth_algorithms(collective, &view));
+            }
+        }
+        ids
     }
 }
 

@@ -132,6 +132,17 @@ impl SynthSpec {
     }
 }
 
+/// Whether any synthesizer emits `collective` — asked before a topology
+/// view is derived for it.
+pub fn is_synthesizable(collective: Collective) -> bool {
+    [
+        SynthSpec::ForestColl { k: 1 },
+        SynthSpec::Multilevel { tiers: 1 },
+    ]
+    .iter()
+    .any(|spec| spec.supports(collective))
+}
+
 /// Enumerates the synthesized candidates worth tuning for `collective` on
 /// `view`: the ForestColl forest with the rate-optimal tree count (found
 /// by the binary search over bottleneck capacities, rooted at 0 like every

@@ -19,11 +19,8 @@
 //! builders, and the in-place `contiguity_of` is its sort-dedup-count
 //! definition.
 //!
-//! Builders panic (rather than return `None`) on unsupported rank counts,
-//! so every probe runs under `catch_unwind` — a skipped configuration is
-//! one the catalog genuinely cannot build, never a silenced failure.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! `build` is total (`tests/build_total.rs`): a skipped configuration is
+//! one the catalog answers `None` for, never a silenced failure.
 
 use bine_sched::schedule::contiguity_of;
 use bine_sched::{
@@ -35,14 +32,6 @@ use proptest::prelude::*;
 
 fn any_collective() -> impl Strategy<Value = Collective> {
     prop::sample::select(Collective::ALL.to_vec())
-}
-
-/// Builds `name` at `p` ranks, treating a builder panic (unsupported rank
-/// count) the same as `None`.
-fn try_build(collective: Collective, name: &str, p: usize, root: usize) -> Option<Schedule> {
-    catch_unwind(AssertUnwindSafe(|| build(collective, name, p, root)))
-        .ok()
-        .flatten()
 }
 
 /// Everything a [`CompiledSchedule`] holds but its `identity`, through the
@@ -94,7 +83,7 @@ fn fused_lowering_equals_segment_then_compile_over_the_catalog() {
                     &[0]
                 };
                 for &root in roots {
-                    let Some(sched) = try_build(collective, alg.name(), p, root) else {
+                    let Some(sched) = build(collective, alg.name(), p, root) else {
                         continue;
                     };
                     let what = format!("{}/{} p={p} root={root}", collective.name(), alg.name());
@@ -134,10 +123,7 @@ fn fused_lowering_equals_segment_then_compile_for_synthesized_and_irregular_sche
             for dist in SizeDist::ALL {
                 for p in [2usize, 7, 16, 17] {
                     let counts = dist.counts(p, 0);
-                    let built = catch_unwind(AssertUnwindSafe(|| {
-                        build_irregular(collective, alg.name(), p, 0, &counts)
-                    }));
-                    let Some(sched) = built.ok().flatten() else {
+                    let Some(sched) = build_irregular(collective, alg.name(), p, 0, &counts) else {
                         continue;
                     };
                     let what = format!(
@@ -207,7 +193,7 @@ proptest! {
     ) {
         let algs = algorithms(collective);
         let alg = algs[alg_seed % algs.len()].clone();
-        let Some(sched) = try_build(collective, alg.name(), p, root_seed % p) else {
+        let Some(sched) = build(collective, alg.name(), p, root_seed % p) else {
             return Ok(());
         };
         let sched = sched.segmented(chunks);
@@ -238,12 +224,9 @@ proptest! {
         } else {
             alg.name().to_string()
         };
-        let built = catch_unwind(AssertUnwindSafe(|| {
-            build_irregular(collective, &name, p, 0, &counts)
-        }))
-        .ok()
-        .flatten();
-        let Some(sched) = built else { return Ok(()) };
+        let Some(sched) = build_irregular(collective, &name, p, 0, &counts) else {
+            return Ok(());
+        };
         prop_assert!(
             validate_schedule(&sched).is_ok(),
             "{}v/{name} p={p} dist={}: {:?}",
@@ -272,7 +255,7 @@ proptest! {
         ];
         let (collective, name) = picks[pick_seed % picks.len()];
         let p = 1usize << s;
-        let Some(mut sched) = try_build(collective, name, p, 0) else {
+        let Some(mut sched) = build(collective, name, p, 0) else {
             return Ok(());
         };
         let total: usize = sched.steps.iter().map(|st| st.messages.len()).sum();
@@ -306,7 +289,7 @@ proptest! {
         root_seed in 0usize..1000,
     ) {
         let p = 1usize << s;
-        let Some(mut sched) = try_build(Collective::Broadcast, name, p, root_seed % p) else {
+        let Some(mut sched) = build(Collective::Broadcast, name, p, root_seed % p) else {
             return Ok(());
         };
         sched.steps.reverse();
@@ -332,13 +315,9 @@ proptest! {
         }
         let counts = SizeDist::Linear.counts(p, 0);
         let algs = irregular_algorithms(collective);
-        let built = algs.iter().find_map(|alg| {
-            catch_unwind(AssertUnwindSafe(|| {
-                build_irregular(collective, alg.name(), p, 0, &counts)
-            }))
-            .ok()
-            .flatten()
-        });
+        let built = algs
+            .iter()
+            .find_map(|alg| build_irregular(collective, alg.name(), p, 0, &counts));
         let Some(mut sched) = built else { return Ok(()) };
         sched.counts = Some(SizeDist::Linear.counts(p - shrink, 0));
         let err = validate_schedule(&sched);

@@ -14,8 +14,8 @@
 //!   re-evaluation, and how often an installed override is re-checked
 //!   against the committed pick (the deterministic epsilon-greedy knob);
 //! * [`Reevaluator`] — how challengers are found and scored when an entry
-//!   diverges: a candidate enumeration (by default the tuner's catalog
-//!   sweep, [`Reevaluator::catalog`]) plus a scoring function, both
+//!   diverges: a candidate enumeration (by default the flat catalog,
+//!   [`Reevaluator::catalog`]) plus a scoring function, both
 //!   pluggable so a bench or test can score through a seeded faulted DES;
 //! * [`AdaptiveOverlay`] / [`OverlayEntry`] — the observability dump: every
 //!   override currently shadowing a committed pick, with the epoch it was
@@ -85,9 +85,11 @@ impl Reevaluator {
         Reevaluator { candidates, score }
     }
 
-    /// A re-evaluator over the full algorithm catalog of each collective
-    /// (the same candidate set the offline tuner sweeps, linear algorithms
-    /// capped at `max_linear_nodes` ranks), scored by `score`.
+    /// A re-evaluator over the flat algorithm catalog of each collective
+    /// ([`bine_sched::algorithms`], linear algorithms capped at
+    /// `max_linear_nodes` ranks), scored by `score`. A subset of what the
+    /// offline tuner sweeps: neither its `synth:` candidates nor its
+    /// `+segS` pipelined variants are enumerated here.
     pub fn catalog(max_linear_nodes: usize, score: Arc<ScoreFn>) -> Reevaluator {
         Reevaluator::new(
             Arc::new(move |collective, nodes, _bytes| {

@@ -7,6 +7,10 @@
 //! must not just *enumerate* those algorithms (`bine-sched`'s catalog) but
 //! *choose* between them. This crate automates the choice:
 //!
+//! * [`score`] — the [`score::Scorer`]: the one path from an algorithm name
+//!   to a modelled time (synchronous model or discrete-event simulator) at
+//!   a grid point, with the one set of schedule caches the tuner, the
+//!   paper harness and the sweeps of `bine-bench` share;
 //! * [`tuner`] — the offline [`tuner::Tuner`]: a pruned sweep of the full
 //!   catalog over a system's `(collective, nodes, size, segments)` grid,
 //!   scored with the synchronous cost model and refined with the
@@ -62,6 +66,7 @@
 
 pub mod adapt;
 pub mod gate;
+pub mod score;
 pub mod selector;
 pub mod service;
 pub mod table;
@@ -69,6 +74,7 @@ pub mod tuner;
 
 pub use adapt::{AdaptPolicy, AdaptiveOverlay, CandidatesFn, OverlayEntry, Reevaluator, ScoreFn};
 pub use gate::{drift, DriftOutcome, DriftRow};
+pub use score::{Scorer, TunePoint};
 pub use selector::{available_systems, default_tuning_dir, Selector, SelectorIndex, Tuned};
 pub use service::{
     fallback_pick, CompileAttempt, CompileHook, DegradePolicy, Recovery, Served, ServiceSelector,
@@ -76,5 +82,7 @@ pub use service::{
 };
 pub use table::{slug, DecisionTable, Entry, ScoreModel};
 pub use tuner::{
-    candidates, pruned_best, tuned_name, Candidate, CellBest, Target, TunePoint, Tuner, TunerConfig,
+    candidates, pruned_best, tuned_name, Candidate, CellBest, Target, Tuner, TunerConfig,
+    DES_ALLTOALL_MAX_NODES, DES_MAX_NODES, DES_TOP_K, MAX_LINEAR_NODES, MIN_SEGMENT_BYTES,
+    SEGMENT_COUNTS,
 };

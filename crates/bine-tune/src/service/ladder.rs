@@ -31,14 +31,17 @@
 //! count would cache, and the binomial rung a recovery lands on is the line
 //! a degraded request would be served from.
 
-use bine_sched::{binomial_default, Collective, Schedule};
+use bine_sched::{binomial_default, linear_default, Collective, Schedule};
 
 use crate::selector::SelectorIndex;
 
-/// Vector sizes up to this many bytes take the small-vector fallback
-/// algorithms — the same switch point the benchmark harness uses for its
-/// binomial baselines, so a degraded answer and the harness baseline are
-/// literally the same schedule.
+/// Vector sizes up to this many bytes take the small-vector algorithm
+/// variants (tree broadcast/reduce, recursive-doubling allreduce), larger
+/// ones the large-vector compositions — mirroring the switch points of
+/// production MPI libraries. The one switch point: the ladder's binomial
+/// rung and the benchmark harness's Bine / binomial flavours both read it,
+/// so a degraded answer and the harness baseline are literally the same
+/// schedule.
 pub const FALLBACK_SMALL_VECTOR_THRESHOLD: u64 = 32 * 1024;
 
 /// The binomial-baseline algorithm of the ladder's binomial rung:
@@ -85,13 +88,7 @@ impl Rung {
         match self {
             Rung::Committed(slot) => Some(&index.slot(slot).pick),
             Rung::Binomial { small } => Some(binomial_default(collective, small)),
-            Rung::Linear => match collective {
-                Collective::Allreduce | Collective::Allgather | Collective::ReduceScatter => {
-                    Some("ring")
-                }
-                Collective::Alltoall => Some("pairwise"),
-                _ => None,
-            },
+            Rung::Linear => linear_default(collective),
         }
     }
 
@@ -101,12 +98,8 @@ impl Rung {
     /// count: callers lower the pair in one pass
     /// ([`Schedule::compile_segmented`]) instead of materialising the
     /// segmented schedule. `None` when the rung does not exist for
-    /// `collective` or its pick is not buildable at this rank count.
-    ///
-    /// # Panics
-    /// Some builders assert rather than return `None` on an unsupported
-    /// rank count; callers that probe off-grid counts run this under
-    /// `catch_unwind`.
+    /// `collective` or its pick is not buildable at this rank count — the
+    /// provider set is total, so probing an off-grid count is a plain call.
     pub(super) fn build(
         self,
         index: &SelectorIndex,
@@ -133,7 +126,6 @@ mod tests {
     use super::*;
     use crate::table::{DecisionTable, Entry, ScoreModel};
     use bine_sched::{bine_default, build};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn fallback_pick_switches_at_the_harness_threshold() {
@@ -214,12 +206,9 @@ mod tests {
                 );
 
                 let first_building = |nodes: usize| {
-                    ladder.iter().position(|r| {
-                        catch_unwind(AssertUnwindSafe(|| r.build(&index, collective, nodes)))
-                            .ok()
-                            .flatten()
-                            .is_some()
-                    })
+                    ladder
+                        .iter()
+                        .position(|r| r.build(&index, collective, nodes).is_some())
                 };
                 assert_eq!(first_building(16), Some(0), "{}", collective.name());
                 let at_15 = match collective {

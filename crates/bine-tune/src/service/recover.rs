@@ -3,7 +3,6 @@
 //! renumbering and walks the ladder ([`super::ladder`]) *at the survivor
 //! count* until a rung builds, then re-executes the collective there.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use bine_exec::{BlockStore, ExecError, ExecutorPool, Workload};
@@ -196,10 +195,9 @@ impl ServiceSelector {
     /// rung's cache line (lowered under single-flight on a miss). The caller
     /// needs the base [`Schedule`] and its chunk count themselves — for the
     /// workload and the [`Recovery`] report — so they are built here,
-    /// outside the cache; only the lowering is shared. Every probe runs
-    /// under `catch_unwind`: some builders assert rather than return `None`
-    /// on an unsupported rank count, and a shrink almost always lands on
-    /// one.
+    /// outside the cache; only the lowering is shared. A shrink almost
+    /// always lands on a rank count some rung does not build at; the
+    /// provider set answers `None` there and the walk steps down.
     fn first_buildable(
         &self,
         sys: usize,
@@ -209,10 +207,7 @@ impl ServiceSelector {
     ) -> Option<(Key, Schedule, usize, Arc<CompiledSchedule>)> {
         let index = &self.systems[sys];
         rungs.iter().find_map(|&rung| {
-            let (base, chunks) =
-                catch_unwind(AssertUnwindSafe(|| rung.build(index, collective, nodes)))
-                    .ok()
-                    .flatten()?;
+            let (base, chunks) = rung.build(index, collective, nodes)?;
             let key = Key::new(sys, collective, nodes, rung);
             let lower = |_| Some(Arc::new(base.compile_segmented(chunks)));
             match self.resolve(key, Guard::Off, &lower) {

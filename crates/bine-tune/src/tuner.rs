@@ -1,6 +1,8 @@
 //! The offline tuner: sweeps the full algorithm catalog over a system's
 //! `(collective, nodes, vector size, segment count)` grid and records the
-//! winner of every grid point into a [`DecisionTable`].
+//! winner of every grid point into a [`DecisionTable`]. Every score comes
+//! from the [`Scorer`]; what lives here is the policy — which candidates,
+//! which model, in what order, and what may be skipped.
 //!
 //! ## Two-stage scoring
 //!
@@ -8,14 +10,14 @@
 //!    (unsegmented) with the synchronous barrier model
 //!    ([`bine_net::cost::CostModel`]). This stage is cheap and runs at every
 //!    grid point, including the largest node counts.
-//! 2. **Discrete-event refinement** — at grid points within the configured
-//!    node budget ([`TunerConfig::des_max_nodes`]), the top
-//!    [`TunerConfig::des_top_k`] algorithms of stage 1 (plus, always, the
-//!    stage-1 winner and both binomial-baseline flavours) are re-scored with
-//!    the discrete-event simulator across the configured pipeline segment
-//!    counts. The DES is what sees pipelining, so this is the stage that
-//!    moves the paper's ring → bine-large crossover (Sec. 5.2.2); its
-//!    winner, segment count included, becomes the table entry.
+//! 2. **Discrete-event refinement** — at grid points within the node budget
+//!    ([`DES_MAX_NODES`]), the top [`DES_TOP_K`] algorithms of stage 1
+//!    (plus, always, the stage-1 winner and both binomial-baseline
+//!    flavours) are re-scored with the discrete-event simulator across the
+//!    pipeline segment counts [`SEGMENT_COUNTS`]. The DES is what sees
+//!    pipelining, so this is the stage that moves the paper's ring →
+//!    bine-large crossover (Sec. 5.2.2); its winner, segment count
+//!    included, becomes the table entry.
 //!
 //! ## Pruning
 //!
@@ -33,32 +35,54 @@
 //! grid point before their O(p²)-message schedules are ever constructed.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use bine_net::allocation::Allocation;
-use bine_net::cost::{CostModel, CostSummary, LowerBounds};
-use bine_net::sim;
-use bine_net::topology::Topology;
-use bine_net::view::synth_view;
+use bine_net::cost::{CostModel, LowerBounds};
 use bine_sched::{
-    algorithms, binomial_default, build, build_irregular, irregular_algorithms, is_synth_name,
-    split_segments, synth_algorithms, AlgorithmId, Collective, CompiledSchedule, IrregularAlg,
-    Schedule, SizeDist, SynthSpec, TopologyView, IRREGULAR_COLLECTIVES,
+    algorithms, binomial_default, irregular_algorithms, is_linear, AlgorithmId, Collective,
+    ProviderSet, SizeDist, IRREGULAR_COLLECTIVES,
 };
 
+use crate::score::{Scorer, TunePoint};
 use crate::table::{DecisionTable, Entry, ScoreModel};
 
-/// One node count of a tuning grid: the topology hosting the job and the
-/// rank→node placement, exactly as the benchmark harness would evaluate it.
-pub struct TunePoint {
-    /// Number of job nodes (= schedule ranks; one rank per node).
-    pub nodes: usize,
-    /// The topology hosting the job.
-    pub topology: Box<dyn Topology>,
-    /// The job's rank→node placement. Ranks must occupy distinct nodes
-    /// (the lower bounds assume every network message crosses a link).
-    pub allocation: Allocation,
-}
+/// Pipeline segment counts tried (in addition to the implicit 1) during the
+/// DES refinement. Like the five constants below, part of what the
+/// committed `tuning/` tables mean: the drift gate regenerates with exactly
+/// these, so they are constants, not options.
+pub const SEGMENT_COUNTS: [usize; 4] = [2, 4, 8, 16];
+
+/// How many stage-1 algorithms advance to the DES refinement.
+pub const DES_TOP_K: usize = 4;
+
+/// Largest node count at which the DES refinement runs; beyond it the
+/// stage-1 (synchronous) winner is recorded directly, and no synthesized
+/// candidate is asked for — synthesized schedules are only trusted where
+/// the DES can judge them. The cap sits at 512 nodes — the regime the
+/// paper's Sec. 5.2 claims actually live in — which the incremental
+/// fair-share + arena fast path of `bine_net::sim` makes affordable; the
+/// remaining grid (1024/2048-node points) stays synchronous-only to keep
+/// full-table regeneration inside the CI drift gate's wall-time budget.
+pub const DES_MAX_NODES: usize = 512;
+
+/// Alltoall-specific DES ceiling, tighter than [`DES_MAX_NODES`]. An
+/// alltoall simulation carries Θ(p²) data blocks — and with the linear
+/// `pairwise` candidate, Θ(p) steps of Θ(p) concurrent flows — so the
+/// general cap that is affordable for the Θ(p·log p) collectives would blow
+/// the drift gate's wall-time budget here.
+pub const DES_ALLTOALL_MAX_NODES: usize = 128;
+
+/// Largest node count at which the Θ(p)-step algorithms
+/// ([`bine_sched::is_linear`]: ring, pairwise) are candidates at all — in
+/// the tuner, the paper harness and the sweeps alike: they are both
+/// impractically large to build beyond it and — as the paper notes — not
+/// competitive there.
+pub const MAX_LINEAR_NODES: usize = 1024;
+
+/// Smallest vector size at which pipelined (`seg > 1`) DES candidates are
+/// tried. Below it segmentation only adds per-chunk alpha —
+/// latency-dominated points never pick it — so the sweep does not pay for
+/// simulating it.
+pub const MIN_SEGMENT_BYTES: u64 = 1 << 20;
 
 /// A tuning target: one system's grid.
 pub struct Target {
@@ -66,6 +90,11 @@ pub struct Target {
     pub system: String,
     /// Cost-model parameters shared by both scoring stages.
     pub model: CostModel,
+    /// The provider set candidates are enumerated and built through — the
+    /// one the serving layer rebuilds this system's picks with
+    /// ([`crate::selector::system_providers`]), so a tuned `synth:` pick
+    /// resolves to the identical schedule at serve time.
+    pub providers: ProviderSet,
     /// The collectives to tune.
     pub collectives: Vec<Collective>,
     /// One point per node count, ascending.
@@ -74,54 +103,10 @@ pub struct Target {
     pub vector_sizes: Vec<u64>,
 }
 
-impl Target {
-    /// The tuning point hosting `nodes` nodes.
-    ///
-    /// # Panics
-    /// Panics if the grid has no point for this node count.
-    pub fn point(&self, nodes: usize) -> &TunePoint {
-        self.points
-            .iter()
-            .find(|p| p.nodes == nodes)
-            .unwrap_or_else(|| panic!("{}: no tuning point for {nodes} nodes", self.system))
-    }
-}
-
-/// Tuner knobs. The defaults are what generates the committed `tuning/`
-/// tables; the drift gate regenerates with the same defaults.
+/// The tuner's one knob. The default is what generates the committed
+/// `tuning/` tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunerConfig {
-    /// Pipeline segment counts tried (in addition to the implicit 1) during
-    /// the DES refinement.
-    pub segment_counts: Vec<usize>,
-    /// How many stage-1 algorithms advance to the DES refinement.
-    pub des_top_k: usize,
-    /// Largest node count at which the DES refinement runs; beyond it the
-    /// stage-1 (synchronous) winner is recorded directly. The cap sits at
-    /// 512 nodes — the regime the paper's Sec. 5.2 claims actually live in —
-    /// which the incremental fair-share + arena fast path of `bine_net::sim`
-    /// makes affordable (the cap was 64 when every rate event recomputed the
-    /// global fair share from scratch); the remaining grid (1024/2048-node
-    /// points) stays synchronous-only to keep full-table regeneration inside
-    /// the CI drift gate's wall-time budget.
-    pub des_max_nodes: usize,
-    /// Alltoall-specific DES ceiling, tighter than [`Self::des_max_nodes`].
-    /// An alltoall simulation carries Θ(p²) data blocks — and with the
-    /// linear `pairwise` candidate, Θ(p) steps of Θ(p) concurrent flows —
-    /// so the general 512-node cap that is affordable for the Θ(p·log p)
-    /// collectives would blow the drift gate's wall-time budget here. Above
-    /// this cap alltoall records its stage-1 (synchronous) winner directly.
-    pub des_alltoall_max_nodes: usize,
-    /// Largest node count at which the Θ(p)-step algorithms (ring,
-    /// pairwise) are candidates at all, mirroring the benchmark harness's
-    /// exclusion: they are both impractically large to build and — as the
-    /// paper notes — not competitive there.
-    pub max_linear_nodes: usize,
-    /// Smallest vector size at which pipelined (`seg > 1`) DES candidates
-    /// are tried. Below it segmentation only adds per-chunk alpha —
-    /// latency-dominated points never pick it — so the sweep does not pay
-    /// for simulating it.
-    pub min_segment_bytes: u64,
     /// Whether the lower-bound pruning is enabled. Disabled only by tests
     /// that verify pruning does not change any argmin.
     pub prune: bool,
@@ -129,15 +114,7 @@ pub struct TunerConfig {
 
 impl Default for TunerConfig {
     fn default() -> Self {
-        Self {
-            segment_counts: vec![2, 4, 8, 16],
-            des_top_k: 4,
-            des_max_nodes: 512,
-            des_alltoall_max_nodes: 128,
-            max_linear_nodes: 1024,
-            min_segment_bytes: 1 << 20,
-            prune: true,
-        }
+        Self { prune: true }
     }
 }
 
@@ -155,37 +132,23 @@ pub struct Candidate {
     pub lower_bound: f64,
 }
 
-/// Builds the lower-bound-sorted candidate list for one grid point: every
-/// catalog algorithm of `collective` (linear ones only up to
-/// `max_linear_nodes`), sorted by [`LowerBounds::sync_time_us`] ascending
-/// with catalog order as the tie-break.
+/// Builds the lower-bound-sorted candidate list for one grid point from an
+/// enumeration `algs` — [`bine_sched::algorithms`], or a provider set's
+/// (catalog, then synthesized): linear ones only up to
+/// [`MAX_LINEAR_NODES`], sorted by [`LowerBounds::sync_time_us`] ascending
+/// with enumeration order as the tie-break. The closed-form lower bounds
+/// are universal per-collective semantics bounds, so they apply to
+/// synthesized schedules unchanged.
 pub fn candidates(
-    collective: Collective,
+    algs: impl IntoIterator<Item = AlgorithmId>,
     nodes: usize,
     vector_bytes: u64,
     lbs: &LowerBounds,
-    max_linear_nodes: usize,
 ) -> Vec<Candidate> {
-    candidates_with(collective, nodes, vector_bytes, lbs, max_linear_nodes, &[])
-}
-
-/// [`candidates`] plus provider-supplied (synthesized) algorithms, which
-/// enumerate after the whole catalog. The closed-form lower bounds are
-/// universal per-collective semantics bounds, so they apply to synthesized
-/// schedules unchanged.
-pub fn candidates_with(
-    collective: Collective,
-    nodes: usize,
-    vector_bytes: u64,
-    lbs: &LowerBounds,
-    max_linear_nodes: usize,
-    extra: &[AlgorithmId],
-) -> Vec<Candidate> {
-    let mut out: Vec<Candidate> = algorithms(collective)
+    let mut out: Vec<Candidate> = algs
         .into_iter()
-        .chain(extra.iter().cloned())
         .enumerate()
-        .filter(|(_, a)| !a.is_linear || nodes <= max_linear_nodes)
+        .filter(|(_, a)| !a.is_linear || nodes <= MAX_LINEAR_NODES)
         .map(|(idx, alg)| {
             let lower_bound = lbs.sync_time_us(
                 alg.min_steps(nodes),
@@ -257,124 +220,35 @@ pub fn pruned_best(
     }
 }
 
-/// The offline tuner. Caches built and compiled schedules across the grid
-/// points of one collective (they are shared by all vector sizes), and owns
-/// a [`bine_net::sim::SimArena`] so the DES refinement stage reuses routes,
-/// dependency analysis and event-loop scratch across the whole sweep instead
-/// of re-allocating them per simulation.
+/// The offline tuner: a [`Scorer`] plus the two-stage policy above. It
+/// holds no schedule, summary or simulator state of its own — only the
+/// per-column candidate enumeration, because the ForestColl tree-count
+/// search behind a synthesized candidate is worth running once per grid
+/// column, not once per vector size.
 pub struct Tuner {
-    target: Target,
+    system: String,
+    collectives: Vec<Collective>,
+    vector_sizes: Vec<u64>,
+    scorer: Scorer,
     config: TunerConfig,
-    schedules: HashMap<(Collective, String, usize), Schedule>,
-    /// Per-schedule [`CostSummary`], so the synchronous stage re-scores a
-    /// cached schedule at each vector size in O(messages) instead of
-    /// walking its block lists again — bit-identical to scoring the
-    /// schedule directly, and the difference between minutes and seconds
-    /// for the Θ(p²·log p)-block alltoall schedules at 1024+ nodes.
-    summaries: HashMap<(Collective, String, usize), CostSummary>,
-    compiled: HashMap<(Collective, String, usize, usize), CompiledSchedule>,
-    arena: sim::SimArena,
-    /// Per-node-count topology view the synthesizers consume, derived once
-    /// from the grid point's `(topology, allocation)` pair — the same
-    /// derivation the serving layer uses, so tuned synth picks rebuild
-    /// identically at serve time.
-    views: HashMap<usize, Option<Arc<TopologyView>>>,
-    /// Per-(collective, nodes) synthesized candidate ids. The ForestColl
-    /// tree-count search is not free, so it runs once per grid column, not
-    /// once per vector size.
-    synth_ids: HashMap<(Collective, usize), Vec<AlgorithmId>>,
+    columns: HashMap<(Collective, usize), Vec<AlgorithmId>>,
 }
 
 impl Tuner {
     /// Creates a tuner for one target with the given configuration.
     pub fn new(target: Target, config: TunerConfig) -> Self {
         Self {
-            target,
+            system: target.system,
+            collectives: target.collectives,
+            vector_sizes: target.vector_sizes,
+            scorer: Scorer::new(target.model, target.providers, target.points),
             config,
-            schedules: HashMap::new(),
-            summaries: HashMap::new(),
-            compiled: HashMap::new(),
-            arena: sim::SimArena::new(),
-            views: HashMap::new(),
-            synth_ids: HashMap::new(),
+            columns: HashMap::new(),
         }
     }
 
-    /// The target being tuned.
-    pub fn target(&self) -> &Target {
-        &self.target
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TunerConfig {
-        &self.config
-    }
-
-    fn point(&self, nodes: usize) -> &TunePoint {
-        self.target.point(nodes)
-    }
-
-    /// The lower-bound ingredients at one node count.
-    pub fn lower_bounds(&self, nodes: usize) -> LowerBounds {
-        LowerBounds::new(&self.target.model, self.point(nodes).topology.as_ref())
-    }
-
-    /// The largest per-message block-list length in an algorithm's flat
-    /// schedule: the number of pipeline chunks beyond which further
-    /// segmentation is a no-op.
-    fn max_message_blocks(&mut self, collective: Collective, name: &str, nodes: usize) -> usize {
-        self.ensure_schedule(collective, name, nodes);
-        self.schedules[&(collective, name.to_string(), nodes)]
-            .steps
-            .iter()
-            .flat_map(|s| s.messages.iter())
-            .map(|m| m.blocks.len())
-            .max()
-            .unwrap_or(1)
-    }
-
-    /// The (cached) topology view for one grid column, consumed by the
-    /// synthesizers. Only derived for node counts inside the DES horizon:
-    /// synthesized schedules are only trusted where the DES can judge them
-    /// (and the O(p²) pairwise-route derivation stays affordable).
-    pub fn view_for(&mut self, nodes: usize) -> Option<Arc<TopologyView>> {
-        if nodes > self.config.des_max_nodes {
-            return None;
-        }
-        if let Some(v) = self.views.get(&nodes) {
-            return v.clone();
-        }
-        let point = self.target.point(nodes);
-        let view = synth_view(point.topology.as_ref(), &point.allocation)
-            .ok()
-            .map(Arc::new);
-        self.views.insert(nodes, view.clone());
-        view
-    }
-
-    /// The synthesized candidates for one grid column (cached; the
-    /// ForestColl tree-count search binary-searches bottleneck capacities,
-    /// which is worth doing once per column, not once per vector size).
-    fn synth_candidates(&mut self, collective: Collective, nodes: usize) -> Vec<AlgorithmId> {
-        if !matches!(
-            collective,
-            Collective::Broadcast | Collective::Reduce | Collective::Allreduce
-        ) {
-            return Vec::new();
-        }
-        if let Some(ids) = self.synth_ids.get(&(collective, nodes)) {
-            return ids.clone();
-        }
-        let ids = match self.view_for(nodes) {
-            Some(view) => synth_algorithms(collective, &view),
-            None => Vec::new(),
-        };
-        self.synth_ids.insert((collective, nodes), ids.clone());
-        ids
-    }
-
-    /// The full candidate list for one grid point: the catalog plus the
-    /// synthesized candidates for this column, lower-bound-sorted.
+    /// The lower-bound-sorted candidates of one grid point: the catalog
+    /// plus, inside the DES horizon, the column's synthesized candidates.
     fn point_candidates(
         &mut self,
         collective: Collective,
@@ -382,46 +256,26 @@ impl Tuner {
         vector_bytes: u64,
         lbs: &LowerBounds,
     ) -> Vec<Candidate> {
-        let extra = self.synth_candidates(collective, nodes);
-        candidates_with(
-            collective,
-            nodes,
-            vector_bytes,
-            lbs,
-            self.config.max_linear_nodes,
-            &extra,
-        )
-    }
-
-    fn ensure_schedule(&mut self, collective: Collective, name: &str, nodes: usize) {
-        let key = (collective, name.to_string(), nodes);
-        if self.schedules.contains_key(&key) {
-            return;
-        }
-        let sched = if is_synth_name(split_segments(name).0) {
-            let (base, chunks) = split_segments(name);
-            let spec = SynthSpec::parse(base)
-                .unwrap_or_else(|| panic!("malformed synthesized name {name}"));
-            let view = self
-                .view_for(nodes)
-                .unwrap_or_else(|| panic!("no topology view for {name} at {nodes} nodes"));
-            let sched = spec.synthesize(collective, &view, 0).unwrap_or_else(|| {
-                panic!("{name} cannot be synthesized for {collective:?} at {nodes} nodes")
-            });
-            if chunks > 1 {
-                sched.segmented(chunks)
+        let providers = self.scorer.providers();
+        let column = self.columns.entry((collective, nodes)).or_insert_with(|| {
+            // The horizon is checked *before* asking: the provider set
+            // would derive a 2048-rank view and search it just to have the
+            // answer thrown away.
+            if nodes <= DES_MAX_NODES {
+                providers.algorithms(collective, nodes)
             } else {
-                sched
+                algorithms(collective)
             }
-        } else {
-            build(collective, name, nodes, 0)
-                .unwrap_or_else(|| panic!("unknown algorithm {name} for {collective:?}"))
-        };
-        self.schedules.insert(key, sched);
+        });
+        candidates(column.iter().cloned(), nodes, vector_bytes, lbs)
     }
 
     /// Scores one candidate (full tuned name, `+segS` suffix honoured)
     /// under the requested time model at one grid point.
+    ///
+    /// # Panics
+    /// Panics if the name is unknown for `collective` or does not build at
+    /// `nodes` ranks.
     pub fn score(
         &mut self,
         collective: Collective,
@@ -430,51 +284,9 @@ impl Tuner {
         vector_bytes: u64,
         model: ScoreModel,
     ) -> f64 {
-        match model {
-            ScoreModel::Sync => {
-                self.ensure_schedule(collective, name, nodes);
-                let key = (collective, name.to_string(), nodes);
-                let summary = self
-                    .summaries
-                    .entry(key.clone())
-                    .or_insert_with(|| CostSummary::of(&self.schedules[&key]));
-                let point = self.target.point(nodes);
-                self.target
-                    .model
-                    .estimate_summary(
-                        summary,
-                        vector_bytes,
-                        point.topology.as_ref(),
-                        &point.allocation,
-                    )
-                    .total_us
-            }
-            ScoreModel::Des => {
-                let (base, chunks) = split_segments(name);
-                let key = (collective, base.to_string(), nodes, chunks);
-                if !self.compiled.contains_key(&key) {
-                    self.ensure_schedule(collective, base, nodes);
-                    let compiled = self.schedules[&(collective, base.to_string(), nodes)]
-                        .compile_segmented(chunks);
-                    self.compiled.insert(key.clone(), compiled);
-                }
-                let compiled = &self.compiled[&key];
-                // `Target::point` borrows only `self.target`, so the arena
-                // can be borrowed mutably alongside the cached schedule.
-                let point = self.target.point(nodes);
-                sim::SimRequest::new(
-                    &self.target.model,
-                    compiled,
-                    vector_bytes,
-                    point.topology.as_ref(),
-                    &point.allocation,
-                )
-                .arena(&mut self.arena)
-                .time_only()
-                .run()
-                .makespan_us()
-            }
-        }
+        self.scorer
+            .score(collective, None, name, nodes, vector_bytes, model)
+            .unwrap_or_else(|| panic!("{name} does not build for {collective:?} at {nodes} nodes"))
     }
 
     /// Stage-1 pruned sweep of one grid point: the synchronous-model winner
@@ -485,7 +297,7 @@ impl Tuner {
         nodes: usize,
         vector_bytes: u64,
     ) -> CellBest {
-        let lbs = self.lower_bounds(nodes);
+        let lbs = self.scorer.lower_bounds(nodes);
         let cands = self.point_candidates(collective, nodes, vector_bytes, &lbs);
         let prune = self.config.prune;
         pruned_best(&cands, prune, |alg| {
@@ -499,22 +311,9 @@ impl Tuner {
         })
     }
 
-    /// The largest node count whose grid points get DES refinement for
-    /// `collective` — [`TunerConfig::des_max_nodes`], tightened to
-    /// [`TunerConfig::des_alltoall_max_nodes`] for the quadratic alltoall.
-    pub fn des_node_cap(&self, collective: Collective) -> usize {
-        match collective {
-            Collective::Alltoall => self
-                .config
-                .des_max_nodes
-                .min(self.config.des_alltoall_max_nodes),
-            _ => self.config.des_max_nodes,
-        }
-    }
-
     /// Tunes one grid point into its decision-table entry.
     pub fn tune_point(&mut self, collective: Collective, nodes: usize, vector_bytes: u64) -> Entry {
-        let lbs = self.lower_bounds(nodes);
+        let lbs = self.scorer.lower_bounds(nodes);
         let cands = self.point_candidates(collective, nodes, vector_bytes, &lbs);
         let prune = self.config.prune;
 
@@ -524,16 +323,20 @@ impl Tuner {
         // best: a candidate that cannot win stage 1 may still belong to the
         // stage-2 top-K, and pruning must never change what stage 2 sees —
         // that is what keeps pruned and exhaustive runs byte-identical.
-        let des_eligible = nodes <= self.des_node_cap(collective);
+        let des_eligible = nodes
+            <= match collective {
+                Collective::Alltoall => DES_ALLTOALL_MAX_NODES,
+                _ => DES_MAX_NODES,
+            };
         let mut scored: Vec<(usize, f64)> = Vec::new(); // (cands index, score)
         let mut top_scores: Vec<f64> = Vec::new();
         let mut best: Option<(usize, f64)> = None;
         for (i, c) in cands.iter().enumerate() {
             let threshold = if des_eligible {
-                if top_scores.len() < self.config.des_top_k {
+                if top_scores.len() < DES_TOP_K {
                     f64::INFINITY
                 } else {
-                    top_scores[self.config.des_top_k - 1]
+                    top_scores[DES_TOP_K - 1]
                 }
             } else {
                 best.map_or(f64::INFINITY, |(_, t)| t)
@@ -553,7 +356,7 @@ impl Tuner {
             scored.push((i, t));
             let pos = top_scores.partition_point(|&s| s <= t);
             top_scores.insert(pos, t);
-            top_scores.truncate(self.config.des_top_k);
+            top_scores.truncate(DES_TOP_K);
             if best.is_none_or(|(bi, bt)| (t, c.idx) < (bt, cands[bi].idx)) {
                 best = Some((i, t));
             }
@@ -597,7 +400,7 @@ impl Tuner {
             a.1.total_cmp(&b.1)
                 .then(cands[a.0].idx.cmp(&cands[b.0].idx))
         });
-        for &(i, _) in scored.iter().take(self.config.des_top_k) {
+        for &(i, _) in scored.iter().take(DES_TOP_K) {
             push_unique(&mut names, cands[i].alg.name());
         }
         for c in &cands {
@@ -613,17 +416,18 @@ impl Tuner {
             let alg = by_name[name.as_str()];
             let lb = lbs.des_time_us(alg.min_rank_bytes(vector_bytes, nodes));
             des_cands.push((lb, order, 1));
-            if vector_bytes < self.config.min_segment_bytes {
+            if vector_bytes < MIN_SEGMENT_BYTES {
                 continue;
             }
             // Segment counts beyond the largest per-message block list
             // collapse onto the same schedule (single-block messages are
             // unsplittable), so only distinct effective counts are
             // simulated.
-            let cap = self.max_message_blocks(collective, name, nodes);
-            let mut effective: Vec<usize> = self
-                .config
-                .segment_counts
+            let cap = self
+                .scorer
+                .max_message_blocks(collective, None, name, nodes)
+                .unwrap_or_else(|| panic!("{name} does not build at {nodes} nodes"));
+            let mut effective: Vec<usize> = SEGMENT_COUNTS
                 .iter()
                 .map(|&s| s.min(cap))
                 .filter(|&s| s > 1)
@@ -660,9 +464,13 @@ impl Tuner {
     }
 
     /// Tunes one irregular (v-variant) grid point: every applicable
-    /// [`IrregularAlg`] is built with `dist`'s synthetic counts (root 0,
-    /// heavy rank 0 — the placement the harness evaluates) and scored flat
-    /// with the synchronous model; the argmin becomes the entry.
+    /// [`bine_sched::IrregularAlg`] that builds at `nodes` ranks is scored
+    /// flat with the synchronous model under `dist`'s synthetic counts
+    /// (root 0, heavy rank 0 — the placement the harness evaluates); the
+    /// argmin becomes the entry, ties resolving by candidate order exactly
+    /// as the regular sweep resolves them by catalog order. The linear-step
+    /// ring is excluded above [`MAX_LINEAR_NODES`], mirroring the regular
+    /// sweep.
     ///
     /// Deliberately **unpruned** and synchronous-only: the catalog's cheap
     /// lower bounds assume equal per-rank counts, which skewed
@@ -677,35 +485,20 @@ impl Tuner {
         nodes: usize,
         vector_bytes: u64,
     ) -> Entry {
-        let built = self.irregular_candidates(collective, dist, nodes);
-        self.score_irregular(collective, dist, nodes, vector_bytes, &built)
-    }
-
-    /// Scores pre-built irregular candidates at one vector size and returns
-    /// the argmin entry (ties resolve by candidate order, exactly as the
-    /// regular sweep resolves them by catalog order).
-    fn score_irregular(
-        &self,
-        collective: Collective,
-        dist: SizeDist,
-        nodes: usize,
-        vector_bytes: u64,
-        built: &[(IrregularAlg, CostSummary)],
-    ) -> Entry {
-        let point = self.target.point(nodes);
         let mut best: Option<(&'static str, f64)> = None;
-        for (alg, summary) in built {
-            let t = self
-                .target
-                .model
-                .estimate_summary(
-                    summary,
-                    vector_bytes,
-                    point.topology.as_ref(),
-                    &point.allocation,
-                )
-                .total_us;
-            if best.is_none_or(|(_, bt)| t < bt) {
+        for alg in irregular_algorithms(collective) {
+            if is_linear(alg.name()) && nodes > MAX_LINEAR_NODES {
+                continue;
+            }
+            let score = self.scorer.score(
+                collective,
+                Some(dist),
+                alg.name(),
+                nodes,
+                vector_bytes,
+                ScoreModel::Sync,
+            );
+            if let Some(t) = score.filter(|&t| best.is_none_or(|(_, bt)| t < bt)) {
                 best = Some((alg.name(), t));
             }
         }
@@ -721,52 +514,28 @@ impl Tuner {
         }
     }
 
-    /// Builds the irregular candidate schedules of one
-    /// `(collective, dist, nodes)` cell and summarises each for repeated
-    /// per-size scoring (the schedule itself is dropped immediately — the
-    /// synchronous model reads nothing a [`CostSummary`] does not carry).
-    /// The linear-step ring is excluded above
-    /// [`TunerConfig::max_linear_nodes`], mirroring the regular sweep.
-    fn irregular_candidates(
-        &mut self,
-        collective: Collective,
-        dist: SizeDist,
-        nodes: usize,
-    ) -> Vec<(IrregularAlg, CostSummary)> {
-        let counts = dist.counts(nodes, 0);
-        irregular_algorithms(collective)
-            .into_iter()
-            .filter(|&alg| alg != IrregularAlg::Ring || nodes <= self.config.max_linear_nodes)
-            .map(|alg| {
-                let sched = build_irregular(collective, alg.name(), nodes, 0, &counts)
-                    .expect("catalog algorithm builds for its own collective");
-                (alg, CostSummary::of(&sched))
-            })
-            .collect()
+    fn node_counts(&self) -> Vec<usize> {
+        self.scorer.points().iter().map(|p| p.nodes).collect()
     }
 
     /// Sweeps the irregular grids of every tunable v-variant collective in
     /// the target: `(collective, dist, nodes, bytes)` with `dist` ranging
-    /// over [`SizeDist::ALL`]. Candidate schedules live only for the sizes
+    /// over [`SizeDist::ALL`]. Candidate summaries live only for the sizes
     /// loop of one `(collective, dist, nodes)` cell, bounding peak memory.
     pub fn tune_irregular(&mut self) -> Vec<Entry> {
-        let collectives: Vec<Collective> = self
-            .target
-            .collectives
-            .iter()
-            .copied()
-            .filter(|c| IRREGULAR_COLLECTIVES.contains(c))
-            .collect();
-        let node_counts: Vec<usize> = self.target.points.iter().map(|p| p.nodes).collect();
-        let sizes = self.target.vector_sizes.clone();
+        let node_counts = self.node_counts();
+        let sizes = self.vector_sizes.clone();
         let mut entries = Vec::new();
-        for &collective in &collectives {
+        for collective in self.collectives.clone() {
+            if !IRREGULAR_COLLECTIVES.contains(&collective) {
+                continue;
+            }
             for &nodes in &node_counts {
                 for dist in SizeDist::ALL {
-                    let built = self.irregular_candidates(collective, dist, nodes);
                     for &n in &sizes {
-                        entries.push(self.score_irregular(collective, dist, nodes, n, &built));
+                        entries.push(self.tune_irregular_point(collective, dist, nodes, n));
                     }
+                    self.scorer.clear();
                 }
             }
         }
@@ -776,28 +545,24 @@ impl Tuner {
     /// Tunes the full grid into a decision table: the regular
     /// `(collective, nodes, bytes)` grid of every target collective plus
     /// the irregular `(collective, dist, nodes, bytes)` grids of the
-    /// v-variant collectives among them. Schedule caches are dropped
+    /// v-variant collectives among them. The scorer's caches are dropped
     /// between collectives to bound peak memory on the largest systems,
     /// exactly as the benchmark runner does.
     pub fn tune(&mut self) -> DecisionTable {
-        let collectives = self.target.collectives.clone();
-        let node_counts: Vec<usize> = self.target.points.iter().map(|p| p.nodes).collect();
-        let sizes = self.target.vector_sizes.clone();
+        let node_counts = self.node_counts();
+        let sizes = self.vector_sizes.clone();
         let mut entries = Vec::new();
-        for &collective in &collectives {
+        for collective in self.collectives.clone() {
             for &nodes in &node_counts {
                 for &n in &sizes {
                     entries.push(self.tune_point(collective, nodes, n));
                 }
             }
-            self.schedules.clear();
-            self.summaries.clear();
-            self.compiled.clear();
-            self.arena.clear();
+            self.scorer.clear();
         }
         entries.extend(self.tune_irregular());
         let mut table = DecisionTable {
-            system: self.target.system.clone(),
+            system: self.system.clone(),
             entries,
         };
         table.sort();
@@ -818,12 +583,15 @@ pub fn tuned_name(base: &str, segments: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bine_net::allocation::Allocation;
     use bine_net::topology::IdealFullMesh;
+    use bine_sched::IrregularAlg;
 
     fn target(node_counts: &[usize]) -> Target {
         Target {
             system: "Irrbox".into(),
             model: CostModel::default(),
+            providers: ProviderSet::catalog_only(),
             collectives: vec![
                 Collective::Gather,
                 Collective::Allgather,
