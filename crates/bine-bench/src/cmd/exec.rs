@@ -10,7 +10,9 @@ use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_net::cost::CostModel;
 use bine_net::sim;
 use bine_net::view::TUNING_PLACEMENT_SEED;
-use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
+use bine_sched::collectives::{
+    allreduce, alltoall, reduce_scatter, AllreduceAlg, AlltoallAlg, ReduceScatterAlg,
+};
 use bine_sched::{CompiledSchedule, Schedule};
 
 use crate::cli::{Args, Failure, Outcome};
@@ -92,6 +94,56 @@ fn bench_executors(
     compiled_sched
 }
 
+/// Times the pool on `handle` at one lane — the calling thread alone, the
+/// same on every runner, so gated (`{label}/pool/{p}`) — and at the runner's
+/// parallelism (`{label}/pool-lanes/{p}`: `pool_workers` lanes; ungated
+/// context, like everything that depends on the core count).
+fn bench_pools(
+    records: &mut Records,
+    label: &str,
+    handle: &Arc<CompiledSchedule>,
+    initial: &[BlockStore],
+    iters: usize,
+) {
+    let p = handle.num_ranks;
+    let one_lane = ExecutorPool::new(1);
+    records.time(format!("{label}/pool/{p}"), iters, || {
+        one_lane.run(handle, initial.to_vec());
+    });
+    let global = ExecutorPool::global();
+    records.time(format!("{label}/pool-lanes/{p}"), iters, || {
+        global.run(handle, initial.to_vec());
+    });
+}
+
+/// The large reductions the repository benchmark's `exec-reduce` workload
+/// runs: 1 and 4 MiB vectors over 64 ranks (`bytes / 8 / p` elements per
+/// block), where a one-lane run walks block by block and the time is memory
+/// traffic, not dispatch. Gated `/compiled/` and `/pool/` entries, ungated
+/// `/pool-lanes/` — at these sizes the one comparison of rank-range lanes
+/// against one lane that has work to split. No reference interpreter: it
+/// takes seconds per run here.
+fn bench_large_reductions(records: &mut Records, iters: usize) {
+    let p = 64;
+    let large = allreduce(p, AllreduceAlg::BineLarge);
+    let swing = reduce_scatter(p, ReduceScatterAlg::Swing);
+    let cases = [
+        ("allreduce-bine-large-1MiB", &large, 1usize << 20, true),
+        ("allreduce-bine-large-4MiB", &large, 4 << 20, true),
+        ("reduce-scatter-swing-4MiB", &swing, 4 << 20, false),
+    ];
+    for (label, sched, bytes, on_pools) in cases {
+        let initial = Workload::for_schedule(sched, bytes / 8 / p).initial_state(sched);
+        let handle = Arc::new(sched.compile());
+        records.time(format!("{label}/compiled/{p}"), iters, || {
+            compiled::run(&handle, initial.clone());
+        });
+        if on_pools {
+            bench_pools(records, label, &handle, &initial, iters);
+        }
+    }
+}
+
 fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
     let (label, p) = ("allreduce-bine-large", sched.num_ranks);
     let initial = initial_state(sched);
@@ -99,18 +151,7 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
         sequential::run_reference(sched, initial.clone());
     });
     let compiled_sched = bench_executors(records, label, sched, &initial, iters);
-    // The pool at one lane — the calling thread alone, the same on every
-    // runner, so gated — and at the runner's parallelism (`pool_workers`
-    // lanes; ungated context, like everything that depends on the core
-    // count).
-    let one_lane = ExecutorPool::new(1);
-    records.time(format!("{label}/pool/{p}"), iters, || {
-        one_lane.run(&compiled_sched, initial.clone());
-    });
-    let global = ExecutorPool::global();
-    records.time(format!("{label}/pool-lanes/{p}"), iters, || {
-        global.run(&compiled_sched, initial.clone());
-    });
+    bench_pools(records, label, &compiled_sched, &initial, iters);
     // What the schedule costs before any executor sees it (all gated): the
     // builder, then lowering — unsegmented at every size, and at the 16
     // pipeline chunks the LUMI table serves this allreduce with above 1 MiB
@@ -260,7 +301,10 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 /// p ∈ {64, 256, 1024} (the pool twice: gated `/pool/` at one lane, ungated
 /// `/pool-lanes/` at the runner's parallelism) and what building and
 /// lowering it cost (gated `/build/` and `/compile/` at each size,
-/// `/lower-seg16/256` at 16 pipeline chunks), plus the post-seed collective
+/// `/lower-seg16/256` at 16 pipeline chunks), plus 1 and 4 MiB reductions
+/// over 64 ranks, where the one-lane executors walk block by block
+/// (`allreduce-bine-large-{1,4}MiB`, `reduce-scatter-swing-4MiB`: gated
+/// `/compiled/` and `/pool/`, ungated `/pool-lanes/`), plus the post-seed collective
 /// surfaces at p = 256 — dual-root pipelined allreduce, two irregular
 /// v-variant schedules and the Bine alltoall, each with a gated `/compiled/`
 /// entry, the alltoall with a gated `/build/` as well — plus the
@@ -292,6 +336,7 @@ pub fn run(args: Args) -> Outcome {
         let sched = allreduce(p, AllreduceAlg::BineLarge);
         bench_all_executors(&mut records, &sched, iters);
     }
+    bench_large_reductions(&mut records, iters);
     bench_new_paths(&mut records, 256, iters);
     bench_synth(&mut records, 256, iters);
     for p in [64usize, 256] {

@@ -220,7 +220,9 @@ pub fn fig11(_: Args) -> Outcome {
         des_comparison_table(System::fugaku(), Collective::Allreduce, 64, 8)
     );
     println!();
-    println!("note: alltoall on Fugaku is evaluated up to 2048 nodes (see DESIGN.md).");
+    println!(
+        "note: alltoall on Fugaku is evaluated up to 2048 nodes (a schedule tracks p² blocks)."
+    );
     Ok(())
 }
 

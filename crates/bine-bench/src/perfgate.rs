@@ -292,6 +292,10 @@ mod tests {
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));
         assert!(is_gated("allreduce-bine-large/pool/256"));
         assert!(!is_gated("allreduce-bine-large/pool-lanes/256"));
+        assert!(is_gated("allreduce-bine-large-1MiB/compiled/64"));
+        assert!(is_gated("allreduce-bine-large-4MiB/pool/64"));
+        assert!(!is_gated("allreduce-bine-large-4MiB/pool-lanes/64"));
+        assert!(is_gated("reduce-scatter-swing-4MiB/compiled/64"));
         assert!(is_gated("allreduce-bine-large/build/256"));
         assert!(is_gated("allreduce-bine-large/compile/256"));
         assert!(is_gated("allreduce-bine-large/lower-seg16/256"));

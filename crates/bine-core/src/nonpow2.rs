@@ -4,8 +4,8 @@
 //! `p' = 2^⌊log2 p⌋`) into the first `p − p'` ranks before running the
 //! power-of-two algorithm, and unfolds them afterwards. This is the
 //! straightforward technique used by MPICH-style binomial algorithms and
-//! described at the start of Appendix C; the even-`p` duplicate-subtree
-//! optimisation is a possible refinement documented in DESIGN.md.
+//! described at the start of Appendix C; the appendix's refinement for even
+//! `p` (duplicate subtrees instead of a fold) is not implemented.
 
 /// The largest power of two not exceeding `p`.
 ///

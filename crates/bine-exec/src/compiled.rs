@@ -17,14 +17,32 @@
 //! its local slot at both ends, so the step kernel indexes `slots[local]`
 //! directly.
 //!
-//! The step kernel — `gather_recvs` then `apply_recvs` — is written once
-//! here. [`run_dense`] calls it over all of a step's receives, and so does
-//! a one-lane [`ExecutorPool`](crate::ExecutorPool); a pool of more lanes
-//! calls it per lane, over the receives of the lane's destination ranks.
+//! One compiled form, two walks over it. The **step walk** (`run_steps`) is
+//! the step kernel — `gather_recvs` then `apply_recvs`, written once here —
+//! over all of a step's receives, step after step; a pool of more than one
+//! lane calls the same kernel per lane, over the receives of the lane's
+//! destination ranks. The **block walk** (`run_blocks`) takes the payload
+//! entries block by block ([`bine_sched::BlockMajor`]): a payload of block
+//! `b` reads slot `b` of its sender and writes slot `b` of its receiver and
+//! nothing else, so one block's entries, in receive order, are a schedule of
+//! their own, and running them start to finish keeps the block's partial
+//! sums in cache where the step walk streams the whole working set through
+//! it once per step. Both stage a step's payloads before applying them,
+//! both deliver through the same `receive` and so the same
+//! [`reduce_into`](crate::state), and every `(rank, block)` slot sees the
+//! same writes in the same order at the same reference counts: the finals
+//! agree bit for bit and the same reductions copy on write.
+//!
+//! `run_lane` — [`run_dense`], and a one-lane
+//! [`ExecutorPool`](crate::ExecutorPool) — picks the walk from what it can
+//! see of the run: the block walk when the schedule has a `Reduce` send and
+//! the payloads are large (`BLOCK_WALK_MIN_ELEMS`, with the measurements
+//! behind it), the step walk otherwise — small payloads, schedules that only
+//! move data, runs with dead ranks.
 
 use std::ops::{Deref, DerefMut};
 
-use bine_sched::{CompiledSchedule, TransferKind};
+use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
 use crate::state::{reduce_into, Block, BlockStore};
 
@@ -140,12 +158,66 @@ pub(crate) struct Stall {
     pub send: u32,
 }
 
-/// The whole schedule on one lane: every step's receives gathered and then
-/// applied by the calling thread, with plain borrows of the states. This is
-/// [`run_dense`], and what a one-lane [`ExecutorPool`](crate::ExecutorPool)
-/// runs; `dead` marks the crashed ranks of an injected run, which ends at
-/// the first step with a [`Stall`].
+/// Mean payload, in elements, of the sampled rank from which a reducing run
+/// on one lane walks block by block (8 KiB of `f64`s).
+///
+/// The crossover, as block walk ÷ step walk on one confined vCPU (4 MiB L2),
+/// lower quartile of 25 rounds of reduce-scatter `bine-permute`, allreduce
+/// `bine-large` and reduce-scatter `swing` run and dropped in turn, best of
+/// three alternating repeats:
+///
+/// | block | p = 64 | p = 256 |
+/// |---|---|---|
+/// | 1 KiB | 0.94 / 0.88 / 0.99 | 1.52 / 1.11 / 1.66 |
+/// | 2 KiB | 0.81 / 0.75 / 0.86 | 1.46 / 1.08 / 1.56 |
+/// | 4 KiB | 0.76 / 0.64 / 0.77 | 1.30 / 0.99 / 1.32 |
+/// | 8 KiB | 0.86 / 0.78 / 0.89 | 0.95 / 0.83 / 0.97 |
+/// | 16 KiB | 0.93 / 0.82 / 0.96 | 0.94 / 0.79 / 0.97 |
+///
+/// (at p = 16 the two agree up to 4 KiB and the block walk is 0.67–0.91 at
+/// 16 KiB). What the block walk saves is memory traffic: a block's partial
+/// sums are read back from cache. What it costs is the heap: it allocates the
+/// partial sums block by block, the caller frees the finals rank by rank, and
+/// the next run's copy-on-write buffers come back scattered — about 160 ns
+/// per payload at p = 256, whatever its size, so small payloads lose. The
+/// constant is the smallest size that loses nowhere in the table; a
+/// non-reducing schedule has nothing to save at any size (allgather `bine`,
+/// p = 256: 1.34–1.71 block by block, which is why [`run_lane`] asks
+/// [`CompiledSchedule::reduces`] first).
+const BLOCK_WALK_MIN_ELEMS: usize = 1024;
+
+/// Whether the payloads of this run are large enough for the block walk:
+/// the mean over the slots of the first rank that holds anything — a sample,
+/// not a scan of the state.
+fn payloads_are_large(states: &[DenseState]) -> bool {
+    let sampled = states.iter().find_map(|state| {
+        let held = state.slots.iter().flatten();
+        let (blocks, elems) = held.fold((0, 0), |(n, e), block| (n + 1, e + block.len()));
+        (blocks > 0).then_some(elems >= blocks * BLOCK_WALK_MIN_ELEMS)
+    });
+    sampled.unwrap_or(false)
+}
+
+/// The whole schedule on one lane, by the calling thread with plain borrows
+/// of the states. This is [`run_dense`], and what a one-lane
+/// [`ExecutorPool`](crate::ExecutorPool) runs. A healthy run of a reducing
+/// schedule over large payloads walks block by block ([`run_blocks`]),
+/// every other one step by step ([`run_steps`]); `dead` marks the crashed
+/// ranks of an injected run, which ends at the first step with a [`Stall`].
 pub(crate) fn run_lane(
+    compiled: &CompiledSchedule,
+    states: &mut [DenseState],
+    dead: Option<&[bool]>,
+) -> Option<Stall> {
+    if dead.is_none() && compiled.reduces() && payloads_are_large(states) {
+        run_blocks(compiled, states);
+        return None;
+    }
+    run_steps(compiled, states, dead)
+}
+
+/// The step walk: every step's receives gathered and then applied.
+pub(crate) fn run_steps(
     compiled: &CompiledSchedule,
     states: &mut [DenseState],
     dead: Option<&[bool]>,
@@ -179,6 +251,93 @@ pub(crate) fn run_lane(
     None
 }
 
+/// The block walk (see the module docs for why it ends where [`run_steps`]
+/// does): every block's payload entries from its first step to its last
+/// ([`bine_sched::BlockMajor`]), a step's entries gathered and then applied,
+/// before the next block starts.
+///
+/// # Panics
+/// Panics if a send references a block its source rank does not hold.
+pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState]) {
+    let layout = compiled.slot_layout();
+    let order = compiled.block_major();
+    // The send of an entry, and which of the send's payloads it is.
+    let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
+    let mut staging: Vec<Block> = Vec::new();
+    for block in 0..compiled.num_blocks() {
+        for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
+            // Stage the block's payloads of the step before any slot mutates.
+            staging.extend(in_step.iter().map(|e| {
+                let (send, k) = payload_of(e);
+                let (src, slot) = (&states[send.src as usize], layout.src_slots(send)[k]);
+                Block::clone(held_block(compiled, e.step as usize, send, k, src, slot))
+            }));
+            for (e, payload) in in_step.iter().zip(staging.drain(..)) {
+                let (send, k) = payload_of(e);
+                let slot = layout.dst_slots(send)[k] as usize;
+                let held = &mut states[send.dst as usize].slots[slot];
+                receive(compiled, send, k, held, payload);
+            }
+        }
+    }
+}
+
+/// The payload rank `send.src` holds in local slot `slot`, which `send`
+/// carries as its `k`-th block in `step`.
+///
+/// # Panics
+/// Panics if the rank does not hold the block.
+fn held_block<'a>(
+    compiled: &CompiledSchedule,
+    step: usize,
+    send: &CompiledSend,
+    k: usize,
+    src: &'a DenseState,
+    slot: u32,
+) -> &'a Block {
+    src.slots[slot as usize].as_ref().unwrap_or_else(|| {
+        panic!(
+            "step {step}: rank {} sends block {:?} it does not hold ({})",
+            send.src,
+            compiled
+                .blocks()
+                .resolve(compiled.block_index_slice(send)[k]),
+            compiled.algorithm
+        )
+    })
+}
+
+/// Delivers `payload`, the `k`-th block of `send`, into the receiver's slot
+/// `held`: summed into what is there if the send reduces, in its place
+/// otherwise.
+///
+/// # Panics
+/// Panics if a reduction meets a held block of another length.
+fn receive(
+    compiled: &CompiledSchedule,
+    send: &CompiledSend,
+    k: usize,
+    held: &mut Option<Block>,
+    payload: Block,
+) {
+    match (send.kind, held) {
+        (TransferKind::Reduce, Some(existing)) => {
+            assert_eq!(
+                existing.len(),
+                payload.len(),
+                "block length mismatch for {:?}",
+                compiled
+                    .blocks()
+                    .resolve(compiled.block_index_slice(send)[k])
+            );
+            reduce_into(existing, &payload);
+        }
+        // A copy — or a reduce into an absent block, where the payload
+        // becomes the partial result, as in `BlockStore::reduce`.
+        (_, held) => *held = Some(payload),
+    }
+}
+
 /// Gather half of the step kernel: reads the payloads of the receives
 /// `recvs` of `step` (send indices grouped by ascending destination rank,
 /// see [`CompiledSchedule::recvs_to_ranks`]) out of their source ranks'
@@ -206,20 +365,12 @@ pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
             continue;
         }
         let src = state_of(send.src as usize);
-        let payloads = layout.src_slots(send).iter().enumerate().map(|(k, &slot)| {
-            let payload = src.slots[slot as usize].as_ref().unwrap_or_else(|| {
-                panic!(
-                    "step {step}: rank {} sends block {:?} it does not hold ({})",
-                    send.src,
-                    compiled
-                        .blocks()
-                        .resolve(compiled.block_index_slice(send)[k]),
-                    compiled.algorithm
-                )
-            });
-            Some(Block::clone(payload))
-        });
-        staging.extend(payloads);
+        let payloads = layout.src_slots(send).iter().enumerate();
+        staging.extend(payloads.map(|(k, &slot)| {
+            Some(Block::clone(held_block(
+                compiled, step, send, k, &src, slot,
+            )))
+        }));
     }
 }
 
@@ -266,23 +417,7 @@ pub(crate) fn apply_recvs<S: DerefMut<Target = DenseState>>(
             }
             for ((k, &slot), payload) in layout.dst_slots(send).iter().enumerate().zip(payloads) {
                 let payload = payload.take().expect("staged payload missing");
-                match (send.kind, &mut state.slots[slot as usize]) {
-                    (TransferKind::Reduce, Some(existing)) => {
-                        assert_eq!(
-                            existing.len(),
-                            payload.len(),
-                            "block length mismatch for {:?}",
-                            compiled
-                                .blocks()
-                                .resolve(compiled.block_index_slice(send)[k])
-                        );
-                        reduce_into(existing, &payload);
-                    }
-                    // A copy — or a reduce into an absent block, where the
-                    // payload becomes the partial result, as in
-                    // `BlockStore::reduce`.
-                    (_, held) => *held = Some(payload),
-                }
+                receive(compiled, send, k, &mut state.slots[slot as usize], payload);
             }
         }
     }
@@ -303,7 +438,9 @@ mod tests {
     use super::*;
     use crate::sequential;
     use crate::state::Workload;
-    use bine_sched::collectives::{alltoall, broadcast, AlltoallAlg, BroadcastAlg};
+    use bine_sched::collectives::{
+        allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
+    };
     use bine_sched::{algorithms, build, BlockId, Collective};
 
     #[test]
@@ -353,5 +490,76 @@ mod tests {
         let compiled = sched.compile();
         let empty = (0..8).map(|_| BlockStore::new()).collect();
         run(&compiled, empty);
+    }
+
+    #[test]
+    fn the_two_walks_agree_on_every_catalog_algorithm() {
+        // The same small input through both walks, whatever `run_lane` would
+        // pick for it — non-reducing schedules and the doubly-pipelined
+        // dual-root allreduce (many small segments, each reduced twice)
+        // included, unsegmented and cut into three chunks.
+        for collective in Collective::ALL {
+            for alg in algorithms(collective) {
+                let base = build(collective, alg.name(), 16, 5)
+                    .unwrap_or_else(|| panic!("{}", alg.name()));
+                for sched in [base.segmented(3), base] {
+                    let compiled = sched.compile();
+                    let w = Workload::for_schedule(&sched, 2);
+                    let mut by_step = to_dense(&compiled, w.initial_state(&sched));
+                    let mut by_block = by_step.clone();
+                    assert_eq!(run_steps(&compiled, &mut by_step, None), None);
+                    run_blocks(&compiled, &mut by_block);
+                    assert_eq!(by_block, by_step, "{:?}/{}", collective, sched.algorithm);
+                    let reference = sequential::run_reference(&sched, w.initial_state(&sched));
+                    let finals = from_dense(&compiled, by_block);
+                    assert_eq!(finals, reference, "{:?}/{}", collective, sched.algorithm);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_block_walk_is_for_large_payloads_of_reducing_schedules() {
+        let sched = allreduce(8, AllreduceAlg::BineLarge);
+        let compiled = sched.compile();
+        let dense = |elems| {
+            let w = Workload::for_schedule(&sched, elems);
+            to_dense(&compiled, w.initial_state(&sched))
+        };
+        assert!(!payloads_are_large(&dense(BLOCK_WALK_MIN_ELEMS - 1)));
+        assert!(payloads_are_large(&dense(BLOCK_WALK_MIN_ELEMS)));
+        // The sample is the first rank that holds anything, and its mean.
+        let mut states = dense(BLOCK_WALK_MIN_ELEMS);
+        states[0].slots.fill(None);
+        assert!(payloads_are_large(&states));
+        states[1].slots[0] = Some(Block::new(vec![0.0; 1]));
+        assert!(!payloads_are_large(&states));
+        states[1].slots[1] = Some(Block::new(vec![0.0; 2 * BLOCK_WALK_MIN_ELEMS]));
+        assert!(payloads_are_large(&states));
+        assert!(!payloads_are_large(&[DenseState::default()]));
+        // Either side of the rule, `run_lane` ends where the reference does.
+        for elems in [BLOCK_WALK_MIN_ELEMS - 1, BLOCK_WALK_MIN_ELEMS] {
+            let w = Workload::for_schedule(&sched, elems);
+            let reference = sequential::run_reference(&sched, w.initial_state(&sched));
+            assert_eq!(run(&compiled, w.initial_state(&sched)), reference);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn the_block_walk_detects_missing_blocks() {
+        let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
+        let empty = (0..8).map(|_| BlockStore::new()).collect();
+        run_blocks(&compiled, &mut to_dense(&compiled, empty));
+    }
+
+    #[test]
+    #[should_panic(expected = "block length mismatch")]
+    fn the_block_walk_detects_mismatched_block_lengths() {
+        let sched = allreduce(8, AllreduceAlg::BineLarge);
+        let compiled = sched.compile();
+        let mut initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
+        initial[3].insert(BlockId::Segment(0), vec![0.0; 3]);
+        run_blocks(&compiled, &mut to_dense(&compiled, initial));
     }
 }

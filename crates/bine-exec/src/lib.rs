@@ -11,8 +11,9 @@
 //!   bit-identical against,
 //! * [`compiled`] — the fast single-threaded path: executes a
 //!   [`bine_sched::CompiledSchedule`] over dense per-rank state (one slot
-//!   per block a rank touches, no hashing in the inner loop), and home of
-//!   the one step kernel,
+//!   per block a rank touches, no hashing in the inner loop), step by step
+//!   or, for large reductions, block by block — home of the one step kernel
+//!   and the one place a received payload is applied,
 //! * [`pool`] — the persistent [`pool::ExecutorPool`]: the same kernel with
 //!   the ranks split over one lane per core — the calling thread plus
 //!   parked workers; at one lane exactly the compiled path,

@@ -17,7 +17,10 @@
 //! The caller waits only for lanes a worker has already claimed, so it can
 //! always finish alone: concurrent callers cannot deadlock each other, and
 //! a one-lane pool is the calling thread in [`compiled::run_dense`]'s loop
-//! — no queue, no locks, no hand-over. The phase barrier makes the phases
+//! — no queue, no locks, no hand-over — including its choice of walk: a
+//! large reduction on one lane runs block by block (see [`crate::compiled`]),
+//! a run on more lanes is always the two phases per step described here. The
+//! phase barrier makes the phases
 //! race-free: gathers only read, applies only write the lane's own ranks.
 //! Results are bit-identical to the reference interpreter because each
 //! receiver applies its payloads in schedule order — thread scheduling

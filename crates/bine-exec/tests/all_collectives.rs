@@ -57,36 +57,29 @@ fn every_algorithm_is_correct_on_the_pool_executor() {
 
 #[test]
 fn all_four_executors_agree_exactly_with_the_reference() {
-    // The pool at one lane (the calling thread alone), two and four.
+    // The pool at one lane (the calling thread alone), two and four; payloads
+    // on both sides of the size (1024 elements) from which a one-lane run of
+    // a reducing schedule walks block by block.
     let pools = [1, 2, 4].map(ExecutorPool::new);
     for collective in Collective::ALL {
         for alg in algorithms(collective) {
             let p = 32;
             let sched =
                 build(collective, alg.name(), p, 7).unwrap_or_else(|| panic!("{}", alg.name()));
-            let workload = Workload::for_schedule(&sched, 2);
-            let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
-            let seq = sequential::run(&sched, workload.initial_state(&sched));
-            assert_eq!(
-                seq,
-                reference,
-                "zero-copy sequential: {:?}/{}",
-                collective,
-                alg.name()
-            );
-            let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
-            assert_eq!(comp, reference, "compiled: {:?}/{}", collective, alg.name());
             let handle = Arc::new(sched.compile());
-            for pool in &pools {
-                let pooled = pool.run(&handle, workload.initial_state(&sched));
-                let lanes = pool.num_workers();
-                assert_eq!(
-                    pooled,
-                    reference,
-                    "pool, {lanes} lanes: {:?}/{}",
-                    collective,
-                    alg.name()
-                );
+            for elems in [2, 1023, 1024] {
+                let what = format!("{collective:?}/{} at {elems} elements", alg.name());
+                let workload = Workload::for_schedule(&sched, elems);
+                let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
+                let seq = sequential::run(&sched, workload.initial_state(&sched));
+                assert_eq!(seq, reference, "zero-copy sequential: {what}");
+                let comp = compiled::run(&handle, workload.initial_state(&sched));
+                assert_eq!(comp, reference, "compiled: {what}");
+                for pool in &pools {
+                    let pooled = pool.run(&handle, workload.initial_state(&sched));
+                    let lanes = pool.num_workers();
+                    assert_eq!(pooled, reference, "pool, {lanes} lanes: {what}");
+                }
             }
         }
     }

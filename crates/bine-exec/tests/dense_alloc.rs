@@ -1,6 +1,7 @@
 //! Pins what the dense conversion and a one-lane pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
-//! schedule interned, and the pool adds nothing to the step kernel. Measured
+//! schedule interned, the pool adds nothing to the step kernel, and the block
+//! walk of a large reduction allocates what the step walk does. Measured
 //! with a per-thread counting wrapper around the system allocator (tests are
 //! their own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still holds
 //! for the library itself).
@@ -12,7 +13,10 @@ use counting::bytes_in as bytes_requested;
 use std::sync::Arc;
 
 use bine_exec::{compiled, ExecutorPool, Workload};
-use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
+use bine_sched::collectives::{
+    allgather, allreduce, alltoall, AllgatherAlg, AllreduceAlg, AlltoallAlg,
+};
+use bine_sched::{CompiledSchedule, Schedule};
 
 #[test]
 fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
@@ -82,4 +86,61 @@ fn a_block_sent_and_reduced_in_one_step_is_copied_once_per_pair() {
         pool_bytes.abs_diff(compiled_bytes) < payload,
         "pool requested {pool_bytes} B, compiled::run {compiled_bytes} B"
     );
+}
+
+/// Allocations and bytes of one `compiled::run_dense` of `sched` on `handle`
+/// at `elems` elements per block, over inputs the caller still holds (so
+/// every first reduction into a block copies on write).
+fn run_dense_cost(sched: &Schedule, handle: &CompiledSchedule, elems: usize) -> (u64, u64) {
+    let shared = Workload::for_schedule(sched, elems).initial_state(sched);
+    let mut dense = compiled::to_dense(handle, shared.clone());
+    let counted = || bytes_requested(|| compiled::run_dense(handle, &mut dense));
+    let (allocations, (bytes, ())) = counting::allocations_in(counted);
+    (allocations, bytes)
+}
+
+#[test]
+fn the_block_walk_allocates_no_more_than_the_step_walk() {
+    // One element apart, on either side of the size from which a reducing
+    // run walks block by block: the same copy-on-write buffers (every slot
+    // sees the same writes at the same reference counts) plus a staging
+    // buffer — one block's payloads of a step, not all of a step's.
+    let sched = allreduce(64, AllreduceAlg::BineLarge);
+    let handle = sched.compile();
+    handle.slot_layout();
+    let first = run_dense_cost(&sched, &handle, 1024);
+    let by_step = run_dense_cost(&sched, &handle, 1023);
+    let by_block = run_dense_cost(&sched, &handle, 1024);
+    assert!(
+        by_block.0 <= by_step.0,
+        "block walk: {} allocations, step walk: {}",
+        by_block.0,
+        by_step.0
+    );
+    // All but the staging scales with the payload.
+    assert!(
+        by_block.1 * 1023 <= by_step.1 * 1024,
+        "block walk: {} B at 1024 elements, step walk: {} B at 1023",
+        by_block.1,
+        by_step.1
+    );
+    // The order of the walk is derived by the first run that takes it, once.
+    assert!(
+        first.0 > by_block.0,
+        "the first block walk derives the table"
+    );
+    let (again, _) = counting::allocations_in(|| handle.block_major());
+    assert_eq!(again, 0, "and it stays with the handle");
+}
+
+#[test]
+fn small_payloads_and_non_reducing_schedules_never_derive_the_block_order() {
+    let reducing = allreduce(64, AllreduceAlg::BineLarge);
+    let moving = allgather(64, AllgatherAlg::Bine);
+    for (sched, elems) in [(&reducing, 1023), (&moving, 1024)] {
+        let handle = sched.compile();
+        run_dense_cost(sched, &handle, elems);
+        let (derived_now, _) = counting::allocations_in(|| handle.block_major());
+        assert!(derived_now > 0, "{} at {elems} elements", sched.algorithm);
+    }
 }

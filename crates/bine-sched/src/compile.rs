@@ -34,7 +34,10 @@
 //! `p·(1 + ½·log2 p)` of the `p²` pairwise blocks of a Bine alltoall) — but
 //! by the per-rank compact slots of the [`SlotLayout`], a view derived from
 //! the compiled form on first execution
-//! ([`CompiledSchedule::slot_layout`]), never by `compile` itself.
+//! ([`CompiledSchedule::slot_layout`]), never by `compile` itself. The same
+//! holds for the [`BlockMajor`] order of the payload entries
+//! ([`CompiledSchedule::block_major`]): derived by the first execution that
+//! walks block by block, and by nothing else.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -277,6 +280,76 @@ impl SlotLayout {
     }
 }
 
+/// One payload entry of a [`BlockMajor`] run: which send moves the block, in
+/// which step, as which of its payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEntry {
+    /// Step of the send.
+    pub step: u32,
+    /// Global index of the send ([`CompiledSchedule::send`]).
+    pub send: u32,
+    /// Position of the payload in the send's block list
+    /// ([`CompiledSchedule::block_index_slice`], and the parallel
+    /// [`SlotLayout::src_slots`] / [`SlotLayout::dst_slots`]).
+    pub entry: u32,
+}
+
+/// The payload entries of a [`CompiledSchedule`] grouped by block: per
+/// interned block the entries that move it, in receive order — `(step,
+/// destination rank, schedule order)`, the order an executor applies them in.
+///
+/// A payload of block `b` reads slot `b` of its sender and writes slot `b` of
+/// its receiver and nothing else, so a block's run is a complete sub-schedule
+/// of its own: executing run after run gives every `(rank, block)` slot the
+/// writes of a step-by-step execution, in the same order. The table is a
+/// stable counting sort of the receive lists by block (CSR over the blocks).
+#[derive(Debug, Clone)]
+pub struct BlockMajor {
+    /// Per block: range into `entries`. Length `num_blocks + 1`.
+    offsets: Vec<u32>,
+    entries: Vec<BlockEntry>,
+}
+
+impl BlockMajor {
+    fn derive(compiled: &CompiledSchedule) -> Self {
+        // Payload counts fit a `u32` (`compile`), so do their prefix sums.
+        let mut offsets = vec![0u32; compiled.num_blocks() + 1];
+        for &block in &compiled.block_indices {
+            offsets[block as usize + 1] += 1;
+        }
+        for block in 0..compiled.num_blocks() {
+            offsets[block + 1] += offsets[block];
+        }
+        let mut next = offsets.clone();
+        let unset = BlockEntry {
+            step: 0,
+            send: 0,
+            entry: 0,
+        };
+        let mut entries = vec![unset; compiled.block_indices.len()];
+        for step in 0..compiled.num_steps() {
+            for &send in compiled.recvs_to_ranks(step, 0..compiled.num_ranks) {
+                let blocks = compiled.block_index_slice(compiled.send(send as usize));
+                for (entry, &block) in blocks.iter().enumerate() {
+                    let at = &mut next[block as usize];
+                    entries[*at as usize] = BlockEntry {
+                        step: step as u32,
+                        send,
+                        entry: entry as u32,
+                    };
+                    *at += 1;
+                }
+            }
+        }
+        Self { offsets, entries }
+    }
+
+    /// The entries that move interned block `block`, in receive order.
+    pub fn entries_of(&self, block: usize) -> &[BlockEntry] {
+        &self.entries[self.offsets[block] as usize..self.offsets[block + 1] as usize]
+    }
+}
+
 /// The execution form of a [`Schedule`]. Build with [`Schedule::compile`]
 /// or, for a pipelined schedule, [`Schedule::compile_segmented`].
 #[derive(Debug, Clone)]
@@ -311,8 +384,15 @@ pub struct CompiledSchedule {
     /// for regular collectives). Byte-resolving consumers (cost model, DES)
     /// must go through [`CompiledSchedule::block_bytes`].
     counts: Option<Counts>,
+    /// Whether any send is a [`TransferKind::Reduce`].
+    reduces: bool,
     /// Derived on first execution, see [`CompiledSchedule::slot_layout`].
-    slot_layout: OnceLock<SlotLayout>,
+    /// Boxed, like `block_major`: a handle that is never executed carries two
+    /// pointers, not the six empty vectors of the two views.
+    slot_layout: OnceLock<Box<SlotLayout>>,
+    /// Derived on the first execution that walks block by block, see
+    /// [`CompiledSchedule::block_major`].
+    block_major: OnceLock<Box<BlockMajor>>,
 }
 
 impl CompiledSchedule {
@@ -341,9 +421,11 @@ impl CompiledSchedule {
 
         step_offsets.push(0);
         let mut blocks_end = 0;
+        let mut reduces = false;
         for sub in substeps(schedule, chunks) {
             let step_base = sends.len();
             for (order, (m, chunk, segments)) in sub.enumerate() {
+                reduces |= m.kind == TransferKind::Reduce;
                 let blocks_start = blocks_end;
                 block_indices.extend(chunk.iter().map(|b| blocks.intern(*b)));
                 blocks_end = index_u32(block_indices.len(), "block payloads");
@@ -392,7 +474,9 @@ impl CompiledSchedule {
             recv_lists,
             recv_offsets,
             counts: schedule.counts.clone(),
+            reduces,
             slot_layout: OnceLock::new(),
+            block_major: OnceLock::new(),
         }
     }
 
@@ -412,7 +496,25 @@ impl CompiledSchedule {
     /// never derives it: a handle that is built, modelled or simulated but
     /// not executed does not pay for it.
     pub fn slot_layout(&self) -> &SlotLayout {
-        self.slot_layout.get_or_init(|| SlotLayout::derive(self))
+        self.slot_layout
+            .get_or_init(|| Box::new(SlotLayout::derive(self)))
+    }
+
+    /// The payload entries grouped by block, each block's in receive order.
+    ///
+    /// Derived on the first call and kept for the life of the handle, like
+    /// [`CompiledSchedule::slot_layout`] but apart from it: only an executor
+    /// that walks block by block asks, so a handle that is only modelled, or
+    /// only ever executed step by step, does not pay for it.
+    pub fn block_major(&self) -> &BlockMajor {
+        self.block_major
+            .get_or_init(|| Box::new(BlockMajor::derive(self)))
+    }
+
+    /// Whether any send reduces into its receiver's block
+    /// ([`TransferKind::Reduce`]); a schedule without one only moves payloads.
+    pub fn reduces(&self) -> bool {
+        self.reduces
     }
 
     /// Number of synchronous steps.
@@ -764,6 +866,66 @@ mod tests {
             "derived once"
         );
         assert!(compiled.clone().slot_layout.get().is_some());
+    }
+
+    #[test]
+    fn neither_compile_nor_the_slot_layout_derives_the_block_major_order() {
+        let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
+        compiled.slot_layout();
+        assert!(compiled.block_major.get().is_none());
+        let derived: *const BlockMajor = compiled.block_major();
+        assert!(
+            std::ptr::eq(derived, compiled.block_major()),
+            "derived once"
+        );
+        assert!(compiled.clone().block_major.get().is_some());
+    }
+
+    #[test]
+    fn a_blocks_run_is_the_receive_order_filtered_by_that_block() {
+        let mut schedules = schedules_under_test();
+        schedules.push(allreduce(16, AllreduceAlg::DualRootPipelined).segmented(3));
+        for sched in schedules {
+            let compiled = sched.compile();
+            let order = compiled.block_major();
+            // Every payload entry in receive order: step, then destination
+            // rank, then schedule order, then position in the send.
+            let mut received = Vec::new();
+            for step in 0..compiled.num_steps() {
+                for rank in 0..compiled.num_ranks {
+                    for &send in compiled.recvs_to(step, rank) {
+                        let blocks = compiled.block_index_slice(compiled.send(send as usize));
+                        for (entry, &block) in blocks.iter().enumerate() {
+                            let (step, entry) = (step as u32, entry as u32);
+                            received.push((block, BlockEntry { step, send, entry }));
+                        }
+                    }
+                }
+            }
+            let mut covered = 0;
+            for block in 0..compiled.num_blocks() {
+                let of_block = received.iter().filter(|(b, _)| *b as usize == block);
+                let want: Vec<BlockEntry> = of_block.map(|&(_, e)| e).collect();
+                assert_eq!(
+                    order.entries_of(block),
+                    want,
+                    "{} block {block}",
+                    sched.algorithm
+                );
+                covered += want.len();
+            }
+            assert_eq!(covered, received.len(), "{}", sched.algorithm);
+        }
+    }
+
+    #[test]
+    fn only_schedules_with_a_reduce_send_say_they_reduce() {
+        assert!(allreduce(8, AllreduceAlg::BineLarge).compile().reduces());
+        assert!(allreduce(8, AllreduceAlg::Ring)
+            .compile_segmented(3)
+            .reduces());
+        assert!(!broadcast(8, 0, BroadcastAlg::BineTree).compile().reduces());
+        assert!(!alltoall(8, AlltoallAlg::Bine).compile().reduces());
     }
 
     #[test]

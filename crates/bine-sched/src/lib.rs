@@ -50,7 +50,9 @@ pub use catalog::{
 pub use collectives::{
     build_irregular, irregular_algorithms, IrregularAlg, SizeDist, IRREGULAR_COLLECTIVES,
 };
-pub use compile::{BlockInterner, CompiledSchedule, CompiledSend, SlotLayout};
+pub use compile::{
+    BlockEntry, BlockInterner, BlockMajor, CompiledSchedule, CompiledSend, SlotLayout,
+};
 pub use contract::{Contract, Granularity};
 pub use deps::DepGraph;
 pub use noncontig::NonContigStrategy;
