@@ -260,7 +260,8 @@ pub fn fig14(_: Args) -> Outcome {
             );
             let mut best: Option<(char, f64)> = None;
             for strategy in NonContigStrategy::ALL {
-                let sched = allgather_with_strategy(nodes, strategy);
+                let sched = allgather_with_strategy(nodes, strategy)
+                    .expect("the figure's node counts are powers of two");
                 let t = model.time_us(&sched, n, topo.as_ref(), &alloc);
                 if best.is_none_or(|(_, bt)| t < bt) {
                     best = Some((strategy.code(), t));

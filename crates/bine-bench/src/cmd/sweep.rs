@@ -5,11 +5,11 @@
 use bine_bench::report::{format_bytes, render_table};
 use bine_bench::runner::Evaluator;
 use bine_bench::systems::System;
+use bine_sched::catalog::{RankRule, Source};
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, is_synthesizable, validate_schedule,
-    AlgorithmId, Collective, SizeDist, IRREGULAR_COLLECTIVES,
+    is_synthesizable, walk, AlgorithmId, Collective, Request, SizeDist, IRREGULAR_COLLECTIVES,
 };
-use bine_tune::{default_tuning_dir, ScoreModel};
+use bine_tune::{default_tuning_dir, irregular_scores, ScoreModel};
 
 use super::gate::load_table;
 use crate::cli::{Args, Failure, Outcome};
@@ -192,27 +192,15 @@ pub fn irregular(args: Args) -> Outcome {
         for collective in IRREGULAR_COLLECTIVES {
             for dist in SizeDist::ALL {
                 let cell = format!("{}v@{}", collective.name(), dist.name());
-                let mut best: Option<(&'static str, f64)> = None;
-                let mut cands = Vec::new();
-                for alg in irregular_algorithms(collective) {
-                    if eval.skip_algorithm(alg.name(), nodes) {
-                        continue;
-                    }
-                    let scored = eval.scorer_at(nodes).score(
-                        collective,
-                        Some(dist),
-                        alg.name(),
-                        nodes,
-                        n,
-                        ScoreModel::Sync,
-                    );
-                    let Some(t) = scored else { continue };
-                    if best.is_none_or(|(_, bt)| t < bt) {
-                        best = Some((alg.name(), t));
-                    }
-                    cands.push(format!("{}={t:.1}", alg.name()));
-                }
+                let scores = irregular_scores(eval.scorer_at(nodes), collective, dist, nodes, n);
+                let cands: Vec<String> = scores
+                    .iter()
+                    .map(|(alg, t)| format!("{}={t:.1}", alg.name()))
+                    .collect();
+                // `min_by` keeps the first of equal minima, like the tuner.
+                let best = scores.iter().min_by(|a, b| a.1.total_cmp(&b.1));
                 let (winner, sync) = best.expect("every cell has a candidate");
+                let (winner, sync) = (winner.name(), *sync);
                 let des = eval
                     .scorer_at(nodes)
                     .score(collective, Some(dist), winner, nodes, n, ScoreModel::Des)
@@ -298,7 +286,7 @@ pub fn synth(args: Args) -> Outcome {
                         continue;
                     };
                     validated += 1;
-                    match validate_schedule(&sched) {
+                    match sched.validate() {
                         Ok(()) => sound.push(id),
                         Err(e) => failures.push(format!("{label}: {e}")),
                     }
@@ -375,85 +363,85 @@ pub fn synth(args: Args) -> Outcome {
 
 /// Validator sweep over the whole schedule catalog.
 ///
-/// Builds every (collective × algorithm × rank count × segmentation)
-/// configuration the catalog supports — regular and irregular (v-variant),
-/// power-of-two and non-power-of-two rank counts, non-zero roots for the
-/// rooted collectives — and runs each schedule through
-/// [`bine_sched::ScheduleValidator`]. Exits non-zero if the validator
-/// rejects any schedule: a failure here means the catalog emitted a
-/// schedule that drops data, deadlocks, or miscounts bytes.
+/// Iterates [`bine_sched::walk`] over every rank count up to the cap —
+/// every regular name (listed or not), the v-variants under every
+/// `SizeDist` (up to 32 ranks), both synthesizers on the fixture views; at
+/// four roots and one past the last rank; bare, `+seg2` and `+seg4` — and
+/// runs each
+/// schedule that builds through [`bine_sched::ScheduleValidator`]. Exits
+/// non-zero if the validator rejects any schedule — a failure here means
+/// the catalog emitted a schedule that drops data, deadlocks, or miscounts
+/// bytes — or if a request builds where its row's rank rule says it must
+/// not (or the reverse), or under another name than it was asked for.
 ///
-/// `build` answers `None` on an unsupported rank count; a skipped
-/// configuration is counted, never silently dropped.
+/// Prints built / refused per collective and per rank rule — the split a
+/// change of a row's rule moves.
 ///
 /// The CI workflow runs this as the schedule-integrity step.
 pub fn validate(args: Args) -> Outcome {
     let max_ranks: usize = args.flag_or("--max-ranks", 64)?;
+    let ranks: Vec<usize> = (2..=max_ranks).collect();
 
-    let mut validated = 0usize;
-    let mut skipped = 0usize;
+    // (built, refused) per collective and per rank rule; the synthesizers,
+    // which have no row, count under their collective only.
+    let mut by_collective = [(0usize, 0usize); Collective::ALL.len()];
+    let mut by_rule = [(0usize, 0usize); RankRule::ALL.len()];
     let mut failures = Vec::new();
-
-    // Regular catalog: every algorithm at every rank count up to the cap,
-    // the rooted collectives additionally at a non-zero root, each at
-    // three segmentations.
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            for p in 2..=max_ranks {
-                let roots: &[usize] = if collective.is_rooted() && p > 1 {
-                    &[0, 1]
-                } else {
-                    &[0]
-                };
-                for &root in roots {
-                    let Some(sched) = build(collective, alg.name(), p, root % p) else {
-                        skipped += 1;
-                        continue;
-                    };
-                    for chunks in [1usize, 2, 4] {
-                        let segmented = (chunks > 1).then(|| sched.segmented(chunks));
-                        validated += 1;
-                        if let Err(e) = validate_schedule(segmented.as_ref().unwrap_or(&sched)) {
-                            failures.push(format!(
-                                "{}/{} p={p} root={} chunks={chunks}: {e}",
-                                collective.name(),
-                                alg.name(),
-                                root % p
-                            ));
-                        }
-                    }
-                }
-            }
+    // A regular name is validated once where its builder ignores the root,
+    // and the v-variants — every rank count times three distributions — stop
+    // at 32 ranks, where this sweep has always stopped them.
+    let affordable = |r: &Request| {
+        let small = r.p <= 32 || !matches!(r.source, Source::Irregular(..));
+        small && !r.repeats_root_zero()
+    };
+    for request in walk(&ranks).into_iter().filter(affordable) {
+        let label = request.label();
+        let built = request.build();
+        if request
+            .must_build()
+            .is_some_and(|must| must != built.is_some())
+        {
+            failures.push(format!("{label}: built = {}", built.is_some()));
+        }
+        let count = |slot: &mut (usize, usize)| match built {
+            Some(_) => slot.0 += 1,
+            None => slot.1 += 1,
+        };
+        let position = Collective::ALL
+            .iter()
+            .position(|&c| c == request.collective);
+        count(&mut by_collective[position.expect("`ALL` lists every collective")]);
+        if let Some(row) = request.row() {
+            let position = RankRule::ALL.iter().position(|&rule| rule == row.rule);
+            count(&mut by_rule[position.expect("`ALL` lists every rule")]);
+        }
+        let Some(sched) = built else { continue };
+        if sched.algorithm != request.name {
+            failures.push(format!("{label}: built as {}", sched.algorithm));
+        }
+        if let Err(e) = sched.validate() {
+            failures.push(format!("{label}: {e}"));
         }
     }
 
-    // Irregular (v-variant) catalog: every distribution, including the
-    // one-heavy layout whose zero-count segments stress the delivery
-    // accounting.
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            for p in 2..=max_ranks.min(32) {
-                for dist in SizeDist::ALL {
-                    let counts = dist.counts(p, 0);
-                    let built = build_irregular(collective, alg.name(), p, 0, &counts);
-                    let Some(sched) = built else {
-                        skipped += 1;
-                        continue;
-                    };
-                    validated += 1;
-                    if let Err(e) = validate_schedule(&sched) {
-                        failures.push(format!(
-                            "{}v/{} p={p} dist={}: {e}",
-                            collective.name(),
-                            alg.name(),
-                            dist.name()
-                        ));
-                    }
-                }
-            }
-        }
-    }
+    let row = |name: &str, (built, refused): (usize, usize)| {
+        vec![name.to_string(), built.to_string(), refused.to_string()]
+    };
+    let collectives = Collective::ALL.iter().zip(by_collective);
+    let rows: Vec<_> = collectives.map(|(c, tally)| row(c.name(), tally)).collect();
+    println!(
+        "{}",
+        render_table(&["collective", "built", "refused"], &rows)
+    );
+    let rules = RankRule::ALL.iter().zip(by_rule);
+    let rows: Vec<_> = rules.map(|(r, tally)| row(r.name(), tally)).collect();
+    println!(
+        "{}",
+        render_table(&["rank rule", "built", "refused"], &rows)
+    );
 
+    let validated: usize = by_collective.iter().map(|t| t.0).sum();
+    let skipped: usize = by_collective.iter().map(|t| t.1).sum();
     println!(
         "validate_sweep: {validated} schedules validated, {skipped} unsupported \
          configurations skipped (max {max_ranks} ranks)"

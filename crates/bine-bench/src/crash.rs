@@ -33,7 +33,7 @@ use bine_exec::{ExecError, Workload};
 use bine_net::allocation::Allocation;
 use bine_net::fault::splitmix64;
 use bine_net::traffic;
-use bine_sched::{validate_schedule, Collective, ProviderSet, Schedule};
+use bine_sched::{Collective, ProviderSet, Schedule};
 use bine_tune::{fallback_pick, slug, tuned_name, Served, ServiceSelector, ServiceStats};
 
 use crate::systems::System;
@@ -386,7 +386,7 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
                 if rec.map.num_survivors() != survivors || rec.map.new_rank(victim).is_some() {
                     return Err(format!("{label}: survivor map does not drop the victim"));
                 }
-                if let Err(e) = validate_schedule(&rec.schedule) {
+                if let Err(e) = rec.schedule.validate() {
                     return Err(format!("{label}: recovery schedule invalid: {e}"));
                 }
                 // Bit-identity against a direct run of the recovery pick

@@ -28,9 +28,10 @@ use crate::state::{initial_stores, BlockStore};
 /// A simulated cluster of `p` ranks executing collectives over real data.
 ///
 /// `p` must be a power of two — the same restriction the paper's evaluation
-/// uses ("we report results only for power-of-two node counts"); arbitrary
-/// rank counts at the schedule level are handled by the benchmark harness via
-/// power-of-two folding.
+/// uses ("we report results only for power-of-two node counts"). Nothing
+/// folds other rank counts onto one: off the powers of two only the rows the
+/// catalog marks `any p` build (`bine_sched::catalog::RankRule`), through
+/// `bine_sched::build`.
 #[derive(Debug, Clone, Copy)]
 pub struct Cluster {
     num_ranks: usize,

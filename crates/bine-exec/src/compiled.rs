@@ -441,7 +441,7 @@ mod tests {
     use bine_sched::collectives::{
         allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
     };
-    use bine_sched::{algorithms, build, BlockId, Collective};
+    use bine_sched::BlockId;
 
     #[test]
     fn dense_round_trip_preserves_every_block() {
@@ -470,17 +470,19 @@ mod tests {
 
     #[test]
     fn compiled_execution_matches_the_reference_for_every_algorithm() {
-        for collective in Collective::ALL {
-            for alg in algorithms(collective) {
-                let sched = build(collective, alg.name(), 16, 5)
-                    .unwrap_or_else(|| panic!("{}", alg.name()));
-                let compiled = sched.compile();
-                let w = Workload::for_schedule(&sched, 2);
-                let fast = run(&compiled, w.initial_state(&sched));
-                let reference = sequential::run_reference(&sched, w.initial_state(&sched));
-                assert_eq!(fast, reference, "{:?}/{}", collective, alg.name());
-            }
+        let mut ran = 0;
+        for request in bine_sched::walk(&[16]) {
+            let Some(sched) = request.build() else {
+                continue;
+            };
+            let compiled = sched.compile();
+            let w = Workload::for_schedule(&sched, 2);
+            let fast = run(&compiled, w.initial_state(&sched));
+            let reference = sequential::run_reference(&sched, w.initial_state(&sched));
+            assert_eq!(fast, reference, "{}", request.label());
+            ran += 1;
         }
+        assert!(ran > 900, "only {ran} schedules ran");
     }
 
     #[test]
@@ -497,25 +499,25 @@ mod tests {
         // The same small input through both walks, whatever `run_lane` would
         // pick for it — non-reducing schedules and the doubly-pipelined
         // dual-root allreduce (many small segments, each reduced twice)
-        // included, unsegmented and cut into three chunks.
-        for collective in Collective::ALL {
-            for alg in algorithms(collective) {
-                let base = build(collective, alg.name(), 16, 5)
-                    .unwrap_or_else(|| panic!("{}", alg.name()));
-                for sched in [base.segmented(3), base] {
-                    let compiled = sched.compile();
-                    let w = Workload::for_schedule(&sched, 2);
-                    let mut by_step = to_dense(&compiled, w.initial_state(&sched));
-                    let mut by_block = by_step.clone();
-                    assert_eq!(run_steps(&compiled, &mut by_step, None), None);
-                    run_blocks(&compiled, &mut by_block);
-                    assert_eq!(by_block, by_step, "{:?}/{}", collective, sched.algorithm);
-                    let reference = sequential::run_reference(&sched, w.initial_state(&sched));
-                    let finals = from_dense(&compiled, by_block);
-                    assert_eq!(finals, reference, "{:?}/{}", collective, sched.algorithm);
-                }
-            }
+        // included, bare and cut into two and four chunks.
+        let mut ran = 0;
+        for request in bine_sched::walk(&[16]) {
+            let Some(sched) = request.build() else {
+                continue;
+            };
+            let compiled = sched.compile();
+            let w = Workload::for_schedule(&sched, 2);
+            let mut by_step = to_dense(&compiled, w.initial_state(&sched));
+            let mut by_block = by_step.clone();
+            assert_eq!(run_steps(&compiled, &mut by_step, None), None);
+            run_blocks(&compiled, &mut by_block);
+            assert_eq!(by_block, by_step, "{}", request.label());
+            let reference = sequential::run_reference(&sched, w.initial_state(&sched));
+            let finals = from_dense(&compiled, by_block);
+            assert_eq!(finals, reference, "{}", request.label());
+            ran += 1;
         }
+        assert!(ran > 900, "only {ran} schedules ran");
     }
 
     #[test]

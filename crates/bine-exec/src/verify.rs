@@ -106,14 +106,16 @@ mod tests {
 
     #[test]
     fn irregular_schedules_execute_and_verify_end_to_end() {
-        use bine_sched::collectives::{gatherv, reduce_scatterv, IrregularAlg, SizeDist};
+        use bine_sched::{build_irregular, Collective, SizeDist};
         let p = 8;
         for dist in SizeDist::ALL {
-            let sched = gatherv(p, 0, dist.counts(p, 0), IrregularAlg::Traff);
+            let counts = dist.counts(p, 0);
+            let sched = build_irregular(Collective::Gather, "traff", p, 0, &counts).unwrap();
             assert!(run_and_verify(&sched, 3).is_ok(), "gatherv {}", dist.name());
         }
         // A zero-total segment on some ranks through the reduce path.
-        let sched = reduce_scatterv(p, SizeDist::Linear.counts(p, 0), IrregularAlg::Ring);
+        let counts = SizeDist::Linear.counts(p, 0);
+        let sched = build_irregular(Collective::ReduceScatter, "ring", p, 0, &counts).unwrap();
         assert!(run_and_verify(&sched, 2).is_ok());
     }
 

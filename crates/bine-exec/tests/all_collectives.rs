@@ -7,10 +7,8 @@ use std::sync::Arc;
 
 use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, verify, ExecutorPool};
-use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, Collective, Schedule, SizeDist,
-    IRREGULAR_COLLECTIVES,
-};
+use bine_sched::catalog::Source;
+use bine_sched::{build, walk, Collective, Schedule};
 
 /// Compiles `schedule` and runs it on the process-wide [`ExecutorPool`].
 fn pool_run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
@@ -19,70 +17,82 @@ fn pool_run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
 
 #[test]
 fn every_algorithm_is_correct_on_the_sequential_executor() {
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            for p in [2usize, 4, 8, 32, 64] {
-                for root in [0, p - 1, p / 3] {
-                    let sched = build(collective, alg.name(), p, root)
-                        .unwrap_or_else(|| panic!("{}", alg.name()));
-                    let workload = Workload::for_schedule(&sched, 3);
-                    let finals = sequential::run(&sched, workload.initial_state(&sched));
-                    if let Err(e) = verify::verify(&workload, &finals) {
-                        panic!("{:?}/{} p={p} root={root}: {e}", collective, alg.name());
-                    }
-                    if !collective.is_rooted() {
-                        break; // the root is irrelevant, no need to repeat
-                    }
-                }
-            }
+    let mut ran = 0;
+    for request in walk(&[2, 4, 8, 32, 64]) {
+        // Bare regular names; the root is irrelevant where the collective
+        // has none, no need to repeat.
+        if !matches!(request.source, Source::Regular(_))
+            || request.segments > 1
+            || request.repeats_root_zero()
+        {
+            continue;
         }
+        let Some(sched) = request.build() else {
+            continue;
+        };
+        let workload = Workload::for_schedule(&sched, 3);
+        let finals = sequential::run(&sched, workload.initial_state(&sched));
+        if let Err(e) = verify::verify(&workload, &finals) {
+            panic!("{}: {e}", request.label());
+        }
+        ran += 1;
     }
+    assert!(ran > 300, "only {ran} schedules ran");
 }
 
 #[test]
 fn every_algorithm_is_correct_on_the_pool_executor() {
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            let p = 16;
-            let sched =
-                build(collective, alg.name(), p, 5).unwrap_or_else(|| panic!("{}", alg.name()));
-            let workload = Workload::for_schedule(&sched, 2);
-            let finals = pool_run(&sched, workload.initial_state(&sched));
-            if let Err(e) = verify::verify(&workload, &finals) {
-                panic!("{:?}/{} (pool): {e}", collective, alg.name());
-            }
+    let mut ran = 0;
+    for request in walk(&[16]) {
+        let Some(sched) = request.build() else {
+            continue;
+        };
+        let workload = Workload::for_schedule(&sched, 2);
+        let finals = pool_run(&sched, workload.initial_state(&sched));
+        if let Err(e) = verify::verify(&workload, &finals) {
+            panic!("{} (pool): {e}", request.label());
         }
+        ran += 1;
     }
+    assert!(ran > 900, "only {ran} schedules ran");
 }
 
 #[test]
 fn all_four_executors_agree_exactly_with_the_reference() {
     // The pool at one lane (the calling thread alone), two and four; payloads
     // on both sides of the size (1024 elements) from which a one-lane run of
-    // a reducing schedule walks block by block.
+    // a reducing schedule walks block by block. Every regular name, bare, at
+    // an interior root.
     let pools = [1, 2, 4].map(ExecutorPool::new);
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            let p = 32;
-            let sched =
-                build(collective, alg.name(), p, 7).unwrap_or_else(|| panic!("{}", alg.name()));
-            let handle = Arc::new(sched.compile());
-            for elems in [2, 1023, 1024] {
-                let what = format!("{collective:?}/{} at {elems} elements", alg.name());
-                let workload = Workload::for_schedule(&sched, elems);
-                let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
-                let seq = sequential::run(&sched, workload.initial_state(&sched));
-                assert_eq!(seq, reference, "zero-copy sequential: {what}");
-                let comp = compiled::run(&handle, workload.initial_state(&sched));
-                assert_eq!(comp, reference, "compiled: {what}");
-                for pool in &pools {
-                    let pooled = pool.run(&handle, workload.initial_state(&sched));
-                    let lanes = pool.num_workers();
-                    assert_eq!(pooled, reference, "pool, {lanes} lanes: {what}");
-                }
+    let mut ran = 0;
+    for request in walk(&[32]) {
+        if !matches!(request.source, Source::Regular(_))
+            || request.segments > 1
+            || request.root != request.p / 3
+        {
+            continue;
+        }
+        let sched = request
+            .build()
+            .unwrap_or_else(|| panic!("{}", request.label()));
+        let handle = Arc::new(sched.compile());
+        for elems in [2, 1023, 1024] {
+            let what = format!("{} at {elems} elements", request.label());
+            let workload = Workload::for_schedule(&sched, elems);
+            let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
+            let seq = sequential::run(&sched, workload.initial_state(&sched));
+            assert_eq!(seq, reference, "zero-copy sequential: {what}");
+            let comp = compiled::run(&handle, workload.initial_state(&sched));
+            assert_eq!(comp, reference, "compiled: {what}");
+            for pool in &pools {
+                let pooled = pool.run(&handle, workload.initial_state(&sched));
+                let lanes = pool.num_workers();
+                assert_eq!(pooled, reference, "pool, {lanes} lanes: {what}");
             }
         }
+        ran += 1;
     }
+    assert_eq!(ran, 37, "regular names");
 }
 
 #[test]
@@ -137,47 +147,34 @@ fn irregular_edge_cases_execute_identically_on_every_executor() {
     // zero-count segment splits into chunks that are all empty. Every
     // executor must agree with the reference bit for bit and satisfy the
     // counts-weighted post-condition.
-    let p = 16;
-    let root = 5;
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            for dist in SizeDist::ALL {
-                let counts = dist.counts(p, root);
-                for name in [alg.name().to_string(), format!("{}+seg3", alg.name())] {
-                    let sched = build_irregular(collective, &name, p, root, &counts)
-                        .unwrap_or_else(|| panic!("{collective:?}/{name} did not build"));
-                    assert!(sched.validate().is_ok(), "{collective:?}/{name}");
-                    let workload = Workload::for_schedule(&sched, 2);
-                    let reference =
-                        sequential::run_reference(&sched, workload.initial_state(&sched));
-                    let seq = sequential::run(&sched, workload.initial_state(&sched));
-                    assert_eq!(
-                        seq,
-                        reference,
-                        "sequential: {collective:?}/{name} dist={}",
-                        dist.name()
-                    );
-                    let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
-                    assert_eq!(
-                        comp,
-                        reference,
-                        "compiled: {collective:?}/{name} dist={}",
-                        dist.name()
-                    );
-                    let thr = pool_run(&sched, workload.initial_state(&sched));
-                    assert_eq!(
-                        thr,
-                        reference,
-                        "pool: {collective:?}/{name} dist={}",
-                        dist.name()
-                    );
-                    if let Err(e) = verify::verify(&workload, &reference) {
-                        panic!("{collective:?}/{name} dist={}: {e}", dist.name());
-                    }
-                }
-            }
+    let mut ran = 0;
+    for request in walk(&[16]) {
+        if !matches!(request.source, Source::Irregular(..)) || request.root != request.p / 3 {
+            continue;
         }
+        let what = request.label();
+        let sched = request
+            .build()
+            .unwrap_or_else(|| panic!("{what} did not build"));
+        assert_eq!(sched.validate(), Ok(()), "{what}");
+        let workload = Workload::for_schedule(&sched, 2);
+        let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
+        let seq = sequential::run(&sched, workload.initial_state(&sched));
+        assert_eq!(seq, reference, "sequential: {what}");
+        let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
+        assert_eq!(comp, reference, "compiled: {what}");
+        let thr = pool_run(&sched, workload.initial_state(&sched));
+        assert_eq!(thr, reference, "pool: {what}");
+        if let Err(e) = verify::verify(&workload, &reference) {
+            panic!("{what}: {e}");
+        }
+        ran += 1;
     }
+    assert_eq!(
+        ran,
+        10 * 3 * 3,
+        "v-variants x distributions x segmentations"
+    );
 }
 
 #[test]

@@ -1,69 +1,31 @@
 //! The symbolic validator and the numeric executor read one
-//! [`bine_sched::Contract`], so they must give one verdict: over the
-//! enumeration of `bine-sched/tests/deps.rs` (catalog × p ∈ {2, 4, 8, 16, 32}
-//! × S ∈ {1, 4}, the irregular builders × every `SizeDist`, both
-//! synthesizers), `check_delivery` accepts a schedule exactly when running it
-//! on the reference interpreter verifies — as built, and with one send
-//! removed, which both reject whenever that send was needed (the executor by
-//! panicking on a send it cannot back, or by `verify`).
+//! [`bine_sched::Contract`], so they must give one verdict: over the walk of
+//! the catalog (every regular name × p ∈ {2, 4, 8, 16, 32}, the v-variants ×
+//! every `SizeDist` at p ∈ {7, 16}, both synthesizers on the fixture views;
+//! bare, `+seg2` and `+seg4`), `check_delivery` accepts a schedule exactly
+//! when running it on the reference interpreter verifies — as built, and
+//! with one send removed, which both reject whenever that send was needed
+//! (the executor by panicking on a send it cannot back, or by `verify`).
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bine_exec::{sequential, verify, Workload};
-use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, Collective,
-    Schedule, ScheduleValidator, SizeDist, SynthSpec, TopologyView, TransferKind,
-    IRREGULAR_COLLECTIVES,
-};
+use bine_sched::catalog::Source;
+use bine_sched::{walk, Schedule, ScheduleValidator, TransferKind};
 
-/// Every schedule of the enumeration with its label, unsegmented and at
-/// S = 4; a rank count a builder refuses (`None`) is skipped.
+/// Every schedule of the enumeration with its label, at the first root and
+/// an interior one; a request its row refuses (`None`) is skipped.
 fn enumeration() -> Vec<(String, Schedule)> {
-    let mut base = Vec::new();
-    let mut keep = |label: String, built: Option<Schedule>| {
-        base.extend(built.map(|sched| (label, sched)));
+    let kept = |ranks: &[usize], keep: fn(&Source) -> bool| {
+        let requests = walk(ranks).into_iter();
+        requests.filter(move |r| keep(&r.source) && [0, r.p / 3].contains(&r.root))
     };
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            for p in [2usize, 4, 8, 16, 32] {
-                let label = format!("{}/{} p={p}", collective.name(), alg.name());
-                keep(label, build(collective, alg.name(), p, 0));
-            }
-        }
-    }
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            for dist in SizeDist::ALL {
-                for (p, root) in [(7usize, 0usize), (16, 5)] {
-                    let counts = dist.counts(p, root);
-                    let (name, dist) = (alg.name(), dist.name());
-                    let label = format!("{}v/{name} {dist} p={p}", collective.name());
-                    keep(label, build_irregular(collective, name, p, root, &counts));
-                }
-            }
-        }
-    }
-    let view = TopologyView::clustered(&[4, 3, 5], (100.0, 0.3), (5.0, 25.0)).unwrap();
-    let mut synthesizers = BTreeSet::new();
-    for collective in [
-        Collective::Broadcast,
-        Collective::Reduce,
-        Collective::Allreduce,
-    ] {
-        for id in synth_algorithms(collective, &view) {
-            let spec = SynthSpec::parse(id.name()).unwrap();
-            let label = format!("{}/{}", collective.name(), id.name());
-            keep(label, spec.synthesize(collective, &view, 1));
-            synthesizers.insert(id.name().split(':').nth(1).map(str::to_owned));
-        }
-    }
-    assert_eq!(synthesizers.len(), 2, "both synthesizers: {synthesizers:?}");
-    let both = |(label, sched): (String, Schedule)| {
-        let segmented = (format!("{label} S=4"), sched.segmented(4));
-        [(label, sched), segmented]
-    };
-    base.into_iter().flat_map(both).collect()
+    let regular = kept(&[2, 4, 8, 16, 32], |s| matches!(s, Source::Regular(_)));
+    let others = kept(&[7, 16], |s| !matches!(s, Source::Regular(_)));
+    regular
+        .chain(others)
+        .filter_map(|request| Some((request.label(), request.build()?)))
+        .collect()
 }
 
 fn validator_accepts(sched: &Schedule) -> bool {
@@ -119,7 +81,7 @@ fn the_validator_and_the_executor_give_one_verdict() {
         }
     }
     std::panic::set_hook(hook);
-    assert!(schedules.len() > 400, "only {} schedules", schedules.len());
+    assert!(schedules.len() > 1000, "only {} schedules", schedules.len());
     assert!(
         rejected > schedules.len() / 2,
         "only {rejected} mutants rejected"

@@ -1,16 +1,13 @@
-//! Property-based end-to-end tests: random collective, algorithm, rank count
-//! and root — the executed result must always satisfy the collective's
-//! post-condition.
+//! Property-based end-to-end tests: a random request of the catalog's walk
+//! (collective, algorithm, rank count, root, segmentation, distribution) —
+//! the executed result must always satisfy the collective's post-condition.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, verify, ExecutorPool};
-use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, Collective, Schedule, SizeDist,
-    IRREGULAR_COLLECTIVES,
-};
+use bine_sched::catalog::Source;
+use bine_sched::{build, walk, Collective, ProviderSet, Request, Schedule};
 use proptest::prelude::*;
 
 /// Compiles `schedule` and runs it on the process-wide [`ExecutorPool`].
@@ -34,23 +31,24 @@ fn reinserted_backwards(initial: &[BlockStore]) -> Vec<BlockStore> {
     initial.iter().map(rebuild).collect()
 }
 
-fn any_collective() -> impl Strategy<Value = Collective> {
-    prop::sample::select(Collective::ALL.to_vec())
+/// The walk over the rank counts the executor properties are checked at:
+/// powers of two (every algorithm) and non-powers of two (the rows that
+/// build there, e.g. the ring family). A property draws an index into the
+/// requests it `keep`s.
+fn drawn(draw: usize, keep: impl Fn(&Request) -> bool) -> &'static Request {
+    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
+    let requests =
+        REQUESTS.get_or_init(|| walk(&[2, 4, 8, 16, 32, 64, 128, 3, 5, 6, 7, 12, 24, 48]));
+    let kept: Vec<&Request> = requests.iter().filter(|r| keep(r)).collect();
+    kept[draw % kept.len()]
 }
 
-fn any_irregular_collective() -> impl Strategy<Value = Collective> {
-    prop::sample::select(IRREGULAR_COLLECTIVES.to_vec())
+fn is_regular(request: &Request) -> bool {
+    matches!(request.source, Source::Regular(_))
 }
 
-fn any_dist() -> impl Strategy<Value = SizeDist> {
-    prop::sample::select(SizeDist::ALL.to_vec())
-}
-
-/// Rank counts the executor-equivalence property is checked at: powers of
-/// two (every algorithm) and non-powers of two (the algorithms whose
-/// generators support them, e.g. the ring family).
-fn any_rank_count() -> impl Strategy<Value = usize> {
-    prop::sample::select(vec![2usize, 4, 8, 16, 32, 64, 3, 5, 6, 7, 12, 24, 48])
+fn any_draw() -> impl Strategy<Value = usize> {
+    0usize..1 << 30
 }
 
 /// Elements per block on both sides of the payload size (1024 elements) from
@@ -64,92 +62,49 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn random_algorithm_instances_verify(
-        collective in any_collective(),
-        s in 1u32..=7,
-        alg_seed in 0usize..100,
-        root_seed in 0usize..1000,
-        elems in 1usize..4,
-    ) {
-        let p = 1usize << s;
-        let algs = algorithms(collective);
-        let alg = &algs[alg_seed % algs.len()];
-        let root = root_seed % p;
-        let sched = build(collective, alg.name(), p, root).unwrap_or_else(|| panic!("{}", alg.name()));
+    fn random_algorithm_instances_verify(draw in any_draw(), elems in 1usize..4) {
+        let request = drawn(draw, |r| is_regular(r) && r.p.is_power_of_two());
+        let Some(sched) = request.build() else { return Ok(()) };
         prop_assert!(sched.validate().is_ok());
         let workload = Workload::for_schedule(&sched, elems);
         let finals = sequential::run(&sched, workload.initial_state(&sched));
         if let Err(e) = verify::verify(&workload, &finals) {
-            return Err(TestCaseError::fail(format!("{:?}/{}: {e}", collective, alg.name())));
+            return Err(TestCaseError::fail(format!("{}: {e}", request.label())));
         }
     }
 
     #[test]
-    fn schedules_never_exceed_one_send_and_receive_per_rank_per_step(
-        collective in any_collective(),
-        s in 1u32..=6,
-        alg_seed in 0usize..100,
-    ) {
-        let p = 1usize << s;
-        let algs = algorithms(collective);
-        let alg = &algs[alg_seed % algs.len()];
-        let sched = build(collective, alg.name(), p, 0).unwrap_or_else(|| panic!("{}", alg.name()));
-        prop_assert!(sched.validate().is_ok(), "{}", alg.name());
+    fn schedules_never_exceed_one_send_and_receive_per_rank_per_step(draw in any_draw()) {
+        let request = drawn(draw, |r| r.p <= 64);
+        let Some(sched) = request.build() else { return Ok(()) };
+        prop_assert!(sched.validate().is_ok(), "{}", request.label());
     }
 
     #[test]
-    fn all_executors_produce_identical_final_states(
-        collective in any_collective(),
-        p in any_rank_count(),
-        alg_seed in 0usize..100,
-        root_seed in 0usize..1000,
-        elems in any_elems(),
-    ) {
-        let algs = algorithms(collective);
-        let alg = &algs[alg_seed % algs.len()];
-        let root = root_seed % p;
-        // Some generators only support power-of-two rank counts (the paper's
-        // restriction) and build nothing at the others; everything that
-        // builds must execute identically on every executor.
-        let Some(sched) = build(collective, alg.name(), p, root) else { return Ok(()) };
-        if sched.validate().is_err() {
-            // Non-pow2 counts can produce structurally invalid schedules in
-            // pow2-only generators without panicking; equivalence is only
-            // claimed for valid schedules.
-            return Ok(());
-        }
+    fn all_executors_produce_identical_final_states(draw in any_draw(), elems in any_elems()) {
+        // A row that does not build at the rank count builds nothing (the
+        // paper's power-of-two restriction); everything that builds must
+        // execute identically on every executor.
+        let request = drawn(draw, |r| is_regular(r) && r.p <= 64);
+        let what = request.label();
+        let Some(sched) = request.build() else { return Ok(()) };
         let workload = Workload::for_schedule(&sched, elems);
-        let reference = catch_unwind(AssertUnwindSafe(|| {
-            sequential::run_reference(&sched, workload.initial_state(&sched))
-        }));
-        // A generator that silently mis-builds at unsupported counts may
-        // reference blocks nobody holds; the reference interpreter panics,
-        // and equivalence requires every executor to reject it the same way.
-        let Ok(reference) = reference else {
-            for (name, outcome) in [
-                ("sequential", catch_unwind(AssertUnwindSafe(|| sequential::run(&sched, workload.initial_state(&sched))))),
-                ("compiled", catch_unwind(AssertUnwindSafe(|| compiled::run(&sched.compile(), workload.initial_state(&sched))))),
-                ("pool", catch_unwind(AssertUnwindSafe(|| pool_run(&sched, workload.initial_state(&sched))))),
-            ] {
-                prop_assert!(outcome.is_err(), "{name} accepted a schedule the reference rejects ({:?}/{} p={p})", collective, alg.name());
-            }
-            return Ok(());
-        };
+        let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
         let seq = sequential::run(&sched, workload.initial_state(&sched));
-        prop_assert_eq!(&seq, &reference, "sequential: {:?}/{} p={} root={}", collective, alg.name(), p, root);
+        prop_assert_eq!(&seq, &reference, "sequential: {}", what);
         let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
-        prop_assert_eq!(&comp, &reference, "compiled: {:?}/{} p={} root={}", collective, alg.name(), p, root);
+        prop_assert_eq!(&comp, &reference, "compiled: {}", what);
         let pooled = pool_run(&sched, workload.initial_state(&sched));
-        prop_assert_eq!(&pooled, &reference, "pool: {:?}/{} p={} root={}", collective, alg.name(), p, root);
+        prop_assert_eq!(&pooled, &reference, "pool: {}", what);
         // Neither store equality nor the finals depend on the order the
         // inputs were inserted in (the block hasher is unkeyed: iteration
         // order is a function of the insertion history alone).
         let backwards = reinserted_backwards(&workload.initial_state(&sched));
         prop_assert_eq!(&backwards, &workload.initial_state(&sched));
         let comp = compiled::run(&sched.compile(), backwards.clone());
-        prop_assert_eq!(&comp, &reference, "compiled, reinserted: {:?}/{} p={}", collective, alg.name(), p);
+        prop_assert_eq!(&comp, &reference, "compiled, reinserted: {}", what);
         let pooled = pool_run(&sched, backwards);
-        prop_assert_eq!(&pooled, &reference, "pool, reinserted: {:?}/{} p={}", collective, alg.name(), p);
+        prop_assert_eq!(&pooled, &reference, "pool, reinserted: {}", what);
     }
 
     // The pipelining transform (`bine_sched::segment`) must be a semantic
@@ -159,20 +114,16 @@ proptest! {
     // bit-identical to running the unsegmented schedule.
     #[test]
     fn segmented_schedules_execute_bit_identically(
-        collective in any_collective(),
-        s in 1u32..=6,
-        alg_seed in 0usize..100,
-        root_seed in 0usize..1000,
+        draw in any_draw(),
         chunks in 2usize..=6,
         elems in any_elems(),
     ) {
-        let p = 1usize << s;
-        let algs = algorithms(collective);
-        let alg = &algs[alg_seed % algs.len()];
-        let root = root_seed % p;
-        let sched = build(collective, alg.name(), p, root).unwrap_or_else(|| panic!("{}", alg.name()));
+        let bare = |r: &Request| is_regular(r) && r.segments == 1;
+        let request = drawn(draw, |r| bare(r) && r.p <= 64 && r.p.is_power_of_two());
+        let what = request.label();
+        let Some(sched) = request.build() else { return Ok(()) };
         let seg = sched.segmented(chunks);
-        prop_assert!(seg.validate().is_ok(), "{}+seg{chunks}", alg.name());
+        prop_assert!(seg.validate().is_ok(), "{}+seg{}", what, chunks);
         let workload = Workload::for_schedule(&sched, elems);
         let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
         for (name, finals) in [
@@ -181,13 +132,10 @@ proptest! {
             ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
             ("pool", pool_run(&seg, workload.initial_state(&seg))),
         ] {
-            prop_assert_eq!(
-                &finals, &reference,
-                "{} on {}+seg{}: p={} root={}", name, alg.name(), chunks, p, root
-            );
+            prop_assert_eq!(&finals, &reference, "{} on {}+seg{}", name, what, chunks);
         }
         if let Err(e) = verify::verify(&workload, &reference) {
-            return Err(TestCaseError::fail(format!("{:?}/{}: {e}", collective, alg.name())));
+            return Err(TestCaseError::fail(format!("{what}: {e}")));
         }
     }
 
@@ -200,66 +148,26 @@ proptest! {
     // other block.
     #[test]
     fn irregular_schedules_execute_identically_on_all_executors(
-        collective in any_irregular_collective(),
-        p in any_rank_count(),
-        dist in any_dist(),
-        alg_seed in 0usize..100,
-        root_seed in 0usize..1000,
-        chunks in 1usize..=4,
+        draw in any_draw(),
         elems in any_elems(),
     ) {
-        let algs = irregular_algorithms(collective);
-        let alg = algs[alg_seed % algs.len()];
-        let root = root_seed % p;
-        let counts = dist.counts(p, root);
-        let name = if chunks > 1 {
-            format!("{}+seg{chunks}", alg.name())
-        } else {
-            alg.name().to_string()
-        };
         // The butterfly-backed variants only exist at pow2 rank counts and
         // build nothing at the others, exactly as in the regular matrix.
-        let Some(sched) = build_irregular(collective, &name, p, root, &counts) else {
-            return Ok(());
-        };
-        if sched.validate().is_err() {
-            return Ok(());
-        }
+        let request = drawn(draw, |r| matches!(r.source, Source::Irregular(..)) && r.p <= 64);
+        let what = request.label();
+        let Some(sched) = request.build() else { return Ok(()) };
         prop_assert!(sched.counts.is_some(), "irregular schedule lost its counts");
         let workload = Workload::for_schedule(&sched, elems);
-        let reference = catch_unwind(AssertUnwindSafe(|| {
-            sequential::run_reference(&sched, workload.initial_state(&sched))
-        }));
-        let Ok(reference) = reference else {
-            for (exec, outcome) in [
-                ("sequential", catch_unwind(AssertUnwindSafe(|| sequential::run(&sched, workload.initial_state(&sched))))),
-                ("compiled", catch_unwind(AssertUnwindSafe(|| compiled::run(&sched.compile(), workload.initial_state(&sched))))),
-                ("pool", catch_unwind(AssertUnwindSafe(|| pool_run(&sched, workload.initial_state(&sched))))),
-            ] {
-                prop_assert!(
-                    outcome.is_err(),
-                    "{exec} accepted an irregular schedule the reference rejects \
-                     ({:?}/{name} p={p} dist={})",
-                    collective, dist.name()
-                );
-            }
-            return Ok(());
-        };
+        let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
         for (exec, finals) in [
             ("sequential", sequential::run(&sched, workload.initial_state(&sched))),
             ("compiled", compiled::run(&sched.compile(), workload.initial_state(&sched))),
             ("pool", pool_run(&sched, workload.initial_state(&sched))),
         ] {
-            prop_assert_eq!(
-                &finals, &reference,
-                "{} on {:?}/{} p={} root={} dist={}",
-                exec, collective, &name, p, root, dist.name()
-            );
+            prop_assert_eq!(&finals, &reference, "{} on {}", exec, what);
         }
         if let Err(e) = verify::verify(&workload, &reference) {
-            return Err(TestCaseError::fail(format!(
-                "{:?}/{name} p={p} dist={}: {e}", collective, dist.name()
-            )));
+            return Err(TestCaseError::fail(format!("{what}: {e}")));
         }
     }
 
@@ -321,13 +229,14 @@ proptest! {
             [collective_seed];
         let p = view.num_ranks();
         let root = root_seed % p;
-        for id in bine_sched::synth_algorithms(collective, &view) {
-            let spec = bine_sched::SynthSpec::parse(id.name()).expect("canonical name");
+        let providers = ProviderSet::with_view(view);
+        let candidates = providers.algorithms(collective, p);
+        for id in candidates.iter().filter(|id| id.is_synthesized()) {
             // ForestColl's rate-optimal tree count is root-dependent: a k
             // enumerated for root 0 may admit no k edge-disjoint spanning
             // trees from another root. The provider returns None there and
             // serving falls back; only the tuned root must always build.
-            let Some(sched) = spec.synthesize(collective, &view, root) else {
+            let Some(sched) = providers.build(collective, id.name(), p, root) else {
                 prop_assert!(root != 0, "{} p={p}: unbuildable at the tuned root", id.name());
                 continue;
             };

@@ -13,31 +13,32 @@ use bine_net::cost::CostModel;
 use bine_net::sim::{SimArena, SimRequest};
 use bine_net::topology::{Dragonfly, FatTree, IdealFullMesh, Topology};
 use bine_net::traffic;
-use bine_sched::{
-    build, build_irregular, irregular_algorithms, Collective, Counts, IrregularAlg, SizeDist,
-    IRREGULAR_COLLECTIVES,
-};
+use std::sync::OnceLock;
+
+use bine_sched::catalog::Source;
+use bine_sched::{build, build_irregular, walk, Collective, Counts, Request, Schedule, SizeDist};
 use proptest::prelude::*;
 
-/// The regular catalog algorithm whose routing an irregular algorithm
-/// borrows, for the equal-counts byte-equivalence pin. `None` for `traff`,
-/// whose count-aware tree has no regular counterpart.
-fn regular_counterpart(collective: Collective, alg: IrregularAlg) -> Option<&'static str> {
-    match (collective, alg) {
-        (_, IrregularAlg::Traff) => None,
-        (Collective::ReduceScatter, IrregularAlg::Bine) => Some("bine-permute"),
-        (_, IrregularAlg::Bine) => Some("bine"),
-        (_, IrregularAlg::BinomialDd) => Some("binomial-dd"),
-        (_, IrregularAlg::Ring) => Some("ring"),
-    }
+/// An index into the walk (see [`drawn`]).
+fn any_draw() -> impl Strategy<Value = usize> {
+    0usize..1 << 30
 }
 
-fn any_irregular_collective() -> impl Strategy<Value = Collective> {
-    prop::sample::select(IRREGULAR_COLLECTIVES.to_vec())
-}
-
-fn any_dist() -> impl Strategy<Value = SizeDist> {
-    prop::sample::select(SizeDist::ALL.to_vec())
+/// A request drawn from the walk of the catalog over p ∈ {4, 8, 16, 32} —
+/// among the bare v-variant names (every `SizeDist`, heavy rank at the
+/// root), at the roots that name a rank, that `keep` keeps — with its
+/// schedule. The properties add their own segmentation on top.
+fn drawn(draw: usize, keep: impl Fn(&Request) -> bool) -> (&'static Request, Schedule) {
+    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
+    let requests = REQUESTS.get_or_init(|| {
+        let bare = |r: &Request| matches!(r.source, Source::Irregular(..)) && r.segments == 1;
+        let mut requests = walk(&[4, 8, 16, 32]);
+        requests.retain(|r| bare(r) && r.must_build() == Some(true));
+        requests
+    });
+    let kept: Vec<&Request> = requests.iter().filter(|r| keep(r)).collect();
+    let request = kept[draw % kept.len()];
+    (request, request.build().expect("its row builds here"))
 }
 
 fn any_vector_bytes() -> impl Strategy<Value = u64> {
@@ -52,11 +53,11 @@ fn any_vector_bytes() -> impl Strategy<Value = u64> {
 /// model charges is not always on the dependency-driven critical path and
 /// the DES runs ahead. (At skewed counts nothing coincides: heterogeneous
 /// message sizes within a step let light ranks run ahead of the barrier.)
-fn equals_sync_at_uniform_counts(collective: Collective, alg: IrregularAlg) -> bool {
-    match alg {
-        IrregularAlg::Traff => false,
-        IrregularAlg::Bine => !matches!(collective, Collective::Gather | Collective::Scatter),
-        IrregularAlg::BinomialDd | IrregularAlg::Ring => true,
+fn equals_sync_at_uniform_counts(collective: Collective, name: &str) -> bool {
+    match name {
+        "traff" => false,
+        "bine" => !matches!(collective, Collective::Gather | Collective::Scatter),
+        _ => true,
     }
 }
 
@@ -67,34 +68,44 @@ fn equal_counts_reproduce_the_regular_traffic_report_exactly() {
     // *identical* to the count-free schedule, for every shared routing, on
     // a flat and a hierarchical topology. Any constant count must do; 7
     // stresses the proportional sizing more than 1 would.
-    let p = 16;
-    let root = 3;
     let n = (1u64 << 20) + 13; // a non-divisible size exercises the ceil
-    let topos: Vec<Box<dyn Topology>> =
-        vec![Box::new(FatTree::new(p, 4, 1)), Box::new(Dragonfly::lumi())];
-    let alloc = Allocation::block(p);
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            let Some(regular_name) = regular_counterpart(collective, alg) else {
-                continue;
-            };
-            let regular = build(collective, regular_name, p, root).expect(regular_name);
-            let counts = Counts::new(vec![7; p]);
-            let v = build_irregular(collective, alg.name(), p, root, &counts)
-                .unwrap_or_else(|| panic!("{} did not build", alg.name()));
-            for topo in &topos {
-                let a = traffic::measure(&regular, n, topo.as_ref(), &alloc);
-                let b = traffic::measure(&v, n, topo.as_ref(), &alloc);
-                assert_eq!(
-                    a,
-                    b,
-                    "{collective:?}: {} vs regular {regular_name} on {}",
-                    alg.name(),
-                    topo.name()
-                );
-            }
+    let mut compared = 0;
+    for request in walk(&[16]) {
+        // One distribution stands for the v-variant name; `traff`'s
+        // count-aware tree has no regular counterpart.
+        let Source::Irregular(row, SizeDist::Uniform) = request.source else {
+            continue;
+        };
+        let interior = request.root == request.p / 3;
+        let (Some(regular_name), 1, true) = (row.name(), request.segments, interior) else {
+            continue;
+        };
+        let Request {
+            collective,
+            p,
+            root,
+            ..
+        } = request;
+        let regular = build(collective, regular_name, p, root).expect(regular_name);
+        let counts = Counts::new(vec![7; p]);
+        let v = build_irregular(collective, &request.name, p, root, &counts)
+            .unwrap_or_else(|| panic!("{} did not build", request.label()));
+        let topos: [Box<dyn Topology>; 2] =
+            [Box::new(FatTree::new(p, 4, 1)), Box::new(Dragonfly::lumi())];
+        for topo in &topos {
+            let a = traffic::measure(&regular, n, topo.as_ref(), &Allocation::block(p));
+            let b = traffic::measure(&v, n, topo.as_ref(), &Allocation::block(p));
+            assert_eq!(
+                a,
+                b,
+                "{} vs regular {regular_name} on {}",
+                request.label(),
+                topo.name()
+            );
         }
+        compared += 1;
     }
+    assert_eq!(compared, 8, "v-variants that borrow a regular routing");
 }
 
 #[test]
@@ -154,23 +165,13 @@ proptest! {
     // flat and a congested topology.
     #[test]
     fn irregular_optimized_des_is_bit_identical_to_the_reference(
-        collective in any_irregular_collective(),
-        dist in any_dist(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
-        root_seed in 0usize..1000,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let algs = irregular_algorithms(collective);
-        let alg = algs[alg_seed % algs.len()];
-        let root = root_seed % p;
-        let counts = dist.counts(p, root);
-        let compiled = build_irregular(collective, alg.name(), p, root, &counts)
-            .unwrap_or_else(|| panic!("{} did not build", alg.name()))
-            .segmented(chunks)
-            .compile();
+        let (request, sched) = drawn(draw, |_| true);
+        let (p, what) = (request.p, request.label());
+        let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
         let alloc = Allocation::block(p);
         let mut arena = SimArena::new();
@@ -188,17 +189,15 @@ proptest! {
                 .into_report();
             prop_assert_eq!(
                 reference.makespan_us.to_bits(), fast.makespan_us.to_bits(),
-                "{:?}/{} dist={} p={p} n={n} chunks={chunks} on {}: reference {} vs fast {}",
-                collective, alg.name(), dist.name(), topo.name(),
-                reference.makespan_us, fast.makespan_us
+                "{} n={} chunks={} on {}: reference {} vs fast {}",
+                what, n, chunks, topo.name(), reference.makespan_us, fast.makespan_us
             );
             prop_assert_eq!(reference.network_messages, fast.network_messages);
             prop_assert_eq!(reference.peak_active_flows, fast.peak_active_flows);
             for (r, (a, b)) in reference.rank_finish_us.iter().zip(&fast.rank_finish_us).enumerate() {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
-                    "{:?}/{} dist={} rank {r} finish: reference {} vs fast {}",
-                    collective, alg.name(), dist.name(), a, b
+                    "{} rank {} finish: reference {} vs fast {}", what, r, a, b
                 );
             }
         }
@@ -208,20 +207,13 @@ proptest! {
     // irregular algorithm, any size distribution, any segmentation.
     #[test]
     fn irregular_des_never_exceeds_sync_on_an_ideal_network(
-        collective in any_irregular_collective(),
-        dist in any_dist(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let algs = irregular_algorithms(collective);
-        let alg = algs[alg_seed % algs.len()];
-        let counts = dist.counts(p, 0);
-        let sched = build_irregular(collective, alg.name(), p, 0, &counts)
-            .unwrap_or_else(|| panic!("{} did not build", alg.name()))
-            .segmented(chunks);
+        let (request, sched) = drawn(draw, |_| true);
+        let (p, what) = (request.p, request.label());
+        let sched = sched.segmented(chunks);
         let topo = IdealFullMesh::new(p);
         let alloc = Allocation::block(p);
         let model = CostModel::default();
@@ -232,8 +224,7 @@ proptest! {
             .makespan_us();
         prop_assert!(
             des <= sync * (1.0 + 1e-9),
-            "{:?}/{} dist={} p={p} n={n} chunks={chunks}: DES {des} > sync {sync}",
-            collective, alg.name(), dist.name()
+            "{what} n={n} chunks={chunks}: DES {des} > sync {sync}"
         );
     }
 
@@ -242,21 +233,14 @@ proptest! {
     // limit — the irregular twin of the regular acceptance property.
     #[test]
     fn uniform_counts_des_equals_sync_in_the_congestion_free_limit(
-        collective in any_irregular_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
-        root_seed in 0usize..1000,
+        draw in any_draw(),
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let algs = irregular_algorithms(collective);
-        let alg = algs[alg_seed % algs.len()];
-        if !equals_sync_at_uniform_counts(collective, alg) {
-            return Ok(());
-        }
-        let root = root_seed % p;
-        let counts = SizeDist::Uniform.counts(p, root);
-        let sched = build_irregular(collective, alg.name(), p, root, &counts).unwrap_or_else(|| panic!("{} did not build", alg.name()));
+        let uniform = |r: &Request| matches!(r.source, Source::Irregular(_, SizeDist::Uniform));
+        let (request, sched) = drawn(draw, |r| {
+            uniform(r) && equals_sync_at_uniform_counts(r.collective, &r.name)
+        });
+        let (p, what) = (request.p, request.label());
         let topo = IdealFullMesh::new(p);
         let alloc = Allocation::block(p);
         let model = CostModel::default();
@@ -267,8 +251,7 @@ proptest! {
             .makespan_us();
         prop_assert!(
             (des - sync).abs() <= 1e-9 * sync.max(1e-12),
-            "{:?}/{} p={p} n={n}: DES {des} vs sync {sync}",
-            collective, alg.name()
+            "{what} n={n}: DES {des} vs sync {sync}"
         );
     }
 
@@ -276,27 +259,22 @@ proptest! {
     // links — including zero-count segments, whose chunks are all empty.
     #[test]
     fn irregular_traffic_is_invariant_under_segmentation(
-        collective in any_irregular_collective(),
-        dist in any_dist(),
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 2usize..=8,
         n in any_vector_bytes(),
     ) {
-        let p = 32;
-        let algs = irregular_algorithms(collective);
-        let alg = algs[alg_seed % algs.len()];
-        let counts = dist.counts(p, 0);
-        let sched = build_irregular(collective, alg.name(), p, 0, &counts).unwrap_or_else(|| panic!("{} did not build", alg.name()));
+        let (request, sched) = drawn(draw, |r| r.p == 32);
+        let (p, what) = (request.p, request.label());
         let seg = sched.segmented(chunks);
         let topo = FatTree::new(p, 4, 1);
         let alloc = Allocation::block(p);
         let base = traffic::measure(&sched, n, &topo, &alloc);
         let piped = traffic::measure(&seg, n, &topo, &alloc);
-        prop_assert_eq!(base.total_bytes, piped.total_bytes, "{}", alg.name());
-        prop_assert_eq!(base.global_bytes, piped.global_bytes, "{}", alg.name());
-        prop_assert_eq!(base.local_link_bytes, piped.local_link_bytes, "{}", alg.name());
-        prop_assert_eq!(base.global_link_bytes, piped.global_link_bytes, "{}", alg.name());
-        prop_assert_eq!(base.max_link_bytes, piped.max_link_bytes, "{}", alg.name());
-        prop_assert!(piped.messages >= base.messages, "{}", alg.name());
+        prop_assert_eq!(base.total_bytes, piped.total_bytes, "{}", what);
+        prop_assert_eq!(base.global_bytes, piped.global_bytes, "{}", what);
+        prop_assert_eq!(base.local_link_bytes, piped.local_link_bytes, "{}", what);
+        prop_assert_eq!(base.global_link_bytes, piped.global_link_bytes, "{}", what);
+        prop_assert_eq!(base.max_link_bytes, piped.max_link_bytes, "{}", what);
+        prop_assert!(piped.messages >= base.messages, "{}", what);
     }
 }

@@ -13,7 +13,10 @@ use bine_net::fault::{FaultPlan, FaultSpec};
 use bine_net::sim::{SimArena, SimRequest};
 use bine_net::topology::{Dragonfly, FatTree, IdealFullMesh, Topology, Torus};
 use bine_net::traffic;
-use bine_sched::{algorithms, build, AlgorithmId, Collective};
+use std::sync::OnceLock;
+
+use bine_sched::catalog::Source;
+use bine_sched::{build, walk, Collective, ProviderSet, Request, Schedule};
 use proptest::prelude::*;
 
 /// A balanced torus shape with `p = 2^s` nodes (the third topology class the
@@ -30,8 +33,26 @@ fn torus_dims(p: usize) -> Vec<usize> {
     dims
 }
 
-fn any_collective() -> impl Strategy<Value = Collective> {
-    prop::sample::select(Collective::ALL.to_vec())
+/// An index into the walk (see [`drawn`]).
+fn any_draw() -> impl Strategy<Value = usize> {
+    0usize..1 << 30
+}
+
+/// A request drawn from the walk of the catalog over p ∈ {4, 8, 16, 32} —
+/// among the bare regular names, at the roots where their rows build, that
+/// `keep` keeps — with its schedule. The properties add their own
+/// segmentation on top.
+fn drawn(draw: usize, keep: impl Fn(&Request) -> bool) -> (&'static Request, Schedule) {
+    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
+    let requests = REQUESTS.get_or_init(|| {
+        let bare = |r: &Request| matches!(r.source, Source::Regular(_)) && r.segments == 1;
+        let mut requests = walk(&[4, 8, 16, 32]);
+        requests.retain(|r| bare(r) && r.must_build() == Some(true));
+        requests
+    });
+    let kept: Vec<&Request> = requests.iter().filter(|r| keep(r)).collect();
+    let request = kept[draw % kept.len()];
+    (request, request.build().expect("its row builds here"))
 }
 
 fn any_vector_bytes() -> impl Strategy<Value = u64> {
@@ -46,11 +67,6 @@ fn any_vector_bytes() -> impl Strategy<Value = u64> {
     ])
 }
 
-fn pick_algorithm(collective: Collective, seed: usize) -> AlgorithmId {
-    let algs = algorithms(collective);
-    algs[seed % algs.len()].clone()
-}
-
 /// Algorithms whose ranks legitimately run ahead of the global barrier even
 /// on an ideal network, so the DES is *faster* than the synchronous model
 /// rather than equal to it (verified exhaustively over every root at
@@ -59,6 +75,10 @@ fn pick_algorithm(collective: Collective, seed: usize) -> AlgorithmId {
 ///
 /// * `pairwise` alltoall sends pre-held data every step — no send depends on
 ///   any receive, so the whole schedule pipelines through the send ports;
+/// * the `dual-root` allreduce runs its two interleaved trees concurrently —
+///   a rank's reduce-side and broadcast-side sends of one step do not wait
+///   for each other (the draw over the whole walk found it: 282 vs 564 us at
+///   p = 16, 1 MiB);
 /// * the rooted gather/scatter trees and the composed two-phase schedules
 ///   (`scatter-allgather`, `rs-gather` and their Bine variants) leave some
 ///   ranks idle for intermediate steps or mix per-message segment counts
@@ -71,6 +91,7 @@ fn pick_algorithm(collective: Collective, seed: usize) -> AlgorithmId {
 fn overlaps_even_without_congestion(collective: Collective, name: &str) -> bool {
     match collective {
         Collective::Alltoall => name == "pairwise",
+        Collective::Allreduce => name == "dual-root",
         Collective::Broadcast => matches!(name, "scatter-allgather" | "bine-scatter-allgather"),
         Collective::Reduce => matches!(name, "rs-gather" | "bine-rs-gather"),
         Collective::Gather | Collective::Scatter => matches!(name, "bine" | "binomial-dh"),
@@ -85,18 +106,11 @@ proptest! {
     // DES reproduces the synchronous model within 1e-9 relative error.
     #[test]
     fn des_equals_sync_in_the_congestion_free_single_segment_limit(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
-        root_seed in 0usize..1000,
+        draw in any_draw(),
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        if overlaps_even_without_congestion(collective, alg.name()) {
-            return Ok(());
-        }
-        let sched = build(collective, alg.name(), p, root_seed % p).unwrap_or_else(|| panic!("{}", alg.name()));
+        let (request, sched) = drawn(draw, |r| !overlaps_even_without_congestion(r.collective, &r.name));
+        let p = request.p;
         let topo = IdealFullMesh::new(p);
         let alloc = Allocation::block(p);
         let model = CostModel::default();
@@ -107,7 +121,7 @@ proptest! {
             .makespan_us();
         prop_assert!(
             (des - sync).abs() <= 1e-9 * sync.max(1e-12),
-            "{:?}/{} p={p} n={n}: DES {des} vs sync {sync}", collective, alg.name()
+            "{:?}/{} p={p} n={n}: DES {des} vs sync {sync}", request.collective, request.name
         );
     }
 
@@ -117,19 +131,14 @@ proptest! {
     // alike. The sweeps (heatmaps, tuning) rely on this equivalence.
     #[test]
     fn estimate_summary_is_bit_identical_to_estimate(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
-        root_seed in 0usize..1000,
         n in any_vector_bytes(),
     ) {
         use bine_net::cost::CostSummary;
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let sched = build(collective, alg.name(), p, root_seed % p)
-            .unwrap_or_else(|| panic!("{}", alg.name()))
-            .segmented(chunks);
+        let (request, sched) = drawn(draw, |_| true);
+        let p = request.p;
+        let sched = sched.segmented(chunks);
         let model = CostModel::default();
         for topo in [
             Box::new(FatTree::new(p, 4, 1)) as Box<dyn Topology>,
@@ -150,15 +159,13 @@ proptest! {
     // add time — for any algorithm and any segmentation.
     #[test]
     fn des_never_exceeds_sync_on_an_ideal_network(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=6,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let sched = build(collective, alg.name(), p, 0).unwrap_or_else(|| panic!("{}", alg.name())).segmented(chunks);
+        let (request, sched) = drawn(draw, |_| true);
+        let p = request.p;
+        let sched = sched.segmented(chunks);
         let topo = IdealFullMesh::new(p);
         let alloc = Allocation::block(p);
         let model = CostModel::default();
@@ -169,7 +176,7 @@ proptest! {
             .makespan_us();
         prop_assert!(
             des <= sync * (1.0 + 1e-9),
-            "{:?}/{} p={p} n={n} chunks={chunks}: DES {des} > sync {sync}", collective, alg.name()
+            "{:?}/{} p={p} n={n} chunks={chunks}: DES {des} > sync {sync}", request.collective, request.name
         );
     }
 
@@ -182,19 +189,13 @@ proptest! {
     // recomputation must perform the same float ops per link.
     #[test]
     fn optimized_des_is_bit_identical_to_the_reference(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
-        root_seed in 0usize..1000,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let compiled = build(collective, alg.name(), p, root_seed % p)
-            .unwrap_or_else(|| panic!("{}", alg.name()))
-            .segmented(chunks)
-            .compile();
+        let (request, sched) = drawn(draw, |_| true);
+        let p = request.p;
+        let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
         let alloc = Allocation::block(p);
         let mut arena = SimArena::new();
@@ -214,7 +215,7 @@ proptest! {
             prop_assert_eq!(
                 reference.makespan_us.to_bits(), fast.makespan_us.to_bits(),
                 "{:?}/{} p={p} n={n} chunks={chunks} on {}: reference {} vs fast {}",
-                collective, alg.name(), topo.name(), reference.makespan_us, fast.makespan_us
+                request.collective, request.name, topo.name(), reference.makespan_us, fast.makespan_us
             );
             prop_assert_eq!(reference.network_messages, fast.network_messages);
             // The satellite invariance check: overlap accounting is not
@@ -224,7 +225,7 @@ proptest! {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
                     "{:?}/{} rank {r} finish: reference {} vs fast {}",
-                    collective, alg.name(), a, b
+                    request.collective, request.name, a, b
                 );
             }
         }
@@ -237,20 +238,14 @@ proptest! {
     // algorithm, any segmentation, on all three pinned topology classes.
     #[test]
     fn zero_fault_plan_is_bit_identical_to_no_plan(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
-        root_seed in 0usize..1000,
         n in any_vector_bytes(),
         identity_entries in prop::sample::select(vec![false, true]),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let compiled = build(collective, alg.name(), p, root_seed % p)
-            .unwrap_or_else(|| panic!("{}", alg.name()))
-            .segmented(chunks)
-            .compile();
+        let (request, sched) = drawn(draw, |_| true);
+        let p = request.p;
+        let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
         let alloc = Allocation::block(p);
         let plan = if identity_entries {
@@ -282,7 +277,7 @@ proptest! {
             prop_assert_eq!(
                 bare.makespan_us.to_bits(), faulted.makespan_us.to_bits(),
                 "{:?}/{} p={p} n={n} chunks={chunks} on {}: bare {} vs zero-fault {}",
-                collective, alg.name(), topo.name(), bare.makespan_us, faulted.makespan_us
+                request.collective, request.name, topo.name(), bare.makespan_us, faulted.makespan_us
             );
             prop_assert_eq!(bare.network_messages, faulted.network_messages);
             prop_assert_eq!(bare.peak_active_flows, faulted.peak_active_flows);
@@ -290,7 +285,7 @@ proptest! {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
                     "{:?}/{} rank {r} finish: bare {} vs zero-fault {}",
-                    collective, alg.name(), a, b
+                    request.collective, request.name, a, b
                 );
             }
             // The reference agrees under the same zero plan.
@@ -310,19 +305,14 @@ proptest! {
     // levels now differ per link even on symmetric topologies.
     #[test]
     fn optimized_des_stays_pinned_to_the_reference_under_faults(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
         fault_seed in 0u64..1000,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let compiled = build(collective, alg.name(), p, 0)
-            .unwrap_or_else(|| panic!("{}", alg.name()))
-            .segmented(chunks)
-            .compile();
+        let (request, sched) = drawn(draw, |_| true);
+        let p = request.p;
+        let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
         let alloc = Allocation::block(p);
         // A harsh spec so faults are actually drawn at small link counts.
@@ -356,7 +346,7 @@ proptest! {
                 reference.makespan_us.to_bits(), fast.makespan_us.to_bits(),
                 "{:?}/{} p={p} n={n} chunks={chunks} seed={fault_seed} on {}: \
                  reference {} vs fast {}",
-                collective, alg.name(), topo.name(), reference.makespan_us, fast.makespan_us
+                request.collective, request.name, topo.name(), reference.makespan_us, fast.makespan_us
             );
             prop_assert_eq!(reference.network_messages, fast.network_messages);
             prop_assert_eq!(reference.peak_active_flows, fast.peak_active_flows);
@@ -364,7 +354,7 @@ proptest! {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
                     "{:?}/{} rank {r} finish under faults: reference {} vs fast {}",
-                    collective, alg.name(), a, b
+                    request.collective, request.name, a, b
                 );
             }
         }
@@ -375,15 +365,13 @@ proptest! {
     // report-level pin above, on the congested topology classes.
     #[test]
     fn incremental_rates_stay_pinned_under_faults(
-        collective in any_collective(),
-        s in 2u32..=4,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         fault_seed in 0u64..1000,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let compiled = build(collective, alg.name(), p, 0).unwrap_or_else(|| panic!("{}", alg.name())).compile();
+        let (request, sched) = drawn(draw, |r| r.p <= 16);
+        let p = request.p;
+        let compiled = sched.compile();
         let model = CostModel::default();
         let alloc = Allocation::block(p);
         let spec = FaultSpec {
@@ -428,7 +416,7 @@ proptest! {
                 prop_assert_eq!(
                     &a.1, &b.1,
                     "{:?}/{} p={p} n={n} faulted event {i} at t={}: rates diverged",
-                    collective, alg.name(), f64::from_bits(a.0)
+                    request.collective, request.name, f64::from_bits(a.0)
                 );
             }
         }
@@ -440,18 +428,13 @@ proptest! {
     // times and the same (send, rate) bits for every in-flight flow.
     #[test]
     fn incremental_rates_equal_reference_rates_at_every_event(
-        collective in any_collective(),
-        s in 2u32..=5,
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let p = 1usize << s;
-        let alg = pick_algorithm(collective, alg_seed);
-        let compiled = build(collective, alg.name(), p, 0)
-            .unwrap_or_else(|| panic!("{}", alg.name()))
-            .segmented(chunks)
-            .compile();
+        let (request, sched) = drawn(draw, |_| true);
+        let p = request.p;
+        let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
         let alloc = Allocation::block(p);
         // Congested topologies: flows share links, so components are
@@ -484,14 +467,14 @@ proptest! {
             prop_assert_eq!(
                 ref_trace.len(), fast_trace.len(),
                 "{:?}/{} p={p}: {} reference rate events vs {} incremental",
-                collective, alg.name(), ref_trace.len(), fast_trace.len()
+                request.collective, request.name, ref_trace.len(), fast_trace.len()
             );
             for (i, (a, b)) in ref_trace.iter().zip(&fast_trace).enumerate() {
                 prop_assert_eq!(a.0, b.0, "event {i}: time diverged");
                 prop_assert_eq!(
                     &a.1, &b.1,
                     "{:?}/{} p={p} n={n} event {i} at t={}: rates diverged",
-                    collective, alg.name(), f64::from_bits(a.0)
+                    request.collective, request.name, f64::from_bits(a.0)
                 );
             }
         }
@@ -502,14 +485,12 @@ proptest! {
     // iterate links in id order).
     #[test]
     fn des_is_deterministic(
-        collective in any_collective(),
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let p = 16;
-        let alg = pick_algorithm(collective, alg_seed);
-        let sched = build(collective, alg.name(), p, 3).unwrap_or_else(|| panic!("{}", alg.name()));
+        let (request, sched) = drawn(draw, |r| r.p == 16);
+        let p = request.p;
         let topo = FatTree::new(p, 4, 1);
         let alloc = Allocation::block(p);
         let model = CostModel::default();
@@ -522,23 +503,21 @@ proptest! {
             .time_only()
             .run()
             .makespan_us();
-        prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", alg.name());
+        prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", request.name);
     }
 
     // Synchronous-model time is monotone in the vector size on every
     // topology class (more bytes can never be modelled as faster).
     #[test]
     fn sync_time_is_monotone_in_vector_size(
-        collective in any_collective(),
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         topo_seed in 0usize..3,
         n1 in any_vector_bytes(),
         n2 in any_vector_bytes(),
     ) {
-        let p = 16;
         let (lo, hi) = (n1.min(n2), n1.max(n2));
-        let alg = pick_algorithm(collective, alg_seed);
-        let sched = build(collective, alg.name(), p, 0).unwrap_or_else(|| panic!("{}", alg.name()));
+        let (request, sched) = drawn(draw, |r| r.p == 16);
+        let p = request.p;
         let topo: Box<dyn Topology> = match topo_seed {
             0 => Box::new(Dragonfly::lumi()),
             1 => Box::new(FatTree::marenostrum5(320)),
@@ -550,7 +529,7 @@ proptest! {
         let t_hi = model.time_us(&sched, hi, topo.as_ref(), &alloc);
         prop_assert!(
             t_lo <= t_hi * (1.0 + 1e-12),
-            "{}: time({lo}) = {t_lo} > time({hi}) = {t_hi}", alg.name()
+            "{}: time({lo}) = {t_lo} > time({hi}) = {t_hi}", request.name
         );
     }
 
@@ -559,15 +538,13 @@ proptest! {
     // same bytes over exactly the same links.
     #[test]
     fn traffic_is_invariant_under_segmentation(
-        collective in any_collective(),
-        alg_seed in 0usize..100,
+        draw in any_draw(),
         chunks in 2usize..=8,
         n in any_vector_bytes(),
         topo_seed in 0usize..2,
     ) {
-        let p = 32;
-        let alg = pick_algorithm(collective, alg_seed);
-        let sched = build(collective, alg.name(), p, 0).unwrap_or_else(|| panic!("{}", alg.name()));
+        let (request, sched) = drawn(draw, |r| r.p == 32);
+        let p = request.p;
         let seg = sched.segmented(chunks);
         let topo: Box<dyn Topology> = match topo_seed {
             0 => Box::new(Dragonfly::leonardo()),
@@ -576,13 +553,13 @@ proptest! {
         let alloc = Allocation::block(p);
         let base = traffic::measure(&sched, n, topo.as_ref(), &alloc);
         let piped = traffic::measure(&seg, n, topo.as_ref(), &alloc);
-        prop_assert_eq!(base.total_bytes, piped.total_bytes, "{}", alg.name());
-        prop_assert_eq!(base.global_bytes, piped.global_bytes, "{}", alg.name());
-        prop_assert_eq!(base.local_link_bytes, piped.local_link_bytes, "{}", alg.name());
-        prop_assert_eq!(base.global_link_bytes, piped.global_link_bytes, "{}", alg.name());
-        prop_assert_eq!(base.max_link_bytes, piped.max_link_bytes, "{}", alg.name());
-        prop_assert!(piped.messages >= base.messages, "{}", alg.name());
-        prop_assert!(piped.global_messages >= base.global_messages, "{}", alg.name());
+        prop_assert_eq!(base.total_bytes, piped.total_bytes, "{}", request.name);
+        prop_assert_eq!(base.global_bytes, piped.global_bytes, "{}", request.name);
+        prop_assert_eq!(base.local_link_bytes, piped.local_link_bytes, "{}", request.name);
+        prop_assert_eq!(base.global_link_bytes, piped.global_link_bytes, "{}", request.name);
+        prop_assert_eq!(base.max_link_bytes, piped.max_link_bytes, "{}", request.name);
+        prop_assert!(piped.messages >= base.messages, "{}", request.name);
+        prop_assert!(piped.global_messages >= base.global_messages, "{}", request.name);
     }
 }
 
@@ -610,10 +587,11 @@ proptest! {
         );
         let model = CostModel::default();
         let mut arena = SimArena::new();
-        for id in bine_sched::synth_algorithms(collective, &view) {
-            let spec = bine_sched::SynthSpec::parse(id.name()).expect("canonical name");
-            let compiled = spec
-                .synthesize(collective, &view, 0)
+        let providers = ProviderSet::with_view(view);
+        let candidates = providers.algorithms(collective, nodes);
+        for id in candidates.iter().filter(|id| id.is_synthesized()) {
+            let compiled = providers
+                .build(collective, id.name(), nodes, 0)
                 .unwrap_or_else(|| panic!("{}", id.name()))
                 .segmented(chunks)
                 .compile();

@@ -1,16 +1,20 @@
-//! A string-keyed catalog of every (collective, algorithm) pair, used by the
-//! benchmark harness and the examples to enumerate and build schedules
-//! without hard-coding enum variants.
+//! The algorithm catalog: one [`Row`] per algorithm — its collective, its
+//! name, its v-variant alias, its role in the paper's comparisons and the
+//! rank counts it builds at — from which every string-keyed question about
+//! an algorithm is answered ([`algorithms`], [`has_algorithm`], [`build`],
+//! [`build_irregular`], [`is_linear`], …), and the one [`walk`] over what
+//! the rows build that the sweeps and the test suites iterate.
 
+use std::sync::Arc;
+
+use crate::collectives::irregular::{traff_gather, traff_scatter};
 use crate::collectives::{
     allgather, allreduce, alltoall, broadcast, gather, reduce, reduce_scatter, scatter,
     AllgatherAlg, AllreduceAlg, AlltoallAlg, BroadcastAlg, GatherAlg, ReduceAlg, ReduceScatterAlg,
     ScatterAlg,
 };
-use std::sync::Arc;
-
 use crate::noncontig::NonContigStrategy;
-use crate::schedule::{Collective, Schedule};
+use crate::schedule::{Collective, Counts, Schedule};
 use crate::synth;
 
 /// A named algorithm for a given collective.
@@ -41,7 +45,7 @@ pub struct AlgorithmId {
 
 impl AlgorithmId {
     /// Mints an id for `name`. The `is_bine` / `is_binomial_baseline` flags
-    /// default to `false` (the catalog sets them for its own entries);
+    /// default to `false` (the catalog sets them from its rows' [`Family`]);
     /// `is_linear` is [`is_linear`] of the name.
     pub fn new(collective: Collective, name: impl Into<Arc<str>>) -> Self {
         let name = name.into();
@@ -138,74 +142,263 @@ pub fn split_segments(name: &str) -> (&str, usize) {
     (name, 1)
 }
 
+/// The rank counts a builder's construction exists at — the one column
+/// ROADMAP 2(a) (Appendix C: every rank count) flips.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RankRule {
+    /// Every rank count: the chains, Bruck and the count-aware `traff` tree.
+    Any,
+    /// Powers of two: every tree and butterfly.
+    Pow2,
+    /// Powers of two from 2: `dual-root` needs its two roots.
+    Pow2From2,
+}
+
+impl RankRule {
+    /// The three rules, in the order reports print them.
+    pub const ALL: [RankRule; 3] = [RankRule::Any, RankRule::Pow2, RankRule::Pow2From2];
+
+    /// How reports spell the rule.
+    pub fn name(&self) -> &'static str {
+        match self {
+            RankRule::Any => "any p",
+            RankRule::Pow2 => "2^k",
+            RankRule::Pow2From2 => "2^k >= 2",
+        }
+    }
+
+    /// Whether the construction exists at `p` ranks.
+    pub fn admits(&self, p: usize) -> bool {
+        let least = match self {
+            RankRule::Any => return true,
+            RankRule::Pow2 => 1,
+            RankRule::Pow2From2 => 2,
+        };
+        p >= least && p.is_power_of_two()
+    }
+}
+
+/// What an algorithm is in the paper's comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Family {
+    /// One of the paper's Bine algorithms.
+    Bine,
+    /// The binomial-tree / butterfly baseline of Tables 3–5 — one per
+    /// collective.
+    Binomial,
+    /// A Θ(p)-step chain (ring, pairwise); everything else is logarithmic.
+    Linear,
+    /// Any other baseline.
+    Other,
+}
+
+/// The typed constructor behind a row, with the variant it is called with.
+#[derive(Debug, Clone, Copy)]
+enum Builder {
+    Broadcast(BroadcastAlg),
+    Reduce(ReduceAlg),
+    Gather(GatherAlg),
+    Scatter(ScatterAlg),
+    Allgather(AllgatherAlg),
+    ReduceScatter(ReduceScatterAlg),
+    Allreduce(AllreduceAlg),
+    Alltoall(AlltoallAlg),
+    /// The count-aware Träff tree: no typed variant, no regular form.
+    TraffGather,
+    TraffScatter,
+}
+
+/// One algorithm of the catalog: everything [`algorithms`],
+/// [`has_algorithm`], [`build`], [`build_irregular`], [`is_linear`],
+/// [`linear_default`], [`irregular_algorithms`] and [`walk`] know about it.
+#[derive(Debug)]
+pub struct Row {
+    builder: Builder,
+    /// Whether [`algorithms`] lists it (the rest are reached by name only).
+    pub listed: bool,
+    /// Its role in the paper's comparisons.
+    pub family: Family,
+    /// The rank counts it builds at.
+    pub rule: RankRule,
+    /// The name [`build_irregular`] knows it by, if it has a v-variant: the
+    /// regular builder with [`Counts`] attached, for every row but `traff`.
+    pub v_name: Option<&'static str>,
+}
+
+const fn row(
+    builder: Builder,
+    listed: bool,
+    family: Family,
+    rule: RankRule,
+    v_name: Option<&'static str>,
+) -> Row {
+    Row {
+        builder,
+        listed,
+        family,
+        rule,
+        v_name,
+    }
+}
+
+/// The catalog. Within a collective the listed rows come in the order
+/// [`algorithms`] enumerates them and the v-variants in the order
+/// [`irregular_algorithms`] does — the tuner breaks ties on both.
+#[rustfmt::skip]
+static ROWS: [Row; 39] = {
+    use Builder::*;
+    use Family::{Bine, Binomial, Linear, Other};
+    use RankRule::{Any, Pow2, Pow2From2};
+    use NonContigStrategy::{BlockByBlock, Permute, Send, TwoTransmissions};
+    [
+        //  constructor and variant                             listed family    ranks      v-variant
+        row(Broadcast(BroadcastAlg::BineTree),                  true,  Bine,     Pow2,      None),
+        row(Broadcast(BroadcastAlg::BineScatterAllgather),      true,  Bine,     Pow2,      None),
+        row(Broadcast(BroadcastAlg::BinomialDistanceDoubling),  true,  Binomial, Pow2,      None),
+        row(Broadcast(BroadcastAlg::BinomialDistanceHalving),   true,  Other,    Pow2,      None),
+        row(Broadcast(BroadcastAlg::ScatterAllgather),          true,  Other,    Pow2,      None),
+        row(Reduce(ReduceAlg::BineTree),                        true,  Bine,     Pow2,      None),
+        row(Reduce(ReduceAlg::BineReduceScatterGather),         true,  Bine,     Pow2,      None),
+        row(Reduce(ReduceAlg::BinomialDistanceDoubling),        true,  Binomial, Pow2,      None),
+        row(Reduce(ReduceAlg::BinomialDistanceHalving),         true,  Other,    Pow2,      None),
+        row(Reduce(ReduceAlg::ReduceScatterGather),             true,  Other,    Pow2,      None),
+        row(TraffGather,                                        false, Other,    Any,       Some("traff")),
+        row(Gather(GatherAlg::Bine),                            true,  Bine,     Pow2,      Some("bine")),
+        row(Gather(GatherAlg::BinomialDistanceDoubling),        true,  Binomial, Pow2,      Some("binomial-dd")),
+        row(Gather(GatherAlg::BinomialDistanceHalving),         true,  Other,    Pow2,      None),
+        row(TraffScatter,                                       false, Other,    Any,       Some("traff")),
+        row(Scatter(ScatterAlg::Bine),                          true,  Bine,     Pow2,      Some("bine")),
+        row(Scatter(ScatterAlg::BinomialDistanceDoubling),      true,  Binomial, Pow2,      Some("binomial-dd")),
+        row(Scatter(ScatterAlg::BinomialDistanceHalving),       true,  Other,    Pow2,      None),
+        row(Allgather(AllgatherAlg::Bine),                      true,  Bine,     Pow2,      Some("bine")),
+        row(Allgather(AllgatherAlg::RecursiveDoubling),         true,  Binomial, Pow2,      None),
+        row(Allgather(AllgatherAlg::Ring),                      true,  Linear,   Any,       Some("ring")),
+        row(Allgather(AllgatherAlg::Swing),                     true,  Other,    Pow2,      None),
+        row(ReduceScatter(ReduceScatterAlg::Bine(Permute)),     true,  Bine,     Pow2,      Some("bine")),
+        row(ReduceScatter(ReduceScatterAlg::RecursiveHalving),  true,  Binomial, Pow2,      None),
+        row(ReduceScatter(ReduceScatterAlg::Ring),              true,  Linear,   Any,       Some("ring")),
+        row(ReduceScatter(ReduceScatterAlg::Swing),             true,  Other,    Pow2,      None),
+        row(ReduceScatter(ReduceScatterAlg::Bine(BlockByBlock)), false, Bine,    Pow2,      None),
+        row(ReduceScatter(ReduceScatterAlg::Bine(Send)),        false, Bine,     Pow2,      None),
+        row(ReduceScatter(ReduceScatterAlg::Bine(TwoTransmissions)), false, Bine, Pow2,     None),
+        row(Allreduce(AllreduceAlg::BineSmall),                 true,  Bine,     Pow2,      None),
+        row(Allreduce(AllreduceAlg::BineLarge),                 true,  Bine,     Pow2,      None),
+        row(Allreduce(AllreduceAlg::RecursiveDoubling),         true,  Binomial, Pow2,      None),
+        row(Allreduce(AllreduceAlg::Rabenseifner),              true,  Other,    Pow2,      None),
+        row(Allreduce(AllreduceAlg::Ring),                      true,  Linear,   Any,       None),
+        row(Allreduce(AllreduceAlg::Swing),                     true,  Other,    Pow2,      None),
+        row(Allreduce(AllreduceAlg::DualRootPipelined),         true,  Other,    Pow2From2, None),
+        row(Alltoall(AlltoallAlg::Bine),                        true,  Bine,     Pow2,      None),
+        row(Alltoall(AlltoallAlg::Bruck),                       true,  Binomial, Any,       None),
+        row(Alltoall(AlltoallAlg::Pairwise),                    true,  Linear,   Any,       None),
+    ]
+};
+
+impl Row {
+    /// What the typed constructor and variant say: the collective, and the
+    /// variant's name.
+    fn identity(&self) -> (Collective, Option<&'static str>) {
+        match self.builder {
+            Builder::Broadcast(alg) => (Collective::Broadcast, Some(alg.name())),
+            Builder::Reduce(alg) => (Collective::Reduce, Some(alg.name())),
+            Builder::Gather(alg) => (Collective::Gather, Some(alg.name())),
+            Builder::Scatter(alg) => (Collective::Scatter, Some(alg.name())),
+            Builder::Allgather(alg) => (Collective::Allgather, Some(alg.name())),
+            Builder::ReduceScatter(alg) => (Collective::ReduceScatter, Some(alg.name())),
+            Builder::Allreduce(alg) => (Collective::Allreduce, Some(alg.name())),
+            Builder::Alltoall(alg) => (Collective::Alltoall, Some(alg.name())),
+            Builder::TraffGather => (Collective::Gather, None),
+            Builder::TraffScatter => (Collective::Scatter, None),
+        }
+    }
+
+    /// The collective the row's algorithm implements.
+    pub fn collective(&self) -> Collective {
+        self.identity().0
+    }
+
+    /// The name [`build`] knows the row by — the typed variant's — and
+    /// `None` for `traff`, which exists only as a v-variant.
+    pub fn name(&self) -> Option<&'static str> {
+        self.identity().1
+    }
+
+    /// Whether the row builds at `p` ranks rooted at `root`: the root must
+    /// name a rank and the rank count satisfy the row's rule. Where this is
+    /// `false`, [`build`] and [`build_irregular`] answer `None` instead of
+    /// reaching a constructor's assertion.
+    pub fn builds_at(&self, p: usize, root: usize) -> bool {
+        root < p && self.rule.admits(p)
+    }
+
+    /// The row's schedule under `name` — its own or its v-variant alias —
+    /// with `counts` attached when given.
+    fn build(
+        &self,
+        name: &str,
+        p: usize,
+        root: usize,
+        counts: Option<&Counts>,
+    ) -> Option<Schedule> {
+        if !self.builds_at(p, root) {
+            return None;
+        }
+        let mut sched = match self.builder {
+            Builder::Broadcast(alg) => broadcast(p, root, alg),
+            Builder::Reduce(alg) => reduce(p, root, alg),
+            Builder::Gather(alg) => gather(p, root, alg),
+            Builder::Scatter(alg) => scatter(p, root, alg),
+            Builder::Allgather(alg) => allgather(p, alg),
+            Builder::ReduceScatter(alg) => reduce_scatter(p, alg),
+            Builder::Allreduce(alg) => allreduce(p, alg),
+            Builder::Alltoall(alg) => alltoall(p, alg),
+            Builder::TraffGather => traff_gather(p, root, counts?, name),
+            Builder::TraffScatter => traff_scatter(p, root, counts?, name),
+        };
+        if sched.algorithm != name {
+            sched.algorithm.replace_range(.., name);
+        }
+        Some(match counts {
+            Some(counts) => sched.with_counts(counts.clone()),
+            None => sched,
+        })
+    }
+
+    fn id(&self, name: &'static str) -> AlgorithmId {
+        AlgorithmId {
+            collective: self.collective(),
+            name: name.into(),
+            is_bine: self.family == Family::Bine,
+            is_binomial_baseline: self.family == Family::Binomial,
+            is_linear: self.family == Family::Linear,
+        }
+    }
+}
+
+/// The rows of `collective`, in catalog order.
+pub fn rows(collective: Collective) -> impl Iterator<Item = &'static Row> {
+    ROWS.iter()
+        .filter(move |row| row.collective() == collective)
+}
+
+fn segmented(sched: Schedule, chunks: usize) -> Schedule {
+    if chunks > 1 {
+        sched.segmented(chunks)
+    } else {
+        sched
+    }
+}
+
 /// Whether `name` (base name or `+seg{S}`-suffixed) takes Θ(p) communication
-/// steps: only the catalog's `ring` / `pairwise` chains do — every tree,
-/// butterfly and synthesized schedule is logarithmic. The one definition
-/// behind [`AlgorithmId::is_linear`], [`linear_default`] and every
-/// "too many ranks for a linear algorithm" cut-off of the tuner and the
-/// benchmark harness.
+/// steps: only the catalog's [`Family::Linear`] chains do — every tree,
+/// butterfly and synthesized schedule is logarithmic. A name means the same
+/// in every collective that has it, so none is asked for. The definition
+/// behind every "too many ranks for a linear algorithm" cut-off of the tuner
+/// and the benchmark harness.
 pub fn is_linear(name: &str) -> bool {
-    matches!(split_segments(name).0, "ring" | "pairwise")
-}
-
-/// Whether the builder behind base name `base` supports `p` ranks rooted at
-/// `root`: the root must name a rank (so `p >= 1`); the chains, Bruck and
-/// the count-aware `traff` tree build at every rank count, every other tree
-/// and butterfly at powers of two only (`dual-root` needs its two roots).
-/// [`build`] and [`crate::build_irregular`] answer `None` where this is
-/// `false` instead of reaching a builder's assertion.
-pub(crate) fn builds_at(base: &str, p: usize, root: usize) -> bool {
-    root < p
-        && match base {
-            "ring" | "pairwise" | "bruck" | "traff" => true,
-            "dual-root" => p >= 2 && p.is_power_of_two(),
-            _ => p.is_power_of_two(),
-        }
-}
-
-/// The catalog's one table, read by [`has_algorithm`], [`algorithms`] and
-/// [`build`]: per collective, its algorithm enum — `ALL` is what gets
-/// listed — the variants only a name reaches, the binomial-tree / butterfly
-/// baseline of Tables 3–5, and the builder. `$body` is expanded once per
-/// row, with `$listed` and `$unlisted` bound to lists of the row's enum,
-/// `$baseline` to one of its variants and `$build` to a
-/// `Fn(p, root, variant) -> Schedule`.
-macro_rules! per_collective {
-    ($collective:expr, |$listed:ident, $unlisted:ident, $baseline:ident, $build:ident| $body:expr) => {
-        per_collective!(@rows $collective, ($listed, $unlisted, $baseline, $build), $body,
-            Broadcast: BroadcastAlg::BinomialDistanceDoubling, [],
-                |p, root, alg| broadcast(p, root, alg);
-            Reduce: ReduceAlg::BinomialDistanceDoubling, [],
-                |p, root, alg| reduce(p, root, alg);
-            Gather: GatherAlg::BinomialDistanceDoubling, [],
-                |p, root, alg| gather(p, root, alg);
-            Scatter: ScatterAlg::BinomialDistanceDoubling, [],
-                |p, root, alg| scatter(p, root, alg);
-            Allgather: AllgatherAlg::RecursiveDoubling, [],
-                |p, _root, alg| allgather(p, alg);
-            ReduceScatter: ReduceScatterAlg::RecursiveHalving,
-                NonContigStrategy::ALL.map(ReduceScatterAlg::Bine),
-                |p, _root, alg| reduce_scatter(p, alg);
-            Allreduce: AllreduceAlg::RecursiveDoubling, [],
-                |p, _root, alg| allreduce(p, alg);
-            Alltoall: AlltoallAlg::Bruck, [],
-                |p, _root, alg| alltoall(p, alg);
-        )
-    };
-    // The match itself: one arm per row, each binding the four names for
-    // its own enum and then evaluating `$body`.
-    (@rows $collective:expr, ($listed:ident, $unlisted:ident, $baseline:ident, $build:ident),
-     $body:expr, $($variant:ident: $alg:ident :: $base:ident, $extra:expr,
-     |$p:ident, $root:ident, $a:ident| $builder:expr;)*) => {
-        match $collective {
-            $(Collective::$variant => {
-                let ($listed, $baseline) = ($alg::ALL, $alg::$base);
-                let $unlisted: &[$alg] = &$extra;
-                let $build = |$p: usize, $root: usize, $a: $alg| $builder;
-                $body
-            })*
-        }
-    };
+    let base = split_segments(name).0;
+    let chain = |row: &Row| row.family == Family::Linear && row.name() == Some(base);
+    ROWS.iter().any(chain)
 }
 
 /// Whether `name` (base name or `+seg{S}`-suffixed) is a name the *catalog*
@@ -214,32 +407,32 @@ macro_rules! per_collective {
 /// [`crate::synth::SynthSpec::parse`]. Decision-table loading uses this to
 /// reject stale picks at parse time instead of deep in the serve path.
 pub fn has_algorithm(collective: Collective, name: &str) -> bool {
-    let (base, _) = split_segments(name);
-    per_collective!(collective, |listed, unlisted, _baseline, _build| {
-        listed.iter().chain(unlisted).any(|a| a.name() == base)
-    })
+    let base = split_segments(name).0;
+    rows(collective).any(|row| row.name() == Some(base))
 }
 
 /// Lists every algorithm available for `collective`.
 pub fn algorithms(collective: Collective) -> Vec<AlgorithmId> {
-    per_collective!(collective, |listed, _unlisted, baseline, _build| {
-        let ids = listed.iter().map(|a| AlgorithmId {
-            is_bine: a.is_bine(),
-            is_binomial_baseline: *a == baseline,
-            ..AlgorithmId::new(collective, a.name())
-        });
-        ids.collect()
-    })
+    let listed = rows(collective).filter(|row| row.listed);
+    listed.filter_map(|row| Some(row.id(row.name()?))).collect()
+}
+
+/// The v-variant algorithms competing for `collective`, in catalog order,
+/// under the names [`build_irregular`] takes. Empty for collectives without
+/// an irregular variant (the v-variants cover
+/// [`crate::IRREGULAR_COLLECTIVES`]).
+pub fn irregular_algorithms(collective: Collective) -> Vec<AlgorithmId> {
+    rows(collective)
+        .filter_map(|row| Some(row.id(row.v_name?)))
+        .collect()
 }
 
 /// Builds the schedule for a named algorithm.
 ///
 /// `root` is used only by the rooted collectives. Total: returns `None` —
 /// never panics — if the name is unknown for that collective (the unlisted
-/// reduce-scatter strategy variants, `bine-send` …, are known) or its
-/// builder does not support `p` ranks rooted at `root`: the root must name a
-/// rank; `ring`, `pairwise` and `bruck` build at every rank count, every
-/// other tree and butterfly at powers of two only (`dual-root` from two).
+/// reduce-scatter strategy variants, `bine-send` …, are known) or its row
+/// does not build at `p` ranks rooted at `root` ([`Row::builds_at`]).
 ///
 /// A `+seg{S}` suffix with `S >= 2` (e.g. `"bine-large+seg4"`) builds the
 /// base algorithm and then applies the pipelining transform of
@@ -249,13 +442,30 @@ pub fn algorithms(collective: Collective) -> Vec<AlgorithmId> {
 /// its bare name (so algorithm names always round-trip through `build`).
 pub fn build(collective: Collective, name: &str, p: usize, root: usize) -> Option<Schedule> {
     let (base, chunks) = split_segments(name);
-    if chunks > 1 {
-        return build(collective, base, p, root).map(|s| s.segmented(chunks));
+    let row = rows(collective).find(|row| row.name() == Some(base))?;
+    Some(segmented(row.build(base, p, root, None)?, chunks))
+}
+
+/// Builds the irregular (v-variant) schedule for `collective` with algorithm
+/// `name` (optionally `+segS`-suffixed for pipelining): the row's regular
+/// routing — or, for `traff`, a tree shaped by the counts — sized by
+/// `counts`. Total, like [`build`]: `None` — never a panic — for a name that
+/// is not a v-variant of `collective`, for `counts` that do not cover
+/// exactly `p` ranks, and where the row does not build at `p` ranks rooted
+/// at `root`.
+pub fn build_irregular(
+    collective: Collective,
+    name: &str,
+    p: usize,
+    root: usize,
+    counts: &Counts,
+) -> Option<Schedule> {
+    let (base, chunks) = split_segments(name);
+    let row = rows(collective).find(|row| row.v_name == Some(base))?;
+    if counts.num_ranks() != p {
+        return None;
     }
-    per_collective!(collective, |listed, unlisted, _baseline, build| {
-        let alg = listed.iter().chain(unlisted).find(|a| a.name() == name)?;
-        builds_at(name, p, root).then(|| build(p, root, *alg))
-    })
+    Some(segmented(row.build(base, p, root, Some(counts))?, chunks))
 }
 
 /// The algorithm the paper treats as "the Bine algorithm" for a collective
@@ -293,15 +503,17 @@ pub fn binomial_default(collective: Collective, small_vector: bool) -> &'static 
     }
 }
 
-/// The collective's Θ(p)-step algorithm ([`is_linear`]: ring / pairwise) —
-/// the one that builds at every rank count, which is what the serving
-/// ladder's last rung needs after a shrink. `None` for the rooted
+/// The collective's Θ(p)-step algorithm ([`Family::Linear`]: ring /
+/// pairwise) — the one that builds at every rank count, which is what the
+/// serving ladder's last rung needs after a shrink. `None` for the rooted
 /// collectives, which have no such algorithm.
 pub fn linear_default(collective: Collective) -> Option<&'static str> {
-    per_collective!(collective, |listed, _unlisted, _baseline, _build| {
-        listed.iter().map(|a| a.name()).find(|name| is_linear(name))
-    })
+    let chain = |row: &&Row| row.listed && row.family == Family::Linear;
+    rows(collective).find(chain)?.name()
 }
+
+mod walk;
+pub use walk::{walk, Request, Source};
 
 #[cfg(test)]
 mod tests {
@@ -484,7 +696,44 @@ mod tests {
                     "{}",
                     alg.name()
                 );
+                // What `is_linear` reads without a collective agrees.
+                assert_eq!(is_linear(alg.name()), alg.is_linear, "{}", alg.name());
             }
+        }
+    }
+
+    #[test]
+    fn the_typed_enums_list_what_the_rows_list() {
+        for collective in Collective::ALL {
+            let typed = match collective {
+                Collective::Broadcast => BroadcastAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::Reduce => ReduceAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::Gather => GatherAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::Scatter => ScatterAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::Allgather => AllgatherAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::ReduceScatter => ReduceScatterAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::Allreduce => AllreduceAlg::ALL.map(|a| a.name()).to_vec(),
+                Collective::Alltoall => AlltoallAlg::ALL.map(|a| a.name()).to_vec(),
+            };
+            let listed = algorithms(collective);
+            let listed: Vec<&str> = listed.iter().map(|a| a.name()).collect();
+            assert_eq!(listed, typed, "{collective:?}");
+        }
+    }
+
+    #[test]
+    fn a_collective_resolves_each_name_to_one_row() {
+        for collective in Collective::ALL {
+            for names in [Row::name as fn(&Row) -> _, |row| row.v_name] {
+                let mut names: Vec<&str> = rows(collective).filter_map(names).collect();
+                let listed = names.len();
+                names.sort_unstable();
+                names.dedup();
+                assert_eq!(names.len(), listed, "{collective:?}: {names:?}");
+            }
+            let has_variants = !irregular_algorithms(collective).is_empty();
+            let named = crate::IRREGULAR_COLLECTIVES.contains(&collective);
+            assert_eq!(has_variants, named, "{collective:?}");
         }
     }
 

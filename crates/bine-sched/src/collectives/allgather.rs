@@ -6,6 +6,7 @@ use super::builders::{
     butterfly_allgather, butterfly_allgather_permute, force_contiguous, mark_noncontiguous,
     ring_allgather,
 };
+use crate::catalog::RankRule;
 use crate::noncontig::NonContigStrategy;
 use crate::schedule::Schedule;
 use crate::schedule::{BlockId, Collective, Message, Step, TransferKind};
@@ -43,11 +44,6 @@ impl AllgatherAlg {
             AllgatherAlg::Swing => "swing",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(self, AllgatherAlg::Bine)
-    }
 }
 
 /// Builds the allgather schedule for `p` ranks.
@@ -73,11 +69,15 @@ pub fn allgather(p: usize, alg: AllgatherAlg) -> Schedule {
 /// Bine allgather with an explicit non-contiguous-data strategy (Appendix B,
 /// Fig. 14). All four variants exchange exactly the same blocks with the
 /// same peers; they differ in segment counts, local permutation passes and —
-/// for the `Send` strategy — one extra reordering exchange up front.
-pub fn allgather_with_strategy(p: usize, strategy: NonContigStrategy) -> Schedule {
+/// for the `Send` strategy — one extra reordering exchange up front. `None`
+/// off the powers of two, where the butterfly does not exist.
+pub fn allgather_with_strategy(p: usize, strategy: NonContigStrategy) -> Option<Schedule> {
+    if !RankRule::Pow2.admits(p) {
+        return None;
+    }
     let name = format!("bine-{}", strategy.name());
     let bf = Butterfly::new(ButterflyKind::BineDistanceHalving, p);
-    match strategy {
+    Some(match strategy {
         NonContigStrategy::BlockByBlock => {
             let mut sched = mark_noncontiguous(butterfly_allgather(&bf, &name));
             sched.algorithm = name;
@@ -110,7 +110,7 @@ pub fn allgather_with_strategy(p: usize, strategy: NonContigStrategy) -> Schedul
             sched.extend_with(force_contiguous(butterfly_allgather(&bf, &name)));
             sched
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -185,7 +185,7 @@ mod tests {
     fn strategy_variants_deliver_every_block_everywhere() {
         for strategy in NonContigStrategy::ALL {
             for p in [4usize, 32] {
-                let sched = allgather_with_strategy(p, strategy);
+                let sched = allgather_with_strategy(p, strategy).expect("a power of two");
                 assert!(sched.validate().is_ok(), "{}", sched.algorithm);
                 let mut held: Vec<HashSet<u32>> =
                     (0..p).map(|r| HashSet::from([r as u32])).collect();

@@ -59,11 +59,6 @@ impl AllreduceAlg {
             AllreduceAlg::DualRootPipelined => "dual-root",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(self, AllreduceAlg::BineSmall | AllreduceAlg::BineLarge)
-    }
 }
 
 /// Builds the allreduce schedule for `p` ranks.

@@ -30,11 +30,6 @@ impl AlltoallAlg {
             AlltoallAlg::Pairwise => "pairwise",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(self, AlltoallAlg::Bine)
-    }
 }
 
 /// Builds the alltoall schedule for `p` ranks.

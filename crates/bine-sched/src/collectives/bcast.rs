@@ -43,14 +43,6 @@ impl BroadcastAlg {
             BroadcastAlg::ScatterAllgather => "scatter-allgather",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(
-            self,
-            BroadcastAlg::BineTree | BroadcastAlg::BineScatterAllgather
-        )
-    }
 }
 
 /// Builds the broadcast schedule for `p` ranks rooted at `root`.

@@ -34,11 +34,6 @@ impl GatherAlg {
             GatherAlg::BinomialDistanceHalving => "binomial-dh",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(self, GatherAlg::Bine)
-    }
 }
 
 /// Builds the gather schedule for `p` ranks rooted at `root`.

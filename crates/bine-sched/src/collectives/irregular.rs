@@ -1,16 +1,18 @@
-//! Irregular (v-variant) collectives: `gatherv`, `scatterv`, `allgatherv`
-//! and `reduce_scatterv`, where rank `i` owns a share of the vector
-//! proportional to a per-rank count `cᵢ` instead of the uniform `n / p`
-//! split (MPI's `MPI_Gatherv` family).
+//! Irregular (v-variant) collectives — gather, scatter, allgather and
+//! reduce-scatter where rank `i` owns a share of the vector proportional to
+//! a per-rank count `cᵢ` instead of the uniform `n / p` split (MPI's
+//! `MPI_Gatherv` family) — built through [`crate::build_irregular`].
 //!
 //! Routing is count-independent: an irregular schedule moves exactly the
 //! same [`BlockId::Segment`] blocks as its regular counterpart and only the
 //! *sizing* changes, via [`Counts`] attached to the [`Schedule`]. That is
 //! what makes the equal-counts case reproduce the regular byte accounting
-//! bit-exactly (pinned by the regression tests in `bine-net`).
+//! bit-exactly (pinned by the regression tests in `bine-net`), and why a
+//! v-variant is a column of its regular algorithm's catalog row
+//! ([`crate::catalog::Row::v_name`]), not a builder of its own.
 //!
-//! The count-*aware* algorithm is the `traff` tree for the rooted
-//! gatherv/scatterv, after Träff, "On Optimal Trees for Irregular Gather
+//! The one count-*aware* algorithm is the `traff` tree for the rooted
+//! gather and scatter, after Träff, "On Optimal Trees for Irregular Gather
 //! and Scatter Collectives": ranks with heavier counts are placed closer to
 //! the root, so the bulk of the data crosses few tree edges. The tree is a
 //! binomial skeleton over the count-sorted rank order — along every
@@ -18,11 +20,6 @@
 //! round scheduler that respects the single-ported step model.
 
 use crate::schedule::{BlockId, Collective, Counts, Message, Schedule, Step, TransferKind};
-
-use super::allgather::{allgather, AllgatherAlg};
-use super::gather::{gather, GatherAlg};
-use super::reduce_scatter::{reduce_scatter, ReduceScatterAlg};
-use super::scatter::{scatter, ScatterAlg};
 
 /// The size-distribution descriptors the irregular tuning grid is keyed by.
 ///
@@ -85,8 +82,7 @@ impl SizeDist {
 /// for every rank count, which is what lets the `traff` v-variants cover
 /// non-power-of-two configurations.
 #[derive(Debug)]
-pub struct TraffTree {
-    root: usize,
+struct TraffTree {
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
     /// Segments of the subtree rooted at each rank, ascending.
@@ -95,7 +91,7 @@ pub struct TraffTree {
 
 impl TraffTree {
     /// Builds the tree for `p` ranks rooted at `root` from per-rank counts.
-    pub fn new(p: usize, root: usize, counts: &Counts) -> Self {
+    fn new(p: usize, root: usize, counts: &Counts) -> Self {
         assert!(root < p, "root {root} out of range for p = {p}");
         assert_eq!(counts.num_ranks(), p, "counts must cover every rank");
         // Binomial skeleton positions 1..p, shallowest first: position l
@@ -133,30 +129,24 @@ impl TraffTree {
             s.sort_unstable();
         }
         Self {
-            root,
             parent,
             children,
             subtree,
         }
     }
 
-    /// The root rank.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
     /// Parent of `r`, `None` for the root.
-    pub fn parent(&self, r: usize) -> Option<usize> {
+    fn parent(&self, r: usize) -> Option<usize> {
         self.parent[r]
     }
 
     /// Children of `r`, ascending.
-    pub fn children(&self, r: usize) -> &[usize] {
+    fn children(&self, r: usize) -> &[usize] {
         &self.children[r]
     }
 
     /// Segments of the subtree rooted at `r` (including `r`), ascending.
-    pub fn subtree_segments(&self, r: usize) -> &[u32] {
+    fn subtree_segments(&self, r: usize) -> &[u32] {
         &self.subtree[r]
     }
 }
@@ -165,7 +155,11 @@ impl TraffTree {
 /// sends its subtree's segments to its parent once every child has arrived,
 /// and a parent accepts at most one child per step (heaviest-pending first,
 /// ties by rank, for a deterministic schedule).
-fn traff_gather_schedule(p: usize, root: usize, counts: &Counts, algorithm: &str) -> Schedule {
+///
+/// The `traff` gather of the catalog: the caller (`catalog::Row::build`) has
+/// checked that `root < p` and that `counts` cover `p` ranks, and attaches
+/// the counts.
+pub(crate) fn traff_gather(p: usize, root: usize, counts: &Counts, algorithm: &str) -> Schedule {
     let tree = TraffTree::new(p, root, counts);
     let mut sched = Schedule::new(p, Collective::Gather, algorithm, root);
     let mut pending_children: Vec<usize> = (0..p).map(|r| tree.children(r).len()).collect();
@@ -218,10 +212,12 @@ fn traff_gather_schedule(p: usize, root: usize, counts: &Counts, algorithm: &str
     sched
 }
 
-/// Reverses a rooted schedule in time, swapping message directions — turns
-/// a gather into the mirror scatter (the standard gather/scatter duality).
-fn time_reverse(mut sched: Schedule, collective: Collective) -> Schedule {
-    sched.collective = collective;
+/// The `traff` scatter: the gather reversed in time with every message
+/// turned around (the standard gather/scatter duality) — the root starts with
+/// every segment and rank `i` ends up with its own.
+pub(crate) fn traff_scatter(p: usize, root: usize, counts: &Counts, algorithm: &str) -> Schedule {
+    let mut sched = traff_gather(p, root, counts, algorithm);
+    sched.collective = Collective::Scatter;
     sched.steps.reverse();
     for step in &mut sched.steps {
         for m in &mut step.messages {
@@ -229,164 +225,6 @@ fn time_reverse(mut sched: Schedule, collective: Collective) -> Schedule {
         }
     }
     sched
-}
-
-/// Irregular gather: the root ends up holding every rank's
-/// `counts[i]`-weighted segment.
-///
-/// Algorithms: `"traff"` (count-aware tree, any rank count), plus the
-/// count-oblivious `"bine"` / `"binomial-dd"` / `"binomial-dh"` tree
-/// gathers of the regular catalog with irregular sizing attached.
-pub fn gatherv(p: usize, root: usize, counts: Counts, alg: IrregularAlg) -> Schedule {
-    assert_eq!(counts.num_ranks(), p);
-    match alg {
-        IrregularAlg::Traff => {
-            traff_gather_schedule(p, root, &counts, alg.name()).with_counts(counts)
-        }
-        IrregularAlg::Bine => gather(p, root, GatherAlg::Bine).with_counts(counts),
-        IrregularAlg::BinomialDd => {
-            gather(p, root, GatherAlg::BinomialDistanceDoubling).with_counts(counts)
-        }
-        IrregularAlg::Ring => panic!("ring is not a gatherv algorithm"),
-    }
-}
-
-/// Irregular scatter: the mirror of [`gatherv`] — the root starts with
-/// every segment and rank `i` ends up with its own.
-pub fn scatterv(p: usize, root: usize, counts: Counts, alg: IrregularAlg) -> Schedule {
-    assert_eq!(counts.num_ranks(), p);
-    match alg {
-        IrregularAlg::Traff => {
-            let g = traff_gather_schedule(p, root, &counts, alg.name());
-            time_reverse(g, Collective::Scatter).with_counts(counts)
-        }
-        IrregularAlg::Bine => scatter(p, root, ScatterAlg::Bine).with_counts(counts),
-        IrregularAlg::BinomialDd => {
-            scatter(p, root, ScatterAlg::BinomialDistanceDoubling).with_counts(counts)
-        }
-        IrregularAlg::Ring => panic!("ring is not a scatterv algorithm"),
-    }
-}
-
-/// Irregular allgather: every rank ends up holding every rank's weighted
-/// segment. Routing reuses the regular butterfly (`"bine"`, pow2 only) or
-/// ring (`"ring"`, any rank count) allgather.
-pub fn allgatherv(p: usize, counts: Counts, alg: IrregularAlg) -> Schedule {
-    assert_eq!(counts.num_ranks(), p);
-    match alg {
-        IrregularAlg::Bine => allgather(p, AllgatherAlg::Bine).with_counts(counts),
-        IrregularAlg::Ring => allgather(p, AllgatherAlg::Ring).with_counts(counts),
-        other => panic!("{} is not an allgatherv algorithm", other.name()),
-    }
-}
-
-/// Irregular reduce-scatter: rank `i` ends up with the reduction of the
-/// `counts[i]`-weighted segment `i`.
-pub fn reduce_scatterv(p: usize, counts: Counts, alg: IrregularAlg) -> Schedule {
-    assert_eq!(counts.num_ranks(), p);
-    match alg {
-        IrregularAlg::Bine => {
-            reduce_scatter(p, ReduceScatterAlg::Bine(crate::NonContigStrategy::Permute))
-                .with_counts(counts)
-        }
-        IrregularAlg::Ring => reduce_scatter(p, ReduceScatterAlg::Ring).with_counts(counts),
-        other => panic!("{} is not a reduce_scatterv algorithm", other.name()),
-    }
-}
-
-/// Algorithm selector shared by the four v-variants. Not every algorithm
-/// applies to every v-variant — see [`irregular_algorithms`] for the
-/// catalog of valid combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IrregularAlg {
-    /// Träff-style count-aware tree (gatherv/scatterv, any rank count).
-    Traff,
-    /// The regular Bine routing with irregular sizing (pow2 rank counts).
-    Bine,
-    /// The regular distance-doubling binomial tree with irregular sizing
-    /// (gatherv/scatterv, pow2 rank counts).
-    BinomialDd,
-    /// Ring routing with irregular sizing (allgatherv/reduce_scatterv, any
-    /// rank count).
-    Ring,
-}
-
-impl IrregularAlg {
-    /// Harness name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IrregularAlg::Traff => "traff",
-            IrregularAlg::Bine => "bine",
-            IrregularAlg::BinomialDd => "binomial-dd",
-            IrregularAlg::Ring => "ring",
-        }
-    }
-
-    /// Parses the harness name back into a selector.
-    pub fn from_name(name: &str) -> Option<IrregularAlg> {
-        [
-            IrregularAlg::Traff,
-            IrregularAlg::Bine,
-            IrregularAlg::BinomialDd,
-            IrregularAlg::Ring,
-        ]
-        .into_iter()
-        .find(|a| a.name() == name)
-    }
-}
-
-/// The v-variant algorithms competing for `collective`, in catalog order.
-/// Empty for collectives without an irregular variant (the v-variants cover
-/// gather, scatter, allgather and reduce-scatter).
-pub fn irregular_algorithms(collective: Collective) -> Vec<IrregularAlg> {
-    match collective {
-        Collective::Gather | Collective::Scatter => vec![
-            IrregularAlg::Traff,
-            IrregularAlg::Bine,
-            IrregularAlg::BinomialDd,
-        ],
-        Collective::Allgather | Collective::ReduceScatter => {
-            vec![IrregularAlg::Bine, IrregularAlg::Ring]
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Builds the irregular schedule for `collective` with algorithm `name`
-/// (optionally `+segS`-suffixed for pipelining). Total, like the regular
-/// [`crate::build`]: `None` — never a panic — for an unknown or
-/// inapplicable algorithm name, for `counts` that do not cover exactly `p`
-/// ranks, and where the builder does not support `p` ranks rooted at `root`
-/// (`traff` and `ring` build wherever the root names a rank, the rest at
-/// powers of two only).
-pub fn build_irregular(
-    collective: Collective,
-    name: &str,
-    p: usize,
-    root: usize,
-    counts: &Counts,
-) -> Option<Schedule> {
-    let (base, segments) = crate::catalog::split_segments(name);
-    let alg = IrregularAlg::from_name(base)?;
-    if !irregular_algorithms(collective).contains(&alg)
-        || counts.num_ranks() != p
-        || !crate::catalog::builds_at(base, p, root)
-    {
-        return None;
-    }
-    let counts = counts.clone();
-    let sched = match collective {
-        Collective::Gather => gatherv(p, root, counts, alg),
-        Collective::Scatter => scatterv(p, root, counts, alg),
-        Collective::Allgather => allgatherv(p, counts, alg),
-        Collective::ReduceScatter => reduce_scatterv(p, counts, alg),
-        _ => return None,
-    };
-    Some(if segments > 1 {
-        sched.segmented(segments)
-    } else {
-        sched
-    })
 }
 
 /// The collectives that have v-variants, in [`Collective::ALL`] order.
@@ -400,6 +238,8 @@ pub const IRREGULAR_COLLECTIVES: [Collective; 4] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build_irregular;
+    use crate::collectives::{gather, GatherAlg};
     use std::collections::HashSet;
 
     fn some_counts(p: usize) -> Vec<Counts> {
@@ -439,7 +279,7 @@ mod tests {
         for p in [2usize, 3, 5, 8, 12, 17, 32] {
             for counts in some_counts(p) {
                 let root = p / 3;
-                let sched = gatherv(p, root, counts, IrregularAlg::Traff);
+                let sched = build_irregular(Collective::Gather, "traff", p, root, &counts).unwrap();
                 assert!(sched.validate().is_ok(), "p={p}");
                 let mut held: Vec<HashSet<u32>> =
                     (0..p).map(|r| HashSet::from([r as u32])).collect();
@@ -463,7 +303,7 @@ mod tests {
     fn traff_scatterv_delivers_each_rank_its_segment() {
         for p in [2usize, 6, 16, 23] {
             let counts = SizeDist::Linear.counts(p, 0);
-            let sched = scatterv(p, p - 1, counts, IrregularAlg::Traff);
+            let sched = build_irregular(Collective::Scatter, "traff", p, p - 1, &counts).unwrap();
             assert!(sched.validate().is_ok(), "p={p}");
             let mut held: Vec<HashSet<u32>> = (0..p).map(|_| HashSet::new()).collect();
             held[p - 1] = (0..p as u32).collect();
@@ -496,7 +336,7 @@ mod tests {
         let p = 16;
         let root = 4;
         let counts = SizeDist::OneHeavy.counts(p, root);
-        let sched = gatherv(p, root, counts, IrregularAlg::Traff);
+        let sched = build_irregular(Collective::Gather, "traff", p, root, &counts).unwrap();
         assert_eq!(sched.total_network_bytes(1 << 20), 0);
     }
 
@@ -505,7 +345,8 @@ mod tests {
         let p = 16;
         let n = 1 << 20;
         let regular = gather(p, 0, GatherAlg::BinomialDistanceDoubling);
-        let v = gatherv(p, 0, Counts::new(vec![7; p]), IrregularAlg::BinomialDd);
+        let counts = Counts::new(vec![7; p]);
+        let v = build_irregular(Collective::Gather, "binomial-dd", p, 0, &counts).unwrap();
         assert_eq!(v.total_network_bytes(n), regular.total_network_bytes(n));
         assert_eq!(
             v.max_bytes_sent_by_rank(n),

@@ -18,10 +18,7 @@ pub use allreduce::{allreduce, AllreduceAlg};
 pub use alltoall::{alltoall, AlltoallAlg};
 pub use bcast::{broadcast, BroadcastAlg};
 pub use gather::{gather, GatherAlg};
-pub use irregular::{
-    allgatherv, build_irregular, gatherv, irregular_algorithms, reduce_scatterv, scatterv,
-    IrregularAlg, SizeDist, TraffTree, IRREGULAR_COLLECTIVES,
-};
+pub use irregular::{SizeDist, IRREGULAR_COLLECTIVES};
 pub use reduce::{reduce, ReduceAlg};
 pub use reduce_scatter::{reduce_scatter, ReduceScatterAlg};
 pub use scatter::{scatter, ScatterAlg};

@@ -44,14 +44,6 @@ impl ReduceAlg {
             ReduceAlg::ReduceScatterGather => "rs-gather",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(
-            self,
-            ReduceAlg::BineTree | ReduceAlg::BineReduceScatterGather
-        )
-    }
 }
 
 /// Builds the reduce schedule for `p` ranks rooted at `root`.

@@ -43,11 +43,6 @@ impl ReduceScatterAlg {
             ReduceScatterAlg::Swing => "swing",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(self, ReduceScatterAlg::Bine(_))
-    }
 }
 
 /// Builds the reduce-scatter schedule for `p` ranks.

@@ -32,11 +32,6 @@ impl ScatterAlg {
             ScatterAlg::BinomialDistanceHalving => "binomial-dh",
         }
     }
-
-    /// Whether this is a Bine algorithm.
-    pub fn is_bine(&self) -> bool {
-        matches!(self, ScatterAlg::Bine)
-    }
 }
 
 /// Builds the scatter schedule for `p` ranks rooted at `root`.

@@ -637,6 +637,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Source;
     use crate::collectives::{
         allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
     };
@@ -806,42 +807,37 @@ mod tests {
 
     #[test]
     fn slot_layout_holds_for_every_catalog_algorithm() {
-        use crate::{algorithms, build, Collective};
-        for collective in Collective::ALL {
-            for alg in algorithms(collective) {
-                for p in [1usize, 2, 3, 15, 16, 64] {
-                    // Some generators only exist at power-of-two rank
-                    // counts; the layout is claimed for whatever builds.
-                    match build(collective, alg.name(), p, 0) {
-                        Some(sched) => drop(check_slot_layout(&sched)),
-                        None => assert!(
-                            !p.is_power_of_two() || p == 1,
-                            "{collective:?}/{} must build at p={p}",
-                            alg.name()
-                        ),
-                    }
-                }
+        // The layout is claimed for whatever builds: every regular and
+        // synthesized name of the walk, bare, at the first root.
+        let irregular = |r: &crate::Request| matches!(r.source, Source::Irregular(..));
+        let bare = |r: &crate::Request| r.root == 0 && r.segments == 1 && !irregular(r);
+        let mut checked = 0;
+        for request in crate::walk(&[1, 2, 3, 15, 16, 64]).into_iter().filter(bare) {
+            if let Some(sched) = request.build() {
+                check_slot_layout(&sched);
+                checked += 1;
             }
         }
+        assert!(checked > 150, "only {checked} layouts checked");
     }
 
     #[test]
     fn slot_layout_holds_for_the_irregular_builders() {
-        use crate::{build_irregular, irregular_algorithms, Collective, SizeDist};
-        for collective in [Collective::Gather, Collective::Allgather] {
-            for alg in irregular_algorithms(collective) {
-                for dist in SizeDist::ALL {
-                    for (p, root) in [(16, 5), (64, 0)] {
-                        let counts = dist.counts(p, root);
-                        for name in [alg.name().to_string(), format!("{}+seg3", alg.name())] {
-                            let sched = build_irregular(collective, &name, p, root, &counts)
-                                .unwrap_or_else(|| panic!("{collective:?}/{name} did not build"));
-                            check_slot_layout(&sched);
-                        }
-                    }
-                }
+        // Every v-variant under every distribution, bare and segmented, at
+        // the first root and an interior one.
+        let mut checked = 0;
+        for request in crate::walk(&[16, 64]) {
+            let irregular = matches!(request.source, Source::Irregular(..));
+            if !irregular || ![0, request.p / 3].contains(&request.root) {
+                continue;
             }
+            let sched = request
+                .build()
+                .unwrap_or_else(|| panic!("{}", request.label()));
+            check_slot_layout(&sched);
+            checked += 1;
         }
+        assert_eq!(checked, 10 * 3 * 2 * 2 * 3);
     }
 
     #[test]

@@ -44,12 +44,10 @@ pub mod synth;
 pub mod validate;
 
 pub use catalog::{
-    algorithms, bine_default, binomial_default, build, has_algorithm, is_linear, linear_default,
-    split_segments, AlgorithmId,
+    algorithms, bine_default, binomial_default, build, build_irregular, has_algorithm,
+    irregular_algorithms, is_linear, linear_default, split_segments, walk, AlgorithmId, Request,
 };
-pub use collectives::{
-    build_irregular, irregular_algorithms, IrregularAlg, SizeDist, IRREGULAR_COLLECTIVES,
-};
+pub use collectives::{SizeDist, IRREGULAR_COLLECTIVES};
 pub use compile::{
     BlockEntry, BlockInterner, BlockMajor, CompiledSchedule, CompiledSend, SlotLayout,
 };
@@ -66,6 +64,5 @@ pub use synth::{
     SYNTH_PREFIX,
 };
 pub use validate::{
-    validate_schedule, CompletionReport, PendingRecv, RankMap, ScheduleValidator, StallReason,
-    ValidationError,
+    CompletionReport, PendingRecv, RankMap, ScheduleValidator, StallReason, ValidationError,
 };

@@ -527,50 +527,18 @@ impl Schedule {
     pub fn extend_with(&mut self, other: Schedule) {
         self.steps.extend(other.steps);
     }
-
-    /// Basic structural validation: ranks in range, no rank appears as the
-    /// source or destination of two different network messages within the
-    /// same step (single-ported model), and no empty messages.
-    pub fn validate(&self) -> Result<(), String> {
-        if let Some(c) = &self.counts {
-            if c.num_ranks() != self.num_ranks {
-                return Err(format!(
-                    "counts cover {} ranks but the schedule has {}",
-                    c.num_ranks(),
-                    self.num_ranks
-                ));
-            }
-        }
-        for (i, step) in self.steps.iter().enumerate() {
-            let mut sending = vec![false; self.num_ranks];
-            let mut receiving = vec![false; self.num_ranks];
-            for m in &step.messages {
-                if m.src >= self.num_ranks || m.dst >= self.num_ranks {
-                    return Err(format!("step {i}: rank out of range in {m:?}"));
-                }
-                if m.blocks.is_empty() {
-                    return Err(format!("step {i}: empty message {m:?}"));
-                }
-                if m.is_local() {
-                    continue;
-                }
-                if sending[m.src] {
-                    return Err(format!("step {i}: rank {} sends twice", m.src));
-                }
-                if receiving[m.dst] {
-                    return Err(format!("step {i}: rank {} receives twice", m.dst));
-                }
-                sending[m.src] = true;
-                receiving[m.dst] = true;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::{ScheduleValidator, ValidationError};
+
+    /// The structural check alone: these tests validate fragments, which
+    /// deliver nothing.
+    fn check_well_formed(sched: &Schedule) -> Result<(), ValidationError> {
+        ScheduleValidator::new(&sched.compile()).check_well_formed()
+    }
 
     #[test]
     fn block_sizes() {
@@ -675,14 +643,18 @@ mod tests {
         // n = 800, total = 8: segment 0 = ceil(800·3/8) = 300, segment 2 = 0.
         assert_eq!(sched.total_network_bytes(800), 300);
         assert_eq!(sched.max_bytes_sent_by_rank(800), 300);
-        assert!(sched.validate().is_ok());
+        assert_eq!(check_well_formed(&sched), Ok(()));
     }
 
     #[test]
     fn validation_catches_count_rank_mismatch() {
         let mut sched = Schedule::new(4, Collective::Allgather, "test", 0);
         sched.counts = Some(Counts::new(vec![1, 2]));
-        assert!(sched.validate().is_err());
+        let mismatch = ValidationError::CountsMismatch {
+            counts: 2,
+            ranks: 4,
+        };
+        assert_eq!(sched.validate(), Err(mismatch));
     }
 
     #[test]
@@ -704,7 +676,8 @@ mod tests {
             4,
         ));
         sched.push_step(step);
-        assert!(sched.validate().is_err());
+        let twice = ValidationError::MultipleSends { step: 0, rank: 0 };
+        assert_eq!(sched.validate(), Err(twice));
     }
 
     #[test]
@@ -735,6 +708,6 @@ mod tests {
         sched.push_step(step);
         assert_eq!(sched.total_network_bytes(400), 100 + 200);
         assert_eq!(sched.max_bytes_sent_by_rank(400), 200);
-        assert!(sched.validate().is_ok());
+        assert_eq!(check_well_formed(&sched), Ok(()));
     }
 }

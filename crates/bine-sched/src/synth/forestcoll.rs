@@ -253,7 +253,6 @@ pub fn build(view: &TopologyView, root: usize, k: usize) -> Option<Schedule> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate_schedule;
 
     #[test]
     fn full_mesh_builds_and_validates() {
@@ -263,7 +262,9 @@ mod tests {
             assert!(k >= 1);
             let sched = build(&view, 0, k).unwrap();
             assert_eq!(sched.num_ranks, p);
-            validate_schedule(&sched).unwrap_or_else(|e| panic!("p={p} k={k}: {e:?}"));
+            sched
+                .validate()
+                .unwrap_or_else(|e| panic!("p={p} k={k}: {e:?}"));
             sched.validate().unwrap();
         }
     }
@@ -292,7 +293,9 @@ mod tests {
             let k = best_k(&view, root).unwrap();
             let sched = build(&view, root, k).unwrap();
             assert_eq!(sched.root, root);
-            validate_schedule(&sched).unwrap_or_else(|e| panic!("root={root}: {e:?}"));
+            sched
+                .validate()
+                .unwrap_or_else(|e| panic!("root={root}: {e:?}"));
         }
     }
 

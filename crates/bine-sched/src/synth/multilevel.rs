@@ -199,7 +199,6 @@ pub fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate_schedule;
 
     fn views() -> Vec<TopologyView> {
         vec![
@@ -225,7 +224,8 @@ mod tests {
                     sched
                         .validate()
                         .unwrap_or_else(|e| panic!("{collective:?} tiers={tiers}: {e}"));
-                    validate_schedule(&sched)
+                    sched
+                        .validate()
                         .unwrap_or_else(|e| panic!("{collective:?} tiers={tiers}: {e:?}"));
                 }
             }

@@ -745,11 +745,13 @@ impl<'a> ScheduleValidator<'a> {
     }
 }
 
-/// Compiles and fully validates `schedule` (well-formedness, acyclicity,
-/// delivery) — the one-call form for schedule-producer tests.
-pub fn validate_schedule(schedule: &Schedule) -> Result<(), ValidationError> {
-    let compiled = schedule.compile();
-    ScheduleValidator::new(&compiled).validate()
+impl Schedule {
+    /// Compiles the schedule and runs [`ScheduleValidator::validate`] on it
+    /// (well-formedness, acyclicity, delivery) — the one-call form for
+    /// schedule producers and their tests.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        ScheduleValidator::new(&self.compile()).validate()
+    }
 }
 
 #[cfg(test)]
@@ -761,30 +763,26 @@ mod tests {
 
     #[test]
     fn every_catalog_algorithm_validates() {
-        for collective in Collective::ALL {
-            for alg in crate::catalog::algorithms(collective) {
-                let sched = build(collective, alg.name(), 16, 3)
-                    .unwrap_or_else(|| panic!("{}", alg.name()));
-                assert_eq!(
-                    validate_schedule(&sched),
-                    Ok(()),
-                    "{collective:?} {}",
-                    alg.name()
-                );
+        let mut validated = 0;
+        for request in crate::walk(&[16]) {
+            if let Some(sched) = request.build() {
+                assert_eq!(sched.validate(), Ok(()), "{}", request.label());
+                validated += 1;
             }
         }
+        assert!(validated > 900, "only {validated} schedules validated");
     }
 
     #[test]
     fn segmented_and_irregular_schedules_validate() {
         let seg = build(Collective::Allreduce, "bine-large+seg4", 16, 0).unwrap();
-        assert_eq!(validate_schedule(&seg), Ok(()));
-        use crate::collectives::{build_irregular, SizeDist};
+        assert_eq!(seg.validate(), Ok(()));
+        use crate::{build_irregular, SizeDist};
         for dist in SizeDist::ALL {
             let counts = dist.counts(8, 0);
             let sched =
                 build_irregular(Collective::Gather, "traff", 8, 0, &counts).expect("gatherv");
-            assert_eq!(validate_schedule(&sched), Ok(()), "gatherv {}", dist.name());
+            assert_eq!(sched.validate(), Ok(()), "gatherv {}", dist.name());
         }
     }
 
@@ -793,7 +791,7 @@ mod tests {
         let mut sched = allreduce(8, AllreduceAlg::RecursiveDoubling);
         let last = sched.steps.len() - 1;
         sched.steps[last].messages.remove(0);
-        match validate_schedule(&sched) {
+        match sched.validate() {
             Err(ValidationError::Incomplete { .. }) => {}
             other => panic!("expected Incomplete, got {other:?}"),
         }
@@ -807,7 +805,7 @@ mod tests {
         let mut sched = allreduce(8, AllreduceAlg::BineLarge);
         let last = sched.steps.len() - 1;
         sched.steps.swap(0, last);
-        match validate_schedule(&sched) {
+        match sched.validate() {
             Err(
                 ValidationError::MissingBlock { .. }
                 | ValidationError::DuplicateContribution { .. }
@@ -849,10 +847,9 @@ mod tests {
         // per-segment hop counts differ and a corrupted count cannot cancel
         // out of the total the way it can in a ring (where every segment
         // travels the same p − 1 hops).
-        use crate::collectives::{gatherv, IrregularAlg, SizeDist};
         let p = 8;
-        let counts = SizeDist::Linear.counts(p, 0);
-        let sched = gatherv(p, 0, counts.clone(), IrregularAlg::Traff);
+        let counts = crate::SizeDist::Linear.counts(p, 0);
+        let sched = crate::build_irregular(Collective::Gather, "traff", p, 0, &counts).unwrap();
         let n = 1 << 16;
         let true_bytes = sched.total_network_bytes(n);
         let true_msgs = sched.messages().filter(|(_, m)| !m.is_local()).count() as u64;

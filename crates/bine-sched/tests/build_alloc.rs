@@ -9,31 +9,32 @@
 mod counting;
 use counting::allocations_in as allocations;
 
-use bine_sched::{algorithms, build, Collective};
+use bine_sched::catalog::Source;
+use bine_sched::walk;
 
 #[test]
 fn every_catalog_algorithm_allocates_for_its_schedule_plus_linear_scratch() {
     let mut over = Vec::new();
     let mut built = 0;
-    for p in [64usize, 256] {
-        for collective in Collective::ALL {
-            for alg in algorithms(collective) {
-                let (allocated, sched) = allocations(|| build(collective, alg.name(), p, 0));
-                let sched = sched.expect("listed algorithms build at powers of two");
-                let (messages, steps) = (sched.messages().count(), sched.num_steps());
-                let bound = (messages + steps + 3 * p + 64) as u64;
-                if allocated > bound {
-                    over.push(format!(
-                        "{}/{} p={p}: {allocated} allocations for {messages} messages in \
-                         {steps} steps (bound {bound})",
-                        collective.name(),
-                        alg.name()
-                    ));
-                }
-                built += 1;
-            }
+    // Every regular name, listed or not, bare, at the first root.
+    for request in walk(&[64, 256]) {
+        if !matches!(request.source, Source::Regular(_)) || request.segments > 1 || request.root > 0
+        {
+            continue;
         }
+        let (allocated, sched) = allocations(|| request.build());
+        let sched = sched.expect("every row builds at powers of two");
+        let (messages, steps) = (sched.messages().count(), sched.num_steps());
+        let bound = (messages + steps + 3 * request.p + 64) as u64;
+        if allocated > bound {
+            over.push(format!(
+                "{}: {allocated} allocations for {messages} messages in {steps} steps \
+                 (bound {bound})",
+                request.label()
+            ));
+        }
+        built += 1;
     }
-    assert!(built >= 2 * 30, "only {built} builds measured");
+    assert_eq!(built, 2 * 37, "builds measured");
     assert!(over.is_empty(), "{}", over.join("\n"));
 }

@@ -8,7 +8,9 @@
 //! count the builder refuses is folded in as such, so the *set* of buildable
 //! counts is pinned too. The irregular builders (every `SizeDist` at
 //! `(p, root)` ∈ {(7, 0), (16, 5)}) and both synthesizers (on the clustered
-//! `[4, 3, 5]` view) get a line each the same way.
+//! `[4, 3, 5]` view) get a line each the same way. The configurations are
+//! the bare-name requests of [`bine_sched::walk`] at those rank counts and
+//! roots, in the walk's order.
 //!
 //! A builder refactor must leave the file untouched. After a change that is
 //! *meant* to move a schedule, re-record it with
@@ -16,14 +18,10 @@
 //! and commit the diff next to the regenerated `tuning/` tables.
 
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use bine_sched::catalog::Source;
 use bine_sched::collectives::allgather::allgather_with_strategy;
-use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, BlockId,
-    Collective, NonContigStrategy, Schedule, SizeDist, SynthSpec, TopologyView, TransferKind,
-    IRREGULAR_COLLECTIVES,
-};
+use bine_sched::{walk, BlockId, NonContigStrategy, Request, Schedule, TransferKind};
 
 const GOLDEN: &str = include_str!("catalog_golden.txt");
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/catalog_golden.txt");
@@ -106,17 +104,7 @@ struct Line {
 }
 
 impl Line {
-    fn new(name: String) -> Self {
-        Line {
-            name,
-            cells: Vec::new(),
-        }
-    }
-
-    /// Builds one configuration, a builder panic (unsupported rank count)
-    /// counting as a refusal.
-    fn cell(&mut self, label: String, build: impl FnOnce() -> Option<Schedule>) {
-        let built = catch_unwind(AssertUnwindSafe(build)).ok().flatten();
+    fn cell(&mut self, label: String, built: Option<Schedule>) {
         self.cells.push((label, built.as_ref().map(digest)));
     }
 
@@ -153,92 +141,67 @@ impl Line {
     }
 }
 
-fn catalog_lines() -> Vec<Line> {
-    let rank_counts = || (2..=33usize).chain([64, 128]);
-    let mut lines = Vec::new();
-    for collective in Collective::ALL {
-        // The listed algorithms, plus the reduce-scatter strategy variants
-        // `build` resolves by name without listing them.
-        let mut names: Vec<String> = algorithms(collective)
-            .iter()
-            .map(|a| a.name().to_owned())
-            .collect();
-        if collective == Collective::ReduceScatter {
-            for strategy in NonContigStrategy::ALL {
-                let name = format!("bine-{}", strategy.name());
-                if !names.contains(&name) {
-                    names.push(name);
-                }
-            }
-        }
-        for name in names {
-            let mut line = Line::new(format!("{}/{name}", collective.name()));
-            for p in rank_counts() {
-                for root in [0, 1] {
-                    line.cell(format!("p={p} root={root}"), || {
-                        build(collective, &name, p, root)
-                    });
-                }
-            }
-            lines.push(line);
-        }
+/// The line a bare-name request of the walk is recorded on and its cell's
+/// label there — `None` for the configurations the file does not hold.
+fn recorded_as(request: &Request) -> Option<(String, String)> {
+    let Request { name, p, root, .. } = request;
+    let collective = request.collective.name();
+    if request.segments != 1 {
+        return None;
     }
-    // Fig. 14's allgather strategies are built by function, not by name.
-    for strategy in NonContigStrategy::ALL {
-        let mut line = Line::new(format!("allgather-strategy/{}", strategy.name()));
-        for p in rank_counts() {
-            line.cell(format!("p={p}"), || {
-                Some(allgather_with_strategy(p, strategy))
-            });
+    match request.source {
+        Source::Regular(_) if *root <= 1 => {
+            Some((format!("{collective}/{name}"), format!("p={p} root={root}")))
         }
-        lines.push(line);
-    }
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            let mut line = Line::new(format!("{}v/{}", collective.name(), alg.name()));
-            for dist in SizeDist::ALL {
-                for (p, root) in [(7usize, 0usize), (16, 5)] {
-                    let counts = dist.counts(p, root);
-                    line.cell(format!("{} p={p} root={root}", dist.name()), || {
-                        build_irregular(collective, alg.name(), p, root, &counts)
-                    });
-                }
-            }
-            lines.push(line);
+        Source::Irregular(_, dist) if [(7, 0), (16, 5)].contains(&(*p, *root)) => Some((
+            format!("{collective}v/{name}"),
+            format!("{} p={p} root={root}", dist.name()),
+        )),
+        Source::Synth([4, 3, 5]) if *root <= 1 => {
+            Some((format!("{collective}/{name}"), format!("root={root}")))
         }
+        _ => None,
     }
-    let view = TopologyView::clustered(&[4, 3, 5], (100.0, 0.3), (5.0, 25.0)).expect("valid view");
-    for collective in [
-        Collective::Broadcast,
-        Collective::Reduce,
-        Collective::Allreduce,
-    ] {
-        for id in synth_algorithms(collective, &view) {
-            let spec = SynthSpec::parse(id.name()).expect("listed names parse");
-            let mut line = Line::new(format!("{}/{}", collective.name(), id.name()));
-            for root in [0, 1] {
-                line.cell(format!("root={root}"), || {
-                    spec.synthesize(collective, &view, root)
-                });
-            }
-            lines.push(line);
-        }
-    }
-    lines
 }
 
-/// Every line, with the refusals' panic messages kept off the test output.
-fn quiet_catalog_lines() -> Vec<Line> {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let lines = catch_unwind(catalog_lines);
-    std::panic::set_hook(hook);
-    lines.expect("enumerating the catalog")
+fn catalog_lines() -> Vec<Line> {
+    let rank_counts: Vec<usize> = (2..=33).chain([64, 128]).collect();
+    let mut lines: Vec<Line> = Vec::new();
+    let mut regular_lines = 0;
+    for request in walk(&rank_counts) {
+        let Some((name, label)) = recorded_as(&request) else {
+            continue;
+        };
+        // A line's requests are consecutive in the walk.
+        if lines.last().is_none_or(|line| line.name != name) {
+            let cells = Vec::new();
+            lines.push(Line { name, cells });
+        }
+        let line = lines.last_mut().expect("pushed above");
+        line.cell(label, request.build());
+        if matches!(request.source, Source::Regular(_)) {
+            regular_lines = lines.len();
+        }
+    }
+    // Fig. 14's allgather strategies are built by function, not by name; the
+    // file holds them between the regular lines and the v-variants.
+    let strategy_line = |strategy: NonContigStrategy| {
+        let name = format!("allgather-strategy/{}", strategy.name());
+        let cells = Vec::new();
+        let mut line = Line { name, cells };
+        for &p in &rank_counts {
+            line.cell(format!("p={p}"), allgather_with_strategy(p, strategy));
+        }
+        line
+    };
+    let strategies = NonContigStrategy::ALL.map(strategy_line);
+    lines.splice(regular_lines..regular_lines, strategies);
+    lines
 }
 
 #[test]
 fn every_builder_emits_the_recorded_schedules() {
-    let lines = quiet_catalog_lines();
+    let lines = catalog_lines();
     let synthesizers = lines.iter().filter(|l| l.name.contains("/synth:")).count();
     assert!(
         synthesizers >= 2,
@@ -269,6 +232,6 @@ fn every_builder_emits_the_recorded_schedules() {
 #[test]
 #[ignore = "re-records tests/catalog_golden.txt; run by name after an intended schedule change"]
 fn record() {
-    let text: String = quiet_catalog_lines().iter().map(Line::render).collect();
+    let text: String = catalog_lines().iter().map(Line::render).collect();
     std::fs::write(GOLDEN_PATH, text).expect("writing the golden file");
 }

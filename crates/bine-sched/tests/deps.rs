@@ -11,8 +11,9 @@
 //! * a rank's sends issue in **`(step, order)` order**.
 //!
 //! "Latest" and "previous" are by global send index. Edge sets, in-degrees
-//! and rank queues must agree over the whole catalog, the irregular builders
-//! and both synthesizers, and every edge must point forward.
+//! and rank queues must agree over the whole walk of the catalog — regular
+//! and v-variant names, both synthesizers, bare and segmented — and every
+//! edge must point forward.
 //!
 //! The allocation count is measured with a per-thread counting wrapper
 //! around the system allocator (tests are their own crates, so
@@ -24,11 +25,10 @@ use counting::allocations_in as allocations;
 
 use std::collections::BTreeSet;
 
+use bine_sched::catalog::Source;
 use bine_sched::collectives::{allreduce, AllreduceAlg};
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, BlockId,
-    Collective, CompiledSchedule, DepGraph, Message, Schedule, SizeDist, Step, SynthSpec,
-    TopologyView, TransferKind, IRREGULAR_COLLECTIVES,
+    walk, BlockId, Collective, CompiledSchedule, DepGraph, Message, Schedule, Step, TransferKind,
 };
 
 /// One send as the definition sees it.
@@ -132,87 +132,36 @@ fn assert_graph_matches_the_definition(c: &CompiledSchedule, what: &str) {
     }
 }
 
-#[test]
-fn the_graph_is_its_definition_over_the_catalog() {
+/// Checks every request of the walk over `ranks` that `keep` keeps, at the
+/// first root and an interior one; returns how many schedules that was.
+fn check_the_walk(ranks: &[usize], keep: impl Fn(&Source) -> bool) -> usize {
     let mut checked = 0;
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            for p in [1usize, 2, 4, 8, 16, 32] {
-                let Some(sched) = build(collective, alg.name(), p, 0) else {
-                    assert_eq!(
-                        p,
-                        1,
-                        "{}/{} must build at p={p}",
-                        collective.name(),
-                        alg.name()
-                    );
-                    continue;
-                };
-                for chunks in [1, 4] {
-                    let what = format!("{}/{} p={p} S={chunks}", collective.name(), alg.name());
-                    assert_graph_matches_the_definition(&sched.compile_segmented(chunks), &what);
-                    checked += 1;
-                }
-            }
+    for request in walk(ranks) {
+        if !keep(&request.source) || ![0, request.p / 3].contains(&request.root) {
+            continue;
+        }
+        if let Some(sched) = request.build() {
+            assert_graph_matches_the_definition(&sched.compile(), &request.label());
+            checked += 1;
         }
     }
-    assert!(checked > 400, "only {checked} catalog schedules checked");
+    checked
+}
+
+#[test]
+fn the_graph_is_its_definition_over_the_catalog() {
+    let checked = check_the_walk(&[1, 2, 4, 8, 16, 32], |s| matches!(s, Source::Regular(_)));
+    assert!(checked > 1000, "only {checked} catalog schedules checked");
 }
 
 #[test]
 fn the_graph_is_its_definition_for_irregular_and_synthesized_schedules() {
     // `SizeDist::ALL` includes the one-heavy layout: every rank but one has
     // a zero count.
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            for dist in SizeDist::ALL {
-                for (p, root) in [(7usize, 0usize), (16, 5)] {
-                    let counts = dist.counts(p, root);
-                    let built = build_irregular(collective, alg.name(), p, root, &counts);
-                    let Some(sched) = built else {
-                        assert_eq!(
-                            p,
-                            7,
-                            "{}v/{} must build at p={p}",
-                            collective.name(),
-                            alg.name()
-                        );
-                        continue;
-                    };
-                    for chunks in [1, 4] {
-                        let what = format!(
-                            "{}v/{} {} p={p} S={chunks}",
-                            collective.name(),
-                            alg.name(),
-                            dist.name()
-                        );
-                        assert_graph_matches_the_definition(
-                            &sched.compile_segmented(chunks),
-                            &what,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let view = TopologyView::clustered(&[4, 3, 5], (100.0, 0.3), (5.0, 25.0)).unwrap();
-    let mut synthesizers = BTreeSet::new();
-    for collective in [
-        Collective::Broadcast,
-        Collective::Reduce,
-        Collective::Allreduce,
-    ] {
-        for id in synth_algorithms(collective, &view) {
-            let spec = SynthSpec::parse(id.name()).unwrap();
-            let sched = spec.synthesize(collective, &view, 1).expect("synthesizes");
-            for chunks in [1, 4] {
-                let what = format!("{}/{} S={chunks}", collective.name(), id.name());
-                assert_graph_matches_the_definition(&sched.compile_segmented(chunks), &what);
-            }
-            synthesizers.insert(id.name().split(':').nth(1).map(str::to_owned));
-        }
-    }
-    assert_eq!(synthesizers.len(), 2, "both synthesizers: {synthesizers:?}");
+    let irregular = check_the_walk(&[7, 16], |s| matches!(s, Source::Irregular(..)));
+    assert_eq!(irregular, (4 + 10) * 3 * 2 * 3, "irregular schedules");
+    let synthesized = check_the_walk(&[], |s| matches!(s, Source::Synth(_)));
+    assert!(synthesized >= 4 * 3 * 3, "only {synthesized} synthesized");
 }
 
 #[test]

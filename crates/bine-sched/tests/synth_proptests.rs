@@ -13,7 +13,7 @@
 //! non-deterministic synthesizer would serve a schedule the tuner never
 //! measured.
 
-use bine_sched::{synth_algorithms, validate_schedule, Collective, SynthSpec, TopologyView};
+use bine_sched::{synth_algorithms, Collective, SynthSpec, TopologyView};
 use proptest::prelude::*;
 
 /// The collectives the synthesizers support (tree-shaped dataflow).
@@ -75,7 +75,7 @@ proptest! {
                 continue;
             };
             prop_assert_eq!(sched.num_ranks, p);
-            if let Err(e) = validate_schedule(&sched) {
+            if let Err(e) = sched.validate() {
                 return Err(TestCaseError::fail(format!(
                     "{}/{:?} p={p} root={root}: {e}",
                     id.name(), collective

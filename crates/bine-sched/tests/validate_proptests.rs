@@ -3,11 +3,12 @@
 //! Two directions, both fuzzed over the whole catalog:
 //!
 //! * **soundness on real schedules** — every schedule the catalog builds
-//!   (all collectives × algorithms × segmentations × irregular
-//!   distributions, power-of-two and non-power-of-two rank counts where
-//!   the builder supports them) passes [`bine_sched::ScheduleValidator`]
-//!   end to end. The validator is the gate the CI sweep runs over the
-//!   committed catalog; a false positive here would block good schedules.
+//!   (a request drawn from [`bine_sched::walk`]: all collectives ×
+//!   algorithms × segmentations × irregular distributions, power-of-two
+//!   and non-power-of-two rank counts where the row builds) passes
+//!   [`bine_sched::ScheduleValidator`] end to end. The validator is the
+//!   gate the CI sweep runs over the committed catalog; a false positive
+//!   here would block good schedules.
 //! * **sensitivity to seeded corruption** — schedules mutated in ways
 //!   real bugs produce (a dropped send, reordered tree steps, a count
 //!   vector that does not match the rank count) are rejected, and with
@@ -22,16 +23,20 @@
 //! `build` is total (`tests/build_total.rs`): a skipped configuration is
 //! one the catalog answers `None` for, never a silenced failure.
 
+use std::sync::OnceLock;
+
+use bine_sched::catalog::Source;
 use bine_sched::schedule::contiguity_of;
 use bine_sched::{
-    algorithms, build, build_irregular, irregular_algorithms, synth_algorithms, validate_schedule,
-    BlockId, Collective, CompiledSchedule, Schedule, SizeDist, SynthSpec, TopologyView,
-    ValidationError, IRREGULAR_COLLECTIVES,
+    build, walk, BlockId, Collective, CompiledSchedule, Request, Schedule, SizeDist,
+    ValidationError,
 };
 use proptest::prelude::*;
 
-fn any_collective() -> impl Strategy<Value = Collective> {
-    prop::sample::select(Collective::ALL.to_vec())
+/// The walk over p ∈ 2..=33, for the properties that draw a request from it.
+fn requests() -> &'static [Request] {
+    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
+    REQUESTS.get_or_init(|| walk(&(2..=33).collect::<Vec<_>>()))
 }
 
 /// Everything a [`CompiledSchedule`] holds but its `identity`, through the
@@ -74,69 +79,46 @@ fn assert_fused_lowering_equals_the_reference(sched: &Schedule, what: &str) {
 
 #[test]
 fn fused_lowering_equals_segment_then_compile_over_the_catalog() {
-    for collective in Collective::ALL {
-        for alg in algorithms(collective) {
-            for p in (2..=33).chain([64]) {
-                let roots: &[usize] = if collective.is_rooted() {
-                    &[0, 1]
-                } else {
-                    &[0]
-                };
-                for &root in roots {
-                    let Some(sched) = build(collective, alg.name(), p, root) else {
-                        continue;
-                    };
-                    let what = format!("{}/{} p={p} root={root}", collective.name(), alg.name());
-                    assert_fused_lowering_equals_the_reference(&sched, &what);
-                }
-            }
+    let ranks: Vec<usize> = (2..=33).chain([64]).collect();
+    let mut lowered = 0;
+    for request in walk(&ranks) {
+        // Bare regular names at the first two roots.
+        if !matches!(request.source, Source::Regular(_))
+            || request.segments > 1
+            || request.root > 1
+            || request.repeats_root_zero()
+        {
+            continue;
+        }
+        if let Some(sched) = request.build() {
+            assert_fused_lowering_equals_the_reference(&sched, &request.label());
+            lowered += 1;
         }
     }
+    assert!(lowered > 400, "only {lowered} schedules lowered");
 }
 
 #[test]
 fn fused_lowering_equals_segment_then_compile_for_synthesized_and_irregular_schedules() {
-    for groups in [&[8usize, 8][..], &[4, 3, 5], &[2, 6]] {
-        let view = TopologyView::clustered(groups, (100.0, 0.3), (5.0, 25.0)).unwrap();
-        for collective in [
-            Collective::Broadcast,
-            Collective::Reduce,
-            Collective::Allreduce,
-        ] {
-            for id in synth_algorithms(collective, &view) {
-                let spec = SynthSpec::parse(id.name()).unwrap();
-                for root in [0, 1] {
-                    let Some(sched) = spec.synthesize(collective, &view, root) else {
-                        continue;
-                    };
-                    let what =
-                        format!("{}/{} {groups:?} root={root}", collective.name(), id.name());
-                    assert_fused_lowering_equals_the_reference(&sched, &what);
-                }
-            }
+    // Both synthesizers on every fixture view; every v-variant under every
+    // `SizeDist` — the one-heavy layout included: every rank but one has a
+    // zero count.
+    let mut lowered = 0;
+    for request in walk(&[2, 7, 16, 17]) {
+        let kept = match request.source {
+            Source::Regular(_) => false,
+            Source::Irregular(..) => request.root == 0,
+            Source::Synth(_) => request.root <= 1,
+        };
+        if !kept || request.segments > 1 {
+            continue;
+        }
+        if let Some(sched) = request.build() {
+            assert_fused_lowering_equals_the_reference(&sched, &request.label());
+            lowered += 1;
         }
     }
-    // `SizeDist::ALL` includes the one-heavy layout: every rank but one has
-    // a zero count.
-    for collective in IRREGULAR_COLLECTIVES {
-        for alg in irregular_algorithms(collective) {
-            for dist in SizeDist::ALL {
-                for p in [2usize, 7, 16, 17] {
-                    let counts = dist.counts(p, 0);
-                    let Some(sched) = build_irregular(collective, alg.name(), p, 0, &counts) else {
-                        continue;
-                    };
-                    let what = format!(
-                        "{}v/{} {} p={p}",
-                        collective.name(),
-                        alg.name(),
-                        dist.name()
-                    );
-                    assert_fused_lowering_equals_the_reference(&sched, &what);
-                }
-            }
-        }
-    }
+    assert!(lowered > 90, "only {lowered} schedules lowered");
 }
 
 /// `Full`, a segment, or a pairwise block (the vendored proptest has no
@@ -180,58 +162,35 @@ proptest! {
         prop_assert_eq!(contiguity_of(&blocks, 24) as usize, runs.max(1), "{:?}", blocks);
     }
 
-    // Soundness: whatever the catalog builds — any collective, any
-    // algorithm, any segmentation, any rank count (power of two or not),
-    // any root — the validator accepts it.
+    // Soundness: whatever the walk builds — any collective, any name
+    // (regular, v-variant under any distribution — the one-heavy one, whose
+    // zero-count segments are the classic edge case for delivery
+    // accounting, included — or synthesized), any segmentation, any rank
+    // count (power of two or not), any root — the validator accepts it.
     #[test]
-    fn every_catalog_schedule_validates(
-        collective in any_collective(),
-        alg_seed in 0usize..100,
-        p in 2usize..=33,
-        chunks in prop::sample::select(vec![1usize, 2, 4]),
-        root_seed in 0usize..1000,
-    ) {
-        let algs = algorithms(collective);
-        let alg = algs[alg_seed % algs.len()].clone();
-        let Some(sched) = build(collective, alg.name(), p, root_seed % p) else {
+    fn every_catalog_schedule_validates(draw in 0usize..1 << 30) {
+        let regular: Vec<&Request> = requests()
+            .iter()
+            .filter(|r| !matches!(r.source, Source::Irregular(..)))
+            .collect();
+        let request = regular[draw % regular.len()];
+        let Some(sched) = request.build() else {
             return Ok(());
         };
-        let sched = sched.segmented(chunks);
-        prop_assert!(
-            validate_schedule(&sched).is_ok(),
-            "{}/{} p={p} chunks={chunks}: {:?}",
-            collective.name(), alg.name(), validate_schedule(&sched)
-        );
+        prop_assert!(sched.validate().is_ok(), "{}: {:?}", request.label(), sched.validate());
     }
 
-    // Soundness over the irregular (v-variant) catalog, including the
-    // one-heavy distribution whose zero-count segments are the classic
-    // edge case for delivery accounting.
     #[test]
-    fn every_irregular_schedule_validates(
-        coll_seed in 0usize..4,
-        alg_seed in 0usize..100,
-        dist in prop::sample::select(SizeDist::ALL.to_vec()),
-        p in 2usize..=17,
-        chunks in prop::sample::select(vec![1usize, 2]),
-    ) {
-        let collective = IRREGULAR_COLLECTIVES[coll_seed % IRREGULAR_COLLECTIVES.len()];
-        let algs = irregular_algorithms(collective);
-        let alg = algs[alg_seed % algs.len()];
-        let counts = dist.counts(p, 0);
-        let name = if chunks > 1 {
-            format!("{}+seg{chunks}", alg.name())
-        } else {
-            alg.name().to_string()
-        };
-        let Some(sched) = build_irregular(collective, &name, p, 0, &counts) else {
+    fn every_irregular_schedule_validates(draw in 0usize..1 << 30) {
+        let irregular: Vec<&Request> = requests()
+            .iter()
+            .filter(|r| matches!(r.source, Source::Irregular(..)))
+            .collect();
+        let request = irregular[draw % irregular.len()];
+        let Some(sched) = request.build() else {
             return Ok(());
         };
-        prop_assert!(
-            validate_schedule(&sched).is_ok(),
-            "{}v/{name} p={p} dist={}: {:?}",
-            collective.name(), dist.name(), validate_schedule(&sched)
-        );
+        prop_assert!(sched.validate().is_ok(), "{}: {:?}", request.label(), sched.validate());
     }
 
     // Sensitivity: dropping any network send from a schedule in which
@@ -267,7 +226,7 @@ proptest! {
             }
             victim -= step.messages.len();
         }
-        let err = validate_schedule(&sched);
+        let err = sched.validate();
         prop_assert!(
             matches!(
                 err,
@@ -293,7 +252,7 @@ proptest! {
             return Ok(());
         };
         sched.steps.reverse();
-        let err = validate_schedule(&sched);
+        let err = sched.validate();
         prop_assert!(
             matches!(err, Err(ValidationError::MissingBlock { .. })),
             "broadcast/{name} p={p}: reversed steps gave {err:?}"
@@ -304,30 +263,27 @@ proptest! {
     // well-formedness failure with the exact mismatch in the diagnosis.
     #[test]
     fn corrupted_irregular_counts_are_diagnosed_as_a_mismatch(
-        coll_seed in 0usize..4,
-        s in 1u32..=4,
+        draw in 0usize..1 << 30,
         shrink in 1usize..=2,
     ) {
-        let collective = IRREGULAR_COLLECTIVES[coll_seed % IRREGULAR_COLLECTIVES.len()];
-        let p = 1usize << s;
-        if p <= shrink {
-            return Ok(());
-        }
-        let counts = SizeDist::Linear.counts(p, 0);
-        let algs = irregular_algorithms(collective);
-        let built = algs
+        let irregular: Vec<&Request> = requests()
             .iter()
-            .find_map(|alg| build_irregular(collective, alg.name(), p, 0, &counts));
-        let Some(mut sched) = built else { return Ok(()) };
+            .filter(|r| matches!(r.source, Source::Irregular(..)) && r.p > shrink)
+            .collect();
+        let request = irregular[draw % irregular.len()];
+        let Some(mut sched) = request.build() else {
+            return Ok(());
+        };
+        let p = request.p;
         sched.counts = Some(SizeDist::Linear.counts(p - shrink, 0));
-        let err = validate_schedule(&sched);
+        let err = sched.validate();
         prop_assert!(
             matches!(
                 err,
                 Err(ValidationError::CountsMismatch { counts, ranks })
                     if counts == p - shrink && ranks == p
             ),
-            "{}v p={p}: shrunk counts gave {err:?}", collective.name()
+            "{}: shrunk counts gave {err:?}", request.label()
         );
     }
 }

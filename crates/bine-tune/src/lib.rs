@@ -82,7 +82,7 @@ pub use service::{
 };
 pub use table::{slug, DecisionTable, Entry, ScoreModel};
 pub use tuner::{
-    candidates, pruned_best, tuned_name, Candidate, CellBest, Target, Tuner, TunerConfig,
-    DES_ALLTOALL_MAX_NODES, DES_MAX_NODES, DES_TOP_K, MAX_LINEAR_NODES, MIN_SEGMENT_BYTES,
-    SEGMENT_COUNTS,
+    candidates, irregular_scores, pruned_best, tuned_name, Candidate, CellBest, Target, Tuner,
+    TunerConfig, DES_ALLTOALL_MAX_NODES, DES_MAX_NODES, DES_TOP_K, MAX_LINEAR_NODES,
+    MIN_SEGMENT_BYTES, SEGMENT_COUNTS,
 };

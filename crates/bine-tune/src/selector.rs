@@ -142,8 +142,8 @@ impl SelectorIndex {
     /// entries for that distribution — a selector over an older table keeps
     /// answering rather than returning `None` for every irregular query.
     ///
-    /// On a dist-grid hit the returned pick names an
-    /// [`bine_sched::IrregularAlg`], buildable via
+    /// On a dist-grid hit the returned pick names a v-variant
+    /// ([`bine_sched::irregular_algorithms`]), buildable via
     /// [`bine_sched::build_irregular`] with the caller's real counts; on
     /// regular-grid fallback it names a catalog algorithm (the equal-counts
     /// pick), which the caller can run as-is when the imbalance is mild or

@@ -38,8 +38,8 @@ use std::collections::HashMap;
 
 use bine_net::cost::{CostModel, LowerBounds};
 use bine_sched::{
-    algorithms, binomial_default, irregular_algorithms, is_linear, AlgorithmId, Collective,
-    ProviderSet, SizeDist, IRREGULAR_COLLECTIVES,
+    algorithms, binomial_default, irregular_algorithms, AlgorithmId, Collective, ProviderSet,
+    SizeDist, IRREGULAR_COLLECTIVES,
 };
 
 use crate::score::{Scorer, TunePoint};
@@ -463,21 +463,9 @@ impl Tuner {
         }
     }
 
-    /// Tunes one irregular (v-variant) grid point: every applicable
-    /// [`bine_sched::IrregularAlg`] that builds at `nodes` ranks is scored
-    /// flat with the synchronous model under `dist`'s synthetic counts
-    /// (root 0, heavy rank 0 — the placement the harness evaluates); the
-    /// argmin becomes the entry, ties resolving by candidate order exactly
-    /// as the regular sweep resolves them by catalog order. The linear-step
-    /// ring is excluded above [`MAX_LINEAR_NODES`], mirroring the regular
-    /// sweep.
-    ///
-    /// Deliberately **unpruned** and synchronous-only: the catalog's cheap
-    /// lower bounds assume equal per-rank counts, which skewed
-    /// distributions violate (a one-heavy gatherv moves `n` bytes over one
-    /// edge per tree level, nothing like `n/p` per rank), so a bound-driven
-    /// skip could silently change an argmin. The candidate sets are tiny
-    /// (2–3 algorithms), which keeps the exhaustive sweep cheap.
+    /// Tunes one irregular (v-variant) grid point: the minimum of
+    /// [`irregular_scores`] becomes the entry, ties resolving by candidate
+    /// order exactly as the regular sweep resolves them by catalog order.
     pub fn tune_irregular_point(
         &mut self,
         collective: Collective,
@@ -485,30 +473,16 @@ impl Tuner {
         nodes: usize,
         vector_bytes: u64,
     ) -> Entry {
-        let mut best: Option<(&'static str, f64)> = None;
-        for alg in irregular_algorithms(collective) {
-            if is_linear(alg.name()) && nodes > MAX_LINEAR_NODES {
-                continue;
-            }
-            let score = self.scorer.score(
-                collective,
-                Some(dist),
-                alg.name(),
-                nodes,
-                vector_bytes,
-                ScoreModel::Sync,
-            );
-            if let Some(t) = score.filter(|&t| best.is_none_or(|(_, bt)| t < bt)) {
-                best = Some((alg.name(), t));
-            }
-        }
+        let scores = irregular_scores(&mut self.scorer, collective, dist, nodes, vector_bytes);
+        // `min_by` keeps the first of equal minima.
+        let best = scores.into_iter().min_by(|a, b| a.1.total_cmp(&b.1));
         let (pick, time_us) = best.expect("every v-variant collective has candidates");
         Entry {
             collective,
             dist: Some(dist),
             nodes,
             vector_bytes,
-            pick: pick.to_string(),
+            pick: pick.name().to_string(),
             model: ScoreModel::Sync,
             time_us,
         }
@@ -570,6 +544,42 @@ impl Tuner {
     }
 }
 
+/// The candidates of one irregular (v-variant) grid point with their
+/// scores, in catalog order — what [`Tuner::tune_irregular_point`] takes the
+/// first minimum of and `bine-bench sweep irregular` prints. Every v-variant
+/// of `collective` ([`irregular_algorithms`]) that builds at `nodes` ranks is
+/// scored flat with the synchronous model under `dist`'s synthetic counts
+/// (root 0, heavy rank 0 — the placement the harness evaluates). The
+/// linear-step ring is excluded above [`MAX_LINEAR_NODES`], mirroring the
+/// regular sweep.
+///
+/// Deliberately **unpruned** and synchronous-only: the catalog's cheap
+/// lower bounds assume equal per-rank counts, which skewed distributions
+/// violate (a one-heavy gatherv moves `n` bytes over one edge per tree
+/// level, nothing like `n/p` per rank), so a bound-driven skip could
+/// silently change an argmin. The candidate sets are tiny (2–3 algorithms),
+/// which keeps the exhaustive sweep cheap.
+pub fn irregular_scores(
+    scorer: &mut Scorer,
+    collective: Collective,
+    dist: SizeDist,
+    nodes: usize,
+    vector_bytes: u64,
+) -> Vec<(AlgorithmId, f64)> {
+    let affordable = |alg: &AlgorithmId| !alg.is_linear || nodes <= MAX_LINEAR_NODES;
+    let mut scores = Vec::new();
+    for alg in irregular_algorithms(collective)
+        .into_iter()
+        .filter(affordable)
+    {
+        let (dist, model) = (Some(dist), ScoreModel::Sync);
+        if let Some(t) = scorer.score(collective, dist, alg.name(), nodes, vector_bytes, model) {
+            scores.push((alg, t));
+        }
+    }
+    scores
+}
+
 /// The catalog name of a pick: `name` for one segment, `name+segS`
 /// otherwise.
 pub fn tuned_name(base: &str, segments: usize) -> String {
@@ -585,7 +595,6 @@ mod tests {
     use super::*;
     use bine_net::allocation::Allocation;
     use bine_net::topology::IdealFullMesh;
-    use bine_sched::IrregularAlg;
 
     fn target(node_counts: &[usize]) -> Target {
         Target {
@@ -619,10 +628,9 @@ mod tests {
         for e in &entries {
             assert!(e.dist.is_some());
             assert_eq!(e.model, ScoreModel::Sync);
-            let alg = IrregularAlg::from_name(&e.pick)
-                .unwrap_or_else(|| panic!("{} is not an irregular algorithm", e.pick));
+            let algs = irregular_algorithms(e.collective);
             assert!(
-                irregular_algorithms(e.collective).contains(&alg),
+                algs.iter().any(|alg| alg.name() == e.pick),
                 "{} picked for {:?}",
                 e.pick,
                 e.collective
