@@ -9,13 +9,18 @@
 //! pre-step state and applied per receiver in schedule order — exactly the
 //! order the reference interpreter applies them in.
 //!
-//! A rank's [`DenseState`] has one slot per block the rank ever sends or
-//! receives — its local slots in the schedule's
-//! [`SlotLayout`](bine_sched::SlotLayout) — not one per block the schedule
-//! interned, so building, converting and dropping the state of a request
-//! costs what its ranks touch. Every payload of the compiled form carries
-//! its local slot at both ends, so the step kernel indexes `slots[local]`
-//! directly.
+//! A rank's [`DenseState`] is a [`BlockStore`] held under the schedule's key
+//! table — the [`SlotLayout`](bine_sched::SlotLayout) the handle shares with
+//! it: one slot per block the rank ever sends or receives, its local slots,
+//! not one per block the schedule interned, so building and dropping the
+//! state of a request costs what its ranks touch. Every payload of the
+//! compiled form carries its local slot at both ends, so the step kernel
+//! indexes `slots[local]` directly. [`to_dense`] puts stores under the
+//! table — block by block (`BlockId` → interned index → local slot) for a
+//! store in map form or under another table, not at all for one that is
+//! under this table already, such as the finals of an earlier run —
+//! and [`from_dense`] has nothing left to do: the finals *are* the dense
+//! states, and answer by `BlockId` through the table they keep alive.
 //!
 //! One compiled form, two walks over it. The **step walk** (`run_steps`) is
 //! the step kernel — `gather_recvs` then `apply_recvs`, written once here —
@@ -46,92 +51,49 @@ use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
 use crate::state::{reduce_into, Block, BlockStore};
 
-/// The data a single rank holds, in dense form: slot `i` is the payload of
-/// the `i`-th block of the rank's
-/// [`rank_blocks`](bine_sched::SlotLayout::rank_blocks).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DenseState {
-    /// One slot per block the rank touches (None = not held).
-    slots: Vec<Option<Block>>,
-    /// The store the state was converted from, minus the blocks now in
-    /// `slots`: what the rank holds but never moves (e.g. the alltoall block
-    /// a rank keeps for itself under an algorithm that never moves it) is
-    /// carried through here untouched, and [`from_dense`] refills the rest.
-    unmoved: BlockStore,
-}
+/// The data a single rank holds, in dense form: a [`BlockStore`] held under
+/// the key table of the schedule being run — slot `i` is the payload of the
+/// `i`-th block of the rank's
+/// [`rank_blocks`](bine_sched::SlotLayout::rank_blocks), and what the rank
+/// holds but never moves (the alltoall block a rank keeps for itself under
+/// an algorithm that never moves it) rides along in the store's map,
+/// untouched.
+pub type DenseState = BlockStore;
 
-impl DenseState {
-    /// Number of held blocks (slots plus schedule-untouched blocks).
-    pub fn len(&self) -> usize {
-        self.held_slots() + self.unmoved.len()
-    }
-
-    /// Whether the rank holds no blocks at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn held_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
-/// Converts symbolic per-rank stores into dense states for `compiled`.
-pub fn to_dense(compiled: &CompiledSchedule, initial: Vec<BlockStore>) -> Vec<DenseState> {
+/// Puts symbolic per-rank stores under `compiled`'s key table, in place.
+///
+/// A store that is already there — the finals of an earlier run of this
+/// handle, for this rank — is taken as it is; any other (a store a caller
+/// built, another handle's finals) is re-keyed block by block:
+/// `BlockId` → interned index → local slot.
+pub fn to_dense(compiled: &CompiledSchedule, mut initial: Vec<BlockStore>) -> Vec<DenseState> {
     assert_eq!(
         initial.len(),
         compiled.num_ranks,
         "initial state must have one store per rank"
     );
-    let layout = compiled.slot_layout();
+    let table = compiled.slot_layout();
+    for (rank, store) in initial.iter_mut().enumerate() {
+        store.rekey(table, rank);
+    }
     initial
-        .into_iter()
-        .enumerate()
-        .map(|(rank, mut store)| {
-            let mut slots = vec![None; layout.rank_blocks(rank).len()];
-            let mut unmoved = Vec::new();
-            for (id, payload) in store.drain() {
-                let interned = compiled.blocks().index_of(&id);
-                match interned.and_then(|block| layout.local_slot(rank, block)) {
-                    Some(slot) => slots[slot] = Some(payload),
-                    None => unmoved.push((id, payload)),
-                }
-            }
-            for (id, payload) in unmoved {
-                store.insert(id, payload);
-            }
-            DenseState {
-                slots,
-                unmoved: store,
-            }
-        })
-        .collect()
 }
 
-/// Converts dense states back into symbolic per-rank stores.
+/// Hands dense states back as the per-rank stores they are: the finals stay
+/// under `compiled`'s key table (which they keep alive, see [`BlockStore`]),
+/// so leaving dense form moves, hashes and allocates nothing.
+///
+/// # Panics
+/// Panics if a state was not built for this schedule and rank.
 pub fn from_dense(compiled: &CompiledSchedule, finals: Vec<DenseState>) -> Vec<BlockStore> {
-    let layout = compiled.slot_layout();
+    let table = compiled.slot_layout();
+    for (rank, state) in finals.iter().enumerate() {
+        assert!(
+            state.is_keyed_by(table, rank),
+            "dense state of rank {rank} was not built for this schedule"
+        );
+    }
     finals
-        .into_iter()
-        .enumerate()
-        .map(|(rank, dense)| {
-            let touched = layout.rank_blocks(rank);
-            assert_eq!(
-                dense.slots.len(),
-                touched.len(),
-                "dense state of rank {rank} was not built for this schedule"
-            );
-            let held = dense.held_slots();
-            let mut store = dense.unmoved;
-            store.reserve(held);
-            for (&block, slot) in touched.iter().zip(dense.slots) {
-                if let Some(payload) = slot {
-                    store.insert(compiled.blocks().resolve(block), payload);
-                }
-            }
-            store
-        })
-        .collect()
 }
 
 /// Executes `compiled` over dense states, in place.
@@ -259,7 +221,6 @@ pub(crate) fn run_steps(
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
 pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState]) {
-    let layout = compiled.slot_layout();
     let order = compiled.block_major();
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
@@ -269,12 +230,12 @@ pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState])
             // Stage the block's payloads of the step before any slot mutates.
             staging.extend(in_step.iter().map(|e| {
                 let (send, k) = payload_of(e);
-                let (src, slot) = (&states[send.src as usize], layout.src_slots(send)[k]);
+                let (src, slot) = (&states[send.src as usize], compiled.src_slots(send)[k]);
                 Block::clone(held_block(compiled, e.step as usize, send, k, src, slot))
             }));
             for (e, payload) in in_step.iter().zip(staging.drain(..)) {
                 let (send, k) = payload_of(e);
-                let slot = layout.dst_slots(send)[k] as usize;
+                let slot = compiled.dst_slots(send)[k] as usize;
                 let held = &mut states[send.dst as usize].slots[slot];
                 receive(compiled, send, k, held, payload);
             }
@@ -357,7 +318,6 @@ pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
     state_of: impl Fn(usize) -> S,
     staging: &mut Vec<Option<Block>>,
 ) {
-    let layout = compiled.slot_layout();
     staging.clear();
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
         if dead.is_some_and(|dead| dead[send.src as usize]) {
@@ -365,7 +325,7 @@ pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
             continue;
         }
         let src = state_of(send.src as usize);
-        let payloads = layout.src_slots(send).iter().enumerate();
+        let payloads = compiled.src_slots(send).iter().enumerate();
         staging.extend(payloads.map(|(k, &slot)| {
             Some(Block::clone(held_block(
                 compiled, step, send, k, &src, slot,
@@ -396,7 +356,6 @@ pub(crate) fn apply_recvs<S: DerefMut<Target = DenseState>>(
     staging: &mut [Option<Block>],
     mut state_of: impl FnMut(usize) -> S,
 ) -> Option<u32> {
-    let layout = compiled.slot_layout();
     let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
     let dst_of = |send_idx: u32| compiled.send(send_idx as usize).dst;
     let mut stalled: Option<u32> = None;
@@ -415,7 +374,7 @@ pub(crate) fn apply_recvs<S: DerefMut<Target = DenseState>>(
                 dst = None;
                 continue;
             }
-            for ((k, &slot), payload) in layout.dst_slots(send).iter().enumerate().zip(payloads) {
+            for ((k, &slot), payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads) {
                 let payload = payload.take().expect("staged payload missing");
                 receive(compiled, send, k, &mut state.slots[slot as usize], payload);
             }
@@ -451,6 +410,18 @@ mod tests {
         let initial = w.initial_state(&sched);
         let round_tripped = from_dense(&compiled, to_dense(&compiled, initial.clone()));
         assert_eq!(initial, round_tripped);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 was not built for this schedule")]
+    fn from_dense_rejects_states_of_another_handle_or_rank() {
+        let sched = alltoall(8, AlltoallAlg::Bine);
+        let (compiled, other) = (sched.compile(), sched.compile());
+        let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
+        let mut dense = to_dense(&compiled, initial.clone());
+        // Rank 0 is this handle's, rank 1 an equal handle's.
+        dense[1] = to_dense(&other, initial).swap_remove(1);
+        from_dense(&compiled, dense);
     }
 
     #[test]

@@ -6,10 +6,19 @@
 //! the final states are checked against analytically computed expectations.
 //! This is the substitute for running the collectives on a real MPI cluster:
 //! the data semantics of every algorithm are exercised end to end.
+//!
+//! One store type serves both ends of an execution. What a caller builds is
+//! a map; what the dense executors run on, and return, is the same store
+//! with its blocks under the compiled schedule's key table (see
+//! [`BlockStore`]) — so leaving dense form re-hashes nothing, and the only
+//! re-keying of a request is [`crate::compiled::to_dense`]'s, of input that
+//! is not under the handle's table yet.
 
 use std::sync::Arc;
 
-use bine_sched::{BlockId, BlockMap, Collective, Contract, Counts, Granularity, Schedule};
+use bine_sched::{
+    BlockId, BlockMap, Collective, Contract, Counts, Granularity, Schedule, SlotLayout,
+};
 
 /// A shared, immutable-until-owned block payload.
 ///
@@ -35,16 +44,51 @@ pub(crate) fn reduce_into(existing: &mut Block, value: &[f64]) {
     }
 }
 
-/// The data a single rank holds: a map from block identifiers to shared
-/// value vectors.
+/// The data a single rank holds: shared value vectors by block identifier.
 ///
-/// Cloning a `BlockStore` clones the map but *shares* every payload, so a
-/// clone is O(blocks), not O(elements). All mutation goes through
-/// [`BlockStore::insert`] (replace) or [`BlockStore::reduce`]
-/// (copy-on-write), which keeps shared payloads safe.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Cloning a `BlockStore` *shares* every payload, so a clone is O(blocks),
+/// not O(elements). All mutation goes through [`BlockStore::insert`]
+/// (replace) or [`BlockStore::reduce`] (copy-on-write), which keeps shared
+/// payloads safe.
+///
+/// # Two forms, one behaviour
+///
+/// A store a caller builds holds its blocks in a map (*map form*). A store
+/// an executor has run holds them under the key table of the schedule it
+/// ran — the [`SlotLayout`] of the compiled handle, which names the block
+/// behind every local slot of every rank: a vector of payloads indexed by
+/// local slot, the executors' dense state as it is, plus a map for the
+/// blocks the table has no slot for at this rank (what the rank holds and
+/// the schedule never moves, what a caller inserts later). Every method
+/// answers the same in both forms, and two stores are equal when they hold
+/// the same blocks with the same values, whichever form either is in.
+/// What differs is the cost: by-id access to a table-backed block goes
+/// through the table (`BlockId` → interned index → local slot),
+/// [`BlockStore::len`] and [`BlockStore::is_empty`] count the occupied
+/// slots, and handing finals back to the handle that produced them
+/// ([`crate::compiled::to_dense`]) is free.
+///
+/// A table-backed store shares the table with the handle it came from
+/// (an `Arc`): finals keep the key table alive for as long as they are
+/// held — the interned ids and the per-rank slot lists — and nothing else
+/// of the handle, which may be dropped or evicted from a cache before them.
+#[derive(Clone, Default)]
 pub struct BlockStore {
+    /// The blocks `keyed` has no slot for — all of them in map form.
     blocks: BlockMap<Block>,
+    /// `slots[i]` is the payload of block `i` of this rank's row of the key
+    /// table (`None` = not held); empty in map form. This is what the
+    /// executor kernel indexes.
+    pub(crate) slots: Vec<Option<Block>>,
+    /// The key table `slots` is held under and whose row of it: the rank.
+    /// `None` in map form.
+    keyed: Option<(Arc<SlotLayout>, usize)>,
+}
+
+/// The local slot `table` gives block `id` at `rank`, if it has one.
+fn slot_under(table: &SlotLayout, rank: usize, id: &BlockId) -> Option<usize> {
+    let interned = table.blocks().index_of(id)?;
+    table.local_slot(rank, interned)
 }
 
 impl BlockStore {
@@ -53,26 +97,68 @@ impl BlockStore {
         Self::default()
     }
 
-    /// Makes room for `additional` more blocks, so that inserting them does
-    /// not regrow the store step by step.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.blocks.reserve(additional);
+    /// Whether the store holds its blocks under `table`'s row for `rank` —
+    /// this very table, not an equal one.
+    pub(crate) fn is_keyed_by(&self, table: &Arc<SlotLayout>, rank: usize) -> bool {
+        matches!(&self.keyed, Some((held, row)) if Arc::ptr_eq(held, table) && *row == rank)
+    }
+
+    /// Puts the store under `table`'s row for `rank`: every block the row
+    /// has a slot for moves into `slots`, the rest stays in the map. A store
+    /// that is already there — the finals of an earlier run of the same
+    /// handle — is left as it is; anything else is re-keyed block by block.
+    pub(crate) fn rekey(&mut self, table: &Arc<SlotLayout>, rank: usize) {
+        if self.is_keyed_by(table, rank) {
+            return;
+        }
+        if self.keyed.is_some() {
+            // Another handle's finals, or another rank's: through map form.
+            self.blocks = std::mem::take(self).into_blocks().collect();
+        }
+        let mut slots = vec![None; table.rank_blocks(rank).len()];
+        let mut unmoved = Vec::new();
+        for (id, payload) in self.blocks.drain() {
+            match slot_under(table, rank, &id) {
+                Some(slot) => slots[slot] = Some(payload),
+                None => unmoved.push((id, payload)),
+            }
+        }
+        // The map keeps its allocation for what the rank never moves.
+        self.blocks.extend(unmoved);
+        self.slots = slots;
+        self.keyed = Some((Arc::clone(table), rank));
+    }
+
+    /// The slot block `id` lives in, if the store is table-backed and the
+    /// table has one for it at this rank; the block lives in the map
+    /// otherwise.
+    fn slot_of(&self, id: &BlockId) -> Option<usize> {
+        let (table, rank) = self.keyed.as_ref()?;
+        slot_under(table, *rank, id)
     }
 
     /// Returns the value of a block, if held.
     pub fn get(&self, id: &BlockId) -> Option<&Vec<f64>> {
-        self.blocks.get(id).map(|b| b.as_ref())
+        self.get_shared(id).map(|b| b.as_ref())
     }
 
     /// Returns the shared payload of a block, if held (a clone of the result
     /// is a refcount bump, not a copy).
     pub fn get_shared(&self, id: &BlockId) -> Option<&Block> {
-        self.blocks.get(id)
+        match self.slot_of(id) {
+            Some(slot) => self.slots[slot].as_ref(),
+            None => self.blocks.get(id),
+        }
     }
 
     /// Stores (or overwrites) a block.
     pub fn insert(&mut self, id: BlockId, value: impl Into<Block>) {
-        self.blocks.insert(id, value.into());
+        match self.slot_of(&id) {
+            Some(slot) => self.slots[slot] = Some(value.into()),
+            None => {
+                self.blocks.insert(id, value.into());
+            }
+        }
     }
 
     /// Reduces `value` elementwise into the stored block, inserting it if the
@@ -80,7 +166,11 @@ impl BlockStore {
     /// ranks (or a snapshot) is copied once, an exclusively owned payload is
     /// mutated in place.
     pub fn reduce(&mut self, id: BlockId, value: &[f64]) {
-        match self.blocks.get_mut(&id) {
+        let held = match self.slot_of(&id) {
+            Some(slot) => self.slots[slot].as_mut(),
+            None => self.blocks.get_mut(&id),
+        };
+        match held {
             Some(existing) => {
                 assert_eq!(
                     existing.len(),
@@ -89,52 +179,75 @@ impl BlockStore {
                 );
                 reduce_into(existing, value);
             }
-            None => {
-                self.blocks.insert(id, Arc::new(value.to_vec()));
-            }
+            None => self.insert(id, value.to_vec()),
         }
     }
 
-    /// Number of blocks held.
+    /// Number of blocks held. A table-backed store counts its occupied
+    /// slots: O(slots), not O(1).
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.slots.iter().flatten().count() + self.blocks.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.blocks.is_empty() && self.slots.iter().all(Option::is_none)
     }
 
     /// Iterates over the held blocks.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &Vec<f64>)> {
-        self.blocks.iter().map(|(id, b)| (id, b.as_ref()))
+        let in_slots = self.slots.iter().enumerate().filter_map(|(slot, held)| {
+            let (table, rank) = self.keyed.as_ref()?;
+            Some((table.block_at(*rank, slot), held.as_ref()?.as_ref()))
+        });
+        in_slots.chain(self.blocks.iter().map(|(id, b)| (id, b.as_ref())))
     }
 
     /// Consumes the store, yielding every `(id, shared payload)` pair
     /// without copying or refcount churn.
     pub fn into_blocks(self) -> impl Iterator<Item = (BlockId, Block)> {
-        self.blocks.into_iter()
+        let Self {
+            blocks,
+            slots,
+            keyed,
+        } = self;
+        let in_slots = slots
+            .into_iter()
+            .enumerate()
+            .filter_map(move |(slot, held)| {
+                let (table, rank) = keyed.as_ref()?;
+                Some((*table.block_at(*rank, slot), held?))
+            });
+        in_slots.chain(blocks)
     }
 
-    /// Empties the store, yielding every `(id, shared payload)` pair; the
-    /// store keeps its allocation for what is inserted next.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (BlockId, Block)> + '_ {
-        self.blocks.drain()
-    }
-
-    /// A clone that deep-copies every payload (no sharing with `self`).
+    /// A clone that deep-copies every payload (no sharing with `self`), in
+    /// map form.
     ///
     /// Only the preserved reference interpreter uses this — it reproduces
     /// the seed executor's O(ranks × elements) per-step snapshot cost, which
     /// the benchmarks compare the zero-copy executors against.
     pub fn deep_clone(&self) -> Self {
+        let copied = self.iter().map(|(id, b)| (*id, Arc::new(b.clone())));
         Self {
-            blocks: self
-                .blocks
-                .iter()
-                .map(|(id, b)| (*id, Arc::new(b.as_ref().clone())))
-                .collect(),
+            blocks: copied.collect(),
+            ..Self::default()
         }
+    }
+}
+
+/// Contents, not form: the same blocks with equal values, whether either
+/// side holds them in a map or under a key table.
+impl PartialEq for BlockStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().all(|(id, value)| other.get(id) == Some(value))
+    }
+}
+
+/// The held blocks as a map, whichever form they are held in.
+impl std::fmt::Debug for BlockStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -312,7 +425,178 @@ pub(crate) fn initial_stores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bine_sched::collectives::{allreduce, broadcast, AllreduceAlg, BroadcastAlg};
+    use bine_sched::collectives::{
+        allreduce, broadcast, gather, AllreduceAlg, BroadcastAlg, GatherAlg,
+    };
+
+    const SEG: fn(u32) -> BlockId = BlockId::Segment;
+
+    /// The key table of a gather tree over 8 ranks rooted at 0: the root's
+    /// row has a slot for every segment it receives (its own it never
+    /// moves), a leaf's row for its own alone.
+    fn gather_table() -> (Arc<SlotLayout>, usize) {
+        let compiled = gather(8, 0, GatherAlg::Bine).compile();
+        let table = Arc::clone(compiled.slot_layout());
+        let leaf = (1..8)
+            .find(|&rank| table.rank_blocks(rank).len() == 1)
+            .expect("a gather tree has leaves");
+        assert_eq!(table.rank_blocks(0).len(), 7);
+        (table, leaf)
+    }
+
+    /// Segments 1, 2 and 5 (as `[i, i]`) and `Full` under the root's row of
+    /// the gather table — three occupied slots of seven, one block in the
+    /// map — and the same four blocks in map form.
+    fn table_backed_and_map_form() -> (BlockStore, BlockStore) {
+        let mut map_form = BlockStore::new();
+        for i in [1, 2, 5] {
+            map_form.insert(SEG(i), vec![i as f64; 2]);
+        }
+        map_form.insert(BlockId::Full, vec![9.0]);
+        let mut keyed = map_form.clone();
+        keyed.rekey(&gather_table().0, 0);
+        (keyed, map_form)
+    }
+
+    #[test]
+    fn a_table_backed_store_answers_like_the_map_it_was_built_from() {
+        let (keyed, map_form) = table_backed_and_map_form();
+        assert_eq!(keyed.slots.len(), 7, "one slot per block of the row");
+        assert_eq!(keyed.blocks.len(), 1, "the table has no slot for Full");
+        // Hits, a miss inside the table, a miss outside it.
+        assert_eq!(keyed.get(&SEG(5)), Some(&vec![5.0; 2]));
+        assert_eq!(keyed.get(&BlockId::Full), Some(&vec![9.0]));
+        assert_eq!(keyed.get(&SEG(3)), None);
+        assert_eq!(keyed.get(&SEG(77)), None);
+        // Re-keying moves payloads, it does not copy them.
+        let shared = |s: &BlockStore, id| Arc::as_ptr(s.get_shared(&id).unwrap());
+        assert_eq!(shared(&keyed, SEG(1)), shared(&map_form, SEG(1)));
+        // Empty slots are not blocks.
+        assert_eq!(keyed.len(), 4);
+        assert!(!keyed.is_empty());
+        let mut held: Vec<_> = keyed.iter().map(|(id, v)| (*id, v.clone())).collect();
+        let mut wanted: Vec<_> = map_form.iter().map(|(id, v)| (*id, v.clone())).collect();
+        held.sort_by_key(|(id, _)| *id);
+        wanted.sort_by_key(|(id, _)| *id);
+        assert_eq!(held, wanted);
+        // Equal by contents, in either order, and not by slot count.
+        assert_eq!(keyed, map_form);
+        assert_eq!(map_form, keyed);
+        assert_eq!(format!("{keyed:?}").len(), format!("{map_form:?}").len());
+        let mut fewer = map_form.clone();
+        fewer.insert(SEG(5), vec![5.0, 6.0]);
+        assert_ne!(keyed, fewer);
+        assert_ne!(fewer, keyed);
+        fewer.insert(SEG(5), vec![5.0; 2]);
+        fewer.insert(SEG(6), vec![0.0]);
+        assert_ne!(keyed, fewer);
+        assert_ne!(fewer, keyed);
+    }
+
+    #[test]
+    fn an_emptied_table_backed_store_is_empty() {
+        let (table, leaf) = gather_table();
+        let mut store = BlockStore::new();
+        store.rekey(&table, 0);
+        assert_eq!(store.slots.len(), 7);
+        assert_eq!(store.len(), 0);
+        assert!(store.is_empty());
+        assert_eq!(store, BlockStore::new());
+        assert_eq!(store.iter().count(), 0);
+        assert_eq!(store.into_blocks().count(), 0);
+        let mut at_leaf = BlockStore::new();
+        at_leaf.rekey(&table, leaf);
+        assert_eq!(at_leaf.slots.len(), 1);
+        assert!(at_leaf.is_empty());
+    }
+
+    #[test]
+    fn mutation_of_a_table_backed_store_lands_where_the_table_says() {
+        let (mut keyed, mut map_form) = table_backed_and_map_form();
+        for store in [&mut keyed, &mut map_form] {
+            // Overwrite, fill an empty slot, add a block the table does not
+            // know, reduce into a held block, an empty slot and the map.
+            store.insert(SEG(1), vec![10.0, 11.0]);
+            store.insert(SEG(3), vec![3.0]);
+            store.insert(SEG(77), vec![7.0]);
+            store.reduce(SEG(2), &[0.5, 0.5]);
+            store.reduce(SEG(4), &[4.0]);
+            store.reduce(SEG(78), &[8.0]);
+            store.reduce(SEG(78), &[8.0]);
+            store.reduce(BlockId::Full, &[1.0]);
+        }
+        assert_eq!(keyed.get(&SEG(1)), Some(&vec![10.0, 11.0]));
+        assert_eq!(keyed.get(&SEG(2)), Some(&vec![2.5, 2.5]));
+        assert_eq!(keyed.get(&SEG(4)), Some(&vec![4.0]));
+        assert_eq!(keyed.get(&SEG(78)), Some(&vec![16.0]));
+        assert_eq!(keyed.get(&BlockId::Full), Some(&vec![10.0]));
+        assert_eq!(keyed.len(), 8);
+        assert_eq!(keyed, map_form);
+        assert_eq!(map_form, keyed);
+        // Table blocks sit in slots, the others in the map — never both.
+        assert_eq!(keyed.slots.iter().flatten().count(), 5);
+        assert_eq!(keyed.blocks.len(), 3);
+        // Copy-on-write holds under the table too.
+        let before: Block = Arc::clone(keyed.get_shared(&SEG(5)).unwrap());
+        keyed.reduce(SEG(5), &[1.0, 1.0]);
+        assert_eq!(*before, vec![5.0; 2]);
+        assert_eq!(keyed.get(&SEG(5)), Some(&vec![6.0; 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "block length mismatch")]
+    fn reducing_a_table_backed_block_checks_its_length() {
+        table_backed_and_map_form().0.reduce(SEG(1), &[1.0]);
+    }
+
+    #[test]
+    fn clones_of_a_table_backed_store_share_payloads_and_deep_clones_do_not() {
+        let (keyed, map_form) = table_backed_and_map_form();
+        let held_under = Arc::clone(&keyed.keyed.as_ref().unwrap().0);
+        let clone = keyed.clone();
+        let deep = keyed.deep_clone();
+        assert_eq!(clone, keyed);
+        assert_eq!(deep, keyed);
+        assert!(
+            clone.is_keyed_by(&held_under, 0),
+            "a clone shares the table"
+        );
+        assert!(deep.keyed.is_none(), "a deep clone is in map form");
+        for id in [SEG(1), SEG(2), SEG(5), BlockId::Full] {
+            let payload = |s: &BlockStore| Arc::as_ptr(s.get_shared(&id).unwrap());
+            assert_eq!(payload(&clone), payload(&keyed), "{id:?}");
+            assert_ne!(payload(&deep), payload(&keyed), "{id:?}");
+        }
+        let mut blocks: Vec<_> = keyed.into_blocks().map(|(id, _)| id).collect();
+        let mut wanted: Vec<_> = map_form.into_blocks().map(|(id, _)| id).collect();
+        blocks.sort();
+        wanted.sort();
+        assert_eq!(blocks, wanted);
+    }
+
+    #[test]
+    fn rekeying_moves_every_block_to_the_new_row_or_the_map() {
+        let (table, leaf) = gather_table();
+        let (mut keyed, map_form) = table_backed_and_map_form();
+        let held_under = Arc::clone(&keyed.keyed.as_ref().unwrap().0);
+        // The same table and rank: nothing moves.
+        let slots = keyed.slots.as_ptr();
+        keyed.rekey(&held_under, 0);
+        assert_eq!(keyed.slots.as_ptr(), slots);
+        // The same table, another rank — and an equal table that is not the
+        // same one — re-key: a leaf's row has one slot, its own segment's.
+        for (to, rank) in [(&held_under, leaf), (&table, 0), (&table, leaf)] {
+            keyed.rekey(to, rank);
+            assert!(keyed.is_keyed_by(to, rank));
+            assert_eq!(keyed.slots.len(), to.rank_blocks(rank).len());
+            assert_eq!(keyed, map_form);
+            assert_eq!(keyed.len(), 4);
+        }
+        let own = *table.block_at(leaf, 0);
+        let in_slot = keyed.slots[0].is_some();
+        assert_eq!(in_slot, map_form.get(&own).is_some());
+        assert_eq!(keyed.blocks.len(), 4 - usize::from(in_slot));
+    }
 
     #[test]
     fn block_store_reduce_adds_elementwise() {

@@ -1,7 +1,9 @@
 //! Pins what the dense conversion and a one-lane pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
-//! schedule interned, the pool adds nothing to the step kernel, and the block
-//! walk of a large reduction allocates what the step walk does. Measured
+//! schedule interned, leaving dense form — and entering it again with the
+//! finals — allocates nothing, the pool adds nothing to the step kernel, and
+//! the block walk of a large reduction allocates what the step walk does.
+//! Measured
 //! with a per-thread counting wrapper around the system allocator (tests are
 //! their own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still holds
 //! for the library itself).
@@ -14,7 +16,7 @@ use std::sync::Arc;
 
 use bine_exec::{compiled, ExecutorPool, Workload};
 use bine_sched::collectives::{
-    allgather, allreduce, alltoall, AllgatherAlg, AllreduceAlg, AlltoallAlg,
+    allgather, allreduce, alltoall, gather, AllgatherAlg, AllreduceAlg, AlltoallAlg, GatherAlg,
 };
 use bine_sched::{CompiledSchedule, Schedule};
 
@@ -40,6 +42,56 @@ fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
         "to_dense allocated {allocated} B, a global slot table is {global_table} B"
     );
     assert_eq!(dense.len(), p);
+}
+
+#[test]
+fn leaving_dense_form_allocates_nothing() {
+    // Finals stay under the handle's key table: `from_dense` hands every
+    // rank's slots over as they are — the ranks of a gather tree that end up
+    // holding nothing included — and `to_dense` takes them straight back.
+    for p in [16, 256] {
+        for sched in [
+            allgather(p, AllgatherAlg::Bine),
+            alltoall(p, AlltoallAlg::Bine),
+            gather(p, 0, GatherAlg::Bine),
+        ] {
+            let what = format!("{:?} {} p={p}", sched.collective, sched.algorithm);
+            let handle = sched.compile();
+            let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
+            let mut dense = compiled::to_dense(&handle, initial);
+            compiled::run_dense(&handle, &mut dense);
+            let leaving = || compiled::from_dense(&handle, dense);
+            let (allocated, (bytes, finals)) =
+                counting::allocations_in(|| bytes_requested(leaving));
+            assert_eq!((allocated, bytes), (0, 0), "from_dense: {what}");
+            assert!(finals.iter().any(|store| !store.is_empty()), "{what}");
+            let entering = || compiled::to_dense(&handle, finals);
+            let (allocated, again) = counting::allocations_in(entering);
+            assert_eq!(allocated, 0, "to_dense of the handle's own finals: {what}");
+            assert_eq!(again.len(), p);
+        }
+    }
+}
+
+#[test]
+fn a_warm_pool_run_allocates_what_entering_and_running_do() {
+    // `run` = `to_dense` + `run_dense` + `from_dense`, and the last is free.
+    let sched = alltoall(256, AlltoallAlg::Bine);
+    let handle = Arc::new(sched.compile());
+    let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
+    let pool = ExecutorPool::new(1);
+    drop(pool.run(&handle, initial.clone()));
+
+    let staged = initial.clone();
+    let (entering, dense) = counting::allocations_in(|| compiled::to_dense(&handle, staged));
+    let (running, dense) = counting::allocations_in(|| pool.run_dense(&handle, dense));
+    drop(dense);
+    let (whole, finals) = counting::allocations_in(|| pool.run(&handle, initial));
+    assert_eq!(finals.len(), 256);
+    assert!(
+        whole <= entering + running,
+        "run: {whole} allocations, to_dense {entering} + run_dense {running}"
+    );
 }
 
 #[test]

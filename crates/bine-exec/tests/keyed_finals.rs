@@ -1,0 +1,174 @@
+//! Finals stay under the key table of the schedule that produced them
+//! ([`BlockStore`]'s table-backed form): whatever a caller could tell apart
+//! from the map-form finals of the reference interpreter — equality in
+//! either order, the set `iter()` yields, `len()` — must not differ, feeding
+//! finals back in must give what their map-form copy gives, on the handle
+//! they came from (nothing to re-key) and on any other (everything is), and
+//! a dead rank's state comes back as it went in, in either form.
+
+use std::sync::Arc;
+
+use bine_exec::state::{BlockStore, Workload};
+use bine_exec::{compiled, sequential, ExecutorPool};
+use bine_sched::collectives::{
+    allgather, allreduce, broadcast, gather, AllgatherAlg, AllreduceAlg, BroadcastAlg, GatherAlg,
+};
+use bine_sched::{walk, BlockId, Schedule};
+
+/// The blocks of `store`, in one order whatever the store's form.
+fn sorted_blocks(store: &BlockStore) -> Vec<(&BlockId, &Vec<f64>)> {
+    let mut blocks: Vec<_> = store.iter().collect();
+    blocks.sort_by_key(|(id, _)| **id);
+    blocks
+}
+
+fn map_form(stores: &[BlockStore]) -> Vec<BlockStore> {
+    stores.iter().map(BlockStore::deep_clone).collect()
+}
+
+#[test]
+fn finals_read_the_same_whichever_executor_produced_them() {
+    let pools = [1, 2, 4].map(ExecutorPool::new);
+    let mut ran = 0;
+    for request in walk(&[16]) {
+        if request.repeats_root_zero() {
+            continue;
+        }
+        let Some(sched) = request.build() else {
+            continue;
+        };
+        let handle = Arc::new(sched.compile());
+        let workload = Workload::for_schedule(&sched, 2);
+        let initial = workload.initial_state(&sched);
+        let reference = sequential::run_reference(&sched, initial.clone());
+        let mut produced = vec![("compiled", compiled::run(&handle, initial.clone()))];
+        for pool in &pools {
+            produced.push(("pool", pool.run(&handle, initial.clone())));
+        }
+        for (executor, finals) in &produced {
+            let what = format!("{executor}: {}", request.label());
+            assert!(*finals == reference, "{what}");
+            assert!(reference == *finals, "{what}, reference on the left");
+            for (rank, (ours, theirs)) in finals.iter().zip(&reference).enumerate() {
+                assert_eq!(ours.len(), theirs.len(), "{what} rank {rank}");
+                assert_eq!(ours.is_empty(), theirs.is_empty(), "{what} rank {rank}");
+                assert_eq!(
+                    sorted_blocks(ours),
+                    sorted_blocks(theirs),
+                    "{what} rank {rank}"
+                );
+            }
+        }
+        ran += 1;
+    }
+    assert!(ran > 500, "only {ran} schedules ran");
+}
+
+/// Schedules whose finals are valid inputs of the same schedule.
+fn chainable() -> Vec<Schedule> {
+    vec![
+        allreduce(16, AllreduceAlg::BineLarge),
+        allreduce(16, AllreduceAlg::RecursiveDoubling),
+        allgather(16, AllgatherAlg::Bine),
+    ]
+}
+
+#[test]
+fn finals_fed_back_in_give_what_their_map_form_copy_gives() {
+    let pool = ExecutorPool::new(2);
+    for sched in chainable() {
+        let what = &sched.algorithm;
+        let handle = Arc::new(sched.compile());
+        let initial = Workload::for_schedule(&sched, 3).initial_state(&sched);
+        let first = compiled::run(&handle, initial);
+        let reference = sequential::run_reference(&sched, map_form(&first));
+        // The same handle: the stores are under its table already.
+        let chained = compiled::run(&handle, first.clone());
+        assert_eq!(chained, reference, "{what}: chained");
+        // Their map-form copy: re-keyed block by block.
+        let rekeyed = compiled::run(&handle, map_form(&first));
+        assert_eq!(rekeyed, chained, "{what}: map form");
+        // A clone of the handle shares its table; a second lowering of the
+        // same schedule has a table of its own, as has any other schedule.
+        let shared = compiled::run(&handle.as_ref().clone(), first.clone());
+        assert_eq!(shared, chained, "{what}: cloned handle");
+        let other = Arc::new(sched.compile());
+        assert_eq!(
+            pool.run(&other, first.clone()),
+            chained,
+            "{what}: another handle"
+        );
+        assert_eq!(
+            sequential::run(&sched, first.clone()),
+            chained,
+            "{what}: the interpreter over table-backed input"
+        );
+        // A store under another rank's row of the same table is re-keyed,
+        // not trusted: rotate allgather finals (every rank holds every
+        // segment) by one rank.
+        if sched.algorithm == "bine" {
+            let mut rotated = first.clone();
+            rotated.rotate_left(1);
+            assert_eq!(
+                compiled::run(&handle, rotated),
+                chained,
+                "{what}: another rank's row"
+            );
+        }
+        // Finals are ordinary stores: a caller can add to them.
+        let mut extended = chained.clone();
+        extended[3].insert(BlockId::Segment(4096), vec![1.0]);
+        assert_eq!(extended[3].len(), chained[3].len() + 1);
+        assert_eq!(extended[3].get(&BlockId::Segment(4096)), Some(&vec![1.0]));
+        assert_ne!(extended, chained);
+    }
+}
+
+#[test]
+fn survivors_of_a_wider_handle_rekey_onto_the_shrunk_one() {
+    // What shrink-and-retry hands the 15-rank schedule when the survivors'
+    // stores are still under the 16-rank handle's table, segments in slots.
+    let wide = allreduce(16, AllreduceAlg::Ring);
+    let shrunk = allreduce(15, AllreduceAlg::Ring);
+    let (wide_handle, shrunk_handle) = (wide.compile(), Arc::new(shrunk.compile()));
+    let inputs = Workload::for_schedule(&shrunk, 2).initial_state(&shrunk);
+    // Pad to 16 ranks so the wide handle can key them, then drop rank 5.
+    let mut keyed = inputs.clone();
+    keyed.insert(5, BlockStore::new());
+    let mut survivors = compiled::to_dense(&wide_handle, keyed);
+    survivors.remove(5);
+    assert_eq!(survivors, inputs);
+    let reference = sequential::run_reference(&shrunk, inputs);
+    for lanes in [1, 2] {
+        let finals = ExecutorPool::new(lanes).run(&shrunk_handle, survivors.clone());
+        assert_eq!(finals, reference, "{lanes} lanes");
+    }
+}
+
+#[test]
+fn a_dead_ranks_state_comes_back_untouched_in_either_form() {
+    // A dead broadcast leaf and a dead gather root stall nobody: the runs
+    // complete, and the dead rank holds what it held — nothing, or its own
+    // segment — plus a block the schedule never mentions.
+    let tree = broadcast(16, 0, BroadcastAlg::BineTree);
+    let leaf = (0..16)
+        .find(|r| tree.messages().all(|(_, m)| m.src != *r))
+        .expect("a broadcast tree has leaves");
+    for (sched, dead) in [(tree, leaf), (gather(16, 0, GatherAlg::Bine), 0)] {
+        let handle = Arc::new(sched.compile());
+        let mut initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
+        initial[dead].insert(BlockId::Segment(77), vec![7.0]);
+        let keyed = compiled::to_dense(&handle, initial.clone());
+        for lanes in [1, 2] {
+            let pool = ExecutorPool::new(lanes);
+            for (form, input) in [("map", &initial), ("table-backed", &keyed)] {
+                let what = format!("{}, {lanes} lanes, {form} input", sched.algorithm);
+                let finals = pool
+                    .try_run_with_dead(&handle, input.clone(), &[dead])
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(finals[dead], initial[dead], "{what}");
+                assert_eq!(finals[dead].len(), initial[dead].len(), "{what}");
+            }
+        }
+    }
+}

@@ -34,14 +34,17 @@
 //! `p·(1 + ½·log2 p)` of the `p²` pairwise blocks of a Bine alltoall) — but
 //! by the per-rank compact slots of the [`SlotLayout`], a view derived from
 //! the compiled form on first execution
-//! ([`CompiledSchedule::slot_layout`]), never by `compile` itself. The same
-//! holds for the [`BlockMajor`] order of the payload entries
-//! ([`CompiledSchedule::block_major`]): derived by the first execution that
-//! walks block by block, and by nothing else.
+//! ([`CompiledSchedule::slot_layout`]), never by `compile` itself. The
+//! layout is also the *key table* executor state is held under — it names
+//! the block behind every slot of every rank — so it sits behind an [`Arc`]
+//! that the states, and the finals a caller keeps, share with the handle.
+//! The same laziness holds for the [`BlockMajor`] order of the payload
+//! entries ([`CompiledSchedule::block_major`]): derived by the first
+//! execution that walks block by block, and by nothing else.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::schedule::{BlockId, BlockMap, Collective, Counts, Rank, Schedule, TransferKind};
 use crate::segment::{num_substeps, parts, segmented_name, substeps};
@@ -166,63 +169,76 @@ impl CompiledSend {
 }
 
 /// Per-rank compact block slots: the view of a [`CompiledSchedule`] that
-/// executor state is sized and indexed by.
+/// executor state is sized, indexed and *keyed* by.
 ///
 /// A rank's state holds one slot per block the rank ever sends or receives
 /// — its *local* slots, numbered in ascending interned-index order — not one
-/// per block the whole schedule interned. Every payload entry of the
-/// compiled form carries its local slot at the sending and at the receiving
-/// rank, so gather and apply index a rank's slots directly.
+/// per block the whole schedule interned. The layout says which block each
+/// slot of each rank holds, and finds the slot of a [`BlockId`], so a vector
+/// of payloads indexed by local slot is a complete block store under it:
+/// the key table of the dense executor state and of the finals it returns.
+///
+/// The table is self-contained — it carries its own copy of the handle's
+/// interning, made once when the layout is derived — and sits behind an
+/// [`Arc`] ([`CompiledSchedule::slot_layout`]): whoever holds state keyed by
+/// it keeps the table alive and nothing else of the handle (not the sends,
+/// not their block lists, not the per-payload slots of
+/// [`CompiledSchedule::src_slots`] / [`CompiledSchedule::dst_slots`]).
 #[derive(Debug, Clone)]
 pub struct SlotLayout {
+    /// The handle's interning: `BlockId` ↔ interned index.
+    blocks: BlockInterner,
     /// Per rank: range into `rank_blocks` (CSR). Length `num_ranks + 1`.
     rank_offsets: Vec<u32>,
     /// Per rank: the sorted interned indices of the blocks it touches; the
     /// position within the rank's range is the local slot.
     rank_blocks: Vec<u32>,
-    /// Parallel to the compiled block-index array: each payload's local slot
-    /// at its source rank.
-    src_slots: Vec<u32>,
-    /// Parallel to the compiled block-index array: each payload's local slot
-    /// at its destination rank.
-    dst_slots: Vec<u32>,
 }
 
-impl SlotLayout {
+/// What the first execution derives: the shared [`SlotLayout`] and, parallel
+/// to the compiled block-index array, each payload's local slot at its
+/// source and at its destination rank — the handle's own, so that gather and
+/// apply index a rank's slots directly.
+#[derive(Debug, Clone)]
+struct Slots {
+    layout: Arc<SlotLayout>,
+    src: Vec<u32>,
+    dst: Vec<u32>,
+}
+
+impl Slots {
     fn derive(compiled: &CompiledSchedule) -> Self {
         let p = compiled.num_ranks;
         let steps = compiled.num_steps();
         let payloads = &compiled.block_indices;
-        let mut layout = Self {
-            rank_offsets: Vec::with_capacity(p + 1),
-            rank_blocks: Vec::new(),
-            src_slots: vec![0; payloads.len()],
-            dst_slots: vec![0; payloads.len()],
-        };
+        let mut rank_offsets = Vec::with_capacity(p + 1);
+        let mut rank_blocks: Vec<u32> = Vec::new();
+        let mut src_slots = vec![0; payloads.len()];
+        let mut dst_slots = vec![0; payloads.len()];
 
         // Interned index → local slot of the rank being laid out; the one
         // table sized by every interned block, shared by all ranks and
         // dropped when the derivation ends.
         const UNTOUCHED: u32 = u32::MAX;
         let mut local = vec![UNTOUCHED; compiled.num_blocks()];
-        layout.rank_offsets.push(0);
+        rank_offsets.push(0);
         for rank in 0..p {
             let sent = |step| compiled.sends_from(step, rank).iter();
             let received = |step| {
                 let sends = compiled.recvs_to(step, rank).iter();
                 sends.map(|&i| compiled.send(i as usize))
             };
-            let base = layout.rank_blocks.len();
+            let base = rank_blocks.len();
             for send in (0..steps).flat_map(|s| sent(s).chain(received(s))) {
                 for &block in compiled.block_index_slice(send) {
                     if local[block as usize] == UNTOUCHED {
                         local[block as usize] = 0;
-                        layout.rank_blocks.push(block);
+                        rank_blocks.push(block);
                     }
                 }
             }
-            layout.rank_blocks[base..].sort_unstable();
-            for (slot, &block) in layout.rank_blocks[base..].iter().enumerate() {
+            rank_blocks[base..].sort_unstable();
+            for (slot, &block) in rank_blocks[base..].iter().enumerate() {
                 local[block as usize] = slot as u32;
             }
             let localise = |slots: &mut [u32], send: &CompiledSend| {
@@ -232,16 +248,32 @@ impl SlotLayout {
                 }
             };
             for step in 0..steps {
-                sent(step).for_each(|send| localise(&mut layout.src_slots, send));
-                received(step).for_each(|send| localise(&mut layout.dst_slots, send));
+                sent(step).for_each(|send| localise(&mut src_slots, send));
+                received(step).for_each(|send| localise(&mut dst_slots, send));
             }
-            for &block in &layout.rank_blocks[base..] {
+            for &block in &rank_blocks[base..] {
                 local[block as usize] = UNTOUCHED;
             }
             // At most one slot per payload entry, and those fit (`compile`).
-            layout.rank_offsets.push(layout.rank_blocks.len() as u32);
+            rank_offsets.push(rank_blocks.len() as u32);
         }
-        layout
+        Self {
+            layout: Arc::new(SlotLayout {
+                blocks: compiled.blocks.clone(),
+                rank_offsets,
+                rank_blocks,
+            }),
+            src: src_slots,
+            dst: dst_slots,
+        }
+    }
+}
+
+impl SlotLayout {
+    /// The interning the slots are numbered under: that of the handle the
+    /// layout was derived from.
+    pub fn blocks(&self) -> &BlockInterner {
+        &self.blocks
     }
 
     /// The interned indices of the blocks `rank` ever sends or receives,
@@ -250,6 +282,11 @@ impl SlotLayout {
         let lo = self.rank_offsets[rank] as usize;
         let hi = self.rank_offsets[rank + 1] as usize;
         &self.rank_blocks[lo..hi]
+    }
+
+    /// The block local slot `slot` of `rank` holds.
+    pub fn block_at(&self, rank: usize, slot: usize) -> &BlockId {
+        &self.blocks.ids[self.rank_blocks(rank)[slot] as usize]
     }
 
     /// The local slot of interned block `block` at `rank`, if the rank ever
@@ -266,18 +303,6 @@ impl SlotLayout {
         }
         touched.binary_search(&block).ok()
     }
-
-    /// The local slots, at the sending rank, of the blocks `send` carries
-    /// (parallel to [`CompiledSchedule::block_index_slice`]).
-    pub fn src_slots(&self, send: &CompiledSend) -> &[u32] {
-        &self.src_slots[send.blocks_start as usize..send.blocks_end as usize]
-    }
-
-    /// The local slots, at the receiving rank, of the blocks `send` carries
-    /// (parallel to [`CompiledSchedule::block_index_slice`]).
-    pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
-        &self.dst_slots[send.blocks_start as usize..send.blocks_end as usize]
-    }
 }
 
 /// One payload entry of a [`BlockMajor`] run: which send moves the block, in
@@ -290,7 +315,7 @@ pub struct BlockEntry {
     pub send: u32,
     /// Position of the payload in the send's block list
     /// ([`CompiledSchedule::block_index_slice`], and the parallel
-    /// [`SlotLayout::src_slots`] / [`SlotLayout::dst_slots`]).
+    /// [`CompiledSchedule::src_slots`] / [`CompiledSchedule::dst_slots`]).
     pub entry: u32,
 }
 
@@ -388,8 +413,8 @@ pub struct CompiledSchedule {
     reduces: bool,
     /// Derived on first execution, see [`CompiledSchedule::slot_layout`].
     /// Boxed, like `block_major`: a handle that is never executed carries two
-    /// pointers, not the six empty vectors of the two views.
-    slot_layout: OnceLock<Box<SlotLayout>>,
+    /// pointers, not the empty vectors of the two views.
+    slots: OnceLock<Box<Slots>>,
     /// Derived on the first execution that walks block by block, see
     /// [`CompiledSchedule::block_major`].
     block_major: OnceLock<Box<BlockMajor>>,
@@ -475,7 +500,7 @@ impl CompiledSchedule {
             recv_offsets,
             counts: schedule.counts.clone(),
             reduces,
-            slot_layout: OnceLock::new(),
+            slots: OnceLock::new(),
             block_major: OnceLock::new(),
         }
     }
@@ -489,15 +514,31 @@ impl CompiledSchedule {
         self.identity
     }
 
-    /// The per-rank compact slots executor state is indexed by.
+    fn slots(&self) -> &Slots {
+        self.slots.get_or_init(|| Box::new(Slots::derive(self)))
+    }
+
+    /// The per-rank compact slots executor state is indexed and keyed by.
     ///
     /// Derived from the compiled form on the first call and kept for the
-    /// life of the handle (clones made afterwards carry it along). `compile`
+    /// life of the handle (clones made afterwards share it). `compile`
     /// never derives it: a handle that is built, modelled or simulated but
-    /// not executed does not pay for it.
-    pub fn slot_layout(&self) -> &SlotLayout {
-        self.slot_layout
-            .get_or_init(|| Box::new(SlotLayout::derive(self)))
+    /// not executed does not pay for it. Shared: state keyed by the layout
+    /// holds a reference of its own, and outlives the handle with it.
+    pub fn slot_layout(&self) -> &Arc<SlotLayout> {
+        &self.slots().layout
+    }
+
+    /// The local slots, at the sending rank, of the blocks `send` carries
+    /// (parallel to [`CompiledSchedule::block_index_slice`]).
+    pub fn src_slots(&self, send: &CompiledSend) -> &[u32] {
+        &self.slots().src[send.blocks_start as usize..send.blocks_end as usize]
+    }
+
+    /// The local slots, at the receiving rank, of the blocks `send` carries
+    /// (parallel to [`CompiledSchedule::block_index_slice`]).
+    pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
+        &self.slots().dst[send.blocks_start as usize..send.blocks_end as usize]
     }
 
     /// The payload entries grouped by block, each block's in receive order.
@@ -781,6 +822,11 @@ mod tests {
         for (rank, want) in touched.iter().enumerate() {
             let want: Vec<u32> = want.iter().copied().collect();
             assert_eq!(layout.rank_blocks(rank), want, "{what} rank {rank}");
+            for (slot, &block) in want.iter().enumerate() {
+                let id = compiled.blocks().resolve(block);
+                assert_eq!(*layout.block_at(rank, slot), id, "{what} rank {rank}");
+                assert_eq!(layout.blocks().index_of(&id), Some(block), "{what}");
+            }
             for block in 0..compiled.num_blocks() as u32 {
                 let slot = want.iter().position(|&b| b == block);
                 assert_eq!(layout.local_slot(rank, block), slot, "{what} rank {rank}");
@@ -795,8 +841,16 @@ mod tests {
                 let at_src = layout.rank_blocks(send.src as usize);
                 let at_dst = layout.rank_blocks(send.dst as usize);
                 for (k, &block) in blocks.iter().enumerate() {
-                    assert_eq!(at_src[layout.src_slots(send)[k] as usize], block, "{what}");
-                    assert_eq!(at_dst[layout.dst_slots(send)[k] as usize], block, "{what}");
+                    assert_eq!(
+                        at_src[compiled.src_slots(send)[k] as usize],
+                        block,
+                        "{what}"
+                    );
+                    assert_eq!(
+                        at_dst[compiled.dst_slots(send)[k] as usize],
+                        block,
+                        "{what}"
+                    );
                 }
             }
         }
@@ -855,13 +909,18 @@ mod tests {
     #[test]
     fn compile_does_not_derive_the_slot_layout() {
         let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
-        assert!(compiled.slot_layout.get().is_none());
-        let derived: *const SlotLayout = compiled.slot_layout();
+        assert!(compiled.slots.get().is_none());
+        let derived = Arc::clone(compiled.slot_layout());
         assert!(
-            std::ptr::eq(derived, compiled.slot_layout()),
+            Arc::ptr_eq(&derived, compiled.slot_layout()),
             "derived once"
         );
-        assert!(compiled.clone().slot_layout.get().is_some());
+        // A clone of the handle shares the table: state keyed under one is
+        // keyed under the other.
+        assert!(Arc::ptr_eq(&derived, compiled.clone().slot_layout()));
+        // Who holds the table holds it alone once the handles are gone.
+        drop(compiled);
+        assert_eq!(Arc::strong_count(&derived), 1);
     }
 
     #[test]

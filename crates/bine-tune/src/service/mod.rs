@@ -675,4 +675,41 @@ mod tests {
             .unwrap();
         assert_eq!(finals, expected);
     }
+    #[test]
+    fn finals_outlive_the_handle_the_cache_evicts() {
+        use bine_exec::state::{BlockStore, Workload};
+        use bine_sched::{build, BlockId};
+
+        // One line in the whole cache: the next pick evicts the handle the
+        // finals were produced by, and with it the last reference but theirs
+        // to the key table they are held under.
+        let service = ServiceSelector::from_tables(&[table("Testbox")])
+            .with_shards(1)
+            .with_shard_capacity(1);
+        let sched = build(Collective::Allreduce, "recursive-doubling", 16, 0).unwrap();
+        let w = Workload::for_schedule(&sched, 2);
+        let run = |input| service.execute("Testbox", Collective::Allreduce, 16, 32, input);
+        let finals = run(w.initial_state(&sched)).unwrap();
+        let expected = bine_exec::sequential::run_reference(&sched, w.initial_state(&sched));
+        service
+            .compiled("Testbox", Collective::Broadcast, 16, 32)
+            .unwrap();
+        assert_eq!(
+            service.cached_schedules(),
+            1,
+            "the allreduce handle is gone"
+        );
+        assert_eq!(finals, expected);
+        assert_eq!(
+            finals[7].get(&BlockId::Full),
+            expected[7].get(&BlockId::Full)
+        );
+        assert_eq!(finals[7].len(), 1);
+        // Fed back in, they meet a recompiled handle — a table of its own —
+        // and are re-keyed like any other input.
+        let copies: Vec<BlockStore> = finals.iter().map(BlockStore::deep_clone).collect();
+        let again = run(finals).unwrap();
+        assert_eq!(service.compilations(), 3);
+        assert_eq!(again, bine_exec::sequential::run_reference(&sched, copies));
+    }
 }

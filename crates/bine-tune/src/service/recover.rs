@@ -249,6 +249,18 @@ mod tests {
         let w = Workload::for_schedule(&direct, 2);
         let expected = bine_exec::sequential::run_reference(&direct, w.initial_state(&direct));
         assert_eq!(rec.finals, expected);
+        // The recovered finals are under the shrunk handle's key table: they
+        // read like the reference's maps, from either side and by id. (What
+        // survivors still under the *wide* handle's table would meet is
+        // `bine-exec/tests/keyed_finals.rs`; here every survivor
+        // re-contributes a fresh map.)
+        assert_eq!(expected, rec.finals);
+        for (ours, theirs) in rec.finals.iter().zip(&expected) {
+            assert_eq!(ours.len(), theirs.len());
+            for (id, value) in theirs.iter() {
+                assert_eq!(ours.get(id), Some(value));
+            }
+        }
     }
 
     #[test]
