@@ -45,6 +45,24 @@ fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
 }
 
 #[test]
+fn to_dense_of_map_form_input_allocates_per_rank_not_per_block() {
+    // Re-keying looks each of the 65 536 blocks up in the interner's tables
+    // and moves it into its slot: per rank a slot vector and the list of
+    // what the rank holds but never moves, nothing per block.
+    let p = 256;
+    let sched = alltoall(p, AlltoallAlg::Bine);
+    let handle = sched.compile();
+    handle.slot_layout();
+    let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
+    let (allocated, dense) = counting::allocations_in(|| compiled::to_dense(&handle, initial));
+    assert_eq!(dense.len(), p);
+    assert!(
+        allocated <= 2 * p as u64,
+        "to_dense allocated {allocated} times"
+    );
+}
+
+#[test]
 fn leaving_dense_form_allocates_nothing() {
     // Finals stay under the handle's key table: `from_dense` hands every
     // rank's slots over as they are — the ranks of a gather tree that end up

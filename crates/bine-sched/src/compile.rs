@@ -9,7 +9,8 @@
 //! schedule:
 //!
 //! * every `BlockId` is interned to a dense `u32` by a [`BlockInterner`]
-//!   (flat `Vec`-backed, so executors index arrays instead of hashing),
+//!   (tables addressed by the id itself, so neither lowering nor the
+//!   executors hash),
 //! * every message becomes a [`CompiledSend`] whose block list is a range in
 //!   one flat index array,
 //! * per step, the sends are grouped by source rank (CSR layout —
@@ -46,7 +47,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::schedule::{BlockId, BlockMap, Collective, Counts, Rank, Schedule, TransferKind};
+use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
 use crate::segment::{num_substeps, parts, segmented_name, substeps};
 
 /// Source of process-unique [`CompiledSchedule`] identities.
@@ -83,35 +84,116 @@ fn push_csr_row(offsets: &mut Vec<u32>, ranks: u32, base: usize, keys: impl Iter
     offsets.push(at);
 }
 
+/// A cell of a [`BlockInterner`] table whose block was never interned.
+const ABSENT: u32 = u32::MAX;
+
 /// Dense interning of the [`BlockId`]s referenced by one schedule.
 ///
 /// Index 0..len map 1:1 onto the distinct blocks, in first-appearance order.
-#[derive(Debug, Clone, Default)]
+///
+/// A block id is its own address over the schedule's `p` ranks, so the way
+/// back from an id to its index is an array read, not a hash lookup: `Full`
+/// has one cell, `Segment(i)` cell `i` of a `p`-cell table and `Pairwise {
+/// origin, dest }` cell `origin·p + dest` of a `p²`-cell one. A table is
+/// allocated when the first id of its kind is interned — a segment-only
+/// schedule never pays for the `p²` cells. Ids outside `0..p`, which only a
+/// malformed schedule carries (the validator reports them), are searched in
+/// a short list instead: no table is ever sized by an id's value.
+#[derive(Debug, Clone)]
 pub struct BlockInterner {
+    /// The rank count `p` the tables are addressed over.
+    ranks: usize,
+    /// Interned index → block.
     ids: Vec<BlockId>,
-    lookup: BlockMap<u32>,
+    /// The index of `Full`, or [`ABSENT`].
+    full: u32,
+    /// `Segment(i)` → index at cell `i`; empty until the first segment.
+    segments: Vec<u32>,
+    /// `Pairwise { origin, dest }` → index at cell `origin·p + dest`; empty
+    /// until the first pairwise block.
+    pairwise: Vec<u32>,
+    /// The indices of the interned ids outside `0..p`.
+    strays: Vec<u32>,
+}
+
+/// `table`, allocated at `cells` cells on its first use. A schedule that
+/// names one block of a kind names most of them, so `ids` makes room for
+/// `cells` more blocks then, once, instead of growing by doubling.
+fn allocated<'a>(table: &'a mut Vec<u32>, cells: usize, ids: &mut Vec<BlockId>) -> &'a mut [u32] {
+    if table.is_empty() {
+        *table = vec![ABSENT; cells];
+        ids.reserve(cells);
+    }
+    table
 }
 
 impl BlockInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty interner for the blocks of a schedule over `ranks`
+    /// ranks.
+    ///
+    /// # Panics
+    /// Panics if `ranks²`, the pairwise table's cell count, overflows a
+    /// `usize`: a cell address would wrap onto another block's.
+    pub fn new(ranks: usize) -> Self {
+        assert!(
+            ranks.checked_mul(ranks).is_some(),
+            "{ranks}² pairwise cells overflow a usize"
+        );
+        Self {
+            ranks,
+            ids: Vec::new(),
+            full: ABSENT,
+            segments: Vec::new(),
+            pairwise: Vec::new(),
+            strays: Vec::new(),
+        }
     }
 
     /// Returns the dense index of `id`, interning it on first sight.
     pub fn intern(&mut self, id: BlockId) -> u32 {
-        if let Some(&idx) = self.lookup.get(&id) {
-            return idx;
+        let p = self.ranks;
+        let in_range = |i: u32| (i as usize) < p;
+        let cell = match id {
+            BlockId::Full => &mut self.full,
+            BlockId::Segment(i) if in_range(i) => {
+                &mut allocated(&mut self.segments, p, &mut self.ids)[i as usize]
+            }
+            BlockId::Pairwise { origin, dest } if in_range(origin) && in_range(dest) => {
+                let at = origin as usize * p + dest as usize;
+                &mut allocated(&mut self.pairwise, p * p, &mut self.ids)[at]
+            }
+            _ => match self.index_of(&id) {
+                Some(index) => return index,
+                None => {
+                    self.strays.push(ABSENT);
+                    self.strays.last_mut().expect("just pushed")
+                }
+            },
+        };
+        if *cell == ABSENT {
+            // The count must fit, so the new index stays below `ABSENT`.
+            *cell = index_u32(self.ids.len() + 1, "distinct blocks") - 1;
+            self.ids.push(id);
         }
-        let idx = index_u32(self.ids.len(), "distinct blocks");
-        self.ids.push(id);
-        self.lookup.insert(id, idx);
-        idx
+        *cell
     }
 
     /// Returns the dense index of `id` if it was interned.
     pub fn index_of(&self, id: &BlockId) -> Option<u32> {
-        self.lookup.get(id).copied()
+        let p = self.ranks;
+        let in_range = |i: u32| (i as usize) < p;
+        let index = match *id {
+            BlockId::Full => self.full,
+            BlockId::Segment(i) if in_range(i) => *self.segments.get(i as usize)?,
+            BlockId::Pairwise { origin, dest } if in_range(origin) && in_range(dest) => {
+                *self.pairwise.get(origin as usize * p + dest as usize)?
+            }
+            _ => {
+                let mut strays = self.strays.iter().copied();
+                return strays.find(|&i| self.ids[i as usize] == *id);
+            }
+        };
+        (index != ABSENT).then_some(index)
     }
 
     /// Returns the block behind a dense index.
@@ -436,7 +518,7 @@ impl CompiledSchedule {
         let num_steps: usize = num_steps.sum();
         let num_sends = schedule.messages().map(|(_, m)| parts(m, chunks)).sum();
         let payloads = schedule.messages().map(|(_, m)| m.blocks.len()).sum();
-        let mut blocks = BlockInterner::new();
+        let mut blocks = BlockInterner::new(p);
         let mut sends: Vec<CompiledSend> = Vec::with_capacity(num_sends);
         let mut block_indices: Vec<u32> = Vec::with_capacity(payloads);
         let mut step_offsets: Vec<u32> = Vec::with_capacity(num_steps + 1);
@@ -682,7 +764,7 @@ mod tests {
     use crate::collectives::{
         allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
     };
-    use crate::schedule::Message;
+    use crate::schedule::{Message, Step};
 
     fn schedules_under_test() -> Vec<Schedule> {
         vec![
@@ -696,7 +778,7 @@ mod tests {
 
     #[test]
     fn interner_is_a_bijection_in_first_appearance_order() {
-        let mut interner = BlockInterner::new();
+        let mut interner = BlockInterner::new(8);
         assert_eq!(interner.intern(BlockId::Full), 0);
         assert_eq!(interner.intern(BlockId::Segment(4)), 1);
         assert_eq!(interner.intern(BlockId::Full), 0);
@@ -704,6 +786,84 @@ mod tests {
         assert_eq!(interner.index_of(&BlockId::Segment(5)), None);
         assert_eq!(interner.resolve(1), BlockId::Segment(4));
         assert_eq!(interner.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pairwise cells overflow a usize")]
+    fn an_interner_whose_cell_addresses_would_wrap_is_refused() {
+        BlockInterner::new(usize::MAX);
+    }
+
+    #[test]
+    fn ids_outside_the_rank_range_are_interned_apart_and_reported_typed() {
+        // `Pairwise { 0, 4 }` has the cell `0·4 + 4` of `Pairwise { 1, 0 }`:
+        // only the range check keeps the two apart.
+        let p = 4;
+        let strays = [
+            BlockId::Segment(u32::MAX),
+            BlockId::Pairwise { origin: 4, dest: 0 },
+            BlockId::Pairwise { origin: 0, dest: 4 },
+        ];
+        let in_range = BlockId::Pairwise { origin: 1, dest: 0 };
+        let mut sched = Schedule::new(p, Collective::Alltoall, "strays", 0);
+        for blocks in [vec![strays[0], in_range], strays.to_vec(), vec![in_range]] {
+            let mut step = Step::new();
+            step.push(Message::with_segments(0, 1, blocks, TransferKind::Copy, 1));
+            sched.push_step(step);
+        }
+        let compiled = sched.compile();
+        let blocks = compiled.blocks();
+        let first_seen = [strays[0], in_range, strays[1], strays[2]];
+        assert_eq!(blocks.len(), first_seen.len());
+        for (want, id) in first_seen.iter().enumerate() {
+            assert_eq!(blocks.index_of(id), Some(want as u32), "{id:?}");
+            assert_eq!(blocks.resolve(want as u32), *id);
+        }
+        assert_eq!(blocks.index_of(&BlockId::Segment(u32::MAX - 1)), None);
+        let first_stray = crate::ValidationError::BlockOutOfRange { block: strays[0] };
+        assert_eq!(sched.validate(), Err(first_stray));
+    }
+
+    #[test]
+    fn index_of_knows_only_the_ids_a_schedule_references() {
+        let segments = allreduce(8, AllreduceAlg::BineLarge).compile();
+        let pairwise = alltoall(8, AlltoallAlg::Bine).compile();
+        let never = [
+            (&segments, BlockId::Segment(77)),
+            (&segments, BlockId::Full),
+            (&segments, BlockId::Pairwise { origin: 0, dest: 1 }),
+            (&pairwise, BlockId::Segment(0)),
+            (&pairwise, BlockId::Full),
+        ];
+        for (compiled, id) in never {
+            assert_eq!(compiled.blocks().index_of(&id), None, "{id:?}");
+        }
+        assert!(segments.blocks().index_of(&BlockId::Segment(7)).is_some());
+    }
+
+    #[test]
+    fn interning_is_dense_in_first_appearance_order_over_the_walk() {
+        // Rank counts 1, 2 and 3 included: the table sizes' boundary.
+        let mut checked = 0;
+        let walk = crate::walk(&[1, 2, 3, 5, 16, 64]).into_iter();
+        for request in walk.filter(|r| !r.repeats_root_zero()) {
+            let Some(sched) = request.build() else {
+                continue;
+            };
+            let compiled = sched.compile();
+            let blocks = compiled.blocks();
+            let mut next = 0;
+            for id in sched.messages().flat_map(|(_, m)| &m.blocks) {
+                let index = blocks.index_of(id).expect("interned");
+                assert_eq!(blocks.resolve(index), *id, "{}", request.label());
+                // An index is either one already met or the next one.
+                assert!(index <= next, "{} {id:?}", request.label());
+                next += u32::from(index == next);
+            }
+            assert_eq!(next as usize, blocks.len(), "{}", request.label());
+            checked += 1;
+        }
+        assert!(checked > 2000, "only {checked} schedules checked");
     }
 
     #[test]

@@ -48,12 +48,10 @@
 //! the exact sends the simulator refused to start (rank crashes *and* link
 //! cuts) and propagates the cascade.
 
-use std::collections::HashMap;
-
 use crate::compile::CompiledSchedule;
 use crate::contract::{Contract, Granularity};
 use crate::deps::DepGraph;
-use crate::schedule::{BlockId, Schedule, TransferKind};
+use crate::schedule::{BlockId, BlockMap, Schedule, TransferKind};
 
 /// A set of ranks, used to track which ranks' contributions a block
 /// embodies. Backed by a flat word vector so unions and comparisons are a
@@ -410,7 +408,7 @@ pub struct ScheduleValidator<'a> {
 }
 
 /// Per-rank symbolic possession: block → contribution set.
-type Possession = Vec<HashMap<BlockId, RankSet>>;
+type Possession = Vec<BlockMap<RankSet>>;
 
 /// What one symbolic replay found; delivery and survivability read it.
 struct Replay {

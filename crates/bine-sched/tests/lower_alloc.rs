@@ -11,8 +11,8 @@
 mod counting;
 use counting::allocations_in as allocations;
 
-use bine_sched::collectives::{allreduce, AllreduceAlg};
-use bine_sched::{BlockId, Message, TransferKind};
+use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
+use bine_sched::{BlockId, Collective, Message, Schedule, Step, TransferKind};
 
 #[test]
 fn lowering_allocates_for_the_compiled_form_not_per_chunk() {
@@ -29,6 +29,44 @@ fn lowering_allocates_for_the_compiled_form_not_per_chunk() {
         at_16 <= at_4,
         "{at_4} allocations at 4 chunks grew to {at_16} at 16"
     );
+    // Six arrays, the name, the segment table and its ids, one flag list per
+    // step of the base schedule (16): 26, where a hash-map interner took 39.
+    assert!(at_16 <= 26, "lowering at 16 chunks allocated {at_16} times");
+}
+
+#[test]
+fn interning_the_p_squared_blocks_of_an_alltoall_allocates_once_per_table() {
+    // The hash-map interner grew by doubling: 46 allocations, 7.2 MB. The
+    // pairwise table comes with room for its ids: 17 allocations, 2.2 MB.
+    let sched = alltoall(256, AlltoallAlg::Bine);
+    let (allocated, lowered) = allocations(|| sched.compile());
+    let (bytes, _) = counting::bytes_in(|| sched.compile());
+    assert!(lowered.num_blocks() >= 256 * 255);
+    assert!(allocated <= 17, "lowering allocated {allocated} times");
+    assert!(bytes <= 2_200_000, "lowering requested {bytes} B");
+}
+
+#[test]
+fn ids_outside_the_rank_range_size_no_table() {
+    // `Segment(u32::MAX)` would be a 16 GiB table if an id sized one, and
+    // `Pairwise { 4, 0 }` would reach past the p² cells.
+    let mut sched = Schedule::new(4, Collective::Alltoall, "strays", 0);
+    let strays = vec![
+        BlockId::Segment(u32::MAX),
+        BlockId::Pairwise { origin: 4, dest: 0 },
+    ];
+    let mut step = Step::new();
+    step.push(Message::with_segments(0, 1, strays, TransferKind::Copy, 1));
+    sched.push_step(step);
+    let (allocated, compiled) = allocations(|| sched.compile());
+    let (bytes, _) = counting::bytes_in(|| sched.compile());
+    assert_eq!(compiled.num_blocks(), 2);
+    assert!(allocated <= 12, "lowering allocated {allocated} times");
+    assert!(bytes <= 1024, "lowering requested {bytes} B");
+    assert!(matches!(
+        sched.validate(),
+        Err(bine_sched::ValidationError::BlockOutOfRange { .. })
+    ));
 }
 
 #[test]
