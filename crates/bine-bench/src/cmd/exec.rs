@@ -94,11 +94,9 @@ fn bench_executors(
     compiled_sched
 }
 
-/// Times the pool on `handle` at one lane — the calling thread alone, the
-/// same on every runner, so gated (`{label}/pool/{p}`) — and at the runner's
-/// parallelism (`{label}/pool-lanes/{p}`: `pool_workers` lanes; ungated
-/// context, like everything that depends on the core count).
-fn bench_pools(
+/// Times the pool on `handle` (`{label}/pool/{p}`, gated): the calling
+/// thread, the same on every runner.
+fn bench_pool(
     records: &mut Records,
     label: &str,
     handle: &Arc<CompiledSchedule>,
@@ -106,23 +104,17 @@ fn bench_pools(
     iters: usize,
 ) {
     let p = handle.num_ranks;
-    let one_lane = ExecutorPool::new(1);
+    let pool = ExecutorPool::global();
     records.time(format!("{label}/pool/{p}"), iters, || {
-        one_lane.run(handle, initial.to_vec());
-    });
-    let global = ExecutorPool::global();
-    records.time(format!("{label}/pool-lanes/{p}"), iters, || {
-        global.run(handle, initial.to_vec());
+        pool.run(handle, initial.to_vec());
     });
 }
 
 /// The large reductions the repository benchmark's `exec-reduce` workload
 /// runs: 1 and 4 MiB vectors over 64 ranks (`bytes / 8 / p` elements per
-/// block), where a one-lane run walks block by block and the time is memory
-/// traffic, not dispatch. Gated `/compiled/` and `/pool/` entries, ungated
-/// `/pool-lanes/` — at these sizes the one comparison of rank-range lanes
-/// against one lane that has work to split. No reference interpreter: it
-/// takes seconds per run here.
+/// block), where a run walks block by block and the time is memory
+/// traffic, not dispatch. Gated `/compiled/` and `/pool/` entries. No
+/// reference interpreter: it takes seconds per run here.
 fn bench_large_reductions(records: &mut Records, iters: usize) {
     let p = 64;
     let large = allreduce(p, AllreduceAlg::BineLarge);
@@ -132,14 +124,14 @@ fn bench_large_reductions(records: &mut Records, iters: usize) {
         ("allreduce-bine-large-4MiB", &large, 4 << 20, true),
         ("reduce-scatter-swing-4MiB", &swing, 4 << 20, false),
     ];
-    for (label, sched, bytes, on_pools) in cases {
+    for (label, sched, bytes, on_pool) in cases {
         let initial = Workload::for_schedule(sched, bytes / 8 / p).initial_state(sched);
         let handle = Arc::new(sched.compile());
         records.time(format!("{label}/compiled/{p}"), iters, || {
             compiled::run(&handle, initial.clone());
         });
-        if on_pools {
-            bench_pools(records, label, &handle, &initial, iters);
+        if on_pool {
+            bench_pool(records, label, &handle, &initial, iters);
         }
     }
 }
@@ -151,7 +143,7 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
         sequential::run_reference(sched, initial.clone());
     });
     let compiled_sched = bench_executors(records, label, sched, &initial, iters);
-    bench_pools(records, label, &compiled_sched, &initial, iters);
+    bench_pool(records, label, &compiled_sched, &initial, iters);
     // What the schedule costs before any executor sees it (all gated): the
     // builder, then lowering — unsegmented at every size, and at the 16
     // pipeline chunks the LUMI table serves this allreduce with above 1 MiB
@@ -298,16 +290,15 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 /// Records the execution-benchmark trajectory as `BENCH_exec.json`.
 ///
 /// Measures ns/op of the four executors on the BineLarge allreduce at
-/// p ∈ {64, 256, 1024} (the pool twice: gated `/pool/` at one lane, ungated
-/// `/pool-lanes/` at the runner's parallelism) and what building and
-/// lowering it cost (gated `/build/` and `/compile/` at each size,
-/// `/lower-seg16/256` at 16 pipeline chunks), plus 1 and 4 MiB reductions
-/// over 64 ranks, where the one-lane executors walk block by block
-/// (`allreduce-bine-large-{1,4}MiB`, `reduce-scatter-swing-4MiB`: gated
-/// `/compiled/` and `/pool/`, ungated `/pool-lanes/`), plus the post-seed collective
-/// surfaces at p = 256 — dual-root pipelined allreduce, two irregular
-/// v-variant schedules and the Bine alltoall, each with a gated `/compiled/`
-/// entry, the alltoall with a gated `/build/` as well — plus the
+/// p ∈ {64, 256, 1024} and what building and lowering it cost (gated
+/// `/build/` and `/compile/` at each size, `/lower-seg16/256` at 16
+/// pipeline chunks), plus 1 and 4 MiB reductions over 64 ranks, where the
+/// executors walk block by block (`allreduce-bine-large-{1,4}MiB`: gated
+/// `/compiled/` and `/pool/`; `reduce-scatter-swing-4MiB`: gated
+/// `/compiled/`), plus the post-seed collective surfaces at p = 256 —
+/// dual-root pipelined allreduce, two irregular v-variant schedules and the
+/// Bine alltoall, each with a gated `/compiled/` entry, the alltoall with a
+/// gated `/build/` as well — plus the
 /// synthesized data plane (multilevel provider allreduce on the
 /// heterogeneous island view: gated `/compiled/` and `/sim/` entries,
 /// ungated `/synthesize/` build cost) — plus the discrete-event simulator —
@@ -367,7 +358,6 @@ pub fn run(args: Args) -> Outcome {
     // ≥ 10x; this field is the recorded evidence).
     let speedup_sim_256 = records.lookup("allreduce-bine-large/sim-reference/256")
         / records.lookup("allreduce-bine-large/sim/256");
-    let workers = ExecutorPool::global().num_workers();
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::from("{\n  \"benches\": {\n");
@@ -390,21 +380,15 @@ pub fn run(args: Args) -> Outcome {
          \"speedup_serve_vs_serial\": {:.2},",
         serve.threads, serve.requests_per_sec, serve.speedup_vs_serial
     );
-    // The pool against the compiled executor it shares the step kernel
-    // with: at one lane (expected 1.0 — the pool adds nothing), and at the
-    // runner's `pool_workers` lanes, as measured.
+    // The pool against the compiled executor it runs (expected 1.0 — the
+    // pool adds nothing).
     println!();
     for p in [64, 256, 1024] {
-        let compiled_ns = records.lookup(&format!("allreduce-bine-large/compiled/{p}"));
-        for entry in ["pool", "pool-lanes"] {
-            let key = entry.replace('-', "_");
-            let speedup =
-                compiled_ns / records.lookup(&format!("allreduce-bine-large/{entry}/{p}"));
-            let _ = writeln!(json, "  \"speedup_{key}_vs_compiled_p{p}\": {speedup:.2},");
-            println!("speedup {entry} vs compiled @p={p}: {speedup:.2}x ({workers} pool workers)");
-        }
+        let speedup = records.lookup(&format!("allreduce-bine-large/compiled/{p}"))
+            / records.lookup(&format!("allreduce-bine-large/pool/{p}"));
+        let _ = writeln!(json, "  \"speedup_pool_vs_compiled_p{p}\": {speedup:.2},");
+        println!("speedup pool vs compiled @p={p}: {speedup:.2}x");
     }
-    let _ = writeln!(json, "  \"pool_workers\": {workers},");
     let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
     let _ = writeln!(json, "  \"unit\": \"ns/op (min over samples)\"");
     json.push('}');

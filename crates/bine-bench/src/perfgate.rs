@@ -5,11 +5,10 @@
 //! and CI re-records `BENCH_exec.ci.json` on every push. This module diffs
 //! the two: if any **compiled-executor** entry (name containing
 //! `/compiled/` — the data plane the repo's headline speedup lives on),
-//! **one-lane pool** entry (name containing `/pool/` — the serving
-//! executor on the calling thread alone, which must cost what the compiled
-//! executor costs on any runner), **discrete-event simulator** entry
-//! (name containing `/sim/` — the time
-//! model the 512-node tuning horizon depends on) or **serving-layer
+//! **pool** entry (name containing `/pool/` — the serving executor, which
+//! must cost what the compiled executor costs), **discrete-event
+//! simulator** entry (name containing `/sim/` — the time model the
+//! 512-node tuning horizon depends on) or **serving-layer
 //! throughput** entry (name containing `/serve/` — the worker-normalized
 //! ns/request of the concurrent `ServiceSelector` request path, the
 //! core-count-robust statistic) or **build** or **lowering** entry (name
@@ -19,12 +18,10 @@
 //! chunks) regresses by more
 //! than the threshold, the gate fails and CI goes red. Interpreter baselines
 //! (`reference`, `sequential`, `sim-reference`, the single-threaded
-//! `/serial/` selector), the pool at the runner's parallelism
-//! (`/pool-lanes/`) and the `/serve-latency/`
-//! p99 tail are reported for context but not gated — they are either
-//! deliberately slow baselines or too scheduler-noisy for a hard threshold
-//! (cross-thread hand-over and tail latency in particular depend on the
-//! runner's core count and co-scheduled load).
+//! `/serial/` selector) and the `/serve-latency/` p99 tail are reported
+//! for context but not gated — they are either deliberately slow baselines
+//! or too scheduler-noisy for a hard threshold (tail latency in particular
+//! depends on the runner's core count and co-scheduled load).
 //!
 //! The gate is exercised end to end by `tests/` below: a synthetic 2×
 //! slowdown of a compiled entry must fail it, anything inside the threshold
@@ -72,8 +69,7 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
 
 /// Whether an entry is hard-gated (see the module docs). `/sim-reference/`
 /// entries deliberately do not match `/sim/`: the reference simulator is a
-/// baseline, not a perf surface. Likewise `/pool-lanes/` (the pool at the
-/// runner's core count) does not match `/pool/`, and `/serial/` (the
+/// baseline, not a perf surface. Likewise `/serial/` (the
 /// single-threaded selector baseline) and `/serve-latency/`
 /// (scheduler-noisy p99 tail) do not match `/serve/`. `/serve/` and
 /// `/adaptive/` entries whose last
@@ -291,10 +287,8 @@ mod tests {
         assert!(!is_gated("allreduce-bine-large/reference/256"));
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));
         assert!(is_gated("allreduce-bine-large/pool/256"));
-        assert!(!is_gated("allreduce-bine-large/pool-lanes/256"));
         assert!(is_gated("allreduce-bine-large-1MiB/compiled/64"));
         assert!(is_gated("allreduce-bine-large-4MiB/pool/64"));
-        assert!(!is_gated("allreduce-bine-large-4MiB/pool-lanes/64"));
         assert!(is_gated("reduce-scatter-swing-4MiB/compiled/64"));
         assert!(is_gated("allreduce-bine-large/build/256"));
         assert!(is_gated("allreduce-bine-large/compile/256"));

@@ -23,29 +23,25 @@
 //! states, and answer by `BlockId` through the table they keep alive.
 //!
 //! One compiled form, two walks over it. The **step walk** (`run_steps`) is
-//! the step kernel — `gather_recvs` then `apply_recvs`, written once here —
-//! over all of a step's receives, step after step; a pool of more than one
-//! lane calls the same kernel per lane, over the receives of the lane's
-//! destination ranks. The **block walk** (`run_blocks`) takes the payload
-//! entries block by block ([`bine_sched::BlockMajor`]): a payload of block
-//! `b` reads slot `b` of its sender and writes slot `b` of its receiver and
-//! nothing else, so one block's entries, in receive order, are a schedule of
-//! their own, and running them start to finish keeps the block's partial
-//! sums in cache where the step walk streams the whole working set through
-//! it once per step. Both stage a step's payloads before applying them,
-//! both deliver through the same `receive` and so the same
-//! [`reduce_into`](crate::state), and every `(rank, block)` slot sees the
-//! same writes in the same order at the same reference counts: the finals
-//! agree bit for bit and the same reductions copy on write.
+//! the step kernel — `gather_recvs` then `apply_recvs` — over all of a
+//! step's receives, step after step. The **block walk** (`run_blocks`)
+//! takes the payload entries block by block ([`bine_sched::BlockMajor`]): a
+//! payload of block `b` reads slot `b` of its sender and writes slot `b` of
+//! its receiver and nothing else, so one block's entries, in receive order,
+//! are a schedule of their own, and running them start to finish keeps the
+//! block's partial sums in cache where the step walk streams the whole
+//! working set through it once per step. Both stage a step's payloads
+//! before applying them, both deliver through the same `receive` and so the
+//! same [`reduce_into`](crate::state), and every `(rank, block)` slot sees
+//! the same writes in the same order at the same reference counts: the
+//! finals agree bit for bit and the same reductions copy on write.
 //!
-//! `run_lane` — [`run_dense`], and a one-lane
-//! [`ExecutorPool`](crate::ExecutorPool) — picks the walk from what it can
-//! see of the run: the block walk when the schedule has a `Reduce` send and
-//! the payloads are large (`BLOCK_WALK_MIN_ELEMS`, with the measurements
-//! behind it), the step walk otherwise — small payloads, schedules that only
-//! move data, runs with dead ranks.
-
-use std::ops::{Deref, DerefMut};
+//! `run_lane` — [`run_dense`], and what [`ExecutorPool`](crate::ExecutorPool)
+//! runs — picks the walk from what it can see of the run: the block walk
+//! when the schedule has a `Reduce` send and the payloads are large
+//! (`BLOCK_WALK_MIN_ELEMS`, with the measurements behind it), the step walk
+//! otherwise — small payloads, schedules that only move data, runs with dead
+//! ranks.
 
 use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
@@ -121,7 +117,7 @@ pub(crate) struct Stall {
 }
 
 /// Mean payload, in elements, of the sampled rank from which a reducing run
-/// on one lane walks block by block (8 KiB of `f64`s).
+/// walks block by block (8 KiB of `f64`s).
 ///
 /// The crossover, as block walk ÷ step walk on one confined vCPU (4 MiB L2),
 /// lower quartile of 25 rounds of reduce-scatter `bine-permute`, allreduce
@@ -160,8 +156,8 @@ fn payloads_are_large(states: &[DenseState]) -> bool {
     sampled.unwrap_or(false)
 }
 
-/// The whole schedule on one lane, by the calling thread with plain borrows
-/// of the states. This is [`run_dense`], and what a one-lane
+/// The whole schedule, by the calling thread with plain borrows of the
+/// states. This is [`run_dense`], and what
 /// [`ExecutorPool`](crate::ExecutorPool) runs. A healthy run of a reducing
 /// schedule over large payloads walks block by block ([`run_blocks`]),
 /// every other one step by step ([`run_steps`]); `dead` marks the crashed
@@ -186,27 +182,10 @@ pub(crate) fn run_steps(
 ) -> Option<Stall> {
     let mut staging = Vec::new();
     for step in 0..compiled.num_steps() {
-        let recvs = compiled.recvs_to_ranks(step, 0..compiled.num_ranks);
+        let recvs = compiled.step_recvs(step);
         // Stage every payload of the step before any state mutates.
-        let pre_step: &[DenseState] = states;
-        gather_recvs(
-            compiled,
-            step,
-            recvs,
-            dead,
-            |rank| &pre_step[rank],
-            &mut staging,
-        );
-        // Receivers come in ascending rank order, so one pass over the
-        // states hands each its own.
-        let mut rest = states.iter_mut();
-        let mut next_rank = 0;
-        let stalled = apply_recvs(compiled, recvs, dead, &mut staging, |rank| {
-            let state = rest.nth(rank - next_rank).expect("receiver in range");
-            next_rank = rank + 1;
-            state
-        });
-        if let Some(send) = stalled {
+        gather_recvs(compiled, step, recvs, dead, states, &mut staging);
+        if let Some(send) = apply_recvs(compiled, recvs, dead, &mut staging, states) {
             return Some(Stall { step, send });
         }
     }
@@ -301,8 +280,8 @@ fn receive(
 
 /// Gather half of the step kernel: reads the payloads of the receives
 /// `recvs` of `step` (send indices grouped by ascending destination rank,
-/// see [`CompiledSchedule::recvs_to_ranks`]) out of their source ranks'
-/// states — refcount bumps only — into `staging`, one entry per payload in
+/// see [`CompiledSchedule::step_recvs`]) out of their source ranks'
+/// `states` — refcount bumps only — into `staging`, one entry per payload in
 /// `recvs` order, replacing what it held.
 ///
 /// Under dead-rank injection `dead[rank]` marks the crashed ranks: their
@@ -310,12 +289,12 @@ fn receive(
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
-pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
+fn gather_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
     dead: Option<&[bool]>,
-    state_of: impl Fn(usize) -> S,
+    states: &[DenseState],
     staging: &mut Vec<Option<Block>>,
 ) {
     staging.clear();
@@ -324,13 +303,13 @@ pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
             staging.resize(staging.len() + send.num_blocks(), None);
             continue;
         }
-        let src = state_of(send.src as usize);
+        let src = &states[send.src as usize];
         let payloads = compiled.src_slots(send).iter().enumerate();
-        staging.extend(payloads.map(|(k, &slot)| {
-            Some(Block::clone(held_block(
-                compiled, step, send, k, &src, slot,
-            )))
-        }));
+        staging.extend(
+            payloads.map(|(k, &slot)| {
+                Some(Block::clone(held_block(compiled, step, send, k, src, slot)))
+            }),
+        );
     }
 }
 
@@ -341,20 +320,19 @@ pub(crate) fn gather_recvs<S: Deref<Target = DenseState>>(
 /// the receiver takes the staged reference over: a block that a rank both
 /// sends and reduces in one step is copied on write by whichever partner
 /// applies first and summed in place by the other. Only ranks that receive
-/// something are visited: `state_of` is asked once per such rank, in
-/// ascending order, for exclusive access to its state.
+/// something are visited.
 ///
 /// Under dead-rank injection a `dead` rank posts no receives, so its state
 /// stays untouched, and a surviving rank's receive from a dead sender has
 /// nothing staged: in a real run the rank hangs there and never posts its
 /// later receives, so its remaining receives of the step are skipped and
 /// the smallest such send index is returned.
-pub(crate) fn apply_recvs<S: DerefMut<Target = DenseState>>(
+fn apply_recvs(
     compiled: &CompiledSchedule,
     recvs: &[u32],
     dead: Option<&[bool]>,
     staging: &mut [Option<Block>],
-    mut state_of: impl FnMut(usize) -> S,
+    states: &mut [DenseState],
 ) -> Option<u32> {
     let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
     let dst_of = |send_idx: u32| compiled.send(send_idx as usize).dst;
@@ -363,7 +341,7 @@ pub(crate) fn apply_recvs<S: DerefMut<Target = DenseState>>(
     for to_rank in recvs.chunk_by(|&a, &b| dst_of(a) == dst_of(b)) {
         let rank = dst_of(to_rank[0]);
         // `None` once the rank posts no (further) receives.
-        let mut dst = (!is_dead(rank)).then(|| state_of(rank as usize));
+        let mut dst = (!is_dead(rank)).then_some(&mut states[rank as usize]);
         for &send_idx in to_rank {
             let send = compiled.send(send_idx as usize);
             let payloads = &mut staging[taken..taken + send.num_blocks()];

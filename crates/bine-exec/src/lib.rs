@@ -14,9 +14,8 @@
 //!   per block a rank touches, no hashing in the inner loop), step by step
 //!   or, for large reductions, block by block — home of the one step kernel
 //!   and the one place a received payload is applied,
-//! * [`pool`] — the persistent [`pool::ExecutorPool`]: the same kernel with
-//!   the ranks split over one lane per core — the calling thread plus
-//!   parked workers; at one lane exactly the compiled path,
+//! * [`pool`] — [`pool::ExecutorPool`]: the compiled path on the calling
+//!   thread, with panics and dead-rank stalls returned as [`ExecError`],
 //! * [`mod@verify`] — golden-result checks of the MPI post-condition of every
 //!   collective,
 //! * [`comm`] — the [`comm::Cluster`] facade: an MPI-like API over plain
@@ -46,6 +45,6 @@ pub mod verify;
 
 pub use comm::Cluster;
 pub use compiled::DenseState;
-pub use pool::{ExecError, ExecutorPool, Job};
+pub use pool::{ExecError, ExecutorPool};
 pub use state::{Block, BlockStore, Workload};
 pub use verify::{run_and_verify, verify, VerifyResult};

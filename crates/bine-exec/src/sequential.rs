@@ -13,7 +13,7 @@
 //!   data actually moved.
 //! * [`run_reference`] — the seed interpreter, preserved verbatim including
 //!   its full per-step deep-copy snapshot. It is the semantic baseline every
-//!   other executor (zero-copy sequential, compiled, thread pool) is
+//!   other executor (zero-copy sequential, compiled, pool) is
 //!   cross-checked bit-identical against, and the "naive" side of the
 //!   compiled-vs-naive benchmarks.
 

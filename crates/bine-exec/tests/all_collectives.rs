@@ -59,11 +59,10 @@ fn every_algorithm_is_correct_on_the_pool_executor() {
 
 #[test]
 fn all_four_executors_agree_exactly_with_the_reference() {
-    // The pool at one lane (the calling thread alone), two and four; payloads
-    // on both sides of the size (1024 elements) from which a one-lane run of
+    // Payloads on both sides of the size (1024 elements) from which a run of
     // a reducing schedule walks block by block. Every regular name, bare, at
     // an interior root.
-    let pools = [1, 2, 4].map(ExecutorPool::new);
+    let pool = ExecutorPool::global();
     let mut ran = 0;
     for request in walk(&[32]) {
         if !matches!(request.source, Source::Regular(_))
@@ -84,11 +83,8 @@ fn all_four_executors_agree_exactly_with_the_reference() {
             assert_eq!(seq, reference, "zero-copy sequential: {what}");
             let comp = compiled::run(&handle, workload.initial_state(&sched));
             assert_eq!(comp, reference, "compiled: {what}");
-            for pool in &pools {
-                let pooled = pool.run(&handle, workload.initial_state(&sched));
-                let lanes = pool.num_workers();
-                assert_eq!(pooled, reference, "pool, {lanes} lanes: {what}");
-            }
+            let pooled = pool.run(&handle, workload.initial_state(&sched));
+            assert_eq!(pooled, reference, "pool: {what}");
         }
         ran += 1;
     }
@@ -96,25 +92,14 @@ fn all_four_executors_agree_exactly_with_the_reference() {
 }
 
 #[test]
-fn a_1024_rank_schedule_runs_on_a_bounded_worker_set() {
-    // The pool multiplexes all 1024 ranks over a fixed handful of workers
-    // instead of spawning one OS thread per rank. (An explicit 4-worker
-    // pool, so the asserted bound is a property of the executor, not of
-    // the host's core count.)
-    let pool = ExecutorPool::new(4);
-    assert_eq!(
-        pool.num_workers(),
-        4,
-        "pool size is fixed at construction, independent of rank count"
-    );
+fn a_1024_rank_schedule_runs_on_the_pool() {
     for (collective, name) in [
         (Collective::Allreduce, "bine-large"),
         (Collective::Allgather, "bine"),
     ] {
         let sched = build(collective, name, 1024, 0).unwrap();
         let workload = Workload::for_schedule(&sched, 1);
-        let compiled_sched = Arc::new(sched.compile());
-        let finals = pool.run(&compiled_sched, workload.initial_state(&sched));
+        let finals = pool_run(&sched, workload.initial_state(&sched));
         if let Err(e) = verify::verify(&workload, &finals) {
             panic!("{collective:?}/{name} p=1024 (pool): {e}");
         }

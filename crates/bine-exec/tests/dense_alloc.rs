@@ -1,4 +1,4 @@
-//! Pins what the dense conversion and a one-lane pool run allocate: executor
+//! Pins what the dense conversion and a pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
 //! schedule interned, leaving dense form — and entering it again with the
 //! finals — allocates nothing, the pool adds nothing to the step kernel, and
@@ -97,7 +97,7 @@ fn a_warm_pool_run_allocates_what_entering_and_running_do() {
     let sched = alltoall(256, AlltoallAlg::Bine);
     let handle = Arc::new(sched.compile());
     let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
-    let pool = ExecutorPool::new(1);
+    let pool = ExecutorPool::global();
     drop(pool.run(&handle, initial.clone()));
 
     let staged = initial.clone();
@@ -114,13 +114,13 @@ fn a_warm_pool_run_allocates_what_entering_and_running_do() {
 
 #[test]
 fn a_one_lane_pool_run_allocates_what_the_compiled_executor_does() {
-    // One lane is the calling thread in the compiled executor's own loop:
+    // The pool is the calling thread in the compiled executor's own loop:
     // no boxed jobs, no batch status, no second staging buffer per step.
     let sched = alltoall(64, AlltoallAlg::Bine);
     let handle = Arc::new(sched.compile());
     let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
     handle.slot_layout();
-    let pool = ExecutorPool::new(1);
+    let pool = ExecutorPool::global();
 
     let mut dense = compiled::to_dense(&handle, initial.clone());
     let (compiled_bytes, ()) = bytes_requested(|| compiled::run_dense(&handle, &mut dense));
@@ -145,7 +145,7 @@ fn a_block_sent_and_reduced_in_one_step_is_copied_once_per_pair() {
     let handle = Arc::new(sched.compile());
     let shared = Workload::for_schedule(&sched, 4096).initial_state(&sched);
     handle.slot_layout();
-    let pool = ExecutorPool::new(1);
+    let pool = ExecutorPool::global();
 
     let (compiled_bytes, finals) = bytes_requested(|| compiled::run(&handle, shared.clone()));
     let (pool_bytes, pooled) = bytes_requested(|| pool.run(&handle, shared.clone()));

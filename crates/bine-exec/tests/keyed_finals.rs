@@ -28,7 +28,6 @@ fn map_form(stores: &[BlockStore]) -> Vec<BlockStore> {
 
 #[test]
 fn finals_read_the_same_whichever_executor_produced_them() {
-    let pools = [1, 2, 4].map(ExecutorPool::new);
     let mut ran = 0;
     for request in walk(&[16]) {
         if request.repeats_root_zero() {
@@ -41,10 +40,10 @@ fn finals_read_the_same_whichever_executor_produced_them() {
         let workload = Workload::for_schedule(&sched, 2);
         let initial = workload.initial_state(&sched);
         let reference = sequential::run_reference(&sched, initial.clone());
-        let mut produced = vec![("compiled", compiled::run(&handle, initial.clone()))];
-        for pool in &pools {
-            produced.push(("pool", pool.run(&handle, initial.clone())));
-        }
+        let produced = [
+            ("compiled", compiled::run(&handle, initial.clone())),
+            ("pool", ExecutorPool::global().run(&handle, initial.clone())),
+        ];
         for (executor, finals) in &produced {
             let what = format!("{executor}: {}", request.label());
             assert!(*finals == reference, "{what}");
@@ -75,7 +74,7 @@ fn chainable() -> Vec<Schedule> {
 
 #[test]
 fn finals_fed_back_in_give_what_their_map_form_copy_gives() {
-    let pool = ExecutorPool::new(2);
+    let pool = ExecutorPool::global();
     for sched in chainable() {
         let what = &sched.algorithm;
         let handle = Arc::new(sched.compile());
@@ -139,10 +138,8 @@ fn survivors_of_a_wider_handle_rekey_onto_the_shrunk_one() {
     survivors.remove(5);
     assert_eq!(survivors, inputs);
     let reference = sequential::run_reference(&shrunk, inputs);
-    for lanes in [1, 2] {
-        let finals = ExecutorPool::new(lanes).run(&shrunk_handle, survivors.clone());
-        assert_eq!(finals, reference, "{lanes} lanes");
-    }
+    let finals = ExecutorPool::global().run(&shrunk_handle, survivors);
+    assert_eq!(finals, reference);
 }
 
 #[test]
@@ -159,16 +156,13 @@ fn a_dead_ranks_state_comes_back_untouched_in_either_form() {
         let mut initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
         initial[dead].insert(BlockId::Segment(77), vec![7.0]);
         let keyed = compiled::to_dense(&handle, initial.clone());
-        for lanes in [1, 2] {
-            let pool = ExecutorPool::new(lanes);
-            for (form, input) in [("map", &initial), ("table-backed", &keyed)] {
-                let what = format!("{}, {lanes} lanes, {form} input", sched.algorithm);
-                let finals = pool
-                    .try_run_with_dead(&handle, input.clone(), &[dead])
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_eq!(finals[dead], initial[dead], "{what}");
-                assert_eq!(finals[dead].len(), initial[dead].len(), "{what}");
-            }
+        for (form, input) in [("map", &initial), ("table-backed", &keyed)] {
+            let what = format!("{}, {form} input", sched.algorithm);
+            let finals = ExecutorPool::global()
+                .try_run_with_dead(&handle, input.clone(), &[dead])
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(finals[dead], initial[dead], "{what}");
+            assert_eq!(finals[dead].len(), initial[dead].len(), "{what}");
         }
     }
 }

@@ -52,7 +52,7 @@ fn any_draw() -> impl Strategy<Value = usize> {
 }
 
 /// Elements per block on both sides of the payload size (1024 elements) from
-/// which a one-lane run of a reducing schedule walks block by block instead
+/// which a run of a reducing schedule walks block by block instead
 /// of step by step: every equivalence below holds for either walk.
 fn any_elems() -> impl Strategy<Value = usize> {
     prop_oneof![1usize..4, 1024usize..=1026]

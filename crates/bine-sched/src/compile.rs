@@ -435,7 +435,7 @@ impl BlockMajor {
         };
         let mut entries = vec![unset; compiled.block_indices.len()];
         for step in 0..compiled.num_steps() {
-            for &send in compiled.recvs_to_ranks(step, 0..compiled.num_ranks) {
+            for &send in compiled.step_recvs(step) {
                 let blocks = compiled.block_index_slice(compiled.send(send as usize));
                 for (entry, &block) in blocks.iter().enumerate() {
                     let at = &mut next[block as usize];
@@ -719,17 +719,20 @@ impl CompiledSchedule {
     /// Global send indices targeting `rank` in `step`, in schedule order —
     /// the exact order the reference interpreter applies payloads in.
     pub fn recvs_to(&self, step: usize, rank: usize) -> &[u32] {
-        self.recvs_to_ranks(step, rank..rank + 1)
+        let row = step * (self.num_ranks + 1) + rank;
+        let lo = self.recv_offsets[row] as usize;
+        let hi = self.recv_offsets[row + 1] as usize;
+        &self.recv_lists[lo..hi]
     }
 
-    /// Global send indices targeting the ranks `ranks` in `step`, grouped by
-    /// ascending destination rank and in schedule order within a rank: the
-    /// concatenation of [`CompiledSchedule::recvs_to`] over `ranks`, without
-    /// a visit to the ranks that receive nothing.
-    pub fn recvs_to_ranks(&self, step: usize, ranks: Range<usize>) -> &[u32] {
+    /// Global send indices of every receive of `step`, grouped by ascending
+    /// destination rank and in schedule order within a rank: the
+    /// concatenation of [`CompiledSchedule::recvs_to`] over all ranks,
+    /// without a visit to the ranks that receive nothing.
+    pub fn step_recvs(&self, step: usize) -> &[u32] {
         let row = step * (self.num_ranks + 1);
-        let lo = self.recv_offsets[row + ranks.start] as usize;
-        let hi = self.recv_offsets[row + ranks.end] as usize;
+        let lo = self.recv_offsets[row] as usize;
+        let hi = self.recv_offsets[row + self.num_ranks] as usize;
         &self.recv_lists[lo..hi]
     }
 
@@ -918,15 +921,12 @@ mod tests {
             let compiled = sched.compile();
             let p = sched.num_ranks;
             for (step_idx, step) in sched.steps.iter().enumerate() {
-                // A range of ranks gets the concatenation of their lists.
-                for ranks in [0..p, 0..0, p / 3..p / 2, p - 1..p] {
-                    let one_by_one: Vec<u32> = ranks
-                        .clone()
-                        .flat_map(|rank| compiled.recvs_to(step_idx, rank))
-                        .copied()
-                        .collect();
-                    assert_eq!(compiled.recvs_to_ranks(step_idx, ranks), one_by_one);
-                }
+                // The whole step is the concatenation of the per-rank lists.
+                let one_by_one: Vec<u32> = (0..p)
+                    .flat_map(|rank| compiled.recvs_to(step_idx, rank))
+                    .copied()
+                    .collect();
+                assert_eq!(compiled.step_recvs(step_idx), one_by_one);
                 for rank in 0..sched.num_ranks {
                     let scanned: Vec<&Message> =
                         step.messages.iter().filter(|m| m.dst == rank).collect();

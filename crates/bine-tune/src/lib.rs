@@ -26,9 +26,8 @@
 //!   compiled-schedule cache with single-flight compilation, graceful
 //!   degradation under compile failures (bounded waits, capped-backoff
 //!   retries, a per-entry circuit breaker serving the binomial baseline),
-//!   and batch execution on the shared [`bine_exec::ExecutorPool`] — the
-//!   serving front-end for many threads where [`selector::Selector`]
-//!   serves one;
+//!   and execution on [`bine_exec::ExecutorPool`] — the serving front-end
+//!   for many threads where [`selector::Selector`] serves one;
 //! * [`adapt`] — online adaptive tuning over the serving layer: observed
 //!   per-pick timings vs the committed modelled scores, single-flight
 //!   challenger re-evaluation on divergence, and an epoch-versioned

@@ -25,7 +25,7 @@
 //!   unavailable (*override → committed pick → binomial [`fallback_pick`]
 //!   → linear any-p*), so every request gets *an* answer;
 //! * `recover` — shrink-and-retry crash recovery
-//!   ([`ServiceSelector::try_execute_recovering_on`]): the ladder walked at
+//!   ([`ServiceSelector::try_execute_recovering`]): the ladder walked at
 //!   the survivor count;
 //! * `adapt` — the serving side of online adaptation ([`crate::adapt`]).
 //!

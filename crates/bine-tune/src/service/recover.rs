@@ -14,7 +14,7 @@ use super::ladder::{self, Rung};
 use super::ServiceSelector;
 
 /// How a crash-tolerant request (see
-/// [`ServiceSelector::try_execute_recovering_on`]) was answered.
+/// [`ServiceSelector::try_execute_recovering`]) was answered.
 #[derive(Debug)]
 pub enum Served {
     /// No dead rank stalled the tuned pick: final block stores of every
@@ -71,7 +71,8 @@ impl ServiceSelector {
     /// Crash-tolerant execution with shrink-and-retry recovery: resolves
     /// the tuned pick, builds its schedule and the deterministic workload
     /// (`elems_per_block` elements per block, root 0), injects `dead` as
-    /// ranks crashed before the collective starts, and runs on `pool`.
+    /// ranks crashed before the collective starts, and runs on
+    /// [`ExecutorPool::global`].
     ///
     /// * When no surviving rank blocks on a dead one, the run completes
     ///   over the full communicator: [`Served::Full`].
@@ -99,10 +100,8 @@ impl ServiceSelector {
     ///
     /// # Panics
     /// Panics if a dead rank is `>= nodes` or all ranks are dead.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_execute_recovering_on(
+    pub fn try_execute_recovering(
         &self,
-        pool: &ExecutorPool,
         system: &str,
         collective: Collective,
         nodes: usize,
@@ -118,6 +117,7 @@ impl ServiceSelector {
         let ladder = ladder::rungs(slot, bytes);
         let (key, sched, _, compiled) =
             self.first_buildable(sys, collective, nodes, &ladder[..1])?;
+        let pool = ExecutorPool::global();
         let w = Workload::for_schedule(&sched, elems_per_block);
         let error = match pool.try_run_with_dead(&compiled, w.initial_state(&sched), dead) {
             Ok(finals) => return Some(Ok(Served::Full(finals))),
@@ -167,28 +167,6 @@ impl ServiceSelector {
             pick,
             error,
         })))
-    }
-
-    /// [`ServiceSelector::try_execute_recovering_on`] over the process-wide
-    /// [`ExecutorPool::global`].
-    pub fn try_execute_recovering(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        elems_per_block: usize,
-        dead: &[usize],
-    ) -> Option<Result<Served, ExecError>> {
-        self.try_execute_recovering_on(
-            ExecutorPool::global(),
-            system,
-            collective,
-            nodes,
-            bytes,
-            elems_per_block,
-            dead,
-        )
     }
 
     /// Walks `rungs` at `nodes` ranks until one builds, and resolves that
