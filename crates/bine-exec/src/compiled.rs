@@ -34,7 +34,10 @@
 //! before applying them, both deliver through the same `receive` and so the
 //! same [`reduce_into`](crate::state), and every `(rank, block)` slot sees
 //! the same writes in the same order at the same reference counts: the
-//! finals agree bit for bit and the same reductions copy on write.
+//! finals agree bit for bit and the same reductions copy on write. Neither
+//! moves the payloads of an identity move — a rank's copy onto itself as its
+//! only receive of the step, the `permute` strategy's local pass — which
+//! would put each back where it came from; both only check they are held.
 //!
 //! `run_lane` — [`run_dense`], and what [`ExecutorPool`](crate::ExecutorPool)
 //! runs — picks the walk from what it can see of the run: the block walk
@@ -185,7 +188,7 @@ pub(crate) fn run_steps(
         let recvs = compiled.step_recvs(step);
         // Stage every payload of the step before any state mutates.
         gather_recvs(compiled, step, recvs, dead, states, &mut staging);
-        if let Some(send) = apply_recvs(compiled, recvs, dead, &mut staging, states) {
+        if let Some(send) = apply_recvs(compiled, step, recvs, dead, &mut staging, states) {
             return Some(Stall { step, send });
         }
     }
@@ -203,16 +206,22 @@ pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState])
     let order = compiled.block_major();
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
+    let moves = |e: &&BlockEntry| !is_identity_move(compiled, e.step as usize, payload_of(e).0);
     let mut staging: Vec<Block> = Vec::new();
     for block in 0..compiled.num_blocks() {
         for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
-            // Stage the block's payloads of the step before any slot mutates.
-            staging.extend(in_step.iter().map(|e| {
+            // Stage the block's payloads of the step before any slot mutates,
+            // into room made for exactly those that move.
+            staging.reserve(in_step.iter().filter(moves).count());
+            for e in in_step {
                 let (send, k) = payload_of(e);
                 let (src, slot) = (&states[send.src as usize], compiled.src_slots(send)[k]);
-                Block::clone(held_block(compiled, e.step as usize, send, k, src, slot))
-            }));
-            for (e, payload) in in_step.iter().zip(staging.drain(..)) {
+                let held = held_block(compiled, e.step as usize, send, k, src, slot);
+                if moves(&e) {
+                    staging.push(Block::clone(held));
+                }
+            }
+            for (e, payload) in in_step.iter().filter(moves).zip(staging.drain(..)) {
                 let (send, k) = payload_of(e);
                 let slot = compiled.dst_slots(send)[k] as usize;
                 let held = &mut states[send.dst as usize].slots[slot];
@@ -220,6 +229,18 @@ pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState])
             }
         }
     }
+}
+
+/// Whether `send`, received in `step`, is an identity move: a copy its rank
+/// makes onto itself as its only receive of the step. Nothing else writes the
+/// rank in the step and the payloads were read before it, so applying them
+/// would put each back into the slot it came from — which is why both walks
+/// stage and apply nothing for it (segmented picks included: every message's
+/// chunk `c` travels in sub-step `c`).
+fn is_identity_move(compiled: &CompiledSchedule, step: usize, send: &CompiledSend) -> bool {
+    send.kind == TransferKind::Copy
+        && send.src == send.dst
+        && compiled.recvs_to(step, send.dst as usize).len() == 1
 }
 
 /// The payload rank `send.src` holds in local slot `slot`, which `send`
@@ -282,7 +303,9 @@ fn receive(
 /// `recvs` of `step` (send indices grouped by ascending destination rank,
 /// see [`CompiledSchedule::step_recvs`]) out of their source ranks'
 /// `states` — refcount bumps only — into `staging`, one entry per payload in
-/// `recvs` order, replacing what it held.
+/// `recvs` order, replacing what it held. An identity move
+/// ([`is_identity_move`]) stages nothing; its payloads are only checked to be
+/// held.
 ///
 /// Under dead-rank injection `dead[rank]` marks the crashed ranks: their
 /// sends never leave, the staging entries stay empty.
@@ -299,17 +322,22 @@ fn gather_recvs(
 ) {
     staging.clear();
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
+        let identity = is_identity_move(compiled, step, send);
         if dead.is_some_and(|dead| dead[send.src as usize]) {
-            staging.resize(staging.len() + send.num_blocks(), None);
+            if !identity {
+                staging.resize(staging.len() + send.num_blocks(), None);
+            }
             continue;
         }
         let src = &states[send.src as usize];
         let payloads = compiled.src_slots(send).iter().enumerate();
-        staging.extend(
-            payloads.map(|(k, &slot)| {
-                Some(Block::clone(held_block(compiled, step, send, k, src, slot)))
-            }),
-        );
+        let held = payloads.map(|(k, &slot)| held_block(compiled, step, send, k, src, slot));
+        if identity {
+            // The possession check alone: the payloads stay in their slots.
+            held.for_each(|_| ());
+        } else {
+            staging.extend(held.map(|block| Some(Block::clone(block))));
+        }
     }
 }
 
@@ -320,7 +348,8 @@ fn gather_recvs(
 /// the receiver takes the staged reference over: a block that a rank both
 /// sends and reduces in one step is copied on write by whichever partner
 /// applies first and summed in place by the other. Only ranks that receive
-/// something are visited.
+/// something are visited, and an identity move is not applied: nothing of it
+/// was staged.
 ///
 /// Under dead-rank injection a `dead` rank posts no receives, so its state
 /// stays untouched, and a surviving rank's receive from a dead sender has
@@ -329,6 +358,7 @@ fn gather_recvs(
 /// the smallest such send index is returned.
 fn apply_recvs(
     compiled: &CompiledSchedule,
+    step: usize,
     recvs: &[u32],
     dead: Option<&[bool]>,
     staging: &mut [Option<Block>],
@@ -344,6 +374,9 @@ fn apply_recvs(
         let mut dst = (!is_dead(rank)).then_some(&mut states[rank as usize]);
         for &send_idx in to_rank {
             let send = compiled.send(send_idx as usize);
+            if is_identity_move(compiled, step, send) {
+                continue;
+            }
             let payloads = &mut staging[taken..taken + send.num_blocks()];
             taken += payloads.len();
             let Some(state) = &mut dst else { continue };
@@ -376,9 +409,10 @@ mod tests {
     use crate::sequential;
     use crate::state::Workload;
     use bine_sched::collectives::{
-        allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
+        allgather, allreduce, alltoall, broadcast, reduce_scatter, AllgatherAlg, AllreduceAlg,
+        AlltoallAlg, BroadcastAlg, ReduceScatterAlg,
     };
-    use bine_sched::BlockId;
+    use bine_sched::{BlockId, Collective, Message, NonContigStrategy, Schedule, Step};
 
     #[test]
     fn dense_round_trip_preserves_every_block() {
@@ -420,7 +454,7 @@ mod tests {
     #[test]
     fn compiled_execution_matches_the_reference_for_every_algorithm() {
         let mut ran = 0;
-        for request in bine_sched::walk(&[16]) {
+        for request in bine_sched::walk(&[1, 2, 3, 16]) {
             let Some(sched) = request.build() else {
                 continue;
             };
@@ -450,7 +484,7 @@ mod tests {
         // dual-root allreduce (many small segments, each reduced twice)
         // included, bare and cut into two and four chunks.
         let mut ran = 0;
-        for request in bine_sched::walk(&[16]) {
+        for request in bine_sched::walk(&[1, 2, 3, 16]) {
             let Some(sched) = request.build() else {
                 continue;
             };
@@ -502,6 +536,103 @@ mod tests {
         let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
         let empty = (0..8).map(|_| BlockStore::new()).collect();
         run_blocks(&compiled, &mut to_dense(&compiled, empty));
+    }
+
+    fn by_step(compiled: &CompiledSchedule, states: &mut [DenseState]) {
+        assert_eq!(run_steps(compiled, states, None), None);
+    }
+
+    /// Runs `sched` by `walk` from `initial` with `Segment(5)` taken from
+    /// rank 3.
+    fn run_without_a_block(
+        sched: &Schedule,
+        mut initial: Vec<BlockStore>,
+        walk: fn(&CompiledSchedule, &mut [DenseState]),
+    ) {
+        let kept = initial[3].clone().into_blocks();
+        initial[3] = BlockStore::new();
+        for (id, payload) in kept.filter(|(id, _)| *id != BlockId::Segment(5)) {
+            initial[3].insert(id, payload);
+        }
+        let compiled = sched.compile();
+        walk(&compiled, &mut to_dense(&compiled, initial));
+    }
+
+    /// Reduce-scatter `bine-permute`, whose first step is the local permute
+    /// pass, and the inputs it starts from.
+    fn permuting_reduce_scatter() -> (Schedule, Vec<BlockStore>) {
+        let sched = reduce_scatter(8, ReduceScatterAlg::Bine(NonContigStrategy::Permute));
+        let initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
+        (sched, initial)
+    }
+
+    /// Allgather `bine`'s last step — its local permute pass — alone, and the
+    /// state it starts from: the allgather's finals.
+    fn permuting_allgather_step() -> (Schedule, Vec<BlockStore>) {
+        let mut sched = allgather(8, AllgatherAlg::Bine);
+        let w = Workload::for_schedule(&sched, 2);
+        let finals = sequential::run_reference(&sched, w.initial_state(&sched));
+        sched.steps.drain(..sched.num_steps() - 1);
+        assert!(sched.steps[0].messages.iter().all(|m| m.is_local()));
+        (sched, finals)
+    }
+
+    #[test]
+    #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
+    fn the_step_walk_checks_a_permuting_reduce_scatter_holds_what_it_permutes() {
+        let (sched, initial) = permuting_reduce_scatter();
+        run_without_a_block(&sched, initial, by_step);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
+    fn the_block_walk_checks_a_permuting_reduce_scatter_holds_what_it_permutes() {
+        let (sched, initial) = permuting_reduce_scatter();
+        run_without_a_block(&sched, initial, run_blocks);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
+    fn the_step_walk_checks_a_permuting_allgather_holds_what_it_permutes() {
+        let (sched, initial) = permuting_allgather_step();
+        run_without_a_block(&sched, initial, by_step);
+    }
+
+    #[test]
+    #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
+    fn the_block_walk_checks_a_permuting_allgather_holds_what_it_permutes() {
+        let (sched, initial) = permuting_allgather_step();
+        run_without_a_block(&sched, initial, run_blocks);
+    }
+
+    #[test]
+    fn a_copy_onto_itself_that_is_not_its_ranks_only_receive_is_applied() {
+        // Rank 1 receives rank 0's `Segment(0)`, then copies its own onto
+        // itself: not an identity move, and in schedule order the second
+        // receive puts rank 1's own value back.
+        let segment = BlockId::Segment(0);
+        let mut sched = Schedule::new(2, Collective::ReduceScatter, "hand-built", 0);
+        let mut step = Step::new();
+        for src in [0, 1] {
+            step.push(Message::with_segments(
+                src,
+                1,
+                vec![segment],
+                TransferKind::Copy,
+                1,
+            ));
+        }
+        sched.push_step(step);
+        let compiled = sched.compile();
+        let initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
+        assert_ne!(initial[0].get(&segment), initial[1].get(&segment));
+        let reference = sequential::run_reference(&sched, initial.clone());
+        assert_eq!(reference[1].get(&segment), initial[1].get(&segment));
+        for walk in [by_step, run_blocks] {
+            let mut states = to_dense(&compiled, initial.clone());
+            walk(&compiled, &mut states);
+            assert_eq!(from_dense(&compiled, states), reference);
+        }
     }
 
     #[test]

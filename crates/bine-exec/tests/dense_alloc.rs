@@ -1,12 +1,12 @@
 //! Pins what the dense conversion and a pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
 //! schedule interned, leaving dense form — and entering it again with the
-//! finals — allocates nothing, the pool adds nothing to the step kernel, and
-//! the block walk of a large reduction allocates what the step walk does.
-//! Measured
-//! with a per-thread counting wrapper around the system allocator (tests are
-//! their own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still holds
-//! for the library itself).
+//! finals — allocates nothing, the pool adds nothing to the step kernel, the
+//! block walk of a large reduction allocates what the step walk does, and
+//! neither stages an identity move. Measured with a per-thread counting
+//! wrapper around the system allocator (tests are their own crates, so
+//! `bine-exec`'s `#![forbid(unsafe_code)]` still holds for the library
+//! itself).
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting;
@@ -18,7 +18,7 @@ use bine_exec::{compiled, ExecutorPool, Workload};
 use bine_sched::collectives::{
     allgather, allreduce, alltoall, gather, AllgatherAlg, AllreduceAlg, AlltoallAlg, GatherAlg,
 };
-use bine_sched::{CompiledSchedule, Schedule};
+use bine_sched::{BlockId, Collective, CompiledSchedule, Message, Schedule, Step, TransferKind};
 
 #[test]
 fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
@@ -201,6 +201,57 @@ fn the_block_walk_allocates_no_more_than_the_step_walk() {
     );
     let (again, _) = counting::allocations_in(|| handle.block_major());
     assert_eq!(again, 0, "and it stays with the handle");
+}
+
+/// A reduce-scatter of the `permute` strategy's local pass alone — every rank
+/// copies all `p` segments onto itself — and one reduction of no blocks,
+/// which makes it a reducing schedule that large payloads walk block by
+/// block.
+fn local_permute_pass(p: usize) -> Schedule {
+    let mut sched = Schedule::new(p, Collective::ReduceScatter, "local-permute", 0);
+    let mut local = Step::with_capacity(p);
+    for r in 0..p {
+        let segments = (0..p as u32).map(BlockId::Segment).collect();
+        local.push(Message::with_segments(
+            r,
+            r,
+            segments,
+            TransferKind::Copy,
+            1,
+        ));
+    }
+    sched.push_step(local);
+    let mut empty = Step::new();
+    empty.push(Message::with_segments(
+        0,
+        1,
+        Vec::new(),
+        TransferKind::Reduce,
+        1,
+    ));
+    sched.push_step(empty);
+    sched
+}
+
+#[test]
+fn identity_moves_stage_nothing_on_either_walk() {
+    // Every rank holds all its segments (the reduce-scatter contract) and
+    // keeps them where they are: no payload is staged, so nothing is
+    // allocated, at 1 element per block (the step walk) as at 1024 (the block
+    // walk, whose order the first such run derives).
+    let sched = local_permute_pass(64);
+    let handle = sched.compile();
+    handle.slot_layout();
+    for elems in [1, 1024] {
+        run_dense_cost(&sched, &handle, elems);
+        let cost = run_dense_cost(&sched, &handle, elems);
+        assert_eq!(cost, (0, 0), "{elems} elements per block");
+    }
+    let (derived_now, _) = counting::allocations_in(|| handle.block_major());
+    assert_eq!(
+        derived_now, 0,
+        "the 1024-element runs walked block by block"
+    );
 }
 
 #[test]

@@ -2,13 +2,17 @@
 //! (collective, algorithm, rank count, root, segmentation, distribution) —
 //! the executed result must always satisfy the collective's post-condition.
 
-use std::sync::{Arc, OnceLock};
+#[path = "../../../tests/support/walk.rs"]
+mod walk;
+
+use std::sync::Arc;
 
 use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, verify, ExecutorPool};
 use bine_sched::catalog::Source;
-use bine_sched::{build, walk, Collective, ProviderSet, Request, Schedule};
+use bine_sched::{build, Collective, ProviderSet, Request, Schedule};
 use proptest::prelude::*;
+use walk::Walk;
 
 /// Compiles `schedule` and runs it on the process-wide [`ExecutorPool`].
 fn pool_run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
@@ -35,13 +39,9 @@ fn reinserted_backwards(initial: &[BlockStore]) -> Vec<BlockStore> {
 /// powers of two (every algorithm) and non-powers of two (the rows that
 /// build there, e.g. the ring family). A property draws an index into the
 /// requests it `keep`s.
-fn drawn(draw: usize, keep: impl Fn(&Request) -> bool) -> &'static Request {
-    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
-    let requests =
-        REQUESTS.get_or_init(|| walk(&[2, 4, 8, 16, 32, 64, 128, 3, 5, 6, 7, 12, 24, 48]));
-    let kept: Vec<&Request> = requests.iter().filter(|r| keep(r)).collect();
-    kept[draw % kept.len()]
-}
+static WALK: Walk = Walk::new(&[2, 4, 8, 16, 32, 64, 128, 3, 5, 6, 7, 12, 24, 48], |_| {
+    true
+});
 
 fn is_regular(request: &Request) -> bool {
     matches!(request.source, Source::Regular(_))
@@ -63,7 +63,7 @@ proptest! {
 
     #[test]
     fn random_algorithm_instances_verify(draw in any_draw(), elems in 1usize..4) {
-        let request = drawn(draw, |r| is_regular(r) && r.p.is_power_of_two());
+        let request = WALK.drawn(draw, |r| is_regular(r) && r.p.is_power_of_two());
         let Some(sched) = request.build() else { return Ok(()) };
         prop_assert!(sched.validate().is_ok());
         let workload = Workload::for_schedule(&sched, elems);
@@ -75,7 +75,7 @@ proptest! {
 
     #[test]
     fn schedules_never_exceed_one_send_and_receive_per_rank_per_step(draw in any_draw()) {
-        let request = drawn(draw, |r| r.p <= 64);
+        let request = WALK.drawn(draw, |r| r.p <= 64);
         let Some(sched) = request.build() else { return Ok(()) };
         prop_assert!(sched.validate().is_ok(), "{}", request.label());
     }
@@ -85,7 +85,7 @@ proptest! {
         // A row that does not build at the rank count builds nothing (the
         // paper's power-of-two restriction); everything that builds must
         // execute identically on every executor.
-        let request = drawn(draw, |r| is_regular(r) && r.p <= 64);
+        let request = WALK.drawn(draw, |r| is_regular(r) && r.p <= 64);
         let what = request.label();
         let Some(sched) = request.build() else { return Ok(()) };
         let workload = Workload::for_schedule(&sched, elems);
@@ -119,7 +119,7 @@ proptest! {
         elems in any_elems(),
     ) {
         let bare = |r: &Request| is_regular(r) && r.segments == 1;
-        let request = drawn(draw, |r| bare(r) && r.p <= 64 && r.p.is_power_of_two());
+        let request = WALK.drawn(draw, |r| bare(r) && r.p <= 64 && r.p.is_power_of_two());
         let what = request.label();
         let Some(sched) = request.build() else { return Ok(()) };
         let seg = sched.segmented(chunks);
@@ -153,7 +153,7 @@ proptest! {
     ) {
         // The butterfly-backed variants only exist at pow2 rank counts and
         // build nothing at the others, exactly as in the regular matrix.
-        let request = drawn(draw, |r| matches!(r.source, Source::Irregular(..)) && r.p <= 64);
+        let request = WALK.drawn(draw, |r| matches!(r.source, Source::Irregular(..)) && r.p <= 64);
         let what = request.label();
         let Some(sched) = request.build() else { return Ok(()) };
         prop_assert!(sched.counts.is_some(), "irregular schedule lost its counts");

@@ -13,33 +13,27 @@ use bine_net::cost::CostModel;
 use bine_net::sim::{SimArena, SimRequest};
 use bine_net::topology::{Dragonfly, FatTree, IdealFullMesh, Topology};
 use bine_net::traffic;
-use std::sync::OnceLock;
+
+#[path = "../../../tests/support/walk.rs"]
+mod walk;
 
 use bine_sched::catalog::Source;
-use bine_sched::{build, build_irregular, walk, Collective, Counts, Request, Schedule, SizeDist};
+use bine_sched::{build, build_irregular, walk, Collective, Counts, Request, SizeDist};
 use proptest::prelude::*;
+use walk::Walk;
 
-/// An index into the walk (see [`drawn`]).
+/// An index into the walk (see [`WALK`]).
 fn any_draw() -> impl Strategy<Value = usize> {
     0usize..1 << 30
 }
 
-/// A request drawn from the walk of the catalog over p ∈ {4, 8, 16, 32} —
-/// among the bare v-variant names (every `SizeDist`, heavy rank at the
-/// root), at the roots that name a rank, that `keep` keeps — with its
-/// schedule. The properties add their own segmentation on top.
-fn drawn(draw: usize, keep: impl Fn(&Request) -> bool) -> (&'static Request, Schedule) {
-    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
-    let requests = REQUESTS.get_or_init(|| {
-        let bare = |r: &Request| matches!(r.source, Source::Irregular(..)) && r.segments == 1;
-        let mut requests = walk(&[4, 8, 16, 32]);
-        requests.retain(|r| bare(r) && r.must_build() == Some(true));
-        requests
-    });
-    let kept: Vec<&Request> = requests.iter().filter(|r| keep(r)).collect();
-    let request = kept[draw % kept.len()];
-    (request, request.build().expect("its row builds here"))
-}
+/// The walk of the catalog over p ∈ {4, 8, 16, 32}, kept to the bare
+/// v-variant names (every `SizeDist`, heavy rank at the root) at the roots
+/// that name a rank. A property draws a request that its own filter keeps,
+/// with its schedule, and adds its own segmentation on top.
+static WALK: Walk = Walk::new(&[4, 8, 16, 32], |r| {
+    matches!(r.source, Source::Irregular(..)) && r.segments == 1 && r.must_build() == Some(true)
+});
 
 fn any_vector_bytes() -> impl Strategy<Value = u64> {
     prop::sample::select(vec![32u64, 1000, 65536, 1 << 20, (8 << 20) + 17])
@@ -169,7 +163,7 @@ proptest! {
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let (p, what) = (request.p, request.label());
         let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
@@ -211,7 +205,7 @@ proptest! {
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let (p, what) = (request.p, request.label());
         let sched = sched.segmented(chunks);
         let topo = IdealFullMesh::new(p);
@@ -237,7 +231,7 @@ proptest! {
         n in any_vector_bytes(),
     ) {
         let uniform = |r: &Request| matches!(r.source, Source::Irregular(_, SizeDist::Uniform));
-        let (request, sched) = drawn(draw, |r| {
+        let (request, sched) = WALK.built(draw, |r| {
             uniform(r) && equals_sync_at_uniform_counts(r.collective, &r.name)
         });
         let (p, what) = (request.p, request.label());
@@ -263,7 +257,7 @@ proptest! {
         chunks in 2usize..=8,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |r| r.p == 32);
+        let (request, sched) = WALK.built(draw, |r| r.p == 32);
         let (p, what) = (request.p, request.label());
         let seg = sched.segmented(chunks);
         let topo = FatTree::new(p, 4, 1);

@@ -13,11 +13,14 @@ use bine_net::fault::{FaultPlan, FaultSpec};
 use bine_net::sim::{SimArena, SimRequest};
 use bine_net::topology::{Dragonfly, FatTree, IdealFullMesh, Topology, Torus};
 use bine_net::traffic;
-use std::sync::OnceLock;
+
+#[path = "../../../tests/support/walk.rs"]
+mod walk;
 
 use bine_sched::catalog::Source;
-use bine_sched::{build, walk, Collective, ProviderSet, Request, Schedule};
+use bine_sched::{build, Collective, ProviderSet};
 use proptest::prelude::*;
+use walk::Walk;
 
 /// A balanced torus shape with `p = 2^s` nodes (the third topology class the
 /// optimized simulator is pinned on, beside the fat tree and the ideal mesh).
@@ -33,27 +36,18 @@ fn torus_dims(p: usize) -> Vec<usize> {
     dims
 }
 
-/// An index into the walk (see [`drawn`]).
+/// An index into the walk (see [`WALK`]).
 fn any_draw() -> impl Strategy<Value = usize> {
     0usize..1 << 30
 }
 
-/// A request drawn from the walk of the catalog over p ∈ {4, 8, 16, 32} —
-/// among the bare regular names, at the roots where their rows build, that
-/// `keep` keeps — with its schedule. The properties add their own
+/// The walk of the catalog over p ∈ {4, 8, 16, 32}, kept to the bare regular
+/// names at the roots where their rows build. A property draws a request
+/// that its own filter keeps, with its schedule, and adds its own
 /// segmentation on top.
-fn drawn(draw: usize, keep: impl Fn(&Request) -> bool) -> (&'static Request, Schedule) {
-    static REQUESTS: OnceLock<Vec<Request>> = OnceLock::new();
-    let requests = REQUESTS.get_or_init(|| {
-        let bare = |r: &Request| matches!(r.source, Source::Regular(_)) && r.segments == 1;
-        let mut requests = walk(&[4, 8, 16, 32]);
-        requests.retain(|r| bare(r) && r.must_build() == Some(true));
-        requests
-    });
-    let kept: Vec<&Request> = requests.iter().filter(|r| keep(r)).collect();
-    let request = kept[draw % kept.len()];
-    (request, request.build().expect("its row builds here"))
-}
+static WALK: Walk = Walk::new(&[4, 8, 16, 32], |r| {
+    matches!(r.source, Source::Regular(_)) && r.segments == 1 && r.must_build() == Some(true)
+});
 
 fn any_vector_bytes() -> impl Strategy<Value = u64> {
     prop::sample::select(vec![
@@ -109,7 +103,7 @@ proptest! {
         draw in any_draw(),
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |r| !overlaps_even_without_congestion(r.collective, &r.name));
+        let (request, sched) = WALK.built(draw, |r| !overlaps_even_without_congestion(r.collective, &r.name));
         let p = request.p;
         let topo = IdealFullMesh::new(p);
         let alloc = Allocation::block(p);
@@ -136,7 +130,7 @@ proptest! {
         n in any_vector_bytes(),
     ) {
         use bine_net::cost::CostSummary;
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let p = request.p;
         let sched = sched.segmented(chunks);
         let model = CostModel::default();
@@ -163,7 +157,7 @@ proptest! {
         chunks in 1usize..=6,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let p = request.p;
         let sched = sched.segmented(chunks);
         let topo = IdealFullMesh::new(p);
@@ -193,7 +187,7 @@ proptest! {
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let p = request.p;
         let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
@@ -243,7 +237,7 @@ proptest! {
         n in any_vector_bytes(),
         identity_entries in prop::sample::select(vec![false, true]),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let p = request.p;
         let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
@@ -310,7 +304,7 @@ proptest! {
         fault_seed in 0u64..1000,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let p = request.p;
         let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
@@ -369,7 +363,7 @@ proptest! {
         fault_seed in 0u64..1000,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |r| r.p <= 16);
+        let (request, sched) = WALK.built(draw, |r| r.p <= 16);
         let p = request.p;
         let compiled = sched.compile();
         let model = CostModel::default();
@@ -432,7 +426,7 @@ proptest! {
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |_| true);
+        let (request, sched) = WALK.built(draw, |_| true);
         let p = request.p;
         let compiled = sched.segmented(chunks).compile();
         let model = CostModel::default();
@@ -489,7 +483,7 @@ proptest! {
         chunks in 1usize..=4,
         n in any_vector_bytes(),
     ) {
-        let (request, sched) = drawn(draw, |r| r.p == 16);
+        let (request, sched) = WALK.built(draw, |r| r.p == 16);
         let p = request.p;
         let topo = FatTree::new(p, 4, 1);
         let alloc = Allocation::block(p);
@@ -516,7 +510,7 @@ proptest! {
         n2 in any_vector_bytes(),
     ) {
         let (lo, hi) = (n1.min(n2), n1.max(n2));
-        let (request, sched) = drawn(draw, |r| r.p == 16);
+        let (request, sched) = WALK.built(draw, |r| r.p == 16);
         let p = request.p;
         let topo: Box<dyn Topology> = match topo_seed {
             0 => Box::new(Dragonfly::lumi()),
@@ -543,7 +537,7 @@ proptest! {
         n in any_vector_bytes(),
         topo_seed in 0usize..2,
     ) {
-        let (request, sched) = drawn(draw, |r| r.p == 32);
+        let (request, sched) = WALK.built(draw, |r| r.p == 32);
         let p = request.p;
         let seg = sched.segmented(chunks);
         let topo: Box<dyn Topology> = match topo_seed {

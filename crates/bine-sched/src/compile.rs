@@ -956,6 +956,13 @@ mod tests {
         assert_eq!(message, "more than u32::MAX things");
     }
 
+    #[test]
+    #[should_panic(expected = "more than u32::MAX ranks")]
+    fn compile_refuses_more_ranks_than_its_sends_can_name() {
+        let ranks = u32::MAX as usize + 1;
+        Schedule::new(ranks, Collective::Allgather, "too wide", 0).compile();
+    }
+
     /// Checks every [`SlotLayout`] invariant of `sched`'s compiled form
     /// against the symbolic schedule; returns the per-rank slot counts.
     fn check_slot_layout(sched: &Schedule) -> Vec<usize> {
