@@ -17,9 +17,9 @@
 //! tree gathers and scatters, the butterfly's responsibility table, one
 //! `p × p` table of holdings for the butterfly allgather, two sets of `p`
 //! holding lists (this step's and the next's), one staging list and one sort
-//! buffer for the store-and-forward alltoalls. A step reads the holdings it started with and
-//! writes the next ones elsewhere, so nothing is cloned per step, and a
-//! message's contiguity is counted in place or in the shared sort buffer.
+//! buffer for the store-and-forward alltoalls. A step writes the next holdings
+//! elsewhere or merges them in place, so nothing is cloned or re-sorted per
+//! step, and contiguity is counted in place or in the shared sort buffer.
 //! `tests/build_alloc.rs` pins the count at `messages + steps + 3·p + 64` for
 //! every catalog algorithm; `tests/catalog_golden.rs` pins the schedules.
 
@@ -185,16 +185,31 @@ pub fn butterfly_allgather(bf: &Butterfly, algorithm: &str) -> Schedule {
             if r < q {
                 let (low, high) = have.split_at_mut(q * p);
                 let (mine, theirs) = (&mut low[r * p..][..2 * held], &mut high[..2 * held]);
-                mine[held..].copy_from_slice(&theirs[..held]);
-                theirs[held..].copy_from_slice(&mine[..held]);
-                mine.sort_unstable();
-                theirs.sort_unstable();
+                merge_backward(mine, &theirs[..held]);
+                theirs.copy_from_slice(mine);
             }
         }
         held *= 2;
         sched.push_step(st);
     }
     sched
+}
+
+/// Merges the ascending `theirs` into `mine`, whose first `mine.len() −
+/// theirs.len()` entries hold an ascending list disjoint from it. Filled from
+/// the back, an entry is overwritten only after it has been read.
+fn merge_backward(mine: &mut [u32], theirs: &[u32]) {
+    let (mut i, mut j) = (mine.len() - theirs.len(), theirs.len());
+    while j > 0 {
+        let at = i + j - 1;
+        if i > 0 && mine[i - 1] > theirs[j - 1] {
+            i -= 1;
+            mine[at] = mine[i];
+        } else {
+            j -= 1;
+            mine[at] = theirs[j];
+        }
+    }
 }
 
 /// Reduce-scatter over a butterfly with vector halving: at step `i` each rank

@@ -69,19 +69,47 @@ fn index_u32(n: usize, what: &str) -> u32 {
     u32::try_from(n).unwrap_or_else(|_| overflow(what))
 }
 
-/// Appends one CSR row to `offsets`: where, counting from `base`, the run of
-/// each of the `ranks` ranks starts in the ascending `keys`, then where the
-/// last run ends.
-fn push_csr_row(offsets: &mut Vec<u32>, ranks: u32, base: usize, keys: impl Iterator<Item = u32>) {
-    let mut keys = keys.peekable();
-    let mut at = base as u32;
-    for rank in 0..ranks {
-        offsets.push(at);
-        while keys.next_if_eq(&rank).is_some() {
-            at += 1;
+/// Appends one step's CSR row over `ranks` ranks to `offsets` and returns it
+/// as the cursors of a stable counting placement of the step's entries,
+/// whose ranks in schedule order are `keys` and whose positions count from
+/// `base`.
+///
+/// The row is shifted by one: entry `k + 1` starts out where rank `k`'s run
+/// begins, so it is the cursor [`place`] advances for that rank, and once
+/// every entry is placed the row reads as CSR — entry `k` where rank `k`'s
+/// run begins, entry `ranks` where the last one ends.
+fn csr_row(
+    offsets: &mut Vec<u32>,
+    ranks: usize,
+    base: u32,
+    keys: impl Iterator<Item = u32>,
+) -> &mut [u32] {
+    let start = offsets.len();
+    offsets.push(base);
+    offsets.resize(start + ranks + 1, 0);
+    let row = &mut offsets[start..];
+    // Rank `k` is counted at `k + 2`, so the prefix sums leave at `k + 1`
+    // the count of the ranks below it; the last rank's count is not needed.
+    for key in keys {
+        if let Some(count) = row.get_mut(key as usize + 2) {
+            *count += 1;
         }
     }
-    offsets.push(at);
+    for k in 1..row.len() {
+        row[k] += row[k - 1];
+    }
+    row
+}
+
+/// The position of rank `key`'s next entry in the placement whose cursors
+/// `row` holds ([`csr_row`]).
+///
+/// # Panics
+/// Panics if `key` is not one of the row's ranks.
+fn place(row: &mut [u32], key: u32) -> u32 {
+    let cursor = &mut row[key as usize + 1];
+    *cursor += 1;
+    *cursor - 1
 }
 
 /// A cell of a [`BlockInterner`] table whose block was never interned.
@@ -508,10 +536,12 @@ impl CompiledSchedule {
     /// interned as it is cut — no segmented [`Schedule`] in between.
     ///
     /// # Panics
-    /// Panics if `chunks == 0`.
+    /// Panics if `chunks == 0`, or if a message names a rank outside the
+    /// schedule's.
     pub fn compile(schedule: &Schedule, chunks: usize) -> Self {
         let p = schedule.num_ranks;
-        let ranks = index_u32(p, "ranks");
+        // Sends name ranks as `u32`s.
+        index_u32(p, "ranks");
         // Exact sizes, from the messages' lengths alone: what lowering
         // allocates does not depend on how finely the schedule is cut.
         let num_steps = schedule.steps.iter().map(|s| num_substeps(s, chunks));
@@ -547,22 +577,41 @@ impl CompiledSchedule {
                 });
             }
             // Every send index, schedule order and CSR offset of this step is
-            // at most this (ranks are below `ranks`).
+            // at most this.
             let step_end = index_u32(sends.len(), "sends");
-            // Group the step's sends by source, `order` ascending within a
-            // source, and CSR-index them. The keys are distinct, so the
-            // unstable sorts order exactly as stable ones would, without the
-            // scratch buffer those allocate per step.
-            sends[step_base..].sort_unstable_by_key(|s| (s.src, s.order));
-            let by_src = sends[step_base..].iter().map(|s| s.src);
-            push_csr_row(&mut send_offsets, ranks, step_base, by_src);
+            let step = step_base..sends.len();
+            let base = step_base as u32;
 
-            // Receive side: send indices per destination, in schedule order.
-            recv_lists.extend(step_base as u32..step_end);
-            let by_dst = &mut recv_lists[step_base..];
-            by_dst.sort_unstable_by_key(|&i| (sends[i as usize].dst, sends[i as usize].order));
-            let by_dst = by_dst.iter().map(|&i| sends[i as usize].dst);
-            push_csr_row(&mut recv_offsets, ranks, step_base, by_dst);
+            // Group the step's sends by source, in schedule order within a
+            // source: a counting placement whose positions the sends' `src`
+            // fields hold until the step is permuted into them.
+            let srcs = sends[step.clone()].iter().map(|s| s.src);
+            let by_src = csr_row(&mut send_offsets, p, base, srcs);
+            for send in &mut sends[step.clone()] {
+                send.src = place(by_src, send.src);
+            }
+            // Receive side: per destination, in schedule order, where each
+            // send will stand.
+            let dsts = sends[step.clone()].iter().map(|s| s.dst);
+            let by_dst = csr_row(&mut recv_offsets, p, base, dsts);
+            recv_lists.resize(sends.len(), 0);
+            for send in &sends[step.clone()] {
+                recv_lists[place(by_dst, send.dst) as usize] = send.src;
+            }
+            // Each swap moves one send to its position for good, so a step
+            // already listed by source moves nothing.
+            for i in step {
+                while sends[i].src as usize != i {
+                    let to = sends[i].src as usize;
+                    sends.swap(i, to);
+                }
+            }
+            let by_src = &send_offsets[send_offsets.len() - (p + 1)..];
+            for (rank, run) in by_src.windows(2).enumerate() {
+                for send in &mut sends[run[0] as usize..run[1] as usize] {
+                    send.src = rank as u32;
+                }
+            }
 
             step_offsets.push(step_end);
         }

@@ -17,8 +17,9 @@
 //! Beside them, the **lowering equalities** the serving path rests on: the
 //! fused `Schedule::compile_segmented(S)` is `segmented(S).compile()` in
 //! every field over the whole catalog, both synthesizers and the irregular
-//! builders, and the in-place `contiguity_of` is its sort-dedup-count
-//! definition.
+//! builders, the per-rank send and receive lists of any step are its chunks
+//! filtered by rank, and the in-place `contiguity_of` is its
+//! sort-dedup-count definition.
 //!
 //! `build` is total (`tests/build_total.rs`): a skipped configuration is
 //! one the catalog answers `None` for, never a silenced failure.
@@ -28,8 +29,8 @@ use std::sync::OnceLock;
 use bine_sched::catalog::Source;
 use bine_sched::schedule::contiguity_of;
 use bine_sched::{
-    build, walk, BlockId, Collective, CompiledSchedule, Request, Schedule, SizeDist,
-    ValidationError,
+    build, walk, BlockId, Collective, CompiledSchedule, CompiledSend, Message, Request, Schedule,
+    SizeDist, Step, TransferKind, ValidationError,
 };
 use proptest::prelude::*;
 
@@ -121,6 +122,30 @@ fn fused_lowering_equals_segment_then_compile_for_synthesized_and_irregular_sche
     assert!(lowered > 90, "only {lowered} schedules lowered");
 }
 
+/// A message decoded from one draw over `p` ranks: any source and
+/// destination (the same one included), either kind, one to four blocks and
+/// one to three annotated regions.
+fn drawn_message(draw: u32, p: usize) -> Message {
+    let d = draw as usize;
+    let (src, dst) = (d % p, d / p % p);
+    let kind = [TransferKind::Copy, TransferKind::Reduce][d / (p * p) % 2];
+    let rest = d / (2 * p * p);
+    let blocks = (0..1 + rest % 4).map(|b| BlockId::Segment(((rest / 4 + b) % p) as u32));
+    let segments = 1 + (rest / 16 % 3) as u32;
+    Message::with_segments(src, dst, blocks.collect(), kind, segments)
+}
+
+/// The message a compiled send stands for, with its schedule order.
+fn message_of(c: &CompiledSchedule, s: &CompiledSend) -> (u32, Message) {
+    let blocks = c
+        .block_index_slice(s)
+        .iter()
+        .map(|&b| c.blocks().resolve(b));
+    let (src, dst) = (s.src as usize, s.dst as usize);
+    let message = Message::with_segments(src, dst, blocks.collect(), s.kind, s.segments);
+    (s.order, message)
+}
+
 /// `Full`, a segment, or a pairwise block (the vendored proptest has no
 /// tuple strategies, so the pair is decoded from one draw).
 fn any_block() -> impl Strategy<Value = BlockId> {
@@ -160,6 +185,64 @@ proptest! {
             .collect();
         let runs = indices.iter().filter(|&&i| i == 0 || !indices.contains(&(i - 1))).count();
         prop_assert_eq!(contiguity_of(&blocks, 24) as usize, runs.max(1), "{:?}", blocks);
+    }
+
+    // Lowering groups each sub-step's sends by source and its receives by
+    // destination, in schedule order within a rank. Most builders list a
+    // step by ascending source; here messages come in any order, several to
+    // one `(src, dst)` pair, local moves among them, and the groupings must
+    // still be the sub-step's chunks filtered by rank.
+    #[test]
+    fn lowering_groups_any_step_by_rank_in_schedule_order(
+        p in 1usize..6,
+        steps in prop::collection::vec(prop::collection::vec(0u32..1 << 12, 0..24), 1..4),
+        chunks in 1usize..4,
+    ) {
+        let mut sched = Schedule::new(p, Collective::Allgather, "adversarial", 0);
+        for draws in &steps {
+            sched.push_step(Step {
+                messages: draws.iter().map(|&d| drawn_message(d, p)).collect(),
+            });
+        }
+        let compiled = sched.compile_segmented(chunks);
+        let reference = sched.segmented(chunks);
+        prop_assert_eq!(compiled.num_steps(), reference.num_steps());
+        for (step, sub) in reference.steps.iter().enumerate() {
+            let listed: Vec<(u32, Message)> =
+                (0u32..).zip(sub.messages.iter().cloned()).collect();
+            let of = |keep: &dyn Fn(&Message) -> bool| -> Vec<(u32, Message)> {
+                listed.iter().filter(|(_, m)| keep(m)).cloned().collect()
+            };
+            let (mut by_src, mut by_dst) = (Vec::new(), Vec::new());
+            for rank in 0..p {
+                let sent: Vec<_> = compiled
+                    .sends_from(step, rank)
+                    .iter()
+                    .map(|s| message_of(&compiled, s))
+                    .collect();
+                prop_assert_eq!(&sent, &of(&|m| m.src == rank), "step {} rank {}", step, rank);
+                let received: Vec<_> = compiled
+                    .recvs_to(step, rank)
+                    .iter()
+                    .map(|&i| message_of(&compiled, compiled.send(i as usize)))
+                    .collect();
+                prop_assert_eq!(&received, &of(&|m| m.dst == rank), "step {} rank {}", step, rank);
+                by_src.extend(sent);
+                by_dst.extend(received);
+            }
+            let all_sent: Vec<_> = compiled
+                .step_sends(step)
+                .iter()
+                .map(|s| message_of(&compiled, s))
+                .collect();
+            prop_assert_eq!(all_sent, by_src, "step {}", step);
+            let all_received: Vec<_> = compiled
+                .step_recvs(step)
+                .iter()
+                .map(|&i| message_of(&compiled, compiled.send(i as usize)))
+                .collect();
+            prop_assert_eq!(all_received, by_dst, "step {}", step);
+        }
     }
 
     // Soundness: whatever the walk builds — any collective, any name
