@@ -29,20 +29,19 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
 use bine_net::fault::FaultSpec;
 use bine_net::sim::SimRequest;
-use bine_net::{ObservedTiming, Topology};
+use bine_net::view::system_topology;
+use bine_net::{FaultPlan, ObservedTiming, Topology};
 use bine_sched::{algorithms, Collective, ProviderSet};
 use bine_tune::{
     slug, AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreFn, ScoreModel, ServiceSelector,
 };
 
-use crate::systems::System;
-use crate::StatsOnFailure;
+use crate::{best_of, timed, StatsOnFailure};
 
 /// Configuration of one adaptive-serving run.
 #[derive(Debug, Clone)]
@@ -116,57 +115,70 @@ pub struct AdaptiveReport {
     pub overridden_hit_ns: f64,
 }
 
-/// The faulted-DES cost of one pick at the grid point, `None` when the
-/// pick is not buildable at this rank count.
-#[allow(clippy::too_many_arguments)]
-fn des_cost(
-    pick: &str,
-    collective: Collective,
+/// The DES of a `nodes`-rank job on one system, block-allocated: every
+/// cost in the loop — committed, observed and re-evaluated — is its
+/// makespan.
+struct Des {
+    model: CostModel,
+    topo: Box<dyn Topology + Send + Sync>,
+    alloc: Allocation,
     nodes: usize,
-    bytes: u64,
-    model: &CostModel,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    faults: Option<&bine_net::FaultPlan>,
-) -> Option<f64> {
-    let compiled = ProviderSet::catalog_only().compile(collective, pick, nodes, 0)?;
-    let req = SimRequest::new(model, &compiled, bytes, topo, alloc).time_only();
-    let req = match faults {
-        Some(plan) => req.faults(plan),
-        None => req,
-    };
-    Some(req.run().makespan_us())
 }
 
-/// First strict minimum over the catalog of `collective` (the same
-/// tie-break the service's re-evaluator uses), under `faults`.
-fn catalog_winner(
-    collective: Collective,
-    nodes: usize,
-    bytes: u64,
-    model: &CostModel,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-    faults: Option<&bine_net::FaultPlan>,
-) -> Option<(String, f64)> {
-    let mut best: Option<(String, f64)> = None;
-    for alg in algorithms(collective) {
-        if let Some(cost) = des_cost(
-            alg.name(),
-            collective,
+impl Des {
+    fn at(slug: &str, nodes: usize) -> Result<Des, String> {
+        Ok(Des {
+            model: CostModel::default(),
+            topo: system_topology(slug, nodes)
+                .ok_or_else(|| format!("no topology for system {slug:?}"))?,
+            alloc: Allocation::block(nodes),
             nodes,
+        })
+    }
+
+    /// The cost of one pick under `faults`, `None` when the pick is not
+    /// buildable at this rank count.
+    fn cost(
+        &self,
+        pick: &str,
+        collective: Collective,
+        bytes: u64,
+        faults: Option<&FaultPlan>,
+    ) -> Option<f64> {
+        let compiled = ProviderSet::catalog_only().compile(collective, pick, self.nodes, 0)?;
+        let req = SimRequest::new(
+            &self.model,
+            &compiled,
             bytes,
-            model,
-            topo,
-            alloc,
-            faults,
-        ) {
-            if best.as_ref().is_none_or(|(_, b)| cost < *b) {
-                best = Some((alg.name().to_string(), cost));
+            self.topo.as_ref(),
+            &self.alloc,
+        )
+        .time_only();
+        let req = match faults {
+            Some(plan) => req.faults(plan),
+            None => req,
+        };
+        Some(req.run().makespan_us())
+    }
+
+    /// First strict minimum over the catalog of `collective` (the same
+    /// tie-break the service's re-evaluator uses), under `faults`.
+    fn winner(
+        &self,
+        collective: Collective,
+        bytes: u64,
+        faults: Option<&FaultPlan>,
+    ) -> Option<(String, f64)> {
+        let mut best: Option<(String, f64)> = None;
+        for alg in algorithms(collective) {
+            if let Some(cost) = self.cost(alg.name(), collective, bytes, faults) {
+                if best.as_ref().is_none_or(|(_, b)| cost < *b) {
+                    best = Some((alg.name().to_string(), cost));
+                }
             }
         }
+        best
     }
-    best
 }
 
 /// Runs the adaptive-serving scenario end to end and checks every step of
@@ -175,27 +187,15 @@ fn catalog_winner(
 /// computed DES-true winner, must be served from the warm path, and must
 /// revert once the faults clear.
 pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
-    let system = System::all()
-        .into_iter()
-        .find(|s| slug(s.name) == slug(&opts.system))
-        .ok_or_else(|| format!("no benchmark system named {:?}", opts.system))?;
+    let slug = slug(&opts.system);
     let (collective, nodes, bytes) = (opts.collective, opts.nodes, opts.bytes);
-    let topo = system.topology(nodes);
-    let alloc = Allocation::block(nodes);
-    let model = CostModel::default();
+    let des = Des::at(&slug, nodes)?;
 
     // The committed pick: the healthy DES winner, scored exactly as the
     // offline tuner would have (no faults).
-    let (committed, committed_healthy) = catalog_winner(
-        collective,
-        nodes,
-        bytes,
-        &model,
-        topo.as_ref(),
-        &alloc,
-        None,
-    )
-    .ok_or_else(|| format!("no buildable {} at {nodes} ranks", collective.name()))?;
+    let (committed, committed_healthy) = des
+        .winner(collective, bytes, None)
+        .ok_or_else(|| format!("no buildable {} at {nodes} ranks", collective.name()))?;
 
     // Search for the first seeded fault plan that makes the committed
     // model *wrong*: a different catalog winner under the faulted DES, and
@@ -203,29 +203,13 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
     // The search order is fixed, so the chosen plan is deterministic.
     let mut chosen = None;
     for plan_seed in opts.seed..opts.seed + 64 {
-        let plan = FaultSpec::moderate(plan_seed).plan(topo.num_links(), nodes);
-        let Some((winner, winner_cost)) = catalog_winner(
-            collective,
-            nodes,
-            bytes,
-            &model,
-            topo.as_ref(),
-            &alloc,
-            Some(&plan),
-        ) else {
+        let plan = FaultSpec::moderate(plan_seed).plan(des.topo.num_links(), nodes);
+        let Some((winner, winner_cost)) = des.winner(collective, bytes, Some(&plan)) else {
             continue;
         };
-        let committed_faulted = des_cost(
-            &committed,
-            collective,
-            nodes,
-            bytes,
-            &model,
-            topo.as_ref(),
-            &alloc,
-            Some(&plan),
-        )
-        .expect("the committed pick stays buildable under faults");
+        let committed_faulted = des
+            .cost(&committed, collective, bytes, Some(&plan))
+            .expect("the committed pick stays buildable under faults");
         if winner != committed && committed_faulted >= opts.policy.divergence * committed_healthy {
             chosen = Some((plan_seed, plan, winner, winner_cost, committed_faulted));
             break;
@@ -247,22 +231,12 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
     // The flag is the harness's stand-in for "the machine got repaired".
     let healthy = Arc::new(AtomicBool::new(false));
     let scorer: Arc<ScoreFn> = {
-        let healthy = Arc::clone(&healthy);
-        let (system, model, plan) = (system.clone(), model.clone(), plan.clone());
+        let (healthy, slug, plan) = (Arc::clone(&healthy), slug.clone(), plan.clone());
         Arc::new(move |pick, collective, nodes, bytes| {
-            let topo = system.topology(nodes);
-            let alloc = Allocation::block(nodes);
             let faults = (!healthy.load(Ordering::Relaxed)).then_some(&plan);
-            des_cost(
-                pick,
-                collective,
-                nodes,
-                bytes,
-                &model,
-                topo.as_ref(),
-                &alloc,
-                faults,
-            )
+            Des::at(&slug, nodes)
+                .ok()?
+                .cost(pick, collective, bytes, faults)
         })
     };
 
@@ -271,64 +245,56 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
     // harness observes for it), used to time the steady-state observe path
     // without tripping re-evaluations.
     let sibling_nodes = nodes * 2;
-    let sibling_topo = system.topology(sibling_nodes);
-    let sibling_healthy = des_cost(
-        &committed,
+    let sibling_healthy = Des::at(&slug, sibling_nodes)?
+        .cost(&committed, collective, bytes, None)
+        .ok_or_else(|| format!("{committed} unbuildable at {sibling_nodes} ranks"))?;
+    let row = |nodes, time_us| Entry {
         collective,
-        sibling_nodes,
-        bytes,
-        &model,
-        sibling_topo.as_ref(),
-        &Allocation::block(sibling_nodes),
-        None,
-    )
-    .ok_or_else(|| format!("{committed} unbuildable at {sibling_nodes} ranks"))?;
+        dist: None,
+        nodes,
+        vector_bytes: bytes,
+        pick: committed.clone(),
+        model: ScoreModel::Des,
+        time_us,
+    };
     let table = DecisionTable {
         system: "adaptive-lab".into(),
         entries: vec![
-            Entry {
-                collective,
-                dist: None,
-                nodes,
-                vector_bytes: bytes,
-                pick: committed.clone(),
-                model: ScoreModel::Des,
-                time_us: committed_healthy,
-            },
-            Entry {
-                collective,
-                dist: None,
-                nodes: sibling_nodes,
-                vector_bytes: bytes,
-                pick: committed.clone(),
-                model: ScoreModel::Des,
-                time_us: sibling_healthy,
-            },
+            row(nodes, committed_healthy),
+            row(sibling_nodes, sibling_healthy),
         ],
     };
     let service = ServiceSelector::from_tables(&[table])
-        .with_adaptation(opts.policy, Reevaluator::catalog(usize::MAX, scorer));
+        .with_adaptation(opts.policy, Reevaluator::catalog(scorer));
     let sys = 0;
     let on_failure = StatsOnFailure::watch(&service);
-
-    // --- phase 1: faults active, observations diverge, override lands ---
-    let before = service
-        .compiled_at(sys, collective, nodes, bytes)
-        .ok_or("the committed pick must be servable")?;
-    if before.algorithm != committed {
-        return Err(format!(
-            "pre-divergence answer is {:?}, expected the committed {committed:?}",
-            before.algorithm
-        ));
-    }
-    for _ in 0..opts.policy.min_samples {
+    let observe = |nodes, us| {
         service.observe_at(
             sys,
             collective,
             nodes,
             bytes,
-            ObservedTiming::simulation(committed_faulted),
+            ObservedTiming::simulation(us),
         );
+    };
+    // What the warm path answers for the diverging entry, against `want`.
+    let serves = |want: &str, when: &str| -> Result<(), String> {
+        let served = service
+            .compiled_at(sys, collective, nodes, bytes)
+            .ok_or_else(|| format!("{when}: the entry must stay servable"))?;
+        if served.algorithm != want {
+            return Err(format!(
+                "{when}: the warm path serves {:?}, expected {want:?}",
+                served.algorithm
+            ));
+        }
+        Ok(())
+    };
+
+    // --- phase 1: faults active, observations diverge, override lands ---
+    serves(&committed, "before the divergence")?;
+    for _ in 0..opts.policy.min_samples {
+        observe(nodes, committed_faulted);
     }
     let overlay = service.overlay();
     let entry = overlay
@@ -341,79 +307,40 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
             entry.pick
         ));
     }
-    let served = service
-        .compiled_at(sys, collective, nodes, bytes)
-        .ok_or("the overridden entry must stay servable")?;
-    if served.algorithm != des_true {
-        return Err(format!(
-            "warm path serves {:?} despite the {des_true:?} override",
-            served.algorithm
-        ));
-    }
+    serves(&des_true, "under the override")?;
 
     // --- timings on the warm paths (override still active) ---
     let samples = opts.timing_samples.max(1);
-    let repeats = opts.repeats.max(1);
-    let mut overridden_hit_ns = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        for _ in 0..samples {
-            std::hint::black_box(service.compiled_at(sys, collective, nodes, bytes));
-        }
-        let ns = start.elapsed().as_nanos() as f64 / samples as f64;
-        overridden_hit_ns = overridden_hit_ns.min(ns);
-    }
+    let overridden_hit_ns = best_of(opts.repeats, samples, || {
+        timed(|| {
+            for _ in 0..samples {
+                std::hint::black_box(service.compiled_at(sys, collective, nodes, bytes));
+            }
+        })
+    });
     // Steady-state observe: the healthy sibling entry, fed its own
     // modelled score so the divergence check runs every time and never
     // fires. Warm it past min_samples first.
     for _ in 0..opts.policy.min_samples {
-        service.observe_at(
-            sys,
-            collective,
-            sibling_nodes,
-            bytes,
-            ObservedTiming::simulation(sibling_healthy),
-        );
+        observe(sibling_nodes, sibling_healthy);
     }
-    let mut observe_ns = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        for _ in 0..samples {
-            service.observe_at(
-                sys,
-                collective,
-                sibling_nodes,
-                bytes,
-                ObservedTiming::simulation(sibling_healthy),
-            );
-        }
-        let ns = start.elapsed().as_nanos() as f64 / samples as f64;
-        observe_ns = observe_ns.min(ns);
-    }
+    let observe_ns = best_of(opts.repeats, samples, || {
+        timed(|| {
+            for _ in 0..samples {
+                observe(sibling_nodes, sibling_healthy);
+            }
+        })
+    });
 
     // --- phase 2: faults clear, the re-check reverts the override ---
     healthy.store(true, Ordering::Relaxed);
     for _ in 0..opts.policy.recheck_interval {
-        service.observe_at(
-            sys,
-            collective,
-            nodes,
-            bytes,
-            ObservedTiming::simulation(committed_healthy),
-        );
+        observe(nodes, committed_healthy);
     }
     if !service.overlay().is_empty() {
         return Err("the override must revert once the faults clear".into());
     }
-    let after = service
-        .compiled_at(sys, collective, nodes, bytes)
-        .ok_or("the reverted entry must stay servable")?;
-    if after.algorithm != committed {
-        return Err(format!(
-            "post-revert answer is {:?}, expected the committed {committed:?}",
-            after.algorithm
-        ));
-    }
+    serves(&committed, "after the revert")?;
 
     on_failure.passed();
     let stats = service.stats();

@@ -24,21 +24,20 @@
 //! unit tests below.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
 use bine_net::fault::{splitmix64, FaultSpec};
 use bine_net::sim::{SimReport, SimRequest};
+use bine_net::view::system_topology;
 use bine_sched::{build, Collective};
 use bine_tune::{
     fallback_pick, slug, tuned_name, CompileAttempt, DegradePolicy, ServiceSelector, ServiceStats,
 };
 
-use crate::serve;
-use crate::systems::System;
-use crate::StatsOnFailure;
+use crate::{serve, storm, StatsOnFailure};
 
 /// Configuration of one chaos run.
 #[derive(Debug, Clone)]
@@ -151,6 +150,27 @@ fn failure_roll(seed: u64, collective: Collective, nodes: usize, attempt: u32) -
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// What a served answer is; the discriminant indexes the storm's tally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    /// The tuned pick.
+    Tuned,
+    /// The binomial fallback: degraded mode.
+    Fallback,
+    /// Neither: the cache published a corrupted entry.
+    Unexpected,
+}
+
+fn classify(algorithm: &str, tuned: &str, collective: Collective, bytes: u64) -> Answer {
+    if algorithm == tuned {
+        Answer::Tuned
+    } else if algorithm == fallback_pick(collective, bytes) {
+        Answer::Fallback
+    } else {
+        Answer::Unexpected
+    }
+}
+
 fn reports_bit_identical(a: &SimReport, b: &SimReport) -> bool {
     a.makespan_us.to_bits() == b.makespan_us.to_bits()
         && a.network_messages == b.network_messages
@@ -172,11 +192,6 @@ fn reports_bit_identical(a: &SimReport, b: &SimReport) -> bool {
 /// bit mismatch); storm-phase availability lands in the report for the
 /// caller to judge.
 pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
-    let system = System::all()
-        .into_iter()
-        .find(|s| slug(s.name) == slug(&opts.system))
-        .ok_or_else(|| format!("no benchmark system named {:?}", opts.system))?;
-
     let injected = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&injected);
     let (seed, fail_rate) = (opts.seed, opts.fail_rate);
@@ -208,42 +223,23 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     // --- storm phase: concurrent requests against the failing service ---
     let threads = opts.threads.max(1);
     let requests_per_thread = opts.requests_per_thread.max(queries.len());
-    let answered = AtomicU64::new(0);
-    let tuned = AtomicU64::new(0);
-    let fallback = AtomicU64::new(0);
-    let unexpected = AtomicU64::new(0);
-    let barrier = Barrier::new(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (service, queries, expected, barrier) = (&service, &queries, &expected, &barrier);
-            let (answered, tuned, fallback, unexpected) =
-                (&answered, &tuned, &fallback, &unexpected);
-            scope.spawn(move || {
-                barrier.wait();
-                for i in 0..requests_per_thread {
-                    let j = (i + t * 7) % queries.len();
-                    let (c, n, b) = queries[j];
-                    match service.compiled_at(sys, c, n, b) {
-                        None => {} // unanswered: availability drops below 1
-                        Some(compiled) => {
-                            answered.fetch_add(1, Ordering::Relaxed);
-                            if compiled.algorithm == expected[j] {
-                                tuned.fetch_add(1, Ordering::Relaxed);
-                            } else if compiled.algorithm == fallback_pick(c, b) {
-                                fallback.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                unexpected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
+    let (answers, _) = storm(
+        threads,
+        requests_per_thread,
+        queries.len(),
+        |tally: &mut [u64; 3], j| {
+            let (c, n, b) = queries[j];
+            // Unanswered requests are not tallied: availability drops below 1.
+            if let Some(compiled) = service.compiled_at(sys, c, n, b) {
+                tally[classify(&compiled.algorithm, &expected[j], c, b) as usize] += 1;
+            }
+        },
+    );
 
     // --- verification pass: simulate every answer under the fault plan ---
     let model = CostModel::default();
     let spec = FaultSpec::moderate(opts.seed);
+    let slug = slug(&opts.system);
     let mut degraded_entries = 0usize;
     let mut sim_checked = 0usize;
     let mut faulted_links = 0usize;
@@ -252,7 +248,8 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
         let compiled = service
             .compiled_at(sys, c, n, b)
             .ok_or_else(|| format!("verification request ({}, {n}, {b}) unanswered", c.name()))?;
-        let topo = system.topology(n);
+        let topo = system_topology(&slug, n)
+            .ok_or_else(|| format!("no topology for system {:?}", opts.system))?;
         let alloc = Allocation::block(n);
         let plan = spec.plan(topo.num_links(), n);
         faulted_links = faulted_links.max(plan.link_faults().len());
@@ -260,23 +257,25 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
         // The reference-side schedule: the tuned pick itself when healthy,
         // a directly-built binomial baseline when degraded — so a degraded
         // answer is pinned bit-identical to the baseline, not to itself.
-        let baseline = if compiled.algorithm == expected[j] {
-            None
-        } else if compiled.algorithm == fallback_pick(c, b) {
-            degraded_entries += 1;
-            let sched = build(c, fallback_pick(c, b), n, 0).ok_or_else(|| {
-                format!("fallback {} unbuildable at {n} ranks", fallback_pick(c, b))
-            })?;
-            Some(sched.compile())
-        } else {
-            return Err(format!(
-                "answer for ({}, {n}, {b}) is {:?}: neither the tuned pick {:?} \
-                 nor the fallback {:?}",
-                c.name(),
-                compiled.algorithm,
-                expected[j],
-                fallback_pick(c, b)
-            ));
+        let baseline = match classify(&compiled.algorithm, &expected[j], c, b) {
+            Answer::Tuned => None,
+            Answer::Fallback => {
+                degraded_entries += 1;
+                let fallback = fallback_pick(c, b);
+                let sched = build(c, fallback, n, 0)
+                    .ok_or_else(|| format!("fallback {fallback} unbuildable at {n} ranks"))?;
+                Some(sched.compile())
+            }
+            Answer::Unexpected => {
+                return Err(format!(
+                    "answer for ({}, {n}, {b}) is {:?}: neither the tuned pick {:?} \
+                     nor the fallback {:?}",
+                    c.name(),
+                    compiled.algorithm,
+                    expected[j],
+                    fallback_pick(c, b)
+                ))
+            }
         };
         let optimized = SimRequest::new(&model, &compiled, b, topo.as_ref(), &alloc)
             .faults(&plan)
@@ -311,10 +310,10 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
     on_failure.passed();
     Ok(ChaosReport {
         total_requests: (threads * requests_per_thread) as u64,
-        answered: answered.into_inner(),
-        tuned_answers: tuned.into_inner(),
-        fallback_answers: fallback.into_inner(),
-        unexpected_answers: unexpected.into_inner(),
+        answered: answers.iter().sum(),
+        tuned_answers: answers[Answer::Tuned as usize],
+        fallback_answers: answers[Answer::Fallback as usize],
+        unexpected_answers: answers[Answer::Unexpected as usize],
         injected_panics: injected.load(Ordering::Relaxed),
         service: service.stats(),
         degraded_entries,

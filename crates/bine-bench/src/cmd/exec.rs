@@ -2,9 +2,9 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bine_bench::systems::System;
+use bine_bench::{best_of, timed};
 use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_net::cost::CostModel;
@@ -16,22 +16,6 @@ use bine_sched::collectives::{
 use bine_sched::{CompiledSchedule, Schedule};
 
 use crate::cli::{Args, Failure, Outcome};
-
-/// Minimum ns/op of `body` over exactly `iters` timed samples (plus one
-/// untimed warm-up run). The minimum — not the median — is recorded because
-/// the perf gate diffs these numbers across runs and machines: co-scheduled
-/// load inflates medians but rarely the best-case sample, so the minimum is
-/// the most reproducible statistic for a hard regression threshold.
-fn measure(iters: usize, mut body: impl FnMut()) -> f64 {
-    body(); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        body();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
-}
 
 /// Elements per block at a given rank count. Scaled down at the largest
 /// sizes because the seed reference interpreter's per-step snapshot is
@@ -54,9 +38,11 @@ impl Records {
         self.0.push((name, ns_per_op));
     }
 
-    /// Records the [`measure`]d ns/op of `body` as `name`.
-    fn time(&mut self, name: String, iters: usize, body: impl FnMut()) {
-        self.push(name, measure(iters, body));
+    /// Records the best ns/op of `body` over exactly `iters` timed samples,
+    /// after one untimed warm-up run, as `name`.
+    fn time(&mut self, name: String, iters: usize, mut body: impl FnMut()) {
+        body();
+        self.push(name, best_of(iters, 1, || timed(&mut body)));
     }
 
     fn lookup(&self, name: &str) -> f64 {

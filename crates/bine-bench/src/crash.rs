@@ -26,18 +26,15 @@
 //!
 //! [`TrafficReport`]: bine_net::traffic::TrafficReport
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-
 use bine_exec::{ExecError, Workload};
 use bine_net::allocation::Allocation;
 use bine_net::fault::splitmix64;
 use bine_net::traffic;
+use bine_net::view::system_topology;
 use bine_sched::{Collective, ProviderSet, Schedule};
 use bine_tune::{fallback_pick, slug, tuned_name, Served, ServiceSelector, ServiceStats};
 
-use crate::systems::System;
-use crate::StatsOnFailure;
+use crate::{storm, StatsOnFailure};
 
 /// Configuration of one crash-chaos run.
 #[derive(Debug, Clone)]
@@ -141,7 +138,8 @@ pub fn queries() -> Vec<(Collective, usize, u64)> {
     q
 }
 
-/// The outcome class a scenario's kill plan must produce.
+/// The outcome class a scenario's kill plan must produce; the discriminant
+/// indexes the storm's tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Expect {
     /// No load-bearing rank died: the run completes over the full
@@ -164,6 +162,16 @@ struct Scenario {
     bytes: u64,
     dead: Vec<usize>,
     expect: Expect,
+}
+
+/// The class of an outcome, `None` for an error no kill plan should cause.
+fn classify(outcome: &Result<Served, ExecError>) -> Option<Expect> {
+    match outcome {
+        Ok(Served::Full(_)) => Some(Expect::Full),
+        Ok(Served::Recovered(_)) => Some(Expect::Recovered),
+        Err(ExecError::RankDead { .. }) => Some(Expect::Unrecoverable),
+        Err(_) => None,
+    }
 }
 
 /// True when `rank` never sends in `sched` — its death stalls nobody.
@@ -270,70 +278,37 @@ fn scenarios(service: &ServiceSelector, sys: usize, seed: u64) -> Result<Vec<Sce
 /// recovery schedule); storm-phase availability lands in the report for
 /// the caller to judge.
 pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
-    let system = System::all()
-        .into_iter()
-        .find(|s| slug(s.name) == slug(&opts.system))
-        .ok_or_else(|| format!("no benchmark system named {:?}", opts.system))?;
     let service = ServiceSelector::load_default()?;
     let on_failure = StatsOnFailure::watch(&service);
     let sys = service.resolve_system(&opts.system)?;
     let scenarios = scenarios(&service, sys, opts.seed)?;
     let elems = opts.elems_per_block.max(1);
+    let request = |s: &Scenario| {
+        let (c, n, b) = (s.collective, s.nodes, s.bytes);
+        service.try_execute_recovering(&opts.system, c, n, b, elems, &s.dead)
+    };
 
     // --- storm phase: concurrent requests with seeded kill plans ---
     let threads = opts.threads.max(1);
     let requests_per_thread = opts.requests_per_thread.max(scenarios.len());
-    let answered = AtomicU64::new(0);
-    let full = AtomicU64::new(0);
-    let recovered = AtomicU64::new(0);
-    let unrecoverable = AtomicU64::new(0);
-    let unexpected = AtomicU64::new(0);
-    let barrier = Barrier::new(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let (service, scenarios, barrier, system) =
-                (&service, &scenarios, &barrier, &opts.system);
-            let (answered, full, recovered, unrecoverable, unexpected) =
-                (&answered, &full, &recovered, &unrecoverable, &unexpected);
-            scope.spawn(move || {
-                barrier.wait();
-                for i in 0..requests_per_thread {
-                    let s = &scenarios[(i + t * 7) % scenarios.len()];
-                    match service.try_execute_recovering(
-                        system,
-                        s.collective,
-                        s.nodes,
-                        s.bytes,
-                        elems,
-                        &s.dead,
-                    ) {
-                        None => {} // unanswered: availability drops below 1
-                        Some(outcome) => {
-                            answered.fetch_add(1, Ordering::Relaxed);
-                            let class = match (&outcome, s.expect) {
-                                (Ok(Served::Full(_)), Expect::Full) => Some(&full),
-                                (Ok(Served::Recovered(_)), Expect::Recovered) => Some(&recovered),
-                                (Err(ExecError::RankDead { .. }), Expect::Unrecoverable) => {
-                                    Some(&unrecoverable)
-                                }
-                                _ => None,
-                            };
-                            match class {
-                                Some(counter) => {
-                                    counter.fetch_add(1, Ordering::Relaxed);
-                                }
-                                None => {
-                                    unexpected.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
+    let (outcomes, _) = storm(
+        threads,
+        requests_per_thread,
+        scenarios.len(),
+        |tally: &mut [u64; 4], j| {
+            let s = &scenarios[j];
+            // Unanswered requests are not tallied: availability drops below 1.
+            // Answers count under their class when it is the expected one, and
+            // in the last slot otherwise.
+            if let Some(outcome) = request(s) {
+                let met = classify(&outcome).filter(|&class| class == s.expect);
+                tally[met.map_or(3, |class| class as usize)] += 1;
+            }
+        },
+    );
 
     // --- verification pass: every scenario re-run and checked in depth ---
+    let slug = slug(&opts.system);
     let mut recoveries_checked = 0usize;
     let mut traffic_checked = 0usize;
     let mut full_checked = 0usize;
@@ -346,11 +321,13 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
             s.bytes,
             s.dead
         );
-        let outcome = service
-            .try_execute_recovering(&opts.system, s.collective, s.nodes, s.bytes, elems, &s.dead)
-            .ok_or_else(|| format!("verification request {label} unanswered"))?;
-        match (outcome, s.expect) {
-            (Ok(Served::Full(finals)), Expect::Full) => {
+        let outcome =
+            request(s).ok_or_else(|| format!("verification request {label} unanswered"))?;
+        if classify(&outcome) != Some(s.expect) {
+            return Err(format!("{label}: expected {:?}, got {outcome:?}", s.expect));
+        }
+        match outcome {
+            Ok(Served::Full(finals)) => {
                 // Pin against the healthy reference interpreter; a dead
                 // leaf's own store stays untouched initial state, so only
                 // survivors are compared.
@@ -374,7 +351,7 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
                 }
                 full_checked += 1;
             }
-            (Ok(Served::Recovered(rec)), Expect::Recovered) => {
+            Ok(Served::Recovered(rec)) => {
                 let victim = s.dead[0];
                 if !matches!(rec.error, ExecError::RankDead { src, .. } if src == victim) {
                     return Err(format!(
@@ -412,7 +389,8 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
                 recoveries_checked += 1;
                 // The recovery schedule must offer the same bytes to the
                 // same links as the directly-built one.
-                let topo = system.topology(s.nodes);
+                let topo = system_topology(&slug, s.nodes)
+                    .ok_or_else(|| format!("no topology for system {:?}", opts.system))?;
                 let alloc = Allocation::block(survivors);
                 let served_traffic =
                     traffic::measure(&rec.schedule, s.bytes, topo.as_ref(), &alloc);
@@ -425,15 +403,12 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
                 }
                 traffic_checked += 1;
             }
-            (Err(e @ ExecError::RankDead { .. }), Expect::Unrecoverable) => {
+            Err(e) => {
                 let victim = s.dead[0];
                 if !matches!(e, ExecError::RankDead { src, .. } if src == victim) {
                     return Err(format!("{label}: typed error blamed the wrong rank: {e}"));
                 }
                 unrecoverable_checked += 1;
-            }
-            (outcome, expect) => {
-                return Err(format!("{label}: expected {expect:?}, got {outcome:?}"));
             }
         }
     }
@@ -441,11 +416,11 @@ pub fn run(opts: &CrashOptions) -> Result<CrashReport, String> {
     on_failure.passed();
     Ok(CrashReport {
         total_requests: (threads * requests_per_thread) as u64,
-        answered: answered.into_inner(),
-        full_answers: full.into_inner(),
-        recovered_answers: recovered.into_inner(),
-        unrecoverable_answers: unrecoverable.into_inner(),
-        unexpected_outcomes: unexpected.into_inner(),
+        answered: outcomes.iter().sum(),
+        full_answers: outcomes[Expect::Full as usize],
+        recovered_answers: outcomes[Expect::Recovered as usize],
+        unrecoverable_answers: outcomes[Expect::Unrecoverable as usize],
+        unexpected_outcomes: outcomes[3],
         scenarios: scenarios.len(),
         recoveries_checked,
         traffic_checked,

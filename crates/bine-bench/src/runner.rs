@@ -12,8 +12,8 @@ use bine_net::view::TUNING_PLACEMENT_SEED;
 use bine_sched::{algorithms, bine_default, binomial_default, is_linear, Collective};
 use bine_tune::selector::system_providers;
 use bine_tune::{
-    tuned_name, ScoreModel, Scorer, Selector, Target, TunePoint, Tuned,
-    FALLBACK_SMALL_VECTOR_THRESHOLD, MAX_LINEAR_NODES,
+    affordable, tuned_name, ScoreModel, Scorer, Selector, Target, TunePoint, Tuned,
+    FALLBACK_SMALL_VECTOR_THRESHOLD,
 };
 
 use crate::systems::{System, SystemKind};
@@ -282,9 +282,9 @@ impl Evaluator {
     /// linear-step algorithms ([`bine_sched::is_linear`]) build `p − 1`
     /// steps of `p` messages each, which is both impractically slow at the
     /// largest torus sizes and — as the paper notes — not competitive
-    /// there. The cut-off is the tuner's, [`MAX_LINEAR_NODES`].
+    /// there. The cut-off is the tuner's, [`bine_tune::affordable`].
     pub fn skip_algorithm(&self, name: &str, nodes: usize) -> bool {
-        nodes > MAX_LINEAR_NODES && is_linear(name)
+        !affordable(is_linear(name), nodes)
     }
 
     /// What the committed decision table would pick for this configuration

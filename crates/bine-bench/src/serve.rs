@@ -17,11 +17,12 @@
 //! trajectory uses, for the same reason: it is the most reproducible
 //! number across noisy runners.
 
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bine_sched::Collective;
 use bine_tune::{Selector, ServiceSelector};
+
+use crate::{best_of, storm, timed};
 
 /// Configuration of one serving benchmark run.
 #[derive(Debug, Clone)]
@@ -130,17 +131,14 @@ pub fn measure(opts: &ServeOptions) -> Result<ServeMeasurement, String> {
     for &(c, n, b) in &queries {
         serial.compiled(c, n, b);
     }
-    let serial_requests = requests_per_thread;
-    let mut serial_best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        for i in 0..serial_requests {
-            let (c, n, b) = queries[i % queries.len()];
-            std::hint::black_box(serial.compiled(c, n, b));
-        }
-        let ns = start.elapsed().as_nanos() as f64 / serial_requests as f64;
-        serial_best = serial_best.min(ns);
-    }
+    let serial_ns_per_req = best_of(repeats, requests_per_thread, || {
+        timed(|| {
+            for i in 0..requests_per_thread {
+                let (c, n, b) = queries[i % queries.len()];
+                std::hint::black_box(serial.compiled(c, n, b));
+            }
+        })
+    });
 
     // --- concurrent service ---
     let service = ServiceSelector::load_default()?;
@@ -152,83 +150,53 @@ pub fn measure(opts: &ServeOptions) -> Result<ServeMeasurement, String> {
         service.compiled_at(sys, c, n, b);
     }
     let distinct = service.cached_schedules();
+    let request = |j: usize| {
+        let (c, n, b) = queries[j];
+        service.compiled_at(sys, c, n, b)
+    };
+
+    // Each repeat runs a throughput storm, then a latency storm: the same
+    // contention, but each request individually timed, for the tails over
+    // the merged samples. Only the throughput storm goes without
+    // per-request clocks — two `Instant` reads per request would dominate
+    // a ~50 ns warm hit. Keep the pair interleaved: on two shared vCPUs,
+    // latency storms run back to back read the contended p99 (~580 ns) in
+    // 36 of 60 runs, interleaved ones in 22.
+    let sampled = (requests_per_thread / 4).max(queries.len());
+    let (mut p99_ns, mut p999_ns) = (f64::INFINITY, f64::INFINITY);
+    let best_wall_ns = best_of(repeats, 1, || {
+        let (_, span) = storm(
+            threads,
+            requests_per_thread,
+            queries.len(),
+            |_: &mut (), j| {
+                std::hint::black_box(request(j));
+            },
+        );
+        let (mut lat, _) = storm(threads, sampled, queries.len(), |lat: &mut Vec<u64>, j| {
+            let start = Instant::now();
+            std::hint::black_box(request(j));
+            lat.push(start.elapsed().as_nanos() as u64);
+        });
+        lat.sort_unstable();
+        p99_ns = p99_ns.min(lat[tail_index(lat.len(), 0.99)] as f64);
+        p999_ns = p999_ns.min(lat[tail_index(lat.len(), 0.999)] as f64);
+        span.max(Duration::from_nanos(1))
+    });
 
     let total_requests = (threads * requests_per_thread) as u64;
-    let mut best_wall = f64::INFINITY;
-    let mut best_p99 = f64::INFINITY;
-    let mut best_p999 = f64::INFINITY;
-    for _ in 0..repeats {
-        // Throughput phase: no per-request clocks — two `Instant` reads per
-        // request would dominate a ~50 ns warm hit. Wall time is taken from
-        // inside the workers — first barrier release to last request
-        // completion — because on a saturated machine the spawning thread
-        // may not get the CPU back until the workers are already done, so
-        // any clock it reads races with them.
-        let barrier = Barrier::new(threads);
-        let spans: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
-        let epoch = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (service, queries, barrier, spans, epoch) =
-                    (&service, &queries, &barrier, &spans, &epoch);
-                scope.spawn(move || {
-                    barrier.wait();
-                    let begin = epoch.elapsed().as_nanos() as u64;
-                    for i in 0..requests_per_thread {
-                        let (c, n, b) = queries[(i + t * 7) % queries.len()];
-                        std::hint::black_box(service.compiled_at(sys, c, n, b));
-                    }
-                    let end = epoch.elapsed().as_nanos() as u64;
-                    spans.lock().unwrap().push((begin, end));
-                });
-            }
-        });
-        let spans = spans.into_inner().unwrap();
-        let begin = spans.iter().map(|&(b, _)| b).min().unwrap_or(0);
-        let end = spans.iter().map(|&(_, e)| e).max().unwrap_or(1);
-        let wall = (end.saturating_sub(begin) as f64).max(1.0);
-        best_wall = best_wall.min(wall);
-
-        // Latency phase: same contention (all threads hammering), but each
-        // request individually timed; p99 over the merged samples.
-        let barrier = Barrier::new(threads);
-        let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        let sampled = (requests_per_thread / 4).max(queries.len());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (service, queries, barrier, latencies) =
-                    (&service, &queries, &barrier, &latencies);
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(sampled);
-                    barrier.wait();
-                    for i in 0..sampled {
-                        let (c, n, b) = queries[(i + t * 7) % queries.len()];
-                        let start = Instant::now();
-                        std::hint::black_box(service.compiled_at(sys, c, n, b));
-                        local.push(start.elapsed().as_nanos() as u64);
-                    }
-                    latencies.lock().unwrap().append(&mut local);
-                });
-            }
-        });
-        let mut lat = latencies.into_inner().unwrap();
-        lat.sort_unstable();
-        best_p99 = best_p99.min(lat[tail_index(lat.len(), 0.99)] as f64);
-        best_p999 = best_p999.min(lat[tail_index(lat.len(), 0.999)] as f64);
-    }
-
-    let ns_per_req = best_wall / total_requests as f64;
+    let ns_per_req = best_wall_ns / total_requests as f64;
     Ok(ServeMeasurement {
         threads,
         total_requests,
-        best_wall_ns: best_wall,
+        best_wall_ns,
         ns_per_req,
         worker_ns_per_req: ns_per_req * threads as f64,
-        p99_ns: best_p99,
-        p999_ns: best_p999,
+        p99_ns,
+        p999_ns,
         requests_per_sec: 1e9 / ns_per_req,
-        serial_ns_per_req: serial_best,
-        speedup_vs_serial: serial_best / ns_per_req,
+        serial_ns_per_req,
+        speedup_vs_serial: serial_ns_per_req / ns_per_req,
         compilations: service.compilations(),
         distinct,
     })

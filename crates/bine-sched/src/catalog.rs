@@ -116,6 +116,17 @@ impl AlgorithmId {
     }
 }
 
+/// The name of `base` cut into `segments` pipeline chunks: `base` itself
+/// for one (or none), `base+seg{segments}` otherwise. [`split_segments`]
+/// is its inverse.
+pub fn tuned_name(base: &str, segments: usize) -> String {
+    if segments > 1 {
+        format!("{base}+seg{segments}")
+    } else {
+        base.to_string()
+    }
+}
+
 /// Splits a (possibly tuned) algorithm name into its base name and pipeline
 /// chunk count: `"bine-large+seg8"` → `("bine-large", 8)`,
 /// `"synth:forestcoll:k=2+seg8"` → `("synth:forestcoll:k=2", 8)`, a bare
@@ -600,7 +611,16 @@ mod tests {
         ] {
             let (base, chunks) = split_segments(name);
             assert!(chunks > 1, "{name}");
-            assert_eq!(format!("{base}+seg{chunks}"), name);
+            assert_eq!(tuned_name(base, chunks), name);
+        }
+        // And the other way round: format then split.
+        for base in ["bine-large", "synth:forestcoll:k=2"] {
+            for segments in [1, 2, 8, 16] {
+                assert_eq!(
+                    split_segments(&tuned_name(base, segments)),
+                    (base, segments)
+                );
+            }
         }
     }
 

@@ -47,8 +47,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::catalog::tuned_name;
 use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
-use crate::segment::{num_substeps, parts, segmented_name, substeps};
+use crate::segment::{num_substeps, parts, substeps};
 
 /// Source of process-unique [`CompiledSchedule`] identities.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
@@ -620,7 +621,7 @@ impl CompiledSchedule {
             num_ranks: p,
             collective: schedule.collective,
             root: schedule.root,
-            algorithm: segmented_name(&schedule.algorithm, chunks),
+            algorithm: tuned_name(&schedule.algorithm, chunks),
             identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
             blocks,
             sends,

@@ -45,7 +45,8 @@ pub mod validate;
 
 pub use catalog::{
     algorithms, bine_default, binomial_default, build, build_irregular, has_algorithm,
-    irregular_algorithms, is_linear, linear_default, split_segments, walk, AlgorithmId, Request,
+    irregular_algorithms, is_linear, linear_default, split_segments, tuned_name, walk, AlgorithmId,
+    Request,
 };
 pub use collectives::{SizeDist, IRREGULAR_COLLECTIVES};
 pub use compile::{

@@ -37,21 +37,12 @@
 
 use std::rc::Rc;
 
+use crate::catalog::tuned_name;
 use crate::schedule::{contiguity_of, BlockId, Message, Schedule, Step};
 
 /// What one message contributes to one sub-step: the message, the sub-slice
 /// of its block list that travels, and the contiguous regions that spans.
 pub(crate) type Chunk<'a> = (&'a Message, &'a [BlockId], u32);
-
-/// `algorithm` as cut `chunks` ways: the `+seg{chunks}` suffix keeps
-/// segmented variants distinguishable in catalogs and reports; one chunk is
-/// the algorithm itself.
-pub(crate) fn segmented_name(algorithm: &str, chunks: usize) -> String {
-    match chunks {
-        1 => algorithm.to_string(),
-        _ => format!("{algorithm}+seg{chunks}"),
-    }
-}
 
 /// Into how many parts a message is cut: as many as it has blocks to split
 /// over, at most `chunks`, and never none.
@@ -132,7 +123,7 @@ pub(crate) fn substeps(
 /// # Panics
 /// Panics if `chunks == 0`.
 pub fn segment_schedule(schedule: &Schedule, chunks: usize) -> Schedule {
-    let name = segmented_name(&schedule.algorithm, chunks);
+    let name = tuned_name(&schedule.algorithm, chunks);
     let mut out = Schedule::new(schedule.num_ranks, schedule.collective, name, schedule.root);
     out.counts = schedule.counts.clone();
     for sub in substeps(schedule, chunks) {

@@ -31,6 +31,8 @@ use std::sync::Arc;
 
 use bine_sched::{algorithms, Collective};
 
+use crate::tuner::affordable;
+
 /// Knobs of the adaptive feedback loop. See the
 /// [module docs](crate::adapt) for where each one bites.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,16 +88,16 @@ impl Reevaluator {
     }
 
     /// A re-evaluator over the flat algorithm catalog of each collective
-    /// ([`bine_sched::algorithms`], linear algorithms capped at
-    /// `max_linear_nodes` ranks), scored by `score`. A subset of what the
-    /// offline tuner sweeps: neither its `synth:` candidates nor its
-    /// `+segS` pipelined variants are enumerated here.
-    pub fn catalog(max_linear_nodes: usize, score: Arc<ScoreFn>) -> Reevaluator {
+    /// ([`bine_sched::algorithms`], linear algorithms capped as the tuner
+    /// caps them, [`crate::affordable`]), scored by `score`. A subset of
+    /// what the offline tuner sweeps: neither its `synth:` candidates nor
+    /// its `+segS` pipelined variants are enumerated here.
+    pub fn catalog(score: Arc<ScoreFn>) -> Reevaluator {
         Reevaluator::new(
             Arc::new(move |collective, nodes, _bytes| {
                 algorithms(collective)
                     .into_iter()
-                    .filter(|a| !a.is_linear || nodes <= max_linear_nodes)
+                    .filter(|a| affordable(a.is_linear, nodes))
                     .map(|a| a.name().to_string())
                     .collect()
             }),
@@ -219,13 +221,14 @@ mod tests {
 
     #[test]
     fn catalog_reevaluator_enumerates_the_tuners_candidate_set() {
-        let r = Reevaluator::catalog(64, Arc::new(|_, _, _, _| Some(1.0)));
+        let r = Reevaluator::catalog(Arc::new(|_, _, _, _| Some(1.0)));
         let cands = r.candidates_with("bine-large", Collective::Allreduce, 16, 1 << 20);
         assert!(cands.iter().any(|c| c == "bine-large"));
         assert!(cands.iter().any(|c| c == "recursive-doubling"));
-        // Linear algorithms are capped: at 128 > 64 ranks they disappear,
-        // but the committed pick is always defended.
-        let cands = r.candidates_with("linear", Collective::Alltoall, 128, 1 << 20);
+        // Linear algorithms are capped: above MAX_LINEAR_NODES they
+        // disappear, but the committed pick is always defended.
+        let cands = r.candidates_with("linear", Collective::Alltoall, 2048, 1 << 20);
+        assert!(!cands.iter().any(|c| c == "pairwise"), "pairwise capped");
         assert!(cands.iter().any(|c| c == "linear"), "incumbent defended");
     }
 

@@ -72,6 +72,7 @@ pub mod table;
 pub mod tuner;
 
 pub use adapt::{AdaptPolicy, AdaptiveOverlay, CandidatesFn, OverlayEntry, Reevaluator, ScoreFn};
+pub use bine_sched::tuned_name;
 pub use gate::{drift, DriftOutcome, DriftRow};
 pub use score::{Scorer, TunePoint};
 pub use selector::{available_systems, default_tuning_dir, Selector, SelectorIndex, Tuned};
@@ -81,7 +82,7 @@ pub use service::{
 };
 pub use table::{slug, DecisionTable, Entry, ScoreModel};
 pub use tuner::{
-    candidates, irregular_scores, pruned_best, tuned_name, Candidate, CellBest, Target, Tuner,
+    affordable, candidates, irregular_scores, pruned_best, Candidate, CellBest, Target, Tuner,
     TunerConfig, DES_ALLTOALL_MAX_NODES, DES_MAX_NODES, DES_TOP_K, MAX_LINEAR_NODES,
     MIN_SEGMENT_BYTES, SEGMENT_COUNTS,
 };

@@ -249,6 +249,8 @@ impl Scorer {
 
     /// Bytes the schedule `name` names sends across group boundaries at
     /// this grid point (the paper's locality metric). Retains the schedule.
+    /// Segmentation moves the same bytes over the same links, so a `+segS`
+    /// name is measured on its base schedule.
     pub fn global_bytes(
         &mut self,
         collective: Collective,
@@ -257,16 +259,11 @@ impl Scorer {
         nodes: usize,
         vector_bytes: u64,
     ) -> Option<u64> {
-        let chunks = split_segments(name).1;
         let base = self.retain(collective, dist, name, nodes)?;
         let base = &self.schedules[&base];
         let point = point_of(&self.points, nodes);
         let (topo, alloc) = (point.topology.as_ref(), &point.allocation);
-        Some(if chunks > 1 {
-            traffic::global_bytes(&base.segmented(chunks), vector_bytes, topo, alloc)
-        } else {
-            traffic::global_bytes(base, vector_bytes, topo, alloc)
-        })
+        Some(traffic::global_bytes(base, vector_bytes, topo, alloc))
     }
 
     /// `(summaries, retained schedules, compiled schedules)` currently

@@ -57,7 +57,7 @@ use self::flight::{lock_any, Guard, Resolved};
 use self::ladder::Rung;
 use crate::adapt::{AdaptPolicy, Reevaluator};
 use crate::selector::{SelectorIndex, Tuned, DEFAULT_CACHE_CAPACITY};
-use crate::table::{slug, DecisionTable};
+use crate::table::{slug, slug_chars, DecisionTable};
 
 pub use self::cache::ServiceStats;
 pub use self::ladder::{fallback_pick, FALLBACK_SMALL_VECTOR_THRESHOLD};
@@ -283,10 +283,12 @@ impl ServiceSelector {
     }
 
     /// Index of a system by display name or slug (`"MareNostrum 5"` and
-    /// `"marenostrum5"` both resolve).
+    /// `"marenostrum5"` both resolve). Allocation-free: every by-name
+    /// request resolves through it.
     pub fn system_index(&self, system: &str) -> Option<usize> {
-        let wanted = slug(system);
-        self.slugs.iter().position(|s| *s == wanted)
+        self.slugs
+            .iter()
+            .position(|s| s.chars().eq(slug_chars(system)))
     }
 
     /// Like [`ServiceSelector::system_index`], but an unknown system is an

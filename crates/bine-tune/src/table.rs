@@ -98,11 +98,15 @@ pub struct DecisionTable {
 /// File-name slug of a system display name: lower-cased alphanumerics only
 /// (`"MareNostrum 5"` → `"marenostrum5"`).
 pub fn slug(system: &str) -> String {
+    slug_chars(system).collect()
+}
+
+/// The characters of [`slug`]`(system)`, for comparing without allocating.
+pub(crate) fn slug_chars(system: &str) -> impl Iterator<Item = char> + '_ {
     system
         .chars()
         .filter(|c| c.is_ascii_alphanumeric())
         .map(|c| c.to_ascii_lowercase())
-        .collect()
 }
 
 impl DecisionTable {

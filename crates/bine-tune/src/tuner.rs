@@ -38,8 +38,8 @@ use std::collections::HashMap;
 
 use bine_net::cost::{CostModel, LowerBounds};
 use bine_sched::{
-    algorithms, binomial_default, irregular_algorithms, AlgorithmId, Collective, ProviderSet,
-    SizeDist, IRREGULAR_COLLECTIVES,
+    algorithms, binomial_default, irregular_algorithms, tuned_name, AlgorithmId, Collective,
+    ProviderSet, SizeDist, IRREGULAR_COLLECTIVES,
 };
 
 use crate::score::{Scorer, TunePoint};
@@ -77,6 +77,13 @@ pub const DES_ALLTOALL_MAX_NODES: usize = 128;
 /// impractically large to build beyond it and — as the paper notes — not
 /// competitive there.
 pub const MAX_LINEAR_NODES: usize = 1024;
+
+/// Whether an algorithm is a candidate at `nodes` ranks: a linear one
+/// ([`bine_sched::is_linear`]) only up to [`MAX_LINEAR_NODES`]. The one
+/// reading of that cap, for the tuner, the re-evaluator and the harness.
+pub fn affordable(is_linear: bool, nodes: usize) -> bool {
+    !is_linear || nodes <= MAX_LINEAR_NODES
+}
 
 /// Smallest vector size at which pipelined (`seg > 1`) DES candidates are
 /// tried. Below it segmentation only adds per-chunk alpha —
@@ -148,7 +155,7 @@ pub fn candidates(
     let mut out: Vec<Candidate> = algs
         .into_iter()
         .enumerate()
-        .filter(|(_, a)| !a.is_linear || nodes <= MAX_LINEAR_NODES)
+        .filter(|(_, a)| affordable(a.is_linear, nodes))
         .map(|(idx, alg)| {
             let lower_bound = lbs.sync_time_us(
                 alg.min_steps(nodes),
@@ -566,11 +573,10 @@ pub fn irregular_scores(
     nodes: usize,
     vector_bytes: u64,
 ) -> Vec<(AlgorithmId, f64)> {
-    let affordable = |alg: &AlgorithmId| !alg.is_linear || nodes <= MAX_LINEAR_NODES;
     let mut scores = Vec::new();
     for alg in irregular_algorithms(collective)
         .into_iter()
-        .filter(affordable)
+        .filter(|alg| affordable(alg.is_linear, nodes))
     {
         let (dist, model) = (Some(dist), ScoreModel::Sync);
         if let Some(t) = scorer.score(collective, dist, alg.name(), nodes, vector_bytes, model) {
@@ -578,16 +584,6 @@ pub fn irregular_scores(
         }
     }
     scores
-}
-
-/// The catalog name of a pick: `name` for one segment, `name+segS`
-/// otherwise.
-pub fn tuned_name(base: &str, segments: usize) -> String {
-    if segments > 1 {
-        format!("{base}+seg{segments}")
-    } else {
-        base.to_string()
-    }
 }
 
 #[cfg(test)]

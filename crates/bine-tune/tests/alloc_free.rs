@@ -67,9 +67,10 @@ fn choose_never_allocates_after_load() {
     assert!(checksum > 0);
 }
 
-/// The adaptive serving loop's steady state — a warm `compiled_at` hit
-/// followed by an `observe_at` that records into the per-entry histogram
-/// without diverging — must be allocation-free: the histogram is a fixed
+/// The adaptive serving loop's steady state — a warm `compiled_at` hit (by
+/// index, and by system name) followed by an `observe_at` that records into
+/// the per-entry histogram without diverging — must be allocation-free: the
+/// by-name lookup compares slugs in place, the histogram is a fixed
 /// array, the cache hit is an `Arc` clone, and the adapt entry is found
 /// (not inserted) once warm. Divergence is parked out of reach so the
 /// re-evaluation path (which does allocate, off the warm path) never runs.
@@ -106,6 +107,15 @@ fn warm_service_pick_and_observe_never_allocate() {
         let warm = service
             .compiled_at(0, Collective::Allreduce, 16, 1 << 20)
             .expect("warm hit");
+        assert!(Arc::ptr_eq(&warm, &compiled), "same cached schedule");
+        // By name or slug: the system lookup allocates nothing either.
+        let t = service
+            .choose("testbox", Collective::Allreduce, 16, 1 << 20)
+            .expect("pick by slug");
+        steps += t.segments;
+        let warm = service
+            .compiled("Testbox", Collective::Allreduce, 16, 1 << 20)
+            .expect("warm hit by name");
         assert!(Arc::ptr_eq(&warm, &compiled), "same cached schedule");
         service.observe_at(
             0,
