@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bine_bench::systems::System;
 use bine_bench::{best_of, timed};
 use bine_exec::state::{BlockStore, Workload};
-use bine_exec::{compiled, sequential, ExecutorPool};
+use bine_exec::{compiled, sequential};
 use bine_net::cost::CostModel;
 use bine_net::sim;
 use bine_net::view::TUNING_PLACEMENT_SEED;
@@ -80,45 +80,26 @@ fn bench_executors(
     compiled_sched
 }
 
-/// Times the pool on `handle` (`{label}/pool/{p}`, gated): the calling
-/// thread, the same on every runner.
-fn bench_pool(
-    records: &mut Records,
-    label: &str,
-    handle: &Arc<CompiledSchedule>,
-    initial: &[BlockStore],
-    iters: usize,
-) {
-    let p = handle.num_ranks;
-    let pool = ExecutorPool::global();
-    records.time(format!("{label}/pool/{p}"), iters, || {
-        pool.run(handle, initial.to_vec());
-    });
-}
-
 /// The large reductions the repository benchmark's `exec-reduce` workload
 /// runs: 1 and 4 MiB vectors over 64 ranks (`bytes / 8 / p` elements per
 /// block), where a run walks block by block and the time is memory
-/// traffic, not dispatch. Gated `/compiled/` and `/pool/` entries. No
-/// reference interpreter: it takes seconds per run here.
+/// traffic, not dispatch. Gated `/compiled/` entries. No reference
+/// interpreter: it takes seconds per run here.
 fn bench_large_reductions(records: &mut Records, iters: usize) {
     let p = 64;
     let large = allreduce(p, AllreduceAlg::BineLarge);
     let swing = reduce_scatter(p, ReduceScatterAlg::Swing);
     let cases = [
-        ("allreduce-bine-large-1MiB", &large, 1usize << 20, true),
-        ("allreduce-bine-large-4MiB", &large, 4 << 20, true),
-        ("reduce-scatter-swing-4MiB", &swing, 4 << 20, false),
+        ("allreduce-bine-large-1MiB", &large, 1usize << 20),
+        ("allreduce-bine-large-4MiB", &large, 4 << 20),
+        ("reduce-scatter-swing-4MiB", &swing, 4 << 20),
     ];
-    for (label, sched, bytes, on_pool) in cases {
+    for (label, sched, bytes) in cases {
         let initial = Workload::for_schedule(sched, bytes / 8 / p).initial_state(sched);
         let handle = Arc::new(sched.compile());
         records.time(format!("{label}/compiled/{p}"), iters, || {
             compiled::run(&handle, initial.clone());
         });
-        if on_pool {
-            bench_pool(records, label, &handle, &initial, iters);
-        }
     }
 }
 
@@ -128,8 +109,7 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
     records.time(format!("{label}/reference/{p}"), iters, || {
         sequential::run_reference(sched, initial.clone());
     });
-    let compiled_sched = bench_executors(records, label, sched, &initial, iters);
-    bench_pool(records, label, &compiled_sched, &initial, iters);
+    bench_executors(records, label, sched, &initial, iters);
     // What the schedule costs before any executor sees it (all gated): the
     // builder, then lowering — unsegmented at every size, and at the 16
     // pipeline chunks the LUMI table serves this allreduce with above 1 MiB
@@ -275,13 +255,12 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 
 /// Records the execution-benchmark trajectory as `BENCH_exec.json`.
 ///
-/// Measures ns/op of the four executors on the BineLarge allreduce at
+/// Measures ns/op of the three executors on the BineLarge allreduce at
 /// p ∈ {64, 256, 1024} and what building and lowering it cost (gated
 /// `/build/` and `/compile/` at each size, `/lower-seg16/256` at 16
 /// pipeline chunks), plus 1 and 4 MiB reductions over 64 ranks, where the
-/// executors walk block by block (`allreduce-bine-large-{1,4}MiB`: gated
-/// `/compiled/` and `/pool/`; `reduce-scatter-swing-4MiB`: gated
-/// `/compiled/`), plus the post-seed collective surfaces at p = 256 —
+/// executors walk block by block (`allreduce-bine-large-{1,4}MiB` and
+/// `reduce-scatter-swing-4MiB`: gated `/compiled/`), plus the post-seed collective surfaces at p = 256 —
 /// dual-root pipelined allreduce, two irregular v-variant schedules and the
 /// Bine alltoall, each with a gated `/compiled/` entry, the alltoall with a
 /// gated `/build/` as well — plus the
@@ -366,15 +345,6 @@ pub fn run(args: Args) -> Outcome {
          \"speedup_serve_vs_serial\": {:.2},",
         serve.threads, serve.requests_per_sec, serve.speedup_vs_serial
     );
-    // The pool against the compiled executor it runs (expected 1.0 — the
-    // pool adds nothing).
-    println!();
-    for p in [64, 256, 1024] {
-        let speedup = records.lookup(&format!("allreduce-bine-large/compiled/{p}"))
-            / records.lookup(&format!("allreduce-bine-large/pool/{p}"));
-        let _ = writeln!(json, "  \"speedup_pool_vs_compiled_p{p}\": {speedup:.2},");
-        println!("speedup pool vs compiled @p={p}: {speedup:.2}x");
-    }
     let _ = writeln!(json, "  \"available_parallelism\": {parallelism},");
     let _ = writeln!(json, "  \"unit\": \"ns/op (min over samples)\"");
     json.push('}');

@@ -4,10 +4,9 @@
 //! the committed `BENCH_exec.json` is the perf baseline of the repository
 //! and CI re-records `BENCH_exec.ci.json` on every push. This module diffs
 //! the two: if any **compiled-executor** entry (name containing
-//! `/compiled/` — the data plane the repo's headline speedup lives on),
-//! **pool** entry (name containing `/pool/` — the serving executor, which
-//! must cost what the compiled executor costs), **discrete-event
-//! simulator** entry (name containing `/sim/` — the time model the
+//! `/compiled/` — the data plane the repo's headline speedup lives on, and
+//! the kernel the serving executor runs), **discrete-event simulator**
+//! entry (name containing `/sim/` — the time model the
 //! 512-node tuning horizon depends on) or **serving-layer
 //! throughput** entry (name containing `/serve/` — the worker-normalized
 //! ns/request of the concurrent `ServiceSelector` request path, the
@@ -91,7 +90,6 @@ pub fn is_gated(name: &str) -> bool {
         || name.contains("/build/")
         || name.contains("/compile/")
         || name.contains("/lower-")
-        || name.contains("/pool/")
         || name.contains("/sim/")
         || name.contains("/sim-cold/")
         || name.contains("/serve/")
@@ -253,7 +251,6 @@ mod tests {
   "benches": {
     "allreduce-bine-large/reference/64": 1000000.0,
     "allreduce-bine-large/compiled/64": 1000.0,
-    "allreduce-bine-large/pool/64": 2000.0,
     "allreduce-bine-large/compile/64": 500.0,
     "allreduce-bine-large/sim/64": 300000.0,
     "allreduce-bine-large/sim-reference/64": 9000000.0,
@@ -272,23 +269,21 @@ mod tests {
     #[test]
     fn parses_the_bench_exec_format() {
         let e = entries();
-        assert_eq!(e.len(), 9);
+        assert_eq!(e.len(), 8);
         assert_eq!(e[1].0, "allreduce-bine-large/compiled/64");
         assert_eq!(e[1].1, 1000.0);
         assert!(parse_bench_json("{}").is_err());
     }
 
     #[test]
-    fn only_compiled_one_lane_pool_lowering_des_and_serve_entries_are_gated() {
+    fn only_compiled_lowering_des_and_serve_entries_are_gated() {
         assert!(is_gated("allreduce-bine-large/compiled/256"));
         assert!(is_gated("allreduce-bine-large/sim/256"));
         assert!(is_gated("allreduce-bine-large/sim-cold/256"));
         assert!(is_gated("select-mix/serve/worker-ns-per-req"));
         assert!(!is_gated("allreduce-bine-large/reference/256"));
         assert!(!is_gated("allreduce-bine-large/sim-reference/256"));
-        assert!(is_gated("allreduce-bine-large/pool/256"));
         assert!(is_gated("allreduce-bine-large-1MiB/compiled/64"));
-        assert!(is_gated("allreduce-bine-large-4MiB/pool/64"));
         assert!(is_gated("reduce-scatter-swing-4MiB/compiled/64"));
         assert!(is_gated("allreduce-bine-large/build/256"));
         assert!(is_gated("allreduce-bine-large/compile/256"));

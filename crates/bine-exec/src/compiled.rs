@@ -2,9 +2,9 @@
 //!
 //! This is the fast single-threaded path of the crate: block identifiers are
 //! pre-interned to dense indices (see [`bine_sched::compile`]), so the inner
-//! loop indexes flat `Vec`s instead of hashing `BlockId`s, and payloads are
-//! shared [`Block`]s, so moving data is a refcount bump and reductions are
-//! copy-on-write. Results are bit-identical to
+//! loop indexes flat `Vec`s instead of hashing `BlockId`s, and a slot holds a
+//! `u32` handle into the run's payload table, so moving data copies an
+//! integer and reductions are copy-on-write. Results are bit-identical to
 //! [`crate::sequential::run_reference`]: payloads are gathered from the
 //! pre-step state and applied per receiver in schedule order — exactly the
 //! order the reference interpreter applies them in.
@@ -16,11 +16,11 @@
 //! state of a request costs what its ranks touch. Every payload of the
 //! compiled form carries its local slot at both ends, so the step kernel
 //! indexes `slots[local]` directly. [`to_dense`] puts stores under the
-//! table — block by block (`BlockId` → interned index → local slot) for a
-//! store in map form or under another table, not at all for one that is
-//! under this table already, such as the finals of an earlier run —
-//! and [`from_dense`] has nothing left to do: the finals *are* the dense
-//! states, and answer by `BlockId` through the table they keep alive.
+//! table and one payload table — block by block (`BlockId` → interned index
+//! → local slot) for a store in map form or under another table, not at all
+//! for the finals of an earlier run of this handle — and [`from_dense`] has
+//! nothing left to do: the finals *are* the dense states, and answer by
+//! `BlockId` through the tables they keep alive.
 //!
 //! One compiled form, two walks over it. The **step walk** (`run_steps`) is
 //! the step kernel — `gather_recvs` then `apply_recvs` — over all of a
@@ -30,10 +30,10 @@
 //! its receiver and nothing else, so one block's entries, in receive order,
 //! are a schedule of their own, and running them start to finish keeps the
 //! block's partial sums in cache where the step walk streams the whole
-//! working set through it once per step. Both stage a step's payloads
+//! working set through it once per step. Both stage a step's handles
 //! before applying them, both deliver through the same `receive` and so the
 //! same [`reduce_into`](crate::state), and every `(rank, block)` slot sees
-//! the same writes in the same order at the same reference counts: the
+//! the same writes in the same order at the same holder counts: the
 //! finals agree bit for bit and the same reductions copy on write. Neither
 //! moves the payloads of an identity move — a rank's copy onto itself as its
 //! only receive of the step, the `permute` strategy's local pass — which
@@ -48,43 +48,48 @@
 
 use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
-use crate::state::{reduce_into, Block, BlockStore};
+use crate::state::{self, BlockStore, PayloadTable, NOT_HELD};
 
 /// The data a single rank holds, in dense form: a [`BlockStore`] held under
-/// the key table of the schedule being run — slot `i` is the payload of the
-/// `i`-th block of the rank's
+/// the key table of the schedule being run — slot `i` holds the handle, in
+/// the run's payload table, of the `i`-th block of the rank's
 /// [`rank_blocks`](bine_sched::SlotLayout::rank_blocks), and what the rank
 /// holds but never moves (the alltoall block a rank keeps for itself under
 /// an algorithm that never moves it) rides along in the store's map,
 /// untouched.
 pub type DenseState = BlockStore;
 
-/// Puts symbolic per-rank stores under `compiled`'s key table, in place.
+/// Puts symbolic per-rank stores under `compiled`'s key table and one
+/// payload table, in place.
 ///
-/// A store that is already there — the finals of an earlier run of this
-/// handle, for this rank — is taken as it is; any other (a store a caller
-/// built, another handle's finals) is re-keyed block by block:
-/// `BlockId` → interned index → local slot.
+/// The finals of an earlier run of this handle are taken as they are (their
+/// payload table copied if a caller still holds a clone of them); any other
+/// store (one a caller built, another handle's finals) is re-keyed block by
+/// block: `BlockId` → interned index → local slot.
 pub fn to_dense(compiled: &CompiledSchedule, mut initial: Vec<BlockStore>) -> Vec<DenseState> {
     assert_eq!(
         initial.len(),
         compiled.num_ranks,
         "initial state must have one store per rank"
     );
-    let table = compiled.slot_layout();
-    for (rank, store) in initial.iter_mut().enumerate() {
-        store.rekey(table, rank);
-    }
+    state::rekey(&mut initial, compiled.slot_layout());
     initial
 }
 
 /// Hands dense states back as the per-rank stores they are: the finals stay
-/// under `compiled`'s key table (which they keep alive, see [`BlockStore`]),
-/// so leaving dense form moves, hashes and allocates nothing.
+/// under `compiled`'s key table and the run's payload table (which they keep
+/// alive, see [`BlockStore`]), so leaving dense form moves, hashes and
+/// allocates nothing.
 ///
 /// # Panics
-/// Panics if a state was not built for this schedule and rank.
+/// Panics unless there is one state per rank, each built for this schedule
+/// and rank.
 pub fn from_dense(compiled: &CompiledSchedule, finals: Vec<DenseState>) -> Vec<BlockStore> {
+    assert_eq!(
+        finals.len(),
+        compiled.num_ranks,
+        "one dense state per rank required"
+    );
     let table = compiled.slot_layout();
     for (rank, state) in finals.iter().enumerate() {
         assert!(
@@ -124,27 +129,28 @@ pub(crate) struct Stall {
 ///
 /// The crossover, as block walk ÷ step walk on one confined vCPU (4 MiB L2),
 /// lower quartile of 25 rounds of reduce-scatter `bine-permute`, allreduce
-/// `bine-large` and reduce-scatter `swing` run and dropped in turn, best of
-/// three alternating repeats:
+/// `bine-large` and reduce-scatter `swing` entered, run and dropped in turn,
+/// best of three alternating repeats:
 ///
-/// | block | p = 64 | p = 256 |
-/// |---|---|---|
-/// | 1 KiB | 0.94 / 0.88 / 0.99 | 1.52 / 1.11 / 1.66 |
-/// | 2 KiB | 0.81 / 0.75 / 0.86 | 1.46 / 1.08 / 1.56 |
-/// | 4 KiB | 0.76 / 0.64 / 0.77 | 1.30 / 0.99 / 1.32 |
-/// | 8 KiB | 0.86 / 0.78 / 0.89 | 0.95 / 0.83 / 0.97 |
-/// | 16 KiB | 0.93 / 0.82 / 0.96 | 0.94 / 0.79 / 0.97 |
+/// | block | p = 16 | p = 64 | p = 256 |
+/// |---|---|---|---|
+/// | 1 KiB | 1.37 / 0.85 / 1.03 | 1.28 / 1.08 / 1.12 | 0.88 / 0.95 / 0.92 |
+/// | 2 KiB | 1.05 / 1.06 / 0.95 | 0.54 / 0.85 / 0.98 | 0.69 / 0.84 / 0.70 |
+/// | 4 KiB | 1.09 / 0.34 / 0.98 | 0.49 / 0.69 / 0.91 | 0.57 / 0.66 / 0.85 |
+/// | 8 KiB | 1.03 / 0.38 / 1.00 | 0.44 / 0.58 / 0.54 | 0.55 / 0.69 / 0.86 |
+/// | 16 KiB | 0.97 / 0.42 / 0.94 | 1.08 / 0.38 / 1.08 | not run (2 GiB) |
 ///
-/// (at p = 16 the two agree up to 4 KiB and the block walk is 0.67–0.91 at
-/// 16 KiB). What the block walk saves is memory traffic: a block's partial
-/// sums are read back from cache. What it costs is the heap: it allocates the
-/// partial sums block by block, the caller frees the finals rank by rank, and
-/// the next run's copy-on-write buffers come back scattered — about 160 ns
-/// per payload at p = 256, whatever its size, so small payloads lose. The
-/// constant is the smallest size that loses nowhere in the table; a
-/// non-reducing schedule has nothing to save at any size (allgather `bine`,
-/// p = 256: 1.34–1.71 block by block, which is why [`run_lane`] asks
-/// [`CompiledSchedule::reduces`] first).
+/// What the block walk saves is memory traffic: a block's partial sums are
+/// read back from cache. What it costs is bookkeeping per payload entry — a
+/// staging round per block and step, not per step — which small payloads do
+/// not amortise. At p = 256 the block walk wins from 1 KiB up; at p ≤ 64 it
+/// loses below 8 KiB (p = 16, 2 KiB: reduce-scatter `bine-permute`
+/// 1.05–1.26 over four repeats), which is what keeps the constant. At
+/// 16 KiB and p = 64 both walks wait on page faults of the copy-on-write
+/// buffers and agree within 8 %. A non-reducing schedule has nothing to
+/// save at any size (allgather `bine`, p = 256, 1 and 8 KiB: 6.6 block by
+/// block, which is why [`run_lane`] asks [`CompiledSchedule::reduces`]
+/// first).
 const BLOCK_WALK_MIN_ELEMS: usize = 1024;
 
 /// Whether the payloads of this run are large enough for the block walk:
@@ -152,8 +158,8 @@ const BLOCK_WALK_MIN_ELEMS: usize = 1024;
 /// not a scan of the state.
 fn payloads_are_large(states: &[DenseState]) -> bool {
     let sampled = states.iter().find_map(|state| {
-        let held = state.slots.iter().flatten();
-        let (blocks, elems) = held.fold((0, 0), |(n, e), block| (n + 1, e + block.len()));
+        let held = state.slot_blocks();
+        let (blocks, elems) = held.fold((0, 0), |(n, e), (_, block)| (n + 1, e + block.len()));
         (blocks > 0).then_some(elems >= blocks * BLOCK_WALK_MIN_ELEMS)
     });
     sampled.unwrap_or(false)
@@ -183,16 +189,18 @@ pub(crate) fn run_steps(
     states: &mut [DenseState],
     dead: Option<&[bool]>,
 ) -> Option<Stall> {
-    let mut staging = Vec::new();
-    for step in 0..compiled.num_steps() {
-        let recvs = compiled.step_recvs(step);
-        // Stage every payload of the step before any state mutates.
-        gather_recvs(compiled, step, recvs, dead, states, &mut staging);
-        if let Some(send) = apply_recvs(compiled, step, recvs, dead, &mut staging, states) {
-            return Some(Stall { step, send });
+    state::with_table(states, compiled.slot_layout(), |table, states| {
+        let mut staging = Vec::new();
+        for step in 0..compiled.num_steps() {
+            let recvs = compiled.step_recvs(step);
+            // Stage every payload of the step before any state mutates.
+            gather_recvs(compiled, step, recvs, dead, table, states, &mut staging);
+            if let Some(send) = apply_recvs(compiled, step, recvs, dead, &staging, table, states) {
+                return Some(Stall { step, send });
+            }
         }
-    }
-    None
+        None
+    })
 }
 
 /// The block walk (see the module docs for why it ends where [`run_steps`]
@@ -207,28 +215,31 @@ pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState])
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
     let moves = |e: &&BlockEntry| !is_identity_move(compiled, e.step as usize, payload_of(e).0);
-    let mut staging: Vec<Block> = Vec::new();
-    for block in 0..compiled.num_blocks() {
-        for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
-            // Stage the block's payloads of the step before any slot mutates,
-            // into room made for exactly those that move.
-            staging.reserve(in_step.iter().filter(moves).count());
-            for e in in_step {
-                let (send, k) = payload_of(e);
-                let (src, slot) = (&states[send.src as usize], compiled.src_slots(send)[k]);
-                let held = held_block(compiled, e.step as usize, send, k, src, slot);
-                if moves(&e) {
-                    staging.push(Block::clone(held));
+    state::with_table(states, compiled.slot_layout(), |table, states| {
+        let mut staging: Vec<u32> = Vec::new();
+        for block in 0..compiled.num_blocks() {
+            for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
+                // Stage the block's payloads of the step before any slot
+                // mutates, into room made for exactly those that move.
+                staging.reserve(in_step.iter().filter(moves).count());
+                for e in in_step {
+                    let (send, k) = payload_of(e);
+                    let (src, slot) = (&states[send.src as usize], compiled.src_slots(send)[k]);
+                    let held = held_handle(compiled, e.step as usize, send, k, src, slot);
+                    if moves(&e) {
+                        table.hold(held);
+                        staging.push(held);
+                    }
+                }
+                for (e, payload) in in_step.iter().filter(moves).zip(staging.drain(..)) {
+                    let (send, k) = payload_of(e);
+                    let slot = compiled.dst_slots(send)[k] as usize;
+                    let held = &mut states[send.dst as usize].slots[slot];
+                    receive(compiled, send, k, table, held, payload);
                 }
             }
-            for (e, payload) in in_step.iter().filter(moves).zip(staging.drain(..)) {
-                let (send, k) = payload_of(e);
-                let slot = compiled.dst_slots(send)[k] as usize;
-                let held = &mut states[send.dst as usize].slots[slot];
-                receive(compiled, send, k, held, payload);
-            }
         }
-    }
+    })
 }
 
 /// Whether `send`, received in `step`, is an identity move: a copy its rank
@@ -243,20 +254,21 @@ fn is_identity_move(compiled: &CompiledSchedule, step: usize, send: &CompiledSen
         && compiled.recvs_to(step, send.dst as usize).len() == 1
 }
 
-/// The payload rank `send.src` holds in local slot `slot`, which `send`
+/// The handle rank `send.src` holds in local slot `slot`, which `send`
 /// carries as its `k`-th block in `step`.
 ///
 /// # Panics
 /// Panics if the rank does not hold the block.
-fn held_block<'a>(
+fn held_handle(
     compiled: &CompiledSchedule,
     step: usize,
     send: &CompiledSend,
     k: usize,
-    src: &'a DenseState,
+    src: &DenseState,
     slot: u32,
-) -> &'a Block {
-    src.slots[slot as usize].as_ref().unwrap_or_else(|| {
+) -> u32 {
+    let handle = src.slots[slot as usize];
+    if handle == NOT_HELD {
         panic!(
             "step {step}: rank {} sends block {:?} it does not hold ({})",
             send.src,
@@ -264,13 +276,14 @@ fn held_block<'a>(
                 .blocks()
                 .resolve(compiled.block_index_slice(send)[k]),
             compiled.algorithm
-        )
-    })
+        );
+    }
+    handle
 }
 
-/// Delivers `payload`, the `k`-th block of `send`, into the receiver's slot
-/// `held`: summed into what is there if the send reduces, in its place
-/// otherwise.
+/// Delivers the staged handle `payload`, the `k`-th block of `send`, into
+/// the receiver's slot `held`: summed into what is there if the send
+/// reduces, in its place otherwise.
 ///
 /// # Panics
 /// Panics if a reduction meets a held block of another length.
@@ -278,37 +291,38 @@ fn receive(
     compiled: &CompiledSchedule,
     send: &CompiledSend,
     k: usize,
-    held: &mut Option<Block>,
-    payload: Block,
+    table: &mut PayloadTable,
+    held: &mut u32,
+    payload: u32,
 ) {
-    match (send.kind, held) {
-        (TransferKind::Reduce, Some(existing)) => {
+    match send.kind {
+        TransferKind::Reduce if *held != NOT_HELD => {
             assert_eq!(
-                existing.len(),
-                payload.len(),
+                table.get(*held).len(),
+                table.get(payload).len(),
                 "block length mismatch for {:?}",
                 compiled
                     .blocks()
                     .resolve(compiled.block_index_slice(send)[k])
             );
-            reduce_into(existing, &payload);
+            table.reduce(held, payload);
         }
         // A copy — or a reduce into an absent block, where the payload
         // becomes the partial result, as in `BlockStore::reduce`.
-        (_, held) => *held = Some(payload),
+        _ => table.replace(held, payload),
     }
 }
 
-/// Gather half of the step kernel: reads the payloads of the receives
+/// Gather half of the step kernel: reads the handles of the receives
 /// `recvs` of `step` (send indices grouped by ascending destination rank,
 /// see [`CompiledSchedule::step_recvs`]) out of their source ranks'
-/// `states` — refcount bumps only — into `staging`, one entry per payload in
-/// `recvs` order, replacing what it held. An identity move
-/// ([`is_identity_move`]) stages nothing; its payloads are only checked to be
-/// held.
+/// `states` into `staging`, one entry per payload in `recvs` order,
+/// replacing what it held; each staged entry is a holder in `table`. An
+/// identity move ([`is_identity_move`]) stages nothing; its payloads are
+/// only checked to be held.
 ///
 /// Under dead-rank injection `dead[rank]` marks the crashed ranks: their
-/// sends never leave, the staging entries stay empty.
+/// sends never leave, the staging entries hold nothing.
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
@@ -317,51 +331,52 @@ fn gather_recvs(
     step: usize,
     recvs: &[u32],
     dead: Option<&[bool]>,
+    table: &mut PayloadTable,
     states: &[DenseState],
-    staging: &mut Vec<Option<Block>>,
+    staging: &mut Vec<u32>,
 ) {
     staging.clear();
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
         let identity = is_identity_move(compiled, step, send);
         if dead.is_some_and(|dead| dead[send.src as usize]) {
             if !identity {
-                staging.resize(staging.len() + send.num_blocks(), None);
+                staging.resize(staging.len() + send.num_blocks(), NOT_HELD);
             }
             continue;
         }
         let src = &states[send.src as usize];
         let payloads = compiled.src_slots(send).iter().enumerate();
-        let held = payloads.map(|(k, &slot)| held_block(compiled, step, send, k, src, slot));
+        let held = payloads.map(|(k, &slot)| held_handle(compiled, step, send, k, src, slot));
         if identity {
             // The possession check alone: the payloads stay in their slots.
             held.for_each(|_| ());
         } else {
-            staging.extend(held.map(|block| Some(Block::clone(block))));
+            staging.extend(held.inspect(|&handle| table.hold(handle)));
         }
     }
 }
 
-/// Apply half of the step kernel: the payloads [`gather_recvs`] staged for
-/// `recvs` are moved out of `staging` and applied to their destination
-/// ranks' states in schedule order — bit-identical float reduction order to
-/// the reference interpreter. Every payload has exactly one receiver, so
-/// the receiver takes the staged reference over: a block that a rank both
-/// sends and reduces in one step is copied on write by whichever partner
-/// applies first and summed in place by the other. Only ranks that receive
-/// something are visited, and an identity move is not applied: nothing of it
-/// was staged.
+/// Apply half of the step kernel: the handles [`gather_recvs`] staged for
+/// `recvs` are applied to their destination ranks' states in schedule
+/// order — bit-identical float reduction order to the reference
+/// interpreter. Every payload has exactly one receiver, so the receiver
+/// takes the staged holder over: a block that a rank both sends and reduces
+/// in one step is copied on write by whichever partner applies first and
+/// summed in place by the other. Only ranks that receive something are
+/// visited, and an identity move is not applied: nothing of it was staged.
 ///
 /// Under dead-rank injection a `dead` rank posts no receives, so its state
 /// stays untouched, and a surviving rank's receive from a dead sender has
 /// nothing staged: in a real run the rank hangs there and never posts its
-/// later receives, so its remaining receives of the step are skipped and
-/// the smallest such send index is returned.
+/// later receives, so its remaining receives of the step are skipped (their
+/// staged handles let go) and the smallest such send index is returned.
 fn apply_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
     dead: Option<&[bool]>,
-    staging: &mut [Option<Block>],
+    staging: &[u32],
+    table: &mut PayloadTable,
     states: &mut [DenseState],
 ) -> Option<u32> {
     let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
@@ -377,17 +392,28 @@ fn apply_recvs(
             if is_identity_move(compiled, step, send) {
                 continue;
             }
-            let payloads = &mut staging[taken..taken + send.num_blocks()];
+            let payloads = &staging[taken..taken + send.num_blocks()];
             taken += payloads.len();
-            let Some(state) = &mut dst else { continue };
             if is_dead(send.src) {
-                stalled = Some(stalled.map_or(send_idx, |s| s.min(send_idx)));
-                dst = None;
+                if dst.take().is_some() {
+                    stalled = Some(stalled.map_or(send_idx, |s| s.min(send_idx)));
+                }
                 continue;
             }
-            for ((k, &slot), payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads) {
-                let payload = payload.take().expect("staged payload missing");
-                receive(compiled, send, k, &mut state.slots[slot as usize], payload);
+            let Some(state) = &mut dst else {
+                payloads.iter().for_each(|&handle| table.release(handle));
+                continue;
+            };
+            for ((k, &slot), &payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads)
+            {
+                receive(
+                    compiled,
+                    send,
+                    k,
+                    table,
+                    &mut state.slots[slot as usize],
+                    payload,
+                );
             }
         }
     }
@@ -422,6 +448,16 @@ mod tests {
         let initial = w.initial_state(&sched);
         let round_tripped = from_dense(&compiled, to_dense(&compiled, initial.clone()));
         assert_eq!(initial, round_tripped);
+    }
+
+    #[test]
+    #[should_panic(expected = "one dense state per rank required")]
+    fn from_dense_rejects_a_truncated_state_vector() {
+        let sched = alltoall(8, AlltoallAlg::Bine);
+        let compiled = sched.compile();
+        let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
+        let states = to_dense(&compiled, initial);
+        from_dense(&compiled, states[..7].to_vec());
     }
 
     #[test]
@@ -507,20 +543,18 @@ mod tests {
     fn the_block_walk_is_for_large_payloads_of_reducing_schedules() {
         let sched = allreduce(8, AllreduceAlg::BineLarge);
         let compiled = sched.compile();
-        let dense = |elems| {
-            let w = Workload::for_schedule(&sched, elems);
-            to_dense(&compiled, w.initial_state(&sched))
-        };
-        assert!(!payloads_are_large(&dense(BLOCK_WALK_MIN_ELEMS - 1)));
-        assert!(payloads_are_large(&dense(BLOCK_WALK_MIN_ELEMS)));
+        let initial = |elems| Workload::for_schedule(&sched, elems).initial_state(&sched);
+        let large = |stores| payloads_are_large(&to_dense(&compiled, stores));
+        assert!(!large(initial(BLOCK_WALK_MIN_ELEMS - 1)));
+        assert!(large(initial(BLOCK_WALK_MIN_ELEMS)));
         // The sample is the first rank that holds anything, and its mean.
-        let mut states = dense(BLOCK_WALK_MIN_ELEMS);
-        states[0].slots.fill(None);
-        assert!(payloads_are_large(&states));
-        states[1].slots[0] = Some(Block::new(vec![0.0; 1]));
-        assert!(!payloads_are_large(&states));
-        states[1].slots[1] = Some(Block::new(vec![0.0; 2 * BLOCK_WALK_MIN_ELEMS]));
-        assert!(payloads_are_large(&states));
+        let mut stores = initial(BLOCK_WALK_MIN_ELEMS);
+        stores[0] = BlockStore::new();
+        assert!(large(stores.clone()));
+        stores[1].insert(BlockId::Segment(0), vec![0.0; 1]);
+        assert!(!large(stores.clone()));
+        stores[1].insert(BlockId::Segment(1), vec![0.0; 2 * BLOCK_WALK_MIN_ELEMS]);
+        assert!(large(stores));
         assert!(!payloads_are_large(&[DenseState::default()]));
         // Either side of the rule, `run_lane` ends where the reference does.
         for elems in [BLOCK_WALK_MIN_ELEMS - 1, BLOCK_WALK_MIN_ELEMS] {

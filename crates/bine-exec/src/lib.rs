@@ -3,7 +3,7 @@
 //! Executors that run the communication schedules of `bine-sched` over real
 //! floating-point data, standing in for the MPI processes of the paper's
 //! evaluation. Payloads are shared [`state::Block`]s (`Arc<Vec<f64>>`):
-//! transfers and snapshots are refcount bumps, reductions are copy-on-write.
+//! transfers copy indices, reductions copy on write.
 //!
 //! * [`sequential`] — single-threaded interpreters: the zero-copy
 //!   [`sequential::run`] and the seed reference

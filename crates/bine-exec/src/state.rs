@@ -9,11 +9,13 @@
 //!
 //! One store type serves both ends of an execution. What a caller builds is
 //! a map; what the dense executors run on, and return, is the same store
-//! with its blocks under the compiled schedule's key table (see
-//! [`BlockStore`]) — so leaving dense form re-hashes nothing, and the only
-//! re-keying of a request is [`crate::compiled::to_dense`]'s, of input that
-//! is not under the handle's table yet.
+//! with its blocks under the compiled schedule's key table and the run's
+//! payload table (see [`BlockStore`]) — so leaving dense form re-hashes
+//! nothing, and the only re-keying of a request is
+//! [`crate::compiled::to_dense`]'s, of input that is not under the handle's
+//! table yet.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use bine_sched::{
@@ -22,10 +24,114 @@ use bine_sched::{
 
 /// A shared, immutable-until-owned block payload.
 ///
-/// Payloads are reference counted so that transfers and per-step snapshots
-/// are refcount bumps rather than deep copies; reductions write a new
-/// buffer only when the payload is actually shared (copy-on-write).
+/// Payloads are reference counted so that a caller's stores, their clones
+/// and the executors share them rather than deep-copy them; reductions write
+/// a new buffer only when the payload is actually shared (copy-on-write).
 pub type Block = Arc<Vec<f64>>;
+
+/// The handle of a slot that holds nothing.
+pub(crate) const NOT_HELD: u32 = u32::MAX;
+
+/// The payloads of one run, which its per-rank stores share behind one `Arc`:
+/// a slot of a table-backed [`BlockStore`] is a handle into it, so a
+/// transfer copies an integer and dropping the finals drops each payload
+/// once, however many ranks hold it.
+#[derive(Clone)]
+pub(crate) struct PayloadTable {
+    /// The key table the run's stores are held under.
+    layout: Arc<SlotLayout>,
+    /// `blocks[h]` is the payload of handle `h`; `None` once freed.
+    blocks: Vec<Option<Block>>,
+    /// `holders[h]`: how many slots and staged entries of the run hold
+    /// handle `h` — or, once it is freed, the next freed handle: the free
+    /// list is threaded through the table.
+    holders: Vec<u32>,
+    /// The first freed handle, `NOT_HELD` if there is none.
+    free: u32,
+}
+
+impl PayloadTable {
+    fn with_capacity(layout: &Arc<SlotLayout>, capacity: usize) -> Self {
+        Self {
+            layout: Arc::clone(layout),
+            blocks: Vec::with_capacity(capacity),
+            holders: Vec::with_capacity(capacity),
+            free: NOT_HELD,
+        }
+    }
+
+    /// The payload of a held handle.
+    pub(crate) fn get(&self, handle: u32) -> &Block {
+        self.blocks[handle as usize]
+            .as_ref()
+            .expect("a held handle has a payload")
+    }
+
+    /// A handle for `payload` with one holder: a freed one if there is one,
+    /// a new one otherwise.
+    fn add(&mut self, payload: Block) -> u32 {
+        if self.free == NOT_HELD {
+            let handle = u32::try_from(self.blocks.len()).ok();
+            let handle = handle
+                .filter(|&h| h != NOT_HELD)
+                .expect("more payloads than handles");
+            self.blocks.push(Some(payload));
+            self.holders.push(1);
+            return handle;
+        }
+        let handle = self.free;
+        let h = handle as usize;
+        self.free = self.holders[h];
+        (self.blocks[h], self.holders[h]) = (Some(payload), 1);
+        handle
+    }
+
+    /// One more holder of `handle`: a staged entry.
+    pub(crate) fn hold(&mut self, handle: u32) {
+        self.holders[handle as usize] += 1;
+    }
+
+    /// One holder fewer of `handle`; the last one frees the payload.
+    pub(crate) fn release(&mut self, handle: u32) {
+        let h = handle as usize;
+        self.holders[h] -= 1;
+        if self.holders[h] == 0 {
+            (self.blocks[h], self.holders[h]) = (None, self.free);
+            self.free = handle;
+        }
+    }
+
+    /// Puts the `staged` handle into `slot`, letting go of what it held.
+    pub(crate) fn replace(&mut self, slot: &mut u32, staged: u32) {
+        let old = std::mem::replace(slot, staged);
+        if old != NOT_HELD {
+            self.release(old);
+        }
+    }
+
+    /// Sums payload `staged` into the payload `slot` holds, then lets go of
+    /// `staged`. Copy-on-write: if the slot is the payload's one holder in
+    /// the run, [`reduce_into`] sums where it is — in place unless someone
+    /// outside the run holds the payload too; otherwise the payload stays
+    /// with its other holders and the sum gets a handle of its own.
+    pub(crate) fn reduce(&mut self, slot: &mut u32, staged: u32) {
+        let held = *slot as usize;
+        if self.holders[held] == 1 {
+            let [existing, value] = self
+                .blocks
+                .get_disjoint_mut([held, staged as usize])
+                .expect("a payload held once is not the staged one");
+            let (existing, value) = (existing.as_mut(), value.as_ref());
+            reduce_into(existing.expect("held"), value.expect("staged"));
+        } else {
+            let mut sum = Block::clone(self.get(*slot));
+            reduce_into(&mut sum, self.get(staged));
+            self.holders[held] -= 1;
+            *slot = self.add(sum);
+        }
+        self.release(staged);
+    }
+}
 
 /// `existing[i] += value[i]`, copy-on-write. The caller has checked that the
 /// lengths agree.
@@ -56,39 +162,122 @@ pub(crate) fn reduce_into(existing: &mut Block, value: &[f64]) {
 /// A store a caller builds holds its blocks in a map (*map form*). A store
 /// an executor has run holds them under the key table of the schedule it
 /// ran — the [`SlotLayout`] of the compiled handle, which names the block
-/// behind every local slot of every rank: a vector of payloads indexed by
-/// local slot, the executors' dense state as it is, plus a map for the
-/// blocks the table has no slot for at this rank (what the rank holds and
-/// the schedule never moves, what a caller inserts later). Every method
-/// answers the same in both forms, and two stores are equal when they hold
-/// the same blocks with the same values, whichever form either is in.
-/// What differs is the cost: by-id access to a table-backed block goes
-/// through the table (`BlockId` → interned index → local slot),
-/// [`BlockStore::len`] and [`BlockStore::is_empty`] count the occupied
-/// slots, and handing finals back to the handle that produced them
-/// ([`crate::compiled::to_dense`]) is free.
+/// behind every local slot of every rank: one handle per local slot into
+/// the run's payload table, the executors' dense state as it is, plus a map
+/// for the blocks the slots do not hold (what the rank holds and the
+/// schedule never moves, what a caller inserts later). Every method answers
+/// the same in both forms, and two stores are equal when they hold the same
+/// blocks with the same values, whichever form either is in. What differs
+/// is the cost: by-id access to a table-backed block goes through the table
+/// (`BlockId` → interned index → local slot), [`BlockStore::len`] and
+/// [`BlockStore::is_empty`] count the occupied slots, and handing finals
+/// back to the handle that produced them ([`crate::compiled::to_dense`]) is
+/// free.
 ///
-/// A table-backed store shares the table with the handle it came from
-/// (an `Arc`): finals keep the key table alive for as long as they are
-/// held — the interned ids and the per-rank slot lists — and nothing else
-/// of the handle, which may be dropped or evicted from a cache before them.
+/// The ranks of a run share its payload table (an `Arc`, with the key
+/// table in it), so finals keep the whole run's payloads alive for as long
+/// as any of them is held, plus the interned ids and the per-rank slot
+/// lists — nothing else of the handle, which may be dropped or evicted from
+/// a cache before them. [`BlockStore::insert`] and [`BlockStore::reduce`]
+/// never write the shared table: a block they change moves to the store's
+/// own map, and its slot is cleared. [`BlockStore::deep_clone`] and
+/// [`BlockStore::into_blocks`] detach from the table.
 #[derive(Clone, Default)]
 pub struct BlockStore {
-    /// The blocks `keyed` has no slot for — all of them in map form.
+    /// The blocks the slots do not hold — all of them in map form.
     blocks: BlockMap<Block>,
-    /// `slots[i]` is the payload of block `i` of this rank's row of the key
-    /// table (`None` = not held); empty in map form. This is what the
+    /// `slots[i]` is the handle of block `i` of this rank's row of the key
+    /// table (`NOT_HELD` = not held); empty in map form. This is what the
     /// executor kernel indexes.
-    pub(crate) slots: Vec<Option<Block>>,
-    /// The key table `slots` is held under and whose row of it: the rank.
-    /// `None` in map form.
-    keyed: Option<(Arc<SlotLayout>, usize)>,
+    pub(crate) slots: Vec<u32>,
+    /// The payload table `slots` index, and this store's row of its key
+    /// table: the rank. `None` in map form, and while a walk runs.
+    keyed: Option<(Arc<PayloadTable>, usize)>,
 }
 
 /// The local slot `table` gives block `id` at `rank`, if it has one.
 fn slot_under(table: &SlotLayout, rank: usize, id: &BlockId) -> Option<usize> {
     let interned = table.blocks().index_of(id)?;
     table.local_slot(rank, interned)
+}
+
+/// Puts `stores` — rank `r`'s at index `r` — under `layout`, sharing one
+/// payload table nothing else holds. The finals of an earlier run of the
+/// same handle are taken as they are, or with their table copied if a
+/// caller still holds part of it; anything else is re-keyed block by block
+/// into a table sized by what the stores hold.
+pub(crate) fn rekey(stores: &mut [BlockStore], layout: &Arc<SlotLayout>) {
+    if let Some(table) = run_table(stores, layout) {
+        if Arc::strong_count(table) > stores.len() {
+            let copy = Arc::new(PayloadTable::clone(table));
+            for store in stores.iter_mut() {
+                store.keyed.as_mut().expect("keyed").0 = Arc::clone(&copy);
+            }
+        }
+        return;
+    }
+    let holdings = stores.iter().map(BlockStore::len).sum();
+    let mut table = PayloadTable::with_capacity(layout, holdings);
+    for (rank, store) in stores.iter_mut().enumerate() {
+        store.rekey(layout, rank, &mut table);
+    }
+    let table = Arc::new(table);
+    for (rank, store) in stores.iter_mut().enumerate() {
+        store.keyed = Some((Arc::clone(&table), rank));
+    }
+}
+
+/// The payload table `stores` share, if they are one run's under `layout`:
+/// each under its own row, and no block of a row in a map.
+fn run_table<'a>(
+    stores: &'a [BlockStore],
+    layout: &Arc<SlotLayout>,
+) -> Option<&'a Arc<PayloadTable>> {
+    let (table, _) = stores.first()?.keyed.as_ref()?;
+    let of_run = |(rank, store): (usize, &BlockStore)| {
+        matches!(&store.keyed, Some((held, _)) if Arc::ptr_eq(held, table))
+            && store.is_keyed_by(layout, rank)
+            && store.blocks.keys().all(|id| store.slot_of(id).is_none())
+    };
+    stores.iter().enumerate().all(of_run).then_some(table)
+}
+
+/// Runs `walk` over `states` — rank `r`'s at index `r`, put under `layout`
+/// first if they are not one run's yet — with their payload table taken out
+/// of them for the walk to mutate, and puts it back when the walk returns or
+/// unwinds.
+pub(crate) fn with_table<R>(
+    states: &mut [BlockStore],
+    layout: &Arc<SlotLayout>,
+    walk: impl FnOnce(&mut PayloadTable, &mut [BlockStore]) -> R,
+) -> R {
+    rekey(states, layout);
+    let Some((table, _)) = states.first_mut().and_then(|s| s.keyed.take()) else {
+        // No ranks, no payloads.
+        return walk(&mut PayloadTable::with_capacity(layout, 0), states);
+    };
+    for state in &mut states[1..] {
+        state.keyed = None;
+    }
+    let mut detached = Detached { table, states };
+    let Detached { table, states } = &mut detached;
+    let table = Arc::get_mut(table).expect("re-keying leaves the table to the run");
+    walk(table, states)
+}
+
+/// A run's states while a walk holds their payload table: dropping it — on
+/// return or unwind — gives every state its table back.
+struct Detached<'a> {
+    table: Arc<PayloadTable>,
+    states: &'a mut [BlockStore],
+}
+
+impl Drop for Detached<'_> {
+    fn drop(&mut self) {
+        for (rank, state) in self.states.iter_mut().enumerate() {
+            state.keyed = Some((Arc::clone(&self.table), rank));
+        }
+    }
 }
 
 impl BlockStore {
@@ -100,41 +289,62 @@ impl BlockStore {
     /// Whether the store holds its blocks under `table`'s row for `rank` —
     /// this very table, not an equal one.
     pub(crate) fn is_keyed_by(&self, table: &Arc<SlotLayout>, rank: usize) -> bool {
-        matches!(&self.keyed, Some((held, row)) if Arc::ptr_eq(held, table) && *row == rank)
+        matches!(&self.keyed, Some((held, row)) if Arc::ptr_eq(&held.layout, table) && *row == rank)
     }
 
-    /// Puts the store under `table`'s row for `rank`: every block the row
-    /// has a slot for moves into `slots`, the rest stays in the map. A store
-    /// that is already there — the finals of an earlier run of the same
-    /// handle — is left as it is; anything else is re-keyed block by block.
-    pub(crate) fn rekey(&mut self, table: &Arc<SlotLayout>, rank: usize) {
-        if self.is_keyed_by(table, rank) {
-            return;
-        }
-        if self.keyed.is_some() {
-            // Another handle's finals, or another rank's: through map form.
-            self.blocks = std::mem::take(self).into_blocks().collect();
-        }
-        let mut slots = vec![None; table.rank_blocks(rank).len()];
-        let mut unmoved = Vec::new();
-        for (id, payload) in self.blocks.drain() {
-            match slot_under(table, rank, &id) {
-                Some(slot) => slots[slot] = Some(payload),
-                None => unmoved.push((id, payload)),
+    /// Puts the store under `layout`'s row for `rank`, with `table` the
+    /// run's payload table: every block the row has a slot for moves into
+    /// `table` and its handle into `slots`; the rest stays in the map, in
+    /// place. A table-backed store goes through map form first.
+    fn rekey(&mut self, layout: &SlotLayout, rank: usize, table: &mut PayloadTable) {
+        if let Some((held, row)) = self.keyed.take() {
+            // Another run's finals, another handle's or another rank's.
+            for (slot, &handle) in self.slots.iter().enumerate() {
+                if handle != NOT_HELD {
+                    let id = *held.layout.block_at(row, slot);
+                    self.blocks.insert(id, Block::clone(held.get(handle)));
+                }
             }
         }
-        // The map keeps its allocation for what the rank never moves.
-        self.blocks.extend(unmoved);
+        let mut slots = vec![NOT_HELD; layout.rank_blocks(rank).len()];
+        // `extract_if` yields each block right after the test that picked
+        // it, so the slot that test found is the yielded block's.
+        let slot = Cell::new(0);
+        let in_row = |id: &BlockId, _: &mut Block| {
+            let found = slot_under(layout, rank, id);
+            found.map(|s| slot.set(s)).is_some()
+        };
+        for (_, payload) in self.blocks.extract_if(in_row) {
+            slots[slot.get()] = table.add(payload);
+        }
         self.slots = slots;
-        self.keyed = Some((Arc::clone(table), rank));
     }
 
-    /// The slot block `id` lives in, if the store is table-backed and the
-    /// table has one for it at this rank; the block lives in the map
-    /// otherwise.
+    /// The blocks the slots hold, by id.
+    pub(crate) fn slot_blocks(&self) -> impl Iterator<Item = (&BlockId, &Block)> {
+        let held = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|&(_, &h)| h != NOT_HELD);
+        held.filter_map(|(slot, &handle)| {
+            let (table, rank) = self.keyed.as_ref()?;
+            Some((table.layout.block_at(*rank, slot), table.get(handle)))
+        })
+    }
+
+    /// The slot that holds block `id`, if the store is table-backed and the
+    /// slot is occupied; a block no slot holds lives in the map.
+    fn held_slot(&self, id: &BlockId) -> Option<usize> {
+        let slot = self.slot_of(id)?;
+        (self.slots[slot] != NOT_HELD).then_some(slot)
+    }
+
+    /// The slot block `id` has under the store's row of the key table, if
+    /// the store is table-backed and the row has one.
     fn slot_of(&self, id: &BlockId) -> Option<usize> {
         let (table, rank) = self.keyed.as_ref()?;
-        slot_under(table, *rank, id)
+        slot_under(&table.layout, *rank, id)
     }
 
     /// Returns the value of a block, if held.
@@ -145,20 +355,22 @@ impl BlockStore {
     /// Returns the shared payload of a block, if held (a clone of the result
     /// is a refcount bump, not a copy).
     pub fn get_shared(&self, id: &BlockId) -> Option<&Block> {
-        match self.slot_of(id) {
-            Some(slot) => self.slots[slot].as_ref(),
+        match self.held_slot(id) {
+            Some(slot) => self
+                .keyed
+                .as_ref()
+                .map(|(table, _)| table.get(self.slots[slot])),
             None => self.blocks.get(id),
         }
     }
 
     /// Stores (or overwrites) a block.
     pub fn insert(&mut self, id: BlockId, value: impl Into<Block>) {
-        match self.slot_of(&id) {
-            Some(slot) => self.slots[slot] = Some(value.into()),
-            None => {
-                self.blocks.insert(id, value.into());
-            }
+        // A block a slot holds moves to the map: the shared table stays.
+        if let Some(slot) = self.held_slot(&id) {
+            self.slots[slot] = NOT_HELD;
         }
+        self.blocks.insert(id, value.into());
     }
 
     /// Reduces `value` elementwise into the stored block, inserting it if the
@@ -166,11 +378,12 @@ impl BlockStore {
     /// ranks (or a snapshot) is copied once, an exclusively owned payload is
     /// mutated in place.
     pub fn reduce(&mut self, id: BlockId, value: &[f64]) {
-        let held = match self.slot_of(&id) {
-            Some(slot) => self.slots[slot].as_mut(),
-            None => self.blocks.get_mut(&id),
-        };
-        match held {
+        if self.held_slot(&id).is_some() {
+            // Out of the shared table and into the store's own map.
+            let payload = Block::clone(self.get_shared(&id).expect("held"));
+            self.insert(id, payload);
+        }
+        match self.blocks.get_mut(&id) {
             Some(existing) => {
                 assert_eq!(
                     existing.len(),
@@ -186,25 +399,23 @@ impl BlockStore {
     /// Number of blocks held. A table-backed store counts its occupied
     /// slots: O(slots), not O(1).
     pub fn len(&self) -> usize {
-        self.slots.iter().flatten().count() + self.blocks.len()
+        self.slots.iter().filter(|&&h| h != NOT_HELD).count() + self.blocks.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty() && self.slots.iter().all(Option::is_none)
+        self.blocks.is_empty() && self.slots.iter().all(|&h| h == NOT_HELD)
     }
 
     /// Iterates over the held blocks.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &Vec<f64>)> {
-        let in_slots = self.slots.iter().enumerate().filter_map(|(slot, held)| {
-            let (table, rank) = self.keyed.as_ref()?;
-            Some((table.block_at(*rank, slot), held.as_ref()?.as_ref()))
-        });
+        let in_slots = self.slot_blocks().map(|(id, b)| (id, b.as_ref()));
         in_slots.chain(self.blocks.iter().map(|(id, b)| (id, b.as_ref())))
     }
 
     /// Consumes the store, yielding every `(id, shared payload)` pair
-    /// without copying or refcount churn.
+    /// without copying a payload; the pairs no longer need the payload
+    /// table.
     pub fn into_blocks(self) -> impl Iterator<Item = (BlockId, Block)> {
         let Self {
             blocks,
@@ -214,9 +425,10 @@ impl BlockStore {
         let in_slots = slots
             .into_iter()
             .enumerate()
-            .filter_map(move |(slot, held)| {
+            .filter_map(move |(slot, handle)| {
                 let (table, rank) = keyed.as_ref()?;
-                Some((*table.block_at(*rank, slot), held?))
+                let id = *table.layout.block_at(*rank, slot);
+                (handle != NOT_HELD).then(|| (id, Block::clone(table.get(handle))))
             });
         in_slots.chain(blocks)
     }
@@ -444,6 +656,20 @@ mod tests {
         (table, leaf)
     }
 
+    /// `store` put under `table`'s row for `rank`, as rank `rank` of a run
+    /// whose other ranks hold nothing.
+    fn keyed_at(table: &Arc<SlotLayout>, rank: usize, store: BlockStore) -> BlockStore {
+        let mut stores = vec![BlockStore::new(); rank + 1];
+        stores[rank] = store;
+        rekey(&mut stores, table);
+        stores.swap_remove(rank)
+    }
+
+    /// The payload table a table-backed store indexes.
+    fn payload_table(store: &BlockStore) -> &Arc<PayloadTable> {
+        &store.keyed.as_ref().expect("table-backed").0
+    }
+
     /// Segments 1, 2 and 5 (as `[i, i]`) and `Full` under the root's row of
     /// the gather table — three occupied slots of seven, one block in the
     /// map — and the same four blocks in map form.
@@ -453,8 +679,7 @@ mod tests {
             map_form.insert(SEG(i), vec![i as f64; 2]);
         }
         map_form.insert(BlockId::Full, vec![9.0]);
-        let mut keyed = map_form.clone();
-        keyed.rekey(&gather_table().0, 0);
+        let keyed = keyed_at(&gather_table().0, 0, map_form.clone());
         (keyed, map_form)
     }
 
@@ -496,16 +721,14 @@ mod tests {
     #[test]
     fn an_emptied_table_backed_store_is_empty() {
         let (table, leaf) = gather_table();
-        let mut store = BlockStore::new();
-        store.rekey(&table, 0);
+        let store = keyed_at(&table, 0, BlockStore::new());
         assert_eq!(store.slots.len(), 7);
         assert_eq!(store.len(), 0);
         assert!(store.is_empty());
         assert_eq!(store, BlockStore::new());
         assert_eq!(store.iter().count(), 0);
         assert_eq!(store.into_blocks().count(), 0);
-        let mut at_leaf = BlockStore::new();
-        at_leaf.rekey(&table, leaf);
+        let at_leaf = keyed_at(&table, leaf, BlockStore::new());
         assert_eq!(at_leaf.slots.len(), 1);
         assert!(at_leaf.is_empty());
     }
@@ -533,14 +756,26 @@ mod tests {
         assert_eq!(keyed.len(), 8);
         assert_eq!(keyed, map_form);
         assert_eq!(map_form, keyed);
-        // Table blocks sit in slots, the others in the map — never both.
-        assert_eq!(keyed.slots.iter().flatten().count(), 5);
-        assert_eq!(keyed.blocks.len(), 3);
+        // What a caller writes lands in the map, never in the shared payload
+        // table: the slots only let go of the blocks it changed, and no
+        // block is held in both.
+        let held = |s: &BlockStore| s.slots.iter().filter(|&&h| h != NOT_HELD).count();
+        assert_eq!(held(&keyed), 1);
+        assert_eq!(keyed.blocks.len(), 7);
         // Copy-on-write holds under the table too.
         let before: Block = Arc::clone(keyed.get_shared(&SEG(5)).unwrap());
         keyed.reduce(SEG(5), &[1.0, 1.0]);
         assert_eq!(*before, vec![5.0; 2]);
         assert_eq!(keyed.get(&SEG(5)), Some(&vec![6.0; 2]));
+        assert_eq!((held(&keyed), keyed.len()), (0, 8));
+        let table = payload_table(&keyed).blocks.iter().flatten();
+        let mut kept: Vec<_> = table.map(|payload| payload.as_slice()).collect();
+        kept.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        assert_eq!(
+            kept,
+            [[1.0; 2], [2.0; 2], [5.0; 2]],
+            "the table is unwritten"
+        );
     }
 
     #[test]
@@ -552,13 +787,12 @@ mod tests {
     #[test]
     fn clones_of_a_table_backed_store_share_payloads_and_deep_clones_do_not() {
         let (keyed, map_form) = table_backed_and_map_form();
-        let held_under = Arc::clone(&keyed.keyed.as_ref().unwrap().0);
         let clone = keyed.clone();
         let deep = keyed.deep_clone();
         assert_eq!(clone, keyed);
         assert_eq!(deep, keyed);
         assert!(
-            clone.is_keyed_by(&held_under, 0),
+            Arc::ptr_eq(payload_table(&clone), payload_table(&keyed)),
             "a clone shares the table"
         );
         assert!(deep.keyed.is_none(), "a deep clone is in map form");
@@ -577,23 +811,26 @@ mod tests {
     #[test]
     fn rekeying_moves_every_block_to_the_new_row_or_the_map() {
         let (table, leaf) = gather_table();
-        let (mut keyed, map_form) = table_backed_and_map_form();
-        let held_under = Arc::clone(&keyed.keyed.as_ref().unwrap().0);
+        let (keyed, map_form) = table_backed_and_map_form();
+        let held_under = Arc::clone(&payload_table(&keyed).layout);
         // The same table and rank: nothing moves.
-        let slots = keyed.slots.as_ptr();
-        keyed.rekey(&held_under, 0);
+        let (slots, payloads) = (keyed.slots.as_ptr(), Arc::as_ptr(payload_table(&keyed)));
+        let mut run = vec![keyed];
+        rekey(&mut run, &held_under);
+        let mut keyed = run.pop().unwrap();
         assert_eq!(keyed.slots.as_ptr(), slots);
+        assert_eq!(Arc::as_ptr(payload_table(&keyed)), payloads);
         // The same table, another rank — and an equal table that is not the
         // same one — re-key: a leaf's row has one slot, its own segment's.
         for (to, rank) in [(&held_under, leaf), (&table, 0), (&table, leaf)] {
-            keyed.rekey(to, rank);
+            keyed = keyed_at(to, rank, keyed);
             assert!(keyed.is_keyed_by(to, rank));
             assert_eq!(keyed.slots.len(), to.rank_blocks(rank).len());
             assert_eq!(keyed, map_form);
             assert_eq!(keyed.len(), 4);
         }
         let own = *table.block_at(leaf, 0);
-        let in_slot = keyed.slots[0].is_some();
+        let in_slot = keyed.slots[0] != NOT_HELD;
         assert_eq!(in_slot, map_form.get(&own).is_some());
         assert_eq!(keyed.blocks.len(), 4 - usize::from(in_slot));
     }

@@ -1,12 +1,12 @@
 //! Pins what the dense conversion and a pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
-//! schedule interned, leaving dense form — and entering it again with the
-//! finals — allocates nothing, the pool adds nothing to the step kernel, the
-//! block walk of a large reduction allocates what the step walk does, and
-//! neither stages an identity move. Measured with a per-thread counting
-//! wrapper around the system allocator (tests are their own crates, so
-//! `bine-exec`'s `#![forbid(unsafe_code)]` still holds for the library
-//! itself).
+//! schedule interned, a run holds each payload once, leaving dense form —
+//! and entering it again with the finals — allocates nothing, the pool adds
+//! nothing to the step kernel, the block walk of a large reduction allocates
+//! what the step walk does, and neither stages an identity move. Measured
+//! with a per-thread counting wrapper around the system allocator (tests
+//! are their own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still
+//! holds for the library itself).
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting;
@@ -14,7 +14,7 @@ use counting::bytes_in as bytes_requested;
 
 use std::sync::Arc;
 
-use bine_exec::{compiled, ExecutorPool, Workload};
+use bine_exec::{compiled, BlockStore, ExecutorPool, Workload};
 use bine_sched::collectives::{
     allgather, allreduce, alltoall, gather, AllgatherAlg, AllreduceAlg, AlltoallAlg, GatherAlg,
 };
@@ -47,8 +47,9 @@ fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
 #[test]
 fn to_dense_of_map_form_input_allocates_per_rank_not_per_block() {
     // Re-keying looks each of the 65 536 blocks up in the interner's tables
-    // and moves it into its slot: per rank a slot vector and the list of
-    // what the rank holds but never moves, nothing per block.
+    // and moves it into the run's payload table: per rank a slot vector,
+    // per run the table's `Arc` and its two buffers, nothing per block —
+    // what a rank holds but never moves stays in its map, in place.
     let p = 256;
     let sched = alltoall(p, AlltoallAlg::Bine);
     let handle = sched.compile();
@@ -57,9 +58,37 @@ fn to_dense_of_map_form_input_allocates_per_rank_not_per_block() {
     let (allocated, dense) = counting::allocations_in(|| compiled::to_dense(&handle, initial));
     assert_eq!(dense.len(), p);
     assert!(
-        allocated <= 2 * p as u64,
+        allocated <= p as u64 + 3,
         "to_dense allocated {allocated} times"
     );
+}
+
+#[test]
+fn a_non_reducing_run_holds_each_input_payload_once() {
+    // However many ranks end up holding a block, the run's payload table
+    // holds its payload once: the caller's reference plus the table's.
+    let p = 256;
+    for sched in [
+        allgather(p, AllgatherAlg::Bine),
+        alltoall(p, AlltoallAlg::Bine),
+    ] {
+        let what = format!("{:?} {}", sched.collective, sched.algorithm);
+        let handle = sched.compile();
+        let input = Workload::for_schedule(&sched, 1).initial_state(&sched);
+        let finals = compiled::run(&handle, input.clone());
+        let holdings = |stores: &[BlockStore]| stores.iter().map(BlockStore::len).sum();
+        let (held_in, held_out): (usize, usize) = (holdings(&input), holdings(&finals));
+        assert!(
+            held_out > 2 * held_in,
+            "{what}: {held_in} → {held_out} holdings"
+        );
+        for store in &input {
+            for (id, _) in store.iter() {
+                let payload = store.get_shared(id).unwrap();
+                assert_eq!(Arc::strong_count(payload), 2, "{what}: {id:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! either order, the set `iter()` yields, `len()` — must not differ, feeding
 //! finals back in must give what their map-form copy gives, on the handle
 //! they came from (nothing to re-key) and on any other (everything is), and
-//! a dead rank's state comes back as it went in, in either form.
+//! a dead rank's state comes back as it went in, in either form. The ranks
+//! of a run share one payload table: neither a caller's write to one rank's
+//! finals nor a later run may show through another rank's or a clone's.
 
 use std::sync::Arc;
 
@@ -120,6 +122,80 @@ fn finals_fed_back_in_give_what_their_map_form_copy_gives() {
         assert_eq!(extended[3].len(), chained[3].len() + 1);
         assert_eq!(extended[3].get(&BlockId::Segment(4096)), Some(&vec![1.0]));
         assert_ne!(extended, chained);
+    }
+}
+
+#[test]
+fn finals_fed_back_while_a_clone_is_held_leave_the_clone_as_it_was() {
+    // The clone shares the run's payload table, so the next run copies the
+    // table rather than write under the clone.
+    for sched in chainable() {
+        let what = &sched.algorithm;
+        let handle = Arc::new(sched.compile());
+        let initial = Workload::for_schedule(&sched, 3).initial_state(&sched);
+        let first = compiled::run(&handle, initial);
+        let (kept, before) = (first.clone(), map_form(&first));
+        let reference = sequential::run_reference(&sched, map_form(&first));
+        let chained = ExecutorPool::global().run(&handle, first);
+        assert_eq!(chained, reference, "{what}");
+        assert_eq!(kept, before, "{what}: the clone");
+        assert_eq!(
+            compiled::run(&handle, kept),
+            chained,
+            "{what}: the clone fed back"
+        );
+    }
+}
+
+#[test]
+fn a_write_to_one_ranks_finals_leaves_the_others_and_any_clone_untouched() {
+    let sched = allgather(16, AllgatherAlg::Bine);
+    let handle = Arc::new(sched.compile());
+    let initial = Workload::for_schedule(&sched, 3).initial_state(&sched);
+    let mut finals = compiled::run(&handle, initial);
+    let (clone, before) = (finals.clone(), map_form(&finals));
+    let (inserted, reduced) = (BlockId::Segment(0), BlockId::Segment(1));
+    finals[3].insert(inserted, vec![-1.0; 3]);
+    finals[5].reduce(reduced, &[1.0; 3]);
+    // The written block is the store's own now, held once.
+    assert_eq!(finals[3].get(&inserted), Some(&vec![-1.0; 3]));
+    let summed: Vec<f64> = before[5]
+        .get(&reduced)
+        .unwrap()
+        .iter()
+        .map(|x| x + 1.0)
+        .collect();
+    assert_eq!(finals[5].get(&reduced), Some(&summed));
+    for (rank, (store, was)) in finals.iter().zip(&before).enumerate() {
+        assert_eq!(store.len(), was.len(), "rank {rank}");
+        if rank != 3 && rank != 5 {
+            assert_eq!(store, was, "rank {rank}");
+        }
+    }
+    assert_eq!(clone, before);
+    // Fed back in, they give what their map-form copy gives.
+    let reference = sequential::run_reference(&sched, map_form(&finals));
+    assert_eq!(compiled::run(&handle, finals), reference);
+}
+
+#[test]
+fn a_run_that_panics_leaves_the_handle_to_the_next_one() {
+    // Finals with one block too long, fed back in: the reduction that meets
+    // it panics on the step walk (2 elements) and on the block walk (1024).
+    let pool = ExecutorPool::global();
+    let sched = allreduce(16, AllreduceAlg::BineLarge);
+    let handle = Arc::new(sched.compile());
+    for elems in [2, 1024] {
+        let workload = Workload::for_schedule(&sched, elems);
+        let mut corrupted = compiled::run(&handle, workload.initial_state(&sched));
+        corrupted[3].insert(BlockId::Segment(0), vec![0.0; elems + 1]);
+        let err = pool
+            .try_run(&handle, corrupted)
+            .expect_err("mismatched lengths must fail");
+        assert!(err.message().contains("block length mismatch"), "{err}");
+        let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
+        let finals = pool.try_run(&handle, workload.initial_state(&sched));
+        assert_eq!(finals.expect("healthy run"), reference, "{elems} elements");
     }
 }
 
