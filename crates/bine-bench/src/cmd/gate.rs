@@ -27,9 +27,17 @@ fn load_bench(path: &str) -> Result<Vec<BenchEntry>, Failure> {
 pub fn perf(args: Args) -> Outcome {
     let baseline_path: String = args.positional(0)?.expect("required by the synopsis");
     let current_path: String = args.positional(1)?.expect("required by the synopsis");
-    let threshold = args
-        .positional::<f64>(2)?
-        .map_or(DEFAULT_THRESHOLD, |percent| percent / 100.0);
+    // `r > 1.0 + NaN` is false: a NaN or infinite threshold would pass
+    // every regression, so it is refused before anything is read.
+    let threshold = match args.positional::<f64>(2)? {
+        None => DEFAULT_THRESHOLD,
+        Some(percent) if percent.is_finite() && percent >= 0.0 => percent / 100.0,
+        Some(percent) => {
+            return Err(args.usage_error(format!(
+                "threshold-% must be finite and non-negative, not {percent}"
+            )))
+        }
+    };
 
     let outcome = gate(
         &load_bench(&baseline_path)?,

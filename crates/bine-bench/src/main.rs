@@ -120,6 +120,23 @@ mod tests {
     }
 
     #[test]
+    fn gate_perf_refuses_a_threshold_every_regression_passes() {
+        let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
+        for threshold in ["NaN", "inf", "-5"] {
+            let tokens = ["gate", "perf", baseline, baseline, threshold].map(String::from);
+            let outcome = match resolve(COMMANDS, &tokens) {
+                Ok(Resolved::Run(run, args)) => run(args),
+                Ok(Resolved::Help(_)) => panic!("{threshold}: help"),
+                Err(failure) => Err(failure),
+            };
+            assert!(
+                matches!(outcome, Err(Failure::Usage(_))),
+                "{threshold}: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
     fn help_and_unknown_words_never_run_anything() {
         let resolve = |line: &str| {
             let tokens: Vec<String> = line.split_whitespace().map(String::from).collect();

@@ -83,6 +83,6 @@ pub use service::{
 pub use table::{slug, DecisionTable, Entry, ScoreModel};
 pub use tuner::{
     affordable, candidates, irregular_scores, pruned_best, Candidate, CellBest, Target, Tuner,
-    TunerConfig, DES_ALLTOALL_MAX_NODES, DES_MAX_NODES, DES_TOP_K, MAX_LINEAR_NODES,
-    MIN_SEGMENT_BYTES, SEGMENT_COUNTS,
+    TunerConfig, DES_ALLTOALL_MAX_NODES, DES_MAX_NODES, DES_TOP_K, MIN_SEGMENT_BYTES,
+    SEGMENT_COUNTS,
 };

@@ -76,10 +76,10 @@ pub const DES_ALLTOALL_MAX_NODES: usize = 128;
 /// the tuner, the paper harness and the sweeps alike: they are both
 /// impractically large to build beyond it and — as the paper notes — not
 /// competitive there.
-pub const MAX_LINEAR_NODES: usize = 1024;
+const MAX_LINEAR_NODES: usize = 1024;
 
 /// Whether an algorithm is a candidate at `nodes` ranks: a linear one
-/// ([`bine_sched::is_linear`]) only up to [`MAX_LINEAR_NODES`]. The one
+/// ([`bine_sched::is_linear`]) only up to `MAX_LINEAR_NODES` (1024). The one
 /// reading of that cap, for the tuner, the re-evaluator and the harness.
 pub fn affordable(is_linear: bool, nodes: usize) -> bool {
     !is_linear || nodes <= MAX_LINEAR_NODES
@@ -141,11 +141,10 @@ pub struct Candidate {
 
 /// Builds the lower-bound-sorted candidate list for one grid point from an
 /// enumeration `algs` — [`bine_sched::algorithms`], or a provider set's
-/// (catalog, then synthesized): linear ones only up to
-/// [`MAX_LINEAR_NODES`], sorted by [`LowerBounds::sync_time_us`] ascending
-/// with enumeration order as the tie-break. The closed-form lower bounds
-/// are universal per-collective semantics bounds, so they apply to
-/// synthesized schedules unchanged.
+/// (catalog, then synthesized): the [`affordable`] ones, sorted by
+/// [`LowerBounds::sync_time_us`] ascending with enumeration order as the
+/// tie-break. The closed-form lower bounds are universal per-collective
+/// semantics bounds, so they apply to synthesized schedules unchanged.
 pub fn candidates(
     algs: impl IntoIterator<Item = AlgorithmId>,
     nodes: usize,
@@ -557,7 +556,7 @@ impl Tuner {
 /// of `collective` ([`irregular_algorithms`]) that builds at `nodes` ranks is
 /// scored flat with the synchronous model under `dist`'s synthetic counts
 /// (root 0, heavy rank 0 — the placement the harness evaluates). The
-/// linear-step ring is excluded above [`MAX_LINEAR_NODES`], mirroring the
+/// linear-step ring is excluded above `MAX_LINEAR_NODES`, mirroring the
 /// regular sweep.
 ///
 /// Deliberately **unpruned** and synchronous-only: the catalog's cheap
