@@ -50,9 +50,7 @@ impl Finals {
     /// order (nothing for a rank of which nothing is required).
     fn blocks(&self, rank: usize) -> Vec<&[f64]> {
         let held = |blocks: Vec<BlockId>| {
-            let values = blocks
-                .iter()
-                .map(|id| Some(self.stores[rank].get(id)?.as_slice()));
+            let values = blocks.iter().map(|id| self.stores[rank].get(id));
             values.collect::<Option<Vec<_>>>()
         };
         let mut alternatives = Contract::from(&*self.compiled).required(rank).into_iter();

@@ -4,7 +4,9 @@
 //! pre-interned to dense indices (see [`bine_sched::compile`]), so the inner
 //! loop indexes flat `Vec`s instead of hashing `BlockId`s, and a slot holds a
 //! `u32` handle into the run's payload table, so moving data copies an
-//! integer and reductions are copy-on-write. Results are bit-identical to
+//! integer and reductions are copy-on-write. A sum is the table's to store
+//! (packed into its chunks if short, a `Block` of its own if long): the
+//! walks allocate no payload. Results are bit-identical to
 //! [`crate::sequential::run_reference`]: payloads are gathered from the
 //! pre-step state and applied per receiver in schedule order — exactly the
 //! order the reference interpreter applies them in.
@@ -32,7 +34,7 @@
 //! block's partial sums in cache where the step walk streams the whole
 //! working set through it once per step. Both stage a step's handles
 //! before applying them, both deliver through the same `receive` and so the
-//! same [`reduce_into`](crate::state), and every `(rank, block)` slot sees
+//! same payload-table reduction, and every `(rank, block)` slot sees
 //! the same writes in the same order at the same holder counts: the
 //! finals agree bit for bit and the same reductions copy on write. Neither
 //! moves the payloads of an identity move — a rank's copy onto itself as its
@@ -483,7 +485,7 @@ mod tests {
         let finals = run(&compiled, initial);
         assert_eq!(
             finals[5].get(&BlockId::Segment(77)),
-            Some(&vec![1.0, 2.0, 3.0])
+            Some(&[1.0, 2.0, 3.0][..])
         );
     }
 

@@ -275,7 +275,7 @@ mod tests {
         let store = &mut initial[3];
         let ids: Vec<_> = store.iter().map(|(id, _)| *id).collect();
         for id in ids {
-            let mut long = store.get(&id).expect("just listed").clone();
+            let mut long = store.get(&id).expect("just listed").to_vec();
             long.push(0.0);
             store.insert(id, long);
         }

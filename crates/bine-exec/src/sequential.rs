@@ -38,8 +38,8 @@ pub fn run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
     let mut payloads: Vec<Block> = Vec::new();
     for (step_idx, step) in schedule.steps.iter().enumerate() {
         // Gather phase: read every payload of the step before any state
-        // mutates, so all messages are logically simultaneous. Cloning a
-        // shared payload is a refcount bump.
+        // mutates, so all messages are logically simultaneous. Sharing a
+        // caller's payload is a refcount bump.
         payloads.clear();
         for m in &step.messages {
             for block in &m.blocks {
@@ -49,7 +49,7 @@ pub fn run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
                         m.src, schedule.algorithm
                     )
                 });
-                payloads.push(Block::clone(value));
+                payloads.push(value);
             }
         }
         // Apply phase: same message order as the reference interpreter.
@@ -95,7 +95,7 @@ pub fn run_reference(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<Block
                     )
                 });
                 match m.kind {
-                    TransferKind::Copy => states[m.dst].insert(*block, value.clone()),
+                    TransferKind::Copy => states[m.dst].insert(*block, value.to_vec()),
                     TransferKind::Reduce => states[m.dst].reduce(*block, value),
                 }
             }
@@ -119,7 +119,7 @@ mod tests {
         let finals = run(&sched, w.initial_state(&sched));
         let expected = w.full_vector(2);
         for (r, state) in finals.iter().enumerate() {
-            assert_eq!(state.get(&BlockId::Full), Some(&expected), "rank {r}");
+            assert_eq!(state.get(&BlockId::Full), Some(&expected[..]), "rank {r}");
         }
     }
 

@@ -16,31 +16,99 @@
 //! table yet.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bine_sched::{
     BlockId, BlockMap, Collective, Contract, Counts, Granularity, Schedule, SlotLayout,
 };
 
-/// A shared, immutable-until-owned block payload.
+/// A caller's payload: a shared, immutable-until-owned vector.
 ///
-/// Payloads are reference counted so that a caller's stores, their clones
-/// and the executors share them rather than deep-copy them; reductions write
-/// a new buffer only when the payload is actually shared (copy-on-write).
+/// What a caller inserts and what [`BlockStore::into_blocks`] hands back.
+/// Stores, their clones and the executors share it rather than deep-copy
+/// it, and nothing writes it while anyone else holds it (copy-on-write). The
+/// sums a run computes belong to the run's payload table instead: short
+/// ones are packed into its chunks, and only a long one is a `Block` of its
+/// own.
 pub type Block = Arc<Vec<f64>>;
 
 /// The handle of a slot that holds nothing.
 pub(crate) const NOT_HELD: u32 = u32::MAX;
 
+/// Longest sum, in elements, a run packs into its payload table's chunks
+/// (2 KiB of `f64`s); a longer one is a [`Block`] of its own.
+///
+/// A packed sum costs no allocation of its own, but its room is only freed
+/// with the table: a superseded sum's memory is not reused within the run,
+/// and the next run touches fresh pages. The crossover, as every sum packed
+/// ÷ every sum a `Block`, `ExecutorPool::run` + drop of the finals over
+/// inputs the caller still holds, one confined vCPU (4 MiB L2), best of
+/// three alternating lower quartiles of 25 runs; reduce-scatter
+/// `bine-permute` / allreduce `bine-large`:
+///
+/// | sum | p = 16 | p = 64 | p = 256 |
+/// |---|---|---|---|
+/// | 1 | 0.65 / 0.67 | 0.51 / 0.61 | 0.42 / 0.46 |
+/// | 16 | 0.66 / 0.70 | 0.66 / 0.70 | 0.51 / 0.53 |
+/// | 64 | 0.73 / 0.71 | 1.04 / 0.61 | 0.70 / 0.70 |
+/// | 128 | 0.76 / 0.90 | 1.24 / 1.28 | 0.78 / 0.76 |
+/// | 256 | 0.85 / 0.83 | 0.71 / 0.78 | 0.79 / 0.71 |
+/// | 512 | 1.04 / 1.04 | 1.05 / 1.11 | not run |
+///
+/// Allreduce `bine-small`, whose every step supersedes each rank's one
+/// `Full` sum, loses more: 1.77–4.54 at sums of 512–2048 elements. So
+/// packing stops at 256, and the benchmark's 2048-element allreduce sums
+/// and every `exec-reduce` sum stay `Block`s, freed and reused as before.
+const PACK_MAX_ELEMS: usize = 256;
+
+/// Elements per chunk of packed sums (32 KiB of `f64`s).
+///
+/// A run allocates a chunk at its first short sum and another whenever the
+/// last one is full: 16 chunks for the 65 536 one-element sums of a
+/// reduce-scatter at p = 256. The same runs as for [`PACK_MAX_ELEMS`], at
+/// sums of 1–256 elements, with 1024- and 16 384-element chunks ÷ this size:
+/// 0.56–0.80 at p = 16 (the allocator hands a 32 KiB chunk back to the
+/// system after every run there, about 12 µs a run), 0.74–1.34 and
+/// 0.87–1.14 at p = 64, 0.85–1.25 and 0.87–1.62 at p = 256 (1.25 and 1.62
+/// at one element). The 256-rank requests are most of `serve-latency`'s
+/// round: one 3 s run each gave 3.81 / 3.63 / 4.17 `round_pu` and 6654 /
+/// 6138 / 6005 allocations per round.
+const CHUNK_ELEMS: usize = 4096;
+
+const _: () = assert!(PACK_MAX_ELEMS <= CHUNK_ELEMS);
+
+/// Where a packed sum lives: element `at % CHUNK_ELEMS` of chunk
+/// `at / CHUNK_ELEMS` and the `len` after it.
+#[derive(Clone, Copy, Default)]
+struct Place {
+    at: u32,
+    len: u32,
+}
+
+impl Place {
+    /// The chunk and the range of it.
+    fn locate(self) -> (usize, Range<usize>) {
+        let (at, len) = (self.at as usize, self.len as usize);
+        let start = at % CHUNK_ELEMS;
+        (at / CHUNK_ELEMS, start..start + len)
+    }
+}
+
 /// The payloads of one run, which its per-rank stores share behind one `Arc`:
 /// a slot of a table-backed [`BlockStore`] is a handle into it, so a
 /// transfer copies an integer and dropping the finals drops each payload
 /// once, however many ranks hold it.
+///
+/// A handle's payload is a [`Block`] — a caller's, or a sum longer than
+/// `PACK_MAX_ELEMS` — freed when its last holder lets go, or a short sum
+/// packed into one of the table's chunks, freed with the table.
 #[derive(Clone)]
 pub(crate) struct PayloadTable {
     /// The key table the run's stores are held under.
     layout: Arc<SlotLayout>,
-    /// `blocks[h]` is the payload of handle `h`; `None` once freed.
+    /// `blocks[h]` is the payload of handle `h` if it is a `Block`; `None`
+    /// if it is packed or freed.
     blocks: Vec<Option<Block>>,
     /// `holders[h]`: how many slots and staged entries of the run hold
     /// handle `h` — or, once it is freed, the next freed handle: the free
@@ -48,6 +116,13 @@ pub(crate) struct PayloadTable {
     holders: Vec<u32>,
     /// The first freed handle, `NOT_HELD` if there is none.
     free: u32,
+    /// `packed[h]`: where the packed sum of handle `h` lives, if that is
+    /// what it holds. Empty until the run's first short sum, so a run that
+    /// packs nothing allocates nothing for it.
+    packed: Vec<Place>,
+    /// The chunks short sums are appended to, `CHUNK_ELEMS` each; the last
+    /// one is being filled.
+    chunks: Vec<Vec<f64>>,
 }
 
 impl PayloadTable {
@@ -57,32 +132,47 @@ impl PayloadTable {
             blocks: Vec::with_capacity(capacity),
             holders: Vec::with_capacity(capacity),
             free: NOT_HELD,
+            packed: Vec::new(),
+            chunks: Vec::new(),
         }
     }
 
     /// The payload of a held handle.
-    pub(crate) fn get(&self, handle: u32) -> &Block {
-        self.blocks[handle as usize]
-            .as_ref()
-            .expect("a held handle has a payload")
+    pub(crate) fn get(&self, handle: u32) -> &[f64] {
+        match &self.blocks[handle as usize] {
+            Some(block) => block,
+            None => {
+                let (chunk, range) = self.packed[handle as usize].locate();
+                &self.chunks[chunk][range]
+            }
+        }
     }
 
-    /// A handle for `payload` with one holder: a freed one if there is one,
-    /// a new one otherwise.
-    fn add(&mut self, payload: Block) -> u32 {
+    /// The payload of a held handle as a caller's [`Block`]: the one the
+    /// table holds, shared, or a copy of a packed sum.
+    fn shared(&self, handle: u32) -> Block {
+        match &self.blocks[handle as usize] {
+            Some(block) => Block::clone(block),
+            None => Arc::new(self.get(handle).to_vec()),
+        }
+    }
+
+    /// A handle for `payload` — `None` for a sum about to be packed — with
+    /// one holder: a freed one if there is one, a new one otherwise.
+    fn add(&mut self, payload: Option<Block>) -> u32 {
         if self.free == NOT_HELD {
             let handle = u32::try_from(self.blocks.len()).ok();
             let handle = handle
                 .filter(|&h| h != NOT_HELD)
                 .expect("more payloads than handles");
-            self.blocks.push(Some(payload));
+            self.blocks.push(payload);
             self.holders.push(1);
             return handle;
         }
         let handle = self.free;
         let h = handle as usize;
         self.free = self.holders[h];
-        (self.blocks[h], self.holders[h]) = (Some(payload), 1);
+        (self.blocks[h], self.holders[h]) = (payload, 1);
         handle
     }
 
@@ -111,46 +201,149 @@ impl PayloadTable {
 
     /// Sums payload `staged` into the payload `slot` holds, then lets go of
     /// `staged`. Copy-on-write: if the slot is the payload's one holder in
-    /// the run, [`reduce_into`] sums where it is — in place unless someone
-    /// outside the run holds the payload too; otherwise the payload stays
-    /// with its other holders and the sum gets a handle of its own.
+    /// the run, the sum is taken where the payload is — unless it is a
+    /// `Block` someone outside the run holds too; otherwise the payload
+    /// stays with its other holders and the sum gets a handle of its own.
+    /// The caller has checked that the lengths agree.
     pub(crate) fn reduce(&mut self, slot: &mut u32, staged: u32) {
-        let held = *slot as usize;
-        if self.holders[held] == 1 {
-            let [existing, value] = self
-                .blocks
-                .get_disjoint_mut([held, staged as usize])
-                .expect("a payload held once is not the staged one");
-            let (existing, value) = (existing.as_mut(), value.as_ref());
-            reduce_into(existing.expect("held"), value.expect("staged"));
-        } else {
-            let mut sum = Block::clone(self.get(*slot));
-            reduce_into(&mut sum, self.get(staged));
-            self.holders[held] -= 1;
-            *slot = self.add(sum);
+        let held = *slot;
+        if self.holders[held as usize] > 1 {
+            self.holders[held as usize] -= 1;
+            *slot = self.add(None);
+            self.put_sum(*slot, held, staged);
+        } else if !self.add_in_place(held, staged) {
+            self.put_sum(held, held, staged);
         }
         self.release(staged);
     }
+
+    /// `held += value` where `held`'s payload is, if nothing outside the run
+    /// holds it; `false`, and nothing written, if a caller does.
+    fn add_in_place(&mut self, held: u32, value: u32) -> bool {
+        let (h, v) = (held as usize, value as usize);
+        let pair = self.blocks.get_disjoint_mut([h, v]);
+        let (chunks, packed) = (&mut self.chunks, &self.packed);
+        match pair.expect("a payload held once is not the staged one") {
+            [Some(existing), value] => {
+                let Some(owned) = Arc::get_mut(existing) else {
+                    return false;
+                };
+                match value {
+                    Some(block) => add_assign(owned, block),
+                    None => {
+                        let (chunk, range) = packed[v].locate();
+                        add_assign(owned, &chunks[chunk][range]);
+                    }
+                }
+            }
+            [None, Some(block)] => {
+                let (chunk, range) = packed[h].locate();
+                add_assign(&mut chunks[chunk][range], block);
+            }
+            [None, None] => {
+                let (existing, value) = disjoint(chunks, packed[h], packed[v]);
+                add_assign(existing, value);
+            }
+        }
+        true
+    }
+
+    /// Writes `existing + value` once, into a place of its own, as the
+    /// payload of `handle` — which may be `existing`, read before it is
+    /// replaced: packed at the end of the last chunk if it is short, a new
+    /// `Block` otherwise.
+    fn put_sum(&mut self, handle: u32, existing: u32, value: u32) {
+        let len = self.get(existing).len();
+        if len > PACK_MAX_ELEMS {
+            let sum = sums(self.get(existing), self.get(value)).collect();
+            self.blocks[handle as usize] = Some(Arc::new(sum));
+            return;
+        }
+        let full = |chunk: &Vec<f64>| chunk.len() + len > CHUNK_ELEMS;
+        if self.chunks.last().is_none_or(full) {
+            self.chunks.push(Vec::with_capacity(CHUNK_ELEMS));
+        }
+        let last = self.chunks.len() - 1;
+        let (earlier, chunk) = self.chunks.split_at_mut(last);
+        let chunk = &mut chunk[0];
+        let start = chunk.len();
+        chunk.resize(start + len, 0.0);
+        let (before, sum) = chunk.split_at_mut(start);
+        let (before, earlier): (&[f64], &[Vec<f64>]) = (before, earlier);
+        let (blocks, packed) = (&self.blocks, &self.packed);
+        let operand = move |h: u32| match &blocks[h as usize] {
+            Some(block) => block.as_slice(),
+            None => match packed[h as usize].locate() {
+                (c, range) if c == last => &before[range],
+                (c, range) => &earlier[c][range],
+            },
+        };
+        for (out, s) in sum.iter_mut().zip(sums(operand(existing), operand(value))) {
+            *out = s;
+        }
+        let at = u32::try_from(last * CHUNK_ELEMS + start);
+        let at = at.expect("more packed elements than places");
+        let place = Place {
+            at,
+            len: len as u32,
+        };
+        let h = handle as usize;
+        if self.packed.len() <= h {
+            self.packed.resize(self.blocks.len(), Place::default());
+        }
+        (self.blocks[h], self.packed[h]) = (None, place);
+    }
 }
 
-/// `existing[i] += value[i]`, copy-on-write. The caller has checked that the
-/// lengths agree.
+/// The ranges `dst`, mutably, and `src` of `chunks`: two packed sums.
+fn disjoint(chunks: &mut [Vec<f64>], dst: Place, src: Place) -> (&mut [f64], &[f64]) {
+    let ((dc, dst), (sc, src)) = (dst.locate(), src.locate());
+    if dc != sc {
+        let [d, s] = chunks.get_disjoint_mut([dc, sc]).expect("two chunks");
+        return (&mut d[dst], &s[src]);
+    }
+    // One chunk: split it where the later of the two starts.
+    let chunk = &mut chunks[dc];
+    if dst.start < src.start {
+        let (lo, hi) = chunk.split_at_mut(src.start);
+        (&mut lo[dst], &hi[..src.len()])
+    } else {
+        let (lo, hi) = chunk.split_at_mut(dst.start);
+        (&mut hi[..dst.len()], &lo[src])
+    }
+}
+
+/// `existing[i] += value[i]`: every in-place sum of the crate.
+fn add_assign(existing: &mut [f64], value: &[f64]) {
+    for (a, b) in existing.iter_mut().zip(value) {
+        *a += b;
+    }
+}
+
+/// `existing[i] + value[i]`: every sum the crate writes somewhere new — in
+/// the same operand order as [`add_assign`], so either way gives the same
+/// bits.
+fn sums<'a>(existing: &'a [f64], value: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    existing.iter().zip(value).map(|(a, b)| a + b)
+}
+
+/// `existing[i] += value[i]`, copy-on-write, for a payload a store's map
+/// holds. The caller has checked that the lengths agree.
 ///
 /// A payload nobody else holds is summed in place. A shared one is not
 /// cloned and then summed ([`Arc::make_mut`]): the sums are built straight
 /// into the new buffer — the same two allocations, the same operand order
 /// and so the same bits, one pass over memory fewer.
-pub(crate) fn reduce_into(existing: &mut Block, value: &[f64]) {
+fn reduce_into(existing: &mut Block, value: &[f64]) {
     if let Some(owned) = Arc::get_mut(existing) {
-        for (a, b) in owned.iter_mut().zip(value) {
-            *a += b;
-        }
+        add_assign(owned, value);
     } else {
-        *existing = Arc::new(existing.iter().zip(value).map(|(a, b)| a + b).collect());
+        *existing = Arc::new(sums(existing, value).collect());
     }
 }
 
-/// The data a single rank holds: shared value vectors by block identifier.
+/// The data a single rank holds: value vectors by block identifier, read as
+/// `&[f64]`.
 ///
 /// Cloning a `BlockStore` *shares* every payload, so a clone is O(blocks),
 /// not O(elements). All mutation goes through [`BlockStore::insert`]
@@ -178,9 +371,11 @@ pub(crate) fn reduce_into(existing: &mut Block, value: &[f64]) {
 /// table in it), so finals keep the whole run's payloads alive for as long
 /// as any of them is held, plus the interned ids and the per-rank slot
 /// lists — nothing else of the handle, which may be dropped or evicted from
-/// a cache before them. [`BlockStore::insert`] and [`BlockStore::reduce`]
-/// never write the shared table: a block they change moves to the store's
-/// own map, and its slot is cleared. [`BlockStore::deep_clone`] and
+/// a cache before them. A caller's payload stays the caller's [`Block`];
+/// the sums the run computed are the table's. [`BlockStore::insert`] and
+/// [`BlockStore::reduce`] never write the shared table: a block they change
+/// moves to the store's own map — a sum copied out into a `Block` of its
+/// own — and its slot is cleared. [`BlockStore::deep_clone`] and
 /// [`BlockStore::into_blocks`] detach from the table.
 #[derive(Clone, Default)]
 pub struct BlockStore {
@@ -302,7 +497,7 @@ impl BlockStore {
             for (slot, &handle) in self.slots.iter().enumerate() {
                 if handle != NOT_HELD {
                     let id = *held.layout.block_at(row, slot);
-                    self.blocks.insert(id, Block::clone(held.get(handle)));
+                    self.blocks.insert(id, held.shared(handle));
                 }
             }
         }
@@ -315,13 +510,13 @@ impl BlockStore {
             found.map(|s| slot.set(s)).is_some()
         };
         for (_, payload) in self.blocks.extract_if(in_row) {
-            slots[slot.get()] = table.add(payload);
+            slots[slot.get()] = table.add(Some(payload));
         }
         self.slots = slots;
     }
 
     /// The blocks the slots hold, by id.
-    pub(crate) fn slot_blocks(&self) -> impl Iterator<Item = (&BlockId, &Block)> {
+    pub(crate) fn slot_blocks(&self) -> impl Iterator<Item = (&BlockId, &[f64])> {
         let held = self
             .slots
             .iter()
@@ -348,19 +543,26 @@ impl BlockStore {
     }
 
     /// Returns the value of a block, if held.
-    pub fn get(&self, id: &BlockId) -> Option<&Vec<f64>> {
-        self.get_shared(id).map(|b| b.as_ref())
-    }
-
-    /// Returns the shared payload of a block, if held (a clone of the result
-    /// is a refcount bump, not a copy).
-    pub fn get_shared(&self, id: &BlockId) -> Option<&Block> {
+    pub fn get(&self, id: &BlockId) -> Option<&[f64]> {
         match self.held_slot(id) {
             Some(slot) => self
                 .keyed
                 .as_ref()
                 .map(|(table, _)| table.get(self.slots[slot])),
-            None => self.blocks.get(id),
+            None => self.blocks.get(id).map(|block| block.as_slice()),
+        }
+    }
+
+    /// The payload of a block as a [`Block`] of its own, if held: a
+    /// caller's payload shared (a refcount bump), a sum of the run's payload
+    /// table copied out.
+    pub(crate) fn get_shared(&self, id: &BlockId) -> Option<Block> {
+        match self.held_slot(id) {
+            Some(slot) => self
+                .keyed
+                .as_ref()
+                .map(|(table, _)| table.shared(self.slots[slot])),
+            None => self.blocks.get(id).cloned(),
         }
     }
 
@@ -380,7 +582,7 @@ impl BlockStore {
     pub fn reduce(&mut self, id: BlockId, value: &[f64]) {
         if self.held_slot(&id).is_some() {
             // Out of the shared table and into the store's own map.
-            let payload = Block::clone(self.get_shared(&id).expect("held"));
+            let payload = self.get_shared(&id).expect("held");
             self.insert(id, payload);
         }
         match self.blocks.get_mut(&id) {
@@ -408,14 +610,14 @@ impl BlockStore {
     }
 
     /// Iterates over the held blocks.
-    pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &Vec<f64>)> {
-        let in_slots = self.slot_blocks().map(|(id, b)| (id, b.as_ref()));
-        in_slots.chain(self.blocks.iter().map(|(id, b)| (id, b.as_ref())))
+    pub fn iter(&self) -> impl Iterator<Item = (&BlockId, &[f64])> {
+        let in_map = self.blocks.iter().map(|(id, b)| (id, b.as_slice()));
+        self.slot_blocks().chain(in_map)
     }
 
-    /// Consumes the store, yielding every `(id, shared payload)` pair
-    /// without copying a payload; the pairs no longer need the payload
-    /// table.
+    /// Consumes the store, yielding every block as an `(id, Block)` pair
+    /// that no longer needs the payload table: a caller's payload shared,
+    /// not copied, and a sum the run computed copied out of the table.
     pub fn into_blocks(self) -> impl Iterator<Item = (BlockId, Block)> {
         let Self {
             blocks,
@@ -428,7 +630,7 @@ impl BlockStore {
             .filter_map(move |(slot, handle)| {
                 let (table, rank) = keyed.as_ref()?;
                 let id = *table.layout.block_at(*rank, slot);
-                (handle != NOT_HELD).then(|| (id, Block::clone(table.get(handle))))
+                (handle != NOT_HELD).then(|| (id, table.shared(handle)))
             });
         in_slots.chain(blocks)
     }
@@ -440,7 +642,7 @@ impl BlockStore {
     /// the seed executor's O(ranks × elements) per-step snapshot cost, which
     /// the benchmarks compare the zero-copy executors against.
     pub fn deep_clone(&self) -> Self {
-        let copied = self.iter().map(|(id, b)| (*id, Arc::new(b.clone())));
+        let copied = self.iter().map(|(id, b)| (*id, Arc::new(b.to_vec())));
         Self {
             blocks: copied.collect(),
             ..Self::default()
@@ -670,6 +872,72 @@ mod tests {
         &store.keyed.as_ref().expect("table-backed").0
     }
 
+    #[test]
+    fn a_short_sum_is_packed_and_a_long_one_is_a_block() {
+        let (layout, _) = gather_table();
+        for (elems, packed) in [
+            (1, true),
+            (PACK_MAX_ELEMS, true),
+            (PACK_MAX_ELEMS + 1, false),
+        ] {
+            let mut table = PayloadTable::with_capacity(&layout, 2);
+            let caller: Block = Arc::new(vec![1.0; elems]);
+            let mut slot = table.add(Some(Block::clone(&caller)));
+            let staged = table.add(Some(Arc::new(vec![0.5; elems])));
+            // The caller holds the payload: the sum gets a place of its own.
+            table.reduce(&mut slot, staged);
+            assert_eq!(table.get(slot), vec![1.5; elems]);
+            assert_eq!(*caller, vec![1.0; elems], "copy-on-write");
+            assert_eq!(Arc::strong_count(&caller), 1, "the table let go");
+            assert_eq!(table.blocks[slot as usize].is_none(), packed, "{elems}");
+            let filled = |t: &PayloadTable| t.chunks.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(filled(&table), if packed { elems } else { 0 });
+            // The run's own sum is summed where it is, packed or not.
+            let staged = table.add(Some(Arc::new(vec![0.25; elems])));
+            table.reduce(&mut slot, staged);
+            assert_eq!(table.get(slot), vec![1.75; elems]);
+            assert_eq!(filled(&table), if packed { elems } else { 0 });
+            // A sum another slot holds too is copied on write.
+            let shared = slot;
+            table.hold(shared);
+            let staged = table.add(Some(Arc::new(vec![0.25; elems])));
+            table.reduce(&mut slot, staged);
+            assert_ne!(slot, shared);
+            assert_eq!(table.get(shared), vec![1.75; elems]);
+            assert_eq!(table.get(slot), vec![2.0; elems]);
+            assert_eq!(table.shared(slot).as_slice(), table.get(slot));
+        }
+    }
+
+    #[test]
+    fn packed_sums_add_into_each_other_wherever_they_lie() {
+        // Two packed sums of one chunk, in either order, and of two chunks.
+        let (layout, _) = gather_table();
+        let mut table = PayloadTable::with_capacity(&layout, 0);
+        let caller: Block = Arc::new(vec![1.0; PACK_MAX_ELEMS]);
+        let mut sums = Vec::new();
+        let per_chunk = CHUNK_ELEMS / PACK_MAX_ELEMS;
+        for i in 0..per_chunk + 1 {
+            let mut slot = table.add(Some(Block::clone(&caller)));
+            let staged = table.add(Some(Arc::new(vec![i as f64; PACK_MAX_ELEMS])));
+            table.reduce(&mut slot, staged);
+            sums.push(slot);
+        }
+        assert_eq!(table.chunks.len(), 2);
+        let (first, second, other_chunk) = (sums[0], sums[1], sums[per_chunk]);
+        let value = |t: &PayloadTable, h: u32| t.get(h)[0];
+        for (into, from) in [(first, second), (second, first), (first, other_chunk)] {
+            let (was, adds) = (value(&table, into), value(&table, from));
+            let mut slot = into;
+            table.hold(from);
+            table.reduce(&mut slot, from);
+            assert_eq!(slot, into, "summed in place");
+            assert_eq!(table.get(into), vec![was + adds; PACK_MAX_ELEMS]);
+            assert_eq!(value(&table, from), adds);
+        }
+        assert_eq!(table.chunks.len(), 2, "nothing was appended");
+    }
+
     /// Segments 1, 2 and 5 (as `[i, i]`) and `Full` under the root's row of
     /// the gather table — three occupied slots of seven, one block in the
     /// map — and the same four blocks in map form.
@@ -689,18 +957,18 @@ mod tests {
         assert_eq!(keyed.slots.len(), 7, "one slot per block of the row");
         assert_eq!(keyed.blocks.len(), 1, "the table has no slot for Full");
         // Hits, a miss inside the table, a miss outside it.
-        assert_eq!(keyed.get(&SEG(5)), Some(&vec![5.0; 2]));
-        assert_eq!(keyed.get(&BlockId::Full), Some(&vec![9.0]));
+        assert_eq!(keyed.get(&SEG(5)), Some(&[5.0; 2][..]));
+        assert_eq!(keyed.get(&BlockId::Full), Some(&[9.0][..]));
         assert_eq!(keyed.get(&SEG(3)), None);
         assert_eq!(keyed.get(&SEG(77)), None);
         // Re-keying moves payloads, it does not copy them.
-        let shared = |s: &BlockStore, id| Arc::as_ptr(s.get_shared(&id).unwrap());
+        let shared = |s: &BlockStore, id| Arc::as_ptr(&s.get_shared(&id).unwrap());
         assert_eq!(shared(&keyed, SEG(1)), shared(&map_form, SEG(1)));
         // Empty slots are not blocks.
         assert_eq!(keyed.len(), 4);
         assert!(!keyed.is_empty());
-        let mut held: Vec<_> = keyed.iter().map(|(id, v)| (*id, v.clone())).collect();
-        let mut wanted: Vec<_> = map_form.iter().map(|(id, v)| (*id, v.clone())).collect();
+        let mut held: Vec<_> = keyed.iter().map(|(id, v)| (*id, v.to_vec())).collect();
+        let mut wanted: Vec<_> = map_form.iter().map(|(id, v)| (*id, v.to_vec())).collect();
         held.sort_by_key(|(id, _)| *id);
         wanted.sort_by_key(|(id, _)| *id);
         assert_eq!(held, wanted);
@@ -748,11 +1016,11 @@ mod tests {
             store.reduce(SEG(78), &[8.0]);
             store.reduce(BlockId::Full, &[1.0]);
         }
-        assert_eq!(keyed.get(&SEG(1)), Some(&vec![10.0, 11.0]));
-        assert_eq!(keyed.get(&SEG(2)), Some(&vec![2.5, 2.5]));
-        assert_eq!(keyed.get(&SEG(4)), Some(&vec![4.0]));
-        assert_eq!(keyed.get(&SEG(78)), Some(&vec![16.0]));
-        assert_eq!(keyed.get(&BlockId::Full), Some(&vec![10.0]));
+        assert_eq!(keyed.get(&SEG(1)), Some(&[10.0, 11.0][..]));
+        assert_eq!(keyed.get(&SEG(2)), Some(&[2.5, 2.5][..]));
+        assert_eq!(keyed.get(&SEG(4)), Some(&[4.0][..]));
+        assert_eq!(keyed.get(&SEG(78)), Some(&[16.0][..]));
+        assert_eq!(keyed.get(&BlockId::Full), Some(&[10.0][..]));
         assert_eq!(keyed.len(), 8);
         assert_eq!(keyed, map_form);
         assert_eq!(map_form, keyed);
@@ -763,10 +1031,10 @@ mod tests {
         assert_eq!(held(&keyed), 1);
         assert_eq!(keyed.blocks.len(), 7);
         // Copy-on-write holds under the table too.
-        let before: Block = Arc::clone(keyed.get_shared(&SEG(5)).unwrap());
+        let before: Block = keyed.get_shared(&SEG(5)).unwrap();
         keyed.reduce(SEG(5), &[1.0, 1.0]);
         assert_eq!(*before, vec![5.0; 2]);
-        assert_eq!(keyed.get(&SEG(5)), Some(&vec![6.0; 2]));
+        assert_eq!(keyed.get(&SEG(5)), Some(&[6.0; 2][..]));
         assert_eq!((held(&keyed), keyed.len()), (0, 8));
         let table = payload_table(&keyed).blocks.iter().flatten();
         let mut kept: Vec<_> = table.map(|payload| payload.as_slice()).collect();
@@ -797,7 +1065,7 @@ mod tests {
         );
         assert!(deep.keyed.is_none(), "a deep clone is in map form");
         for id in [SEG(1), SEG(2), SEG(5), BlockId::Full] {
-            let payload = |s: &BlockStore| Arc::as_ptr(s.get_shared(&id).unwrap());
+            let payload = |s: &BlockStore| Arc::as_ptr(&s.get_shared(&id).unwrap());
             assert_eq!(payload(&clone), payload(&keyed), "{id:?}");
             assert_ne!(payload(&deep), payload(&keyed), "{id:?}");
         }

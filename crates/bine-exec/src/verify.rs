@@ -23,7 +23,9 @@ fn compare(got: &[f64], expected: &[f64]) -> VerifyResult {
         let (got, expected) = (got.len(), expected.len());
         return Err(format!("has length {got} instead of {expected}"));
     }
-    let differ = |(_, (a, b)): &(usize, (&f64, &f64))| (*a - *b).abs() > TOLERANCE;
+    // Fail closed: a NaN is within no tolerance of anything, itself included.
+    let agree = |a: f64, b: f64| (a - b).abs() <= TOLERANCE;
+    let differ = |(_, (a, b)): &(usize, (&f64, &f64))| !agree(**a, **b);
     match got.iter().zip(expected).enumerate().find(differ) {
         Some((j, (a, b))) => Err(format!("element {j} is {a}, expected {b}")),
         None => Ok(()),
@@ -97,11 +99,26 @@ mod tests {
         let w = Workload::for_schedule(&sched, 2);
         let mut finals = crate::sequential::run(&sched, w.initial_state(&sched));
         // Corrupt one element on one rank.
-        let mut v = finals[3].get(&BlockId::Full).unwrap().clone();
+        let mut v = finals[3].get(&BlockId::Full).unwrap().to_vec();
         v[0] += 1.0;
         finals[3].insert(BlockId::Full, v);
         let err = verify(&w, &finals).unwrap_err();
         assert!(err.contains("rank 3"), "{err}");
+    }
+
+    #[test]
+    fn verification_fails_on_nan_and_infinite_results() {
+        let sched = allreduce(8, AllreduceAlg::BineSmall);
+        let w = Workload::for_schedule(&sched, 2);
+        let finals = crate::sequential::run(&sched, w.initial_state(&sched));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut broken = finals.clone();
+            let mut v = broken[5].get(&BlockId::Full).unwrap().to_vec();
+            v[1] = bad;
+            broken[5].insert(BlockId::Full, v);
+            let err = verify(&w, &broken).expect_err("a non-finite result verifies");
+            assert!(err.contains("rank 5") && err.contains("element 1"), "{err}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! schedule interned, a run holds each payload once, leaving dense form —
 //! and entering it again with the finals — allocates nothing, the pool adds
 //! nothing to the step kernel, the block walk of a large reduction allocates
-//! what the step walk does, and neither stages an identity move. Measured
+//! what the step walk does, neither stages an identity move, and a short
+//! sum costs no allocation of its own. Measured
 //! with a per-thread counting wrapper around the system allocator (tests
 //! are their own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still
 //! holds for the library itself).
@@ -16,9 +17,12 @@ use std::sync::Arc;
 
 use bine_exec::{compiled, BlockStore, ExecutorPool, Workload};
 use bine_sched::collectives::{
-    allgather, allreduce, alltoall, gather, AllgatherAlg, AllreduceAlg, AlltoallAlg, GatherAlg,
+    allgather, allreduce, alltoall, gather, reduce_scatter, AllgatherAlg, AllreduceAlg,
+    AlltoallAlg, GatherAlg, ReduceScatterAlg,
 };
-use bine_sched::{BlockId, Collective, CompiledSchedule, Message, Schedule, Step, TransferKind};
+use bine_sched::{
+    BlockId, Collective, CompiledSchedule, Message, NonContigStrategy, Schedule, Step, TransferKind,
+};
 
 #[test]
 fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
@@ -82,11 +86,8 @@ fn a_non_reducing_run_holds_each_input_payload_once() {
             held_out > 2 * held_in,
             "{what}: {held_in} → {held_out} holdings"
         );
-        for store in &input {
-            for (id, _) in store.iter() {
-                let payload = store.get_shared(id).unwrap();
-                assert_eq!(Arc::strong_count(payload), 2, "{what}: {id:?}");
-            }
+        for (id, payload) in input.into_iter().flat_map(BlockStore::into_blocks) {
+            assert_eq!(Arc::strong_count(&payload), 2, "{what}: {id:?}");
         }
     }
 }
@@ -230,6 +231,24 @@ fn the_block_walk_allocates_no_more_than_the_step_walk() {
     );
     let (again, _) = counting::allocations_in(|| handle.block_major());
     assert_eq!(again, 0, "and it stays with the handle");
+}
+
+#[test]
+fn one_element_sums_allocate_per_chunk_not_per_sum() {
+    // Reduce-scatter `bine-permute` at p = 256, 1 element per block, over
+    // inputs the caller still holds: the first reduction into each of the
+    // p² blocks copies on write, and a sum that short is packed into the
+    // run's payload table — an allocation per chunk of sums, not two heap
+    // objects per sum.
+    let p = 256;
+    let sched = reduce_scatter(p, ReduceScatterAlg::Bine(NonContigStrategy::Permute));
+    let handle = sched.compile();
+    handle.slot_layout();
+    let (allocations, _) = run_dense_cost(&sched, &handle, 1);
+    assert!(
+        allocations < p as u64,
+        "run_dense allocated {allocations} times"
+    );
 }
 
 /// A reduce-scatter of the `permute` strategy's local pass alone — every rank

@@ -6,19 +6,22 @@
 //! they came from (nothing to re-key) and on any other (everything is), and
 //! a dead rank's state comes back as it went in, in either form. The ranks
 //! of a run share one payload table: neither a caller's write to one rank's
-//! finals nor a later run may show through another rank's or a clone's.
+//! finals nor a later run may show through another rank's or a clone's —
+//! whether a final is a caller's payload, a sum packed into the table or a
+//! sum too long to pack.
 
 use std::sync::Arc;
 
 use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_sched::collectives::{
-    allgather, allreduce, broadcast, gather, AllgatherAlg, AllreduceAlg, BroadcastAlg, GatherAlg,
+    allgather, allreduce, broadcast, gather, reduce_scatter, AllgatherAlg, AllreduceAlg,
+    BroadcastAlg, GatherAlg, ReduceScatterAlg,
 };
-use bine_sched::{walk, BlockId, Schedule};
+use bine_sched::{walk, BlockId, NonContigStrategy, Schedule};
 
 /// The blocks of `store`, in one order whatever the store's form.
-fn sorted_blocks(store: &BlockStore) -> Vec<(&BlockId, &Vec<f64>)> {
+fn sorted_blocks(store: &BlockStore) -> Vec<(&BlockId, &[f64])> {
     let mut blocks: Vec<_> = store.iter().collect();
     blocks.sort_by_key(|(id, _)| **id);
     blocks
@@ -26,6 +29,44 @@ fn sorted_blocks(store: &BlockStore) -> Vec<(&BlockId, &Vec<f64>)> {
 
 fn map_form(stores: &[BlockStore]) -> Vec<BlockStore> {
     stores.iter().map(BlockStore::deep_clone).collect()
+}
+
+/// The longest sum a run packs into its payload table (`PACK_MAX_ELEMS` in
+/// `state.rs`), and one element more: a `Block` of its own.
+const AT_AND_ABOVE_PACKING: [usize; 2] = [256, 257];
+
+/// Reducing schedules, the first two chainable: their finals are valid
+/// inputs of the same schedule.
+fn reducing() -> Vec<Schedule> {
+    vec![
+        allreduce(16, AllreduceAlg::BineLarge),
+        allreduce(16, AllreduceAlg::RecursiveDoubling),
+        reduce_scatter(16, ReduceScatterAlg::Bine(NonContigStrategy::Permute)),
+    ]
+}
+
+/// The finals of `sched` at `elems` elements per block from inputs the
+/// caller still holds — so every first reduction into a block copies on
+/// write — with the inputs and the reference interpreter's finals.
+fn sums_of(
+    sched: &Schedule,
+    handle: &Arc<bine_sched::CompiledSchedule>,
+    elems: usize,
+) -> (Vec<BlockStore>, Vec<BlockStore>, Vec<BlockStore>) {
+    let initial = Workload::for_schedule(sched, elems).initial_state(sched);
+    let reference = sequential::run_reference(sched, initial.clone());
+    let finals = ExecutorPool::global().run(handle, initial.clone());
+    (finals, initial, reference)
+}
+
+/// Every block of `store` as an owned `(id, values)` pair, sorted.
+fn owned_blocks(store: BlockStore) -> Vec<(BlockId, Vec<f64>)> {
+    let mut blocks: Vec<_> = store
+        .into_blocks()
+        .map(|(id, b)| (id, b.to_vec()))
+        .collect();
+    blocks.sort_by_key(|(id, _)| *id);
+    blocks
 }
 
 #[test]
@@ -120,7 +161,7 @@ fn finals_fed_back_in_give_what_their_map_form_copy_gives() {
         let mut extended = chained.clone();
         extended[3].insert(BlockId::Segment(4096), vec![1.0]);
         assert_eq!(extended[3].len(), chained[3].len() + 1);
-        assert_eq!(extended[3].get(&BlockId::Segment(4096)), Some(&vec![1.0]));
+        assert_eq!(extended[3].get(&BlockId::Segment(4096)), Some(&[1.0][..]));
         assert_ne!(extended, chained);
     }
 }
@@ -158,14 +199,14 @@ fn a_write_to_one_ranks_finals_leaves_the_others_and_any_clone_untouched() {
     finals[3].insert(inserted, vec![-1.0; 3]);
     finals[5].reduce(reduced, &[1.0; 3]);
     // The written block is the store's own now, held once.
-    assert_eq!(finals[3].get(&inserted), Some(&vec![-1.0; 3]));
+    assert_eq!(finals[3].get(&inserted), Some(&[-1.0; 3][..]));
     let summed: Vec<f64> = before[5]
         .get(&reduced)
         .unwrap()
         .iter()
         .map(|x| x + 1.0)
         .collect();
-    assert_eq!(finals[5].get(&reduced), Some(&summed));
+    assert_eq!(finals[5].get(&reduced), Some(&summed[..]));
     for (rank, (store, was)) in finals.iter().zip(&before).enumerate() {
         assert_eq!(store.len(), was.len(), "rank {rank}");
         if rank != 3 && rank != 5 {
@@ -239,6 +280,87 @@ fn a_dead_ranks_state_comes_back_untouched_in_either_form() {
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(finals[dead], initial[dead], "{what}");
             assert_eq!(finals[dead].len(), initial[dead].len(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn sums_read_the_same_packed_or_not() {
+    for sched in reducing() {
+        let handle = Arc::new(sched.compile());
+        for elems in AT_AND_ABOVE_PACKING {
+            let what = format!("{} at {elems} elements", sched.algorithm);
+            let (finals, initial, reference) = sums_of(&sched, &handle, elems);
+            assert!(finals == reference, "{what}");
+            assert!(reference == finals, "{what}, reference on the left");
+            for (rank, (ours, theirs)) in finals.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    sorted_blocks(ours),
+                    sorted_blocks(theirs),
+                    "{what} rank {rank}"
+                );
+                for (id, value) in theirs.iter() {
+                    assert_eq!(ours.get(id), Some(value), "{what} rank {rank} {id:?}");
+                }
+                let (ours, theirs) = (ours.clone(), theirs.clone());
+                assert_eq!(
+                    owned_blocks(ours),
+                    owned_blocks(theirs),
+                    "{what} rank {rank}"
+                );
+            }
+            let untouched = Workload::for_schedule(&sched, elems).initial_state(&sched);
+            assert_eq!(initial, untouched, "{what}: the inputs");
+        }
+    }
+}
+
+#[test]
+fn a_write_to_one_ranks_sums_leaves_the_others_and_any_clone_untouched() {
+    for sched in reducing() {
+        let handle = Arc::new(sched.compile());
+        for elems in AT_AND_ABOVE_PACKING {
+            let what = format!("{} at {elems} elements", sched.algorithm);
+            let (mut finals, _, reference) = sums_of(&sched, &handle, elems);
+            let (clone, before) = (finals.clone(), map_form(&finals));
+            let first = |store: &BlockStore| *sorted_blocks(store)[0].0;
+            let (reduced, inserted) = (first(&finals[3]), first(&finals[5]));
+            let was = before[3].get(&reduced).unwrap();
+            finals[3].reduce(reduced, &vec![1.0; was.len()]);
+            let written = vec![-1.0; before[5].get(&inserted).unwrap().len()];
+            finals[5].insert(inserted, written.clone());
+            let summed: Vec<f64> = was.iter().map(|x| x + 1.0).collect();
+            assert_eq!(finals[3].get(&reduced), Some(&summed[..]), "{what}");
+            assert_eq!(finals[5].get(&inserted), Some(&written[..]), "{what}");
+            for (rank, (store, was)) in finals.iter().zip(&before).enumerate() {
+                assert_eq!(store.len(), was.len(), "{what} rank {rank}");
+                if rank != 3 && rank != 5 {
+                    assert_eq!(store, was, "{what} rank {rank}");
+                }
+            }
+            assert_eq!(clone, before, "{what}: the clone");
+            assert_eq!(clone, reference, "{what}: the clone");
+        }
+    }
+}
+
+#[test]
+fn sums_fed_back_while_a_clone_is_held_leave_the_clone_as_it_was() {
+    for sched in reducing().into_iter().take(2) {
+        let handle = Arc::new(sched.compile());
+        for elems in AT_AND_ABOVE_PACKING {
+            let what = format!("{} at {elems} elements", sched.algorithm);
+            let (first, _, _) = sums_of(&sched, &handle, elems);
+            let (kept, before) = (first.clone(), map_form(&first));
+            let reference = sequential::run_reference(&sched, map_form(&first));
+            let chained = ExecutorPool::global().run(&handle, first);
+            assert_eq!(chained, reference, "{what}");
+            assert_eq!(kept, before, "{what}: the clone");
+            assert_eq!(
+                compiled::run(&handle, kept),
+                chained,
+                "{what}: the clone fed back"
+            );
         }
     }
 }

@@ -214,6 +214,23 @@ fn one_reduction_kernel_one_rule_for_the_walk_one_rekeying() {
     clean(&lines_with(&from_dense, &[".insert(", ".reserve("]));
 }
 
+/// A sum is stored where `state::PayloadTable` puts it — packed into the
+/// run's chunks, or a `Block` of its own if it is long — so the walks and
+/// the pool never allocate a payload: no `Arc::new(`, `.to_vec()` or
+/// `Vec<f64>` in their shipped code.
+#[test]
+fn one_place_a_sum_is_stored() {
+    let walks = [
+        "crates/bine-exec/src/compiled.rs",
+        "crates/bine-exec/src/pool.rs",
+    ];
+    clean(&grep(
+        &walks,
+        &["Arc::new(", ".to_vec()", "Vec<f64>"],
+        shipped,
+    ));
+}
+
 /// Both walks skip a rank's copy onto itself by `compiled::is_identity_move`;
 /// a second `src == dst` test in the kernel is a rule they could split on.
 #[test]
