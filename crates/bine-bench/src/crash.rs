@@ -481,6 +481,16 @@ mod tests {
         // phases re-trigger them, so the counters line up exactly.
         assert!(report.service.stalls > report.service.recoveries);
         assert!(report.service.recoveries > 0);
+        // The exact outcome of this pass: a change to what stalls or
+        // recovers has to say so here.
+        let outcomes = (
+            report.full_answers,
+            report.recovered_answers,
+            report.unrecoverable_answers,
+        );
+        assert_eq!(outcomes, (34, 50, 12), "{report:?}");
+        let counters = (report.service.stalls, report.service.recoveries);
+        assert_eq!(counters, (93, 75), "{report:?}");
     }
 
     /// A kill plan of nobody is exactly the healthy path: every answer

@@ -41,12 +41,12 @@
 //! only receive of the step, the `permute` strategy's local pass — which
 //! would put each back where it came from; both only check they are held.
 //!
-//! `run_lane` — [`run_dense`], and what [`ExecutorPool`](crate::ExecutorPool)
-//! runs — picks the walk from what it can see of the run: the block walk
-//! when the schedule has a `Reduce` send and the payloads are large
+//! [`run_dense`] picks the walk from what it can see of the run: the block
+//! walk when the schedule has a `Reduce` send and the payloads are large
 //! (`BLOCK_WALK_MIN_ELEMS`, with the measurements behind it), the step walk
-//! otherwise — small payloads, schedules that only move data, runs with dead
-//! ranks.
+//! otherwise. Both are fault-free: a crash is decided before a run starts,
+//! by the validator's survivor replay (see
+//! [`ExecError::RankDead`](crate::ExecError::RankDead)).
 
 use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
@@ -102,7 +102,10 @@ pub fn from_dense(compiled: &CompiledSchedule, finals: Vec<DenseState>) -> Vec<B
     finals
 }
 
-/// Executes `compiled` over dense states, in place.
+/// Executes `compiled` over dense states, in place: a reducing schedule
+/// over large payloads block by block, every other run step by step (see
+/// the module docs). This is what [`ExecutorPool`](crate::ExecutorPool)
+/// runs.
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
@@ -112,18 +115,11 @@ pub fn run_dense(compiled: &CompiledSchedule, states: &mut [DenseState]) {
         compiled.num_ranks,
         "one dense state per rank required"
     );
-    let stall = run_lane(compiled, states, None);
-    debug_assert!(stall.is_none(), "nothing stalls without dead ranks");
-}
-
-/// A receive that can never complete because its sender is dead: what the
-/// per-step watchdog of a run under dead-rank injection reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Stall {
-    /// Step at whose barrier the stall was detected.
-    pub step: usize,
-    /// Global index of the earliest unsatisfiable send of that step.
-    pub send: u32,
+    if compiled.reduces() && payloads_are_large(states) {
+        run_blocks(compiled, states);
+    } else {
+        run_steps(compiled, states);
+    }
 }
 
 /// Mean payload, in elements, of the sampled rank from which a reducing run
@@ -151,7 +147,7 @@ pub(crate) struct Stall {
 /// 16 KiB and p = 64 both walks wait on page faults of the copy-on-write
 /// buffers and agree within 8 %. A non-reducing schedule has nothing to
 /// save at any size (allgather `bine`, p = 256, 1 and 8 KiB: 6.6 block by
-/// block, which is why [`run_lane`] asks [`CompiledSchedule::reduces`]
+/// block, which is why [`run_dense`] asks [`CompiledSchedule::reduces`]
 /// first).
 const BLOCK_WALK_MIN_ELEMS: usize = 1024;
 
@@ -167,41 +163,16 @@ fn payloads_are_large(states: &[DenseState]) -> bool {
     sampled.unwrap_or(false)
 }
 
-/// The whole schedule, by the calling thread with plain borrows of the
-/// states. This is [`run_dense`], and what
-/// [`ExecutorPool`](crate::ExecutorPool) runs. A healthy run of a reducing
-/// schedule over large payloads walks block by block ([`run_blocks`]),
-/// every other one step by step ([`run_steps`]); `dead` marks the crashed
-/// ranks of an injected run, which ends at the first step with a [`Stall`].
-pub(crate) fn run_lane(
-    compiled: &CompiledSchedule,
-    states: &mut [DenseState],
-    dead: Option<&[bool]>,
-) -> Option<Stall> {
-    if dead.is_none() && compiled.reduces() && payloads_are_large(states) {
-        run_blocks(compiled, states);
-        return None;
-    }
-    run_steps(compiled, states, dead)
-}
-
 /// The step walk: every step's receives gathered and then applied.
-pub(crate) fn run_steps(
-    compiled: &CompiledSchedule,
-    states: &mut [DenseState],
-    dead: Option<&[bool]>,
-) -> Option<Stall> {
+fn run_steps(compiled: &CompiledSchedule, states: &mut [DenseState]) {
     state::with_table(states, compiled.slot_layout(), |table, states| {
         let mut staging = Vec::new();
         for step in 0..compiled.num_steps() {
             let recvs = compiled.step_recvs(step);
             // Stage every payload of the step before any state mutates.
-            gather_recvs(compiled, step, recvs, dead, table, states, &mut staging);
-            if let Some(send) = apply_recvs(compiled, step, recvs, dead, &staging, table, states) {
-                return Some(Stall { step, send });
-            }
+            gather_recvs(compiled, step, recvs, table, states, &mut staging);
+            apply_recvs(compiled, step, recvs, &staging, table, states);
         }
-        None
     })
 }
 
@@ -212,7 +183,7 @@ pub(crate) fn run_steps(
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
-pub(crate) fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState]) {
+fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState]) {
     let order = compiled.block_major();
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
@@ -323,33 +294,22 @@ fn receive(
 /// identity move ([`is_identity_move`]) stages nothing; its payloads are
 /// only checked to be held.
 ///
-/// Under dead-rank injection `dead[rank]` marks the crashed ranks: their
-/// sends never leave, the staging entries hold nothing.
-///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
 fn gather_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
-    dead: Option<&[bool]>,
     table: &mut PayloadTable,
     states: &[DenseState],
     staging: &mut Vec<u32>,
 ) {
     staging.clear();
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
-        let identity = is_identity_move(compiled, step, send);
-        if dead.is_some_and(|dead| dead[send.src as usize]) {
-            if !identity {
-                staging.resize(staging.len() + send.num_blocks(), NOT_HELD);
-            }
-            continue;
-        }
         let src = &states[send.src as usize];
         let payloads = compiled.src_slots(send).iter().enumerate();
         let held = payloads.map(|(k, &slot)| held_handle(compiled, step, send, k, src, slot));
-        if identity {
+        if is_identity_move(compiled, step, send) {
             // The possession check alone: the payloads stay in their slots.
             held.for_each(|_| ());
         } else {
@@ -366,60 +326,27 @@ fn gather_recvs(
 /// in one step is copied on write by whichever partner applies first and
 /// summed in place by the other. Only ranks that receive something are
 /// visited, and an identity move is not applied: nothing of it was staged.
-///
-/// Under dead-rank injection a `dead` rank posts no receives, so its state
-/// stays untouched, and a surviving rank's receive from a dead sender has
-/// nothing staged: in a real run the rank hangs there and never posts its
-/// later receives, so its remaining receives of the step are skipped (their
-/// staged handles let go) and the smallest such send index is returned.
 fn apply_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
-    dead: Option<&[bool]>,
     staging: &[u32],
     table: &mut PayloadTable,
     states: &mut [DenseState],
-) -> Option<u32> {
-    let is_dead = |rank: u32| dead.is_some_and(|dead| dead[rank as usize]);
-    let dst_of = |send_idx: u32| compiled.send(send_idx as usize).dst;
-    let mut stalled: Option<u32> = None;
+) {
     let mut taken = 0;
-    for to_rank in recvs.chunk_by(|&a, &b| dst_of(a) == dst_of(b)) {
-        let rank = dst_of(to_rank[0]);
-        // `None` once the rank posts no (further) receives.
-        let mut dst = (!is_dead(rank)).then_some(&mut states[rank as usize]);
-        for &send_idx in to_rank {
-            let send = compiled.send(send_idx as usize);
-            if is_identity_move(compiled, step, send) {
-                continue;
-            }
-            let payloads = &staging[taken..taken + send.num_blocks()];
-            taken += payloads.len();
-            if is_dead(send.src) {
-                if dst.take().is_some() {
-                    stalled = Some(stalled.map_or(send_idx, |s| s.min(send_idx)));
-                }
-                continue;
-            }
-            let Some(state) = &mut dst else {
-                payloads.iter().for_each(|&handle| table.release(handle));
-                continue;
-            };
-            for ((k, &slot), &payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads)
-            {
-                receive(
-                    compiled,
-                    send,
-                    k,
-                    table,
-                    &mut state.slots[slot as usize],
-                    payload,
-                );
-            }
+    for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
+        if is_identity_move(compiled, step, send) {
+            continue;
+        }
+        let payloads = &staging[taken..taken + send.num_blocks()];
+        taken += payloads.len();
+        let state = &mut states[send.dst as usize];
+        for ((k, &slot), &payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads) {
+            let held = &mut state.slots[slot as usize];
+            receive(compiled, send, k, table, held, payload);
         }
     }
-    stalled
 }
 
 /// Executes `compiled` starting from symbolic `initial` stores and returns
@@ -517,7 +444,7 @@ mod tests {
 
     #[test]
     fn the_two_walks_agree_on_every_catalog_algorithm() {
-        // The same small input through both walks, whatever `run_lane` would
+        // The same small input through both walks, whatever `run_dense` would
         // pick for it — non-reducing schedules and the doubly-pipelined
         // dual-root allreduce (many small segments, each reduced twice)
         // included, bare and cut into two and four chunks.
@@ -530,7 +457,7 @@ mod tests {
             let w = Workload::for_schedule(&sched, 2);
             let mut by_step = to_dense(&compiled, w.initial_state(&sched));
             let mut by_block = by_step.clone();
-            assert_eq!(run_steps(&compiled, &mut by_step, None), None);
+            run_steps(&compiled, &mut by_step);
             run_blocks(&compiled, &mut by_block);
             assert_eq!(by_block, by_step, "{}", request.label());
             let reference = sequential::run_reference(&sched, w.initial_state(&sched));
@@ -558,7 +485,7 @@ mod tests {
         stores[1].insert(BlockId::Segment(1), vec![0.0; 2 * BLOCK_WALK_MIN_ELEMS]);
         assert!(large(stores));
         assert!(!payloads_are_large(&[DenseState::default()]));
-        // Either side of the rule, `run_lane` ends where the reference does.
+        // Either side of the rule, `run_dense` ends where the reference does.
         for elems in [BLOCK_WALK_MIN_ELEMS - 1, BLOCK_WALK_MIN_ELEMS] {
             let w = Workload::for_schedule(&sched, elems);
             let reference = sequential::run_reference(&sched, w.initial_state(&sched));
@@ -572,10 +499,6 @@ mod tests {
         let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
         let empty = (0..8).map(|_| BlockStore::new()).collect();
         run_blocks(&compiled, &mut to_dense(&compiled, empty));
-    }
-
-    fn by_step(compiled: &CompiledSchedule, states: &mut [DenseState]) {
-        assert_eq!(run_steps(compiled, states, None), None);
     }
 
     /// Runs `sched` by `walk` from `initial` with `Segment(5)` taken from
@@ -617,7 +540,7 @@ mod tests {
     #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
     fn the_step_walk_checks_a_permuting_reduce_scatter_holds_what_it_permutes() {
         let (sched, initial) = permuting_reduce_scatter();
-        run_without_a_block(&sched, initial, by_step);
+        run_without_a_block(&sched, initial, run_steps);
     }
 
     #[test]
@@ -631,7 +554,7 @@ mod tests {
     #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
     fn the_step_walk_checks_a_permuting_allgather_holds_what_it_permutes() {
         let (sched, initial) = permuting_allgather_step();
-        run_without_a_block(&sched, initial, by_step);
+        run_without_a_block(&sched, initial, run_steps);
     }
 
     #[test]
@@ -664,7 +587,7 @@ mod tests {
         assert_ne!(initial[0].get(&segment), initial[1].get(&segment));
         let reference = sequential::run_reference(&sched, initial.clone());
         assert_eq!(reference[1].get(&segment), initial[1].get(&segment));
-        for walk in [by_step, run_blocks] {
+        for walk in [run_steps, run_blocks] {
             let mut states = to_dense(&compiled, initial.clone());
             walk(&compiled, &mut states);
             assert_eq!(from_dense(&compiled, states), reference);

@@ -1,21 +1,21 @@
 //! The executor every served request runs on.
 //!
 //! An [`ExecutorPool`] runs a compiled schedule on the calling thread —
-//! [`compiled`]'s step or block walk, picked from the input — inside one
-//! `catch_unwind`: a rank job that panics comes back as a typed
-//! [`ExecError`], and a run with injected dead ranks ends at the first
-//! receive that can never complete. Concurrent callers share nothing but the
-//! compiled handle, so they never wait for each other. Results are
-//! bit-identical to the reference interpreter: each receiver applies its
-//! payloads in schedule order.
+//! [`compiled::run_dense`] — inside one `catch_unwind`: a rank job that
+//! panics comes back as a typed [`ExecError`]. Dead ranks are the
+//! validator's survivor replay, read before anything runs: a stall is
+//! returned as [`ExecError::RankDead`], and otherwise the run is the healthy
+//! one. Concurrent callers share nothing but the compiled handle, so they
+//! never wait for each other. Results are bit-identical to the reference
+//! interpreter: each receiver applies its payloads in schedule order.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use bine_sched::CompiledSchedule;
+use bine_sched::{CompiledSchedule, PendingRecv, ScheduleValidator, StallReason};
 
-use crate::compiled::{self, DenseState, Stall};
+use crate::compiled::{self, DenseState};
 use crate::state::BlockStore;
 
 /// Typed failure of a pool execution: the panic contract of the executor.
@@ -33,14 +33,12 @@ pub enum ExecError {
         /// The panic message of the failing job.
         message: String,
     },
-    /// A surviving rank blocked forever on a receive whose sender is dead
-    /// (deterministic dead-rank injection, see
-    /// [`ExecutorPool::try_run_with_dead`]). Detected by the per-step
-    /// bounded-progress watchdog: the step barrier was reached with the
-    /// receive still unsatisfiable, which in a real run means the rank
-    /// hangs.
+    /// A surviving rank would block forever on a receive whose sender is
+    /// dead (see [`ExecutorPool::try_run_with_dead`]): in a real run it
+    /// hangs there. Found by the validator's survivor replay before anything
+    /// runs.
     RankDead {
-        /// Step at which the stall was detected.
+        /// Step of the blocked receive.
         step: usize,
         /// The dead sending rank the receive waited on.
         src: usize,
@@ -111,30 +109,58 @@ impl ExecutorPool {
         compiled: &Arc<CompiledSchedule>,
         initial: Vec<BlockStore>,
     ) -> Result<Vec<BlockStore>, ExecError> {
-        self.try_run_with_dead(compiled, initial, &[])
+        let dense = compiled::to_dense(compiled, initial);
+        let finals = self.try_run_dense(compiled, dense)?;
+        Ok(compiled::from_dense(compiled, finals))
     }
 
-    /// [`ExecutorPool::try_run`] with deterministic dead-rank injection: the
-    /// `dead` ranks crash before the collective starts — their sends never
-    /// leave, their receives are never posted, their state is returned
-    /// untouched. Sends *into* a dead rank complete eagerly at the sender.
-    /// A surviving rank whose scheduled receive has no payload (its sender
-    /// is dead) would block forever in a real run; the per-step watchdog
-    /// detects this at the step barrier and aborts the run with
-    /// [`ExecError::RankDead`] naming the earliest blocked receive. An empty
-    /// `dead` slice is exactly the healthy path.
+    /// [`ExecutorPool::try_run`] with the `dead` ranks crashed before the
+    /// collective starts: their sends never leave, their receives are never
+    /// posted, their state is returned untouched; sends *into* a dead rank
+    /// complete eagerly at the sender. A surviving rank that receives from a
+    /// dead one would block forever in a real run: the earliest such receive
+    /// — the first of [`ScheduleValidator::survivors`]' crashed ones with a
+    /// live receiver — is returned as [`ExecError::RankDead`] before
+    /// anything runs. Otherwise no survivor reads a dead rank's data, so the
+    /// run is the healthy one with the dead ranks' inputs put back. An empty
+    /// `dead` slice is exactly [`ExecutorPool::try_run`].
     ///
     /// # Panics
-    /// Panics if a dead rank is out of range.
+    /// Panics unless there is one store per rank, or if a dead rank is out
+    /// of range.
     pub fn try_run_with_dead(
         &self,
         compiled: &Arc<CompiledSchedule>,
         initial: Vec<BlockStore>,
         dead: &[usize],
     ) -> Result<Vec<BlockStore>, ExecError> {
-        let dense = compiled::to_dense(compiled, initial);
-        let finals = self.try_run_dense_with_dead(compiled, dense, dead)?;
-        Ok(compiled::from_dense(compiled, finals))
+        if dead.is_empty() {
+            return self.try_run(compiled, initial);
+        }
+        let ranks = compiled.num_ranks;
+        assert_eq!(
+            initial.len(),
+            ranks,
+            "initial state must have one store per rank"
+        );
+        // Before the replay: it ignores ranks out of range.
+        let in_range = dead.iter().all(|&d| d < ranks);
+        assert!(
+            in_range,
+            "dead rank out of range for {ranks} ranks: {dead:?}"
+        );
+        let report = ScheduleValidator::new(compiled).survivors(dead);
+        let blocks = |r: &&PendingRecv| r.reason == StallReason::Crashed && !dead.contains(&r.dst);
+        if let Some(r) = report.undeliverable.iter().find(blocks) {
+            let (step, src, dst) = (r.step, r.src, r.dst);
+            return Err(ExecError::RankDead { step, src, dst });
+        }
+        let kept: Vec<_> = dead.iter().map(|&d| (d, initial[d].clone())).collect();
+        let mut finals = self.try_run(compiled, initial)?;
+        for (rank, store) in kept {
+            finals[rank] = store;
+        }
+        Ok(finals)
     }
 
     /// Thin panicking wrapper over [`ExecutorPool::try_run`] for callers
@@ -152,8 +178,8 @@ impl ExecutorPool {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Thin panicking wrapper over [`ExecutorPool::try_run_dense_with_dead`]
-    /// with nobody dead.
+    /// Thin panicking wrapper over [`compiled::run_dense`] for callers
+    /// that treat a failed rank job as a bug.
     ///
     /// # Panics
     /// On the first failed rank job, with the [`ExecError`] display message
@@ -163,41 +189,23 @@ impl ExecutorPool {
         compiled: &Arc<CompiledSchedule>,
         states: Vec<DenseState>,
     ) -> Vec<DenseState> {
-        self.try_run_dense_with_dead(compiled, states, &[])
+        self.try_run_dense(compiled, states)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The primary dense entry point: executes `compiled` over dense states,
-    /// with panics surfaced as [`ExecError`] and deterministic dead-rank
-    /// injection (see [`ExecutorPool::try_run_with_dead`] for the fault
-    /// semantics; an empty `dead` slice is the healthy path).
-    ///
-    /// # Panics
-    /// Panics if a dead rank is out of range.
-    pub fn try_run_dense_with_dead(
+    /// [`compiled::run_dense`] with a panicking rank job returned as
+    /// [`ExecError`].
+    fn try_run_dense(
         &self,
-        compiled: &Arc<CompiledSchedule>,
+        compiled: &CompiledSchedule,
         mut states: Vec<DenseState>,
-        dead: &[usize],
     ) -> Result<Vec<DenseState>, ExecError> {
+        // Outside the catch: a wrong count is the caller's bug, not a job's.
         let ranks = compiled.num_ranks;
         assert_eq!(states.len(), ranks, "one dense state per rank required");
-        let in_range = dead.iter().all(|&d| d < ranks);
-        assert!(
-            in_range,
-            "dead rank out of range for {ranks} ranks: {dead:?}"
-        );
-        // A healthy run allocates nothing for the watchdog.
-        let is_dead = || (0..ranks).map(|rank| dead.contains(&rank)).collect();
-        let dead: Option<Vec<bool>> = (!dead.is_empty()).then(is_dead);
-        let run = || compiled::run_lane(compiled, &mut states, dead.as_deref());
-        let stall = catch_unwind(AssertUnwindSafe(run)).map_err(ExecError::from_panic)?;
-        let Some(Stall { step, send }) = stall else {
-            return Ok(states);
-        };
-        let send = compiled.send(send as usize);
-        let (src, dst) = (send.src as usize, send.dst as usize);
-        Err(ExecError::RankDead { step, src, dst })
+        let run = || compiled::run_dense(compiled, &mut states);
+        catch_unwind(AssertUnwindSafe(run)).map_err(ExecError::from_panic)?;
+        Ok(states)
     }
 }
 
@@ -446,30 +454,59 @@ mod tests {
         });
     }
 
+    /// The stall rule, written out apart from the survivor replay: the
+    /// receive dead ranks stall is in the earliest step in which a live rank
+    /// receives from a dead one, at that step's smallest such send index.
+    fn first_blocked_receive(compiled: &CompiledSchedule, dead: &[usize]) -> Option<ExecError> {
+        let is_dead = |rank: u32| dead.contains(&(rank as usize));
+        (0..compiled.num_steps()).find_map(|step| {
+            let mut sends = compiled.step_send_range(step).map(|i| compiled.send(i));
+            let send = sends.find(|s| is_dead(s.src) && !is_dead(s.dst))?;
+            let (src, dst) = (send.src as usize, send.dst as usize);
+            Some(ExecError::RankDead { step, src, dst })
+        })
+    }
+
     #[test]
-    fn the_watchdog_names_the_receive_the_step_walk_stalls_on() {
-        let sched = allreduce(16, AllreduceAlg::BineLarge);
-        let compiled = Arc::new(sched.compile());
-        let w = Workload::for_schedule(&sched, 2);
-        let err = ExecutorPool::global()
-            .try_run_with_dead(&compiled, w.initial_state(&sched), &[5, 11])
-            .expect_err("dead partners stall the exchange");
-        let mut dead = vec![false; 16];
-        (dead[5], dead[11]) = (true, true);
-        let mut states = compiled::to_dense(&compiled, w.initial_state(&sched));
-        let stall = compiled::run_steps(&compiled, &mut states, Some(&dead))
-            .expect("the step walk stalls too");
-        let send = compiled.send(stall.send as usize);
-        let (src, dst) = (send.src as usize, send.dst as usize);
-        assert_eq!(
-            err,
-            ExecError::RankDead {
-                step: stall.step,
-                src,
-                dst
+    fn a_dead_rank_stalls_the_earliest_receive_from_it_or_nobody() {
+        let (mut stalled, mut completed) = (0, 0);
+        for request in bine_sched::walk(&[3, 8, 16]) {
+            let Some(sched) = request.build() else {
+                continue;
+            };
+            let compiled = Arc::new(sched.compile());
+            let initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
+            let healthy = std::cell::OnceCell::new();
+            // Every rank up to p = 8, a few at p = 16.
+            let p = sched.num_ranks;
+            let victims: Vec<usize> = match p {
+                ..=8 => (0..p).collect(),
+                _ => vec![0, p / 2 + 1, p - 1],
+            };
+            for dead in victims {
+                let what = format!("{} with rank {dead} dead", request.label());
+                let got =
+                    ExecutorPool::global().try_run_with_dead(&compiled, initial.clone(), &[dead]);
+                match first_blocked_receive(&compiled, &[dead]) {
+                    Some(stall) => {
+                        assert_eq!(got, Err(stall), "{what}");
+                        stalled += 1;
+                    }
+                    None => {
+                        let healthy = healthy
+                            .get_or_init(|| sequential::run_reference(&sched, initial.clone()));
+                        let mut expected = healthy.clone();
+                        expected[dead] = initial[dead].clone();
+                        assert_eq!(got, Ok(expected), "{what}");
+                        completed += 1;
+                    }
+                }
             }
+        }
+        assert!(
+            stalled > 8000 && completed > 1000,
+            "{stalled} stalled, {completed} completed"
         );
-        assert!(matches!(err, ExecError::RankDead { step: 0, .. }));
     }
 
     #[test]

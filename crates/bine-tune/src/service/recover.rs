@@ -70,14 +70,14 @@ pub struct Recovery {
 impl ServiceSelector {
     /// Crash-tolerant execution with shrink-and-retry recovery: resolves
     /// the tuned pick, builds its schedule and the deterministic workload
-    /// (`elems_per_block` elements per block, root 0), injects `dead` as
-    /// ranks crashed before the collective starts, and runs on
-    /// [`ExecutorPool::global`].
+    /// (`elems_per_block` elements per block, root 0), and runs it with
+    /// `dead` crashed before the collective starts
+    /// ([`ExecutorPool::try_run_with_dead`]).
     ///
-    /// * When no surviving rank blocks on a dead one, the run completes
+    /// * When the survivor replay finds no stall, the service runs healthy
     ///   over the full communicator: [`Served::Full`].
-    /// * When the executor reports [`ExecError::RankDead`], the service
-    ///   shrinks the communicator to the dense survivor renumbering
+    /// * On a stall ([`ExecError::RankDead`]) the service shrinks the
+    ///   communicator to the dense survivor renumbering
     ///   ([`RankMap::dense`]) and rebuilds a schedule at the shrunk size —
     ///   the pick itself, the binomial [`super::fallback_pick`], or the
     ///   collective's linear any-rank-count algorithm (ring/pairwise),
@@ -117,6 +117,8 @@ impl ServiceSelector {
         let ladder = ladder::rungs(slot, bytes);
         let (key, sched, _, compiled) =
             self.first_buildable(sys, collective, nodes, &ladder[..1])?;
+        // Both documented panics, before anything runs.
+        let map = RankMap::dense(nodes, dead);
         let pool = ExecutorPool::global();
         let w = Workload::for_schedule(&sched, elems_per_block);
         let error = match pool.try_run_with_dead(&compiled, w.initial_state(&sched), dead) {
@@ -133,7 +135,6 @@ impl ServiceSelector {
         if sole_source.is_some_and(|root| dead.contains(&root)) {
             return Some(Err(error));
         }
-        let map = RankMap::dense(nodes, dead);
         let survivors = map.num_survivors();
         let Some((key, base, chunks, compiled)) =
             self.first_buildable(sys, collective, survivors, &ladder)
@@ -272,6 +273,21 @@ mod tests {
         assert!(matches!(err, ExecError::RankDead { src: 0, .. }));
         let stats = service.stats();
         assert_eq!((stats.stalls, stats.recoveries), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "all 16 ranks dead")]
+    fn a_communicator_with_every_rank_dead_is_refused() {
+        let service = ServiceSelector::from_tables(&[table("Testbox")]);
+        let everyone: Vec<usize> = (0..16).collect();
+        service.try_execute_recovering("Testbox", Collective::Allreduce, 16, 32, 2, &everyone);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 16 ranks")]
+    fn a_dead_rank_outside_the_communicator_is_refused() {
+        let service = ServiceSelector::from_tables(&[table("Testbox")]);
+        service.try_execute_recovering("Testbox", Collective::Allreduce, 16, 32, 2, &[16]);
     }
 
     #[test]

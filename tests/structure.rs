@@ -200,7 +200,7 @@ fn one_catalog_row() {
     none(&walkers, &["irregular_algorithms(", "synth_algorithms("]);
 }
 
-/// `compiled::run_lane` picks the walk from the input, not an environment
+/// `compiled::run_dense` picks the walk from the input, not an environment
 /// variable; `state::reduce_into` alone adds two payloads (`*a += b`,
 /// `|(a, b)| a + b`); blocks enter dense form at the one `index_of(`, in
 /// `state::slot_under`; `from_dense` rebuilds no map.
@@ -212,6 +212,21 @@ fn one_reduction_kernel_one_rule_for_the_walk_one_rekeying() {
     assert_eq!(only(&grep(&exec, &["index_of("], source), state), 1);
     let from_dense = body("crates/bine-exec/src/compiled.rs", "pub fn from_dense(");
     clean(&lines_with(&from_dense, &[".insert(", ".reserve("]));
+}
+
+/// A crash is decided by one analysis, the validator's survivor replay
+/// (`ScheduleValidator::survivors`), which the DES, the executor and crash
+/// recovery all read: the kernel's shipped code names no dead rank and no
+/// stall, and the pool builds `ExecError::RankDead` in one place, from the
+/// replay. (A match arm or the variant itself is not a build.)
+#[test]
+fn one_stall_analysis() {
+    let kernel = ["crates/bine-exec/src/compiled.rs"];
+    clean(&grep(&kernel, &["dead", "Stall"], shipped));
+    let exec = ["crates/bine-exec/src"];
+    let mut built = grep(&exec, &["RankDead {"], shipped);
+    built.retain(|(_, line)| !line.contains("=>") && line != "RankDead {");
+    assert_eq!(only(&built, "crates/bine-exec/src/pool.rs"), 1);
 }
 
 /// A sum is stored where `state::PayloadTable` puts it — packed into the
