@@ -35,12 +35,11 @@ fn per_step_global_bytes(
         .steps
         .iter()
         .map(|step| {
-            step.messages
-                .iter()
+            step.messages()
                 .filter(|m| {
                     !m.is_local() && topo.crosses_groups(alloc.node_of(m.src), alloc.node_of(m.dst))
                 })
-                .map(|m| m.bytes(n, sched.num_ranks))
+                .map(|m| sched.message_bytes(m, n))
                 .sum()
         })
         .collect()

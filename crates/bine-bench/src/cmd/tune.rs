@@ -26,7 +26,11 @@ use crate::cli::{Args, Failure, Outcome};
 ///   only Fugaku's 4096/8192-node 2D tori, whose p²-block schedules are the
 ///   repository's one impractically slow sweep; queries above the cap fall
 ///   back to the largest tuned breakpoint via the selector's floor lookup.
+///
+/// Ends with the run's wall time and peak resident set: CI holds the first
+/// to its 300 s budget and reports the second beside it.
 pub fn run(args: Args) -> Outcome {
+    let wall = Instant::now();
     let only_system: Option<String> = args.flag("--system")?;
     let max_nodes: usize = args.flag_or("--max-nodes", MAX_TUNED_NODES)?;
     // The default output is a *write target*, not a load path, so it must
@@ -127,5 +131,20 @@ pub fn run(args: Args) -> Outcome {
             path.display()
         );
     }
+    let secs = wall.elapsed().as_secs_f64();
+    println!("tune: {secs:.1}s wall time, peak RSS {}", peak_rss());
     Ok(())
+}
+
+/// The process's peak resident set, `VmHWM` of `/proc/self/status`, in GB;
+/// `n/a` where that file does not exist (off Linux).
+fn peak_rss() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| value.trim().strip_suffix("kB")?.trim().parse::<u64>().ok());
+    kib.map_or("n/a".to_string(), |kib| {
+        format!("{:.2} GB", kib as f64 * 1024.0 / 1e9)
+    })
 }

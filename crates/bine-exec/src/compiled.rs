@@ -367,7 +367,7 @@ mod tests {
         allgather, allreduce, alltoall, broadcast, reduce_scatter, AllgatherAlg, AllreduceAlg,
         AlltoallAlg, BroadcastAlg, ReduceScatterAlg,
     };
-    use bine_sched::{BlockId, Collective, Message, NonContigStrategy, Schedule, Step};
+    use bine_sched::{BlockId, Collective, NonContigStrategy, Schedule, Step};
 
     #[test]
     fn dense_round_trip_preserves_every_block() {
@@ -532,7 +532,7 @@ mod tests {
         let w = Workload::for_schedule(&sched, 2);
         let finals = sequential::run_reference(&sched, w.initial_state(&sched));
         sched.steps.drain(..sched.num_steps() - 1);
-        assert!(sched.steps[0].messages.iter().all(|m| m.is_local()));
+        assert!(sched.steps[0].messages().all(|m| m.is_local()));
         (sched, finals)
     }
 
@@ -573,13 +573,7 @@ mod tests {
         let mut sched = Schedule::new(2, Collective::ReduceScatter, "hand-built", 0);
         let mut step = Step::new();
         for src in [0, 1] {
-            step.push(Message::with_segments(
-                src,
-                1,
-                vec![segment],
-                TransferKind::Copy,
-                1,
-            ));
+            step.push_with_segments(src, 1, [segment], TransferKind::Copy, 1);
         }
         sched.push_step(step);
         let compiled = sched.compile();

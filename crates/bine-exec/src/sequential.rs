@@ -41,8 +41,8 @@ pub fn run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
         // mutates, so all messages are logically simultaneous. Sharing a
         // caller's payload is a refcount bump.
         payloads.clear();
-        for m in &step.messages {
-            for block in &m.blocks {
+        for m in step.messages() {
+            for block in m.blocks {
                 let value = states[m.src].get_shared(block).unwrap_or_else(|| {
                     panic!(
                         "step {step_idx}: rank {} sends block {block:?} it does not hold ({})",
@@ -54,8 +54,8 @@ pub fn run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
         }
         // Apply phase: same message order as the reference interpreter.
         let mut next = payloads.drain(..);
-        for m in &step.messages {
-            for block in &m.blocks {
+        for m in step.messages() {
+            for block in m.blocks {
                 let value = next.next().expect("payload count mismatch");
                 match m.kind {
                     TransferKind::Copy => states[m.dst].insert(*block, value),
@@ -86,8 +86,8 @@ pub fn run_reference(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<Block
         // logically simultaneous. Deliberately a deep copy — this is the
         // seed executor's O(ranks × elements) per-step cost.
         let snapshot: Vec<BlockStore> = states.iter().map(BlockStore::deep_clone).collect();
-        for m in &step.messages {
-            for block in &m.blocks {
+        for m in step.messages() {
+            for block in m.blocks {
                 let value = snapshot[m.src].get(block).unwrap_or_else(|| {
                     panic!(
                         "step {step_idx}: rank {} sends block {block:?} it does not hold ({})",

@@ -60,17 +60,19 @@ fn the_validator_and_the_executor_give_one_verdict() {
         let mut at = (nth * 7) % sends;
         let mut mutant = sched.clone();
         let step = mutant.steps.iter_mut().find(|step| {
-            let here = at < step.messages.len();
-            at -= if here { 0 } else { step.messages.len() };
+            let here = at < step.len();
+            at -= if here { 0 } else { step.len() };
             here
         });
-        let removed = step.expect("the index is in range").messages.remove(at);
+        let step = step.expect("the index is in range");
+        let removed = step.messages().nth(at).expect("in the step").kind;
+        step.remove(at);
         let verdicts = (validator_accepts(&mutant), executor_accepts(&mutant));
         rejected += usize::from(verdicts == (false, false));
         // Not every send is needed — local moves and some final copies only
         // model memory traffic, and a v-variant moves zero-count segments —
         // but a lost contribution to a regular reduction always is.
-        let needed = removed.kind == TransferKind::Reduce && sched.counts.is_none();
+        let needed = removed == TransferKind::Reduce && sched.counts.is_none();
         if verdicts.0 != verdicts.1 || (needed && verdicts.0) {
             disagreements.push(format!(
                 "{label} without send {}: validator accepts = {}, executor accepts = {}",

@@ -21,7 +21,7 @@ use bine_sched::collectives::{
     AlltoallAlg, GatherAlg, ReduceScatterAlg,
 };
 use bine_sched::{
-    BlockId, Collective, CompiledSchedule, Message, NonContigStrategy, Schedule, Step, TransferKind,
+    BlockId, Collective, CompiledSchedule, NonContigStrategy, Schedule, Step, TransferKind,
 };
 
 #[test]
@@ -257,26 +257,14 @@ fn one_element_sums_allocate_per_chunk_not_per_sum() {
 /// block.
 fn local_permute_pass(p: usize) -> Schedule {
     let mut sched = Schedule::new(p, Collective::ReduceScatter, "local-permute", 0);
-    let mut local = Step::with_capacity(p);
+    let mut local = Step::with_capacity(p, p * p);
     for r in 0..p {
-        let segments = (0..p as u32).map(BlockId::Segment).collect();
-        local.push(Message::with_segments(
-            r,
-            r,
-            segments,
-            TransferKind::Copy,
-            1,
-        ));
+        let segments = (0..p as u32).map(BlockId::Segment);
+        local.push_with_segments(r, r, segments, TransferKind::Copy, 1);
     }
     sched.push_step(local);
     let mut empty = Step::new();
-    empty.push(Message::with_segments(
-        0,
-        1,
-        Vec::new(),
-        TransferKind::Reduce,
-        1,
-    ));
+    empty.push_with_segments(0, 1, [], TransferKind::Reduce, 1);
     sched.push_step(empty);
     sched
 }

@@ -66,7 +66,7 @@ pub struct CostBreakdown {
 }
 
 /// What the step loop reads of one message, whichever form it is stored in
-/// (a [`bine_sched::Message`] or a [`CostSummary`] row).
+/// (a [`bine_sched::MessageRef`] or a [`CostSummary`] row).
 struct MessageView {
     src: usize,
     dst: usize,
@@ -76,15 +76,14 @@ struct MessageView {
 }
 
 impl CostModel {
-    /// The one step loop of the model, generic over how a stored message `M`
-    /// yields its [`MessageView`]; [`CostModel::estimate`] and
+    /// The one step loop of the model, over each step's messages as
+    /// [`MessageView`]s; [`CostModel::estimate`] and
     /// [`CostModel::estimate_summary`] are its two adapters. Steps are
     /// synchronous: a step finishes when its slowest rank/link finishes; the
-    /// schedule time is the sum of its steps.
-    fn estimate_steps<'a, M: 'a>(
+    /// schedule time is the sum of its steps, an empty one adding nothing.
+    fn estimate_steps<S: IntoIterator<Item = MessageView>>(
         &self,
-        steps: impl Iterator<Item = &'a [M]>,
-        view: impl Fn(&M) -> MessageView,
+        steps: impl Iterator<Item = S>,
         topo: &dyn Topology,
         alloc: &Allocation,
     ) -> CostBreakdown {
@@ -95,9 +94,6 @@ impl CostModel {
         let mut route = Vec::new();
 
         for step in steps {
-            if step.is_empty() {
-                continue;
-            }
             let mut max_latency = 0.0f64;
             let mut max_local = 0.0f64;
             let mut max_reduce = 0.0f64;
@@ -107,7 +103,6 @@ impl CostModel {
             }
 
             for m in step {
-                let m = view(m);
                 let bytes = m.bytes as f64;
                 if m.src == m.dst {
                     max_local = max_local.max(bytes / (self.copy_bandwidth_gib_s * GIB_PER_US));
@@ -168,18 +163,16 @@ impl CostModel {
         alloc: &Allocation,
     ) -> CostBreakdown {
         assert!(alloc.num_ranks() >= schedule.num_ranks);
-        self.estimate_steps(
-            schedule.steps.iter().map(|step| step.messages.as_slice()),
-            |m| MessageView {
+        let steps = schedule.steps.iter().map(|step| {
+            step.messages().map(|m| MessageView {
                 src: m.src,
                 dst: m.dst,
                 bytes: schedule.message_bytes(m, n),
                 segments: m.segments,
                 reduce: m.kind == TransferKind::Reduce,
-            },
-            topo,
-            alloc,
-        )
+            })
+        });
+        self.estimate_steps(steps, topo, alloc)
     }
 
     /// Shorthand returning only the total modelled time in microseconds.
@@ -258,13 +251,12 @@ impl CostSummary {
             .steps
             .iter()
             .map(|step| {
-                step.messages
-                    .iter()
+                step.messages()
                     .map(|m| {
                         let mut full_blocks = 0u64;
                         let mut seg_blocks = 0u64;
                         let mut by_count = std::collections::BTreeMap::new();
-                        for b in &m.blocks {
+                        for b in m.blocks {
                             match (counts, b) {
                                 (_, BlockId::Full) => full_blocks += 1,
                                 (Some(c), BlockId::Segment(i)) => {
@@ -310,18 +302,16 @@ impl CostModel {
         alloc: &Allocation,
     ) -> CostBreakdown {
         assert!(alloc.num_ranks() >= summary.num_ranks);
-        self.estimate_steps(
-            summary.steps.iter().map(Vec::as_slice),
-            |m| MessageView {
+        let steps = summary.steps.iter().map(|step| {
+            step.iter().map(|m| MessageView {
                 src: m.src as usize,
                 dst: m.dst as usize,
                 bytes: m.bytes(n, summary.num_ranks, summary.counts_total),
                 segments: m.segments,
                 reduce: m.reduce,
-            },
-            topo,
-            alloc,
-        )
+            })
+        });
+        self.estimate_steps(steps, topo, alloc)
     }
 }
 

@@ -684,7 +684,7 @@ mod tests {
                     let network_steps = sched
                         .steps
                         .iter()
-                        .filter(|s| s.messages.iter().any(|m| !m.is_local()))
+                        .filter(|s| s.messages().any(|m| !m.is_local()))
                         .count() as u64;
                     assert!(
                         alg.min_steps(p) <= network_steps,

@@ -9,7 +9,7 @@ use super::builders::{
 use crate::catalog::RankRule;
 use crate::noncontig::NonContigStrategy;
 use crate::schedule::Schedule;
-use crate::schedule::{BlockId, Collective, Message, Step, TransferKind};
+use crate::schedule::{BlockId, Collective, Step, TransferKind};
 
 /// Allgather algorithm selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,17 +92,12 @@ pub fn allgather_with_strategy(p: usize, strategy: NonContigStrategy) -> Option<
             // before the actual steps").
             let perm = bine_core::block::nu_bit_reversal_permutation(p);
             let mut sched = Schedule::new(p, Collective::Allgather, name.clone(), 0);
-            let mut st = Step::new();
-            for (r, &dst) in perm.iter().enumerate() {
-                if dst != r {
-                    st.push(Message::with_segments(
-                        r,
-                        dst,
-                        vec![BlockId::Segment(r as u32)],
-                        TransferKind::Copy,
-                        1,
-                    ));
-                }
+            let moved = perm.iter().enumerate().filter(|&(r, &dst)| dst != r);
+            let count = moved.clone().count();
+            let mut st = Step::with_capacity(count, count);
+            for (r, &dst) in moved {
+                let own = [BlockId::Segment(r as u32)];
+                st.push_with_segments(r, dst, own, TransferKind::Copy, 1);
             }
             if !st.is_empty() {
                 sched.push_step(st);
@@ -130,8 +125,8 @@ mod tests {
                     (0..p).map(|r| HashSet::from([r as u32])).collect();
                 for step in &sched.steps {
                     let snap = held.clone();
-                    for m in &step.messages {
-                        for b in &m.blocks {
+                    for m in step.messages() {
+                        for b in m.blocks {
                             if let BlockId::Segment(i) = b {
                                 assert!(snap[m.src].contains(i), "{}", alg.name());
                                 held[m.dst].insert(*i);
@@ -153,7 +148,7 @@ mod tests {
         let network_steps = bine
             .steps
             .iter()
-            .filter(|s| s.messages.iter().any(|m| !m.is_local()))
+            .filter(|s| s.messages().any(|m| !m.is_local()))
             .count();
         assert_eq!(network_steps, 8);
         assert_eq!(
@@ -174,7 +169,7 @@ mod tests {
                 let sent: u64 = sched
                     .messages()
                     .filter(|(_, m)| m.src == r && !m.is_local())
-                    .map(|(_, m)| m.bytes(n, p))
+                    .map(|(_, m)| sched.message_bytes(m, n))
                     .sum();
                 assert_eq!(sent, expected, "{} rank {r}", alg.name());
             }
@@ -191,8 +186,8 @@ mod tests {
                     (0..p).map(|r| HashSet::from([r as u32])).collect();
                 for step in &sched.steps {
                     let snap = held.clone();
-                    for m in &step.messages {
-                        for b in &m.blocks {
+                    for m in step.messages() {
+                        for b in m.blocks {
                             if let BlockId::Segment(i) = b {
                                 assert!(snap[m.src].contains(i), "{}", sched.algorithm);
                                 held[m.dst].insert(*i);

@@ -86,8 +86,8 @@ mod tests {
         let n = 32 * 1024u64;
         let bine = alltoall(p, AlltoallAlg::Bine);
         for step in &bine.steps {
-            for m in &step.messages {
-                assert_eq!(m.bytes(n, p), n / 2);
+            for m in step.messages() {
+                assert_eq!(bine.message_bytes(m, n), n / 2);
             }
         }
     }

@@ -9,47 +9,43 @@
 //!
 //! ## What a builder may allocate
 //!
-//! The result, and scratch in proportion to the rank count — never to the
-//! message count. The result is one block list per message and one message
-//! list per step, each sized before it is filled ([`Step::with_capacity`],
-//! block lists collected from slices). Scratch is what a builder tracks
-//! between steps, held across the whole build: one subtree buffer for the
-//! tree gathers and scatters, the butterfly's responsibility table, one
-//! `p × p` table of holdings for the butterfly allgather, two sets of `p`
-//! holding lists (this step's and the next's), one staging list and one sort
-//! buffer for the store-and-forward alltoalls. A step writes the next holdings
-//! elsewhere or merges them in place, so nothing is cloned or re-sorted per
-//! step, and contiguity is counted in place or in the shared sort buffer.
-//! `tests/build_alloc.rs` pins the count at `messages + steps + 3·p + 64` for
-//! every catalog algorithm; `tests/catalog_golden.rs` pins the schedules.
+//! Per step, the step's two vectors — its message headers and its block
+//! arena — each sized exactly before the step is filled
+//! ([`Step::with_capacity`]); per build, scratch in proportion to the rank
+//! count, never to the message count. A builder counts a step's messages
+//! and blocks before it lists them (`tree_step_sizes` for the trees; a
+//! closed form for the butterflies and rings; a partition pass for the
+//! alltoalls). Scratch is what a builder tracks between steps, held across
+//! the whole build: the per-step sizes and subtree buffer of the trees, the
+//! butterfly's responsibility table, one `p × p` table of holdings for the
+//! butterfly allgather, two sets of `p` holding lists (this step's and the
+//! next's), the per-rank sends and one sort buffer for the store-and-forward
+//! alltoalls. A step writes the next holdings elsewhere or merges them in
+//! place, so nothing is cloned or re-sorted per step, and contiguity is
+//! counted in place or in the shared sort buffer. `tests/build_alloc.rs`
+//! pins `2·steps + 3·p + 64` allocations, and the bytes at the result's
+//! exact size plus scratch, for every catalog algorithm;
+//! `tests/catalog_golden.rs` pins the schedules.
 
 use bine_core::block::nu_bit_reversal_permutation;
 use bine_core::butterfly::Butterfly;
 use bine_core::tree::CommTree;
 
 use crate::noncontig::NonContigStrategy;
-use crate::schedule::{
-    contiguity_with, BlockId, Collective, Message, Schedule, Step, TransferKind,
-};
+use crate::schedule::{contiguity_with, BlockId, Collective, Schedule, Step, TransferKind};
 
 /// Broadcast of the whole vector down a tree: at every tree step each active
 /// rank forwards the full vector to the child joining at that step.
 pub fn tree_broadcast(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let mut sched = Schedule::new(p, Collective::Broadcast, algorithm, tree.root());
-    for step in 0..tree.num_steps() {
-        // Every rank reached so far forwards: the senders double per step.
-        let mut st = Step::with_capacity(1 << step);
+    for (step, (joining, _)) in (0..).zip(tree_step_sizes(tree)) {
+        // Every rank reached so far forwards to the rank joining now.
+        let mut st = Step::with_capacity(joining, joining);
         for r in 0..p {
             if step >= tree.first_send_step(r) && is_active(tree, r, step) {
                 if let Some(c) = tree.partner(r, step) {
-                    st.push(Message::new(
-                        r,
-                        c,
-                        vec![BlockId::Full],
-                        TransferKind::Copy,
-                        p,
-                    ));
+                    st.push(r, c, [BlockId::Full], TransferKind::Copy);
                 }
             }
         }
@@ -65,19 +61,14 @@ pub fn tree_reduce(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let s = tree.num_steps();
     let mut sched = Schedule::new(p, Collective::Reduce, algorithm, tree.root());
-    for gather_step in 0..s {
-        let tree_step = s - 1 - gather_step;
-        let mut st = Step::with_capacity(1 << tree_step);
+    let sizes = tree_step_sizes(tree);
+    for tree_step in (0..s).rev() {
+        let (joining, _) = sizes[tree_step as usize];
+        let mut st = Step::with_capacity(joining, joining);
         for r in 0..p {
             if tree.recv_step(r) == Some(tree_step) {
                 let parent = tree.parent(r).expect("non-root rank has a parent");
-                st.push(Message::new(
-                    r,
-                    parent,
-                    vec![BlockId::Full],
-                    TransferKind::Reduce,
-                    p,
-                ));
+                st.push(r, parent, [BlockId::Full], TransferKind::Reduce);
             }
         }
         sched.push_step(st);
@@ -91,16 +82,16 @@ pub fn tree_gather(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let s = tree.num_steps();
     let mut sched = Schedule::new(p, Collective::Gather, algorithm, tree.root());
+    let sizes = tree_step_sizes(tree);
     let mut subtree = Vec::new();
-    for gather_step in 0..s {
-        let tree_step = s - 1 - gather_step;
-        let mut st = Step::with_capacity(1 << tree_step);
+    for tree_step in (0..s).rev() {
+        let (joining, blocks) = sizes[tree_step as usize];
+        let mut st = Step::with_capacity(joining, blocks);
         for r in 0..p {
             if tree.recv_step(r) == Some(tree_step) {
                 let parent = tree.parent(r).expect("non-root rank has a parent");
                 tree.subtree(r, &mut subtree);
-                let blocks = subtree_blocks(&subtree);
-                st.push(Message::new(r, parent, blocks, TransferKind::Copy, p));
+                st.push(r, parent, subtree_blocks(&subtree), TransferKind::Copy);
             }
         }
         sched.push_step(st);
@@ -114,14 +105,13 @@ pub fn tree_scatter(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let mut sched = Schedule::new(p, Collective::Scatter, algorithm, tree.root());
     let mut subtree = Vec::new();
-    for step in 0..tree.num_steps() {
-        let mut st = Step::with_capacity(1 << step);
+    for (step, (joining, blocks)) in (0..).zip(tree_step_sizes(tree)) {
+        let mut st = Step::with_capacity(joining, blocks);
         for r in 0..p {
             if step >= tree.first_send_step(r) && is_active(tree, r, step) {
                 if let Some(c) = tree.partner(r, step) {
                     tree.subtree(c, &mut subtree);
-                    let blocks = subtree_blocks(&subtree);
-                    st.push(Message::new(r, c, blocks, TransferKind::Copy, p));
+                    st.push(r, c, subtree_blocks(&subtree), TransferKind::Copy);
                 }
             }
         }
@@ -130,18 +120,42 @@ pub fn tree_scatter(tree: &dyn CommTree, algorithm: &str) -> Schedule {
     sched
 }
 
-/// The segments of a subtree's ranks, as one exactly sized block list.
-fn subtree_blocks(ranks: &[usize]) -> Vec<BlockId> {
-    ranks.iter().map(|&r| BlockId::Segment(r as u32)).collect()
+/// The exact sizes of a tree schedule's steps: per tree step, how many
+/// ranks join the tree at it, and how many ranks their subtrees hold
+/// between them — the messages of the step, and its blocks when each
+/// message carries the joining rank's subtree.
+fn tree_step_sizes(tree: &dyn CommTree) -> Vec<(usize, usize)> {
+    let p = tree.num_ranks();
+    let mut sizes = vec![(0, 0); tree.num_steps() as usize];
+    let mut subtree = vec![1; p];
+    // Latest joiners first: a subtree is complete before it is added to
+    // its parent's, which joined at an earlier step.
+    for step in (0..tree.num_steps()).rev() {
+        for r in 0..p {
+            if tree.recv_step(r) == Some(step) {
+                let parent = tree.parent(r).expect("non-root rank has a parent");
+                subtree[parent] += subtree[r];
+                let (joining, blocks) = &mut sizes[step as usize];
+                *joining += 1;
+                *blocks += subtree[r];
+            }
+        }
+    }
+    sizes
+}
+
+/// The segments of a subtree's ranks.
+fn subtree_blocks(ranks: &[usize]) -> impl Iterator<Item = BlockId> + '_ {
+    ranks.iter().map(|&r| BlockId::Segment(r as u32))
 }
 
 /// The local pass of the `permute` strategy: every rank reorders its whole
 /// buffer, one contiguous move of all `p` segments.
 fn local_permute_step(p: usize) -> Step {
-    let mut st = Step::with_capacity(p);
+    let mut st = Step::with_capacity(p, p * p);
     for r in 0..p {
-        let blocks: Vec<BlockId> = (0..p as u32).map(BlockId::Segment).collect();
-        st.push(Message::with_segments(r, r, blocks, TransferKind::Copy, 1));
+        let blocks = (0..p as u32).map(BlockId::Segment);
+        st.push_with_segments(r, r, blocks, TransferKind::Copy, 1);
     }
     st
 }
@@ -169,14 +183,10 @@ pub fn butterfly_allgather(bf: &Butterfly, algorithm: &str) -> Schedule {
     }
     let mut held = 1;
     for step in 0..bf.num_steps() {
-        let mut st = Step::with_capacity(p);
+        let mut st = Step::with_capacity(p, p * held);
         for r in 0..p {
-            let blocks = have[r * p..][..held]
-                .iter()
-                .map(|&b| BlockId::Segment(b))
-                .collect();
-            let q = bf.partner(r, step);
-            st.push(Message::new(r, q, blocks, TransferKind::Copy, p));
+            let blocks = have[r * p..][..held].iter().map(|&b| BlockId::Segment(b));
+            st.push(r, bf.partner(r, step), blocks, TransferKind::Copy);
         }
         // The messages are listed; now each pair swaps copies. What partners
         // hold is disjoint — holdings double until they are the whole vector.
@@ -242,15 +252,11 @@ pub fn butterfly_reduce_scatter(
     if strategy == NonContigStrategy::Send {
         let perm = nu_bit_reversal_permutation(p);
         let moved = perm.iter().enumerate().filter(|&(r, &q)| q != r);
-        let mut st = Step::with_capacity(moved.clone().count());
+        let count = moved.clone().count();
+        let mut st = Step::with_capacity(count, count);
         for (r, &q) in moved {
-            st.push(Message::with_segments(
-                r,
-                q,
-                vec![BlockId::Segment(r as u32)],
-                TransferKind::Copy,
-                1,
-            ));
+            let own = [BlockId::Segment(r as u32)];
+            st.push_with_segments(r, q, own, TransferKind::Copy, 1);
         }
         if !st.is_empty() {
             sched.push_step(st);
@@ -266,30 +272,28 @@ fn push_halving_exchanges(sched: &mut Schedule, bf: &Butterfly, strategy: NonCon
     let p = bf.num_ranks();
     let resp = bf.responsibilities();
     for step in 0..bf.num_steps() {
-        let mut st = Step::with_capacity(p);
+        // Partners pair the ranks up: the step carries every set once.
+        let blocks = (0..p).map(|q| resp.of(step, q).len()).sum();
+        let mut st = Step::with_capacity(p, blocks);
         for r in 0..p {
             let q = bf.partner(r, step);
-            let blocks: Vec<BlockId> = resp
-                .of(step, q)
-                .iter()
-                .map(|&b| BlockId::Segment(b))
-                .collect();
-            let msg = match strategy {
+            let set = resp.of(step, q);
+            let blocks = set.iter().map(|&b| BlockId::Segment(b));
+            let kind = TransferKind::Reduce;
+            match strategy {
                 NonContigStrategy::BlockByBlock => {
-                    let n_blocks = blocks.len() as u32;
-                    Message::with_segments(r, q, blocks, TransferKind::Reduce, n_blocks)
+                    st.push_with_segments(r, q, blocks, kind, set.len() as u32)
                 }
                 NonContigStrategy::Permute | NonContigStrategy::Send => {
                     // Buffer is (virtually) permuted: one contiguous range.
-                    Message::with_segments(r, q, blocks, TransferKind::Reduce, 1)
+                    st.push_with_segments(r, q, blocks, kind, 1)
                 }
                 NonContigStrategy::TwoTransmissions => {
                     // Natural layout: at most two contiguous pieces for
                     // distance-halving patterns, measured from the indices.
-                    Message::new(r, q, blocks, TransferKind::Reduce, p)
+                    st.push(r, q, blocks, kind)
                 }
-            };
-            st.push(msg);
+            }
         }
         sched.push_step(st);
     }
@@ -310,11 +314,7 @@ pub fn butterfly_reduce_scatter_composed(bf: &Butterfly, algorithm: &str) -> Sch
 /// guarantees contiguity).
 pub fn force_contiguous(mut sched: Schedule) -> Schedule {
     for step in &mut sched.steps {
-        for m in &mut step.messages {
-            if !m.is_local() {
-                m.segments = 1;
-            }
-        }
+        step.set_network_segments(|_| 1);
     }
     sched
 }
@@ -324,11 +324,7 @@ pub fn force_contiguous(mut sched: Schedule) -> Schedule {
 /// exchange the right blocks in a scattered layout (Sec. 4.4).
 pub fn mark_noncontiguous(mut sched: Schedule) -> Schedule {
     for step in &mut sched.steps {
-        for m in &mut step.messages {
-            if !m.is_local() {
-                m.segments = m.blocks.len() as u32;
-            }
-        }
+        step.set_network_segments(|m| m.blocks.len() as u32);
     }
     sched
 }
@@ -352,16 +348,10 @@ pub fn butterfly_allreduce_small(bf: &Butterfly, algorithm: &str) -> Schedule {
     let p = bf.num_ranks();
     let mut sched = Schedule::new(p, Collective::Allreduce, algorithm, 0);
     for step in 0..bf.num_steps() {
-        let mut st = Step::with_capacity(p);
+        let mut st = Step::with_capacity(p, p);
         for r in 0..p {
             let q = bf.partner(r, step);
-            st.push(Message::new(
-                r,
-                q,
-                vec![BlockId::Full],
-                TransferKind::Reduce,
-                p,
-            ));
+            st.push(r, q, [BlockId::Full], TransferKind::Reduce);
         }
         sched.push_step(st);
     }
@@ -415,35 +405,42 @@ fn forwarding_alltoall<S: Fn(u32) -> bool>(
         })
         .collect();
     let mut next: Vec<Vec<BlockId>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-    let mut moving = Vec::with_capacity(p);
+    // Per rank this step: its peer and how many blocks it sends.
+    let mut sends = Vec::with_capacity(p);
     let mut sorted = Vec::with_capacity(p);
     for step in 0..steps {
-        let mut st = Step::with_capacity(p);
+        // Partition every holding list in place, stably: what moves to the
+        // front of it, what stays to the next list. A step's sizes are then
+        // known before it is listed.
+        sends.clear();
         for r in 0..p {
             let (q, selects) = hop(step, r);
-            moving.clear();
-            next[r].clear();
-            for &b in &held[r] {
+            let (list, kept) = (&mut held[r], &mut next[r]);
+            kept.clear();
+            let mut moving = 0;
+            for i in 0..list.len() {
+                let b = list[i];
                 if matches!(b, BlockId::Pairwise { dest, .. } if selects(dest)) {
-                    moving.push(b);
+                    list[moving] = b;
+                    moving += 1;
                 } else {
-                    next[r].push(b);
+                    kept.push(b);
                 }
             }
-            if !moving.is_empty() {
-                let segments = contiguity_with(&moving, &mut sorted);
-                let blocks = moving.clone(); // sized exactly
-                st.push(Message::with_segments(
-                    r,
-                    q,
-                    blocks,
-                    TransferKind::Copy,
-                    segments,
-                ));
+            sends.push((q, moving));
+        }
+        let messages = sends.iter().filter(|&&(_, moving)| moving > 0).count();
+        let blocks = sends.iter().map(|&(_, moving)| moving).sum();
+        let mut st = Step::with_capacity(messages, blocks);
+        for (r, &(q, moving)) in sends.iter().enumerate() {
+            if moving > 0 {
+                let blocks = &held[r][..moving];
+                let segments = contiguity_with(blocks, &mut sorted);
+                st.push_with_segments(r, q, blocks.iter().copied(), TransferKind::Copy, segments);
             }
         }
-        for m in &st.messages {
-            next[m.dst].extend_from_slice(&m.blocks);
+        for m in st.messages() {
+            next[m.dst].extend_from_slice(m.blocks);
         }
         std::mem::swap(&mut held, &mut next);
         sched.push_step(st);
@@ -456,19 +453,14 @@ fn forwarding_alltoall<S: Fn(u32) -> bool>(
 pub fn pairwise_alltoall(p: usize, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Alltoall, algorithm, 0);
     for k in 1..p {
-        let mut st = Step::with_capacity(p);
+        let mut st = Step::with_capacity(p, p);
         for r in 0..p {
             let q = (r + k) % p;
-            st.push(Message::new(
-                r,
-                q,
-                vec![BlockId::Pairwise {
-                    origin: r as u32,
-                    dest: q as u32,
-                }],
-                TransferKind::Copy,
-                p,
-            ));
+            let block = BlockId::Pairwise {
+                origin: r as u32,
+                dest: q as u32,
+            };
+            st.push(r, q, [block], TransferKind::Copy);
         }
         sched.push_step(st);
     }
@@ -481,16 +473,10 @@ pub fn pairwise_alltoall(p: usize, algorithm: &str) -> Schedule {
 pub fn ring_reduce_scatter(p: usize, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::ReduceScatter, algorithm, 0);
     for t in 0..p.saturating_sub(1) {
-        let mut st = Step::with_capacity(p);
+        let mut st = Step::with_capacity(p, p);
         for r in 0..p {
-            let seg = ((r + 2 * p) - t - 1) % p;
-            st.push(Message::new(
-                r,
-                (r + 1) % p,
-                vec![BlockId::Segment(seg as u32)],
-                TransferKind::Reduce,
-                p,
-            ));
+            let seg = BlockId::Segment((((r + 2 * p) - t - 1) % p) as u32);
+            st.push(r, (r + 1) % p, [seg], TransferKind::Reduce);
         }
         sched.push_step(st);
     }
@@ -502,16 +488,10 @@ pub fn ring_reduce_scatter(p: usize, algorithm: &str) -> Schedule {
 pub fn ring_allgather(p: usize, algorithm: &str) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Allgather, algorithm, 0);
     for t in 0..p.saturating_sub(1) {
-        let mut st = Step::with_capacity(p);
+        let mut st = Step::with_capacity(p, p);
         for r in 0..p {
-            let seg = ((r + p) - t) % p;
-            st.push(Message::new(
-                r,
-                (r + 1) % p,
-                vec![BlockId::Segment(seg as u32)],
-                TransferKind::Copy,
-                p,
-            ));
+            let seg = BlockId::Segment((((r + p) - t) % p) as u32);
+            st.push(r, (r + 1) % p, [seg], TransferKind::Copy);
         }
         sched.push_step(st);
     }
@@ -535,40 +515,34 @@ pub fn dual_root_allreduce(p: usize, algorithm: &str) -> Schedule {
         "dual-root allreduce needs a power-of-two rank count >= 2, got {p}"
     );
     let trees = [BinomialTreeDd::new(p, 0), BinomialTreeDd::new(p, p / 2)];
-    let halves: [Vec<BlockId>; 2] = [
-        (0..p as u32 / 2).map(BlockId::Segment).collect(),
-        (p as u32 / 2..p as u32).map(BlockId::Segment).collect(),
-    ];
+    let half = p as u32 / 2;
+    let halves = [0..half, half..p as u32].map(|range| range.map(BlockId::Segment));
+    // Both trees are binomial over the same ranks: their steps match in size.
+    let sizes = tree_step_sizes(&trees[0]);
     let s = trees[0].num_steps();
     let mut sched = Schedule::new(p, Collective::Allreduce, algorithm, 0);
     // Phase 1: reduce each half up its tree, in reverse tree-step order.
-    for gather_step in 0..s {
-        let tree_step = s - 1 - gather_step;
+    for tree_step in (0..s).rev() {
+        let (joining, _) = sizes[tree_step as usize];
         for (tree, half) in trees.iter().zip(&halves) {
-            let mut st = Step::with_capacity(1 << tree_step);
+            let mut st = Step::with_capacity(joining, joining * half.len());
             for r in 0..p {
                 if tree.recv_step(r) == Some(tree_step) {
                     let parent = tree.parent(r).expect("non-root rank has a parent");
-                    st.push(Message::new(
-                        r,
-                        parent,
-                        half.clone(),
-                        TransferKind::Reduce,
-                        p,
-                    ));
+                    st.push(r, parent, half.clone(), TransferKind::Reduce);
                 }
             }
             sched.push_step(st);
         }
     }
     // Phase 2: broadcast each reduced half back down its tree.
-    for step in 0..s {
+    for (step, &(joining, _)) in (0..).zip(&sizes) {
         for (tree, half) in trees.iter().zip(&halves) {
-            let mut st = Step::with_capacity(1 << step);
+            let mut st = Step::with_capacity(joining, joining * half.len());
             for r in 0..p {
                 if step >= tree.first_send_step(r) && is_active(tree, r, step) {
                     if let Some(c) = tree.partner(r, step) {
-                        st.push(Message::new(r, c, half.clone(), TransferKind::Copy, p));
+                        st.push(r, c, half.clone(), TransferKind::Copy);
                     }
                 }
             }
@@ -645,8 +619,8 @@ mod tests {
             let mut have: Vec<HashSet<u32>> = (0..32).map(|r| HashSet::from([r as u32])).collect();
             for step in &sched.steps {
                 let snap = have.clone();
-                for m in &step.messages {
-                    for b in &m.blocks {
+                for m in step.messages() {
+                    for b in m.blocks {
                         if let BlockId::Segment(i) = b {
                             assert!(
                                 snap[m.src].contains(i),
@@ -673,7 +647,7 @@ mod tests {
             let mut sent = vec![0u64; p];
             for (_, m) in sched.messages() {
                 if !m.is_local() {
-                    sent[m.src] += m.bytes(n, p);
+                    sent[m.src] += sched.message_bytes(m, n);
                 }
             }
             for &b in &sent {
@@ -690,14 +664,8 @@ mod tests {
         // Permute: one extra local step at the front. Send: one extra network
         // step at the back.
         assert_eq!(permute.num_steps(), send.num_steps());
-        assert!(permute.steps[0].messages.iter().all(|m| m.is_local()));
-        assert!(send
-            .steps
-            .last()
-            .unwrap()
-            .messages
-            .iter()
-            .all(|m| !m.is_local()));
+        assert!(permute.steps[0].messages().all(|m| m.is_local()));
+        assert!(send.steps.last().unwrap().messages().all(|m| !m.is_local()));
     }
 
     #[test]
@@ -719,8 +687,8 @@ mod tests {
                 .collect();
             for step in &sched.steps {
                 let snap = held.clone();
-                for m in &step.messages {
-                    for b in &m.blocks {
+                for m in step.messages() {
+                    for b in m.blocks {
                         if let BlockId::Pairwise { origin, dest } = b {
                             assert!(
                                 snap[m.src].contains(&(*origin, *dest)),

@@ -70,8 +70,8 @@ mod tests {
                     (0..p).map(|r| HashSet::from([r as u32])).collect();
                 for step in &sched.steps {
                     let snap = held.clone();
-                    for m in &step.messages {
-                        for b in &m.blocks {
+                    for m in step.messages() {
+                        for b in m.blocks {
                             if let BlockId::Segment(i) = b {
                                 assert!(
                                     snap[m.src].contains(i),

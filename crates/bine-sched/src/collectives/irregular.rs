@@ -19,7 +19,7 @@
 //! root-to-leaf path the counts are non-increasing — scheduled by a greedy
 //! round scheduler that respects the single-ported step model.
 
-use crate::schedule::{BlockId, Collective, Counts, Message, Schedule, Step, TransferKind};
+use crate::schedule::{BlockId, Collective, Counts, Schedule, Step, TransferKind};
 
 /// The size-distribution descriptors the irregular tuning grid is keyed by.
 ///
@@ -180,7 +180,6 @@ pub(crate) fn traff_gather(p: usize, root: usize, counts: &Counts, algorithm: &s
             .collect();
         ready.sort_by_key(|&r| (std::cmp::Reverse(weight[r]), r));
         let mut recv_busy = vec![false; p];
-        let mut st = Step::new();
         let mut completed = Vec::new();
         for r in ready {
             let parent = tree.parent(r).expect("non-root rank has a parent");
@@ -188,18 +187,22 @@ pub(crate) fn traff_gather(p: usize, root: usize, counts: &Counts, algorithm: &s
                 continue; // the parent's receive port is taken this step
             }
             recv_busy[parent] = true;
-            let blocks: Vec<BlockId> = tree
-                .subtree_segments(r)
-                .iter()
-                .map(|&s| BlockId::Segment(s))
-                .collect();
-            st.push(Message::new(r, parent, blocks, TransferKind::Copy, p));
             completed.push(r);
         }
         assert!(
-            !st.is_empty(),
+            !completed.is_empty(),
             "traff gather scheduler stalled at p = {p}, root = {root}"
         );
+        let blocks = completed.iter().map(|&r| tree.subtree_segments(r).len());
+        let mut st = Step::with_capacity(completed.len(), blocks.sum());
+        for &r in &completed {
+            let parent = tree.parent(r).expect("non-root rank has a parent");
+            let blocks = tree
+                .subtree_segments(r)
+                .iter()
+                .map(|&s| BlockId::Segment(s));
+            st.push(r, parent, blocks, TransferKind::Copy);
+        }
         // Completions take effect only after the step: a parent may forward
         // its subtree no earlier than the step after its last child arrived.
         for r in completed {
@@ -220,9 +223,7 @@ pub(crate) fn traff_scatter(p: usize, root: usize, counts: &Counts, algorithm: &
     sched.collective = Collective::Scatter;
     sched.steps.reverse();
     for step in &mut sched.steps {
-        for m in &mut step.messages {
-            std::mem::swap(&mut m.src, &mut m.dst);
-        }
+        step.reverse_messages();
     }
     sched
 }
@@ -285,8 +286,8 @@ mod tests {
                     (0..p).map(|r| HashSet::from([r as u32])).collect();
                 for step in &sched.steps {
                     let snap = held.clone();
-                    for m in &step.messages {
-                        for b in &m.blocks {
+                    for m in step.messages() {
+                        for b in m.blocks {
                             if let BlockId::Segment(i) = b {
                                 assert!(snap[m.src].contains(i), "p={p}: sender misses block");
                                 held[m.dst].insert(*i);
@@ -309,8 +310,8 @@ mod tests {
             held[p - 1] = (0..p as u32).collect();
             for step in &sched.steps {
                 let snap = held.clone();
-                for m in &step.messages {
-                    for b in &m.blocks {
+                for m in step.messages() {
+                    for b in m.blocks {
                         if let BlockId::Segment(i) = b {
                             assert!(snap[m.src].contains(i), "p={p}: sender misses block");
                             held[m.dst].insert(*i);

@@ -110,11 +110,11 @@ mod tests {
             .collect();
         for step in &sched.steps {
             let snapshot = contrib.clone();
-            for m in &step.messages {
+            for m in step.messages() {
                 if m.is_local() {
                     continue;
                 }
-                for blk in &m.blocks {
+                for blk in m.blocks {
                     if let BlockId::Segment(b) = blk {
                         let incoming = snapshot[m.src][b].clone();
                         let entry = contrib[m.dst].get_mut(b).unwrap();

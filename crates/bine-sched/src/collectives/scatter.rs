@@ -68,8 +68,8 @@ mod tests {
                 held[root] = (0..p as u32).collect();
                 for step in &sched.steps {
                     let snap = held.clone();
-                    for m in &step.messages {
-                        for b in &m.blocks {
+                    for m in step.messages() {
+                        for b in m.blocks {
                             if let BlockId::Segment(i) = b {
                                 assert!(
                                     snap[m.src].contains(i),
@@ -109,7 +109,7 @@ mod tests {
         let root_bytes: u64 = sched
             .messages()
             .filter(|(_, m)| m.src == 0 && !m.is_local())
-            .map(|(_, m)| m.bytes(n, 64))
+            .map(|(_, m)| sched.message_bytes(m, n))
             .sum();
         // The root sends every block except its own exactly once.
         assert_eq!(root_bytes, n - n / 64);

@@ -1,7 +1,7 @@
 //! Lowering a [`Schedule`] into the dense form the executors run.
 //!
 //! A [`Schedule`] is optimised for inspection: every step holds a list of
-//! [`crate::Message`]s whose blocks are symbolic [`BlockId`]s. Interpreting
+//! messages whose blocks are symbolic [`BlockId`]s. Interpreting
 //! that form over data is allocation- and hash-bound — every executor step
 //! rescans the message list per rank and hashes `BlockId`s in its inner loop.
 //!
@@ -59,7 +59,7 @@ static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
 /// # Panics
 /// Panics, naming `what`, if `n` does not fit — the compiled form cannot
 /// address it, and an `as` cast would silently alias another entry.
-fn index_u32(n: usize, what: &str) -> u32 {
+pub(crate) fn index_u32(n: usize, what: &str) -> u32 {
     // Out of line, so that the check costs its callers' hot loops (block
     // interning above all) a compare and nothing else.
     #[cold]
@@ -817,7 +817,7 @@ mod tests {
     use crate::collectives::{
         allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
     };
-    use crate::schedule::{Message, Step};
+    use crate::schedule::{MessageRef, Step};
 
     fn schedules_under_test() -> Vec<Schedule> {
         vec![
@@ -861,7 +861,7 @@ mod tests {
         let mut sched = Schedule::new(p, Collective::Alltoall, "strays", 0);
         for blocks in [vec![strays[0], in_range], strays.to_vec(), vec![in_range]] {
             let mut step = Step::new();
-            step.push(Message::with_segments(0, 1, blocks, TransferKind::Copy, 1));
+            step.push_with_segments(0, 1, blocks, TransferKind::Copy, 1);
             sched.push_step(step);
         }
         let compiled = sched.compile();
@@ -906,7 +906,7 @@ mod tests {
             let compiled = sched.compile();
             let blocks = compiled.blocks();
             let mut next = 0;
-            for id in sched.messages().flat_map(|(_, m)| &m.blocks) {
+            for id in sched.messages().flat_map(|(_, m)| m.blocks) {
                 let index = blocks.index_of(id).expect("interned");
                 assert_eq!(blocks.resolve(index), *id, "{}", request.label());
                 // An index is either one already met or the next one.
@@ -925,7 +925,7 @@ mod tests {
             let compiled = sched.compile();
             assert_eq!(compiled.num_steps(), sched.num_steps());
             for (step_idx, step) in sched.steps.iter().enumerate() {
-                let total_blocks: usize = step.messages.iter().map(|m| m.blocks.len()).sum();
+                let total_blocks: usize = step.messages().map(|m| m.blocks.len()).sum();
                 let compiled_blocks: usize = compiled
                     .step_sends(step_idx)
                     .iter()
@@ -946,8 +946,8 @@ mod tests {
             let compiled = sched.compile();
             for (step_idx, step) in sched.steps.iter().enumerate() {
                 for rank in 0..sched.num_ranks {
-                    let scanned: Vec<&Message> =
-                        step.messages.iter().filter(|m| m.src == rank).collect();
+                    let scanned: Vec<MessageRef> =
+                        step.messages().filter(|m| m.src == rank).collect();
                     let resolved = compiled.sends_from(step_idx, rank);
                     assert_eq!(resolved.len(), scanned.len());
                     for (send, msg) in resolved.iter().zip(&scanned) {
@@ -978,8 +978,8 @@ mod tests {
                     .collect();
                 assert_eq!(compiled.step_recvs(step_idx), one_by_one);
                 for rank in 0..sched.num_ranks {
-                    let scanned: Vec<&Message> =
-                        step.messages.iter().filter(|m| m.dst == rank).collect();
+                    let scanned: Vec<MessageRef> =
+                        step.messages().filter(|m| m.dst == rank).collect();
                     let resolved = compiled.recvs_to(step_idx, rank);
                     assert_eq!(resolved.len(), scanned.len());
                     let mut last_order = None;
@@ -1028,7 +1028,7 @@ mod tests {
         let mut moved = vec![0usize; sched.num_ranks];
         let mut touched = vec![std::collections::BTreeSet::new(); sched.num_ranks];
         for (_, m) in sched.messages() {
-            for b in &m.blocks {
+            for b in m.blocks {
                 let block = compiled.blocks().index_of(b).expect("interned");
                 for rank in [m.src, m.dst] {
                     moved[rank] += 1;

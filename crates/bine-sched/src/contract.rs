@@ -29,7 +29,7 @@
 //! asks it whose input cannot be re-contributed.
 
 use crate::compile::CompiledSchedule;
-use crate::schedule::{BlockId, Collective, Counts, Schedule};
+use crate::schedule::{BlockId, Collective, Counts, Schedule, Step};
 
 /// The forms in which a schedule moves the vector of a broadcast, reduce or
 /// allreduce — and so the forms their holders must start with.
@@ -59,11 +59,7 @@ impl Granularity {
 
 impl From<&Schedule> for Granularity {
     fn from(schedule: &Schedule) -> Self {
-        Self::of(
-            schedule
-                .messages()
-                .flat_map(|(_, m)| m.blocks.iter().copied()),
-        )
+        Self::of(schedule.steps.iter().flat_map(Step::blocks).copied())
     }
 }
 

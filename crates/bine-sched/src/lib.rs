@@ -57,7 +57,7 @@ pub use deps::DepGraph;
 pub use noncontig::NonContigStrategy;
 pub use provider::{ProviderSet, ViewSource};
 pub use schedule::{
-    BlockHasher, BlockId, BlockMap, Collective, Counts, Message, Schedule, Step, TransferKind,
+    BlockHasher, BlockId, BlockMap, Collective, Counts, MessageRef, Schedule, Step, TransferKind,
 };
 pub use segment::segment_schedule;
 pub use synth::{

@@ -13,6 +13,8 @@
 
 use std::sync::Arc;
 
+use crate::compile::index_u32;
+
 /// A rank identifier.
 pub type Rank = usize;
 
@@ -258,64 +260,29 @@ pub enum TransferKind {
     Reduce,
 }
 
-/// A point-to-point transfer within one step of a schedule.
+/// A point-to-point transfer within one step of a schedule, as the step
+/// hands it out: its header, and its blocks as a slice of the step's arena.
 ///
 /// A message with `src == dst` models a local buffer reorganisation (e.g.
 /// the block permutation of the `permute` strategy); it moves no bytes over
 /// the network but is charged a memory-copy cost by the cost model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MessageRef<'a> {
     /// Sending rank.
     pub src: Rank,
     /// Receiving rank.
     pub dst: Rank,
-    /// Blocks carried by the message.
-    pub blocks: Vec<BlockId>,
     /// Copy or reduce semantics at the receiver.
     pub kind: TransferKind,
     /// Number of contiguous memory regions the sender must touch to build
     /// this message (1 = a single contiguous send). Used by the cost model
     /// to charge the overhead the paper discusses in Sec. 4.3.1.
     pub segments: u32,
+    /// Blocks carried by the message.
+    pub blocks: &'a [BlockId],
 }
 
-impl Message {
-    /// Creates a message, computing the contiguous-segment count from the
-    /// block indices (segments are assumed to be laid out in index order).
-    pub fn new(src: Rank, dst: Rank, blocks: Vec<BlockId>, kind: TransferKind, p: usize) -> Self {
-        let segs = contiguity_of(&blocks, p);
-        Self {
-            src,
-            dst,
-            blocks,
-            kind,
-            segments: segs,
-        }
-    }
-
-    /// Creates a message with an explicitly provided segment count (used by
-    /// the non-contiguous-data strategies that reorganise the buffer).
-    pub fn with_segments(
-        src: Rank,
-        dst: Rank,
-        blocks: Vec<BlockId>,
-        kind: TransferKind,
-        segments: u32,
-    ) -> Self {
-        Self {
-            src,
-            dst,
-            blocks,
-            kind,
-            segments,
-        }
-    }
-
-    /// Total payload bytes for vector size `n` over `p` ranks.
-    pub fn bytes(&self, n: u64, p: usize) -> u64 {
-        self.blocks.iter().map(|b| b.bytes(n, p)).sum()
-    }
-
+impl MessageRef<'_> {
     /// Whether this message is a local (intra-rank) buffer move.
     pub fn is_local(&self) -> bool {
         self.src == self.dst
@@ -324,7 +291,7 @@ impl Message {
 
 /// Number of contiguous memory regions spanned by a set of blocks, assuming
 /// blocks are laid out in index order in the buffer.
-pub fn contiguity_of(blocks: &[BlockId], _p: usize) -> u32 {
+pub fn contiguity_of(blocks: &[BlockId]) -> u32 {
     contiguity_with(blocks, &mut Vec::new())
 }
 
@@ -365,12 +332,41 @@ pub(crate) fn contiguity_with(blocks: &[BlockId], sorted: &mut Vec<u32>) -> u32 
     runs.max(1)
 }
 
+/// What a [`Step`] stores of one message: 24 bytes, its blocks a range of
+/// the step's arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Header {
+    src: u32,
+    dst: u32,
+    segments: u32,
+    start: u32,
+    end: u32,
+    kind: TransferKind,
+}
+
+impl Header {
+    fn view<'a>(&self, arena: &'a [BlockId]) -> MessageRef<'a> {
+        MessageRef {
+            src: self.src as Rank,
+            dst: self.dst as Rank,
+            kind: self.kind,
+            segments: self.segments,
+            blocks: &arena[self.start as usize..self.end as usize],
+        }
+    }
+}
+
 /// One synchronous step of a schedule: all messages in a step are considered
 /// to be in flight at the same time.
+///
+/// A step holds two vectors whatever its message count: the messages'
+/// headers, and one arena of their blocks, each message a range of it in
+/// message order. A builder that sizes both up front ([`Step::with_capacity`])
+/// allocates twice per step and never grows either.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Step {
-    /// The messages exchanged in this step.
-    pub messages: Vec<Message>,
+    headers: Vec<Header>,
+    blocks: Vec<BlockId>,
 }
 
 impl Step {
@@ -379,22 +375,108 @@ impl Step {
         Self::default()
     }
 
-    /// Creates an empty step with room for `messages` messages, for the
-    /// builders that know how many a step holds before they list them.
-    pub fn with_capacity(messages: usize) -> Self {
+    /// Creates an empty step with room for `messages` messages carrying
+    /// `blocks` blocks between them: filled with no more, it never grows.
+    pub fn with_capacity(messages: usize, blocks: usize) -> Self {
         Self {
-            messages: Vec::with_capacity(messages),
+            headers: Vec::with_capacity(messages),
+            blocks: Vec::with_capacity(blocks),
         }
     }
 
-    /// Adds a message to the step.
-    pub fn push(&mut self, m: Message) {
-        self.messages.push(m);
+    /// Appends a message, counting its contiguous regions from the block
+    /// indices (segments are assumed to be laid out in index order).
+    pub fn push(
+        &mut self,
+        src: Rank,
+        dst: Rank,
+        blocks: impl IntoIterator<Item = BlockId>,
+        kind: TransferKind,
+    ) {
+        let start = self.blocks.len();
+        self.blocks.extend(blocks);
+        let segments = contiguity_of(&self.blocks[start..]);
+        self.append(src, dst, start, kind, segments);
+    }
+
+    /// Appends a message with an explicitly provided segment count (used by
+    /// the non-contiguous-data strategies that reorganise the buffer).
+    pub fn push_with_segments(
+        &mut self,
+        src: Rank,
+        dst: Rank,
+        blocks: impl IntoIterator<Item = BlockId>,
+        kind: TransferKind,
+        segments: u32,
+    ) {
+        let start = self.blocks.len();
+        self.blocks.extend(blocks);
+        self.append(src, dst, start, kind, segments);
+    }
+
+    /// The header of a message whose blocks were appended from `start` on.
+    fn append(&mut self, src: Rank, dst: Rank, start: usize, kind: TransferKind, segments: u32) {
+        self.headers.push(Header {
+            src: index_u32(src, "ranks"),
+            dst: index_u32(dst, "ranks"),
+            segments,
+            start: start as u32,
+            end: index_u32(self.blocks.len(), "blocks in a step"),
+            kind,
+        });
+    }
+
+    /// Number of messages.
+    pub fn len(&self) -> usize {
+        self.headers.len()
     }
 
     /// Whether the step contains no messages.
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.headers.is_empty()
+    }
+
+    /// The messages, in the order they were pushed.
+    pub fn messages(
+        &self,
+    ) -> impl ExactSizeIterator<Item = MessageRef<'_>> + DoubleEndedIterator + Clone + '_ {
+        self.headers.iter().map(|h| h.view(&self.blocks))
+    }
+
+    /// Every block the step moves: the messages' block lists, concatenated
+    /// in message order.
+    pub fn blocks(&self) -> &[BlockId] {
+        &self.blocks
+    }
+
+    /// Removes message `i`, keeping the others in order.
+    ///
+    /// # Panics
+    /// Panics if `i >= self.len()`.
+    pub fn remove(&mut self, i: usize) {
+        let removed = self.headers.remove(i);
+        self.blocks
+            .drain(removed.start as usize..removed.end as usize);
+        let width = removed.end - removed.start;
+        for later in &mut self.headers[i..] {
+            later.start -= width;
+            later.end -= width;
+        }
+    }
+
+    /// Re-annotates the segment count of every network message (local
+    /// moves keep theirs) with `segments(message)`.
+    pub(crate) fn set_network_segments(&mut self, segments: impl Fn(MessageRef<'_>) -> u32) {
+        for h in self.headers.iter_mut().filter(|h| h.src != h.dst) {
+            h.segments = segments(h.view(&self.blocks));
+        }
+    }
+
+    /// Turns every message around: its receiver sends it to its sender.
+    pub(crate) fn reverse_messages(&mut self) {
+        for h in &mut self.headers {
+            std::mem::swap(&mut h.src, &mut h.dst);
+        }
     }
 }
 
@@ -461,10 +543,11 @@ impl Schedule {
     }
 
     /// Total payload bytes of message `m` for vector size `n`, honouring
-    /// the irregular per-rank counts when present.
-    pub fn message_bytes(&self, m: &Message, n: u64) -> u64 {
+    /// the irregular per-rank counts when present: the one way to size a
+    /// message.
+    pub fn message_bytes(&self, m: MessageRef<'_>, n: u64) -> u64 {
         match &self.counts {
-            None => m.bytes(n, self.num_ranks),
+            None => m.blocks.iter().map(|b| b.bytes(n, self.num_ranks)).sum(),
             Some(_) => m.blocks.iter().map(|&b| self.block_bytes(b, n)).sum(),
         }
     }
@@ -481,11 +564,11 @@ impl Schedule {
 
     /// Iterates over every message of every step, annotated with its step
     /// index.
-    pub fn messages(&self) -> impl Iterator<Item = (usize, &Message)> {
+    pub fn messages(&self) -> impl Iterator<Item = (usize, MessageRef<'_>)> {
         self.steps
             .iter()
             .enumerate()
-            .flat_map(|(i, s)| s.messages.iter().map(move |m| (i, m)))
+            .flat_map(|(i, s)| s.messages().map(move |m| (i, m)))
     }
 
     /// Total bytes moved over the network (local messages excluded) for
@@ -586,12 +669,40 @@ mod tests {
 
     #[test]
     fn contiguity() {
-        let p = 8;
         let seg = |i| BlockId::Segment(i);
-        assert_eq!(contiguity_of(&[seg(0), seg(1), seg(2)], p), 1);
-        assert_eq!(contiguity_of(&[seg(0), seg(2), seg(4)], p), 3);
-        assert_eq!(contiguity_of(&[seg(6), seg(7), seg(0)], p), 2); // no wrap in memory
-        assert_eq!(contiguity_of(&[BlockId::Full], p), 1);
+        assert_eq!(contiguity_of(&[seg(0), seg(1), seg(2)]), 1);
+        assert_eq!(contiguity_of(&[seg(0), seg(2), seg(4)]), 3);
+        assert_eq!(contiguity_of(&[seg(6), seg(7), seg(0)]), 2); // no wrap in memory
+        assert_eq!(contiguity_of(&[BlockId::Full]), 1);
+    }
+
+    #[test]
+    fn a_header_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Header>() <= 24);
+    }
+
+    #[test]
+    fn a_step_hands_out_its_messages_as_ranges_of_one_arena() {
+        let seg = |i| BlockId::Segment(i);
+        let mut step = Step::with_capacity(3, 4);
+        step.push(0, 1, [seg(0), seg(2)], TransferKind::Copy);
+        step.push_with_segments(1, 2, [seg(1)], TransferKind::Reduce, 5);
+        step.push(2, 2, [seg(3)], TransferKind::Copy);
+        assert_eq!(step.len(), 3);
+        assert_eq!(step.blocks(), &[seg(0), seg(2), seg(1), seg(3)]);
+        let listed: Vec<_> = step.messages().collect();
+        let first = listed[0];
+        assert_eq!((first.src, first.dst, first.segments), (0, 1, 2));
+        assert_eq!(first.blocks, &[seg(0), seg(2)]);
+        assert_eq!(listed[1].segments, 5);
+        assert!(listed[2].is_local());
+        step.remove(0);
+        let rest: Vec<_> = step
+            .messages()
+            .map(|m| (m.src, m.blocks.to_vec()))
+            .collect();
+        assert_eq!(rest, vec![(1, vec![seg(1)]), (2, vec![seg(3)])]);
+        assert_eq!(step.blocks(), &[seg(1), seg(3)]);
     }
 
     #[test]
@@ -631,13 +742,12 @@ mod tests {
     fn irregular_message_bytes_follow_the_counts() {
         let mut sched = Schedule::new(4, Collective::Allgather, "test", 0);
         let mut step = Step::new();
-        step.push(Message::new(
+        step.push(
             0,
             1,
-            vec![BlockId::Segment(0), BlockId::Segment(2)],
+            [BlockId::Segment(0), BlockId::Segment(2)],
             TransferKind::Copy,
-            4,
-        ));
+        );
         sched.push_step(step);
         let sched = sched.with_counts(Counts::new(vec![3, 1, 0, 4]));
         // n = 800, total = 8: segment 0 = ceil(800·3/8) = 300, segment 2 = 0.
@@ -661,20 +771,8 @@ mod tests {
     fn validation_catches_double_send() {
         let mut sched = Schedule::new(4, Collective::Broadcast, "test", 0);
         let mut step = Step::new();
-        step.push(Message::new(
-            0,
-            1,
-            vec![BlockId::Full],
-            TransferKind::Copy,
-            4,
-        ));
-        step.push(Message::new(
-            0,
-            2,
-            vec![BlockId::Full],
-            TransferKind::Copy,
-            4,
-        ));
+        step.push(0, 1, [BlockId::Full], TransferKind::Copy);
+        step.push(0, 2, [BlockId::Full], TransferKind::Copy);
         sched.push_step(step);
         let twice = ValidationError::MultipleSends { step: 0, rank: 0 };
         assert_eq!(sched.validate(), Err(twice));
@@ -684,27 +782,10 @@ mod tests {
     fn byte_accounting() {
         let mut sched = Schedule::new(4, Collective::Allgather, "test", 0);
         let mut step = Step::new();
-        step.push(Message::new(
-            0,
-            1,
-            vec![BlockId::Segment(0)],
-            TransferKind::Copy,
-            4,
-        ));
-        step.push(Message::new(
-            2,
-            3,
-            vec![BlockId::Segment(2), BlockId::Segment(3)],
-            TransferKind::Copy,
-            4,
-        ));
-        step.push(Message::new(
-            1,
-            1,
-            vec![BlockId::Segment(1)],
-            TransferKind::Copy,
-            4,
-        )); // local
+        step.push(0, 1, [BlockId::Segment(0)], TransferKind::Copy);
+        let pair = [BlockId::Segment(2), BlockId::Segment(3)];
+        step.push(2, 3, pair, TransferKind::Copy);
+        step.push(1, 1, [BlockId::Segment(1)], TransferKind::Copy); // local
         sched.push_step(step);
         assert_eq!(sched.total_network_bytes(400), 100 + 200);
         assert_eq!(sched.max_bytes_sent_by_rank(400), 200);

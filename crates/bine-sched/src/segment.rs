@@ -38,22 +38,22 @@
 use std::rc::Rc;
 
 use crate::catalog::tuned_name;
-use crate::schedule::{contiguity_of, BlockId, Message, Schedule, Step};
+use crate::schedule::{contiguity_of, BlockId, MessageRef, Schedule, Step};
 
 /// What one message contributes to one sub-step: the message, the sub-slice
 /// of its block list that travels, and the contiguous regions that spans.
-pub(crate) type Chunk<'a> = (&'a Message, &'a [BlockId], u32);
+pub(crate) type Chunk<'a> = (MessageRef<'a>, &'a [BlockId], u32);
 
 /// Into how many parts a message is cut: as many as it has blocks to split
 /// over, at most `chunks`, and never none.
-pub(crate) fn parts(m: &Message, chunks: usize) -> usize {
+pub(crate) fn parts(m: MessageRef<'_>, chunks: usize) -> usize {
     chunks.min(m.blocks.len()).max(1)
 }
 
 /// How many sub-steps `step` expands into: as many as its most-cut message
 /// has parts. One chunk leaves every step as it is, even an empty one.
 pub(crate) fn num_substeps(step: &Step, chunks: usize) -> usize {
-    let parts = step.messages.iter().map(|m| parts(m, chunks));
+    let parts = step.messages().map(|m| parts(m, chunks));
     parts.max().unwrap_or(0).max(usize::from(chunks == 1))
 }
 
@@ -73,20 +73,20 @@ pub(crate) fn num_substeps(step: &Step, chunks: usize) -> usize {
 pub(crate) fn substeps(
     schedule: &Schedule,
     chunks: usize,
-) -> impl Iterator<Item = impl Iterator<Item = Chunk<'_>>> {
+) -> impl Iterator<Item = impl Iterator<Item = Chunk<'_>> + Clone> {
     assert!(chunks >= 1, "a schedule needs at least one segment");
-    let p = schedule.num_ranks;
     schedule.steps.iter().flat_map(move |step| {
         // Whether a message's `segments` is the contiguity of its block
         // indices, so that a chunk's is recomputed. The non-contiguity
         // strategies annotate messages with a count that deliberately
         // differs (a virtually permuted buffer is one region whatever
         // indices it carries); their chunks share it proportionally.
-        let computed = |m| parts(m, chunks) > 1 && m.segments == contiguity_of(&m.blocks, p);
-        let computed: Rc<[bool]> = step.messages.iter().map(computed).collect();
+        let computed =
+            |m: MessageRef| parts(m, chunks) > 1 && m.segments == contiguity_of(m.blocks);
+        let computed: Rc<[bool]> = step.messages().map(computed).collect();
         (0..num_substeps(step, chunks)).map(move |c| {
             let computed = computed.clone();
-            step.messages.iter().enumerate().filter_map(move |(i, m)| {
+            step.messages().enumerate().filter_map(move |(i, m)| {
                 let (n, parts) = (m.blocks.len(), parts(m, chunks));
                 if c >= parts {
                     return None;
@@ -97,7 +97,7 @@ pub(crate) fn substeps(
                 let segments = if parts == 1 {
                     m.segments
                 } else if computed[i] {
-                    contiguity_of(blocks, p)
+                    contiguity_of(blocks)
                 } else {
                     let share = (m.segments as u64 * blocks.len() as u64).div_ceil(n as u64);
                     share.max(1) as u32
@@ -126,13 +126,15 @@ pub fn segment_schedule(schedule: &Schedule, chunks: usize) -> Schedule {
     let name = tuned_name(&schedule.algorithm, chunks);
     let mut out = Schedule::new(schedule.num_ranks, schedule.collective, name, schedule.root);
     out.counts = schedule.counts.clone();
+    let steps = schedule.steps.iter().map(|s| num_substeps(s, chunks));
+    out.steps.reserve_exact(steps.sum());
     for sub in substeps(schedule, chunks) {
-        let own = |(m, blocks, segments): Chunk| {
-            Message::with_segments(m.src, m.dst, blocks.to_vec(), m.kind, segments)
-        };
-        out.push_step(Step {
-            messages: sub.map(own).collect(),
-        });
+        let (messages, blocks) = sub.clone().fold((0, 0), |(m, b), c| (m + 1, b + c.1.len()));
+        let mut step = Step::with_capacity(messages, blocks);
+        for (m, blocks, segments) in sub {
+            step.push_with_segments(m.src, m.dst, blocks.iter().copied(), m.kind, segments);
+        }
+        out.push_step(step);
     }
     out
 }
@@ -158,10 +160,9 @@ mod tests {
         let sizes = |blocks: u32, chunks: usize| -> Vec<usize> {
             use crate::{Collective, TransferKind};
             let mut sched = Schedule::new(8, Collective::Allgather, "test", 0);
-            let list = (0..blocks).map(BlockId::Segment).collect();
-            sched.push_step(Step {
-                messages: vec![Message::new(0, 1, list, TransferKind::Copy, 8)],
-            });
+            let mut step = Step::new();
+            step.push(0, 1, (0..blocks).map(BlockId::Segment), TransferKind::Copy);
+            sched.push_step(step);
             let seg = sched.segmented(chunks);
             seg.messages().map(|(_, m)| m.blocks.len()).collect()
         };
@@ -237,7 +238,7 @@ mod tests {
             let mut map: std::collections::BTreeMap<(usize, usize), Vec<crate::BlockId>> =
                 Default::default();
             for (_, m) in s.messages() {
-                map.entry((m.src, m.dst)).or_default().extend(&m.blocks);
+                map.entry((m.src, m.dst)).or_default().extend(m.blocks);
             }
             map
         };

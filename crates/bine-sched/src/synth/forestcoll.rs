@@ -16,7 +16,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::schedule::{BlockId, Collective, Message, Schedule, Step, TransferKind};
+use crate::schedule::{BlockId, Collective, Schedule, Step, TransferKind};
 use crate::synth::view::TopologyView;
 
 /// Largest tree count the synthesizer considers. Beyond a handful of trees
@@ -209,8 +209,10 @@ pub fn build(view: &TopologyView, root: usize, k: usize) -> Option<Schedule> {
     let mut scheduled = 0usize;
     let total: usize = trees.iter().map(|t| t.len()).sum();
     let mut step_idx = 0usize;
+    // This step's edges, as (tree, parent, child), before they are listed.
+    let mut edges = Vec::new();
     while scheduled < total {
-        let mut step = Step::new();
+        edges.clear();
         let mut send_busy = vec![false; p];
         let mut recv_busy = vec![false; p];
         // Round-robin over trees, consuming each tree's edges in peel
@@ -224,13 +226,7 @@ pub fn build(view: &TopologyView, root: usize, k: usize) -> Option<Schedule> {
                 };
                 let ready = delivered[t][parent].is_some_and(|d| d <= step_idx);
                 if ready && !send_busy[parent] && !recv_busy[child] {
-                    step.push(Message::new(
-                        parent,
-                        child,
-                        seg_sets[t].clone(),
-                        TransferKind::Copy,
-                        p,
-                    ));
+                    edges.push((t, parent, child));
                     send_busy[parent] = true;
                     recv_busy[child] = true;
                     delivered[t][child] = Some(step_idx + 1);
@@ -243,7 +239,13 @@ pub fn build(view: &TopologyView, root: usize, k: usize) -> Option<Schedule> {
         // At the start of a step no port is busy and every tree's next
         // edge has its parent delivered by an earlier step (peel order),
         // so the step is never empty while work remains.
-        assert!(!step.is_empty(), "step packer stalled");
+        assert!(!edges.is_empty(), "step packer stalled");
+        let blocks = edges.iter().map(|&(t, ..)| seg_sets[t].len()).sum();
+        let mut step = Step::with_capacity(edges.len(), blocks);
+        for &(t, parent, child) in &edges {
+            let blocks = seg_sets[t].iter().copied();
+            step.push(parent, child, blocks, TransferKind::Copy);
+        }
         sched.push_step(step);
         step_idx += 1;
     }

@@ -233,7 +233,7 @@ mod tests {
                 let network_steps = sched
                     .steps
                     .iter()
-                    .filter(|s| s.messages.iter().any(|m| !m.is_local()))
+                    .filter(|s| s.messages().any(|m| !m.is_local()))
                     .count() as u64;
                 assert!(id.min_steps(p) <= network_steps, "{}", id.name());
                 for n in [1000u64, 65536, (1 << 20) + 13] {

@@ -10,7 +10,7 @@
 //! from ~log₂ p (a topology-oblivious binomial tree under a fragmented
 //! allocation) to exactly ⌈log₂ G⌉ for G groups.
 
-use crate::schedule::{BlockId, Collective, Message, Schedule, Step, TransferKind};
+use crate::schedule::{BlockId, Collective, Schedule, Step, TransferKind};
 use crate::synth::view::TopologyView;
 
 /// Binomial doubling rounds over an ordered member list: in round `j`,
@@ -61,20 +61,18 @@ fn group_lists(view: &TopologyView, root: usize) -> Vec<Vec<usize>> {
 /// then the per-group rounds packed side by side (group rank sets are
 /// disjoint, so the single-ported constraint holds by construction).
 fn broadcast_steps(view: &TopologyView, root: usize) -> Vec<Step> {
-    let p = view.num_ranks();
     let lists = group_lists(view, root);
     let leaders: Vec<usize> = lists.iter().map(|l| l[0]).collect();
     let mut steps = Vec::new();
     for round in doubling_rounds(leaders.len()) {
-        let mut step = Step::new();
+        let mut step = Step::with_capacity(round.len(), round.len());
         for (fi, ti) in round {
-            step.push(Message::new(
+            step.push(
                 leaders[fi],
                 leaders[ti],
-                vec![BlockId::Full],
+                [BlockId::Full],
                 TransferKind::Copy,
-                p,
-            ));
+            );
         }
         steps.push(step);
     }
@@ -84,17 +82,11 @@ fn broadcast_steps(view: &TopologyView, root: usize) -> Vec<Step> {
         .collect();
     let depth = local_rounds.iter().map(Vec::len).max().unwrap_or(0);
     for j in 0..depth {
-        let mut step = Step::new();
+        let mut step = local_step(&local_rounds, j);
         for (list, rounds) in lists.iter().zip(&local_rounds) {
             let Some(round) = rounds.get(j) else { continue };
             for &(fi, ti) in round {
-                step.push(Message::new(
-                    list[fi],
-                    list[ti],
-                    vec![BlockId::Full],
-                    TransferKind::Copy,
-                    p,
-                ));
+                step.push(list[fi], list[ti], [BlockId::Full], TransferKind::Copy);
             }
         }
         steps.push(step);
@@ -107,7 +99,6 @@ fn broadcast_steps(view: &TopologyView, root: usize) -> Vec<Step> {
 /// parent with [`TransferKind::Reduce`]), then the leader rounds fold into
 /// the root.
 fn reduce_steps(view: &TopologyView, root: usize) -> Vec<Step> {
-    let p = view.num_ranks();
     let lists = group_lists(view, root);
     let leaders: Vec<usize> = lists.iter().map(|l| l[0]).collect();
     let mut steps = Vec::new();
@@ -119,35 +110,39 @@ fn reduce_steps(view: &TopologyView, root: usize) -> Vec<Step> {
     // Deepest rounds first: reversing the broadcast order makes every
     // child fold in before its parent is itself consumed upwards.
     for j in (0..depth).rev() {
-        let mut step = Step::new();
+        let mut step = local_step(&local_rounds, j);
         for (list, rounds) in lists.iter().zip(&local_rounds) {
             let Some(round) = rounds.get(j) else { continue };
             for &(fi, ti) in round {
-                step.push(Message::new(
-                    list[ti],
-                    list[fi],
-                    vec![BlockId::Full],
-                    TransferKind::Reduce,
-                    p,
-                ));
+                step.push(list[ti], list[fi], [BlockId::Full], TransferKind::Reduce);
             }
         }
         steps.push(step);
     }
     for round in doubling_rounds(leaders.len()).into_iter().rev() {
-        let mut step = Step::new();
+        let mut step = Step::with_capacity(round.len(), round.len());
         for (fi, ti) in round {
-            step.push(Message::new(
+            step.push(
                 leaders[ti],
                 leaders[fi],
-                vec![BlockId::Full],
+                [BlockId::Full],
                 TransferKind::Reduce,
-                p,
-            ));
+            );
         }
         steps.push(step);
     }
     steps
+}
+
+/// An empty step sized for round `j` of every group's local rounds: one
+/// whole-vector message per pair.
+fn local_step(local_rounds: &[Vec<Vec<(usize, usize)>>], j: usize) -> Step {
+    let pairs = local_rounds
+        .iter()
+        .filter_map(|rounds| rounds.get(j))
+        .map(Vec::len)
+        .sum();
+    Step::with_capacity(pairs, pairs)
 }
 
 /// Synthesizes the multilevel schedule for `collective` on `view`.
@@ -242,8 +237,7 @@ mod tests {
             .steps
             .iter()
             .filter(|s| {
-                s.messages
-                    .iter()
+                s.messages()
                     .any(|m| view.group_of(m.src) != view.group_of(m.dst))
             })
             .count();

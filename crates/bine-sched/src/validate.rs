@@ -757,7 +757,7 @@ mod tests {
     use super::*;
     use crate::catalog::build;
     use crate::collectives::{allreduce, AllreduceAlg};
-    use crate::schedule::{Collective, Counts, Message, Step};
+    use crate::schedule::{Collective, Counts, Step};
 
     #[test]
     fn every_catalog_algorithm_validates() {
@@ -788,7 +788,7 @@ mod tests {
     fn dropping_a_send_is_rejected_as_incomplete() {
         let mut sched = allreduce(8, AllreduceAlg::RecursiveDoubling);
         let last = sched.steps.len() - 1;
-        sched.steps[last].messages.remove(0);
+        sched.steps[last].remove(0);
         match sched.validate() {
             Err(ValidationError::Incomplete { .. }) => {}
             other => panic!("expected Incomplete, got {other:?}"),
@@ -817,20 +817,8 @@ mod tests {
     fn double_send_is_rejected_as_ill_formed() {
         let mut sched = Schedule::new(4, Collective::Broadcast, "test", 0);
         let mut step = Step::new();
-        step.push(Message::new(
-            0,
-            1,
-            vec![BlockId::Full],
-            TransferKind::Copy,
-            4,
-        ));
-        step.push(Message::new(
-            0,
-            2,
-            vec![BlockId::Full],
-            TransferKind::Copy,
-            4,
-        ));
+        step.push(0, 1, [BlockId::Full], TransferKind::Copy);
+        step.push(0, 2, [BlockId::Full], TransferKind::Copy);
         sched.push_step(step);
         let compiled = sched.compile();
         match ScheduleValidator::new(&compiled).check_well_formed() {

@@ -67,8 +67,8 @@ fn digest(sched: &Schedule) -> u64 {
     }
     h.word(sched.steps.len() as u64);
     for step in &sched.steps {
-        h.word(step.messages.len() as u64);
-        for m in &step.messages {
+        h.word(step.len() as u64);
+        for m in step.messages() {
             h.word(m.src as u64);
             h.word(m.dst as u64);
             h.word(match m.kind {
@@ -77,7 +77,7 @@ fn digest(sched: &Schedule) -> u64 {
             });
             h.word(u64::from(m.segments));
             h.word(m.blocks.len() as u64);
-            for block in &m.blocks {
+            for block in m.blocks {
                 match *block {
                     BlockId::Full => h.word(0),
                     BlockId::Segment(i) => {

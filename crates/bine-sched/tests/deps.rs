@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 use bine_sched::catalog::Source;
 use bine_sched::collectives::{allreduce, AllreduceAlg};
 use bine_sched::{
-    walk, BlockId, Collective, CompiledSchedule, DepGraph, Message, Schedule, Step, TransferKind,
+    walk, BlockId, Collective, CompiledSchedule, DepGraph, Schedule, Step, TransferKind,
 };
 
 /// One send as the definition sees it.
@@ -169,15 +169,16 @@ fn same_step_writes_chain_in_send_order_not_schedule_order() {
     // No catalog schedule writes one block twice at one rank in one step;
     // this one does, with the messages listed against the send order (sends
     // are numbered by source rank within a step).
-    let block = vec![BlockId::Segment(0)];
-    let reduce = |src, dst| Message::new(src, dst, block.clone(), TransferKind::Reduce, 4);
+    let reduces = |pairs: &[(usize, usize)]| {
+        let mut step = Step::new();
+        for &(src, dst) in pairs {
+            step.push(src, dst, [BlockId::Segment(0)], TransferKind::Reduce);
+        }
+        step
+    };
     let mut sched = Schedule::new(4, Collective::Reduce, "fan-in", 3);
-    sched.steps.push(Step {
-        messages: vec![reduce(2, 3), reduce(0, 3), reduce(1, 3)],
-    });
-    sched.steps.push(Step {
-        messages: vec![reduce(3, 0)],
-    });
+    sched.steps.push(reduces(&[(2, 3), (0, 3), (1, 3)]));
+    sched.steps.push(reduces(&[(3, 0)]));
     let compiled = sched.compile();
     assert_graph_matches_the_definition(&compiled, "fan-in");
     let graph = DepGraph::derive(&compiled);

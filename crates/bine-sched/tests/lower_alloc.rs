@@ -12,7 +12,7 @@ mod counting;
 use counting::allocations_in as allocations;
 
 use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
-use bine_sched::{BlockId, Collective, Message, Schedule, Step, TransferKind};
+use bine_sched::{BlockId, Collective, Schedule, Step, TransferKind};
 
 #[test]
 fn lowering_allocates_for_the_compiled_form_not_per_chunk() {
@@ -20,7 +20,7 @@ fn lowering_allocates_for_the_compiled_form_not_per_chunk() {
     let (at_4, _) = allocations(|| sched.compile_segmented(4));
     let (at_16, lowered) = allocations(|| sched.compile_segmented(16));
     assert_eq!(lowered.num_sends(), 40_448);
-    // One owned `Message` per send alone would be 40 448 block lists.
+    // One owned block list per send alone would be 40 448 allocations.
     assert!(
         at_16 <= 512,
         "lowering at 16 chunks allocated {at_16} times"
@@ -51,12 +51,12 @@ fn ids_outside_the_rank_range_size_no_table() {
     // `Segment(u32::MAX)` would be a 16 GiB table if an id sized one, and
     // `Pairwise { 4, 0 }` would reach past the p² cells.
     let mut sched = Schedule::new(4, Collective::Alltoall, "strays", 0);
-    let strays = vec![
+    let strays = [
         BlockId::Segment(u32::MAX),
         BlockId::Pairwise { origin: 4, dest: 0 },
     ];
     let mut step = Step::new();
-    step.push(Message::with_segments(0, 1, strays, TransferKind::Copy, 1));
+    step.push_with_segments(0, 1, strays, TransferKind::Copy, 1);
     sched.push_step(step);
     let (allocated, compiled) = allocations(|| sched.compile());
     let (bytes, _) = counting::bytes_in(|| sched.compile());
@@ -71,9 +71,9 @@ fn ids_outside_the_rank_range_size_no_table() {
 
 #[test]
 fn a_message_over_ascending_blocks_allocates_nothing_beyond_its_list() {
-    let blocks: Vec<BlockId> = (0..128).map(|i| BlockId::Segment(2 * i + i / 7)).collect();
-    let (allocated, message) =
-        allocations(|| Message::new(0, 1, blocks, TransferKind::Reduce, 512));
+    let blocks = (0..128).map(|i| BlockId::Segment(2 * i + i / 7));
+    let mut step = Step::with_capacity(1, blocks.len());
+    let (allocated, ()) = allocations(|| step.push(0, 1, blocks, TransferKind::Reduce));
     assert_eq!(allocated, 0);
-    assert!(message.segments > 1);
+    assert!(step.messages().all(|m| m.segments > 1));
 }

@@ -302,6 +302,17 @@ fn one_pass_to_lower() {
     clean(&lines_with(&allgather, &["sort"]));
 }
 
+/// A step holds its messages' blocks in one arena, the messages ranges of
+/// it: a second `Vec<BlockId>` in the schedule model is a block list per
+/// message, one allocation per message, back.
+#[test]
+fn one_block_arena() {
+    let schedule = "crates/bine-sched/src/schedule.rs";
+    let hits = grep(&[schedule], &["Vec<BlockId>"], shipped);
+    let arena = (schedule.to_string(), "blocks: Vec<BlockId>,".to_string());
+    assert_eq!(hits, [arena]);
+}
+
 /// Argument, panic-hook or exit-code handling outside bine-bench's `cli.rs`
 /// and `main.rs` is a fork of the one front-end. (No second binary is the
 /// manifest's `autobins = false`.)
