@@ -71,7 +71,7 @@ impl FairShare {
         if self.link_flows.len() < num_links {
             self.link_flows.resize_with(num_links, Vec::new);
         }
-        for list in self.link_flows.iter_mut() {
+        for list in &mut self.link_flows[..num_links] {
             list.clear();
         }
         refill(&mut self.flow_of_send, num_sends, 0);

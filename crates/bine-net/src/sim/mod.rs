@@ -81,7 +81,11 @@
 //!   latencies and the dependency graph depend only on (schedule, topology,
 //!   allocation, cost model, fault plan), not on the vector size, and are
 //!   cached in the arena keyed by [`CompiledSchedule::identity`]. A sweep
-//!   over vector sizes re-resolves only the per-send byte counts.
+//!   over vector sizes re-resolves only the per-send byte counts. The
+//!   resolution is sized by the job: the links its routes touch get
+//!   job-local ids in ascending machine-id order, every per-link table is
+//!   indexed by them, and a cached entry is revalidated by the topology's
+//!   shape (node, group and link counts) plus the touched links only.
 //!
 //! ## Fault injection
 //!

@@ -7,7 +7,7 @@ use crate::event::EventQueue;
 
 use super::fairshare::FairShare;
 use super::request::{stall_report, Inputs, RateProbe, SimReport, StallReport};
-use super::statics::{build_static, CachedStatic};
+use super::statics::{build_static, CachedStatic, StaticScratch};
 use super::{refill, Ev, Flow};
 
 /// The mutable per-run state, reused across simulations.
@@ -59,6 +59,7 @@ struct Scratch {
 #[derive(Default)]
 pub struct SimArena {
     cache: HashMap<u64, CachedStatic>,
+    statics: StaticScratch,
     scratch: Scratch,
 }
 
@@ -218,7 +219,9 @@ pub(super) fn run(
         None => true,
     };
     if rebuild {
-        arena.cache.insert(key, build_static(inputs));
+        arena
+            .cache
+            .insert(key, build_static(inputs, &mut arena.statics));
     }
     let entry = arena.cache.get_mut(&key).expect("just ensured");
     entry.ensure_bytes(inputs.schedule, inputs.n);

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use crate::event::EventQueue;
 
 use super::request::{stall_report, Inputs, RateProbe, SimReport, StallReport};
-use super::statics::build_static;
+use super::statics::{build_static, StaticScratch};
 use super::{Ev, Flow};
 
 /// Simulates `inputs` from scratch; the full report, or the stall diagnosis.
@@ -20,7 +20,7 @@ pub(super) fn run(
     inputs: &Inputs<'_>,
     mut probe: Option<RateProbe<'_>>,
 ) -> Result<SimReport, Box<StallReport>> {
-    let mut st = build_static(inputs);
+    let mut st = build_static(inputs, &mut StaticScratch::default());
     st.ensure_bytes(inputs.schedule, inputs.n);
     let st = &st;
     let p = st.deps.num_ranks();
@@ -51,7 +51,12 @@ pub(super) fn run(
     // Max–min fair-share (progressive filling): repeatedly find the link
     // with the smallest fair share among its unassigned flows, fix those
     // flows at that rate, subtract, repeat. Deterministic: links iterate in
-    // id order.
+    // machine id order. Every map is keyed by machine link id, never by the
+    // job-local id the optimized path breaks ties on, so agreement between
+    // the two also checks the local numbering.
+    let capacity: BTreeMap<u32, f64> = (0..st.link_cap.len())
+        .map(|l| (st.machine_link(l as u32), st.link_cap[l]))
+        .collect();
     let assign_rates = |active: &mut Vec<Flow>| {
         if active.is_empty() {
             return;
@@ -59,7 +64,7 @@ pub(super) fn run(
         let mut link_flows: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (fi, f) in active.iter().enumerate() {
             for &l in st.links(f.send) {
-                link_flows.entry(l).or_default().push(fi);
+                link_flows.entry(st.machine_link(l)).or_default().push(fi);
             }
         }
         let mut assigned: BTreeMap<u32, f64> = BTreeMap::new();
@@ -73,7 +78,7 @@ pub(super) fn run(
                     continue;
                 }
                 let taken = assigned.get(&l).copied().unwrap_or(0.0);
-                let headroom = (st.link_cap[l as usize] - taken).max(0.0);
+                let headroom = (capacity[&l] - taken).max(0.0);
                 let fair = headroom / open as f64;
                 if bottleneck.is_none_or(|(best, _)| fair < best) {
                     bottleneck = Some((fair, l));
@@ -82,7 +87,7 @@ pub(super) fn run(
             let (fair, l) = bottleneck.expect("every flow traverses at least one link");
             // Numerical floor: keeps the loop terminating even when FP
             // cancellation leaves a link marginally oversubscribed.
-            let fair = fair.max(st.link_cap[l as usize] * 1e-12);
+            let fair = fair.max(capacity[&l] * 1e-12);
             for fi in link_flows[&l].clone() {
                 if fixed[fi] {
                     continue;
@@ -91,7 +96,7 @@ pub(super) fn run(
                 unfixed -= 1;
                 active[fi].rate = fair;
                 for &l2 in st.links(active[fi].send) {
-                    *assigned.entry(l2).or_insert(0.0) += fair;
+                    *assigned.entry(st.machine_link(l2)).or_insert(0.0) += fair;
                 }
             }
         }

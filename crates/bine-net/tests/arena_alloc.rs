@@ -10,12 +10,12 @@
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting;
-use counting::allocations;
+use counting::{allocations, bytes_in};
 
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
 use bine_net::sim::{SimArena, SimRequest};
-use bine_net::topology::FatTree;
+use bine_net::topology::{Dragonfly, DragonflyFlavour, FatTree, Topology};
 use bine_sched::collectives::{allreduce, AllreduceAlg};
 use bine_sched::CompiledSchedule;
 
@@ -94,4 +94,40 @@ fn vector_size_changes_allocate_at_most_transiently() {
         "size sweep allocated {} times after warmup",
         after - before
     );
+}
+
+#[test]
+fn a_jobs_static_resolution_does_not_grow_with_the_machine() {
+    // One 64-rank job spread over the first 24 groups, on LUMI and on the
+    // same Dragonfly with four times the groups (48 768 links). The job's
+    // routes touch the same links in the same order on both, so its first
+    // simulation must request the same bytes and give the same makespan:
+    // nothing the simulator builds per job is sized by the machine.
+    let p = 64;
+    let model = CostModel::default();
+    let alloc = Allocation::from_nodes((0..p).map(|r| (r % 24) * 124 + r / 24).collect());
+    let warm = allreduce(p, AllreduceAlg::RecursiveDoubling).compile();
+    let job = allreduce(p, AllreduceAlg::BineLarge).segmented(2).compile();
+    let run = |arena: &mut SimArena, compiled, topo: &dyn Topology| {
+        SimRequest::new(&model, compiled, 1 << 20, topo, &alloc)
+            .arena(arena)
+            .time_only()
+            .run()
+            .makespan_us()
+    };
+    let first_run = |groups| {
+        let topo = Dragonfly::new(DragonflyFlavour::Dragonfly, groups, 124, 4);
+        let mut arena = SimArena::new();
+        // Machine-sized arena scratch grows here, once per arena.
+        run(&mut arena, &warm, &topo);
+        (topo.num_links(), bytes_in(|| run(&mut arena, &job, &topo)))
+    };
+    let (lumi_links, (lumi_bytes, lumi_us)) = first_run(24);
+    let (big_links, (big_bytes, big_us)) = first_run(96);
+    assert_eq!((lumi_links, big_links), (5_280, 48_768));
+    assert_eq!(
+        lumi_bytes, big_bytes,
+        "the first simulation requested {lumi_bytes} B on LUMI, {big_bytes} B on 4x LUMI"
+    );
+    assert_eq!(lumi_us.to_bits(), big_us.to_bits());
 }

@@ -8,6 +8,7 @@
 //! resolve every query through literally the same code and data: a pick can
 //! never differ between the serial and the serving path.
 
+use std::collections::HashSet;
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -31,8 +32,9 @@ pub struct Tuned<'a> {
 /// out without allocating, and the committed score metadata the adaptive
 /// layer (see [`crate::adapt`]) compares observed timings against.
 pub(crate) struct Slot {
-    /// Full pick name as committed (e.g. `"bine-large+seg8"`).
-    pub(crate) pick: String,
+    /// Full pick name as committed (e.g. `"bine-large+seg8"`), shared by
+    /// every slot of the same pick.
+    pub(crate) pick: Arc<str>,
     /// Length of the base-name prefix of `pick`.
     pub(crate) base_len: usize,
     /// Pipeline segment count.
@@ -83,32 +85,43 @@ impl SelectorIndex {
                 c.name()
             );
         }
-        let mut slots = Vec::with_capacity(table.entries.len());
-        let mut index: Vec<((Collective, Option<SizeDist>), NodeIndex)> = Vec::new();
-        // Entries are kept in canonical order, so grouping is a linear scan.
-        let mut sorted = table.clone();
-        sorted.sort();
-        for e in &sorted.entries {
-            let slot = push_slot(&mut slots, e);
-            let key = (e.collective, e.dist);
-            let coll = match index.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, ni)) => ni,
+        // Canonical order keeps each `(collective, dist)` group and each
+        // node row contiguous, so both index levels are runs of `sorted`.
+        let mut sorted: Vec<&Entry> = table.entries.iter().collect();
+        sorted.sort_by_key(|e| e.canonical_key());
+        let mut picks: HashSet<Arc<str>> = HashSet::new();
+        let mut slots = Vec::with_capacity(sorted.len());
+        let mut push_slot = |e: &Entry| {
+            let pick = match picks.get(e.pick.as_str()) {
+                Some(pick) => Arc::clone(pick),
                 None => {
-                    index.push((key, Vec::new()));
-                    &mut index.last_mut().unwrap().1
+                    let pick: Arc<str> = e.pick.as_str().into();
+                    picks.insert(Arc::clone(&pick));
+                    pick
                 }
             };
-            match coll.last_mut() {
-                Some((nodes, sizes)) if *nodes == e.nodes => sizes.push((e.vector_bytes, slot)),
-                _ => coll.push((e.nodes, vec![(e.vector_bytes, slot)])),
-            }
+            slots.push(Slot {
+                pick,
+                base_len: e.algorithm().len(),
+                segments: e.segments(),
+                vector_bytes: e.vector_bytes,
+                time_us: e.time_us,
+            });
+            (e.vector_bytes, (slots.len() - 1) as u32)
+        };
+        let mut index: Vec<((Collective, Option<SizeDist>), NodeIndex)> = Vec::new();
+        for group in sorted.chunk_by(|a, b| (a.collective, a.dist) == (b.collective, b.dist)) {
+            let rows = group.chunk_by(|a, b| a.nodes == b.nodes);
+            let node_index: NodeIndex = rows
+                .map(|row| (row[0].nodes, row.iter().map(|e| push_slot(e)).collect()))
+                .collect();
+            index.push(((group[0].collective, group[0].dist), node_index));
         }
-        let providers = system_providers(&sorted.system);
         SelectorIndex {
-            system: sorted.system,
+            system: table.system.clone(),
             slots,
             index,
-            providers,
+            providers: system_providers(&table.system),
         }
     }
 
@@ -352,18 +365,6 @@ pub fn system_providers(system: &str) -> ProviderSet {
     ProviderSet::with_synth(Arc::new(move |nodes| {
         bine_net::view::system_view(&slug, nodes)
     }))
-}
-
-fn push_slot(slots: &mut Vec<Slot>, e: &Entry) -> u32 {
-    let base_len = e.algorithm().len();
-    slots.push(Slot {
-        pick: e.pick.clone(),
-        base_len,
-        segments: e.segments(),
-        vector_bytes: e.vector_bytes,
-        time_us: e.time_us,
-    });
-    (slots.len() - 1) as u32
 }
 
 /// Index of the last element satisfying `below` (floor semantics), clamped

@@ -186,7 +186,7 @@ impl ServiceSelector {
         shard: &Mutex<ShardState>,
     ) {
         let slot = index.slot(slot_idx);
-        let committed = &slot.pick;
+        let committed: &str = &slot.pick;
         // Score challengers at the committed grid point's vector size and
         // pre-compile a non-incumbent winner, all outside any lock. The
         // provider set lets a challenger enumeration include synthesized
@@ -195,7 +195,7 @@ impl ServiceSelector {
             let (winner, score) =
                 cfg.reevaluator
                     .best(committed, key.collective, key.nodes, slot.vector_bytes)?;
-            if winner == *committed {
+            if winner == committed {
                 Some((winner, score, None))
             } else {
                 let compiled = index
@@ -211,7 +211,7 @@ impl ServiceSelector {
         match outcome {
             Ok(Some((winner, score, compiled))) => {
                 e.breaker.reset();
-                if winner == *committed {
+                if winner == committed {
                     // The committed pick won: revert any override and
                     // start a fresh observation window.
                     reverted = e.override_state.take().is_some();
@@ -228,7 +228,7 @@ impl ServiceSelector {
                             system: index.system().to_string(),
                             collective: key.collective,
                             nodes: key.nodes,
-                            committed: committed.clone(),
+                            committed: committed.to_string(),
                             pick: winner,
                             epoch: self.adapt_epoch.fetch_add(1, Ordering::Relaxed) + 1,
                             samples: e.hist.count(),

@@ -75,6 +75,20 @@ pub struct Entry {
 }
 
 impl Entry {
+    /// The entry's place in [`DecisionTable::sort`]'s canonical order:
+    /// collective, then distribution (the regular grid first), node count
+    /// and vector size.
+    pub(crate) fn canonical_key(&self) -> (usize, usize, usize, u64) {
+        let collective = Collective::ALL.iter().position(|&x| x == self.collective);
+        let collective = collective.expect("Collective::ALL lists every collective");
+        (
+            collective,
+            dist_idx(self.dist),
+            self.nodes,
+            self.vector_bytes,
+        )
+    }
+
     /// The pick's base algorithm name, without the `+segS` suffix.
     pub fn algorithm(&self) -> &str {
         split_segments(&self.pick).0
@@ -116,15 +130,7 @@ impl DecisionTable {
     /// group stay contiguous — the selector index's grouping scan relies on
     /// this.
     pub fn sort(&mut self) {
-        let coll_idx = |c: Collective| Collective::ALL.iter().position(|&x| x == c).unwrap();
-        self.entries.sort_by_key(|e| {
-            (
-                coll_idx(e.collective),
-                dist_idx(e.dist),
-                e.nodes,
-                e.vector_bytes,
-            )
-        });
+        self.entries.sort_by_key(Entry::canonical_key);
     }
 
     /// Serialises the table to the committed `tuning/*.json` format.
@@ -200,20 +206,12 @@ impl DecisionTable {
     /// stability): [`DecisionTable::from_json`] rejects such tables at parse
     /// time and the selector index refuses to build from them.
     pub fn duplicate_key(&self) -> Option<(Collective, Option<SizeDist>, usize, u64)> {
-        let mut keys: Vec<(Collective, Option<SizeDist>, usize, u64)> = self
-            .entries
-            .iter()
-            .map(|e| (e.collective, e.dist, e.nodes, e.vector_bytes))
-            .collect();
-        keys.sort_by_key(|&(c, d, n, b)| {
-            (
-                Collective::ALL.iter().position(|&x| x == c).unwrap(),
-                dist_idx(d),
-                n,
-                b,
-            )
-        });
-        keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+        let mut entries: Vec<&Entry> = self.entries.iter().collect();
+        entries.sort_by_key(|e| e.canonical_key());
+        entries
+            .windows(2)
+            .find(|w| w[0].canonical_key() == w[1].canonical_key())
+            .map(|w| (w[0].collective, w[0].dist, w[0].nodes, w[0].vector_bytes))
     }
 
     /// The entry at an exact grid point, if present. Regular grid points

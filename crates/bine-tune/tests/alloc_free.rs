@@ -8,14 +8,15 @@
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting;
-use counting::allocations;
+use counting::{allocations, allocations_in};
 
 use std::sync::Arc;
 
 use bine_net::ObservedTiming;
 use bine_sched::Collective;
 use bine_tune::{
-    AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, ServiceSelector,
+    AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, SelectorIndex,
+    ServiceSelector,
 };
 
 fn table() -> DecisionTable {
@@ -133,4 +134,22 @@ fn warm_service_pick_and_observe_never_allocate() {
         after - before
     );
     assert!(steps > 0);
+}
+
+/// Building a system's index is the cold half of every fresh selector: it
+/// sorts references to the table's entries instead of cloning the table, and
+/// its slots share one `Arc<str>` per distinct pick instead of a `String`
+/// each. LUMI's committed table has 1 197 entries.
+#[test]
+fn building_lumis_index_allocates_per_grid_row_not_per_entry() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tuning/lumi.json");
+    let text = std::fs::read_to_string(path).expect("the committed LUMI table");
+    let table = DecisionTable::from_json(&text).expect("a valid table");
+    assert_eq!(table.entries.len(), 1_197);
+    let (allocs, index) = allocations_in(|| SelectorIndex::from_table(&table));
+    assert_eq!(index.system(), table.system);
+    assert!(
+        allocs <= 600,
+        "building LUMI's index allocated {allocs} times"
+    );
 }
