@@ -14,36 +14,16 @@ use bine_net::cost::CostModel;
 use bine_net::sim::SimRequest;
 use bine_net::topology::{Dragonfly, FatTree, Topology};
 use bine_net::trace::JobTraceGenerator;
-use bine_net::traffic::{global_traffic_reduction, measure};
+use bine_net::traffic::{global_traffic_reduction, per_step};
 use bine_sched::collectives::allgather::allgather_with_strategy;
 use bine_sched::collectives::{
     allgather, allreduce, broadcast, AllgatherAlg, AllreduceAlg, BroadcastAlg,
 };
-use bine_sched::{bine_default, binomial_default, build, Collective, NonContigStrategy, Schedule};
+use bine_sched::{bine_default, binomial_default, build, Collective, NonContigStrategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cli::{Args, Outcome};
-
-fn per_step_global_bytes(
-    sched: &Schedule,
-    n: u64,
-    topo: &dyn Topology,
-    alloc: &Allocation,
-) -> Vec<u64> {
-    sched
-        .steps
-        .iter()
-        .map(|step| {
-            step.messages()
-                .filter(|m| {
-                    !m.is_local() && topo.crosses_groups(alloc.node_of(m.src), alloc.node_of(m.dst))
-                })
-                .map(|m| sched.message_bytes(m, n))
-                .sum()
-        })
-        .collect()
-}
 
 /// Fig. 1 — global-link traffic of a broadcast on an 8-node, 2:1
 /// oversubscribed fat tree (two nodes per leaf switch).
@@ -59,20 +39,19 @@ pub fn fig01(_: Args) -> Outcome {
     println!("Fig. 1 — broadcast on an 8-node 2:1 oversubscribed fat tree (n = {n} bytes)");
     println!("paper: distance-doubling = 6n, distance-halving = 3n over global links\n");
 
-    for alg in [
+    let algs = [
         BroadcastAlg::BinomialDistanceDoubling,
         BroadcastAlg::BinomialDistanceHalving,
         BroadcastAlg::BineTree,
-    ] {
-        let sched = broadcast(8, 0, alg);
-        let report = measure(&sched, n, &topo, &alloc);
-        let per_step = per_step_global_bytes(&sched, n, &topo, &alloc);
+    ];
+    for alg in algs {
+        let steps = per_step(&broadcast(8, 0, alg), n, &topo, &alloc);
+        let per_step: Vec<u64> = steps.iter().map(|step| step.global_bytes).collect();
+        let global_bytes: u64 = per_step.iter().sum();
         println!(
-            "{:<32} global bytes = {:>5}  ({:.1} n)   per step: {:?}",
+            "{:<32} global bytes = {global_bytes:>5}  ({:.1} n)   per step: {per_step:?}",
             alg.name(),
-            report.global_bytes,
-            report.global_bytes as f64 / n as f64,
-            per_step
+            global_bytes as f64 / n as f64,
         );
     }
 
@@ -83,11 +62,7 @@ pub fn fig01(_: Args) -> Outcome {
     let model = CostModel::default();
     let big = 8 << 20;
     println!("\nmodelled broadcast time at 8 MiB (us): synchronous barrier model vs DES");
-    for alg in [
-        BroadcastAlg::BinomialDistanceDoubling,
-        BroadcastAlg::BinomialDistanceHalving,
-        BroadcastAlg::BineTree,
-    ] {
+    for alg in algs {
         let sched = broadcast(8, 0, alg);
         let sync = model.time_us(&sched, big, &topo, &alloc);
         let des = SimRequest::new(&model, &sched.compile(), big, &topo, &alloc)
@@ -113,10 +88,7 @@ pub fn fig05(_: Args) -> Outcome {
     println!(
         "Fig. 5 — global-traffic reduction of Bine vs binomial allreduce across job allocations"
     );
-    println!(
-        "({} synthetic jobs per node count; theoretical bound = 33%)\n",
-        jobs_per_size
-    );
+    println!("({jobs_per_size} synthetic jobs per node count; theoretical bound = 33%)\n");
 
     let systems: Vec<(&str, Box<dyn Topology>, Vec<usize>)> = vec![
         (

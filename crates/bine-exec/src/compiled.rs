@@ -50,7 +50,7 @@
 
 use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
-use crate::state::{self, BlockStore, PayloadTable, NOT_HELD};
+use crate::state::{self, BlockStore, WalkTable, NOT_HELD};
 
 /// The data a single rank holds, in dense form: a [`BlockStore`] held under
 /// the key table of the schedule being run — slot `i` holds the handle, in
@@ -165,7 +165,7 @@ fn payloads_are_large(states: &[DenseState]) -> bool {
 
 /// The step walk: every step's receives gathered and then applied.
 fn run_steps(compiled: &CompiledSchedule, states: &mut [DenseState]) {
-    state::with_table(states, compiled.slot_layout(), |table, states| {
+    state::with_table(states, compiled, |table, states| {
         let mut staging = Vec::new();
         for step in 0..compiled.num_steps() {
             let recvs = compiled.step_recvs(step);
@@ -188,7 +188,7 @@ fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState]) {
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
     let moves = |e: &&BlockEntry| !is_identity_move(compiled, e.step as usize, payload_of(e).0);
-    state::with_table(states, compiled.slot_layout(), |table, states| {
+    state::with_table(states, compiled, |table, states| {
         let mut staging: Vec<u32> = Vec::new();
         for block in 0..compiled.num_blocks() {
             for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
@@ -264,7 +264,7 @@ fn receive(
     compiled: &CompiledSchedule,
     send: &CompiledSend,
     k: usize,
-    table: &mut PayloadTable,
+    table: &mut WalkTable<'_>,
     held: &mut u32,
     payload: u32,
 ) {
@@ -300,7 +300,7 @@ fn gather_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
-    table: &mut PayloadTable,
+    table: &mut WalkTable<'_>,
     states: &[DenseState],
     staging: &mut Vec<u32>,
 ) {
@@ -331,7 +331,7 @@ fn apply_recvs(
     step: usize,
     recvs: &[u32],
     staging: &[u32],
-    table: &mut PayloadTable,
+    table: &mut WalkTable<'_>,
     states: &mut [DenseState],
 ) {
     let mut taken = 0;

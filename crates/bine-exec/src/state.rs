@@ -20,7 +20,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bine_sched::{
-    BlockId, BlockMap, Collective, Contract, Counts, Granularity, Schedule, SlotLayout,
+    BlockId, BlockMap, Collective, CompiledSchedule, Contract, Counts, Granularity, Schedule,
+    SlotLayout,
 };
 
 /// A caller's payload: a shared, immutable-until-owned vector.
@@ -102,7 +103,9 @@ impl Place {
 ///
 /// A handle's payload is a [`Block`] — a caller's, or a sum longer than
 /// `PACK_MAX_ELEMS` — freed when its last holder lets go, or a short sum
-/// packed into one of the table's chunks, freed with the table.
+/// packed into one of the table's chunks, whose room is freed with the
+/// table. A walk writes into it through a [`WalkTable`], which keeps the
+/// room of the sums the walk frees for the next ones.
 #[derive(Clone)]
 pub(crate) struct PayloadTable {
     /// The key table the run's stores are held under.
@@ -138,7 +141,7 @@ impl PayloadTable {
     }
 
     /// The payload of a held handle.
-    pub(crate) fn get(&self, handle: u32) -> &[f64] {
+    fn get(&self, handle: u32) -> &[f64] {
         match &self.blocks[handle as usize] {
             Some(block) => block,
             None => {
@@ -176,45 +179,19 @@ impl PayloadTable {
         handle
     }
 
-    /// One more holder of `handle`: a staged entry.
-    pub(crate) fn hold(&mut self, handle: u32) {
-        self.holders[handle as usize] += 1;
-    }
-
-    /// One holder fewer of `handle`; the last one frees the payload.
-    pub(crate) fn release(&mut self, handle: u32) {
+    /// One holder fewer of `handle`; the last one frees the payload and
+    /// returns it — `Some(None)` for a packed sum, whose place `packed`
+    /// still names.
+    fn release(&mut self, handle: u32) -> Option<Option<Block>> {
         let h = handle as usize;
         self.holders[h] -= 1;
-        if self.holders[h] == 0 {
-            (self.blocks[h], self.holders[h]) = (None, self.free);
-            self.free = handle;
+        if self.holders[h] != 0 {
+            return None;
         }
-    }
-
-    /// Puts the `staged` handle into `slot`, letting go of what it held.
-    pub(crate) fn replace(&mut self, slot: &mut u32, staged: u32) {
-        let old = std::mem::replace(slot, staged);
-        if old != NOT_HELD {
-            self.release(old);
-        }
-    }
-
-    /// Sums payload `staged` into the payload `slot` holds, then lets go of
-    /// `staged`. Copy-on-write: if the slot is the payload's one holder in
-    /// the run, the sum is taken where the payload is — unless it is a
-    /// `Block` someone outside the run holds too; otherwise the payload
-    /// stays with its other holders and the sum gets a handle of its own.
-    /// The caller has checked that the lengths agree.
-    pub(crate) fn reduce(&mut self, slot: &mut u32, staged: u32) {
-        let held = *slot;
-        if self.holders[held as usize] > 1 {
-            self.holders[held as usize] -= 1;
-            *slot = self.add(None);
-            self.put_sum(*slot, held, staged);
-        } else if !self.add_in_place(held, staged) {
-            self.put_sum(held, held, staged);
-        }
-        self.release(staged);
+        let freed = self.blocks[h].take();
+        self.holders[h] = self.free;
+        self.free = handle;
+        Some(freed)
     }
 
     /// `held += value` where `held`'s payload is, if nothing outside the run
@@ -248,51 +225,166 @@ impl PayloadTable {
         true
     }
 
-    /// Writes `existing + value` once, into a place of its own, as the
-    /// payload of `handle` — which may be `existing`, read before it is
-    /// replaced: packed at the end of the last chunk if it is short, a new
-    /// `Block` otherwise.
-    fn put_sum(&mut self, handle: u32, existing: u32, value: u32) {
-        let len = self.get(existing).len();
-        if len > PACK_MAX_ELEMS {
-            let sum = sums(self.get(existing), self.get(value)).collect();
-            self.blocks[handle as usize] = Some(Arc::new(sum));
-            return;
-        }
+    /// A place of `len` elements at the end of the last chunk, or of a new
+    /// chunk if the last one is full.
+    fn append(&mut self, len: usize) -> Place {
         let full = |chunk: &Vec<f64>| chunk.len() + len > CHUNK_ELEMS;
         if self.chunks.last().is_none_or(full) {
             self.chunks.push(Vec::with_capacity(CHUNK_ELEMS));
         }
         let last = self.chunks.len() - 1;
-        let (earlier, chunk) = self.chunks.split_at_mut(last);
-        let chunk = &mut chunk[0];
+        let chunk = &mut self.chunks[last];
         let start = chunk.len();
         chunk.resize(start + len, 0.0);
-        let (before, sum) = chunk.split_at_mut(start);
-        let (before, earlier): (&[f64], &[Vec<f64>]) = (before, earlier);
-        let (blocks, packed) = (&self.blocks, &self.packed);
-        let operand = move |h: u32| match &blocks[h as usize] {
-            Some(block) => block.as_slice(),
-            None => match packed[h as usize].locate() {
-                (c, range) if c == last => &before[range],
-                (c, range) => &earlier[c][range],
-            },
-        };
-        for (out, s) in sum.iter_mut().zip(sums(operand(existing), operand(value))) {
-            *out = s;
-        }
         let at = u32::try_from(last * CHUNK_ELEMS + start);
-        let at = at.expect("more packed elements than places");
-        let place = Place {
-            at,
+        Place {
+            at: at.expect("more packed elements than places"),
             len: len as u32,
-        };
-        let h = handle as usize;
-        if self.packed.len() <= h {
-            self.packed.resize(self.blocks.len(), Place::default());
         }
-        (self.blocks[h], self.packed[h]) = (None, place);
     }
+
+    /// The packed room at `place`, mutably, and the payload of `handle`,
+    /// which lies elsewhere.
+    fn place_and_payload(&mut self, place: Place, handle: u32) -> (&mut [f64], &[f64]) {
+        let h = handle as usize;
+        match &self.blocks[h] {
+            Some(block) => {
+                let (chunk, range) = place.locate();
+                (&mut self.chunks[chunk][range], block)
+            }
+            None => disjoint(&mut self.chunks, place, self.packed[h]),
+        }
+    }
+}
+
+/// A run's [`PayloadTable`] as a walk writes it, with the room of the sums
+/// the walk freed: the next sum of the same length is written into that
+/// room before anything is allocated — for a long sum its `Block`, kept only
+/// when [`Arc::get_mut`] proves nobody else holds it, for a short one its
+/// packed place.
+///
+/// Only a run of a reducing schedule keeps room, so a run that never
+/// reduces never touches it. A reduction's copies free as much as its sums
+/// do (the allgather half of an allreduce replaces the partial sums of the
+/// reduce-scatter half), so every release of the run feeds it. The room
+/// lives beside the table for the walk alone: it goes when the walk returns
+/// or unwinds, so finals keep no dead room, and a spare never aliases a
+/// payload anyone holds.
+pub(crate) struct WalkTable<'a> {
+    table: &'a mut PayloadTable,
+    /// Whether freed room is kept: whether the schedule reduces.
+    keeps_room: bool,
+    /// Freed long sums, nobody else's.
+    spare_blocks: Vec<Block>,
+    /// The places of freed packed sums.
+    spare_places: Vec<Place>,
+}
+
+impl<'a> WalkTable<'a> {
+    fn new(table: &'a mut PayloadTable, keeps_room: bool) -> Self {
+        Self {
+            table,
+            keeps_room,
+            spare_blocks: Vec::new(),
+            spare_places: Vec::new(),
+        }
+    }
+
+    /// The payload of a held handle.
+    pub(crate) fn get(&self, handle: u32) -> &[f64] {
+        self.table.get(handle)
+    }
+
+    /// One more holder of `handle`: a staged entry.
+    pub(crate) fn hold(&mut self, handle: u32) {
+        self.table.holders[handle as usize] += 1;
+    }
+
+    /// One holder fewer of `handle`; the last one frees the payload, and
+    /// the walk keeps its room if the run reduces, a sum could take it and
+    /// nobody else holds it.
+    fn release(&mut self, handle: u32) {
+        let freed = self.table.release(handle);
+        match freed.filter(|_| self.keeps_room) {
+            Some(Some(mut block)) => {
+                if block.len() > PACK_MAX_ELEMS && Arc::get_mut(&mut block).is_some() {
+                    self.spare_blocks.push(block);
+                }
+            }
+            Some(None) => self.spare_places.push(self.table.packed[handle as usize]),
+            None => {}
+        }
+    }
+
+    /// Puts the `staged` handle into `slot`, letting go of what it held.
+    pub(crate) fn replace(&mut self, slot: &mut u32, staged: u32) {
+        let old = std::mem::replace(slot, staged);
+        if old != NOT_HELD {
+            self.release(old);
+        }
+    }
+
+    /// Sums payload `staged` into the payload `slot` holds, then lets go of
+    /// `staged`. Copy-on-write: if the slot is the payload's one holder in
+    /// the run, the sum is taken where the payload is — unless it is a
+    /// `Block` someone outside the run holds too; otherwise the payload
+    /// stays with its other holders and the sum gets a handle of its own.
+    /// The caller has checked that the lengths agree.
+    pub(crate) fn reduce(&mut self, slot: &mut u32, staged: u32) {
+        let held = *slot;
+        if self.table.holders[held as usize] > 1 {
+            self.table.holders[held as usize] -= 1;
+            *slot = self.table.add(None);
+            self.put_sum(*slot, held, staged);
+        } else if !self.table.add_in_place(held, staged) {
+            self.put_sum(held, held, staged);
+        }
+        self.release(staged);
+    }
+
+    /// Writes `existing + value` once, into room of its own, as the payload
+    /// of `handle` — which may be `existing`, read before it is replaced:
+    /// into a freed sum's room of the same length if the walk kept one,
+    /// otherwise a new `Block` if it is long, a place appended to the last
+    /// chunk if it is short.
+    fn put_sum(&mut self, handle: u32, existing: u32, value: u32) {
+        let table = &mut *self.table;
+        let len = table.get(existing).len();
+        if len > PACK_MAX_ELEMS {
+            let operands = sums(table.get(existing), table.get(value));
+            let sum = match take_spare(&mut self.spare_blocks, |room| room.len() == len) {
+                Some(mut room) => {
+                    let out = Arc::get_mut(&mut room).expect("a spare is nobody else's");
+                    for (out, s) in out.iter_mut().zip(operands) {
+                        *out = s;
+                    }
+                    room
+                }
+                None => Arc::new(operands.collect()),
+            };
+            table.blocks[handle as usize] = Some(sum);
+            return;
+        }
+        let spare = take_spare(&mut self.spare_places, |room| room.len as usize == len);
+        let place = spare.unwrap_or_else(|| table.append(len));
+        // `existing` then `+ value`: the operand order, and so the bits, of
+        // `sums`.
+        let (out, operand) = table.place_and_payload(place, existing);
+        out.copy_from_slice(operand);
+        let (out, operand) = table.place_and_payload(place, value);
+        add_assign(out, operand);
+        let h = handle as usize;
+        if table.packed.len() <= h {
+            table.packed.resize(table.blocks.len(), Place::default());
+        }
+        (table.blocks[h], table.packed[h]) = (None, place);
+    }
+}
+
+/// Takes the room latest kept in `spares` that `fits`, if any.
+fn take_spare<T>(spares: &mut Vec<T>, fits: impl Fn(&T) -> bool) -> Option<T> {
+    let at = spares.iter().rposition(fits)?;
+    Some(spares.swap_remove(at))
 }
 
 /// The ranges `dst`, mutably, and `src` of `chunks`: two packed sums.
@@ -437,19 +529,21 @@ fn run_table<'a>(
     stores.iter().enumerate().all(of_run).then_some(table)
 }
 
-/// Runs `walk` over `states` — rank `r`'s at index `r`, put under `layout`
-/// first if they are not one run's yet — with their payload table taken out
-/// of them for the walk to mutate, and puts it back when the walk returns or
-/// unwinds.
+/// Runs `walk` over `states` — rank `r`'s at index `r`, put under
+/// `compiled`'s key table first if they are not one run's yet — with their
+/// payload table taken out of them for the walk to write, and puts it back
+/// when the walk returns or unwinds.
 pub(crate) fn with_table<R>(
     states: &mut [BlockStore],
-    layout: &Arc<SlotLayout>,
-    walk: impl FnOnce(&mut PayloadTable, &mut [BlockStore]) -> R,
+    compiled: &CompiledSchedule,
+    walk: impl FnOnce(&mut WalkTable<'_>, &mut [BlockStore]) -> R,
 ) -> R {
+    let layout = compiled.slot_layout();
     rekey(states, layout);
     let Some((table, _)) = states.first_mut().and_then(|s| s.keyed.take()) else {
         // No ranks, no payloads.
-        return walk(&mut PayloadTable::with_capacity(layout, 0), states);
+        let mut empty = PayloadTable::with_capacity(layout, 0);
+        return walk(&mut WalkTable::new(&mut empty, false), states);
     };
     for state in &mut states[1..] {
         state.keyed = None;
@@ -457,7 +551,9 @@ pub(crate) fn with_table<R>(
     let mut detached = Detached { table, states };
     let Detached { table, states } = &mut detached;
     let table = Arc::get_mut(table).expect("re-keying leaves the table to the run");
-    walk(table, states)
+    // Dropped before `detached` gives the states their table back.
+    let mut table = WalkTable::new(table, compiled.reduces());
+    walk(&mut table, states)
 }
 
 /// A run's states while a walk holds their payload table: dropping it — on
@@ -872,6 +968,11 @@ mod tests {
         &store.keyed.as_ref().expect("table-backed").0
     }
 
+    /// Elements packed into `table`'s chunks so far.
+    fn filled(table: &PayloadTable) -> usize {
+        table.chunks.iter().map(Vec::len).sum()
+    }
+
     #[test]
     fn a_short_sum_is_packed_and_a_long_one_is_a_block() {
         let (layout, _) = gather_table();
@@ -880,32 +981,36 @@ mod tests {
             (PACK_MAX_ELEMS, true),
             (PACK_MAX_ELEMS + 1, false),
         ] {
-            let mut table = PayloadTable::with_capacity(&layout, 2);
+            let mut payloads = PayloadTable::with_capacity(&layout, 2);
+            let mut table = WalkTable::new(&mut payloads, true);
             let caller: Block = Arc::new(vec![1.0; elems]);
-            let mut slot = table.add(Some(Block::clone(&caller)));
-            let staged = table.add(Some(Arc::new(vec![0.5; elems])));
+            let mut slot = table.table.add(Some(Block::clone(&caller)));
+            let staged = table.table.add(Some(Arc::new(vec![0.5; elems])));
             // The caller holds the payload: the sum gets a place of its own.
             table.reduce(&mut slot, staged);
             assert_eq!(table.get(slot), vec![1.5; elems]);
             assert_eq!(*caller, vec![1.0; elems], "copy-on-write");
             assert_eq!(Arc::strong_count(&caller), 1, "the table let go");
-            assert_eq!(table.blocks[slot as usize].is_none(), packed, "{elems}");
-            let filled = |t: &PayloadTable| t.chunks.iter().map(Vec::len).sum::<usize>();
-            assert_eq!(filled(&table), if packed { elems } else { 0 });
+            assert_eq!(
+                table.table.blocks[slot as usize].is_none(),
+                packed,
+                "{elems}"
+            );
+            assert_eq!(filled(table.table), if packed { elems } else { 0 });
             // The run's own sum is summed where it is, packed or not.
-            let staged = table.add(Some(Arc::new(vec![0.25; elems])));
+            let staged = table.table.add(Some(Arc::new(vec![0.25; elems])));
             table.reduce(&mut slot, staged);
             assert_eq!(table.get(slot), vec![1.75; elems]);
-            assert_eq!(filled(&table), if packed { elems } else { 0 });
+            assert_eq!(filled(table.table), if packed { elems } else { 0 });
             // A sum another slot holds too is copied on write.
             let shared = slot;
             table.hold(shared);
-            let staged = table.add(Some(Arc::new(vec![0.25; elems])));
+            let staged = table.table.add(Some(Arc::new(vec![0.25; elems])));
             table.reduce(&mut slot, staged);
             assert_ne!(slot, shared);
             assert_eq!(table.get(shared), vec![1.75; elems]);
             assert_eq!(table.get(slot), vec![2.0; elems]);
-            assert_eq!(table.shared(slot).as_slice(), table.get(slot));
+            assert_eq!(table.table.shared(slot).as_slice(), table.get(slot));
         }
     }
 
@@ -913,19 +1018,22 @@ mod tests {
     fn packed_sums_add_into_each_other_wherever_they_lie() {
         // Two packed sums of one chunk, in either order, and of two chunks.
         let (layout, _) = gather_table();
-        let mut table = PayloadTable::with_capacity(&layout, 0);
+        let mut payloads = PayloadTable::with_capacity(&layout, 0);
+        let mut table = WalkTable::new(&mut payloads, true);
         let caller: Block = Arc::new(vec![1.0; PACK_MAX_ELEMS]);
         let mut sums = Vec::new();
         let per_chunk = CHUNK_ELEMS / PACK_MAX_ELEMS;
         for i in 0..per_chunk + 1 {
-            let mut slot = table.add(Some(Block::clone(&caller)));
-            let staged = table.add(Some(Arc::new(vec![i as f64; PACK_MAX_ELEMS])));
+            let mut slot = table.table.add(Some(Block::clone(&caller)));
+            let staged = table
+                .table
+                .add(Some(Arc::new(vec![i as f64; PACK_MAX_ELEMS])));
             table.reduce(&mut slot, staged);
             sums.push(slot);
         }
-        assert_eq!(table.chunks.len(), 2);
+        assert_eq!(table.table.chunks.len(), 2);
         let (first, second, other_chunk) = (sums[0], sums[1], sums[per_chunk]);
-        let value = |t: &PayloadTable, h: u32| t.get(h)[0];
+        let value = |t: &WalkTable, h: u32| t.get(h)[0];
         for (into, from) in [(first, second), (second, first), (first, other_chunk)] {
             let (was, adds) = (value(&table, into), value(&table, from));
             let mut slot = into;
@@ -935,7 +1043,58 @@ mod tests {
             assert_eq!(table.get(into), vec![was + adds; PACK_MAX_ELEMS]);
             assert_eq!(value(&table, from), adds);
         }
-        assert_eq!(table.chunks.len(), 2, "nothing was appended");
+        assert_eq!(table.table.chunks.len(), 2, "nothing was appended");
+    }
+
+    #[test]
+    fn a_reducing_walk_writes_a_sum_into_the_room_a_freed_sum_left() {
+        let (layout, _) = gather_table();
+        for (elems, keeps_room) in [
+            (1, true),
+            (1, false),
+            (PACK_MAX_ELEMS + 1, true),
+            (PACK_MAX_ELEMS + 1, false),
+        ] {
+            let what = format!("{elems} elements, keeps room: {keeps_room}");
+            let mut payloads = PayloadTable::with_capacity(&layout, 4);
+            let mut table = WalkTable::new(&mut payloads, keeps_room);
+            let caller: Block = Arc::new(vec![1.0; elems]);
+            // `caller + x` as a sum of the walk's, in a slot of its own; the
+            // caller holds `x` too.
+            let mut operands = Vec::new();
+            let mut sum_of = |table: &mut WalkTable, x: f64| {
+                let mut slot = table.table.add(Some(Block::clone(&caller)));
+                operands.push(Arc::new(vec![x; elems]));
+                let staged = table.table.add(operands.last().cloned());
+                table.reduce(&mut slot, staged);
+                slot
+            };
+            let kept = |t: &WalkTable| t.spare_blocks.len() + t.spare_places.len();
+            // A copy replaces the sum: its room is freed, and kept.
+            let mut slot = sum_of(&mut table, 0.5);
+            let room = table.get(slot).as_ptr();
+            let copy = table.table.add(Some(Block::clone(&caller)));
+            table.replace(&mut slot, copy);
+            assert_eq!(kept(&table), usize::from(keeps_room), "{what}");
+            let packed_before = filled(table.table);
+            let next = sum_of(&mut table, 0.25);
+            assert_eq!(table.get(next), vec![1.25; elems], "{what}");
+            assert_eq!(kept(&table), 0, "{what}");
+            if keeps_room {
+                assert_eq!(table.get(next).as_ptr(), room, "{what}");
+                assert_eq!(filled(table.table), packed_before, "{what}");
+            }
+            // A long sum someone outside the run holds is not kept.
+            let mut slot = next;
+            let outside = table.table.shared(slot);
+            let copy = table.table.add(Some(Block::clone(&caller)));
+            table.replace(&mut slot, copy);
+            let packed = elems <= PACK_MAX_ELEMS;
+            assert_eq!(kept(&table), usize::from(keeps_room && packed), "{what}");
+            let last = sum_of(&mut table, 2.0);
+            assert_eq!(table.get(last), vec![3.0; elems], "{what}");
+            assert_eq!(*outside, vec![1.25; elems], "{what}");
+        }
     }
 
     /// Segments 1, 2 and 5 (as `[i, i]`) and `Full` under the root's row of

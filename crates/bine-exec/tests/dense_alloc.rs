@@ -3,11 +3,11 @@
 //! schedule interned, a run holds each payload once, leaving dense form —
 //! and entering it again with the finals — allocates nothing, the pool adds
 //! nothing to the step kernel, the block walk of a large reduction allocates
-//! what the step walk does, neither stages an identity move, and a short
-//! sum costs no allocation of its own. Measured
-//! with a per-thread counting wrapper around the system allocator (tests
-//! are their own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still
-//! holds for the library itself).
+//! what the step walk does, neither stages an identity move, a short sum
+//! costs no allocation of its own, and a reduction writes its sum into the
+//! room a freed sum left. Measured with a per-thread counting wrapper around
+//! the system allocator (tests are their own crates, so `bine-exec`'s
+//! `#![forbid(unsafe_code)]` still holds for the library itself).
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting;
@@ -249,6 +249,75 @@ fn one_element_sums_allocate_per_chunk_not_per_sum() {
         allocations < p as u64,
         "run_dense allocated {allocations} times"
     );
+}
+
+/// [`run_dense_cost`] of a warm handle: the block order, if the run walks
+/// block by block, is derived by a run before the measured one.
+fn warm_run_dense_cost(alg: AllreduceAlg, p: usize, elems: usize) -> (u64, u64) {
+    let sched = allreduce(p, alg);
+    let handle = sched.compile();
+    handle.slot_layout();
+    run_dense_cost(&sched, &handle, elems);
+    run_dense_cost(&sched, &handle, elems)
+}
+
+/// Heap bytes of one long sum of `elems` elements: its buffer, and the
+/// `Arc`'s counts and `Vec` header.
+fn block_bytes(elems: usize) -> u64 {
+    (elems * 8 + 40) as u64
+}
+
+#[test]
+fn recursive_doubling_writes_its_sums_into_freed_room() {
+    // Allreduce `bine-small` at p = 64 over 2048-element `Full` sums (one
+    // block, so the block walk `run_dense` takes is the step walk's order).
+    // The first step writes p new sums: both partners of a pair sum into an
+    // input the caller holds. From the second on, the first partner of a
+    // pair to apply copies on write and the second frees the sum it sent,
+    // so a later copy takes a freed sum's room once the frees catch up: at
+    // most a quarter of p more sums (11 measured). Without reuse every copy
+    // of the five later steps was new: 64 + 5 · 32 = 224 sums, 451
+    // allocations and 3 680 768 B.
+    let (p, elems) = (64, 2048);
+    let sums = (p + p / 4) as u64;
+    let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineSmall, p, elems / p);
+    // Two heap objects per sum, and the staging and spare lists.
+    assert!(allocations <= 2 * sums + 16, "{allocations} allocations");
+    assert!(bytes <= sums * block_bytes(elems) + 8192, "{bytes} B");
+}
+
+#[test]
+fn the_block_walk_writes_each_blocks_sums_into_the_last_blocks_room() {
+    // Allreduce `bine-large` at p = 64, 1024 elements per block, walked
+    // block by block. The first step of a block's reduce-scatter writes
+    // p / 2 sums into inputs the caller holds; its allgather then replaces
+    // every partial sum but the final one, which all ranks keep. So the
+    // first block writes p / 2 new sums and every later block one more:
+    // 32 + 63 = 95. Without reuse every block's first step was new:
+    // 64 · 32 = 2048 sums, 4097 allocations and 16 859 264 B.
+    let p = 64;
+    let sums = (p / 2 + p - 1) as u64;
+    let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineLarge, p, 1024);
+    // Two heap objects per sum, and the staging and spare lists.
+    assert!(allocations <= 2 * sums + 16, "{allocations} allocations");
+    assert!(bytes <= sums * block_bytes(1024) + 8192, "{bytes} B");
+}
+
+#[test]
+fn packed_sums_are_written_into_freed_places() {
+    // Allreduce `bine-small` at p = 256 and one element per rank: 256-element
+    // `Full` sums, each packed, 16 to a 32 KiB chunk. As at p = 64, the
+    // first step writes p sums (16 chunks) and the later steps at most a
+    // quarter of p more (48 measured, 3 chunks). Without reuse every copy of
+    // the seven later steps took a new place: 256 + 7 · 128 = 1152 sums in
+    // 72 chunks, 89 allocations and 2 379 688 B.
+    let p = 256;
+    let chunks = ((p + p / 4) / 16) as u64;
+    let chunk_bytes = 32 * 1024;
+    let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineSmall, p, 1);
+    // A chunk each, and the handle, place, staging and spare lists.
+    assert!(allocations <= chunks + 24, "{allocations} allocations");
+    assert!(bytes <= (chunks + 1) * chunk_bytes, "{bytes} B");
 }
 
 /// A reduce-scatter of the `permute` strategy's local pass alone — every rank

@@ -7,8 +7,8 @@
 //! a dead rank's state comes back as it went in, in either form. The ranks
 //! of a run share one payload table: neither a caller's write to one rank's
 //! finals nor a later run may show through another rank's or a clone's —
-//! whether a final is a caller's payload, a sum packed into the table or a
-//! sum too long to pack.
+//! whether a final is a caller's payload, a sum packed into the table, a sum
+//! too long to pack, or a sum written into the room a freed one left.
 
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ use bine_sched::collectives::{
     allgather, allreduce, broadcast, gather, reduce_scatter, AllgatherAlg, AllreduceAlg,
     BroadcastAlg, GatherAlg, ReduceScatterAlg,
 };
-use bine_sched::{walk, BlockId, NonContigStrategy, Schedule};
+use bine_sched::{walk, BlockId, Collective, Granularity, NonContigStrategy, Schedule};
 
 /// The blocks of `store`, in one order whatever the store's form.
 fn sorted_blocks(store: &BlockStore) -> Vec<(&BlockId, &[f64])> {
@@ -186,6 +186,99 @@ fn finals_fed_back_while_a_clone_is_held_leave_the_clone_as_it_was() {
             "{what}: the clone fed back"
         );
     }
+}
+
+/// Sum lengths either side of packing and of the block walk: 1 element
+/// (packed, step walk), 300 (a `Block`, step walk) and 2048 (a `Block`,
+/// block walk).
+const SUM_ELEMS: [usize; 3] = [1, 300, 2048];
+
+/// The largest input, in elements over all ranks, the reference interpreter
+/// is run on below (4 MiB): a reduce-scatter at p = 16 and 2048 elements
+/// per block. At p = 64 a reduce-scatter of 300-element blocks takes the
+/// reference over half a second.
+const MAX_INPUT_ELEMS: usize = 1 << 19;
+
+/// Every payload bit of `stores`, rank by rank, in one order whatever the
+/// stores' form.
+fn bits(stores: &[BlockStore]) -> Vec<Vec<(BlockId, Vec<u64>)>> {
+    let bits_of = |store: &BlockStore| {
+        let blocks = sorted_blocks(store).into_iter();
+        blocks
+            .map(|(id, b)| (*id, b.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    };
+    stores.iter().map(bits_of).collect()
+}
+
+/// Whether every rank ends holding every block it started with, so the
+/// finals are valid inputs of the same schedule.
+fn holds_its_inputs(initial: &[BlockStore], finals: &[BlockStore]) -> bool {
+    let holds = |(start, end): (&BlockStore, &BlockStore)| {
+        start.iter().all(|(id, _)| end.get(id).is_some())
+    };
+    initial.iter().zip(finals).all(holds)
+}
+
+#[test]
+fn a_sum_written_into_freed_room_never_shows_through_a_held_payload() {
+    // A reducing run writes a sum into the room of a sum it freed. Every
+    // reducing request of the walk, at sums packed or not, walked step by
+    // step or block by block: the caller's inputs keep every bit, the
+    // finals are the reference's, and finals fed back in while the caller
+    // holds a clone of them leave the clone as it was. The `+seg` variants
+    // run at p = 16 and one-element sums; every input stays under
+    // `MAX_INPUT_ELEMS`.
+    let mut ran = [0; 3];
+    let reducing = [
+        Collective::Allreduce,
+        Collective::ReduceScatter,
+        Collective::Reduce,
+    ];
+    for request in walk(&[16, 64]) {
+        if !reducing.contains(&request.collective) || request.repeats_root_zero() {
+            continue;
+        }
+        let Some(sched) = request.build() else {
+            continue;
+        };
+        let handle = Arc::new(sched.compile());
+        let p = sched.num_ranks;
+        // Elements held over all ranks at one element per block.
+        let input = Workload::for_schedule(&sched, 1).initial_state(&sched);
+        let unit: usize = input
+            .iter()
+            .flat_map(BlockStore::iter)
+            .map(|(_, b)| b.len())
+            .sum();
+        for (size, elems) in SUM_ELEMS.into_iter().enumerate() {
+            if request.segments > 1 && (p > 16 || elems > 1) {
+                continue;
+            }
+            // A `Full` block is `p` blocks' elements long.
+            let per_block = match Granularity::from(&sched).segments {
+                true => elems,
+                false => elems.div_ceil(p),
+            };
+            if unit * per_block > MAX_INPUT_ELEMS {
+                continue;
+            }
+            let initial = Workload::for_schedule(&sched, per_block).initial_state(&sched);
+            let what = format!("{} at {per_block} elements per block", request.label());
+            let before = bits(&initial);
+            let reference = sequential::run_reference(&sched, initial.clone());
+            let finals = compiled::run(&handle, initial.clone());
+            assert!(bits(&initial) == before, "{what}: the inputs");
+            assert!(finals == reference, "{what}: the finals");
+            if holds_its_inputs(&initial, &finals) {
+                let (kept, was) = (finals.clone(), bits(&finals));
+                drop(compiled::run(&handle, finals));
+                assert!(bits(&kept) == was, "{what}: the finals' clone");
+            }
+            ran[size] += 1;
+        }
+    }
+    assert!(ran.iter().all(|&n| n > 90), "runs per sum length: {ran:?}");
 }
 
 #[test]

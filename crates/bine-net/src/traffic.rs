@@ -4,15 +4,16 @@
 //! This is the paper's headline metric (Tables 3–5 "Traffic Red.", Fig. 1,
 //! Fig. 5). Following Fig. 1, *global bytes* count each message once when its
 //! endpoints are in different groups; per-link byte counters are additionally
-//! kept for the congestion term of the cost model.
+//! kept for the congestion term of the cost model. One walk accounts every
+//! network message once: [`measure`] folds it whole, [`per_step`] by step.
 
 use bine_sched::Schedule;
 
 use crate::allocation::Allocation;
-use crate::topology::{LinkClass, Topology};
+use crate::topology::{LinkClass, LinkId, Topology};
 
-/// Byte-level traffic summary of one schedule on one topology/allocation.
-#[derive(Debug, Clone, PartialEq)]
+/// Byte-level traffic summary of a schedule or one of its steps on one topology/allocation.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficReport {
     /// Total bytes moved over the network (local buffer moves excluded).
     pub total_bytes: u64,
@@ -33,13 +34,45 @@ pub struct TrafficReport {
 }
 
 impl TrafficReport {
-    /// Fraction of the total bytes that crossed group boundaries.
-    pub fn global_fraction(&self) -> f64 {
-        if self.total_bytes == 0 {
-            0.0
-        } else {
-            self.global_bytes as f64 / self.total_bytes as f64
+    /// Accounts one network message along `route`; the busiest link is the
+    /// caller's.
+    fn add(&mut self, bytes: u64, global: bool, route: &[LinkId], topo: &dyn Topology) {
+        self.total_bytes += bytes;
+        self.messages += 1;
+        if global {
+            self.global_bytes += bytes;
+            self.global_messages += 1;
         }
+        for &link in route {
+            match topo.link(link).class {
+                LinkClass::Local => self.local_link_bytes += bytes,
+                LinkClass::Global => self.global_link_bytes += bytes,
+            }
+        }
+    }
+}
+
+/// The one walk over `schedule`'s network traffic at `n` bytes: every network
+/// message once, in step order, as `visit(step, bytes, global, route)`.
+fn walk(
+    schedule: &Schedule,
+    n: u64,
+    topo: &dyn Topology,
+    alloc: &Allocation,
+    mut visit: impl FnMut(usize, u64, bool, &[LinkId]),
+) {
+    assert!(
+        alloc.num_ranks() >= schedule.num_ranks,
+        "allocation has {} ranks, schedule needs {}",
+        alloc.num_ranks(),
+        schedule.num_ranks
+    );
+    let mut route = Vec::new();
+    for (step, m) in schedule.messages().filter(|(_, m)| !m.is_local()) {
+        let (src, dst) = (alloc.node_of(m.src), alloc.node_of(m.dst));
+        topo.route(src, dst, &mut route);
+        let global = src != dst && topo.crosses_groups(src, dst);
+        visit(step, schedule.message_bytes(m, n), global, &route);
     }
 }
 
@@ -54,46 +87,36 @@ pub fn measure(
     topo: &dyn Topology,
     alloc: &Allocation,
 ) -> TrafficReport {
-    assert!(
-        alloc.num_ranks() >= schedule.num_ranks,
-        "allocation has {} ranks, schedule needs {}",
-        alloc.num_ranks(),
-        schedule.num_ranks
-    );
-    let mut report = TrafficReport {
-        total_bytes: 0,
-        global_bytes: 0,
-        messages: 0,
-        global_messages: 0,
-        local_link_bytes: 0,
-        global_link_bytes: 0,
-        max_link_bytes: 0,
-    };
+    let mut report = TrafficReport::default();
     let mut per_link = vec![0u64; topo.num_links()];
-    let mut route = Vec::new();
-    for (_, m) in schedule.messages() {
-        if m.is_local() {
-            continue;
-        }
-        let bytes = schedule.message_bytes(m, n);
-        let (src, dst) = (alloc.node_of(m.src), alloc.node_of(m.dst));
-        report.total_bytes += bytes;
-        report.messages += 1;
-        if src != dst && topo.crosses_groups(src, dst) {
-            report.global_bytes += bytes;
-            report.global_messages += 1;
-        }
-        topo.route(src, dst, &mut route);
-        for &link in &route {
-            per_link[link] += bytes;
-            match topo.link(link).class {
-                LinkClass::Local => report.local_link_bytes += bytes,
-                LinkClass::Global => report.global_link_bytes += bytes,
-            }
-        }
-    }
+    walk(schedule, n, topo, alloc, |_, bytes, global, route| {
+        report.add(bytes, global, route, topo);
+        route.iter().for_each(|&link| per_link[link] += bytes);
+    });
     report.max_link_bytes = per_link.into_iter().max().unwrap_or(0);
     report
+}
+
+/// [`measure`] step by step, and panicking where it does: one report per
+/// step of `schedule`, its busiest link the step's own.
+pub fn per_step(
+    schedule: &Schedule,
+    n: u64,
+    topo: &dyn Topology,
+    alloc: &Allocation,
+) -> Vec<TrafficReport> {
+    let mut steps = vec![TrafficReport::default(); schedule.num_steps()];
+    let mut per_link = vec![(0, 0u64); topo.num_links()]; // (step, bytes in it)
+    walk(schedule, n, topo, alloc, |step, bytes, global, route| {
+        let report = &mut steps[step];
+        report.add(bytes, global, route, topo);
+        for &link in route {
+            let (of, offered) = per_link[link];
+            per_link[link] = (step, if of == step { offered + bytes } else { bytes });
+            report.max_link_bytes = report.max_link_bytes.max(per_link[link].1);
+        }
+    });
+    steps
 }
 
 /// Convenience wrapper returning only the global bytes of a schedule.
@@ -143,6 +166,10 @@ mod tests {
         // Both move the same total volume.
         assert_eq!(measure(&dd, n, &topo, &alloc).total_bytes, 7 * n);
         assert_eq!(measure(&dh, n, &topo, &alloc).total_bytes, 7 * n);
+        // Step by step: doubling crosses groups from its second step on.
+        let steps = per_step(&dd, n, &topo, &alloc);
+        let global: Vec<u64> = steps.iter().map(|step| step.global_bytes).collect();
+        assert_eq!(global, [0, 2 * n, 4 * n]);
     }
 
     #[test]
