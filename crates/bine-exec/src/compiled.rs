@@ -5,7 +5,8 @@
 //! loop indexes flat `Vec`s instead of hashing `BlockId`s, and a slot holds a
 //! `u32` handle into the run's payload table, so moving data copies an
 //! integer and reductions are copy-on-write. A sum is the table's to store
-//! (packed into its chunks if short, a `Block` of its own if long): the
+//! (packed into its chunks if short, a `Block` of its own if long, written
+//! into the room of a sum the walk freed if one of its length is kept): the
 //! walks allocate no payload. Results are bit-identical to
 //! [`crate::sequential::run_reference`]: payloads are gathered from the
 //! pre-step state and applied per receiver in schedule order — exactly the

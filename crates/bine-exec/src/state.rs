@@ -40,13 +40,14 @@ pub(crate) const NOT_HELD: u32 = u32::MAX;
 /// Longest sum, in elements, a run packs into its payload table's chunks
 /// (2 KiB of `f64`s); a longer one is a [`Block`] of its own.
 ///
-/// A packed sum costs no allocation of its own, but its room is only freed
-/// with the table: a superseded sum's memory is not reused within the run,
-/// and the next run touches fresh pages. The crossover, as every sum packed
-/// ÷ every sum a `Block`, `ExecutorPool::run` + drop of the finals over
-/// inputs the caller still holds, one confined vCPU (4 MiB L2), best of
-/// three alternating lower quartiles of 25 runs; reduce-scatter
-/// `bine-permute` / allreduce `bine-large`:
+/// A packed sum costs no allocation of its own, and a reducing walk writes
+/// the next sum of its length into its place once it is freed (see
+/// [`WalkTable`]); the chunks go with the table. The crossover, measured
+/// before freed room was reused, as every sum packed ÷ every sum a `Block`,
+/// `ExecutorPool::run` + drop of the finals over inputs the caller still
+/// holds, one confined vCPU (4 MiB L2), best of three alternating lower
+/// quartiles of 25 runs; reduce-scatter `bine-permute` / allreduce
+/// `bine-large`:
 ///
 /// | sum | p = 16 | p = 64 | p = 256 |
 /// |---|---|---|---|
@@ -58,23 +59,25 @@ pub(crate) const NOT_HELD: u32 = u32::MAX;
 /// | 512 | 1.04 / 1.04 | 1.05 / 1.11 | not run |
 ///
 /// Allreduce `bine-small`, whose every step supersedes each rank's one
-/// `Full` sum, loses more: 1.77–4.54 at sums of 512–2048 elements. So
+/// `Full` sum, lost more then: 1.77–4.54 at sums of 512–2048 elements. So
 /// packing stops at 256, and the benchmark's 2048-element allreduce sums
-/// and every `exec-reduce` sum stay `Block`s, freed and reused as before.
+/// and every `exec-reduce` sum stay `Block`s.
 const PACK_MAX_ELEMS: usize = 256;
 
 /// Elements per chunk of packed sums (32 KiB of `f64`s).
 ///
 /// A run allocates a chunk at its first short sum and another whenever the
-/// last one is full: 16 chunks for the 65 536 one-element sums of a
-/// reduce-scatter at p = 256. The same runs as for [`PACK_MAX_ELEMS`], at
-/// sums of 1–256 elements, with 1024- and 16 384-element chunks ÷ this size:
+/// last one is full and no freed place of the sum's length is kept: 16
+/// chunks for the 65 536 one-element sums of a reduce-scatter at p = 256.
+/// The same runs as for [`PACK_MAX_ELEMS`] (before reuse), at sums of
+/// 1–256 elements, with 1024- and 16 384-element chunks ÷ this size:
 /// 0.56–0.80 at p = 16 (the allocator hands a 32 KiB chunk back to the
 /// system after every run there, about 12 µs a run), 0.74–1.34 and
 /// 0.87–1.14 at p = 64, 0.85–1.25 and 0.87–1.62 at p = 256 (1.25 and 1.62
 /// at one element). The 256-rank requests are most of `serve-latency`'s
 /// round: one 3 s run each gave 3.81 / 3.63 / 4.17 `round_pu` and 6654 /
-/// 6138 / 6005 allocations per round.
+/// 6138 / 6005 allocations per round (4053 at this size once freed places
+/// are reused).
 const CHUNK_ELEMS: usize = 4096;
 
 const _: () = assert!(PACK_MAX_ELEMS <= CHUNK_ELEMS);
@@ -344,15 +347,17 @@ impl<'a> WalkTable<'a> {
 
     /// Writes `existing + value` once, into room of its own, as the payload
     /// of `handle` — which may be `existing`, read before it is replaced:
-    /// into a freed sum's room of the same length if the walk kept one,
+    /// into the room the walk kept last, if it is of the same length,
     /// otherwise a new `Block` if it is long, a place appended to the last
-    /// chunk if it is short.
+    /// chunk if it is short. A run's sums share one length or a few, so the
+    /// last room nearly always fits; one that does not waits for the walk's
+    /// end.
     fn put_sum(&mut self, handle: u32, existing: u32, value: u32) {
         let table = &mut *self.table;
         let len = table.get(existing).len();
         if len > PACK_MAX_ELEMS {
             let operands = sums(table.get(existing), table.get(value));
-            let sum = match take_spare(&mut self.spare_blocks, |room| room.len() == len) {
+            let sum = match self.spare_blocks.pop_if(|room| room.len() == len) {
                 Some(mut room) => {
                     let out = Arc::get_mut(&mut room).expect("a spare is nobody else's");
                     for (out, s) in out.iter_mut().zip(operands) {
@@ -365,7 +370,7 @@ impl<'a> WalkTable<'a> {
             table.blocks[handle as usize] = Some(sum);
             return;
         }
-        let spare = take_spare(&mut self.spare_places, |room| room.len as usize == len);
+        let spare = self.spare_places.pop_if(|room| room.len as usize == len);
         let place = spare.unwrap_or_else(|| table.append(len));
         // `existing` then `+ value`: the operand order, and so the bits, of
         // `sums`.
@@ -379,12 +384,6 @@ impl<'a> WalkTable<'a> {
         }
         (table.blocks[h], table.packed[h]) = (None, place);
     }
-}
-
-/// Takes the room latest kept in `spares` that `fits`, if any.
-fn take_spare<T>(spares: &mut Vec<T>, fits: impl Fn(&T) -> bool) -> Option<T> {
-    let at = spares.iter().rposition(fits)?;
-    Some(spares.swap_remove(at))
 }
 
 /// The ranges `dst`, mutably, and `src` of `chunks`: two packed sums.
