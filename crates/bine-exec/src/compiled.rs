@@ -265,7 +265,7 @@ fn receive(
     compiled: &CompiledSchedule,
     send: &CompiledSend,
     k: usize,
-    table: &mut WalkTable<'_>,
+    table: &mut WalkTable,
     held: &mut u32,
     payload: u32,
 ) {
@@ -301,7 +301,7 @@ fn gather_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
-    table: &mut WalkTable<'_>,
+    table: &mut WalkTable,
     states: &[DenseState],
     staging: &mut Vec<u32>,
 ) {
@@ -332,7 +332,7 @@ fn apply_recvs(
     step: usize,
     recvs: &[u32],
     staging: &[u32],
-    table: &mut WalkTable<'_>,
+    table: &mut WalkTable,
     states: &mut [DenseState],
 ) {
     let mut taken = 0;
