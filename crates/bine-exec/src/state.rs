@@ -273,7 +273,8 @@ impl PayloadTable {
 /// reduces never touches it. A reduction's copies free as much as its sums
 /// do (the allgather half of an allreduce replaces the partial sums of the
 /// reduce-scatter half), so every release of the run feeds it. The room
-/// lives beside the table for the walk alone: it goes when the walk returns
+/// lives beside the table, not in it, so the table every run allocates is
+/// no larger for it; and only for the walk: it goes when the walk returns
 /// or unwinds, so finals keep no dead room, and a spare never aliases a
 /// payload anyone holds.
 pub(crate) struct WalkTable {
