@@ -314,7 +314,8 @@ impl WalkTable {
         let freed = self.table.release(handle);
         match freed.filter(|_| self.keeps_room) {
             Some(Some(mut block)) => {
-                if block.len() > PACK_MAX_ELEMS && Arc::get_mut(&mut block).is_some() {
+                let nobody_elses = Arc::get_mut(&mut block).is_some();
+                if nobody_elses && block.len() > PACK_MAX_ELEMS {
                     self.spare_blocks.push(block);
                 }
             }
