@@ -131,6 +131,8 @@ mod statics;
 pub use optimized::SimArena;
 pub use request::{RateProbe, SimOutcome, SimReport, SimRequest, StallReport};
 
+use crate::topology::LinkClass;
+
 /// A network transfer currently in flight.
 #[derive(Clone, Copy)]
 struct Flow {
@@ -146,6 +148,34 @@ enum Ev {
     /// The destination finished writing (and, for reduces, combining) the
     /// payload; dependent sends may now become eligible.
     WriteDone(u32),
+}
+
+/// The tier totals of the network flows a run completed: what
+/// [`SimReport`]'s `global_bytes`, `local_link_bytes` and
+/// `global_link_bytes` report.
+#[derive(Clone, Copy, Default)]
+struct Tiers {
+    global_bytes: u64,
+    local_link_bytes: u64,
+    global_link_bytes: u64,
+}
+
+impl Tiers {
+    /// Counts a completed flow of `bytes` over links of `classes`; `global`
+    /// when its endpoints are in different groups.
+    fn add(&mut self, bytes: f64, global: bool, classes: impl Iterator<Item = LinkClass>) {
+        // `bytes` widens an exact `u64` count (see `ensure_bytes`).
+        let bytes = bytes as u64;
+        if global {
+            self.global_bytes += bytes;
+        }
+        for class in classes {
+            match class {
+                LinkClass::Local => self.local_link_bytes += bytes,
+                LinkClass::Global => self.global_link_bytes += bytes,
+            }
+        }
+    }
 }
 
 /// Empties `v` and fills it with `n` copies of `value`, keeping its capacity.

@@ -8,7 +8,7 @@ use crate::event::EventQueue;
 use super::fairshare::FairShare;
 use super::request::{stall_report, Inputs, RateProbe, SimReport, StallReport};
 use super::statics::{build_static, CachedStatic, StaticScratch};
-use super::{refill, Ev, Flow};
+use super::{refill, Ev, Flow, Tiers};
 
 /// The mutable per-run state, reused across simulations.
 #[derive(Default)]
@@ -44,6 +44,8 @@ struct Scratch {
     peak: usize,
     /// `network_messages` of the last run.
     network_messages: u64,
+    /// The tier totals of the last run's completed flows.
+    tiers: Tiers,
 }
 
 /// Reusable state for the optimized simulator: all per-simulation scratch
@@ -87,6 +89,9 @@ impl SimArena {
             makespan_us,
             rank_finish_us: self.scratch.rank_finish.clone(),
             network_messages: self.scratch.network_messages,
+            global_bytes: self.scratch.tiers.global_bytes,
+            local_link_bytes: self.scratch.tiers.local_link_bytes,
+            global_link_bytes: self.scratch.tiers.global_link_bytes,
             peak_active_flows: self.scratch.peak,
         }
     }
@@ -120,6 +125,7 @@ impl Scratch {
         refill(&mut self.cand_marked, p, false);
         self.peak = 0;
         self.network_messages = st.network_messages;
+        self.tiers = Tiers::default();
     }
 
     /// Marks `rank` as an eligibility candidate of the current event.
@@ -275,7 +281,11 @@ pub(super) fn run(
         for r in 0..sc.active.len() {
             let mut f = sc.active[r];
             if sc.completion[r] <= t_next + tol {
-                let src = st.src[f.send as usize] as usize;
+                let send = f.send as usize;
+                let global = inputs.crosses_groups(st.src[send], st.dst[send]);
+                let classes = st.links(f.send).iter().map(|&l| st.link_class(l));
+                sc.tiers.add(st.bytes[send], global, classes);
+                let src = st.src[send] as usize;
                 sc.port_free[src] = t_next;
                 sc.rank_finish[src] = sc.rank_finish[src].max(t_next);
                 sc.heap.push(

@@ -13,7 +13,8 @@ use crate::event::EventQueue;
 
 use super::request::{stall_report, Inputs, RateProbe, SimReport, StallReport};
 use super::statics::{build_static, StaticScratch};
-use super::{Ev, Flow};
+use super::{Ev, Flow, Tiers};
+use crate::topology::LinkId;
 
 /// Simulates `inputs` from scratch; the full report, or the stall diagnosis.
 pub(super) fn run(
@@ -41,6 +42,7 @@ pub(super) fn run(
     let mut active: Vec<Flow> = Vec::new();
     let mut heap: EventQueue<Ev> = EventQueue::new();
     let mut peak_active_flows = 0usize;
+    let mut tiers = Tiers::default();
     // Worklist for cascading write completions (avoids recursion).
     let mut finish_stack: Vec<u32> = Vec::new();
     // Sends refused because their kill time had passed when they became
@@ -176,7 +178,16 @@ pub(super) fn run(
         for mut f in active.drain(..) {
             let completion = t + f.remaining_bytes / f.rate;
             if completion <= t_next + tol {
-                let src = st.src[f.send as usize] as usize;
+                // Counted when the flow completes, with the link classes
+                // the topology reports for the machine links it crossed.
+                let send = f.send as usize;
+                let global = inputs.crosses_groups(st.src[send], st.dst[send]);
+                let classes = st
+                    .links(f.send)
+                    .iter()
+                    .map(|&l| inputs.topo.link(st.machine_link(l) as LinkId).class);
+                tiers.add(st.bytes[send], global, classes);
+                let src = st.src[send] as usize;
                 port_free[src] = t_next;
                 rank_finish[src] = rank_finish[src].max(t_next);
                 heap.push(
@@ -256,6 +267,9 @@ pub(super) fn run(
         makespan_us,
         rank_finish_us: rank_finish,
         network_messages: st.network_messages,
+        global_bytes: tiers.global_bytes,
+        local_link_bytes: tiers.local_link_bytes,
+        global_link_bytes: tiers.global_link_bytes,
         peak_active_flows,
     })
 }

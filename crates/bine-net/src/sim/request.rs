@@ -18,6 +18,17 @@ pub struct SimReport {
     pub rank_finish_us: Vec<f64>,
     /// Number of network messages simulated (local moves excluded).
     pub network_messages: u64,
+    /// Bytes of the network messages whose endpoints are in different
+    /// groups, once per message — Fig. 1's count, as
+    /// [`TrafficReport::global_bytes`](crate::traffic::TrafficReport::global_bytes).
+    /// This and the link totals count a message when its flow completes.
+    pub global_bytes: u64,
+    /// Bytes · links offered to local-class links, as
+    /// [`TrafficReport::local_link_bytes`](crate::traffic::TrafficReport::local_link_bytes).
+    pub local_link_bytes: u64,
+    /// Bytes · links offered to global-class links, as
+    /// [`TrafficReport::global_link_bytes`](crate::traffic::TrafficReport::global_link_bytes).
+    pub global_link_bytes: u64,
     /// Largest number of flows ever in flight at once — `> 1` per link is
     /// what the synchronous model's per-step congestion term approximates.
     pub peak_active_flows: usize,
@@ -39,6 +50,15 @@ pub(super) struct Inputs<'a> {
     pub(super) topo: &'a dyn Topology,
     pub(super) alloc: &'a Allocation,
     pub(super) plan: &'a FaultPlan,
+}
+
+impl Inputs<'_> {
+    /// Whether a message from rank `src` to rank `dst` crosses a group
+    /// boundary (the test [`crate::traffic`] counts global bytes by).
+    pub(super) fn crosses_groups(&self, src: u32, dst: u32) -> bool {
+        let node = |rank: u32| self.alloc.node_of(rank as usize);
+        self.topo.crosses_groups(node(src), node(dst))
+    }
 }
 
 /// The one entry point to the simulator: a builder over every axis a run

@@ -18,7 +18,7 @@ use super::request::Inputs;
 use crate::allocation::Allocation;
 use crate::cost::{CostModel, GIB_PER_US};
 use crate::fault::FaultPlan;
-use crate::topology::{LinkId, LinkInfo};
+use crate::topology::{LinkClass, LinkId, LinkInfo};
 
 /// `StaticScratch::local_of`'s entry for a machine link no route touched.
 const UNSEEN: u32 = u32::MAX;
@@ -101,6 +101,11 @@ impl CachedStatic {
     pub(super) fn links(&self, send: u32) -> &[u32] {
         &self.links_flat
             [self.links_off[send as usize] as usize..self.links_off[send as usize + 1] as usize]
+    }
+
+    /// The class of local link `link`, as the topology said at build time.
+    pub(super) fn link_class(&self, link: u32) -> LinkClass {
+        self.link_info[link as usize].class
     }
 
     /// The machine id of local link `link`.

@@ -22,6 +22,12 @@ pub const TUNING_PLACEMENT_SEED: u64 = 42;
 ///
 /// Co-located ranks (same node) get a memory-speed edge: faster than any
 /// network link, zero latency, tier 0.
+///
+/// The edges come out in strictly ascending `(a, b)` order, so
+/// [`TopologyView::new`] checks them in one pass with no set of pairs; its
+/// check holds O(p) beside the p(p − 1)/2 edges, and a derivation
+/// allocates a fixed handful of times at any p (the group and edge tables,
+/// one route buffer, the check's union-find).
 pub fn synth_view(topo: &dyn Topology, alloc: &Allocation) -> Result<TopologyView, String> {
     let p = alloc.num_ranks();
     if p == 0 {

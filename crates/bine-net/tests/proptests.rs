@@ -212,6 +212,10 @@ proptest! {
                 request.collective, request.name, topo.name(), reference.makespan_us, fast.makespan_us
             );
             prop_assert_eq!(reference.network_messages, fast.network_messages);
+            prop_assert_eq!(
+                [reference.global_bytes, reference.local_link_bytes, reference.global_link_bytes],
+                [fast.global_bytes, fast.local_link_bytes, fast.global_link_bytes]
+            );
             // The satellite invariance check: overlap accounting is not
             // allowed to drift either.
             prop_assert_eq!(reference.peak_active_flows, fast.peak_active_flows);
@@ -343,6 +347,10 @@ proptest! {
                 request.collective, request.name, topo.name(), reference.makespan_us, fast.makespan_us
             );
             prop_assert_eq!(reference.network_messages, fast.network_messages);
+            prop_assert_eq!(
+                [reference.global_bytes, reference.local_link_bytes, reference.global_link_bytes],
+                [fast.global_bytes, fast.local_link_bytes, fast.global_link_bytes]
+            );
             prop_assert_eq!(reference.peak_active_flows, fast.peak_active_flows);
             for (r, (a, b)) in reference.rank_finish_us.iter().zip(&fast.rank_finish_us).enumerate() {
                 prop_assert_eq!(
@@ -603,6 +611,10 @@ proptest! {
                 collective, id.name(), reference.makespan_us, fast.makespan_us
             );
             prop_assert_eq!(reference.network_messages, fast.network_messages);
+            prop_assert_eq!(
+                [reference.global_bytes, reference.local_link_bytes, reference.global_link_bytes],
+                [fast.global_bytes, fast.local_link_bytes, fast.global_link_bytes]
+            );
             prop_assert_eq!(reference.peak_active_flows, fast.peak_active_flows);
             for (r, (a, b)) in reference.rank_finish_us.iter().zip(&fast.rank_finish_us).enumerate() {
                 prop_assert_eq!(

@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::schedule::{BlockId, Collective, Schedule, Step, TransferKind};
-use crate::synth::view::TopologyView;
+use crate::synth::view::{Adjacency, TopologyView};
 
 /// Largest tree count the synthesizer considers. Beyond a handful of trees
 /// the per-tree segment share stops paying for the extra edges on every
@@ -72,9 +72,15 @@ impl Ord for FrontierEdge {
 /// from the root with a lazy-deletion frontier heap (stale entries — edge
 /// already used or both endpoints reached — are skipped on pop), so a
 /// single tree costs O(E log E) rather than a frontier rescan per edge.
-fn peel(view: &TopologyView, root: usize, k: usize, threshold: f64) -> Option<Vec<Tree>> {
+/// `adj` is `view`'s adjacency, built once by the caller for every peel.
+fn peel(
+    view: &TopologyView,
+    adj: &Adjacency,
+    root: usize,
+    k: usize,
+    threshold: f64,
+) -> Option<Vec<Tree>> {
     let p = view.num_ranks();
-    let adj = view.adjacency();
     let edges = view.edges();
     let mut used = vec![false; edges.len()];
     let mut trees = Vec::with_capacity(k);
@@ -82,13 +88,13 @@ fn peel(view: &TopologyView, root: usize, k: usize, threshold: f64) -> Option<Ve
         // reach_order[r] = Some(i) once r was the i-th rank reached.
         let mut reach_order: Vec<Option<usize>> = vec![None; p];
         reach_order[root] = Some(0);
-        let mut heap = BinaryHeap::with_capacity(adj[root].len());
+        let mut heap = BinaryHeap::with_capacity(adj.of(root).len());
         let grow = |rank: usize,
                     order: usize,
                     reach_order: &[Option<usize>],
                     used: &[bool],
                     heap: &mut BinaryHeap<FrontierEdge>| {
-            for &ei in &adj[rank] {
+            for &ei in adj.of(rank) {
                 let e = &edges[ei];
                 if used[ei] || e.bandwidth_gib_s < threshold {
                     continue;
@@ -133,24 +139,29 @@ fn peel(view: &TopologyView, root: usize, k: usize, threshold: f64) -> Option<Ve
 /// The capacity threshold search for a fixed `k`: the largest edge
 /// capacity `c` (among the distinct capacities present in the view) for
 /// which `k` edge-disjoint spanning trees exist, together with the trees.
-fn best_threshold(view: &TopologyView, root: usize, k: usize) -> Option<(f64, Vec<Tree>)> {
+fn best_threshold(
+    view: &TopologyView,
+    adj: &Adjacency,
+    root: usize,
+    k: usize,
+) -> Option<(f64, Vec<Tree>)> {
     let mut caps: Vec<f64> = view.edges().iter().map(|e| e.bandwidth_gib_s).collect();
     caps.sort_by(|x, y| x.partial_cmp(y).expect("finite capacities"));
     caps.dedup();
     // Feasibility is monotone in the threshold (raising it only removes
     // edges), so binary-search the distinct capacities for the highest
     // feasible one.
-    peel(view, root, k, caps[0])?;
+    peel(view, adj, root, k, caps[0])?;
     let (mut lo, mut hi) = (0usize, caps.len() - 1); // lo always feasible
     while lo < hi {
         let mid = (lo + hi).div_ceil(2);
-        if peel(view, root, k, caps[mid]).is_some() {
+        if peel(view, adj, root, k, caps[mid]).is_some() {
             lo = mid;
         } else {
             hi = mid - 1;
         }
     }
-    peel(view, root, k, caps[lo]).map(|trees| (caps[lo], trees))
+    peel(view, adj, root, k, caps[lo]).map(|trees| (caps[lo], trees))
 }
 
 /// Picks the tree count maximizing the aggregate bottleneck rate
@@ -161,9 +172,10 @@ pub fn best_k(view: &TopologyView, root: usize) -> Option<usize> {
     if p < 2 {
         return None;
     }
+    let adj = view.adjacency();
     let mut best: Option<(usize, f64)> = None;
     for k in 1..=MAX_TREES.min(p) {
-        let Some((cap, _)) = best_threshold(view, root, k) else {
+        let Some((cap, _)) = best_threshold(view, &adj, root, k) else {
             break; // more trees only need more edges
         };
         let rate = k as f64 * cap;
@@ -187,7 +199,7 @@ pub fn build(view: &TopologyView, root: usize, k: usize) -> Option<Schedule> {
     if p < 2 || k == 0 || k > p || root >= p {
         return None;
     }
-    let (_, trees) = best_threshold(view, root, k)?;
+    let (_, trees) = best_threshold(view, &view.adjacency(), root, k)?;
     let seg_sets: Vec<Vec<BlockId>> = (0..k)
         .map(|t| {
             (0..p as u32)

@@ -1,7 +1,9 @@
 //! Pins what building a schedule allocates: per step, the step's message
 //! headers and its block arena, each sized exactly once; per build, scratch
 //! in proportion to the rank count, never to the message count (see "What a
-//! builder may allocate" in `collectives/builders.rs`). Measured with a
+//! builder may allocate" in `collectives/builders.rs`); and for the
+//! ForestColl search, a bounded handful per peel, never a table per rank.
+//! Measured with a
 //! per-thread counting wrapper around the system allocator (tests are their
 //! own crates, so `bine-sched`'s `#![forbid(unsafe_code)]` still holds for
 //! the library itself).
@@ -11,7 +13,7 @@ mod counting;
 use counting::{allocations_in as allocations, bytes_in as bytes};
 
 use bine_sched::catalog::Source;
-use bine_sched::{walk, BlockId, Collective, Request};
+use bine_sched::{walk, BlockId, Collective, Request, SynthSpec, TopologyView};
 
 /// Bytes a step spends per message header.
 const HEADER_BYTES: u64 = 24;
@@ -80,4 +82,35 @@ fn every_catalog_algorithm_requests_its_schedule_at_exact_size_plus_scratch() {
         }
     }
     assert!(over.is_empty(), "{}", over.join("\n"));
+}
+
+/// What synthesizing a `k`-tree ForestColl broadcast of `steps` steps may
+/// allocate on a view of `e` edges with two distinct capacities. The
+/// threshold search builds the view's flat adjacency (2), collects and
+/// sorts the capacities (2) and peels 3 times (the lowest capacity, one
+/// bisection step, the winner). A peel holds its used-edge table and tree
+/// list (2) and per tree a reach table, the tree and a heap of at most `e`
+/// entries, which doubles at most ⌈log2 e⌉ times (3 + ⌈log2 e⌉). The step
+/// packer allocates two port tables and the step's headers and blocks per
+/// step (4), and 64 covers its per-tree tables, the name and its lists'
+/// doublings. An adjacency rebuilt per peel costs more than p per peel.
+fn forest_bound(k: u64, e: usize, steps: usize) -> u64 {
+    let heap_doublings = e.next_power_of_two().trailing_zeros() as u64;
+    4 + 3 * (2 + k * (3 + heap_doublings)) + 4 * steps as u64 + 64
+}
+
+#[test]
+fn a_forest_peels_over_one_adjacency_not_a_table_per_rank() {
+    for size in [16usize, 64] {
+        let view = TopologyView::clustered(&[size; 4], (100.0, 0.3), (5.0, 25.0)).unwrap();
+        let forest = SynthSpec::ForestColl { k: 2 };
+        let (allocated, sched) = allocations(|| forest.synthesize(Collective::Broadcast, &view, 0));
+        let steps = sched.expect("two trees fit").num_steps();
+        let bound = forest_bound(2, view.edges().len(), steps);
+        assert!(
+            allocated <= bound,
+            "p={}: the forest allocated {allocated} times in {steps} steps (bound {bound})",
+            view.num_ranks()
+        );
+    }
 }
