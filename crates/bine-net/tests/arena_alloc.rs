@@ -131,3 +131,27 @@ fn a_jobs_static_resolution_does_not_grow_with_the_machine() {
     );
     assert_eq!(lumi_us.to_bits(), big_us.to_bits());
 }
+
+#[test]
+fn a_fresh_handles_static_resolution_allocates_a_fixed_handful() {
+    // A freshly compiled handle misses the arena's cache, so its first
+    // request resolves the statics: the kept per-send and per-link columns,
+    // the dependency graph's eight arrays and one walk's scratch. 28
+    // measured; a graph derived over two walks' scratch and two copied
+    // cursor arrays read 35.
+    let p = 64;
+    let model = CostModel::default();
+    let topo = FatTree::new(p, 4, 1);
+    let alloc = Allocation::block(p);
+    let sched = allreduce(p, AllreduceAlg::BineLarge);
+    let mut arena = SimArena::new();
+    let warm = sim_time(&mut arena, &model, &sched.compile(), 1 << 20, &topo, &alloc);
+    let fresh = sched.compile();
+    let (allocated, first) =
+        counting::allocations_in(|| sim_time(&mut arena, &model, &fresh, 1 << 20, &topo, &alloc));
+    assert!(
+        allocated <= 28,
+        "the first request of a fresh handle allocated {allocated} times"
+    );
+    assert_eq!(first.to_bits(), warm.to_bits());
+}

@@ -9,23 +9,18 @@
 //!
 //! ## What a builder may allocate
 //!
-//! Per step, the step's two vectors — its message headers and its block
-//! arena — each sized exactly before the step is filled
-//! ([`Step::with_capacity`]); per build, scratch in proportion to the rank
-//! count, never to the message count. A builder counts a step's messages
-//! and blocks before it lists them (`tree_step_sizes` for the trees; a
-//! closed form for the butterflies and rings; a partition pass for the
-//! alltoalls). Scratch is what a builder tracks between steps, held across
-//! the whole build: the per-step sizes and subtree buffer of the trees, the
-//! butterfly's responsibility table, one `p × p` table of holdings for the
-//! butterfly allgather, two sets of `p` holding lists (this step's and the
-//! next's), the per-rank sends and one sort buffer for the store-and-forward
-//! alltoalls. A step writes the next holdings elsewhere or merges them in
-//! place, so nothing is cloned or re-sorted per step, and contiguity is
-//! counted in place or in the shared sort buffer. `tests/build_alloc.rs`
-//! pins `2·steps + 3·p + 64` allocations, and the bytes at the result's
-//! exact size plus scratch, for every catalog algorithm;
-//! `tests/catalog_golden.rs` pins the schedules.
+//! Per step, the step's message headers and block arena, each sized exactly
+//! before the step is filled ([`Step::with_capacity`]): a builder counts a
+//! step's messages and blocks before it lists them (`tree_step_sizes` for
+//! the trees, a closed form for the butterflies and rings, a partition pass
+//! for the alltoalls). Per build, a handful of scratch tables, each
+//! allocated once: the trees' per-step sizes and subtree buffer, the
+//! butterfly's responsibilities, the butterfly allgather's `p × p`
+//! holdings, and the store-and-forward alltoalls' two flat `p × p` tables,
+//! per-rank sends and sort buffer. Nothing is allocated per rank or cloned
+//! per step. `tests/build_alloc.rs` pins `2·steps + 64` allocations, and the
+//! bytes at the result's exact size plus scratch, for every catalog
+//! algorithm; `tests/catalog_golden.rs` pins the schedules.
 
 use bine_core::block::nu_bit_reversal_permutation;
 use bine_core::butterfly::Butterfly;
@@ -396,27 +391,28 @@ fn forwarding_alltoall<S: Fn(u32) -> bool>(
     hop: impl Fn(u32, usize) -> (usize, S),
 ) -> Schedule {
     let mut sched = Schedule::new(p, Collective::Alltoall, algorithm, 0);
-    // held[r] = blocks currently stored on rank r; next[r] = after this step.
-    let mut held: Vec<Vec<BlockId>> = (0..p as u32)
-        .map(|origin| {
-            (0..p as u32)
-                .map(|dest| BlockId::Pairwise { origin, dest })
-                .collect()
-        })
-        .collect();
-    let mut next: Vec<Vec<BlockId>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-    // Per rank this step: its peer and how many blocks it sends.
+    // Blocks move and are never copied, so all holdings fit one p² table:
+    // rank r holds `held[at[r]..at[r + 1]]`. `kept` is what the ranks keep
+    // this step, rank after rank.
+    let mut held = Vec::with_capacity(p * p);
+    held.extend(
+        (0..p as u32)
+            .flat_map(|origin| (0..p as u32).map(move |dest| BlockId::Pairwise { origin, dest })),
+    );
+    let mut kept = Vec::with_capacity(p * p);
+    let mut at: Vec<usize> = (0..=p).map(|r| r * p).collect();
+    // Per rank this step: its peer, how many blocks it sends and keeps.
     let mut sends = Vec::with_capacity(p);
     let mut sorted = Vec::with_capacity(p);
     for step in 0..steps {
-        // Partition every holding list in place, stably: what moves to the
-        // front of it, what stays to the next list. A step's sizes are then
-        // known before it is listed.
+        // Partition every holding in place, stably: what moves to the front
+        // of it, what stays to `kept`. A step's sizes are then known before
+        // it is listed.
         sends.clear();
+        kept.clear();
         for r in 0..p {
             let (q, selects) = hop(step, r);
-            let (list, kept) = (&mut held[r], &mut next[r]);
-            kept.clear();
+            let list = &mut held[at[r]..at[r + 1]];
             let mut moving = 0;
             for i in 0..list.len() {
                 let b = list[i];
@@ -427,22 +423,40 @@ fn forwarding_alltoall<S: Fn(u32) -> bool>(
                     kept.push(b);
                 }
             }
-            sends.push((q, moving));
+            sends.push((q, moving, list.len() - moving));
         }
-        let messages = sends.iter().filter(|&&(_, moving)| moving > 0).count();
-        let blocks = sends.iter().map(|&(_, moving)| moving).sum();
+        let messages = sends.iter().filter(|&&(_, moving, _)| moving > 0).count();
+        let blocks = sends.iter().map(|&(_, moving, _)| moving).sum();
         let mut st = Step::with_capacity(messages, blocks);
-        for (r, &(q, moving)) in sends.iter().enumerate() {
+        for (r, &(q, moving, _)) in sends.iter().enumerate() {
             if moving > 0 {
-                let blocks = &held[r][..moving];
+                let blocks = &held[at[r]..at[r] + moving];
                 let segments = contiguity_with(blocks, &mut sorted);
                 st.push_with_segments(r, q, blocks.iter().copied(), TransferKind::Copy, segments);
             }
         }
-        for m in st.messages() {
-            next[m.dst].extend_from_slice(m.blocks);
+        // Lay the holdings out anew, kept then arrived: `at[r]` runs from
+        // the start of rank r's range to its end, then shifts back.
+        at.fill(0);
+        for (r, &(q, moving, stays)) in sends.iter().enumerate() {
+            at[r + 1] += stays;
+            at[q + 1] += moving;
         }
-        std::mem::swap(&mut held, &mut next);
+        for r in 0..p {
+            at[r + 1] += at[r];
+        }
+        let mut kept_from = 0;
+        for (r, &(_, _, stays)) in sends.iter().enumerate() {
+            held[at[r]..at[r] + stays].copy_from_slice(&kept[kept_from..kept_from + stays]);
+            kept_from += stays;
+            at[r] += stays;
+        }
+        for m in st.messages() {
+            held[at[m.dst]..at[m.dst] + m.blocks.len()].copy_from_slice(m.blocks);
+            at[m.dst] += m.blocks.len();
+        }
+        at.copy_within(..p, 1);
+        at[0] = 0;
         sched.push_step(st);
     }
     sched

@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::catalog::tuned_name;
 use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
-use crate::segment::{num_substeps, parts, substeps};
+use crate::segment::{num_substeps, parts, ChunkPlan};
 
 /// Source of process-unique [`CompiledSchedule`] identities.
 static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
@@ -533,8 +533,9 @@ pub struct CompiledSchedule {
 
 impl CompiledSchedule {
     /// Lowers `schedule`, cut into `chunks` pipeline segments, into execution
-    /// form. The one lowering loop: every chunk `segment::substeps` yields is
-    /// interned as it is cut — no segmented [`Schedule`] in between.
+    /// form. The one lowering loop: every chunk a `segment::ChunkPlan`
+    /// yields is interned as it is cut — no segmented [`Schedule`] in
+    /// between.
     ///
     /// # Panics
     /// Panics if `chunks == 0`, or if a message names a rank outside the
@@ -560,7 +561,7 @@ impl CompiledSchedule {
         step_offsets.push(0);
         let mut blocks_end = 0;
         let mut reduces = false;
-        for sub in substeps(schedule, chunks) {
+        for sub in ChunkPlan::new(schedule, chunks).substeps() {
             let step_base = sends.len();
             for (order, (m, chunk, segments)) in sub.enumerate() {
                 reduces |= m.kind == TransferKind::Reduce;

@@ -59,17 +59,30 @@ impl Edges {
         self.indegree[dependent as usize] += 1;
     }
 
-    /// Between the walks: turns the counts into offsets, sizes `dependents`
-    /// and returns where each send's next dependent goes.
-    fn seal(&mut self) -> Vec<u32> {
+    /// Between the walks: turns the counts into offsets and sizes
+    /// `dependents`.
+    fn seal(&mut self) {
         // An edge stands for at least one payload entry of its dependent,
         // and those fit (`compile`).
         for w in 1..self.offsets.len() {
             self.offsets[w] += self.offsets[w - 1];
         }
-        let num_sends = self.indegree.len();
-        self.dependents = vec![0; self.offsets[num_sends] as usize];
-        self.offsets[..num_sends].to_vec()
+        self.dependents = vec![0; self.offsets[self.indegree.len()] as usize];
+    }
+
+    /// Second walk: the next dependent of `writer`, placed through its
+    /// offset, which then points one further.
+    fn fill(&mut self, writer: u32, dependent: u32) {
+        let at = &mut self.offsets[writer as usize];
+        self.dependents[*at as usize] = dependent;
+        *at += 1;
+    }
+
+    /// After the second walk every offset points where the next send's
+    /// dependents start: shifts them back one send.
+    fn unshift(&mut self) {
+        self.offsets.copy_within(..self.indegree.len(), 1);
+        self.offsets[0] = 0;
     }
 
     fn dependents(&self, send: u32) -> &[u32] {
@@ -92,8 +105,8 @@ pub struct DepGraph {
 
 impl DepGraph {
     /// Derives the graph of `compiled`: count, prefix-sum, fill, so what it
-    /// allocates is the graph's own arrays plus a latest-writer table over
-    /// the schedule's blocks — nothing per send and nothing per rank.
+    /// allocates is the graph's own arrays plus one `Walk`'s scratch for
+    /// both passes — nothing per send and nothing per rank.
     pub fn derive(compiled: &CompiledSchedule) -> Self {
         let (p, num_sends) = (compiled.num_ranks, compiled.num_sends());
         let mut rank_offsets = Vec::with_capacity(p + 1);
@@ -107,21 +120,17 @@ impl DepGraph {
         }
 
         let (mut reads, mut writes) = (Edges::new(num_sends), Edges::new(num_sends));
-        for_each_edge(
+        let mut walk = Walk::new(compiled);
+        walk.for_each_edge(
             compiled,
             |w, i| reads.count(w, i),
             |w, i| writes.count(w, i),
         );
-        let (mut next_read, mut next_write) = (reads.seal(), writes.seal());
-        let fill = |edges: &mut Edges, next: &mut [u32], w: u32, i: u32| {
-            edges.dependents[next[w as usize] as usize] = i;
-            next[w as usize] += 1;
-        };
-        for_each_edge(
-            compiled,
-            |w, i| fill(&mut reads, &mut next_read, w, i),
-            |w, i| fill(&mut writes, &mut next_write, w, i),
-        );
+        reads.seal();
+        writes.seal();
+        walk.for_each_edge(compiled, |w, i| reads.fill(w, i), |w, i| writes.fill(w, i));
+        reads.unshift();
+        writes.unshift();
         Self {
             reads,
             writes,
@@ -171,60 +180,89 @@ impl DepGraph {
     }
 }
 
-/// Calls `read(writer, dependent)` once per read edge and
-/// `write(writer, dependent)` once per chained-write edge of `compiled`. All
-/// edges into one send come together, and the edges out of one writer come in
-/// ascending order of their dependents.
-///
-/// The walk is rank-major. Both edge kinds of a rank are decided by the
-/// writes into that rank's blocks alone, so one latest-writer table over the
-/// schedule's blocks serves every rank in turn; sized per rank instead it
-/// would be `p` times that for the blocks each rank never touches.
-fn for_each_edge(
-    compiled: &CompiledSchedule,
-    mut read: impl FnMut(u32, u32),
-    mut write: impl FnMut(u32, u32),
-) {
+/// The scratch of an edge walk over one schedule, held across both of
+/// [`DepGraph::derive`]'s passes.
+struct Walk {
+    /// Per block: the send that last wrote it at the rank being walked.
+    latest_write: Vec<u32>,
+    /// The blocks the rank being walked has written, to reset.
+    written: Vec<u32>,
+    /// The step's receives at the rank being walked, in global send order.
+    landing: Vec<u32>,
+    /// The distinct latest writers of one send's blocks.
+    writers: Vec<u32>,
+}
+
+impl Walk {
     const UNWRITTEN: u32 = u32::MAX;
-    let mut latest_write = vec![UNWRITTEN; compiled.num_blocks()];
-    let mut written: Vec<u32> = Vec::with_capacity(compiled.num_blocks());
-    let mut landing: Vec<u32> = Vec::new();
-    let mut writers: Vec<u32> = Vec::new();
-    // The distinct latest writers of the blocks `send` carries.
-    let writers_of = |latest_write: &[u32], send: usize, writers: &mut Vec<u32>| {
-        writers.clear();
-        for &b in compiled.block_index_slice(compiled.send(send)) {
-            let w = latest_write[b as usize];
-            if w != UNWRITTEN && !writers.contains(&w) {
-                writers.push(w);
-            }
+
+    fn new(compiled: &CompiledSchedule) -> Self {
+        Self {
+            latest_write: vec![Self::UNWRITTEN; compiled.num_blocks()],
+            written: Vec::with_capacity(compiled.num_blocks()),
+            landing: Vec::new(),
+            writers: Vec::new(),
         }
-    };
-    for rank in 0..compiled.num_ranks {
-        for step in 0..compiled.num_steps() {
-            // The step's sends read the pre-step state...
-            for i in compiled.send_range_from(step, rank) {
-                writers_of(&latest_write, i, &mut writers);
-                writers.iter().for_each(|&w| read(w, i as u32));
-            }
-            // ...then its writes land, chained in global send order (the
-            // receive lists are in schedule order).
-            landing.clear();
-            landing.extend_from_slice(compiled.recvs_to(step, rank));
-            landing.sort_unstable();
-            for &i in &landing {
-                writers_of(&latest_write, i as usize, &mut writers);
-                writers.iter().for_each(|&w| write(w, i));
-                for &b in compiled.block_index_slice(compiled.send(i as usize)) {
-                    if latest_write[b as usize] == UNWRITTEN {
-                        written.push(b);
-                    }
-                    latest_write[b as usize] = i;
+    }
+
+    /// Calls `read(writer, dependent)` once per read edge and
+    /// `write(writer, dependent)` once per chained-write edge of `compiled`.
+    /// All edges into one send come together, and the edges out of one
+    /// writer come in ascending order of their dependents.
+    ///
+    /// The walk is rank-major. Both edge kinds of a rank are decided by the
+    /// writes into that rank's blocks alone, so one latest-writer table over
+    /// the schedule's blocks serves every rank in turn; sized per rank
+    /// instead it would be `p` times that for the blocks each rank never
+    /// touches.
+    fn for_each_edge(
+        &mut self,
+        compiled: &CompiledSchedule,
+        mut read: impl FnMut(u32, u32),
+        mut write: impl FnMut(u32, u32),
+    ) {
+        let Self {
+            latest_write,
+            written,
+            landing,
+            writers,
+        } = self;
+        // The distinct latest writers of the blocks `send` carries.
+        let writers_of = |latest_write: &[u32], send: usize, writers: &mut Vec<u32>| {
+            writers.clear();
+            for &b in compiled.block_index_slice(compiled.send(send)) {
+                let w = latest_write[b as usize];
+                if w != Self::UNWRITTEN && !writers.contains(&w) {
+                    writers.push(w);
                 }
             }
-        }
-        for b in written.drain(..) {
-            latest_write[b as usize] = UNWRITTEN;
+        };
+        for rank in 0..compiled.num_ranks {
+            for step in 0..compiled.num_steps() {
+                // The step's sends read the pre-step state...
+                for i in compiled.send_range_from(step, rank) {
+                    writers_of(latest_write, i, writers);
+                    writers.iter().for_each(|&w| read(w, i as u32));
+                }
+                // ...then its writes land, chained in global send order (the
+                // receive lists are in schedule order).
+                landing.clear();
+                landing.extend_from_slice(compiled.recvs_to(step, rank));
+                landing.sort_unstable();
+                for &i in landing.iter() {
+                    writers_of(latest_write, i as usize, writers);
+                    writers.iter().for_each(|&w| write(w, i));
+                    for &b in compiled.block_index_slice(compiled.send(i as usize)) {
+                        if latest_write[b as usize] == Self::UNWRITTEN {
+                            written.push(b);
+                        }
+                        latest_write[b as usize] = i;
+                    }
+                }
+            }
+            for b in written.drain(..) {
+                latest_write[b as usize] = Self::UNWRITTEN;
+            }
         }
     }
 }

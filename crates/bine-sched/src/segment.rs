@@ -11,18 +11,17 @@
 //! The transform splits every message's block list into at most `S`
 //! contiguous chunks and expands each synchronous step into up to `S`
 //! sub-steps: chunk `c` of every message of the original step travels in
-//! sub-step `c`. That rule is written once, as the borrowed chunk iterator
-//! `substeps`, and consumed twice: [`segment_schedule`] collects the chunks
-//! into an owned [`Schedule`] — the reference the validator and the tests
-//! look at — and [`Schedule::compile_segmented`] interns them straight into
-//! the compiled form, which is how serving and tuning lower a `+seg{S}` pick
-//! without ever holding `S` copies of the schedule's `Vec`s. Because every
-//! block is carried by exactly one chunk, each
-//! block still experiences exactly the same sequence of transfers and
-//! reductions in the same order, so a segmented schedule executes
-//! **bit-identically** to the original on every `bine-exec` executor (this
-//! is property-tested there), and its `bine-net` traffic accounting is
-//! invariant apart from the message count:
+//! sub-step `c`. That rule is written once, as `ChunkPlan::substeps`, and
+//! consumed twice: [`segment_schedule`] collects the chunks into an owned
+//! [`Schedule`] — the reference the validator and the tests look at — and
+//! [`Schedule::compile_segmented`] interns them straight into the compiled
+//! form, which is how serving and tuning lower a `+seg{S}` pick without ever
+//! holding `S` copies of the schedule's `Vec`s. Because every block is
+//! carried by exactly one chunk, each block still experiences exactly the
+//! same sequence of transfers and reductions in the same order, so a
+//! segmented schedule executes **bit-identically** to the original on every
+//! `bine-exec` executor (this is property-tested there), and its `bine-net`
+//! traffic accounting is invariant apart from the message count:
 //!
 //! * total / global / per-link bytes are unchanged (blocks are partitioned,
 //!   never duplicated),
@@ -35,10 +34,10 @@
 //! do not pipeline in this model, which is what makes the segmented-vs-flat
 //! comparison in `bine-bench` interesting.
 
-use std::rc::Rc;
+use std::cell::{Cell, RefCell};
 
 use crate::catalog::tuned_name;
-use crate::schedule::{contiguity_of, BlockId, MessageRef, Schedule, Step};
+use crate::schedule::{contiguity_with, BlockId, MessageRef, Schedule, Step};
 
 /// What one message contributes to one sub-step: the message, the sub-slice
 /// of its block list that travels, and the contiguous regions that spans.
@@ -57,55 +56,98 @@ pub(crate) fn num_substeps(step: &Step, chunks: usize) -> usize {
     parts.max().unwrap_or(0).max(usize::from(chunks == 1))
 }
 
-/// The chunking rule, stated once: the sub-steps `schedule` expands into at
-/// `chunks` pipeline segments, in order, each as the chunks it carries in
-/// message order. [`segment_schedule`] collects them into an owned
-/// [`Schedule`]; [`Schedule::compile_segmented`] interns them straight into
-/// the compiled form.
+/// The chunking rule, stated once: `schedule` cut into `chunks` pipeline
+/// segments. [`ChunkPlan::substeps`] yields the sub-steps in order;
+/// [`segment_schedule`] collects them into an owned [`Schedule`] and
+/// [`Schedule::compile_segmented`] interns them straight into the compiled
+/// form.
 ///
 /// A message of `n` blocks is cut into `min(chunks, n)` balanced contiguous
 /// parts ([`parts`]) and part `c` travels in sub-step `c` of its step, so a
 /// message that cannot be split (a single block) travels whole in sub-step
 /// 0. Sub-steps no message reaches are dropped ([`num_substeps`]).
-///
-/// # Panics
-/// Panics if `chunks == 0`.
-pub(crate) fn substeps(
-    schedule: &Schedule,
+pub(crate) struct ChunkPlan<'a> {
+    schedule: &'a Schedule,
     chunks: usize,
-) -> impl Iterator<Item = impl Iterator<Item = Chunk<'_>> + Clone> {
-    assert!(chunks >= 1, "a schedule needs at least one segment");
-    schedule.steps.iter().flat_map(move |step| {
-        // Whether a message's `segments` is the contiguity of its block
-        // indices, so that a chunk's is recomputed. The non-contiguity
-        // strategies annotate messages with a count that deliberately
-        // differs (a virtually permuted buffer is one region whatever
-        // indices it carries); their chunks share it proportionally.
-        let computed =
-            |m: MessageRef| parts(m, chunks) > 1 && m.segments == contiguity_of(m.blocks);
-        let computed: Rc<[bool]> = step.messages().map(computed).collect();
-        (0..num_substeps(step, chunks)).map(move |c| {
-            let computed = computed.clone();
-            step.messages().enumerate().filter_map(move |(i, m)| {
-                let (n, parts) = (m.blocks.len(), parts(m, chunks));
-                if c >= parts {
-                    return None;
+    /// Per message, in schedule order: whether its `segments` is the
+    /// contiguity of its block indices, so that a chunk's is recomputed.
+    /// The non-contiguity strategies annotate messages with a count that
+    /// deliberately differs (a virtually permuted buffer is one region
+    /// whatever indices it carries); their chunks share it proportionally.
+    /// Written as its step is reached, while the step's blocks are in
+    /// cache: a pass over the whole schedule first reads every block list
+    /// twice from memory. Empty at one chunk, where no message is cut.
+    recomputed: Vec<Cell<bool>>,
+    /// The sort buffer every out-of-order block list is counted in.
+    sorted: RefCell<Vec<u32>>,
+}
+
+impl<'a> ChunkPlan<'a> {
+    /// Plans `schedule` at `chunks` segments: one flag per message, and
+    /// nothing at all at one chunk.
+    ///
+    /// # Panics
+    /// Panics if `chunks == 0`.
+    pub(crate) fn new(schedule: &'a Schedule, chunks: usize) -> Self {
+        assert!(chunks >= 1, "a schedule needs at least one segment");
+        let cut = if chunks > 1 {
+            schedule.steps.iter().map(Step::len).sum()
+        } else {
+            0
+        };
+        Self {
+            schedule,
+            chunks,
+            recomputed: vec![Cell::new(false); cut],
+            sorted: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The sub-steps, in order, each as the chunks it carries in message
+    /// order.
+    pub(crate) fn substeps(
+        &self,
+    ) -> impl Iterator<Item = impl Iterator<Item = Chunk<'a>> + Clone + '_> + '_ {
+        let chunks = self.chunks;
+        // Each step with the schedule-order index of its first message.
+        let firsts = self.schedule.steps.iter().scan(0, |next, step| {
+            let first = *next;
+            *next += step.len();
+            Some((first, step))
+        });
+        firsts.flat_map(move |(first, step)| {
+            if chunks > 1 {
+                // What a step writes depends on the step alone, so two walks
+                // of one plan may interleave.
+                let sorted = &mut self.sorted.borrow_mut();
+                for (i, m) in step.messages().enumerate() {
+                    self.recomputed[first + i].set(
+                        parts(m, chunks) > 1 && m.segments == contiguity_with(m.blocks, sorted),
+                    );
                 }
-                // Balanced: the first `n % parts` parts carry one block more.
-                let bound = |i: usize| i * (n / parts) + i.min(n % parts);
-                let blocks = &m.blocks[bound(c)..bound(c + 1)];
-                let segments = if parts == 1 {
-                    m.segments
-                } else if computed[i] {
-                    contiguity_of(blocks)
-                } else {
-                    let share = (m.segments as u64 * blocks.len() as u64).div_ceil(n as u64);
-                    share.max(1) as u32
-                };
-                Some((m, blocks, segments))
+            }
+            (0..num_substeps(step, chunks)).map(move |c| {
+                step.messages().enumerate().filter_map(move |(i, m)| {
+                    let (n, parts) = (m.blocks.len(), parts(m, chunks));
+                    if c >= parts {
+                        return None;
+                    }
+                    // Balanced: the first `n % parts` parts carry one block more.
+                    let bound = |i: usize| i * (n / parts) + i.min(n % parts);
+                    let blocks = &m.blocks[bound(c)..bound(c + 1)];
+                    let segments = if parts == 1 {
+                        m.segments
+                    } else if self.recomputed[first + i].get() {
+                        contiguity_with(blocks, &mut self.sorted.borrow_mut())
+                    } else {
+                        let share = (m.segments as u64 * blocks.len() as u64).div_ceil(n as u64);
+                        share.max(1) as u32
+                    };
+                    Some((m, blocks, segments))
+                })
             })
         })
-    })
+    }
 }
 
 /// Splits `schedule` into `chunks` pipeline segments (see the module docs).
@@ -128,7 +170,7 @@ pub fn segment_schedule(schedule: &Schedule, chunks: usize) -> Schedule {
     out.counts = schedule.counts.clone();
     let steps = schedule.steps.iter().map(|s| num_substeps(s, chunks));
     out.steps.reserve_exact(steps.sum());
-    for sub in substeps(schedule, chunks) {
+    for sub in ChunkPlan::new(schedule, chunks).substeps() {
         let (messages, blocks) = sub.clone().fold((0, 0), |(m, b), c| (m + 1, b + c.1.len()));
         let mut step = Step::with_capacity(messages, blocks);
         for (m, blocks, segments) in sub {

@@ -195,9 +195,10 @@ fn deriving_allocates_for_the_graph_not_per_send() {
     let (allocated_at_4, _) = allocations(|| DepGraph::derive(&at_4));
     let (allocated_at_16, graph) = allocations(|| DepGraph::derive(&at_16));
     assert_eq!(graph.num_sends(), 40_448);
-    // A dependents list per send alone would be 80 896 of them.
+    // A dependents list per send alone would be 80 896 of them. The graph
+    // keeps eight arrays; both walks share one scratch set of four.
     assert!(
-        allocated_at_16 <= 64,
+        allocated_at_16 <= 12,
         "deriving at 16 chunks allocated {allocated_at_16} times"
     );
     assert!(

@@ -1,8 +1,9 @@
 //! Pins what lowering allocates: `Schedule::compile_segmented` interns chunks
 //! as it cuts them, so its allocation count is the compiled form's handful
-//! of arrays whatever the chunk count — not one `Vec` per chunk of an owned
-//! segmented schedule — and counting a message's contiguous regions does not
-//! allocate when its blocks are listed in ascending order. Measured with a
+//! of arrays whatever the chunk count or the step count — not one `Vec` per
+//! chunk of an owned segmented schedule, nor one per step — and counting a
+//! message's contiguous regions does not allocate when its blocks are listed
+//! in ascending order. Measured with a
 //! per-thread counting wrapper around the system allocator (tests are their
 //! own crates, so `bine-sched`'s `#![forbid(unsafe_code)]` still holds for
 //! the library itself).
@@ -11,8 +12,12 @@
 mod counting;
 use counting::allocations_in as allocations;
 
-use bine_sched::collectives::{allreduce, alltoall, AllreduceAlg, AlltoallAlg};
-use bine_sched::{BlockId, Collective, Schedule, Step, TransferKind};
+use bine_sched::catalog::Source;
+use bine_sched::collectives::{
+    allreduce, alltoall, reduce, reduce_scatter, AllreduceAlg, AlltoallAlg, ReduceAlg,
+    ReduceScatterAlg,
+};
+use bine_sched::{walk, BlockId, Collective, Schedule, Step, TransferKind};
 
 #[test]
 fn lowering_allocates_for_the_compiled_form_not_per_chunk() {
@@ -29,9 +34,49 @@ fn lowering_allocates_for_the_compiled_form_not_per_chunk() {
         at_16 <= at_4,
         "{at_4} allocations at 4 chunks grew to {at_16} at 16"
     );
-    // Six arrays, the name, the segment table and its ids, one flag list per
-    // step of the base schedule (16): 26, where a hash-map interner took 39.
-    assert!(at_16 <= 26, "lowering at 16 chunks allocated {at_16} times");
+    // Six arrays, the name, the segment table and its ids (9, as at one
+    // chunk), and the chunk plan's flags and sort buffer: 11, where a flag
+    // list per base step took 26 and a hash-map interner 39.
+    assert!(at_16 <= 11, "lowering at 16 chunks allocated {at_16} times");
+}
+
+#[test]
+fn lowering_at_one_chunk_allocates_nothing_per_step() {
+    // At one chunk no message is cut and no chunk plan is made.
+    let long = reduce(64, 0, ReduceAlg::ReduceScatterGather);
+    let short = reduce_scatter(64, ReduceScatterAlg::RecursiveHalving);
+    assert_eq!((long.num_steps(), short.num_steps()), (13, 6));
+    let (at_13, _) = allocations(|| long.compile());
+    let (at_6, _) = allocations(|| short.compile());
+    assert_eq!(
+        at_13, at_6,
+        "13 steps lowered in {at_13} allocations, 6 in {at_6}"
+    );
+}
+
+#[test]
+fn a_chunk_plan_allocates_per_lowering_not_per_message() {
+    // The plan's flags and one sort buffer that out-of-order block lists
+    // grow. A buffer per message and per chunk read 1 346 more allocations
+    // for `alltoall(64, bine)` cut 16 ways.
+    let mut over = Vec::new();
+    let bare = walk(&[16, 64]).into_iter().filter(|request| {
+        matches!(request.source, Source::Regular(_)) && request.segments == 1 && request.root == 0
+    });
+    for request in bare {
+        let sched = request.build().expect("every row builds at powers of two");
+        let (whole, _) = allocations(|| sched.compile());
+        for chunks in [2, 16] {
+            let (cut, _) = allocations(|| sched.compile_segmented(chunks));
+            if cut > whole + 3 {
+                over.push(format!(
+                    "{} at {chunks}: {cut}, {whole} whole",
+                    request.label()
+                ));
+            }
+        }
+    }
+    assert!(over.is_empty(), "{}", over.join("\n"));
 }
 
 #[test]
