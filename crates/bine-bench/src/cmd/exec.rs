@@ -272,7 +272,8 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 /// reference (`/sim-reference/`, context only) at p ∈ {64, 256} — plus the
 /// selection serving layer at `available_parallelism` workers (gated `/serve/` aggregate ns/request of
 /// the concurrent `ServiceSelector`; ungated `/serve-latency/` p99 and p999
-/// tails and single-threaded `/serial/` baseline, see `bine_bench::serve`) —
+/// tails and the `/serial/` baseline, one thread of the same warm service,
+/// see `bine_bench::serve`) —
 /// plus the adaptive feedback loop (gated `/adaptive/` observe and
 /// overridden-hit warm paths; ungated loop counters, see
 /// `bine_bench::adaptive`, whose run re-checks the convergence contract) —
@@ -299,10 +300,15 @@ pub fn run(args: Args) -> Outcome {
         bench_sim(&mut records, p, iters);
     }
     let repeats = iters.clamp(3, 9);
-    let serve = bine_bench::serve::measure(&bine_bench::serve::ServeOptions {
-        repeats,
-        ..Default::default()
-    })
+    let service = bine_tune::ServiceSelector::load_default()
+        .map_err(|e| Failure::Io(format!("committed tables: {e}")))?;
+    let serve = bine_bench::serve::measure(
+        &service,
+        &bine_bench::serve::ServeOptions {
+            repeats,
+            ..Default::default()
+        },
+    )
     .map_err(|e| Failure::Check(format!("serving benchmark failed: {e}")))?;
     for (name, ns) in bine_bench::serve::bench_entries(&serve) {
         records.push(name, ns);
@@ -354,7 +360,7 @@ pub fn run(args: Args) -> Outcome {
     println!("speedup compiled vs reference @p=256: {speedup_256:.2}x");
     println!("speedup DES vs reference simulator @p=256: {speedup_sim_256:.2}x");
     println!(
-        "serving layer: {:.0} req/s at {} workers ({:.2}x the serial selector)",
+        "serving layer: {:.0} req/s at {} workers ({:.2}x one thread of it)",
         serve.requests_per_sec, serve.threads, serve.speedup_vs_serial
     );
     println!("wrote {out_path}");

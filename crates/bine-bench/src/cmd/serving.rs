@@ -15,10 +15,10 @@ use crate::cli::{quiet_panics, Args, Failure, Outcome};
 ///
 /// Hammers a shared [`bine_tune::ServiceSelector`] with the standard query
 /// mix from `available_parallelism` worker threads (override with
-/// `--threads`), reports requests/sec, mean, p99 and p999 request latency, the
-/// single-threaded [`bine_tune::Selector`] baseline, and the single-flight
-/// compile statistics — then runs one tuned pick end to end on the shared
-/// executor pool as a smoke of the full request path.
+/// `--threads`), reports requests/sec, mean, p99 and p999 request latency,
+/// the serial baseline (the same warm service driven by one thread), and
+/// the single-flight compile statistics — then runs one tuned pick end to
+/// end on the shared executor pool as a smoke of the full request path.
 ///
 /// The same measurement is recorded into `BENCH_exec.json` by
 /// `bine-bench exec` (`select-mix/serve/...` entries), where CI's
@@ -34,7 +34,9 @@ pub fn serve(args: Args) -> Outcome {
         "serving {} decision table: {} threads × {} requests × {} repeats\n",
         opts.system, opts.threads, opts.requests_per_thread, opts.repeats
     );
-    let m = bine_bench::serve::measure(&opts)
+    let service = ServiceSelector::load_default()
+        .map_err(|e| Failure::Io(format!("committed tables: {e}")))?;
+    let m = bine_bench::serve::measure(&service, &opts)
         .map_err(|e| Failure::Check(format!("serving benchmark failed: {e}")))?;
     println!("requests/sec          {:>14.0}", m.requests_per_sec);
     println!("aggregate ns/request  {:>14.1}", m.ns_per_req);
@@ -45,7 +47,7 @@ pub fn serve(args: Args) -> Outcome {
     println!("p99 request latency   {:>14.0} ns", m.p99_ns);
     println!("p999 request latency  {:>14.0} ns", m.p999_ns);
     println!(
-        "serial ns/request     {:>14.1}  (single-threaded Selector)",
+        "serial ns/request     {:>14.1}  (one thread of the same service)",
         m.serial_ns_per_req
     );
     println!("speedup vs serial     {:>13.2}x", m.speedup_vs_serial);
@@ -57,8 +59,6 @@ pub fn serve(args: Args) -> Outcome {
     // Full-request-path smoke: resolve + compile + execute one tuned
     // allreduce on the shared pool, verified against the direct build.
     let smoke = |what: &str| Failure::Check(format!("execute smoke: {what}"));
-    let service = ServiceSelector::load_default()
-        .map_err(|e| Failure::Io(format!("committed tables: {e}")))?;
     let pick = service
         .choose(&opts.system, Collective::Allreduce, 16, 1 << 20)
         .ok_or_else(|| smoke("no tuned pick"))?;

@@ -16,8 +16,8 @@
 //! and to turn it into the compiled form, unsegmented and at `S` pipeline
 //! chunks) regresses by more
 //! than the threshold, the gate fails and CI goes red. Interpreter baselines
-//! (`reference`, `sequential`, `sim-reference`, the single-threaded
-//! `/serial/` selector) and the `/serve-latency/` p99 tail are reported
+//! (`reference`, `sequential`, `sim-reference`, the `/serial/` one-thread
+//! run of the service) and the `/serve-latency/` p99 tail are reported
 //! for context but not gated — they are either deliberately slow baselines
 //! or too scheduler-noisy for a hard threshold (tail latency in particular
 //! depends on the runner's core count and co-scheduled load).
@@ -68,8 +68,8 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
 
 /// Whether an entry is hard-gated (see the module docs). `/sim-reference/`
 /// entries deliberately do not match `/sim/`: the reference simulator is a
-/// baseline, not a perf surface. Likewise `/serial/` (the
-/// single-threaded selector baseline) and `/serve-latency/`
+/// baseline, not a perf surface. Likewise `/serial/` (the service driven
+/// by one thread) and `/serve-latency/`
 /// (scheduler-noisy p99 tail) do not match `/serve/`. `/serve/` and
 /// `/adaptive/` entries whose last
 /// segment is one of the service's health counters (`fallbacks`,

@@ -5,6 +5,9 @@
 //! topology under its sampled placement — for the two quantities the paper
 //! uses: modelled runtime and bytes over global links.
 
+use std::cell::OnceCell;
+use std::sync::Arc;
+
 use bine_net::allocation::Allocation;
 use bine_net::cost::{CostModel, LowerBounds};
 use bine_net::topology::Topology;
@@ -12,8 +15,8 @@ use bine_net::view::TUNING_PLACEMENT_SEED;
 use bine_sched::{algorithms, bine_default, binomial_default, is_linear, Collective};
 use bine_tune::selector::system_providers;
 use bine_tune::{
-    affordable, tuned_name, ScoreModel, Scorer, Selector, Target, TunePoint, Tuned,
-    FALLBACK_SMALL_VECTOR_THRESHOLD,
+    affordable, tuned_name, ScoreModel, Scorer, SelectorIndex, ServiceSelector, Target, TunePoint,
+    Tuned, FALLBACK_SMALL_VECTOR_THRESHOLD,
 };
 
 use crate::systems::{System, SystemKind};
@@ -118,9 +121,10 @@ pub struct Evaluator {
     /// systems are fragmented across groups, as in the paper's runs where no
     /// specific node placement was requested).
     seed: u64,
-    /// The system's committed decision-table selector, loaded on first use
-    /// (`None` = not yet attempted, `Some(None)` = no committed table).
-    selector: Option<Option<Selector>>,
+    /// The system's committed decision-table index, taken once on first
+    /// use from [`ServiceSelector::load_default`] (`None` = no committed
+    /// table).
+    index: OnceCell<Option<Arc<SelectorIndex>>>,
 }
 
 impl Evaluator {
@@ -145,7 +149,7 @@ impl Evaluator {
             ),
             system,
             seed,
-            selector: None,
+            index: OnceCell::new(),
         }
     }
 
@@ -289,18 +293,20 @@ impl Evaluator {
 
     /// What the committed decision table would pick for this configuration
     /// (`None` when the system has no committed `tuning/` table, or the
-    /// table does not cover the collective). The selector is loaded once
+    /// table does not cover the collective). The tables are loaded once
     /// per evaluator.
     pub fn tuned_pick(
-        &mut self,
+        &self,
         collective: Collective,
         nodes: usize,
         bytes: u64,
     ) -> Option<Tuned<'_>> {
-        let selector = self
-            .selector
-            .get_or_insert_with(|| Selector::load(self.system.name).ok());
-        selector.as_ref()?.choose(collective, nodes, bytes)
+        let index = self.index.get_or_init(|| {
+            let service = ServiceSelector::load_default().ok()?;
+            let sys = service.system_index(self.system.name)?;
+            service.index(sys).cloned()
+        });
+        index.as_ref()?.choose(collective, nodes, bytes)
     }
 
     /// Simulates the tuned pick for this configuration with the DES at its

@@ -1,6 +1,6 @@
 //! The serving-layer benchmark harness: requests/sec and tail latency of
 //! [`bine_tune::ServiceSelector`] under multi-threaded load, against the
-//! single-threaded [`bine_tune::Selector`] baseline.
+//! same warm service driven by one thread.
 //!
 //! One *request* is the full serving hot path: resolve the tuned pick for a
 //! `(collective, nodes, bytes)` query and fetch its compiled schedule from
@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use bine_sched::Collective;
-use bine_tune::{Selector, ServiceSelector};
+use bine_tune::ServiceSelector;
 
 use crate::{best_of, storm, timed};
 
@@ -76,11 +76,11 @@ pub struct ServeMeasurement {
     pub p999_ns: f64,
     /// Throughput of the best repeat, requests per second.
     pub requests_per_sec: f64,
-    /// Single-threaded `Selector::compiled` baseline, ns per request
-    /// (best-of-repeats, warm cache).
+    /// The same warm service driven by the calling thread alone, ns per
+    /// request (best-of-repeats): the serial baseline.
     pub serial_ns_per_req: f64,
-    /// `serial_ns_per_req / ns_per_req`: how many serial selectors this
-    /// service replaced.
+    /// `serial_ns_per_req / ns_per_req`: one thread of the service against
+    /// `threads` threads of it.
     pub speedup_vs_serial: f64,
     /// Schedules compiled by the service over the whole run; with a warm
     /// cache and single-flight this equals [`ServeMeasurement::distinct`].
@@ -116,44 +116,41 @@ fn tail_index(len: usize, q: f64) -> usize {
     ((len as f64 * q).ceil() as usize).clamp(1, len) - 1
 }
 
-/// Runs the serving benchmark: a warmed single-threaded [`Selector`]
-/// baseline, then `threads` workers hammering one shared
-/// [`ServiceSelector`], both over the same query mix. Errors only when the
-/// committed decision tables cannot be loaded.
-pub fn measure(opts: &ServeOptions) -> Result<ServeMeasurement, String> {
+/// Runs the serving benchmark on `service`: a warm pass over the query
+/// mix, the calling thread alone serving it (the serial baseline), then
+/// `threads` workers hammering the same service. Errors when
+/// `opts.system` is not loaded, or when a query resolves to no schedule
+/// (it would otherwise be timed as a cheap miss).
+pub fn measure(service: &ServiceSelector, opts: &ServeOptions) -> Result<ServeMeasurement, String> {
     let queries = queries();
     let threads = opts.threads.max(1);
     let repeats = opts.repeats.max(1);
     let requests_per_thread = opts.requests_per_thread.max(queries.len());
 
-    // --- single-threaded baseline: Selector::compiled on a warm cache ---
-    let mut serial = Selector::load(&opts.system)?.with_cache_capacity(queries.len());
-    for &(c, n, b) in &queries {
-        serial.compiled(c, n, b);
-    }
-    let serial_ns_per_req = best_of(repeats, requests_per_thread, || {
-        timed(|| {
-            for i in 0..requests_per_thread {
-                let (c, n, b) = queries[i % queries.len()];
-                std::hint::black_box(serial.compiled(c, n, b));
-            }
-        })
-    });
-
-    // --- concurrent service ---
-    let service = ServiceSelector::load_default()?;
-    let sys = service
-        .system_index(&opts.system)
-        .ok_or_else(|| format!("system {} has no committed table", opts.system))?;
+    let sys = service.resolve_system(&opts.system)?;
     // Warm pass: populates the cache (and counts the distinct entries).
     for &(c, n, b) in &queries {
-        service.compiled_at(sys, c, n, b);
+        service.compiled_at(sys, c, n, b).ok_or_else(|| {
+            format!(
+                "query ({}, {n} nodes, {b} bytes) resolves to no schedule on {}",
+                c.name(),
+                opts.system
+            )
+        })?;
     }
     let distinct = service.cached_schedules();
     let request = |j: usize| {
         let (c, n, b) = queries[j];
         service.compiled_at(sys, c, n, b)
     };
+
+    let serial_ns_per_req = best_of(repeats, requests_per_thread, || {
+        timed(|| {
+            for i in 0..requests_per_thread {
+                std::hint::black_box(request(i % queries.len()));
+            }
+        })
+    });
 
     // Each repeat runs a throughput storm, then a latency storm: the same
     // contention, but each request individually timed, for the tails over
@@ -206,11 +203,11 @@ pub fn measure(opts: &ServeOptions) -> Result<ServeMeasurement, String> {
 /// The `/serve/` entry is the **worker-normalized** request cost — the
 /// core-count-robust throughput statistic (see
 /// [`ServeMeasurement::worker_ns_per_req`]) — and is hard-gated by
-/// `gate perf`. The p99/p999 tails and the serial baseline are recorded
-/// for context but ungated (`/serve-latency/` deliberately does not match
-/// `/serve/`, like `/sim-reference/` vs `/sim/`): the tail is
-/// thread-count- and scheduler-dependent, exactly the noise class the
-/// gate excludes. Raw aggregate throughput lands in the report's
+/// `gate perf`. The p99/p999 tails and the serial baseline (one thread of
+/// the same warm service) are recorded for context but ungated
+/// (`/serve-latency/` deliberately does not match `/serve/`, like
+/// `/sim-reference/` vs `/sim/`): the tail is thread-count- and
+/// scheduler-dependent, exactly the noise class the gate excludes. Raw aggregate throughput lands in the report's
 /// `serve_requests_per_sec` summary field.
 pub fn bench_entries(m: &ServeMeasurement) -> Vec<(String, f64)> {
     vec![
@@ -255,15 +252,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_small_run_produces_consistent_numbers() {
-        let m = measure(&ServeOptions {
-            system: "LUMI".into(),
+    fn small_run(system: &str) -> ServeOptions {
+        ServeOptions {
+            system: system.into(),
             threads: 2,
             requests_per_thread: 64,
             repeats: 1,
-        })
-        .expect("measure");
+        }
+    }
+
+    #[test]
+    fn a_query_without_a_schedule_is_an_error_naming_it() {
+        // An allreduce-only table: the mix's first allgather query resolves
+        // to nothing and must not be timed as a cheap miss.
+        let entry = |nodes| bine_tune::Entry {
+            collective: Collective::Allreduce,
+            dist: None,
+            nodes,
+            vector_bytes: 64,
+            pick: "recursive-doubling".into(),
+            model: bine_tune::ScoreModel::Sync,
+            time_us: 1.0,
+        };
+        let table = bine_tune::DecisionTable {
+            system: "Testbox".into(),
+            entries: vec![entry(8), entry(64)],
+        };
+        let service = ServiceSelector::from_tables(&[table]);
+        let err = measure(&service, &small_run("Testbox")).unwrap_err();
+        assert!(err.contains("allgather, 8 nodes, 64 bytes"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_system_lists_the_loaded_ones() {
+        let service = ServiceSelector::load_default().expect("committed tables");
+        let err = measure(&service, &small_run("LUMl")).unwrap_err();
+        assert!(
+            err.contains("loaded systems") && err.contains("LUMI"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_small_run_produces_consistent_numbers() {
+        let service = ServiceSelector::load_default().expect("committed tables");
+        let m = measure(&service, &small_run("LUMI")).expect("measure");
         assert_eq!(m.threads, 2);
         assert_eq!(m.total_requests, 2 * 64);
         assert!(m.ns_per_req > 0.0 && m.p99_ns > 0.0);

@@ -18,7 +18,7 @@ use bine_bench::systems::System;
 use bine_sched::{
     binomial_default, irregular_algorithms, Collective, SizeDist, IRREGULAR_COLLECTIVES,
 };
-use bine_tune::{DecisionTable, ScoreModel, Selector, Tuner, TunerConfig};
+use bine_tune::{DecisionTable, ScoreModel, SelectorIndex, Tuner, TunerConfig};
 
 fn committed_table(system: &System) -> DecisionTable {
     let path = bine_tune::default_tuning_dir()
@@ -43,10 +43,9 @@ fn tuned_node_counts(system: &System) -> Vec<usize> {
 #[test]
 fn committed_tables_cover_all_four_systems_and_collectives() {
     for system in System::all() {
-        let selector =
-            Selector::load(system.name).unwrap_or_else(|e| panic!("{}: {e}", system.name));
-        assert_eq!(selector.system(), system.name);
         let table = committed_table(&system);
+        let selector = SelectorIndex::from_table(&table);
+        assert_eq!(selector.system(), system.name);
         for collective in tuned_collectives() {
             for &nodes in &tuned_node_counts(&system) {
                 for &bytes in &system.vector_sizes {
@@ -70,7 +69,7 @@ fn committed_tables_cover_the_irregular_grids() {
     // dist-aware lookup resolves to it.
     for system in System::all() {
         let table = committed_table(&system);
-        let selector = Selector::load(system.name).unwrap();
+        let selector = SelectorIndex::from_table(&table);
         for collective in IRREGULAR_COLLECTIVES {
             for dist in SizeDist::ALL {
                 for &nodes in &tuned_node_counts(&system) {
@@ -278,7 +277,7 @@ proptest! {
         );
         // And the selector lookup at the grid point returns exactly this
         // entry.
-        let selector = Selector::load(system.name).unwrap();
+        let selector = SelectorIndex::from_table(&committed);
         let tuned = selector.choose(collective, nodes, bytes).unwrap();
         prop_assert_eq!(tuned.algorithm, entry.algorithm());
         prop_assert_eq!(tuned.segments, entry.segments());
@@ -323,7 +322,7 @@ proptest! {
             "{}/{:?}@{}/{}/{}: committed {:.6} vs brute-force {:.6}",
             system.name, collective, dist.name(), nodes, bytes, entry.time_us, fresh.time_us
         );
-        let selector = Selector::load(system.name).unwrap();
+        let selector = SelectorIndex::from_table(&committed);
         let tuned = selector.choose_irregular(collective, dist, nodes, bytes).unwrap();
         prop_assert_eq!(tuned.algorithm, entry.algorithm());
         prop_assert_eq!(tuned.segments, entry.segments());

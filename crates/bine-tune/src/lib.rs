@@ -17,17 +17,15 @@
 //!   discrete-event simulator, emitting a compact [`table::DecisionTable`];
 //! * [`table`] — the decision-table model and the committed `tuning/*.json`
 //!   serialisation (one file per paper system);
-//! * [`selector`] — the runtime [`selector::Selector`]:
+//! * [`selector`] — the runtime lookup [`selector::SelectorIndex`]:
 //!   `choose(collective, nodes, bytes)` answers in two allocation-free
-//!   binary searches, and `compiled(..)` memoises the picked schedule's
-//!   compiled form in a small LRU;
-//! * [`service`] — the concurrent [`service::ServiceSelector`]: the same
-//!   lookups `&self` end-to-end over shared immutable indexes, a sharded
-//!   compiled-schedule cache with single-flight compilation, graceful
-//!   degradation under compile failures (bounded waits, capped-backoff
-//!   retries, a per-entry circuit breaker serving the binomial baseline),
-//!   and execution on [`bine_exec::ExecutorPool`] — the serving front-end
-//!   for many threads where [`selector::Selector`] serves one;
+//!   binary searches over one system's pre-indexed table;
+//! * [`service`] — the [`service::ServiceSelector`]: those lookups `&self`
+//!   end-to-end over shared indexes, a sharded compiled-schedule cache with
+//!   single-flight compilation, graceful degradation under compile failures
+//!   (bounded waits, capped-backoff retries, a per-entry circuit breaker
+//!   serving the binomial baseline), and execution on
+//!   [`bine_exec::ExecutorPool`];
 //! * [`adapt`] — online adaptive tuning over the serving layer: observed
 //!   per-pick timings vs the committed modelled scores, single-flight
 //!   challenger re-evaluation on divergence, and an epoch-versioned
@@ -39,7 +37,7 @@
 //!
 //! ```
 //! use bine_sched::Collective;
-//! use bine_tune::{DecisionTable, Selector};
+//! use bine_tune::{DecisionTable, SelectorIndex};
 //!
 //! // Normally loaded from the committed tuning/*.json; built inline here.
 //! let table = DecisionTable::from_json(
@@ -50,13 +48,13 @@
 //!       \"pick\": \"bine-large+seg8\", \"model\": \"des\", \"time_us\": 90.0}\n  ]\n}\n",
 //! )
 //! .unwrap();
-//! let selector = Selector::from_table(&table);
+//! let index = SelectorIndex::from_table(&table);
 //!
 //! // Small vectors: latency-bound, recursive doubling. Large vectors: the
 //! // pipelined Bine algorithm — including off-grid sizes, by floor lookup.
-//! let small = selector.choose(Collective::Allreduce, 16, 256).unwrap();
+//! let small = index.choose(Collective::Allreduce, 16, 256).unwrap();
 //! assert_eq!((small.algorithm, small.segments), ("recursive-doubling", 1));
-//! let large = selector.choose(Collective::Allreduce, 16, 3 << 20).unwrap();
+//! let large = index.choose(Collective::Allreduce, 16, 3 << 20).unwrap();
 //! assert_eq!((large.algorithm, large.segments), ("bine-large", 8));
 //! ```
 
@@ -75,7 +73,7 @@ pub use adapt::{AdaptPolicy, AdaptiveOverlay, CandidatesFn, OverlayEntry, Reeval
 pub use bine_sched::tuned_name;
 pub use gate::{drift, DriftOutcome, DriftRow};
 pub use score::{Scorer, TunePoint};
-pub use selector::{available_systems, default_tuning_dir, Selector, SelectorIndex, Tuned};
+pub use selector::{default_tuning_dir, SelectorIndex, Tuned};
 pub use service::{
     fallback_pick, CompileAttempt, CompileHook, DegradePolicy, Recovery, Served, ServiceSelector,
     ServiceStats, FALLBACK_SMALL_VECTOR_THRESHOLD,

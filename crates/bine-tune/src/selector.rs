@@ -1,21 +1,15 @@
-//! The runtime selection API: O(log n) breakpoint lookup over a loaded
-//! decision table, plus a small LRU of compiled schedules so repeated
-//! invocations of the tuned pick pay the schedule build + compile cost once.
-//!
-//! The lookup structure itself — [`SelectorIndex`] — is immutable after
-//! construction and shared behind an `Arc`, so the single-threaded
-//! [`Selector`] and the concurrent [`crate::service::ServiceSelector`]
-//! resolve every query through literally the same code and data: a pick can
-//! never differ between the serial and the serving path.
+//! The runtime lookup: [`SelectorIndex`], an O(log n) breakpoint index over
+//! one system's decision table. It is immutable after construction and
+//! shared behind an `Arc`; [`crate::service::ServiceSelector`] holds one per
+//! loaded system and adds the compiled-schedule cache on top.
 
 use std::collections::HashSet;
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bine_sched::{Collective, CompiledSchedule, ProviderSet, SizeDist};
+use bine_sched::{Collective, ProviderSet, SizeDist};
 
-use crate::service::cache::Lru;
 use crate::table::{slug, DecisionTable, Entry};
 
 /// The tuned pick for one `(collective, nodes, bytes)` query.
@@ -28,7 +22,7 @@ pub struct Tuned<'a> {
     pub segments: usize,
 }
 
-/// One loaded entry: the owned pick name plus the split the selector hands
+/// One loaded entry: the owned pick name plus the split `choose` hands
 /// out without allocating, and the committed score metadata the adaptive
 /// layer (see [`crate::adapt`]) compares observed timings against.
 pub(crate) struct Slot {
@@ -51,10 +45,6 @@ pub(crate) struct Slot {
 /// collective lives under `dist == None`; irregular (v-variant) grids under
 /// their [`SizeDist`] descriptor.
 type NodeIndex = Vec<(usize, Vec<(u64, u32)>)>;
-
-/// Default capacity of the compiled-schedule LRU: enough for every vector
-/// size of one sweep at a fixed node count without eviction.
-pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 
 /// The immutable pre-indexed form of one system's decision table: slots in
 /// canonical order plus the two-level breakpoint index. Never mutated after
@@ -183,8 +173,8 @@ impl SelectorIndex {
     }
 
     /// The floor-breakpoint lookup shared by every `choose`/`compiled`
-    /// entry point (serial and concurrent): all of them must always resolve
-    /// a query to the same table entry. Compiled paths resolve against the
+    /// entry point: all of them must always resolve a query to the same
+    /// table entry. Compiled paths resolve against the
     /// regular grid (irregular schedules need real per-rank counts, which a
     /// `(nodes, bytes)` key cannot carry).
     pub(crate) fn slot_index(
@@ -217,141 +207,6 @@ impl SelectorIndex {
     }
 }
 
-/// Runtime algorithm selector over one system's decision table.
-///
-/// [`Selector::choose`] is allocation-free: the table is pre-indexed at
-/// load time and lookups are two binary searches returning borrowed names
-/// (covered by an allocation-counting test). [`Selector::compiled`]
-/// additionally builds + compiles the picked schedule, memoised in an LRU.
-///
-/// The selector is single-threaded (`compiled` takes `&mut self`); for a
-/// shared, concurrent serving front-end over the same index see
-/// [`crate::service::ServiceSelector`].
-pub struct Selector {
-    index: Arc<SelectorIndex>,
-    /// Keyed by `(collective, nodes, resolved slot)` — the same LRU type
-    /// every shard of the concurrent service uses.
-    cache: Lru<(Collective, usize, u32)>,
-}
-
-impl Selector {
-    /// Builds a selector from an in-memory decision table.
-    pub fn from_table(table: &DecisionTable) -> Selector {
-        Self::from_index(Arc::new(SelectorIndex::from_table(table)))
-    }
-
-    /// Builds a selector over an existing shared index.
-    pub fn from_index(index: Arc<SelectorIndex>) -> Selector {
-        Selector {
-            index,
-            cache: Lru::new(DEFAULT_CACHE_CAPACITY),
-        }
-    }
-
-    /// Sets the compiled-schedule LRU capacity. A capacity of 0 is clamped
-    /// to 1 (a cache that can hold nothing cannot satisfy `compiled`);
-    /// shrinking below the current population evicts the oldest lines
-    /// immediately.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Selector {
-        self.cache.set_capacity(capacity);
-        self
-    }
-
-    /// Loads the committed decision table for `system` (display name or
-    /// slug, e.g. `"MareNostrum 5"` or `"marenostrum5"`) from the tuning
-    /// directory resolved by [`default_tuning_dir`].
-    ///
-    /// An unknown system is an `Err` listing every system that *does* have
-    /// a committed table in the resolved directory, so a typo'd name says
-    /// what it could have been instead of a bare file-not-found.
-    pub fn load(system: &str) -> Result<Selector, String> {
-        let dir = default_tuning_dir()?;
-        let path = dir.join(format!("{}.json", slug(system)));
-        if !path.is_file() {
-            let available = available_systems(&dir);
-            let available = if available.is_empty() {
-                "none".to_string()
-            } else {
-                available.join(", ")
-            };
-            return Err(format!(
-                "no decision table for system {system:?} in {}; available systems: {available}",
-                dir.display()
-            ));
-        }
-        Self::load_from(&path)
-    }
-
-    /// Loads a decision table from an explicit path.
-    pub fn load_from(path: &Path) -> Result<Selector, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read decision table {}: {e}", path.display()))?;
-        let table = DecisionTable::from_json(&text)
-            .map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-        Ok(Self::from_table(&table))
-    }
-
-    /// The system this selector was tuned for.
-    pub fn system(&self) -> &str {
-        self.index.system()
-    }
-
-    /// The shared immutable index behind this selector.
-    pub fn index(&self) -> &Arc<SelectorIndex> {
-        &self.index
-    }
-
-    /// The tuned `(algorithm, segments)` for a configuration; see
-    /// [`SelectorIndex::choose`] for the floor-breakpoint semantics.
-    pub fn choose(&self, collective: Collective, nodes: usize, bytes: u64) -> Option<Tuned<'_>> {
-        self.index.choose(collective, nodes, bytes)
-    }
-
-    /// The tuned pick for an irregular (v-variant) configuration; see
-    /// [`SelectorIndex::choose_irregular`] for the dist-grid and fallback
-    /// semantics.
-    pub fn choose_irregular(
-        &self,
-        collective: Collective,
-        dist: SizeDist,
-        nodes: usize,
-        bytes: u64,
-    ) -> Option<Tuned<'_>> {
-        self.index.choose_irregular(collective, dist, nodes, bytes)
-    }
-
-    /// The compiled schedule of the tuned pick at `nodes` ranks, built on
-    /// demand and memoised in a `DEFAULT_CACHE_CAPACITY`-entry LRU (keyed
-    /// by the resolved entry and the actual rank count, so off-grid node
-    /// counts get their own compilation).
-    ///
-    /// Rooted collectives (broadcast in the committed tables) are built
-    /// with **root 0** — the root used throughout the harness and the
-    /// tuning sweeps. For a different root, take [`Selector::choose`]'s
-    /// pick and build the schedule via `bine_sched::build` directly.
-    pub fn compiled(
-        &mut self,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-    ) -> Option<Arc<CompiledSchedule>> {
-        let slot_idx = self.index.slot_index(collective, nodes, bytes)?;
-        let key = (collective, nodes, slot_idx);
-        if let Some(hit) = self.cache.get(&key) {
-            return Some(hit);
-        }
-        let pick = &self.index.slot(slot_idx).pick;
-        let compiled = Arc::new(self.index.providers.compile(collective, pick, nodes, 0)?);
-        self.cache.insert(key, compiled.clone());
-        Some(compiled)
-    }
-
-    /// Number of compiled schedules currently cached.
-    pub fn cached_schedules(&self) -> usize {
-        self.cache.len()
-    }
-}
-
 /// The provider set for a system display name or slug: catalog plus the
 /// synthesizers when the slug names a modelled topology
 /// ([`bine_net::view::system_topology`]), catalog only otherwise. A
@@ -371,21 +226,6 @@ pub fn system_providers(system: &str) -> ProviderSet {
 /// to the first element when the query is below every breakpoint.
 fn floor_index<T>(sorted: &[T], below: impl FnMut(&T) -> bool) -> usize {
     sorted.partition_point(below).saturating_sub(1)
-}
-
-/// Slugs of the systems with a committed decision table (`*.json`) under
-/// `dir`, sorted — the "did you mean" list of [`Selector::load`]'s
-/// unknown-system error. An unreadable directory yields an empty list.
-pub fn available_systems(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .filter_map(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .collect();
-    names.sort();
-    names
 }
 
 /// Resolves the `tuning/` directory holding the committed decision tables.
@@ -448,7 +288,7 @@ fn resolve_tuning_dir(
     Err(format!(
         "no tuning/ directory with committed decision tables found; probed: {}. \
          Set BINE_TUNING_DIR, place a tuning/ directory next to the executable, \
-         or load an explicit path with Selector::load_from",
+         or load an explicit directory with ServiceSelector::load_dir",
         probed.join(", ")
     ))
 }
@@ -481,7 +321,7 @@ mod tests {
 
     #[test]
     fn choose_uses_floor_breakpoints_and_clamps() {
-        let s = Selector::from_table(&table());
+        let s = SelectorIndex::from_table(&table());
         // Exact grid points.
         let t = s.choose(Collective::Allreduce, 16, 32).unwrap();
         assert_eq!((t.algorithm, t.segments), ("recursive-doubling", 1));
@@ -512,7 +352,7 @@ mod tests {
             model: ScoreModel::Sync,
             time_us: 2.0,
         });
-        let s = Selector::from_table(&t);
+        let s = SelectorIndex::from_table(&t);
         // The dist grid answers dist-keyed queries (floor semantics apply).
         let i = s
             .choose_irregular(Collective::Allgather, SizeDist::OneHeavy, 64, 1 << 20)
@@ -527,23 +367,6 @@ mod tests {
         // The regular choose path never sees the dist rows.
         let r = s.choose(Collective::Allgather, 16, 32).unwrap();
         assert_eq!(r.algorithm, "recursive-doubling");
-    }
-
-    #[test]
-    fn compiled_schedules_are_cached_and_lru_evicted() {
-        let mut s = Selector::from_table(&table());
-        let a = s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        let b = s.compiled(Collective::Allreduce, 16, 32).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
-        assert_eq!(s.cached_schedules(), 1);
-        // Distinct node counts compile separately even for one entry.
-        let c = s.compiled(Collective::Allreduce, 32, 32).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.num_ranks, 32);
-        assert_eq!(s.cached_schedules(), 2);
-        // Shrinking the capacity evicts down to the new bound (0 clamps to 1).
-        let s = s.with_cache_capacity(0);
-        assert_eq!(s.cached_schedules(), 1);
     }
 
     #[test]

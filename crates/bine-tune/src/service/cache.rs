@@ -1,8 +1,7 @@
-//! The compiled-schedule cache: one generic [`Lru`] shared by the serial
-//! [`crate::Selector`] and every service shard, the rung-carrying cache
-//! [`Key`], and the per-shard state ([`ShardState`]) the stripe locks
-//! protect — cache lines, in-flight compiles, breakers, adaptive entries
-//! and the [`ServiceStats`] counter block.
+//! The compiled-schedule cache: the [`Lru`] every service shard holds, the
+//! rung-carrying cache [`Key`], and the per-shard state ([`ShardState`])
+//! the stripe locks protect — cache lines, in-flight compiles, breakers,
+//! adaptive entries and the [`ServiceStats`] counter block.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

@@ -1,21 +1,17 @@
-//! The concurrent serving layer over the decision tables.
+//! The serving layer over the decision tables: the one way to turn a
+//! `(system, collective, nodes, bytes)` query into an executable schedule.
 //!
-//! [`crate::selector::Selector`] is a single-client API: `compiled` takes
-//! `&mut self`, so one thread at a time can resolve a pick into an
-//! executable schedule. A selection *service* — thousands of callers
-//! hitting the Sec. 5.2.2 tables per collective call — needs the opposite
-//! shape, and [`ServiceSelector`] provides it, `&self` end to end, over
-//! **immutable indexes**: every loaded system's table is pre-indexed once
-//! into an `Arc<`[`SelectorIndex`]`>`, and lookups are the exact binary
-//! searches the serial selector runs, on literally shared data, so a
-//! concurrent pick can never diverge from the serial one (pinned by a
-//! proptest in `tests/service.rs`).
+//! [`ServiceSelector`] is `&self` end to end, over **immutable indexes**:
+//! every loaded system's table is pre-indexed once into an
+//! `Arc<`[`SelectorIndex`]`>`, and a pick is that index's binary searches,
+//! so the service serves exactly the committed table's pick (pinned by
+//! proptests in `tests/service.rs`). One thread or many, callers share one
+//! service.
 //!
 //! This module is the façade; each mechanism behind it exists exactly once,
 //! in its own submodule:
 //!
-//! * `cache` — the sharded, lock-striped compiled-schedule cache, built
-//!   from the same LRU type the serial selector uses;
+//! * `cache` — the sharded, lock-striped compiled-schedule cache;
 //! * `flight` — single-flight compilation with bounded follower waits and
 //!   leader retries: a key compiles exactly once however many threads race
 //!   for it cold;
@@ -37,7 +33,7 @@
 
 mod adapt;
 mod breaker;
-pub(crate) mod cache;
+mod cache;
 mod flight;
 mod ladder;
 mod recover;
@@ -56,7 +52,7 @@ use self::cache::{Key, ShardState};
 use self::flight::{lock_any, Guard, Resolved};
 use self::ladder::Rung;
 use crate::adapt::{AdaptPolicy, Reevaluator};
-use crate::selector::{SelectorIndex, Tuned, DEFAULT_CACHE_CAPACITY};
+use crate::selector::{SelectorIndex, Tuned};
 use crate::table::{slug, slug_chars, DecisionTable};
 
 pub use self::cache::ServiceStats;
@@ -66,6 +62,10 @@ pub use self::recover::{Recovery, Served};
 /// Default number of cache shards. More shards than typical worker counts,
 /// so two concurrent requests rarely contend on one stripe.
 pub const DEFAULT_SHARDS: usize = 16;
+
+/// Default per-shard capacity of the compiled-schedule cache: enough for
+/// every vector size of one sweep at a fixed node count without eviction.
+pub const DEFAULT_CACHE_CAPACITY: usize = 16;
 
 /// Knobs of the degradation ladder in [`ServiceSelector::compiled`]:
 /// bounded follower waits, leader retries with capped exponential backoff,
@@ -151,10 +151,24 @@ pub struct ServiceSelector {
 }
 
 impl ServiceSelector {
-    /// Builds a service over pre-indexed tables (shared with any existing
-    /// [`crate::Selector`]s via the `Arc`s).
+    /// Builds a service over pre-indexed tables (shared with their other
+    /// holders via the `Arc`s).
+    ///
+    /// # Panics
+    ///
+    /// When two indexes name the same system (equal [`slug`]s): by-name
+    /// requests would only ever reach the first. [`ServiceSelector::load_dir`]
+    /// reports the same conflict as an `Err` naming both files.
     pub fn from_indexes(indexes: Vec<Arc<SelectorIndex>>) -> ServiceSelector {
-        let slugs = indexes.iter().map(|i| slug(i.system())).collect();
+        let slugs: Vec<String> = indexes.iter().map(|i| slug(i.system())).collect();
+        if let Some((a, b)) = same_system(slugs.len(), |i| &slugs[i]) {
+            panic!(
+                "systems {:?} and {:?} share the slug {:?}",
+                indexes[a].system(),
+                indexes[b].system(),
+                slugs[a]
+            );
+        }
         ServiceSelector {
             systems: indexes,
             slugs,
@@ -169,6 +183,10 @@ impl ServiceSelector {
     }
 
     /// Builds a service from in-memory decision tables.
+    ///
+    /// # Panics
+    ///
+    /// On two tables for one system, as [`ServiceSelector::from_indexes`].
     pub fn from_tables(tables: &[DecisionTable]) -> ServiceSelector {
         Self::from_indexes(
             tables
@@ -186,7 +204,8 @@ impl ServiceSelector {
     }
 
     /// Loads every `*.json` decision table under `dir`, sorted by file name
-    /// so system indices are deterministic.
+    /// so system indices are deterministic. Two tables for one system (equal
+    /// [`slug`]s) are an `Err` naming both files.
     pub fn load_dir(dir: &Path) -> Result<ServiceSelector, String> {
         let mut paths: Vec<_> = std::fs::read_dir(dir)
             .map_err(|e| format!("cannot read tuning directory {}: {e}", dir.display()))?
@@ -206,6 +225,14 @@ impl ServiceSelector {
                     .map_err(|e| format!("cannot parse {}: {e}", path.display()))?,
             );
         }
+        if let Some((a, b)) = same_system(tables.len(), |i| &tables[i].system) {
+            return Err(format!(
+                "decision tables {} and {} are both for system {:?}",
+                paths[a].display(),
+                paths[b].display(),
+                tables[a].system
+            ));
+        }
         Ok(Self::from_tables(&tables))
     }
 
@@ -219,8 +246,8 @@ impl ServiceSelector {
         self
     }
 
-    /// Sets the per-shard LRU capacity (clamped to ≥ 1, like
-    /// [`crate::Selector::with_cache_capacity`]).
+    /// Sets the per-shard LRU capacity (clamped to ≥ 1: a cache that can
+    /// hold nothing could not hand back what it was just given).
     pub fn with_shard_capacity(self, capacity: usize) -> ServiceSelector {
         for shard in &self.shards {
             lock_any(shard).cache.set_capacity(capacity);
@@ -267,7 +294,7 @@ impl ServiceSelector {
 
     /// `true` when [`ServiceSelector::with_adaptation`] was called. A
     /// service without adaptation never consults the overlay: its picks
-    /// are bit-identical to the serial [`crate::Selector`]'s.
+    /// are bit-identical to [`SelectorIndex::choose`]'s.
     pub fn adaptation_enabled(&self) -> bool {
         self.adapt.is_some()
     }
@@ -309,8 +336,7 @@ impl ServiceSelector {
     }
 
     /// The tuned `(algorithm, segments)` for a query against `system`
-    /// (by name or slug) — same floor-breakpoint semantics, same code and
-    /// data as the serial [`crate::Selector::choose`].
+    /// (by name or slug): [`SelectorIndex::choose`] on that system's index.
     pub fn choose(
         &self,
         system: &str,
@@ -372,8 +398,10 @@ impl ServiceSelector {
     /// served instead of the tuned pick — the request still gets a correct,
     /// executable schedule. See [`DegradePolicy`] and [`ServiceStats`].
     ///
-    /// Rooted collectives are built with root 0, exactly as in
-    /// [`crate::Selector::compiled`].
+    /// Rooted collectives (broadcast in the committed tables) are built
+    /// with **root 0**, the root of the harness and the tuning sweeps. For
+    /// a different root, build [`ServiceSelector::choose`]'s pick with
+    /// [`SelectorIndex::providers`] directly.
     pub fn compiled(
         &self,
         system: &str,
@@ -562,11 +590,19 @@ impl ServiceSelector {
     }
 }
 
+/// The first two of `len` system names (`name(i)`) with equal slugs, if
+/// any, compared in place.
+fn same_system<'a>(len: usize, name: impl Fn(usize) -> &'a str) -> Option<(usize, usize)> {
+    (0..len).find_map(|b| {
+        let a = (0..b).find(|&a| slug_chars(name(a)).eq(slug_chars(name(b))))?;
+        Some((a, b))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::{Entry, ScoreModel};
-    use crate::Selector;
 
     pub(super) fn table(system: &str) -> DecisionTable {
         let e = |collective, nodes: usize, bytes: u64, pick: &str| Entry {
@@ -593,13 +629,13 @@ mod tests {
     #[test]
     fn choose_matches_the_serial_selector() {
         let t = table("Testbox");
-        let serial = Selector::from_table(&t);
+        let index = SelectorIndex::from_table(&t);
         let service = ServiceSelector::from_tables(&[t]);
         for nodes in [4usize, 16, 40, 64, 100] {
             for bytes in [1u64, 32, 4096, 1 << 20, 1 << 26] {
                 assert_eq!(
                     service.choose("Testbox", Collective::Allreduce, nodes, bytes),
-                    serial.choose(Collective::Allreduce, nodes, bytes),
+                    index.choose(Collective::Allreduce, nodes, bytes),
                 );
             }
         }
@@ -619,6 +655,30 @@ mod tests {
         assert_eq!(service.system_index("lumi"), Some(1));
         assert_eq!(service.system_index("Frontier"), None);
         assert_eq!(service.system_names(), vec!["MareNostrum 5", "LUMI"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "share the slug")]
+    fn two_tables_for_one_system_panic() {
+        let _ = ServiceSelector::from_tables(&[table("MareNostrum 5"), table("marenostrum5")]);
+    }
+
+    #[test]
+    fn load_dir_names_both_files_of_one_system() {
+        let dir = std::env::temp_dir().join(format!("bine-tune-dup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (file, system) in [
+            ("a.json", "LUMI"),
+            ("b.json", "MareNostrum 5"),
+            ("c.json", "lumi"),
+        ] {
+            std::fs::write(dir.join(file), table(system).to_json()).unwrap();
+        }
+        let err = ServiceSelector::load_dir(&dir).err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = err.expect("two tables for LUMI must not load");
+        assert!(err.contains("a.json") && err.contains("c.json"), "{err}");
+        assert!(!err.contains("b.json"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! pipeline segment count) that won the sweep, together with the winning
 //! score and which time model produced it. Tables are committed under
 //! `tuning/` at the repository root, one file per system, and reloaded at
-//! runtime by [`crate::selector::Selector`].
+//! runtime by [`crate::service::ServiceSelector`].
 //!
 //! The serialisation is deliberately rigid line-oriented JSON — one entry
 //! object per line, fixed key order — written and parsed by this module

@@ -1,8 +1,8 @@
 //! Behavioural pins for the adaptive serving loop: divergence flips exactly
 //! the diverged grid entry (and nothing else), a cleared divergence reverts
 //! the override on the next re-check, and a service *without* adaptation
-//! stays bit-identical to the serial [`Selector`] under multithreaded load
-//! even while `observe` is being called into it.
+//! stays bit-identical to the committed table ([`SelectorIndex`]) under
+//! multithreaded load even while `observe` is being called into it.
 //!
 //! The re-evaluator here is fully synthetic — a two-mode scorer flipped by
 //! an `AtomicBool` stands in for "the live system diverged from the model"
@@ -15,7 +15,8 @@ use std::thread;
 use bine_net::ObservedTiming;
 use bine_sched::Collective;
 use bine_tune::{
-    AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, ServiceSelector,
+    tuned_name, AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, SelectorIndex,
+    ServiceSelector,
 };
 
 const MODELLED_US: f64 = 100.0;
@@ -126,8 +127,8 @@ fn divergence_flips_exactly_the_diverged_grid_entry() {
     // committed index itself are untouched.
     assert_eq!(served(&service, 8), CHALLENGER);
     assert_eq!(served(&service, 32), COMMITTED);
-    let serial = Selector::from_table(&table());
-    let committed = serial
+    let index = SelectorIndex::from_table(&table());
+    let committed = index
         .choose(Collective::Allreduce, 8, 1 << 20)
         .expect("tuned");
     assert_eq!(committed.algorithm, COMMITTED, "committed table unchanged");
@@ -159,13 +160,14 @@ fn override_reverts_once_the_divergence_clears() {
     assert_eq!((stats.overrides, stats.reverts, stats.reevals), (1, 1, 2));
 }
 
-/// Adaptation off: picks stay bit-identical to the serial [`Selector`]
-/// under an 8-thread hammering that interleaves `observe` calls (no-ops on
-/// a service without a re-evaluator) with the query stream.
+/// Adaptation off: picks stay bit-identical to the committed table's (the
+/// index's pick, compiled through its providers at root 0) under an
+/// 8-thread hammering that interleaves `observe` calls (no-ops on a service
+/// without a re-evaluator) with the query stream.
 #[test]
 fn without_adaptation_picks_stay_serial_identical_under_stress() {
     let t = table();
-    let mut serial = Selector::from_table(&t).with_cache_capacity(64);
+    let index = SelectorIndex::from_table(&t);
     let queries: Vec<(Collective, usize)> = vec![
         (Collective::Allreduce, 8),
         (Collective::Allreduce, 16),
@@ -176,17 +178,13 @@ fn without_adaptation_picks_stay_serial_identical_under_stress() {
     let expected: Vec<(String, String)> = queries
         .iter()
         .map(|&(collective, nodes)| {
-            let pick = serial
-                .choose(collective, nodes, 1 << 20)
-                .expect("tuned")
-                .algorithm
-                .to_string();
-            let compiled = serial
-                .compiled(collective, nodes, 1 << 20)
+            let t = index.choose(collective, nodes, 1 << 20).expect("tuned");
+            let compiled = index
+                .providers()
+                .compile(collective, &tuned_name(t.algorithm, t.segments), nodes, 0)
                 .expect("compiled")
-                .algorithm
-                .clone();
-            (pick, compiled)
+                .algorithm;
+            (t.algorithm.to_string(), compiled)
         })
         .collect();
 

@@ -1,5 +1,5 @@
 //! Pins the allocation-freedom guarantees of the hot selection paths:
-//! after load, `Selector::choose` must be pure binary searches, and the
+//! after load, `SelectorIndex::choose` must be pure binary searches, and the
 //! adaptive `ServiceSelector`'s warm pick + observe loop must stay heap-free
 //! too — so a hot collective-dispatch path can consult either per call
 //! without allocator pressure. Measured with a counting wrapper around the
@@ -15,8 +15,7 @@ use std::sync::Arc;
 use bine_net::ObservedTiming;
 use bine_sched::Collective;
 use bine_tune::{
-    AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, Selector, SelectorIndex,
-    ServiceSelector,
+    AdaptPolicy, DecisionTable, Entry, Reevaluator, ScoreModel, SelectorIndex, ServiceSelector,
 };
 
 fn table() -> DecisionTable {
@@ -46,7 +45,7 @@ fn table() -> DecisionTable {
 
 #[test]
 fn choose_never_allocates_after_load() {
-    let selector = Selector::from_table(&table());
+    let selector = SelectorIndex::from_table(&table());
     // Warm nothing: choose must be allocation-free from the first call.
     let before = allocations();
     let mut checksum = 0usize;
@@ -62,7 +61,7 @@ fn choose_never_allocates_after_load() {
     assert_eq!(
         after - before,
         0,
-        "Selector::choose allocated {} times over 30 lookups",
+        "SelectorIndex::choose allocated {} times over 30 lookups",
         after - before
     );
     assert!(checksum > 0);

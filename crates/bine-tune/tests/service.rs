@@ -1,6 +1,7 @@
 //! Concurrency pins for the serving layer: [`ServiceSelector`] must answer
 //! every query stream — cold, warm, or hammered from many threads at once —
-//! with picks bit-identical to the serial [`Selector`], while respecting
+//! with picks bit-identical to the committed table's — [`SelectorIndex`]'s
+//! lookup, compiled through the index's providers — while respecting
 //! the per-shard cache capacity and compiling each entry exactly once under
 //! single-flight.
 
@@ -9,10 +10,10 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use bine_sched::{Collective, SizeDist};
+use bine_sched::{Collective, CompiledSchedule, SizeDist};
 use bine_tune::{
-    fallback_pick, CompileAttempt, DecisionTable, DegradePolicy, Entry, ScoreModel, Selector,
-    Served, ServiceSelector,
+    fallback_pick, tuned_name, CompileAttempt, DecisionTable, DegradePolicy, Entry, ScoreModel,
+    SelectorIndex, Served, ServiceSelector,
 };
 use proptest::prelude::*;
 
@@ -58,7 +59,21 @@ fn queries() -> Vec<(Collective, usize, u64)> {
     q
 }
 
-/// What the serial selector answers for every query: the pick, plus the
+/// The committed pick's schedule, built as the service builds its committed
+/// rung: the index's lookup, compiled through the index's providers at
+/// root 0.
+fn committed_compiled(
+    index: &SelectorIndex,
+    collective: Collective,
+    nodes: usize,
+    bytes: u64,
+) -> Option<CompiledSchedule> {
+    let t = index.choose(collective, nodes, bytes)?;
+    let pick = tuned_name(t.algorithm, t.segments);
+    index.providers().compile(collective, &pick, nodes, 0)
+}
+
+/// What the committed table answers for every query: the pick, plus the
 /// compiled schedule's identity-relevant fields (algorithm name carries the
 /// segment suffix; rank count and step count pin the build).
 struct Expected {
@@ -70,15 +85,13 @@ struct Expected {
 }
 
 fn expectations(queries: &[(Collective, usize, u64)]) -> Vec<Expected> {
-    // Capacity large enough that the serial baseline never evicts — every
-    // query's compiled result is the freshly- or cache-built truth.
-    let mut serial = Selector::from_table(&table()).with_cache_capacity(queries.len());
+    let index = SelectorIndex::from_table(&table());
     queries
         .iter()
         .map(|&(collective, nodes, bytes)| {
-            let t = serial.choose(collective, nodes, bytes).expect("pick");
+            let t = index.choose(collective, nodes, bytes).expect("pick");
             let (algorithm, segments) = (t.algorithm.to_string(), t.segments);
-            let compiled = serial.compiled(collective, nodes, bytes).expect("compiled");
+            let compiled = committed_compiled(&index, collective, nodes, bytes).expect("compiled");
             Expected {
                 algorithm,
                 segments,
@@ -91,14 +104,14 @@ fn expectations(queries: &[(Collective, usize, u64)]) -> Vec<Expected> {
 }
 
 /// N threads hammer one shared service with interleaved query streams;
-/// every answer must match the serial selector, the per-shard cache must
+/// every answer must match the committed table's, the per-shard cache must
 /// stay within capacity throughout, and — because the capacity covers the
 /// whole working set — every distinct entry must compile exactly once.
 #[test]
 fn stress_matches_serial_and_respects_capacity() {
     let queries = Arc::new(queries());
     let expected = Arc::new(expectations(&queries));
-    // Distinct (collective, nodes, slot) keys: count via the serial pick of
+    // Distinct (collective, nodes, slot) keys: count via the committed pick of
     // each query (compiled entries are keyed by resolved slot + rank count).
     let distinct = {
         let mut keys: Vec<(&str, usize, String)> = queries
@@ -171,7 +184,7 @@ fn stress_matches_serial_and_respects_capacity() {
 /// Irregular grids through the serving layer: many threads hammer
 /// `choose_irregular_at` across every size distribution — dist-grid hits
 /// and regular-grid fallbacks alike — and every answer must stay equal to
-/// the serial selector's, including the `None`s for collectives the table
+/// the index's, including the `None`s for collectives the table
 /// does not carry at all.
 #[test]
 fn irregular_queries_stay_serial_identical_under_contention() {
@@ -223,11 +236,11 @@ fn irregular_queries_stay_serial_identical_under_contention() {
             }
         }
     }
-    let serial = Selector::from_table(&table);
+    let index = SelectorIndex::from_table(&table);
     let expected: Vec<Option<(String, usize)>> = queries
         .iter()
         .map(|&(collective, dist, nodes, bytes)| {
-            serial
+            index
                 .choose_irregular(collective, dist, nodes, bytes)
                 .map(|t| (t.algorithm.to_string(), t.segments))
         })
@@ -372,8 +385,8 @@ fn racing_recoveries_compile_each_distinct_key_exactly_once() {
 }
 
 /// A tiny cache under contention: per-shard capacity 1 forces constant
-/// eviction + recompilation, and the capacity bound and the serial-equality
-/// of picks must both survive it.
+/// eviction + recompilation, and the capacity bound and the equality of
+/// picks with the committed table's must both survive it.
 #[test]
 fn contended_evictions_keep_answers_serial_identical() {
     let queries = queries();
@@ -627,21 +640,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Cold cache, arbitrary query streams: the service's pick equals the
-    // serial selector's for every query, and the compiled schedule is the
-    // same build (name, rank count, step count).
+    // index's for every query, and the compiled schedule is the same build
+    // (name, rank count, step count).
     #[test]
     fn random_streams_resolve_bit_identical_to_serial(
         seeds in prop::collection::vec(0u64..(1 << 62), 1..24),
     ) {
         let stream: Vec<(Collective, usize, u64)> = seeds.iter().map(|&s| decode(s)).collect();
         let t = table();
-        let mut serial = Selector::from_table(&t).with_cache_capacity(64);
+        let index = SelectorIndex::from_table(&t);
         let service = ServiceSelector::from_tables(&[t]);
         for &(collective, nodes, bytes) in &stream {
-            let want = serial.choose(collective, nodes, bytes);
+            let want = index.choose(collective, nodes, bytes);
             let got = service.choose_at(0, collective, nodes, bytes);
             prop_assert_eq!(got, want);
-            let want_compiled = serial.compiled(collective, nodes, bytes);
+            let want_compiled = committed_compiled(&index, collective, nodes, bytes);
             let got_compiled = service.compiled_at(0, collective, nodes, bytes);
             prop_assert_eq!(want_compiled.is_some(), got_compiled.is_some());
             if let (Some(a), Some(b)) = (want_compiled, got_compiled) {
@@ -654,7 +667,7 @@ proptest! {
 
     // Contended caches: four threads replay one random stream against a
     // shared service (small shard capacity, so eviction races happen);
-    // every thread's answers must equal the serial selector's.
+    // every thread's answers must equal the committed table's.
     #[test]
     fn contended_random_streams_stay_serial_identical(
         seeds in prop::collection::vec(0u64..(1 << 62), 1..12),
@@ -672,12 +685,12 @@ proptest! {
             })
             .collect();
         let t = table();
-        let mut serial = Selector::from_table(&t).with_cache_capacity(64);
+        let index = SelectorIndex::from_table(&t);
         let expected: Vec<Option<(String, usize, String)>> = stream
             .iter()
             .map(|&(collective, nodes, bytes)| {
-                serial.compiled(collective, nodes, bytes).map(|c| {
-                    let pick = serial.choose(collective, nodes, bytes).unwrap();
+                committed_compiled(&index, collective, nodes, bytes).map(|c| {
+                    let pick = index.choose(collective, nodes, bytes).unwrap();
                     (pick.algorithm.to_string(), pick.segments, c.algorithm.clone())
                 })
             })

@@ -12,7 +12,7 @@
 //! * [`net`] — topology models, traffic accounting and the two time models
 //!   (synchronous barrier + discrete-event simulation),
 //! * [`tune`] — the autotuning selection layer: offline decision-table
-//!   generation and the runtime `Selector`,
+//!   generation and the runtime `ServiceSelector`,
 //! * [`bench`](mod@bench) — the paper's table/figure harness and the CI
 //!   perf and decision-table gates.
 //!
@@ -45,8 +45,8 @@ pub mod prelude {
     //! * **model** — [`SimRequest`] drives both time models over a
     //!   [`Topology`] ([`FatTree`], [`Dragonfly`], [`Torus`]) and an
     //!   [`Allocation`], optionally with a [`FaultPlan`];
-    //! * **select & adapt** — [`Selector`] / [`ServiceSelector`] answer from
-    //!   committed [`DecisionTable`]s; [`ObservedTiming`] feedback plus
+    //! * **select & adapt** — [`ServiceSelector`] answers from committed
+    //!   [`DecisionTable`]s; [`ObservedTiming`] feedback plus
     //!   [`AdaptPolicy`] / [`Reevaluator`] drive the online adaptive overlay.
     //!
     //! Anything deeper (negabinary internals, traffic accounting, the tuner
@@ -68,7 +68,6 @@ pub mod prelude {
         algorithms, bine_default, binomial_default, build, Collective, CompiledSchedule, Schedule,
     };
     pub use bine_tune::{
-        AdaptPolicy, AdaptiveOverlay, DecisionTable, OverlayEntry, Reevaluator, Selector,
-        ServiceSelector,
+        AdaptPolicy, AdaptiveOverlay, DecisionTable, OverlayEntry, Reevaluator, ServiceSelector,
     };
 }

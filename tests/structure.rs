@@ -276,6 +276,18 @@ fn one_storm() {
     none(&harnesses, &["Barrier::new", "thread::scope"]);
 }
 
+/// A pick is `SelectorIndex::choose` and a compiled handle comes from
+/// `ServiceSelector`, whose shards own the one compiled-schedule cache: a
+/// second front end with an `Lru` of its own is a second cache that must
+/// be kept in step with the first.
+#[test]
+fn one_selector() {
+    let cache = "crates/bine-tune/src/service/cache.rs";
+    let hits = grep(&["crates/*/src"], &["Lru::new("], source);
+    assert!(only(&hits, cache) > 0);
+    none(&["crates/*/src"], &["pub struct Selector "]);
+}
+
 /// A block id is its own index, so compile.rs hashes nothing, and every
 /// other map keyed by `BlockId` is a `BlockMap` under `BlockHasher` (its
 /// definition is the one `HashMap<BlockId`), never the std SipHash.
