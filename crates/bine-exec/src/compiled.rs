@@ -12,18 +12,18 @@
 //! pre-step state and applied per receiver in schedule order — exactly the
 //! order the reference interpreter applies them in.
 //!
-//! A rank's [`DenseState`] is a [`BlockStore`] held under the schedule's key
-//! table — the [`SlotLayout`](bine_sched::SlotLayout) the handle shares with
-//! it: one slot per block the rank ever sends or receives, its local slots,
-//! not one per block the schedule interned, so building and dropping the
-//! state of a request costs what its ranks touch. Every payload of the
-//! compiled form carries its local slot at both ends, so the step kernel
-//! indexes `slots[local]` directly. [`to_dense`] puts stores under the
-//! table and one payload table — block by block (`BlockId` → interned index
-//! → local slot) for a store in map form or under another table, not at all
+//! A run keeps one slot table for all its ranks, laid out by the
+//! [`SlotLayout`](bine_sched::SlotLayout) the handle shares with it: per rank
+//! one slot per block the rank ever sends or receives, not one per block the
+//! schedule interned, so building and dropping the state of a request costs
+//! what its ranks touch. Every payload of the compiled form carries its
+//! slot's position in that table at both ends, so the walks index the table
+//! directly. A rank's [`DenseState`] is a [`BlockStore`] reading its row.
+//! [`to_dense`] builds the table — block by block (`BlockId` → interned
+//! index → slot) for stores in map form or under another table, not at all
 //! for the finals of an earlier run of this handle — and [`from_dense`] has
 //! nothing left to do: the finals *are* the dense states, and answer by
-//! `BlockId` through the tables they keep alive.
+//! `BlockId` through the table they keep alive.
 //!
 //! One compiled form, two walks over it. The **step walk** (`run_steps`) is
 //! the step kernel — `gather_recvs` then `apply_recvs` — over all of a
@@ -53,17 +53,17 @@ use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
 
 use crate::state::{self, BlockStore, WalkTable, NOT_HELD};
 
-/// The data a single rank holds, in dense form: a [`BlockStore`] held under
-/// the key table of the schedule being run — slot `i` holds the handle, in
-/// the run's payload table, of the `i`-th block of the rank's
-/// [`rank_blocks`](bine_sched::SlotLayout::rank_blocks), and what the rank
+/// The data a single rank holds, in dense form: a [`BlockStore`] reading its
+/// rank's row of the run's slot table — slot `i` of the row holds the handle,
+/// in the run's payload table, of the `i`-th block of the rank's
+/// [`rank_blocks`](bine_sched::SlotLayout::rank_blocks) — and what the rank
 /// holds but never moves (the alltoall block a rank keeps for itself under
 /// an algorithm that never moves it) rides along in the store's map,
 /// untouched.
 pub type DenseState = BlockStore;
 
-/// Puts symbolic per-rank stores under `compiled`'s key table and one
-/// payload table, in place.
+/// Puts symbolic per-rank stores under `compiled`'s key table and one slot
+/// and payload table, in place.
 ///
 /// The finals of an earlier run of this handle are taken as they are (their
 /// payload table copied if a caller still holds a clone of them); any other
@@ -116,11 +116,13 @@ pub fn run_dense(compiled: &CompiledSchedule, states: &mut [DenseState]) {
         compiled.num_ranks,
         "one dense state per rank required"
     );
-    if compiled.reduces() && payloads_are_large(states) {
-        run_blocks(compiled, states);
-    } else {
-        run_steps(compiled, states);
-    }
+    state::with_table(states, compiled, |table, slots| {
+        if compiled.reduces() && payloads_are_large(compiled, table, slots) {
+            run_blocks(compiled, table, slots);
+        } else {
+            run_steps(compiled, table, slots);
+        }
+    })
 }
 
 /// Mean payload, in elements, of the sampled rank from which a reducing run
@@ -155,26 +157,26 @@ const BLOCK_WALK_MIN_ELEMS: usize = 1024;
 /// Whether the payloads of this run are large enough for the block walk:
 /// the mean over the slots of the first rank that holds anything — a sample,
 /// not a scan of the state.
-fn payloads_are_large(states: &[DenseState]) -> bool {
-    let sampled = states.iter().find_map(|state| {
-        let held = state.slot_blocks();
-        let (blocks, elems) = held.fold((0, 0), |(n, e), (_, block)| (n + 1, e + block.len()));
+fn payloads_are_large(compiled: &CompiledSchedule, table: &WalkTable, slots: &[u32]) -> bool {
+    let layout = compiled.slot_layout();
+    let sampled = (0..compiled.num_ranks).find_map(|rank| {
+        let row = &slots[layout.rank_slots(rank)];
+        let held = row.iter().filter(|&&h| h != NOT_HELD);
+        let (blocks, elems) = held.fold((0, 0), |(n, e), &h| (n + 1, e + table.get(h).len()));
         (blocks > 0).then_some(elems >= blocks * BLOCK_WALK_MIN_ELEMS)
     });
     sampled.unwrap_or(false)
 }
 
 /// The step walk: every step's receives gathered and then applied.
-fn run_steps(compiled: &CompiledSchedule, states: &mut [DenseState]) {
-    state::with_table(states, compiled, |table, states| {
-        let mut staging = Vec::new();
-        for step in 0..compiled.num_steps() {
-            let recvs = compiled.step_recvs(step);
-            // Stage every payload of the step before any state mutates.
-            gather_recvs(compiled, step, recvs, table, states, &mut staging);
-            apply_recvs(compiled, step, recvs, &staging, table, states);
-        }
-    })
+fn run_steps(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u32]) {
+    let mut staging = Vec::new();
+    for step in 0..compiled.num_steps() {
+        let recvs = compiled.step_recvs(step);
+        // Stage every payload of the step before any slot mutates.
+        gather_recvs(compiled, step, recvs, table, slots, &mut staging);
+        apply_recvs(compiled, step, recvs, &staging, table, slots);
+    }
 }
 
 /// The block walk (see the module docs for why it ends where [`run_steps`]
@@ -184,36 +186,33 @@ fn run_steps(compiled: &CompiledSchedule, states: &mut [DenseState]) {
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
-fn run_blocks(compiled: &CompiledSchedule, states: &mut [DenseState]) {
+fn run_blocks(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u32]) {
     let order = compiled.block_major();
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
     let moves = |e: &&BlockEntry| !is_identity_move(compiled, e.step as usize, payload_of(e).0);
-    state::with_table(states, compiled, |table, states| {
-        let mut staging: Vec<u32> = Vec::new();
-        for block in 0..compiled.num_blocks() {
-            for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
-                // Stage the block's payloads of the step before any slot
-                // mutates, into room made for exactly those that move.
-                staging.reserve(in_step.iter().filter(moves).count());
-                for e in in_step {
-                    let (send, k) = payload_of(e);
-                    let (src, slot) = (&states[send.src as usize], compiled.src_slots(send)[k]);
-                    let held = held_handle(compiled, e.step as usize, send, k, src, slot);
-                    if moves(&e) {
-                        table.hold(held);
-                        staging.push(held);
-                    }
-                }
-                for (e, payload) in in_step.iter().filter(moves).zip(staging.drain(..)) {
-                    let (send, k) = payload_of(e);
-                    let slot = compiled.dst_slots(send)[k] as usize;
-                    let held = &mut states[send.dst as usize].slots[slot];
-                    receive(compiled, send, k, table, held, payload);
+    let mut staging: Vec<u32> = Vec::new();
+    for block in 0..compiled.num_blocks() {
+        for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
+            // Stage the block's payloads of the step before any slot
+            // mutates, into room made for exactly those that move.
+            staging.reserve(in_step.iter().filter(moves).count());
+            for e in in_step {
+                let (send, k) = payload_of(e);
+                let at = compiled.src_slots(send)[k];
+                let held = held_handle(compiled, e.step as usize, send, k, slots, at);
+                if moves(&e) {
+                    table.hold(held);
+                    staging.push(held);
                 }
             }
+            for (e, payload) in in_step.iter().filter(moves).zip(staging.drain(..)) {
+                let (send, k) = payload_of(e);
+                let held = &mut slots[compiled.dst_slots(send)[k] as usize];
+                receive(compiled, send, k, table, held, payload);
+            }
         }
-    })
+    }
 }
 
 /// Whether `send`, received in `step`, is an identity move: a copy its rank
@@ -228,8 +227,8 @@ fn is_identity_move(compiled: &CompiledSchedule, step: usize, send: &CompiledSen
         && compiled.recvs_to(step, send.dst as usize).len() == 1
 }
 
-/// The handle rank `send.src` holds in local slot `slot`, which `send`
-/// carries as its `k`-th block in `step`.
+/// The handle rank `send.src` holds in slot `at` of the run's `slots`,
+/// which `send` carries as its `k`-th block in `step`.
 ///
 /// # Panics
 /// Panics if the rank does not hold the block.
@@ -238,10 +237,10 @@ fn held_handle(
     step: usize,
     send: &CompiledSend,
     k: usize,
-    src: &DenseState,
-    slot: u32,
+    slots: &[u32],
+    at: u32,
 ) -> u32 {
-    let handle = src.slots[slot as usize];
+    let handle = slots[at as usize];
     if handle == NOT_HELD {
         panic!(
             "step {step}: rank {} sends block {:?} it does not hold ({})",
@@ -289,11 +288,11 @@ fn receive(
 
 /// Gather half of the step kernel: reads the handles of the receives
 /// `recvs` of `step` (send indices grouped by ascending destination rank,
-/// see [`CompiledSchedule::step_recvs`]) out of their source ranks'
-/// `states` into `staging`, one entry per payload in `recvs` order,
-/// replacing what it held; each staged entry is a holder in `table`. An
-/// identity move ([`is_identity_move`]) stages nothing; its payloads are
-/// only checked to be held.
+/// see [`CompiledSchedule::step_recvs`]) out of their source ranks' slots
+/// into `staging`, one entry per payload in `recvs` order, replacing what
+/// it held; each staged entry is a holder in `table`. An identity move
+/// ([`is_identity_move`]) stages nothing; its payloads are only checked to
+/// be held.
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
@@ -302,14 +301,13 @@ fn gather_recvs(
     step: usize,
     recvs: &[u32],
     table: &mut WalkTable,
-    states: &[DenseState],
+    slots: &[u32],
     staging: &mut Vec<u32>,
 ) {
     staging.clear();
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
-        let src = &states[send.src as usize];
         let payloads = compiled.src_slots(send).iter().enumerate();
-        let held = payloads.map(|(k, &slot)| held_handle(compiled, step, send, k, src, slot));
+        let held = payloads.map(|(k, &at)| held_handle(compiled, step, send, k, slots, at));
         if is_identity_move(compiled, step, send) {
             // The possession check alone: the payloads stay in their slots.
             held.for_each(|_| ());
@@ -320,7 +318,7 @@ fn gather_recvs(
 }
 
 /// Apply half of the step kernel: the handles [`gather_recvs`] staged for
-/// `recvs` are applied to their destination ranks' states in schedule
+/// `recvs` are applied to their destination ranks' slots in schedule
 /// order — bit-identical float reduction order to the reference
 /// interpreter. Every payload has exactly one receiver, so the receiver
 /// takes the staged holder over: a block that a rank both sends and reduces
@@ -333,7 +331,7 @@ fn apply_recvs(
     recvs: &[u32],
     staging: &[u32],
     table: &mut WalkTable,
-    states: &mut [DenseState],
+    slots: &mut [u32],
 ) {
     let mut taken = 0;
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
@@ -342,10 +340,8 @@ fn apply_recvs(
         }
         let payloads = &staging[taken..taken + send.num_blocks()];
         taken += payloads.len();
-        let state = &mut states[send.dst as usize];
-        for ((k, &slot), &payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads) {
-            let held = &mut state.slots[slot as usize];
-            receive(compiled, send, k, table, held, payload);
+        for ((k, &at), &payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads) {
+            receive(compiled, send, k, table, &mut slots[at as usize], payload);
         }
     }
 }
@@ -369,6 +365,16 @@ mod tests {
         AlltoallAlg, BroadcastAlg, ReduceScatterAlg,
     };
     use bine_sched::{BlockId, Collective, NonContigStrategy, Schedule, Step};
+
+    /// A walk of the run's table.
+    type Walk = fn(&CompiledSchedule, &mut WalkTable, &mut [u32]);
+
+    /// Runs `states` by `walk`, whichever walk `run_dense` would pick.
+    fn walked(compiled: &CompiledSchedule, states: &mut [DenseState], walk: Walk) {
+        state::with_table(states, compiled, |table, slots| {
+            walk(compiled, table, slots)
+        });
+    }
 
     #[test]
     fn dense_round_trip_preserves_every_block() {
@@ -458,8 +464,8 @@ mod tests {
             let w = Workload::for_schedule(&sched, 2);
             let mut by_step = to_dense(&compiled, w.initial_state(&sched));
             let mut by_block = by_step.clone();
-            run_steps(&compiled, &mut by_step);
-            run_blocks(&compiled, &mut by_block);
+            walked(&compiled, &mut by_step, run_steps);
+            walked(&compiled, &mut by_block, run_blocks);
             assert_eq!(by_block, by_step, "{}", request.label());
             let reference = sequential::run_reference(&sched, w.initial_state(&sched));
             let finals = from_dense(&compiled, by_block);
@@ -474,7 +480,11 @@ mod tests {
         let sched = allreduce(8, AllreduceAlg::BineLarge);
         let compiled = sched.compile();
         let initial = |elems| Workload::for_schedule(&sched, elems).initial_state(&sched);
-        let large = |stores| payloads_are_large(&to_dense(&compiled, stores));
+        let large = |stores| {
+            let mut states = to_dense(&compiled, stores);
+            let large = |t: &mut WalkTable, s: &mut [u32]| payloads_are_large(&compiled, t, s);
+            state::with_table(&mut states, &compiled, large)
+        };
         assert!(!large(initial(BLOCK_WALK_MIN_ELEMS - 1)));
         assert!(large(initial(BLOCK_WALK_MIN_ELEMS)));
         // The sample is the first rank that holds anything, and its mean.
@@ -485,7 +495,7 @@ mod tests {
         assert!(!large(stores.clone()));
         stores[1].insert(BlockId::Segment(1), vec![0.0; 2 * BLOCK_WALK_MIN_ELEMS]);
         assert!(large(stores));
-        assert!(!payloads_are_large(&[DenseState::default()]));
+        assert!(!large(vec![BlockStore::new(); 8]));
         // Either side of the rule, `run_dense` ends where the reference does.
         for elems in [BLOCK_WALK_MIN_ELEMS - 1, BLOCK_WALK_MIN_ELEMS] {
             let w = Workload::for_schedule(&sched, elems);
@@ -499,23 +509,19 @@ mod tests {
     fn the_block_walk_detects_missing_blocks() {
         let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
         let empty = (0..8).map(|_| BlockStore::new()).collect();
-        run_blocks(&compiled, &mut to_dense(&compiled, empty));
+        walked(&compiled, &mut to_dense(&compiled, empty), run_blocks);
     }
 
     /// Runs `sched` by `walk` from `initial` with `Segment(5)` taken from
     /// rank 3.
-    fn run_without_a_block(
-        sched: &Schedule,
-        mut initial: Vec<BlockStore>,
-        walk: fn(&CompiledSchedule, &mut [DenseState]),
-    ) {
+    fn run_without_a_block(sched: &Schedule, mut initial: Vec<BlockStore>, walk: Walk) {
         let kept = initial[3].clone().into_blocks();
         initial[3] = BlockStore::new();
         for (id, payload) in kept.filter(|(id, _)| *id != BlockId::Segment(5)) {
             initial[3].insert(id, payload);
         }
         let compiled = sched.compile();
-        walk(&compiled, &mut to_dense(&compiled, initial));
+        walked(&compiled, &mut to_dense(&compiled, initial), walk);
     }
 
     /// Reduce-scatter `bine-permute`, whose first step is the local permute
@@ -582,9 +588,9 @@ mod tests {
         assert_ne!(initial[0].get(&segment), initial[1].get(&segment));
         let reference = sequential::run_reference(&sched, initial.clone());
         assert_eq!(reference[1].get(&segment), initial[1].get(&segment));
-        for walk in [run_steps, run_blocks] {
+        for walk in [run_steps as Walk, run_blocks] {
             let mut states = to_dense(&compiled, initial.clone());
-            walk(&compiled, &mut states);
+            walked(&compiled, &mut states, walk);
             assert_eq!(from_dense(&compiled, states), reference);
         }
     }
@@ -596,6 +602,6 @@ mod tests {
         let compiled = sched.compile();
         let mut initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
         initial[3].insert(BlockId::Segment(0), vec![0.0; 3]);
-        run_blocks(&compiled, &mut to_dense(&compiled, initial));
+        walked(&compiled, &mut to_dense(&compiled, initial), run_blocks);
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! One store type serves both ends of an execution. What a caller builds is
 //! a map; what the dense executors run on, and return, is the same store
-//! with its blocks under the compiled schedule's key table and the run's
-//! payload table (see [`BlockStore`]) — so leaving dense form re-hashes
-//! nothing, and the only re-keying of a request is
+//! reading its rank's row of the run's one slot table, under the compiled
+//! schedule's key table (see [`BlockStore`]) — so leaving dense form
+//! re-hashes nothing, and the only re-keying of a request is
 //! [`crate::compiled::to_dense`]'s, of input that is not under the handle's
 //! table yet.
 
@@ -76,8 +76,8 @@ const PACK_MAX_ELEMS: usize = 256;
 /// 0.87–1.14 at p = 64, 0.85–1.25 and 0.87–1.62 at p = 256 (1.25 and 1.62
 /// at one element). The 256-rank requests are most of `serve-latency`'s
 /// round: one 3 s run each gave 3.81 / 3.63 / 4.17 `round_pu` and 6654 /
-/// 6138 / 6005 allocations per round (4053 at this size once freed places
-/// are reused).
+/// 6138 / 6005 allocations per round, before freed places were reused and
+/// before a run's slots were one table.
 const CHUNK_ELEMS: usize = 4096;
 
 const _: () = assert!(PACK_MAX_ELEMS <= CHUNK_ELEMS);
@@ -99,10 +99,10 @@ impl Place {
     }
 }
 
-/// The payloads of one run, which its per-rank stores share behind one `Arc`:
-/// a slot of a table-backed [`BlockStore`] is a handle into it, so a
-/// transfer copies an integer and dropping the finals drops each payload
-/// once, however many ranks hold it.
+/// The slots and payloads of one run, which its per-rank stores share
+/// behind one `Arc`: every rank's slots in one table, rank after rank, each
+/// a handle of a payload, so a transfer copies an integer and dropping the
+/// finals drops each payload once, however many ranks hold it.
 ///
 /// A handle's payload is a [`Block`] — a caller's, or a sum longer than
 /// `PACK_MAX_ELEMS` — freed when its last holder lets go, or a short sum
@@ -113,6 +113,10 @@ impl Place {
 pub(crate) struct PayloadTable {
     /// The key table the run's stores are held under.
     layout: Arc<SlotLayout>,
+    /// The run's slot table: rank `r`'s local slot `i` at
+    /// `layout.rank_slots(r).start + i`, holding a handle or `NOT_HELD`.
+    /// Sized once, to the layout's slots; what the walks index.
+    slots: Box<[u32]>,
     /// `blocks[h]` is the payload of handle `h` if it is a `Block`; `None`
     /// if it is packed or freed.
     blocks: Vec<Option<Block>>,
@@ -132,15 +136,30 @@ pub(crate) struct PayloadTable {
 }
 
 impl PayloadTable {
-    fn with_capacity(layout: &Arc<SlotLayout>, capacity: usize) -> Self {
+    /// A table under `layout` of `slots` empty slots — a run's has the
+    /// layout's, a placeholder none — and room for `capacity` payloads.
+    fn new(layout: &Arc<SlotLayout>, slots: usize, capacity: usize) -> Self {
         Self {
             layout: Arc::clone(layout),
+            slots: vec![NOT_HELD; slots].into(),
             blocks: Vec::with_capacity(capacity),
             holders: Vec::with_capacity(capacity),
             free: NOT_HELD,
             packed: Vec::new(),
             chunks: Vec::new(),
         }
+    }
+
+    /// Rank `rank`'s slots.
+    fn row(&self, rank: usize) -> &[u32] {
+        &self.slots[self.layout.rank_slots(rank)]
+    }
+
+    /// The blocks rank `rank`'s slots hold, by id.
+    fn held_in(&self, rank: usize) -> impl Iterator<Item = (&BlockId, u32)> {
+        let row = self.row(rank).iter().enumerate();
+        let held = row.filter(|&(_, &h)| h != NOT_HELD);
+        held.map(move |(slot, &h)| (self.layout.block_at(rank, slot), h))
     }
 
     /// The payload of a held handle.
@@ -449,54 +468,51 @@ fn reduce_into(existing: &mut Block, value: &[f64]) {
 /// # Two forms, one behaviour
 ///
 /// A store a caller builds holds its blocks in a map (*map form*). A store
-/// an executor has run holds them under the key table of the schedule it
-/// ran — the [`SlotLayout`] of the compiled handle, which names the block
-/// behind every local slot of every rank: one handle per local slot into
-/// the run's payload table, the executors' dense state as it is, plus a map
-/// for the blocks the slots do not hold (what the rank holds and the
-/// schedule never moves, what a caller inserts later). Every method answers
-/// the same in both forms, and two stores are equal when they hold the same
-/// blocks with the same values, whichever form either is in. What differs
-/// is the cost: by-id access to a table-backed block goes through the table
-/// (`BlockId` → interned index → local slot), [`BlockStore::len`] and
-/// [`BlockStore::is_empty`] count the occupied slots, and handing finals
-/// back to the handle that produced them ([`crate::compiled::to_dense`]) is
-/// free.
+/// an executor has run is *table-backed*: it is rank `r` of the run, and
+/// reads row `r` of the run's slot table — under the [`SlotLayout`] of the
+/// compiled handle, which names the block behind every local slot of every
+/// rank — plus a map for the blocks the row has no slot for (what the rank
+/// holds and the schedule never moves, what a caller inserts later). Every
+/// method answers the same in both forms, and two stores are equal when
+/// they hold the same blocks with the same values, whichever form either is
+/// in. What differs is the cost: by-id access to a table-backed block goes
+/// through the key table (`BlockId` → interned index → slot),
+/// [`BlockStore::len`] and [`BlockStore::is_empty`] count the occupied
+/// slots of the row, and handing finals back to the handle that produced
+/// them ([`crate::compiled::to_dense`]) is free.
 ///
-/// The ranks of a run share its payload table (an `Arc`, with the key
-/// table in it), so finals keep the whole run's payloads alive for as long
-/// as any of them is held, plus the interned ids and the per-rank slot
-/// lists — nothing else of the handle, which may be dropped or evicted from
-/// a cache before them. A caller's payload stays the caller's [`Block`];
-/// the sums the run computed are the table's. [`BlockStore::insert`] and
-/// [`BlockStore::reduce`] never write the shared table: a block they change
-/// moves to the store's own map — a sum copied out into a `Block` of its
-/// own — and its slot is cleared. [`BlockStore::deep_clone`] and
+/// The ranks of a run share its slot and payload table (an `Arc`, with the
+/// key table in it), so finals keep the whole run's payloads alive for as
+/// long as any of them is held, plus the interned ids and the slot table —
+/// nothing else of the handle, which may be dropped or evicted from a cache
+/// before them. A caller's payload stays the caller's [`Block`]; the sums
+/// the run computed are the table's. [`BlockStore::insert`] and
+/// [`BlockStore::reduce`] never write the shared table: writing a block
+/// the row has a slot for first puts that one store in map form, a sum
+/// copied out into a `Block` of its own. [`BlockStore::deep_clone`] and
 /// [`BlockStore::into_blocks`] detach from the table.
 #[derive(Clone, Default)]
 pub struct BlockStore {
-    /// The blocks the slots do not hold — all of them in map form.
+    /// The blocks no slot of the row is for — all of them in map form.
     blocks: BlockMap<Block>,
-    /// `slots[i]` is the handle of block `i` of this rank's row of the key
-    /// table (`NOT_HELD` = not held); empty in map form. This is what the
-    /// executor kernel indexes.
-    pub(crate) slots: Vec<u32>,
-    /// The payload table `slots` index, and this store's row of its key
-    /// table: the rank. `None` in map form, and while a walk runs.
+    /// The run's table and this store's row of it: the rank. `None` in map
+    /// form, and while a walk runs.
     keyed: Option<(Arc<PayloadTable>, usize)>,
 }
 
-/// The local slot `table` gives block `id` at `rank`, if it has one.
+/// The position in a run's slot table of block `id` at `rank`, if the rank
+/// has a slot for it.
 fn slot_under(table: &SlotLayout, rank: usize, id: &BlockId) -> Option<usize> {
     let interned = table.blocks().index_of(id)?;
-    table.local_slot(rank, interned)
+    let slot = table.local_slot(rank, interned)?;
+    Some(table.rank_slots(rank).start + slot)
 }
 
 /// Puts `stores` — rank `r`'s at index `r` — under `layout`, sharing one
-/// payload table nothing else holds. The finals of an earlier run of the
-/// same handle are taken as they are, or with their table copied if a
-/// caller still holds part of it; anything else is re-keyed block by block
-/// into a table sized by what the stores hold.
+/// slot and payload table nothing else holds. The finals of an earlier run
+/// of the same handle are taken as they are, or with their table copied if
+/// a caller still holds part of it; anything else is re-keyed block by
+/// block into a table sized by what the stores hold.
 pub(crate) fn rekey(stores: &mut [BlockStore], layout: &Arc<SlotLayout>) {
     if let Some(table) = run_table(stores, layout) {
         if Arc::strong_count(table) > stores.len() {
@@ -508,7 +524,7 @@ pub(crate) fn rekey(stores: &mut [BlockStore], layout: &Arc<SlotLayout>) {
         return;
     }
     let holdings = stores.iter().map(BlockStore::len).sum();
-    let mut table = PayloadTable::with_capacity(layout, holdings);
+    let mut table = PayloadTable::new(layout, layout.num_slots(), holdings);
     for (rank, store) in stores.iter_mut().enumerate() {
         store.rekey(layout, rank, &mut table);
     }
@@ -518,67 +534,74 @@ pub(crate) fn rekey(stores: &mut [BlockStore], layout: &Arc<SlotLayout>) {
     }
 }
 
-/// The payload table `stores` share, if they are one run's under `layout`:
-/// each under its own row, and no block of a row in a map.
+/// The table `stores` share, if they are one run's under `layout`: each
+/// store its own rank's.
 fn run_table<'a>(
     stores: &'a [BlockStore],
     layout: &Arc<SlotLayout>,
 ) -> Option<&'a Arc<PayloadTable>> {
     let (table, _) = stores.first()?.keyed.as_ref()?;
-    let of_run = |(rank, store): (usize, &BlockStore)| {
-        matches!(&store.keyed, Some((held, _)) if Arc::ptr_eq(held, table))
-            && store.is_keyed_by(layout, rank)
-            && store.blocks.keys().all(|id| store.slot_of(id).is_none())
+    let at_rank = |(rank, store): (usize, &BlockStore)| {
+        let keyed = store.keyed.as_ref();
+        keyed.is_some_and(|(held, row)| Arc::ptr_eq(held, table) && *row == rank)
     };
-    stores.iter().enumerate().all(of_run).then_some(table)
+    let of_run = Arc::ptr_eq(&table.layout, layout) && stores.iter().enumerate().all(at_rank);
+    of_run.then_some(table)
 }
 
-/// Runs `walk` over `states` — rank `r`'s at index `r`, put under
-/// `compiled`'s key table first if they are not one run's yet — with their
-/// payload table moved out of its `Arc` for the walk to own, and puts it
-/// back when the walk returns or unwinds.
+/// Runs `walk` over the table of `states` — rank `r`'s at index `r`, put
+/// under `compiled`'s key table first if they are not one run's yet — moved
+/// out of its `Arc` for the walk to own, and puts it back when the walk
+/// returns or unwinds. The walk gets the slot table apart from the rest,
+/// so that a slot it writes is a `&mut u32` of its own: indexed through the
+/// `WalkTable`, beside the holder counts it writes, the slots made traced
+/// `exec.run_dense_us` 2–10 % slower on `exec-move` and `serve-latency`.
 pub(crate) fn with_table<R>(
     states: &mut [BlockStore],
     compiled: &CompiledSchedule,
-    walk: impl FnOnce(&mut WalkTable, &mut [BlockStore]) -> R,
+    walk: impl FnOnce(&mut WalkTable, &mut [u32]) -> R,
 ) -> R {
     let layout = compiled.slot_layout();
     rekey(states, layout);
     let Some((mut held, _)) = states.first_mut().and_then(|s| s.keyed.take()) else {
         // No ranks, no payloads.
-        let empty = PayloadTable::with_capacity(layout, 0);
-        return walk(&mut WalkTable::new(empty, false), states);
+        return walk(
+            &mut WalkTable::new(PayloadTable::new(layout, 0, 0), false),
+            &mut [],
+        );
     };
     for state in &mut states[1..] {
         state.keyed = None;
     }
     // The walk owns the table while it runs; the `Arc` holds an empty one.
     let table = Arc::get_mut(&mut held).expect("re-keying leaves the table to the run");
-    let table = std::mem::replace(table, PayloadTable::with_capacity(layout, 0));
+    let mut table = std::mem::replace(table, PayloadTable::new(layout, 0, 0));
+    let slots = std::mem::take(&mut table.slots);
     let walking = WalkTable::new(table, compiled.reduces());
     let mut detached = Detached {
         held,
         walking,
+        slots,
         states,
     };
-    let Detached {
-        walking, states, ..
-    } = &mut detached;
-    walk(walking, states)
+    let Detached { walking, slots, .. } = &mut detached;
+    walk(walking, slots)
 }
 
-/// A run's states while a walk owns their payload table: dropping it — on
-/// return or unwind — puts the table back into its `Arc`, drops the room
-/// the walk kept, and gives every state the table.
+/// A run's states while a walk owns their table: dropping it — on return or
+/// unwind — puts the table, slots included, back into its `Arc`, drops the
+/// room the walk kept, and gives every state the table.
 struct Detached<'a> {
     held: Arc<PayloadTable>,
     walking: WalkTable,
+    slots: Box<[u32]>,
     states: &'a mut [BlockStore],
 }
 
 impl Drop for Detached<'_> {
     fn drop(&mut self) {
         let held = Arc::get_mut(&mut self.held).expect("nothing holds the table during a walk");
+        self.walking.table.slots = std::mem::take(&mut self.slots);
         std::mem::swap(held, &mut self.walking.table);
         for (rank, state) in self.states.iter_mut().enumerate() {
             state.keyed = Some((Arc::clone(&self.held), rank));
@@ -592,27 +615,19 @@ impl BlockStore {
         Self::default()
     }
 
-    /// Whether the store holds its blocks under `table`'s row for `rank` —
-    /// this very table, not an equal one.
+    /// Whether the store reads `table`'s row for `rank` — this very table,
+    /// not an equal one.
     pub(crate) fn is_keyed_by(&self, table: &Arc<SlotLayout>, rank: usize) -> bool {
         matches!(&self.keyed, Some((held, row)) if Arc::ptr_eq(&held.layout, table) && *row == rank)
     }
 
     /// Puts the store under `layout`'s row for `rank`, with `table` the
-    /// run's payload table: every block the row has a slot for moves into
-    /// `table` and its handle into `slots`; the rest stays in the map, in
-    /// place. A table-backed store goes through map form first.
+    /// run's table: every block the row has a slot for moves into `table`
+    /// and its handle into the slot; the rest stays in the map, in place. A
+    /// table-backed store goes through map form first.
     fn rekey(&mut self, layout: &SlotLayout, rank: usize, table: &mut PayloadTable) {
-        if let Some((held, row)) = self.keyed.take() {
-            // Another run's finals, another handle's or another rank's.
-            for (slot, &handle) in self.slots.iter().enumerate() {
-                if handle != NOT_HELD {
-                    let id = *held.layout.block_at(row, slot);
-                    self.blocks.insert(id, held.shared(handle));
-                }
-            }
-        }
-        let mut slots = vec![NOT_HELD; layout.rank_blocks(rank).len()];
+        // Another run's finals, another handle's or another rank's.
+        self.detach();
         // `extract_if` yields each block right after the test that picked
         // it, so the slot that test found is the yielded block's.
         let slot = Cell::new(0);
@@ -621,45 +636,43 @@ impl BlockStore {
             found.map(|s| slot.set(s)).is_some()
         };
         for (_, payload) in self.blocks.extract_if(in_row) {
-            slots[slot.get()] = table.add(Some(payload));
+            table.slots[slot.get()] = table.add(Some(payload));
         }
-        self.slots = slots;
     }
 
-    /// The blocks the slots hold, by id.
-    pub(crate) fn slot_blocks(&self) -> impl Iterator<Item = (&BlockId, &[f64])> {
-        let held = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h != NOT_HELD);
-        held.filter_map(|(slot, &handle)| {
-            let (table, rank) = self.keyed.as_ref()?;
-            Some((table.layout.block_at(*rank, slot), table.get(handle)))
+    /// Puts the store in map form: every block its row holds moves into the
+    /// map — a caller's payload shared, a sum of the run copied out. The
+    /// shared table stays as it is.
+    fn detach(&mut self) {
+        if let Some((table, rank)) = self.keyed.take() {
+            for (id, handle) in table.held_in(rank) {
+                self.blocks.insert(*id, table.shared(handle));
+            }
+        }
+    }
+
+    /// The blocks the store's row holds, by id.
+    fn slot_blocks(&self) -> impl Iterator<Item = (&BlockId, &[f64])> {
+        let keyed = self.keyed.as_ref();
+        keyed.into_iter().flat_map(|(table, rank)| {
+            let held = table.held_in(*rank);
+            held.map(|(id, handle)| (id, table.get(handle)))
         })
     }
 
-    /// The slot that holds block `id`, if the store is table-backed and the
-    /// slot is occupied; a block no slot holds lives in the map.
-    fn held_slot(&self, id: &BlockId) -> Option<usize> {
-        let slot = self.slot_of(id)?;
-        (self.slots[slot] != NOT_HELD).then_some(slot)
-    }
-
-    /// The slot block `id` has under the store's row of the key table, if
-    /// the store is table-backed and the row has one.
-    fn slot_of(&self, id: &BlockId) -> Option<usize> {
+    /// The table and the handle its slot for block `id` holds (`NOT_HELD`
+    /// if none), if the store is table-backed and its row has a slot for
+    /// `id`; a block the row has no slot for lives in the map.
+    fn slot_of(&self, id: &BlockId) -> Option<(&PayloadTable, u32)> {
         let (table, rank) = self.keyed.as_ref()?;
-        slot_under(&table.layout, *rank, id)
+        let at = slot_under(&table.layout, *rank, id)?;
+        Some((table, table.slots[at]))
     }
 
     /// Returns the value of a block, if held.
     pub fn get(&self, id: &BlockId) -> Option<&[f64]> {
-        match self.held_slot(id) {
-            Some(slot) => self
-                .keyed
-                .as_ref()
-                .map(|(table, _)| table.get(self.slots[slot])),
+        match self.slot_of(id) {
+            Some((table, handle)) => (handle != NOT_HELD).then(|| table.get(handle)),
             None => self.blocks.get(id).map(|block| block.as_slice()),
         }
     }
@@ -668,20 +681,17 @@ impl BlockStore {
     /// caller's payload shared (a refcount bump), a sum of the run's payload
     /// table copied out.
     pub(crate) fn get_shared(&self, id: &BlockId) -> Option<Block> {
-        match self.held_slot(id) {
-            Some(slot) => self
-                .keyed
-                .as_ref()
-                .map(|(table, _)| table.shared(self.slots[slot])),
+        match self.slot_of(id) {
+            Some((table, handle)) => (handle != NOT_HELD).then(|| table.shared(handle)),
             None => self.blocks.get(id).cloned(),
         }
     }
 
     /// Stores (or overwrites) a block.
     pub fn insert(&mut self, id: BlockId, value: impl Into<Block>) {
-        // A block a slot holds moves to the map: the shared table stays.
-        if let Some(slot) = self.held_slot(&id) {
-            self.slots[slot] = NOT_HELD;
+        // A block the row has a slot for: out of the shared table first.
+        if self.slot_of(&id).is_some() {
+            self.detach();
         }
         self.blocks.insert(id, value.into());
     }
@@ -691,10 +701,8 @@ impl BlockStore {
     /// ranks (or a snapshot) is copied once, an exclusively owned payload is
     /// mutated in place.
     pub fn reduce(&mut self, id: BlockId, value: &[f64]) {
-        if self.held_slot(&id).is_some() {
-            // Out of the shared table and into the store's own map.
-            let payload = self.get_shared(&id).expect("held");
-            self.insert(id, payload);
+        if self.slot_of(&id).is_some() {
+            self.detach();
         }
         match self.blocks.get_mut(&id) {
             Some(existing) => {
@@ -709,15 +717,15 @@ impl BlockStore {
         }
     }
 
-    /// Number of blocks held. A table-backed store counts its occupied
-    /// slots: O(slots), not O(1).
+    /// Number of blocks held. A table-backed store counts the occupied
+    /// slots of its row: O(slots), not O(1).
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|&&h| h != NOT_HELD).count() + self.blocks.len()
+        self.slot_blocks().count() + self.blocks.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty() && self.slots.iter().all(|&h| h == NOT_HELD)
+        self.blocks.is_empty() && self.slot_blocks().next().is_none()
     }
 
     /// Iterates over the held blocks.
@@ -730,19 +738,16 @@ impl BlockStore {
     /// that no longer needs the payload table: a caller's payload shared,
     /// not copied, and a sum the run computed copied out of the table.
     pub fn into_blocks(self) -> impl Iterator<Item = (BlockId, Block)> {
-        let Self {
-            blocks,
-            slots,
-            keyed,
-        } = self;
-        let in_slots = slots
-            .into_iter()
-            .enumerate()
-            .filter_map(move |(slot, handle)| {
-                let (table, rank) = keyed.as_ref()?;
-                let id = *table.layout.block_at(*rank, slot);
-                (handle != NOT_HELD).then(|| (id, table.shared(handle)))
-            });
+        let Self { blocks, keyed } = self;
+        let row = keyed
+            .as_ref()
+            .map_or(0..0, |(table, rank)| table.layout.rank_slots(*rank));
+        let in_slots = row.clone().filter_map(move |at| {
+            let (table, rank) = keyed.as_ref()?;
+            let handle = table.slots[at];
+            let id = *table.layout.block_at(*rank, at - row.start);
+            (handle != NOT_HELD).then(|| (id, table.shared(handle)))
+        });
         in_slots.chain(blocks)
     }
 
@@ -978,9 +983,15 @@ mod tests {
         stores.swap_remove(rank)
     }
 
-    /// The payload table a table-backed store indexes.
+    /// The table a table-backed store reads.
     fn payload_table(store: &BlockStore) -> &Arc<PayloadTable> {
         &store.keyed.as_ref().expect("table-backed").0
+    }
+
+    /// The row of the slot table a table-backed store reads.
+    fn row(store: &BlockStore) -> &[u32] {
+        let (table, rank) = store.keyed.as_ref().expect("table-backed");
+        table.row(*rank)
     }
 
     /// Elements packed into `table`'s chunks so far.
@@ -996,7 +1007,7 @@ mod tests {
             (PACK_MAX_ELEMS, true),
             (PACK_MAX_ELEMS + 1, false),
         ] {
-            let mut table = WalkTable::new(PayloadTable::with_capacity(&layout, 2), true);
+            let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 2), true);
             let caller: Block = Arc::new(vec![1.0; elems]);
             let mut slot = table.table.add(Some(Block::clone(&caller)));
             let staged = table.table.add(Some(Arc::new(vec![0.5; elems])));
@@ -1032,7 +1043,7 @@ mod tests {
     fn packed_sums_add_into_each_other_wherever_they_lie() {
         // Two packed sums of one chunk, in either order, and of two chunks.
         let (layout, _) = gather_table();
-        let mut table = WalkTable::new(PayloadTable::with_capacity(&layout, 0), true);
+        let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 0), true);
         let caller: Block = Arc::new(vec![1.0; PACK_MAX_ELEMS]);
         let mut sums = Vec::new();
         let per_chunk = CHUNK_ELEMS / PACK_MAX_ELEMS;
@@ -1069,7 +1080,7 @@ mod tests {
             (PACK_MAX_ELEMS + 1, false),
         ] {
             let what = format!("{elems} elements, keeps room: {keeps_room}");
-            let mut table = WalkTable::new(PayloadTable::with_capacity(&layout, 4), keeps_room);
+            let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 4), keeps_room);
             let caller: Block = Arc::new(vec![1.0; elems]);
             // `caller + x` as a sum of the walk's, in a slot of its own; the
             // caller holds `x` too.
@@ -1125,7 +1136,11 @@ mod tests {
     #[test]
     fn a_table_backed_store_answers_like_the_map_it_was_built_from() {
         let (keyed, map_form) = table_backed_and_map_form();
-        assert_eq!(keyed.slots.len(), 7, "one slot per block of the row");
+        assert_eq!(row(&keyed).len(), 7, "one slot per block of the row");
+        assert_eq!(
+            payload_table(&keyed).slots.len(),
+            gather_table().0.num_slots()
+        );
         assert_eq!(keyed.blocks.len(), 1, "the table has no slot for Full");
         // Hits, a miss inside the table, a miss outside it.
         assert_eq!(keyed.get(&SEG(5)), Some(&[5.0; 2][..]));
@@ -1161,59 +1176,67 @@ mod tests {
     fn an_emptied_table_backed_store_is_empty() {
         let (table, leaf) = gather_table();
         let store = keyed_at(&table, 0, BlockStore::new());
-        assert_eq!(store.slots.len(), 7);
+        assert_eq!(row(&store).len(), 7);
         assert_eq!(store.len(), 0);
         assert!(store.is_empty());
         assert_eq!(store, BlockStore::new());
         assert_eq!(store.iter().count(), 0);
         assert_eq!(store.into_blocks().count(), 0);
         let at_leaf = keyed_at(&table, leaf, BlockStore::new());
-        assert_eq!(at_leaf.slots.len(), 1);
+        assert_eq!(row(&at_leaf).len(), 1);
         assert!(at_leaf.is_empty());
     }
 
     #[test]
     fn mutation_of_a_table_backed_store_lands_where_the_table_says() {
         let (mut keyed, mut map_form) = table_backed_and_map_form();
+        let table = Arc::clone(payload_table(&keyed));
+        let slots = table.slots.clone();
+        // Blocks the row has no slot for: into the map, and the store still
+        // reads the table.
         for store in [&mut keyed, &mut map_form] {
-            // Overwrite, fill an empty slot, add a block the table does not
-            // know, reduce into a held block, an empty slot and the map.
-            store.insert(SEG(1), vec![10.0, 11.0]);
-            store.insert(SEG(3), vec![3.0]);
             store.insert(SEG(77), vec![7.0]);
-            store.reduce(SEG(2), &[0.5, 0.5]);
-            store.reduce(SEG(4), &[4.0]);
             store.reduce(SEG(78), &[8.0]);
             store.reduce(SEG(78), &[8.0]);
             store.reduce(BlockId::Full, &[1.0]);
         }
+        assert!(Arc::ptr_eq(payload_table(&keyed), &table));
+        assert_eq!(keyed, map_form);
+        // Overwrite, fill an empty slot, reduce into a held block and an
+        // empty slot: the store leaves the table for map form first.
+        let before: Block = keyed.get_shared(&SEG(5)).unwrap();
+        for store in [&mut keyed, &mut map_form] {
+            store.insert(SEG(1), vec![10.0, 11.0]);
+            store.insert(SEG(3), vec![3.0]);
+            store.reduce(SEG(2), &[0.5, 0.5]);
+            store.reduce(SEG(4), &[4.0]);
+            store.reduce(SEG(5), &[1.0, 1.0]);
+        }
+        assert!(keyed.keyed.is_none(), "in map form");
         assert_eq!(keyed.get(&SEG(1)), Some(&[10.0, 11.0][..]));
         assert_eq!(keyed.get(&SEG(2)), Some(&[2.5, 2.5][..]));
         assert_eq!(keyed.get(&SEG(4)), Some(&[4.0][..]));
+        assert_eq!(keyed.get(&SEG(5)), Some(&[6.0; 2][..]));
         assert_eq!(keyed.get(&SEG(78)), Some(&[16.0][..]));
         assert_eq!(keyed.get(&BlockId::Full), Some(&[10.0][..]));
         assert_eq!(keyed.len(), 8);
         assert_eq!(keyed, map_form);
         assert_eq!(map_form, keyed);
-        // What a caller writes lands in the map, never in the shared payload
-        // table: the slots only let go of the blocks it changed, and no
-        // block is held in both.
-        let held = |s: &BlockStore| s.slots.iter().filter(|&&h| h != NOT_HELD).count();
-        assert_eq!(held(&keyed), 1);
-        assert_eq!(keyed.blocks.len(), 7);
-        // Copy-on-write holds under the table too.
-        let before: Block = keyed.get_shared(&SEG(5)).unwrap();
-        keyed.reduce(SEG(5), &[1.0, 1.0]);
+        // Copy-on-write, and what a caller writes never lands in the shared
+        // table.
         assert_eq!(*before, vec![5.0; 2]);
-        assert_eq!(keyed.get(&SEG(5)), Some(&[6.0; 2][..]));
-        assert_eq!((held(&keyed), keyed.len()), (0, 8));
-        let table = payload_table(&keyed).blocks.iter().flatten();
-        let mut kept: Vec<_> = table.map(|payload| payload.as_slice()).collect();
+        assert_eq!(table.slots, slots, "the slots are unwritten");
+        let mut kept: Vec<_> = table
+            .blocks
+            .iter()
+            .flatten()
+            .map(|b| b.as_slice())
+            .collect();
         kept.sort_by(|a, b| a[0].total_cmp(&b[0]));
         assert_eq!(
             kept,
             [[1.0; 2], [2.0; 2], [5.0; 2]],
-            "the table is unwritten"
+            "the payloads are unwritten"
         );
     }
 
@@ -1253,23 +1276,22 @@ mod tests {
         let (keyed, map_form) = table_backed_and_map_form();
         let held_under = Arc::clone(&payload_table(&keyed).layout);
         // The same table and rank: nothing moves.
-        let (slots, payloads) = (keyed.slots.as_ptr(), Arc::as_ptr(payload_table(&keyed)));
+        let table_at = Arc::as_ptr(payload_table(&keyed));
         let mut run = vec![keyed];
         rekey(&mut run, &held_under);
         let mut keyed = run.pop().unwrap();
-        assert_eq!(keyed.slots.as_ptr(), slots);
-        assert_eq!(Arc::as_ptr(payload_table(&keyed)), payloads);
+        assert_eq!(Arc::as_ptr(payload_table(&keyed)), table_at);
         // The same table, another rank — and an equal table that is not the
         // same one — re-key: a leaf's row has one slot, its own segment's.
         for (to, rank) in [(&held_under, leaf), (&table, 0), (&table, leaf)] {
             keyed = keyed_at(to, rank, keyed);
             assert!(keyed.is_keyed_by(to, rank));
-            assert_eq!(keyed.slots.len(), to.rank_blocks(rank).len());
+            assert_eq!(row(&keyed).len(), to.rank_blocks(rank).len());
             assert_eq!(keyed, map_form);
             assert_eq!(keyed.len(), 4);
         }
         let own = *table.block_at(leaf, 0);
-        let in_slot = keyed.slots[0] != NOT_HELD;
+        let in_slot = row(&keyed)[0] != NOT_HELD;
         assert_eq!(in_slot, map_form.get(&own).is_some());
         assert_eq!(keyed.blocks.len(), 4 - usize::from(in_slot));
     }

@@ -1,6 +1,8 @@
 //! Pins what the dense conversion and a pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
-//! schedule interned, a run holds each payload once, leaving dense form —
+//! schedule interned, entering it from map form allocates one slot table
+//! per run, not a row per rank, a run holds each payload once, leaving
+//! dense form —
 //! and entering it again with the finals — allocates nothing, the pool adds
 //! nothing to the step kernel, the block walk of a large reduction allocates
 //! what the step walk does, neither stages an identity move, a short sum
@@ -49,22 +51,39 @@ fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
 }
 
 #[test]
-fn to_dense_of_map_form_input_allocates_per_rank_not_per_block() {
-    // Re-keying looks each of the 65 536 blocks up in the interner's tables
-    // and moves it into the run's payload table: per rank a slot vector,
-    // per run the table's `Arc` and its two buffers, nothing per block —
-    // what a rank holds but never moves stays in its map, in place.
-    let p = 256;
-    let sched = alltoall(p, AlltoallAlg::Bine);
-    let handle = sched.compile();
-    handle.slot_layout();
-    let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
-    let (allocated, dense) = counting::allocations_in(|| compiled::to_dense(&handle, initial));
-    assert_eq!(dense.len(), p);
-    assert!(
-        allocated <= p as u64 + 3,
-        "to_dense allocated {allocated} times"
-    );
+fn to_dense_of_map_form_input_allocates_per_run_not_per_rank() {
+    // Re-keying looks each block up in the interner's tables and moves it
+    // into the run's table: per run its `Arc`, its one slot table for every
+    // rank and its two payload buffers; nothing per rank, nothing per block
+    // — what a rank holds but never moves stays in its map, in place. Each
+    // buffer is sized exactly: 4 B per slot, 12 B per payload (its
+    // `Option<Block>` and holder count), and the `Arc` the same every time.
+    let mut arcs = Vec::new();
+    for p in [16, 64, 256] {
+        for sched in [
+            alltoall(p, AlltoallAlg::Bine),
+            allgather(p, AllgatherAlg::Bine),
+            reduce_scatter(p, ReduceScatterAlg::Bine(NonContigStrategy::Permute)),
+        ] {
+            let what = format!("{:?} {} p={p}", sched.collective, sched.algorithm);
+            let handle = sched.compile();
+            handle.slot_layout();
+            let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
+            let holdings: usize = initial.iter().map(BlockStore::len).sum();
+            let entering = || compiled::to_dense(&handle, initial);
+            let (allocated, (bytes, dense)) =
+                counting::allocations_in(|| bytes_requested(entering));
+            assert_eq!(dense.len(), p);
+            assert!(
+                allocated <= 4,
+                "{what}: to_dense allocated {allocated} times"
+            );
+            let slots = handle.slot_layout().num_slots();
+            let arc = bytes.checked_sub(4 * slots as u64 + 12 * holdings as u64);
+            arcs.push(arc.unwrap_or_else(|| panic!("{what}: {bytes} B")));
+        }
+    }
+    assert!(arcs.windows(2).all(|w| w[0] == w[1]), "{arcs:?}");
 }
 
 #[test]

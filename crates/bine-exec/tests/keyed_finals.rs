@@ -15,8 +15,8 @@ use std::sync::Arc;
 use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, ExecutorPool};
 use bine_sched::collectives::{
-    allgather, allreduce, broadcast, gather, reduce_scatter, AllgatherAlg, AllreduceAlg,
-    BroadcastAlg, GatherAlg, ReduceScatterAlg,
+    allgather, allreduce, alltoall, broadcast, gather, reduce_scatter, AllgatherAlg, AllreduceAlg,
+    AlltoallAlg, BroadcastAlg, GatherAlg, ReduceScatterAlg,
 };
 use bine_sched::{walk, BlockId, Collective, Granularity, NonContigStrategy, Schedule};
 
@@ -310,6 +310,48 @@ fn a_write_to_one_ranks_finals_leaves_the_others_and_any_clone_untouched() {
     // Fed back in, they give what their map-form copy gives.
     let reference = sequential::run_reference(&sched, map_form(&finals));
     assert_eq!(compiled::run(&handle, finals), reference);
+}
+
+#[test]
+fn a_write_to_any_ranks_finals_leaves_every_other_rank_and_a_clone_as_they_were() {
+    // The ranks of a run read rows of one shared slot table: a write puts
+    // the one store it lands in into map form and leaves the table as it
+    // was, for the other ranks and for every clone.
+    for sched in [
+        alltoall(16, AlltoallAlg::Bine),
+        allreduce(16, AllreduceAlg::BineLarge),
+    ] {
+        let handle = Arc::new(sched.compile());
+        let initial = Workload::for_schedule(&sched, 3).initial_state(&sched);
+        let finals = compiled::run(&handle, initial);
+        let before = map_form(&finals);
+        for rank in 0..16 {
+            for reduces in [false, true] {
+                let what = format!("{}, rank {rank}, reduces: {reduces}", sched.algorithm);
+                let (mut written, clone) = (finals.clone(), finals.clone());
+                let id = *sorted_blocks(&finals[rank])[0].0;
+                let was = before[rank].get(&id).unwrap();
+                let want: Vec<f64> = if reduces {
+                    written[rank].reduce(id, &vec![1.0; was.len()]);
+                    was.iter().map(|x| x + 1.0).collect()
+                } else {
+                    written[rank].insert(id, vec![-1.0; was.len()]);
+                    vec![-1.0; was.len()]
+                };
+                assert_eq!(written[rank].get(&id), Some(&want[..]), "{what}");
+                assert_eq!(written[rank].len(), before[rank].len(), "{what}");
+                for (other, (store, was)) in written.iter().zip(&before).enumerate() {
+                    if other != rank {
+                        assert_eq!(sorted_blocks(store), sorted_blocks(was), "{what}: {other}");
+                    }
+                }
+                for (other, (store, was)) in clone.iter().zip(&before).enumerate() {
+                    assert_eq!(sorted_blocks(store), sorted_blocks(was), "{what}: {other}");
+                }
+            }
+        }
+        assert_eq!(finals, before, "{}: the finals", sched.algorithm);
+    }
 }
 
 #[test]

@@ -1,41 +1,23 @@
 //! Incremental max–min fair share: the optimized path's replacement for
 //! the reference's from-scratch `assign_rates`.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use super::statics::CachedStatic;
 use super::{refill, Flow};
 
-/// One bottleneck candidate in the refill heap: a link with its cached fair
-/// share. Ordered ascending by `(fair, link)` — the same winner the
-/// reference's ascending-link-id strict-`<` scan selects — through a
-/// reversed `Ord` so `BinaryHeap` pops the minimum. `epoch` lazily
-/// invalidates entries superseded by a newer fair value for the same link.
-struct RefillEntry {
-    fair: f64,
-    link: u32,
-    epoch: u32,
-}
-
-impl PartialEq for RefillEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.fair.total_cmp(&other.fair) == Ordering::Equal && self.link == other.link
-    }
-}
-impl Eq for RefillEntry {}
-impl Ord for RefillEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.fair
-            .total_cmp(&other.fair)
-            .then(self.link.cmp(&other.link))
-            .reverse()
-    }
-}
-impl PartialOrd for RefillEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// One bottleneck candidate in the refill heap: a link's fair share and the
+/// link, packed as `fair bits << 32 | link`. A fair share is never negative,
+/// so the bits order as the value does, and the key ascends by `(fair,
+/// link)` — the same winner the reference's ascending-link-id strict-`<`
+/// scan selects; `Reverse` makes `BinaryHeap` pop the minimum.
+fn refill_key(fair: f64, link: u32) -> Reverse<u128> {
+    debug_assert!(
+        fair.is_sign_positive() && !fair.is_nan(),
+        "fair share {fair}"
+    );
+    Reverse(u128::from(fair.to_bits()) << 32 | u128::from(link))
 }
 
 /// The incremental fair-share state of one run: the link→flow adjacency
@@ -55,11 +37,13 @@ pub(super) struct FairShare {
     assigned: Vec<f64>,
     comp_links: Vec<u32>,
     comp_flows: Vec<u32>,
-    // Refill bookkeeping: per-link open-flow counts and fair-share epochs,
-    // the lazy bottleneck heap, and the links touched by one round's fixes.
+    // Refill bookkeeping: per-link open-flow counts and current fair shares
+    // (the bits of the last key pushed; an entry whose bits differ is
+    // stale), the lazy bottleneck heap, and the links touched by one
+    // round's fixes.
     link_open: Vec<u32>,
-    link_epoch: Vec<u32>,
-    refill_heap: BinaryHeap<RefillEntry>,
+    link_fair: Vec<u64>,
+    refill_heap: BinaryHeap<Reverse<u128>>,
     refill_mark: Vec<bool>,
     refill_touched: Vec<u32>,
 }
@@ -82,7 +66,7 @@ impl FairShare {
         self.comp_links.clear();
         self.comp_flows.clear();
         refill(&mut self.link_open, num_links, 0);
-        refill(&mut self.link_epoch, num_links, 0);
+        refill(&mut self.link_fair, num_links, 0);
         self.refill_heap.clear();
         refill(&mut self.refill_mark, num_links, false);
         self.refill_touched.clear();
@@ -109,8 +93,8 @@ impl FairShare {
     /// inputs (`assigned`, open-flow count) change, and the per-round
     /// bottleneck is popped from a lazily-invalidated min-heap ordered by
     /// `(fair, link id)` — the identical winner the reference's ascending-id
-    /// strict-`<` scan picks, since stale entries are skipped and ties break
-    /// on the lower link id.
+    /// strict-`<` scan picks, since stale entries (whose fair share is no
+    /// longer the link's) are skipped and ties break on the lower link id.
     pub(super) fn recompute(
         &mut self,
         st: &CachedStatic,
@@ -193,23 +177,22 @@ impl FairShare {
     /// (the closure in [`FairShare::recompute`]), so a dirty link's
     /// open-flow count starts at its full list length.
     fn refill(&mut self, st: &CachedStatic, active: &mut [Flow]) {
-        self.refill_heap.clear();
+        // Heapified at once over the reused buffer, not pushed one by one.
+        let mut entries = std::mem::take(&mut self.refill_heap).into_vec();
+        entries.clear();
         for &l in self.comp_links.iter() {
             let li = l as usize;
             self.assigned[li] = 0.0;
-            self.link_epoch[li] = 0;
             let open = self.link_flows[li].len();
             self.link_open[li] = open as u32;
             if open > 0 {
                 // The reference's fair-share expression, verbatim.
                 let fair = (st.link_cap[li] - self.assigned[li]).max(0.0) / open as f64;
-                self.refill_heap.push(RefillEntry {
-                    fair,
-                    link: l,
-                    epoch: 0,
-                });
+                self.link_fair[li] = fair.to_bits();
+                entries.push(refill_key(fair, l));
             }
         }
+        self.refill_heap = BinaryHeap::from(entries);
         for &fi in self.comp_flows.iter() {
             self.flow_fixed[fi as usize] = false;
         }
@@ -218,13 +201,14 @@ impl FairShare {
             // Pop the bottleneck: the smallest (fair, link id) whose cached
             // fair share is current and which still has open flows.
             let (fair, l) = loop {
-                let e = self
+                let Reverse(key) = self
                     .refill_heap
                     .pop()
                     .expect("every flow traverses at least one link");
-                let li = e.link as usize;
-                if self.link_epoch[li] == e.epoch && self.link_open[li] > 0 {
-                    break (e.fair, e.link);
+                let (bits, l) = ((key >> 32) as u64, key as u32);
+                let li = l as usize;
+                if self.link_fair[li] == bits && self.link_open[li] > 0 {
+                    break (f64::from_bits(bits), l);
                 }
             };
             // Numerical floor: keeps the loop terminating even when FP
@@ -255,15 +239,11 @@ impl FairShare {
             for &l2 in self.refill_touched.iter() {
                 let li = l2 as usize;
                 self.refill_mark[li] = false;
-                self.link_epoch[li] += 1;
                 if self.link_open[li] > 0 {
                     let fair =
                         (st.link_cap[li] - self.assigned[li]).max(0.0) / self.link_open[li] as f64;
-                    self.refill_heap.push(RefillEntry {
-                        fair,
-                        link: l2,
-                        epoch: self.link_epoch[li],
-                    });
+                    self.link_fair[li] = fair.to_bits();
+                    self.refill_heap.push(refill_key(fair, l2));
                 }
             }
         }

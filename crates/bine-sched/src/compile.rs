@@ -284,10 +284,12 @@ impl CompiledSend {
 ///
 /// A rank's state holds one slot per block the rank ever sends or receives
 /// — its *local* slots, numbered in ascending interned-index order — not one
-/// per block the whole schedule interned. The layout says which block each
-/// slot of each rank holds, and finds the slot of a [`BlockId`], so a vector
-/// of payloads indexed by local slot is a complete block store under it:
-/// the key table of the dense executor state and of the finals it returns.
+/// per block the whole schedule interned, and a run keeps every rank's in
+/// one table, rank after rank ([`SlotLayout::rank_slots`]). The layout says
+/// which block each slot of each rank holds, and finds the slot of a
+/// [`BlockId`], so a table of payloads laid out by it is a complete block
+/// store for every rank: the key table of the dense executor state and of
+/// the finals it returns.
 ///
 /// The table is self-contained — it carries its own copy of the handle's
 /// interning, made once when the layout is derived — and sits behind an
@@ -307,9 +309,10 @@ pub struct SlotLayout {
 }
 
 /// What the first execution derives: the shared [`SlotLayout`] and, parallel
-/// to the compiled block-index array, each payload's local slot at its
-/// source and at its destination rank — the handle's own, so that gather and
-/// apply index a rank's slots directly.
+/// to the compiled block-index array, each payload's slot at its source and
+/// at its destination rank as a position in a run's slot table
+/// ([`SlotLayout::rank_slots`]) — the handle's own, so that gather and apply
+/// index the table directly.
 #[derive(Debug, Clone)]
 struct Slots {
     layout: Arc<SlotLayout>,
@@ -327,7 +330,7 @@ impl Slots {
         let mut src_slots = vec![0; payloads.len()];
         let mut dst_slots = vec![0; payloads.len()];
 
-        // Interned index → local slot of the rank being laid out; the one
+        // Interned index → slot of the rank being laid out; the one
         // table sized by every interned block, shared by all ranks and
         // dropped when the derivation ends.
         const UNTOUCHED: u32 = u32::MAX;
@@ -349,8 +352,10 @@ impl Slots {
                 }
             }
             rank_blocks[base..].sort_unstable();
-            for (slot, &block) in rank_blocks[base..].iter().enumerate() {
-                local[block as usize] = slot as u32;
+            // Local slot `slot` of the rank is position `base + slot` of a
+            // run's slot table.
+            for (at, &block) in rank_blocks.iter().enumerate().skip(base) {
+                local[block as usize] = at as u32;
             }
             let localise = |slots: &mut [u32], send: &CompiledSend| {
                 let entries = send.blocks_start as usize..send.blocks_end as usize;
@@ -390,9 +395,19 @@ impl SlotLayout {
     /// The interned indices of the blocks `rank` ever sends or receives,
     /// ascending; local slot `i` of the rank holds block `rank_blocks(rank)[i]`.
     pub fn rank_blocks(&self, rank: usize) -> &[u32] {
-        let lo = self.rank_offsets[rank] as usize;
-        let hi = self.rank_offsets[rank + 1] as usize;
-        &self.rank_blocks[lo..hi]
+        &self.rank_blocks[self.rank_slots(rank)]
+    }
+
+    /// Where `rank`'s local slots lie in a run's slot table: one table of
+    /// [`SlotLayout::num_slots`] entries, every rank's slots in rank order,
+    /// local slot `i` of `rank` at position `rank_slots(rank).start + i`.
+    pub fn rank_slots(&self, rank: usize) -> Range<usize> {
+        self.rank_offsets[rank] as usize..self.rank_offsets[rank + 1] as usize
+    }
+
+    /// The slots of all ranks together: the length of a run's slot table.
+    pub fn num_slots(&self) -> usize {
+        self.rank_blocks.len()
     }
 
     /// The block local slot `slot` of `rank` holds.
@@ -662,14 +677,16 @@ impl CompiledSchedule {
         &self.slots().layout
     }
 
-    /// The local slots, at the sending rank, of the blocks `send` carries
-    /// (parallel to [`CompiledSchedule::block_index_slice`]).
+    /// The slots, at the sending rank, of the blocks `send` carries, as
+    /// positions in a run's slot table ([`SlotLayout::rank_slots`]; parallel
+    /// to [`CompiledSchedule::block_index_slice`]).
     pub fn src_slots(&self, send: &CompiledSend) -> &[u32] {
         &self.slots().src[send.blocks_start as usize..send.blocks_end as usize]
     }
 
-    /// The local slots, at the receiving rank, of the blocks `send` carries
-    /// (parallel to [`CompiledSchedule::block_index_slice`]).
+    /// The slots, at the receiving rank, of the blocks `send` carries, as
+    /// positions in a run's slot table ([`SlotLayout::rank_slots`]; parallel
+    /// to [`CompiledSchedule::block_index_slice`]).
     pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
         &self.slots().dst[send.blocks_start as usize..send.blocks_end as usize]
     }
@@ -1052,20 +1069,30 @@ mod tests {
             // The O(touched) pin: never more slots than blocks moved.
             assert!(want.len() <= moved[rank], "{what} rank {rank}");
         }
-        // Every payload's local slots resolve back to its interned index.
+        // The ranks' slots tile the slot table in rank order.
+        let rows = (0..sched.num_ranks).map(|rank| layout.rank_slots(rank));
+        let ends: Vec<_> = rows.flat_map(|row| [row.start, row.end]).collect();
+        assert!(ends.windows(2).all(|w| w[0] <= w[1]), "{what}");
+        assert_eq!(ends.first(), Some(&0), "{what}");
+        assert_eq!(ends.last(), Some(&layout.num_slots()), "{what}");
+        // Every payload's slots lie in its ranks' rows and resolve back to
+        // its interned index.
+        let in_row = |rank: u32, at: u32| {
+            let row = layout.rank_slots(rank as usize);
+            assert!(row.contains(&(at as usize)), "{what} rank {rank}");
+            layout.rank_blocks(rank as usize)[at as usize - row.start]
+        };
         for step in 0..compiled.num_steps() {
             for send in compiled.step_sends(step) {
                 let blocks = compiled.block_index_slice(send);
-                let at_src = layout.rank_blocks(send.src as usize);
-                let at_dst = layout.rank_blocks(send.dst as usize);
                 for (k, &block) in blocks.iter().enumerate() {
                     assert_eq!(
-                        at_src[compiled.src_slots(send)[k] as usize],
+                        in_row(send.src, compiled.src_slots(send)[k]),
                         block,
                         "{what}"
                     );
                     assert_eq!(
-                        at_dst[compiled.dst_slots(send)[k] as usize],
+                        in_row(send.dst, compiled.dst_slots(send)[k]),
                         block,
                         "{what}"
                     );

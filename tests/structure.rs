@@ -214,6 +214,26 @@ fn one_reduction_kernel_one_rule_for_the_walk_one_rekeying() {
     clean(&lines_with(&from_dense, &[".insert(", ".reserve("]));
 }
 
+/// A run keeps its ranks' slots in one table, which its stores share: a
+/// slot vector in `BlockStore` is a row per rank, one allocation per rank
+/// and request, back. The walks index that table, so the one function of
+/// compiled.rs that takes the ranks' states is the entry, `run_dense`.
+#[test]
+fn one_slot_table_per_run() {
+    let state = "crates/bine-exec/src/state.rs";
+    clean(&lines_with(
+        &body(state, "pub struct BlockStore {"),
+        &["Vec<u32>"],
+    ));
+    let compiled = "crates/bine-exec/src/compiled.rs";
+    let takers = grep(&[compiled], &["states: &mut [DenseState]"], shipped);
+    let entry = (
+        compiled.to_string(),
+        "pub fn run_dense(compiled: &CompiledSchedule, states: &mut [DenseState]) {".to_string(),
+    );
+    assert_eq!(takers, [entry]);
+}
+
 /// A crash is decided by one analysis, the validator's survivor replay
 /// (`ScheduleValidator::survivors`), which the DES, the executor and crash
 /// recovery all read: the kernel's shipped code names no dead rank and no
