@@ -10,11 +10,10 @@
 //!   doubling/halving butterflies,
 //! * [`distance`] — modular distance and the theoretical 2/3 distance ratio
 //!   (Eq. 2),
-//! * [`block`] — circular block ranges, contiguity analysis and the
-//!   bit-reversal permutation of Sec. 4.3.1,
+//! * [`block`] — the bit-reversal block permutation of Sec. 4.3.1,
 //! * [`torus`] — the torus-optimized, multi-port construction of Appendix D,
-//! * [`nonpow2`] — power-of-two folding for arbitrary rank counts
-//!   (Appendix C).
+//! * [`nonpow2`] — the power-of-two fold of Appendix C, described but not
+//!   yet applied by any builder.
 //!
 //! These building blocks are purely combinatorial: they know nothing about
 //! message sizes, topologies or data. The `bine-sched` crate turns them into
@@ -25,15 +24,15 @@
 //! ## Quick example
 //!
 //! ```
-//! use bine_core::tree::{BineTreeDh, BinomialTreeDd, CommTree};
+//! use bine_core::tree::{build_tree, Tree, TreeKind};
 //! use bine_core::distance::modular_distance;
 //!
 //! let p = 16;
-//! let bine = BineTreeDh::new(p, 0);
-//! let binomial = BinomialTreeDd::new(p, 0);
+//! let bine = build_tree(TreeKind::BineDistanceHalving, p, 0);
+//! let binomial = build_tree(TreeKind::BinomialDistanceDoubling, p, 0);
 //!
 //! // Total modular distance covered by the broadcast edges.
-//! let total = |t: &dyn CommTree| -> usize {
+//! let total = |t: &Tree| -> usize {
 //!     (0..p)
 //!         .filter(|&r| r != t.root())
 //!         .map(|r| modular_distance(r, t.parent(r).unwrap(), p))
@@ -57,6 +56,4 @@ pub use butterfly::{Butterfly, ButterflyKind};
 pub use distance::modular_distance;
 pub use nonpow2::Pow2Fold;
 pub use torus::{TorusButterfly, TorusShape};
-pub use tree::{
-    build_tree, BineTreeDd, BineTreeDh, BinomialTreeDd, BinomialTreeDh, CommTree, TreeKind,
-};
+pub use tree::{build_tree, Tree, TreeKind};

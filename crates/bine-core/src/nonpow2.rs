@@ -1,11 +1,12 @@
 //! Helpers for rank counts that are not a power of two (Appendix C).
 //!
-//! The schedule layer folds the `p − p'` "extra" ranks (where
-//! `p' = 2^⌊log2 p⌋`) into the first `p − p'` ranks before running the
-//! power-of-two algorithm, and unfolds them afterwards. This is the
-//! straightforward technique used by MPICH-style binomial algorithms and
-//! described at the start of Appendix C; the appendix's refinement for even
-//! `p` (duplicate subtrees instead of a fold) is not implemented.
+//! [`Pow2Fold`] describes the fold of the `p − p'` "extra" ranks (where
+//! `p' = 2^⌊log2 p⌋`) onto the first `p − p'` ranks that MPICH-style
+//! binomial algorithms run before a power-of-two algorithm, as described at
+//! the start of Appendix C. Nothing folds yet: the typed tree and butterfly
+//! builders of `bine-sched` panic on such a `p`, and `bine_sched::build`
+//! returns `None` for a `Pow2` row at it. The appendix's refinement
+//! for even `p` (duplicate subtrees instead of a fold) is not implemented.
 
 /// The largest power of two not exceeding `p`.
 ///

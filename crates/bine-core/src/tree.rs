@@ -47,177 +47,58 @@ impl TreeKind {
     }
 }
 
-/// Builds a boxed tree of the requested kind.
-pub fn build_tree(kind: TreeKind, p: usize, root: usize) -> Box<dyn CommTree> {
-    match kind {
-        TreeKind::BineDistanceHalving => Box::new(BineTreeDh::new(p, root)),
-        TreeKind::BineDistanceDoubling => Box::new(BineTreeDd::new(p, root)),
-        TreeKind::BinomialDistanceHalving => Box::new(BinomialTreeDh::new(p, root)),
-        TreeKind::BinomialDistanceDoubling => Box::new(BinomialTreeDd::new(p, root)),
-    }
-}
-
 /// A rooted communication tree over `p = 2^s` ranks with `s` synchronous
-/// steps.
-pub trait CommTree {
-    /// Number of ranks `p` (always a power of two at this layer; non-power-of
-    /// -two rank counts are folded in by the schedule layer).
-    fn num_ranks(&self) -> usize;
-    /// Number of steps `s = log2 p`.
-    fn num_steps(&self) -> u32;
-    /// The root rank of the tree.
-    fn root(&self) -> usize;
-    /// Step at which rank `r` receives the data from its parent
-    /// (`None` for the root).
-    fn recv_step(&self, r: usize) -> Option<u32>;
-    /// The peer rank `r` communicates with at `step`, if it participates in
-    /// that step. At `recv_step(r)` the peer is the parent; at every later
-    /// step it is the child joining the tree at that step. The root has a
-    /// child at every step.
-    fn partner(&self, r: usize, step: u32) -> Option<usize>;
-
-    /// First step at which rank `r` *sends* data (0 for the root).
-    fn first_send_step(&self, r: usize) -> u32 {
-        match self.recv_step(r) {
-            None => 0,
-            Some(i) => i + 1,
-        }
-    }
-
-    /// Parent of `r`, or `None` if `r` is the root.
-    fn parent(&self, r: usize) -> Option<usize> {
-        self.recv_step(r).map(|i| {
-            self.partner(r, i)
-                .expect("partner must exist at the receive step")
-        })
-    }
-
-    /// Children of `r` as `(step, child)` pairs, ordered by step.
-    fn children(&self, r: usize) -> Vec<(u32, usize)> {
-        (self.first_send_step(r)..self.num_steps())
-            .filter_map(|step| self.partner(r, step).map(|c| (step, c)))
-            .collect()
-    }
-
-    /// Writes all ranks in the subtree rooted at `r`, `r` included, into
-    /// `ranks` in ascending order; the buffer is cleared first. Builders hold
-    /// one buffer across the ranks of a tree, so listing a subtree does not
-    /// allocate once the buffer has grown to the largest one.
-    fn subtree(&self, r: usize, ranks: &mut Vec<usize>) {
-        ranks.clear();
-        ranks.push(r);
-        // The list is its own frontier: every rank behind `visited` still
-        // has its children to add.
-        let mut visited = 0;
-        while let Some(&x) = ranks.get(visited) {
-            visited += 1;
-            let steps = self.first_send_step(x)..self.num_steps();
-            ranks.extend(steps.filter_map(|step| self.partner(x, step)));
-        }
-        ranks.sort_unstable();
-    }
-}
-
-/// Maps a physical rank to its logical identifier in a tree rooted at `root`
-/// (Sec. 2.2: subtract the root modulo `p`).
-#[inline]
-fn to_logical(r: usize, root: usize, p: usize) -> usize {
-    (r + p - root) % p
-}
-
-/// Maps a logical rank back to the physical rank space.
-#[inline]
-fn to_physical(l: usize, root: usize, p: usize) -> usize {
-    (l + root) % p
-}
-
-// ---------------------------------------------------------------------------
-// Distance-halving Bine tree (Sec. 2)
-// ---------------------------------------------------------------------------
-
-/// Distance-halving Bine tree (Sec. 2.3).
-///
-/// Rank `r` (logical, i.e. relative to the root) receives the data at step
-/// `i = s − u`, where `u` is the number of consecutive equal least-significant
-/// digits of `rank2nb(r)`. At step `i` a rank communicates with the rank whose
-/// negabinary representation differs in the `s − i` least-significant digits
-/// (Eq. 1).
+/// steps. The kinds differ only in when a rank joins ([`Tree::recv_step`])
+/// and whom it talks to ([`Tree::partner`]), both stated on *logical* ranks
+/// `l = (r − root) mod p` (Sec. 2.2); every other question is answered from
+/// those two.
 #[derive(Debug, Clone)]
-pub struct BineTreeDh {
+pub struct Tree {
+    kind: TreeKind,
     p: usize,
     s: u32,
     root: usize,
-}
-
-impl BineTreeDh {
-    /// Creates a distance-halving Bine tree over `p = 2^s` ranks rooted at
-    /// `root`.
-    pub fn new(p: usize, root: usize) -> Self {
-        let s = num_steps(p);
-        assert!(root < p, "root {root} out of range for p = {p}");
-        Self { p, s, root }
-    }
-}
-
-impl CommTree for BineTreeDh {
-    fn num_ranks(&self) -> usize {
-        self.p
-    }
-    fn num_steps(&self) -> u32 {
-        self.s
-    }
-    fn root(&self) -> usize {
-        self.root
-    }
-
-    fn recv_step(&self, r: usize) -> Option<u32> {
-        let l = to_logical(r, self.root, self.p);
-        if l == 0 {
-            return None;
-        }
-        let u = trailing_equal_bits(rank2nb(l, self.p), self.s);
-        Some(self.s - u)
-    }
-
-    fn partner(&self, r: usize, step: u32) -> Option<usize> {
-        if step >= self.s {
-            return None;
-        }
-        let l = to_logical(r, self.root, self.p);
-        let first = self.recv_step(r).unwrap_or_default();
-        if step < first {
-            return None;
-        }
-        let q = nb2rank(rank2nb(l, self.p) ^ ones(self.s - step), self.p);
-        Some(to_physical(q, self.root, self.p))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Distance-doubling Bine tree (Sec. 3.2, Appendix A)
-// ---------------------------------------------------------------------------
-
-/// Distance-doubling Bine tree (Sec. 3.2).
-///
-/// Each rank `r` is assigned `ν(r) = h(r) ⊕ (h(r) >> 1)` where
-/// `h(r) = rank2nb(p − r)` for even `r` (with `h(0) = 0`) and
-/// `h(r) = rank2nb(r)` for odd `r`. A rank receives the data at the step given
-/// by the highest set bit of `ν(r)` and, at every later step `j`, sends it to
-/// the rank whose `ν` differs in bit `j`.
-#[derive(Debug, Clone)]
-pub struct BineTreeDd {
-    p: usize,
-    s: u32,
-    root: usize,
-    /// `ν(l)` for every logical rank `l`.
+    /// `ν(l)` for every logical rank `l`; empty unless the kind is
+    /// [`TreeKind::BineDistanceDoubling`].
     nu: Vec<u64>,
-    /// Inverse of `nu`: `inv_nu[ν] = l`.
+    /// Inverse of `nu`: `inv_nu[ν] = l`; empty like `nu`.
     inv_nu: Vec<usize>,
 }
 
+/// Builds a tree of `kind` over `p = 2^s` ranks rooted at `root`.
+///
+/// # Panics
+/// Panics unless `p` is a power of two and `root < p`.
+pub fn build_tree(kind: TreeKind, p: usize, root: usize) -> Tree {
+    let s = num_steps(p);
+    assert!(root < p, "root {root} out of range for p = {p}");
+    let (mut nu, mut inv_nu) = (Vec::new(), Vec::new());
+    if kind == TreeKind::BineDistanceDoubling {
+        nu = nu_labels(p);
+        inv_nu = vec![usize::MAX; p];
+        for (r, &v) in nu.iter().enumerate() {
+            assert!(
+                inv_nu[v as usize] == usize::MAX,
+                "ν labelling is not a bijection for p = {p} (collision at ν = {v})"
+            );
+            inv_nu[v as usize] = r;
+        }
+    }
+    Tree {
+        kind,
+        p,
+        s,
+        root,
+        nu,
+        inv_nu,
+    }
+}
+
 /// Computes the `ν` labelling of Sec. 3.2.1 for all logical ranks of a
-/// `p`-rank collective. The labelling is a bijection from ranks onto
-/// `[0, p)`.
+/// `p`-rank collective: `ν(r) = h(r) ⊕ (h(r) >> 1)` where
+/// `h(r) = rank2nb(p − r)` for even `r` (with `h(0) = 0`) and
+/// `h(r) = rank2nb(r)` for odd `r`. The labelling is a bijection from ranks
+/// onto `[0, p)`.
 pub fn nu_labels(p: usize) -> Vec<u64> {
     let s = num_steps(p);
     let mask = ones(s);
@@ -235,188 +116,127 @@ pub fn nu_labels(p: usize) -> Vec<u64> {
         .collect()
 }
 
-impl BineTreeDd {
-    /// Creates a distance-doubling Bine tree over `p = 2^s` ranks rooted at
-    /// `root`.
-    pub fn new(p: usize, root: usize) -> Self {
-        let s = num_steps(p);
-        assert!(root < p, "root {root} out of range for p = {p}");
-        let nu = nu_labels(p);
-        let mut inv_nu = vec![usize::MAX; p];
-        for (r, &v) in nu.iter().enumerate() {
-            assert!(
-                inv_nu[v as usize] == usize::MAX,
-                "ν labelling is not a bijection for p = {p} (collision at ν = {v})"
-            );
-            inv_nu[v as usize] = r;
-        }
-        Self {
-            p,
-            s,
-            root,
-            nu,
-            inv_nu,
-        }
-    }
-
-    /// The `ν` label of physical rank `r`.
-    pub fn nu(&self, r: usize) -> u64 {
-        self.nu[to_logical(r, self.root, self.p)]
-    }
-}
-
-impl CommTree for BineTreeDd {
-    fn num_ranks(&self) -> usize {
+impl Tree {
+    /// Number of ranks `p`, always a power of two. Nothing folds another
+    /// rank count onto a tree: the typed schedule builders panic on one, and
+    /// `bine_sched::build` returns `None` for a `Pow2` row at one.
+    pub fn num_ranks(&self) -> usize {
         self.p
     }
-    fn num_steps(&self) -> u32 {
+
+    /// Number of steps `s = log2 p`.
+    pub fn num_steps(&self) -> u32 {
         self.s
     }
-    fn root(&self) -> usize {
+
+    /// The root rank of the tree.
+    pub fn root(&self) -> usize {
         self.root
     }
 
-    fn recv_step(&self, r: usize) -> Option<u32> {
-        let l = to_logical(r, self.root, self.p);
-        let v = self.nu[l];
-        if v == 0 {
-            None
-        } else {
-            Some(highest_set_bit(v))
-        }
-    }
-
-    fn partner(&self, r: usize, step: u32) -> Option<usize> {
-        if step >= self.s {
-            return None;
-        }
-        let l = to_logical(r, self.root, self.p);
-        let first = self.recv_step(r).unwrap_or_default();
-        if step < first {
-            return None;
-        }
-        let q = self.inv_nu[(self.nu[l] ^ (1 << step)) as usize];
-        Some(to_physical(q, self.root, self.p))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Standard binomial trees (baselines)
-// ---------------------------------------------------------------------------
-
-/// MPICH-style distance-halving binomial tree.
-///
-/// The root first sends to the rank at distance `p/2`, then `p/4`, …, 1; a
-/// non-root logical rank `l` receives from `l − 2^k` where `k` is the position
-/// of the lowest set bit of `l`.
-#[derive(Debug, Clone)]
-pub struct BinomialTreeDh {
-    p: usize,
-    s: u32,
-    root: usize,
-}
-
-impl BinomialTreeDh {
-    /// Creates an MPICH-style distance-halving binomial tree.
-    pub fn new(p: usize, root: usize) -> Self {
-        let s = num_steps(p);
-        assert!(root < p, "root {root} out of range for p = {p}");
-        Self { p, s, root }
-    }
-}
-
-impl CommTree for BinomialTreeDh {
-    fn num_ranks(&self) -> usize {
-        self.p
-    }
-    fn num_steps(&self) -> u32 {
-        self.s
-    }
-    fn root(&self) -> usize {
-        self.root
-    }
-
-    fn recv_step(&self, r: usize) -> Option<u32> {
-        let l = to_logical(r, self.root, self.p);
+    /// Step at which rank `r` receives the data from its parent
+    /// (`None` for the root).
+    pub fn recv_step(&self, r: usize) -> Option<u32> {
+        let l = self.logical(r);
         if l == 0 {
-            None
-        } else {
-            let k = l.trailing_zeros();
-            Some(self.s - 1 - k)
-        }
-    }
-
-    fn partner(&self, r: usize, step: u32) -> Option<usize> {
-        if step >= self.s {
             return None;
         }
-        let l = to_logical(r, self.root, self.p);
-        match self.recv_step(r) {
-            Some(i) if step < i => None,
-            Some(i) if step == i => {
-                let k = l.trailing_zeros();
-                Some(to_physical(l - (1 << k), self.root, self.p))
+        Some(match self.kind {
+            // Sec. 2.3.2: `s − u`, `u` the number of consecutive equal
+            // least-significant digits of `rank2nb(l)`.
+            TreeKind::BineDistanceHalving => {
+                self.s - trailing_equal_bits(rank2nb(l, self.p), self.s)
             }
-            _ => {
-                // Child joining at `step`: at distance 2^(s − 1 − step) above.
-                let q = l + (1usize << (self.s - 1 - step));
-                Some(to_physical(q, self.root, self.p))
-            }
-        }
-    }
-}
-
-/// Open MPI-style distance-doubling (in-order) binomial tree.
-///
-/// The root first sends to the rank at distance 1, then 2, 4, …; a non-root
-/// logical rank `l` receives from `l − 2^k` where `k` is the position of the
-/// highest set bit of `l`.
-#[derive(Debug, Clone)]
-pub struct BinomialTreeDd {
-    p: usize,
-    s: u32,
-    root: usize,
-}
-
-impl BinomialTreeDd {
-    /// Creates an Open MPI-style distance-doubling binomial tree.
-    pub fn new(p: usize, root: usize) -> Self {
-        let s = num_steps(p);
-        assert!(root < p, "root {root} out of range for p = {p}");
-        Self { p, s, root }
-    }
-}
-
-impl CommTree for BinomialTreeDd {
-    fn num_ranks(&self) -> usize {
-        self.p
-    }
-    fn num_steps(&self) -> u32 {
-        self.s
-    }
-    fn root(&self) -> usize {
-        self.root
+            // Sec. 3.2.2: the highest set bit of `ν(l)`.
+            TreeKind::BineDistanceDoubling => highest_set_bit(self.nu[l]),
+            // MPICH: the root reaches distance p/2 first, so the lowest set
+            // bit of `l` says how late `l` joins.
+            TreeKind::BinomialDistanceHalving => self.s - 1 - l.trailing_zeros(),
+            // Open MPI: the root reaches distance 1 first; the highest set
+            // bit of `l`.
+            TreeKind::BinomialDistanceDoubling => highest_set_bit(l as u64),
+        })
     }
 
-    fn recv_step(&self, r: usize) -> Option<u32> {
-        let l = to_logical(r, self.root, self.p);
-        if l == 0 {
-            None
-        } else {
-            Some(highest_set_bit(l as u64))
-        }
+    /// The peer rank `r` communicates with at `step`, if it participates in
+    /// that step. At `recv_step(r)` the peer is the parent; at every later
+    /// step it is the child joining the tree at that step. The root has a
+    /// child at every step.
+    pub fn partner(&self, r: usize, step: u32) -> Option<usize> {
+        self.peer(r, step, self.recv_step(r).unwrap_or_default())
     }
 
-    fn partner(&self, r: usize, step: u32) -> Option<usize> {
-        if step >= self.s {
+    /// The child joining the tree at `step` that `r` forwards the data to:
+    /// `None` unless `r` holds the data by then (it is the root, or received
+    /// at an earlier step).
+    pub fn child(&self, r: usize, step: u32) -> Option<usize> {
+        self.peer(r, step, self.first_send_step(r))
+    }
+
+    /// `r`'s peer at `step`, if `from ≤ step < s`. Each rule flips one digit
+    /// of the logical rank's label: the same flip names the parent at the
+    /// receive step and the child at every later step.
+    fn peer(&self, r: usize, step: u32, from: u32) -> Option<usize> {
+        if step < from || step >= self.s {
             return None;
         }
-        let l = to_logical(r, self.root, self.p);
-        match self.recv_step(r) {
-            Some(i) if step < i => None,
-            Some(i) if step == i => Some(to_physical(l - (1 << i), self.root, self.p)),
-            _ => Some(to_physical(l + (1 << step), self.root, self.p)),
+        let (p, s, l) = (self.p, self.s, self.logical(r));
+        let q = match self.kind {
+            // Eq. 1: the negabinary representations differ in the `s − step`
+            // least-significant digits.
+            TreeKind::BineDistanceHalving => nb2rank(rank2nb(l, p) ^ ones(s - step), p),
+            // Sec. 3.2.2: the `ν` labels differ in bit `step`.
+            TreeKind::BineDistanceDoubling => self.inv_nu[(self.nu[l] ^ (1 << step)) as usize],
+            // MPICH: distance `2^(s − 1 − step)`, below the lowest set bit of
+            // a child's `l` and at it for its parent.
+            TreeKind::BinomialDistanceHalving => l ^ (1 << (s - 1 - step)),
+            // Open MPI: distance `2^step`, above the highest set bit of a
+            // child's `l` and at it for its parent.
+            TreeKind::BinomialDistanceDoubling => l ^ (1 << step),
+        };
+        Some((q + self.root) % p)
+    }
+
+    /// Maps a physical rank to its logical identifier (Sec. 2.2: subtract
+    /// the root modulo `p`).
+    #[inline]
+    fn logical(&self, r: usize) -> usize {
+        (r + self.p - self.root) % self.p
+    }
+
+    /// First step at which rank `r` *sends* data (0 for the root).
+    pub fn first_send_step(&self, r: usize) -> u32 {
+        self.recv_step(r).map_or(0, |i| i + 1)
+    }
+
+    /// Parent of `r`, or `None` if `r` is the root.
+    pub fn parent(&self, r: usize) -> Option<usize> {
+        self.recv_step(r).and_then(|i| self.partner(r, i))
+    }
+
+    /// Children of `r` as `(step, child)` pairs, ordered by step.
+    pub fn children(&self, r: usize) -> Vec<(u32, usize)> {
+        (self.first_send_step(r)..self.s)
+            .filter_map(|step| self.child(r, step).map(|c| (step, c)))
+            .collect()
+    }
+
+    /// Writes all ranks in the subtree rooted at `r`, `r` included, into
+    /// `ranks` in ascending order; the buffer is cleared first. Builders hold
+    /// one buffer across the ranks of a tree, so listing a subtree does not
+    /// allocate once the buffer has grown to the largest one.
+    pub fn subtree(&self, r: usize, ranks: &mut Vec<usize>) {
+        ranks.clear();
+        ranks.push(r);
+        // The list is its own frontier: every rank behind `visited` still
+        // has its children to add.
+        let mut visited = 0;
+        while let Some(&x) = ranks.get(visited) {
+            visited += 1;
+            let steps = self.first_send_step(x)..self.s;
+            ranks.extend(steps.filter_map(|step| self.child(x, step)));
         }
+        ranks.sort_unstable();
     }
 }
 
@@ -425,7 +245,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    fn check_tree_invariants(tree: &dyn CommTree) {
+    fn check_tree_invariants(tree: &Tree) {
         let p = tree.num_ranks();
         let s = tree.num_steps();
         let root = tree.root();
@@ -486,7 +306,7 @@ mod tests {
                 let p = 1usize << s;
                 for root in [0, 1, p / 2, p - 1] {
                     let tree = build_tree(kind, p, root);
-                    check_tree_invariants(tree.as_ref());
+                    check_tree_invariants(&tree);
                 }
             }
         }
@@ -495,7 +315,7 @@ mod tests {
     #[test]
     fn bine_dh_matches_figure_4() {
         // 16-node distance-halving Bine tree rooted at 0 (Fig. 4).
-        let tree = BineTreeDh::new(16, 0);
+        let tree = build_tree(TreeKind::BineDistanceHalving, 16, 0);
         // Rank 8 receives at step 1 (A).
         assert_eq!(tree.recv_step(8), Some(1));
         // At step 2 rank 8 sends to rank 7 (B).
@@ -514,7 +334,7 @@ mod tests {
         // Sec. 2.3.3: all descendants of rank 8 (reached at step 1) share its
         // i + 1 = 2 most significant negabinary digits.
         let p = 16;
-        let tree = BineTreeDh::new(p, 0);
+        let tree = build_tree(TreeKind::BineDistanceHalving, p, 0);
         let prefix = rank2nb(8, p) >> 2;
         let mut sub = Vec::new();
         tree.subtree(8, &mut sub);
@@ -529,11 +349,12 @@ mod tests {
         // Fig. 6 (right): the distance-doubling tree rooted at 0 sends first
         // to rank 1 (distance 1), then distance -1... partners are the ranks
         // whose ν equals 2^j.
-        let tree = BineTreeDd::new(8, 0);
-        assert_eq!(tree.nu(0), 0);
+        let tree = build_tree(TreeKind::BineDistanceDoubling, 8, 0);
+        let nu = nu_labels(8);
+        assert_eq!(nu[0], 0);
         for step in 0..3 {
             let c = tree.partner(0, step).unwrap();
-            assert_eq!(tree.nu(c), 1 << step);
+            assert_eq!(nu[c], 1 << step);
             assert_eq!(tree.recv_step(c), Some(step));
         }
         // Sec. 3.2.2: rank 2 receives at step 1 and then sends to rank 5
@@ -556,13 +377,13 @@ mod tests {
     #[test]
     fn binomial_trees_match_figure_1() {
         // Distance-doubling (Open MPI): 0 -> 1, then 0 -> 2, 1 -> 3, ...
-        let dd = BinomialTreeDd::new(8, 0);
+        let dd = build_tree(TreeKind::BinomialDistanceDoubling, 8, 0);
         assert_eq!(dd.partner(0, 0), Some(1));
         assert_eq!(dd.partner(0, 1), Some(2));
         assert_eq!(dd.partner(1, 1), Some(3));
         assert_eq!(dd.partner(0, 2), Some(4));
         // Distance-halving (MPICH): 0 -> 4, then 0 -> 2, 4 -> 6, ...
-        let dh = BinomialTreeDh::new(8, 0);
+        let dh = build_tree(TreeKind::BinomialDistanceHalving, 8, 0);
         assert_eq!(dh.partner(0, 0), Some(4));
         assert_eq!(dh.partner(0, 1), Some(2));
         assert_eq!(dh.partner(4, 1), Some(6));
@@ -599,7 +420,7 @@ mod tests {
         // Sec. 4.1/4.3: distance-halving Bine subtrees are circularly
         // contiguous rank ranges, unlike distance-doubling Bine subtrees.
         let p = 64;
-        let tree = BineTreeDh::new(p, 0);
+        let tree = build_tree(TreeKind::BineDistanceHalving, p, 0);
         let mut sub = Vec::new();
         for r in 0..p {
             tree.subtree(r, &mut sub);

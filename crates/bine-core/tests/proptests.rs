@@ -1,6 +1,6 @@
 //! Property-based tests for the core Bine building blocks.
 
-use bine_core::block::{contiguous_segments, inverse_permutation, nu_bit_reversal_permutation};
+use bine_core::block::{inverse_permutation, nu_bit_reversal_permutation};
 use bine_core::butterfly::{Butterfly, ButterflyKind};
 use bine_core::distance::modular_distance;
 use bine_core::negabinary::{
@@ -9,7 +9,7 @@ use bine_core::negabinary::{
 };
 use bine_core::nonpow2::Pow2Fold;
 use bine_core::torus::TorusShape;
-use bine_core::tree::{build_tree, CommTree, TreeKind};
+use bine_core::tree::{build_tree, Tree, TreeKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -104,10 +104,10 @@ proptest! {
     fn bine_trees_cover_less_modular_distance(p in (3u32..=10).prop_map(|s| 1usize << s)) {
         let bine = build_tree(TreeKind::BineDistanceHalving, p, 0);
         let binom = build_tree(TreeKind::BinomialDistanceHalving, p, 0);
-        let total = |t: &dyn CommTree| -> usize {
+        let total = |t: &Tree| -> usize {
             (1..p).map(|r| modular_distance(r, t.parent(r).unwrap(), p)).sum()
         };
-        prop_assert!(total(bine.as_ref()) < total(binom.as_ref()));
+        prop_assert!(total(&bine) < total(&binom));
     }
 
     #[test]
@@ -156,21 +156,6 @@ proptest! {
         let inv = inverse_permutation(&perm);
         for i in 0..p {
             prop_assert_eq!(inv[perm[i]], i);
-        }
-    }
-
-    #[test]
-    fn contiguous_segment_count_never_exceeds_block_count(
-        p in 4usize..128, blocks in proptest::collection::vec(0u32..128, 0..64)
-    ) {
-        let blocks: Vec<u32> = blocks.into_iter().map(|b| b % p as u32).collect();
-        let mut dedup: Vec<u32> = blocks.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        let segs = contiguous_segments(&dedup, p);
-        prop_assert!(segs <= dedup.len());
-        if !dedup.is_empty() {
-            prop_assert!(segs >= 1);
         }
     }
 

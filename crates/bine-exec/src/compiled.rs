@@ -34,8 +34,10 @@
 //! are a schedule of their own, and running them start to finish keeps the
 //! block's partial sums in cache where the step walk streams the whole
 //! working set through it once per step. Both stage a step's handles
-//! before applying them, both deliver through the same `receive` and so the
-//! same payload-table reduction, and every `(rank, block)` slot sees
+//! before applying them, in one buffer sized once per run for the most
+//! they stage at a time (`max_staged`); both deliver through the same
+//! `receive` and so the same payload-table reduction, and every
+//! `(rank, block)` slot sees
 //! the same writes in the same order at the same holder counts: the
 //! finals agree bit for bit and the same reductions copy on write. Neither
 //! moves the payloads of an identity move — a rank's copy onto itself as its
@@ -168,9 +170,10 @@ fn payloads_are_large(compiled: &CompiledSchedule, table: &WalkTable, slots: &[u
     sampled.unwrap_or(false)
 }
 
-/// The step walk: every step's receives gathered and then applied.
+/// The step walk: every step's receives gathered and then applied, staged
+/// in one buffer sized for the largest step.
 fn run_steps(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u32]) {
-    let mut staging = Vec::new();
+    let mut staging = Vec::with_capacity(compiled.max_staged());
     for step in 0..compiled.num_steps() {
         let recvs = compiled.step_recvs(step);
         // Stage every payload of the step before any slot mutates.
@@ -190,13 +193,12 @@ fn run_blocks(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u
     let order = compiled.block_major();
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
-    let moves = |e: &&BlockEntry| !is_identity_move(compiled, e.step as usize, payload_of(e).0);
-    let mut staging: Vec<u32> = Vec::new();
+    let moves = |e: &&BlockEntry| !compiled.is_identity_move(e.step as usize, payload_of(e).0);
+    let mut staging = Vec::with_capacity(order.max_staged());
     for block in 0..compiled.num_blocks() {
         for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
             // Stage the block's payloads of the step before any slot
-            // mutates, into room made for exactly those that move.
-            staging.reserve(in_step.iter().filter(moves).count());
+            // mutates.
             for e in in_step {
                 let (send, k) = payload_of(e);
                 let at = compiled.src_slots(send)[k];
@@ -213,18 +215,6 @@ fn run_blocks(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u
             }
         }
     }
-}
-
-/// Whether `send`, received in `step`, is an identity move: a copy its rank
-/// makes onto itself as its only receive of the step. Nothing else writes the
-/// rank in the step and the payloads were read before it, so applying them
-/// would put each back into the slot it came from — which is why both walks
-/// stage and apply nothing for it (segmented picks included: every message's
-/// chunk `c` travels in sub-step `c`).
-fn is_identity_move(compiled: &CompiledSchedule, step: usize, send: &CompiledSend) -> bool {
-    send.kind == TransferKind::Copy
-        && send.src == send.dst
-        && compiled.recvs_to(step, send.dst as usize).len() == 1
 }
 
 /// The handle rank `send.src` holds in slot `at` of the run's `slots`,
@@ -291,8 +281,8 @@ fn receive(
 /// see [`CompiledSchedule::step_recvs`]) out of their source ranks' slots
 /// into `staging`, one entry per payload in `recvs` order, replacing what
 /// it held; each staged entry is a holder in `table`. An identity move
-/// ([`is_identity_move`]) stages nothing; its payloads are only checked to
-/// be held.
+/// ([`CompiledSchedule::is_identity_move`]) stages nothing; its payloads
+/// are only checked to be held.
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
@@ -308,7 +298,7 @@ fn gather_recvs(
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
         let payloads = compiled.src_slots(send).iter().enumerate();
         let held = payloads.map(|(k, &at)| held_handle(compiled, step, send, k, slots, at));
-        if is_identity_move(compiled, step, send) {
+        if compiled.is_identity_move(step, send) {
             // The possession check alone: the payloads stay in their slots.
             held.for_each(|_| ());
         } else {
@@ -335,7 +325,7 @@ fn apply_recvs(
 ) {
     let mut taken = 0;
     for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
-        if is_identity_move(compiled, step, send) {
+        if compiled.is_identity_move(step, send) {
             continue;
         }
         let payloads = &staging[taken..taken + send.num_blocks()];

@@ -4,7 +4,7 @@
 //! per run, not a row per rank, a run holds each payload once, leaving
 //! dense form —
 //! and entering it again with the finals — allocates nothing, the pool adds
-//! nothing to the step kernel, the block walk of a large reduction allocates
+//! nothing to the step kernel, a run stages in one allocation, the block walk of a large reduction allocates
 //! what the step walk does, neither stages an identity move, a short sum
 //! costs no allocation of its own, and a reduction writes its sum into the
 //! room a freed sum left. Measured with a per-thread counting wrapper around
@@ -216,6 +216,26 @@ fn run_dense_cost(sched: &Schedule, handle: &CompiledSchedule, elems: usize) -> 
     let counted = || bytes_requested(|| compiled::run_dense(handle, &mut dense));
     let (allocations, (bytes, ())) = counting::allocations_in(counted);
     (allocations, bytes)
+}
+
+#[test]
+fn a_warm_non_reducing_run_allocates_its_staging_once() {
+    // A run moving payloads allocates its staging buffer and nothing else,
+    // sized once for the step that stages the most
+    // (`CompiledSchedule::max_staged`); grown by doubling from empty it took
+    // one allocation per doubling on every run.
+    for p in [16, 64, 256] {
+        for sched in [
+            allgather(p, AllgatherAlg::Bine),
+            alltoall(p, AlltoallAlg::Bine),
+        ] {
+            let handle = sched.compile();
+            handle.slot_layout();
+            let (allocations, _) = run_dense_cost(&sched, &handle, 1);
+            let what = format!("{:?} {} p={p}", sched.collective, sched.algorithm);
+            assert!(allocations <= 1, "{what}: {allocations} allocations");
+        }
+    }
 }
 
 #[test]

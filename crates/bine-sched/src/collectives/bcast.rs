@@ -1,7 +1,7 @@
 //! Broadcast schedules (Sec. 4.5).
 
 use bine_core::butterfly::{Butterfly, ButterflyKind};
-use bine_core::tree::{BineTreeDd, BineTreeDh, BinomialTreeDd, BinomialTreeDh};
+use bine_core::tree::{build_tree, TreeKind};
 
 use super::builders::{butterfly_allgather, compose, tree_broadcast, tree_scatter};
 use crate::schedule::{Collective, Schedule};
@@ -48,34 +48,28 @@ impl BroadcastAlg {
 /// Builds the broadcast schedule for `p` ranks rooted at `root`.
 ///
 /// # Panics
-/// Panics if `p` is not a power of two (the benchmark harness folds
-/// non-power-of-two counts before calling this).
+/// Panics if `p` is not a power of two: nothing folds other rank counts
+/// onto the trees, and [`crate::build`] returns `None` for them instead.
 pub fn broadcast(p: usize, root: usize, alg: BroadcastAlg) -> Schedule {
-    match alg {
-        BroadcastAlg::BineTree => tree_broadcast(&BineTreeDh::new(p, root), alg.name()),
-        BroadcastAlg::BinomialDistanceDoubling => {
-            tree_broadcast(&BinomialTreeDd::new(p, root), alg.name())
+    let kind = match alg {
+        BroadcastAlg::BineTree => TreeKind::BineDistanceHalving,
+        BroadcastAlg::BineScatterAllgather => TreeKind::BineDistanceDoubling,
+        BroadcastAlg::BinomialDistanceDoubling => TreeKind::BinomialDistanceDoubling,
+        BroadcastAlg::BinomialDistanceHalving | BroadcastAlg::ScatterAllgather => {
+            TreeKind::BinomialDistanceHalving
         }
-        BroadcastAlg::BinomialDistanceHalving => {
-            tree_broadcast(&BinomialTreeDh::new(p, root), alg.name())
-        }
-        BroadcastAlg::BineScatterAllgather => {
-            let scatter = tree_scatter(&BineTreeDd::new(p, root), alg.name());
-            let allgather = butterfly_allgather(
-                &Butterfly::new(ButterflyKind::BineDistanceHalving, p),
-                alg.name(),
-            );
-            compose(Collective::Broadcast, alg.name(), root, scatter, allgather)
-        }
-        BroadcastAlg::ScatterAllgather => {
-            let scatter = tree_scatter(&BinomialTreeDh::new(p, root), alg.name());
-            let allgather = butterfly_allgather(
-                &Butterfly::new(ButterflyKind::RecursiveDoubling, p),
-                alg.name(),
-            );
-            compose(Collective::Broadcast, alg.name(), root, scatter, allgather)
-        }
-    }
+    };
+    let tree = build_tree(kind, p, root);
+    // The large-vector variants scatter down the tree, then allgather over a
+    // butterfly.
+    let allgather = match alg {
+        BroadcastAlg::BineScatterAllgather => ButterflyKind::BineDistanceHalving,
+        BroadcastAlg::ScatterAllgather => ButterflyKind::RecursiveDoubling,
+        _ => return tree_broadcast(&tree, alg.name()),
+    };
+    let scatter = tree_scatter(&tree, alg.name());
+    let allgather = butterfly_allgather(&Butterfly::new(allgather, p), alg.name());
+    compose(Collective::Broadcast, alg.name(), root, scatter, allgather)
 }
 
 #[cfg(test)]

@@ -24,24 +24,22 @@
 
 use bine_core::block::nu_bit_reversal_permutation;
 use bine_core::butterfly::Butterfly;
-use bine_core::tree::CommTree;
+use bine_core::tree::{build_tree, Tree, TreeKind};
 
 use crate::noncontig::NonContigStrategy;
 use crate::schedule::{contiguity_with, BlockId, Collective, Schedule, Step, TransferKind};
 
 /// Broadcast of the whole vector down a tree: at every tree step each active
 /// rank forwards the full vector to the child joining at that step.
-pub fn tree_broadcast(tree: &dyn CommTree, algorithm: &str) -> Schedule {
+pub fn tree_broadcast(tree: &Tree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let mut sched = Schedule::new(p, Collective::Broadcast, algorithm, tree.root());
     for (step, (joining, _)) in (0..).zip(tree_step_sizes(tree)) {
         // Every rank reached so far forwards to the rank joining now.
         let mut st = Step::with_capacity(joining, joining);
         for r in 0..p {
-            if step >= tree.first_send_step(r) && is_active(tree, r, step) {
-                if let Some(c) = tree.partner(r, step) {
-                    st.push(r, c, [BlockId::Full], TransferKind::Copy);
-                }
+            if let Some(c) = tree.child(r, step) {
+                st.push(r, c, [BlockId::Full], TransferKind::Copy);
             }
         }
         sched.push_step(st);
@@ -52,7 +50,7 @@ pub fn tree_broadcast(tree: &dyn CommTree, algorithm: &str) -> Schedule {
 /// Reduction of the whole vector up a tree: the mirror image of
 /// [`tree_broadcast`], with children sending their partial reductions to
 /// their parents in reverse step order.
-pub fn tree_reduce(tree: &dyn CommTree, algorithm: &str) -> Schedule {
+pub fn tree_reduce(tree: &Tree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let s = tree.num_steps();
     let mut sched = Schedule::new(p, Collective::Reduce, algorithm, tree.root());
@@ -73,7 +71,7 @@ pub fn tree_reduce(tree: &dyn CommTree, algorithm: &str) -> Schedule {
 
 /// Gather up a tree: each rank, when its turn comes (reverse tree order),
 /// sends the blocks of its whole subtree to its parent.
-pub fn tree_gather(tree: &dyn CommTree, algorithm: &str) -> Schedule {
+pub fn tree_gather(tree: &Tree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let s = tree.num_steps();
     let mut sched = Schedule::new(p, Collective::Gather, algorithm, tree.root());
@@ -96,18 +94,16 @@ pub fn tree_gather(tree: &dyn CommTree, algorithm: &str) -> Schedule {
 
 /// Scatter down a tree: each rank, when forwarding, sends the child the
 /// blocks of the child's subtree (Sec. 4.2).
-pub fn tree_scatter(tree: &dyn CommTree, algorithm: &str) -> Schedule {
+pub fn tree_scatter(tree: &Tree, algorithm: &str) -> Schedule {
     let p = tree.num_ranks();
     let mut sched = Schedule::new(p, Collective::Scatter, algorithm, tree.root());
     let mut subtree = Vec::new();
     for (step, (joining, blocks)) in (0..).zip(tree_step_sizes(tree)) {
         let mut st = Step::with_capacity(joining, blocks);
         for r in 0..p {
-            if step >= tree.first_send_step(r) && is_active(tree, r, step) {
-                if let Some(c) = tree.partner(r, step) {
-                    tree.subtree(c, &mut subtree);
-                    st.push(r, c, subtree_blocks(&subtree), TransferKind::Copy);
-                }
+            if let Some(c) = tree.child(r, step) {
+                tree.subtree(c, &mut subtree);
+                st.push(r, c, subtree_blocks(&subtree), TransferKind::Copy);
             }
         }
         sched.push_step(st);
@@ -119,7 +115,7 @@ pub fn tree_scatter(tree: &dyn CommTree, algorithm: &str) -> Schedule {
 /// ranks join the tree at it, and how many ranks their subtrees hold
 /// between them — the messages of the step, and its blocks when each
 /// message carries the joining rank's subtree.
-fn tree_step_sizes(tree: &dyn CommTree) -> Vec<(usize, usize)> {
+fn tree_step_sizes(tree: &Tree) -> Vec<(usize, usize)> {
     let p = tree.num_ranks();
     let mut sizes = vec![(0, 0); tree.num_steps() as usize];
     let mut subtree = vec![1; p];
@@ -153,15 +149,6 @@ fn local_permute_step(p: usize) -> Step {
         st.push_with_segments(r, r, blocks, TransferKind::Copy, 1);
     }
     st
-}
-
-/// Whether rank `r` already holds the data at `step` (i.e. it is the root or
-/// it received the data at an earlier step).
-fn is_active(tree: &dyn CommTree, r: usize, step: u32) -> bool {
-    match tree.recv_step(r) {
-        None => true,
-        Some(i) => step > i,
-    }
 }
 
 /// Allgather over a butterfly: at every step each rank sends everything it
@@ -523,12 +510,11 @@ pub fn ring_allgather(p: usize, algorithm: &str) -> Schedule {
 /// `+segS` segmentation transform on top — each half is itself a multi-block
 /// message the pipeline can split.
 pub fn dual_root_allreduce(p: usize, algorithm: &str) -> Schedule {
-    use bine_core::tree::BinomialTreeDd;
     assert!(
         p >= 2 && p.is_power_of_two(),
         "dual-root allreduce needs a power-of-two rank count >= 2, got {p}"
     );
-    let trees = [BinomialTreeDd::new(p, 0), BinomialTreeDd::new(p, p / 2)];
+    let trees = [0, p / 2].map(|root| build_tree(TreeKind::BinomialDistanceDoubling, p, root));
     let half = p as u32 / 2;
     let halves = [0..half, half..p as u32].map(|range| range.map(BlockId::Segment));
     // Both trees are binomial over the same ranks: their steps match in size.
@@ -554,10 +540,8 @@ pub fn dual_root_allreduce(p: usize, algorithm: &str) -> Schedule {
         for (tree, half) in trees.iter().zip(&halves) {
             let mut st = Step::with_capacity(joining, joining * half.len());
             for r in 0..p {
-                if step >= tree.first_send_step(r) && is_active(tree, r, step) {
-                    if let Some(c) = tree.partner(r, step) {
-                        st.push(r, c, half.clone(), TransferKind::Copy);
-                    }
+                if let Some(c) = tree.child(r, step) {
+                    st.push(r, c, half.clone(), TransferKind::Copy);
                 }
             }
             sched.push_step(st);
@@ -586,14 +570,13 @@ pub fn compose(
 mod tests {
     use super::*;
     use bine_core::butterfly::ButterflyKind;
-    use bine_core::tree::{build_tree, TreeKind};
     use std::collections::HashSet;
 
     #[test]
     fn tree_broadcast_has_p_minus_1_messages() {
         for &kind in &TreeKind::ALL {
             let tree = build_tree(kind, 64, 5);
-            let sched = tree_broadcast(tree.as_ref(), kind.name());
+            let sched = tree_broadcast(&tree, kind.name());
             assert_eq!(sched.messages().count(), 63);
             assert!(sched.validate().is_ok());
             // Every rank except the root receives exactly once.
@@ -609,8 +592,8 @@ mod tests {
     #[test]
     fn tree_gather_and_scatter_move_whole_subtrees() {
         let tree = build_tree(TreeKind::BineDistanceHalving, 32, 0);
-        let gather = tree_gather(tree.as_ref(), "bine");
-        let scatter = tree_scatter(tree.as_ref(), "bine");
+        let gather = tree_gather(&tree, "bine");
+        let scatter = tree_scatter(&tree, "bine");
         assert!(gather.validate().is_ok());
         assert!(scatter.validate().is_ok());
         // Total blocks moved: each rank's block crosses one edge per tree

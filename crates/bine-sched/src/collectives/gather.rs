@@ -1,6 +1,6 @@
 //! Gather schedules (Sec. 4.1).
 
-use bine_core::tree::{BineTreeDh, BinomialTreeDd, BinomialTreeDh};
+use bine_core::tree::{build_tree, TreeKind};
 
 use super::builders::tree_gather;
 use crate::schedule::Schedule;
@@ -38,15 +38,12 @@ impl GatherAlg {
 
 /// Builds the gather schedule for `p` ranks rooted at `root`.
 pub fn gather(p: usize, root: usize, alg: GatherAlg) -> Schedule {
-    match alg {
-        GatherAlg::Bine => tree_gather(&BineTreeDh::new(p, root), alg.name()),
-        GatherAlg::BinomialDistanceDoubling => {
-            tree_gather(&BinomialTreeDd::new(p, root), alg.name())
-        }
-        GatherAlg::BinomialDistanceHalving => {
-            tree_gather(&BinomialTreeDh::new(p, root), alg.name())
-        }
-    }
+    let kind = match alg {
+        GatherAlg::Bine => TreeKind::BineDistanceHalving,
+        GatherAlg::BinomialDistanceDoubling => TreeKind::BinomialDistanceDoubling,
+        GatherAlg::BinomialDistanceHalving => TreeKind::BinomialDistanceHalving,
+    };
+    tree_gather(&build_tree(kind, p, root), alg.name())
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ impl SizeDist {
 /// positions are filled in count order, so heavier ranks sit closer to the
 /// root and counts are non-increasing along every root-to-leaf path.
 ///
-/// Unlike the pow2 [`bine_core::tree::CommTree`] patterns this tree exists
+/// Unlike the pow2 [`bine_core::tree::Tree`] patterns this tree exists
 /// for every rank count, which is what lets the `traff` v-variants cover
 /// non-power-of-two configurations.
 #[derive(Debug)]

@@ -1,7 +1,7 @@
 //! Reduce schedules (Sec. 4.5).
 
 use bine_core::butterfly::{Butterfly, ButterflyKind};
-use bine_core::tree::{BineTreeDh, BinomialTreeDd, BinomialTreeDh};
+use bine_core::tree::{build_tree, TreeKind};
 
 use super::builders::{butterfly_reduce_scatter, compose, tree_gather, tree_reduce};
 use crate::noncontig::NonContigStrategy;
@@ -48,33 +48,27 @@ impl ReduceAlg {
 
 /// Builds the reduce schedule for `p` ranks rooted at `root`.
 pub fn reduce(p: usize, root: usize, alg: ReduceAlg) -> Schedule {
-    match alg {
-        ReduceAlg::BineTree => tree_reduce(&BineTreeDh::new(p, root), alg.name()),
-        ReduceAlg::BinomialDistanceDoubling => {
-            tree_reduce(&BinomialTreeDd::new(p, root), alg.name())
+    let kind = match alg {
+        ReduceAlg::BineTree | ReduceAlg::BineReduceScatterGather => TreeKind::BineDistanceHalving,
+        ReduceAlg::BinomialDistanceDoubling => TreeKind::BinomialDistanceDoubling,
+        ReduceAlg::BinomialDistanceHalving | ReduceAlg::ReduceScatterGather => {
+            TreeKind::BinomialDistanceHalving
         }
-        ReduceAlg::BinomialDistanceHalving => {
-            tree_reduce(&BinomialTreeDh::new(p, root), alg.name())
-        }
-        ReduceAlg::BineReduceScatterGather => {
-            let rs = butterfly_reduce_scatter(
-                &Butterfly::new(ButterflyKind::BineDistanceDoubling, p),
-                NonContigStrategy::Permute,
-                alg.name(),
-            );
-            let gather = tree_gather(&BineTreeDh::new(p, root), alg.name());
-            compose(Collective::Reduce, alg.name(), root, rs, gather)
-        }
-        ReduceAlg::ReduceScatterGather => {
-            let rs = butterfly_reduce_scatter(
-                &Butterfly::new(ButterflyKind::RecursiveHalving, p),
-                NonContigStrategy::Permute,
-                alg.name(),
-            );
-            let gather = tree_gather(&BinomialTreeDh::new(p, root), alg.name());
-            compose(Collective::Reduce, alg.name(), root, rs, gather)
-        }
-    }
+    };
+    // The large-vector variants reduce-scatter over a butterfly, then gather
+    // up the tree.
+    let butterfly = match alg {
+        ReduceAlg::BineReduceScatterGather => ButterflyKind::BineDistanceDoubling,
+        ReduceAlg::ReduceScatterGather => ButterflyKind::RecursiveHalving,
+        _ => return tree_reduce(&build_tree(kind, p, root), alg.name()),
+    };
+    let rs = butterfly_reduce_scatter(
+        &Butterfly::new(butterfly, p),
+        NonContigStrategy::Permute,
+        alg.name(),
+    );
+    let gather = tree_gather(&build_tree(kind, p, root), alg.name());
+    compose(Collective::Reduce, alg.name(), root, rs, gather)
 }
 
 #[cfg(test)]

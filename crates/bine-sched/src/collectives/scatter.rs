@@ -1,6 +1,6 @@
 //! Scatter schedules (Sec. 4.2).
 
-use bine_core::tree::{BineTreeDh, BinomialTreeDd, BinomialTreeDh};
+use bine_core::tree::{build_tree, TreeKind};
 
 use super::builders::tree_scatter;
 use crate::schedule::Schedule;
@@ -36,15 +36,12 @@ impl ScatterAlg {
 
 /// Builds the scatter schedule for `p` ranks rooted at `root`.
 pub fn scatter(p: usize, root: usize, alg: ScatterAlg) -> Schedule {
-    match alg {
-        ScatterAlg::Bine => tree_scatter(&BineTreeDh::new(p, root), alg.name()),
-        ScatterAlg::BinomialDistanceDoubling => {
-            tree_scatter(&BinomialTreeDd::new(p, root), alg.name())
-        }
-        ScatterAlg::BinomialDistanceHalving => {
-            tree_scatter(&BinomialTreeDh::new(p, root), alg.name())
-        }
-    }
+    let kind = match alg {
+        ScatterAlg::Bine => TreeKind::BineDistanceHalving,
+        ScatterAlg::BinomialDistanceDoubling => TreeKind::BinomialDistanceDoubling,
+        ScatterAlg::BinomialDistanceHalving => TreeKind::BinomialDistanceHalving,
+    };
+    tree_scatter(&build_tree(kind, p, root), alg.name())
 }
 
 #[cfg(test)]

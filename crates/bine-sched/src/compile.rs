@@ -312,12 +312,14 @@ pub struct SlotLayout {
 /// to the compiled block-index array, each payload's slot at its source and
 /// at its destination rank as a position in a run's slot table
 /// ([`SlotLayout::rank_slots`]) — the handle's own, so that gather and apply
-/// index the table directly.
+/// index the table directly — and the size of a run's staging buffer
+/// ([`CompiledSchedule::max_staged`]).
 #[derive(Debug, Clone)]
 struct Slots {
     layout: Arc<SlotLayout>,
     src: Vec<u32>,
     dst: Vec<u32>,
+    max_staged: usize,
 }
 
 impl Slots {
@@ -373,6 +375,11 @@ impl Slots {
             // At most one slot per payload entry, and those fit (`compile`).
             rank_offsets.push(rank_blocks.len() as u32);
         }
+        let staged = |step| {
+            let sends = compiled.step_sends(step).iter();
+            let moving = sends.filter(|send| !compiled.is_identity_move(step, send));
+            moving.map(CompiledSend::num_blocks).sum()
+        };
         Self {
             layout: Arc::new(SlotLayout {
                 blocks: compiled.blocks.clone(),
@@ -381,6 +388,7 @@ impl Slots {
             }),
             src: src_slots,
             dst: dst_slots,
+            max_staged: (0..steps).map(staged).max().unwrap_or(0),
         }
     }
 }
@@ -459,6 +467,8 @@ pub struct BlockMajor {
     /// Per block: range into `entries`. Length `num_blocks + 1`.
     offsets: Vec<u32>,
     entries: Vec<BlockEntry>,
+    /// See [`BlockMajor::max_staged`].
+    max_staged: usize,
 }
 
 impl BlockMajor {
@@ -492,12 +502,33 @@ impl BlockMajor {
                 }
             }
         }
-        Self { offsets, entries }
+        let moves = |e: &&BlockEntry| {
+            !compiled.is_identity_move(e.step as usize, compiled.send(e.send as usize))
+        };
+        let max_staged = offsets
+            .windows(2)
+            .flat_map(|run| {
+                entries[run[0] as usize..run[1] as usize].chunk_by(|a, b| a.step == b.step)
+            })
+            .map(|in_step| in_step.iter().filter(moves).count())
+            .max()
+            .unwrap_or(0);
+        Self {
+            offsets,
+            entries,
+            max_staged,
+        }
     }
 
     /// The entries that move interned block `block`, in receive order.
     pub fn entries_of(&self, block: usize) -> &[BlockEntry] {
         &self.entries[self.offsets[block] as usize..self.offsets[block + 1] as usize]
+    }
+
+    /// The most payloads of one block one step stages: like
+    /// [`CompiledSchedule::max_staged`], for a walk block by block.
+    pub fn max_staged(&self) -> usize {
+        self.max_staged
     }
 }
 
@@ -689,6 +720,28 @@ impl CompiledSchedule {
     /// to [`CompiledSchedule::block_index_slice`]).
     pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
         &self.slots().dst[send.blocks_start as usize..send.blocks_end as usize]
+    }
+
+    /// The most payloads one step of a run stages: all those its sends carry
+    /// but an identity move's ([`CompiledSchedule::is_identity_move`]).
+    /// Derived with [`CompiledSchedule::slot_layout`], so that a run step by
+    /// step sizes its staging once.
+    pub fn max_staged(&self) -> usize {
+        self.slots().max_staged
+    }
+
+    /// Whether `send`, received in `step`, is an identity move: a copy its
+    /// rank makes onto itself as its only receive of the step (the `permute`
+    /// strategy's local pass; segmented picks included, as every message's
+    /// chunk `c` travels in sub-step `c`). Nothing else writes the rank in
+    /// the step and its payloads are read before it, so applying them would
+    /// put each back into the slot it came from: executors stage and apply
+    /// nothing for it.
+    #[inline]
+    pub fn is_identity_move(&self, step: usize, send: &CompiledSend) -> bool {
+        send.kind == TransferKind::Copy
+            && send.src == send.dst
+            && self.recvs_to(step, send.dst as usize).len() == 1
     }
 
     /// The payload entries grouped by block, each block's in receive order.

@@ -266,13 +266,35 @@ fn one_place_a_sum_is_stored() {
     ));
 }
 
-/// Both walks skip a rank's copy onto itself by `compiled::is_identity_move`;
-/// a second `src == dst` test in the kernel is a rule they could split on.
+/// Both walks skip a rank's copy onto itself by
+/// `CompiledSchedule::is_identity_move`, the rule that also sizes their
+/// staging; a `src == dst` test in the kernel is a second rule they could
+/// split on.
 #[test]
 fn one_identity_rule() {
     let compiled = "crates/bine-exec/src/compiled.rs";
-    let hits = grep(&[compiled], &["src == @dst", "is_local()"], shipped);
-    assert_eq!(only(&hits, compiled), 1);
+    clean(&grep(&[compiled], &["src == @dst", "is_local()"], shipped));
+    let compile = "crates/bine-sched/src/compile.rs";
+    let rule = body(compile, "    pub fn is_identity_move(");
+    assert_eq!(lines_with(&rule, &["src == @dst"]).len(), 1);
+}
+
+/// A tree is one `bine_core::Tree` over a `TreeKind`, as a butterfly is one
+/// `Butterfly` over a `ButterflyKind`: a tree trait, a boxed tree or a
+/// second tree struct is a fifth `impl` of the same accessors, and the
+/// builders ask the tree for the child joining at a step instead of
+/// restating when a rank is active.
+#[test]
+fn one_tree_type() {
+    // Spelled in two halves: this file is under `tests/`, which is scanned.
+    let tree_trait = concat!("Comm", "Tree");
+    none(&["crates", "src", "tests", "examples"], &[tree_trait]);
+    none(&["crates"], &["dyn @Tree", "Box<@Tree>"]);
+    let structs = grep(&["crates/bine-core/src"], &["struct @Tree"], source);
+    let tree = "crates/bine-core/src/tree.rs".to_string();
+    assert_eq!(structs, [(tree, "pub struct Tree {".to_string())]);
+    let builders = "crates/bine-sched/src/collectives/builders.rs";
+    none(&[builders], &["fn is_active"]);
 }
 
 /// `ExecutorPool` runs a request on the calling thread; a worker queue, a
