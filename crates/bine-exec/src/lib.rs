@@ -3,10 +3,9 @@
 //! Executors that run the communication schedules of `bine-sched` over real
 //! floating-point data, standing in for the MPI processes of the paper's
 //! evaluation. A caller's payloads are shared [`state::Block`]s
-//! (`Arc<Vec<f64>>`); the sums a run computes belong to its payload table,
-//! the short ones packed into its chunks, and a reduction writes a sum into
-//! the room of one the run freed. Transfers copy indices, reductions copy
-//! on write, and a store reads every payload as `&[f64]`.
+//! (`Arc<Vec<f64>>`); a run's sums live in its payload table, in the room
+//! of sums it freed. Transfers copy indices, reductions copy on write, and
+//! a store reads every payload as `&[f64]`.
 //!
 //! * [`sequential`] — single-threaded interpreters: the zero-copy
 //!   [`sequential::run`] and the seed reference

@@ -2,19 +2,21 @@
 //! state is sized by the blocks a rank touches, not by every block the
 //! schedule interned, entering it from map form allocates one slot table
 //! per run, not a row per rank, a run holds each payload once, leaving
-//! dense form —
-//! and entering it again with the finals — allocates nothing, the pool adds
-//! nothing to the step kernel, a run stages in one allocation, the block walk of a large reduction allocates
-//! what the step walk does, neither stages an identity move, a short sum
-//! costs no allocation of its own, and a reduction writes its sum into the
-//! room a freed sum left. Measured with a per-thread counting wrapper around
-//! the system allocator (tests are their own crates, so `bine-exec`'s
-//! `#![forbid(unsafe_code)]` still holds for the library itself).
+//! dense form — and entering it again with the finals — allocates nothing,
+//! the pool adds nothing to the step kernel, a run stages in one
+//! allocation, the block walk of a large reduction allocates what the step
+//! walk does, neither stages an identity move, a short sum costs no
+//! allocation of its own and a long one its buffer alone, and a reduction
+//! writes its sum into the room a freed sum left. Measured with a
+//! per-thread counting wrapper around the system allocator (tests are their
+//! own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still holds for
+//! the library itself).
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting;
 use counting::bytes_in as bytes_requested;
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use bine_exec::{compiled, BlockStore, ExecutorPool, Workload};
@@ -300,10 +302,9 @@ fn warm_run_dense_cost(alg: AllreduceAlg, p: usize, elems: usize) -> (u64, u64) 
     run_dense_cost(&sched, &handle, elems)
 }
 
-/// Heap bytes of one long sum of `elems` elements: its buffer, and the
-/// `Arc`'s counts and `Vec` header.
+/// Heap bytes of one long sum of `elems` elements: its buffer alone.
 fn block_bytes(elems: usize) -> u64 {
-    (elems * 8 + 40) as u64
+    (elems * 8) as u64
 }
 
 #[test]
@@ -320,8 +321,10 @@ fn recursive_doubling_writes_its_sums_into_freed_room() {
     let (p, elems) = (64, 2048);
     let sums = (p + p / 4) as u64;
     let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineSmall, p, elems / p);
-    // Two heap objects per sum, and the staging and spare lists.
-    assert!(allocations <= 2 * sums + 16, "{allocations} allocations");
+    // One buffer per sum (82 allocations measured; two heap objects per sum,
+    // 156, while a long sum was an `Arc<Vec<f64>>`), and the staging and
+    // the list of long sums.
+    assert!(allocations <= sums + 16, "{allocations} allocations");
     assert!(bytes <= sums * block_bytes(elems) + 8192, "{bytes} B");
 }
 
@@ -337,9 +340,45 @@ fn the_block_walk_writes_each_blocks_sums_into_the_last_blocks_room() {
     let p = 64;
     let sums = (p / 2 + p - 1) as u64;
     let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineLarge, p, 1024);
-    // Two heap objects per sum, and the staging and spare lists.
-    assert!(allocations <= 2 * sums + 16, "{allocations} allocations");
+    // One buffer per sum (102 allocations measured; 195 while a long sum was
+    // an `Arc<Vec<f64>>`), and the staging and the list of long sums.
+    assert!(allocations <= sums + 16, "{allocations} allocations");
     assert!(bytes <= sums * block_bytes(1024) + 8192, "{bytes} B");
+}
+
+#[test]
+fn a_long_sum_is_one_allocation_even_when_no_room_is_freed() {
+    // Reduce-scatter `swing` at p = 16 over 8192-element blocks the caller
+    // still holds: every first reduction into a block copies on write, and
+    // a sender keeps its partial sum, so no room comes back before the last
+    // sum is made and every sum is new. Each costs its buffer: 124 sums (the
+    // finals keep 123 of them), 131 allocations measured; 250 while a long
+    // sum was an `Arc<Vec<f64>>`.
+    let (p, elems) = (16, 8192);
+    let sched = reduce_scatter(p, ReduceScatterAlg::Swing);
+    let handle = sched.compile();
+    handle.slot_layout();
+    run_dense_cost(&sched, &handle, elems);
+    let input = Workload::for_schedule(&sched, elems).initial_state(&sched);
+    let mut dense = compiled::to_dense(&handle, input.clone());
+    let running = || bytes_requested(|| compiled::run_dense(&handle, &mut dense));
+    let (allocations, (bytes, ())) = counting::allocations_in(running);
+    // The sums: the finals' payloads that are not the caller's, each once
+    // however many ranks hold it.
+    let payloads = |stores: &[BlockStore]| -> HashSet<*const f64> {
+        stores
+            .iter()
+            .flat_map(|s| s.iter().map(|(_, v)| v.as_ptr()))
+            .collect()
+    };
+    let sums = payloads(&dense).difference(&payloads(&input)).count() as u64;
+    assert!(sums >= (p * p / 4) as u64, "{sums} sums");
+    // The staging and the list of long sums, which doubles as it grows.
+    assert!(
+        allocations <= sums + 16,
+        "{allocations} allocations, {sums} sums"
+    );
+    assert!(bytes <= (sums + 1) * block_bytes(elems) + 8192, "{bytes} B");
 }
 
 #[test]

@@ -32,7 +32,7 @@ fn map_form(stores: &[BlockStore]) -> Vec<BlockStore> {
 }
 
 /// The longest sum a run packs into its payload table (`PACK_MAX_ELEMS` in
-/// `state.rs`), and one element more: a `Block` of its own.
+/// `state.rs`), and one element more: a buffer of its own.
 const AT_AND_ABOVE_PACKING: [usize; 2] = [256, 257];
 
 /// Reducing schedules, the first two chainable: their finals are valid

@@ -250,9 +250,11 @@ fn one_stall_analysis() {
 }
 
 /// A sum is stored where `state::PayloadTable` puts it — packed into the
-/// run's chunks, or a `Block` of its own if it is long — so the walks and
-/// the pool never allocate a payload: no `Arc::new(`, `.to_vec()` or
-/// `Vec<f64>` in their shipped code.
+/// run's chunks, or a buffer of its own in the table if it is long — so the
+/// walks and the pool never allocate a payload: no `Arc::new(`, `.to_vec()`
+/// or `Vec<f64>` in their shipped code. A sum is never a caller's `Block`:
+/// `WalkTable` keeps one list of spare room, not a second one of `Block`s,
+/// and `put_sum` builds no `Arc`.
 #[test]
 fn one_place_a_sum_is_stored() {
     let walks = [
@@ -264,6 +266,14 @@ fn one_place_a_sum_is_stored() {
         &["Arc::new(", ".to_vec()", "Vec<f64>"],
         shipped,
     ));
+    let state = "crates/bine-exec/src/state.rs";
+    none(&[state], &["spare_blocks"]);
+    let walk_table = body(state, "pub(crate) struct WalkTable {");
+    assert_eq!(
+        lines_with(&walk_table, &["Vec<"]),
+        ["spare_places: Vec<Place>,"]
+    );
+    clean(&lines_with(&body(state, "    fn put_sum("), &["Arc"]));
 }
 
 /// Both walks skip a rank's copy onto itself by
