@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use bine_bench::systems::System;
 use bine_bench::{best_of, timed};
-use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential};
+use bine_exec::{BlockStore, Workload};
 use bine_net::cost::CostModel;
 use bine_net::sim;
 use bine_net::view::TUNING_PLACEMENT_SEED;

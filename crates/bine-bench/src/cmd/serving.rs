@@ -5,7 +5,7 @@ use bine_bench::adaptive::AdaptiveOptions;
 use bine_bench::chaos::ChaosOptions;
 use bine_bench::crash::CrashOptions;
 use bine_bench::serve::ServeOptions;
-use bine_exec::state::Workload;
+use bine_exec::Workload;
 use bine_sched::Collective;
 use bine_tune::ServiceSelector;
 

@@ -23,7 +23,8 @@ use bine_sched::collectives::{
 use bine_sched::{BlockId, Collective, CompiledSchedule, Contract, Schedule};
 
 use crate::pool::ExecutorPool;
-use crate::state::{initial_stores, BlockStore};
+use crate::state::BlockStore;
+use crate::workload::initial_stores;
 
 /// A simulated cluster of `p` ranks executing collectives over real data.
 ///

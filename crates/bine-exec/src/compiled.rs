@@ -4,25 +4,23 @@
 //! pre-interned to dense indices (see [`bine_sched::compile`]), so the inner
 //! loop indexes flat `Vec`s instead of hashing `BlockId`s, and a slot holds a
 //! `u32` handle into the run's payload table, so moving data copies an
-//! integer and reductions are copy-on-write. A sum is the table's to store,
-//! in a freed sum's room if one of its length is kept: the walks allocate
-//! no payload. Results are bit-identical to
+//! integer. A sum goes where the handle's memory plan for the walk puts it
+//! ([`bine_sched::MemoryPlan`]) — in place, or into a buffer of the run's one
+//! arena — so the walks allocate no payload and count no holder. Results are
+//! bit-identical to
 //! [`crate::sequential::run_reference`]: payloads are gathered from the
 //! pre-step state and applied per receiver in schedule order — exactly the
 //! order the reference interpreter applies them in.
 //!
 //! A run keeps one slot table for all its ranks, laid out by the
 //! [`SlotLayout`](bine_sched::SlotLayout) the handle shares with it: per rank
-//! one slot per block the rank ever sends or receives, not one per block the
-//! schedule interned, so building and dropping the state of a request costs
-//! what its ranks touch. Every payload of the compiled form carries its
-//! slot's position in that table at both ends, so the walks index the table
-//! directly. A rank's [`DenseState`] is a [`BlockStore`] reading its row.
-//! [`to_dense`] builds the table — block by block (`BlockId` → interned
-//! index → slot) for stores in map form or under another table, not at all
-//! for the finals of an earlier run of this handle — and [`from_dense`] has
-//! nothing left to do: the finals *are* the dense states, and answer by
-//! `BlockId` through the table they keep alive.
+//! one slot per block the rank ever sends or receives. Every payload of the
+//! compiled form carries its slot's position in that table at both ends, so
+//! the walks index the table directly. A rank's [`DenseState`] is a
+//! [`BlockStore`] reading its row. [`to_dense`] builds the table — block by
+//! block for stores in map form or under another table, not at all for the
+//! finals of an earlier run of this handle — and [`from_dense`] has nothing
+//! left to do: the finals *are* the dense states.
 //!
 //! One compiled form, two walks over it. The **step walk** (`run_steps`) is
 //! the step kernel — `gather_recvs` then `apply_recvs` — over all of a
@@ -36,9 +34,8 @@
 //! before applying them, in one buffer sized once per run for the most
 //! they stage at a time (`max_staged`); both deliver through the same
 //! `receive` and so the same payload-table reduction, and every
-//! `(rank, block)` slot sees
-//! the same writes in the same order at the same holder counts: the
-//! finals agree bit for bit and the same reductions copy on write. Neither
+//! `(rank, block)` slot sees the same writes in the same order: the finals
+//! agree bit for bit. Neither
 //! moves the payloads of an identity move — a rank's copy onto itself as its
 //! only receive of the step, the `permute` strategy's local pass — which
 //! would put each back where it came from; both only check they are held.
@@ -50,7 +47,7 @@
 //! by the validator's survivor replay (see
 //! [`ExecError::RankDead`](crate::ExecError::RankDead)).
 
-use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind};
+use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind, WalkOrder};
 
 use crate::state::{self, BlockStore, WalkTable, NOT_HELD};
 
@@ -171,12 +168,13 @@ fn payloads_are_large(compiled: &CompiledSchedule, table: &WalkTable, slots: &[u
 
 /// The step walk: every step's receives gathered and then applied, staged
 /// in one buffer sized for the largest step.
-fn run_steps(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u32]) {
+fn run_steps<'a>(compiled: &'a CompiledSchedule, table: &mut WalkTable<'a>, slots: &mut [u32]) {
+    table.plan(compiled, WalkOrder::Steps, slots);
     let mut staging = Vec::with_capacity(compiled.max_staged());
     for step in 0..compiled.num_steps() {
         let recvs = compiled.step_recvs(step);
         // Stage every payload of the step before any slot mutates.
-        gather_recvs(compiled, step, recvs, table, slots, &mut staging);
+        gather_recvs(compiled, step, recvs, slots, &mut staging);
         apply_recvs(compiled, step, recvs, &staging, table, slots);
     }
 }
@@ -188,7 +186,8 @@ fn run_steps(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u3
 ///
 /// # Panics
 /// Panics if a send references a block its source rank does not hold.
-fn run_blocks(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u32]) {
+fn run_blocks<'a>(compiled: &'a CompiledSchedule, table: &mut WalkTable<'a>, slots: &mut [u32]) {
+    table.plan(compiled, WalkOrder::Blocks, slots);
     let order = compiled.block_major();
     // The send of an entry, and which of the send's payloads it is.
     let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
@@ -203,7 +202,6 @@ fn run_blocks(compiled: &CompiledSchedule, table: &mut WalkTable, slots: &mut [u
                 let at = compiled.src_slots(send)[k];
                 let held = held_handle(compiled, e.step as usize, send, k, slots, at);
                 if moves(&e) {
-                    table.hold(held);
                     staging.push(held);
                 }
             }
@@ -267,11 +265,11 @@ fn receive(
                     .blocks()
                     .resolve(compiled.block_index_slice(send)[k])
             );
-            table.reduce(held, payload);
+            table.reduce(held, payload, send.blocks_start as usize + k);
         }
         // A copy — or a reduce into an absent block, where the payload
         // becomes the partial result, as in `BlockStore::reduce`.
-        _ => table.replace(held, payload),
+        _ => *held = payload,
     }
 }
 
@@ -279,7 +277,7 @@ fn receive(
 /// `recvs` of `step` (send indices grouped by ascending destination rank,
 /// see [`CompiledSchedule::step_recvs`]) out of their source ranks' slots
 /// into `staging`, one entry per payload in `recvs` order, replacing what
-/// it held; each staged entry is a holder in `table`. An identity move
+/// it held. An identity move
 /// ([`CompiledSchedule::is_identity_move`]) stages nothing; its payloads
 /// are only checked to be held.
 ///
@@ -289,7 +287,6 @@ fn gather_recvs(
     compiled: &CompiledSchedule,
     step: usize,
     recvs: &[u32],
-    table: &mut WalkTable,
     slots: &[u32],
     staging: &mut Vec<u32>,
 ) {
@@ -301,7 +298,7 @@ fn gather_recvs(
             // The possession check alone: the payloads stay in their slots.
             held.for_each(|_| ());
         } else {
-            staging.extend(held.inspect(|&handle| table.hold(handle)));
+            staging.extend(held);
         }
     }
 }
@@ -309,10 +306,9 @@ fn gather_recvs(
 /// Apply half of the step kernel: the handles [`gather_recvs`] staged for
 /// `recvs` are applied to their destination ranks' slots in schedule
 /// order — bit-identical float reduction order to the reference
-/// interpreter. Every payload has exactly one receiver, so the receiver
-/// takes the staged holder over: a block that a rank both sends and reduces
-/// in one step is copied on write by whichever partner applies first and
-/// summed in place by the other. Only ranks that receive something are
+/// interpreter. A block that a rank both sends and reduces in one step is
+/// summed into a new buffer by whichever partner applies first and in place
+/// by the other, as the plan says. Only ranks that receive something are
 /// visited, and an identity move is not applied: nothing of it was staged.
 fn apply_recvs(
     compiled: &CompiledSchedule,
@@ -348,7 +344,7 @@ pub fn run(compiled: &CompiledSchedule, initial: Vec<BlockStore>) -> Vec<BlockSt
 mod tests {
     use super::*;
     use crate::sequential;
-    use crate::state::Workload;
+    use crate::workload::Workload;
     use bine_sched::collectives::{
         allgather, allreduce, alltoall, broadcast, reduce_scatter, AllgatherAlg, AllreduceAlg,
         AlltoallAlg, BroadcastAlg, ReduceScatterAlg,
@@ -356,7 +352,7 @@ mod tests {
     use bine_sched::{BlockId, Collective, NonContigStrategy, Schedule, Step};
 
     /// A walk of the run's table.
-    type Walk = fn(&CompiledSchedule, &mut WalkTable, &mut [u32]);
+    type Walk = for<'a> fn(&'a CompiledSchedule, &mut WalkTable<'a>, &mut [u32]);
 
     /// Runs `states` by `walk`, whichever walk `run_dense` would pick.
     fn walked(compiled: &CompiledSchedule, states: &mut [DenseState], walk: Walk) {

@@ -3,9 +3,9 @@
 //! Executors that run the communication schedules of `bine-sched` over real
 //! floating-point data, standing in for the MPI processes of the paper's
 //! evaluation. A caller's payloads are shared [`state::Block`]s
-//! (`Arc<Vec<f64>>`); a run's sums live in its payload table, in the room
-//! of sums it freed. Transfers copy indices, reductions copy on write, and
-//! a store reads every payload as `&[f64]`.
+//! (`Arc<Vec<f64>>`), which a run never writes; its sums live in one arena
+//! of its payload table, where the handle's memory plan puts them.
+//! Transfers copy indices, and a store reads every payload as `&[f64]`.
 //!
 //! * [`sequential`] — single-threaded interpreters: the zero-copy
 //!   [`sequential::run`] and the seed reference
@@ -44,9 +44,11 @@ pub mod pool;
 pub mod sequential;
 pub mod state;
 pub mod verify;
+pub mod workload;
 
 pub use comm::Cluster;
 pub use compiled::DenseState;
 pub use pool::{ExecError, ExecutorPool};
-pub use state::{Block, BlockStore, Workload};
+pub use state::{Block, BlockStore};
 pub use verify::{run_and_verify, verify, VerifyResult};
+pub use workload::Workload;

@@ -213,7 +213,7 @@ impl ExecutorPool {
 mod tests {
     use super::*;
     use crate::sequential;
-    use crate::state::Workload;
+    use crate::workload::Workload;
     use bine_sched::collectives::{
         allreduce, alltoall, broadcast, AllreduceAlg, AlltoallAlg, BroadcastAlg,
     };

@@ -107,7 +107,7 @@ pub fn run_reference(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<Block
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Workload;
+    use crate::workload::Workload;
     use bine_sched::collectives::{broadcast, BroadcastAlg};
     use bine_sched::BlockId;
 

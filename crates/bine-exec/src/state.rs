@@ -1,4 +1,4 @@
-//! Per-rank data state and deterministic workloads.
+//! Per-rank data state.
 //!
 //! The executors in this crate interpret a [`bine_sched::Schedule`] over real
 //! floating-point data: every rank owns a [`BlockStore`] mapping block
@@ -13,103 +13,35 @@
 //! schedule's key table (see [`BlockStore`]) — so leaving dense form
 //! re-hashes nothing, and the only re-keying of a request is
 //! [`crate::compiled::to_dense`]'s, of input that is not under the handle's
-//! table yet.
+//! table yet. A run reads the caller's payloads and writes its sums into one
+//! arena, where the handle's [`MemoryPlan`] puts them.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::Arc;
 
-use bine_sched::{
-    BlockId, BlockMap, Collective, CompiledSchedule, Contract, Counts, Granularity, Schedule,
-    SlotLayout,
-};
+use bine_sched::plan::NONE;
+use bine_sched::{BlockId, BlockMap, CompiledSchedule, MemoryPlan, SlotLayout, WalkOrder};
 
 /// A caller's payload: a shared, immutable-until-owned vector.
 ///
 /// What a caller inserts and what [`BlockStore::into_blocks`] hands back.
 /// Stores, their clones and the executors share it rather than deep-copy
-/// it, and nothing writes it while anyone else holds it (copy-on-write). The
-/// sums a run computes belong to the run's payload table instead.
+/// it, and a run never writes it: the sums a run computes live in the run's
+/// arena.
 pub type Block = Arc<Vec<f64>>;
 
 /// The handle of a slot that holds nothing.
-pub(crate) const NOT_HELD: u32 = u32::MAX;
-
-/// Longest sum, in elements, a run packs into its payload table's chunks
-/// (2 KiB of `f64`s); a longer one gets a buffer of its own.
-///
-/// A packed sum costs no allocation of its own. The crossover, measured
-/// before freed room was reused and while a long sum was an
-/// `Arc<Vec<f64>>`, as every sum packed ÷ none, `ExecutorPool::run` + drop
-/// of the finals over inputs the caller still holds, one confined vCPU
-/// (4 MiB L2), best of three alternating lower quartiles of 25 runs;
-/// reduce-scatter `bine-permute` / allreduce `bine-large`:
-///
-/// | sum | p = 16 | p = 64 | p = 256 |
-/// |---|---|---|---|
-/// | 1 | 0.65 / 0.67 | 0.51 / 0.61 | 0.42 / 0.46 |
-/// | 16 | 0.66 / 0.70 | 0.66 / 0.70 | 0.51 / 0.53 |
-/// | 64 | 0.73 / 0.71 | 1.04 / 0.61 | 0.70 / 0.70 |
-/// | 128 | 0.76 / 0.90 | 1.24 / 1.28 | 0.78 / 0.76 |
-/// | 256 | 0.85 / 0.83 | 0.71 / 0.78 | 0.79 / 0.71 |
-/// | 512 | 1.04 / 1.04 | 1.05 / 1.11 | not run |
-///
-/// Allreduce `bine-small`, whose every step supersedes each rank's one
-/// `Full` sum, lost more then: 1.77–4.54 at sums of 512–2048 elements. So
-/// packing stops at 256.
-const PACK_MAX_ELEMS: usize = 256;
-
-/// Elements per chunk of packed sums (32 KiB of `f64`s).
-///
-/// A run allocates a chunk at its first short sum and another whenever the
-/// last one is full and no freed place of the sum's length is kept: 16
-/// chunks for the 65 536 one-element sums of a reduce-scatter at p = 256.
-/// The same runs as for [`PACK_MAX_ELEMS`] (before reuse), at sums of
-/// 1–256 elements, with 1024- and 16 384-element chunks ÷ this size:
-/// 0.56–0.80 at p = 16 (the allocator hands a 32 KiB chunk back to the
-/// system after every run there, about 12 µs a run), 0.74–1.34 and
-/// 0.87–1.14 at p = 64, 0.85–1.25 and 0.87–1.62 at p = 256 (1.25 and 1.62
-/// at one element). The 256-rank requests are most of `serve-latency`'s
-/// round: one 3 s run each gave 3.81 / 3.63 / 4.17 `round_pu` and 6654 /
-/// 6138 / 6005 allocations per round, before freed places were reused and
-/// before a run's slots were one table.
-const CHUNK_ELEMS: usize = 4096;
-
-const _: () = assert!(PACK_MAX_ELEMS <= CHUNK_ELEMS);
-
-/// Where a packed sum lives: element `at % CHUNK_ELEMS` of chunk
-/// `at / CHUNK_ELEMS` and the `len` after it.
-#[derive(Clone, Copy, Default)]
-struct Place {
-    at: u32,
-    len: u32,
-}
-
-impl Place {
-    /// The chunk and the range of it.
-    fn locate(self) -> (usize, Range<usize>) {
-        let (at, len) = (self.at as usize, self.len as usize);
-        let start = at % CHUNK_ELEMS;
-        (at / CHUNK_ELEMS, start..start + len)
-    }
-}
-
-/// A sum longer than `PACK_MAX_ELEMS` and its holders — or, once it is
-/// freed, the next freed long sum: its buffer is room for the next sum.
-#[derive(Clone, Default)]
-struct Long {
-    sum: Box<[f64]>,
-    holders: u32,
-}
+pub(crate) const NOT_HELD: u32 = NONE;
 
 /// The slots and payloads of one run, which its per-rank stores share
 /// behind one `Arc`: every rank's slots in one table, rank after rank, each
-/// a handle of a payload, so a transfer copies an integer and dropping the
-/// finals drops each payload once, however many ranks hold it.
+/// a handle of a payload, so a transfer copies an integer.
 ///
-/// A handle names a caller's [`Block`], freed when its last holder lets
-/// go, or a sum of the run's, packed into one of the table's chunks or a
-/// [`Long`] one. A walk writes the table through a [`WalkTable`].
+/// Handle `h` names the caller's [`Block`] `inputs[h]`, or, past them, a
+/// buffer of the run's arena: buffer `b` of the plan the run took is handle
+/// `inputs.len() + b`.
 #[derive(Clone)]
 pub(crate) struct PayloadTable {
     /// The key table the run's stores are held under.
@@ -118,44 +50,28 @@ pub(crate) struct PayloadTable {
     /// `layout.rank_slots(r).start + i`, holding a handle or `NOT_HELD`.
     /// Sized once, to the layout's slots; what the walks index.
     slots: Box<[u32]>,
-    /// `blocks[h]` is the payload of handle `h` if it is a `Block`; `None`
-    /// if it is packed or freed.
-    blocks: Vec<Option<Block>>,
-    /// `holders[h]`: how many slots and staged entries of the run hold
-    /// handle `h` — or, once it is freed, the next freed handle: the free
-    /// list is threaded through the table.
-    holders: Vec<u32>,
-    /// The first freed handle, `NOT_HELD` if there is none.
-    free: u32,
-    /// The first freed long sum, `NOT_HELD` if there is none.
-    free_long: u32,
-    /// `packed[h]`: where the packed sum of handle `h` lives, if that is
-    /// what it holds. Empty until the run's first short sum, so a run that
-    /// packs nothing allocates nothing for it.
-    packed: Vec<Place>,
-    /// The chunks short sums are appended to, `CHUNK_ELEMS` each; the last
-    /// one is being filled.
-    chunks: Vec<Vec<f64>>,
-    /// The long sums: sum `i` is handle `!(i + 1)`, counting down from
-    /// `NOT_HELD` where the others count up from 0 (`add` and `push_long`
-    /// check that the two never meet).
-    long: Vec<Long>,
+    /// The caller's payloads the slots name.
+    inputs: Vec<Block>,
+    /// The run's sums, one allocation.
+    arena: Vec<f64>,
+    /// The plan's buffer bounds, in units of `unit` elements. `None` until
+    /// a reducing walk has run over the table: as re-keying leaves it, every
+    /// held slot holds an input of its own.
+    bounds: Option<Arc<[usize]>>,
+    unit: usize,
 }
 
 impl PayloadTable {
     /// A table under `layout` of `slots` empty slots — a run's has the
-    /// layout's, a placeholder none — and room for `capacity` payloads.
+    /// layout's, a stand-in none — and room for `capacity` payloads.
     fn new(layout: &Arc<SlotLayout>, slots: usize, capacity: usize) -> Self {
         Self {
             layout: Arc::clone(layout),
             slots: vec![NOT_HELD; slots].into(),
-            blocks: Vec::with_capacity(capacity),
-            holders: Vec::with_capacity(capacity),
-            free: NOT_HELD,
-            free_long: NOT_HELD,
-            packed: Vec::new(),
-            chunks: Vec::new(),
-            long: Vec::new(),
+            inputs: Vec::with_capacity(capacity),
+            arena: Vec::new(),
+            bounds: None,
+            unit: 0,
         }
     }
 
@@ -171,214 +87,114 @@ impl PayloadTable {
         held.map(move |(slot, &h)| (self.layout.block_at(rank, slot), h))
     }
 
+    /// Where the sum of handle `handle` lies in the arena.
+    fn range(&self, handle: u32) -> Range<usize> {
+        let b = handle as usize - self.inputs.len();
+        let bounds = self.bounds.as_deref().expect("a sum of a planned run");
+        bounds[b] * self.unit..bounds[b + 1] * self.unit
+    }
+
     /// The payload of a held handle.
     fn get(&self, handle: u32) -> &[f64] {
-        let Some(payload) = self.blocks.get(handle as usize) else {
-            return long_sum(&self.long, handle);
-        };
-        match payload {
+        match self.inputs.get(handle as usize) {
             Some(block) => block,
-            None => {
-                let (chunk, range) = self.packed[handle as usize].locate();
-                &self.chunks[chunk][range]
-            }
+            None => &self.arena[self.range(handle)],
         }
     }
 
     /// The payload of a held handle as a caller's [`Block`]: the one the
     /// table holds, shared, or a copy of a sum.
     fn shared(&self, handle: u32) -> Block {
-        let block = self.blocks.get(handle as usize).and_then(Option::clone);
-        block.unwrap_or_else(|| Arc::new(self.get(handle).to_vec()))
-    }
-
-    /// How many slots and staged entries hold `handle`.
-    fn holders_of(&mut self, handle: u32) -> &mut u32 {
-        match self.holders.get_mut(handle as usize) {
-            Some(holders) => holders,
-            None => long_holders(&mut self.long, handle),
+        match self.inputs.get(handle as usize) {
+            Some(block) => Arc::clone(block),
+            None => Arc::new(self.get(handle).to_vec()),
         }
     }
 
-    /// A handle for `payload` — `None` for a sum about to be packed — with
-    /// one holder: a freed one if there is one, a new one otherwise.
-    fn add(&mut self, payload: Option<Block>) -> u32 {
-        if self.free == NOT_HELD {
-            let handle = self.blocks.len();
-            let handles = handle + self.long.len();
-            assert!(handles < NOT_HELD as usize, "more payloads than handles");
-            self.blocks.push(payload);
-            self.holders.push(1);
-            return handle as u32;
-        }
-        let handle = self.free;
-        let h = handle as usize;
-        self.free = self.holders[h];
-        (self.blocks[h], self.holders[h]) = (payload, 1);
-        handle
+    /// A handle for the caller's `payload`.
+    fn add(&mut self, payload: Block) -> u32 {
+        assert!(
+            self.inputs.len() < NOT_HELD as usize,
+            "more payloads than handles"
+        );
+        self.inputs.push(payload);
+        self.inputs.len() as u32 - 1
     }
 
-    /// One holder fewer of `handle`; the last one frees the payload and
-    /// returns it — `Some(None)` for a packed sum, whose place `packed`
-    /// still names. A long sum's buffer stays with it, on the free list.
-    fn release(&mut self, handle: u32) -> Option<Option<Block>> {
-        let holders = self.holders_of(handle);
-        *holders -= 1;
-        if *holders != 0 {
-            return None;
-        }
-        let h = handle as usize;
-        if h >= self.blocks.len() {
-            let at = !handle as usize - 1;
-            self.long[at].holders = std::mem::replace(&mut self.free_long, at as u32);
-            return None;
-        }
-        self.holders[h] = std::mem::replace(&mut self.free, handle);
-        Some(self.blocks[h].take())
-    }
-
-    /// `held += value` where `held`'s payload is, if nothing outside the run
-    /// holds it; `false`, and nothing written, if a caller does.
-    fn add_in_place(&mut self, held: u32, value: u32) -> bool {
-        let (h, v) = (held as usize, value as usize);
-        let Ok(pair) = self.blocks.get_disjoint_mut([h, v]) else {
-            return self.add_long_in_place(held, value);
+    /// The arena's range `out`, mutably, and the payloads of `held` and
+    /// `value`, which lie elsewhere.
+    fn operands(
+        &mut self,
+        out: Range<usize>,
+        held: u32,
+        value: u32,
+    ) -> (&mut [f64], &[f64], &[f64]) {
+        let at = |h: u32| (h as usize >= self.inputs.len()).then(|| self.range(h));
+        let (held_at, value_at) = (at(held), at(value));
+        let (lo, hi) = (out.start, out.end);
+        let (before, rest) = self.arena.split_at_mut(lo);
+        let (out, after) = rest.split_at_mut(hi - lo);
+        let (before, after, inputs) = (&*before, &*after, &self.inputs);
+        let payload = |h: u32, at: Option<Range<usize>>| match at {
+            None => inputs[h as usize].as_slice(),
+            Some(r) if r.end <= lo => &before[r],
+            Some(r) => &after[r.start - hi..r.end - hi],
         };
-        let (chunks, packed) = (&mut self.chunks, &self.packed);
-        match pair {
-            [Some(existing), value] => {
-                let Some(owned) = Arc::get_mut(existing) else {
-                    return false;
-                };
-                match value {
-                    Some(block) => add_assign(owned, block),
-                    None => {
-                        let (chunk, range) = packed[v].locate();
-                        add_assign(owned, &chunks[chunk][range]);
-                    }
-                }
-            }
-            [None, Some(block)] => {
-                let (chunk, range) = packed[h].locate();
-                add_assign(&mut chunks[chunk][range], block);
-            }
-            [None, None] => {
-                let (existing, value) = disjoint(chunks, packed[h], packed[v]);
-                add_assign(existing, value);
-            }
-        }
-        true
-    }
-
-    /// [`Self::add_in_place`] when one of the two is a long sum, so both
-    /// are long: the one summed into is out of the table meanwhile.
-    #[inline(never)]
-    fn add_long_in_place(&mut self, held: u32, value: u32) -> bool {
-        let Some(block) = self.blocks.get_mut(held as usize) else {
-            let at = !held as usize - 1;
-            let mut existing = std::mem::take(&mut self.long[at].sum);
-            add_assign(&mut existing, self.get(value));
-            self.long[at].sum = existing;
-            return true;
-        };
-        let mut existing = block.take().expect("a held payload");
-        let summed = Arc::get_mut(&mut existing).map(|s| add_assign(s, self.get(value)));
-        self.blocks[held as usize] = Some(existing);
-        summed.is_some()
-    }
-
-    /// A place of `len` elements at the end of the last chunk, or of a new
-    /// chunk if the last one is full.
-    fn append(&mut self, len: usize) -> Place {
-        let full = |chunk: &Vec<f64>| chunk.len() + len > CHUNK_ELEMS;
-        if self.chunks.last().is_none_or(full) {
-            self.chunks.push(Vec::with_capacity(CHUNK_ELEMS));
-        }
-        let last = self.chunks.len() - 1;
-        let chunk = &mut self.chunks[last];
-        let start = chunk.len();
-        chunk.resize(start + len, 0.0);
-        let at = u32::try_from(last * CHUNK_ELEMS + start);
-        Place {
-            at: at.expect("more packed elements than places"),
-            len: len as u32,
-        }
-    }
-
-    /// The packed room at `place`, mutably, and the payload of `handle`,
-    /// which lies elsewhere.
-    fn place_and_payload(&mut self, place: Place, handle: u32) -> (&mut [f64], &[f64]) {
-        let payload = match self.blocks.get(handle as usize) {
-            Some(Some(block)) => block.as_slice(),
-            Some(None) => return disjoint(&mut self.chunks, place, self.packed[handle as usize]),
-            None => &self.long[!handle as usize - 1].sum,
-        };
-        let (chunk, range) = place.locate();
-        (&mut self.chunks[chunk][range], payload)
-    }
-
-    /// A handle for the long sum `existing + value`, with one holder: written
-    /// into the first freed long sum if its buffer fits or was let go of.
-    fn add_long(&mut self, existing: u32, value: u32) -> u32 {
-        let len = self.get(existing).len();
-        let first = self.long.get(self.free_long as usize);
-        let room = first.filter(|room| room.sum.is_empty() || room.sum.len() == len);
-        let at = match room.map(|room| room.holders) {
-            Some(next) => std::mem::replace(&mut self.free_long, next) as usize,
-            None => self.push_long(Long::default()),
-        };
-        // Out of the table while it is written.
-        let mut out = std::mem::take(&mut self.long[at].sum);
-        let operands = sums(self.get(existing), self.get(value));
-        match out.len() == len {
-            true => out.iter_mut().zip(operands).for_each(|(out, s)| *out = s),
-            false => out = operands.collect(),
-        }
-        self.long[at].sum = out;
-        self.long[at].holders = 1;
-        !(at as u32 + 1)
-    }
-
-    /// Appends `long` to the long sums, and returns where.
-    fn push_long(&mut self, long: Long) -> usize {
-        self.long.push(long);
-        let handles = self.blocks.len() + self.long.len();
-        assert!(handles <= NOT_HELD as usize, "more payloads than handles");
-        self.long.len() - 1
+        (out, payload(held, held_at), payload(value, value_at))
     }
 }
 
-/// A run's [`PayloadTable`] while a walk writes it, with the places of the
-/// packed sums the walk freed: the next short sum of the same length is
-/// written into one before anything is allocated, as a long one is into a
-/// freed long sum's buffer ([`PayloadTable::add_long`]), which a caller's
-/// long [`Block`] nobody else holds becomes when it is freed. It owns the
-/// table for the walk (see [`with_table`]): behind a reference held in a
-/// struct, the kernel's per-payload counts were reloaded at every use, and
-/// a non-reducing all-to-all at p = 256 ran 30 % slower.
-///
-/// Only a run of a reducing schedule keeps room, so a run that never
-/// reduces never touches it. A reduction's copies free as much as its sums
-/// do (the allgather half of an allreduce replaces the partial sums of the
-/// reduce-scatter half), so every release of the run feeds it. The spare
-/// places live beside the table, not in it, so the table every run
-/// allocates is no larger for them. They go when the walk returns or
-/// unwinds, and the freed long sums' buffers are let go of then, so finals
-/// keep no dead room and a spare never aliases a payload anyone holds.
-pub(crate) struct WalkTable {
+impl Drop for PayloadTable {
+    /// Keeps the larger of its arena and the one kept before for the next
+    /// run on this thread ([`arena_of`]).
+    fn drop(&mut self) {
+        let arena = std::mem::take(&mut self.arena);
+        if arena.capacity() > 0 {
+            SPARE.with(|spare| {
+                let kept = spare.take();
+                spare.set(if kept.capacity() < arena.capacity() {
+                    arena
+                } else {
+                    kept
+                });
+            });
+        }
+    }
+}
+
+thread_local! {
+    /// The largest arena of a run's table dropped on this thread.
+    static SPARE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// An arena of at least `len` elements: the one a dropped table left on
+/// this thread, if any (a buffer's first write covers it whole, so it is
+/// neither cleared nor shortened), else a new one. With glibc's trim
+/// threshold fixed, as the benchmark fixes it, a new arena is mapped in
+/// page by page: one per run made `exec-reduce` 1.4× slower.
+fn arena_of(len: usize) -> Vec<f64> {
+    let mut arena = SPARE.with(Cell::take);
+    if arena.len() < len {
+        arena.reserve_exact(len - arena.len());
+        arena.resize(len, 0.0);
+    }
+    arena
+}
+
+/// A run's [`PayloadTable`] while a walk writes it, with the buffer the
+/// plan gives each reduction. It owns the table (see [`with_table`]): behind
+/// a reference, a non-reducing all-to-all at p = 256 ran 30 % slower.
+pub(crate) struct WalkTable<'a> {
     table: PayloadTable,
-    /// Whether freed room is kept: whether the schedule reduces.
-    keeps_room: bool,
-    /// The places of freed packed sums.
-    spare_places: Vec<Place>,
+    /// Per payload entry, the buffer of the plan its reduction writes into.
+    targets: Cow<'a, [u32]>,
 }
 
-impl WalkTable {
-    fn new(table: PayloadTable, keeps_room: bool) -> Self {
+impl<'a> WalkTable<'a> {
+    fn new(table: PayloadTable) -> Self {
         Self {
             table,
-            keeps_room,
-            spare_places: Vec::new(),
+            targets: Cow::Borrowed(&[]),
         }
     }
 
@@ -387,118 +203,85 @@ impl WalkTable {
         self.table.get(handle)
     }
 
-    /// One more holder of `handle`: a staged entry.
-    pub(crate) fn hold(&mut self, handle: u32) {
-        *self.table.holders_of(handle) += 1;
-    }
-
-    /// One holder fewer of `handle`; the last one frees the payload, and
-    /// the walk keeps its room if the run reduces and a sum could take it.
-    fn release(&mut self, handle: u32) {
+    /// Lays the run's sums out for a walk of `compiled` in `order`, from
+    /// what `slots` hold: under the handle's plan if they hold what the
+    /// contract gives each rank, at one scale, else under a plan derived for
+    /// them. Nothing for a schedule that does not reduce.
+    pub(crate) fn plan(
+        &mut self,
+        compiled: &'a CompiledSchedule,
+        order: WalkOrder,
+        slots: &mut [u32],
+    ) {
+        if !compiled.reduces() {
+            return;
+        }
+        let plan = compiled.memory_plan(order);
         let table = &mut self.table;
-        match table.release(handle).filter(|_| self.keeps_room) {
-            Some(Some(block)) if block.len() > PACK_MAX_ELEMS => {
-                if let Ok(owned) = Arc::try_unwrap(block) {
-                    let holders = table.free_long;
-                    let at = table.push_long(Long {
-                        sum: owned.into(),
-                        holders,
-                    });
-                    table.free_long = at as u32;
-                }
-            }
-            Some(None) => self.spare_places.push(table.packed[handle as usize]),
-            _ => {}
+        let len = |h: u32| table.inputs[h as usize].len();
+        if let Some(unit) = table
+            .bounds
+            .is_none()
+            .then(|| plan.scale(slots, len))
+            .flatten()
+        {
+            let bounds = plan.bounds();
+            table.arena = arena_of(bounds[bounds.len() - 1] * unit);
+            (table.bounds, table.unit) = (Some(Arc::clone(bounds)), unit);
+            self.targets = Cow::Borrowed(plan.targets());
+            return;
         }
+        self.targets = Cow::Owned(self.replan(compiled, order, slots));
     }
 
-    /// Puts the `staged` handle into `slot`, letting go of what it held.
-    pub(crate) fn replace(&mut self, slot: &mut u32, staged: u32) {
-        let old = std::mem::replace(slot, staged);
-        if old != NOT_HELD {
-            self.release(old);
-        }
-    }
-
-    /// Sums payload `staged` into the payload `slot` holds, then lets go of
-    /// `staged`. Copy-on-write: in place if the slot is the payload's one
-    /// holder and no caller holds it too, else into a sum of the slot's own.
-    /// The caller has checked that the lengths agree.
-    pub(crate) fn reduce(&mut self, slot: &mut u32, staged: u32) {
-        let held = *slot;
-        let shared = *self.table.holders_of(held) > 1;
-        if shared || !self.table.add_in_place(held, staged) {
-            *slot = self.put_sum(held, staged, shared);
-        }
-        self.release(staged);
-    }
-
-    /// Writes `existing + value` once, into room of its own, as the payload
-    /// of a handle it returns, and lets go of `existing`, which other slots
-    /// hold too if it is `shared`. A short sum goes into the place the walk
-    /// kept last if it is of the sum's length, else at the last chunk's end.
-    fn put_sum(&mut self, existing: u32, value: u32, shared: bool) -> u32 {
+    /// Derives the plan of what `slots` hold, each held slot a caller's
+    /// payload of its own — a sum of an earlier run copied out — measured in
+    /// elements. Returns the plan's targets.
+    #[cold]
+    fn replan(
+        &mut self,
+        compiled: &CompiledSchedule,
+        order: WalkOrder,
+        slots: &mut [u32],
+    ) -> Vec<u32> {
         let table = &mut self.table;
-        let len = table.get(existing).len();
-        if len > PACK_MAX_ELEMS {
-            let handle = table.add_long(existing, value);
-            self.release(existing);
-            return handle;
+        let (mut entry, mut units, mut inputs) = (vec![NONE; slots.len()], Vec::new(), Vec::new());
+        for (slot, held) in slots
+            .iter_mut()
+            .zip(&mut entry)
+            .filter(|(h, _)| **h != NOT_HELD)
+        {
+            let h = std::mem::replace(slot, units.len() as u32);
+            *held = *slot;
+            units.push(table.get(h).len());
+            inputs.push(table.shared(h));
         }
-        let spare = self.spare_places.pop_if(|room| room.len as usize == len);
-        let place = spare.unwrap_or_else(|| table.append(len));
-        // `existing` then `+ value`: the operand order (and bits) of `sums`.
-        let (out, operand) = table.place_and_payload(place, existing);
-        out.copy_from_slice(operand);
-        let (out, operand) = table.place_and_payload(place, value);
-        add_assign(out, operand);
-        // A `Block` copied on write leaves the sum its handle.
-        let h = match shared {
-            true => {
-                *table.holders_of(existing) -= 1;
-                table.add(None)
+        let plan = MemoryPlan::derive(compiled, order, entry, units);
+        let bounds = plan.bounds();
+        table.arena = arena_of(bounds[bounds.len() - 1]);
+        (table.inputs, table.bounds, table.unit) = (inputs, Some(Arc::clone(bounds)), 1);
+        plan.targets().to_vec()
+    }
+
+    /// Sums payload `staged` into the payload `slot` holds, into the buffer
+    /// the plan gives payload entry `entry`: in place if that is the held
+    /// sum's own, into a new sum otherwise. The caller has checked that the
+    /// lengths agree.
+    pub(crate) fn reduce(&mut self, slot: &mut u32, staged: u32, entry: usize) {
+        let table = &mut self.table;
+        let sum = table.inputs.len() as u32 + self.targets[entry];
+        let out = table.range(sum);
+        if *slot == sum {
+            let (out, value, _) = table.operands(out, staged, staged);
+            add_assign(out, value);
+        } else {
+            // One pass over memory, in the operand order of `add_assign`.
+            let (out, held, value) = table.operands(out, *slot, staged);
+            for (out, sum) in out.iter_mut().zip(sums(held, value)) {
+                *out = sum;
             }
-            false => existing,
-        };
-        if table.packed.len() <= h as usize {
-            table.packed.resize(table.blocks.len(), Place::default());
         }
-        (table.blocks[h as usize], table.packed[h as usize]) = (None, place);
-        h
-    }
-}
-
-/// The sum of long handle `handle`. This and [`long_holders`] are out of
-/// line: inline, they made the walks of other payloads 3–5 % slower
-/// (reduce-scatter at p = 64 and 256 B, allgather at 1 MiB).
-#[cold]
-#[inline(never)]
-fn long_sum(long: &[Long], handle: u32) -> &[f64] {
-    &long[!handle as usize - 1].sum
-}
-
-/// How many slots and staged entries hold long handle `handle`.
-#[cold]
-#[inline(never)]
-fn long_holders(long: &mut [Long], handle: u32) -> &mut u32 {
-    &mut long[!handle as usize - 1].holders
-}
-
-/// The ranges `dst`, mutably, and `src` of `chunks`: two packed sums.
-fn disjoint(chunks: &mut [Vec<f64>], dst: Place, src: Place) -> (&mut [f64], &[f64]) {
-    let ((dc, dst), (sc, src)) = (dst.locate(), src.locate());
-    if dc != sc {
-        let [d, s] = chunks.get_disjoint_mut([dc, sc]).expect("two chunks");
-        return (&mut d[dst], &s[src]);
-    }
-    // One chunk: split it where the later of the two starts.
-    let chunk = &mut chunks[dc];
-    if dst.start < src.start {
-        let (lo, hi) = chunk.split_at_mut(src.start);
-        (&mut lo[dst], &hi[..src.len()])
-    } else {
-        let (lo, hi) = chunk.split_at_mut(dst.start);
-        (&mut hi[..dst.len()], &lo[src])
+        *slot = sum;
     }
 }
 
@@ -517,12 +300,8 @@ fn sums<'a>(existing: &'a [f64], value: &'a [f64]) -> impl Iterator<Item = f64> 
 }
 
 /// `existing[i] += value[i]`, copy-on-write, for a payload a store's map
-/// holds. The caller has checked that the lengths agree.
-///
-/// A payload nobody else holds is summed in place. A shared one is not
-/// cloned and then summed ([`Arc::make_mut`]): the sums are built straight
-/// into the new buffer — the same two allocations, the same operand order
-/// and so the same bits, one pass over memory fewer.
+/// holds: in place if nobody else holds it, else built straight into a new
+/// buffer. The caller has checked that the lengths agree.
 fn reduce_into(existing: &mut Block, value: &[f64]) {
     if let Some(owned) = Arc::get_mut(existing) {
         add_assign(owned, value);
@@ -548,23 +327,18 @@ fn reduce_into(existing: &mut Block, value: &[f64]) {
 /// rank — plus a map for the blocks the row has no slot for (what the rank
 /// holds and the schedule never moves, what a caller inserts later). Every
 /// method answers the same in both forms, and two stores are equal when
-/// they hold the same blocks with the same values, whichever form either is
-/// in. What differs is the cost: by-id access to a table-backed block goes
-/// through the key table (`BlockId` → interned index → slot),
-/// [`BlockStore::len`] and [`BlockStore::is_empty`] count the occupied
-/// slots of the row, and handing finals back to the handle that produced
-/// them ([`crate::compiled::to_dense`]) is free.
+/// they hold the same blocks with the same values. By-id access to a
+/// table-backed block goes through the key table, [`BlockStore::len`]
+/// counts the occupied slots of the row, and handing finals back to the
+/// handle that produced them ([`crate::compiled::to_dense`]) is free.
 ///
-/// The ranks of a run share its slot and payload table (an `Arc`, with the
-/// key table in it), so finals keep the whole run's payloads alive for as
-/// long as any of them is held, plus the interned ids and the slot table —
-/// nothing else of the handle, which may be dropped or evicted from a cache
-/// before them. A caller's payload stays the caller's [`Block`]; the sums
-/// the run computed are the table's. [`BlockStore::insert`] and
+/// The ranks of a run share its table (an `Arc`), so finals keep the whole
+/// run's payloads, the interned ids and the slot table alive while any of
+/// them is held — nothing else of the handle. [`BlockStore::insert`] and
 /// [`BlockStore::reduce`] never write the shared table: writing a block
 /// the row has a slot for first puts that one store in map form, a sum
-/// copied out into a `Block` of its own. [`BlockStore::deep_clone`] and
-/// [`BlockStore::into_blocks`] detach from the table.
+/// copied out. [`BlockStore::deep_clone`] and [`BlockStore::into_blocks`]
+/// detach from the table.
 #[derive(Clone, Default)]
 pub struct BlockStore {
     /// The blocks no slot of the row is for — all of them in map form.
@@ -626,21 +400,20 @@ fn run_table<'a>(
 /// Runs `walk` over the table of `states` — rank `r`'s at index `r`, put
 /// under `compiled`'s key table first if they are not one run's yet — moved
 /// out of its `Arc` for the walk to own, and puts it back when the walk
-/// returns or unwinds. The walk gets the slot table apart from the rest,
-/// so that a slot it writes is a `&mut u32` of its own: indexed through the
-/// `WalkTable`, beside the holder counts it writes, the slots made traced
+/// returns or unwinds. The walk gets the slot table apart from the rest:
+/// indexed through the `WalkTable`, the slots made traced
 /// `exec.run_dense_us` 2–10 % slower on `exec-move` and `serve-latency`.
-pub(crate) fn with_table<R>(
+pub(crate) fn with_table<'a, R>(
     states: &mut [BlockStore],
-    compiled: &CompiledSchedule,
-    walk: impl FnOnce(&mut WalkTable, &mut [u32]) -> R,
+    compiled: &'a CompiledSchedule,
+    walk: impl FnOnce(&mut WalkTable<'a>, &mut [u32]) -> R,
 ) -> R {
     let layout = compiled.slot_layout();
     rekey(states, layout);
     let Some((mut held, _)) = states.first_mut().and_then(|s| s.keyed.take()) else {
         // No ranks, no payloads.
         return walk(
-            &mut WalkTable::new(PayloadTable::new(layout, 0, 0), false),
+            &mut WalkTable::new(PayloadTable::new(layout, 0, 0)),
             &mut [],
         );
     };
@@ -651,10 +424,9 @@ pub(crate) fn with_table<R>(
     let table = Arc::get_mut(&mut held).expect("re-keying leaves the table to the run");
     let mut table = std::mem::replace(table, PayloadTable::new(layout, 0, 0));
     let slots = std::mem::take(&mut table.slots);
-    let walking = WalkTable::new(table, compiled.reduces());
     let mut detached = Detached {
         held,
-        walking,
+        walking: WalkTable::new(table),
         slots,
         states,
     };
@@ -663,24 +435,18 @@ pub(crate) fn with_table<R>(
 }
 
 /// A run's states while a walk owns their table: dropping it — on return or
-/// unwind — lets go of the freed long sums' buffers, puts the table, slots
-/// included, back into its `Arc`, and gives every state the table.
-struct Detached<'a> {
+/// unwind — puts the table, slots included, back into its `Arc`, and gives
+/// every state the table.
+struct Detached<'s, 'a> {
     held: Arc<PayloadTable>,
-    walking: WalkTable,
+    walking: WalkTable<'a>,
     slots: Box<[u32]>,
-    states: &'a mut [BlockStore],
+    states: &'s mut [BlockStore],
 }
 
-impl Drop for Detached<'_> {
+impl Drop for Detached<'_, '_> {
     fn drop(&mut self) {
         let held = Arc::get_mut(&mut self.held).expect("nothing holds the table during a walk");
-        let table = &mut self.walking.table;
-        let mut at = table.free_long;
-        while let Some(room) = table.long.get_mut(at as usize) {
-            room.sum = Box::default();
-            at = room.holders;
-        }
         self.walking.table.slots = std::mem::take(&mut self.slots);
         std::mem::swap(held, &mut self.walking.table);
         for (rank, state) in self.states.iter_mut().enumerate() {
@@ -716,7 +482,7 @@ impl BlockStore {
             found.map(|s| slot.set(s)).is_some()
         };
         for (_, payload) in self.blocks.extract_if(in_row) {
-            table.slots[slot.get()] = table.add(Some(payload));
+            table.slots[slot.get()] = table.add(payload);
         }
     }
 
@@ -861,183 +627,16 @@ impl std::fmt::Debug for BlockStore {
     }
 }
 
-/// A deterministic workload for one collective invocation: defines every
-/// rank's input data and the expected outputs.
-#[derive(Debug, Clone)]
-pub struct Workload {
-    /// Number of ranks.
-    pub num_ranks: usize,
-    /// Elements per block (`Segment`/`Pairwise` blocks have this many
-    /// elements; `Full` blocks have `num_ranks` times as many).
-    pub elems_per_block: usize,
-    /// The collective being executed.
-    pub collective: Collective,
-    /// The root rank for rooted collectives.
-    pub root: usize,
-    /// Per-rank counts for irregular (v-variant) schedules: segment `i`
-    /// holds `counts[i] * elems_per_block` elements, so zero-count segments
-    /// are genuinely empty vectors. `None` for regular workloads, where
-    /// every segment holds `elems_per_block` elements.
-    pub counts: Option<Counts>,
-}
-
-impl Workload {
-    /// Creates a workload description.
-    pub fn new(
-        num_ranks: usize,
-        elems_per_block: usize,
-        collective: Collective,
-        root: usize,
-    ) -> Self {
-        assert!(elems_per_block >= 1);
-        Self {
-            num_ranks,
-            elems_per_block,
-            collective,
-            root,
-            counts: None,
-        }
-    }
-
-    /// Creates the workload matching a schedule, inheriting the schedule's
-    /// irregular counts when present.
-    pub fn for_schedule(schedule: &Schedule, elems_per_block: usize) -> Self {
-        let mut w = Self::new(
-            schedule.num_ranks,
-            elems_per_block,
-            schedule.collective,
-            schedule.root,
-        );
-        w.counts = schedule.counts.clone();
-        w
-    }
-
-    /// Attaches irregular per-rank counts.
-    ///
-    /// # Panics
-    /// Panics if the counts do not cover exactly `num_ranks` ranks.
-    pub fn with_counts(mut self, counts: Counts) -> Self {
-        assert_eq!(counts.num_ranks(), self.num_ranks);
-        self.counts = Some(counts);
-        self
-    }
-
-    /// The endpoints of this invocation: who starts with which blocks and
-    /// who must end with which.
-    pub(crate) fn contract(&self) -> Contract<'_> {
-        Contract {
-            collective: self.collective,
-            num_ranks: self.num_ranks,
-            root: self.root,
-            counts: self.counts.as_ref(),
-        }
-    }
-
-    /// The element range segment `i` occupies in the logical vector (empty
-    /// for a zero-count segment of an irregular workload).
-    fn seg_range(&self, i: usize) -> std::ops::Range<usize> {
-        let (start, elems) = match &self.counts {
-            Some(c) => (c.per_rank()[..i].iter().sum(), c.count(i)),
-            None => (i as u64, 1),
-        };
-        let start = start as usize * self.elems_per_block;
-        start..start + elems as usize * self.elems_per_block
-    }
-
-    /// The deterministic contribution of `rank` for element `j` of the
-    /// logical vector (used by reduction collectives and broadcast).
-    pub fn contribution(&self, rank: usize, j: usize) -> f64 {
-        (rank as f64 + 1.0) * 0.5 + (j as f64) * 0.125 + ((rank * 31 + j * 7) % 13) as f64
-    }
-
-    /// Length of the logical vector: `p` blocks of `elems_per_block`, or the
-    /// counts-weighted total for irregular workloads.
-    pub fn vector_len(&self) -> usize {
-        match &self.counts {
-            Some(c) => c.total() as usize * self.elems_per_block,
-            None => self.num_ranks * self.elems_per_block,
-        }
-    }
-
-    /// The full input vector of `rank`.
-    pub fn full_vector(&self, rank: usize) -> Vec<f64> {
-        (0..self.vector_len())
-            .map(|j| self.contribution(rank, j))
-            .collect()
-    }
-
-    /// Segment `i` of the input vector of `rank`.
-    fn segment(&self, rank: usize, i: usize) -> Vec<f64> {
-        self.seg_range(i)
-            .map(|j| self.contribution(rank, j))
-            .collect()
-    }
-
-    /// The elementwise sum of all ranks' contributions for element `j`.
-    fn reduced(&self, j: usize) -> f64 {
-        (0..self.num_ranks).map(|r| self.contribution(r, j)).sum()
-    }
-
-    /// What `rank` contributes as `block`: its part of the logical vector,
-    /// or the alltoall block travelling from it (the block's origin).
-    fn value(&self, rank: usize, block: BlockId) -> Vec<f64> {
-        match block {
-            BlockId::Full => self.full_vector(rank),
-            BlockId::Segment(i) => self.segment(rank, i as usize),
-            BlockId::Pairwise { origin, dest } => (0..self.elems_per_block)
-                .map(|j| origin as f64 * 1000.0 + dest as f64 + j as f64 * 0.25)
-                .collect(),
-        }
-    }
-
-    /// What a finished `block` holds: its source's contribution, or the sum
-    /// of everybody's when the collective reduces.
-    pub(crate) fn expected(&self, block: BlockId) -> Vec<f64> {
-        if let Some(source) = self.contract().source(block) {
-            return self.value(source, block);
-        }
-        let elements = match block {
-            BlockId::Segment(i) => self.seg_range(i as usize),
-            _ => 0..self.vector_len(),
-        };
-        elements.map(|j| self.reduced(j)).collect()
-    }
-
-    /// Builds the initial per-rank block stores required by `schedule`: what
-    /// the collective's [`Contract`] says each rank starts with, at the
-    /// block granularities the schedule actually moves (a tree broadcast
-    /// uses `Full` blocks, a scatter+allgather broadcast `Segment` blocks).
-    pub fn initial_state(&self, schedule: &Schedule) -> Vec<BlockStore> {
-        initial_stores(&self.contract(), schedule.into(), |rank, block| {
-            self.value(rank, block)
-        })
-    }
-}
-
-/// One store per rank holding what `contract` says the rank starts with at
-/// `granularity`, each block filled by `value(rank, block)`.
-pub(crate) fn initial_stores(
-    contract: &Contract<'_>,
-    granularity: Granularity,
-    value: impl Fn(usize, BlockId) -> Vec<f64>,
-) -> Vec<BlockStore> {
-    (0..contract.num_ranks)
-        .map(|rank| {
-            let mut store = BlockStore::new();
-            for block in contract.initial(rank, granularity) {
-                store.insert(block, value(rank, block));
-            }
-            store
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::Workload;
     use bine_sched::collectives::{
-        allreduce, broadcast, gather, AllreduceAlg, BroadcastAlg, GatherAlg,
+        allreduce, broadcast, gather, reduce_scatter, AllreduceAlg, BroadcastAlg, GatherAlg,
+        ReduceScatterAlg,
     };
+    use bine_sched::Collective;
+    use bine_sched::NonContigStrategy;
 
     const SEG: fn(u32) -> BlockId = BlockId::Segment;
 
@@ -1074,201 +673,106 @@ mod tests {
         table.row(*rank)
     }
 
-    /// How many freed long sums `table` keeps, with their buffers.
-    fn free_long(table: &PayloadTable) -> usize {
-        let mut at = table.free_long;
-        let mut kept = 0;
-        while let Some(room) = table.long.get(at as usize) {
-            kept += usize::from(!room.sum.is_empty());
-            at = room.holders;
-        }
-        kept
-    }
-
-    /// Elements packed into `table`'s chunks so far.
-    fn filled(table: &PayloadTable) -> usize {
-        table.chunks.iter().map(Vec::len).sum()
-    }
-
     #[test]
     fn a_short_sum_is_packed_and_a_long_one_has_a_buffer_of_its_own() {
-        let (layout, _) = gather_table();
-        for (elems, packed) in [
-            (1, true),
-            (PACK_MAX_ELEMS, true),
-            (PACK_MAX_ELEMS + 1, false),
-        ] {
-            let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 2), true);
-            let caller: Block = Arc::new(vec![1.0; elems]);
-            let mut slot = table.table.add(Some(Block::clone(&caller)));
-            let staged = table.table.add(Some(Arc::new(vec![0.5; elems])));
-            // The caller holds the payload: the sum gets a place of its own.
-            table.reduce(&mut slot, staged);
-            assert_eq!(table.get(slot), vec![1.5; elems]);
-            assert_eq!(*caller, vec![1.0; elems], "copy-on-write");
-            assert_eq!(Arc::strong_count(&caller), 1, "the table let go");
-            let long = table.table.blocks.get(slot as usize).is_none();
-            assert_eq!(long, !packed, "{elems}");
-            // A long one's buffer, and the staged `Block` nobody else held
-            // became room for the next.
-            assert_eq!(table.table.long.len(), 2 * usize::from(long));
-            assert_eq!(filled(&table.table), if packed { elems } else { 0 });
-            // The run's own sum is summed where it is, packed or not.
-            let staged = table.table.add(Some(Arc::new(vec![0.25; elems])));
-            table.reduce(&mut slot, staged);
-            assert_eq!(table.get(slot), vec![1.75; elems]);
-            assert_eq!(filled(&table.table), if packed { elems } else { 0 });
-            // A sum another slot holds too is copied on write.
-            let shared = slot;
-            table.hold(shared);
-            let staged = table.table.add(Some(Arc::new(vec![0.25; elems])));
-            table.reduce(&mut slot, staged);
-            assert_ne!(slot, shared);
-            assert_eq!(table.get(shared), vec![1.75; elems]);
-            assert_eq!(table.get(slot), vec![2.0; elems]);
-            assert_eq!(table.table.shared(slot).as_slice(), table.get(slot));
+        // Short or long, every sum is a buffer of the run's one arena, laid
+        // out by the plan at the scale of the input; the caller's payloads
+        // are read, never written.
+        let sched = reduce_scatter(8, ReduceScatterAlg::Bine(NonContigStrategy::Permute));
+        let compiled = sched.compile();
+        for elems in [1, 256, 257, 2048] {
+            let w = Workload::for_schedule(&sched, elems);
+            let initial = w.initial_state(&sched);
+            let finals = crate::compiled::run(&compiled, initial.clone());
+            assert_eq!(initial, w.initial_state(&sched), "{elems}: the inputs");
+            let table = payload_table(&finals[0]);
+            let bounds = table.bounds.as_deref().expect("planned");
+            assert_eq!(table.unit, elems);
+            assert!(table.arena.len() >= bounds[bounds.len() - 1] * elems);
+            let arena = table.arena.as_ptr_range();
+            for (rank, store) in finals.iter().enumerate() {
+                let sum = store.get(&SEG(rank as u32)).expect("its segment");
+                assert!(arena.contains(&sum.as_ptr()), "{elems}: rank {rank}");
+                assert_eq!(sum.len(), elems);
+            }
         }
     }
 
     #[test]
     fn packed_sums_add_into_each_other_wherever_they_lie() {
-        // Two packed sums of one chunk, in either order, and of two chunks.
+        // Three two-element buffers of an arena, after one caller's payload.
         let (layout, _) = gather_table();
-        let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 0), true);
-        let caller: Block = Arc::new(vec![1.0; PACK_MAX_ELEMS]);
-        let mut sums = Vec::new();
-        let per_chunk = CHUNK_ELEMS / PACK_MAX_ELEMS;
-        for i in 0..per_chunk + 1 {
-            let mut slot = table.table.add(Some(Block::clone(&caller)));
-            let staged = table
-                .table
-                .add(Some(Arc::new(vec![i as f64; PACK_MAX_ELEMS])));
-            table.reduce(&mut slot, staged);
-            sums.push(slot);
-        }
-        assert_eq!(table.table.chunks.len(), 2);
-        let (first, second, other_chunk) = (sums[0], sums[1], sums[per_chunk]);
-        let value = |t: &WalkTable, h: u32| t.get(h)[0];
-        for (into, from) in [(first, second), (second, first), (first, other_chunk)] {
-            let (was, adds) = (value(&table, into), value(&table, from));
-            let mut slot = into;
-            table.hold(from);
-            table.reduce(&mut slot, from);
-            assert_eq!(slot, into, "summed in place");
-            assert_eq!(table.get(into), vec![was + adds; PACK_MAX_ELEMS]);
-            assert_eq!(value(&table, from), adds);
-        }
-        assert_eq!(table.table.chunks.len(), 2, "nothing was appended");
+        let mut table = PayloadTable::new(&layout, 0, 1);
+        let input = table.add(Arc::new(vec![1.0, 2.0]));
+        table.arena = vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0];
+        (table.bounds, table.unit) = (Some(Arc::from([0, 1, 2, 3])), 2);
+        let buffer = [input + 1, input + 2, input + 3];
+        // Payload entry `e` writes buffer `targets[e]`.
+        let targets = Cow::Owned(vec![2, 0, 1, 1]);
+        let mut walk = WalkTable { table, targets };
+        // In place, an earlier buffer into a later one and back.
+        let mut slot = buffer[2];
+        walk.reduce(&mut slot, buffer[0], 0);
+        assert_eq!((slot, walk.get(slot)), (buffer[2], &[60.0, 80.0][..]));
+        let mut slot = buffer[0];
+        walk.reduce(&mut slot, buffer[2], 1);
+        assert_eq!((slot, walk.get(slot)), (buffer[0], &[70.0, 100.0][..]));
+        // Into a buffer of its own: the caller's payload plus a sum, and a
+        // sum plus the caller's payload.
+        let mut slot = input;
+        walk.reduce(&mut slot, buffer[0], 2);
+        assert_eq!((slot, walk.get(slot)), (buffer[1], &[71.0, 102.0][..]));
+        let mut slot = buffer[2];
+        walk.reduce(&mut slot, input, 3);
+        assert_eq!((slot, walk.get(slot)), (buffer[1], &[61.0, 82.0][..]));
+        assert_eq!(walk.get(input), [1.0, 2.0], "the caller's payload");
+        assert_eq!(walk.get(buffer[2]), [60.0, 80.0]);
     }
 
     #[test]
     fn a_reducing_walk_writes_a_sum_into_the_room_a_freed_sum_left() {
-        let (layout, _) = gather_table();
-        for (elems, keeps_room) in [
-            (1, true),
-            (1, false),
-            (PACK_MAX_ELEMS + 1, true),
-            (PACK_MAX_ELEMS + 1, false),
-        ] {
-            let what = format!("{elems} elements, keeps room: {keeps_room}");
-            let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 4), keeps_room);
-            let caller: Block = Arc::new(vec![1.0; elems]);
-            // `caller + x` as a sum of the walk's, in a slot of its own; the
-            // caller holds `x` too.
-            let mut operands = Vec::new();
-            let mut sum_of = |table: &mut WalkTable, x: f64| {
-                let mut slot = table.table.add(Some(Block::clone(&caller)));
-                operands.push(Arc::new(vec![x; elems]));
-                let staged = table
-                    .table
-                    .add(Some(Arc::clone(&operands[operands.len() - 1])));
-                table.reduce(&mut slot, staged);
-                slot
-            };
-            let kept = |t: &WalkTable| t.spare_places.len() + free_long(&t.table);
-            // A copy replaces the sum: its room is freed, and kept — a long
-            // one's buffer stays with the freed sum either way.
-            let keeps_room = keeps_room || elems > PACK_MAX_ELEMS;
-            let mut slot = sum_of(&mut table, 0.5);
-            let room = table.get(slot).as_ptr();
-            let copy = table.table.add(Some(Block::clone(&caller)));
-            table.replace(&mut slot, copy);
-            assert_eq!(kept(&table), usize::from(keeps_room), "{what}");
-            let packed_before = filled(&table.table);
-            let next = sum_of(&mut table, 0.25);
-            assert_eq!(table.get(next), vec![1.25; elems], "{what}");
-            assert_eq!(kept(&table), 0, "{what}");
-            if keeps_room {
-                assert_eq!(table.get(next).as_ptr(), room, "{what}");
-                assert_eq!(filled(&table.table), packed_before, "{what}");
-            }
-            // What a caller takes of a sum is a copy: its room is kept.
-            let mut slot = next;
-            let outside = table.table.shared(slot);
-            let copy = table.table.add(Some(Block::clone(&caller)));
-            table.replace(&mut slot, copy);
-            assert_eq!(kept(&table), usize::from(keeps_room), "{what}");
-            let last = sum_of(&mut table, 2.0);
-            assert_eq!(table.get(last), vec![3.0; elems], "{what}");
-            assert_eq!(*outside, vec![1.25; elems], "{what}");
+        // Allreduce `bine-small` over 8 ranks: every step makes each rank a
+        // new sum and frees its last one, and the plan gives the freed
+        // buffers to the next sums: the arena holds a step's sums and the
+        // two copies made before the step's first sum is freed, not every
+        // step's.
+        let sched = allreduce(8, AllreduceAlg::BineSmall);
+        let compiled = sched.compile();
+        for elems in [1, 64] {
+            let w = Workload::for_schedule(&sched, elems);
+            let finals = crate::compiled::run(&compiled, w.initial_state(&sched));
+            let targets = compiled.memory_plan(WalkOrder::Steps).targets();
+            let made = targets.iter().filter(|&&t| t != NONE).count();
+            let bounds = payload_table(&finals[0])
+                .bounds
+                .as_deref()
+                .expect("planned");
+            assert_eq!(made, 8 * 3);
+            assert_eq!(bounds.len() - 1, 8 + 2, "{elems} elements");
+            let reference = crate::sequential::run_reference(&sched, w.initial_state(&sched));
+            assert_eq!(finals, reference);
         }
     }
 
     #[test]
-    fn a_long_block_nobody_else_holds_becomes_room_for_a_sum() {
-        let (layout, _) = gather_table();
-        let elems = PACK_MAX_ELEMS + 1;
-        let mut table = WalkTable::new(PayloadTable::new(&layout, 0, 4), true);
-        let (caller, owned) = (Arc::new(vec![1.0; elems]), vec![2.0; elems]);
-        let buffer = owned.as_ptr();
-        // A caller's `Block` someone else holds too is not kept when freed.
-        let mut slot = table.table.add(Some(Block::clone(&caller)));
-        let own = table.table.add(Some(Arc::new(owned)));
-        table.replace(&mut slot, own);
-        assert_eq!(free_long(&table.table), 0);
-        // One nobody else holds is, and the next sum of its length is
-        // written into it.
-        let copy = table.table.add(Some(Block::clone(&caller)));
-        table.replace(&mut slot, copy);
-        assert_eq!(free_long(&table.table), 1);
-        let staged = table.table.add(Some(Block::clone(&caller)));
-        table.reduce(&mut slot, staged);
-        assert_eq!(table.get(slot), vec![2.0; elems]);
-        assert_eq!(table.get(slot).as_ptr(), buffer);
-    }
-
-    /// The long sums of `finals`' table that hold something, and those it
-    /// keeps in all.
-    fn long_sums(finals: &[BlockStore]) -> (usize, usize) {
-        let long = &payload_table(&finals[0]).long;
-        (
-            long.iter().filter(|l| !l.sum.is_empty()).count(),
-            long.len(),
-        )
-    }
-
-    #[test]
     fn a_walk_lets_go_of_the_long_room_it_kept_and_the_next_walk_takes_its_place() {
-        // Allreduce `bine-small` over 512-element `Full` blocks nobody else
-        // holds: each step frees sums, and the last leaves room unused.
+        // Allreduce `bine-small` finals fed back in four times: each run
+        // takes the held sums as its inputs, plans afresh for them and lets
+        // go of the last arena, so the arena does not grow.
         let sched = allreduce(8, AllreduceAlg::BineSmall);
         let compiled = sched.compile();
         let w = Workload::for_schedule(&sched, 64);
         let mut finals = crate::compiled::run(&compiled, w.initial_state(&sched));
         let expected = w.expected(BlockId::Full);
-        let (held, listed) = long_sums(&finals);
-        let ranks: usize = finals.iter().map(BlockStore::len).sum();
-        assert!(
-            held <= ranks && held < listed,
-            "{held} held, {listed} listed"
-        );
-        // Running the finals again frees them: the list does not grow.
-        for _ in 0..4 {
+        let arena = |finals: &[BlockStore]| payload_table(&finals[0]).arena.len();
+        finals = crate::compiled::run(&compiled, finals);
+        let fed = arena(&finals);
+        for _ in 0..3 {
             finals = crate::compiled::run(&compiled, finals);
-            assert!(long_sums(&finals).1 <= listed);
+            assert_eq!(arena(&finals), fed);
+            assert_eq!(payload_table(&finals[0]).inputs.len(), 8);
         }
-        let sum = finals[3].get(&BlockId::Full).unwrap();
-        let scale = 8_f64.powi(4);
+        let (sum, scale) = (finals[3].get(&BlockId::Full).unwrap(), 8_f64.powi(4));
         for (got, want) in sum.iter().zip(&expected) {
             assert!((got - want * scale).abs() <= 1e-9 * want * scale);
         }
@@ -1380,12 +884,7 @@ mod tests {
         // table.
         assert_eq!(*before, vec![5.0; 2]);
         assert_eq!(table.slots, slots, "the slots are unwritten");
-        let mut kept: Vec<_> = table
-            .blocks
-            .iter()
-            .flatten()
-            .map(|b| b.as_slice())
-            .collect();
+        let mut kept: Vec<_> = table.inputs.iter().map(|b| b.as_slice()).collect();
         kept.sort_by(|a, b| a[0].total_cmp(&b[0]));
         assert_eq!(
             kept,

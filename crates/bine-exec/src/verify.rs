@@ -9,7 +9,8 @@
 
 use bine_sched::{BlockId, BlockMap};
 
-use crate::state::{BlockStore, Workload};
+use crate::state::BlockStore;
+use crate::workload::Workload;
 
 /// Maximum tolerated absolute error. Inputs are small integers plus simple
 /// fractions, so reductions are exact in f64; any deviation is a real bug.

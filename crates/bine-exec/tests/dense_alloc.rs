@@ -5,9 +5,9 @@
 //! dense form — and entering it again with the finals — allocates nothing,
 //! the pool adds nothing to the step kernel, a run stages in one
 //! allocation, the block walk of a large reduction allocates what the step
-//! walk does, neither stages an identity move, a short sum costs no
-//! allocation of its own and a long one its buffer alone, and a reduction
-//! writes its sum into the room a freed sum left. Measured with a
+//! walk does, neither stages an identity move, a warm reducing run
+//! allocates one arena for all its sums, and the plan writes a sum into
+//! the room a freed sum left. Measured with a
 //! per-thread counting wrapper around the system allocator (tests are their
 //! own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still holds for
 //! the library itself).
@@ -56,10 +56,10 @@ fn to_dense_allocates_for_touched_blocks_not_interned_ones() {
 fn to_dense_of_map_form_input_allocates_per_run_not_per_rank() {
     // Re-keying looks each block up in the interner's tables and moves it
     // into the run's table: per run its `Arc`, its one slot table for every
-    // rank and its two payload buffers; nothing per rank, nothing per block
-    // — what a rank holds but never moves stays in its map, in place. Each
-    // buffer is sized exactly: 4 B per slot, 12 B per payload (its
-    // `Option<Block>` and holder count), and the `Arc` the same every time.
+    // rank and its list of the caller's payloads; nothing per rank, nothing
+    // per block — what a rank holds but never moves stays in its map, in
+    // place. Each buffer is sized exactly: 4 B per slot, 8 B per payload
+    // (its `Block`), and the `Arc` the same every time.
     let mut arcs = Vec::new();
     for p in [16, 64, 256] {
         for sched in [
@@ -81,7 +81,7 @@ fn to_dense_of_map_form_input_allocates_per_run_not_per_rank() {
                 "{what}: to_dense allocated {allocated} times"
             );
             let slots = handle.slot_layout().num_slots();
-            let arc = bytes.checked_sub(4 * slots as u64 + 12 * holdings as u64);
+            let arc = bytes.checked_sub(4 * slots as u64 + 8 * holdings as u64);
             arcs.push(arc.unwrap_or_else(|| panic!("{what}: {bytes} B")));
         }
     }
@@ -278,19 +278,24 @@ fn the_block_walk_allocates_no_more_than_the_step_walk() {
 fn one_element_sums_allocate_per_chunk_not_per_sum() {
     // Reduce-scatter `bine-permute` at p = 256, 1 element per block, over
     // inputs the caller still holds: the first reduction into each of the
-    // p² blocks copies on write, and a sum that short is packed into the
-    // run's payload table — an allocation per chunk of sums, not two heap
-    // objects per sum.
+    // p² blocks copies on write, and every sum is a buffer of the run's one
+    // arena — one allocation for all of them (while short sums were packed
+    // into 32 KiB chunks, one per chunk: 17 measured).
     let p = 256;
     let sched = reduce_scatter(p, ReduceScatterAlg::Bine(NonContigStrategy::Permute));
     let handle = sched.compile();
     handle.slot_layout();
+    run_dense_cost(&sched, &handle, 1);
     let (allocations, _) = run_dense_cost(&sched, &handle, 1);
     assert!(
-        allocations < p as u64,
+        allocations <= WARM_RUN_ALLOCATIONS,
         "run_dense allocated {allocations} times"
     );
 }
+
+/// What a warm run of a reducing schedule allocates at any p and any number
+/// of sums: the arena its plan lays every sum out in, and its staging.
+const WARM_RUN_ALLOCATIONS: u64 = 2;
 
 /// [`run_dense_cost`] of a warm handle: the block order, if the run walks
 /// block by block, is derived by a run before the measured one.
@@ -313,18 +318,21 @@ fn recursive_doubling_writes_its_sums_into_freed_room() {
     // block, so the block walk `run_dense` takes is the step walk's order).
     // The first step writes p new sums: both partners of a pair sum into an
     // input the caller holds. From the second on, the first partner of a
-    // pair to apply copies on write and the second frees the sum it sent,
-    // so a later copy takes a freed sum's room once the frees catch up: at
-    // most a quarter of p more sums (11 measured). Without reuse every copy
-    // of the five later steps was new: 64 + 5 · 32 = 224 sums, 451
+    // pair to apply copies on write and the second sums in place, freeing
+    // the sum it sent, so a later copy takes a freed sum's buffer once the
+    // frees catch up: the plan lays out at most a quarter of p more sums
+    // than p (64 + 11 measured). Without reuse every
+    // copy of the five later steps was new: 64 + 5 · 32 = 224 sums, 451
     // allocations and 3 680 768 B.
     let (p, elems) = (64, 2048);
     let sums = (p + p / 4) as u64;
     let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineSmall, p, elems / p);
-    // One buffer per sum (82 allocations measured; two heap objects per sum,
-    // 156, while a long sum was an `Arc<Vec<f64>>`), and the staging and
-    // the list of long sums.
-    assert!(allocations <= sums + 16, "{allocations} allocations");
+    // One arena (82 allocations while a long sum was a buffer of its own,
+    // 156 while it was an `Arc<Vec<f64>>`), and the staging.
+    assert!(
+        allocations <= WARM_RUN_ALLOCATIONS,
+        "{allocations} allocations"
+    );
     assert!(bytes <= sums * block_bytes(elems) + 8192, "{bytes} B");
 }
 
@@ -340,9 +348,12 @@ fn the_block_walk_writes_each_blocks_sums_into_the_last_blocks_room() {
     let p = 64;
     let sums = (p / 2 + p - 1) as u64;
     let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineLarge, p, 1024);
-    // One buffer per sum (102 allocations measured; 195 while a long sum was
-    // an `Arc<Vec<f64>>`), and the staging and the list of long sums.
-    assert!(allocations <= sums + 16, "{allocations} allocations");
+    // One arena (102 allocations while a long sum was a buffer of its own,
+    // 195 while it was an `Arc<Vec<f64>>`), and the staging.
+    assert!(
+        allocations <= WARM_RUN_ALLOCATIONS,
+        "{allocations} allocations"
+    );
     assert!(bytes <= sums * block_bytes(1024) + 8192, "{bytes} B");
 }
 
@@ -351,9 +362,10 @@ fn a_long_sum_is_one_allocation_even_when_no_room_is_freed() {
     // Reduce-scatter `swing` at p = 16 over 8192-element blocks the caller
     // still holds: every first reduction into a block copies on write, and
     // a sender keeps its partial sum, so no room comes back before the last
-    // sum is made and every sum is new. Each costs its buffer: 124 sums (the
-    // finals keep 123 of them), 131 allocations measured; 250 while a long
-    // sum was an `Arc<Vec<f64>>`.
+    // sum is made and every sum is new: 124 of them (the finals keep 123).
+    // They share one allocation, the arena, sized for exactly them (131
+    // allocations while each was a buffer of its own, 250 while each was an
+    // `Arc<Vec<f64>>`).
     let (p, elems) = (16, 8192);
     let sched = reduce_scatter(p, ReduceScatterAlg::Swing);
     let handle = sched.compile();
@@ -373,9 +385,8 @@ fn a_long_sum_is_one_allocation_even_when_no_room_is_freed() {
     };
     let sums = payloads(&dense).difference(&payloads(&input)).count() as u64;
     assert!(sums >= (p * p / 4) as u64, "{sums} sums");
-    // The staging and the list of long sums, which doubles as it grows.
     assert!(
-        allocations <= sums + 16,
+        allocations <= WARM_RUN_ALLOCATIONS,
         "{allocations} allocations, {sums} sums"
     );
     assert!(bytes <= (sums + 1) * block_bytes(elems) + 8192, "{bytes} B");
@@ -383,19 +394,44 @@ fn a_long_sum_is_one_allocation_even_when_no_room_is_freed() {
 
 #[test]
 fn packed_sums_are_written_into_freed_places() {
-    // Allreduce `bine-small` at p = 256 and one element per rank: 256-element
-    // `Full` sums, each packed, 16 to a 32 KiB chunk. As at p = 64, the
-    // first step writes p sums (16 chunks) and the later steps at most a
-    // quarter of p more (48 measured, 3 chunks). Without reuse every copy of
-    // the seven later steps took a new place: 256 + 7 · 128 = 1152 sums in
-    // 72 chunks, 89 allocations and 2 379 688 B.
+    // Allreduce `bine-small` at p = 256 and one element per rank:
+    // 256-element `Full` sums packed side by side into the run's arena. As
+    // at p = 64, the first step writes p sums and the later steps take the
+    // places the earlier ones freed (256 + 43 measured). Without reuse
+    // every copy of the seven later steps took a new place: 256 + 7 · 128 =
+    // 1152 sums, 89 allocations and 2 379 688 B; in 32 KiB chunks with
+    // reuse, 21 chunks.
     let p = 256;
     let chunks = ((p + p / 4) / 16) as u64;
     let chunk_bytes = 32 * 1024;
     let (allocations, bytes) = warm_run_dense_cost(AllreduceAlg::BineSmall, p, 1);
-    // A chunk each, and the handle, place, staging and spare lists.
-    assert!(allocations <= chunks + 24, "{allocations} allocations");
+    assert!(
+        allocations <= WARM_RUN_ALLOCATIONS,
+        "{allocations} allocations"
+    );
     assert!(bytes <= (chunks + 1) * chunk_bytes, "{bytes} B");
+}
+
+#[test]
+fn finals_fed_back_request_the_same_bytes_every_time() {
+    // Allreduce `bine-small` at p = 16 over 1-element blocks, its finals
+    // fed back again and again: each run starts from what the last left —
+    // every rank one sum nobody else holds — so each asks for what the last
+    // asked for, and the finals keep one arena of the last run's sums.
+    // While short sums were packed into chunks that a later run appended
+    // to, the finals kept 96 more packed elements each time (240, 336, …),
+    // and the 42nd run allocated a second chunk (32 928 B more).
+    let sched = allreduce(16, AllreduceAlg::BineSmall);
+    let handle = sched.compile();
+    let mut finals = Workload::for_schedule(&sched, 1).initial_state(&sched);
+    let mut requested = Vec::new();
+    for _ in 0..48 {
+        let (bytes, next) = bytes_requested(|| compiled::run(&handle, finals));
+        requested.push(bytes);
+        finals = next;
+    }
+    let fed_back = &requested[1..];
+    assert!(fed_back.iter().all(|&b| b == fed_back[0]), "{requested:?}");
 }
 
 /// A reduce-scatter of the `permute` strategy's local pass alone — every rank

@@ -7,13 +7,13 @@
 //! a dead rank's state comes back as it went in, in either form. The ranks
 //! of a run share one payload table: neither a caller's write to one rank's
 //! finals nor a later run may show through another rank's or a clone's —
-//! whether a final is a caller's payload, a sum packed into the table, a sum
-//! too long to pack, or a sum written into the room a freed one left.
+//! whether a final is a caller's payload, a sum in the run's arena, or a
+//! sum written into the room a freed one left.
 
 use std::sync::Arc;
 
-use bine_exec::state::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, ExecutorPool};
+use bine_exec::{BlockStore, Workload};
 use bine_sched::collectives::{
     allgather, allreduce, alltoall, broadcast, gather, reduce_scatter, AllgatherAlg, AllreduceAlg,
     AlltoallAlg, BroadcastAlg, GatherAlg, ReduceScatterAlg,
@@ -31,9 +31,9 @@ fn map_form(stores: &[BlockStore]) -> Vec<BlockStore> {
     stores.iter().map(BlockStore::deep_clone).collect()
 }
 
-/// The longest sum a run packs into its payload table (`PACK_MAX_ELEMS` in
-/// `state.rs`), and one element more: a buffer of its own.
-const AT_AND_ABOVE_PACKING: [usize; 2] = [256, 257];
+/// Two sum lengths one element apart, kept from when sums up to 256
+/// elements were stored apart from longer ones.
+const SUM_LENGTHS: [usize; 2] = [256, 257];
 
 /// Reducing schedules, the first two chainable: their finals are valid
 /// inputs of the same schedule.
@@ -188,9 +188,8 @@ fn finals_fed_back_while_a_clone_is_held_leave_the_clone_as_it_was() {
     }
 }
 
-/// Sum lengths either side of packing and of the block walk: 1 element
-/// (packed, step walk), 300 (a `Block`, step walk) and 2048 (a `Block`,
-/// block walk).
+/// Sum lengths on either side of the block walk: 1 and 300 elements (step
+/// walk) and 2048 (block walk).
 const SUM_ELEMS: [usize; 3] = [1, 300, 2048];
 
 /// The largest input, in elements over all ranks, the reference interpreter
@@ -223,7 +222,7 @@ fn holds_its_inputs(initial: &[BlockStore], finals: &[BlockStore]) -> bool {
 #[test]
 fn a_sum_written_into_freed_room_never_shows_through_a_held_payload() {
     // A reducing run writes a sum into the room of a sum it freed. Every
-    // reducing request of the walk, at sums packed or not, walked step by
+    // reducing request of the walk, at short and long sums, walked step by
     // step or block by block: the caller's inputs keep every bit, the
     // finals are the reference's, and finals fed back in while the caller
     // holds a clone of them leave the clone as it was. The `+seg` variants
@@ -423,7 +422,7 @@ fn a_dead_ranks_state_comes_back_untouched_in_either_form() {
 fn sums_read_the_same_packed_or_not() {
     for sched in reducing() {
         let handle = Arc::new(sched.compile());
-        for elems in AT_AND_ABOVE_PACKING {
+        for elems in SUM_LENGTHS {
             let what = format!("{} at {elems} elements", sched.algorithm);
             let (finals, initial, reference) = sums_of(&sched, &handle, elems);
             assert!(finals == reference, "{what}");
@@ -454,7 +453,7 @@ fn sums_read_the_same_packed_or_not() {
 fn a_write_to_one_ranks_sums_leaves_the_others_and_any_clone_untouched() {
     for sched in reducing() {
         let handle = Arc::new(sched.compile());
-        for elems in AT_AND_ABOVE_PACKING {
+        for elems in SUM_LENGTHS {
             let what = format!("{} at {elems} elements", sched.algorithm);
             let (mut finals, _, reference) = sums_of(&sched, &handle, elems);
             let (clone, before) = (finals.clone(), map_form(&finals));
@@ -483,7 +482,7 @@ fn a_write_to_one_ranks_sums_leaves_the_others_and_any_clone_untouched() {
 fn sums_fed_back_while_a_clone_is_held_leave_the_clone_as_it_was() {
     for sched in reducing().into_iter().take(2) {
         let handle = Arc::new(sched.compile());
-        for elems in AT_AND_ABOVE_PACKING {
+        for elems in SUM_LENGTHS {
             let what = format!("{} at {elems} elements", sched.algorithm);
             let (first, _, _) = sums_of(&sched, &handle, elems);
             let (kept, before) = (first.clone(), map_form(&first));

@@ -7,7 +7,7 @@ mod walk;
 
 use std::sync::Arc;
 
-use bine_exec::state::{BlockStore, Workload};
+use bine_exec::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, verify, ExecutorPool};
 use bine_sched::catalog::Source;
 use bine_sched::{build, Collective, ProviderSet, Request, Schedule};

@@ -41,13 +41,16 @@
 //! that the states, and the finals a caller keeps, share with the handle.
 //! The same laziness holds for the [`BlockMajor`] order of the payload
 //! entries ([`CompiledSchedule::block_major`]): derived by the first
-//! execution that walks block by block, and by nothing else.
+//! execution that walks block by block, and by nothing else; and for the
+//! [`MemoryPlan`] of each walk order ([`CompiledSchedule::memory_plan`]),
+//! derived by the first reducing execution that takes it.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::catalog::tuned_name;
+use crate::plan::{MemoryPlan, WalkOrder};
 use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
 use crate::segment::{num_substeps, parts, ChunkPlan};
 
@@ -315,11 +318,14 @@ pub struct SlotLayout {
 /// index the table directly — and the size of a run's staging buffer
 /// ([`CompiledSchedule::max_staged`]).
 #[derive(Debug, Clone)]
-struct Slots {
+pub(crate) struct Slots {
     layout: Arc<SlotLayout>,
-    src: Vec<u32>,
-    dst: Vec<u32>,
+    pub(crate) src: Vec<u32>,
+    pub(crate) dst: Vec<u32>,
     max_staged: usize,
+    /// Per [`WalkOrder`], see [`CompiledSchedule::memory_plan`]: here, not
+    /// in the handle, so that a handle never executed is no larger for it.
+    plans: [OnceLock<Box<MemoryPlan>>; 2],
 }
 
 impl Slots {
@@ -389,6 +395,7 @@ impl Slots {
             src: src_slots,
             dst: dst_slots,
             max_staged: (0..steps).map(staged).max().unwrap_or(0),
+            plans: Default::default(),
         }
     }
 }
@@ -693,7 +700,7 @@ impl CompiledSchedule {
         self.identity
     }
 
-    fn slots(&self) -> &Slots {
+    pub(crate) fn slots(&self) -> &Slots {
         self.slots.get_or_init(|| Box::new(Slots::derive(self)))
     }
 
@@ -755,6 +762,14 @@ impl CompiledSchedule {
             .get_or_init(|| Box::new(BlockMajor::derive(self)))
     }
 
+    /// Where a run in `order` from the contract's entry keeps every sum (see
+    /// [`crate::plan`]). Derived on the first call for each order and kept,
+    /// like [`CompiledSchedule::block_major`].
+    pub fn memory_plan(&self, order: WalkOrder) -> &MemoryPlan {
+        let plan = &self.slots().plans[order as usize];
+        plan.get_or_init(|| Box::new(MemoryPlan::of_contract(self, order)))
+    }
+
     /// Whether any send reduces into its receiver's block
     /// ([`TransferKind::Reduce`]); a schedule without one only moves payloads.
     pub fn reduces(&self) -> bool {
@@ -793,6 +808,11 @@ impl CompiledSchedule {
         blocks
             .map(|&b| self.block_bytes(self.blocks.resolve(b), n))
             .sum()
+    }
+
+    /// Number of payload entries: the blocks of all sends together.
+    pub fn num_payloads(&self) -> usize {
+        self.block_indices.len()
     }
 
     /// Number of distinct blocks referenced anywhere in the schedule.

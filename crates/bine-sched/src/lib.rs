@@ -37,6 +37,7 @@ pub mod compile;
 pub mod contract;
 pub mod deps;
 pub mod noncontig;
+pub mod plan;
 pub mod provider;
 pub mod schedule;
 pub mod segment;
@@ -55,6 +56,7 @@ pub use compile::{
 pub use contract::{Contract, Granularity};
 pub use deps::DepGraph;
 pub use noncontig::NonContigStrategy;
+pub use plan::{MemoryPlan, WalkOrder};
 pub use provider::{ProviderSet, ViewSource};
 pub use schedule::{
     BlockHasher, BlockId, BlockMap, Collective, Counts, MessageRef, Schedule, Step, TransferKind,

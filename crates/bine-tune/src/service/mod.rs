@@ -716,7 +716,7 @@ mod tests {
 
     #[test]
     fn execute_runs_the_tuned_pick_end_to_end() {
-        use bine_exec::state::Workload;
+        use bine_exec::Workload;
         use bine_sched::build;
 
         let t = table("Testbox");
@@ -739,7 +739,7 @@ mod tests {
     }
     #[test]
     fn finals_outlive_the_handle_the_cache_evicts() {
-        use bine_exec::state::{BlockStore, Workload};
+        use bine_exec::{BlockStore, Workload};
         use bine_sched::{build, BlockId};
 
         // One line in the whole cache: the next pick evicts the handle the

@@ -249,14 +249,14 @@ fn one_stall_analysis() {
     assert_eq!(only(&built, "crates/bine-exec/src/pool.rs"), 1);
 }
 
-/// A sum is stored where `state::PayloadTable` puts it — packed into the
-/// run's chunks, or a buffer of its own in the table if it is long — so the
-/// walks and the pool never allocate a payload: no `Arc::new(`, `.to_vec()`
-/// or `Vec<f64>` in their shipped code. A sum is never a caller's `Block`:
-/// `WalkTable` keeps one list of spare room, not a second one of `Block`s,
-/// and `put_sum` builds no `Arc`.
+/// Where a run keeps its sums is decided once per handle, walk order and
+/// entry, by `MemoryPlan::derive` — the one constructor of a `MemoryPlan` —
+/// and a run lays them out in one arena: state.rs keeps no holder count,
+/// free list or packing at run time, and the walks and the pool never
+/// allocate a payload (no `Arc::new(`, `.to_vec()` or `Vec<f64>` in their
+/// shipped code).
 #[test]
-fn one_place_a_sum_is_stored() {
+fn one_memory_plan() {
     let walks = [
         "crates/bine-exec/src/compiled.rs",
         "crates/bine-exec/src/pool.rs",
@@ -266,14 +266,43 @@ fn one_place_a_sum_is_stored() {
         &["Arc::new(", ".to_vec()", "Vec<f64>"],
         shipped,
     ));
-    let state = "crates/bine-exec/src/state.rs";
-    none(&[state], &["spare_blocks"]);
-    let walk_table = body(state, "pub(crate) struct WalkTable {");
-    assert_eq!(
-        lines_with(&walk_table, &["Vec<"]),
-        ["spare_places: Vec<Place>,"]
+    let state = ["crates/bine-exec/src/state.rs"];
+    let allocator = [
+        "holder",
+        "free_",
+        "Place",
+        "Long",
+        "PACK_MAX_ELEMS",
+        "CHUNK_ELEMS",
+    ];
+    clean(&grep(&state, &allocator, shipped));
+    let plan = "crates/bine-sched/src/plan.rs";
+    // The contract's plan and a run's own plan, both by `derive`.
+    let derived = grep(
+        &["crates"],
+        &["MemoryPlan::derive(", "Self::derive("],
+        shipped,
     );
-    clean(&lines_with(&body(state, "    fn put_sum("), &["Arc"]));
+    let derived: Vec<_> = derived
+        .iter()
+        .map(|(f, l)| (f.as_str(), l.as_str()))
+        .collect();
+    assert_eq!(
+        derived,
+        [
+            (
+                "crates/bine-exec/src/state.rs",
+                "let plan = MemoryPlan::derive(compiled, order, entry, units);"
+            ),
+            (plan, "Self::derive(compiled, order, entry, units)"),
+        ]
+    );
+    // And nothing else builds one.
+    let derive = body(plan, "    pub fn derive(");
+    let plan_text = shipped(plan);
+    let literal = |text: &str| lines_with(text, &["Self {"]).contains(&"Self {");
+    let literals = lines_with(&plan_text, &["Self {"]);
+    assert!(literal(&derive) && literals.iter().filter(|l| **l == "Self {").count() == 1);
 }
 
 /// Both walks skip a rank's copy onto itself by

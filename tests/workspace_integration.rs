@@ -5,7 +5,7 @@
 use bine_bench::runner::{compare_vs_binomial, Evaluator};
 use bine_bench::systems::System;
 use bine_exec::comm::Cluster;
-use bine_exec::state::Workload;
+use bine_exec::Workload;
 use bine_exec::{sequential, verify};
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
