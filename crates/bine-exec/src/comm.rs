@@ -38,8 +38,8 @@ pub struct Cluster {
     num_ranks: usize,
 }
 
-/// What one collective call left on every rank, and the schedule whose
-/// contract says which of those blocks are the result.
+/// What one collective call left on every rank — the blocks its contract
+/// keeps — and the schedule whose contract orders them into the result.
 struct Finals {
     compiled: Arc<CompiledSchedule>,
     stores: Vec<BlockStore>,

@@ -35,7 +35,9 @@
 //! they stage at a time (`max_staged`); both deliver through the same
 //! `receive` and so the same payload-table reduction, and every
 //! `(rank, block)` slot sees the same writes in the same order: the finals
-//! agree bit for bit. Neither
+//! agree bit for bit. Both end where the contract does: once a walk has
+//! run, a slot that dies ([`SlotLayout::dies`](bine_sched::SlotLayout::dies))
+//! holds nothing, so a rank's finals are the blocks it keeps. Neither
 //! moves the payloads of an identity move — a rank's copy onto itself as its
 //! only receive of the step, the `permute` strategy's local pass — which
 //! would put each back where it came from; both only check they are held.
@@ -343,13 +345,16 @@ pub fn run(compiled: &CompiledSchedule, initial: Vec<BlockStore>) -> Vec<BlockSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::ExecutorPool;
     use crate::sequential;
     use crate::workload::Workload;
     use bine_sched::collectives::{
         allgather, allreduce, alltoall, broadcast, reduce_scatter, AllgatherAlg, AllreduceAlg,
         AlltoallAlg, BroadcastAlg, ReduceScatterAlg,
     };
-    use bine_sched::{BlockId, Collective, NonContigStrategy, Schedule, Step};
+    use bine_sched::{BlockId, Collective, Contract, NonContigStrategy, Schedule, Step};
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     /// A walk of the run's table.
     type Walk = for<'a> fn(&'a CompiledSchedule, &mut WalkTable<'a>, &mut [u32]);
@@ -420,6 +425,74 @@ mod tests {
             let fast = run(&compiled, w.initial_state(&sched));
             let reference = sequential::run_reference(&sched, w.initial_state(&sched));
             assert_eq!(fast, reference, "{}", request.label());
+            ran += 1;
+        }
+        assert!(ran > 900, "only {ran} schedules ran");
+    }
+
+    /// The block ids every rank of a run of `sched` from `initial` ends
+    /// with under the contract, replayed over ids alone: what it held or
+    /// received, less what it sent or received that
+    /// [`Contract::keeps`](bine_sched::Contract::keeps) does not name.
+    fn contract_finals(sched: &Schedule, initial: &[BlockStore]) -> Vec<BTreeSet<BlockId>> {
+        let contract = Contract::from(sched);
+        let mut held: Vec<BTreeSet<BlockId>> = initial.iter().map(ids).collect();
+        let mut moved = vec![BTreeSet::new(); sched.num_ranks];
+        for (_, m) in sched.messages() {
+            for &block in m.blocks {
+                held[m.dst].insert(block);
+                moved[m.src].insert(block);
+                moved[m.dst].insert(block);
+            }
+        }
+        for (rank, held) in held.iter_mut().enumerate() {
+            held.retain(|&block| !moved[rank].contains(&block) || contract.keeps(rank, block));
+        }
+        held
+    }
+
+    fn ids(store: &BlockStore) -> BTreeSet<BlockId> {
+        store.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn finals_are_the_contract() {
+        // Every executor ends a run with the blocks the contract keeps of
+        // those a rank moved, and every block it never moved — here one the
+        // schedule never names — and nothing else: no partial sum, no
+        // forwarded block.
+        let untouched = BlockId::Segment(4096);
+        let mut ran = 0;
+        for request in bine_sched::walk(&[1, 2, 3, 16]) {
+            let Some(sched) = request.build() else {
+                continue;
+            };
+            let compiled = Arc::new(sched.compile());
+            let mut initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
+            initial[0].insert(untouched, vec![4.0]);
+            let expected = contract_finals(&sched, &initial);
+            let reference = sequential::run_reference(&sched, initial.clone());
+            let mut by_step = to_dense(&compiled, initial.clone());
+            let mut by_block = to_dense(&compiled, initial.clone());
+            walked(&compiled, &mut by_step, run_steps);
+            walked(&compiled, &mut by_block, run_blocks);
+            let finals = [
+                ("the step walk", by_step),
+                ("the block walk", by_block),
+                (
+                    "the pool",
+                    ExecutorPool::global().run(&compiled, initial.clone()),
+                ),
+                ("the interpreter", sequential::run(&sched, initial.clone())),
+            ];
+            let what = request.label();
+            let held: Vec<_> = reference.iter().map(ids).collect();
+            assert_eq!(held, expected, "the reference: {what}");
+            for (executor, finals) in finals {
+                let held: Vec<_> = finals.iter().map(ids).collect();
+                assert_eq!(held, expected, "{executor}: {what}");
+                assert_eq!(finals, reference, "{executor}: {what}");
+            }
             ran += 1;
         }
         assert!(ran > 900, "only {ran} schedules ran");
@@ -560,9 +633,10 @@ mod tests {
     fn a_copy_onto_itself_that_is_not_its_ranks_only_receive_is_applied() {
         // Rank 1 receives rank 0's `Segment(0)`, then copies its own onto
         // itself: not an identity move, and in schedule order the second
-        // receive puts rank 1's own value back.
+        // receive puts rank 1's own value back. An allreduce, so that rank 1
+        // keeps the segment.
         let segment = BlockId::Segment(0);
-        let mut sched = Schedule::new(2, Collective::ReduceScatter, "hand-built", 0);
+        let mut sched = Schedule::new(2, Collective::Allreduce, "hand-built", 0);
         let mut step = Step::new();
         for src in [0, 1] {
             step.push_with_segments(src, 1, [segment], TransferKind::Copy, 1);

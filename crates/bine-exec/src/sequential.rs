@@ -2,7 +2,9 @@
 //!
 //! Steps are executed synchronously: within a step every message reads the
 //! sender's state *as it was at the beginning of the step*, mirroring the
-//! semantics of a bulk-synchronous message-passing round.
+//! semantics of a bulk-synchronous message-passing round. A run ends where
+//! its contract does: a rank drops the blocks it sent or received that
+//! [`Contract::keeps`] does not name, as every executor does.
 //!
 //! Two interpreters live here:
 //!
@@ -17,7 +19,7 @@
 //!   cross-checked bit-identical against, and the "naive" side of the
 //!   compiled-vs-naive benchmarks.
 
-use bine_sched::{Schedule, TransferKind};
+use bine_sched::{Contract, Schedule, TransferKind};
 
 use crate::state::{Block, BlockStore};
 
@@ -65,6 +67,7 @@ pub fn run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
         }
         drop(next);
     }
+    end_at_the_contract(schedule, &mut states);
     states
 }
 
@@ -101,7 +104,24 @@ pub fn run_reference(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<Block
             }
         }
     }
+    end_at_the_contract(schedule, &mut states);
     states
+}
+
+/// Ends a run where the contract does: every rank drops the blocks it sent
+/// or received that [`Contract::keeps`] does not name — its partial sums,
+/// what it only forwarded — and keeps every block it never moved.
+fn end_at_the_contract(schedule: &Schedule, states: &mut [BlockStore]) {
+    let contract = Contract::from(schedule);
+    for (_, m) in schedule.messages() {
+        for block in m.blocks {
+            for rank in [m.src, m.dst] {
+                if !contract.keeps(rank, *block) {
+                    states[rank].remove(block);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! The executors in this crate interpret a [`bine_sched::Schedule`] over real
 //! floating-point data: every rank owns a [`BlockStore`] mapping block
 //! identifiers to value vectors, messages move (or reduce) those vectors, and
-//! the final states are checked against analytically computed expectations.
+//! the final states — what the contract keeps of the blocks a rank moved,
+//! and every block it never moved — are checked against analytically
+//! computed expectations.
 //! This is the substitute for running the collectives on a real MPI cluster:
 //! the data semantics of every algorithm are exercised end to end.
 //!
@@ -14,7 +16,9 @@
 //! re-hashes nothing, and the only re-keying of a request is
 //! [`crate::compiled::to_dense`]'s, of input that is not under the handle's
 //! table yet. A run reads the caller's payloads and writes its sums into one
-//! arena, where the handle's [`MemoryPlan`] puts them.
+//! arena, where the handle's [`MemoryPlan`] puts them: a sum's room is the
+//! next sum's once its last slot dies, and the finals' sums are the arena's
+//! survivors.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -58,7 +62,13 @@ pub(crate) struct PayloadTable {
     /// a reducing walk has run over the table: as re-keying leaves it, every
     /// held slot holds an input of its own.
     bounds: Option<Arc<[usize]>>,
-    unit: usize,
+    /// Narrow, so that `walked` fits beside it: a scale past `u32::MAX`
+    /// elements (32 GiB blocks) is planned in elements ([`WalkTable::plan`]).
+    unit: u32,
+    /// Whether a walk has run over the table: then the slots that die
+    /// ([`SlotLayout::dies`]) hold nothing, whatever handle the walk left in
+    /// them — the finals are what the contract keeps, at no cost to the run.
+    walked: bool,
 }
 
 impl PayloadTable {
@@ -72,26 +82,44 @@ impl PayloadTable {
             arena: Vec::new(),
             bounds: None,
             unit: 0,
+            walked: false,
         }
     }
 
-    /// Rank `rank`'s slots.
-    fn row(&self, rank: usize) -> &[u32] {
-        &self.slots[self.layout.rank_slots(rank)]
+    /// The handle the slot at position `at` holds: none in a slot that died
+    /// in the walk that ran over the table.
+    fn held(&self, at: usize) -> u32 {
+        match self.walked && self.layout.dies(at) {
+            true => NOT_HELD,
+            false => self.slots[at],
+        }
     }
 
     /// The blocks rank `rank`'s slots hold, by id.
     fn held_in(&self, rank: usize) -> impl Iterator<Item = (&BlockId, u32)> {
-        let row = self.row(rank).iter().enumerate();
-        let held = row.filter(|&(_, &h)| h != NOT_HELD);
-        held.map(move |(slot, &h)| (self.layout.block_at(rank, slot), h))
+        let row = self.layout.rank_slots(rank);
+        let start = row.start;
+        let held = row.map(move |at| (at - start, self.held(at)));
+        let held = held.filter(|&(_, h)| h != NOT_HELD);
+        held.map(move |(slot, h)| (self.layout.block_at(rank, slot), h))
+    }
+
+    /// Empties the slots that died in the walk that ran over the table, so
+    /// that the next walk starts from what the finals hold.
+    #[cold]
+    fn bury(&mut self) {
+        for at in self.layout.dying() {
+            self.slots[at] = NOT_HELD;
+        }
+        self.walked = false;
     }
 
     /// Where the sum of handle `handle` lies in the arena.
     fn range(&self, handle: u32) -> Range<usize> {
         let b = handle as usize - self.inputs.len();
         let bounds = self.bounds.as_deref().expect("a sum of a planned run");
-        bounds[b] * self.unit..bounds[b + 1] * self.unit
+        let unit = self.unit as usize;
+        bounds[b] * unit..bounds[b + 1] * unit
     }
 
     /// The payload of a held handle.
@@ -205,8 +233,9 @@ impl<'a> WalkTable<'a> {
 
     /// Lays the run's sums out for a walk of `compiled` in `order`, from
     /// what `slots` hold: under the handle's plan if they hold what the
-    /// contract gives each rank, at one scale, else under a plan derived for
-    /// them. Nothing for a schedule that does not reduce.
+    /// contract gives each rank, at one scale of at most `u32::MAX` elements
+    /// per unit, else under a plan derived for them. Nothing for a schedule
+    /// that does not reduce.
     pub(crate) fn plan(
         &mut self,
         compiled: &'a CompiledSchedule,
@@ -224,9 +253,10 @@ impl<'a> WalkTable<'a> {
             .is_none()
             .then(|| plan.scale(slots, len))
             .flatten()
+            .and_then(|unit| u32::try_from(unit).ok())
         {
             let bounds = plan.bounds();
-            table.arena = arena_of(bounds[bounds.len() - 1] * unit);
+            table.arena = arena_of(bounds[bounds.len() - 1] * unit as usize);
             (table.bounds, table.unit) = (Some(Arc::clone(bounds)), unit);
             self.targets = Cow::Borrowed(plan.targets());
             return;
@@ -423,6 +453,9 @@ pub(crate) fn with_table<'a, R>(
     // The walk owns the table while it runs; the `Arc` holds an empty one.
     let table = Arc::get_mut(&mut held).expect("re-keying leaves the table to the run");
     let mut table = std::mem::replace(table, PayloadTable::new(layout, 0, 0));
+    if table.walked {
+        table.bury();
+    }
     let slots = std::mem::take(&mut table.slots);
     let mut detached = Detached {
         held,
@@ -431,7 +464,9 @@ pub(crate) fn with_table<'a, R>(
         states,
     };
     let Detached { walking, slots, .. } = &mut detached;
-    walk(walking, slots)
+    let ran = walk(walking, slots);
+    walking.table.walked = true;
+    ran
 }
 
 /// A run's states while a walk owns their table: dropping it — on return or
@@ -512,7 +547,7 @@ impl BlockStore {
     fn slot_of(&self, id: &BlockId) -> Option<(&PayloadTable, u32)> {
         let (table, rank) = self.keyed.as_ref()?;
         let at = slot_under(&table.layout, *rank, id)?;
-        Some((table, table.slots[at]))
+        Some((table, table.held(at)))
     }
 
     /// Returns the value of a block, if held.
@@ -563,6 +598,14 @@ impl BlockStore {
         }
     }
 
+    /// Drops a block, if held.
+    pub(crate) fn remove(&mut self, id: &BlockId) {
+        if self.slot_of(id).is_some() {
+            self.detach();
+        }
+        self.blocks.remove(id);
+    }
+
     /// Number of blocks held. A table-backed store counts the occupied
     /// slots of its row: O(slots), not O(1).
     pub fn len(&self) -> usize {
@@ -590,7 +633,7 @@ impl BlockStore {
             .map_or(0..0, |(table, rank)| table.layout.rank_slots(*rank));
         let in_slots = row.clone().filter_map(move |at| {
             let (table, rank) = keyed.as_ref()?;
-            let handle = table.slots[at];
+            let handle = table.held(at);
             let id = *table.layout.block_at(*rank, at - row.start);
             (handle != NOT_HELD).then(|| (id, table.shared(handle)))
         });
@@ -670,7 +713,7 @@ mod tests {
     /// The row of the slot table a table-backed store reads.
     fn row(store: &BlockStore) -> &[u32] {
         let (table, rank) = store.keyed.as_ref().expect("table-backed");
-        table.row(*rank)
+        &table.slots[table.layout.rank_slots(*rank)]
     }
 
     #[test]
@@ -687,7 +730,7 @@ mod tests {
             assert_eq!(initial, w.initial_state(&sched), "{elems}: the inputs");
             let table = payload_table(&finals[0]);
             let bounds = table.bounds.as_deref().expect("planned");
-            assert_eq!(table.unit, elems);
+            assert_eq!(table.unit as usize, elems);
             assert!(table.arena.len() >= bounds[bounds.len() - 1] * elems);
             let arena = table.arena.as_ptr_range();
             for (rank, store) in finals.iter().enumerate() {

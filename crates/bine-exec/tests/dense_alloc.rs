@@ -26,6 +26,7 @@ use bine_sched::collectives::{
 };
 use bine_sched::{
     BlockId, Collective, CompiledSchedule, NonContigStrategy, Schedule, Step, TransferKind,
+    WalkOrder,
 };
 
 #[test]
@@ -90,12 +91,14 @@ fn to_dense_of_map_form_input_allocates_per_run_not_per_rank() {
 
 #[test]
 fn a_non_reducing_run_holds_each_input_payload_once() {
-    // However many ranks end up holding a block, the run's payload table
+    // However many ranks hold a block on its way — all of them at the end
+    // of an allgather, those it passes through in an alltoall, which ends
+    // with each block at its destination alone — the run's payload table
     // holds its payload once: the caller's reference plus the table's.
     let p = 256;
-    for sched in [
-        allgather(p, AllgatherAlg::Bine),
-        alltoall(p, AlltoallAlg::Bine),
+    for (sched, ends_at) in [
+        (allgather(p, AllgatherAlg::Bine), p),
+        (alltoall(p, AlltoallAlg::Bine), 1),
     ] {
         let what = format!("{:?} {}", sched.collective, sched.algorithm);
         let handle = sched.compile();
@@ -103,8 +106,9 @@ fn a_non_reducing_run_holds_each_input_payload_once() {
         let finals = compiled::run(&handle, input.clone());
         let holdings = |stores: &[BlockStore]| stores.iter().map(BlockStore::len).sum();
         let (held_in, held_out): (usize, usize) = (holdings(&input), holdings(&finals));
-        assert!(
-            held_out > 2 * held_in,
+        assert_eq!(
+            held_out,
+            ends_at * held_in,
             "{what}: {held_in} → {held_out} holdings"
         );
         for (id, payload) in input.into_iter().flat_map(BlockStore::into_blocks) {
@@ -359,37 +363,38 @@ fn the_block_walk_writes_each_blocks_sums_into_the_last_blocks_room() {
 
 #[test]
 fn a_long_sum_is_one_allocation_even_when_no_room_is_freed() {
-    // Reduce-scatter `swing` at p = 16 over 8192-element blocks the caller
-    // still holds: every first reduction into a block copies on write, and
-    // a sender keeps its partial sum, so no room comes back before the last
-    // sum is made and every sum is new: 124 of them (the finals keep 123).
-    // They share one allocation, the arena, sized for exactly them (131
-    // allocations while each was a buffer of its own, 250 while each was an
-    // `Arc<Vec<f64>>`).
-    let (p, elems) = (16, 8192);
+    // Reduce-scatter `swing` at p = 16 over 512-element blocks the caller
+    // still holds, walked step by step: every first reduction into a block
+    // copies on write, and every rank makes all its new sums in the first
+    // step (the later ones sum in place), so no room comes back before the
+    // last sum is made and every sum is new: p · p / 2 = 128 of them. The
+    // finals keep one per rank, its own segment's. They share one
+    // allocation, the arena, sized for exactly them.
+    let (p, elems) = (16, 512);
     let sched = reduce_scatter(p, ReduceScatterAlg::Swing);
     let handle = sched.compile();
     handle.slot_layout();
     run_dense_cost(&sched, &handle, elems);
+    let buffers = handle.memory_plan(WalkOrder::Steps).bounds().len() as u64 - 1;
+    assert_eq!(buffers, (p * p / 2) as u64);
     let input = Workload::for_schedule(&sched, elems).initial_state(&sched);
     let mut dense = compiled::to_dense(&handle, input.clone());
     let running = || bytes_requested(|| compiled::run_dense(&handle, &mut dense));
     let (allocations, (bytes, ())) = counting::allocations_in(running);
-    // The sums: the finals' payloads that are not the caller's, each once
-    // however many ranks hold it.
+    // The sums: the finals' payloads that are not the caller's.
     let payloads = |stores: &[BlockStore]| -> HashSet<*const f64> {
         stores
             .iter()
             .flat_map(|s| s.iter().map(|(_, v)| v.as_ptr()))
             .collect()
     };
-    let sums = payloads(&dense).difference(&payloads(&input)).count() as u64;
-    assert!(sums >= (p * p / 4) as u64, "{sums} sums");
+    let sums = payloads(&dense).difference(&payloads(&input)).count();
+    assert_eq!(sums, p, "{sums} sums");
     assert!(
         allocations <= WARM_RUN_ALLOCATIONS,
-        "{allocations} allocations, {sums} sums"
+        "{allocations} allocations, {buffers} buffers"
     );
-    assert!(bytes <= (sums + 1) * block_bytes(elems) + 8192, "{bytes} B");
+    assert!(bytes <= buffers * block_bytes(elems) + 8192, "{bytes} B");
 }
 
 #[test]

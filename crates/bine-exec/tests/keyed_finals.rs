@@ -106,7 +106,8 @@ fn finals_read_the_same_whichever_executor_produced_them() {
     assert!(ran > 500, "only {ran} schedules ran");
 }
 
-/// Schedules whose finals are valid inputs of the same schedule.
+/// Schedules whose finals are valid inputs of the same schedule: the
+/// contract keeps every block a rank starts with.
 fn chainable() -> Vec<Schedule> {
     vec![
         allreduce(16, AllreduceAlg::BineLarge),
@@ -122,7 +123,8 @@ fn finals_fed_back_in_give_what_their_map_form_copy_gives() {
         let what = &sched.algorithm;
         let handle = Arc::new(sched.compile());
         let initial = Workload::for_schedule(&sched, 3).initial_state(&sched);
-        let first = compiled::run(&handle, initial);
+        let first = compiled::run(&handle, initial.clone());
+        assert!(holds_its_inputs(&initial, &first), "{what}: chains");
         let reference = sequential::run_reference(&sched, map_form(&first));
         // The same handle: the stores are under its table already.
         let chained = compiled::run(&handle, first.clone());

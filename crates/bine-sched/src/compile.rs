@@ -50,7 +50,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::catalog::tuned_name;
-use crate::plan::{MemoryPlan, WalkOrder};
+use crate::contract::Contract;
+use crate::plan::{MemoryPlan, WalkOrder, NEVER};
 use crate::schedule::{BlockId, Collective, Counts, Rank, Schedule, TransferKind};
 use crate::segment::{num_substeps, parts, ChunkPlan};
 
@@ -309,20 +310,30 @@ pub struct SlotLayout {
     /// Per rank: the sorted interned indices of the blocks it touches; the
     /// position within the rank's range is the local slot.
     rank_blocks: Vec<u32>,
+    /// See [`SlotLayout::dies`]: bit `at % 64` of word `at / 64`, no words
+    /// past the last set bit.
+    dying: Vec<u64>,
 }
 
 /// What the first execution derives: the shared [`SlotLayout`] and, parallel
 /// to the compiled block-index array, each payload's slot at its source and
 /// at its destination rank as a position in a run's slot table
 /// ([`SlotLayout::rank_slots`]) — the handle's own, so that gather and apply
-/// index the table directly — and the size of a run's staging buffer
-/// ([`CompiledSchedule::max_staged`]).
+/// index the table directly — the size of a run's staging buffer
+/// ([`CompiledSchedule::max_staged`]) and when each slot dies.
 #[derive(Debug, Clone)]
 pub(crate) struct Slots {
     layout: Arc<SlotLayout>,
     pub(crate) src: Vec<u32>,
     pub(crate) dst: Vec<u32>,
     max_staged: usize,
+    /// Per position of a run's slot table, the step after which no walk
+    /// reads or writes the slot — the last that moves a payload of its block
+    /// out of or into its rank — or [`NEVER`] if the contract keeps the
+    /// block ([`Contract::keeps`]). The memory plan lets go of a slot's
+    /// value there; empty for a schedule that does not reduce, whose plan
+    /// makes no sum to let go of.
+    pub(crate) deaths: Vec<u32>,
     /// Per [`WalkOrder`], see [`CompiledSchedule::memory_plan`]: here, not
     /// in the handle, so that a handle never executed is no larger for it.
     plans: [OnceLock<Box<MemoryPlan>>; 2],
@@ -381,20 +392,55 @@ impl Slots {
             // At most one slot per payload entry, and those fit (`compile`).
             rank_offsets.push(rank_blocks.len() as u32);
         }
-        let staged = |step| {
+        let moving = |step| {
             let sends = compiled.step_sends(step).iter();
-            let moving = sends.filter(|send| !compiled.is_identity_move(step, send));
-            moving.map(CompiledSend::num_blocks).sum()
+            sends.filter(move |send| !compiled.is_identity_move(step, send))
         };
+        // The slots that die: those of the blocks a rank moves that the
+        // contract does not keep.
+        let contract = Contract::from(compiled);
+        let mut dying = vec![0u64; rank_blocks.len().div_ceil(64)];
+        for rank in 0..p {
+            let row = rank_offsets[rank] as usize..rank_offsets[rank + 1] as usize;
+            for (at, &block) in row.clone().zip(&rank_blocks[row]) {
+                let kept = contract.keeps(rank, compiled.blocks.resolve(block));
+                dying[at / 64] |= u64::from(!kept) << (at % 64);
+            }
+        }
+        let live = dying.iter().rposition(|&word| word != 0);
+        dying.truncate(live.map_or(0, |last| last + 1));
+        // When, for a memory plan, so only if the schedule reduces: after
+        // the last step that moves a payload out of or into the slot, in one
+        // pass over the payload entries, steps ascending (a kept slot's
+        // `NEVER` is above every step).
+        let mut deaths = Vec::new();
+        if compiled.reduces {
+            let dies = |at| dying.get(at / 64).is_some_and(|w| w >> (at % 64) & 1 == 1);
+            deaths = (0..rank_blocks.len())
+                .map(|at| if dies(at) { 0 } else { NEVER })
+                .collect();
+            for step in 0..steps {
+                for send in moving(step) {
+                    let entries = send.blocks_start as usize..send.blocks_end as usize;
+                    for &at in src_slots[entries.clone()].iter().chain(&dst_slots[entries]) {
+                        let death = &mut deaths[at as usize];
+                        *death = (*death).max(step as u32);
+                    }
+                }
+            }
+        }
+        let staged = |step| moving(step).map(CompiledSend::num_blocks).sum();
         Self {
             layout: Arc::new(SlotLayout {
                 blocks: compiled.blocks.clone(),
                 rank_offsets,
                 rank_blocks,
+                dying,
             }),
             src: src_slots,
             dst: dst_slots,
             max_staged: (0..steps).map(staged).max().unwrap_or(0),
+            deaths,
             plans: Default::default(),
         }
     }
@@ -428,6 +474,26 @@ impl SlotLayout {
     /// The block local slot `slot` of `rank` holds.
     pub fn block_at(&self, rank: usize, slot: usize) -> &BlockId {
         &self.blocks.ids[self.rank_blocks(rank)[slot] as usize]
+    }
+
+    /// Whether the slot at position `at` of a run's slot table dies: its
+    /// block is one its rank moves and the contract does not keep
+    /// ([`Contract::keeps`]). A walk lets go of its value after the last
+    /// step that moves the block at the rank, and the finals do not hold it.
+    #[inline]
+    pub fn dies(&self, at: usize) -> bool {
+        let word = self.dying.get(at / 64);
+        word.is_some_and(|word| word >> (at % 64) & 1 == 1)
+    }
+
+    /// The positions of a run's slot table whose slots die
+    /// ([`SlotLayout::dies`]), ascending.
+    pub fn dying(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.dying.iter().enumerate();
+        words.flat_map(|(word, &bits)| {
+            let set = (0..64).filter(move |bit| bits >> bit & 1 == 1);
+            set.map(move |bit| word * 64 + bit)
+        })
     }
 
     /// The local slot of interned block `block` at `rank`, if the rank ever

@@ -23,9 +23,15 @@
 //! zero-count segment exists at the start (empty) but nobody is required to
 //! end with it.
 //!
+//! A run ends at the "must end with" column: of the blocks a rank sends or
+//! receives, it keeps those [`Contract::keeps`] names and drops the rest, so
+//! its finals are the result, not its working set. Blocks a rank never
+//! moves stay as they were.
+//!
 //! The symbolic validator ([`crate::validate`]) seeds possession and checks
 //! completion from this; `bine-exec` builds inputs (`Workload::initial_state`,
-//! `Cluster`) and expected outputs (`verify`) from it; `bine-tune`'s recovery
+//! `Cluster`) and expected outputs (`verify`) from it, and every executor and
+//! the memory plan ([`crate::plan`]) end a run at it; `bine-tune`'s recovery
 //! asks it whose input cannot be re-contributed.
 
 use crate::compile::CompiledSchedule;
@@ -111,25 +117,39 @@ impl Contract<'_> {
     }
 
     /// The blocks `rank` holds before the first step, each its own
-    /// contribution: the vector forms of `granularity` first `Full`, then
-    /// the segments in order.
+    /// contribution: those [`Contract::starts_with`] names, `Full` first,
+    /// then the segments and pairwise blocks in order.
     pub fn initial(&self, rank: usize, granularity: Granularity) -> Vec<BlockId> {
-        let full = granularity.full.then_some(BlockId::Full);
-        let vector = || {
-            full.into_iter()
-                .chain(self.segments().filter(|_| granularity.segments))
-        };
         let r = rank as u32;
+        let pairwise = (0..self.num_ranks as u32).map(|dest| BlockId::Pairwise { origin: r, dest });
+        let blocks = std::iter::once(BlockId::Full)
+            .chain(self.segments())
+            .chain(pairwise);
+        let initial = blocks.filter(|&block| self.starts_with(rank, block, granularity));
+        initial.collect()
+    }
+
+    /// Whether `rank` holds `block` before the first step, when the
+    /// schedule moves the vector in the forms of `granularity`.
+    #[inline]
+    pub fn starts_with(&self, rank: usize, block: BlockId, granularity: Granularity) -> bool {
+        let in_range = |i: u32| (i as usize) < self.num_ranks;
+        let segment = matches!(block, BlockId::Segment(i) if in_range(i));
+        let vector = match block {
+            BlockId::Full => granularity.full,
+            _ => granularity.segments && segment,
+        };
+        let root = rank == self.root;
         match self.collective {
-            Collective::Broadcast if rank == self.root => vector().collect(),
-            Collective::Scatter if rank == self.root => self.segments().collect(),
-            Collective::Broadcast | Collective::Scatter => Vec::new(),
-            Collective::Reduce | Collective::Allreduce => vector().collect(),
-            Collective::ReduceScatter => self.segments().collect(),
-            Collective::Gather | Collective::Allgather => vec![BlockId::Segment(r)],
-            Collective::Alltoall => (0..self.num_ranks as u32)
-                .map(|dest| BlockId::Pairwise { origin: r, dest })
-                .collect(),
+            Collective::Broadcast => root && vector,
+            Collective::Scatter => root && segment,
+            Collective::Reduce | Collective::Allreduce => vector,
+            Collective::ReduceScatter => segment,
+            Collective::Gather | Collective::Allgather => block == BlockId::Segment(rank as u32),
+            Collective::Alltoall => matches!(
+                block,
+                BlockId::Pairwise { origin, dest } if origin == rank as u32 && in_range(dest)
+            ),
         }
     }
 
@@ -151,29 +171,52 @@ impl Contract<'_> {
     /// *one* of the returned alternatives, finished. Zero-count segments of
     /// an irregular collective are exempt, so an alternative can be empty —
     /// nothing is required (also of every non-root of a reduce or gather).
+    /// The blocks [`Contract::keeps`] names: `Full` alone, if kept, then the
+    /// segments and pairwise blocks in order.
     pub fn required(&self, rank: usize) -> Vec<Vec<BlockId>> {
-        let carries_data = |block: &BlockId| match (block, self.counts) {
-            (&BlockId::Segment(i), Some(counts)) => counts.count(i as usize) > 0,
-            _ => true,
+        let r = rank as u32;
+        let pairwise =
+            (0..self.num_ranks as u32).map(|origin| BlockId::Pairwise { origin, dest: r });
+        let parts = self.segments().chain(pairwise);
+        let parts = parts.filter(|&block| self.keeps(rank, block)).collect();
+        match self.keeps(rank, BlockId::Full) {
+            true => vec![vec![BlockId::Full], parts],
+            false => vec![parts],
+        }
+    }
+
+    /// Whether `rank` keeps `block` when the collective ends: whether some
+    /// alternative of [`Contract::required`] names it. A run ends with the
+    /// blocks a rank keeps, of those it sent or received, and drops the
+    /// rest — its partial sums, the data it only forwarded — as MPI's
+    /// receive buffer holds the result and nothing of the working set.
+    #[inline]
+    pub fn keeps(&self, rank: usize, block: BlockId) -> bool {
+        let carries_data = |i: u32| match self.counts {
+            Some(counts) => counts.count(i as usize) > 0,
+            None => true,
         };
-        let segments = || self.segments().filter(carries_data).collect();
-        let vector = || vec![vec![BlockId::Full], segments()];
+        let segment = |i: u32| (i as usize) < self.num_ranks && carries_data(i);
+        let vector = match block {
+            BlockId::Full => true,
+            BlockId::Segment(i) => segment(i),
+            BlockId::Pairwise { .. } => false,
+        };
         let r = rank as u32;
         match self.collective {
-            Collective::Broadcast | Collective::Allreduce => vector(),
-            Collective::Reduce if rank == self.root => vector(),
-            Collective::Gather if rank == self.root => vec![segments()],
-            Collective::Reduce | Collective::Gather => vec![Vec::new()],
-            Collective::Allgather => vec![segments()],
-            Collective::ReduceScatter | Collective::Scatter => {
-                vec![Some(BlockId::Segment(r))
-                    .into_iter()
-                    .filter(carries_data)
-                    .collect()]
+            Collective::Broadcast | Collective::Allreduce => vector,
+            Collective::Reduce => rank == self.root && vector,
+            Collective::Gather if rank != self.root => false,
+            Collective::Gather | Collective::Allgather => {
+                matches!(block, BlockId::Segment(i) if segment(i))
             }
-            Collective::Alltoall => vec![(0..self.num_ranks as u32)
-                .map(|origin| BlockId::Pairwise { origin, dest: r })
-                .collect()],
+            Collective::ReduceScatter | Collective::Scatter => {
+                block == BlockId::Segment(r) && carries_data(r)
+            }
+            Collective::Alltoall => matches!(
+                block,
+                BlockId::Pairwise { origin, dest } if dest == r && (origin as usize) < self.num_ranks
+            ),
         }
     }
 

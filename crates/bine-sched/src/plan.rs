@@ -1,14 +1,16 @@
 //! Where a run of a compiled schedule keeps every sum it makes.
 //!
 //! Which slot each payload reads and writes, and in which order, is fixed by
-//! the compiled schedule and the walk a run takes over it. So is which value
+//! the compiled schedule and the walk a run takes over it; so is which value
 //! a slot holds at every point, once the values a run starts from are
-//! known, and so is when each value's last holder lets go. A
-//! [`MemoryPlan`] is that replay, done once: it decides for every reduction
-//! whether it sums in place or into a buffer of its own, and gives each
-//! buffer to one sum after another by interval colouring over the walk's
-//! order. A run then allocates one arena for all its sums and counts no
-//! holder.
+//! known. A slot lets go of its value after the last step that moves its
+//! block at its rank, unless the contract keeps it
+//! ([`SlotLayout::dies`](crate::SlotLayout::dies)): only the finals outlive
+//! a walk. A [`MemoryPlan`] is that replay, done once: it decides for every
+//! reduction whether it sums in place or into a buffer of its own, and
+//! gives each buffer to one sum after another by interval colouring over
+//! the walk's order. A run then allocates one arena for all its sums and
+//! counts no holder.
 //!
 //! The plan of the contract's entry is derived lazily per handle and walk
 //! order ([`CompiledSchedule::memory_plan`]); a run that starts from
@@ -23,6 +25,9 @@ use crate::schedule::{BlockId, TransferKind};
 
 /// No value (in a slot), no buffer (for a value or a payload entry).
 pub const NONE: u32 = u32::MAX;
+
+/// The death of a slot the contract keeps: it outlives the walk.
+pub const NEVER: u32 = u32::MAX;
 
 /// The two orders a run can walk a compiled schedule's payload entries in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,69 +64,74 @@ impl MemoryPlan {
     /// A move aliases its value. A reduction into a held slot sums in place
     /// if the held value is a sum of the run's and nothing else holds it —
     /// no other slot, no staged payload — and into a new sum's buffer
-    /// otherwise; a caller's payload is never written. A
-    /// value's buffer is free once its last holder lets go, and a new value
-    /// takes the last freed buffer of its length, or a new one. Values still
-    /// held when the walk ends keep theirs. A send of a value its rank does
-    /// not hold plans nothing: the walk itself reports it.
+    /// otherwise; a caller's payload is never written. A slot lets go of
+    /// its value when the step it dies after ends
+    /// ([`SlotLayout::dies`](crate::SlotLayout::dies)), so only the values
+    /// the contract keeps outlive the walk. A sum's buffer is free once its
+    /// last holder lets go, and a new sum takes the last freed buffer of its
+    /// length, or a new one. A send of a value its rank does not hold plans
+    /// nothing: the walk itself reports it.
     pub fn derive(
         compiled: &CompiledSchedule,
         order: WalkOrder,
         entry: Vec<u32>,
         units: Vec<usize>,
     ) -> Self {
+        let slots = compiled.slots();
         let mut held = entry.clone();
-        let mut run = Replay::default();
-        for &units in &units {
-            let class = run.class(units);
-            run.values.push([0, class, NONE]);
-        }
-        for &v in held.iter().filter(|&&v| v != NONE) {
-            run.values[v as usize][0] += 1;
-        }
+        let mut run = Replay::new(units.len());
         let mut targets = vec![NONE; compiled.num_payloads()];
         let mut staged: Vec<u32> = Vec::with_capacity(compiled.max_staged());
-        let slots = compiled.slots();
-        for_each_group(compiled, order, |group| {
+        let mut dying = Vec::new();
+        for_each_group(compiled, order, |step, group| {
             staged.clear();
             for &(_, e) in group {
-                let v = held[slots.src[e as usize] as usize];
-                if v != NONE {
-                    run.values[v as usize][0] += 1;
-                }
+                let at = slots.src[e as usize] as usize;
+                let v = held[at];
+                run.hold(v);
                 staged.push(v);
+                if slots.deaths.get(at) == Some(&step) {
+                    dying.push(at);
+                }
             }
             for (&(reduce, e), &v) in group.iter().zip(&staged) {
-                let slot = &mut held[slots.dst[e as usize] as usize];
-                let h = *slot;
+                let at = slots.dst[e as usize] as usize;
+                if slots.deaths.get(at) == Some(&step) {
+                    dying.push(at);
+                }
+                let h = held[at];
                 if !reduce || h == NONE {
                     // The staged holder becomes the slot's.
-                    *slot = v;
+                    held[at] = v;
                     run.release(h);
                     continue;
                 }
                 if v == NONE {
                     continue;
                 }
-                let [holders, class, own] = run.values[h as usize];
-                let target = match own != NONE && holders == 1 {
-                    true => own,
-                    false => {
+                targets[e as usize] = match run.sole_buffer(h) {
+                    Some(own) => own,
+                    None => {
+                        let class = match run.class_of(h) {
+                            Some(class) => class,
+                            None => run.class(units[h as usize]),
+                        };
                         let sum = run.take(class);
-                        *slot = run.values.len() as u32;
-                        run.values.push([1, class, sum]);
+                        held[at] = run.first + sum;
                         run.release(h);
                         sum
                     }
                 };
-                targets[e as usize] = target;
                 run.release(v);
             }
+            for at in dying.drain(..) {
+                run.release(std::mem::replace(&mut held[at], NONE));
+            }
         });
-        let ends = run
-            .sizes
-            .iter()
-            .scan(0, |end, len| Some(*end + len).inspect(|e| *end = *e));
+        let ends = run.buffers.iter().scan(0, |end, &[_, class]| {
+            *end += run.classes[class as usize].0;
+            Some(*end)
+        });
         let bounds = [0].into_iter().chain(ends).collect();
         Self {
             entry,
@@ -132,21 +142,22 @@ impl MemoryPlan {
     }
 
     /// The plan of a run that starts from what `compiled`'s contract gives
-    /// each rank at its granularity ([`Contract::initial`]): every held slot
-    /// its own caller's payload, measured in the units of
+    /// each rank at its granularity ([`Contract::starts_with`]): every held
+    /// slot its own caller's payload, measured in the units of
     /// [`block_units`].
     pub(crate) fn of_contract(compiled: &CompiledSchedule, order: WalkOrder) -> Self {
         let layout = compiled.slot_layout();
         let contract = Contract::from(compiled);
         let granularity = Granularity::from(compiled);
-        let (mut entry, mut units) = (vec![NONE; layout.num_slots()], Vec::new());
+        let (mut entry, mut units) = (Vec::with_capacity(layout.num_slots()), Vec::new());
         for rank in 0..compiled.num_ranks {
-            for block in contract.initial(rank, granularity) {
-                let index = compiled.blocks().index_of(&block);
-                let Some(slot) = index.and_then(|b| layout.local_slot(rank, b)) else {
+            for &b in layout.rank_blocks(rank) {
+                let block = compiled.blocks().resolve(b);
+                if !contract.starts_with(rank, block, granularity) {
+                    entry.push(NONE);
                     continue;
-                };
-                entry[layout.rank_slots(rank).start + slot] = units.len() as u32;
+                }
+                entry.push(units.len() as u32);
                 units.push(block_units(compiled, block));
             }
         }
@@ -190,20 +201,30 @@ impl MemoryPlan {
     }
 }
 
-/// The state of [`MemoryPlan::derive`]'s replay besides the slots.
-#[derive(Default)]
+/// The state of [`MemoryPlan::derive`]'s replay besides the slots. A slot
+/// holds [`NONE`], a caller's payload `v < first`, or buffer `b` as
+/// `first + b`: a buffer holds one sum at a time, so its holders are that
+/// sum's.
 struct Replay {
-    /// Per value: its holders (slots and staged payloads), its length class
-    /// and its buffer, or [`NONE`] for a caller's payload.
-    values: Vec<[u32; 3]>,
+    /// The caller's payloads: the first handle of a buffer.
+    first: u32,
+    /// Per buffer, its holders (slots and staged payloads) and its length
+    /// class.
+    buffers: Vec<[u32; 2]>,
     /// Per length class, its units and its freed buffers, the last freed on
     /// top.
     classes: Vec<(usize, Vec<u32>)>,
-    /// Per buffer, its units.
-    sizes: Vec<usize>,
 }
 
 impl Replay {
+    fn new(first: usize) -> Replay {
+        Replay {
+            first: first as u32,
+            buffers: Vec::new(),
+            classes: Vec::new(),
+        }
+    }
+
     /// The class of values `units` long.
     fn class(&mut self, units: usize) -> u32 {
         let found = self.classes.iter().position(|&(len, _)| len == units);
@@ -213,26 +234,51 @@ impl Replay {
         }) as u32
     }
 
-    /// The buffer a new value of `class` takes: the last one of its length
-    /// freed, or a new one.
-    fn take(&mut self, class: u32) -> u32 {
-        let (units, free) = &mut self.classes[class as usize];
-        free.pop().unwrap_or_else(|| {
-            self.sizes.push(*units);
-            self.sizes.len() as u32 - 1
-        })
+    /// The buffer behind handle `h` — none for [`NONE`] or a caller's
+    /// payload.
+    fn buffer(&mut self, h: u32) -> Option<&mut [u32; 2]> {
+        self.buffers.get_mut(h.wrapping_sub(self.first) as usize)
     }
 
-    /// One holder fewer of value `v` (none for [`NONE`]); the last one frees
-    /// its buffer.
-    fn release(&mut self, v: u32) {
-        let Some([holders, class, buffer]) = self.values.get_mut(v as usize) else {
+    /// The class of the sum behind handle `h`, if `h` is a buffer's.
+    fn class_of(&mut self, h: u32) -> Option<u32> {
+        self.buffer(h).map(|&mut [_, class]| class)
+    }
+
+    /// The buffer behind `h`, if `h` is a sum nothing but its slot holds.
+    fn sole_buffer(&mut self, h: u32) -> Option<u32> {
+        let sole = matches!(self.buffer(h), Some([1, _]));
+        sole.then(|| h - self.first)
+    }
+
+    /// One holder more of handle `h`.
+    fn hold(&mut self, h: u32) {
+        if let Some([holders, _]) = self.buffer(h) {
+            *holders += 1;
+        }
+    }
+
+    /// One holder fewer of handle `h`; the last one frees its buffer.
+    fn release(&mut self, h: u32) {
+        let Some([holders, class]) = self.buffer(h) else {
             return;
         };
         *holders -= 1;
-        if *holders == 0 && *buffer != NONE {
-            self.classes[*class as usize].1.push(*buffer);
+        if *holders == 0 {
+            let class = *class as usize;
+            self.classes[class].1.push(h - self.first);
         }
+    }
+
+    /// A buffer for a new sum of `class`, held once: the last one of its
+    /// length freed, or a new one.
+    fn take(&mut self, class: u32) -> u32 {
+        let b = self.classes[class as usize].1.pop().unwrap_or_else(|| {
+            self.buffers.push([0, class]);
+            self.buffers.len() as u32 - 1
+        });
+        self.buffers[b as usize][0] = 1;
+        b
     }
 }
 
@@ -249,13 +295,13 @@ fn block_units(compiled: &CompiledSchedule, block: BlockId) -> usize {
     units as usize
 }
 
-/// Calls `f` with every group of the walk in `order` — the payload entries
-/// it gathers before it applies any of them, in apply order, each with
-/// whether its send reduces — leaving out identity moves.
+/// Calls `f` with every group of the walk in `order` — its step, and the
+/// payload entries it gathers before it applies any of them, in apply
+/// order, each with whether its send reduces — leaving out identity moves.
 fn for_each_group(
     compiled: &CompiledSchedule,
     order: WalkOrder,
-    mut f: impl FnMut(&[(bool, u32)]),
+    mut f: impl FnMut(u32, &[(bool, u32)]),
 ) {
     let mut group = Vec::with_capacity(compiled.max_staged());
     match order {
@@ -269,7 +315,7 @@ fn for_each_group(
                         group.extend((send.blocks_start..send.blocks_end).map(|e| (reduces, e)));
                     }
                 }
-                f(&group);
+                f(step as u32, &group);
             }
         }
         WalkOrder::Blocks => {
@@ -284,9 +330,37 @@ fn for_each_group(
                             group.push((reduces, send.blocks_start + e.entry));
                         }
                     }
-                    f(&group);
+                    f(in_step[0].step, &group);
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{build, Collective};
+
+    /// The buffers of the contract entry's plan of `name` at `p` ranks.
+    fn buffers(collective: Collective, name: &str, p: usize, order: WalkOrder) -> usize {
+        let compiled = build(collective, name, p, 0).expect("builds").compile();
+        compiled.memory_plan(order).bounds().len() - 1
+    }
+
+    #[test]
+    fn a_sum_dies_at_its_last_use() {
+        use Collective::{Allreduce, ReduceScatter};
+        use WalkOrder::{Blocks, Steps};
+        // Block by block, as the block walk runs them: a rank's partial sum
+        // dies once sent, so one block's buffers serve the next, and the
+        // last ones hold the finals (2 021 for `swing+seg16` if a sent
+        // partial sum lived to the end of the walk).
+        assert_eq!(buffers(ReduceScatter, "swing+seg16", 64, Blocks), 95);
+        assert_eq!(buffers(Allreduce, "bine-large+seg8", 64, Blocks), 95);
+        assert_eq!(buffers(ReduceScatter, "bine-permute", 256, Blocks), 383);
+        // Step by step, `bine-permute` makes all its new sums in the first
+        // step, before any dies (the later steps sum in place): p · p / 2.
+        assert_eq!(buffers(ReduceScatter, "bine-permute", 256, Steps), 32_768);
     }
 }

@@ -305,6 +305,39 @@ fn one_memory_plan() {
     assert!(literal(&derive) && literals.iter().filter(|l| **l == "Self {").count() == 1);
 }
 
+/// `Contract::keeps` (bine-sched/src/contract.rs) alone states what a run
+/// ends with: `required` reads it, the slot deaths and the interpreters end
+/// at it, the plan reads the deaths and a walked table reads
+/// `SlotLayout::dies` — no second statement of which blocks a rank keeps.
+#[test]
+fn one_keep_rule() {
+    let contract = "crates/bine-sched/src/contract.rs";
+    let rule = grep(&["crates/*/src"], &["fn keeps("], shipped);
+    assert_eq!(only(&rule, contract), 1);
+    assert!(body(contract, "    pub fn required(").contains("self.keeps("));
+    let readers = grep(
+        &["crates/*/src", &format!("!{contract}")],
+        &[".keeps("],
+        shipped,
+    );
+    let mut readers: Vec<_> = readers.iter().map(|(f, _)| f.as_str()).collect();
+    readers.sort_unstable();
+    let (sequential, compile) = (
+        "crates/bine-exec/src/sequential.rs",
+        "crates/bine-sched/src/compile.rs",
+    );
+    assert_eq!(readers, [sequential, compile]);
+    let (plan, compiled) = (
+        "crates/bine-sched/src/plan.rs",
+        "crates/bine-exec/src/compiled.rs",
+    );
+    assert!(body(plan, "    pub fn derive(").contains("slots.deaths.get("));
+    let state = "crates/bine-exec/src/state.rs";
+    assert!(body(state, "    fn held(").contains(".dies("));
+    let walks = [plan, compiled, state];
+    clean(&grep(&walks, &[".required(", ".keeps("], shipped));
+}
+
 /// Both walks skip a rank's copy onto itself by
 /// `CompiledSchedule::is_identity_move`, the rule that also sizes their
 /// staging; a `src == dst` test in the kernel is a second rule they could
