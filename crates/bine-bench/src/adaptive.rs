@@ -8,7 +8,7 @@
 //! latency spikes, stragglers) the offline model knows nothing about.
 //! Observed per-pick costs — here the faulted DES, so the whole run is
 //! bit-reproducible across machines — are fed back through
-//! [`bine_tune::ServiceSelector::observe`]:
+//! [`bine_tune::ServiceSelector::observe_at`]:
 //!
 //! 1. the entry's observed mean diverges past the committed modelled
 //!    score, triggering a single-flight re-evaluation whose scorer is the
@@ -203,7 +203,9 @@ pub fn measure(opts: &AdaptiveOptions) -> Result<AdaptiveReport, String> {
     // The search order is fixed, so the chosen plan is deterministic.
     let mut chosen = None;
     for plan_seed in opts.seed..opts.seed + 64 {
-        let plan = FaultSpec::moderate(plan_seed).plan(des.topo.num_links(), nodes);
+        let plan = FaultSpec::moderate(plan_seed)
+            .plan(des.topo.num_links(), nodes)
+            .map_err(|e| e.to_string())?;
         let Some((winner, winner_cost)) = des.winner(collective, bytes, Some(&plan)) else {
             continue;
         };

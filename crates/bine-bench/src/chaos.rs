@@ -251,7 +251,7 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, String> {
         let topo = system_topology(&slug, n)
             .ok_or_else(|| format!("no topology for system {:?}", opts.system))?;
         let alloc = Allocation::block(n);
-        let plan = spec.plan(topo.num_links(), n);
+        let plan = spec.plan(topo.num_links(), n).map_err(|e| e.to_string())?;
         faulted_links = faulted_links.max(plan.link_faults().len());
         stragglers = stragglers.max(plan.stragglers().len());
         // The reference-side schedule: the tuned pick itself when healthy,

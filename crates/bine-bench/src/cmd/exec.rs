@@ -58,11 +58,9 @@ fn initial_state(sched: &Schedule) -> Vec<BlockStore> {
     Workload::for_schedule(sched, elems_per_block(sched.num_ranks)).initial_state(sched)
 }
 
-/// Times the two production executors on `sched`: the zero-copy
-/// interpreter (`{label}/sequential/{p}`, ungated context) and the compiled
-/// dense executor (`{label}/compiled/{p}`, gated). Returns the compiled
-/// schedule for the callers that time more on it.
-fn bench_executors(
+/// Times the compiled executor on `sched` (`{label}/compiled/{p}`, gated).
+/// Returns the compiled schedule for the callers that time more on it.
+fn bench_compiled(
     records: &mut Records,
     label: &str,
     sched: &Schedule,
@@ -71,9 +69,6 @@ fn bench_executors(
 ) -> Arc<CompiledSchedule> {
     let p = sched.num_ranks;
     let compiled_sched = Arc::new(sched.compile());
-    records.time(format!("{label}/sequential/{p}"), iters, || {
-        sequential::run(sched, initial.to_vec());
-    });
     records.time(format!("{label}/compiled/{p}"), iters, || {
         compiled::run(&compiled_sched, initial.to_vec());
     });
@@ -109,7 +104,7 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
     records.time(format!("{label}/reference/{p}"), iters, || {
         sequential::run_reference(sched, initial.clone());
     });
-    bench_executors(records, label, sched, &initial, iters);
+    bench_compiled(records, label, sched, &initial, iters);
     // What the schedule costs before any executor sees it (all gated): the
     // builder, then lowering — unsegmented at every size, and at the 16
     // pipeline chunks the LUMI table serves this allreduce with above 1 MiB
@@ -129,8 +124,7 @@ fn bench_all_executors(records: &mut Records, sched: &Schedule, iters: usize) {
 
 /// The collective surfaces added after the seed four: the dual-root
 /// pipelined allreduce, the counts-aware irregular schedules and the Bine
-/// alltoall. Each gets a gated `/compiled/` entry (plus an ungated
-/// `/sequential/` context line) on its own workload — non-uniform block
+/// alltoall. Each gets a gated `/compiled/` entry on its own workload — non-uniform block
 /// sizes drive different layout and copy paths through the compiled
 /// executor than the uniform seed collectives, so a regression there would
 /// be invisible to the `allreduce-bine-large` entries above. The shallow
@@ -164,7 +158,7 @@ fn bench_new_paths(records: &mut Records, p: usize, iters: usize) {
         ("alltoall-bine", alltoall(p, AlltoallAlg::Bine)),
     ];
     for (label, sched) in &cases {
-        bench_executors(records, label, sched, &initial_state(sched), iters);
+        bench_compiled(records, label, sched, &initial_state(sched), iters);
     }
     // The store-and-forward builder moves p² held blocks through every one
     // of its log p steps: the build whose bookkeeping can outweigh its
@@ -179,9 +173,9 @@ fn bench_new_paths(records: &mut Records, p: usize, iters: usize) {
 /// reach production through exactly the compiled executor and the DES the
 /// catalog schedules use, but their shape is different — tier-crossing
 /// trees with island-local fan-out — so each surface gets its own gated
-/// entry (`/compiled/`, `/sim/`) plus ungated context (`/sequential/`,
-/// `/synthesize/` — the provider's build cost, which serving pays on every
-/// cache miss of a `synth:` pick).
+/// entry (`/compiled/`, `/sim/`) plus ungated context (`/synthesize/` —
+/// the provider's build cost, which serving pays on every cache miss of a
+/// `synth:` pick).
 fn bench_synth(records: &mut Records, p: usize, iters: usize) {
     let label = "allreduce-synth-multilevel";
     let view = bine_net::view::system_view("heterofat", p).expect("heterofat view");
@@ -194,7 +188,7 @@ fn bench_synth(records: &mut Records, p: usize, iters: usize) {
             .unwrap();
     });
     let initial = initial_state(&sched);
-    let compiled_sched = bench_executors(records, label, &sched, &initial, iters);
+    let compiled_sched = bench_compiled(records, label, &sched, &initial, iters);
     // The same schedule under the DES, on the fabric it was derived for.
     let model = CostModel::default();
     let system = System::heterofat();
@@ -255,8 +249,8 @@ fn bench_sim(records: &mut Records, p: usize, iters: usize) {
 
 /// Records the execution-benchmark trajectory as `BENCH_exec.json`.
 ///
-/// Measures ns/op of the three executors on the BineLarge allreduce at
-/// p ∈ {64, 256, 1024} and what building and lowering it cost (gated
+/// Measures ns/op of the reference interpreter and the compiled executor
+/// on the BineLarge allreduce at p ∈ {64, 256, 1024} and what building and lowering it cost (gated
 /// `/build/` and `/compile/` at each size, `/lower-seg16/256` at 16
 /// pipeline chunks), plus 1 and 4 MiB reductions over 64 ranks, where the
 /// executors walk block by block (`allreduce-bine-large-{1,4}MiB` and

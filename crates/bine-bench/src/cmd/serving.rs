@@ -246,7 +246,7 @@ pub fn crash(args: Args) -> Outcome {
 ///
 /// Commits a decision table with the healthy DES winner, then activates a
 /// seeded fault plan the model knows nothing about and feeds the observed
-/// (faulted-DES) costs back through [`bine_tune::ServiceSelector::observe`].
+/// (faulted-DES) costs back through [`bine_tune::ServiceSelector::observe_at`].
 /// The run fails (non-zero exit) unless the convergence contract holds —
 /// [`bine_bench::adaptive::measure`] checks every step structurally:
 ///

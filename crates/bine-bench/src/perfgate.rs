@@ -16,7 +16,7 @@
 //! and to turn it into the compiled form, unsegmented and at `S` pipeline
 //! chunks) regresses by more
 //! than the threshold, the gate fails and CI goes red. Interpreter baselines
-//! (`reference`, `sequential`, `sim-reference`, the `/serial/` one-thread
+//! (`reference`, `sim-reference`, the `/serial/` one-thread
 //! run of the service) and the `/serve-latency/` p99 tail are reported
 //! for context but not gated — they are either deliberately slow baselines
 //! or too scheduler-noisy for a hard threshold (tail latency in particular

@@ -158,11 +158,6 @@ impl Evaluator {
         &self.system
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        self.scorer.model()
-    }
-
     /// The scorer, with a grid point for `nodes` (the system's topology at
     /// that size under this evaluator's sampled placement).
     pub fn scorer_at(&mut self, nodes: usize) -> &mut Scorer {

@@ -24,12 +24,6 @@ pub fn modular_distance(r: usize, q: usize, p: usize) -> usize {
     a.min(b)
 }
 
-/// Linear (non-modular) distance `|r − q|` between rank identifiers.
-#[inline]
-pub fn linear_distance(r: usize, q: usize) -> usize {
-    r.abs_diff(q)
-}
-
 /// Distance between communicating ranks at step `i` of a distance-halving
 /// *binomial* tree over `2^s` ranks: `δ_binomial(i) = 2^(s−i−1)`.
 #[inline]

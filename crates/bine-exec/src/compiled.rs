@@ -483,7 +483,6 @@ mod tests {
                     "the pool",
                     ExecutorPool::global().run(&compiled, initial.clone()),
                 ),
-                ("the interpreter", sequential::run(&sched, initial.clone())),
             ];
             let what = request.label();
             let held: Vec<_> = reference.iter().map(ids).collect();

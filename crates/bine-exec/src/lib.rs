@@ -7,9 +7,8 @@
 //! of its payload table, where the handle's memory plan puts them.
 //! Transfers copy indices, and a store reads every payload as `&[f64]`.
 //!
-//! * [`sequential`] — single-threaded interpreters: the zero-copy
-//!   [`sequential::run`] and the seed reference
-//!   [`sequential::run_reference`] every executor is cross-checked
+//! * [`sequential`] — the seed interpreter [`sequential::run_reference`],
+//!   the semantic definition both compiled walks are cross-checked
 //!   bit-identical against,
 //! * [`compiled`] — the fast single-threaded path: executes a
 //!   [`bine_sched::CompiledSchedule`] over dense per-rank state (one slot

@@ -228,7 +228,7 @@ mod tests {
         ] {
             let sched = allreduce(16, alg);
             let w = Workload::for_schedule(&sched, 3);
-            let seq = sequential::run(&sched, w.initial_state(&sched));
+            let seq = sequential::run_reference(&sched, w.initial_state(&sched));
             let pooled =
                 ExecutorPool::global().run(&Arc::new(sched.compile()), w.initial_state(&sched));
             assert_eq!(seq, pooled, "{}", sched.algorithm);
@@ -239,7 +239,7 @@ mod tests {
     fn pool_executor_matches_sequential_for_alltoall() {
         let sched = alltoall(8, AlltoallAlg::Bine);
         let w = Workload::for_schedule(&sched, 2);
-        let seq = sequential::run(&sched, w.initial_state(&sched));
+        let seq = sequential::run_reference(&sched, w.initial_state(&sched));
         let pooled =
             ExecutorPool::global().run(&Arc::new(sched.compile()), w.initial_state(&sched));
         assert_eq!(seq, pooled);

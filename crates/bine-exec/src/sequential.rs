@@ -1,74 +1,30 @@
-//! Deterministic single-threaded schedule interpreters.
+//! The seed interpreter, and the name that runs a symbolic schedule.
 //!
-//! Steps are executed synchronously: within a step every message reads the
-//! sender's state *as it was at the beginning of the step*, mirroring the
-//! semantics of a bulk-synchronous message-passing round. A run ends where
-//! its contract does: a rank drops the blocks it sent or received that
-//! [`Contract::keeps`] does not name, as every executor does.
+//! [`run_reference`] executes steps synchronously: within a step every
+//! message reads the sender's state *as it was at the beginning of the
+//! step*, mirroring the semantics of a bulk-synchronous message-passing
+//! round. It deep-copies every rank's state per step, as the seed executor
+//! did, and is the semantic baseline every walk of [`crate::compiled`] is
+//! cross-checked bit-identical against. A run ends where its contract does:
+//! a rank drops the blocks it sent or received that [`Contract::keeps`]
+//! does not name, as every executor does.
 //!
-//! Two interpreters live here:
-//!
-//! * [`run`] — the zero-copy interpreter: instead of snapshotting all
-//!   per-rank states (the seed executor deep-copied O(ranks × elements) per
-//!   step), it gathers the shared payloads of the step's messages (refcount
-//!   bumps) and then applies them, so per-step cost is proportional to the
-//!   data actually moved.
-//! * [`run_reference`] — the seed interpreter, preserved verbatim including
-//!   its full per-step deep-copy snapshot. It is the semantic baseline every
-//!   other executor (zero-copy sequential, compiled, pool) is
-//!   cross-checked bit-identical against, and the "naive" side of the
-//!   compiled-vs-naive benchmarks.
+//! [`run`] compiles the schedule and runs the compiled walks.
 
 use bine_sched::{Contract, Schedule, TransferKind};
 
-use crate::state::{Block, BlockStore};
+use crate::compiled;
+use crate::state::BlockStore;
 
 /// Executes `schedule` starting from `initial` per-rank states and returns
-/// the final per-rank states. Zero-copy: no per-step state snapshot is
-/// taken; only the payloads in flight are reference-bumped.
+/// the final per-rank states: [`compiled::run`] of the schedule's compiled
+/// form.
 ///
 /// # Panics
 /// Panics if a message references a block its sender does not hold — that is
 /// always a bug in the schedule generator, not a data error.
 pub fn run(schedule: &Schedule, initial: Vec<BlockStore>) -> Vec<BlockStore> {
-    assert_eq!(
-        initial.len(),
-        schedule.num_ranks,
-        "initial state must have one store per rank"
-    );
-    let mut states = initial;
-    let mut payloads: Vec<Block> = Vec::new();
-    for (step_idx, step) in schedule.steps.iter().enumerate() {
-        // Gather phase: read every payload of the step before any state
-        // mutates, so all messages are logically simultaneous. Sharing a
-        // caller's payload is a refcount bump.
-        payloads.clear();
-        for m in step.messages() {
-            for block in m.blocks {
-                let value = states[m.src].get_shared(block).unwrap_or_else(|| {
-                    panic!(
-                        "step {step_idx}: rank {} sends block {block:?} it does not hold ({})",
-                        m.src, schedule.algorithm
-                    )
-                });
-                payloads.push(value);
-            }
-        }
-        // Apply phase: same message order as the reference interpreter.
-        let mut next = payloads.drain(..);
-        for m in step.messages() {
-            for block in m.blocks {
-                let value = next.next().expect("payload count mismatch");
-                match m.kind {
-                    TransferKind::Copy => states[m.dst].insert(*block, value),
-                    TransferKind::Reduce => states[m.dst].reduce(*block, &value),
-                }
-            }
-        }
-        drop(next);
-    }
-    end_at_the_contract(schedule, &mut states);
-    states
+    compiled::run(&schedule.compile(), initial)
 }
 
 /// The seed interpreter: snapshots **all** per-rank states at every step via
@@ -160,21 +116,5 @@ mod tests {
         let sched = broadcast(p, 0, BroadcastAlg::BineTree);
         let empty = (0..p).map(|_| BlockStore::new()).collect();
         run_reference(&sched, empty);
-    }
-
-    #[test]
-    fn zero_copy_interpreter_matches_the_reference_exactly() {
-        let mut ran = 0;
-        for request in bine_sched::walk(&[16]) {
-            let Some(sched) = request.build() else {
-                continue;
-            };
-            let w = Workload::for_schedule(&sched, 2);
-            let fast = run(&sched, w.initial_state(&sched));
-            let reference = run_reference(&sched, w.initial_state(&sched));
-            assert_eq!(fast, reference, "{}", request.label());
-            ran += 1;
-        }
-        assert!(ran > 900, "only {ran} schedules ran");
     }
 }

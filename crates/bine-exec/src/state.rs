@@ -558,16 +558,6 @@ impl BlockStore {
         }
     }
 
-    /// The payload of a block as a [`Block`] of its own, if held: a
-    /// caller's payload shared (a refcount bump), a sum of the run's payload
-    /// table copied out.
-    pub(crate) fn get_shared(&self, id: &BlockId) -> Option<Block> {
-        match self.slot_of(id) {
-            Some((table, handle)) => (handle != NOT_HELD).then(|| table.shared(handle)),
-            None => self.blocks.get(id).cloned(),
-        }
-    }
-
     /// Stores (or overwrites) a block.
     pub fn insert(&mut self, id: BlockId, value: impl Into<Block>) {
         // A block the row has a slot for: out of the shared table first.
@@ -645,7 +635,7 @@ impl BlockStore {
     ///
     /// Only the preserved reference interpreter uses this — it reproduces
     /// the seed executor's O(ranks × elements) per-step snapshot cost, which
-    /// the benchmarks compare the zero-copy executors against.
+    /// the benchmarks compare the compiled executor against.
     pub fn deep_clone(&self) -> Self {
         let copied = self.iter().map(|(id, b)| (*id, Arc::new(b.to_vec())));
         Self {
@@ -716,8 +706,15 @@ mod tests {
         &table.slots[table.layout.rank_slots(*rank)]
     }
 
+    /// The payload `store` hands out for block `id`: a caller's payload
+    /// shared, a sum of the run copied out.
+    fn shared(store: &BlockStore, id: BlockId) -> Block {
+        let block = store.clone().into_blocks().find(|(held, _)| *held == id);
+        block.expect("held").1
+    }
+
     #[test]
-    fn a_short_sum_is_packed_and_a_long_one_has_a_buffer_of_its_own() {
+    fn every_sum_short_or_long_lies_in_the_runs_one_arena() {
         // Short or long, every sum is a buffer of the run's one arena, laid
         // out by the plan at the scale of the input; the caller's payloads
         // are read, never written.
@@ -742,7 +739,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_sums_add_into_each_other_wherever_they_lie() {
+    fn arena_sums_add_into_each_other_and_never_into_a_callers_payload() {
         // Three two-element buffers of an arena, after one caller's payload.
         let (layout, _) = gather_table();
         let mut table = PayloadTable::new(&layout, 0, 1);
@@ -798,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn a_walk_lets_go_of_the_long_room_it_kept_and_the_next_walk_takes_its_place() {
+    fn finals_fed_back_run_in_an_arena_of_the_same_size_every_time() {
         // Allreduce `bine-small` finals fed back in four times: each run
         // takes the held sums as its inputs, plans afresh for them and lets
         // go of the last arena, so the arena does not grow.
@@ -849,8 +846,8 @@ mod tests {
         assert_eq!(keyed.get(&SEG(3)), None);
         assert_eq!(keyed.get(&SEG(77)), None);
         // Re-keying moves payloads, it does not copy them.
-        let shared = |s: &BlockStore, id| Arc::as_ptr(&s.get_shared(&id).unwrap());
-        assert_eq!(shared(&keyed, SEG(1)), shared(&map_form, SEG(1)));
+        let payload = |s: &BlockStore, id| Arc::as_ptr(&shared(s, id));
+        assert_eq!(payload(&keyed, SEG(1)), payload(&map_form, SEG(1)));
         // Empty slots are not blocks.
         assert_eq!(keyed.len(), 4);
         assert!(!keyed.is_empty());
@@ -905,7 +902,7 @@ mod tests {
         assert_eq!(keyed, map_form);
         // Overwrite, fill an empty slot, reduce into a held block and an
         // empty slot: the store leaves the table for map form first.
-        let before: Block = keyed.get_shared(&SEG(5)).unwrap();
+        let before = shared(&keyed, SEG(5));
         for store in [&mut keyed, &mut map_form] {
             store.insert(SEG(1), vec![10.0, 11.0]);
             store.insert(SEG(3), vec![3.0]);
@@ -955,7 +952,7 @@ mod tests {
         );
         assert!(deep.keyed.is_none(), "a deep clone is in map form");
         for id in [SEG(1), SEG(2), SEG(5), BlockId::Full] {
-            let payload = |s: &BlockStore| Arc::as_ptr(&s.get_shared(&id).unwrap());
+            let payload = |s: &BlockStore| Arc::as_ptr(&shared(s, id));
             assert_eq!(payload(&clone), payload(&keyed), "{id:?}");
             assert_ne!(payload(&deep), payload(&keyed), "{id:?}");
         }

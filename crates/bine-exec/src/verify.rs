@@ -75,11 +75,11 @@ pub fn verify(workload: &Workload, finals: &[BlockStore]) -> VerifyResult {
     Ok(())
 }
 
-/// Convenience helper: builds the workload for a schedule, runs it on the
-/// sequential executor and verifies the result.
+/// Convenience helper: builds the workload for a schedule, runs its
+/// compiled form and verifies the result.
 pub fn run_and_verify(schedule: &bine_sched::Schedule, elems_per_block: usize) -> VerifyResult {
     let workload = Workload::for_schedule(schedule, elems_per_block);
-    let finals = crate::sequential::run(schedule, workload.initial_state(schedule));
+    let finals = crate::compiled::run(&schedule.compile(), workload.initial_state(schedule));
     verify(&workload, &finals)
 }
 
@@ -98,7 +98,7 @@ mod tests {
     fn verification_detects_corrupted_results() {
         let sched = allreduce(8, AllreduceAlg::BineSmall);
         let w = Workload::for_schedule(&sched, 2);
-        let mut finals = crate::sequential::run(&sched, w.initial_state(&sched));
+        let mut finals = crate::compiled::run(&sched.compile(), w.initial_state(&sched));
         // Corrupt one element on one rank.
         let mut v = finals[3].get(&BlockId::Full).unwrap().to_vec();
         v[0] += 1.0;
@@ -111,7 +111,7 @@ mod tests {
     fn verification_fails_on_nan_and_infinite_results() {
         let sched = allreduce(8, AllreduceAlg::BineSmall);
         let w = Workload::for_schedule(&sched, 2);
-        let finals = crate::sequential::run(&sched, w.initial_state(&sched));
+        let finals = crate::compiled::run(&sched.compile(), w.initial_state(&sched));
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut broken = finals.clone();
             let mut v = broken[5].get(&BlockId::Full).unwrap().to_vec();
@@ -141,7 +141,7 @@ mod tests {
     fn verification_detects_missing_blocks() {
         let sched = allreduce(8, AllreduceAlg::BineLarge);
         let w = Workload::for_schedule(&sched, 2);
-        let mut finals = crate::sequential::run(&sched, w.initial_state(&sched));
+        let mut finals = crate::compiled::run(&sched.compile(), w.initial_state(&sched));
         finals[0] = BlockStore::new();
         assert!(verify(&w, &finals).is_err());
     }

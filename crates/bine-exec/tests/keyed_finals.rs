@@ -142,11 +142,6 @@ fn finals_fed_back_in_give_what_their_map_form_copy_gives() {
             chained,
             "{what}: another handle"
         );
-        assert_eq!(
-            sequential::run(&sched, first.clone()),
-            chained,
-            "{what}: the interpreter over table-backed input"
-        );
         // A store under another rank's row of the same table is re-keyed,
         // not trusted: rotate allgather finals (every rank holds every
         // segment) by one rank.

@@ -7,8 +7,8 @@ mod walk;
 
 use std::sync::Arc;
 
-use bine_exec::{BlockStore, Workload};
 use bine_exec::{compiled, sequential, verify, ExecutorPool};
+use bine_exec::{BlockStore, Workload};
 use bine_sched::catalog::Source;
 use bine_sched::{build, Collective, ProviderSet, Request, Schedule};
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ proptest! {
         let Some(sched) = request.build() else { return Ok(()) };
         prop_assert!(sched.validate().is_ok());
         let workload = Workload::for_schedule(&sched, elems);
-        let finals = sequential::run(&sched, workload.initial_state(&sched));
+        let finals = compiled::run(&sched.compile(), workload.initial_state(&sched));
         if let Err(e) = verify::verify(&workload, &finals) {
             return Err(TestCaseError::fail(format!("{}: {e}", request.label())));
         }
@@ -90,8 +90,6 @@ proptest! {
         let Some(sched) = request.build() else { return Ok(()) };
         let workload = Workload::for_schedule(&sched, elems);
         let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
-        let seq = sequential::run(&sched, workload.initial_state(&sched));
-        prop_assert_eq!(&seq, &reference, "sequential: {}", what);
         let comp = compiled::run(&sched.compile(), workload.initial_state(&sched));
         prop_assert_eq!(&comp, &reference, "compiled: {}", what);
         let pooled = pool_run(&sched, workload.initial_state(&sched));
@@ -128,7 +126,6 @@ proptest! {
         let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
         for (name, finals) in [
             ("reference", sequential::run_reference(&seg, workload.initial_state(&seg))),
-            ("sequential", sequential::run(&seg, workload.initial_state(&seg))),
             ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
             ("pool", pool_run(&seg, workload.initial_state(&seg))),
         ] {
@@ -142,10 +139,10 @@ proptest! {
     // The irregular (v-variant) leg of the equivalence matrix: every
     // buildable v-variant schedule — any size distribution, any root, any
     // segmentation, pow2 and non-pow2 rank counts alike — executes
-    // bit-identically on all three executors and satisfies the collective's
-    // counts-weighted post-condition. Zero-count segments (the one-heavy
-    // distribution) must flow through every executor the same way as any
-    // other block.
+    // bit-identically on the reference, the compiled walks and the pool and
+    // satisfies the collective's counts-weighted post-condition. Zero-count
+    // segments (the one-heavy distribution) must flow through every
+    // executor the same way as any other block.
     #[test]
     fn irregular_schedules_execute_identically_on_all_executors(
         draw in any_draw(),
@@ -160,7 +157,6 @@ proptest! {
         let workload = Workload::for_schedule(&sched, elems);
         let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
         for (exec, finals) in [
-            ("sequential", sequential::run(&sched, workload.initial_state(&sched))),
             ("compiled", compiled::run(&sched.compile(), workload.initial_state(&sched))),
             ("pool", pool_run(&sched, workload.initial_state(&sched))),
         ] {
@@ -190,7 +186,6 @@ proptest! {
         let reference = sequential::run_reference(&sched, workload.initial_state(&sched));
         for (exec, finals) in [
             ("reference", sequential::run_reference(&seg, workload.initial_state(&seg))),
-            ("sequential", sequential::run(&seg, workload.initial_state(&seg))),
             ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
             ("pool", pool_run(&seg, workload.initial_state(&seg))),
         ] {
@@ -245,7 +240,6 @@ proptest! {
             let workload = Workload::for_schedule(&seg, elems);
             let reference = sequential::run_reference(&seg, workload.initial_state(&seg));
             for (exec, finals) in [
-                ("sequential", sequential::run(&seg, workload.initial_state(&seg))),
                 ("compiled", compiled::run(&seg.compile(), workload.initial_state(&seg))),
                 ("pool", pool_run(&seg, workload.initial_state(&seg))),
             ] {

@@ -31,8 +31,8 @@
 //! hash (no RNG dependency): the same `(seed, topology size, rank count)`
 //! always yields the same plan, on every platform.
 
-/// An invalid fault parameter, reported by the `try_`-builders and by
-/// [`FaultSpec::validate`] instead of panicking (or, worse, silently
+/// An invalid fault parameter, reported by the [`FaultPlan`] builders and
+/// by [`FaultSpec::validate`] instead of panicking (or, worse, silently
 /// producing NaN simulation times).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultError {
@@ -155,18 +155,9 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Adds (or overwrites) a bandwidth degradation for `link`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < factor <= 1`.
-    pub fn degrade_link(self, link: usize, factor: f64) -> Self {
-        self.try_degrade_link(link, factor)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::degrade_link`]: rejects NaN and factors
-    /// outside `(0, 1]` with a typed error.
-    pub fn try_degrade_link(mut self, link: usize, factor: f64) -> Result<Self, FaultError> {
+    /// Adds (or overwrites) a bandwidth degradation for `link`; NaN and
+    /// factors outside `(0, 1]` are a typed error.
+    pub fn degrade_link(mut self, link: usize, factor: f64) -> Result<Self, FaultError> {
         if !(factor > 0.0 && factor <= 1.0) {
             return Err(FaultError::BadBandwidthFactor { value: factor });
         }
@@ -174,18 +165,9 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Adds (or overwrites) a latency spike for `link`.
-    ///
-    /// # Panics
-    /// Panics unless `extra_us` is finite and non-negative.
-    pub fn spike_link(self, link: usize, extra_us: f64) -> Self {
-        self.try_spike_link(link, extra_us)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::spike_link`]: rejects NaN, infinities
-    /// and negative spikes with a typed error.
-    pub fn try_spike_link(mut self, link: usize, extra_us: f64) -> Result<Self, FaultError> {
+    /// Adds (or overwrites) a latency spike for `link`; NaN, infinities and
+    /// negative spikes are a typed error.
+    pub fn spike_link(mut self, link: usize, extra_us: f64) -> Result<Self, FaultError> {
         if !(extra_us.is_finite() && extra_us >= 0.0) {
             return Err(FaultError::BadLatencySpike { value: extra_us });
         }
@@ -193,18 +175,9 @@ impl FaultPlan {
         Ok(self)
     }
 
-    /// Adds (or overwrites) a compute slowdown for `rank`.
-    ///
-    /// # Panics
-    /// Panics unless `slowdown` is finite and `>= 1`.
-    pub fn straggler(self, rank: usize, slowdown: f64) -> Self {
-        self.try_straggler(rank, slowdown)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::straggler`]: rejects NaN, infinities
-    /// and slowdowns below `1` with a typed error.
-    pub fn try_straggler(mut self, rank: usize, slowdown: f64) -> Result<Self, FaultError> {
+    /// Adds (or overwrites) a compute slowdown for `rank`; NaN, infinities
+    /// and slowdowns below `1` are a typed error.
+    pub fn straggler(mut self, rank: usize, slowdown: f64) -> Result<Self, FaultError> {
         if !(slowdown.is_finite() && slowdown >= 1.0) {
             return Err(FaultError::BadComputeSlowdown { value: slowdown });
         }
@@ -222,17 +195,8 @@ impl FaultPlan {
     }
 
     /// Adds (or overwrites) a crash fault: `rank` fail-stops at `at_us`.
-    ///
-    /// # Panics
-    /// Panics unless `at_us` is finite and non-negative.
-    pub fn crash_rank(self, rank: usize, at_us: f64) -> Self {
-        self.try_crash_rank(rank, at_us)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::crash_rank`]: rejects NaN, infinities
-    /// and negative crash times with a typed error.
-    pub fn try_crash_rank(mut self, rank: usize, at_us: f64) -> Result<Self, FaultError> {
+    /// NaN, infinities and negative crash times are a typed error.
+    pub fn crash_rank(mut self, rank: usize, at_us: f64) -> Result<Self, FaultError> {
         if !(at_us.is_finite() && at_us >= 0.0) {
             return Err(FaultError::BadFaultTime { value: at_us });
         }
@@ -250,18 +214,9 @@ impl FaultPlan {
     }
 
     /// Adds (or overwrites) a link cut: no message may start crossing
-    /// `link` at or after `at_us`.
-    ///
-    /// # Panics
-    /// Panics unless `at_us` is finite and non-negative.
-    pub fn down_link(self, link: usize, at_us: f64) -> Self {
-        self.try_down_link(link, at_us)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultPlan::down_link`]: rejects NaN, infinities
-    /// and negative cut times with a typed error.
-    pub fn try_down_link(mut self, link: usize, at_us: f64) -> Result<Self, FaultError> {
+    /// `link` at or after `at_us`. NaN, infinities and negative cut times
+    /// are a typed error.
+    pub fn down_link(mut self, link: usize, at_us: f64) -> Result<Self, FaultError> {
         if !(at_us.is_finite() && at_us >= 0.0) {
             return Err(FaultError::BadFaultTime { value: at_us });
         }
@@ -419,9 +374,8 @@ impl FaultSpec {
     }
 
     /// Checks every field for NaN and out-of-range values, reporting the
-    /// first violation as a typed error. [`FaultSpec::plan`] calls this and
-    /// panics on violation; callers taking untrusted input (CLI flags,
-    /// config files) should call it directly.
+    /// first violation as a typed error. [`FaultSpec::plan`] calls this
+    /// first and returns the violation.
     pub fn validate(&self) -> Result<(), FaultError> {
         let fraction = |field: &'static str, value: f64| {
             if (0.0..=1.0).contains(&value) {
@@ -452,34 +406,26 @@ impl FaultSpec {
     }
 
     /// Draws the plan for a system with `num_links` links and `num_ranks`
-    /// ranks. Deterministic in `(self, num_links, num_ranks)`.
-    ///
-    /// # Panics
-    /// Panics when the spec fails [`FaultSpec::validate`].
-    pub fn plan(&self, num_links: usize, num_ranks: usize) -> FaultPlan {
-        self.try_plan(num_links, num_ranks)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`FaultSpec::plan`]: validates the spec first and
-    /// reports the violation instead of panicking.
-    pub fn try_plan(&self, num_links: usize, num_ranks: usize) -> Result<FaultPlan, FaultError> {
+    /// ranks. Deterministic in `(self, num_links, num_ranks)`; a spec that
+    /// fails [`FaultSpec::validate`] is its error.
+    pub fn plan(&self, num_links: usize, num_ranks: usize) -> Result<FaultPlan, FaultError> {
         self.validate()?;
         let mut plan = FaultPlan::none();
         for link in 0..num_links {
             if unit(self.seed, 0, link) < self.degraded_link_fraction {
                 let f = self.min_bandwidth_factor
                     + (1.0 - self.min_bandwidth_factor) * unit(self.seed, 1, link);
-                plan = plan.degrade_link(link, f.min(1.0));
+                plan = plan.degrade_link(link, f.min(1.0))?;
             }
             if unit(self.seed, 2, link) < self.spiked_link_fraction {
-                plan = plan.spike_link(link, self.max_latency_spike_us * unit(self.seed, 3, link));
+                plan =
+                    plan.spike_link(link, self.max_latency_spike_us * unit(self.seed, 3, link))?;
             }
         }
         for rank in 0..num_ranks {
             if unit(self.seed, 4, rank) < self.straggler_fraction {
                 let s = 1.0 + (self.max_compute_slowdown - 1.0) * unit(self.seed, 5, rank);
-                plan = plan.straggler(rank, s.max(1.0));
+                plan = plan.straggler(rank, s.max(1.0))?;
             }
         }
         Ok(plan)
@@ -517,15 +463,15 @@ mod tests {
     }
 
     #[test]
-    fn builders_sort_dedupe_and_overwrite() {
+    fn builders_sort_dedupe_and_overwrite() -> Result<(), FaultError> {
         let plan = FaultPlan::none()
-            .degrade_link(5, 0.5)
-            .degrade_link(2, 0.75)
-            .spike_link(5, 10.0)
-            .degrade_link(5, 0.25)
-            .straggler(3, 2.0)
-            .straggler(1, 3.0)
-            .straggler(3, 4.0);
+            .degrade_link(5, 0.5)?
+            .degrade_link(2, 0.75)?
+            .spike_link(5, 10.0)?
+            .degrade_link(5, 0.25)?
+            .straggler(3, 2.0)?
+            .straggler(1, 3.0)?
+            .straggler(3, 4.0)?;
         assert_eq!(plan.bandwidth_factor(5), 0.25);
         assert_eq!(plan.extra_latency_us(5), 10.0);
         assert_eq!(plan.bandwidth_factor(2), 0.75);
@@ -536,22 +482,28 @@ mod tests {
         assert_eq!(links, vec![2, 5]);
         let ranks: Vec<usize> = plan.stragglers().iter().map(|s| s.rank).collect();
         assert_eq!(ranks, vec![1, 3]);
+        Ok(())
     }
 
     #[test]
-    fn equal_scenarios_compare_equal_regardless_of_insertion_order() {
-        let a = FaultPlan::none().degrade_link(1, 0.5).degrade_link(9, 0.5);
-        let b = FaultPlan::none().degrade_link(9, 0.5).degrade_link(1, 0.5);
+    fn equal_scenarios_compare_equal_regardless_of_insertion_order() -> Result<(), FaultError> {
+        let a = FaultPlan::none()
+            .degrade_link(1, 0.5)?
+            .degrade_link(9, 0.5)?;
+        let b = FaultPlan::none()
+            .degrade_link(9, 0.5)?
+            .degrade_link(1, 0.5)?;
         assert_eq!(a, b);
+        Ok(())
     }
 
     #[test]
-    fn spec_is_deterministic_and_respects_bounds() {
+    fn spec_is_deterministic_and_respects_bounds() -> Result<(), FaultError> {
         let spec = FaultSpec::moderate(42);
-        let a = spec.plan(256, 64);
-        let b = spec.plan(256, 64);
+        let a = spec.plan(256, 64)?;
+        let b = spec.plan(256, 64)?;
         assert_eq!(a, b);
-        assert_ne!(a, FaultSpec::moderate(43).plan(256, 64));
+        assert_ne!(a, FaultSpec::moderate(43).plan(256, 64)?);
         for f in a.link_faults() {
             assert!(f.bandwidth_factor > 0.0 && f.bandwidth_factor <= 1.0);
             assert!(f.extra_latency_us >= 0.0 && f.extra_latency_us < 20.0);
@@ -562,60 +514,57 @@ mod tests {
         // The moderate fractions must actually draw faults at this size.
         assert!(!a.link_faults().is_empty());
         assert!(!a.stragglers().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth factor")]
-    fn zero_bandwidth_factor_is_rejected() {
-        let _ = FaultPlan::none().degrade_link(0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "compute slowdown")]
-    fn sub_unit_slowdown_is_rejected() {
-        let _ = FaultPlan::none().straggler(0, 0.5);
+        Ok(())
     }
 
     #[test]
     fn try_builders_reject_nan_and_out_of_range_with_typed_errors() {
+        assert_eq!(
+            FaultPlan::none().degrade_link(0, 0.0),
+            Err(FaultError::BadBandwidthFactor { value: 0.0 })
+        );
         assert!(matches!(
-            FaultPlan::none().try_degrade_link(0, f64::NAN),
+            FaultPlan::none().degrade_link(0, f64::NAN),
             Err(FaultError::BadBandwidthFactor { value }) if value.is_nan()
         ));
         assert_eq!(
-            FaultPlan::none().try_degrade_link(0, 1.5),
+            FaultPlan::none().degrade_link(0, 1.5),
             Err(FaultError::BadBandwidthFactor { value: 1.5 })
         );
         assert_eq!(
-            FaultPlan::none().try_spike_link(0, -1.0),
+            FaultPlan::none().spike_link(0, -1.0),
             Err(FaultError::BadLatencySpike { value: -1.0 })
         );
         assert!(matches!(
-            FaultPlan::none().try_spike_link(0, f64::NAN),
+            FaultPlan::none().spike_link(0, f64::NAN),
             Err(FaultError::BadLatencySpike { value }) if value.is_nan()
         ));
         assert_eq!(
-            FaultPlan::none().try_straggler(0, f64::INFINITY),
+            FaultPlan::none().straggler(0, 0.5),
+            Err(FaultError::BadComputeSlowdown { value: 0.5 })
+        );
+        assert_eq!(
+            FaultPlan::none().straggler(0, f64::INFINITY),
             Err(FaultError::BadComputeSlowdown {
                 value: f64::INFINITY
             })
         );
         assert_eq!(
-            FaultPlan::none().try_crash_rank(0, -0.5),
+            FaultPlan::none().crash_rank(0, -0.5),
             Err(FaultError::BadFaultTime { value: -0.5 })
         );
         assert!(matches!(
-            FaultPlan::none().try_down_link(0, f64::NAN),
+            FaultPlan::none().down_link(0, f64::NAN),
             Err(FaultError::BadFaultTime { value }) if value.is_nan()
         ));
-        assert!(FaultPlan::none().try_crash_rank(3, 12.5).is_ok());
+        assert!(FaultPlan::none().crash_rank(3, 12.5).is_ok());
     }
 
     #[test]
     fn nan_error_values_still_compare_equal() {
         // FaultError derives PartialEq over f64 payloads; NaN != NaN would
         // make the assertions above vacuous, so pin the representation.
-        let a = FaultPlan::none().try_spike_link(0, f64::NAN).unwrap_err();
+        let a = FaultPlan::none().spike_link(0, f64::NAN).unwrap_err();
         match a {
             FaultError::BadLatencySpike { value } => assert!(value.is_nan()),
             other => panic!("wrong variant: {other:?}"),
@@ -623,12 +572,12 @@ mod tests {
     }
 
     #[test]
-    fn crash_entries_sort_dedupe_and_default_to_never() {
+    fn crash_entries_sort_dedupe_and_default_to_never() -> Result<(), FaultError> {
         let plan = FaultPlan::none()
-            .crash_rank(5, 10.0)
-            .crash_rank(1, 0.0)
-            .crash_rank(5, 7.5)
-            .down_link(9, 3.0);
+            .crash_rank(5, 10.0)?
+            .crash_rank(1, 0.0)?
+            .crash_rank(5, 7.5)?
+            .down_link(9, 3.0)?;
         assert_eq!(plan.crash_time_us(5), 7.5);
         assert_eq!(plan.crash_time_us(1), 0.0);
         assert_eq!(plan.crash_time_us(2), f64::INFINITY);
@@ -637,7 +586,8 @@ mod tests {
         assert_eq!(plan.crashed_ranks().collect::<Vec<_>>(), vec![1, 5]);
         assert!(!plan.is_zero());
         // A crash at any finite time is a real fault, never an identity.
-        assert!(!FaultPlan::none().crash_rank(0, 1e12).is_zero());
+        assert!(!FaultPlan::none().crash_rank(0, 1e12)?.is_zero());
+        Ok(())
     }
 
     #[test]
@@ -655,7 +605,7 @@ mod tests {
         let mut spec = FaultSpec::moderate(1);
         spec.min_bandwidth_factor = 0.0;
         assert!(matches!(
-            spec.try_plan(16, 8),
+            spec.plan(16, 8),
             Err(FaultError::BadBandwidthFactor { .. })
         ));
         let mut spec = FaultSpec::moderate(1);

@@ -189,7 +189,7 @@ mod tests {
     use super::*;
     use crate::allocation::Allocation;
     use crate::cost::CostModel;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultError, FaultPlan};
     use crate::topology::{FatTree, IdealFullMesh, Topology, Torus};
     use bine_sched::collectives::{allreduce, broadcast, AllreduceAlg, BroadcastAlg};
     use bine_sched::{CompiledSchedule, Schedule};
@@ -319,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn faults_slow_the_congestion_free_simulation_deterministically() {
+    fn faults_slow_the_congestion_free_simulation_deterministically() -> Result<(), FaultError> {
         // On an ideal full mesh no flows ever share a link, so fault effects
         // are monotone: halving every link's bandwidth doubles each flow's
         // serialisation, and a straggling rank only delays its own chain.
@@ -335,7 +335,7 @@ mod tests {
 
         let mut degraded_plan = crate::fault::FaultPlan::none();
         for l in 0..topo.num_links() {
-            degraded_plan = degraded_plan.degrade_link(l, 0.5);
+            degraded_plan = degraded_plan.degrade_link(l, 0.5)?;
         }
         let faulted = |plan: &FaultPlan| {
             SimRequest::new(&model, &compiled, n, &topo, &alloc)
@@ -353,7 +353,7 @@ mod tests {
         let again = faulted(&degraded_plan);
         assert_eq!(degraded.makespan_us.to_bits(), again.makespan_us.to_bits());
 
-        let straggler_plan = crate::fault::FaultPlan::none().straggler(3, 4.0);
+        let straggler_plan = crate::fault::FaultPlan::none().straggler(3, 4.0)?;
         let straggled = faulted(&straggler_plan);
         assert!(
             straggled.makespan_us > healthy.makespan_us,
@@ -361,10 +361,11 @@ mod tests {
             straggled.makespan_us,
             healthy.makespan_us
         );
+        Ok(())
     }
 
     #[test]
-    fn switching_fault_plans_revalidates_the_cached_statics() {
+    fn switching_fault_plans_revalidates_the_cached_statics() -> Result<(), FaultError> {
         // One arena alternating between plans (including back to zero-fault)
         // must match fresh-arena runs bit for bit — the plan participates in
         // cache validation exactly like the topology does.
@@ -375,9 +376,9 @@ mod tests {
         let compiled = allreduce(p, AllreduceAlg::BineLarge).compile();
         let n = 1u64 << 20;
         let plan_a = crate::fault::FaultPlan::none()
-            .degrade_link(0, 0.5)
-            .spike_link(1, 5.0);
-        let plan_b = crate::fault::FaultPlan::none().straggler(0, 2.0);
+            .degrade_link(0, 0.5)?
+            .spike_link(1, 5.0)?;
+        let plan_b = crate::fault::FaultPlan::none().straggler(0, 2.0)?;
         let zero = crate::fault::FaultPlan::none();
         let mut arena = SimArena::new();
         for plan in [&plan_a, &plan_b, &zero, &plan_a, &zero] {
@@ -403,6 +404,7 @@ mod tests {
             .run()
             .into_report();
         assert_eq!(bare.makespan_us.to_bits(), zeroed.makespan_us.to_bits());
+        Ok(())
     }
 
     #[test]
@@ -443,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn a_crashed_rank_stalls_the_tree_with_a_typed_diagnosis() {
+    fn a_crashed_rank_stalls_the_tree_with_a_typed_diagnosis() -> Result<(), FaultError> {
         // Killing rank 1 at t = 0 beheads its whole subtree of the binomial
         // broadcast: the sim must go quiescent and return Stalled with the
         // validator's exact stall cut instead of hanging.
@@ -452,7 +454,7 @@ mod tests {
         let alloc = Allocation::block(p);
         let model = CostModel::default();
         let compiled = broadcast(p, 0, BroadcastAlg::BinomialDistanceDoubling).compile();
-        let plan = crate::fault::FaultPlan::none().crash_rank(1, 0.0);
+        let plan = crate::fault::FaultPlan::none().crash_rank(1, 0.0)?;
         let outcome = SimRequest::new(&model, &compiled, 1 << 16, &topo, &alloc)
             .faults(&plan)
             .run();
@@ -475,10 +477,11 @@ mod tests {
             .undeliverable
             .iter()
             .any(|r| r.reason == bine_sched::StallReason::Crashed));
+        Ok(())
     }
 
     #[test]
-    fn stalled_runs_are_bit_identical_between_optimized_and_reference() {
+    fn stalled_runs_are_bit_identical_between_optimized_and_reference() -> Result<(), FaultError> {
         // The whole stall report — quiescence time, drop set, diagnosis —
         // must match between the two implementations, on a congested
         // topology and for both a rank crash and a severed link.
@@ -488,11 +491,11 @@ mod tests {
         let model = CostModel::default();
         let compiled = allreduce(p, AllreduceAlg::BineLarge).segmented(4).compile();
         let plans = [
-            crate::fault::FaultPlan::none().crash_rank(3, 40.0),
-            crate::fault::FaultPlan::none().down_link(0, 25.0),
+            crate::fault::FaultPlan::none().crash_rank(3, 40.0)?,
+            crate::fault::FaultPlan::none().down_link(0, 25.0)?,
             crate::fault::FaultPlan::none()
-                .crash_rank(0, 10.0)
-                .degrade_link(1, 0.5),
+                .crash_rank(0, 10.0)?
+                .degrade_link(1, 0.5)?,
         ];
         for plan in &plans {
             let fast = SimRequest::new(&model, &compiled, 1 << 20, &topo, &alloc)
@@ -507,10 +510,11 @@ mod tests {
             assert_eq!(fast.time_us.to_bits(), reference.time_us.to_bits());
             assert_eq!(fast, reference);
         }
+        Ok(())
     }
 
     #[test]
-    fn a_crash_after_completion_reproduces_the_healthy_run_exactly() {
+    fn a_crash_after_completion_reproduces_the_healthy_run_exactly() -> Result<(), FaultError> {
         // A crash scheduled later than every send's eligibility moment never
         // drops anything; the run must complete with the healthy bits (the
         // kill-time comparison adds no floating-point arithmetic).
@@ -522,7 +526,7 @@ mod tests {
         let healthy = SimRequest::new(&model, &compiled, 1 << 20, &topo, &alloc)
             .run()
             .into_report();
-        let plan = crate::fault::FaultPlan::none().crash_rank(5, 1e12);
+        let plan = crate::fault::FaultPlan::none().crash_rank(5, 1e12)?;
         let late = SimRequest::new(&model, &compiled, 1 << 20, &topo, &alloc)
             .faults(&plan)
             .run();
@@ -530,10 +534,11 @@ mod tests {
         let late = late.into_report();
         assert_eq!(healthy.makespan_us.to_bits(), late.makespan_us.to_bits());
         assert_eq!(healthy, late);
+        Ok(())
     }
 
     #[test]
-    fn arenas_revalidate_across_crash_plans_and_back_to_healthy() {
+    fn arenas_revalidate_across_crash_plans_and_back_to_healthy() -> Result<(), FaultError> {
         // One arena alternating crash plan → zero plan → crash plan must
         // match fresh-arena runs exactly, including identical stall reports.
         let p = 16;
@@ -541,7 +546,7 @@ mod tests {
         let alloc = Allocation::block(p);
         let model = CostModel::default();
         let compiled = allreduce(p, AllreduceAlg::RecursiveDoubling).compile();
-        let crash = crate::fault::FaultPlan::none().crash_rank(3, 0.0);
+        let crash = crate::fault::FaultPlan::none().crash_rank(3, 0.0)?;
         let zero = crate::fault::FaultPlan::none();
         let mut arena = SimArena::new();
         for plan in [&crash, &zero, &crash, &zero] {
@@ -570,6 +575,7 @@ mod tests {
                 (a, b) => panic!("outcome shapes diverged: {a:?} vs {b:?}"),
             }
         }
+        Ok(())
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn des_tier_totals_are_the_traffic_walks() {
                     continue;
                 }
                 let spec = FaultSpec::moderate(checked as u64);
-                let plan = spec.plan(topo.num_links(), p);
+                let plan = spec.plan(topo.num_links(), p).expect("a valid spec");
                 let run = |reference: bool| {
                     let request = SimRequest::new(&model, &compiled, n, topo, alloc).faults(&plan);
                     let request = if reference {

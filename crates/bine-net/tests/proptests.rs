@@ -249,10 +249,10 @@ proptest! {
         let plan = if identity_entries {
             // Identity values spelled out explicitly: factor 1.0, spike
             // 0.0, slowdown 1.0 must all be bit-exact no-ops.
-            FaultPlan::none()
-                .degrade_link(0, 1.0)
-                .spike_link(1, 0.0)
-                .straggler(p - 1, 1.0)
+            let valid = "identity values are valid";
+            let plan = FaultPlan::none().degrade_link(0, 1.0).expect(valid);
+            let plan = plan.spike_link(1, 0.0).expect(valid);
+            plan.straggler(p - 1, 1.0).expect(valid)
         } else {
             FaultPlan::none()
         };
@@ -329,7 +329,7 @@ proptest! {
             Box::new(Torus::new(torus_dims(p))),
             Box::new(FatTree::new(p, 4, 1)),
         ] {
-            let plan = spec.plan(topo.num_links(), p);
+            let plan = spec.plan(topo.num_links(), p).expect("a valid spec");
             let reference = SimRequest::new(&model, &compiled, n, topo.as_ref(), &alloc)
                 .reference()
                 .faults(&plan)
@@ -389,7 +389,7 @@ proptest! {
             Box::new(FatTree::new(p, 4, 1)) as Box<dyn Topology>,
             Box::new(Torus::new(torus_dims(p))),
         ] {
-            let plan = spec.plan(topo.num_links(), p);
+            let plan = spec.plan(topo.num_links(), p).expect("a valid spec");
             type Trace = Vec<(u64, Vec<(u32, u64)>)>;
             fn entry(t: f64, rates: &[(u32, f64)]) -> (u64, Vec<(u32, u64)>) {
                 (

@@ -226,11 +226,6 @@ impl Counts {
         self.total
     }
 
-    /// Whether every rank has the same count (the regular special case).
-    pub fn is_uniform(&self) -> bool {
-        self.per_rank.iter().all(|&c| c == self.per_rank[0])
-    }
-
     /// Bytes of segment `i` when the whole operation moves `n` bytes:
     /// `0` for a zero-count rank, otherwise `max(1, ceil(n · cᵢ / Σc))`.
     pub fn segment_bytes(&self, i: u32, n: u64) -> u64 {

@@ -87,7 +87,8 @@ impl ShardState {
 }
 
 impl ServiceSelector {
-    /// Feeds one observed per-pick cost into the adaptive feedback loop:
+    /// Feeds one observed per-pick cost of system `sys` (its
+    /// [`ServiceSelector::system_index`]) into the adaptive feedback loop:
     /// the execution wall time of a served schedule, or the simulated cost
     /// when the caller runs picks through the DES. A no-op unless
     /// [`ServiceSelector::with_adaptation`] enabled adaptation (and on
@@ -101,20 +102,6 @@ impl ServiceSelector {
     /// [`AdaptPolicy::divergence`], this call runs the re-evaluation
     /// before returning (single-flight: concurrent observers skip rather
     /// than block, and repeated failures trip a per-entry breaker).
-    pub fn observe(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        timing: ObservedTiming,
-    ) {
-        if let Some(sys) = self.system_index(system) {
-            self.observe_at(sys, collective, nodes, bytes, timing);
-        }
-    }
-
-    /// [`ServiceSelector::observe`] by system index.
     pub fn observe_at(
         &self,
         sys: usize,

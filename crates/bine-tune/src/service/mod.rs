@@ -272,7 +272,7 @@ impl ServiceSelector {
     }
 
     /// Enables online adaptive tuning: the service records per-pick
-    /// observed timings (fed by [`ServiceSelector::observe`] and the
+    /// observed timings (fed by [`ServiceSelector::observe_at`] and the
     /// `execute` family), compares them against the committed modelled
     /// scores, and when an entry diverges past [`AdaptPolicy::divergence`]
     /// re-evaluates challengers through `reevaluator` — promoting a winner
@@ -450,14 +450,13 @@ impl ServiceSelector {
     }
 
     /// Resolves the tuned pick, compiles (or fetches) its schedule and
-    /// executes it over `initial` block stores on `pool`, reporting job
-    /// panics as [`ExecError`] instead of unwinding. `None` when the query
-    /// resolves to no table entry or the pick is not buildable at this
-    /// rank count. On success the execution wall time is fed back into the
-    /// adaptive loop (see [`ServiceSelector::observe`]).
-    pub fn try_execute_on(
+    /// executes it over `initial` block stores on [`ExecutorPool::global`],
+    /// reporting job panics as [`ExecError`] instead of unwinding. `None`
+    /// when the query resolves to no table entry or the pick is not
+    /// buildable at this rank count. On success the execution wall time is
+    /// fed back into the adaptive loop (see [`ServiceSelector::observe_at`]).
+    pub fn try_execute(
         &self,
-        pool: &ExecutorPool,
         system: &str,
         collective: Collective,
         nodes: usize,
@@ -467,7 +466,7 @@ impl ServiceSelector {
         let sys = self.system_index(system)?;
         let compiled = self.compiled_at(sys, collective, nodes, bytes)?;
         let start = Instant::now();
-        let result = pool.try_run(&compiled, initial);
+        let result = ExecutorPool::global().try_run(&compiled, initial);
         if result.is_ok() {
             self.observe_at(
                 sys,
@@ -480,46 +479,7 @@ impl ServiceSelector {
         Some(result)
     }
 
-    /// [`ServiceSelector::try_execute_on`] over the process-wide
-    /// [`ExecutorPool::global`].
-    pub fn try_execute(
-        &self,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        initial: Vec<BlockStore>,
-    ) -> Option<Result<Vec<BlockStore>, ExecError>> {
-        self.try_execute_on(
-            ExecutorPool::global(),
-            system,
-            collective,
-            nodes,
-            bytes,
-            initial,
-        )
-    }
-
-    /// Resolves the tuned pick, compiles (or fetches) its schedule and
-    /// executes it over `initial` block stores on `pool`. `None` when the
-    /// query resolves to no table entry or the pick is not buildable at
-    /// this rank count. Panics if a pool job panicked; the fallible
-    /// surface is [`ServiceSelector::try_execute_on`].
-    pub fn execute_on(
-        &self,
-        pool: &ExecutorPool,
-        system: &str,
-        collective: Collective,
-        nodes: usize,
-        bytes: u64,
-        initial: Vec<BlockStore>,
-    ) -> Option<Vec<BlockStore>> {
-        self.try_execute_on(pool, system, collective, nodes, bytes, initial)
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    /// [`ServiceSelector::execute_on`] over the process-wide
-    /// [`ExecutorPool::global`].
+    /// [`ServiceSelector::try_execute`], panicking if the run failed.
     pub fn execute(
         &self,
         system: &str,
@@ -530,6 +490,20 @@ impl ServiceSelector {
     ) -> Option<Vec<BlockStore>> {
         self.try_execute(system, collective, nodes, bytes, initial)
             .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    /// [`ServiceSelector::execute`]: the pool is always
+    /// [`ExecutorPool::global`].
+    pub fn execute_on(
+        &self,
+        _pool: &ExecutorPool,
+        system: &str,
+        collective: Collective,
+        nodes: usize,
+        bytes: u64,
+        initial: Vec<BlockStore>,
+    ) -> Option<Vec<BlockStore>> {
+        self.execute(system, collective, nodes, bytes, initial)
     }
 
     /// The stripe `key` lives in.

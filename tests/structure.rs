@@ -452,6 +452,30 @@ fn one_bine_bench_front_end() {
     none(&bench, &["env::args", "set_hook", "process::exit"]);
 }
 
+/// Every operation has one implementation and one name. sequential.rs
+/// holds one interpreter, `run_reference`, the only walk of
+/// `schedule.steps` there (`run` is a compile and a compiled run); a
+/// `FaultPlan` builder returns its typed error instead of forwarding to a
+/// twin and panicking on it; and the serving layer runs on
+/// `ExecutorPool::global`, taking a pool only in `execute_on`, whose
+/// parameter nothing reads.
+#[test]
+fn one_implementation_per_operation() {
+    let sequential = "crates/bine-exec/src/sequential.rs";
+    let walks = |text: &str| lines_with(text, &["schedule.steps"]).len();
+    let reference = body(sequential, "pub fn run_reference(");
+    assert_eq!((walks(&shipped(sequential)), walks(&reference)), (1, 1));
+    none(&["crates/bine-exec/src"], &["get_shared"]);
+    let fault = ["crates/bine-net/src/fault.rs"];
+    let panics = ["panic!(", ".unwrap", ".expect(", "fn try_"];
+    clean(&grep(&fault, &panics, shipped));
+    let service = "crates/bine-tune/src/service/mod.rs";
+    let pools = |text: &str| lines_with(text, &[": &ExecutorPool"]).len();
+    let execute_on = body(service, "    pub fn execute_on(");
+    assert_eq!((pools(&shipped(service)), pools(&execute_on)), (1, 1));
+    none(&["crates/*/src"], &["try_execute_on"]);
+}
+
 /// A rule over a renamed or deleted file fails instead of passing.
 #[test]
 #[should_panic(expected = "crates/bine-bench/src/crash_renamed.rs")]

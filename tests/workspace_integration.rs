@@ -6,7 +6,7 @@ use bine_bench::runner::{compare_vs_binomial, Evaluator};
 use bine_bench::systems::System;
 use bine_exec::comm::Cluster;
 use bine_exec::Workload;
-use bine_exec::{sequential, verify};
+use bine_exec::{compiled, verify};
 use bine_net::allocation::Allocation;
 use bine_net::cost::CostModel;
 use bine_net::topology::{Dragonfly, FatTree};
@@ -154,14 +154,14 @@ fn cluster_facade_algorithms_agree_numerically() {
     }
 }
 
-/// Sequential execution of a composed workload: reduce-scatter followed by
-/// allgather equals allreduce, block for block.
+/// Execution of a composed workload: reduce-scatter followed by allgather
+/// equals allreduce, block for block.
 #[test]
 fn composition_equivalence_reduce_scatter_plus_allgather() {
     let p = 32;
     let sched = allreduce(p, AllreduceAlg::BineLarge);
     let workload = Workload::for_schedule(&sched, 2);
-    let finals = sequential::run(&sched, workload.initial_state(&sched));
+    let finals = compiled::run(&sched.compile(), workload.initial_state(&sched));
     assert!(verify::verify(&workload, &finals).is_ok());
     // Same result as literally running the catalogued reduce-scatter and
     // allgather back to back (they share the generators).
