@@ -15,41 +15,37 @@
 //! A run keeps one slot table for all its ranks, laid out by the
 //! [`SlotLayout`](bine_sched::SlotLayout) the handle shares with it: per rank
 //! one slot per block the rank ever sends or receives. Every payload of the
-//! compiled form carries its slot's position in that table at both ends, so
-//! the walks index the table directly. A rank's [`DenseState`] is a
+//! compiled form carries its slot's position in that table at both ends
+//! ([`CompiledSchedule::payload_slots`]), so a walk indexes the table
+//! directly. A rank's [`DenseState`] is a
 //! [`BlockStore`] reading its row. [`to_dense`] builds the table — block by
 //! block for stores in map form or under another table, not at all for the
 //! finals of an earlier run of this handle — and [`from_dense`] has nothing
 //! left to do: the finals *are* the dense states.
 //!
-//! One compiled form, two walks over it. The **step walk** (`run_steps`) is
-//! the step kernel — `gather_recvs` then `apply_recvs` — over all of a
-//! step's receives, step after step. The **block walk** (`run_blocks`)
-//! takes the payload entries block by block ([`bine_sched::BlockMajor`]): a
-//! payload of block `b` reads slot `b` of its sender and writes slot `b` of
-//! its receiver and nothing else, so one block's entries, in receive order,
-//! are a schedule of their own, and running them start to finish keeps the
-//! block's partial sums in cache where the step walk streams the whole
-//! working set through it once per step. Both stage a step's handles
-//! before applying them, in one buffer sized once per run for the most
-//! they stage at a time (`max_staged`); both deliver through the same
-//! `receive` and so the same payload-table reduction, and every
-//! `(rank, block)` slot sees the same writes in the same order: the finals
-//! agree bit for bit. Both end where the contract does: once a walk has
-//! run, a slot that dies ([`SlotLayout::dies`](bine_sched::SlotLayout::dies))
-//! holds nothing, so a rank's finals are the blocks it keeps. Neither
-//! moves the payloads of an identity move — a rank's copy onto itself as its
-//! only receive of the step, the `permute` strategy's local pass — which
-//! would put each back where it came from; both only check they are held.
+//! One walk in two orders ([`CompiledSchedule::walk`], which the memory
+//! plan replays too): step by step, or block by block — a payload of block
+//! `b` reads slot `b` of its sender and writes slot `b` of its receiver and
+//! nothing else, so one block's entries are a schedule of their own, and
+//! running them start to finish keeps its partial sums in cache where the
+//! step order streams the whole working set through it once per step. One
+//! body runs every group of either order: it stages the group's handles,
+//! in one buffer sized once per run
+//! ([`max_staged`](CompiledSchedule::max_staged)), and then delivers them
+//! through `receive`. Every `(rank, block)` slot sees the same writes in
+//! the same order in both: the finals agree bit for bit. An identity move
+//! ([`Payloads::moves`]) is only checked to be held. Once a walk has run, a
+//! slot that dies ([`SlotLayout::dies`](bine_sched::SlotLayout::dies))
+//! holds nothing, so a rank's finals are the blocks it keeps.
 //!
-//! [`run_dense`] picks the walk from what it can see of the run: the block
-//! walk when the schedule has a `Reduce` send and the payloads are large
-//! (`BLOCK_WALK_MIN_ELEMS`, with the measurements behind it), the step walk
+//! [`run_dense`] picks the order from what it can see of the run: blocks
+//! when the schedule has a `Reduce` send and the payloads are large
+//! (`BLOCK_WALK_MIN_ELEMS`, with the measurements behind it), steps
 //! otherwise. Both are fault-free: a crash is decided before a run starts,
 //! by the validator's survivor replay (see
 //! [`ExecError::RankDead`](crate::ExecError::RankDead)).
 
-use bine_sched::{BlockEntry, CompiledSchedule, CompiledSend, TransferKind, WalkOrder};
+use bine_sched::{CompiledSchedule, Payloads, Visit, WalkOrder};
 
 use crate::state::{self, BlockStore, WalkTable, NOT_HELD};
 
@@ -117,11 +113,11 @@ pub fn run_dense(compiled: &CompiledSchedule, states: &mut [DenseState]) {
         "one dense state per rank required"
     );
     state::with_table(states, compiled, |table, slots| {
-        if compiled.reduces() && payloads_are_large(compiled, table, slots) {
-            run_blocks(compiled, table, slots);
-        } else {
-            run_steps(compiled, table, slots);
-        }
+        let order = match compiled.reduces() && payloads_are_large(compiled, table, slots) {
+            true => WalkOrder::Blocks,
+            false => WalkOrder::Steps,
+        };
+        walk(compiled, order, table, slots);
     })
 }
 
@@ -168,168 +164,114 @@ fn payloads_are_large(compiled: &CompiledSchedule, table: &WalkTable, slots: &[u
     sampled.unwrap_or(false)
 }
 
-/// The step walk: every step's receives gathered and then applied, staged
-/// in one buffer sized for the largest step.
-fn run_steps<'a>(compiled: &'a CompiledSchedule, table: &mut WalkTable<'a>, slots: &mut [u32]) {
-    table.plan(compiled, WalkOrder::Steps, slots);
-    let mut staging = Vec::with_capacity(compiled.max_staged());
-    for step in 0..compiled.num_steps() {
-        let recvs = compiled.step_recvs(step);
-        // Stage every payload of the step before any slot mutates.
-        gather_recvs(compiled, step, recvs, slots, &mut staging);
-        apply_recvs(compiled, step, recvs, &staging, table, slots);
-    }
+/// Walks `compiled` in `order` over the run's table, under the plan for it.
+fn walk<'a>(
+    compiled: &'a CompiledSchedule,
+    order: WalkOrder,
+    table: &mut WalkTable<'a>,
+    slots: &mut [u32],
+) {
+    table.plan(compiled, order, slots);
+    let (src, dst) = compiled.payload_slots();
+    let staging = Vec::with_capacity(compiled.max_staged(order));
+    let mut kernel = Kernel {
+        compiled,
+        src,
+        dst,
+        table,
+        slots,
+        staging,
+    };
+    compiled.walk(order, &mut kernel);
 }
 
-/// The block walk (see the module docs for why it ends where [`run_steps`]
-/// does): every block's payload entries from its first step to its last
-/// ([`bine_sched::BlockMajor`]), a step's entries gathered and then applied,
-/// before the next block starts.
-///
-/// # Panics
-/// Panics if a send references a block its source rank does not hold.
-fn run_blocks<'a>(compiled: &'a CompiledSchedule, table: &mut WalkTable<'a>, slots: &mut [u32]) {
-    table.plan(compiled, WalkOrder::Blocks, slots);
-    let order = compiled.block_major();
-    // The send of an entry, and which of the send's payloads it is.
-    let payload_of = |e: &BlockEntry| (compiled.send(e.send as usize), e.entry as usize);
-    let moves = |e: &&BlockEntry| !compiled.is_identity_move(e.step as usize, payload_of(e).0);
-    let mut staging = Vec::with_capacity(order.max_staged());
-    for block in 0..compiled.num_blocks() {
-        for in_step in order.entries_of(block).chunk_by(|a, b| a.step == b.step) {
-            // Stage the block's payloads of the step before any slot
-            // mutates.
-            for e in in_step {
-                let (send, k) = payload_of(e);
-                let at = compiled.src_slots(send)[k];
-                let held = held_handle(compiled, e.step as usize, send, k, slots, at);
-                if moves(&e) {
-                    staging.push(held);
-                }
+/// The one body of both orders, over a run's table and slots; `src` and
+/// `dst` are [`CompiledSchedule::payload_slots`].
+struct Kernel<'k, 'a> {
+    compiled: &'a CompiledSchedule,
+    src: &'a [u32],
+    dst: &'a [u32],
+    table: &'k mut WalkTable<'a>,
+    slots: &'k mut [u32],
+    staging: Vec<u32>,
+}
+
+impl Visit for Kernel<'_, '_> {
+    /// Stages the handles of the group's payloads out of their senders'
+    /// slots before any slot mutates, then applies them to their
+    /// receivers' in apply order — bit-identical float reduction order to
+    /// the reference interpreter. A block that a rank both sends and
+    /// reduces in one step is summed into a new buffer by whichever partner
+    /// applies first and in place by the other, as the plan says.
+    ///
+    /// # Panics
+    /// Panics if a send references a block its source rank does not hold.
+    fn group(&mut self, step: u32, runs: impl Iterator<Item = Payloads> + Clone) {
+        let compiled = self.compiled;
+        self.staging.clear();
+        for run in runs.clone() {
+            let held = self.src[run.entries.clone()]
+                .iter()
+                .enumerate()
+                .map(|(k, &at)| {
+                    let handle = self.slots[at as usize];
+                    if handle == NOT_HELD {
+                        panic!(
+                            "step {step}: rank {} sends block {:?} it does not hold ({})",
+                            compiled.send(run.send as usize).src,
+                            compiled.payload_block(run.entries.start + k),
+                            compiled.algorithm
+                        );
+                    }
+                    handle
+                });
+            if run.moves {
+                self.staging.extend(held);
+            } else {
+                // The possession check alone: the payloads stay in their slots.
+                held.for_each(drop);
             }
-            for (e, payload) in in_step.iter().filter(moves).zip(staging.drain(..)) {
-                let (send, k) = payload_of(e);
-                let held = &mut slots[compiled.dst_slots(send)[k] as usize];
-                receive(compiled, send, k, table, held, payload);
+        }
+        let mut taken = 0;
+        for run in runs.filter(|run| run.moves) {
+            let payloads = &self.staging[taken..taken + run.entries.len()];
+            taken += payloads.len();
+            let dst = self.dst[run.entries.clone()].iter();
+            for (k, (&at, &payload)) in dst.zip(payloads).enumerate() {
+                let held = &mut self.slots[at as usize];
+                receive(compiled, &run, k, self.table, held, payload);
             }
         }
     }
 }
 
-/// The handle rank `send.src` holds in slot `at` of the run's `slots`,
-/// which `send` carries as its `k`-th block in `step`.
-///
-/// # Panics
-/// Panics if the rank does not hold the block.
-fn held_handle(
-    compiled: &CompiledSchedule,
-    step: usize,
-    send: &CompiledSend,
-    k: usize,
-    slots: &[u32],
-    at: u32,
-) -> u32 {
-    let handle = slots[at as usize];
-    if handle == NOT_HELD {
-        panic!(
-            "step {step}: rank {} sends block {:?} it does not hold ({})",
-            send.src,
-            compiled
-                .blocks()
-                .resolve(compiled.block_index_slice(send)[k]),
-            compiled.algorithm
-        );
-    }
-    handle
-}
-
-/// Delivers the staged handle `payload`, the `k`-th block of `send`, into
-/// the receiver's slot `held`: summed into what is there if the send
-/// reduces, in its place otherwise.
+/// Delivers the staged handle `payload`, `run`'s `k`-th, into the
+/// receiver's slot `held`: summed into what is there if the send reduces,
+/// in its place otherwise.
 ///
 /// # Panics
 /// Panics if a reduction meets a held block of another length.
 fn receive(
     compiled: &CompiledSchedule,
-    send: &CompiledSend,
+    run: &Payloads,
     k: usize,
     table: &mut WalkTable,
     held: &mut u32,
     payload: u32,
 ) {
-    match send.kind {
-        TransferKind::Reduce if *held != NOT_HELD => {
-            assert_eq!(
-                table.get(*held).len(),
-                table.get(payload).len(),
-                "block length mismatch for {:?}",
-                compiled
-                    .blocks()
-                    .resolve(compiled.block_index_slice(send)[k])
-            );
-            table.reduce(held, payload, send.blocks_start as usize + k);
-        }
+    let entry = run.entries.start + k;
+    if run.reduces && *held != NOT_HELD {
+        assert_eq!(
+            table.get(*held).len(),
+            table.get(payload).len(),
+            "block length mismatch for {:?}",
+            compiled.payload_block(entry)
+        );
+        table.reduce(held, payload, entry);
+    } else {
         // A copy — or a reduce into an absent block, where the payload
         // becomes the partial result, as in `BlockStore::reduce`.
-        _ => *held = payload,
-    }
-}
-
-/// Gather half of the step kernel: reads the handles of the receives
-/// `recvs` of `step` (send indices grouped by ascending destination rank,
-/// see [`CompiledSchedule::step_recvs`]) out of their source ranks' slots
-/// into `staging`, one entry per payload in `recvs` order, replacing what
-/// it held. An identity move
-/// ([`CompiledSchedule::is_identity_move`]) stages nothing; its payloads
-/// are only checked to be held.
-///
-/// # Panics
-/// Panics if a send references a block its source rank does not hold.
-fn gather_recvs(
-    compiled: &CompiledSchedule,
-    step: usize,
-    recvs: &[u32],
-    slots: &[u32],
-    staging: &mut Vec<u32>,
-) {
-    staging.clear();
-    for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
-        let payloads = compiled.src_slots(send).iter().enumerate();
-        let held = payloads.map(|(k, &at)| held_handle(compiled, step, send, k, slots, at));
-        if compiled.is_identity_move(step, send) {
-            // The possession check alone: the payloads stay in their slots.
-            held.for_each(|_| ());
-        } else {
-            staging.extend(held);
-        }
-    }
-}
-
-/// Apply half of the step kernel: the handles [`gather_recvs`] staged for
-/// `recvs` are applied to their destination ranks' slots in schedule
-/// order — bit-identical float reduction order to the reference
-/// interpreter. A block that a rank both sends and reduces in one step is
-/// summed into a new buffer by whichever partner applies first and in place
-/// by the other, as the plan says. Only ranks that receive something are
-/// visited, and an identity move is not applied: nothing of it was staged.
-fn apply_recvs(
-    compiled: &CompiledSchedule,
-    step: usize,
-    recvs: &[u32],
-    staging: &[u32],
-    table: &mut WalkTable,
-    slots: &mut [u32],
-) {
-    let mut taken = 0;
-    for send in recvs.iter().map(|&i| compiled.send(i as usize)) {
-        if compiled.is_identity_move(step, send) {
-            continue;
-        }
-        let payloads = &staging[taken..taken + send.num_blocks()];
-        taken += payloads.len();
-        for ((k, &at), &payload) in compiled.dst_slots(send).iter().enumerate().zip(payloads) {
-            receive(compiled, send, k, table, &mut slots[at as usize], payload);
-        }
+        *held = payload;
     }
 }
 
@@ -352,17 +294,16 @@ mod tests {
         allgather, allreduce, alltoall, broadcast, reduce_scatter, AllgatherAlg, AllreduceAlg,
         AlltoallAlg, BroadcastAlg, ReduceScatterAlg,
     };
-    use bine_sched::{BlockId, Collective, Contract, NonContigStrategy, Schedule, Step};
+    use bine_sched::{
+        BlockId, Collective, Contract, NonContigStrategy, Schedule, Step, TransferKind,
+    };
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    /// A walk of the run's table.
-    type Walk = for<'a> fn(&'a CompiledSchedule, &mut WalkTable<'a>, &mut [u32]);
-
-    /// Runs `states` by `walk`, whichever walk `run_dense` would pick.
-    fn walked(compiled: &CompiledSchedule, states: &mut [DenseState], walk: Walk) {
+    /// Runs `states` in `order`, whichever order `run_dense` would pick.
+    fn walked(compiled: &CompiledSchedule, states: &mut [DenseState], order: WalkOrder) {
         state::with_table(states, compiled, |table, slots| {
-            walk(compiled, table, slots)
+            walk(compiled, order, table, slots)
         });
     }
 
@@ -474,8 +415,8 @@ mod tests {
             let reference = sequential::run_reference(&sched, initial.clone());
             let mut by_step = to_dense(&compiled, initial.clone());
             let mut by_block = to_dense(&compiled, initial.clone());
-            walked(&compiled, &mut by_step, run_steps);
-            walked(&compiled, &mut by_block, run_blocks);
+            walked(&compiled, &mut by_step, WalkOrder::Steps);
+            walked(&compiled, &mut by_block, WalkOrder::Blocks);
             let finals = [
                 ("the step walk", by_step),
                 ("the block walk", by_block),
@@ -521,8 +462,8 @@ mod tests {
             let w = Workload::for_schedule(&sched, 2);
             let mut by_step = to_dense(&compiled, w.initial_state(&sched));
             let mut by_block = by_step.clone();
-            walked(&compiled, &mut by_step, run_steps);
-            walked(&compiled, &mut by_block, run_blocks);
+            walked(&compiled, &mut by_step, WalkOrder::Steps);
+            walked(&compiled, &mut by_block, WalkOrder::Blocks);
             assert_eq!(by_block, by_step, "{}", request.label());
             let reference = sequential::run_reference(&sched, w.initial_state(&sched));
             let finals = from_dense(&compiled, by_block);
@@ -566,19 +507,23 @@ mod tests {
     fn the_block_walk_detects_missing_blocks() {
         let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
         let empty = (0..8).map(|_| BlockStore::new()).collect();
-        walked(&compiled, &mut to_dense(&compiled, empty), run_blocks);
+        walked(
+            &compiled,
+            &mut to_dense(&compiled, empty),
+            WalkOrder::Blocks,
+        );
     }
 
-    /// Runs `sched` by `walk` from `initial` with `Segment(5)` taken from
+    /// Runs `sched` in `order` from `initial` with `Segment(5)` taken from
     /// rank 3.
-    fn run_without_a_block(sched: &Schedule, mut initial: Vec<BlockStore>, walk: Walk) {
+    fn run_without_a_block(sched: &Schedule, mut initial: Vec<BlockStore>, order: WalkOrder) {
         let kept = initial[3].clone().into_blocks();
         initial[3] = BlockStore::new();
         for (id, payload) in kept.filter(|(id, _)| *id != BlockId::Segment(5)) {
             initial[3].insert(id, payload);
         }
         let compiled = sched.compile();
-        walked(&compiled, &mut to_dense(&compiled, initial), walk);
+        walked(&compiled, &mut to_dense(&compiled, initial), order);
     }
 
     /// Reduce-scatter `bine-permute`, whose first step is the local permute
@@ -604,28 +549,28 @@ mod tests {
     #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
     fn the_step_walk_checks_a_permuting_reduce_scatter_holds_what_it_permutes() {
         let (sched, initial) = permuting_reduce_scatter();
-        run_without_a_block(&sched, initial, run_steps);
+        run_without_a_block(&sched, initial, WalkOrder::Steps);
     }
 
     #[test]
     #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
     fn the_block_walk_checks_a_permuting_reduce_scatter_holds_what_it_permutes() {
         let (sched, initial) = permuting_reduce_scatter();
-        run_without_a_block(&sched, initial, run_blocks);
+        run_without_a_block(&sched, initial, WalkOrder::Blocks);
     }
 
     #[test]
     #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
     fn the_step_walk_checks_a_permuting_allgather_holds_what_it_permutes() {
         let (sched, initial) = permuting_allgather_step();
-        run_without_a_block(&sched, initial, run_steps);
+        run_without_a_block(&sched, initial, WalkOrder::Steps);
     }
 
     #[test]
     #[should_panic(expected = "step 0: rank 3 sends block Segment(5) it does not hold")]
     fn the_block_walk_checks_a_permuting_allgather_holds_what_it_permutes() {
         let (sched, initial) = permuting_allgather_step();
-        run_without_a_block(&sched, initial, run_blocks);
+        run_without_a_block(&sched, initial, WalkOrder::Blocks);
     }
 
     #[test]
@@ -646,9 +591,9 @@ mod tests {
         assert_ne!(initial[0].get(&segment), initial[1].get(&segment));
         let reference = sequential::run_reference(&sched, initial.clone());
         assert_eq!(reference[1].get(&segment), initial[1].get(&segment));
-        for walk in [run_steps as Walk, run_blocks] {
+        for order in [WalkOrder::Steps, WalkOrder::Blocks] {
             let mut states = to_dense(&compiled, initial.clone());
-            walked(&compiled, &mut states, walk);
+            walked(&compiled, &mut states, order);
             assert_eq!(from_dense(&compiled, states), reference);
         }
     }
@@ -660,6 +605,10 @@ mod tests {
         let compiled = sched.compile();
         let mut initial = Workload::for_schedule(&sched, 2).initial_state(&sched);
         initial[3].insert(BlockId::Segment(0), vec![0.0; 3]);
-        walked(&compiled, &mut to_dense(&compiled, initial), run_blocks);
+        walked(
+            &compiled,
+            &mut to_dense(&compiled, initial),
+            WalkOrder::Blocks,
+        );
     }
 }

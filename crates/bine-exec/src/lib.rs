@@ -8,13 +8,12 @@
 //! Transfers copy indices, and a store reads every payload as `&[f64]`.
 //!
 //! * [`sequential`] — the seed interpreter [`sequential::run_reference`],
-//!   the semantic definition both compiled walks are cross-checked
-//!   bit-identical against,
-//! * [`compiled`] — the fast single-threaded path: executes a
-//!   [`bine_sched::CompiledSchedule`] over dense per-rank state (one slot
-//!   per block a rank touches, no hashing in the inner loop), step by step
-//!   or, for large reductions, block by block — home of the one step kernel
-//!   and the one place a received payload is applied,
+//!   the semantic definition the compiled walk is cross-checked
+//!   bit-identical against in both orders,
+//! * [`compiled`] — the fast single-threaded path: one body over the groups
+//!   of [`bine_sched::CompiledSchedule::walk`], step by step or, for large
+//!   reductions, block by block, over dense per-rank state (one slot per
+//!   block a rank touches, no hashing in the inner loop),
 //! * [`pool`] — [`pool::ExecutorPool`]: the compiled path on the calling
 //!   thread, with panics and dead-rank stalls returned as [`ExecError`],
 //! * [`mod@verify`] — golden-result checks of the MPI post-condition of every

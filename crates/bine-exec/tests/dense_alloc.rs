@@ -274,7 +274,7 @@ fn the_block_walk_allocates_no_more_than_the_step_walk() {
         first.0 > by_block.0,
         "the first block walk derives the table"
     );
-    let (again, _) = counting::allocations_in(|| handle.block_major());
+    let (again, _) = counting::allocations_in(|| handle.max_staged(WalkOrder::Blocks));
     assert_eq!(again, 0, "and it stays with the handle");
 }
 
@@ -471,7 +471,7 @@ fn identity_moves_stage_nothing_on_either_walk() {
         let cost = run_dense_cost(&sched, &handle, elems);
         assert_eq!(cost, (0, 0), "{elems} elements per block");
     }
-    let (derived_now, _) = counting::allocations_in(|| handle.block_major());
+    let (derived_now, _) = counting::allocations_in(|| handle.max_staged(WalkOrder::Blocks));
     assert_eq!(
         derived_now, 0,
         "the 1024-element runs walked block by block"
@@ -485,7 +485,7 @@ fn small_payloads_and_non_reducing_schedules_never_derive_the_block_order() {
     for (sched, elems) in [(&reducing, 1023), (&moving, 1024)] {
         let handle = sched.compile();
         run_dense_cost(sched, &handle, elems);
-        let (derived_now, _) = counting::allocations_in(|| handle.block_major());
+        let (derived_now, _) = counting::allocations_in(|| handle.max_staged(WalkOrder::Blocks));
         assert!(derived_now > 0, "{} at {elems} elements", sched.algorithm);
     }
 }

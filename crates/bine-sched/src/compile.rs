@@ -39,11 +39,14 @@
 //! layout is also the *key table* executor state is held under — it names
 //! the block behind every slot of every rank — so it sits behind an [`Arc`]
 //! that the states, and the finals a caller keeps, share with the handle.
-//! The same laziness holds for the [`BlockMajor`] order of the payload
-//! entries ([`CompiledSchedule::block_major`]): derived by the first
-//! execution that walks block by block, and by nothing else; and for the
-//! [`MemoryPlan`] of each walk order ([`CompiledSchedule::memory_plan`]),
-//! derived by the first reducing execution that takes it.
+//!
+//! A run visits the payload entries in one of two orders, and
+//! [`CompiledSchedule::walk`] is the one definition of both: the groups of
+//! entries a run gathers before it applies any, in apply order. The
+//! executor, the [`MemoryPlan`] and the staging bound
+//! ([`CompiledSchedule::max_staged`]) all read it. What the block order
+//! regroups, and each order's staging bound and plan, are derived by the
+//! first execution that needs them, and by nothing else.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,8 +302,7 @@ impl CompiledSend {
 /// interning, made once when the layout is derived — and sits behind an
 /// [`Arc`] ([`CompiledSchedule::slot_layout`]): whoever holds state keyed by
 /// it keeps the table alive and nothing else of the handle (not the sends,
-/// not their block lists, not the per-payload slots of
-/// [`CompiledSchedule::src_slots`] / [`CompiledSchedule::dst_slots`]).
+/// not their block lists, not the per-payload slots a walk hands out).
 #[derive(Debug, Clone)]
 pub struct SlotLayout {
     /// The handle's interning: `BlockId` ↔ interned index.
@@ -319,14 +321,13 @@ pub struct SlotLayout {
 /// to the compiled block-index array, each payload's slot at its source and
 /// at its destination rank as a position in a run's slot table
 /// ([`SlotLayout::rank_slots`]) — the handle's own, so that gather and apply
-/// index the table directly — the size of a run's staging buffer
-/// ([`CompiledSchedule::max_staged`]) and when each slot dies.
+/// index the table directly — and what is read off a run's groups: when
+/// each slot dies and how many payloads a group stages at most.
 #[derive(Debug, Clone)]
 pub(crate) struct Slots {
     layout: Arc<SlotLayout>,
-    pub(crate) src: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
-    max_staged: usize,
+    src: Vec<u32>,
+    dst: Vec<u32>,
     /// Per position of a run's slot table, the step after which no walk
     /// reads or writes the slot — the last that moves a payload of its block
     /// out of or into its rank — or [`NEVER`] if the contract keeps the
@@ -334,9 +335,39 @@ pub(crate) struct Slots {
     /// value there; empty for a schedule that does not reduce, whose plan
     /// makes no sum to let go of.
     pub(crate) deaths: Vec<u32>,
-    /// Per [`WalkOrder`], see [`CompiledSchedule::memory_plan`]: here, not
-    /// in the handle, so that a handle never executed is no larger for it.
+    /// Per [`WalkOrder`], see [`CompiledSchedule::max_staged`] and
+    /// [`CompiledSchedule::memory_plan`]: here, not in the handle, so that a
+    /// handle never executed is no larger for them.
+    staged: [OnceLock<usize>; 2],
     plans: [OnceLock<Box<MemoryPlan>>; 2],
+}
+
+/// What [`Slots`] reads off the groups of a walk: the most payloads one
+/// group stages and, unless `deaths` is empty, the last step that moves
+/// each slot of `src` and `dst` ([`CompiledSchedule::payload_slots`]).
+#[derive(Default)]
+struct Groups<'a> {
+    max_staged: usize,
+    deaths: Vec<u32>,
+    src: &'a [u32],
+    dst: &'a [u32],
+}
+
+impl Visit for Groups<'_> {
+    fn group(&mut self, step: u32, runs: impl Iterator<Item = Payloads> + Clone) {
+        let mut staged = 0;
+        for run in runs.filter(|run| run.moves) {
+            staged += run.entries.len();
+            if !self.deaths.is_empty() {
+                let (src, dst) = (&self.src[run.entries.clone()], &self.dst[run.entries]);
+                for &at in src.iter().chain(dst) {
+                    let death = &mut self.deaths[at as usize];
+                    *death = (*death).max(step);
+                }
+            }
+        }
+        self.max_staged = self.max_staged.max(staged);
+    }
 }
 
 impl Slots {
@@ -392,10 +423,6 @@ impl Slots {
             // At most one slot per payload entry, and those fit (`compile`).
             rank_offsets.push(rank_blocks.len() as u32);
         }
-        let moving = |step| {
-            let sends = compiled.step_sends(step).iter();
-            sends.filter(move |send| !compiled.is_identity_move(step, send))
-        };
         // The slots that die: those of the blocks a rank moves that the
         // contract does not keep.
         let contract = Contract::from(compiled);
@@ -409,38 +436,31 @@ impl Slots {
         }
         let live = dying.iter().rposition(|&word| word != 0);
         dying.truncate(live.map_or(0, |last| last + 1));
+        let layout = Arc::new(SlotLayout {
+            blocks: compiled.blocks.clone(),
+            rank_offsets,
+            rank_blocks,
+            dying,
+        });
         // When, for a memory plan, so only if the schedule reduces: after
-        // the last step that moves a payload out of or into the slot, in one
-        // pass over the payload entries, steps ascending (a kept slot's
-        // `NEVER` is above every step).
-        let mut deaths = Vec::new();
-        if compiled.reduces {
-            let dies = |at| dying.get(at / 64).is_some_and(|w| w >> (at % 64) & 1 == 1);
-            deaths = (0..rank_blocks.len())
-                .map(|at| if dies(at) { 0 } else { NEVER })
-                .collect();
-            for step in 0..steps {
-                for send in moving(step) {
-                    let entries = send.blocks_start as usize..send.blocks_end as usize;
-                    for &at in src_slots[entries.clone()].iter().chain(&dst_slots[entries]) {
-                        let death = &mut deaths[at as usize];
-                        *death = (*death).max(step as u32);
-                    }
-                }
-            }
-        }
-        let staged = |step| moving(step).map(CompiledSend::num_blocks).sum();
+        // the last step that moves a payload out of or into the slot (a kept
+        // slot's `NEVER` is above every step).
+        let planned = layout.num_slots() * usize::from(compiled.reduces);
+        let mut groups = Groups {
+            max_staged: 0,
+            deaths: (0..planned)
+                .map(|at| if layout.dies(at) { 0 } else { NEVER })
+                .collect(),
+            src: &src_slots,
+            dst: &dst_slots,
+        };
+        compiled.walk(WalkOrder::Steps, &mut groups);
         Self {
-            layout: Arc::new(SlotLayout {
-                blocks: compiled.blocks.clone(),
-                rank_offsets,
-                rank_blocks,
-                dying,
-            }),
+            layout,
+            deaths: groups.deaths,
+            staged: [OnceLock::from(groups.max_staged), OnceLock::new()],
             src: src_slots,
             dst: dst_slots,
-            max_staged: (0..steps).map(staged).max().unwrap_or(0),
-            deaths,
             plans: Default::default(),
         }
     }
@@ -512,98 +532,54 @@ impl SlotLayout {
     }
 }
 
-/// One payload entry of a [`BlockMajor`] run: which send moves the block, in
-/// which step, as which of its payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockEntry {
-    /// Step of the send.
-    pub step: u32,
+/// One send's payloads in a group of a walk ([`CompiledSchedule::walk`]),
+/// in apply order.
+#[derive(Debug, Clone)]
+pub struct Payloads {
     /// Global index of the send ([`CompiledSchedule::send`]).
     pub send: u32,
-    /// Position of the payload in the send's block list
-    /// ([`CompiledSchedule::block_index_slice`], and the parallel
-    /// [`CompiledSchedule::src_slots`] / [`CompiledSchedule::dst_slots`]).
-    pub entry: u32,
+    /// The payload entries: positions in the compiled block-index array
+    /// ([`CompiledSchedule::payload_block`]), in the slot positions of
+    /// [`CompiledSchedule::payload_slots`] and in a memory plan's targets.
+    pub entries: Range<usize>,
+    /// Whether the send sums into its receiver's blocks
+    /// ([`TransferKind::Reduce`]).
+    pub reduces: bool,
+    /// Whether the payloads move. An identity move does not: a copy its rank
+    /// makes onto itself as its only receive of the step (the `permute`
+    /// strategy's local pass; segmented picks included, as every message's
+    /// chunk `c` travels in sub-step `c`). Nothing else writes the rank in
+    /// the step and its payloads are read before it, so applying them would
+    /// put each back into the slot it came from: a walk only checks that
+    /// they are held.
+    pub moves: bool,
 }
 
-/// The payload entries of a [`CompiledSchedule`] grouped by block: per
-/// interned block the entries that move it, in receive order — `(step,
-/// destination rank, schedule order)`, the order an executor applies them in.
-///
-/// A payload of block `b` reads slot `b` of its sender and writes slot `b` of
-/// its receiver and nothing else, so a block's run is a complete sub-schedule
-/// of its own: executing run after run gives every `(rank, block)` slot the
-/// writes of a step-by-step execution, in the same order. The table is a
-/// stable counting sort of the receive lists by block (CSR over the blocks).
+/// What a walk hands its groups to ([`CompiledSchedule::walk`]).
+pub trait Visit {
+    /// One group of the walk, received in `step`: the payloads a run
+    /// gathers before it applies any of them, one [`Payloads`] per send in
+    /// apply order. `runs` may be cloned to go over the group again.
+    fn group(&mut self, step: u32, runs: impl Iterator<Item = Payloads> + Clone);
+}
+
+/// One payload entry in the block order: which send moves the block, in
+/// which step, as which payload entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BlockEntry {
+    step: u32,
+    send: u32,
+    entry: u32,
+}
+
+/// The payload entries sorted by block, each block's in receive order —
+/// `(step, destination rank, schedule order)`, the order a walk applies
+/// them in: a stable counting sort of the receive lists by block. A payload
+/// of block `b` reads slot `b` of its sender and writes slot `b` of its
+/// receiver and nothing else, so a block's entries are a schedule of their
+/// own.
 #[derive(Debug, Clone)]
-pub struct BlockMajor {
-    /// Per block: range into `entries`. Length `num_blocks + 1`.
-    offsets: Vec<u32>,
-    entries: Vec<BlockEntry>,
-    /// See [`BlockMajor::max_staged`].
-    max_staged: usize,
-}
-
-impl BlockMajor {
-    fn derive(compiled: &CompiledSchedule) -> Self {
-        // Payload counts fit a `u32` (`compile`), so do their prefix sums.
-        let mut offsets = vec![0u32; compiled.num_blocks() + 1];
-        for &block in &compiled.block_indices {
-            offsets[block as usize + 1] += 1;
-        }
-        for block in 0..compiled.num_blocks() {
-            offsets[block + 1] += offsets[block];
-        }
-        let mut next = offsets.clone();
-        let unset = BlockEntry {
-            step: 0,
-            send: 0,
-            entry: 0,
-        };
-        let mut entries = vec![unset; compiled.block_indices.len()];
-        for step in 0..compiled.num_steps() {
-            for &send in compiled.step_recvs(step) {
-                let blocks = compiled.block_index_slice(compiled.send(send as usize));
-                for (entry, &block) in blocks.iter().enumerate() {
-                    let at = &mut next[block as usize];
-                    entries[*at as usize] = BlockEntry {
-                        step: step as u32,
-                        send,
-                        entry: entry as u32,
-                    };
-                    *at += 1;
-                }
-            }
-        }
-        let moves = |e: &&BlockEntry| {
-            !compiled.is_identity_move(e.step as usize, compiled.send(e.send as usize))
-        };
-        let max_staged = offsets
-            .windows(2)
-            .flat_map(|run| {
-                entries[run[0] as usize..run[1] as usize].chunk_by(|a, b| a.step == b.step)
-            })
-            .map(|in_step| in_step.iter().filter(moves).count())
-            .max()
-            .unwrap_or(0);
-        Self {
-            offsets,
-            entries,
-            max_staged,
-        }
-    }
-
-    /// The entries that move interned block `block`, in receive order.
-    pub fn entries_of(&self, block: usize) -> &[BlockEntry] {
-        &self.entries[self.offsets[block] as usize..self.offsets[block + 1] as usize]
-    }
-
-    /// The most payloads of one block one step stages: like
-    /// [`CompiledSchedule::max_staged`], for a walk block by block.
-    pub fn max_staged(&self) -> usize {
-        self.max_staged
-    }
-}
+struct BlockMajor(Vec<BlockEntry>);
 
 /// The execution form of a [`Schedule`]. Build with [`Schedule::compile`]
 /// or, for a pipelined schedule, [`Schedule::compile_segmented`].
@@ -645,8 +621,8 @@ pub struct CompiledSchedule {
     /// Boxed, like `block_major`: a handle that is never executed carries two
     /// pointers, not the empty vectors of the two views.
     slots: OnceLock<Box<Slots>>,
-    /// Derived on the first execution that walks block by block, see
-    /// [`CompiledSchedule::block_major`].
+    /// Derived on the first walk block by block, see
+    /// [`CompiledSchedule::walk`].
     block_major: OnceLock<Box<BlockMajor>>,
 }
 
@@ -659,7 +635,7 @@ impl CompiledSchedule {
     /// # Panics
     /// Panics if `chunks == 0`, or if a message names a rank outside the
     /// schedule's.
-    pub fn compile(schedule: &Schedule, chunks: usize) -> Self {
+    pub(crate) fn compile(schedule: &Schedule, chunks: usize) -> Self {
         let p = schedule.num_ranks;
         // Sends name ranks as `u32`s.
         index_u32(p, "ranks");
@@ -757,11 +733,12 @@ impl CompiledSchedule {
         }
     }
 
-    /// A process-unique identity assigned at [`CompiledSchedule::compile`]
-    /// time. Clones share the identity of their original — their contents
-    /// are indistinguishable — so consumers that derive data from a compiled
-    /// schedule (e.g. the route/dependency cache of `bine_net::sim`) can use
-    /// it as a cache key without hashing the schedule itself.
+    /// A process-unique identity assigned when the schedule is lowered
+    /// ([`Schedule::compile`]). Clones share the identity of their original
+    /// — their contents are indistinguishable — so consumers that derive
+    /// data from a compiled schedule (e.g. the route/dependency cache of
+    /// `bine_net::sim`) can use it as a cache key without hashing the
+    /// schedule itself.
     pub fn identity(&self) -> u64 {
         self.identity
     }
@@ -781,56 +758,115 @@ impl CompiledSchedule {
         &self.slots().layout
     }
 
-    /// The slots, at the sending rank, of the blocks `send` carries, as
-    /// positions in a run's slot table ([`SlotLayout::rank_slots`]; parallel
-    /// to [`CompiledSchedule::block_index_slice`]).
-    pub fn src_slots(&self, send: &CompiledSend) -> &[u32] {
-        &self.slots().src[send.blocks_start as usize..send.blocks_end as usize]
+    /// The most payloads one group of a walk in `order` stages: all those
+    /// of its sends but an identity move's ([`Payloads::moves`]). Read off
+    /// the groups once per order and kept, so that a run sizes its staging
+    /// once.
+    pub fn max_staged(&self, order: WalkOrder) -> usize {
+        let staged = &self.slots().staged[order as usize];
+        *staged.get_or_init(|| {
+            let mut groups = Groups::default();
+            self.walk(order, &mut groups);
+            groups.max_staged
+        })
     }
 
-    /// The slots, at the receiving rank, of the blocks `send` carries, as
-    /// positions in a run's slot table ([`SlotLayout::rank_slots`]; parallel
-    /// to [`CompiledSchedule::block_index_slice`]).
-    pub fn dst_slots(&self, send: &CompiledSend) -> &[u32] {
-        &self.slots().dst[send.blocks_start as usize..send.blocks_end as usize]
+    /// Per payload entry ([`Payloads::entries`]), its slot at the sending
+    /// rank and at the receiving rank, as positions in a run's slot table
+    /// ([`SlotLayout::rank_slots`]).
+    pub fn payload_slots(&self) -> (&[u32], &[u32]) {
+        let slots = self.slots();
+        (&slots.src, &slots.dst)
     }
 
-    /// The most payloads one step of a run stages: all those its sends carry
-    /// but an identity move's ([`CompiledSchedule::is_identity_move`]).
-    /// Derived with [`CompiledSchedule::slot_layout`], so that a run step by
-    /// step sizes its staging once.
-    pub fn max_staged(&self) -> usize {
-        self.slots().max_staged
+    /// Hands `visit` every group of a run's walk in `order`, in walk order:
+    /// the payloads the run gathers before it applies any of them, as one
+    /// [`Payloads`] per send, in apply order — every payload entry once.
+    ///
+    /// Step by step, a group is a step's receives
+    /// ([`CompiledSchedule::step_recvs`]). Block by block, it is one
+    /// block's entries of one step, blocks ascending and each block's steps
+    /// ascending, one [`Payloads`] per entry: those entries in the step
+    /// order's groups filtered to the block. The first walk block by block
+    /// derives that order for the life of the handle.
+    pub fn walk(&self, order: WalkOrder, visit: &mut impl Visit) {
+        let payloads = |step: u32, send: u32, entries: Range<usize>| {
+            let of = &self.sends[send as usize];
+            Payloads {
+                send,
+                entries,
+                reduces: of.kind == TransferKind::Reduce,
+                moves: !self.is_identity_move(step as usize, of),
+            }
+        };
+        match order {
+            WalkOrder::Steps => {
+                for step in 0..self.num_steps() {
+                    let runs = self.step_recvs(step).iter().map(|&send| {
+                        let of = &self.sends[send as usize];
+                        let entries = of.blocks_start as usize..of.blocks_end as usize;
+                        payloads(step as u32, send, entries)
+                    });
+                    visit.group(step as u32, runs);
+                }
+            }
+            WalkOrder::Blocks => {
+                // A group ends where the block or the step changes.
+                let key = |e: &BlockEntry| (self.block_indices[e.entry as usize], e.step);
+                for group in self.block_major().chunk_by(|a, b| key(a) == key(b)) {
+                    let step = group[0].step;
+                    let runs = group.iter().map(|e| {
+                        let at = e.entry as usize;
+                        payloads(step, e.send, at..at + 1)
+                    });
+                    visit.group(step, runs);
+                }
+            }
+        }
     }
 
-    /// Whether `send`, received in `step`, is an identity move: a copy its
-    /// rank makes onto itself as its only receive of the step (the `permute`
-    /// strategy's local pass; segmented picks included, as every message's
-    /// chunk `c` travels in sub-step `c`). Nothing else writes the rank in
-    /// the step and its payloads are read before it, so applying them would
-    /// put each back into the slot it came from: executors stage and apply
-    /// nothing for it.
+    /// Whether `send`, received in `step`, is an identity move (see
+    /// [`Payloads::moves`]).
     #[inline]
-    pub fn is_identity_move(&self, step: usize, send: &CompiledSend) -> bool {
+    fn is_identity_move(&self, step: usize, send: &CompiledSend) -> bool {
         send.kind == TransferKind::Copy
             && send.src == send.dst
             && self.recvs_to(step, send.dst as usize).len() == 1
     }
 
-    /// The payload entries grouped by block, each block's in receive order.
-    ///
-    /// Derived on the first call and kept for the life of the handle, like
-    /// [`CompiledSchedule::slot_layout`] but apart from it: only an executor
-    /// that walks block by block asks, so a handle that is only modelled, or
-    /// only ever executed step by step, does not pay for it.
-    pub fn block_major(&self) -> &BlockMajor {
-        self.block_major
-            .get_or_init(|| Box::new(BlockMajor::derive(self)))
+    /// The [`BlockMajor`] order: derived on the first call and kept for the
+    /// life of the handle, apart from the slot layout, so that a handle only
+    /// ever walked step by step does not pay for it.
+    fn block_major(&self) -> &[BlockEntry] {
+        let major = self.block_major.get_or_init(|| {
+            // Per block, where its next entry goes. Payload counts fit a
+            // `u32` (`compile`), so do their prefix sums.
+            let mut next = vec![0u32; self.num_blocks() + 1];
+            for &block in &self.block_indices {
+                next[block as usize + 1] += 1;
+            }
+            for block in 0..self.num_blocks() {
+                next[block + 1] += next[block];
+            }
+            let mut entries = vec![BlockEntry::default(); self.block_indices.len()];
+            for step in 0..self.num_steps() as u32 {
+                for &send in self.step_recvs(step as usize) {
+                    let of = &self.sends[send as usize];
+                    for entry in of.blocks_start..of.blocks_end {
+                        let at = &mut next[self.block_indices[entry as usize] as usize];
+                        entries[*at as usize] = BlockEntry { step, send, entry };
+                        *at += 1;
+                    }
+                }
+            }
+            Box::new(BlockMajor(entries))
+        });
+        &major.0
     }
 
     /// Where a run in `order` from the contract's entry keeps every sum (see
     /// [`crate::plan`]). Derived on the first call for each order and kept,
-    /// like [`CompiledSchedule::block_major`].
+    /// like [`CompiledSchedule::max_staged`].
     pub fn memory_plan(&self, order: WalkOrder) -> &MemoryPlan {
         let plan = &self.slots().plans[order as usize];
         plan.get_or_init(|| Box::new(MemoryPlan::of_contract(self, order)))
@@ -946,6 +982,11 @@ impl CompiledSchedule {
     /// The dense block indices carried by `send`.
     pub fn block_index_slice(&self, send: &CompiledSend) -> &[u32] {
         &self.block_indices[send.blocks_start as usize..send.blocks_end as usize]
+    }
+
+    /// The block payload entry `entry` ([`Payloads::entries`]) carries.
+    pub fn payload_block(&self, entry: usize) -> BlockId {
+        self.blocks.resolve(self.block_indices[entry])
     }
 }
 
@@ -1221,20 +1262,13 @@ mod tests {
             assert!(row.contains(&(at as usize)), "{what} rank {rank}");
             layout.rank_blocks(rank as usize)[at as usize - row.start]
         };
+        let slots = compiled.slots();
         for step in 0..compiled.num_steps() {
             for send in compiled.step_sends(step) {
-                let blocks = compiled.block_index_slice(send);
-                for (k, &block) in blocks.iter().enumerate() {
-                    assert_eq!(
-                        in_row(send.src, compiled.src_slots(send)[k]),
-                        block,
-                        "{what}"
-                    );
-                    assert_eq!(
-                        in_row(send.dst, compiled.dst_slots(send)[k]),
-                        block,
-                        "{what}"
-                    );
+                for e in send.blocks_start as usize..send.blocks_end as usize {
+                    let block = compiled.block_indices[e];
+                    assert_eq!(in_row(send.src, slots.src[e]), block, "{what}");
+                    assert_eq!(in_row(send.dst, slots.dst[e]), block, "{what}");
                 }
             }
         }
@@ -1311,8 +1345,9 @@ mod tests {
     fn neither_compile_nor_the_slot_layout_derives_the_block_major_order() {
         let compiled = allreduce(8, AllreduceAlg::BineLarge).compile();
         compiled.slot_layout();
+        compiled.max_staged(WalkOrder::Steps);
         assert!(compiled.block_major.get().is_none());
-        let derived: *const BlockMajor = compiled.block_major();
+        let derived: *const [BlockEntry] = compiled.block_major();
         assert!(
             std::ptr::eq(derived, compiled.block_major()),
             "derived once"
@@ -1320,41 +1355,81 @@ mod tests {
         assert!(compiled.clone().block_major.get().is_some());
     }
 
-    #[test]
-    fn a_blocks_run_is_the_receive_order_filtered_by_that_block() {
-        let mut schedules = schedules_under_test();
-        schedules.push(allreduce(16, AllreduceAlg::DualRootPipelined).segmented(3));
-        for sched in schedules {
-            let compiled = sched.compile();
-            let order = compiled.block_major();
-            // Every payload entry in receive order: step, then destination
-            // rank, then schedule order, then position in the send.
-            let mut received = Vec::new();
-            for step in 0..compiled.num_steps() {
-                for rank in 0..compiled.num_ranks {
-                    for &send in compiled.recvs_to(step, rank) {
-                        let blocks = compiled.block_index_slice(compiled.send(send as usize));
-                        for (entry, &block) in blocks.iter().enumerate() {
-                            let (step, entry) = (step as u32, entry as u32);
-                            received.push((block, BlockEntry { step, send, entry }));
-                        }
-                    }
+    /// One payload entry of a walk's group: `(entry, send, reduces,
+    /// moves)`.
+    type Visited = (usize, u32, bool, bool);
+
+    /// Every group of a walk, in walk order, with its step.
+    #[derive(Default)]
+    struct Collect(Vec<(u32, Vec<Visited>)>);
+
+    impl Visit for Collect {
+        fn group(&mut self, step: u32, runs: impl Iterator<Item = Payloads> + Clone) {
+            let again: Vec<_> = runs.clone().map(|run| (run.send, run.entries)).collect();
+            let mut group = Vec::new();
+            for (run, same) in runs.zip(&again) {
+                assert_eq!((run.send, &run.entries), (same.0, &same.1));
+                for e in run.entries {
+                    group.push((e, run.send, run.reduces, run.moves));
                 }
             }
-            let mut covered = 0;
-            for block in 0..compiled.num_blocks() {
-                let of_block = received.iter().filter(|(b, _)| *b as usize == block);
-                let want: Vec<BlockEntry> = of_block.map(|&(_, e)| e).collect();
-                assert_eq!(
-                    order.entries_of(block),
-                    want,
-                    "{} block {block}",
-                    sched.algorithm
-                );
-                covered += want.len();
-            }
-            assert_eq!(covered, received.len(), "{}", sched.algorithm);
+            self.0.push((step, group));
         }
+    }
+
+    #[test]
+    fn both_orders_walk_every_payload_once_in_the_same_groups() {
+        use WalkOrder::{Blocks, Steps};
+        let mut walked = 0;
+        for request in crate::walk(&[1, 2, 3, 16]) {
+            let Some(sched) = request.build() else {
+                continue;
+            };
+            let what = request.label();
+            let compiled = sched.compile();
+            let [by_step, by_block] = [Steps, Blocks].map(|order| {
+                let mut groups = Collect::default();
+                compiled.walk(order, &mut groups);
+                groups.0
+            });
+            for (order, groups) in [(Steps, &by_step), (Blocks, &by_block)] {
+                // Every payload entry once, each under its own send.
+                let mut seen = vec![0; compiled.num_payloads()];
+                for (step, group) in groups {
+                    for &(e, send, reduces, moves) in group {
+                        seen[e] += 1;
+                        let of = compiled.send(send as usize);
+                        let sends = compiled.step_send_range(*step as usize);
+                        assert!(sends.contains(&(send as usize)), "{what}");
+                        assert!((of.blocks_start..of.blocks_end).contains(&(e as u32)));
+                        assert_eq!(reduces, of.kind == TransferKind::Reduce, "{what}");
+                        // Only an identity move does not move: a copy onto
+                        // itself as its rank's only receive of the step.
+                        let only = compiled.recvs_to(*step as usize, of.dst as usize).len() == 1;
+                        let identity = of.kind == TransferKind::Copy && of.is_local() && only;
+                        assert_eq!(moves, !identity, "{what} {order:?} entry {e}");
+                    }
+                }
+                assert!(seen.iter().all(|&n| n == 1), "{what} {order:?}");
+                // The staging bound is the group that stages the most.
+                let staged = groups.iter().map(|(_, g)| g.iter().filter(|v| v.3).count());
+                let max = staged.max().unwrap_or(0);
+                assert_eq!(compiled.max_staged(order), max, "{what} {order:?}");
+            }
+            // Block `b`'s groups are the step order's groups (receive order:
+            // step, destination rank, schedule order) filtered to `b`.
+            let block_of = |e: usize| compiled.block_indices[e];
+            let filtered = (0..compiled.num_blocks() as u32).flat_map(|b| {
+                by_step.iter().filter_map(move |(step, group)| {
+                    let of_b = group.iter().filter(move |v| block_of(v.0) == b);
+                    let of_b: Vec<_> = of_b.copied().collect();
+                    (!of_b.is_empty()).then_some((*step, of_b))
+                })
+            });
+            assert_eq!(filtered.collect::<Vec<_>>(), by_block, "{what}");
+            walked += 1;
+        }
+        assert!(walked > 900, "only {walked} schedules walked");
     }
 
     #[test]

@@ -50,9 +50,7 @@ pub use catalog::{
     Request,
 };
 pub use collectives::{SizeDist, IRREGULAR_COLLECTIVES};
-pub use compile::{
-    BlockEntry, BlockInterner, BlockMajor, CompiledSchedule, CompiledSend, SlotLayout,
-};
+pub use compile::{BlockInterner, CompiledSchedule, CompiledSend, Payloads, SlotLayout, Visit};
 pub use contract::{Contract, Granularity};
 pub use deps::DepGraph;
 pub use noncontig::NonContigStrategy;
@@ -61,7 +59,6 @@ pub use provider::{ProviderSet, ViewSource};
 pub use schedule::{
     BlockHasher, BlockId, BlockMap, Collective, Counts, MessageRef, Schedule, Step, TransferKind,
 };
-pub use segment::segment_schedule;
 pub use synth::{
     is_synth_name, is_synthesizable, synth_algorithms, SynthSpec, TopoEdge, TopologyView,
     SYNTH_PREFIX,

@@ -1,7 +1,8 @@
 //! Where a run of a compiled schedule keeps every sum it makes.
 //!
 //! Which slot each payload reads and writes, and in which order, is fixed by
-//! the compiled schedule and the walk a run takes over it; so is which value
+//! the compiled schedule and the walk a run takes over it
+//! ([`CompiledSchedule::walk`], the executor's own); so is which value
 //! a slot holds at every point, once the values a run starts from are
 //! known. A slot lets go of its value after the last step that moves its
 //! block at its rank, unless the contract keeps it
@@ -19,9 +20,9 @@
 
 use std::sync::Arc;
 
-use crate::compile::CompiledSchedule;
+use crate::compile::{CompiledSchedule, Payloads, Visit};
 use crate::contract::{Contract, Granularity};
-use crate::schedule::{BlockId, TransferKind};
+use crate::schedule::BlockId;
 
 /// No value (in a slot), no buffer (for a value or a payload entry).
 pub const NONE: u32 = u32::MAX;
@@ -29,13 +30,14 @@ pub const NONE: u32 = u32::MAX;
 /// The death of a slot the contract keeps: it outlives the walk.
 pub const NEVER: u32 = u32::MAX;
 
-/// The two orders a run can walk a compiled schedule's payload entries in.
+/// The two orders a run can walk a compiled schedule's payload entries in
+/// ([`CompiledSchedule::walk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkOrder {
     /// Every step's receives gathered, then applied, step after step.
     Steps,
-    /// Every block's entries ([`crate::BlockMajor`]) from its first step to
-    /// its last, a step's gathered, then applied, block after block.
+    /// Every block's entries from its first step to its last, a step's
+    /// gathered, then applied, block after block.
     Blocks,
 }
 
@@ -77,57 +79,21 @@ impl MemoryPlan {
         entry: Vec<u32>,
         units: Vec<usize>,
     ) -> Self {
-        let slots = compiled.slots();
-        let mut held = entry.clone();
-        let mut run = Replay::new(units.len());
-        let mut targets = vec![NONE; compiled.num_payloads()];
-        let mut staged: Vec<u32> = Vec::with_capacity(compiled.max_staged());
-        let mut dying = Vec::new();
-        for_each_group(compiled, order, |step, group| {
-            staged.clear();
-            for &(_, e) in group {
-                let at = slots.src[e as usize] as usize;
-                let v = held[at];
-                run.hold(v);
-                staged.push(v);
-                if slots.deaths.get(at) == Some(&step) {
-                    dying.push(at);
-                }
-            }
-            for (&(reduce, e), &v) in group.iter().zip(&staged) {
-                let at = slots.dst[e as usize] as usize;
-                if slots.deaths.get(at) == Some(&step) {
-                    dying.push(at);
-                }
-                let h = held[at];
-                if !reduce || h == NONE {
-                    // The staged holder becomes the slot's.
-                    held[at] = v;
-                    run.release(h);
-                    continue;
-                }
-                if v == NONE {
-                    continue;
-                }
-                targets[e as usize] = match run.sole_buffer(h) {
-                    Some(own) => own,
-                    None => {
-                        let class = match run.class_of(h) {
-                            Some(class) => class,
-                            None => run.class(units[h as usize]),
-                        };
-                        let sum = run.take(class);
-                        held[at] = run.first + sum;
-                        run.release(h);
-                        sum
-                    }
-                };
-                run.release(v);
-            }
-            for at in dying.drain(..) {
-                run.release(std::mem::replace(&mut held[at], NONE));
-            }
-        });
+        let (src, dst) = compiled.payload_slots();
+        let mut run = Replay {
+            src,
+            dst,
+            deaths: &compiled.slots().deaths,
+            units: &units,
+            held: entry.clone(),
+            targets: vec![NONE; compiled.num_payloads()],
+            staged: Vec::with_capacity(compiled.max_staged(order)),
+            dying: Vec::new(),
+            first: units.len() as u32,
+            buffers: Vec::new(),
+            classes: Vec::new(),
+        };
+        compiled.walk(order, &mut run);
         let ends = run.buffers.iter().scan(0, |end, &[_, class]| {
             *end += run.classes[class as usize].0;
             Some(*end)
@@ -135,8 +101,8 @@ impl MemoryPlan {
         let bounds = [0].into_iter().chain(ends).collect();
         Self {
             entry,
+            targets: run.targets,
             units,
-            targets,
             bounds,
         }
     }
@@ -201,11 +167,26 @@ impl MemoryPlan {
     }
 }
 
-/// The state of [`MemoryPlan::derive`]'s replay besides the slots. A slot
-/// holds [`NONE`], a caller's payload `v < first`, or buffer `b` as
-/// `first + b`: a buffer holds one sum at a time, so its holders are that
-/// sum's.
-struct Replay {
+/// [`MemoryPlan::derive`]'s replay of a walk. A slot holds [`NONE`], a
+/// caller's payload `v < first`, or buffer `b` as `first + b`: a buffer
+/// holds one sum at a time, so its holders are that sum's.
+struct Replay<'a> {
+    /// See [`CompiledSchedule::payload_slots`].
+    src: &'a [u32],
+    dst: &'a [u32],
+    /// Per slot of a run's slot table, the step after which it lets go of
+    /// its value ([`NEVER`] if it never does).
+    deaths: &'a [u32],
+    /// Per caller's payload, its length in units.
+    units: &'a [usize],
+    /// Per slot of a run's slot table, the value it holds.
+    held: Vec<u32>,
+    /// See [`MemoryPlan::targets`].
+    targets: Vec<u32>,
+    /// The values the current group gathered, in apply order.
+    staged: Vec<u32>,
+    /// The slots that let go of their values when the current group ends.
+    dying: Vec<usize>,
     /// The caller's payloads: the first handle of a buffer.
     first: u32,
     /// Per buffer, its holders (slots and staged payloads) and its length
@@ -216,15 +197,64 @@ struct Replay {
     classes: Vec<(usize, Vec<u32>)>,
 }
 
-impl Replay {
-    fn new(first: usize) -> Replay {
-        Replay {
-            first: first as u32,
-            buffers: Vec::new(),
-            classes: Vec::new(),
+impl Visit for Replay<'_> {
+    fn group(&mut self, step: u32, runs: impl Iterator<Item = Payloads> + Clone) {
+        let runs = runs.filter(|run| run.moves);
+        self.staged.clear();
+        for run in runs.clone() {
+            for &at in &self.src[run.entries] {
+                let v = self.held[at as usize];
+                self.hold(v);
+                self.staged.push(v);
+                if self.deaths.get(at as usize) == Some(&step) {
+                    self.dying.push(at as usize);
+                }
+            }
         }
+        let mut taken = 0;
+        for run in runs {
+            for (e, &at) in run.entries.clone().zip(&self.dst[run.entries]) {
+                let (at, v) = (at as usize, self.staged[taken]);
+                taken += 1;
+                if self.deaths.get(at) == Some(&step) {
+                    self.dying.push(at);
+                }
+                let h = self.held[at];
+                if !run.reduces || h == NONE {
+                    // The staged holder becomes the slot's.
+                    self.held[at] = v;
+                    self.release(h);
+                    continue;
+                }
+                if v == NONE {
+                    continue;
+                }
+                self.targets[e] = match self.sole_buffer(h) {
+                    Some(own) => own,
+                    None => {
+                        let class = match self.class_of(h) {
+                            Some(class) => class,
+                            None => self.class(self.units[h as usize]),
+                        };
+                        let sum = self.take(class);
+                        self.held[at] = self.first + sum;
+                        self.release(h);
+                        sum
+                    }
+                };
+                self.release(v);
+            }
+        }
+        let mut dying = std::mem::take(&mut self.dying);
+        for at in dying.drain(..) {
+            let v = std::mem::replace(&mut self.held[at], NONE);
+            self.release(v);
+        }
+        self.dying = dying;
     }
+}
 
+impl Replay<'_> {
     /// The class of values `units` long.
     fn class(&mut self, units: usize) -> u32 {
         let found = self.classes.iter().position(|&(len, _)| len == units);
@@ -293,48 +323,6 @@ fn block_units(compiled: &CompiledSchedule, block: BlockId) -> usize {
         BlockId::Pairwise { .. } => 1,
     };
     units as usize
-}
-
-/// Calls `f` with every group of the walk in `order` — its step, and the
-/// payload entries it gathers before it applies any of them, in apply
-/// order, each with whether its send reduces — leaving out identity moves.
-fn for_each_group(
-    compiled: &CompiledSchedule,
-    order: WalkOrder,
-    mut f: impl FnMut(u32, &[(bool, u32)]),
-) {
-    let mut group = Vec::with_capacity(compiled.max_staged());
-    match order {
-        WalkOrder::Steps => {
-            for step in 0..compiled.num_steps() {
-                group.clear();
-                for &s in compiled.step_recvs(step) {
-                    let send = compiled.send(s as usize);
-                    let reduces = send.kind == TransferKind::Reduce;
-                    if !compiled.is_identity_move(step, send) {
-                        group.extend((send.blocks_start..send.blocks_end).map(|e| (reduces, e)));
-                    }
-                }
-                f(step as u32, &group);
-            }
-        }
-        WalkOrder::Blocks => {
-            let major = compiled.block_major();
-            for block in 0..compiled.num_blocks() {
-                for in_step in major.entries_of(block).chunk_by(|a, b| a.step == b.step) {
-                    group.clear();
-                    for e in in_step {
-                        let send = compiled.send(e.send as usize);
-                        if !compiled.is_identity_move(e.step as usize, send) {
-                            let reduces = send.kind == TransferKind::Reduce;
-                            group.push((reduces, send.blocks_start + e.entry));
-                        }
-                    }
-                    f(in_step[0].step, &group);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

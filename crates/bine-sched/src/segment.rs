@@ -12,7 +12,7 @@
 //! contiguous chunks and expands each synchronous step into up to `S`
 //! sub-steps: chunk `c` of every message of the original step travels in
 //! sub-step `c`. That rule is written once, as `ChunkPlan::substeps`, and
-//! consumed twice: [`segment_schedule`] collects the chunks into an owned
+//! consumed twice: [`Schedule::segmented`] collects the chunks into an owned
 //! [`Schedule`] — the reference the validator and the tests look at — and
 //! [`Schedule::compile_segmented`] interns them straight into the compiled
 //! form, which is how serving and tuning lower a `+seg{S}` pick without ever
@@ -58,7 +58,7 @@ pub(crate) fn num_substeps(step: &Step, chunks: usize) -> usize {
 
 /// The chunking rule, stated once: `schedule` cut into `chunks` pipeline
 /// segments. [`ChunkPlan::substeps`] yields the sub-steps in order;
-/// [`segment_schedule`] collects them into an owned [`Schedule`] and
+/// [`Schedule::segmented`] collects them into an owned [`Schedule`] and
 /// [`Schedule::compile_segmented`] interns them straight into the compiled
 /// form.
 ///
@@ -150,42 +150,38 @@ impl<'a> ChunkPlan<'a> {
     }
 }
 
-/// Splits `schedule` into `chunks` pipeline segments (see the module docs).
-///
-/// `chunks == 1` returns the schedule unchanged (same algorithm name); for
-/// `chunks > 1` the algorithm name gains a `+seg{chunks}` suffix so that
-/// segmented variants remain distinguishable in catalogs and reports.
-///
-/// This owned transform is the reference: the validator, the tests and
-/// anything that wants to look at a segmented [`Schedule`] use it. Serving
-/// and tuning never materialise it — [`Schedule::compile_segmented`] lowers
-/// the same chunks directly, and is pinned equal to
-/// `segment_schedule(s, chunks).compile()`.
-///
-/// # Panics
-/// Panics if `chunks == 0`.
-pub fn segment_schedule(schedule: &Schedule, chunks: usize) -> Schedule {
-    let name = tuned_name(&schedule.algorithm, chunks);
-    let mut out = Schedule::new(schedule.num_ranks, schedule.collective, name, schedule.root);
-    out.counts = schedule.counts.clone();
-    let steps = schedule.steps.iter().map(|s| num_substeps(s, chunks));
-    out.steps.reserve_exact(steps.sum());
-    for sub in ChunkPlan::new(schedule, chunks).substeps() {
-        let (messages, blocks) = sub.clone().fold((0, 0), |(m, b), c| (m + 1, b + c.1.len()));
-        let mut step = Step::with_capacity(messages, blocks);
-        for (m, blocks, segments) in sub {
-            step.push_with_segments(m.src, m.dst, blocks.iter().copied(), m.kind, segments);
-        }
-        out.push_step(step);
-    }
-    out
-}
-
 impl Schedule {
-    /// Returns this schedule split into `chunks` pipeline segments (see
-    /// [`segment_schedule`]).
+    /// Returns this schedule split into `chunks` pipeline segments (see the
+    /// module docs).
+    ///
+    /// `chunks == 1` returns the schedule unchanged (same algorithm name);
+    /// for `chunks > 1` the algorithm name gains a `+seg{chunks}` suffix so
+    /// that segmented variants remain distinguishable in catalogs and
+    /// reports.
+    ///
+    /// This owned transform is the reference: the validator, the tests and
+    /// anything that wants to look at a segmented [`Schedule`] use it.
+    /// Serving and tuning never materialise it —
+    /// [`Schedule::compile_segmented`] lowers the same chunks directly, and
+    /// is pinned equal to `segmented(chunks).compile()`.
+    ///
+    /// # Panics
+    /// Panics if `chunks == 0`.
     pub fn segmented(&self, chunks: usize) -> Schedule {
-        segment_schedule(self, chunks)
+        let name = tuned_name(&self.algorithm, chunks);
+        let mut out = Schedule::new(self.num_ranks, self.collective, name, self.root);
+        out.counts = self.counts.clone();
+        let steps = self.steps.iter().map(|s| num_substeps(s, chunks));
+        out.steps.reserve_exact(steps.sum());
+        for sub in ChunkPlan::new(self, chunks).substeps() {
+            let (messages, blocks) = sub.clone().fold((0, 0), |(m, b), c| (m + 1, b + c.1.len()));
+            let mut step = Step::with_capacity(messages, blocks);
+            for (m, blocks, segments) in sub {
+                step.push_with_segments(m.src, m.dst, blocks.iter().copied(), m.kind, segments);
+            }
+            out.push_step(step);
+        }
+        out
     }
 }
 

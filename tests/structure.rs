@@ -307,7 +307,7 @@ fn one_memory_plan() {
 
 /// `Contract::keeps` (bine-sched/src/contract.rs) alone states what a run
 /// ends with: `required` reads it, the slot deaths and the interpreters end
-/// at it, the plan reads the deaths and a walked table reads
+/// at it, the plan's replay reads the deaths and a walked table reads
 /// `SlotLayout::dies` — no second statement of which blocks a rank keeps.
 #[test]
 fn one_keep_rule() {
@@ -331,24 +331,59 @@ fn one_keep_rule() {
         "crates/bine-sched/src/plan.rs",
         "crates/bine-exec/src/compiled.rs",
     );
-    assert!(body(plan, "    pub fn derive(").contains("slots.deaths.get("));
+    assert!(body(plan, "    pub fn derive(").contains("deaths: &compiled.slots().deaths,"));
+    assert!(body(plan, "    fn group(").contains("self.deaths.get("));
     let state = "crates/bine-exec/src/state.rs";
     assert!(body(state, "    fn held(").contains(".dies("));
     let walks = [plan, compiled, state];
     clean(&grep(&walks, &[".required(", ".keeps("], shipped));
 }
 
-/// Both walks skip a rank's copy onto itself by
-/// `CompiledSchedule::is_identity_move`, the rule that also sizes their
-/// staging; a `src == dst` test in the kernel is a second rule they could
-/// split on.
+/// Both orders skip a rank's copy onto itself by
+/// `CompiledSchedule::is_identity_move`, which the walk alone asks (see
+/// `one_walk`); a `src == dst` test in the kernel is a second rule they
+/// could split on.
 #[test]
 fn one_identity_rule() {
     let compiled = "crates/bine-exec/src/compiled.rs";
     clean(&grep(&[compiled], &["src == @dst", "is_local()"], shipped));
     let compile = "crates/bine-sched/src/compile.rs";
-    let rule = body(compile, "    pub fn is_identity_move(");
+    let rule = body(compile, "    fn is_identity_move(");
     assert_eq!(lines_with(&rule, &["src == @dst"]).len(), 1);
+}
+
+/// A run's groups — which payloads it gathers before it applies any, in
+/// which order, skipping identity moves — are defined once, by
+/// `CompiledSchedule::walk`, in both orders. The executor, the memory plan
+/// (whose in-place sums are sound only if it replays the executor's exact
+/// groups) and the staging bound read that walk: no shipped code of
+/// bine-exec or plan.rs walks the compiled form itself, and in compile.rs
+/// only the walk asks the identity rule or cuts a block's entries by step.
+#[test]
+fn one_walk() {
+    let (compile, plan) = (
+        "crates/bine-sched/src/compile.rs",
+        "crates/bine-sched/src/plan.rs",
+    );
+    let rules = ["is_identity_move(", "chunk_by("];
+    let walkers = [
+        "step_recvs(",
+        "entries_of(",
+        "recvs_to(",
+        "step_sends(",
+        "sends_from(",
+        "block_index_slice(",
+    ];
+    let readers = ["crates/bine-exec/src", plan];
+    clean(&grep(&readers, &rules, shipped));
+    clean(&grep(&readers, &walkers, shipped));
+    let walk = body(compile, "    pub fn walk(");
+    let asked = lines_with(&walk, &rules);
+    assert_eq!(asked.len(), 2, "{asked:#?}");
+    let shipped = shipped(compile);
+    let mut everywhere = lines_with(&shipped, &rules);
+    everywhere.retain(|line| !line.starts_with("fn is_identity_move("));
+    assert_eq!(everywhere, asked);
 }
 
 /// A tree is one `bine_core::Tree` over a `TreeKind`, as a butterfly is one
@@ -420,7 +455,7 @@ fn one_block_hasher() {
 /// holdings. A comparison sort in either body is the O(n log n) miss back.
 #[test]
 fn one_pass_to_lower() {
-    let lower = "    pub fn compile(schedule";
+    let lower = "    pub(crate) fn compile(schedule";
     let compile = body("crates/bine-sched/src/compile.rs", lower);
     let builders = "crates/bine-sched/src/collectives/builders.rs";
     let allgather = body(builders, "pub fn butterfly_allgather(");
