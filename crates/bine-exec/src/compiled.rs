@@ -173,7 +173,7 @@ fn walk<'a>(
 ) {
     table.plan(compiled, order, slots);
     let (src, dst) = compiled.payload_slots();
-    let staging = Vec::with_capacity(compiled.max_staged(order));
+    let staging = state::staging(compiled.max_staged(order));
     let mut kernel = Kernel {
         compiled,
         src,
@@ -183,6 +183,7 @@ fn walk<'a>(
         staging,
     };
     compiled.walk(order, &mut kernel);
+    state::keep_staging(kernel.staging);
 }
 
 /// The one body of both orders, over a run's table and slots; `src` and

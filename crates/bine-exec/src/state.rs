@@ -18,10 +18,12 @@
 //! table yet. A run reads the caller's payloads and writes its sums into one
 //! arena, where the handle's [`MemoryPlan`] puts them: a sum's room is the
 //! next sum's once its last slot dies, and the finals' sums are the arena's
-//! survivors.
+//! survivors. The arena, the slot table, the payload list and a walk's
+//! staging come from the thread's one `Spare` and go back to it, so a run
+//! on a warm thread allocates none of them.
 
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -52,8 +54,10 @@ pub(crate) struct PayloadTable {
     layout: Arc<SlotLayout>,
     /// The run's slot table: rank `r`'s local slot `i` at
     /// `layout.rank_slots(r).start + i`, holding a handle or `NOT_HELD`.
-    /// Sized once, to the layout's slots; what the walks index.
-    slots: Box<[u32]>,
+    /// Sized once, to the layout's slots; what the walks index. A `Vec`
+    /// kept at its capacity, so that the spare it came from can take it
+    /// back whole ([`Spare`]).
+    slots: Vec<u32>,
     /// The caller's payloads the slots name.
     inputs: Vec<Block>,
     /// The run's sums, one allocation.
@@ -72,13 +76,25 @@ pub(crate) struct PayloadTable {
 }
 
 impl PayloadTable {
-    /// A table under `layout` of `slots` empty slots — a run's has the
-    /// layout's, a stand-in none — and room for `capacity` payloads.
+    /// A table under `layout` of `slots` empty slots and room for
+    /// `capacity` payloads, in the buffers this thread's spare holds if
+    /// they are large enough ([`spare`]).
     fn new(layout: &Arc<SlotLayout>, slots: usize, capacity: usize) -> Self {
+        let mut table = Self::stand_in(layout);
+        table.slots = spare(|s| &mut s.slots, slots);
+        table.slots.clear();
+        table.slots.resize(slots, NOT_HELD);
+        table.inputs = spare(|s| &mut s.inputs, capacity);
+        table
+    }
+
+    /// A table under `layout` of no slots and no payloads, which allocates
+    /// nothing: what the states' `Arc` holds while a walk owns their table.
+    fn stand_in(layout: &Arc<SlotLayout>) -> Self {
         Self {
             layout: Arc::clone(layout),
-            slots: vec![NOT_HELD; slots].into(),
-            inputs: Vec::with_capacity(capacity),
+            slots: Vec::new(),
+            inputs: Vec::new(),
             arena: Vec::new(),
             bounds: None,
             unit: 0,
@@ -173,40 +189,89 @@ impl PayloadTable {
 }
 
 impl Drop for PayloadTable {
-    /// Keeps the larger of its arena and the one kept before for the next
-    /// run on this thread ([`arena_of`]).
+    /// Leaves its arena, slot table and payload list, the caller's payloads
+    /// let go of, to the next run on this thread ([`Spare`]).
     fn drop(&mut self) {
-        let arena = std::mem::take(&mut self.arena);
-        if arena.capacity() > 0 {
-            SPARE.with(|spare| {
-                let kept = spare.take();
-                spare.set(if kept.capacity() < arena.capacity() {
-                    arena
-                } else {
-                    kept
-                });
-            });
-        }
+        self.inputs.clear();
+        keep(std::mem::take(&mut self.arena), |s| &mut s.arena);
+        keep(std::mem::take(&mut self.slots), |s| &mut s.slots);
+        keep(std::mem::take(&mut self.inputs), |s| &mut s.inputs);
     }
+}
+
+/// The buffers a run hands to the next on its thread: of each, the largest
+/// a dropped table or a finished walk let go of, so that what a run
+/// allocates does not depend on the runs before it. With glibc's trim
+/// threshold fixed, as the benchmark fixes it, a buffer over 128 KiB is
+/// mapped in page by page when it is new: a new arena per run made
+/// `exec-reduce` 1.4× slower, and a new slot table, payload list and
+/// staging per run cost `exec-move` 81 allocations and 2.98 MiB a round.
+struct Spare {
+    /// A run's arena ([`arena_of`]).
+    arena: Vec<f64>,
+    /// A run's slot table, emptied when taken.
+    slots: Vec<u32>,
+    /// A run's list of the caller's payloads, emptied when kept.
+    inputs: Vec<Block>,
+    /// A walk's staging ([`staging`]).
+    staging: Vec<u32>,
 }
 
 thread_local! {
-    /// The largest arena of a run's table dropped on this thread.
-    static SPARE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    /// The one spare of this thread.
+    static SPARE: RefCell<Spare> = const {
+        RefCell::new(Spare {
+            arena: Vec::new(),
+            slots: Vec::new(),
+            inputs: Vec::new(),
+            staging: Vec::new(),
+        })
+    };
 }
 
-/// An arena of at least `len` elements: the one a dropped table left on
-/// this thread, if any (a buffer's first write covers it whole, so it is
-/// neither cleared nor shortened), else a new one. With glibc's trim
-/// threshold fixed, as the benchmark fixes it, a new arena is mapped in
-/// page by page: one per run made `exec-reduce` 1.4× slower.
+/// The buffer `kept` names in this thread's spare, with capacity for at
+/// least `len` items: the spare's own if it has it, a new one otherwise.
+fn spare<T>(kept: fn(&mut Spare) -> &mut Vec<T>, len: usize) -> Vec<T> {
+    let held = SPARE.try_with(|spare| std::mem::take(kept(&mut spare.borrow_mut())));
+    match held {
+        Ok(buffer) if buffer.capacity() >= len => buffer,
+        _ => Vec::with_capacity(len),
+    }
+}
+
+/// Hands `buffer` to this thread's spare as the one `kept` names if it is
+/// larger than the one there, and drops the other.
+fn keep<T>(mut buffer: Vec<T>, kept: fn(&mut Spare) -> &mut Vec<T>) {
+    if buffer.capacity() > 0 {
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let kept = kept(&mut spare);
+            if kept.capacity() < buffer.capacity() {
+                std::mem::swap(kept, &mut buffer);
+            }
+        });
+    }
+}
+
+/// An arena of at least `len` elements, from the spare (a buffer's first
+/// write covers it whole, so it is neither cleared nor shortened).
 fn arena_of(len: usize) -> Vec<f64> {
-    let mut arena = SPARE.with(Cell::take);
+    let mut arena = spare(|s| &mut s.arena, len);
     if arena.len() < len {
-        arena.reserve_exact(len - arena.len());
         arena.resize(len, 0.0);
     }
     arena
+}
+
+/// A staging buffer for a walk that stages at most `len` payloads, from the
+/// spare (the walk empties it per group); [`keep_staging`] hands it back.
+pub(crate) fn staging(len: usize) -> Vec<u32> {
+    spare(|s| &mut s.staging, len)
+}
+
+/// Hands a walk's staging buffer back to the spare.
+pub(crate) fn keep_staging(staging: Vec<u32>) {
+    keep(staging, |s| &mut s.staging);
 }
 
 /// A run's [`PayloadTable`] while a walk writes it, with the buffer the
@@ -442,17 +507,14 @@ pub(crate) fn with_table<'a, R>(
     rekey(states, layout);
     let Some((mut held, _)) = states.first_mut().and_then(|s| s.keyed.take()) else {
         // No ranks, no payloads.
-        return walk(
-            &mut WalkTable::new(PayloadTable::new(layout, 0, 0)),
-            &mut [],
-        );
+        return walk(&mut WalkTable::new(PayloadTable::stand_in(layout)), &mut []);
     };
     for state in &mut states[1..] {
         state.keyed = None;
     }
     // The walk owns the table while it runs; the `Arc` holds an empty one.
     let table = Arc::get_mut(&mut held).expect("re-keying leaves the table to the run");
-    let mut table = std::mem::replace(table, PayloadTable::new(layout, 0, 0));
+    let mut table = std::mem::replace(table, PayloadTable::stand_in(layout));
     if table.walked {
         table.bury();
     }
@@ -475,7 +537,7 @@ pub(crate) fn with_table<'a, R>(
 struct Detached<'s, 'a> {
     held: Arc<PayloadTable>,
     walking: WalkTable<'a>,
-    slots: Box<[u32]>,
+    slots: Vec<u32>,
     states: &'s mut [BlockStore],
 }
 

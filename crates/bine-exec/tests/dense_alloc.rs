@@ -1,13 +1,15 @@
 //! Pins what the dense conversion and a pool run allocate: executor
 //! state is sized by the blocks a rank touches, not by every block the
 //! schedule interned, entering it from map form allocates one slot table
-//! per run, not a row per rank, a run holds each payload once, leaving
+//! per run, not a row per rank — none once the thread keeps one large
+//! enough — a run holds each payload once, leaving
 //! dense form — and entering it again with the finals — allocates nothing,
 //! the pool adds nothing to the step kernel, a run stages in one
 //! allocation, the block walk of a large reduction allocates what the step
-//! walk does, neither stages an identity move, a warm reducing run
-//! allocates one arena for all its sums, and the plan writes a sum into
-//! the room a freed sum left. Measured with a
+//! walk does, neither stages an identity move, a reducing run
+//! allocates one arena for all its sums, the plan writes a sum into
+//! the room a freed sum left, and what a warm run allocates does not
+//! depend on which runs came before it on its thread. Measured with a
 //! per-thread counting wrapper around the system allocator (tests are their
 //! own crates, so `bine-exec`'s `#![forbid(unsafe_code)]` still holds for
 //! the library itself).
@@ -59,8 +61,10 @@ fn to_dense_of_map_form_input_allocates_per_run_not_per_rank() {
     // into the run's table: per run its `Arc`, its one slot table for every
     // rank and its list of the caller's payloads; nothing per rank, nothing
     // per block — what a rank holds but never moves stays in its map, in
-    // place. Each buffer is sized exactly: 4 B per slot, 8 B per payload
-    // (its `Block`), and the `Arc` the same every time.
+    // place. The slot table and the payload list are those a dropped table
+    // left on the thread once they are large enough, so a warm thread
+    // allocates the `Arc` alone, the same every time (while a run sized its
+    // own, 4 B per slot and 8 B per payload more).
     let mut arcs = Vec::new();
     for p in [16, 64, 256] {
         for sched in [
@@ -72,18 +76,13 @@ fn to_dense_of_map_form_input_allocates_per_run_not_per_rank() {
             let handle = sched.compile();
             handle.slot_layout();
             let initial = Workload::for_schedule(&sched, 1).initial_state(&sched);
-            let holdings: usize = initial.iter().map(BlockStore::len).sum();
+            drop(compiled::to_dense(&handle, initial.clone()));
             let entering = || compiled::to_dense(&handle, initial);
             let (allocated, (bytes, dense)) =
                 counting::allocations_in(|| bytes_requested(entering));
             assert_eq!(dense.len(), p);
-            assert!(
-                allocated <= 4,
-                "{what}: to_dense allocated {allocated} times"
-            );
-            let slots = handle.slot_layout().num_slots();
-            let arc = bytes.checked_sub(4 * slots as u64 + 8 * holdings as u64);
-            arcs.push(arc.unwrap_or_else(|| panic!("{what}: {bytes} B")));
+            assert_eq!(allocated, 1, "{what}: to_dense allocated {allocated} times");
+            arcs.push(bytes);
         }
     }
     assert!(arcs.windows(2).all(|w| w[0] == w[1]), "{arcs:?}");
@@ -228,8 +227,10 @@ fn run_dense_cost(sched: &Schedule, handle: &CompiledSchedule, elems: usize) -> 
 fn a_warm_non_reducing_run_allocates_its_staging_once() {
     // A run moving payloads allocates its staging buffer and nothing else,
     // sized once for the step that stages the most
-    // (`CompiledSchedule::max_staged`); grown by doubling from empty it took
-    // one allocation per doubling on every run.
+    // (`CompiledSchedule::max_staged`) — on a thread that kept none large
+    // enough: a walk leaves its staging to the next, so a warm run
+    // allocates nothing. Grown by doubling from empty it took one
+    // allocation per doubling on every run, and then one per run.
     for p in [16, 64, 256] {
         for sched in [
             allgather(p, AllgatherAlg::Bine),
@@ -237,11 +238,67 @@ fn a_warm_non_reducing_run_allocates_its_staging_once() {
         ] {
             let handle = sched.compile();
             handle.slot_layout();
-            let (allocations, _) = run_dense_cost(&sched, &handle, 1);
             let what = format!("{:?} {} p={p}", sched.collective, sched.algorithm);
-            assert!(allocations <= 1, "{what}: {allocations} allocations");
+            let (first, _) = fresh_thread(|| run_dense_cost(&sched, &handle, 1));
+            assert_eq!(first, 1, "{what}: {first} allocations on a fresh thread");
+            run_dense_cost(&sched, &handle, 1);
+            let (warm, _) = run_dense_cost(&sched, &handle, 1);
+            assert_eq!(warm, 0, "{what}: {warm} allocations once warm");
         }
     }
+}
+
+/// `body`'s result, run on a thread of its own: one whose spare holds no
+/// buffer, so that the run allocates every buffer it uses.
+fn fresh_thread<T: Send>(body: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| scope.spawn(body).join().expect("no panic"))
+}
+
+#[test]
+fn what_a_warm_run_allocates_does_not_depend_on_the_runs_before_it() {
+    // Two handles of different sizes — every buffer a run takes from its
+    // thread's spare larger for `large`, its arena in `large` alone — run
+    // in the orders A B A and B A B, each on a fresh thread after one run
+    // of each: every run allocates the same, its table's `Arc` and nothing
+    // else, whichever ran before it. A slot table shrunk to its run's size
+    // (as a `Box<[u32]>` is) reallocates whenever the smaller handle
+    // follows the larger, and then a run's count, and a benchmark's, would
+    // depend on the order of its requests.
+    let small = alltoall(16, AlltoallAlg::Bine);
+    let large = reduce_scatter(64, ReduceScatterAlg::Bine(NonContigStrategy::Permute));
+    let handles = [small.compile(), large.compile()];
+    let inputs = [
+        Workload::for_schedule(&small, 1).initial_state(&small),
+        Workload::for_schedule(&large, 4).initial_state(&large),
+    ];
+    let run = |h: usize| {
+        let input = inputs[h].clone();
+        let (allocations, (bytes, ())) = counting::allocations_in(|| {
+            bytes_requested(|| drop(compiled::run(&handles[h], input)))
+        });
+        (allocations, bytes)
+    };
+    let in_order = |order: [usize; 3]| {
+        fresh_thread(|| {
+            run(0);
+            run(1);
+            order.map(|h| (h, run(h)))
+        })
+    };
+    let orders = [in_order([0, 1, 0]), in_order([1, 0, 1])];
+    let (_, arc) = orders[0][0].1;
+    for (h, cost) in orders.into_iter().flatten() {
+        assert_eq!(cost, (1, arc), "{orders:?}: handle {h}");
+    }
+    // Finals held across a smaller run: the spare keeps the larger table's
+    // buffers, though the smaller table let go of its own first.
+    let held_across = fresh_thread(|| {
+        let held = compiled::run(&handles[1], inputs[1].clone());
+        run(0);
+        drop(held);
+        run(1)
+    });
+    assert_eq!(held_across, (1, arc));
 }
 
 #[test]

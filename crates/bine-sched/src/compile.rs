@@ -298,6 +298,11 @@ impl CompiledSend {
 /// store for every rank: the key table of the dense executor state and of
 /// the finals it returns.
 ///
+/// A block's slot is found in constant time ([`SlotLayout::local_slot`]):
+/// each row that holds some but not all interned blocks is cut into
+/// buckets of a power-of-two width, at most one per slot, and a bucket keeps
+/// where its first slot lies.
+///
 /// The table is self-contained — it carries its own copy of the handle's
 /// interning, made once when the layout is derived — and sits behind an
 /// [`Arc`] ([`CompiledSchedule::slot_layout`]): whoever holds state keyed by
@@ -312,6 +317,15 @@ pub struct SlotLayout {
     /// Per rank: the sorted interned indices of the blocks it touches; the
     /// position within the rank's range is the local slot.
     rank_blocks: Vec<u32>,
+    /// Per rank: range into `buckets` (CSR), empty for a row that holds
+    /// every interned block or none. Length `num_ranks + 1`.
+    bucket_offsets: Vec<u32>,
+    /// Per rank: log2 of the width of its buckets, in interned indices.
+    shifts: Vec<u8>,
+    /// Per rank, per bucket `b`: the local slot of the row's first block
+    /// at or above `b << shift`, and, closing the last bucket, the row's
+    /// length ([`bucket_row`]).
+    buckets: Vec<u32>,
     /// See [`SlotLayout::dies`]: bit `at % 64` of word `at / 64`, no words
     /// past the last set bit.
     dying: Vec<u64>,
@@ -380,12 +394,18 @@ impl Slots {
         let mut src_slots = vec![0; payloads.len()];
         let mut dst_slots = vec![0; payloads.len()];
 
-        // Interned index → slot of the rank being laid out; the one
-        // table sized by every interned block, shared by all ranks and
-        // dropped when the derivation ends.
-        const UNTOUCHED: u32 = u32::MAX;
-        let mut local = vec![UNTOUCHED; compiled.num_blocks()];
+        // Interned index → slot of the rank being laid out, and a bit per
+        // interned index for the blocks it touches: the tables sized by
+        // every interned block, shared by all ranks and dropped when the
+        // derivation ends.
+        let mut local = vec![0; compiled.num_blocks()];
+        let mut touched = vec![0u64; compiled.num_blocks().div_ceil(64)];
+        let (mut bucket_offsets, mut shifts) = (Vec::with_capacity(p + 1), Vec::with_capacity(p));
+        // Room for the most buckets the rows can have: a slot's and a
+        // rank's each, and a payload entry makes at most two slots.
+        let mut buckets = Vec::with_capacity(2 * payloads.len() + p);
         rank_offsets.push(0);
+        bucket_offsets.push(0);
         for rank in 0..p {
             let sent = |step| compiled.sends_from(step, rank).iter();
             let received = |step| {
@@ -395,17 +415,20 @@ impl Slots {
             let base = rank_blocks.len();
             for send in (0..steps).flat_map(|s| sent(s).chain(received(s))) {
                 for &block in compiled.block_index_slice(send) {
-                    if local[block as usize] == UNTOUCHED {
-                        local[block as usize] = 0;
-                        rank_blocks.push(block);
-                    }
+                    touched[block as usize / 64] |= 1 << (block % 64);
                 }
             }
-            rank_blocks[base..].sort_unstable();
-            // Local slot `slot` of the rank is position `base + slot` of a
-            // run's slot table.
-            for (at, &block) in rank_blocks.iter().enumerate().skip(base) {
-                local[block as usize] = at as u32;
+            // The row in ascending order, the bits cleared for the next
+            // rank: local slot `slot` of the rank is position `base + slot`
+            // of a run's slot table.
+            for (word, bits) in touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(bits);
+                while bits != 0 {
+                    let block = word * 64 + bits.trailing_zeros() as usize;
+                    local[block] = rank_blocks.len() as u32;
+                    rank_blocks.push(block as u32);
+                    bits &= bits - 1;
+                }
             }
             let localise = |slots: &mut [u32], send: &CompiledSend| {
                 let entries = send.blocks_start as usize..send.blocks_end as usize;
@@ -417,12 +440,12 @@ impl Slots {
                 sent(step).for_each(|send| localise(&mut src_slots, send));
                 received(step).for_each(|send| localise(&mut dst_slots, send));
             }
-            for &block in &rank_blocks[base..] {
-                local[block as usize] = UNTOUCHED;
-            }
+            shifts.push(bucket_row(&mut buckets, &rank_blocks[base..], local.len()));
             // At most one slot per payload entry, and those fit (`compile`).
             rank_offsets.push(rank_blocks.len() as u32);
+            bucket_offsets.push(index_u32(buckets.len(), "buckets"));
         }
+        buckets.shrink_to_fit();
         // The slots that die: those of the blocks a rank moves that the
         // contract does not keep.
         let contract = Contract::from(compiled);
@@ -440,6 +463,9 @@ impl Slots {
             blocks: compiled.blocks.clone(),
             rank_offsets,
             rank_blocks,
+            bucket_offsets,
+            shifts,
+            buckets,
             dying,
         });
         // When, for a memory plan, so only if the schedule reduces: after
@@ -517,19 +543,58 @@ impl SlotLayout {
     }
 
     /// The local slot of interned block `block` at `rank`, if the rank ever
-    /// sends or receives it.
+    /// sends or receives it: in constant time, unless its bucket holds more
+    /// than one run of consecutive indices (see [`SlotLayout`]).
     #[inline]
     pub fn local_slot(&self, rank: usize, block: u32) -> Option<usize> {
         let touched = self.rank_blocks(rank);
         // Slots ascend with the interned index without repeats, so a block
-        // found at its own index (always, for a rank that touches every
-        // interned block, as every rank of an allreduce does) needs no
-        // search.
+        // found at its own index (always, for a row that holds every
+        // interned block, as every row of an allreduce does: it has no
+        // bucket) needs no lookup.
         if touched.get(block as usize) == Some(&block) {
             return Some(block as usize);
         }
-        touched.binary_search(&block).ok()
+        let row = self.bucket_offsets[rank] as usize..self.bucket_offsets[rank + 1] as usize;
+        let at = (block >> self.shifts[rank]) as usize;
+        let ends = self.buckets[row].get(at..at + 2)?;
+        let start = ends[0] as usize;
+        let bucket = &touched[start..ends[1] as usize];
+        // The block lies at most its distance from the bucket's first block
+        // into the bucket — exactly there if the bucket is one run.
+        let offset = block.checked_sub(*bucket.first()?)? as usize;
+        let head = &bucket[..bucket.len().min(offset + 1)];
+        let found = match head[head.len() - 1].cmp(&block) {
+            std::cmp::Ordering::Equal => Some(head.len() - 1),
+            std::cmp::Ordering::Less => None,
+            std::cmp::Ordering::Greater => head.binary_search(&block).ok(),
+        };
+        found.map(|slot| start + slot)
     }
+}
+
+/// Appends the buckets of `row`, one rank's sorted interned indices of
+/// `blocks` interned blocks, to `buckets` and returns their width's log2:
+/// the narrowest power of two with at most one bucket per slot, each bucket
+/// the local slot of the row's first block at or above its start, then the
+/// row's length. A row that holds every block or none gets no bucket.
+fn bucket_row(buckets: &mut Vec<u32>, row: &[u32], blocks: usize) -> u8 {
+    if row.is_empty() || row.len() == blocks {
+        return 0;
+    }
+    let shift = blocks.div_ceil(row.len()).next_power_of_two().ilog2();
+    let start = buckets.len();
+    buckets.resize(start + ((blocks - 1) >> shift) + 2, 0);
+    // Bucket `b`'s blocks counted at `b + 1`, so that the prefix sums leave
+    // at `b` the count of the blocks below it.
+    let index = &mut buckets[start..];
+    for &block in row {
+        index[(block >> shift) as usize + 1] += 1;
+    }
+    for b in 1..index.len() {
+        index[b] += index[b - 1];
+    }
+    shift as u8
 }
 
 /// One send's payloads in a group of a walk ([`CompiledSchedule::walk`]),
@@ -961,6 +1026,9 @@ impl CompiledSchedule {
 
     /// Global send indices targeting `rank` in `step`, in schedule order —
     /// the exact order the reference interpreter applies payloads in.
+    /// Inline: a walk asks it per send, and block by block per payload
+    /// ([`Payloads::moves`]).
+    #[inline]
     pub fn recvs_to(&self, step: usize, rank: usize) -> &[u32] {
         let row = step * (self.num_ranks + 1) + rank;
         let lo = self.recv_offsets[row] as usize;
@@ -1242,9 +1310,11 @@ mod tests {
                 assert_eq!(*layout.block_at(rank, slot), id, "{what} rank {rank}");
                 assert_eq!(layout.blocks().index_of(&id), Some(block), "{what}");
             }
-            for block in 0..compiled.num_blocks() as u32 {
-                let slot = want.iter().position(|&b| b == block);
-                assert_eq!(layout.local_slot(rank, block), slot, "{what} rank {rank}");
+            // Every block, touched or not, and two past the interned range.
+            for block in 0..compiled.num_blocks() as u32 + 2 {
+                let slot = want.binary_search(&block).ok();
+                let found = layout.local_slot(rank, block);
+                assert_eq!(found, slot, "{what} rank {rank} block {block}");
             }
             // The O(touched) pin: never more slots than blocks moved.
             assert!(want.len() <= moved[rank], "{what} rank {rank}");
@@ -1321,6 +1391,43 @@ mod tests {
         assert!(sched.compile().num_blocks() > p * p / 2);
         for (rank, slots) in check_slot_layout(&sched).into_iter().enumerate() {
             assert!(slots < p * p / 4, "rank {rank} has {slots} slots");
+        }
+    }
+
+    #[test]
+    fn the_bucket_index_answers_as_a_search_of_the_row() {
+        // Clustered rows (about 290 runs in a Bine alltoall's 1 279 slots at
+        // p = 256), spread ones (a pairwise alltoall's 2p − 1 of p²), and a
+        // row that is one long run plus isolated blocks, two of them in one
+        // bucket with a gap between.
+        let p = 64;
+        let pairwise = |i: u32| BlockId::Pairwise {
+            origin: i / p as u32,
+            dest: i % p as u32,
+        };
+        let mut hand_built = Schedule::new(p, Collective::Alltoall, "run-and-isolated", 0);
+        let mut step = Step::new();
+        // Interned in order: block `i` is interned index `i`.
+        step.push_with_segments(1, 2, (0..4096).map(pairwise), TransferKind::Copy, 1);
+        let isolated = [5, 7, 1100, 1102, 1500, 3000, 4095];
+        let blocks = (101..1099).chain(isolated).map(pairwise);
+        step.push_with_segments(0, 3, blocks, TransferKind::Copy, 1);
+        hand_built.push_step(step);
+        // Bucketed: every alltoall row, which holds some but not all blocks;
+        // of the hand-built rows, ranks 0 and 3 — ranks 1 and 2 hold every
+        // block and the rest none, as every row of an allreduce holds all.
+        let cases = [
+            (alltoall(256, AlltoallAlg::Bine), 256),
+            (alltoall(64, AlltoallAlg::Pairwise), 64),
+            (hand_built, 2),
+            (allreduce(16, AllreduceAlg::BineLarge), 0),
+        ];
+        for (sched, bucketed) in &cases {
+            check_slot_layout(sched);
+            let layout = Arc::clone(sched.compile().slot_layout());
+            let rows = |rank: usize| layout.bucket_offsets[rank]..layout.bucket_offsets[rank + 1];
+            let indexed = (0..sched.num_ranks).filter(|&rank| !rows(rank).is_empty());
+            assert_eq!(indexed.count(), *bucketed, "{}", sched.algorithm);
         }
     }
 

@@ -234,6 +234,27 @@ fn one_slot_table_per_run() {
     assert_eq!(takers, [entry]);
 }
 
+/// A run hands its buffers to the next on its thread through one spare,
+/// bine-exec's one `thread_local!` (state.rs): a new table's slots and
+/// payload list and a walk's staging come from it, so neither
+/// `PayloadTable::new` nor compiled.rs's `walk` allocates one of its own —
+/// which a benchmark that fixes glibc's mmap threshold faults in page by
+/// page on every run.
+#[test]
+fn one_spare() {
+    let exec = ["crates/bine-exec/src"];
+    let spares = grep(&exec, &["thread_local!"], shipped);
+    assert_eq!(only(&spares, "crates/bine-exec/src/state.rs"), 1);
+    let takers = [
+        ("crates/bine-exec/src/compiled.rs", "fn walk<'a>("),
+        ("crates/bine-exec/src/state.rs", "    fn new(layout: &Arc"),
+    ];
+    for (file, header) in takers {
+        let allocations = ["Vec::with_capacity(", "vec![", "thread_local!"];
+        clean(&lines_with(&body(file, header), &allocations));
+    }
+}
+
 /// A crash is decided by one analysis, the validator's survivor replay
 /// (`ScheduleValidator::survivors`), which the DES, the executor and crash
 /// recovery all read: the kernel's shipped code names no dead rank and no
